@@ -79,7 +79,7 @@ func (s *Server) initTelemetry() {
 	// count fixed by configuration — and the route split depends only on
 	// the configured width, so neither can encode page contents.
 	s.scanSegment = reg.Histogram("privsp_scan_segment_seconds",
-		"wall-clock time one worker spent folding its segment of a parallel scan",
+		"wall-clock time one worker spent folding its share of a parallel scan",
 		telemetry.Seconds(), dbl)
 	const kernelHelp = "merged scans by kernel route (parallel = segmented multi-worker pass)"
 	s.scanRoutePar = reg.Counter("privsp_scan_route_total",
@@ -113,7 +113,13 @@ func (s *Server) initTelemetry() {
 			"scan-worker width per store pass (1 = serial kernel), resolved against the pool at host time",
 			func() float64 { return float64(width) }, dbl, fl)
 		if ps, ok := hs.store.(pir.ParallelScan); ok {
-			ps.SetScanObserver(func(d time.Duration) { s.scanSegment.Observe(int64(d)) })
+			// The store's parked scan workers keep the observer reachable,
+			// so it must capture the histogram alone: a closure over s
+			// would pin the server — and through it every hosted store,
+			// arena and worker group — to the store's own goroutines, and
+			// the store's cleanup could never run.
+			segments := s.scanSegment
+			ps.SetScanObserver(func(d time.Duration) { segments.Observe(int64(d)) })
 		}
 		ss, ok := hs.store.(pir.ScanStats)
 		if !ok {

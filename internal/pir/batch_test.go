@@ -210,7 +210,8 @@ func (f fakeRand) Read(p []byte) (int, error) { return f.rng.Read(p) }
 // TestXORPIRReadBatchIntoZeroAllocs pins the allocation-free steady state
 // of the single-scan batch path: with the scratch pool warm and
 // caller-provided destination buffers, a batched oblivious read allocates
-// nothing.
+// nothing — at k = 8 over a range long enough that the pass folds through
+// its bucket table, which must come from the pooled scratch too.
 func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -222,6 +223,9 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(5))}
+	if bucketBits(k, n, x.a.arena.wpp) == 1 {
+		t.Fatal("geometry does not engage the bucketed fold")
+	}
 	batch := []int{0, 7, 7, 31, 64, 127, 90, 13}[:k]
 	dst := make([][]byte, k)
 	for i := range dst {
@@ -240,6 +244,50 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 	for i, p := range batch {
 		if !bytes.Equal(dst[i], pages[p]) {
 			t.Fatalf("answer %d (page %d) wrong after alloc-free reads", i, p)
+		}
+	}
+}
+
+// TestXORPIRAnswerSharesZeroAllocs is the same pin for the replica half of
+// fleet mode: k = 8 client-supplied selectors answered through the bucketed
+// fold allocate nothing in the steady state, on the serial kernel and on the
+// segmented one.
+func TestXORPIRAnswerSharesZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const n, ps, k = 256, 512, 8
+	pages := makePages(n, ps, 61)
+	x, err := NewXORPIR(src(pages, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(62))
+	sels, dst := make([][]byte, k), make([][]byte, k)
+	for j := range sels {
+		sels[j] = make([]byte, x.SelectorBytes())
+		rng.Read(sels[j])
+		dst[j] = make([]byte, ps)
+	}
+	ctx := context.Background()
+	answer := func() {
+		if err := x.AnswerShares(ctx, sels, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, nw := range []int{1, 4} {
+		nw = x.SetScanWorkers(nw)
+		if bucketBits(k, n/nw, x.a.arena.wpp) == 1 {
+			t.Fatalf("workers=%d: geometry does not engage the bucketed fold", nw)
+		}
+		answer() // warm: scratch pool, task pool, worker goroutines, tables
+		if allocs := testing.AllocsPerRun(100, answer); allocs != 0 {
+			t.Fatalf("workers=%d: steady-state AnswerShares allocates %.1f objects per batch; want 0", nw, allocs)
+		}
+		for j, sel := range sels {
+			if !bytes.Equal(dst[j], xorAnswerBytes(pages, ps, sel)) {
+				t.Fatalf("workers=%d: share %d wrong after alloc-free answers", nw, j)
+			}
 		}
 	}
 }

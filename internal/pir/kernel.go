@@ -9,20 +9,47 @@ import (
 
 // This file is the word-wide XOR kernel shared by the linear-scan PIR
 // stores and the ORAM re-encryption paths. A PIR answer touches the whole
-// file by construction (§2.2), so the server's scan throughput is the
-// system's throughput; everything here exists to make that scan run at
-// memory speed:
+// file by construction (§2.2), so the server's scan is the query; the unit
+// the kernel is costed in is the ROW-XOR — folding one page row (wpp words)
+// into another row.
 //
 //   - wordArena flattens a page file into one contiguous []uint64, so a
-//     scan walks a single allocation in address order (no per-page pointer
-//     chase) and XORs eight bytes per operation instead of one.
-//   - answerAll answers k independent selector vectors in ONE pass over
-//     the arena — k accumulators per scan, the matrix-batching idea of
-//     Chor et al. — so a k-page round costs one file scan, not k.
+//     pass walks a single allocation in address order and XORs eight bytes
+//     per operation.
+//   - answerAll answers k selector vectors in ONE pass over the arena (the
+//     matrix-batching idea of Chor et al.): every page row is read once,
+//     whatever k is. What k changes is how many row-XORs the pass performs.
+//
+// Row-XOR count model. A pass over n pages with k uniform selectors, folded
+// the direct way (test each selector's bit, XOR the row into that selector's
+// accumulator), costs n·k/2 row-XORs: the arena is read once but each row is
+// folded k/2 times, and past k≈2 the pass is compute-bound, not memory-bound.
+// The bucketed fold (Four Russians / Pippenger) takes the selectors in groups
+// of g: page p's g selector bits form a pattern in [0, 2^g), the row is XORed
+// ONCE into bucket `pattern` of a 2^g-row table (pattern 0 selects nothing
+// and is skipped), and after the range the table is folded into the g
+// accumulators high bit to low — acc[j] ^= T[b]; T[b^bit] ^= T[b] for every b
+// with bit j as its top bit — which costs 2·2^g row-XORs on top of the 2^g
+// row-clears that zero the table. One group therefore costs
+//
+//	n·(1 − 2^−g) + 3·2^g        against        n·g/2
+//
+// row-XORs, and bucketBits picks the g ≤ 8 that minimises the sum over
+// ⌈k/g⌉ groups, subject to all of a pass's tables fitting a constant 1 MiB
+// (cache-resident beside the streaming arena). At k = 8 over 11 321 4-KB
+// pages that is 11 277 + 768 row-XORs instead of 45 284; over an 8-page range
+// no table pays for itself and g = 1 — the direct loop — is what runs.
+//
+// Obliviousness is untouched. The pattern gather reads exactly the selector
+// bits the direct loop reads, for every page of the range; every page is
+// still visited once per pass; selectors are still drawn per query inside
+// the store. The table is scratch owned by one scan worker (see parallel.go)
+// and never leaves the store, so the servers' views and the Theorem-1 traces
+// are those of the direct loop.
+//
 //   - xorBytes is the byte-slice face of the word-wide XOR, used by the
 //     sqrt-ORAM re-encryption path to fold plaintext into a materialized
-//     keystream (see SqrtORAM.encryptInto, which together with in-place
-//     slot reuse makes the per-read shelter rewrite allocation-free).
+//     keystream (see SqrtORAM.encryptInto).
 
 // wordArena is a page file flattened into uint64 lanes: page i occupies
 // words [i*wpp, (i+1)*wpp). Pages whose byte size is not a multiple of 8
@@ -101,15 +128,27 @@ func unpackWords(dst []byte, src []uint64) {
 	}
 }
 
-// xorWords folds src into acc lane-wise. Both slices must have equal
-// length; the explicit reslice lets the compiler elide bounds checks in
-// the loop.
+// xorWords folds src into acc lane-wise, eight words per iteration: the
+// fixed-size reslices give the compiler one bounds check per block instead
+// of one per word (see BenchmarkXORAnswer for what that buys). Both slices
+// must have equal length.
 func xorWords(acc, src []uint64) {
 	if len(acc) != len(src) {
 		panic("pir: xorWords length mismatch")
 	}
-	src = src[:len(acc)]
-	for i := range acc {
+	i := 0
+	for ; i+8 <= len(acc); i += 8 {
+		a, s := acc[i:i+8:i+8], src[i:i+8:i+8]
+		a[0] ^= s[0]
+		a[1] ^= s[1]
+		a[2] ^= s[2]
+		a[3] ^= s[3]
+		a[4] ^= s[4]
+		a[5] ^= s[5]
+		a[6] ^= s[6]
+		a[7] ^= s[7]
+	}
+	for ; i < len(acc); i++ {
 		acc[i] ^= src[i]
 	}
 }
@@ -146,20 +185,133 @@ func (a *wordArena) answerOne(sel []byte, acc []uint64) {
 	}
 }
 
-// answerAll answers k selector vectors in ONE pass over the arena: page p
-// is loaded once (cache-hot for every selector that wants it) and folded
-// into each accumulator whose bit is set. accs[j] must be len wpp and
-// zeroed by the caller. This is what makes a k-page batch cost one file
-// scan instead of k.
-func (a *wordArena) answerAll(sels [][]byte, accs [][]uint64) {
-	a.answerAllRange(sels, accs, 0, a.numPages)
+// maxBucketBits caps a group at 8 selectors (256 buckets): past that the
+// fold term 3·2^g overtakes any range this repo scans.
+const maxBucketBits = 8
+
+// maxTableBytes bounds the bucket tables of one pass — a constant, so a scan
+// worker's scratch does not grow with the batch: at 4-KB pages one group of 8
+// selectors, or 16 groups of 4.
+const maxTableBytes = 1 << 20
+
+// passCost2 is TWICE the row-XOR count the model charges a pass that takes
+// k selectors over n pages in groups of g (doubled so n·k/2 stays integral):
+// the direct loop at g = 1, else table clears, scatter and fold per group.
+func passCost2(k, n, g int) int {
+	if g == 1 {
+		return n * k
+	}
+	groupCost2 := func(g int) int { return 2 * (n - n>>g + 3<<g) }
+	cost := k / g * groupCost2(g)
+	if rem := k % g; rem > 0 {
+		cost += groupCost2(rem)
+	}
+	return cost
 }
 
-// answerAllRange is answerAll restricted to pages [start, end) — the unit
-// of work one scan-worker segment folds (see parallel.go). Page rows are
-// contiguous and at least a cache line apart at any realistic page size, so
-// concurrent ranges never share a written line.
-func (a *wordArena) answerAllRange(sels [][]byte, accs [][]uint64, start, end int) {
+// bucketBits returns the group size g the row-XOR count model picks for k
+// selectors over an n-page range of wpp-word rows; 1 means the direct loop.
+func bucketBits(k, n, wpp int) int {
+	best, bestCost := 1, passCost2(k, n, 1)
+	for g := 2; g <= maxBucketBits && g <= k; g++ {
+		if tableRows(k, g)*wpp*8 > maxTableBytes {
+			break
+		}
+		if cost := passCost2(k, n, g); cost < bestCost {
+			best, bestCost = g, cost
+		}
+	}
+	return best
+}
+
+// tableRows is the bucket-table size, in rows, of a pass that takes k
+// selectors in groups of g: 2^g rows per full group plus 2^(k mod g) for the
+// remainder group.
+func tableRows(k, g int) int {
+	rows := k / g << g
+	if rem := k % g; rem > 0 {
+		rows += 1 << rem
+	}
+	return rows
+}
+
+// answerAll answers k selector vectors in ONE pass over the arena: every
+// page row is read once and folded as the row-XOR count model (file header)
+// dictates. accs[j] must be len wpp and zeroed by the caller; table is the
+// calling worker's bucket scratch, grown here on first use and reused after.
+func (a *wordArena) answerAll(sels [][]byte, accs [][]uint64, table *[]uint64) {
+	a.answerAllRange(sels, accs, 0, a.numPages, table)
+}
+
+// answerAllRange is answerAll restricted to pages [start, end): pick g for the
+// range, then zero a table, scatter the range into it and fold it. A parallel
+// pass (parallel.go) takes the same three steps itself, scattering every
+// chunk a worker wins into that worker's one table. Page rows are contiguous
+// and at least a cache line apart at any realistic page size, so concurrent
+// ranges never share a written line.
+func (a *wordArena) answerAllRange(sels [][]byte, accs [][]uint64, start, end int, table *[]uint64) {
+	k := len(sels)
+	g := bucketBits(k, end-start, a.wpp)
+	if g == 1 {
+		a.foldDirect(sels, accs, start, end)
+		return
+	}
+	tab := a.bucketTable(table, k, g)
+	a.scatterRange(sels, tab, g, start, end)
+	foldTable(tab, accs, g, a.wpp)
+}
+
+// bucketTable sizes *table for a pass of k selectors in groups of g (growing
+// it on first use) and returns it zeroed.
+func (a *wordArena) bucketTable(table *[]uint64, k, g int) []uint64 {
+	need := tableRows(k, g) * a.wpp
+	if cap(*table) < need {
+		*table = make([]uint64, need)
+	}
+	tab := (*table)[:need]
+	clearWords(tab)
+	return tab
+}
+
+// scatterRange is the bucketed fold's pass over pages [start, end): one
+// row-XOR per page per group, into the bucket the page's selector bits name.
+// Group lo/g owns table rows [base, base+2^len(group)). A table may take any
+// number of ranges before foldTable reduces it.
+func (a *wordArena) scatterRange(sels [][]byte, tab []uint64, g, start, end int) {
+	k, wpp := len(sels), a.wpp
+	for p := start; p < end; p++ {
+		byteIdx, shift := p>>3, uint(p&7)
+		row := a.row(p)
+		base := 0
+		for lo := 0; lo < k; lo += g {
+			group := sels[lo:min(lo+g, k)]
+			pattern := 0
+			for j, sel := range group {
+				pattern |= int(sel[byteIdx]>>shift&1) << j
+			}
+			if pattern != 0 {
+				b := (base + pattern) * wpp
+				xorWords(tab[b:b+wpp], row)
+			}
+			base += 1 << len(group)
+		}
+	}
+}
+
+// foldTable reduces each group's buckets into its accumulators.
+func foldTable(tab []uint64, accs [][]uint64, g, wpp int) {
+	base := 0
+	for lo := 0; lo < len(accs); lo += g {
+		group := accs[lo:min(lo+g, len(accs))]
+		rows := 1 << len(group)
+		foldBuckets(tab[base*wpp:(base+rows)*wpp], group, wpp)
+		base += rows
+	}
+}
+
+// foldDirect is the g = 1 base case: each page row is XORed straight into
+// the accumulator of every selector that wants it, n·k/2 row-XORs.
+func (a *wordArena) foldDirect(sels [][]byte, accs [][]uint64, start, end int) {
 	for p := start; p < end; p++ {
 		byteIdx, bit := p>>3, byte(1)<<(p&7)
 		var row []uint64
@@ -169,6 +321,25 @@ func (a *wordArena) answerAllRange(sels [][]byte, accs [][]uint64, start, end in
 					row = a.row(p)
 				}
 				xorWords(accs[j], row)
+			}
+		}
+	}
+}
+
+// foldBuckets reduces a 2^g-row bucket table into the g accumulators it
+// stands for. Bucket b holds the XOR of the rows whose selection pattern was
+// b, so acc[j] is owed every bucket with bit j set. Taking bits high to low,
+// each bucket b whose TOP bit is j pays acc[j] and then merges into b without
+// that bit, which owes the same lower accumulators — halving the live table
+// each round, 2·2^g row-XORs in all. Bucket 0 is owed to nobody.
+func foldBuckets(tab []uint64, accs [][]uint64, wpp int) {
+	for j := len(accs) - 1; j >= 0; j-- {
+		bit := 1 << j
+		for b := bit; b < 2*bit; b++ {
+			src := tab[b*wpp : (b+1)*wpp]
+			xorWords(accs[j], src)
+			if lower := b ^ bit; lower != 0 {
+				xorWords(tab[lower*wpp:(lower+1)*wpp], src)
 			}
 		}
 	}

@@ -93,7 +93,8 @@ func TestWordKernelMatchesByteKernel(t *testing.T) {
 		for j := range accs {
 			accs[j] = make([]uint64, arena.wpp)
 		}
-		arena.answerAll(sels, accs)
+		var table []uint64
+		arena.answerAll(sels, accs, &table)
 		for j, sel := range sels {
 			want := xorAnswerBytes(pages, shape.ps, sel)
 			got := make([]byte, shape.ps)
@@ -120,4 +121,193 @@ func TestWordArenaPageRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kernelCase is one geometry of the bucketed-kernel equivalence table, with
+// the byte-oracle answers of a selector pool computed once and shared by
+// every batch size drawn from it.
+type kernelCase struct {
+	pages [][]byte
+	arena *wordArena
+	sels  [][]byte   // pool: random vectors, with all-zero at 1 and all-one at 3
+	want  [][]uint64 // oracle answer per pool selector, packed like an arena row
+}
+
+func newKernelCase(t testing.TB, n, ps, pool int, seed int64) *kernelCase {
+	t.Helper()
+	c := &kernelCase{pages: makePages(n, ps, seed)}
+	var err error
+	if c.arena, err = newWordArena(src(c.pages, ps)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	nbytes := (n + 7) / 8
+	tail := byte(1<<((n-1)%8+1)) - 1
+	for j := 0; j < pool; j++ {
+		sel := make([]byte, nbytes)
+		switch j {
+		case 1: // selects nothing
+		case 3:
+			for i := range sel {
+				sel[i] = 0xFF
+			}
+		default:
+			rng.Read(sel)
+		}
+		sel[nbytes-1] &= tail
+		c.sels = append(c.sels, sel)
+	}
+	c.want = c.oracle(c.sels, 0, n)
+	return c
+}
+
+// oracle answers sels restricted to pages [start, end) with xorAnswerBytes.
+func (c *kernelCase) oracle(sels [][]byte, start, end int) [][]uint64 {
+	want := make([][]uint64, len(sels))
+	for j, sel := range sels {
+		masked := make([]byte, len(sel))
+		for p := start; p < end; p++ {
+			masked[p>>3] |= sel[p>>3] & (1 << (p & 7))
+		}
+		want[j] = make([]uint64, c.arena.wpp)
+		packWords(want[j], xorAnswerBytes(c.pages, c.arena.pageSize, masked))
+	}
+	return want
+}
+
+func zeroedAccs(k, wpp int) [][]uint64 {
+	accs := make([][]uint64, k)
+	for j := range accs {
+		accs[j] = make([]uint64, wpp)
+	}
+	return accs
+}
+
+func diffAccs(got, want [][]uint64) (acc, word int, differ bool) {
+	for j := range got {
+		for w := range got[j] {
+			if got[j][w] != want[j][w] {
+				return j, w, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// TestBucketedKernelMatchesByteOracle is the equivalence table of the
+// bucketed fold: every batch size on either side of a group boundary, page
+// sizes with and without a padded tail word, page counts around the selector
+// byte and word boundaries, the all-zero and all-one selectors, sub-ranges
+// whose ends are not multiples of 8, the serial kernel and the segmented one
+// at even, odd and over-wide fan-outs — all byte-identical to xorAnswerBytes.
+func TestBucketedKernelMatchesByteOracle(t *testing.T) {
+	batchSizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64}
+	oddRange := map[int][2]int{7: {2, 6}, 63: {5, 59}, 64: {3, 61}, 65: {9, 63}, 1000: {333, 995}}
+	bucketed := 0
+	for _, ps := range []int{8, 1000, 1024, 4096, 4100} {
+		for _, n := range []int{1, 7, 63, 64, 65, 1000} {
+			c := newKernelCase(t, n, ps, 64, int64(n*10000+ps))
+			wpp := c.arena.wpp
+			group := newScanGroup(1, n)
+			pool := newArenaScratch()
+			var table []uint64
+			for _, k := range batchSizes {
+				if bucketBits(k, n, wpp) > 1 {
+					bucketed++
+				}
+				sels, want := c.sels[:k], c.want[:k]
+				got := zeroedAccs(k, wpp)
+				c.arena.answerAll(sels, got, &table)
+				if j, w, bad := diffAccs(got, want); bad {
+					t.Fatalf("%dx%d k=%d serial: acc %d word %d differs from the byte oracle", n, ps, k, j, w)
+				}
+				for _, nw := range []int{2, 3, 8} {
+					eff := group.SetScanWorkers(nw)
+					if eff < 2 {
+						continue // a 1-page file has nothing to segment
+					}
+					got := zeroedAccs(k, wpp)
+					group.answerAllParallel(pool, c.arena, sels, got, eff)
+					if j, w, bad := diffAccs(got, want); bad {
+						t.Fatalf("%dx%d k=%d workers=%d: acc %d word %d differs from the byte oracle", n, ps, k, eff, j, w)
+					}
+				}
+			}
+			r, ok := oddRange[n]
+			if !ok {
+				continue
+			}
+			wantRange := c.oracle(c.sels[:17], r[0], r[1])
+			for _, k := range []int{1, 5, 8, 9, 17} {
+				got := zeroedAccs(k, wpp)
+				c.arena.answerAllRange(c.sels[:k], got, r[0], r[1], &table)
+				if j, w, bad := diffAccs(got, wantRange[:k]); bad {
+					t.Fatalf("%dx%d k=%d pages [%d,%d): acc %d word %d differs from the byte oracle", n, ps, k, r[0], r[1], j, w)
+				}
+			}
+		}
+	}
+	if bucketed == 0 {
+		t.Fatal("no case of the table engaged the bucketed fold")
+	}
+}
+
+// TestBucketBitsFollowsTheCountModel pins the plan the row-XOR count model
+// picks at the shapes the benchmark runs, and the constant table bound.
+func TestBucketBitsFollowsTheCountModel(t *testing.T) {
+	for _, c := range []struct{ k, n, wpp, want int }{
+		{1, 11321, 512, 1},  // one selector: nothing to share
+		{8, 11321, 512, 8},  // the PI round: one 256-bucket group, 1 MiB
+		{8, 5661, 512, 8},   // its half, one of two scan workers
+		{8, 8, 512, 1},      // a table costs more than an 8-page range
+		{2, 11321, 512, 2},  // 0.75n + 12 against n
+		{64, 11321, 512, 4}, // 16 groups of 16 buckets fill the 1 MiB
+		{256, 11321, 512, 1},
+		{52, 81, 512, 4}, // the fleet's CI shares over an 81-page file: 1 612 row-XORs against 2 106
+	} {
+		if got := bucketBits(c.k, c.n, c.wpp); got != c.want {
+			t.Errorf("bucketBits(k=%d, n=%d, wpp=%d) = %d, want %d", c.k, c.n, c.wpp, got, c.want)
+		}
+	}
+	for _, wpp := range []int{1, 125, 128, 512, 513} {
+		for k := 1; k <= 300; k++ {
+			g := bucketBits(k, 100000, wpp)
+			if g > 1 && tableRows(k, g)*wpp*8 > maxTableBytes {
+				t.Fatalf("k=%d wpp=%d: g=%d needs %d table bytes, bound %d", k, wpp, g, tableRows(k, g)*wpp*8, maxTableBytes)
+			}
+		}
+	}
+}
+
+// FuzzAnswerAll checks the kernel against the byte oracle on random
+// geometry, selectors, sub-range and fan-out.
+func FuzzAnswerAll(f *testing.F) {
+	f.Add(int64(1), uint16(65), uint16(24), uint8(8), uint8(2), uint16(3), uint16(60))
+	f.Add(int64(2), uint16(300), uint16(13), uint8(17), uint8(3), uint16(0), uint16(300))
+	f.Add(int64(3), uint16(1), uint16(1), uint8(1), uint8(8), uint16(0), uint16(1))
+	f.Add(int64(4), uint16(200), uint16(600), uint8(40), uint8(1), uint16(199), uint16(7))
+	f.Fuzz(func(t *testing.T, seed int64, n16, ps16 uint16, k8, nw8 uint8, a16, b16 uint16) {
+		n, ps, k := int(n16)%300+1, int(ps16)%600+1, int(k8)%40+1
+		c := newKernelCase(t, n, ps, k, seed)
+		var table []uint64
+
+		start, end := int(a16)%(n+1), int(b16)%(n+1)
+		if start > end {
+			start, end = end, start
+		}
+		got := zeroedAccs(k, c.arena.wpp)
+		c.arena.answerAllRange(c.sels, got, start, end, &table)
+		if j, w, bad := diffAccs(got, c.oracle(c.sels, start, end)); bad {
+			t.Fatalf("%dx%d k=%d pages [%d,%d): acc %d word %d differs from the byte oracle", n, ps, k, start, end, j, w)
+		}
+
+		group := newScanGroup(1, n)
+		if nw := group.SetScanWorkers(int(nw8)%8 + 1); nw > 1 {
+			got := zeroedAccs(k, c.arena.wpp)
+			group.answerAllParallel(newArenaScratch(), c.arena, c.sels, got, nw)
+			if j, w, bad := diffAccs(got, c.want); bad {
+				t.Fatalf("%dx%d k=%d workers=%d: acc %d word %d differs from the byte oracle", n, ps, k, nw, j, w)
+			}
+		}
+	})
 }

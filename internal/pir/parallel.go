@@ -14,14 +14,21 @@ import (
 // data-independent fold (XOR over a contiguous arena, or per-row modular
 // products for KOPIR), so it partitions cleanly:
 //
-//   - The arena is split into contiguous page-aligned segments, one per
-//     worker. Segment boundaries fall on page-row boundaries — at least a
-//     full page apart — so readers never contend, and every write goes to a
-//     worker-private accumulator block, never a shared cache line.
-//   - Each worker folds its segment into its own k per-query partial
-//     accumulators (drawn from a pool), and a final XOR pass combines the
+//   - The arena is cut into contiguous page-aligned chunks of minSegWords
+//     that the workers claim from one atomic counter (KOPIR: one fixed
+//     column range per worker), so an arena pass divides by how fast each
+//     core is actually running and not into fixed halves: a worker that
+//     wakes late, or whose core is taken away for a moment, wins fewer
+//     chunks instead of holding the pass up. Chunk boundaries fall on
+//     page-row boundaries — at least a full page apart — so readers never
+//     contend, and every write goes to a worker-private accumulator block,
+//     never a shared cache line.
+//   - Each worker folds the chunks it wins into its own k per-query partial
+//     accumulators (pooled with the task), through ONE bucket table of its
+//     own for the whole pass when the row-XOR count model of kernel.go says
+//     a table pays over a worker's share, and a final XOR pass combines the
 //     partials. XOR is associative and commutative, so the parallel answer
-//     is byte-identical to the serial one.
+//     is byte-identical to the serial one whoever folded what.
 //   - Workers are a persistent per-store group: goroutines start lazily on
 //     the first parallel scan, park on a shared task channel between scans,
 //     and exit when the owning store is garbage collected. The submitting
@@ -271,45 +278,98 @@ func (g *scanGroup) worker() {
 	}
 }
 
-// arenaTask is a parallel answerAll over a word arena: segment seg folds
-// pages [seg*chunk, (seg+1)*chunk) into its own accumulator block. Segment
-// 0 writes the caller's accumulators directly; segments 1..nw-1 write
-// pooled partials that the submitter combines afterwards.
+// arenaScratch is the reusable working memory of one arena store: pooled
+// scan tasks, and the bucket tables the kernel folds through.
+type arenaScratch struct {
+	tasks  sync.Pool // *arenaTask
+	tables tableList
+}
+
+// tableList is a free list of bucket tables (kernel.go). A table is borrowed
+// for one fold — a serial pass, or one worker's share of a parallel one — so
+// whichever goroutine folds owns its table outright, and the list
+// ends up holding as many tables as folds have ever run at once: the scan
+// width. It is a channel rather than a sync.Pool because a table that is
+// live across a collection raises the heap goal by twice its size; a Pool
+// keeps a private copy per P and reallocates them all after every second
+// collection, a free list keeps exactly the ones in use.
+type tableList chan []uint64
+
+// tableListCap only has to exceed the number of folds that can overlap on
+// one store; an unused slot costs a slice header.
+const tableListCap = 64
+
+// borrow takes a table off the list, or nil — the kernel grows it on use.
+func (l tableList) borrow() []uint64 {
+	select {
+	case t := <-l:
+		return t
+	default:
+		return nil
+	}
+}
+
+// giveBack returns a table the kernel has (possibly) grown.
+func (l tableList) giveBack(t []uint64) {
+	if t == nil {
+		return // the direct loop ran: nothing was allocated
+	}
+	select {
+	case l <- t:
+	default:
+	}
+}
+
+// newArenaScratch builds the per-store scratch; the run/release method
+// values are bound once per task, so steady-state scans allocate nothing.
+func newArenaScratch() *arenaScratch {
+	sc := &arenaScratch{tables: make(tableList, tableListCap)}
+	sc.tasks.New = func() any {
+		t := &arenaTask{scratch: sc}
+		t.seg.run = t.runSegment
+		t.seg.release = t.releaseTask
+		return t
+	}
+	return sc
+}
+
+// arenaTask is a parallel answerAll over a word arena. The pass is cut into
+// chunks of `step` pages that the participants claim from one atomic counter
+// (see the file header for why), and the segTask's nw segments are the
+// participants' slots: segment seg folds every chunk it wins into its own
+// accumulator block, through ONE bucket table it borrows for the pass and
+// reduces once at the end. Slot 0 writes the caller's accumulators directly;
+// slots 1..nw-1 write pooled partials that the submitter combines afterwards.
 type arenaTask struct {
-	seg   segTask
-	pool  *sync.Pool
-	arena *wordArena
-	sels  [][]byte
-	accs  [][]uint64
-	k     int
-	nw    int
-	chunk int
+	seg     segTask
+	scratch *arenaScratch
+	arena   *wordArena
+	sels    [][]byte
+	accs    [][]uint64
+	k       int
+	nw      int
+	g       int // group size of the pass, from a slot's expected share
+	step    int // pages per chunk
+	nchunks int32
+	next    atomic.Int32 // next unclaimed chunk
 
 	partbuf []uint64
 	parts   [][]uint64
 }
 
-// newArenaTaskPool builds the per-store task pool; the run/release method
-// values are bound once per task, so steady-state scans allocate nothing.
-func newArenaTaskPool() *sync.Pool {
-	pool := &sync.Pool{}
-	pool.New = func() any {
-		t := &arenaTask{pool: pool}
-		t.seg.run = t.runSegment
-		t.seg.release = t.releaseTask
-		return t
-	}
-	return pool
+// chunkPages is the claiming granularity of an nw-wide pass over an arena:
+// minSegWords of rows, the unit the sizing floor already uses — fine enough
+// that a straggler costs the pass one chunk, coarse enough that a claim (one
+// atomic add) is free. A store scanned wider than the floor allows (an
+// explicit SetScanWorkers) still gets a chunk per worker.
+func chunkPages(a *wordArena, nw int) int {
+	return max(1, min(minSegWords/a.wpp, (a.numPages+nw-1)/nw))
 }
 
-// runSegment folds one contiguous page range into the segment's
-// accumulator block.
+// runSegment is one participant's share of the pass: it claims chunks until
+// none remain. A slot that finds none left (its helper never woke, and the
+// others finished the pass) leaves zeroed partials behind.
 func (t *arenaTask) runSegment(seg int) {
-	start := seg * t.chunk
-	end := start + t.chunk
-	if end > t.arena.numPages {
-		end = t.arena.numPages
-	}
 	accs := t.accs
 	if seg > 0 {
 		accs = t.parts[(seg-1)*t.k : seg*t.k]
@@ -317,7 +377,29 @@ func (t *arenaTask) runSegment(seg int) {
 			clearWords(row)
 		}
 	}
-	t.arena.answerAllRange(t.sels, accs, start, end)
+	a := t.arena
+	var table, tab []uint64
+	for {
+		c := t.next.Add(1) - 1
+		if c >= t.nchunks {
+			break
+		}
+		start := int(c) * t.step
+		end := min(start+t.step, a.numPages)
+		if t.g == 1 {
+			a.foldDirect(t.sels, accs, start, end)
+			continue
+		}
+		if tab == nil {
+			table = t.scratch.tables.borrow()
+			tab = a.bucketTable(&table, t.k, t.g)
+		}
+		a.scatterRange(t.sels, tab, t.g, start, end)
+	}
+	if tab != nil {
+		foldTable(tab, accs, t.g, a.wpp)
+		t.scratch.tables.giveBack(table)
+	}
 }
 
 // releaseTask drops the slice references (the selectors and accumulators
@@ -327,18 +409,30 @@ func (t *arenaTask) runSegment(seg int) {
 func (t *arenaTask) releaseTask() {
 	t.arena, t.sels, t.accs = nil, nil, nil
 	t.parts = t.parts[:0]
-	t.pool.Put(t)
+	t.scratch.tasks.Put(t)
 }
 
-// answerAllParallel answers k selectors with nw workers in one segmented
+// answerAllParallel answers k selectors with nw workers in one chunked
 // pass over the arena, leaving the combined answers in accs (caller-zeroed,
 // like answerAll). Byte-identical to answerAll.
-func (g *scanGroup) answerAllParallel(pool *sync.Pool, a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
-	t := pool.Get().(*arenaTask)
+func (g *scanGroup) answerAllParallel(sc *arenaScratch, a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
+	t := sc.tasks.Get().(*arenaTask)
+	t.prepare(a, sels, accs, nw)
+	g.exec(&t.seg)
+	t.combine()
+	t.seg.deref()
+}
+
+// prepare points the task at one pass: the chunking, the group size every
+// slot's table uses, and nw-1 blocks of zero-on-claim partial accumulators.
+func (t *arenaTask) prepare(a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
 	k := len(sels)
 	t.arena, t.sels, t.accs = a, sels, accs
 	t.k, t.nw = k, nw
-	t.chunk = (a.numPages + nw - 1) / nw
+	t.g = bucketBits(k, (a.numPages+nw-1)/nw, a.wpp)
+	t.step = chunkPages(a, nw)
+	t.nchunks = int32((a.numPages + t.step - 1) / t.step)
+	t.next.Store(0)
 	if need := (nw - 1) * k * a.wpp; cap(t.partbuf) < need {
 		t.partbuf = make([]uint64, need)
 	}
@@ -348,14 +442,15 @@ func (g *scanGroup) answerAllParallel(pool *sync.Pool, a *wordArena, sels [][]by
 		t.parts = append(t.parts, t.partbuf[off:off+a.wpp])
 	}
 	t.seg.nseg = int32(nw)
-	g.exec(&t.seg)
-	// Combine: fold every worker's partials into the caller's
-	// accumulators. One pass over (nw-1)*k*wpp words — noise against the
-	// numPages*wpp words each scan walks.
-	for w := 0; w < nw-1; w++ {
-		for j := 0; j < k; j++ {
-			xorWords(accs[j], t.parts[w*k+j])
+}
+
+// combine folds every slot's partials into the caller's accumulators: one
+// pass over (nw-1)*k*wpp words — noise against the numPages*wpp words each
+// scan walks.
+func (t *arenaTask) combine() {
+	for w := 0; w < t.nw-1; w++ {
+		for j := 0; j < t.k; j++ {
+			xorWords(t.accs[j], t.parts[w*t.k+j])
 		}
 	}
-	t.seg.deref()
 }

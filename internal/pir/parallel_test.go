@@ -26,7 +26,8 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		group := newScanGroup(1, shape.n)
-		pool := newArenaTaskPool()
+		pool := newArenaScratch()
+		var table []uint64
 		rng := rand.New(rand.NewSource(int64(shape.n)))
 		nbytes := (shape.n + 7) / 8
 		for _, k := range []int{1, 3, 8} {
@@ -40,7 +41,7 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 				want[j] = make([]uint64, arena.wpp)
 				got[j] = make([]uint64, arena.wpp)
 			}
-			arena.answerAll(sels, want)
+			arena.answerAll(sels, want, &table)
 			for _, nw := range workerFanOuts {
 				eff := group.SetScanWorkers(nw)
 				for j := range got {
@@ -49,7 +50,7 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 				if eff > 1 {
 					group.answerAllParallel(pool, arena, sels, got, eff)
 				} else {
-					arena.answerAll(sels, got)
+					arena.answerAll(sels, got, &table)
 				}
 				for j := range got {
 					for w := range got[j] {
@@ -152,8 +153,9 @@ func TestKOPIRParallelHonorsContext(t *testing.T) {
 // TestXORPIRParallelZeroAllocs pins the tentpole's allocation contract: the
 // parallel steady state allocates nothing, anywhere in the runtime (the pin
 // counts mallocs globally, so worker-goroutine allocations would fail it
-// too). Requires the submitter-last reclaim in scanGroup.exec: the pooled
-// task must come home on the submitting goroutine.
+// too), per-segment bucket tables included. Requires the submitter-last
+// reclaim in scanGroup.exec: the pooled task must come home on the
+// submitting goroutine.
 func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -166,6 +168,9 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
 	x.SetScanWorkers(4)
+	if bucketBits(k, n/4, x.a.arena.wpp) == 1 {
+		t.Fatal("segments too short to engage the bucketed fold")
+	}
 	batch := []int{0, 9, 9, 55, 128, 255, 77, 31}[:k]
 	dst := make([][]byte, k)
 	for i := range dst {
@@ -184,6 +189,63 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	for i, p := range batch {
 		if !bytes.Equal(dst[i], pages[p]) {
 			t.Fatalf("answer %d (page %d) wrong after alloc-free parallel reads", i, p)
+		}
+	}
+}
+
+// TestChunkedPassToleratesUnevenShares pins what the chunked claim is for: a
+// pass is answered byte-identically however its chunks fall to the slots —
+// one slot taking every chunk while the others find none (a helper that never
+// woke), or a lone chunk here and the rest there. The slots are driven by
+// hand, one after the other, so the split is the test's and not the
+// scheduler's.
+func TestChunkedPassToleratesUnevenShares(t *testing.T) {
+	const n, ps, k, nw = 4000, 1000, 8, 3
+	pages := makePages(n, ps, 91)
+	arena, err := newWordArena(src(pages, ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(92))
+	sels, want, got := make([][]byte, k), make([][]uint64, k), make([][]uint64, k)
+	for j := range sels {
+		sels[j] = make([]byte, (n+7)/8)
+		rng.Read(sels[j])
+		want[j] = make([]uint64, arena.wpp)
+		got[j] = make([]uint64, arena.wpp)
+	}
+	var table []uint64
+	arena.answerAll(sels, want, &table)
+
+	task := newArenaScratch().tasks.Get().(*arenaTask)
+	task.prepare(arena, sels, got, nw)
+	total := task.nchunks
+	if total < 2*nw {
+		t.Fatalf("%d chunks: too few for an uneven split", total)
+	}
+	if task.g == 1 {
+		t.Fatal("shares too short to engage the bucketed fold")
+	}
+	// Slot 0 wins the first `first` chunks, slot 1 whatever is left, and
+	// slot 2 arrives after the pass is over.
+	for _, first := range []int32{0, 1, total / 2, total} {
+		for j := range got {
+			clearWords(got[j])
+		}
+		task.prepare(arena, sels, got, nw)
+		task.nchunks = first
+		task.runSegment(0)
+		task.nchunks = total
+		task.next.Store(first)
+		task.runSegment(1)
+		task.runSegment(2)
+		task.combine()
+		for j := range got {
+			for w := range got[j] {
+				if got[j][w] != want[j][w] {
+					t.Fatalf("slot 0 took %d of %d chunks: acc %d word %d differs from the serial pass", first, total, j, w)
+				}
+			}
 		}
 	}
 }

@@ -18,12 +18,19 @@ import (
 // random subset, revealing nothing about the target — not even
 // computationally bounded adversaries learn anything.
 //
-// Both replicas answer from a contiguous word arena (see kernel.go) with
-// the word-wide XOR kernel, and a multi-page ReadBatch answers all k
-// selectors in a single scan per server — k accumulators walking the file
-// once — instead of k independent scans. Each batched query still samples
-// its own fresh selector vector, so the servers' views stay uniform and
-// mutually independent whether pages arrive one at a time or batched.
+// Both replicas answer from a contiguous word arena (see kernel.go), and a
+// multi-page ReadBatch answers all k selectors in a single pass per server
+// instead of k independent scans. What a pass costs is set by kernel.go's
+// row-XOR count model: the n page rows are read once whatever k is, and
+// folded n·k/2 times by the direct loop or — once n is long enough for a
+// table to pay, which bucketBits decides from k and n alone — about
+// n·(1−2^−g) + 3·2^g times per group of g ≤ 8 selectors by the bucketed
+// fold, so a k = 8 round costs about one k = 2 pass. Each batched query
+// still samples its own fresh selector vector, so the servers' views stay
+// uniform and mutually independent whether pages arrive one at a time or
+// batched; the fold reads the same selector bits for the same pages either
+// way, and its bucket table is scan-worker scratch that never leaves the
+// store.
 type XORPIR struct {
 	a, b     *xorServer
 	numPages int
@@ -34,7 +41,7 @@ type XORPIR struct {
 	// Parallel scan machinery (see parallel.go): a persistent worker group
 	// fans each replica scan across page segments when ScanWorkers() > 1.
 	*scanGroup
-	taskPool *sync.Pool // *arenaTask
+	arenaScratch *arenaScratch // pooled scan tasks and bucket tables
 
 	// lastMu guards the recorded-query buffers: reads are otherwise
 	// stateless and run concurrently under a batch fan-out. The buffers
@@ -79,13 +86,13 @@ func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 		return nil, err
 	}
 	x := &XORPIR{
-		a:         &xorServer{arena: arena},
-		b:         &xorServer{arena: arena},
-		numPages:  arena.numPages,
-		pageSize:  arena.pageSize,
-		rng:       rand.Reader,
-		scanGroup: newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
-		taskPool:  newArenaTaskPool(),
+		a:            &xorServer{arena: arena},
+		b:            &xorServer{arena: arena},
+		numPages:     arena.numPages,
+		pageSize:     arena.pageSize,
+		rng:          rand.Reader,
+		scanGroup:    newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
+		arenaScratch: newArenaScratch(),
 	}
 	bindCleanup(x, x.scanGroup)
 	return x, nil
@@ -203,20 +210,11 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	// worker group — same pass count, same pages touched, answers
 	// byte-identical to the serial kernel (XOR is associative).
 	clearWords(sc.accbuf)
-	nw := x.ScanWorkers()
-	if nw > 1 {
-		x.answerAllParallel(x.taskPool, x.a.arena, sc.selsA, sc.accsA, nw)
-	} else {
-		x.a.arena.answerAll(sc.selsA, sc.accsA)
-	}
+	x.pass(x.a.arena, sc.selsA, sc.accsA)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if nw > 1 {
-		x.answerAllParallel(x.taskPool, x.b.arena, sc.selsB, sc.accsB, nw)
-	} else {
-		x.b.arena.answerAll(sc.selsB, sc.accsB)
-	}
+	x.pass(x.b.arena, sc.selsB, sc.accsB)
 	// Two full-file passes (one per replica) answered the whole batch,
 	// whatever its size — the quantity the amortization ratio tracks.
 	x.recordScan(2*uint64(x.numPages), 2)
@@ -226,6 +224,18 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 		unpackWords(dst[j][:x.pageSize], acc)
 	}
 	return nil
+}
+
+// pass answers sels in one pass over a replica's arena (accs caller-zeroed),
+// segmented across the worker group when the store's scan width is above 1.
+func (x *XORPIR) pass(a *wordArena, sels [][]byte, accs [][]uint64) {
+	if nw := x.ScanWorkers(); nw > 1 {
+		x.answerAllParallel(x.arenaScratch, a, sels, accs, nw)
+		return
+	}
+	table := x.arenaScratch.tables.borrow()
+	a.answerAll(sels, accs, &table)
+	x.arenaScratch.tables.giveBack(table)
 }
 
 func clearWords(w []uint64) {
@@ -309,11 +319,7 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	defer x.scratch.Put(sc)
 	accs := sc.accsA
 	clearWords(sc.accbuf[:k*x.a.arena.wpp])
-	if nw := x.ScanWorkers(); nw > 1 {
-		x.answerAllParallel(x.taskPool, x.a.arena, sels, accs, nw)
-	} else {
-		x.a.arena.answerAll(sels, accs)
-	}
+	x.pass(x.a.arena, sels, accs)
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
 	x.logShares(sels)

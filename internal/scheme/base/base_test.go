@@ -3,6 +3,7 @@ package base
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -373,6 +374,40 @@ func TestFetchIndexWindowClamping(t *testing.T) {
 		}
 		if got := tc.entry - start; got != tc.wantOff {
 			t.Errorf("entry=%d span=%d pages=%d: off=%d want %d", tc.entry, tc.maxSpan, tc.filePages, got, tc.wantOff)
+		}
+	}
+}
+
+// TestSetDeltaExclusionsFollowReferenceOrder pins the decoder's one-cursor
+// exclusion walk: ref − excl + adds for exclusions listed in reference order
+// (all bestSetDelta ever writes), an error for one the reference lacks or
+// lists earlier. The window spans two pages, so the sized-once concatenation
+// is on the path as well.
+func TestSetDeltaExclusionsFollowReferenceOrder(t *testing.T) {
+	window := func(excl ...kdtree.RegionID) [][]byte {
+		lit := encodeSetLiteral([]kdtree.RegionID{5, 1, 8, 3})
+		delta := pagefile.NewEnc(16).U8(KindSetDelta).U16(0).U16(1).U16(uint16(len(excl))).U16(9)
+		for _, r := range excl {
+			delta.U16(uint16(r))
+		}
+		page := pagefile.NewEnc(64)
+		for _, payload := range [][]byte{lit, delta.Bytes()} {
+			page.U32(uint32(len(payload))).Raw(payload)
+		}
+		page.U32(0)
+		b := page.Bytes()
+		return [][]byte{b[:20], b[20:]}
+	}
+	rec, err := DecodeIndexRecord(window(1, 3), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []kdtree.RegionID{5, 8, 9}; !slices.Equal(rec.Set, want) {
+		t.Fatalf("decoded %v, want %v", rec.Set, want)
+	}
+	for _, excl := range [][]kdtree.RegionID{{7}, {3, 1}} {
+		if _, err := DecodeIndexRecord(window(excl...), 0, 1); err == nil {
+			t.Errorf("exclusions %v against reference [5 1 8 3] decoded without error", excl)
 		}
 	}
 }

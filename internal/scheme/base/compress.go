@@ -1,6 +1,8 @@
 package base
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/graph"
@@ -305,11 +307,13 @@ func DecodeIndexRecord(pages [][]byte, offsetPage int, recIdx int) (IndexRecord,
 	if offsetPage < 0 || offsetPage >= len(pages) {
 		return IndexRecord{}, fmt.Errorf("base: record page %d outside fetched window of %d", offsetPage, len(pages))
 	}
-	// Concatenate from the record's first page onward; records never start
-	// mid-window before offsetPage's boundary.
-	var buf []byte
-	for _, p := range pages[offsetPage:] {
-		buf = append(buf, p...)
+	// Concatenate from the record's first page onward (records never start
+	// mid-window before offsetPage's boundary) into a buffer sized once; a
+	// one-page tail is decoded where it lies.
+	tail := pages[offsetPage:]
+	buf := tail[0]
+	if len(tail) > 1 {
+		buf = bytes.Join(tail, nil)
 	}
 	var sets [][]kdtree.RegionID
 	var edges [][]precomp.EdgeRef
@@ -357,20 +361,26 @@ func decodePayload(payload []byte, sets [][]kdtree.RegionID, edges [][]precomp.E
 		if ref >= len(sets) || sets[ref] == nil {
 			return rec, fmt.Errorf("base: set delta references record %d of %d", ref, len(sets))
 		}
-		adds := make([]kdtree.RegionID, nAdds)
-		for i := range adds {
-			adds[i] = kdtree.RegionID(d.U16())
-		}
-		excl := map[kdtree.RegionID]bool{}
-		for i := 0; i < nExcl; i++ {
-			excl[kdtree.RegionID(d.U16())] = true
-		}
+		adds := d.Raw(2 * nAdds) // nil on overrun, reported below
+		excl := d.Raw(2 * nExcl)
+		// ref − excl, then adds, in one slice sized up front. bestSetDelta
+		// lists exclusions in reference order, so one cursor over excl
+		// replaces a per-record lookup table; an exclusion the walk cannot
+		// match means the page is not one the builder wrote.
+		rec.Set = make([]kdtree.RegionID, 0, len(sets[ref])+nAdds)
 		for _, r := range sets[ref] {
-			if !excl[r] {
-				rec.Set = append(rec.Set, r)
+			if len(excl) > 0 && r == regionAt(excl) {
+				excl = excl[2:]
+				continue
 			}
+			rec.Set = append(rec.Set, r)
 		}
-		rec.Set = append(rec.Set, adds...)
+		if len(excl) > 0 {
+			return rec, fmt.Errorf("base: set delta excludes region %d, not in record %d (or out of order)", regionAt(excl), ref)
+		}
+		for ; len(adds) > 0; adds = adds[2:] {
+			rec.Set = append(rec.Set, regionAt(adds))
+		}
 	case KindGraphLiteral:
 		n := int(d.U32())
 		// The count is untrusted input: bound it by the bytes actually
@@ -402,6 +412,11 @@ func decodePayload(payload []byte, sets [][]kdtree.RegionID, edges [][]precomp.E
 		return rec, fmt.Errorf("base: index record decode: %w", d.Err())
 	}
 	return rec, nil
+}
+
+// regionAt reads the region id at the head of a little-endian u16 list.
+func regionAt(b []byte) kdtree.RegionID {
+	return kdtree.RegionID(binary.LittleEndian.Uint16(b))
 }
 
 func decodeEdge(d *pagefile.Dec) precomp.EdgeRef {

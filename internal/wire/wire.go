@@ -529,13 +529,20 @@ func (m Pages) EncodeTo(e *pagefile.Enc) []byte {
 	return e.Bytes()
 }
 
-// DecodePages reverses Pages.Encode.
+// DecodePages reverses Pages.Encode. The pages alias b: a reply frame's
+// payload is read into a buffer of its own and handed to the one query that
+// waits for it, so copying the pages out would only turn every fetched byte
+// into garbage twice. A caller that recycles b must copy what it keeps.
 func DecodePages(b []byte) (Pages, error) {
 	d := pagefile.NewDec(b)
 	var m Pages
 	n := int(d.U16())
+	if n > 0 {
+		m.Pages = make([][]byte, 0, min(n, d.Remaining()/4))
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Pages = append(m.Pages, getBytes(d))
+		p := d.Raw(int(d.U32()))
+		m.Pages = append(m.Pages, p[:len(p):len(p)])
 	}
 	return m, decErr("Pages", d)
 }

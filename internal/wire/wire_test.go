@@ -199,6 +199,25 @@ func TestPagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodePagesAliasesFrame pins the client's decode cost: the pages are
+// views of the frame payload, so decoding allocates the slice of pages and
+// nothing per page.
+func TestDecodePagesAliasesFrame(t *testing.T) {
+	m := Pages{Pages: [][]byte{bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096), bytes.Repeat([]byte{3}, 4096)}}
+	frame := m.Encode()
+	got, err := DecodePages(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[len(frame)-1] = 9
+	if last := got.Pages[2]; last[len(last)-1] != 9 {
+		t.Error("decoded page is a copy of the frame payload, want a view")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { DecodePages(frame) }); allocs > 1 {
+		t.Errorf("DecodePages allocates %.0f objects for 3 pages, want 1", allocs)
+	}
+}
+
 func TestQueryDoneAndErrorRoundTrip(t *testing.T) {
 	q := QueryDone{Trace: "header\nround 1:\n  fetch Fl\n"}
 	gotQ, err := DecodeQueryDone(q.Encode())
