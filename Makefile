@@ -11,15 +11,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Full benchmark sweep over the oblivious-read serving path, including the
-# parallel-scan width sweep; writes machine-readable BENCH_9.json with an
-# env section recording GOMAXPROCS / CPU count (see bench/run.sh and README
-# "Performance"). The script detects the machine's cores — no pinning.
+# The repo's benchmark: four serving workloads, end-to-end and per-layer
+# metrics (see BENCHMARK.json and bench/privspbench/README.md).
 bench:
-	./bench/run.sh
+	$(GO) run ./bench/privspbench
 
-# One-iteration benchmark pass: guards the benchmarks against bit-rot and
-# still emits BENCH_9.json (CI runs this and uploads the JSON artifact, so
-# the perf trajectory is tracked PR over PR).
+# Bit-rot guard, measures nothing: the benchmark harness at a twentieth of
+# the work, then one iteration of every go-test benchmark of the serving
+# path (scan kernels, stores, worker-pool BatchRead, the paper's tables).
 bench-smoke:
-	BENCH_SMOKE=1 ./bench/run.sh
+	$(GO) run ./bench/privspbench -smoke
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pir/

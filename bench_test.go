@@ -92,23 +92,26 @@ func BenchmarkFig12Large(b *testing.B) { runExperiment(b, "fig12") }
 
 // seekStore injects the cost model's physical reality into a PIR store: a
 // real SCP deployment pays a disk seek per page retrieval (Table 2 charges
-// 11 ms), which is exactly the latency a read worker pool overlaps. The
-// wrapper implements pir.BatchStore so lbs.Server fans its batches out.
+// 11 ms), which is exactly the latency a read worker pool overlaps when
+// lbs.Server fans a batch out.
 type seekStore struct {
 	pir.Store
 	seek time.Duration
 }
 
-func (s seekStore) Read(page int) ([]byte, error) {
-	time.Sleep(s.seek)
-	return s.Store.Read(page)
-}
-
-// ReadBatch delegates to the shared sequential helper, which implements
-// the BatchStore contract (ctx checked at read boundaries, never mid-read)
-// instead of hand-rolling the loop here.
-func (s seekStore) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	return pir.ReadEach(ctx, s, pages)
+// ReadBatchInto pays one seek per page, checking ctx between pages — the
+// read boundaries of the Store contract.
+func (s seekStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	for i := range pages {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		time.Sleep(s.seek)
+		if err := s.Store.ReadBatchInto(ctx, pages[i:i+1], dst[i:i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func seekStores(seek time.Duration) lbs.StoreFactory {

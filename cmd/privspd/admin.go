@@ -57,7 +57,7 @@ func newAdminMux(reg *telemetry.Registry, ready func() bool) *http.ServeMux {
 // The listen itself is synchronous so a bad address fails startup, not a
 // goroutine. The returned wait function joins the shutdown; call it after
 // ctx is cancelled.
-func startAdmin(ctx context.Context, addr, label string, mux *http.ServeMux) (func(), error) {
+func startAdmin(ctx context.Context, addr string, mux *http.ServeMux) (func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -67,12 +67,12 @@ func startAdmin(ctx context.Context, addr, label string, mux *http.ServeMux) (fu
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       60 * time.Second,
 	}
-	log.Printf("privspd: %s on http://%s/ (endpoints: /metrics /healthz /readyz /debug/pprof/)", label, ln.Addr())
+	log.Printf("privspd: admin on http://%s/ (endpoints: /metrics /healthz /readyz /debug/pprof/)", ln.Addr())
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Printf("privspd: %s: %v", label, err)
+			log.Printf("privspd: admin: %v", err)
 		}
 	}()
 	stopped := make(chan struct{})

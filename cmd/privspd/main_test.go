@@ -120,7 +120,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{
 			name: "xorpir store with db path",
 			cfg: daemonConfig{DBFiles: []string{"ci.psdb"}, PIRStore: "xorpir",
-				Explicit: []string{"db", "pir", "scan-window", "scan-cap"}},
+				Explicit: []string{"db", "pir"}},
 		},
 		{
 			name:    "unknown pir store",

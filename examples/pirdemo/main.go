@@ -72,12 +72,12 @@ func main() {
 	// between page retrievals, so a cancelled query stops a long batch at a
 	// read boundary instead of finishing work nobody wants.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	batch, err := x.ReadBatch(ctx, []int{2, 5, 11})
+	batch, err := pir.ReadBatch(ctx, x, []int{2, 5, 11})
 	cancel()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("   batched ReadBatch(ctx, [2 5 11]) returned %d pages, first %q\n", len(batch), trim(batch[0]))
+	fmt.Printf("   batched pir.ReadBatch(ctx, x, [2 5 11]) returned %d pages, first %q\n", len(batch), trim(batch[0]))
 
 	fmt.Println("\n-- Kushilevitz–Ostrovsky PIR (quadratic residuosity, math/big) --")
 	small := make([][]byte, 4)
@@ -97,11 +97,11 @@ func main() {
 func demo(name string, s pir.Store) {
 	for _, idx := range []int{1, s.NumPages() - 1} {
 		start := time.Now()
-		page, err := s.Read(idx)
+		page, err := pir.Read(s, idx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("   %s.Read(%d) = %q in %v\n", name, idx, trim(page), time.Since(start))
+		fmt.Printf("   pir.Read(%s, %d) = %q in %v\n", name, idx, trim(page), time.Since(start))
 	}
 }
 

@@ -9,142 +9,135 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/pagefile"
 	"repro/internal/pir"
+	"repro/internal/telemetry"
 )
 
-// countingBatchStore wraps a Plain store, counting ReadBatch calls and the
-// largest batch it received, and declares single-scan batching on demand —
-// the probe the serving layer's routing decision hangs on.
-type countingBatchStore struct {
+// countingStore wraps a store that is not a scan store, counting the
+// ReadBatchInto calls it receives and the largest batch among them — what
+// the router's decision looks like from the store's side.
+type countingStore struct {
 	pir.Store
-	single bool
 
 	mu       sync.Mutex
 	calls    int
 	maxBatch int
 }
 
-func (c *countingBatchStore) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
+func (c *countingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	c.mu.Lock()
 	c.calls++
-	if len(pages) > c.maxBatch {
-		c.maxBatch = len(pages)
-	}
+	c.maxBatch = max(c.maxBatch, len(pages))
 	c.mu.Unlock()
-	return pir.ReadEach(ctx, c.Store, pages)
+	return c.Store.ReadBatchInto(ctx, pages, dst)
 }
 
-func (c *countingBatchStore) SingleScanBatch() bool { return c.single }
-
-func countingFactory(single bool, out **countingBatchStore) StoreFactory {
-	return func(f pagefile.Reader) (pir.Store, error) {
-		st, err := PlainStores(f)
-		if err != nil {
-			return nil, err
-		}
-		cs := &countingBatchStore{Store: st, single: single}
-		*out = cs
-		return cs, nil
-	}
-}
-
-// TestSingleScanBatchNeverSplit: a store that answers its whole batch in
-// one scan must receive the entire batch in ONE ReadBatch call however many
-// pool workers are free — splitting would multiply full-file scans — while
-// a store without the single-scan property fans out across workers.
-func TestSingleScanBatchNeverSplit(t *testing.T) {
-	const pagesN, batchN = 40, 32
-	f := pagefile.NewFile("F", 64)
-	want := make([][]byte, pagesN)
-	for i := 0; i < pagesN; i++ {
-		want[i] = bytes.Repeat([]byte{byte(i + 1)}, 8)
-		f.MustAppendPage(want[i])
-	}
-	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
-
-	for _, tc := range []struct {
-		name      string
-		single    bool
-		wantCalls int // exact for single-scan, lower bound otherwise
-	}{
-		{"single-scan", true, 1},
-		{"splittable", false, 2},
-	} {
-		var cs *countingBatchStore
-		srv, err := NewServer(db, costmodel.Default(), countingFactory(tc.single, &cs), WithWorkers(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make([]int, batchN)
-		for i := range batch {
-			batch[i] = (i * 3) % pagesN
-		}
-		got, err := srv.ReadPages(context.Background(), "F", batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range batch {
-			if !bytes.Equal(got[i][:8], want[p]) {
-				t.Fatalf("%s: slot %d wrong content", tc.name, i)
-			}
-		}
-		if tc.single {
-			if cs.calls != 1 || cs.maxBatch != batchN {
-				t.Errorf("single-scan batch split: %d ReadBatch calls, largest %d (want 1 call of %d)",
-					cs.calls, cs.maxBatch, batchN)
-			}
-		} else if cs.calls < tc.wantCalls {
-			t.Errorf("splittable batch not fanned out: %d ReadBatch calls", cs.calls)
-		}
-	}
-}
-
-// TestReadPagesIntoMatchesReadPages: the buffer-filling read path must
-// return byte-identical results to the allocating one across every store
-// routing class — batch-into (plain), single-scan (XORPIR), batch without
-// into (sharded ORAM), and serial (single sqrt-ORAM).
+// TestReadPagesIntoMatchesReadPages is the router's table: for every store
+// class and batch size, which route a fetch takes (the privsp_pir_route_total
+// series it moves), how many store passes answer it, and that ReadPagesInto
+// and the allocating ReadPages return the same, correct bytes. A scan store
+// must receive its entire batch in ONE pass however many pool workers are
+// free — splitting would multiply full-file scans — while any other store's
+// batch fans out across the workers, the single-structure ORAMs included
+// (they serialize on their own lock).
 func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 	const pagesN, pageSize = 24, 32
 	f := pagefile.NewFile("F", pageSize)
-	for i := 0; i < pagesN; i++ {
-		f.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
+	want := make([][]byte, pagesN)
+	for i := range want {
+		want[i] = bytes.Repeat([]byte{byte(i + 1)}, pageSize)
+		f.MustAppendPage(want[i])
 	}
 	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
+	batch8 := []int{0, 23, 7, 7, 12, 3, 19, 1}
 
-	factories := map[string]StoreFactory{
-		"plain":   nil,
-		"xorpir":  func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) },
-		"sharded": ShardedORAMStores(4, 3),
-		"oram":    ORAMStores(5),
-	}
-	batch := []int{0, 23, 7, 7, 12, 3, 19, 1}
-	for name, factory := range factories {
-		for _, workers := range []int{1, 4} {
-			srv, err := NewServer(db, costmodel.Default(), factory, WithWorkers(workers))
+	for _, tc := range []struct {
+		name    string
+		factory StoreFactory // nil for the xorpir rows, which count through gatedXOR
+		workers int
+		batch   []int
+		// Expected route counter deltas, store passes, and largest pass.
+		whole, fanOut   uint64
+		calls, maxBatch int
+	}{
+		{"plain one page", PlainStores, 4, batch8[:1], 1, 0, 1, 1},
+		{"plain batch", PlainStores, 4, batch8, 0, 1, 4, 2},
+		{"plain batch one worker", PlainStores, 1, batch8, 1, 0, 1, 8},
+		{"sharded batch", ShardedORAMStores(4, 3), 4, batch8, 0, 1, 4, 2},
+		{"oram one page", ORAMStores(5), 4, batch8[:1], 1, 0, 1, 1},
+		{"oram batch", ORAMStores(5), 4, batch8, 0, 1, 4, 2},
+		{"pyramid batch", PyramidStores(), 3, batch8, 0, 1, 3, 3},
+		{"xorpir one page", nil, 4, batch8[:1], 1, 0, 1, 1},
+		{"xorpir batch", nil, 4, batch8, 1, 0, 1, 8},
+		{"xorpir batch one worker", nil, 1, batch8, 1, 0, 1, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				cs *countingStore
+				gx *gatedXOR
+			)
+			factory := func(r pagefile.Reader) (pir.Store, error) {
+				if tc.factory == nil {
+					x, err := pir.NewXORPIR(r)
+					gx = &gatedXOR{XORPIR: x}
+					return gx, err
+				}
+				st, err := tc.factory(r)
+				cs = &countingStore{Store: st}
+				return cs, err
+			}
+			srv, err := NewServer(db, costmodel.Default(), factory,
+				WithWorkers(tc.workers), WithTelemetry(telemetry.NewRegistry(), "T"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := srv.ReadPages(context.Background(), "F", batch)
-			if err != nil {
-				t.Fatalf("%s/w=%d: ReadPages: %v", name, workers, err)
-			}
-			dst := make([][]byte, len(batch))
+			dst := make([][]byte, len(tc.batch))
 			for i := range dst {
 				dst[i] = make([]byte, pageSize)
 			}
-			if err := srv.ReadPagesInto(context.Background(), "F", batch, dst); err != nil {
-				t.Fatalf("%s/w=%d: ReadPagesInto: %v", name, workers, err)
+			if err := srv.ReadPagesInto(context.Background(), "F", tc.batch, dst); err != nil {
+				t.Fatalf("ReadPagesInto: %v", err)
 			}
-			for i := range batch {
-				if !bytes.Equal(dst[i], want[i][:pageSize]) {
-					t.Fatalf("%s/w=%d: slot %d differs between Into and allocating path", name, workers, i)
+			for i, p := range tc.batch {
+				if !bytes.Equal(dst[i], want[p]) {
+					t.Fatalf("slot %d: not page %d", i, p)
 				}
 			}
-			if err := srv.ReadPagesInto(context.Background(), "F", batch, dst[:3]); err == nil {
-				t.Fatalf("%s/w=%d: mismatched buffer count accepted", name, workers)
+			if w, fo := srv.routeWhole.Value(), srv.routeFanOut.Value(); w != tc.whole || fo != tc.fanOut {
+				t.Errorf("routes single_scan/fan_out = %d/%d, want %d/%d", w, fo, tc.whole, tc.fanOut)
 			}
-			if err := srv.ReadPagesInto(context.Background(), "nope", batch, dst); err == nil {
-				t.Fatalf("%s/w=%d: unknown file accepted", name, workers)
+			calls, maxBatch := 0, 0
+			if gx != nil {
+				for _, fl := range gx.snapshotFlushes() {
+					calls, maxBatch = calls+1, max(maxBatch, len(fl))
+				}
+			} else {
+				calls, maxBatch = cs.calls, cs.maxBatch
 			}
-		}
+			if calls != tc.calls || maxBatch != tc.maxBatch {
+				t.Errorf("store saw %d passes, largest %d pages; want %d, largest %d",
+					calls, maxBatch, tc.calls, tc.maxBatch)
+			}
+
+			got, err := srv.ReadPages(context.Background(), "F", tc.batch)
+			if err != nil {
+				t.Fatalf("ReadPages: %v", err)
+			}
+			for i := range tc.batch {
+				if !bytes.Equal(got[i], dst[i]) {
+					t.Fatalf("slot %d differs between ReadPages and ReadPagesInto", i)
+				}
+			}
+
+			if err := srv.ReadPagesInto(context.Background(), "F", tc.batch, dst[:len(dst)-1]); err == nil {
+				t.Error("mismatched buffer count accepted")
+			}
+			short := append([][]byte{make([]byte, pageSize-1)}, dst[1:]...)
+			if err := srv.ReadPagesInto(context.Background(), "F", tc.batch, short); err == nil {
+				t.Error("short buffer accepted")
+			}
+			if err := srv.ReadPagesInto(context.Background(), "nope", tc.batch, dst); err == nil {
+				t.Error("unknown file accepted")
+			}
+		})
 	}
 }

@@ -181,75 +181,53 @@ func ShardedORAMStores(shards int, seed int64) StoreFactory {
 	}
 }
 
-// Server hosts one database behind a PIR interface. Batched page reads fan
-// out across a bounded worker pool private to this server, so concurrent
-// serving of distinct databases never contends on shared locks. Stores that
-// answer a whole batch in one scan (pir.SingleScan) are never split: the
-// pool parallelizes across files and callers, not within their batches.
+// Server hosts one database behind a PIR interface. Every store pass goes
+// through a bounded worker pool private to this server (see slotPool), so
+// concurrent serving of distinct databases never contends on shared locks.
+// Scan stores (pir.ParallelScan) answer a whole batch in one pass and are
+// never split: their fetches are merged across connections by the scan
+// scheduler; any other store's batch fans out across the pool.
 type Server struct {
 	db     *Database
 	model  costmodel.Params
 	stores map[string]*hostedStore
 
-	workers int
-	sem     chan struct{}
-	// wide serializes multi-slot acquisitions (parallel scans occupy one
-	// slot per scan worker): only one acquirer may hold a partial slot set
-	// at a time, so two wide scans can never deadlock each other holding
-	// half the pool. 1-slot acquires bypass it entirely.
-	wide   chan struct{}
-	busy   atomic.Int32
-	queued atomic.Int32
+	pool slotPool // its size is the WithWorkers bound
 
 	// scanWorkersOpt is the WithScanWorkers target; 0 defers to each
 	// store's size-aware default. Resolved per store at host time (clamped
 	// to the pool) into hostedStore.scanWorkers.
 	scanWorkersOpt int
 
-	// Scan-scheduler tuning (see scheduler.go) and shared accounting. The
-	// fetch/scan tallies always run — atomics, no registry needed — so the
-	// amortization ratio is observable even on servers wired to telemetry
-	// after construction.
-	schedWindow  time.Duration
-	schedCap     int
+	// Scan-scheduler accounting (see scheduler.go). The fetch/scan tallies
+	// always run — atomics, no registry needed — so the amortization ratio
+	// is observable even on servers wired to telemetry after construction.
 	schedFetches atomic.Uint64
 	schedScans   atomic.Uint64
 
 	// Telemetry handles (nil-safe; nil until WithTelemetry/EnableTelemetry).
-	telReg                               *telemetry.Registry
-	telDB                                string
-	poolWait                             *telemetry.Histogram
-	routeWhole, routeFanOut, routeSerial *telemetry.Counter
-	schedFlushLone, schedFlushWindow     *telemetry.Counter
-	schedFlushCap, schedFlushDeadline    *telemetry.Counter
-	schedFlushChain                      *telemetry.Counter
-	schedOccupancy                       *telemetry.Histogram
-	scanSegment                          *telemetry.Histogram
-	scanRoutePar, scanRouteSer           *telemetry.Counter
+	telReg                            *telemetry.Registry
+	telDB                             string
+	routeWhole, routeFanOut           *telemetry.Counter
+	schedFlushLone, schedFlushWindow  *telemetry.Counter
+	schedFlushCap, schedFlushDeadline *telemetry.Counter
+	schedFlushChain                   *telemetry.Counter
+	schedOccupancy                    *telemetry.Histogram
+	scanSegment                       *telemetry.Histogram
+	scanRoutePar, scanRouteSer        *telemetry.Counter
 }
 
-// hostedStore is one file's PIR store plus the serving capabilities probed
-// once at host time, so the per-read path does no interface assertions.
+// hostedStore is one file's PIR store plus the optional faces probed once at
+// host time, so the per-read path does no interface assertions.
 type hostedStore struct {
 	store  pir.Store
-	batch  pir.BatchStore    // nil when the store cannot batch
-	into   pir.BatchInto     // nil when the store cannot fill caller buffers
 	shares pir.ShareAnswerer // nil when the store cannot answer XOR selector shares
-	// whole marks single-scan stores (pir.SingleScan): their batches are
-	// answered by one ReadBatch call on one pool slot — splitting would
-	// multiply full-file scans.
-	whole bool
-	// serial is the per-store lock (a 1-slot channel, so waiting for it is
-	// cancellable) for stores that are NOT BatchStores: one stateful ORAM
-	// structure admits exactly one read at a time.
-	serial chan struct{}
 	// sched coalesces fetches from all connections into shared scans; set
-	// only for single-scan stores (see scheduler.go).
+	// only for scan stores (see scheduler.go).
 	sched *scanScheduler
-	// scanWorkers is the resolved per-scan worker width for parallel-
-	// capable stores (pir.ParallelScan), clamped to the pool size at host
-	// time; a scan of this store occupies this many pool slots. 1 for
-	// serial stores.
+	// scanWorkers is the resolved per-scan worker width of a scan store,
+	// clamped to the pool size at host time; a pass over the store occupies
+	// this many pool slots. 1 for every other store.
 	scanWorkers int
 }
 
@@ -262,7 +240,7 @@ type ServerOption func(*Server)
 func WithWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
-			s.workers = n
+			s.pool.size = n
 		}
 	}
 }
@@ -292,18 +270,14 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 		return nil, err
 	}
 	s := &Server{
-		db:          db,
-		model:       model,
-		stores:      map[string]*hostedStore{},
-		workers:     1,
-		schedWindow: DefaultScanWindow,
-		schedCap:    DefaultScanBatchCap,
+		db:     db,
+		model:  model,
+		stores: map[string]*hostedStore{},
+		pool:   slotPool{size: 1},
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.sem = make(chan struct{}, s.workers)
-	s.wide = make(chan struct{}, 1)
 	for _, f := range db.Files {
 		if !model.SupportsFile(pagefile.Bytes(f)) {
 			return nil, fmt.Errorf("lbs: file %s (%d bytes) exceeds the PIR interface limit of %d bytes",
@@ -314,12 +288,7 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 			return nil, fmt.Errorf("lbs: building PIR store for %s: %w", f.Name(), err)
 		}
 		hs := &hostedStore{store: st, scanWorkers: 1}
-		hs.batch, _ = st.(pir.BatchStore)
-		hs.into, _ = st.(pir.BatchInto)
 		hs.shares, _ = st.(pir.ShareAnswerer)
-		if ss, ok := st.(pir.SingleScan); ok {
-			hs.whole = ss.SingleScanBatch()
-		}
 		if ps, ok := st.(pir.ParallelScan); ok {
 			// Resolve the scan-worker width against the pool: a parallel
 			// scan occupies one slot per worker, so the per-database pool
@@ -331,15 +300,7 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 			if target <= 0 {
 				target = ps.ScanWorkers()
 			}
-			if target > s.workers {
-				target = s.workers
-			}
-			hs.scanWorkers = ps.SetScanWorkers(target)
-		}
-		if hs.batch == nil {
-			hs.serial = make(chan struct{}, 1)
-		}
-		if hs.whole && hs.batch != nil {
+			hs.scanWorkers = ps.SetScanWorkers(min(target, s.pool.size))
 			hs.sched = newScanScheduler(s, hs, f.Name())
 		}
 		s.stores[f.Name()] = hs
@@ -379,113 +340,37 @@ func (s *Server) Files() []FileInfo {
 // the round in the trace.
 func (s *Server) NextRound(context.Context) error { return nil }
 
-// ReadPages retrieves pages through the PIR stores. Safe for concurrent use
-// by any number of connections: batches against a pir.BatchStore fan out
-// across the server's bounded worker pool — except single-scan stores
-// (pir.SingleScan), whose whole batch rides ONE pool slot and one scan,
-// because splitting a single-scan batch multiplies full-file scans instead
-// of dividing work. Stores without batch support (the single-structure
-// ORAMs) serialize on a per-store mutex. Cancelling ctx aborts the batch at
-// read boundaries — a read waiting for a pool slot or for the per-store
-// serial lock gives up immediately and the worker is freed — but a page
-// read that started always completes, so the caller records fetches
-// all-or-nothing.
+// ReadPages retrieves pages through the PIR stores into freshly allocated
+// buffers — the in-process face of ReadPagesInto, which does the work.
 func (s *Server) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
-	hs, ok := s.stores[file]
-	if !ok {
-		return nil, fmt.Errorf("lbs: no such file %q", file)
-	}
-	if hs.batch == nil {
-		s.routeSerial.Inc()
-		lock := hs.serial
-		select {
-		case lock <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-lock }()
-		out := make([][]byte, len(pages))
-		for i, p := range pages {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			data, err := hs.store.Read(p)
-			if err != nil {
-				return nil, fmt.Errorf("lbs: PIR fetch %s[%d]: %w", file, p, err)
-			}
-			out[i] = data
-		}
-		return out, nil
-	}
-
-	if hs.sched != nil {
-		// Single-scan store: the scan scheduler merges this batch with
-		// fetches from every other connection and answers them all in one
-		// pass (it acquires the pool slot itself).
-		s.routeWhole.Inc()
-		ps := hs.store.PageSize()
-		buf := make([]byte, len(pages)*ps)
-		out := make([][]byte, len(pages))
-		for i := range out {
-			out[i] = buf[i*ps : (i+1)*ps : (i+1)*ps]
-		}
-		if err := hs.sched.readInto(ctx, pages, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	workers := s.workers
-	if workers > len(pages) {
-		workers = len(pages)
-	}
-	if workers <= 1 || hs.whole {
-		s.routeWhole.Inc()
-		if err := s.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.release()
-		out, err := hs.batch.ReadBatch(ctx, pages)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
-		}
-		if len(out) != len(pages) {
-			return nil, fmt.Errorf("lbs: PIR fetch %s: store returned %d pages, want %d", file, len(out), len(pages))
-		}
-		return out, nil
-	}
-
-	// Fan the batch out as contiguous sub-batches, one pool slot each; the
-	// split never spawns more goroutines than workers, so a hostile
-	// maximum-size batch cannot balloon goroutine memory.
-	s.routeFanOut.Inc()
-	out := make([][]byte, len(pages))
-	err := s.fanOut(ctx, file, len(pages), workers, func(ctx context.Context, start, end int) error {
-		chunk, err := hs.batch.ReadBatch(ctx, pages[start:end])
-		if err == nil && len(chunk) != end-start {
-			err = fmt.Errorf("store returned %d pages, want %d", len(chunk), end-start)
-		}
-		if err != nil {
-			return err
-		}
-		copy(out[start:end], chunk)
-		return nil
-	})
+	info, err := s.FileInfo(file)
 	if err != nil {
+		return nil, err
+	}
+	flat := make([]byte, len(pages)*info.PageSize)
+	out := make([][]byte, len(pages))
+	for i := range out {
+		out[i] = flat[i*info.PageSize : (i+1)*info.PageSize : (i+1)*info.PageSize]
+	}
+	if err := s.ReadPagesInto(ctx, file, pages, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ReadPagesInto is ReadPages writing page contents into caller-provided
+// ReadPagesInto retrieves pages through the PIR stores into caller-provided
 // buffers (each dst[i] at least PageSize bytes): the serving daemon rents
 // the buffers from a pool, so its steady-state page path allocates nothing.
-// Routing matches ReadPages exactly — single-scan batches keep one pool
-// slot, splittable ones fan out, serial stores take the per-store lock —
-// and stores without a native pir.BatchInto are bridged with a copy.
+// Safe for concurrent use by any number of connections. This is the one
+// place a fetch is routed: a scan store's batch goes whole to the scan
+// scheduler, which merges it with the fetches of every other connection
+// into one pass (splitting it would multiply full-file scans instead of
+// dividing work); any other batch fans out across the worker pool as
+// contiguous sub-batches when there is more than one page and more than one
+// worker, and rides a single pool slot otherwise. Cancelling ctx aborts the
+// batch at read boundaries — a read waiting for a pool slot gives up
+// immediately and the worker is freed — but a page read that started always
+// completes, so the caller records fetches all-or-nothing.
 func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, dst [][]byte) error {
 	hs, ok := s.stores[file]
 	if !ok {
@@ -494,55 +379,26 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	if len(dst) != len(pages) {
 		return fmt.Errorf("lbs: PIR fetch %s: %d buffers for %d pages", file, len(dst), len(pages))
 	}
-	if hs.batch == nil {
-		s.routeSerial.Inc()
-		lock := hs.serial
-		select {
-		case lock <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
+	ps := hs.store.PageSize()
+	for i, buf := range dst {
+		if len(buf) < ps {
+			return fmt.Errorf("lbs: PIR fetch %s: buffer %d holds %d bytes, page size %d", file, i, len(buf), ps)
 		}
-		defer func() { <-lock }()
-		for i, p := range pages {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			data, err := hs.store.Read(p)
-			if err != nil {
-				return fmt.Errorf("lbs: PIR fetch %s[%d]: %w", file, p, err)
-			}
-			copy(dst[i][:hs.store.PageSize()], data)
-		}
-		return nil
 	}
-
 	if hs.sched != nil {
 		s.routeWhole.Inc()
 		return hs.sched.readInto(ctx, pages, dst)
 	}
-
-	workers := s.workers
-	if workers > len(pages) {
-		workers = len(pages)
+	if workers := min(s.pool.size, len(pages)); workers > 1 {
+		s.routeFanOut.Inc()
+		return s.fanOut(ctx, hs, file, workers, pages, dst)
 	}
-	if workers <= 1 || hs.whole {
-		s.routeWhole.Inc()
-		if err := s.acquire(ctx); err != nil {
-			return err
-		}
-		defer s.release()
-		if err := hs.readInto(ctx, pages, dst); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
-		}
-		return nil
+	s.routeWhole.Inc()
+	if err := s.pool.acquire(ctx, 1); err != nil {
+		return err
 	}
-	s.routeFanOut.Inc()
-	return s.fanOut(ctx, file, len(pages), workers, func(ctx context.Context, start, end int) error {
-		return hs.readInto(ctx, pages[start:end], dst[start:end])
-	})
+	defer s.pool.release(1)
+	return fetchErr(ctx, "PIR fetch", file, hs.store.ReadBatchInto(ctx, pages, dst))
 }
 
 // ShareCapable reports whether every hosted file can answer XOR PIR
@@ -561,10 +417,10 @@ func (s *Server) ShareCapable() bool {
 // AnswerShares answers client-supplied XOR selector shares against one
 // file: dst[i] receives the XOR of the pages selected by sels[i]. This is
 // the replica half of two-server fleet mode — the store never reconstructs
-// a page. The whole batch rides one scan (k accumulators), weighted into
-// the worker pool like any other single-scan pass: it occupies the store's
-// scan-worker width. Selector lengths are validated against the store
-// before any slot is taken, so hostile lengths fail fast.
+// a page. The whole batch rides one scan (k accumulators), entering the
+// worker pool like any other pass over a scan store (see beginScan).
+// Selector lengths are validated against the store before any slot is
+// taken, so hostile lengths fail fast.
 func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, dst [][]byte) error {
 	hs, ok := s.stores[file]
 	if !ok {
@@ -586,70 +442,68 @@ func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, d
 		return nil
 	}
 	s.routeWhole.Inc()
-	if err := s.acquireN(ctx, hs.scanWorkers); err != nil {
+	if err := s.beginScan(ctx, hs); err != nil {
 		return err
 	}
-	defer s.releaseN(hs.scanWorkers)
-	if err := hs.shares.AnswerShares(ctx, sels, dst); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("lbs: share fetch %s: %w", file, err)
+	defer s.pool.release(hs.scanWorkers)
+	return fetchErr(ctx, "share fetch", file, hs.shares.AnswerShares(ctx, sels, dst))
+}
+
+// beginScan is how every pass over a scan store enters the pool — a merged
+// fetch batch from the scheduler or a replica's share batch: it takes the
+// store's slot weight, one slot per scan worker, and counts the kernel route
+// the pass will run on. The caller releases hs.scanWorkers when the pass is
+// done.
+func (s *Server) beginScan(ctx context.Context, hs *hostedStore) error {
+	if err := s.pool.acquire(ctx, hs.scanWorkers); err != nil {
+		return err
+	}
+	if hs.scanWorkers > 1 {
+		s.scanRoutePar.Inc()
+	} else {
+		s.scanRouteSer.Inc()
 	}
 	return nil
 }
 
-// readInto fills dst through the store's native BatchInto when it has one,
-// bridging with ReadBatch plus a copy otherwise.
-func (hs *hostedStore) readInto(ctx context.Context, pages []int, dst [][]byte) error {
-	if hs.into != nil {
-		return hs.into.ReadBatchInto(ctx, pages, dst)
+// fetchErr settles a store pass's error: the context's own error when it
+// died (a cancelled fetch reports cancellation, not whatever the store made
+// of it), the store's error under the operation and file otherwise.
+func fetchErr(ctx context.Context, op, file string, err error) error {
+	if err == nil {
+		return nil
 	}
-	chunk, err := hs.batch.ReadBatch(ctx, pages)
-	if err != nil {
-		return err
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
-	if len(chunk) != len(pages) {
-		return fmt.Errorf("store returned %d pages, want %d", len(chunk), len(pages))
-	}
-	ps := hs.store.PageSize()
-	for i := range chunk {
-		copy(dst[i][:ps], chunk[i])
-	}
-	return nil
+	return fmt.Errorf("lbs: %s %s: %w", op, file, err)
 }
 
-// fanOut splits [0,n) into up to `workers` contiguous chunks, runs each on
-// its own pool slot, and returns the first error (context errors win, so a
-// cancelled batch reports cancellation rather than a store's wrapped error).
-func (s *Server) fanOut(ctx context.Context, file string, n, workers int, run func(ctx context.Context, start, end int) error) error {
+// fanOut splits a batch into up to `workers` contiguous sub-batches, reads
+// each on its own pool slot, and returns the first error. The split never
+// spawns more goroutines than workers, so a hostile maximum-size batch
+// cannot balloon goroutine memory.
+func (s *Server) fanOut(ctx context.Context, hs *hostedStore, file string, workers int, pages []int, dst [][]byte) error {
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 	)
-	per := (n + workers - 1) / workers
-	for start := 0; start < n; start += per {
-		end := start + per
-		if end > n {
-			end = n
-		}
+	per := (len(pages) + workers - 1) / workers
+	for start := 0; start < len(pages); start += per {
+		end := min(start+per, len(pages))
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
-			err := s.acquire(ctx)
+			err := s.pool.acquire(ctx, 1)
 			if err == nil {
-				defer s.release()
-				err = run(ctx, start, end)
+				defer s.pool.release(1)
+				err = fetchErr(ctx, "PIR fetch", file, hs.store.ReadBatchInto(ctx, pages[start:end], dst[start:end]))
 			}
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
-					if ctx.Err() != nil {
-						firstErr = ctx.Err()
-					} else {
-						firstErr = fmt.Errorf("lbs: PIR fetch %s: %w", file, err)
-					}
+					firstErr = err
 				}
 				errMu.Unlock()
 			}
@@ -659,109 +513,12 @@ func (s *Server) fanOut(ctx context.Context, file string, n, workers int, run fu
 	return firstErr
 }
 
-// acquire takes one pool slot, or returns ctx.Err() if the context dies
-// while the read is queued — the cancellation path that frees a worker the
-// query no longer wants. The queue gauge counts only genuine waits — a free
-// slot is taken without ever reporting the read as queued.
-func (s *Server) acquire(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		// Free slot: record a zero wait without touching the clock — the
-		// fast path stays allocation- and syscall-free.
-		s.poolWait.Observe(0)
-	default:
-		s.queued.Add(1)
-		start := time.Now()
-		select {
-		case s.sem <- struct{}{}:
-			s.queued.Add(-1)
-			s.poolWait.Observe(int64(time.Since(start)))
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			return ctx.Err()
-		}
-	}
-	s.busy.Add(1)
-	return nil
-}
-
-func (s *Server) release() {
-	s.busy.Add(-1)
-	<-s.sem
-}
-
-// acquireN takes n pool slots for one parallel scan (weight = scan-worker
-// width), or returns ctx.Err() while still queued. Multi-slot acquisitions
-// serialize on the wide token, so a partial slot set is only ever held by
-// one acquirer and two wide scans cannot deadlock each other; 1-slot reads
-// keep the existing fast path untouched.
-func (s *Server) acquireN(ctx context.Context, n int) error {
-	if n > s.workers {
-		n = s.workers
-	}
-	if n <= 1 {
-		return s.acquire(ctx)
-	}
-	select {
-	case s.wide <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-s.wide }()
-	got := 0
-	for got < n {
-		select {
-		case s.sem <- struct{}{}:
-			got++
-			continue
-		default:
-		}
-		break
-	}
-	if got < n {
-		s.queued.Add(1)
-		start := time.Now()
-		for got < n {
-			select {
-			case s.sem <- struct{}{}:
-				got++
-			case <-ctx.Done():
-				s.queued.Add(-1)
-				for ; got > 0; got-- {
-					<-s.sem
-				}
-				return ctx.Err()
-			}
-		}
-		s.queued.Add(-1)
-		s.poolWait.Observe(int64(time.Since(start)))
-	} else {
-		s.poolWait.Observe(0)
-	}
-	s.busy.Add(int32(n))
-	return nil
-}
-
-// releaseN returns a parallel scan's slots.
-func (s *Server) releaseN(n int) {
-	if n > s.workers {
-		n = s.workers
-	}
-	if n <= 1 {
-		s.release()
-		return
-	}
-	s.busy.Add(int32(-n))
-	for i := 0; i < n; i++ {
-		<-s.sem
-	}
-}
-
 // PoolStats snapshots the worker pool: its size, the reads executing right
 // now, and the reads waiting for a slot. The daemon exports these as
 // serving gauges.
 func (s *Server) PoolStats() (workers, busy, queued int) {
-	return s.workers, int(s.busy.Load()), int(s.queued.Load())
+	busy, queued = s.pool.stats()
+	return s.pool.size, busy, queued
 }
 
 // Connect opens a client connection (one per query in the experiments),

@@ -179,7 +179,7 @@ func TestFetchErrors(t *testing.T) {
 }
 
 // TestParallelReadPages drives the worker-pool fan-out: batches over a
-// BatchStore split across workers and reassemble in order, for every worker
+// splittable store split across workers and reassemble in order, for every worker
 // count and store flavour, under concurrent connections.
 func TestParallelReadPages(t *testing.T) {
 	const pagesN = 40
@@ -237,9 +237,9 @@ func TestParallelReadPages(t *testing.T) {
 	}
 }
 
-// TestSerialStoresServeConcurrently: stores without batch support (one
-// stateful ORAM) are serialized by the per-store mutex, so concurrent
-// connections still get correct pages (the race detector guards the rest).
+// TestSerialStoresServeConcurrently: a single stateful ORAM serializes its
+// reads on its own lock, so concurrent connections still get correct pages
+// (the race detector guards the rest).
 func TestSerialStoresServeConcurrently(t *testing.T) {
 	db := sampleDB(t)
 	srv, err := NewServer(db, costmodel.Default(), ORAMStores(1), WithWorkers(8))
@@ -309,16 +309,15 @@ type blockingStore struct {
 	release chan struct{}
 }
 
-func (b *blockingStore) Read(page int) ([]byte, error) { return b.inner.Read(page) }
-func (b *blockingStore) NumPages() int                 { return b.inner.NumPages() }
-func (b *blockingStore) PageSize() int                 { return b.inner.PageSize() }
-func (b *blockingStore) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
+func (b *blockingStore) NumPages() int { return b.inner.NumPages() }
+func (b *blockingStore) PageSize() int { return b.inner.PageSize() }
+func (b *blockingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	select {
 	case <-b.release:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	return b.inner.ReadBatch(ctx, pages)
+	return b.inner.ReadBatchInto(ctx, pages, dst)
 }
 
 // TestReadPagesCancelledWhileQueued: with the single pool slot held by a
@@ -378,60 +377,5 @@ func TestReadPagesCancelledWhileQueued(t *testing.T) {
 	}
 	if _, busy, q := srv.PoolStats(); busy != 0 || q != 0 {
 		t.Errorf("gauges busy=%d queued=%d after cancel+drain", busy, q)
-	}
-}
-
-// parkedStore is a non-batch Store whose reads park until released — the
-// serial (per-store lock) serving path under a long-running holder.
-type parkedStore struct {
-	inner   pir.Store
-	release chan struct{}
-}
-
-func (p *parkedStore) Read(page int) ([]byte, error) { <-p.release; return p.inner.Read(page) }
-func (p *parkedStore) NumPages() int                 { return p.inner.NumPages() }
-func (p *parkedStore) PageSize() int                 { return p.inner.PageSize() }
-
-// TestSerialLockCancellable: a read waiting for a non-batch store's serial
-// lock aborts with ctx.Err() when cancelled, instead of blocking until the
-// lock holder finishes.
-func TestSerialLockCancellable(t *testing.T) {
-	db := sampleDB(t)
-	release := make(chan struct{})
-	srv, err := NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
-		return &parkedStore{inner: pir.NewPlain(f), release: release}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := make(chan struct{})
-	holder := make(chan error, 1)
-	go func() {
-		close(started)
-		_, err := srv.ReadPages(context.Background(), "Fa", []int{0})
-		holder <- err
-	}()
-	<-started
-	// Give the holder a moment to take the serial lock and park in Read.
-	time.Sleep(10 * time.Millisecond)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	waiter := make(chan error, 1)
-	go func() {
-		_, err := srv.ReadPages(ctx, "Fa", []int{1})
-		waiter <- err
-	}()
-	cancel()
-	select {
-	case err := <-waiter:
-		if err != context.Canceled {
-			t.Fatalf("waiting read: err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled read still waiting on the serial lock")
-	}
-	close(release)
-	if err := <-holder; err != nil {
-		t.Fatalf("lock holder: %v", err)
 	}
 }

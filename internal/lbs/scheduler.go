@@ -10,12 +10,12 @@ import (
 )
 
 // The SPC schemes make every PIR answer scan the whole file, so the server's
-// real budget is scans per second, not fetches per second. The single-scan
-// kernel (pir.SingleScan) already answers a whole batch in one pass — but
+// real budget is scans per second, not fetches per second. A scan store
+// (pir.ParallelScan) already answers a whole batch in one pass — but
 // batches used to form only inside one client's round. The scan scheduler
 // closes that gap across connections: selector-vector fetches arriving from
 // ANY connection are accumulated into one shared pending batch per file and
-// answered with a single ReadBatch pass over the arena, turning cost per
+// answered with a single ReadBatchInto pass over the arena, turning cost per
 // query into cost per scan under concurrent traffic.
 //
 // Flush policy, in order of precedence:
@@ -47,35 +47,14 @@ import (
 // expose only batch shapes, flush reasons and scan counts — functions of
 // traffic timing the LBS already observes, never of page contents.
 
-// Scheduling defaults. The window trades lone-ish latency for amortization:
+// Scheduling constants. The window trades lone-ish latency for amortization:
 // at heavy load a longer window packs more queries per scan; 2ms is small
 // against network RTTs while long enough for concurrent rounds to pile up.
+// The cap bounds the scratch memory one merged scan needs.
 const (
-	DefaultScanWindow   = 2 * time.Millisecond
-	DefaultScanBatchCap = 256 // pages per merged scan
+	scanWindow   = 2 * time.Millisecond
+	scanBatchCap = 256 // pages per merged scan
 )
-
-// WithScanWindow sets the scan scheduler's batching window: the longest a
-// contended fetch waits for co-riders before its batch is flushed. Applies
-// only to single-scan stores; d <= 0 keeps the default.
-func WithScanWindow(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.schedWindow = d
-		}
-	}
-}
-
-// WithScanBatchCap bounds the pages a merged scan answers at once; a fetch
-// that fills the batch past the cap flushes it immediately. n <= 0 keeps
-// the default.
-func WithScanBatchCap(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.schedCap = n
-		}
-	}
-}
 
 // scanReq is one connection's fetch waiting in the shared pending batch.
 // The submitting goroutine owns it: it waits on done, reads err, and
@@ -101,8 +80,8 @@ type schedScratch struct {
 
 var schedScratchPool = sync.Pool{New: func() any { return new(schedScratch) }}
 
-// scanScheduler coalesces fetches against one single-scan store. One
-// instance per hosted single-scan file; the flush-reason counters, batch
+// scanScheduler coalesces fetches against one scan store. One instance per
+// hosted scan-store file; the flush-reason counters, batch
 // occupancy histogram and amortization tallies are shared per server (one
 // db label) across its files.
 type scanScheduler struct {
@@ -127,8 +106,8 @@ func newScanScheduler(s *Server, hs *hostedStore, file string) *scanScheduler {
 		srv:    s,
 		hs:     hs,
 		file:   file,
-		window: s.schedWindow,
-		cap:    s.schedCap,
+		window: scanWindow,
+		cap:    scanBatchCap,
 	}
 }
 
@@ -314,32 +293,19 @@ func (sc *scanScheduler) runBatch(batch []*scanReq, reason *telemetry.Counter) {
 	schedScratchPool.Put(ss)
 }
 
-// scan acquires the store's slot weight — one slot per scan worker, so a
-// parallel merged scan charges the pool for every core it will occupy —
+// scan enters the pool with the store's slot weight (see Server.beginScan)
 // and answers the merged batch in a single store pass, recording the flush
 // accounting only once the scan actually runs.
 func (sc *scanScheduler) scan(ctx context.Context, pages []int, dst [][]byte, queries int, reason *telemetry.Counter) error {
-	weight := sc.hs.scanWorkers
-	if err := sc.srv.acquireN(ctx, weight); err != nil {
+	if err := sc.srv.beginScan(ctx, sc.hs); err != nil {
 		return err
 	}
-	defer sc.srv.releaseN(weight)
-	if weight > 1 {
-		sc.srv.scanRoutePar.Inc()
-	} else {
-		sc.srv.scanRouteSer.Inc()
-	}
+	defer sc.srv.pool.release(sc.hs.scanWorkers)
 	reason.Inc()
 	sc.srv.schedFetches.Add(uint64(queries))
 	sc.srv.schedScans.Add(1)
 	sc.srv.schedOccupancy.Observe(int64(queries))
-	if err := sc.hs.readInto(ctx, pages, dst); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("lbs: PIR fetch %s: %w", sc.file, err)
-	}
-	return nil
+	return fetchErr(ctx, "PIR fetch", sc.file, sc.hs.store.ReadBatchInto(ctx, pages, dst))
 }
 
 // finishScan marks one scan done. Requests that queued while it ran are

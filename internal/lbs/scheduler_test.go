@@ -60,8 +60,9 @@ const schedTestPages = 64
 
 // newSchedServer hosts one 64-page file on an XORPIR store wrapped in a
 // gatedXOR (gated only when gate is true) with telemetry enabled, so tests
-// can read the flush-reason counters directly.
-func newSchedServer(t *testing.T, gate bool, opts ...ServerOption) (*Server, *gatedXOR) {
+// can read the flush-reason counters directly. A non-zero window or page cap
+// replaces the scheduler's constant for this server.
+func newSchedServer(t *testing.T, gate bool, window time.Duration, pageCap int) (*Server, *gatedXOR) {
 	t.Helper()
 	const pageSize = 32
 	f := pagefile.NewFile("F", pageSize)
@@ -82,13 +83,19 @@ func newSchedServer(t *testing.T, gate bool, opts ...ServerOption) (*Server, *ga
 		}
 		return gx, nil
 	}
-	opts = append([]ServerOption{WithTelemetry(telemetry.NewRegistry(), "T")}, opts...)
-	srv, err := NewServer(db, costmodel.Default(), factory, opts...)
+	srv, err := NewServer(db, costmodel.Default(), factory, WithTelemetry(telemetry.NewRegistry(), "T"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.stores["F"].sched == nil {
+	sc := srv.stores["F"].sched
+	if sc == nil {
 		t.Fatal("XORPIR store did not get a scan scheduler")
+	}
+	if window != 0 {
+		sc.window = window
+	}
+	if pageCap != 0 {
+		sc.cap = pageCap
 	}
 	return srv, gx
 }
@@ -129,7 +136,7 @@ func checkPage(t *testing.T, got [][]byte, pages []int) {
 // of the batching window. With a 10-second window, any reliance on the timer
 // would hang the test; the lone path must return in milliseconds.
 func TestSchedulerLoneQueryImmediate(t *testing.T) {
-	srv, gx := newSchedServer(t, false, WithScanWindow(10*time.Second))
+	srv, gx := newSchedServer(t, false, 10*time.Second, 0)
 	start := time.Now()
 	got, err := srv.ReadPages(context.Background(), "F", []int{5})
 	if err != nil {
@@ -156,7 +163,7 @@ func TestSchedulerLoneQueryImmediate(t *testing.T) {
 // cross-connection amortization the scheduler exists for, with no window
 // wait for the queued requests.
 func TestSchedulerChainMergesConcurrentFetches(t *testing.T) {
-	srv, gx := newSchedServer(t, true, WithScanWindow(250*time.Millisecond))
+	srv, gx := newSchedServer(t, true, 250*time.Millisecond, 0)
 
 	results := make(chan error, 3)
 	fetch := func(page int) {
@@ -211,7 +218,7 @@ func TestSchedulerChainMergesConcurrentFetches(t *testing.T) {
 // first scan is still held open; its own scan then queues on the worker
 // pool behind it.
 func TestSchedulerWindowFallbackFlush(t *testing.T) {
-	srv, gx := newSchedServer(t, true, WithScanWindow(50*time.Millisecond))
+	srv, gx := newSchedServer(t, true, 50*time.Millisecond, 0)
 
 	results := make(chan error, 2)
 	fetch := func(page int) {
@@ -242,8 +249,7 @@ func TestSchedulerWindowFallbackFlush(t *testing.T) {
 // TestSchedulerCapFlush: filling the pending batch to the page cap flushes
 // it immediately — no waiting out the (here deliberately enormous) window.
 func TestSchedulerCapFlush(t *testing.T) {
-	srv, gx := newSchedServer(t, true,
-		WithScanWindow(10*time.Second), WithScanBatchCap(2))
+	srv, gx := newSchedServer(t, true, 10*time.Second, 2)
 
 	results := make(chan error, 3)
 	fetch := func(page int) {
@@ -279,7 +285,7 @@ func TestSchedulerCapFlush(t *testing.T) {
 // deadline timer claims the batch at ¾ of the 2-second budget, while scan
 // 1 is still at the gate.
 func TestSchedulerDeadlineEarlyFlush(t *testing.T) {
-	srv, gx := newSchedServer(t, true, WithScanWindow(10*time.Second))
+	srv, gx := newSchedServer(t, true, 10*time.Second, 0)
 
 	results := make(chan error, 2)
 	go func() {
@@ -319,7 +325,7 @@ func TestSchedulerDeadlineEarlyFlush(t *testing.T) {
 // in the pending batch withdraws it — it returns the context error promptly
 // and no scan ever answers its pages.
 func TestSchedulerCancelWhileQueued(t *testing.T) {
-	srv, gx := newSchedServer(t, true, WithScanWindow(10*time.Second))
+	srv, gx := newSchedServer(t, true, 10*time.Second, 0)
 
 	loneDone := make(chan error, 1)
 	go func() {
@@ -370,7 +376,7 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 // TestSchedulerRejectsHostilePages: an out-of-range index is rejected at
 // submit, before the request can join (and poison) a shared batch.
 func TestSchedulerRejectsHostilePages(t *testing.T) {
-	srv, _ := newSchedServer(t, false)
+	srv, _ := newSchedServer(t, false, 0, 0)
 	if _, err := srv.ReadPages(context.Background(), "F", []int{schedTestPages}); err == nil {
 		t.Fatal("out-of-range page accepted")
 	}
@@ -412,8 +418,7 @@ func selected(sel []byte, bit int) bool { return sel[bit/8]&(1<<(bit%8)) != 0 }
 // with chi-squared statistics against ≈10-sigma thresholds.
 func TestSchedulerCoScheduledSelectorsUniformAndIndependent(t *testing.T) {
 	const trials = 256
-	srv, gx := newSchedServer(t, true,
-		WithScanWindow(10*time.Second), WithScanBatchCap(2))
+	srv, gx := newSchedServer(t, true, 10*time.Second, 2)
 
 	perBit := make([]int, schedTestPages)  // all co-scheduled vectors
 	pairXOR := make([]int, schedTestPages) // XOR of the two vectors per merged scan

@@ -35,25 +35,23 @@ func (s *Server) initTelemetry() {
 		return
 	}
 	dbl := telemetry.L("db", db)
-	workers := s.workers
+	workers := s.pool.size
 	reg.GaugeFunc("privsp_pool_workers",
 		"size of the per-database PIR worker pool",
 		func() float64 { return float64(workers) }, dbl)
 	reg.GaugeFunc("privsp_pool_busy",
 		"PIR page reads executing right now",
-		func() float64 { return float64(s.busy.Load()) }, dbl)
+		func() float64 { busy, _ := s.pool.stats(); return float64(busy) }, dbl)
 	reg.GaugeFunc("privsp_pool_queued",
 		"PIR page reads waiting for a pool slot",
-		func() float64 { return float64(s.queued.Load()) }, dbl)
-	s.poolWait = reg.Histogram("privsp_pool_wait_seconds",
+		func() float64 { _, queued := s.pool.stats(); return float64(queued) }, dbl)
+	s.pool.wait = reg.Histogram("privsp_pool_wait_seconds",
 		"time a PIR read spent waiting for a pool slot (0 when a slot was free)",
 		telemetry.Seconds(), dbl)
 	s.routeWhole = reg.Counter("privsp_pir_route_total",
 		"fetch batches by serving route", dbl, telemetry.L("route", "single_scan"))
 	s.routeFanOut = reg.Counter("privsp_pir_route_total",
 		"fetch batches by serving route", dbl, telemetry.L("route", "fan_out"))
-	s.routeSerial = reg.Counter("privsp_pir_route_total",
-		"fetch batches by serving route", dbl, telemetry.L("route", "serial"))
 
 	// Scan-scheduler families, registered eagerly for every server — a
 	// database whose stores never engage the scheduler still exports the

@@ -9,7 +9,7 @@ import (
 )
 
 // TestXORPIRBatchMatchesSequential: the single-scan multi-query path must
-// return exactly what k independent Reads return, across odd geometries and
+// return exactly what k independent one-page reads return, across odd geometries and
 // with duplicate targets in one batch.
 func TestXORPIRBatchMatchesSequential(t *testing.T) {
 	for _, shape := range oddShapes {
@@ -25,7 +25,7 @@ func TestXORPIRBatchMatchesSequential(t *testing.T) {
 		// Duplicates: two queries for one page must stay two independent
 		// queries with identical answers.
 		batch = append(batch, 0, shape.n-1, shape.n/2)
-		got, err := x.ReadBatch(context.Background(), batch)
+		got, err := ReadBatch(context.Background(), x, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestXORPIRBatchMatchesSequential(t *testing.T) {
 			if !bytes.Equal(got[i], pages[p]) {
 				t.Fatalf("%dx%d: batch answer %d (page %d) wrong", shape.n, shape.ps, i, p)
 			}
-			single, err := x.Read(p)
+			single, err := Read(x, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,12 +44,12 @@ func TestXORPIRBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%dx%d: sequential Read(%d) wrong", shape.n, shape.ps, p)
 			}
 		}
-		if _, err := x.ReadBatch(context.Background(), []int{shape.n}); err == nil {
+		if _, err := ReadBatch(context.Background(), x, []int{shape.n}); err == nil {
 			t.Fatalf("%dx%d: out-of-range batch accepted", shape.n, shape.ps)
 		}
 		// An empty batch is a valid no-op, as it was under sequential
 		// readEach — it must not disturb the recorded last queries.
-		empty, err := x.ReadBatch(context.Background(), nil)
+		empty, err := ReadBatch(context.Background(), x, nil)
 		if err != nil || len(empty) != 0 {
 			t.Fatalf("%dx%d: empty batch: %v, %d answers", shape.n, shape.ps, err, len(empty))
 		}
@@ -70,7 +70,7 @@ func TestKOPIRBatchMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := []int{shape.n - 1, 0, shape.n / 2, 0} // duplicate row 0
-		got, err := k.ReadBatch(context.Background(), batch)
+		got, err := ReadBatch(context.Background(), k, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,14 @@ func TestKOPIRBatchMatchesSequential(t *testing.T) {
 					shape.n, shape.ps, i, p, got[i], pages[p])
 			}
 		}
-		single, err := k.Read(1 % shape.n)
-		if err != nil || !bytes.Equal(single, pages[1%shape.n]) {
-			t.Fatalf("%dx%d: sequential Read after batch wrong: %v", shape.n, shape.ps, err)
+		// The bit-by-bit reference read agrees with the row-sharing rounds.
+		for i, p := range batch {
+			single, err := k.readPage(p)
+			if err != nil || !bytes.Equal(single, got[i]) {
+				t.Fatalf("%dx%d: sequential read of page %d differs from its batch answer: %v", shape.n, shape.ps, p, err)
+			}
 		}
-		if empty, err := k.ReadBatch(context.Background(), nil); err != nil || len(empty) != 0 {
+		if empty, err := ReadBatch(context.Background(), k, nil); err != nil || len(empty) != 0 {
 			t.Fatalf("%dx%d: empty batch: %v, %d answers", shape.n, shape.ps, err, len(empty))
 		}
 		if err := k.ReadBatchInto(context.Background(), []int{0, 1}, [][]byte{make([]byte, shape.ps)}); err == nil {
@@ -138,7 +141,7 @@ func TestXORPIRBatchSelectorsUniformAndIndependent(t *testing.T) {
 	atTarget := make([]int, k)
 
 	for trial := 0; trial < trials; trial++ {
-		if _, err := x.ReadBatch(context.Background(), targets); err != nil {
+		if _, err := ReadBatch(context.Background(), x, targets); err != nil {
 			t.Fatal(err)
 		}
 		selsA, selsB := x.LastBatchQueries()
@@ -289,22 +292,5 @@ func TestXORPIRAnswerSharesZeroAllocs(t *testing.T) {
 				t.Fatalf("workers=%d: share %d wrong after alloc-free answers", nw, j)
 			}
 		}
-	}
-}
-
-// TestReadEachHonorsContext: the shared sequential ReadBatch helper checks
-// ctx at page boundaries — a cancelled batch stops without touching more
-// pages.
-func TestReadEachHonorsContext(t *testing.T) {
-	pages := makePages(4, 8, 29)
-	p := NewPlain(src(pages, 8))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ReadEach(ctx, p, []int{0, 1, 2}); err != context.Canceled {
-		t.Fatalf("cancelled ReadEach returned %v, want context.Canceled", err)
-	}
-	out, err := ReadEach(context.Background(), p, []int{2, 0})
-	if err != nil || !bytes.Equal(out[0], pages[2]) || !bytes.Equal(out[1], pages[0]) {
-		t.Fatalf("ReadEach wrong: %v", err)
 	}
 }

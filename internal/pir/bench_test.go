@@ -106,7 +106,7 @@ func BenchmarkXORPIRBatchRead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, p := range batch {
-					if _, err := x.Read(p); err != nil {
+					if _, err := Read(x, p); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -200,7 +200,7 @@ func BenchmarkSqrtORAMRead(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.Read(i % 256); err != nil {
+		if _, err := Read(o, i%256); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func BenchmarkXORPIRRead(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := x.Read(i % 256); err != nil {
+		if _, err := Read(x, i%256); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func BenchmarkPlainRead(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Read(i % 256); err != nil {
+		if _, err := Read(p, i%256); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -90,9 +90,11 @@ func NewKOPIR(src pagefile.Reader, modulusBits int) (*KOPIR, error) {
 	return k, nil
 }
 
-// Read implements Store: it retrieves the target page bit by bit. Each bit
-// query hides which page (row) and which bit position (column) is wanted.
-func (k *KOPIR) Read(page int) ([]byte, error) {
+// readPage retrieves one page bit by bit, one QR-PIR round per bit with no
+// row sharing — the per-page reference the tests compare the batched rounds
+// of ReadBatchInto against. Each bit query hides which page (row) and which
+// bit position (column) is wanted.
+func (k *KOPIR) readPage(page int) ([]byte, error) {
 	if page < 0 || page >= k.numPages {
 		return nil, fmt.Errorf("pir: page %d of %d", page, k.numPages)
 	}
@@ -217,34 +219,17 @@ func (k *KOPIR) serverAnswerRowBatch(row int, yss [][]*big.Int) []*big.Int {
 	return zs
 }
 
-// ReadBatch implements BatchStore natively: the batch proceeds in
-// bit-synchronized rounds (all queries fetch bit b together), and within a
-// round the page matrix is walked once — queries targeting the same row
-// share a single pass over that row's bits, each folding the shared data
-// into its own accumulator. Every query still samples its own fresh
-// Jacobi-+1 vector per round, so the server's view of a batch is exactly k
-// independent queries. ctx is checked at bit-round boundaries (the read
-// boundaries of this store: one round is one indivisible server exchange).
-func (k *KOPIR) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	out := make([][]byte, len(pages))
-	for i := range out {
-		out[i] = make([]byte, k.pageSize)
-	}
-	if err := k.ReadBatchInto(ctx, pages, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBatchInto implements BatchInto; see ReadBatch.
+// ReadBatchInto implements Store: the batch proceeds in bit-synchronized
+// rounds (all queries fetch bit b together), and within a round the page
+// matrix is walked once — queries targeting the same row share a single pass
+// over that row's bits, each folding the shared data into its own
+// accumulator. Every query still samples its own fresh Jacobi-+1 vector per
+// round, so the server's view of a batch is exactly k independent queries.
+// ctx is checked at bit-round boundaries (the read boundaries of this store:
+// one round is one indivisible server exchange).
 func (k *KOPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
-	if len(dst) != len(pages) {
-		return fmt.Errorf("pir: %d buffers for %d pages", len(dst), len(pages))
-	}
-	for _, p := range pages {
-		if p < 0 || p >= k.numPages {
-			return fmt.Errorf("pir: page %d of %d", p, k.numPages)
-		}
+	if err := checkBatch(k.numPages, pages, dst); err != nil {
+		return err
 	}
 	if len(pages) == 0 {
 		return nil
@@ -369,10 +354,6 @@ func (k *KOPIR) answerBitsParallel(ctx context.Context, dst [][]byte, rowOrder [
 	}
 	return t.err
 }
-
-// SingleScanBatch implements SingleScan: each bit round walks the matrix
-// rows once for the whole batch, so splitting a batch multiplies row scans.
-func (k *KOPIR) SingleScanBatch() bool { return true }
 
 // NumPages implements Store.
 func (k *KOPIR) NumPages() int { return k.numPages }

@@ -86,7 +86,7 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 				t.Fatalf("%dx%d: SetScanWorkers(%d) = %d, outside [1,%d]",
 					shape.n, shape.ps, nw, eff, shape.n)
 			}
-			got, err := x.ReadBatch(context.Background(), batch)
+			got, err := ReadBatch(context.Background(), x, batch)
 			if err != nil {
 				t.Fatalf("%dx%d nw=%d: %v", shape.n, shape.ps, nw, err)
 			}
@@ -96,7 +96,7 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 				}
 			}
 			// k=1 through the same width.
-			one, err := x.Read(shape.n / 2)
+			one, err := Read(x, shape.n/2)
 			if err != nil || !bytes.Equal(one, pages[shape.n/2]) {
 				t.Fatalf("%dx%d nw=%d: single read wrong: %v", shape.n, shape.ps, nw, err)
 			}
@@ -120,7 +120,7 @@ func TestKOPIRParallelMatchesPages(t *testing.T) {
 			if eff > shape.ps {
 				t.Fatalf("%dx%d: width %d exceeds %d byte columns", shape.n, shape.ps, eff, shape.ps)
 			}
-			got, err := k.ReadBatch(context.Background(), batch)
+			got, err := ReadBatch(context.Background(), k, batch)
 			if err != nil {
 				t.Fatalf("%dx%d nw=%d: %v", shape.n, shape.ps, nw, err)
 			}
@@ -274,7 +274,7 @@ func TestScanObserverDeterministicCount(t *testing.T) {
 			mu.Lock()
 			count = 0
 			mu.Unlock()
-			if _, err := x.ReadBatch(context.Background(), batch); err != nil {
+			if _, err := ReadBatch(context.Background(), x, batch); err != nil {
 				t.Fatal(err)
 			}
 			mu.Lock()
@@ -290,12 +290,12 @@ func TestScanObserverDeterministicCount(t *testing.T) {
 	mu.Lock()
 	count = 0
 	mu.Unlock()
-	if _, err := x.Read(0); err != nil {
+	if _, err := Read(x, 0); err != nil {
 		t.Fatal(err)
 	}
 	x.SetScanWorkers(2)
 	x.SetScanObserver(nil)
-	if _, err := x.Read(0); err != nil {
+	if _, err := Read(x, 0); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -1,17 +1,28 @@
 // Package pir provides the private information retrieval building blocks of
-// §2.2 and §3.2. The paper's schemes treat PIR as a black box with proven
-// security guarantees; this package supplies that box in three independent
-// flavours, all satisfying the same Store interface:
+// §2.2 and §3.2. The paper's schemes treat PIR as a black box with one
+// operation — retrieve page i of file F without the server learning i — and
+// this package supplies that box behind one contract, Store, in independent
+// flavours:
 //
 //   - SqrtORAM: a square-root ORAM (Goldreich) over AES-CTR-encrypted pages,
 //     the functional stand-in for the hardware-aided protocol of Williams &
 //     Sion [36] that the paper deploys on the IBM 4764 SCP. Its physical
 //     access pattern is provably independent of the logical one, which the
-//     tests verify empirically.
+//     tests verify empirically. PyramidORAM is the hierarchical construction
+//     of the same lineage; ShardedORAM stripes pages over independently
+//     locked SqrtORAMs.
 //   - XORPIR: the classic two-server information-theoretic PIR of Chor,
 //     Goldreich, Kushilevitz & Sudan [4].
 //   - KOPIR: single-server computational PIR from the quadratic residuosity
 //     assumption (Kushilevitz–Ostrovsky), built on math/big.
+//   - Plain: no privacy, reads straight off the page source.
+//
+// A store may additionally show up to three optional faces, which the
+// serving layer (lbs.Server) probes once at host time: ParallelScan (the
+// store answers a whole batch in one pass over the file, optionally fanned
+// across a worker group — XORPIR and KOPIR; such batches are never split and
+// are merged across connections), ShareAnswerer (the replica half of
+// two-server fleet mode — XORPIR) and ScanStats (work accounting).
 //
 // Timing in the experiments comes from costmodel (the paper simulates the
 // SCP too); these implementations establish that the oblivious-retrieval
@@ -25,59 +36,39 @@ import (
 	"repro/internal/pagefile"
 )
 
-// Store is the PIR interface the schemes program against: retrieve one page
-// by index, with the backing server(s) learning nothing about the index.
+// Store is the PIR contract the serving layer programs against: retrieve
+// pages by index, with the backing server(s) learning nothing about the
+// indices. Every store is safe for concurrent use — several connections may
+// read the same store at the same time, and lbs.Server fans the sub-batches
+// of a splittable batch out across its worker pool. Stores must NOT spawn
+// their own concurrency except through ParallelScan, whose worker width the
+// serving layer sets and charges against its pool (a parallel scan occupies
+// one slot per scan worker), so the per-database pool remains the single
+// knob bounding parallel work.
+//
+// Plain, XORPIR and KOPIR read without touching mutable state (XORPIR's
+// test-visible last-query fields are mutex-guarded); ShardedORAM serializes
+// callers only on the shards they share; SqrtORAM and PyramidORAM are one
+// stateful structure each and serialize every batch on their own
+// cancellable lock (see serialLock).
 type Store interface {
-	// Read returns the content of the logical page.
-	Read(page int) ([]byte, error)
 	// NumPages returns the logical file length. Public information.
 	NumPages() int
 	// PageSize returns the page size in bytes. Public information.
 	PageSize() int
-}
-
-// BatchStore is a Store whose reads within a protocol round are independent
-// and may execute concurrently. ReadBatch retrieves several pages at once
-// and returns them in request order; implementations must be safe for
-// concurrent use — callers (the per-database worker pool of lbs.Server) fan
-// sub-batches out across goroutines, and several connections may batch-read
-// the same store at the same time. Implementations must NOT spawn their own
-// concurrency except through ParallelScan, whose worker width the serving
-// layer sets and charges against its pool (a parallel scan occupies one
-// slot per scan worker — see lbs.Server), so the per-database pool remains
-// the single knob bounding parallel work; a ReadBatch call on a store left
-// at ScanWorkers() == 1 executes serially.
-//
-// Plain, XORPIR and KOPIR implement it because their reads touch no mutable
-// state (XORPIR's test-visible last-query fields are mutex-guarded).
-// ShardedORAM implements it by striping pages over independently locked
-// sqrt-ORAM shards, so concurrent callers serialize only on the shards they
-// share while the physical access pattern within each shard stays
-// oblivious. The plain SqrtORAM and PyramidORAM deliberately do NOT
-// implement it: one stateful structure serializes every read, and
-// lbs.Server falls back to a per-store mutex for them.
-type BatchStore interface {
-	Store
-	// ReadBatch returns the content of the given logical pages, in request
-	// order. It fails on the first page error. Implementations check ctx at
-	// read boundaries — between individual page retrievals, never inside
-	// one — so a cancelled batch stops promptly but each page read that
-	// started runs to completion: the serving layer records fetches
-	// all-or-nothing, keeping a cancelled query's server-visible trace a
-	// prefix of a full one.
-	ReadBatch(ctx context.Context, pages []int) ([][]byte, error)
-}
-
-// SingleScan is implemented by BatchStores whose ReadBatch answers every
-// requested page in ONE pass over the whole file — k accumulators riding a
-// single scan (XORPIR) or k query vectors sharing each row walk (KOPIR).
-// For such stores, splitting a batch across workers multiplies full-file
-// scans instead of dividing work: the serving layer must route an entire
-// same-file batch through one ReadBatch call and parallelize only across
-// files (or shards), never within a batch.
-type SingleScan interface {
-	// SingleScanBatch reports whether batches must be kept whole.
-	SingleScanBatch() bool
+	// ReadBatchInto writes the content of logical page pages[i] into dst[i],
+	// in request order. dst must hold len(pages) buffers of at least
+	// PageSize bytes each; a batch with a mismatched buffer count or an
+	// out-of-range page is rejected before anything is written. The serving
+	// layer rents the buffers from a pool, so a steady-state remote query
+	// allocates nothing on the page path.
+	//
+	// Implementations check ctx at read boundaries — between individual
+	// page retrievals (or file passes), never inside one — so a cancelled
+	// batch stops promptly but each page read that started runs to
+	// completion: the serving layer records fetches all-or-nothing, keeping
+	// a cancelled query's server-visible trace a prefix of a full one.
+	ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error
 }
 
 // ShareAnswerer is implemented by stores that can answer one half of a
@@ -87,9 +78,9 @@ type SingleScan interface {
 // client wants. This is the server side of fleet mode: the client splits
 // each query into two shares and sends each to a different replica
 // process, so reconstruction happens only client-side. A single scan with
-// k accumulators answers a k-selector batch, exactly like SingleScan
-// batches — but at half the work of ReadBatch, which must scan for both
-// logical servers.
+// k accumulators answers a k-selector batch, exactly like a ParallelScan
+// store's ReadBatchInto — but at half the work, since that must scan for
+// both logical servers.
 type ShareAnswerer interface {
 	// SelectorBytes returns the required selector length: one bit per page,
 	// rounded up to whole bytes. Public information.
@@ -100,34 +91,84 @@ type ShareAnswerer interface {
 	AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error
 }
 
-// BatchInto is implemented by stores that can write page contents into
-// caller-provided buffers — the allocation-free face of ReadBatch. dst must
-// hold len(pages) buffers of at least PageSize bytes each; on success each
-// dst[i] holds page pages[i]. The serving layer rents the buffers from a
-// pool, so a steady-state remote query allocates nothing on the page path.
-type BatchInto interface {
-	ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error
+// Read retrieves one page into a fresh buffer — the allocating convenience
+// over ReadBatchInto for tests, demos and benchmarks.
+func Read(s Store, page int) ([]byte, error) {
+	out, err := ReadBatch(context.Background(), s, []int{page})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// ReadEach is the sequential ReadBatch implementation shared by stores (and
-// store wrappers, like the benchmarks' seek-simulating decorator) whose
-// single reads are already cheap or internally parallel. It honors the
-// BatchStore contract: ctx is checked between page reads — the read
-// boundaries — never mid-read, so a cancelled batch stops promptly while
-// every page read that started runs to completion.
-func ReadEach(ctx context.Context, s Store, pages []int) ([][]byte, error) {
-	out := make([][]byte, len(pages))
-	for i, p := range pages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		data, err := s.Read(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = data
+// ReadBatch retrieves the given pages into fresh buffers cut from one flat
+// allocation, in request order.
+func ReadBatch(ctx context.Context, s Store, pages []int) ([][]byte, error) {
+	ps := s.PageSize()
+	out := sliceRows(make([][]byte, 0, len(pages)), make([]byte, len(pages)*ps), ps)
+	if err := s.ReadBatchInto(ctx, pages, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// checkBatch is the argument check every ReadBatchInto opens with, so a
+// rejected batch has written nothing: one buffer per page, every page index
+// in range.
+func checkBatch(numPages int, pages []int, dst [][]byte) error {
+	if len(dst) != len(pages) {
+		return fmt.Errorf("pir: %d buffers for %d pages", len(dst), len(pages))
+	}
+	for _, p := range pages {
+		if p < 0 || p >= numPages {
+			return fmt.Errorf("pir: page %d of %d", p, numPages)
+		}
+	}
+	return nil
+}
+
+// serialLock is the adapter the read-at-a-time ORAMs (SqrtORAM, PyramidORAM)
+// build ReadBatchInto from: one stateful structure admits exactly one read
+// at a time, so a batch takes the store's lock — a 1-slot channel, so
+// waiting for it is cancellable — and reads its pages one by one, checking
+// ctx between reads.
+type serialLock chan struct{}
+
+func newSerialLock() serialLock { return make(serialLock, 1) }
+
+// serialStore is what the adapter drives: read is one page retrieval, called
+// with the lock held and the index range-checked; it may return memory the
+// structure keeps using.
+type serialStore interface {
+	NumPages() int
+	PageSize() int
+	read(page int) ([]byte, error)
+}
+
+// readBatchInto reads every page of the batch under the lock, copying each
+// result into the caller's buffer while the lock is still held.
+func (l serialLock) readBatchInto(ctx context.Context, s serialStore, pages []int, dst [][]byte) error {
+	if err := checkBatch(s.NumPages(), pages, dst); err != nil {
+		return err
+	}
+	select {
+	case l <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	defer func() { <-l }()
+	ps := s.PageSize()
+	for i, p := range pages {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		data, err := s.read(p)
+		if err != nil {
+			return err
+		}
+		copy(dst[i][:ps], data)
+	}
+	return nil
 }
 
 // materialize pulls every page of a source into memory. The cryptographic
@@ -160,38 +201,24 @@ type Plain struct {
 // for a raw in-memory page slice).
 func NewPlain(src pagefile.Reader) *Plain { return &Plain{src: src} }
 
-// Read returns page i. Safe for concurrent use: Reader implementations are
+// ReadBatchInto implements Store: page contents are copied into the caller's
+// buffers. Safe for concurrent use: Reader implementations are
 // concurrency-safe and the page set is immutable.
-func (p *Plain) Read(page int) ([]byte, error) {
-	if page < 0 || page >= p.src.NumPages() {
-		return nil, fmt.Errorf("pir: page %d of %d", page, p.src.NumPages())
-	}
-	p.recordScan(1, 1) // a plain read touches exactly the requested page
-	return p.src.Page(page)
-}
-
-// ReadBatch implements BatchStore.
-func (p *Plain) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	return ReadEach(ctx, p, pages)
-}
-
-// ReadBatchInto implements BatchInto: page contents are copied into the
-// caller's buffers (the zero-copy aliasing of ReadBatch is what forces its
-// callers to allocate; here the caller owns — and recycles — the memory).
-// ctx is checked at the read boundaries, like ReadBatch.
 func (p *Plain) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
-	if len(dst) != len(pages) {
-		return fmt.Errorf("pir: %d buffers for %d pages", len(dst), len(pages))
+	ps := p.src.PageSize()
+	if err := checkBatch(p.src.NumPages(), pages, dst); err != nil {
+		return err
 	}
 	for i, pg := range pages {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		data, err := p.Read(pg)
+		p.recordScan(1, 1) // a plain read touches exactly the requested page
+		data, err := p.src.Page(pg)
 		if err != nil {
 			return err
 		}
-		copy(dst[i][:p.src.PageSize()], data)
+		copy(dst[i][:ps], data)
 	}
 	return nil
 }
@@ -202,24 +229,14 @@ func (p *Plain) NumPages() int { return p.src.NumPages() }
 // PageSize returns the page size.
 func (p *Plain) PageSize() int { return p.src.PageSize() }
 
-// The concurrency contract, enforced at compile time: the stateless (or
-// internally locked) stores batch, the single-structure ORAMs are Store
-// only and get serialized by the serving layer. The linear-scan stores
-// additionally declare single-scan batching (whole batches, never split)
-// and the buffer-reusing read path.
+// The contract and the optional faces, enforced at compile time.
 var (
-	_ BatchStore = (*Plain)(nil)
-	_ BatchStore = (*XORPIR)(nil)
-	_ BatchStore = (*KOPIR)(nil)
-	_ BatchStore = (*ShardedORAM)(nil)
-	_ Store      = (*SqrtORAM)(nil)
-	_ Store      = (*PyramidORAM)(nil)
-
-	_ SingleScan = (*XORPIR)(nil)
-	_ SingleScan = (*KOPIR)(nil)
-	_ BatchInto  = (*Plain)(nil)
-	_ BatchInto  = (*XORPIR)(nil)
-	_ BatchInto  = (*KOPIR)(nil)
+	_ Store = (*Plain)(nil)
+	_ Store = (*XORPIR)(nil)
+	_ Store = (*KOPIR)(nil)
+	_ Store = (*ShardedORAM)(nil)
+	_ Store = (*SqrtORAM)(nil)
+	_ Store = (*PyramidORAM)(nil)
 
 	_ ParallelScan = (*XORPIR)(nil)
 	_ ParallelScan = (*KOPIR)(nil)

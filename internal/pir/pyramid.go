@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -34,9 +35,10 @@ type PyramidORAM struct {
 	numPages int
 	pageSize int
 	levels   []pyLevel
-	key      []byte // master key; per-level/epoch PRF keys derive from it
-	count    uint64 // queries answered since construction
-	dummySeq uint64 // fresh-dummy counter (never repeats)
+	key      []byte     // master key; per-level/epoch PRF keys derive from it
+	lock     serialLock // one stateful structure: one read at a time
+	count    uint64     // queries answered since construction
+	dummySeq uint64     // fresh-dummy counter (never repeats)
 	log      *AccessLog
 	rng      io.Reader
 	// stash holds items that overflowed their bucket during a merge. A
@@ -89,6 +91,7 @@ func NewPyramidORAM(src pagefile.Reader) (*PyramidORAM, error) {
 		numPages:    n,
 		pageSize:    pageSize,
 		key:         key,
+		lock:        newSerialLock(),
 		log:         &AccessLog{},
 		rng:         rand.Reader,
 		stash:       map[int][]byte{},
@@ -111,11 +114,14 @@ func NewPyramidORAM(src pagefile.Reader) (*PyramidORAM, error) {
 	return o, nil
 }
 
-// Read implements Store.
-func (o *PyramidORAM) Read(page int) ([]byte, error) {
-	if page < 0 || page >= o.numPages {
-		return nil, fmt.Errorf("pir: page %d of %d", page, o.numPages)
-	}
+// ReadBatchInto implements Store: one read at a time, under the store's lock.
+func (o *PyramidORAM) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	return o.lock.readBatchInto(ctx, o, pages, dst)
+}
+
+// read is one oblivious page retrieval; the caller holds the structure's
+// lock and has range-checked page.
+func (o *PyramidORAM) read(page int) ([]byte, error) {
 	var content []byte
 	if c, ok := o.stash[page]; ok {
 		content = c
@@ -157,7 +163,7 @@ func (o *PyramidORAM) Read(page int) ([]byte, error) {
 	if len(o.stash) > o.StashPeak {
 		o.StashPeak = len(o.stash)
 	}
-	return contentCopy(content), nil
+	return content, nil
 }
 
 // cascade merges levels after a query: level ℓ spills downward every 2^ℓ

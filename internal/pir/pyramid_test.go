@@ -17,7 +17,7 @@ func TestPyramidCorrectness(t *testing.T) {
 	// Many more reads than any level period, forcing repeated cascades.
 	for i := 0; i < 400; i++ {
 		idx := rng.Intn(40)
-		got, err := o.Read(idx)
+		got, err := Read(o, idx)
 		if err != nil {
 			t.Fatalf("read %d (page %d): %v", i, idx, err)
 		}
@@ -37,7 +37,7 @@ func TestPyramidRepeatedSamePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		got, err := o.Read(11)
+		got, err := Read(o, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestPyramidTraceShapeIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range pattern {
-			if _, err := o.Read(p); err != nil {
+			if _, err := Read(o, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -104,7 +104,7 @@ func TestPyramidDummiesAreFresh(t *testing.T) {
 	// The first read places page 3 in the top level; subsequent reads emit
 	// dummies at the bottom.
 	for i := 0; i < 8; i++ {
-		if _, err := o.Read(3); err != nil {
+		if _, err := Read(o, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,10 +136,10 @@ func TestPyramidStoreInterface(t *testing.T) {
 	if s.NumPages() != 8 || s.PageSize() != 16 {
 		t.Error("meta wrong")
 	}
-	if _, err := s.Read(-1); err == nil {
+	if _, err := Read(s, -1); err == nil {
 		t.Error("negative read accepted")
 	}
-	if _, err := s.Read(8); err == nil {
+	if _, err := Read(s, 8); err == nil {
 		t.Error("out-of-range read accepted")
 	}
 }
@@ -159,7 +159,7 @@ func BenchmarkPyramidORAMRead(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.Read(i % 256); err != nil {
+		if _, err := Read(o, i%256); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,35 +89,21 @@ func NewShardedORAM(src pagefile.Reader, shards int, seed int64) (*ShardedORAM, 
 	return o, nil
 }
 
-// Read implements Store: it locks the one shard holding the page.
-func (o *ShardedORAM) Read(page int) ([]byte, error) {
-	if page < 0 || page >= o.numPages {
-		return nil, fmt.Errorf("pir: page %d of %d", page, o.numPages)
+// ReadBatchInto implements Store: pages are grouped by shard so each shard
+// lock is taken exactly once, and the groups run sequentially within this
+// call — a batch on its own is strictly serial, which keeps a one-worker
+// pool genuinely single-threaded. Parallelism comes from concurrent callers:
+// while this call works inside shard A, another caller proceeds through
+// shard B. Within a shard the group runs in request order, so each shard's
+// access pattern stays exactly that of a serial SqrtORAM. ctx is checked at
+// shard boundaries — before taking each shard lock — so a cancelled batch
+// never starts another (slow, stateful) shard group but never aborts one
+// midway either: a shard either served its whole group or none of it, and
+// its reshuffle schedule stays coherent.
+func (o *ShardedORAM) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	if err := checkBatch(o.numPages, pages, dst); err != nil {
+		return err
 	}
-	sh := o.shards[page%len(o.shards)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.oram.Read(page / len(o.shards))
-}
-
-// ReadBatch implements BatchStore: pages are grouped by shard so each
-// shard lock is taken exactly once, and the groups run sequentially within
-// this call — a ReadBatch on its own is strictly serial, which keeps a
-// one-worker pool genuinely single-threaded. Parallelism comes from
-// concurrent ReadBatch/Read callers: while this call works inside shard A,
-// another caller proceeds through shard B. Within a shard the group runs
-// in request order, so each shard's access pattern stays exactly that of a
-// serial SqrtORAM. ctx is checked at shard boundaries — before taking each
-// shard lock — so a cancelled batch never starts another (slow, stateful)
-// shard group but never aborts one midway either: a shard either served its
-// whole group or none of it, and its reshuffle schedule stays coherent.
-func (o *ShardedORAM) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	for _, p := range pages {
-		if p < 0 || p >= o.numPages {
-			return nil, fmt.Errorf("pir: page %d of %d", p, o.numPages)
-		}
-	}
-	out := make([][]byte, len(pages))
 	K := len(o.shards)
 	// Group batch positions by shard, preserving request order per shard.
 	groups := make(map[int][]int, K)
@@ -126,21 +112,28 @@ func (o *ShardedORAM) ReadBatch(ctx context.Context, pages []int) ([][]byte, err
 	}
 	for s, idxs := range groups {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		sh := o.shards[s]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			data, err := sh.oram.Read(pages[i] / K)
-			if err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
-			out[i] = data
+		if err := o.shards[s].readGroup(pages, idxs, K, dst); err != nil {
+			return err
 		}
-		sh.mu.Unlock()
 	}
-	return out, nil
+	return nil
+}
+
+// readGroup serves the batch positions idxs, all of this shard's residue
+// class, under the shard lock.
+func (sh *oramShard) readGroup(pages, idxs []int, K int, dst [][]byte) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range idxs {
+		data, err := sh.oram.read(pages[i] / K)
+		if err != nil {
+			return err
+		}
+		copy(dst[i][:len(data)], data)
+	}
+	return nil
 }
 
 // NumPages implements Store.

@@ -24,7 +24,7 @@ func TestShardedORAMCorrectness(t *testing.T) {
 	// shard.
 	for i := 0; i < 300; i++ {
 		idx := rng.Intn(n)
-		got, err := o.Read(idx)
+		got, err := Read(o, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestShardedORAMCorrectness(t *testing.T) {
 	// Batched reads return request order, including duplicates and
 	// cross-shard interleavings.
 	batch := []int{29, 0, 5, 5, 17, 2, 0}
-	got, err := o.ReadBatch(context.Background(), batch)
+	got, err := ReadBatch(context.Background(), o, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,10 @@ func TestShardedORAMCorrectness(t *testing.T) {
 			t.Fatalf("batch slot %d (page %d): wrong content", i, p)
 		}
 	}
-	if _, err := o.Read(n); err == nil {
+	if _, err := Read(o, n); err == nil {
 		t.Error("out-of-range read accepted")
 	}
-	if _, err := o.ReadBatch(context.Background(), []int{0, -1}); err == nil {
+	if _, err := ReadBatch(context.Background(), o, []int{0, -1}); err == nil {
 		t.Error("negative page in batch accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestShardedORAMCryptoSeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		got, err := o.Read(i % 20)
+		got, err := Read(o, i%20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestShardedORAMConcurrentBatches(t *testing.T) {
 				for i := range batch {
 					batch[i] = rng.Intn(n)
 				}
-				got, err := o.ReadBatch(context.Background(), batch)
+				got, err := ReadBatch(context.Background(), o, batch)
 				if err != nil {
 					errs <- err
 					return
@@ -141,7 +141,7 @@ func shardMainHistogram(t *testing.T, pages [][]byte, size, shards int, seed int
 		t.Fatal(err)
 	}
 	for _, p := range pattern {
-		if _, err := o.Read(p); err != nil {
+		if _, err := Read(o, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestShardedORAMShardIsolation(t *testing.T) {
 	}
 	// Pages ≡ 1 (mod 4) live in shard 1 only.
 	for i := 0; i < 6; i++ {
-		if _, err := o.Read(1 + 4*i); err != nil {
+		if _, err := Read(o, 1+4*i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -52,8 +53,9 @@ type SqrtORAM struct {
 	// are built once and reused, zero is the shared all-zero page (whose
 	// CTR "encryption" is the raw keystream, letting dummy and shelter
 	// re-encryptions skip the plaintext XOR entirely), and macBuf backs
-	// the MAC sums. A SqrtORAM serializes all reads (it is a Store, not a
-	// BatchStore), so the shared states are never raced.
+	// the MAC sums. A SqrtORAM serializes all reads on lock (a ShardedORAM
+	// shard on its shard mutex), so the shared states are never raced.
+	lock   serialLock
 	block  cipher.Block
 	mac    hash.Hash
 	macBuf []byte
@@ -108,6 +110,7 @@ func newSqrtORAMPages(pages [][]byte, pageSize int, seed int64) (*SqrtORAM, erro
 		log:      &AccessLog{},
 		rng:      rand.Reader,
 		prng:     mrand.New(mrand.NewSource(seed)),
+		lock:     newSerialLock(),
 		block:    block,
 		mac:      hmac.New(sha256.New, key[16:]),
 		zero:     make([]byte, pageSize),
@@ -155,11 +158,15 @@ func (o *SqrtORAM) shuffle(plain [][]byte) error {
 	return nil
 }
 
-// Read implements Store.
-func (o *SqrtORAM) Read(page int) ([]byte, error) {
-	if page < 0 || page >= o.numPages {
-		return nil, fmt.Errorf("pir: page %d of %d", page, o.numPages)
-	}
+// ReadBatchInto implements Store: one read at a time, under the store's lock.
+func (o *SqrtORAM) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	return o.lock.readBatchInto(ctx, o, pages, dst)
+}
+
+// read is one oblivious page retrieval. The caller holds the structure's
+// lock, has range-checked page, and copies the result out before letting
+// go: the returned slice stays in the shelter.
+func (o *SqrtORAM) read(page int) ([]byte, error) {
 	if o.reads >= o.shelterN {
 		if err := o.reshuffleFromState(); err != nil {
 			return nil, err
@@ -212,10 +219,7 @@ func (o *SqrtORAM) Read(page int) ([]byte, error) {
 	// Every read costs the same fixed slot count — shelter scan, one main
 	// touch, shelter rewrite — exactly the obliviousness property.
 	o.recordScan(uint64(2*o.shelterN+1), 1)
-
-	out := make([]byte, len(content))
-	copy(out, content)
-	return out, nil
+	return content, nil
 }
 
 // reshuffleFromState decrypts the current state back to plaintext pages and

@@ -19,7 +19,7 @@ import (
 // computationally bounded adversaries learn anything.
 //
 // Both replicas answer from a contiguous word arena (see kernel.go), and a
-// multi-page ReadBatch answers all k selectors in a single pass per server
+// multi-page ReadBatchInto answers all k selectors in a single pass per server
 // instead of k independent scans. What a pass costs is set by kernel.go's
 // row-XOR count model: the n page rows are read once whatever k is, and
 // folded n·k/2 times by the direct loop or — once n is long enough for a
@@ -137,43 +137,15 @@ func sliceWordRows(dst [][]uint64, flat []uint64, n int) [][]uint64 {
 	return dst
 }
 
-// Read implements Store.
-func (x *XORPIR) Read(page int) ([]byte, error) {
-	out, err := x.ReadBatch(context.Background(), []int{page})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// ReadBatch implements BatchStore: every batched read samples its own fresh
+// ReadBatchInto implements Store: every batched read samples its own fresh
 // query vectors against the immutable replicas (so the servers' views stay
 // independent and uniform), and the whole batch is answered with one scan
-// of each replica — k accumulators per scan rather than k scans.
-func (x *XORPIR) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	out := make([][]byte, len(pages))
-	flat := make([]byte, len(pages)*x.pageSize)
-	for i := range out {
-		out[i] = flat[i*x.pageSize : (i+1)*x.pageSize]
-	}
-	if err := x.ReadBatchInto(ctx, pages, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBatchInto implements BatchInto: like ReadBatch, writing the page
-// contents into caller-provided buffers. With pooled scratch inside the
-// store, a steady-state batch allocates nothing beyond what the
-// cryptographic randomness source needs.
+// of each replica — k accumulators per scan rather than k scans. With
+// pooled scratch inside the store, a steady-state batch allocates nothing
+// beyond what the cryptographic randomness source needs.
 func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
-	if len(dst) != len(pages) {
-		return fmt.Errorf("pir: %d buffers for %d pages", len(dst), len(pages))
-	}
-	for _, p := range pages {
-		if p < 0 || p >= x.numPages {
-			return fmt.Errorf("pir: page %d of %d", p, x.numPages)
-		}
+	if err := checkBatch(x.numPages, pages, dst); err != nil {
+		return err
 	}
 	if len(pages) == 0 {
 		return nil
@@ -275,7 +247,7 @@ func (x *XORPIR) LastQueries() (a, b []byte) {
 }
 
 // LastBatchQueries returns copies of the per-query selector vectors the two
-// servers saw in the most recent ReadBatch, in request order. Test
+// servers saw in the most recent ReadBatchInto, in request order. Test
 // observability, like LastQueryA/B.
 func (x *XORPIR) LastBatchQueries() (a, b [][]byte) {
 	x.lastMu.Lock()
@@ -295,7 +267,7 @@ func (x *XORPIR) SelectorBytes() int { return x.selBytes() }
 // AnswerShares implements ShareAnswerer: one scan with k accumulators
 // answers all k client-supplied selectors. This is the replica half of
 // fleet mode — the store never sees the companion share, never
-// reconstructs a page, and performs half the work of ReadBatch (which
+// reconstructs a page, and performs half the work of ReadBatchInto (which
 // scans once per logical server). Bits beyond numPages select nothing:
 // the kernel walks only the numPages real rows.
 func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error {
@@ -365,10 +337,6 @@ func (x *XORPIR) ShareLog() [][]byte {
 	}
 	return out
 }
-
-// SingleScanBatch implements SingleScan: a batch costs one scan regardless
-// of size, so the serving layer must not split it.
-func (x *XORPIR) SingleScanBatch() bool { return true }
 
 // NumPages implements Store.
 func (x *XORPIR) NumPages() int { return x.numPages }

@@ -234,26 +234,23 @@ func TestMultiplexedQueriesOneConnection(t *testing.T) {
 
 // slowStore delays every page read, so a query with a short deadline is
 // reliably in the middle of a PIR round when the deadline fires. ctx is
-// honored between page reads, like every BatchStore.
+// honored between page reads, as the Store contract asks.
 type slowStore struct {
 	pir.Store
 	delay time.Duration
 }
 
-func (s slowStore) ReadBatch(ctx context.Context, pages []int) ([][]byte, error) {
-	out := make([][]byte, len(pages))
-	for i, p := range pages {
+func (s slowStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	for i := range pages {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		time.Sleep(s.delay)
-		data, err := s.Store.Read(p)
-		if err != nil {
-			return nil, err
+		if err := s.Store.ReadBatchInto(ctx, pages[i:i+1], dst[i:i+1]); err != nil {
+			return err
 		}
-		out[i] = data
 	}
-	return out, nil
+	return nil
 }
 
 // TestDeadlineFreesServerWorker: a query whose deadline expires mid-round

@@ -18,13 +18,13 @@ import (
 )
 
 // xorStores backs every hosted file with the real two-server XOR PIR, the
-// single-scan store class that engages the cross-connection scan scheduler.
+// scan store class that engages the cross-connection scan scheduler.
 func xorStores(f pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(f) }
 
 // startSchedServer hosts the named databases on XORPIR stores behind the
 // scan scheduler, on a loopback listener.
-func startSchedServer(t testing.TB, window time.Duration, names ...string) (*Server, string) {
-	return startSchedServerOpts(t, Options{Workers: 4, ScanWindow: window}, names...)
+func startSchedServer(t testing.TB, names ...string) (*Server, string) {
+	return startSchedServerOpts(t, Options{Workers: 4}, names...)
 }
 
 // startSchedServerOpts is startSchedServer with the full option surface —
@@ -71,7 +71,7 @@ func TestTheorem1UnderCoScheduling(t *testing.T) {
 
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			srv, addr := startSchedServer(t, 2*time.Millisecond, scheme)
+			srv, addr := startSchedServer(t, scheme)
 			want := lbs.CanonicalTrace(dbs[scheme].Plan)
 
 			// Distinct endpoint pairs per connection, fired together so
@@ -151,7 +151,7 @@ func TestTelemetryLeakageFreeCoScheduling(t *testing.T) {
 
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			srv, addr := startSchedServer(t, 2*time.Millisecond, scheme)
+			srv, addr := startSchedServer(t, scheme)
 			c := dialDB(t, addr, scheme)
 			reg := srv.Telemetry()
 
@@ -204,7 +204,7 @@ func TestTheorem1UnderParallelScan(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			srv, addr := startSchedServerOpts(t,
-				Options{Workers: 4, ScanWorkers: 4, ScanWindow: 2 * time.Millisecond}, scheme)
+				Options{Workers: 4, ScanWorkers: 4}, scheme)
 			want := lbs.CanonicalTrace(dbs[scheme].Plan)
 
 			var wg sync.WaitGroup
@@ -267,7 +267,7 @@ func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			srv, addr := startSchedServerOpts(t,
-				Options{Workers: 4, ScanWorkers: 4, ScanWindow: 2 * time.Millisecond}, scheme)
+				Options{Workers: 4, ScanWorkers: 4}, scheme)
 			c := dialDB(t, addr, scheme)
 			reg := srv.Telemetry()
 
@@ -300,5 +300,52 @@ func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicaShareFetchCountsKernelRoute: a share fetch on a -replica-role
+// daemon is one pass over a scan store, like any merged fetch, so it must
+// show in the kernel-route split operators watch — one FetchShare against a
+// width-2 store moves privsp_scan_route_total{kernel="parallel"} by exactly
+// one — and, like every replica metric, identically whichever page the
+// selector picks out.
+func TestReplicaShareFetchCountsKernelRoute(t *testing.T) {
+	srv, addr := startSchedServerOpts(t, Options{Workers: 4, ScanWorkers: 2, ReplicaRole: true}, "CI")
+	c := dialDB(t, addr, "CI")
+	reg := srv.Telemetry()
+	ctx := context.Background()
+	var file lbs.FileInfo // the largest: a pass needs a page per scan worker
+	for _, f := range c.Files() {
+		if f.NumPages > file.NumPages {
+			file = f
+		}
+	}
+
+	shareFetch := func(page int) string {
+		t.Helper()
+		sel := make([]byte, (file.NumPages+7)/8)
+		sel[page/8] |= 1 << (page % 8)
+		before := reg.Snapshot()
+		q := c.StartQuery()
+		if _, err := q.ReadShares(ctx, file.Name, [][]byte{sel}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.End(ctx); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, srv, "CI")
+		return telemetry.Delta(before, reg.Snapshot())
+	}
+	shareFetch(0) // settle once-per-connection effects
+	first, last := shareFetch(1), shareFetch(file.NumPages-1)
+	if first != last {
+		t.Errorf("the selected page leaked into the replica's metrics:\n--- page 1 ---\n%s--- page %d ---\n%s",
+			first, file.NumPages-1, last)
+	}
+	if want := `privsp_scan_route_total{db="CI",kernel="parallel"} +1` + "\n"; !strings.Contains(first, want) {
+		t.Errorf("one share fetch did not move the parallel kernel route by one:\n%s", first)
+	}
+	if strings.Contains(first, `kernel="serial"`) {
+		t.Errorf("a width-2 share scan was counted on the serial kernel route:\n%s", first)
 	}
 }

@@ -42,17 +42,9 @@ type Options struct {
 	// retains for auditing; 0 means 128.
 	TraceHistory int
 	// Stores builds the PIR store for each hosted file; nil means
-	// lbs.PlainStores. Single-scan stores (e.g. pir.NewXORPIR) engage the
-	// cross-connection scan scheduler, governed by ScanWindow/ScanBatchCap.
+	// lbs.PlainStores. Scan stores (e.g. pir.NewXORPIR) engage the
+	// cross-connection scan scheduler.
 	Stores lbs.StoreFactory
-	// ScanWindow is the scan scheduler's batching window — the longest a
-	// contended fetch on a single-scan store waits for co-riders before its
-	// merged scan runs; 0 means lbs.DefaultScanWindow. Lone fetches are
-	// always served immediately.
-	ScanWindow time.Duration
-	// ScanBatchCap bounds the pages one merged scan answers; 0 means
-	// lbs.DefaultScanBatchCap.
-	ScanBatchCap int
 	// ScanWorkers is the per-scan worker width for parallel-capable stores
 	// (pir.ParallelScan): each file pass fans out across this many workers
 	// and occupies as many pool slots, so one merged scan uses the machine
@@ -217,13 +209,10 @@ func (s *Server) retryAfterHint() time.Duration {
 // Host registers a built database under the given name (clients select it
 // in their Hello). The database is served with Options.Stores (PlainStores
 // by default) behind a worker pool of Options.Workers slots, private to
-// this database; single-scan stores get a scan scheduler tuned by
-// Options.ScanWindow/ScanBatchCap.
+// this database.
 func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) error {
 	lsrv, err := lbs.NewServer(db, model, s.opts.Stores,
 		lbs.WithWorkers(s.opts.Workers),
-		lbs.WithScanWindow(s.opts.ScanWindow),
-		lbs.WithScanBatchCap(s.opts.ScanBatchCap),
 		lbs.WithScanWorkers(s.opts.ScanWorkers))
 	if err != nil {
 		return err
@@ -233,8 +222,8 @@ func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) err
 
 // HostLBS registers an already-prepared lbs.Server, keeping whatever worker
 // pool it was constructed with (lbs.WithWorkers). Any store mix is safe to
-// serve concurrently: batch-capable stores fan out, single-structure ORAM
-// stores serialize on their per-store mutex inside lbs.Server.
+// serve concurrently: every pir.Store is, and lbs.Server routes each fetch
+// by the store's kind (see lbs.Server.ReadPagesInto).
 func (s *Server) HostLBS(name string, lsrv *lbs.Server) error {
 	if name == "" {
 		return errors.New("server: empty database name")
@@ -418,7 +407,7 @@ func (sc *fetchScratch) grow(k, ps int) {
 // page indices up front — so the error text names the hostile index instead
 // of surfacing from deep inside a store — reads the pages into the scratch
 // buffers through the database's worker pool (lbs.Server.ReadPagesInto
-// routes single-scan stores whole and fans the rest out), and encodes the
+// routes scan stores whole and fans the rest out), and encodes the
 // MsgPages payload into the scratch encoder. The query's context aborts a
 // read waiting for a pool slot, freeing the worker for queries that still
 // want answers. The returned payload aliases sc and is valid until the
