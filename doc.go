@@ -3,6 +3,16 @@
 // shortest path schemes on road networks where the location-based service
 // learns nothing about the queries it answers.
 //
+// The client side of the protocol is split three ways: a scheme
+// (internal/scheme/{ci,pi,hy,lm,af}) says what it needs — NextRound, one
+// Fetch per record, Finish; base.Session, the one plan walker, charges those
+// wants to the public plan, pads what they leave unused and refuses (with
+// ErrPlanOverflow, after completing the canonical plan) what the plan has no
+// room for; lbs.Conn records the adversary-visible trace and the simulated
+// costs. What reaches the service — frames included: one per record,
+// padding shaped like a region fetch — is therefore a function of the plan
+// alone.
+//
 // The public API lives in the privsp subpackage; README.md documents the
 // architecture, including the context-first query surface
 // (privsp.PathService: ShortestPath(ctx, src, dst, ...QueryOption), with

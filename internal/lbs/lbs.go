@@ -545,7 +545,9 @@ func (s Stats) Response() time.Duration { return s.PIR + s.Comm + s.Client + s.S
 
 // Conn is a client's secure connection to the SCP for one query. It keeps
 // the protocol bookkeeping — rounds, stats, the adversary-visible trace —
-// and delegates the raw operations to its Backend.
+// and delegates the raw operations to its Backend. It charges what it is
+// asked to do; which rounds and frames a query asks for is decided one layer
+// up, by the plan walker (base.Session), never by a scheme directly.
 //
 // The connection is governed by the query's context. Cancellation is
 // honored at round boundaries only: BeginRound checks the context before
@@ -599,42 +601,33 @@ func (c *Conn) DownloadHeader() ([]byte, error) {
 }
 
 // BeginRound starts the next protocol round (one client→SCP round trip).
-// A backend failure is deferred to the round's first Fetch. This is the
-// round boundary where cancellation takes effect: a dead context stops the
-// query here, before the round is announced to the service, so the
+// This is the round boundary where cancellation takes effect: a dead context
+// stops the query here, before the round is announced to the service, so the
 // service-visible trace ends after a complete round.
-func (c *Conn) BeginRound() {
+func (c *Conn) BeginRound() error {
 	if c.err != nil {
-		return
+		return c.err
 	}
 	if err := c.ctx.Err(); err != nil {
 		c.err = err
-		return
+		return err
 	}
 	if err := c.backend.NextRound(c.ctx); err != nil {
 		c.err = err
-		return
+		return err
 	}
 	c.round++
 	c.stats.Rounds++
 	c.stats.Comm += c.model.RTT
 	fmt.Fprintf(&c.trace, "round %d:\n", c.round)
+	return nil
 }
 
-// Fetch retrieves one page of the named file through the PIR interface.
-// The page index travels encrypted to the SCP; the adversary observes only
-// that some page of the file was read.
-func (c *Conn) Fetch(file string, page int) ([]byte, error) {
-	pages, err := c.FetchMany(file, []int{page})
-	if err != nil {
-		return nil, err
-	}
-	return pages[0], nil
-}
-
-// FetchMany retrieves several pages of one file. Remote backends ship the
-// whole batch in a single round trip; the trace and the simulated stats are
-// identical to len(pages) individual Fetch calls.
+// FetchMany retrieves pages of one file through the PIR interface as one
+// frame: remote backends ship the whole batch in a single round trip. The
+// page indices travel encrypted to the SCP; the adversary observes only how
+// many pages of the file were read, so the trace and the simulated stats
+// charge each page of the batch alike.
 func (c *Conn) FetchMany(file string, pages []int) ([][]byte, error) {
 	if c.err != nil {
 		return nil, c.err

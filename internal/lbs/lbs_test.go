@@ -92,6 +92,15 @@ func TestServerRejectsOversizedFiles(t *testing.T) {
 	}
 }
 
+// fetchOne retrieves a single page as a one-page frame.
+func fetchOne(conn *Conn, file string, page int) ([]byte, error) {
+	pages, err := conn.FetchMany(file, []int{page})
+	if err != nil {
+		return nil, err
+	}
+	return pages[0], nil
+}
+
 func TestConnAccountingAndTrace(t *testing.T) {
 	db := sampleDB(t)
 	srv, err := NewServer(db, costmodel.Default(), nil)
@@ -107,14 +116,14 @@ func TestConnAccountingAndTrace(t *testing.T) {
 		t.Errorf("header = %q", h)
 	}
 	conn.BeginRound()
-	if _, err := conn.Fetch("Fa", 0); err != nil {
+	if _, err := fetchOne(conn, "Fa", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Fetch("Fa", 3); err != nil {
+	if _, err := fetchOne(conn, "Fa", 3); err != nil {
 		t.Fatal(err)
 	}
 	conn.BeginRound()
-	if _, err := conn.Fetch("Fb", 0); err != nil {
+	if _, err := fetchOne(conn, "Fb", 0); err != nil {
 		t.Fatal(err)
 	}
 	conn.AddClientTime(5 * time.Millisecond)
@@ -155,9 +164,9 @@ func TestConformsToCatchesDeviation(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.BeginRound()
-	conn.Fetch("Fa", 0) // plan wants 2 fetches in round 1
+	fetchOne(conn, "Fa", 0) // plan wants 2 fetches in round 1
 	conn.BeginRound()
-	conn.Fetch("Fb", 0)
+	fetchOne(conn, "Fb", 0)
 	if err := conn.ConformsTo(db.Plan); err == nil {
 		t.Error("deviating trace accepted")
 	}
@@ -170,10 +179,10 @@ func TestFetchErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := srv.Connect(context.Background())
-	if _, err := conn.Fetch("nope", 0); err == nil {
+	if _, err := fetchOne(conn, "nope", 0); err == nil {
 		t.Error("unknown file fetched")
 	}
-	if _, err := conn.Fetch("Fa", 99); err == nil {
+	if _, err := fetchOne(conn, "Fa", 99); err == nil {
 		t.Error("out-of-range page fetched")
 	}
 }
@@ -275,7 +284,7 @@ func TestORAMStoresServeCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := srv.Connect(context.Background())
-	page, err := conn.Fetch("Fb", 0)
+	page, err := fetchOne(conn, "Fb", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +301,7 @@ func TestPyramidStoresServeCorrectly(t *testing.T) {
 	}
 	conn := srv.Connect(context.Background())
 	for i := 0; i < 10; i++ {
-		page, err := conn.Fetch("Fa", i%4)
+		page, err := fetchOne(conn, "Fa", i%4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,16 +113,15 @@ func TestPyramidDummiesAreFresh(t *testing.T) {
 			positions[tch.Pos]++
 		}
 	}
-	repeats := 0
-	for _, c := range positions {
-		if c > 2 {
-			repeats++
+	// An implementation that reuses one dummy bucket puts 7 of the 8 touches
+	// in it. Fresh PRF dummies spread the 8 touches over 128 bottom buckets:
+	// some bucket collects 3 of them once in ~300 runs (C(8,3)/128² ≈ 0.34 %,
+	// too often for a test), 5 of them with probability at most
+	// C(8,5)/128⁴ ≈ 2·10⁻⁷.
+	for pos, c := range positions {
+		if c >= 5 {
+			t.Errorf("bottom-level bucket %d touched %d times in 8 reads: %v", pos, c, positions)
 		}
-	}
-	// With 128 bottom buckets and 8 touches, the same bucket appearing 3+
-	// times is overwhelmingly unlikely for fresh PRF dummies.
-	if repeats > 0 {
-		t.Errorf("bottom-level positions repeated: %v", positions)
 	}
 }
 

@@ -99,7 +99,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	for q := 0; q < opt.DeriveQueries; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		t := graph.NodeID(rng.Intn(g.NumNodes()))
-		n, err := simulate(part, regions, flagBytes, g.Directed(), g.Point(s), g.Point(t))
+		n, err := base.SimulateFrontier(part.Tree, regions, g.Directed(), g.Point(s), g.Point(t), flagGuide)
 		if err != nil {
 			return nil, err
 		}
@@ -234,140 +234,23 @@ func decodeAll(fd *pagefile.File, numRegions, pagesPerRegion, flagBytes int) ([]
 	return out, nil
 }
 
-type fetchFn func(r kdtree.RegionID, first bool) ([]base.RegionNode, error)
-
-// run executes the client-side AF search: Dijkstra restricted to edges
-// flagged for the destination region, fetching region clusters on demand.
-func run(
-	tree *kdtree.Tree, directed bool,
-	sPt, tPt geom.Point,
-	fetch fetchFn,
-	clusterBudget int,
-) (cost float64, path []graph.NodeID, sNode, tNode graph.NodeID, clusters int, err error) {
-	rs, rt := tree.Locate(sPt), tree.Locate(tPt)
-	cg := base.NewClientGraph(directed)
-	fetched := map[kdtree.RegionID]bool{}
-	get := func(r kdtree.RegionID, first bool) ([]base.RegionNode, error) {
-		nodes, err := fetch(r, first)
-		if err != nil {
-			return nil, err
-		}
-		fetched[r] = true
-		clusters++
-		cg.AddRegionNodes(nodes)
-		return nodes, nil
-	}
-	sNodes, err := get(rs, true)
-	if err != nil {
-		return 0, nil, 0, 0, clusters, err
-	}
-	tNodes, err := get(rt, true)
-	if err != nil {
-		return 0, nil, 0, 0, clusters, err
-	}
-	sNode = cg.Nearest(sPt, sNodes)
-	tNode = cg.Nearest(tPt, tNodes)
-	allow := func(from graph.NodeID, he graph.HalfEdge) bool {
+// flagGuide is AF's part of the frontier search: plain Dijkstra restricted
+// to the edges flagged for the destination region rt.
+func flagGuide(cg *base.ClientGraph, _ graph.NodeID, rt kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
+	return nil, func(from graph.NodeID, he graph.HalfEdge) bool {
 		fb := cg.EdgeFlags(from, he.To)
 		if fb == nil {
 			return true // unknown flags: be permissive, stay correct
 		}
 		return fb[int(rt)/8]&(1<<(uint(rt)%8)) != 0
 	}
-	var fetchErr error
-	onSettle := func(v graph.NodeID) bool {
-		if cg.Has(v) {
-			return true
-		}
-		r, ok := cg.RegionHint(v)
-		if !ok {
-			fetchErr = fmt.Errorf("af: node %d has no region hint", v)
-			return false
-		}
-		if fetched[r] {
-			return true
-		}
-		if clusters >= clusterBudget {
-			fetchErr = fmt.Errorf("af: cluster budget %d exhausted", clusterBudget)
-			return false
-		}
-		if _, err := get(r, false); err != nil {
-			fetchErr = err
-			return false
-		}
-		return true
-	}
-	cost, path = cg.Search(sNode, tNode, nil, allow, onSettle)
-	return cost, path, sNode, tNode, clusters, fetchErr
-}
-
-func simulate(part *kdtree.Partition, regions [][]base.RegionNode, flagBytes int, directed bool, sPt, tPt geom.Point) (int, error) {
-	_, _, _, _, clusters, err := run(part.Tree, directed, sPt, tPt,
-		func(r kdtree.RegionID, first bool) ([]base.RegionNode, error) { return regions[r], nil },
-		math.MaxInt32)
-	return clusters, err
 }
 
 // Query answers one shortest path query against an AF server.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	conn := svc.Connect(ctx)
-	hdr, err := base.DownloadHeader(conn)
+	ses, err := base.Open(ctx, svc, SchemeName)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Scheme != SchemeName {
-		return nil, fmt.Errorf("af: server hosts %q", hdr.Scheme)
-	}
-	flagBytes := int(hdr.MustParam(base.ParamFlagBy))
-	maxClusters := int(hdr.MustParam("maxClusters"))
-	var tm base.Timer
-
-	firstRound := true
-	fetch := func(r kdtree.RegionID, first bool) ([]base.RegionNode, error) {
-		tm.Stop()
-		if first {
-			if firstRound {
-				conn.BeginRound()
-				firstRound = false
-			}
-		} else {
-			conn.BeginRound()
-		}
-		nodes, err := base.FetchRegionCluster(conn, hdr, base.FileData, r, 0, flagBytes)
-		if err != nil {
-			return nil, err
-		}
-		tm.Start()
-		return nodes, nil
-	}
-	tm.Start()
-	cost, path, sNode, tNode, clusters, err := run(hdr.Tree, hdr.Directed, sPt, tPt, fetch, maxClusters)
-	tm.Stop()
-	if err != nil {
-		return nil, err
-	}
-	for ; clusters < maxClusters; clusters++ {
-		conn.BeginRound()
-		// One batched dummy retrieval, like a real cluster fetch: padding
-		// rounds must match real rounds in batch shape, not just trace.
-		if err := base.DummyFetchMany(conn, base.FileData, hdr.ClusterPages); err != nil {
-			return nil, err
-		}
-	}
-	conn.AddClientTime(tm.Total())
-
-	res := &base.Result{
-		Cost:          cost,
-		SnappedSource: sNode,
-		SnappedDest:   tNode,
-		Stats:         conn.Stats(),
-		Trace:         conn.Trace(),
-	}
-	if !math.IsInf(cost, 1) {
-		res.Path = path
-	}
-	if err := conn.ConformsTo(hdr.Plan); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ses.FrontierQuery(sPt, tPt, 0, int(ses.Hdr.MustParam(base.ParamFlagBy)), flagGuide)
 }

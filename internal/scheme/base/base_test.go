@@ -354,26 +354,23 @@ func TestClientGraphNearest(t *testing.T) {
 }
 
 func TestFetchIndexWindowClamping(t *testing.T) {
-	// Pure arithmetic check of the §5.4 footnote-5 rule via a stub conn is
-	// covered by scheme tests; here verify the offset math on boundaries.
+	// The §5.4 footnote-5 rule: the window covers the record's page and
+	// stays inside the file.
 	for _, tc := range []struct {
-		entry, maxSpan, filePages, wantOff int
+		entry, maxSpan, filePages int
+		wantPages                 []int
+		wantOff                   int
 	}{
-		{0, 3, 10, 0},
-		{5, 3, 10, 0},
-		{9, 3, 10, 2}, // last page: window starts at 7
-		{8, 3, 10, 1}, // window 7..9
-		{0, 5, 3, 0},  // file smaller than window
+		{0, 3, 10, []int{0, 1, 2}, 0},
+		{5, 3, 10, []int{5, 6, 7}, 0},
+		{9, 3, 10, []int{7, 8, 9}, 2}, // last page: window starts at 7
+		{8, 3, 10, []int{7, 8, 9}, 1},
+		{0, 5, 3, []int{0, 1, 2}, 0}, // file smaller than window
 	} {
-		start := tc.entry
-		if start > tc.filePages-tc.maxSpan {
-			start = tc.filePages - tc.maxSpan
-		}
-		if start < 0 {
-			start = 0
-		}
-		if got := tc.entry - start; got != tc.wantOff {
-			t.Errorf("entry=%d span=%d pages=%d: off=%d want %d", tc.entry, tc.maxSpan, tc.filePages, got, tc.wantOff)
+		pages, off := IndexWindow(LookupEntry{Page: uint32(tc.entry)}, tc.maxSpan, tc.filePages)
+		if !slices.Equal(pages, tc.wantPages) || off != tc.wantOff {
+			t.Errorf("entry=%d span=%d pages=%d: window %v off %d, want %v off %d",
+				tc.entry, tc.maxSpan, tc.filePages, pages, off, tc.wantPages, tc.wantOff)
 		}
 	}
 }

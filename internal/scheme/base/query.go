@@ -1,9 +1,6 @@
 package base
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/kdtree"
@@ -40,94 +37,44 @@ type Result struct {
 // Found reports whether a path exists.
 func (r *Result) Found() bool { return len(r.Path) > 0 }
 
-// Timer accumulates client-side computation time, excluding the (simulated)
-// PIR and communication costs that the Conn accounts separately.
-type Timer struct {
-	start time.Time
-	total time.Duration
-}
-
-// Start begins a client-computation section.
-func (t *Timer) Start() { t.start = time.Now() }
-
-// Stop ends the section.
-func (t *Timer) Stop() { t.total += time.Since(t.start) }
-
-// Total returns the accumulated client time.
-func (t *Timer) Total() time.Duration { return t.total }
-
-// DownloadHeader runs round 1: the full header comes straight from the LBS
-// (no PIR — it is identical for every client, §5.3).
-func DownloadHeader(conn *lbs.Conn) (*Header, error) {
-	h, err := conn.DownloadHeader()
+// LookupRound runs the look-up round of CI, PI and HY: it begins the next
+// round and fetches the one F_l page holding pairIdx's entry.
+func (s *Session) LookupRound(pairIdx int) (LookupEntry, error) {
+	if err := s.NextRound(); err != nil {
+		return LookupEntry{}, err
+	}
+	page, err := s.Fetch(FileLookup, []int{LookupPageFor(pairIdx, s.Hdr.LookupEntriesPerPage)})
 	if err != nil {
-		return nil, err
+		return LookupEntry{}, err
 	}
-	return DecodeHeader(h)
+	return ParseLookupEntry(page[0], pairIdx, s.Hdr.LookupEntriesPerPage)
 }
 
-// FetchIndexWindow fetches exactly maxSpan consecutive pages of the index
-// file, positioned so the window both stays inside the file and covers the
-// record at entry.Page (footnote 5's boundary-case rule). It returns the
-// pages and the offset of entry.Page within the window. The window goes out
-// as one batched retrieval (a single round trip over the wire).
-func FetchIndexWindow(conn *lbs.Conn, file string, entry LookupEntry, maxSpan, filePages int) ([][]byte, int, error) {
-	start := int(entry.Page)
-	if start > filePages-maxSpan {
-		start = filePages - maxSpan
+// IndexRound runs the index round of CI and PI: it begins the next round and
+// fetches, as one frame, the ParamMaxSpan-page window of F_i that holds
+// entry's record.
+func (s *Session) IndexRound(entry LookupEntry) (IndexRecord, error) {
+	if err := s.NextRound(); err != nil {
+		return IndexRecord{}, err
 	}
-	if start < 0 {
-		start = 0
+	window, off := IndexWindow(entry, int(s.Hdr.MustParam(ParamMaxSpan)), int(s.Hdr.MustParam(ParamIdxPages)))
+	pages, err := s.Fetch(FileIndex, window)
+	if err != nil {
+		return IndexRecord{}, err
 	}
-	idx := make([]int, 0, maxSpan)
+	return DecodeIndexRecord(pages, off, int(entry.RecIndex))
+}
+
+// IndexWindow picks the maxSpan consecutive pages of an index file to fetch
+// for the record at entry.Page: positioned so the window both stays inside
+// the file's filePages pages and covers the record (footnote 5's
+// boundary-case rule). off is the offset of entry.Page within the window.
+func IndexWindow(entry LookupEntry, maxSpan, filePages int) (pages []int, off int) {
+	start := max(min(int(entry.Page), filePages-maxSpan), 0)
 	for i := 0; i < maxSpan && start+i < filePages; i++ {
-		idx = append(idx, start+i)
+		pages = append(pages, start+i)
 	}
-	pages, err := conn.FetchMany(file, idx)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pages, int(entry.Page) - start, nil
-}
-
-// FetchRegionCluster retrieves all ClusterPages pages of a region from the
-// named file in one batched retrieval and decodes its nodes. The record
-// layout (compact or not) is read from the header's ParamCompact.
-func FetchRegionCluster(conn *lbs.Conn, hdr *Header, file string, r kdtree.RegionID, lmDim, flagBytes int) ([]RegionNode, error) {
-	if int(r) >= len(hdr.RegionFirstPage) {
-		return nil, fmt.Errorf("base: region %d out of range", r)
-	}
-	first := int(hdr.RegionFirstPage[r])
-	idx := make([]int, hdr.ClusterPages)
-	for i := range idx {
-		idx[i] = first + i
-	}
-	pages, err := conn.FetchMany(file, idx)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRegionClusterMode(pages, lmDim, flagBytes, hdr.Params[ParamCompact] == 1)
-}
-
-// DummyFetch performs one plan-padding retrieval (§3.1: "the protocol pads
-// its requests with dummy page retrievals"). The page index is arbitrary —
-// the PIR layer hides it — so page 0 is used.
-func DummyFetch(conn *lbs.Conn, file string) error {
-	_, err := conn.Fetch(file, 0)
-	return err
-}
-
-// DummyFetchMany performs one plan-padding retrieval of k pages as a single
-// batched request — the padding twin of a real k-page cluster fetch. A
-// padding round must mirror not just the recorded trace (file and count)
-// but the batch shape of a real round: k single-page requests where a real
-// round ships one k-page batch would let a network observer distinguish
-// padded from real rounds by frame boundaries alone, even with identical
-// traces. The page indices are arbitrary (the PIR layer hides them), so
-// page 0 is requested k times.
-func DummyFetchMany(conn *lbs.Conn, file string, k int) error {
-	_, err := conn.FetchMany(file, make([]int, k))
-	return err
+	return pages, int(entry.Page) - start
 }
 
 // LocatePair maps the query endpoints to their host regions via the

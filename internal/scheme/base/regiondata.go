@@ -223,6 +223,9 @@ func DecodeRegionCluster(pages [][]byte, landmarkDim, flagBytes int) ([]RegionNo
 
 // DecodeRegionClusterMode is DecodeRegionCluster with the compact switch.
 func DecodeRegionClusterMode(pages [][]byte, landmarkDim, flagBytes int, compact bool) ([]RegionNode, error) {
+	if len(pages) == 1 { // one-page regions (all but PI* and AF) decode in place
+		return decodeRegion(pages[0], landmarkDim, flagBytes, compact)
+	}
 	var all []byte
 	for _, p := range pages {
 		all = append(all, p...)

@@ -1,0 +1,202 @@
+package base
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/kdtree"
+	"repro/internal/lbs"
+	"repro/internal/plan"
+)
+
+// ErrPlanOverflow reports a query whose wants exceed the public plan: a
+// retrieval past its round's quota, or a round past the plan's last. LM and
+// AF derive their plans from a sampled workload, so a rare endpoint pair
+// overflows; the exact schemes overflow only on a corrupt index. The service
+// cannot tell: the session sends nothing of the excess and completes the
+// canonical plan with padding before it returns the error.
+var ErrPlanOverflow = errors.New("plan budget exhausted: the query needs more retrievals than the public plan allows")
+
+// Session walks the public plan for one query (§3.1: every query follows the
+// same plan, "padding its requests with dummy page retrievals"). A scheme
+// says what it needs — NextRound, one Fetch per record, Finish — and the
+// session owns everything that follows from the plan: the round cursor, the
+// per-(round, file) quotas, the padding, and the client-compute clock. What
+// reaches the service is therefore a function of the plan alone, whatever a
+// scheme asks for: each Fetch is one frame (a look-up page, an index window,
+// a region cluster), padding goes out in frames of Hdr.ClusterPages pages
+// (the shape of a region fetch), in plan file order, and a want the plan has
+// no room for is never sent.
+type Session struct {
+	// Hdr is the decoded header file: the plan and the scheme parameters.
+	Hdr  *Header
+	conn *lbs.Conn
+
+	round int // plan round in progress; -1 until the first NextRound
+	entry int // cursor into that round's Fetches: the entries before it are full
+	used  int // pages of Fetches[entry] retrieved so far
+
+	// Client compute is the query's wall clock since the header arrived,
+	// less the time spent inside the backend (whose cost the Conn simulates).
+	start   time.Time
+	backend time.Duration
+}
+
+// Open connects, downloads the header file straight from the LBS (no PIR —
+// it is identical for every client, §5.3) and checks that the service hosts
+// one of the named schemes.
+func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, error) {
+	conn := svc.Connect(ctx)
+	raw, err := conn.DownloadHeader()
+	if err != nil {
+		return nil, err
+	}
+	hdr, err := DecodeHeader(raw)
+	if err != nil {
+		return nil, err
+	}
+	if !slices.Contains(schemes, hdr.Scheme) {
+		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(schemes[0]), hdr.Scheme)
+	}
+	return &Session{Hdr: hdr, conn: conn, round: -1, start: time.Now()}, nil
+}
+
+// NextRound pads what the round in progress left unused and begins the
+// plan's next round. This is where a cancelled context stops the query.
+func (s *Session) NextRound() error {
+	if s.round+1 >= len(s.Hdr.Plan.Rounds) {
+		return s.overflow("no round follows round %d", s.round+1)
+	}
+	if err := s.padTo(len(s.fetches())); err != nil {
+		return err
+	}
+	return s.beginRound()
+}
+
+// Fetch retrieves pages of file as one frame, charged to the current round's
+// quota for that file. Quotas of files the plan lists earlier in the round
+// are padded first, so the transcript keeps the plan's file order.
+func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
+	fs := s.fetches()
+	i, used := s.entry, s.used
+	for i < len(fs) && fs[i].File != file {
+		i, used = i+1, 0
+	}
+	if i == len(fs) || used+len(pages) > fs[i].Count {
+		return nil, s.overflow("round %d has no room for %d more %s pages", s.round+1, len(pages), file)
+	}
+	if err := s.padTo(i); err != nil {
+		return nil, err
+	}
+	return s.read(file, pages)
+}
+
+// FetchRegion retrieves region r's cluster from file as one frame and
+// decodes its nodes (layout per the header's ParamCompact).
+func (s *Session) FetchRegion(file string, r kdtree.RegionID, lmDim, flagBytes int) ([]RegionNode, error) {
+	if int(r) >= len(s.Hdr.RegionFirstPage) {
+		return nil, fmt.Errorf("base: region %d out of range", r)
+	}
+	idx := make([]int, s.Hdr.ClusterPages)
+	for i := range idx {
+		idx[i] = int(s.Hdr.RegionFirstPage[r]) + i
+	}
+	pages, err := s.Fetch(file, idx)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeRegionClusterMode(pages, lmDim, flagBytes, s.Hdr.Params[ParamCompact] == 1)
+}
+
+// Finish pads the rest of the plan, books the client time and returns the
+// query's result; path is dropped when cost says t was unreachable.
+func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.NodeID) (*Result, error) {
+	if err := s.complete(); err != nil {
+		return nil, err
+	}
+	s.conn.AddClientTime(time.Since(s.start) - s.backend)
+	if err := s.conn.ConformsTo(s.Hdr.Plan); err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Cost:          cost,
+		SnappedSource: sNode,
+		SnappedDest:   tNode,
+		Stats:         s.conn.Stats(),
+		Trace:         s.conn.Trace(),
+	}
+	if !math.IsInf(cost, 1) {
+		res.Path = path
+	}
+	return res, nil
+}
+
+// overflow ends a query the plan cannot serve like any other: the excess is
+// not sent, the rest of the plan is.
+func (s *Session) overflow(format string, args ...any) error {
+	if err := s.complete(); err != nil {
+		return err
+	}
+	return fmt.Errorf("%s: %w (%s)", strings.ToLower(s.Hdr.Scheme), ErrPlanOverflow, fmt.Sprintf(format, args...))
+}
+
+// complete pads the round in progress and every round after it.
+func (s *Session) complete() error {
+	for {
+		if err := s.padTo(len(s.fetches())); err != nil {
+			return err
+		}
+		if s.round+1 >= len(s.Hdr.Plan.Rounds) {
+			return nil
+		}
+		if err := s.beginRound(); err != nil {
+			return err
+		}
+	}
+}
+
+// padTo fills the round's quotas before entry i with padding retrievals and
+// moves the cursor there. Which pages padding asks for is arbitrary — the PIR
+// layer hides them — so it asks for page 0.
+func (s *Session) padTo(i int) error {
+	for fs := s.fetches(); s.entry < i; s.entry, s.used = s.entry+1, 0 {
+		for f := fs[s.entry]; s.used < f.Count; {
+			frame := min(max(s.Hdr.ClusterPages, 1), f.Count-s.used)
+			if _, err := s.read(f.File, make([]int, frame)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// fetches is the quota list of the round in progress.
+func (s *Session) fetches() []plan.Fetch {
+	if s.round < 0 {
+		return nil
+	}
+	return s.Hdr.Plan.Rounds[s.round].Fetches
+}
+
+func (s *Session) beginRound() error {
+	t0 := time.Now()
+	err := s.conn.BeginRound()
+	s.backend += time.Since(t0)
+	s.round, s.entry, s.used = s.round+1, 0, 0
+	return err
+}
+
+// read sends one frame and charges it to the entry under the cursor.
+func (s *Session) read(file string, pages []int) ([][]byte, error) {
+	t0 := time.Now()
+	data, err := s.conn.FetchMany(file, pages)
+	s.backend += time.Since(t0)
+	s.used += len(pages)
+	return data, err
+}

@@ -1,0 +1,199 @@
+package base
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/plan"
+)
+
+// sentFrame is one ReadPages call the service received.
+type sentFrame struct {
+	file  string
+	pages []int
+}
+
+// frameLog is an in-process service that logs the frames it is sent.
+type frameLog struct {
+	*lbs.Server
+	frames []sentFrame
+}
+
+func (f *frameLog) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, f) }
+
+func (f *frameLog) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
+	f.frames = append(f.frames, sentFrame{file, slices.Clone(pages)})
+	return f.Server.ReadPages(ctx, file, pages)
+}
+
+// openSession serves a three-file database under a three-round plan —
+// Fl:1 | Fi:2 Fd:4 | Fd:2, regions two pages wide — and opens a session.
+func openSession(t *testing.T) (*Session, *frameLog) {
+	t.Helper()
+	hdr := sampleHeader()
+	hdr.ClusterPages = 2
+	hdr.Plan = plan.Plan{Rounds: []plan.Round{
+		{Fetches: []plan.Fetch{{File: FileLookup, Count: 1}}},
+		{Fetches: []plan.Fetch{{File: FileIndex, Count: 2}, {File: FileData, Count: 4}}},
+		{Fetches: []plan.Fetch{{File: FileData, Count: 2}}},
+	}}
+	db := &lbs.Database{Scheme: hdr.Scheme, Header: hdr.Encode(), Plan: hdr.Plan}
+	for _, name := range []string{FileLookup, FileIndex, FileData} {
+		f := pagefile.NewFile(name, 64)
+		for i := 0; i < 8; i++ {
+			f.MustAppendPage([]byte{byte(i)})
+		}
+		db.Files = append(db.Files, f)
+	}
+	srv, err := lbs.NewServer(db, costmodel.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := &frameLog{Server: srv}
+	ses, err := Open(context.Background(), svc, "CI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ses, svc
+}
+
+func mustDo(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOpenRejectsForeignScheme(t *testing.T) {
+	_, svc := openSession(t)
+	if _, err := Open(context.Background(), svc, "PI", "PI*"); err == nil || !strings.Contains(err.Error(), `hosts "CI"`) {
+		t.Fatalf("err = %v, want a scheme mismatch", err)
+	}
+}
+
+// TestSessionPadsInPlanOrder: a round left half-used is padded before the
+// next begins, quotas of files the plan lists earlier are padded before a
+// later file is fetched, and padding goes out in region-shaped frames.
+func TestSessionPadsInPlanOrder(t *testing.T) {
+	ses, svc := openSession(t)
+	mustDo(t, ses.NextRound())
+	mustDo(t, ses.NextRound()) // round 1 untouched: its look-up page is padded
+	if want := []sentFrame{{FileLookup, []int{0}}}; !slices.EqualFunc(svc.frames, want, sameFrame) {
+		t.Fatalf("after skipping round 1: sent %v, want %v", svc.frames, want)
+	}
+	// Fetching Fd first pads the Fi quota the plan lists before it.
+	pages, err := ses.Fetch(FileData, []int{6, 7})
+	mustDo(t, err)
+	if len(pages) != 2 || pages[0][0] != 6 || pages[1][0] != 7 {
+		t.Fatalf("fetch returned the wrong pages: %v", pages)
+	}
+	res, err := ses.Finish(1, nil, 0, 0)
+	mustDo(t, err)
+	want := []sentFrame{
+		{FileLookup, []int{0}},
+		{FileIndex, []int{0, 0}}, {FileData, []int{6, 7}}, {FileData, []int{0, 0}},
+		{FileData, []int{0, 0}},
+	}
+	if !slices.EqualFunc(svc.frames, want, sameFrame) {
+		t.Errorf("sent %v\nwant %v", svc.frames, want)
+	}
+	if res.Trace != lbs.CanonicalTrace(ses.Hdr.Plan) {
+		t.Errorf("trace deviates from the plan:\n%s", res.Trace)
+	}
+	if res.Stats.Rounds != 3 || res.Stats.Fetches[FileData] != 6 {
+		t.Errorf("stats = %+v", res.Stats)
+	}
+}
+
+func sameFrame(a, b sentFrame) bool { return a.file == b.file && slices.Equal(a.pages, b.pages) }
+
+// TestSessionOverflowSendsNothingAndCompletesThePlan: a want the plan has no
+// room for — over the round's quota, for a file the round does not list, or
+// a round past the last — is not sent; the service sees the canonical plan.
+func TestSessionOverflowSendsNothingAndCompletesThePlan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*Session) error
+	}{
+		{"over quota", func(s *Session) error {
+			mustDo(t, s.NextRound())
+			_, err := s.Fetch(FileLookup, []int{3})
+			mustDo(t, err)
+			_, err = s.Fetch(FileLookup, []int{5})
+			return err
+		}},
+		{"frame larger than what is left", func(s *Session) error {
+			mustDo(t, s.NextRound())
+			mustDo(t, s.NextRound())
+			_, err := s.Fetch(FileData, []int{4, 4, 4})
+			mustDo(t, err)
+			_, err = s.Fetch(FileData, []int{5, 5})
+			return err
+		}},
+		{"file not in the round", func(s *Session) error {
+			mustDo(t, s.NextRound())
+			_, err := s.Fetch(FileData, []int{5})
+			return err
+		}},
+		{"before the first round", func(s *Session) error {
+			_, err := s.Fetch(FileLookup, []int{5})
+			return err
+		}},
+		{"round past the last", func(s *Session) error {
+			for i := 0; i < 3; i++ {
+				mustDo(t, s.NextRound())
+			}
+			return s.NextRound()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ses, svc := openSession(t)
+			err := tc.run(ses)
+			if !errors.Is(err, ErrPlanOverflow) {
+				t.Fatalf("err = %v, want ErrPlanOverflow", err)
+			}
+			// privspbench screens overflowing pairs by these two words.
+			if !strings.Contains(err.Error(), "budget") || !strings.Contains(err.Error(), "exhausted") {
+				t.Errorf("error text %q lost the words the benchmark screens by", err)
+			}
+			for _, f := range svc.frames {
+				if slices.Contains(f.pages, 5) {
+					t.Errorf("the overflowing want was sent: %v", f)
+				}
+			}
+			if got, want := ses.conn.Trace(), lbs.CanonicalTrace(ses.Hdr.Plan); got != want {
+				t.Errorf("transcript after overflow:\n%swant:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestSessionStopsAtCancelledRoundBoundary: a context that dies mid-query
+// stops the session at the next round boundary — no padding of later
+// rounds — so the service holds a strict prefix of the canonical trace.
+func TestSessionStopsAtCancelledRoundBoundary(t *testing.T) {
+	_, svc := openSession(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	ses, err := Open(ctx, svc, "CI")
+	mustDo(t, err)
+	mustDo(t, ses.NextRound())
+	_, err = ses.Fetch(FileLookup, []int{3})
+	mustDo(t, err)
+	cancel()
+	if err := ses.NextRound(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NextRound on a dead context: %v", err)
+	}
+	if _, err := ses.Finish(1, nil, 0, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Finish after cancellation: %v", err)
+	}
+	got, full := ses.conn.Trace(), lbs.CanonicalTrace(ses.Hdr.Plan)
+	if want := "header\nround 1:\n  fetch Fl\n"; got != want || !strings.HasPrefix(full, got) {
+		t.Errorf("cancelled transcript %q, want the one-round prefix %q", got, want)
+	}
+}

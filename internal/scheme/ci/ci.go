@@ -9,7 +9,6 @@ package ci
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/border"
 	"repro/internal/geom"
@@ -152,121 +151,66 @@ func boolParam(b bool) int64 {
 }
 
 // Query answers one private shortest path query against a CI server. The
-// access pattern follows the public plan exactly, padding with dummy
+// session keeps the access pattern on the public plan, padding with dummy
 // retrievals, regardless of the endpoints.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	conn := svc.Connect(ctx)
-	var tm base.Timer
-
 	// Round 1: header.
-	hdr, err := base.DownloadHeader(conn)
+	ses, err := base.Open(ctx, svc, SchemeName)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Scheme != SchemeName {
-		return nil, fmt.Errorf("ci: server hosts %q", hdr.Scheme)
-	}
-	tm.Start()
+	hdr := ses.Hdr
 	rs, rt := base.LocatePair(hdr, sPt, tPt)
 	pairIdx := precomp.PairIndex(hdr.NumRegions, hdr.Directed, rs, rt)
-	m := int(hdr.MustParam(base.ParamM))
-	maxSpan := int(hdr.MustParam(base.ParamMaxSpan))
-	idxPages := int(hdr.MustParam(base.ParamIdxPages))
-	tm.Stop()
 
 	// Round 2: one look-up page.
-	conn.BeginRound()
-	lpage, err := conn.Fetch(base.FileLookup, base.LookupPageFor(pairIdx, hdr.LookupEntriesPerPage))
-	if err != nil {
-		return nil, err
-	}
-	tm.Start()
-	entry, err := base.ParseLookupEntry(lpage, pairIdx, hdr.LookupEntriesPerPage)
-	tm.Stop()
+	entry, err := ses.LookupRound(pairIdx)
 	if err != nil {
 		return nil, err
 	}
 
 	// Round 3: maxSpan consecutive index pages.
-	conn.BeginRound()
-	pages, off, err := base.FetchIndexWindow(conn, base.FileIndex, entry, maxSpan, idxPages)
-	if err != nil {
-		return nil, err
-	}
-	tm.Start()
-	rec, err := base.DecodeIndexRecord(pages, off, int(entry.RecIndex))
-	tm.Stop()
+	rec, err := ses.IndexRound(entry)
 	if err != nil {
 		return nil, err
 	}
 	if !rec.IsSet() {
 		return nil, fmt.Errorf("ci: index record is not a region set")
 	}
-	if len(rec.Set) > m {
-		return nil, fmt.Errorf("ci: inflated set of %d regions exceeds m=%d", len(rec.Set), m)
-	}
 
-	// Round 4: exactly m+2 region-data pages — R_s, R_t, the regions of
-	// S_s,t, and dummies up to the quota.
-	conn.BeginRound()
+	// Round 4: R_s, R_t and the regions of S_s,t; the session pads the
+	// round to its m+2 pages.
+	if err := ses.NextRound(); err != nil {
+		return nil, err
+	}
 	cg := base.NewClientGraph(hdr.Directed)
-	var sNodes, tNodes []base.RegionNode
 	fetchRegion := func(r kdtree.RegionID) ([]base.RegionNode, error) {
-		nodes, err := base.FetchRegionCluster(conn, hdr, base.FileData, r, 0, 0)
-		if err != nil {
-			return nil, err
+		nodes, err := ses.FetchRegion(base.FileData, r, 0, 0)
+		if err == nil {
+			cg.AddRegionNodes(nodes)
 		}
-		tm.Start()
-		cg.AddRegionNodes(nodes)
-		tm.Stop()
-		return nodes, nil
+		return nodes, err
 	}
-	if sNodes, err = fetchRegion(rs); err != nil {
+	sNodes, err := fetchRegion(rs)
+	if err != nil {
 		return nil, err
 	}
-	if tNodes, err = fetchRegion(rt); err != nil {
+	tNodes, err := fetchRegion(rt)
+	if err != nil {
 		return nil, err
 	}
-	fetched := 2
 	for _, r := range rec.Set {
 		if r == rs || r == rt { // inflation may re-list the endpoints
-			if err := base.DummyFetch(conn, base.FileData); err != nil {
-				return nil, err
-			}
-			fetched++
 			continue
 		}
 		if _, err := fetchRegion(r); err != nil {
 			return nil, err
 		}
-		fetched++
-	}
-	for ; fetched < m+2; fetched++ {
-		if err := base.DummyFetch(conn, base.FileData); err != nil {
-			return nil, err
-		}
 	}
 
 	// Client-side: snap and solve.
-	tm.Start()
 	sNode := cg.Nearest(sPt, sNodes)
 	tNode := cg.Nearest(tPt, tNodes)
 	cost, path := cg.Dijkstra(sNode, tNode)
-	tm.Stop()
-	conn.AddClientTime(tm.Total())
-
-	res := &base.Result{
-		Cost:          cost,
-		SnappedSource: sNode,
-		SnappedDest:   tNode,
-		Stats:         conn.Stats(),
-		Trace:         conn.Trace(),
-	}
-	if !math.IsInf(cost, 1) {
-		res.Path = path
-	}
-	if err := conn.ConformsTo(hdr.Plan); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ses.Finish(cost, path, sNode, tNode)
 }

@@ -1,0 +1,179 @@
+// Package scheme_test holds the cross-scheme property the plan walker exists
+// for: what a query sends is a function of the public plan alone.
+package scheme_test
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/gen"
+	"repro/internal/geom"
+	"repro/internal/graph"
+	"repro/internal/lbs"
+	"repro/internal/scheme/af"
+	"repro/internal/scheme/base"
+	"repro/internal/scheme/ci"
+	"repro/internal/scheme/hy"
+	"repro/internal/scheme/lm"
+	"repro/internal/scheme/pi"
+)
+
+// frame is one ReadPages call as a network observer sees it: frame
+// boundaries show on the wire even though page numbers do not.
+type frame struct {
+	Round int
+	File  string
+	Pages int
+}
+
+// recorder is an in-process service that records every frame a query sends.
+type recorder struct {
+	*lbs.Server
+	round  int
+	frames []frame
+}
+
+func (r *recorder) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, r) }
+
+func (r *recorder) NextRound(ctx context.Context) error {
+	r.round++
+	return r.Server.NextRound(ctx)
+}
+
+func (r *recorder) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
+	r.frames = append(r.frames, frame{r.round, file, len(pages)})
+	return r.Server.ReadPages(ctx, file, pages)
+}
+
+// planFrames is the frame sequence of a plan: every (round, file) quota goes
+// out in frames of clusterPages pages, except the index window — the first
+// quota of the round after the look-up round, in the schemes that have one —
+// which is a single frame.
+func planFrames(hdr *base.Header, indexWindow bool) []frame {
+	var out []frame
+	for ri, round := range hdr.Plan.Rounds {
+		for fi, f := range round.Fetches {
+			size := hdr.ClusterPages
+			if indexWindow && ri == 1 && fi == 0 {
+				size = f.Count
+			}
+			for left := f.Count; left > 0; left -= min(size, left) {
+				out = append(out, frame{ri + 1, f.File, min(size, left)})
+			}
+		}
+	}
+	return out
+}
+
+func repeat(f frame, n int) []frame {
+	out := make([]frame, n)
+	for i := range out {
+		out[i] = f
+	}
+	return out
+}
+
+type queryFn func(context.Context, lbs.Service, geom.Point, geom.Point) (*base.Result, error)
+
+// TestFrameShapeIsAFunctionOfThePlan runs every plan-following scheme over
+// endpoint pairs chosen to differ in everything a query could leak — same
+// region, adjacent nodes, opposite corners, and for the sampled-plan schemes
+// a pair that overflows the plan — and holds the recorded frame sequence to
+// the one computed from the header's plan and ClusterPages alone.
+func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
+	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
+	n := graph.NodeID(g.NumNodes())
+	lo, hi := graph.NodeID(0), graph.NodeID(0) // opposite corners of the map
+	for v := graph.NodeID(0); v < n; v++ {
+		if p := g.Point(v); p.X+p.Y < g.Point(lo).X+g.Point(lo).Y {
+			lo = v
+		} else if p.X+p.Y > g.Point(hi).X+g.Point(hi).Y {
+			hi = v
+		}
+	}
+	pairs := [][2]graph.NodeID{
+		{5, 5},                // s == t
+		{5, g.Adj(5)[0].To},   // adjacent
+		{lo, g.Adj(lo)[0].To}, // adjacent, in a corner region
+		{lo, hi}, {hi, lo},    // opposite corners
+		{0, n - 1}, {n / 2, n / 3}, {n / 7, n - n/7}, {n / 3, n/3 + 1},
+	}
+
+	piStar := pi.DefaultOptions()
+	piStar.ClusterPages = 2
+	// Plans derived from one sampled query with no margin: overflow is common.
+	lmOpt, afOpt := lm.DefaultOptions(), af.DefaultOptions()
+	lmOpt.DeriveQueries, lmOpt.SafetyMargin = 1, 1
+	afOpt.DeriveQueries, afOpt.SafetyMargin = 1, 1
+
+	for _, sc := range []struct {
+		name        string
+		build       func() (*lbs.Database, error)
+		query       queryFn
+		indexWindow bool
+		sampledPlan bool
+		// parent pins the sequence the commit before the plan walker sent
+		// (recorded there with this recorder, same network and options).
+		parent []frame
+	}{
+		{name: "CI", build: func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, query: ci.Query, indexWindow: true,
+			parent: slices.Concat([]frame{{1, "Fl", 1}, {2, "Fi", 1}}, repeat(frame{3, "Fd", 1}, 9))},
+		{name: "PI", build: func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, query: pi.Query, indexWindow: true,
+			parent: []frame{{1, "Fl", 1}, {2, "Fi", 3}, {2, "Fd", 1}, {2, "Fd", 1}}},
+		{name: "PI*", build: func() (*lbs.Database, error) { return pi.Build(g, piStar) }, query: pi.Query, indexWindow: true},
+		{name: "HY", build: func() (*lbs.Database, error) { return hy.Build(g, hy.DefaultOptions()) }, query: hy.Query, indexWindow: true},
+		{name: "LM", build: func() (*lbs.Database, error) { return lm.Build(g, lmOpt) }, query: lm.Query, sampledPlan: true},
+		{name: "AF", build: func() (*lbs.Database, error) { return af.Build(g, afOpt) }, query: af.Query, sampledPlan: true},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			db, err := sc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := lbs.NewServer(db, costmodel.Default(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr, err := base.DecodeHeader(db.Header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := planFrames(hdr, sc.indexWindow)
+			if sc.parent != nil && !slices.Equal(want, sc.parent) {
+				t.Fatalf("plan frames changed from the pinned sequence:\n got %v\nwant %v", want, sc.parent)
+			}
+
+			run := func(p [2]graph.NodeID) error {
+				rec := &recorder{Server: srv}
+				_, err := sc.query(context.Background(), rec, g.Point(p[0]), g.Point(p[1]))
+				if err != nil && !errors.Is(err, base.ErrPlanOverflow) {
+					t.Fatalf("pair %v: %v", p, err)
+				}
+				if !slices.Equal(rec.frames, want) {
+					t.Errorf("pair %v (err %v) sent frames\n     %v\nwant %v", p, err, rec.frames, want)
+				}
+				return err
+			}
+			overflowed := false
+			for _, p := range pairs {
+				overflowed = run(p) != nil || overflowed
+			}
+			if !sc.sampledPlan {
+				if overflowed {
+					t.Error("an exact scheme overflowed its plan")
+				}
+				return
+			}
+			// The sampled-plan schemes must have been seen overflowing.
+			for s := graph.NodeID(0); s < n && !overflowed; s += 7 {
+				overflowed = run([2]graph.NodeID{s, n - 1 - s}) != nil
+			}
+			if !overflowed {
+				t.Fatal("no overflowing pair found: the test no longer covers plan overflow")
+			}
+		})
+	}
+}

@@ -13,7 +13,6 @@ package hy
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/border"
 	"repro/internal/geom"
@@ -112,7 +111,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		if !asGraph[k] {
 			continue
 		}
-		off := windowOffset(int(spans[k].Page), r, fiPart)
+		_, off := base.IndexWindow(base.LookupEntry{Page: uint32(spans[k].Page)}, r, fiPart)
 		if extra := spans[k].Pages - (r - off); extra > 0 {
 			if extra+2 > quota {
 				quota = extra + 2
@@ -159,103 +158,67 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}, nil
 }
 
-// windowOffset mirrors the client's round-3 clamping: the fetch window must
-// stay inside the index part of the combined file.
-func windowOffset(entryPage, r, fiPart int) int {
-	start := entryPage
-	if start > fiPart-r {
-		start = fiPart - r
-	}
-	if start < 0 {
-		start = 0
-	}
-	return entryPage - start
-}
-
 // Query answers one private shortest path query against an HY server.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	conn := svc.Connect(ctx)
-	var tm base.Timer
-
-	hdr, err := base.DownloadHeader(conn)
+	ses, err := base.Open(ctx, svc, SchemeName)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Scheme != SchemeName {
-		return nil, fmt.Errorf("hy: server hosts %q", hdr.Scheme)
-	}
-	tm.Start()
+	hdr := ses.Hdr
 	rs, rt := base.LocatePair(hdr, sPt, tPt)
 	pairIdx := precomp.PairIndex(hdr.NumRegions, hdr.Directed, rs, rt)
-	r := int(hdr.MustParam(base.ParamMaxSpan))
-	quota := int(hdr.MustParam(base.ParamRound4))
 	fiPart := int(hdr.MustParam(base.ParamFiPart))
-	tm.Stop()
 
 	// Round 2: look-up entry.
-	conn.BeginRound()
-	lpage, err := conn.Fetch(base.FileLookup, base.LookupPageFor(pairIdx, hdr.LookupEntriesPerPage))
-	if err != nil {
-		return nil, err
-	}
-	tm.Start()
-	entry, err := base.ParseLookupEntry(lpage, pairIdx, hdr.LookupEntriesPerPage)
-	tm.Stop()
+	entry, err := ses.LookupRound(pairIdx)
 	if err != nil {
 		return nil, err
 	}
 
-	// Round 3: exactly r consecutive pages of the combined file, covering
-	// at least the head of the record.
-	conn.BeginRound()
-	off := windowOffset(int(entry.Page), r, fiPart)
-	start := int(entry.Page) - off
-	window := make([][]byte, 0, r)
-	for i := 0; i < r; i++ {
-		p, err := conn.Fetch(base.FileCombined, start+i)
-		if err != nil {
-			return nil, err
-		}
-		window = append(window, p)
+	// Round 3: exactly r consecutive pages of the combined file, inside its
+	// index part, covering at least the head of the record.
+	if err := ses.NextRound(); err != nil {
+		return nil, err
 	}
-
+	window, off := base.IndexWindow(entry, int(hdr.MustParam(base.ParamMaxSpan)), fiPart)
+	pages, err := ses.Fetch(base.FileCombined, window)
+	if err != nil {
+		return nil, err
+	}
 	// Peek the record's total length to know whether round 4 must fetch
 	// continuation pages (only multi-page subgraph records need this).
-	tm.Start()
-	recPages, have, total, err := recordPages(window, off, int(entry.RecIndex), hdr, fiPart, int(entry.Page))
-	tm.Stop()
+	if off >= len(pages) {
+		return nil, fmt.Errorf("hy: look-up entry points past the index part")
+	}
+	recPages, total, err := recordPages(pages[off:], entry, fiPart)
 	if err != nil {
 		return nil, err
 	}
 
-	// Round 4: continuation pages, the two region pages, dummy padding.
-	conn.BeginRound()
-	fetched := 0
-	for i := have; i < total; i++ {
-		p, err := conn.Fetch(base.FileCombined, int(entry.Page)+i)
+	// Round 4: continuation pages — one frame each, like the region pages
+	// and the padding — then the two host regions and the regions of a set.
+	if err := ses.NextRound(); err != nil {
+		return nil, err
+	}
+	for i := len(recPages); i < total; i++ {
+		p, err := ses.Fetch(base.FileCombined, []int{int(entry.Page) + i})
 		if err != nil {
 			return nil, err
 		}
-		recPages = append(recPages, p)
-		fetched++
+		recPages = append(recPages, p[0])
 	}
-	tm.Start()
 	rec, err := base.DecodeIndexRecord(recPages, 0, int(entry.RecIndex))
-	tm.Stop()
 	if err != nil {
 		return nil, err
 	}
 
 	cg := base.NewClientGraph(hdr.Directed)
 	fetchRegion := func(rg kdtree.RegionID) ([]base.RegionNode, error) {
-		nodes, err := base.FetchRegionCluster(conn, hdr, base.FileCombined, rg, 0, 0)
-		if err != nil {
-			return nil, err
+		nodes, err := ses.FetchRegion(base.FileCombined, rg, 0, 0)
+		if err == nil {
+			cg.AddRegionNodes(nodes)
 		}
-		tm.Start()
-		cg.AddRegionNodes(nodes)
-		tm.Stop()
-		return nodes, nil
+		return nodes, err
 	}
 	sNodes, err := fetchRegion(rs)
 	if err != nil {
@@ -265,83 +228,45 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	if err != nil {
 		return nil, err
 	}
-	fetched += 2
 	if rec.IsSet() {
 		for _, rg := range rec.Set {
 			if rg == rs || rg == rt {
-				if err := base.DummyFetch(conn, base.FileCombined); err != nil {
-					return nil, err
-				}
-				fetched++
 				continue
 			}
 			if _, err := fetchRegion(rg); err != nil {
 				return nil, err
 			}
-			fetched++
 		}
 	} else {
-		tm.Start()
 		cg.AddSubgraphEdges(rec.Edges)
-		tm.Stop()
-	}
-	for ; fetched < quota; fetched++ {
-		if err := base.DummyFetch(conn, base.FileCombined); err != nil {
-			return nil, err
-		}
-	}
-	if fetched > quota {
-		return nil, fmt.Errorf("hy: query needed %d round-4 pages, plan allows %d", fetched, quota)
 	}
 
-	tm.Start()
 	sNode := cg.Nearest(sPt, sNodes)
 	tNode := cg.Nearest(tPt, tNodes)
 	cost, path := cg.Dijkstra(sNode, tNode)
-	tm.Stop()
-	conn.AddClientTime(tm.Total())
-
-	res := &base.Result{
-		Cost:          cost,
-		SnappedSource: sNode,
-		SnappedDest:   tNode,
-		Stats:         conn.Stats(),
-		Trace:         conn.Trace(),
-	}
-	if !math.IsInf(cost, 1) {
-		res.Path = path
-	}
-	if err := conn.ConformsTo(hdr.Plan); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ses.Finish(cost, path, sNode, tNode)
 }
 
-// recordPages slices the round-3 window down to the record's own pages and
-// reports how many pages of the record we already have and how many it
+// recordPages cuts the round-3 window, taken from the record's first page
+// on, down to the record's own pages and reports how many pages the record
 // spans in total.
-func recordPages(window [][]byte, off, recIdx int, hdr *base.Header, fiPart, entryPage int) (pages [][]byte, have, total int, err error) {
-	ps := len(window[0])
-	pages = append(pages, window[off:]...)
-	have = len(pages)
+func recordPages(pages [][]byte, entry base.LookupEntry, fiPart int) ([][]byte, int, error) {
 	// Small records (ordinal addressing) always fit in their single page.
 	// A multi-page record starts at its page boundary with ordinal 0; its
 	// length prefix tells the full span.
 	d := pagefile.NewDec(pages[0])
 	n := int(d.U32())
 	if d.Err() != nil {
-		return nil, 0, 0, d.Err()
+		return nil, 0, d.Err()
 	}
-	total = (4 + n + ps - 1) / ps
-	if total <= 1 || recIdx > 0 {
+	ps := len(pages[0])
+	total := (4 + n + ps - 1) / ps
+	if total <= 1 || entry.RecIndex > 0 {
 		total = 1
 	}
-	if have > total {
-		pages = pages[:total]
-		have = total
+	if int(entry.Page)+total > fiPart {
+		return nil, 0, fmt.Errorf("hy: record overruns the index part")
 	}
-	if entryPage+total > fiPart {
-		return nil, 0, 0, fmt.Errorf("hy: record overruns the index part")
-	}
-	return pages, have, total, nil
+	have := min(len(pages), total)
+	return pages[:have:have], total, nil
 }

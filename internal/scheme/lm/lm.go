@@ -93,7 +93,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}
 	maxPages := 2
 	measure := func(s, t graph.NodeID) error {
-		n, err := simulate(part, regions, len(anchors), g.Directed(), g.Point(s), g.Point(t), math.MaxInt32)
+		n, err := base.SimulateFrontier(part.Tree, regions, g.Directed(), g.Point(s), g.Point(t), landmarkGuide)
 		if err != nil {
 			return err
 		}
@@ -202,51 +202,11 @@ func decodeAll(fd *pagefile.File, numRegions, lmDim int) ([][]base.RegionNode, e
 	return out, nil
 }
 
-// fetchFn retrieves a region's decoded nodes, charging whatever medium
-// backs it (memory during plan derivation, the PIR connection at query
-// time).
-type fetchFn func(r kdtree.RegionID, first bool) ([]base.RegionNode, error)
-
-// run executes the client-side LM search: snap the endpoints, then A* with
-// landmark bounds, fetching regions as the frontier crosses into them.
-// Returns the result and the number of pages fetched.
-func run(
-	tree *kdtree.Tree, directed bool, lmDim int,
-	sPt, tPt geom.Point,
-	fetch fetchFn,
-	pageBudget int,
-) (cost float64, path []graph.NodeID, sNode, tNode graph.NodeID, pages int, err error) {
-	rs, rt := tree.Locate(sPt), tree.Locate(tPt)
-	cg := base.NewClientGraph(directed)
-	fetched := map[kdtree.RegionID]bool{}
-	get := func(r kdtree.RegionID, first bool) ([]base.RegionNode, error) {
-		nodes, err := fetch(r, first)
-		if err != nil {
-			return nil, err
-		}
-		fetched[r] = true
-		pages++
-		cg.AddRegionNodes(nodes)
-		return nodes, nil
-	}
-	sNodes, err := get(rs, true)
-	if err != nil {
-		return 0, nil, 0, 0, pages, err
-	}
-	var tNodes []base.RegionNode
-	if rt == rs {
-		// The plan still requires two first-round fetches; duplicate.
-		tNodes, err = get(rt, true)
-	} else {
-		tNodes, err = get(rt, true)
-	}
-	if err != nil {
-		return 0, nil, 0, 0, pages, err
-	}
-	sNode = cg.Nearest(sPt, sNodes)
-	tNode = cg.Nearest(tPt, tNodes)
+// landmarkGuide is LM's part of the frontier search: A* under the landmark
+// triangle-inequality bound towards tNode, every edge allowed.
+func landmarkGuide(cg *base.ClientGraph, tNode graph.NodeID, _ kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
 	dstVec := cg.LMVector(tNode)
-	h := func(v graph.NodeID) float64 {
+	return func(v graph.NodeID) float64 {
 		vec := cg.LMVector(v)
 		if vec == nil || dstVec == nil {
 			return 0
@@ -258,103 +218,15 @@ func run(
 			}
 		}
 		return bound
-	}
-	var fetchErr error
-	onSettle := func(v graph.NodeID) bool {
-		if cg.Has(v) {
-			return true
-		}
-		r, ok := cg.RegionHint(v)
-		if !ok {
-			fetchErr = fmt.Errorf("lm: node %d has no region hint", v)
-			return false
-		}
-		if fetched[r] {
-			return true // page already here; v was just a dangling ref
-		}
-		if pages >= pageBudget {
-			fetchErr = fmt.Errorf("lm: page budget %d exhausted", pageBudget)
-			return false
-		}
-		if _, err := get(r, false); err != nil {
-			fetchErr = err
-			return false
-		}
-		return true
-	}
-	cost, path = cg.Search(sNode, tNode, h, nil, onSettle)
-	return cost, path, sNode, tNode, pages, fetchErr
-}
-
-// simulate replays the client algorithm against in-memory regions and
-// returns how many pages it would fetch.
-func simulate(part *kdtree.Partition, regions [][]base.RegionNode, lmDim int, directed bool, sPt, tPt geom.Point, budget int) (int, error) {
-	_, _, _, _, pages, err := run(part.Tree, directed, lmDim, sPt, tPt,
-		func(r kdtree.RegionID, first bool) ([]base.RegionNode, error) { return regions[r], nil },
-		budget)
-	return pages, err
+	}, nil
 }
 
 // Query answers one shortest path query against an LM server, following the
 // fixed plan with dummy padding.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	conn := svc.Connect(ctx)
-	hdr, err := base.DownloadHeader(conn)
+	ses, err := base.Open(ctx, svc, SchemeName)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Scheme != SchemeName {
-		return nil, fmt.Errorf("lm: server hosts %q", hdr.Scheme)
-	}
-	lmDim := int(hdr.MustParam(base.ParamLMDim))
-	maxPages := int(hdr.MustParam("maxPages"))
-	var tm base.Timer
-
-	firstRound := true
-	fetch := func(r kdtree.RegionID, first bool) ([]base.RegionNode, error) {
-		tm.Stop()
-		if first {
-			if firstRound {
-				conn.BeginRound()
-				firstRound = false
-			}
-		} else {
-			conn.BeginRound()
-		}
-		page, err := conn.Fetch(base.FileData, int(hdr.RegionFirstPage[r]))
-		if err != nil {
-			return nil, err
-		}
-		tm.Start()
-		return base.DecodeRegion(page, lmDim, 0)
-	}
-	tm.Start()
-	cost, path, sNode, tNode, pages, err := run(hdr.Tree, hdr.Directed, lmDim, sPt, tPt, fetch, maxPages)
-	tm.Stop()
-	if err != nil {
-		return nil, err
-	}
-	// Dummy rounds up to the plan.
-	for ; pages < maxPages; pages++ {
-		conn.BeginRound()
-		if err := base.DummyFetch(conn, base.FileData); err != nil {
-			return nil, err
-		}
-	}
-	conn.AddClientTime(tm.Total())
-
-	res := &base.Result{
-		Cost:          cost,
-		SnappedSource: sNode,
-		SnappedDest:   tNode,
-		Stats:         conn.Stats(),
-		Trace:         conn.Trace(),
-	}
-	if !math.IsInf(cost, 1) {
-		res.Path = path
-	}
-	if err := conn.ConformsTo(hdr.Plan); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ses.FrontierQuery(sPt, tPt, int(ses.Hdr.MustParam(base.ParamLMDim)), 0, landmarkGuide)
 }

@@ -9,7 +9,6 @@ package pi
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/border"
 	"repro/internal/geom"
@@ -149,83 +148,42 @@ func boolParam(b bool) int64 {
 
 // Query answers one private shortest path query against a PI / PI* server.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	conn := svc.Connect(ctx)
-	var tm base.Timer
-
-	hdr, err := base.DownloadHeader(conn)
+	ses, err := base.Open(ctx, svc, SchemeName, SchemeNameClustered)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Scheme != SchemeName && hdr.Scheme != SchemeNameClustered {
-		return nil, fmt.Errorf("pi: server hosts %q", hdr.Scheme)
-	}
-	tm.Start()
+	hdr := ses.Hdr
 	rs, rt := base.LocatePair(hdr, sPt, tPt)
 	pairIdx := precomp.PairIndex(hdr.NumRegions, hdr.Directed, rs, rt)
-	maxSpan := int(hdr.MustParam(base.ParamMaxSpan))
-	idxPages := int(hdr.MustParam(base.ParamIdxPages))
-	tm.Stop()
 
-	conn.BeginRound()
-	lpage, err := conn.Fetch(base.FileLookup, base.LookupPageFor(pairIdx, hdr.LookupEntriesPerPage))
-	if err != nil {
-		return nil, err
-	}
-	tm.Start()
-	entry, err := base.ParseLookupEntry(lpage, pairIdx, hdr.LookupEntriesPerPage)
-	tm.Stop()
+	entry, err := ses.LookupRound(pairIdx)
 	if err != nil {
 		return nil, err
 	}
 
 	// Round 3: h index pages, then the two region clusters.
-	conn.BeginRound()
-	pages, off, err := base.FetchIndexWindow(conn, base.FileIndex, entry, maxSpan, idxPages)
-	if err != nil {
-		return nil, err
-	}
-	tm.Start()
-	rec, err := base.DecodeIndexRecord(pages, off, int(entry.RecIndex))
-	tm.Stop()
+	rec, err := ses.IndexRound(entry)
 	if err != nil {
 		return nil, err
 	}
 	if rec.IsSet() {
 		return nil, fmt.Errorf("pi: index record is not a subgraph")
 	}
+	sNodes, err := ses.FetchRegion(base.FileData, rs, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	tNodes, err := ses.FetchRegion(base.FileData, rt, 0, 0)
+	if err != nil {
+		return nil, err
+	}
 
 	cg := base.NewClientGraph(hdr.Directed)
-	sNodes, err := base.FetchRegionCluster(conn, hdr, base.FileData, rs, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	tNodes, err := base.FetchRegionCluster(conn, hdr, base.FileData, rt, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	tm.Start()
 	cg.AddRegionNodes(sNodes)
 	cg.AddRegionNodes(tNodes)
 	cg.AddSubgraphEdges(rec.Edges)
 	sNode := cg.Nearest(sPt, sNodes)
 	tNode := cg.Nearest(tPt, tNodes)
 	cost, path := cg.Dijkstra(sNode, tNode)
-	tm.Stop()
-	conn.AddClientTime(tm.Total())
-
-	res := &base.Result{
-		Cost:          cost,
-		SnappedSource: sNode,
-		SnappedDest:   tNode,
-		Stats:         conn.Stats(),
-		Trace:         conn.Trace(),
-	}
-	if !math.IsInf(cost, 1) {
-		res.Path = path
-	}
-	if err := conn.ConformsTo(hdr.Plan); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ses.Finish(cost, path, sNode, tNode)
 }

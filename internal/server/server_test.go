@@ -324,7 +324,7 @@ func TestSessionSurvivesRejectedRequests(t *testing.T) {
 	// before any bytes go out.
 	q1 := c.StartQuery()
 	conn := q1.Connect(context.Background())
-	if _, err := conn.Fetch("no-such-file", 0); err == nil {
+	if _, err := conn.FetchMany("no-such-file", []int{0}); err == nil {
 		t.Fatal("fetch of unknown file succeeded")
 	}
 	q1.Cancel(wire.CancelAbandon)
@@ -333,7 +333,7 @@ func TestSessionSurvivesRejectedRequests(t *testing.T) {
 	// next one untroubled.
 	q2 := c.StartQuery()
 	conn = q2.Connect(context.Background())
-	if _, err := conn.Fetch(base.FileLookup, 1<<20); err == nil {
+	if _, err := conn.FetchMany(base.FileLookup, []int{1 << 20}); err == nil {
 		t.Fatal("out-of-range fetch succeeded")
 	}
 	q2.Cancel(wire.CancelAbandon)

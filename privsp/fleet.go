@@ -117,29 +117,15 @@ func (fs *FleetServer) ShortestPath(ctx context.Context, src, dst Point, opts ..
 	// its breaker; the whole query is retried with fresh selector shares —
 	// splitShares redraws from crypto/rand every attempt (see retryBusy).
 	var res *Result
-	err := retryBusy(ctx, func() error {
+	err := retryBusy(ctx, func() (err error) {
 		qs := fs.f.StartQuery()
 		if err := qs.Err(); err != nil {
 			return err
 		}
-		var qerr error
-		res, qerr = queryScheme(ctx, fs.scheme, qs, src, dst)
-		if qerr != nil {
-			qs.Cancel(cancelReason(ctx, qerr))
-			return qerr
-		}
-		trace, terr := qs.End(ctx)
-		if terr != nil {
-			qs.Cancel(cancelReason(ctx, terr))
-			return terr
-		}
-		o.deliver(res, trace)
-		return nil
+		res, err = settleQuery(ctx, fs.scheme, qs, src, dst, o)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
 // FleetReplicaStatus is one replica's health snapshot.

@@ -6,37 +6,25 @@ import (
 	"math"
 	"net"
 	"testing"
-	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/pagefile"
 	"repro/internal/pir"
 	"repro/internal/server"
 )
 
-// startReplicaDaemon hosts the built database in -replica-role (two-server
-// XOR PIR stores, share fetches only) on loopback.
+// replicaOptions is -replica-role: two-server XOR PIR stores, share fetches
+// only.
+var replicaOptions = server.Options{
+	ReplicaRole: true,
+	Stores:      func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) },
+}
+
+// startReplicaDaemon hosts the built database in -replica-role on loopback.
 func startReplicaDaemon(t *testing.T, name string, db *Database) string {
 	t.Helper()
-	srv := server.New(server.Options{
-		ReplicaRole: true,
-		Stores:      func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) },
-	})
-	if err := srv.Host(name, db.LBS(), costmodel.Default()); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	return ln.Addr().String()
+	_, addr := hostDaemon(t, replicaOptions, name, db)
+	return addr
 }
 
 // TestFleetEndToEnd drives the public DialFleet API against two real

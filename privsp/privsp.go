@@ -646,32 +646,52 @@ func (r *RemoteServer) ShortestPath(ctx context.Context, src, dst Point, opts ..
 	// a fresh query session with freshly drawn PIR randomness, never a
 	// resent round (see retryBusy).
 	var res *Result
-	err := retryBusy(ctx, func() error {
-		qs := r.c.StartQuery()
-		var qerr error
-		res, qerr = queryScheme(ctx, r.scheme, qs, src, dst)
-		if qerr != nil {
-			// Settle the query session. A context abort is a deliberate
-			// cancellation the daemon records (the partial trace is what the
-			// adversary saw) and counts; any other failure abandons the query
-			// and the daemon discards it. The connection stays usable either
-			// way.
-			qs.Cancel(cancelReason(ctx, qerr))
-			return qerr
-		}
-		// Complete the session; the returned trace is the daemon's
-		// adversarial view of this query.
-		trace, terr := qs.End(ctx)
-		if terr != nil {
-			qs.Cancel(cancelReason(ctx, terr))
-			return terr
-		}
-		o.deliver(res, trace)
-		return nil
+	err := retryBusy(ctx, func() (err error) {
+		res, err = settleQuery(ctx, r.scheme, r.c.StartQuery(), src, dst, o)
+		return err
 	})
-	if err != nil {
-		return nil, err
+	return res, err
+}
+
+// ErrPlanOverflow is matched by errors.Is when a query needed more
+// retrievals than the database's public plan allows. Only LM and AF, whose
+// plans are derived from a sampled workload, hit it on a sound database (a
+// rare endpoint pair; rebuild with a larger DeriveQueries or SafetyMargin).
+// The service cannot tell such a query from any other: it receives the
+// whole canonical plan and the query ends as a completed one.
+var ErrPlanOverflow = base.ErrPlanOverflow
+
+// querySession is one query's session on a daemon connection or a fleet.
+type querySession interface {
+	lbs.Service
+	End(ctx context.Context) (string, error)
+	Cancel(reason uint8)
+}
+
+// settleQuery runs the scheme protocol over a remote query session and
+// settles the session. A context abort is a deliberate cancellation the
+// daemon records (the partial trace is what the adversary saw) and counts;
+// any other failure abandons the query and the daemon discards it. The
+// connection stays usable either way. The one failure that must NOT show is
+// a plan overflow: it depends on the endpoints, and the session has already
+// sent the full canonical plan, so the query is completed exactly as on
+// success before the error is returned.
+func settleQuery(ctx context.Context, scheme Scheme, qs querySession, src, dst Point, o queryOptions) (*Result, error) {
+	res, qerr := queryScheme(ctx, scheme, qs, src, dst)
+	if qerr != nil && !errors.Is(qerr, ErrPlanOverflow) {
+		qs.Cancel(cancelReason(ctx, qerr))
+		return nil, qerr
 	}
+	// The returned trace is the daemon's adversarial view of this query.
+	trace, terr := qs.End(ctx)
+	if terr != nil {
+		qs.Cancel(cancelReason(ctx, terr))
+		return nil, terr
+	}
+	if qerr != nil {
+		return nil, qerr
+	}
+	o.deliver(res, trace)
 	return res, nil
 }
 

@@ -15,10 +15,11 @@ import (
 	"repro/internal/server"
 )
 
-// startDaemon hosts the built database on loopback and returns its address.
-func startDaemon(t *testing.T, name string, db *Database) string {
+// hostDaemon serves the built database on loopback and returns the daemon
+// (for tests that read its audit ring and registry) and its address.
+func hostDaemon(t *testing.T, opts server.Options, name string, db *Database) (*server.Server, string) {
 	t.Helper()
-	srv := server.New(server.Options{})
+	srv := server.New(opts)
 	if err := srv.Host(name, db.LBS(), costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,14 @@ func startDaemon(t *testing.T, name string, db *Database) string {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return ln.Addr().String()
+	return srv, ln.Addr().String()
+}
+
+// startDaemon hosts the built database on loopback and returns its address.
+func startDaemon(t *testing.T, name string, db *Database) string {
+	t.Helper()
+	_, addr := hostDaemon(t, server.Options{}, name, db)
+	return addr
 }
 
 // TestRemoteDialEndToEnd drives the public API across a real TCP socket:
