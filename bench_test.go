@@ -140,17 +140,11 @@ func biggestRound(db *lbs.Database) (string, int) {
 }
 
 // BenchmarkBatchRead measures one batched multi-page CI-scheme round
-// against the per-database worker pool at increasing pool sizes, over two
-// backends:
-//
-//   - disk: plain stores behind a simulated 500 µs per-page seek — the
-//     latency a deployment pays the disk per PIR retrieval (scaled down
-//     from Table 2's 11 ms to keep iterations fast). Throughput scales
-//     with the worker count on any hardware, because the pool's job here
-//     is overlapping I/O waits.
-//   - sharded-oram: a real 8-way sharded square-root ORAM doing AES-CTR +
-//     HMAC per page. This backend is CPU-bound, so the scaling it shows
-//     tracks the core count.
+// against the per-database worker pool at increasing pool sizes, over plain
+// stores behind a simulated 500 µs per-page seek — the latency a deployment
+// pays the disk per PIR retrieval (scaled down from Table 2's 11 ms to keep
+// iterations fast). Throughput scales with the worker count on any hardware,
+// because the pool's job here is overlapping I/O waits.
 func BenchmarkBatchRead(b *testing.B) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
 	db, err := ci.Build(g, ci.DefaultOptions())
@@ -176,31 +170,22 @@ func BenchmarkBatchRead(b *testing.B) {
 	}
 	b.Logf("CI round: %d pages of %s (%d-page file)", count, file, info.NumPages())
 
-	backends := []struct {
-		name    string
-		factory lbs.StoreFactory
-	}{
-		{"disk", seekStores(500 * time.Microsecond)},
-		{"sharded-oram", lbs.ShardedORAMStores(8, 1)},
-	}
-	for _, backend := range backends {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", backend.name, workers), func(b *testing.B) {
-				srv, err := lbs.NewServer(db, costmodel.Default(), backend.factory, lbs.WithWorkers(workers))
-				if err != nil {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("disk/workers=%d", workers), func(b *testing.B) {
+			srv, err := lbs.NewServer(db, costmodel.Default(), seekStores(500*time.Microsecond), lbs.WithWorkers(workers))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conn := srv.Connect(context.Background())
+				conn.BeginRound()
+				if _, err := conn.FetchMany(file, batch); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					conn := srv.Connect(context.Background())
-					conn.BeginRound()
-					if _, err := conn.FetchMany(file, batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
+		})
 	}
 }
 

@@ -339,7 +339,7 @@ func (c daemonConfig) validate() (warnings []string, err error) {
 // nil selects lbs.PlainStores.
 func storeFactory(name string) lbs.StoreFactory {
 	if name == "xorpir" {
-		return func(f pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(f) }
+		return lbs.XORStores
 	}
 	return nil
 }

@@ -29,8 +29,8 @@
 // pprof) whose exported series are functions of the adversary-visible
 // trace plus timing only — never of query contents (README
 // "Observability"). Serving capacity is scan throughput by construction —
-// every PIR answer streams the whole file — so the XOR stores carry a
-// segmented parallel kernel that fans each scan across a worker group
+// every PIR answer streams the whole file — so the XOR store carries a
+// segmented parallel kernel that fans each scan across per-pass goroutines
 // (server.Options.ScanWorkers / privspd -scan-workers / lbs.WithScanWorkers;
 // byte-identical to serial, charged against the same worker pool). The
 // benchmarks in bench_test.go regenerate every table and figure (see also

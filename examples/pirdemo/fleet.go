@@ -16,7 +16,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
-	"repro/internal/pir"
 	"repro/internal/plan"
 	"repro/internal/server"
 )
@@ -53,7 +52,7 @@ func runReplica() error {
 	}
 	srv := server.New(server.Options{
 		ReplicaRole: true,
-		Stores:      func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) },
+		Stores:      lbs.XORStores,
 	})
 	if err := srv.Host("RAW", db, costmodel.Default()); err != nil {
 		return err

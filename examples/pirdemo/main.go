@@ -1,9 +1,9 @@
-// Pirdemo exercises the three PIR building blocks behind the schemes (§2.2,
-// §3.2) side by side on the same small file: the square-root ORAM standing
-// in for the hardware-aided protocol of Williams & Sion, the two-server
-// information-theoretic XOR PIR, and Kushilevitz–Ostrovsky computational
-// PIR from quadratic residuosity. It also prints what the server actually
-// observes for the ORAM, demonstrating access-pattern independence.
+// Pirdemo puts the two PIR stores behind the schemes (§2.2, §3.2) side by
+// side on the same small file, and prints what the server observes under
+// each: Plain, which the experiments serve while costmodel charges the
+// paper's simulated SCP time, hands the server the page index; the
+// two-server information-theoretic XOR PIR of Chor et al. hands each server a
+// uniformly random subset of the file, whatever page is read.
 //
 // With -fleet the demo becomes three OS processes — the deployment the
 // two-server model actually assumes. The parent spawns two copies of
@@ -46,18 +46,9 @@ func main() {
 
 	data := demoPages()
 
-	fmt.Println("-- square-root ORAM (the SCP-style oblivious store) --")
-	oram, err := pir.NewSqrtORAM(pagefile.SlicePages("F", demoPageSize, data), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	demo("SqrtORAM", oram)
-	touches := oram.Log().Touches
-	fmt.Printf("   server saw %d physical touches; last five:", len(touches))
-	for _, t := range touches[max(0, len(touches)-5):] {
-		fmt.Printf(" %s[%d]", t.Area, t.Pos)
-	}
-	fmt.Println("\n   (positions are fresh-random whatever the logical pattern)")
+	fmt.Println("-- Plain (no privacy: what the paper's SCP hides, costmodel prices) --")
+	demo("Plain", pir.NewPlain(pagefile.SlicePages("F", demoPageSize, data)))
+	fmt.Printf("   server saw: page 1, then page %d — the request itself\n", demoPageCount-1)
 
 	fmt.Println("\n-- two-server XOR PIR (information-theoretic) --")
 	x, err := pir.NewXORPIR(pagefile.SlicePages("F", demoPageSize, data))
@@ -65,7 +56,9 @@ func main() {
 		log.Fatal(err)
 	}
 	demo("XORPIR", x)
-	fmt.Printf("   each server saw a uniformly random subset of %d pages\n", demoPageCount)
+	selA, selB := x.LastQueries()
+	fmt.Printf("   server A saw subset %08b\n   server B saw subset %08b\n", selA, selB)
+	fmt.Printf("   (each is a uniformly random subset of the %d pages; they differ in one bit)\n", demoPageCount)
 	fmt.Println("   (run with -fleet to split the two servers into two real processes)")
 
 	// Batched reads take the query's context: the serving layer checks it
@@ -78,19 +71,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("   batched pir.ReadBatch(ctx, x, [2 5 11]) returned %d pages, first %q\n", len(batch), trim(batch[0]))
-
-	fmt.Println("\n-- Kushilevitz–Ostrovsky PIR (quadratic residuosity, math/big) --")
-	small := make([][]byte, 4)
-	for i := range small {
-		small[i] = []byte(fmt.Sprintf("ko%02d", i))
-	}
-	ko, err := pir.NewKOPIR(pagefile.SlicePages("F", 4, small), 256)
-	if err != nil {
-		log.Fatal(err)
-	}
-	demo("KOPIR", ko)
-	fmt.Println("   (bit-by-bit retrieval: cryptographically private, far too slow")
-	fmt.Println("    for 4 KB pages — exactly why the paper uses hardware-aided PIR)")
 }
 
 // demo reads two pages through the Store interface and times it.
@@ -112,11 +92,4 @@ func trim(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/fleet"
+	"repro/internal/lbs"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -61,7 +62,7 @@ func TestFailover(t *testing.T) {
 
 	// Replica B is managed by hand — it dies and is reborn mid-test.
 	newB := func(addr string) (*server.Server, string) {
-		s := server.New(server.Options{Workers: 4, ReplicaRole: true, Stores: pirXORStores})
+		s := server.New(server.Options{Workers: 4, ReplicaRole: true, Stores: lbs.XORStores})
 		if err := s.Host("RAW", db, costmodel.Default()); err != nil {
 			t.Fatal(err)
 		}

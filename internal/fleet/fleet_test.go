@@ -52,10 +52,6 @@ type capture struct {
 	stores []*pir.XORPIR
 }
 
-// pirXORStores is the two-server XOR PIR store factory the replica
-// daemons in these tests run with.
-func pirXORStores(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) }
-
 func (c *capture) factory(r pagefile.Reader) (pir.Store, error) {
 	x, err := pir.NewXORPIR(r)
 	if err != nil {
@@ -77,7 +73,7 @@ func startDaemon(t testing.TB, name string, db *lbs.Database, replica, xor bool,
 	if cap != nil {
 		opts.Stores = cap.factory
 	} else if xor {
-		opts.Stores = pirXORStores
+		opts.Stores = lbs.XORStores
 	}
 	srv := server.New(opts)
 	if err := srv.Host(name, db, costmodel.Default()); err != nil {

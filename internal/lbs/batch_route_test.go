@@ -37,8 +37,7 @@ func (c *countingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]
 // and the allocating ReadPages return the same, correct bytes. A scan store
 // must receive its entire batch in ONE pass however many pool workers are
 // free — splitting would multiply full-file scans — while any other store's
-// batch fans out across the workers, the single-structure ORAMs included
-// (they serialize on their own lock).
+// batch fans out across the workers.
 func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 	const pagesN, pageSize = 24, 32
 	f := pagefile.NewFile("F", pageSize)
@@ -62,10 +61,7 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 		{"plain one page", PlainStores, 4, batch8[:1], 1, 0, 1, 1},
 		{"plain batch", PlainStores, 4, batch8, 0, 1, 4, 2},
 		{"plain batch one worker", PlainStores, 1, batch8, 1, 0, 1, 8},
-		{"sharded batch", ShardedORAMStores(4, 3), 4, batch8, 0, 1, 4, 2},
-		{"oram one page", ORAMStores(5), 4, batch8[:1], 1, 0, 1, 1},
-		{"oram batch", ORAMStores(5), 4, batch8, 0, 1, 4, 2},
-		{"pyramid batch", PyramidStores(), 3, batch8, 0, 1, 3, 3},
+		{"plain batch three workers", PlainStores, 3, batch8, 0, 1, 3, 3},
 		{"xorpir one page", nil, 4, batch8[:1], 1, 0, 1, 1},
 		{"xorpir batch", nil, 4, batch8, 1, 0, 1, 8},
 		{"xorpir batch one worker", nil, 1, batch8, 1, 0, 1, 8},
@@ -139,5 +135,79 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 				t.Error("unknown file accepted")
 			}
 		})
+	}
+}
+
+// TestAnswerSharesValidation is the share path's argument table: whatever a
+// replica is sent, AnswerShares answers with the selected pages' XOR or an
+// error — a hostile frame must never reach the kernel and panic there.
+func TestAnswerSharesValidation(t *testing.T) {
+	const pagesN, pageSize = 24, 32
+	f := pagefile.NewFile("F", pageSize)
+	for i := 0; i < pagesN; i++ {
+		f.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
+	}
+	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
+	plain, err := NewServer(db, costmodel.Default(), PlainStores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xor, err := NewServer(db, costmodel.Default(), XORStores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.ShareCapable() || !xor.ShareCapable() {
+		t.Fatalf("ShareCapable: plain %v, xorpir %v", plain.ShareCapable(), xor.ShareCapable())
+	}
+
+	const selBytes = (pagesN + 7) / 8
+	sel := func(n int, pages ...int) []byte {
+		s := make([]byte, n)
+		for _, p := range pages {
+			s[p/8] |= 1 << (p % 8)
+		}
+		return s
+	}
+	bufs := func(sizes ...int) [][]byte {
+		dst := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			dst[i] = make([]byte, n)
+		}
+		return dst
+	}
+	for _, tc := range []struct {
+		name string
+		srv  *Server
+		file string
+		sels [][]byte
+		dst  [][]byte
+		ok   bool
+	}{
+		{"two selectors", xor, "F", [][]byte{sel(selBytes, 2), sel(selBytes, 0, 23)}, bufs(pageSize, pageSize), true},
+		{"roomy buffer", xor, "F", [][]byte{sel(selBytes, 2)}, bufs(pageSize + 8), true},
+		{"empty batch", xor, "F", nil, nil, true},
+		{"unknown file", xor, "nope", [][]byte{sel(selBytes, 2)}, bufs(pageSize), false},
+		{"non-share store", plain, "F", [][]byte{sel(selBytes, 2)}, bufs(pageSize), false},
+		{"too few buffers", xor, "F", [][]byte{sel(selBytes, 2), sel(selBytes, 3)}, bufs(pageSize), false},
+		{"too many buffers", xor, "F", [][]byte{sel(selBytes, 2)}, bufs(pageSize, pageSize), false},
+		{"short selector", xor, "F", [][]byte{sel(selBytes-1, 2)}, bufs(pageSize), false},
+		{"long selector", xor, "F", [][]byte{sel(selBytes+1, 2)}, bufs(pageSize), false},
+		{"short buffer", xor, "F", [][]byte{sel(selBytes, 2), sel(selBytes, 3)}, bufs(pageSize, pageSize-1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.srv.AnswerShares(context.Background(), tc.file, tc.sels, tc.dst)
+			if (err == nil) != tc.ok {
+				t.Fatalf("err = %v, want ok=%v", err, tc.ok)
+			}
+		})
+	}
+
+	// An accepted batch carries the XOR of the selected pages.
+	dst := bufs(pageSize)
+	if err := xor.AnswerShares(context.Background(), "F", [][]byte{sel(selBytes, 0, 23)}, dst); err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Repeat([]byte{1 ^ 24}, pageSize); !bytes.Equal(dst[0], want) {
+		t.Fatalf("share answer %x, want %x", dst[0][:4], want[:4])
 	}
 }

@@ -139,11 +139,11 @@ type Service interface {
 	Connect(ctx context.Context) *Conn
 }
 
-// StoreFactory turns a page file into a PIR store. The default uses
-// pir.Plain (the experiments simulate PIR timing analytically, like the
-// paper); demos can plug pir.NewSqrtORAM to run real oblivious storage.
-// The factory receives the Reader, not a concrete file, so the same store
-// construction serves in-memory builds and disk-backed containers.
+// StoreFactory turns a page file into a PIR store. The default, PlainStores,
+// simulates PIR timing analytically, like the paper; XORStores serves real
+// two-server PIR (privspd -pir xorpir). The factory receives the Reader, not
+// a concrete file, so the same store construction serves in-memory builds
+// and disk-backed containers.
 type StoreFactory func(pagefile.Reader) (pir.Store, error)
 
 // PlainStores is the default StoreFactory: reads delegate straight to the
@@ -153,32 +153,11 @@ func PlainStores(f pagefile.Reader) (pir.Store, error) {
 	return pir.NewPlain(f), nil
 }
 
-// ORAMStores returns a StoreFactory backing each file with a real
-// square-root ORAM (slower; for demos and end-to-end obliviousness tests).
-func ORAMStores(seed int64) StoreFactory {
-	return func(f pagefile.Reader) (pir.Store, error) {
-		return pir.NewSqrtORAM(f, seed)
-	}
-}
-
-// PyramidStores returns a StoreFactory backing each file with the
-// hierarchical pyramid ORAM — the closest functional model of the
-// Williams–Sion protocol the paper deploys on the SCP.
-func PyramidStores() StoreFactory {
-	return func(f pagefile.Reader) (pir.Store, error) {
-		return pir.NewPyramidORAM(f)
-	}
-}
-
-// ShardedORAMStores returns a StoreFactory backing each file with a
-// K-sharded square-root ORAM: real oblivious storage whose batched reads
-// parallelize across shards (see pir.ShardedORAM for the privacy dial).
-// Pass seed 0 in production — shuffle seeds then come from crypto/rand; a
-// non-zero seed makes the permutations reproducible, for tests only.
-func ShardedORAMStores(shards int, seed int64) StoreFactory {
-	return func(f pagefile.Reader) (pir.Store, error) {
-		return pir.NewShardedORAM(f, shards, seed)
-	}
+// XORStores backs each file with Chor et al.'s two-server XOR PIR: the file
+// is flattened into RAM and every read scans all of it. The store answers
+// whole reads in-process and selector shares as a fleet replica.
+func XORStores(f pagefile.Reader) (pir.Store, error) {
+	return pir.NewXORPIR(f)
 }
 
 // Server hosts one database behind a PIR interface. Every store pass goes
@@ -376,14 +355,8 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	if !ok {
 		return fmt.Errorf("lbs: no such file %q", file)
 	}
-	if len(dst) != len(pages) {
-		return fmt.Errorf("lbs: PIR fetch %s: %d buffers for %d pages", file, len(dst), len(pages))
-	}
-	ps := hs.store.PageSize()
-	for i, buf := range dst {
-		if len(buf) < ps {
-			return fmt.Errorf("lbs: PIR fetch %s: buffer %d holds %d bytes, page size %d", file, i, len(buf), ps)
-		}
+	if err := checkBuffers("PIR fetch", file, len(pages), dst, hs.store.PageSize()); err != nil {
+		return err
 	}
 	if hs.sched != nil {
 		s.routeWhole.Inc()
@@ -419,8 +392,8 @@ func (s *Server) ShareCapable() bool {
 // the replica half of two-server fleet mode — the store never reconstructs
 // a page. The whole batch rides one scan (k accumulators), entering the
 // worker pool like any other pass over a scan store (see beginScan).
-// Selector lengths are validated against the store before any slot is
-// taken, so hostile lengths fail fast.
+// Buffer sizes and selector lengths are validated against the store before
+// any slot is taken, so hostile lengths fail fast.
 func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, dst [][]byte) error {
 	hs, ok := s.stores[file]
 	if !ok {
@@ -429,8 +402,8 @@ func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, d
 	if hs.shares == nil {
 		return fmt.Errorf("lbs: file %q cannot answer selector shares (store is not two-server PIR)", file)
 	}
-	if len(dst) != len(sels) {
-		return fmt.Errorf("lbs: share fetch %s: %d buffers for %d selectors", file, len(dst), len(sels))
+	if err := checkBuffers("share fetch", file, len(sels), dst, hs.store.PageSize()); err != nil {
+		return err
 	}
 	nb := hs.shares.SelectorBytes()
 	for i, sel := range sels {
@@ -462,6 +435,20 @@ func (s *Server) beginScan(ctx context.Context, hs *hostedStore) error {
 		s.scanRoutePar.Inc()
 	} else {
 		s.scanRouteSer.Inc()
+	}
+	return nil
+}
+
+// checkBuffers is the reply-buffer check every fetch opens with: one buffer
+// per requested answer, each able to hold a page.
+func checkBuffers(op, file string, want int, dst [][]byte, pageSize int) error {
+	if len(dst) != want {
+		return fmt.Errorf("lbs: %s %s: %d buffers for %d answers", op, file, len(dst), want)
+	}
+	for i, buf := range dst {
+		if len(buf) < pageSize {
+			return fmt.Errorf("lbs: %s %s: buffer %d holds %d bytes, page size %d", op, file, i, len(buf), pageSize)
+		}
 	}
 	return nil
 }

@@ -188,8 +188,8 @@ func TestFetchErrors(t *testing.T) {
 }
 
 // TestParallelReadPages drives the worker-pool fan-out: batches over a
-// splittable store split across workers and reassemble in order, for every worker
-// count and store flavour, under concurrent connections.
+// splittable store split across workers and reassemble in order, for every
+// worker count, under concurrent connections.
 func TestParallelReadPages(t *testing.T) {
 	const pagesN = 40
 	f := pagefile.NewFile("Fbig", 64)
@@ -201,8 +201,8 @@ func TestParallelReadPages(t *testing.T) {
 	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
 
 	factories := map[string]StoreFactory{
-		"plain":   nil,
-		"sharded": ShardedORAMStores(4, 7),
+		"plain":  nil,
+		"xorpir": XORStores,
 	}
 	for fname, factory := range factories {
 		for _, workers := range []int{1, 3, 8} {
@@ -242,71 +242,6 @@ func TestParallelReadPages(t *testing.T) {
 			if _, err := srv.ReadPages(context.Background(), "Fbig", []int{pagesN}); err == nil {
 				t.Errorf("%s/w=%d: out-of-range batch accepted", fname, workers)
 			}
-		}
-	}
-}
-
-// TestSerialStoresServeConcurrently: a single stateful ORAM serializes its
-// reads on its own lock, so concurrent connections still get correct pages
-// (the race detector guards the rest).
-func TestSerialStoresServeConcurrently(t *testing.T) {
-	db := sampleDB(t)
-	srv, err := NewServer(db, costmodel.Default(), ORAMStores(1), WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < 6; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				p := (c + i) % 4
-				got, err := srv.ReadPages(context.Background(), "Fa", []int{p})
-				if err != nil {
-					t.Errorf("conn %d: %v", c, err)
-					return
-				}
-				if got[0][0] != byte(p) {
-					t.Errorf("conn %d: page %d wrong content", c, p)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-}
-
-func TestORAMStoresServeCorrectly(t *testing.T) {
-	db := sampleDB(t)
-	srv, err := NewServer(db, costmodel.Default(), ORAMStores(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := srv.Connect(context.Background())
-	page, err := fetchOne(conn, "Fb", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(page), "hello") {
-		t.Errorf("ORAM-backed fetch returned %q", page)
-	}
-}
-
-func TestPyramidStoresServeCorrectly(t *testing.T) {
-	db := sampleDB(t)
-	srv, err := NewServer(db, costmodel.Default(), PyramidStores())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := srv.Connect(context.Background())
-	for i := 0; i < 10; i++ {
-		page, err := fetchOne(conn, "Fa", i%4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if page[0] != byte(i%4) {
-			t.Fatalf("pyramid-backed fetch %d returned wrong page", i)
 		}
 	}
 }

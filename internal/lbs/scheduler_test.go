@@ -488,8 +488,7 @@ func TestSchedulerMetricsEndpointIndependent(t *testing.T) {
 		f.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
 	}
 	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
-	factory := func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) }
-	srv, err := NewServer(db, costmodel.Default(), factory, WithTelemetry(reg, "T"))
+	srv, err := NewServer(db, costmodel.Default(), XORStores, WithTelemetry(reg, "T"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,40 +14,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// scanWorkerGoroutines counts the pir scan workers alive in the process, by
-// the creation site every one of them carries (a worker that has not been
-// scheduled yet shows no frame of its own).
-func scanWorkerGoroutines() int {
+// pirGoroutines counts the goroutines alive in the process that internal/pir
+// started, by the creation site every one of them carries.
+func pirGoroutines() int {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return bytes.Count(buf[:n], []byte("created by repro/internal/pir.(*scanGroup).ensure"))
+			return bytes.Count(buf[:n], []byte("created by repro/internal/pir."))
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
 
-// settleScanWorkers collects until the worker count stops at or below want
-// (or the retries run out) and returns the last count.
-func settleScanWorkers(want int) int {
-	n := scanWorkerGoroutines()
-	for i := 0; i < 50 && n > want; i++ {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-		n = scanWorkerGoroutines()
-	}
-	return n
-}
-
-// TestDroppedServerReleasesScanWorkers: a server that has served a parallel
-// scan must not stay reachable from its own stores' parked scan workers.
-// With telemetry on, the segment observer lives in the store's worker group;
-// if it captures the server, the XORPIR cleanup never fires and arena plus
-// workers leak per hosted store.
+// TestDroppedServerReleasesScanWorkers: a store owns memory and nothing else.
+// The goroutines of a parallel pass are joined before the read returns (a
+// helper may still be unwinding past its last statement, hence the short
+// settle loop), and a server that was dropped after serving — telemetry
+// observer installed — is collectable together with its stores' arenas.
 func TestDroppedServerReleasesScanWorkers(t *testing.T) {
-	before := settleScanWorkers(0) // workers of stores earlier tests dropped
-
+	var collected atomic.Bool
 	func() {
 		const pages, pageSize = 256, 1024
 		f := pagefile.NewFile("F", pageSize)
@@ -54,7 +41,13 @@ func TestDroppedServerReleasesScanWorkers(t *testing.T) {
 			f.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
 		}
 		db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
-		factory := func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) }
+		factory := func(r pagefile.Reader) (pir.Store, error) {
+			x, err := pir.NewXORPIR(r)
+			if err == nil {
+				runtime.AddCleanup(x, func(c *atomic.Bool) { c.Store(true) }, &collected)
+			}
+			return x, err
+		}
 		srv, err := NewServer(db, costmodel.Default(), factory,
 			WithTelemetry(telemetry.NewRegistry(), "T"), WithWorkers(2), WithScanWorkers(2))
 		if err != nil {
@@ -70,13 +63,24 @@ func TestDroppedServerReleasesScanWorkers(t *testing.T) {
 		if got[0][0] != 4 || got[1][0] != 201 {
 			t.Fatalf("wrong pages: %x %x", got[0][0], got[1][0])
 		}
-		if n := scanWorkerGoroutines(); n <= before {
-			t.Fatalf("parallel scan started no worker goroutine (%d before, %d now)", before, n)
+		if srv.scanRoutePar.Value() == 0 {
+			t.Fatal("the read did not take the parallel kernel")
+		}
+		n := pirGoroutines()
+		for i := 0; i < 100 && n > 0; i++ {
+			time.Sleep(time.Millisecond)
+			n = pirGoroutines()
+		}
+		if n > 0 {
+			t.Fatalf("%d goroutines started by internal/pir outlive the read that started them", n)
 		}
 	}()
 
-	if after := settleScanWorkers(before); after > before {
-		t.Fatalf("%d scan workers still parked after the server was dropped (%d before it existed): "+
-			"the store is pinned by its own goroutines", after, before)
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("the dropped server's store was never collected: something still pins its arena")
 	}
 }

@@ -111,11 +111,8 @@ func (s *Server) initTelemetry() {
 			"scan-worker width per store pass (1 = serial kernel), resolved against the pool at host time",
 			func() float64 { return float64(width) }, dbl, fl)
 		if ps, ok := hs.store.(pir.ParallelScan); ok {
-			// The store's parked scan workers keep the observer reachable,
-			// so it must capture the histogram alone: a closure over s
-			// would pin the server — and through it every hosted store,
-			// arena and worker group — to the store's own goroutines, and
-			// the store's cleanup could never run.
+			// The store keeps the observer: hand it the histogram, not a
+			// closure over the server.
 			segments := s.scanSegment
 			ps.SetScanObserver(func(d time.Duration) { segments.Observe(int64(d)) })
 		}

@@ -59,43 +59,6 @@ func TestXORPIRBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestKOPIRBatchMatchesSequential: the row-sharing multi-query rounds must
-// decode to the exact page contents, including for odd page counts, pages
-// that are not a multiple of 8 bytes, and duplicate rows in one batch.
-func TestKOPIRBatchMatchesSequential(t *testing.T) {
-	for _, shape := range []struct{ n, ps int }{{5, 3}, {6, 4}, {3, 1}} {
-		pages := makePages(shape.n, shape.ps, int64(7*shape.n+shape.ps))
-		k, err := NewKOPIR(src(pages, shape.ps), 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := []int{shape.n - 1, 0, shape.n / 2, 0} // duplicate row 0
-		got, err := ReadBatch(context.Background(), k, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range batch {
-			if !bytes.Equal(got[i], pages[p]) {
-				t.Fatalf("%dx%d: batch answer %d (page %d) = %x, want %x",
-					shape.n, shape.ps, i, p, got[i], pages[p])
-			}
-		}
-		// The bit-by-bit reference read agrees with the row-sharing rounds.
-		for i, p := range batch {
-			single, err := k.readPage(p)
-			if err != nil || !bytes.Equal(single, got[i]) {
-				t.Fatalf("%dx%d: sequential read of page %d differs from its batch answer: %v", shape.n, shape.ps, p, err)
-			}
-		}
-		if empty, err := ReadBatch(context.Background(), k, nil); err != nil || len(empty) != 0 {
-			t.Fatalf("%dx%d: empty batch: %v, %d answers", shape.n, shape.ps, err, len(empty))
-		}
-		if err := k.ReadBatchInto(context.Background(), []int{0, 1}, [][]byte{make([]byte, shape.ps)}); err == nil {
-			t.Fatalf("mismatched buffer count accepted")
-		}
-	}
-}
-
 // chiSquaredBits returns the chi-squared statistic of per-bit set counts
 // against the fair-coin expectation over `trials` samples.
 func chiSquaredBits(counts []int, trials int) float64 {
@@ -226,7 +189,7 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(5))}
-	if bucketBits(k, n, x.a.arena.wpp) == 1 {
+	if bucketBits(k, n, x.arena.wpp) == 1 {
 		t.Fatal("geometry does not engage the bucketed fold")
 	}
 	batch := []int{0, 7, 7, 31, 64, 127, 90, 13}[:k]
@@ -280,7 +243,7 @@ func TestXORPIRAnswerSharesZeroAllocs(t *testing.T) {
 	}
 	for _, nw := range []int{1, 4} {
 		nw = x.SetScanWorkers(nw)
-		if bucketBits(k, n/nw, x.a.arena.wpp) == 1 {
+		if bucketBits(k, n/nw, x.arena.wpp) == 1 {
 			t.Fatalf("workers=%d: geometry does not engage the bucketed fold", nw)
 		}
 		answer() // warm: scratch pool, task pool, worker goroutines, tables

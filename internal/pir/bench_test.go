@@ -191,21 +191,6 @@ func BenchmarkScanParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkSqrtORAMRead(b *testing.B) {
-	pages := makePages(256, 4096, 1)
-	o, err := NewSqrtORAM(src(pages, 4096), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(o, i%256); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkXORPIRRead(b *testing.B) {
 	pages := makePages(256, 4096, 2)
 	x, err := NewXORPIR(src(pages, 4096))
@@ -216,20 +201,6 @@ func BenchmarkXORPIRRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Read(x, i%256); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKOPIRReadBit(b *testing.B) {
-	pages := makePages(16, 1, 3)
-	k, err := NewKOPIR(src(pages, 1), 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.readBit(i%16, i%8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,30 +6,30 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestStoreInterfaceCompliance is the one table every store is held to: what
 // Store.ReadBatchInto promises, checked the same way for each flavour.
 func TestStoreInterfaceCompliance(t *testing.T) {
-	// KOPIR retrieves bit by bit, so the shared geometry is small.
 	const n, ps = 8, 4
 	pages := makePages(n, ps, 12)
 
+	xorpir := func(width int) func() (Store, error) {
+		return func() (Store, error) {
+			x, err := NewXORPIR(src(pages, ps))
+			if err == nil && x.SetScanWorkers(width) != width {
+				err = errors.New("scan width not honoured")
+			}
+			return x, err
+		}
+	}
 	stores := []struct {
 		name string
 		new  func() (Store, error)
-		// lock is the serial stores' lock, for the cancel-while-held check.
-		lock func(Store) serialLock
 	}{
 		{name: "Plain", new: func() (Store, error) { return NewPlain(src(pages, ps)), nil }},
-		{name: "XORPIR", new: func() (Store, error) { return NewXORPIR(src(pages, ps)) }},
-		{name: "KOPIR", new: func() (Store, error) { return NewKOPIR(src(pages, ps), 128) }},
-		{name: "SqrtORAM", new: func() (Store, error) { return NewSqrtORAM(src(pages, ps), 3) },
-			lock: func(s Store) serialLock { return s.(*SqrtORAM).lock }},
-		{name: "PyramidORAM", new: func() (Store, error) { return NewPyramidORAM(src(pages, ps)) },
-			lock: func(s Store) serialLock { return s.(*PyramidORAM).lock }},
-		{name: "ShardedORAM", new: func() (Store, error) { return NewShardedORAM(src(pages, ps), 3, 5) }},
+		{name: "XORPIR", new: xorpir(1)},
+		{name: "XORPIR_parallel", new: xorpir(3)},
 	}
 
 	const sentinel = 0xA5
@@ -100,26 +100,6 @@ func TestStoreInterfaceCompliance(t *testing.T) {
 			cancel()
 			if err := s.ReadBatchInto(dead, batch, buffers(len(batch))); !errors.Is(err, context.Canceled) {
 				t.Errorf("dead ctx: err = %v, want context.Canceled", err)
-			}
-
-			// A batch waiting for a serial store's lock gives up when its
-			// context dies, instead of blocking until the holder finishes.
-			if tc.lock != nil {
-				lock := tc.lock(s)
-				lock <- struct{}{}
-				ctx, cancel := context.WithCancel(context.Background())
-				waiter := make(chan error, 1)
-				go func() { waiter <- s.ReadBatchInto(ctx, batch, buffers(len(batch))) }()
-				cancel()
-				select {
-				case err := <-waiter:
-					if !errors.Is(err, context.Canceled) {
-						t.Errorf("waiting batch: err = %v, want context.Canceled", err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("cancelled batch still waiting on the serial lock")
-				}
-				<-lock
 			}
 
 			// Safe for concurrent use (the race detector guards the rest).

@@ -7,11 +7,10 @@ import (
 	"repro/internal/pagefile"
 )
 
-// This file is the word-wide XOR kernel shared by the linear-scan PIR
-// stores and the ORAM re-encryption paths. A PIR answer touches the whole
-// file by construction (§2.2), so the server's scan is the query; the unit
-// the kernel is costed in is the ROW-XOR — folding one page row (wpp words)
-// into another row.
+// This file is the word-wide XOR kernel of the linear-scan PIR store. A PIR
+// answer touches the whole file by construction (§2.2), so the server's scan
+// is the query; the unit the kernel is costed in is the ROW-XOR — folding one
+// page row (wpp words) into another row.
 //
 //   - wordArena flattens a page file into one contiguous []uint64, so a
 //     pass walks a single allocation in address order and XORs eight bytes
@@ -46,10 +45,6 @@ import (
 // the store. The table is scratch owned by one scan worker (see parallel.go)
 // and never leaves the store, so the servers' views and the Theorem-1 traces
 // are those of the direct loop.
-//
-//   - xorBytes is the byte-slice face of the word-wide XOR, used by the
-//     sqrt-ORAM re-encryption path to fold plaintext into a materialized
-//     keystream (see SqrtORAM.encryptInto).
 
 // wordArena is a page file flattened into uint64 lanes: page i occupies
 // words [i*wpp, (i+1)*wpp). Pages whose byte size is not a multiple of 8
@@ -150,23 +145,6 @@ func xorWords(acc, src []uint64) {
 	}
 	for ; i < len(acc); i++ {
 		acc[i] ^= src[i]
-	}
-}
-
-// xorBytes folds src into dst word-wide, handling the unaligned tail
-// byte-wise. It is the byte-slice face of the kernel, for paths (reply
-// combination, ORAM scratch) that work on raw page buffers.
-func xorBytes(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("pir: xorBytes length mismatch")
-	}
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] ^= src[i]
 	}
 }
 

@@ -36,24 +36,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestXORBytesMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for size := 1; size <= 40; size++ {
-		a := make([]byte, size)
-		b := make([]byte, size)
-		rng.Read(a)
-		rng.Read(b)
-		want := make([]byte, size)
-		for i := range want {
-			want[i] = a[i] ^ b[i]
-		}
-		xorBytes(a, b)
-		if !bytes.Equal(a, want) {
-			t.Fatalf("size %d: xorBytes mismatch", size)
-		}
-	}
-}
-
 // TestWordKernelMatchesByteKernel checks the word-wide arena kernels —
 // single-selector answerOne and multi-selector single-scan answerAll —
 // against the byte-at-a-time reference implementation, across odd shapes.

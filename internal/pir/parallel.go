@@ -7,35 +7,33 @@ import (
 	"time"
 )
 
-// This file parallelizes the full-file scan every SPC answer performs. The
-// word-wide kernel of kernel.go already runs one scan at memory speed on one
-// core; on a multi-core server that leaves most of the machine's memory
+// This file parallelizes the full-file scan every XOR-PIR answer performs.
+// The word-wide kernel of kernel.go already runs one scan at memory speed on
+// one core; on a multi-core server that leaves most of the machine's memory
 // bandwidth idle while a scan is the unit of serving capacity. The scan is a
-// data-independent fold (XOR over a contiguous arena, or per-row modular
-// products for KOPIR), so it partitions cleanly:
+// data-independent fold (XOR over a contiguous arena), so it partitions
+// cleanly:
 //
 //   - The arena is cut into contiguous page-aligned chunks of minSegWords
-//     that the workers claim from one atomic counter (KOPIR: one fixed
-//     column range per worker), so an arena pass divides by how fast each
-//     core is actually running and not into fixed halves: a worker that
-//     wakes late, or whose core is taken away for a moment, wins fewer
-//     chunks instead of holding the pass up. Chunk boundaries fall on
-//     page-row boundaries — at least a full page apart — so readers never
-//     contend, and every write goes to a worker-private accumulator block,
-//     never a shared cache line.
+//     that the workers claim from one atomic counter, so an arena pass
+//     divides by how fast each core is actually running and not into fixed
+//     halves: a worker that starts late, or whose core is taken away for a
+//     moment, wins fewer chunks instead of holding the pass up. Chunk
+//     boundaries fall on page-row boundaries — at least a full page apart —
+//     so readers never contend, and every write goes to a worker-private
+//     accumulator block, never a shared cache line.
 //   - Each worker folds the chunks it wins into its own k per-query partial
 //     accumulators (pooled with the task), through ONE bucket table of its
 //     own for the whole pass when the row-XOR count model of kernel.go says
 //     a table pays over a worker's share, and a final XOR pass combines the
 //     partials. XOR is associative and commutative, so the parallel answer
 //     is byte-identical to the serial one whoever folded what.
-//   - Workers are a persistent per-store group: goroutines start lazily on
-//     the first parallel scan, park on a shared task channel between scans,
-//     and exit when the owning store is garbage collected. The submitting
-//     goroutine always works too (claiming segments from the same atomic
-//     counter), so a scan never waits on a parked worker to wake before
-//     making progress, and a fully contended group degrades to the serial
-//     kernel instead of deadlocking.
+//   - A pass of width nw is nw slots: the submitting goroutine runs slot 0
+//     and starts nw-1 goroutines for the rest, a sync.WaitGroup joins them,
+//     and the partials are combined. No goroutine outlives the pass that
+//     started it, so a store owns nothing but memory; and because the
+//     submitter claims chunks from the same counter as its helpers, a pass on
+//     a fully contended machine degrades to the serial kernel.
 //
 // Obliviousness is untouched: parallelism changes which core XORs which
 // words, never which pages a scan touches (all of them, §2.2) or how
@@ -48,72 +46,49 @@ import (
 // overrides the floor (the serving layer and the tests know better).
 const minSegWords = 1 << 16
 
-// segJobQueue is the task channel capacity. Sends are non-blocking — a full
-// queue just means the submitter claims more segments itself — so the
-// capacity only bounds how many concurrent scans can park helper requests.
-const segJobQueue = 32
-
 // ParallelScan is the optional configuration face of a store whose
-// full-file scan can fan out across a worker group. The serving layer
+// full-file scan can fan out across several workers. The serving layer
 // (lbs.Server) resolves the deployment's scan-worker setting against its
 // pool size and applies it here at host time; n is a target, and the
 // returned effective count is what one scan will actually use (capped so
 // every worker has at least one unit of work). Configuration is not
 // synchronized with in-flight reads: call before serving, as lbs does.
 type ParallelScan interface {
-	// SetScanWorkers sets the worker-group width. n <= 0 restores the
+	// SetScanWorkers sets the scan width. n <= 0 restores the
 	// GOMAXPROCS-and-size-aware default; n == 1 forces the serial kernel;
 	// n > 1 is capped only by the store's segmentable units. Returns the
 	// effective width.
 	SetScanWorkers(n int) int
-	// ScanWorkers returns the effective worker-group width (1 = serial).
+	// ScanWorkers returns the effective scan width (1 = serial).
 	ScanWorkers() int
 	// SetScanObserver installs fn to receive the wall-clock duration of
-	// every segment folded by a parallel scan (nil removes it). The
-	// observation count per scan equals ScanWorkers() — a function of
-	// configuration, never of page contents.
+	// every slot of a parallel scan (nil removes it). The observation count
+	// per scan equals ScanWorkers() — a function of configuration, never of
+	// page contents.
 	SetScanObserver(fn func(segment time.Duration))
 }
 
-// scanGroup is the persistent worker group embedded in parallel-capable
-// stores. It resolves the configured width against the store's geometry and
-// runs segTasks across lazily started goroutines.
+// scanGroup is the scan-width configuration embedded in a parallel-capable
+// store: it resolves the configured width against the store's geometry and
+// runs a pass at that width.
 type scanGroup struct {
 	defaultN int // resolved GOMAXPROCS/size-aware default width
-	maxUnits int // hard cap: the most segments a scan of this store has
+	maxUnits int // hard cap: the most slots a scan of this store can feed
 
 	workers  atomic.Int32
 	observer atomic.Pointer[func(time.Duration)]
-
-	jobs chan *segTask
-	stop chan struct{}
-
-	mu      sync.Mutex
-	started atomic.Int32
 }
 
-// newScanGroup builds a group for a store with maxUnits segmentable units
-// (pages for the arena stores, byte columns for KOPIR) and the given
-// default width; the effective width starts at the default. The returned
-// group must be bound to its owning store with bindCleanup so the parked
-// workers exit when the store is collected.
+// newScanGroup builds the configuration of a store with maxUnits
+// segmentable units (pages) and the given default width; the effective width
+// starts at the default.
 func newScanGroup(defaultN, maxUnits int) *scanGroup {
 	g := &scanGroup{
 		defaultN: clampWorkers(defaultN, maxUnits),
 		maxUnits: maxUnits,
-		jobs:     make(chan *segTask, segJobQueue),
-		stop:     make(chan struct{}),
 	}
 	g.workers.Store(int32(g.defaultN))
 	return g
-}
-
-// bindCleanup ties the group's worker lifetime to owner: when the store
-// becomes unreachable, the stop channel closes and parked workers exit.
-// The cleanup closure must not capture the group (that would keep the owner
-// alive forever), so it receives the channel as the cleanup argument.
-func bindCleanup[T any](owner *T, g *scanGroup) {
-	runtime.AddCleanup(owner, func(stop chan struct{}) { close(stop) }, g.stop)
 }
 
 // defaultArenaWorkers sizes the default width for a word-arena store:
@@ -159,125 +134,6 @@ func (g *scanGroup) SetScanObserver(fn func(time.Duration)) {
 	g.observer.Store(&fn)
 }
 
-// segTask is one scan's fan-out state, embedded in a store-specific task
-// struct. run is bound once (a method value on the enclosing task), so
-// dispatching a pooled task allocates nothing.
-type segTask struct {
-	run     func(seg int)
-	release func() // invoked by the last reference holder; may be nil
-
-	nseg    int32
-	next    atomic.Int32
-	refs    atomic.Int32
-	wg      sync.WaitGroup
-	observe func(time.Duration)
-}
-
-// exec runs t's nseg segments across the group and the calling goroutine,
-// returning once every segment has been folded. The caller may read the
-// task's results after exec and must call t.deref() when done with them:
-// copies of the task may still sit in the job queue, and the backing
-// buffers are recycled only when the last reference drops.
-func (g *scanGroup) exec(t *segTask) {
-	t.next.Store(0)
-	t.refs.Store(1)
-	t.wg.Add(int(t.nseg))
-	if p := g.observer.Load(); p != nil {
-		t.observe = *p
-	} else {
-		t.observe = nil
-	}
-	// One helper per segment beyond the submitter's own. Sends never
-	// block: a full queue (or a helper that hasn't parked yet) just means
-	// the submitter claims those segments itself.
-	helpers := int(t.nseg) - 1
-	g.ensure(helpers)
-	for i := 0; i < helpers; i++ {
-		t.refs.Add(1)
-		select {
-		case g.jobs <- t:
-		case <-g.stop:
-			t.refs.Add(-1)
-		default:
-			t.refs.Add(-1)
-		}
-	}
-	t.claimLoop()
-	t.wg.Wait()
-	// Reclaim helper copies that were never delivered (the queue drains
-	// into this goroutine; a copy of ANOTHER task found on the way is
-	// simply executed — work stealing between concurrent scans). Leaving
-	// here with refs == 1 means the submitter's deref is always the last:
-	// pooled buffers return on the submitting goroutine, and no stale copy
-	// outlives the scan.
-	for t.refs.Load() > 1 {
-		select {
-		case st := <-g.jobs:
-			st.claimLoop()
-			st.deref()
-		default:
-			runtime.Gosched()
-		}
-	}
-}
-
-// claimLoop folds segments until none remain, timing each fold for the
-// observer. Claims are a single atomic add, so work balances across however
-// many participants actually showed up.
-func (t *segTask) claimLoop() {
-	for {
-		seg := t.next.Add(1) - 1
-		if seg >= t.nseg {
-			return
-		}
-		if t.observe != nil {
-			start := time.Now()
-			t.run(int(seg))
-			t.observe(time.Since(start))
-		} else {
-			t.run(int(seg))
-		}
-		t.wg.Done()
-	}
-}
-
-// deref drops one reference; the last holder releases the task back to its
-// store's pool.
-func (t *segTask) deref() {
-	if t.refs.Add(-1) == 0 && t.release != nil {
-		t.release()
-	}
-}
-
-// ensure lazily starts parked worker goroutines, up to n beyond those
-// already running. Workers are shared by every scan against the store and
-// exit when the store is collected (bindCleanup).
-func (g *scanGroup) ensure(n int) {
-	if n <= 0 || int(g.started.Load()) >= n {
-		return
-	}
-	g.mu.Lock()
-	for int(g.started.Load()) < n {
-		g.started.Add(1)
-		go g.worker()
-	}
-	g.mu.Unlock()
-}
-
-// worker parks on the job queue, folds segments of whatever task arrives,
-// and exits when the owning store is collected.
-func (g *scanGroup) worker() {
-	for {
-		select {
-		case t := <-g.jobs:
-			t.claimLoop()
-			t.deref()
-		case <-g.stop:
-			return
-		}
-	}
-}
-
 // arenaScratch is the reusable working memory of one arena store: pooled
 // scan tasks, and the bucket tables the kernel folds through.
 type arenaScratch struct {
@@ -320,14 +176,15 @@ func (l tableList) giveBack(t []uint64) {
 	}
 }
 
-// newArenaScratch builds the per-store scratch; the run/release method
-// values are bound once per task, so steady-state scans allocate nothing.
+// newArenaScratch builds the per-store scratch. A task's helper body is a
+// method value bound once here, because `go t.help()` on the pooled task
+// starts a goroutine without allocating where `go t.runHelper()` would
+// allocate a closure per helper.
 func newArenaScratch() *arenaScratch {
 	sc := &arenaScratch{tables: make(tableList, tableListCap)}
 	sc.tasks.New = func() any {
 		t := &arenaTask{scratch: sc}
-		t.seg.run = t.runSegment
-		t.seg.release = t.releaseTask
+		t.help = t.runHelper
 		return t
 	}
 	return sc
@@ -335,13 +192,12 @@ func newArenaScratch() *arenaScratch {
 
 // arenaTask is a parallel answerAll over a word arena. The pass is cut into
 // chunks of `step` pages that the participants claim from one atomic counter
-// (see the file header for why), and the segTask's nw segments are the
-// participants' slots: segment seg folds every chunk it wins into its own
-// accumulator block, through ONE bucket table it borrows for the pass and
-// reduces once at the end. Slot 0 writes the caller's accumulators directly;
-// slots 1..nw-1 write pooled partials that the submitter combines afterwards.
+// (see the file header for why), and its nw slots are the participants: slot
+// seg folds every chunk it wins into its own accumulator block, through ONE
+// bucket table it borrows for the pass and reduces once at the end. Slot 0
+// (the submitter) writes the caller's accumulators directly; slots 1..nw-1
+// (the helpers) write pooled partials that the submitter combines afterwards.
 type arenaTask struct {
-	seg     segTask
 	scratch *arenaScratch
 	arena   *wordArena
 	sels    [][]byte
@@ -352,6 +208,11 @@ type arenaTask struct {
 	step    int // pages per chunk
 	nchunks int32
 	next    atomic.Int32 // next unclaimed chunk
+
+	help    func()       // runHelper, bound once (see newArenaScratch)
+	slot    atomic.Int32 // last slot a helper took
+	wg      sync.WaitGroup
+	observe func(time.Duration)
 
 	partbuf []uint64
 	parts   [][]uint64
@@ -367,8 +228,8 @@ func chunkPages(a *wordArena, nw int) int {
 }
 
 // runSegment is one participant's share of the pass: it claims chunks until
-// none remain. A slot that finds none left (its helper never woke, and the
-// others finished the pass) leaves zeroed partials behind.
+// none remain. A slot that finds none left (its helper was scheduled after
+// the others finished the pass) leaves zeroed partials behind.
 func (t *arenaTask) runSegment(seg int) {
 	accs := t.accs
 	if seg > 0 {
@@ -402,25 +263,46 @@ func (t *arenaTask) runSegment(seg int) {
 	}
 }
 
-// releaseTask drops the slice references (the selectors and accumulators
-// belong to the caller's scratch) and recycles the task. Only the last
-// reference holder runs this, after every segment claim has failed, so no
-// goroutine can still be reading the fields.
-func (t *arenaTask) releaseTask() {
-	t.arena, t.sels, t.accs = nil, nil, nil
-	t.parts = t.parts[:0]
-	t.scratch.tasks.Put(t)
+// runSlot is runSegment, timed for the observer: exactly one observation per
+// slot, so nw per pass.
+func (t *arenaTask) runSlot(seg int) {
+	if t.observe == nil {
+		t.runSegment(seg)
+		return
+	}
+	start := time.Now()
+	t.runSegment(seg)
+	t.observe(time.Since(start))
+}
+
+// runHelper is the body of each goroutine a pass starts: take the next free
+// slot, run it, report in.
+func (t *arenaTask) runHelper() {
+	t.runSlot(int(t.slot.Add(1)))
+	t.wg.Done()
 }
 
 // answerAllParallel answers k selectors with nw workers in one chunked
 // pass over the arena, leaving the combined answers in accs (caller-zeroed,
-// like answerAll). Byte-identical to answerAll.
+// like answerAll). Byte-identical to answerAll. Every goroutine it starts
+// is done with the task before it returns, so the task is recycled right
+// here, minus its references to the caller's selectors and accumulators.
 func (g *scanGroup) answerAllParallel(sc *arenaScratch, a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
 	t := sc.tasks.Get().(*arenaTask)
 	t.prepare(a, sels, accs, nw)
-	g.exec(&t.seg)
+	t.observe = nil
+	if p := g.observer.Load(); p != nil {
+		t.observe = *p
+	}
+	t.wg.Add(nw - 1)
+	for i := 1; i < nw; i++ {
+		go t.help()
+	}
+	t.runSlot(0)
+	t.wg.Wait()
 	t.combine()
-	t.seg.deref()
+	t.arena, t.sels, t.accs, t.observe = nil, nil, nil, nil
+	sc.tasks.Put(t)
 }
 
 // prepare points the task at one pass: the chunking, the group size every
@@ -433,6 +315,7 @@ func (t *arenaTask) prepare(a *wordArena, sels [][]byte, accs [][]uint64, nw int
 	t.step = chunkPages(a, nw)
 	t.nchunks = int32((a.numPages + t.step - 1) / t.step)
 	t.next.Store(0)
+	t.slot.Store(0)
 	if need := (nw - 1) * k * a.wpp; cap(t.partbuf) < need {
 		t.partbuf = make([]uint64, need)
 	}
@@ -441,7 +324,6 @@ func (t *arenaTask) prepare(a *wordArena, sels [][]byte, accs [][]uint64, nw int
 	for off := 0; off < len(t.partbuf); off += a.wpp {
 		t.parts = append(t.parts, t.partbuf[off:off+a.wpp])
 	}
-	t.seg.nseg = int32(nw)
 }
 
 // combine folds every slot's partials into the caller's accumulators: one

@@ -104,58 +104,11 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 	}
 }
 
-// TestKOPIRParallelMatchesPages: the byte-column-partitioned KOPIR rounds
-// must decode the exact pages for every width (columns clamp the fan-out for
-// 1-byte pages).
-func TestKOPIRParallelMatchesPages(t *testing.T) {
-	for _, shape := range []struct{ n, ps int }{{5, 3}, {3, 1}, {4, 8}} {
-		pages := makePages(shape.n, shape.ps, int64(17*shape.n+shape.ps))
-		k, err := NewKOPIR(src(pages, shape.ps), 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := []int{shape.n - 1, 0, 0}
-		for _, nw := range []int{1, 2, 4} {
-			eff := k.SetScanWorkers(nw)
-			if eff > shape.ps {
-				t.Fatalf("%dx%d: width %d exceeds %d byte columns", shape.n, shape.ps, eff, shape.ps)
-			}
-			got, err := ReadBatch(context.Background(), k, batch)
-			if err != nil {
-				t.Fatalf("%dx%d nw=%d: %v", shape.n, shape.ps, nw, err)
-			}
-			for i, p := range batch {
-				if !bytes.Equal(got[i], pages[p]) {
-					t.Fatalf("%dx%d nw=%d: answer %d (page %d) = %x, want %x",
-						shape.n, shape.ps, nw, i, p, got[i], pages[p])
-				}
-			}
-		}
-	}
-}
-
-// TestKOPIRParallelHonorsContext: a cancelled context surfaces as the
-// context error even when segments are in flight across workers.
-func TestKOPIRParallelHonorsContext(t *testing.T) {
-	pages := makePages(4, 4, 3)
-	k, err := NewKOPIR(src(pages, 4), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.SetScanWorkers(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := k.ReadBatchInto(ctx, []int{1}, [][]byte{make([]byte, 4)}); err != context.Canceled {
-		t.Fatalf("cancelled parallel KOPIR batch returned %v, want context.Canceled", err)
-	}
-}
-
 // TestXORPIRParallelZeroAllocs pins the tentpole's allocation contract: the
 // parallel steady state allocates nothing, anywhere in the runtime (the pin
 // counts mallocs globally, so worker-goroutine allocations would fail it
-// too), per-segment bucket tables included. Requires the submitter-last
-// reclaim in scanGroup.exec: the pooled task must come home on the
-// submitting goroutine.
+// too), per-segment bucket tables included. Starting the helper goroutines
+// must be free too: they run a method value bound once on the pooled task.
 func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -168,7 +121,7 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
 	x.SetScanWorkers(4)
-	if bucketBits(k, n/4, x.a.arena.wpp) == 1 {
+	if bucketBits(k, n/4, x.arena.wpp) == 1 {
 		t.Fatal("segments too short to engage the bucketed fold")
 	}
 	batch := []int{0, 9, 9, 55, 128, 255, 77, 31}[:k]
@@ -182,7 +135,7 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read() // warm: scratch pool, task pool, worker goroutines, partials
+	read() // warm: scratch pool, task pool, partials
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 		t.Fatalf("steady-state parallel ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
 	}

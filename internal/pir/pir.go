@@ -1,32 +1,25 @@
-// Package pir provides the private information retrieval building blocks of
+// Package pir provides the private information retrieval building block of
 // §2.2 and §3.2. The paper's schemes treat PIR as a black box with one
 // operation — retrieve page i of file F without the server learning i — and
-// this package supplies that box behind one contract, Store, in independent
-// flavours:
+// this package supplies that box behind one contract, Store, in the two
+// flavours a daemon serves:
 //
-//   - SqrtORAM: a square-root ORAM (Goldreich) over AES-CTR-encrypted pages,
-//     the functional stand-in for the hardware-aided protocol of Williams &
-//     Sion [36] that the paper deploys on the IBM 4764 SCP. Its physical
-//     access pattern is provably independent of the logical one, which the
-//     tests verify empirically. PyramidORAM is the hierarchical construction
-//     of the same lineage; ShardedORAM stripes pages over independently
-//     locked SqrtORAMs.
+//   - Plain: no privacy, reads straight off the page source. The paper runs
+//     its PIR on an IBM 4764 SCP and simulates the timing; so does this repo
+//     (costmodel charges every Plain read the SCP's analytic cost), which is
+//     how the paper's tables are reproduced.
 //   - XORPIR: the classic two-server information-theoretic PIR of Chor,
-//     Goldreich, Kushilevitz & Sudan [4].
-//   - KOPIR: single-server computational PIR from the quadratic residuosity
-//     assumption (Kushilevitz–Ostrovsky), built on math/big.
-//   - Plain: no privacy, reads straight off the page source.
+//     Goldreich, Kushilevitz & Sudan [4] — the one real PIR protocol served,
+//     in one process (ReadBatchInto plays both servers) or split across two
+//     replica daemons (ShareAnswerer).
 //
-// A store may additionally show up to three optional faces, which the
-// serving layer (lbs.Server) probes once at host time: ParallelScan (the
-// store answers a whole batch in one pass over the file, optionally fanned
-// across a worker group — XORPIR and KOPIR; such batches are never split and
+// XORPIR additionally shows three optional faces, which the serving layer
+// (lbs.Server) probes once at host time: ParallelScan (the store answers a
+// whole batch in one pass over the file, optionally fanned across several
+// goroutines for the length of the pass; such batches are never split and
 // are merged across connections), ShareAnswerer (the replica half of
-// two-server fleet mode — XORPIR) and ScanStats (work accounting).
-//
-// Timing in the experiments comes from costmodel (the paper simulates the
-// SCP too); these implementations establish that the oblivious-retrieval
-// layer is real, not assumed.
+// two-server fleet mode) and ScanStats (work accounting, which Plain shows
+// too).
 package pir
 
 import (
@@ -44,13 +37,12 @@ import (
 // their own concurrency except through ParallelScan, whose worker width the
 // serving layer sets and charges against its pool (a parallel scan occupies
 // one slot per scan worker), so the per-database pool remains the single
-// knob bounding parallel work.
+// knob bounding parallel work; the goroutines of a parallel scan live for
+// that one pass.
 //
-// Plain, XORPIR and KOPIR read without touching mutable state (XORPIR's
-// test-visible last-query fields are mutex-guarded); ShardedORAM serializes
-// callers only on the shards they share; SqrtORAM and PyramidORAM are one
-// stateful structure each and serialize every batch on their own
-// cancellable lock (see serialLock).
+// Both stores read without touching mutable state: Plain's page source and
+// XORPIR's arena are immutable, and XORPIR's test-visible last-query and
+// share-log fields are mutex-guarded.
 type Store interface {
 	// NumPages returns the logical file length. Public information.
 	NumPages() int
@@ -127,66 +119,6 @@ func checkBatch(numPages int, pages []int, dst [][]byte) error {
 	return nil
 }
 
-// serialLock is the adapter the read-at-a-time ORAMs (SqrtORAM, PyramidORAM)
-// build ReadBatchInto from: one stateful structure admits exactly one read
-// at a time, so a batch takes the store's lock — a 1-slot channel, so
-// waiting for it is cancellable — and reads its pages one by one, checking
-// ctx between reads.
-type serialLock chan struct{}
-
-func newSerialLock() serialLock { return make(serialLock, 1) }
-
-// serialStore is what the adapter drives: read is one page retrieval, called
-// with the lock held and the index range-checked; it may return memory the
-// structure keeps using.
-type serialStore interface {
-	NumPages() int
-	PageSize() int
-	read(page int) ([]byte, error)
-}
-
-// readBatchInto reads every page of the batch under the lock, copying each
-// result into the caller's buffer while the lock is still held.
-func (l serialLock) readBatchInto(ctx context.Context, s serialStore, pages []int, dst [][]byte) error {
-	if err := checkBatch(s.NumPages(), pages, dst); err != nil {
-		return err
-	}
-	select {
-	case l <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-l }()
-	ps := s.PageSize()
-	for i, p := range pages {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		data, err := s.read(p)
-		if err != nil {
-			return err
-		}
-		copy(dst[i][:ps], data)
-	}
-	return nil
-}
-
-// materialize pulls every page of a source into memory. The cryptographic
-// stores need the full plaintext up front — the ORAMs to encrypt and permute
-// it, XOR/KO-PIR to answer queries that by construction touch every page —
-// so only Plain serves straight off the (possibly disk-backed) source.
-func materialize(src pagefile.Reader) ([][]byte, error) {
-	pages := make([][]byte, src.NumPages())
-	for i := range pages {
-		p, err := src.Page(i)
-		if err != nil {
-			return nil, err
-		}
-		pages[i] = p
-	}
-	return pages, nil
-}
-
 // Plain is a non-private Store: reads delegate directly to the underlying
 // page source (an in-memory build file or a disk-backed container file).
 // The obfuscation baseline and build-time verification use it; it also
@@ -213,11 +145,11 @@ func (p *Plain) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) er
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		p.recordScan(1, 1) // a plain read touches exactly the requested page
 		data, err := p.src.Page(pg)
 		if err != nil {
 			return err
 		}
+		p.recordScan(1, 1) // a plain read touches exactly the requested page
 		copy(dst[i][:ps], data)
 	}
 	return nil
@@ -233,13 +165,8 @@ func (p *Plain) PageSize() int { return p.src.PageSize() }
 var (
 	_ Store = (*Plain)(nil)
 	_ Store = (*XORPIR)(nil)
-	_ Store = (*KOPIR)(nil)
-	_ Store = (*ShardedORAM)(nil)
-	_ Store = (*SqrtORAM)(nil)
-	_ Store = (*PyramidORAM)(nil)
 
 	_ ParallelScan = (*XORPIR)(nil)
-	_ ParallelScan = (*KOPIR)(nil)
 
 	_ ShareAnswerer = (*XORPIR)(nil)
 )

@@ -2,6 +2,7 @@ package pir
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -40,134 +41,25 @@ func TestPlainStore(t *testing.T) {
 	if _, err := Read(s, -1); err == nil {
 		t.Error("negative read accepted")
 	}
-}
-
-func TestSqrtORAMCorrectness(t *testing.T) {
-	pages := makePages(30, 128, 2)
-	o, err := NewSqrtORAM(src(pages, 128), 7)
-	if err != nil {
-		t.Fatal(err)
+	if pages, scans := s.ScanStats(); pages != 1 || scans != 1 {
+		t.Errorf("ScanStats = %d pages, %d scans after one served read; want 1, 1", pages, scans)
 	}
-	rng := rand.New(rand.NewSource(3))
-	// Far more reads than the shelter size, forcing several reshuffles.
-	for i := 0; i < 200; i++ {
-		idx := rng.Intn(30)
-		got, err := Read(o, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pages[idx]) {
-			t.Fatalf("read %d of page %d: wrong content", i, idx)
-		}
+
+	// A read the source fails (EIO under -chaos) served nothing and counts
+	// as nothing.
+	broken := NewPlain(failingReader{src(pages, 64)})
+	if _, err := Read(broken, 3); err == nil {
+		t.Fatal("failed page read reported success")
+	}
+	if pages, scans := broken.ScanStats(); pages != 0 || scans != 0 {
+		t.Errorf("ScanStats = %d pages, %d scans after only a failed read; want 0, 0", pages, scans)
 	}
 }
 
-func TestSqrtORAMRepeatedSamePage(t *testing.T) {
-	pages := makePages(16, 32, 4)
-	o, err := NewSqrtORAM(src(pages, 32), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		got, err := Read(o, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pages[7]) {
-			t.Fatalf("repeat read %d wrong", i)
-		}
-	}
-}
+// failingReader is a page source whose every read fails.
+type failingReader struct{ pagefile.Reader }
 
-// mainTouchesPerEpoch extracts, per epoch (delimited by shelter size), the
-// main-area positions touched.
-func mainTouches(o *SqrtORAM) []int {
-	var out []int
-	for _, tch := range o.Log().Touches {
-		if tch.Area == "main" {
-			out = append(out, tch.Pos)
-		}
-	}
-	return out
-}
-
-// TestSqrtORAMObliviousness verifies the structural obliviousness property:
-// within one epoch, the main-area positions touched are all distinct
-// (never-revisit), and the physical trace shape (shelter scan + one main
-// touch per read) is identical for wildly different logical patterns.
-func TestSqrtORAMObliviousness(t *testing.T) {
-	const n, size = 25, 16
-	pages := makePages(n, size, 5)
-
-	runPattern := func(pattern []int, seed int64) ([]Touch, []int) {
-		o, err := NewSqrtORAM(src(pages, size), seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range pattern {
-			if _, err := Read(o, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return o.Log().Touches, mainTouches(o)
-	}
-
-	k := isqrt(n) // reads within a single epoch
-	same := make([]int, k)
-	for i := range same {
-		same[i] = 9
-	}
-	distinct := make([]int, k)
-	for i := range distinct {
-		distinct[i] = i
-	}
-
-	touchesSame, mainSame := runPattern(same, 11)
-	touchesDistinct, mainDistinct := runPattern(distinct, 11)
-
-	// Identical trace *shape*: same areas in the same order.
-	if len(touchesSame) != len(touchesDistinct) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(touchesSame), len(touchesDistinct))
-	}
-	for i := range touchesSame {
-		if touchesSame[i].Area != touchesDistinct[i].Area {
-			t.Fatalf("trace %d area differs: %q vs %q", i, touchesSame[i].Area, touchesDistinct[i].Area)
-		}
-	}
-	// Never-revisit: within the epoch all main positions are distinct, for
-	// both patterns — so repetition is not observable.
-	for name, m := range map[string][]int{"same": mainSame, "distinct": mainDistinct} {
-		seen := map[int]bool{}
-		for _, pos := range m {
-			if seen[pos] {
-				t.Fatalf("%s pattern revisited main slot %d", name, pos)
-			}
-			seen[pos] = true
-		}
-	}
-}
-
-func TestSqrtORAMTamperDetected(t *testing.T) {
-	pages := makePages(9, 32, 6)
-	o, err := NewSqrtORAM(src(pages, 32), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt a server-held ciphertext; a subsequent read that touches it
-	// (eventually a reshuffle touches all) must fail authentication.
-	for i := range o.serverMain {
-		o.serverMain[i][0] ^= 0xff
-	}
-	var sawErr bool
-	for i := 0; i < 20 && !sawErr; i++ {
-		if _, err := Read(o, i%9); err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Error("tampered storage went undetected")
-	}
-}
+func (failingReader) Page(int) ([]byte, error) { return nil, errors.New("input/output error") }
 
 func TestXORPIRCorrectnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -242,39 +134,5 @@ func TestXORPIRSingleServerViewIsUniform(t *testing.T) {
 		if c < trials/4 || c > trials*3/4 {
 			t.Errorf("bit %d set %d/%d times; server view not uniform", b, c, trials)
 		}
-	}
-}
-
-func TestKOPIRCorrectness(t *testing.T) {
-	// Small records: KO retrieves bit-by-bit and is costly by design.
-	pages := makePages(6, 4, 11)
-	k, err := NewKOPIR(src(pages, 4), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := 0; idx < 6; idx++ {
-		got, err := k.readPage(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pages[idx]) {
-			t.Fatalf("page %d: got %x want %x", idx, got, pages[idx])
-		}
-	}
-}
-
-func TestKOPIRRejectsBadInputs(t *testing.T) {
-	if _, err := NewKOPIR(src(nil, 4), 128); err == nil {
-		t.Error("empty file accepted")
-	}
-	if _, err := NewKOPIR(src(makePages(2, 4, 1), 4), 8); err == nil {
-		t.Error("tiny modulus accepted")
-	}
-	k, err := NewKOPIR(src(makePages(2, 2, 1), 2), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.readPage(2); err == nil {
-		t.Error("out-of-range read accepted")
 	}
 }

@@ -9,13 +9,12 @@ import "sync/atomic"
 // efficiency metric of the batched single-scan path.
 //
 // Both totals are data-independent — they are functions of the number and
-// shape of the batches answered (and, for the ORAMs, of the read count
-// driving epoch reshuffles), never of which pages were requested — so
+// shape of the batches answered, never of which pages were requested — so
 // exporting them is Theorem-1-clean by construction.
 type ScanStats interface {
-	// ScanStats returns the pages-equivalent work performed (pages, page
-	// slots or full-database passes expressed in pages) and the number of
-	// server passes (scans) that performed it.
+	// ScanStats returns the pages-equivalent work performed (pages read, or
+	// full-file passes expressed in pages) and the number of server passes
+	// (scans) that performed it.
 	ScanStats() (pagesScanned, scans uint64)
 }
 
@@ -42,6 +41,4 @@ func (c *scanCounters) ScanStats() (pagesScanned, scans uint64) {
 var (
 	_ ScanStats = (*Plain)(nil)
 	_ ScanStats = (*XORPIR)(nil)
-	_ ScanStats = (*KOPIR)(nil)
-	_ ScanStats = (*SqrtORAM)(nil)
 )

@@ -18,7 +18,8 @@ import (
 // random subset, revealing nothing about the target — not even
 // computationally bounded adversaries learn anything.
 //
-// Both replicas answer from a contiguous word arena (see kernel.go), and a
+// Both logical servers answer from the same contiguous word arena (see
+// kernel.go — the file is immutable, so one copy serves both), and a
 // multi-page ReadBatchInto answers all k selectors in a single pass per server
 // instead of k independent scans. What a pass costs is set by kernel.go's
 // row-XOR count model: the n page rows are read once whatever k is, and
@@ -32,14 +33,14 @@ import (
 // way, and its bucket table is scan-worker scratch that never leaves the
 // store.
 type XORPIR struct {
-	a, b     *xorServer
+	arena    *wordArena
 	numPages int
 	pageSize int
 	rng      io.Reader
 	scratch  sync.Pool // *xorScratch, sized for this store
 
-	// Parallel scan machinery (see parallel.go): a persistent worker group
-	// fans each replica scan across page segments when ScanWorkers() > 1.
+	// Parallel scan machinery (see parallel.go): each server's pass fans
+	// out across ScanWorkers() goroutines when that is above 1.
 	*scanGroup
 	arenaScratch *arenaScratch // pooled scan tasks and bucket tables
 
@@ -61,12 +62,6 @@ type XORPIR struct {
 	scanCounters
 }
 
-// xorServer is one non-colluding replica holding the full plaintext file
-// flattened into word lanes.
-type xorServer struct {
-	arena *wordArena
-}
-
 // xorScratch is the per-batch working set: selector vectors and word
 // accumulators for both servers, backed by two flat allocations so a
 // steady-state batch reuses everything.
@@ -77,25 +72,22 @@ type xorScratch struct {
 	accsA, accsB [][]uint64
 }
 
-// NewXORPIR replicates the pages of src onto two logical servers (the
-// answer to any query XORs an arbitrary page subset, so both replicas hold
-// the full plaintext in memory).
+// NewXORPIR flattens the pages of src into the arena the two logical servers
+// answer from (the answer to any query XORs an arbitrary page subset, so the
+// full plaintext is held in memory).
 func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 	arena, err := newWordArena(src)
 	if err != nil {
 		return nil, err
 	}
-	x := &XORPIR{
-		a:            &xorServer{arena: arena},
-		b:            &xorServer{arena: arena},
+	return &XORPIR{
+		arena:        arena,
 		numPages:     arena.numPages,
 		pageSize:     arena.pageSize,
 		rng:          rand.Reader,
 		scanGroup:    newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
 		arenaScratch: newArenaScratch(),
-	}
-	bindCleanup(x, x.scanGroup)
-	return x, nil
+	}, nil
 }
 
 // selBytes is the selector vector size: one bit per page.
@@ -107,7 +99,7 @@ func (x *XORPIR) getScratch(k int) *xorScratch {
 	if sc == nil {
 		sc = &xorScratch{}
 	}
-	nbytes, wpp := x.selBytes(), x.a.arena.wpp
+	nbytes, wpp := x.selBytes(), x.arena.wpp
 	if cap(sc.selbuf) < 2*k*nbytes {
 		sc.selbuf = make([]byte, 2*k*nbytes)
 	}
@@ -138,9 +130,9 @@ func sliceWordRows(dst [][]uint64, flat []uint64, n int) [][]uint64 {
 }
 
 // ReadBatchInto implements Store: every batched read samples its own fresh
-// query vectors against the immutable replicas (so the servers' views stay
+// query vectors against the immutable arena (so the servers' views stay
 // independent and uniform), and the whole batch is answered with one scan
-// of each replica — k accumulators per scan rather than k scans. With
+// per logical server — k accumulators per scan rather than k scans. With
 // pooled scratch inside the store, a steady-state batch allocates nothing
 // beyond what the cryptographic randomness source needs.
 func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
@@ -176,18 +168,18 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	}
 	x.recordQueries(sc.selsA, sc.selsB)
 
-	// One scan per replica answers the whole batch. The ctx check between
-	// the two scans is the only read boundary a single-scan batch has.
-	// With scan workers configured, each replica pass fans out across the
-	// worker group — same pass count, same pages touched, answers
-	// byte-identical to the serial kernel (XOR is associative).
+	// One scan per logical server answers the whole batch. The ctx check
+	// between the two scans is the only read boundary a single-scan batch
+	// has. With scan workers configured, each pass fans out across them —
+	// same pass count, same pages touched, answers byte-identical to the
+	// serial kernel (XOR is associative).
 	clearWords(sc.accbuf)
-	x.pass(x.a.arena, sc.selsA, sc.accsA)
+	x.pass(sc.selsA, sc.accsA)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	x.pass(x.b.arena, sc.selsB, sc.accsB)
-	// Two full-file passes (one per replica) answered the whole batch,
+	x.pass(sc.selsB, sc.accsB)
+	// Two full-file passes (one per server) answered the whole batch,
 	// whatever its size — the quantity the amortization ratio tracks.
 	x.recordScan(2*uint64(x.numPages), 2)
 	for j := range pages {
@@ -198,15 +190,15 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	return nil
 }
 
-// pass answers sels in one pass over a replica's arena (accs caller-zeroed),
-// segmented across the worker group when the store's scan width is above 1.
-func (x *XORPIR) pass(a *wordArena, sels [][]byte, accs [][]uint64) {
+// pass answers sels in one pass over the arena (accs caller-zeroed), fanned
+// out when the store's scan width is above 1.
+func (x *XORPIR) pass(sels [][]byte, accs [][]uint64) {
 	if nw := x.ScanWorkers(); nw > 1 {
-		x.answerAllParallel(x.arenaScratch, a, sels, accs, nw)
+		x.answerAllParallel(x.arenaScratch, x.arena, sels, accs, nw)
 		return
 	}
 	table := x.arenaScratch.tables.borrow()
-	a.answerAll(sels, accs, &table)
+	x.arena.answerAll(sels, accs, &table)
 	x.arenaScratch.tables.giveBack(table)
 }
 
@@ -248,7 +240,7 @@ func (x *XORPIR) LastQueries() (a, b []byte) {
 
 // LastBatchQueries returns copies of the per-query selector vectors the two
 // servers saw in the most recent ReadBatchInto, in request order. Test
-// observability, like LastQueryA/B.
+// observability, like LastQueries.
 func (x *XORPIR) LastBatchQueries() (a, b [][]byte) {
 	x.lastMu.Lock()
 	defer x.lastMu.Unlock()
@@ -290,8 +282,8 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	sc := x.getScratch(k)
 	defer x.scratch.Put(sc)
 	accs := sc.accsA
-	clearWords(sc.accbuf[:k*x.a.arena.wpp])
-	x.pass(x.a.arena, sels, accs)
+	clearWords(sc.accbuf[:k*x.arena.wpp])
+	x.pass(sels, accs)
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
 	x.logShares(sels)

@@ -12,22 +12,23 @@ import (
 	"repro/internal/lbs"
 )
 
-// TestEndToEndOverRealORAM runs complete CI queries with every file served
-// through actual oblivious storage rather than the analytic simulation:
-// answers must be identical, and the privacy now rests on real mechanics
-// (encrypted, shuffled pages) instead of modelling assumptions.
-func TestEndToEndOverRealORAM(t *testing.T) {
+// TestEndToEndOverRealPIR runs complete CI queries with every file served
+// through actual two-server XOR PIR rather than the analytic simulation, on
+// the serial kernel and on a parallel pass: answers must be identical, and
+// the privacy now rests on real mechanics (uniformly random selector vectors,
+// whole-file scans) instead of modelling assumptions.
+func TestEndToEndOverRealPIR(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.06)
 	db, err := Build(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, factory := range map[string]lbs.StoreFactory{
-		"sqrt-ORAM":    lbs.ORAMStores(42),
-		"pyramid-ORAM": lbs.PyramidStores(),
+	for name, opts := range map[string][]lbs.ServerOption{
+		"serial-scan":   nil,
+		"parallel-scan": {lbs.WithWorkers(2), lbs.WithScanWorkers(2)},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, err := lbs.NewServer(db, costmodel.Default(), factory)
+			srv, err := lbs.NewServer(db, costmodel.Default(), lbs.XORStores, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,14 +12,8 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/lbs"
-	"repro/internal/pagefile"
-	"repro/internal/pir"
 	"repro/internal/telemetry"
 )
-
-// xorStores backs every hosted file with the real two-server XOR PIR, the
-// scan store class that engages the cross-connection scan scheduler.
-func xorStores(f pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(f) }
 
 // startSchedServer hosts the named databases on XORPIR stores behind the
 // scan scheduler, on a loopback listener.
@@ -33,7 +27,7 @@ func startSchedServer(t testing.TB, names ...string) (*Server, string) {
 func startSchedServerOpts(t testing.TB, opts Options, names ...string) (*Server, string) {
 	t.Helper()
 	_, dbs := fixture(t)
-	opts.Stores = xorStores
+	opts.Stores = lbs.XORStores
 	srv := New(opts)
 	for _, name := range names {
 		if err := srv.Host(name, dbs[name], costmodel.Default()); err != nil {

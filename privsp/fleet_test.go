@@ -8,8 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/pagefile"
-	"repro/internal/pir"
+	"repro/internal/lbs"
 	"repro/internal/server"
 )
 
@@ -17,7 +16,7 @@ import (
 // only.
 var replicaOptions = server.Options{
 	ReplicaRole: true,
-	Stores:      func(r pagefile.Reader) (pir.Store, error) { return pir.NewXORPIR(r) },
+	Stores:      lbs.XORStores,
 }
 
 // startReplicaDaemon hosts the built database in -replica-role on loopback.
