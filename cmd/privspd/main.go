@@ -45,7 +45,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -75,9 +74,8 @@ func main() {
 	cluster := flag.Int("cluster", 0, "PI* cluster pages")
 	landmarks := flag.Int("landmarks", 0, "LM anchors")
 	regions := flag.Int("regions", 0, "AF regions")
-	workers := flag.Int("workers", 0, "max concurrent PIR page reads per database (0 = 2x GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker-pool slots per database: a PIR page read holds one, an XOR-PIR scan pass one per scan worker, so this also caps the scan width (0 = 2x GOMAXPROCS)")
 	pirStore := flag.String("pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; engages the cross-connection scan scheduler)")
-	scanWorkers := flag.Int("scan-workers", 0, "workers fanning out each PIR scan on parallel-capable stores, capped by -workers (0 = size-aware default, 1 = serial kernel)")
 	replicaRole := flag.Bool("replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
 	maxInflight := flag.Int("max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")
 	chaosSpec := flag.String("chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")
@@ -101,7 +99,6 @@ func main() {
 		NodesFile:   *nodesFile,
 		EdgesFile:   *edgesFile,
 		PIRStore:    *pirStore,
-		ScanWorkers: *scanWorkers,
 		ReplicaRole: *replicaRole,
 		Chaos:       *chaosSpec,
 		Explicit:    explicit,
@@ -132,7 +129,6 @@ func main() {
 		Workers:     *workers,
 		Logf:        log.Printf,
 		Stores:      stores,
-		ScanWorkers: *scanWorkers,
 		ReplicaRole: *replicaRole,
 		MaxInflight: *maxInflight,
 	})
@@ -252,7 +248,6 @@ type daemonConfig struct {
 	NodesFile   string
 	EdgesFile   string
 	PIRStore    string
-	ScanWorkers int
 	ReplicaRole bool
 	Chaos       string
 	// Explicit lists the flag names the user actually set (flag.Visit).
@@ -280,17 +275,6 @@ func (c daemonConfig) validate() (warnings []string, err error) {
 	if c.ReplicaRole && c.PIRStore != "xorpir" {
 		return nil, fmt.Errorf("-replica-role answers XOR PIR selector shares and requires -pir xorpir (got %q)",
 			orDefault(c.PIRStore, "plain"))
-	}
-	if c.ScanWorkers < 0 {
-		return nil, fmt.Errorf("-scan-workers must be >= 0 (0 = size-aware default, 1 = serial kernel), got %d", c.ScanWorkers)
-	}
-	if n := runtime.NumCPU(); c.ScanWorkers > n {
-		warnings = append(warnings, fmt.Sprintf(
-			"-scan-workers %d exceeds the machine's %d CPUs; extra workers add synchronization without adding memory bandwidth", c.ScanWorkers, n))
-	}
-	if c.ScanWorkers > 1 && c.PIRStore != "xorpir" {
-		warnings = append(warnings,
-			"-scan-workers only affects parallel-capable stores; -pir plain serves reads without file scans")
 	}
 	if c.Chaos != "" {
 		ccfg, cerr := faultinject.ParseSpec(c.Chaos)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -132,20 +131,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir"},
 		},
 		{
-			name: "scan workers explicit",
-			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir", ScanWorkers: 2},
-		},
-		{
-			name:    "scan workers negative",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir", ScanWorkers: -1},
-			wantErr: "-scan-workers must be >= 0",
-		},
-		{
-			name: "scan workers with db path",
-			cfg: daemonConfig{DBFiles: []string{"ci.psdb"}, PIRStore: "xorpir", ScanWorkers: 4,
-				Explicit: []string{"db", "pir", "scan-workers"}},
-		},
-		{
 			name: "replica role with xorpir",
 			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir", ReplicaRole: true},
 		},
@@ -178,42 +163,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 				t.Fatalf("validate() = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestValidateScanWorkerWarnings: oversubscribing the machine or pairing
-// -scan-workers with a scan-less store is legal but warned about; sane
-// configurations stay quiet.
-func TestValidateScanWorkerWarnings(t *testing.T) {
-	over := runtime.NumCPU() + 1
-	warns, err := daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"},
-		PIRStore: "xorpir", ScanWorkers: over}.validate()
-	if err != nil {
-		t.Fatalf("validate() = %v, want nil", err)
-	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "CPUs") {
-		t.Fatalf("oversubscribed width warnings = %q, want one naming the CPU count", warns)
-	}
-
-	warns, err = daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"},
-		PIRStore: "plain", ScanWorkers: 2}.validate()
-	if err != nil {
-		t.Fatalf("validate() = %v, want nil", err)
-	}
-	found := false
-	for _, w := range warns {
-		if strings.Contains(w, "parallel-capable") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("plain-store width warnings = %q, want one about parallel-capable stores", warns)
-	}
-
-	warns, err = daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"},
-		PIRStore: "xorpir", ScanWorkers: 1}.validate()
-	if err != nil || len(warns) != 0 {
-		t.Fatalf("sane config: warnings %q, err %v; want none", warns, err)
 	}
 }
 

@@ -124,15 +124,30 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 				}
 			}
 
-			if err := srv.ReadPagesInto(context.Background(), "F", tc.batch, dst[:len(dst)-1]); err == nil {
-				t.Error("mismatched buffer count accepted")
+			// Rejections: each must fail before any route is taken, so no
+			// privsp_pir_route_total series moves.
+			whole, fanOut := srv.routeWhole.Value(), srv.routeFanOut.Value()
+			withLast := func(p int) []int {
+				return append(tc.batch[:len(tc.batch)-1:len(tc.batch)-1], p)
 			}
 			short := append([][]byte{make([]byte, pageSize-1)}, dst[1:]...)
-			if err := srv.ReadPagesInto(context.Background(), "F", tc.batch, short); err == nil {
-				t.Error("short buffer accepted")
+			for _, rej := range []struct {
+				what, file string
+				pages      []int
+				dst        [][]byte
+			}{
+				{"mismatched buffer count", "F", tc.batch, dst[:len(dst)-1]},
+				{"short buffer", "F", tc.batch, short},
+				{"unknown file", "nope", tc.batch, dst},
+				{"out-of-range page", "F", withLast(pagesN), dst},
+				{"negative page", "F", withLast(-1), dst},
+			} {
+				if err := srv.ReadPagesInto(context.Background(), rej.file, rej.pages, rej.dst); err == nil {
+					t.Errorf("%s accepted", rej.what)
+				}
 			}
-			if err := srv.ReadPagesInto(context.Background(), "nope", tc.batch, dst); err == nil {
-				t.Error("unknown file accepted")
+			if w, fo := srv.routeWhole.Value(), srv.routeFanOut.Value(); w != whole || fo != fanOut {
+				t.Errorf("rejected fetches moved routes single_scan/fan_out %d/%d → %d/%d", whole, fanOut, w, fo)
 			}
 		})
 	}

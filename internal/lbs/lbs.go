@@ -173,11 +173,6 @@ type Server struct {
 
 	pool slotPool // its size is the WithWorkers bound
 
-	// scanWorkersOpt is the WithScanWorkers target; 0 defers to each
-	// store's size-aware default. Resolved per store at host time (clamped
-	// to the pool) into hostedStore.scanWorkers.
-	scanWorkersOpt int
-
 	// Scan-scheduler accounting (see scheduler.go). The fetch/scan tallies
 	// always run — atomics, no registry needed — so the amortization ratio
 	// is observable even on servers wired to telemetry after construction.
@@ -185,15 +180,13 @@ type Server struct {
 	schedScans   atomic.Uint64
 
 	// Telemetry handles (nil-safe; nil until WithTelemetry/EnableTelemetry).
-	telReg                            *telemetry.Registry
-	telDB                             string
-	routeWhole, routeFanOut           *telemetry.Counter
-	schedFlushLone, schedFlushWindow  *telemetry.Counter
-	schedFlushCap, schedFlushDeadline *telemetry.Counter
-	schedFlushChain                   *telemetry.Counter
-	schedOccupancy                    *telemetry.Histogram
-	scanSegment                       *telemetry.Histogram
-	scanRoutePar, scanRouteSer        *telemetry.Counter
+	telReg                          *telemetry.Registry
+	telDB                           string
+	routeWhole, routeFanOut         *telemetry.Counter
+	schedFlushLone, schedFlushChain *telemetry.Counter
+	schedOccupancy                  *telemetry.Histogram
+	scanSegment                     *telemetry.Histogram
+	scanRoutePar, scanRouteSer      *telemetry.Counter
 }
 
 // hostedStore is one file's PIR store plus the optional faces probed once at
@@ -213,27 +206,15 @@ type hostedStore struct {
 // ServerOption tunes a Server at construction.
 type ServerOption func(*Server)
 
-// WithWorkers bounds the number of concurrently executing PIR page reads on
-// this server (across all connections). n <= 1 serializes every read — the
-// historical behaviour and the default.
+// WithWorkers sizes this server's worker pool: the slots held by PIR page
+// reads and store passes across all connections. A page read holds one
+// slot, a pass over a scan store one per scan worker, so n also caps every
+// scan store's width. n <= 1 serializes every read — the historical
+// behaviour and the default.
 func WithWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
 			s.pool.size = n
-		}
-	}
-}
-
-// WithScanWorkers sets the per-scan worker width for parallel-capable
-// stores (pir.ParallelScan): each scan of such a store fans its file pass
-// across n workers and occupies n pool slots, so one merged batch uses the
-// whole allowance instead of oversubscribing cores across concurrent scans.
-// The width is clamped to the pool size (WithWorkers) at host time; n == 1
-// forces the serial kernel; n <= 0 keeps each store's size-aware default.
-func WithScanWorkers(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.scanWorkersOpt = n
 		}
 	}
 }
@@ -269,18 +250,13 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 		hs := &hostedStore{store: st, scanWorkers: 1}
 		hs.shares, _ = st.(pir.ShareAnswerer)
 		if ps, ok := st.(pir.ParallelScan); ok {
-			// Resolve the scan-worker width against the pool: a parallel
-			// scan occupies one slot per worker, so the per-database pool
-			// stays the single knob bounding parallel work. With no
-			// explicit option the store's size-aware default applies —
-			// which on the historical 1-worker default pool resolves to
-			// the serial kernel, exactly the old behaviour.
-			target := s.scanWorkersOpt
-			if target <= 0 {
-				target = ps.ScanWorkers()
-			}
-			hs.scanWorkers = ps.SetScanWorkers(min(target, s.pool.size))
-			hs.sched = newScanScheduler(s, hs, f.Name())
+			// A pass occupies one pool slot per scan worker, so the store's
+			// own width (GOMAXPROCS, shrunk for small files) is clamped to
+			// the pool: the per-database pool stays the single knob bounding
+			// parallel work, and the historical 1-worker default pool
+			// resolves to the serial kernel.
+			hs.scanWorkers = ps.SetScanWorkers(min(ps.ScanWorkers(), s.pool.size))
+			hs.sched = &scanScheduler{srv: s, hs: hs, file: f.Name()}
 		}
 		s.stores[f.Name()] = hs
 	}
@@ -346,7 +322,9 @@ func (s *Server) ReadPages(ctx context.Context, file string, pages []int) ([][]b
 // into one pass (splitting it would multiply full-file scans instead of
 // dividing work); any other batch fans out across the worker pool as
 // contiguous sub-batches when there is more than one page and more than one
-// worker, and rides a single pool slot otherwise. Cancelling ctx aborts the
+// worker, and rides a single pool slot otherwise. Buffers and page indices
+// are checked before any route is taken or counted, so a rejected fetch
+// moves no metric and never joins a shared pass. Cancelling ctx aborts the
 // batch at read boundaries — a read waiting for a pool slot gives up
 // immediately and the worker is freed — but a page read that started always
 // completes, so the caller records fetches all-or-nothing.
@@ -357,6 +335,12 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	}
 	if err := checkBuffers("PIR fetch", file, len(pages), dst, hs.store.PageSize()); err != nil {
 		return err
+	}
+	np := hs.store.NumPages()
+	for _, p := range pages {
+		if p < 0 || p >= np {
+			return fmt.Errorf("lbs: PIR fetch %s: page %d of %d", file, p, np)
+		}
 	}
 	if hs.sched != nil {
 		s.routeWhole.Inc()
@@ -500,9 +484,10 @@ func (s *Server) fanOut(ctx context.Context, hs *hostedStore, file string, worke
 	return firstErr
 }
 
-// PoolStats snapshots the worker pool: its size, the reads executing right
-// now, and the reads waiting for a slot. The daemon exports these as
-// serving gauges.
+// PoolStats snapshots the worker pool: its size in slots, the slots held
+// right now (a page read holds one, a width-w scan pass holds w), and the
+// reads and passes waiting for slots. The daemon exports these as serving
+// gauges.
 func (s *Server) PoolStats() (workers, busy, queued int) {
 	busy, queued = s.pool.stats()
 	return s.pool.size, busy, queued

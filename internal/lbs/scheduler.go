@@ -2,41 +2,29 @@ package lbs
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 )
 
 // The SPC schemes make every PIR answer scan the whole file, so the server's
 // real budget is scans per second, not fetches per second. A scan store
-// (pir.ParallelScan) already answers a whole batch in one pass — but
-// batches used to form only inside one client's round. The scan scheduler
-// closes that gap across connections: selector-vector fetches arriving from
-// ANY connection are accumulated into one shared pending batch per file and
-// answered with a single ReadBatchInto pass over the arena, turning cost per
-// query into cost per scan under concurrent traffic.
+// (pir.ParallelScan) answers a whole batch in one pass, and the scan
+// scheduler forms those batches across connections by group commit: one
+// pass runs at a time per file, and fetches from ANY connection that arrive
+// during a pass ride the next one, turning cost per query into cost per
+// scan under concurrent traffic.
 //
-// Flush policy, in order of precedence:
+// Two rules, named by the flush reason they record:
 //
-//   - lone: a fetch that finds the store idle (no scan running, nothing
-//     pending) is served immediately on the caller's goroutine — a lone
-//     query is never stalled behind the batching window.
-//   - cap: a fetch that pushes the pending batch past the page cap flushes
-//     it immediately (the submitting goroutine runs the scan), bounding the
-//     scratch memory one scan needs.
-//   - deadline: a fetch whose context expires before the window would
-//     elapse pulls the flush forward so its answer can still make the
-//     deadline.
-//   - chain: requests that queued while a scan was in flight are flushed
-//     the moment that scan completes (group-commit style) — under
-//     saturation the store runs scan after scan, each collecting
-//     everything that arrived during the previous one, and a queued
-//     request never waits longer than the residual scan time.
-//   - window: otherwise the batch is flushed when the window (a few ms)
-//     elapses, by the timer goroutine. With chain flushing the timer is
-//     the fallback bound — it wins only when a scan outlasts the window.
+//   - lone: a fetch that finds the store idle is served immediately on the
+//     caller's goroutine — a lone query never waits for anything.
+//   - chain: a fetch that finds a pass running joins the pending batch. The
+//     pass, when it ends, claims the batch and runs it as the next pass, so
+//     under saturation the store runs pass after pass, each collecting the
+//     arrivals of the previous one, and a queued fetch waits out only the
+//     pass ahead of it (and the earlier claims, when scanBatchCap splits a
+//     backlog).
 //
 // Privacy: the scheduler only concatenates page-index lists; each query in
 // the merged batch still draws its own selector randomness inside the store
@@ -47,14 +35,10 @@ import (
 // expose only batch shapes, flush reasons and scan counts — functions of
 // traffic timing the LBS already observes, never of page contents.
 
-// Scheduling constants. The window trades lone-ish latency for amortization:
-// at heavy load a longer window packs more queries per scan; 2ms is small
-// against network RTTs while long enough for concurrent rounds to pile up.
-// The cap bounds the scratch memory one merged scan needs.
-const (
-	scanWindow   = 2 * time.Millisecond
-	scanBatchCap = 256 // pages per merged scan
-)
+// scanBatchCap bounds one chain claim, and with it the scratch memory a
+// merged pass needs: whole requests in arrival order, at least one, up to
+// this many pages. What the cap leaves pending rides the following pass.
+const scanBatchCap = 256
 
 // scanReq is one connection's fetch waiting in the shared pending batch.
 // The submitting goroutine owns it: it waits on done, reads err, and
@@ -85,42 +69,19 @@ var schedScratchPool = sync.Pool{New: func() any { return new(schedScratch) }}
 // occupancy histogram and amortization tallies are shared per server (one
 // db label) across its files.
 type scanScheduler struct {
-	srv    *Server
-	hs     *hostedStore
-	file   string
-	window time.Duration
-	cap    int // pages per merged batch
+	srv  *Server
+	hs   *hostedStore
+	file string
 
-	mu           sync.Mutex
-	pending      []*scanReq
-	pendingPages int
-	scans        int         // scans in flight for this store (lone + merged)
-	gen          uint64      // bumped when the pending batch is claimed
-	timer        *time.Timer // flush timer for the current pending generation
-	flushAt      time.Time   // when the armed timer fires
-	timerReason  *telemetry.Counter
+	mu      sync.Mutex
+	busy    bool       // a pass is running; pending is non-empty only while busy
+	pending []*scanReq // arrival order
 }
 
-func newScanScheduler(s *Server, hs *hostedStore, file string) *scanScheduler {
-	return &scanScheduler{
-		srv:    s,
-		hs:     hs,
-		file:   file,
-		window: scanWindow,
-		cap:    scanBatchCap,
-	}
-}
-
-// readInto serves one fetch through the shared batch. It validates the page
-// indices up front so one query's hostile index can never poison the
-// co-scheduled queries sharing its scan.
+// readInto serves one fetch through the shared batch. ReadPagesInto, its
+// only caller, has already checked the page indices, so one query's hostile
+// index can never poison the co-scheduled queries sharing its pass.
 func (sc *scanScheduler) readInto(ctx context.Context, pages []int, dst [][]byte) error {
-	np := sc.hs.store.NumPages()
-	for _, p := range pages {
-		if p < 0 || p >= np {
-			return fmt.Errorf("lbs: PIR fetch %s: page %d of %d", sc.file, p, np)
-		}
-	}
 	if len(pages) == 0 {
 		return nil
 	}
@@ -129,34 +90,21 @@ func (sc *scanScheduler) readInto(ctx context.Context, pages []int, dst [][]byte
 	}
 
 	sc.mu.Lock()
-	if sc.scans == 0 && len(sc.pending) == 0 {
+	if !sc.busy {
 		// Idle store: serve immediately on the caller's goroutine. This is
-		// the allocation-free steady-state path of a serial workload — a
-		// lone query pays no window at all.
-		sc.scans++
+		// the allocation-free steady-state path of a serial workload.
+		sc.busy = true
 		sc.mu.Unlock()
 		err := sc.scan(ctx, pages, dst, 1, sc.srv.schedFlushLone)
 		sc.finishScan()
 		return err
 	}
 
-	// A scan is running (or a batch is already forming): join the pending
-	// batch and wait for a flush.
+	// A pass is running: join the pending batch and wait for a pass to
+	// claim it.
 	sr := scanReqPool.Get().(*scanReq)
 	sr.pages, sr.dst, sr.err = pages, dst, nil
 	sc.pending = append(sc.pending, sr)
-	sc.pendingPages += len(pages)
-
-	if sc.pendingPages >= sc.cap {
-		// Cap reached: the submitter that filled the batch flushes it now.
-		batch := sc.claimLocked()
-		sc.mu.Unlock()
-		sc.runBatch(batch, sc.srv.schedFlushCap)
-		err := firstOf(ctx, sr)
-		scanReqPool.Put(sr)
-		return err
-	}
-	sc.armTimerLocked(ctx)
 	sc.mu.Unlock()
 
 	var err error
@@ -170,7 +118,7 @@ func (sc *scanScheduler) readInto(ctx context.Context, pages []int, dst [][]byte
 			scanReqPool.Put(sr)
 			return ctx.Err()
 		}
-		// Claimed by a flush: the scan is (or will be) writing into dst, so
+		// Claimed by a pass: the scan is (or will be) writing into dst, so
 		// wait for it to finish before surrendering the buffers.
 		<-sr.done
 		err = ctx.Err()
@@ -179,90 +127,29 @@ func (sc *scanScheduler) readInto(ctx context.Context, pages []int, dst [][]byte
 	return err
 }
 
-// firstOf returns the request's error, preferring the context's if both
-// died — the cap-flush path answered sr synchronously, so done is already
-// signaled.
-func firstOf(ctx context.Context, sr *scanReq) error {
-	<-sr.done
-	if sr.err != nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return sr.err
-}
-
-// armTimerLocked (re)arms the flush timer for the pending batch. The first
-// enqueue arms it at the window; a request whose context expires sooner
-// pulls the flush forward so its answer can still make the deadline.
-func (sc *scanScheduler) armTimerLocked(ctx context.Context) {
-	delay := sc.window
-	reason := sc.srv.schedFlushWindow
-	if d, ok := ctx.Deadline(); ok {
-		// Leave a quarter of the remaining budget for the scan itself.
-		if until := time.Until(d) * 3 / 4; until < delay {
-			delay = until
-			reason = sc.srv.schedFlushDeadline
-			if delay < 0 {
-				delay = 0
-			}
-		}
-	}
-	at := time.Now().Add(delay)
-	if sc.timer != nil {
-		if at.After(sc.flushAt) && len(sc.pending) > 1 {
-			return // an earlier flush is already scheduled
-		}
-		sc.timer.Stop()
-	}
-	sc.flushAt = at
-	sc.timerReason = reason
-	gen := sc.gen
-	sc.timer = time.AfterFunc(delay, func() { sc.onTimer(gen) })
-}
-
-// onTimer flushes the pending batch the timer was armed for. A stale firing
-// (the batch was already claimed by a cap flush or a newer timer) is a
-// no-op, detected by the generation counter.
-func (sc *scanScheduler) onTimer(gen uint64) {
-	sc.mu.Lock()
-	if gen != sc.gen || len(sc.pending) == 0 {
-		sc.mu.Unlock()
-		return
-	}
-	reason := sc.timerReason
-	batch := sc.claimLocked()
-	sc.mu.Unlock()
-	sc.runBatch(batch, reason)
-}
-
-// claimLocked takes the whole pending batch for one scan. Bumping gen
-// invalidates the armed timer; claimed requests can no longer be removed by
-// cancellation (membership in pending IS the removable state).
+// claimLocked takes the next pass's batch off the front of pending: whole
+// requests in arrival order, at least one, up to scanBatchCap pages.
+// Claimed requests can no longer be removed by cancellation (membership in
+// pending IS the removable state).
 func (sc *scanScheduler) claimLocked() []*scanReq {
-	batch := sc.pending
-	sc.pending, sc.pendingPages = nil, 0
-	sc.gen++
-	if sc.timer != nil {
-		sc.timer.Stop()
-		sc.timer = nil
+	n, pages := 1, len(sc.pending[0].pages)
+	for n < len(sc.pending) && pages+len(sc.pending[n].pages) <= scanBatchCap {
+		pages += len(sc.pending[n].pages)
+		n++
 	}
-	sc.scans++
+	batch := sc.pending[:n:n]
+	sc.pending = sc.pending[n:]
 	return batch
 }
 
 // tryRemove withdraws a still-pending request (its submitter's context
-// died). Reports false when a flush already claimed it.
+// died). Reports false when a pass already claimed it.
 func (sc *scanScheduler) tryRemove(sr *scanReq) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for i, r := range sc.pending {
 		if r == sr {
 			sc.pending = append(sc.pending[:i], sc.pending[i+1:]...)
-			sc.pendingPages -= len(sr.pages)
-			if len(sc.pending) == 0 && sc.timer != nil {
-				sc.timer.Stop()
-				sc.timer = nil
-				sc.gen++
-			}
 			return true
 		}
 	}
@@ -274,14 +161,14 @@ func (sc *scanScheduler) tryRemove(sr *scanReq) bool {
 // under a background context: it serves several queries at once, so no
 // single query's cancellation may abort it (mirroring the "a read that
 // started always completes" contract).
-func (sc *scanScheduler) runBatch(batch []*scanReq, reason *telemetry.Counter) {
+func (sc *scanScheduler) runBatch(batch []*scanReq) {
 	ss := schedScratchPool.Get().(*schedScratch)
 	pages, dst := ss.pages[:0], ss.dst[:0]
 	for _, sr := range batch {
 		pages = append(pages, sr.pages...)
 		dst = append(dst, sr.dst...)
 	}
-	err := sc.scan(context.Background(), pages, dst, len(batch), reason)
+	err := sc.scan(context.Background(), pages, dst, len(batch), sc.srv.schedFlushChain)
 	// Release the store before waking waiters so a serial follower observes
 	// the idle store and takes the lone path deterministically.
 	sc.finishScan()
@@ -308,19 +195,18 @@ func (sc *scanScheduler) scan(ctx context.Context, pages []int, dst [][]byte, qu
 	return fetchErr(ctx, "PIR fetch", sc.file, sc.hs.store.ReadBatchInto(ctx, pages, dst))
 }
 
-// finishScan marks one scan done. Requests that queued while it ran are
-// flushed immediately on their own goroutine (chain flush): under
-// saturation the store runs scan after scan, each batch collecting the
-// arrivals of the previous scan, and nobody waits out the window timer.
-// The claim cancels that timer; a serial workload (nothing pending) pays
+// finishScan ends a pass. If fetches queued while it ran, it claims the next
+// batch and runs it on its own goroutine (chain), the store staying busy;
+// otherwise the store goes idle. A serial workload (nothing pending) pays
 // nothing here, which keeps the lone path's telemetry deterministic.
 func (sc *scanScheduler) finishScan() {
 	sc.mu.Lock()
-	if sc.scans--; sc.scans == 0 && len(sc.pending) > 0 {
-		batch := sc.claimLocked()
+	if len(sc.pending) == 0 {
+		sc.busy = false
 		sc.mu.Unlock()
-		go sc.runBatch(batch, sc.srv.schedFlushChain)
 		return
 	}
+	batch := sc.claimLocked()
 	sc.mu.Unlock()
+	go sc.runBatch(batch)
 }

@@ -27,9 +27,10 @@ type gatedXOR struct {
 	entered chan struct{} // one send per ReadBatchInto, before blocking
 	release chan struct{} // one receive per ReadBatchInto, before scanning
 
-	mu      sync.Mutex
-	flushes [][]int    // page list per ReadBatchInto call, in call order
-	selsA   [][][]byte // server-A selector vectors per call
+	mu           sync.Mutex
+	flushes      [][]int    // page list per ReadBatchInto call, in call order
+	selsA        [][][]byte // server-A selector vectors per call
+	inPass, peak int        // ReadBatchInto calls running now, and at most
 }
 
 func (g *gatedXOR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
@@ -37,14 +38,19 @@ func (g *gatedXOR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte)
 		g.entered <- struct{}{}
 		<-g.release
 	}
+	g.mu.Lock()
+	g.inPass++
+	g.peak = max(g.peak, g.inPass)
+	g.mu.Unlock()
 	err := g.XORPIR.ReadBatchInto(ctx, pages, dst)
+	a, _ := g.XORPIR.LastBatchQueries()
+	g.mu.Lock()
+	g.inPass--
 	if err == nil {
-		a, _ := g.XORPIR.LastBatchQueries()
-		g.mu.Lock()
 		g.flushes = append(g.flushes, append([]int(nil), pages...))
 		g.selsA = append(g.selsA, a)
-		g.mu.Unlock()
 	}
+	g.mu.Unlock()
 	return err
 }
 
@@ -60,9 +66,8 @@ const schedTestPages = 64
 
 // newSchedServer hosts one 64-page file on an XORPIR store wrapped in a
 // gatedXOR (gated only when gate is true) with telemetry enabled, so tests
-// can read the flush-reason counters directly. A non-zero window or page cap
-// replaces the scheduler's constant for this server.
-func newSchedServer(t *testing.T, gate bool, window time.Duration, pageCap int) (*Server, *gatedXOR) {
+// can read the flush-reason counters directly.
+func newSchedServer(t *testing.T, gate bool, opts ...ServerOption) (*Server, *gatedXOR) {
 	t.Helper()
 	const pageSize = 32
 	f := pagefile.NewFile("F", pageSize)
@@ -83,19 +88,13 @@ func newSchedServer(t *testing.T, gate bool, window time.Duration, pageCap int) 
 		}
 		return gx, nil
 	}
-	srv, err := NewServer(db, costmodel.Default(), factory, WithTelemetry(telemetry.NewRegistry(), "T"))
+	srv, err := NewServer(db, costmodel.Default(), factory,
+		append(opts, WithTelemetry(telemetry.NewRegistry(), "T"))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := srv.stores["F"].sched
-	if sc == nil {
+	if srv.stores["F"].sched == nil {
 		t.Fatal("XORPIR store did not get a scan scheduler")
-	}
-	if window != 0 {
-		sc.window = window
-	}
-	if pageCap != 0 {
-		sc.cap = pageCap
 	}
 	return srv, gx
 }
@@ -131,19 +130,18 @@ func checkPage(t *testing.T, got [][]byte, pages []int) {
 	}
 }
 
-// TestSchedulerLoneQueryImmediate is the latency half of the acceptance
-// criterion: a fetch that finds the store idle is served inline, paying none
-// of the batching window. With a 10-second window, any reliance on the timer
-// would hang the test; the lone path must return in milliseconds.
+// TestSchedulerLoneQueryImmediate: a fetch that finds the store idle is
+// served inline on the caller's goroutine — one pass, counted as lone,
+// waiting for nothing.
 func TestSchedulerLoneQueryImmediate(t *testing.T) {
-	srv, gx := newSchedServer(t, false, 10*time.Second, 0)
+	srv, gx := newSchedServer(t, false)
 	start := time.Now()
 	got, err := srv.ReadPages(context.Background(), "F", []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("lone query took %v — stalled behind the batching window", elapsed)
+		t.Fatalf("lone query took %v — it waited for something", elapsed)
 	}
 	checkPage(t, got, []int{5})
 	if got := srv.schedFlushLone.Value(); got != 1 {
@@ -160,10 +158,9 @@ func TestSchedulerLoneQueryImmediate(t *testing.T) {
 // TestSchedulerChainMergesConcurrentFetches: while one scan holds the
 // store, fetches from other goroutines accumulate and are answered by ONE
 // merged scan the moment that scan completes (chain flush) — the
-// cross-connection amortization the scheduler exists for, with no window
-// wait for the queued requests.
+// cross-connection amortization the scheduler exists for.
 func TestSchedulerChainMergesConcurrentFetches(t *testing.T) {
-	srv, gx := newSchedServer(t, true, 250*time.Millisecond, 0)
+	srv, gx := newSchedServer(t, true)
 
 	results := make(chan error, 3)
 	fetch := func(page int) {
@@ -204,120 +201,108 @@ func TestSchedulerChainMergesConcurrentFetches(t *testing.T) {
 	if got := srv.schedFlushChain.Value(); got != 1 {
 		t.Errorf("chain flushes = %d, want 1", got)
 	}
-	if got := srv.schedFlushWindow.Value(); got != 0 {
-		t.Errorf("window flushes = %d, want 0 (chain must beat the 250ms timer)", got)
-	}
 	if f, s := srv.schedFetches.Load(), srv.schedScans.Load(); f != 3 || s != 2 {
 		t.Errorf("fetches/scans = %d/%d, want 3/2 (amortization > 1)", f, s)
 	}
 }
 
-// TestSchedulerWindowFallbackFlush: when a scan outlasts the window, the
-// timer — not the chain — flushes the queued batch, bounding how long a
-// request can sit behind a slow scan. The flush claims the batch while the
-// first scan is still held open; its own scan then queues on the worker
-// pool behind it.
-func TestSchedulerWindowFallbackFlush(t *testing.T) {
-	srv, gx := newSchedServer(t, true, 50*time.Millisecond, 0)
+// TestSchedulerOnePassAtATime: whatever the arrivals, a scan store runs one
+// pass at a time — even with pool slots to spare — and every fetch is
+// answered by exactly one pass, either inline (lone) or claimed by the pass
+// before it (chain).
+func TestSchedulerOnePassAtATime(t *testing.T) {
+	const goroutines, fetches = 8, 50
+	srv, gx := newSchedServer(t, false, WithWorkers(4))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < fetches; i++ {
+				pages := []int{(g + i) % schedTestPages, (3*g + 7*i) % schedTestPages}
+				got, err := srv.ReadPages(context.Background(), "F", pages)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, p := range pages {
+					if !bytes.Equal(got[j], bytes.Repeat([]byte{byte(p + 1)}, 32)) {
+						t.Errorf("goroutine %d fetch %d: slot %d is not page %d", g, i, j, p)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 
-	results := make(chan error, 2)
-	fetch := func(page int) {
-		_, err := srv.ReadPages(context.Background(), "F", []int{page})
-		results <- err
+	gx.mu.Lock()
+	peak := gx.peak
+	gx.mu.Unlock()
+	if peak != 1 {
+		t.Errorf("peak concurrent store passes = %d, want 1", peak)
 	}
-	go fetch(1) // lone: held open at the gate, longer than the window
-	<-gx.entered
-	go fetch(2)
-	waitPending(t, srv, 1)
-	waitPending(t, srv, 0)   // the 50ms timer claims {2} while scan 1 is held
-	gx.release <- struct{}{} // now let the lone scan finish
-	<-gx.entered             // the window-flushed scan of {2}
-	gx.release <- struct{}{}
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Fatal(err)
-		}
+	scans := srv.schedScans.Load()
+	if f := srv.schedFetches.Load(); f != goroutines*fetches {
+		t.Errorf("fetches = %d, want %d", f, goroutines*fetches)
 	}
-	if got := srv.schedFlushWindow.Value(); got != 1 {
-		t.Errorf("window flushes = %d, want 1", got)
-	}
-	if got := srv.schedFlushChain.Value(); got != 0 {
-		t.Errorf("chain flushes = %d, want 0 (timer already claimed the batch)", got)
+	if lone, chain := srv.schedFlushLone.Value(), srv.schedFlushChain.Value(); lone+chain != scans {
+		t.Errorf("lone %d + chain %d != scans %d: a pass ran under no rule", lone, chain, scans)
 	}
 }
 
-// TestSchedulerCapFlush: filling the pending batch to the page cap flushes
-// it immediately — no waiting out the (here deliberately enormous) window.
-func TestSchedulerCapFlush(t *testing.T) {
-	srv, gx := newSchedServer(t, true, 10*time.Second, 2)
+// TestSchedulerChainClaimBounded: a backlog bigger than scanBatchCap is
+// claimed in whole requests, in arrival order, up to the cap; the rest
+// rides the pass after. Five 64-page fetches queued behind a held pass are
+// answered by a 256-page pass and a 64-page pass.
+func TestSchedulerChainClaimBounded(t *testing.T) {
+	srv, gx := newSchedServer(t, true)
+	all := make([]int, schedTestPages)
+	for i := range all {
+		all[i] = i
+	}
 
-	results := make(chan error, 3)
-	fetch := func(page int) {
-		_, err := srv.ReadPages(context.Background(), "F", []int{page})
+	results := make(chan error, 6)
+	fetch := func(pages []int) {
+		got, err := srv.ReadPages(context.Background(), "F", pages)
+		for i, p := range pages {
+			if err == nil && !bytes.Equal(got[i], bytes.Repeat([]byte{byte(p + 1)}, 32)) {
+				err = fmt.Errorf("slot %d is not page %d", i, p)
+			}
+		}
 		results <- err
 	}
-	go fetch(1)
-	<-gx.entered
-	go fetch(2)
-	waitPending(t, srv, 1)
-	go fetch(3)              // second pending page reaches the cap: immediate flush
-	waitPending(t, srv, 0)   // the cap claim empties pending while scan 1 is held
-	gx.release <- struct{}{} // finish scan 1; the cap-flushed scan follows
-	<-gx.entered
+	go fetch([]int{1})
+	<-gx.entered // the lone pass, held
+	for i := 0; i < 5; i++ {
+		go fetch(all)
+	}
+	waitPending(t, srv, 5)
 	gx.release <- struct{}{}
-	for i := 0; i < 3; i++ {
+	for pass := 2; pass <= 3; pass++ {
+		select {
+		case <-gx.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("pass %d never started; passes so far: %d", pass, len(gx.snapshotFlushes()))
+		}
+		gx.release <- struct{}{}
+	}
+	for i := 0; i < 6; i++ {
 		if err := <-results; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.schedFlushCap.Value(); got != 1 {
-		t.Errorf("cap flushes = %d, want 1", got)
-	}
-	if flushes := gx.snapshotFlushes(); len(flushes) != 2 || len(flushes[1]) != 2 {
-		t.Errorf("flushes = %v, want lone {1} then cap-flushed {2,3}", flushes)
-	}
-}
 
-// TestSchedulerDeadlineEarlyFlush: a queued fetch whose context expires long
-// before the window must have its flush pulled forward — the 10-second
-// window (and even the chain flush, since the scan ahead of it is held
-// open past the deadline-derived delay) would otherwise kill it. The
-// deadline timer claims the batch at ¾ of the 2-second budget, while scan
-// 1 is still at the gate.
-func TestSchedulerDeadlineEarlyFlush(t *testing.T) {
-	srv, gx := newSchedServer(t, true, 10*time.Second, 0)
-
-	results := make(chan error, 2)
-	go func() {
-		_, err := srv.ReadPages(context.Background(), "F", []int{1})
-		results <- err
-	}()
-	<-gx.entered
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		start := time.Now()
-		_, err := srv.ReadPages(ctx, "F", []int{2})
-		if err == nil && time.Since(start) > 2*time.Second {
-			err = errors.New("answered after its own deadline")
-		}
-		results <- err
-	}()
-	waitPending(t, srv, 1)
-	waitPending(t, srv, 0)   // the ~1.5s deadline timer claims {2}; scan 1 still held
-	gx.release <- struct{}{} // let scan 1 finish; the deadline flush follows
-	<-gx.entered             // deadline-driven scan of {2}, well before the 10s window
-	gx.release <- struct{}{}
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Fatal(err)
-		}
+	flushes := gx.snapshotFlushes()
+	var sizes []int
+	for _, fl := range flushes {
+		sizes = append(sizes, len(fl))
 	}
-	if got := srv.schedFlushDeadline.Value(); got != 1 {
-		t.Errorf("deadline flushes = %d, want 1", got)
+	if fmt.Sprint(sizes) != fmt.Sprint([]int{1, scanBatchCap, schedTestPages}) {
+		t.Errorf("pass sizes = %v, want [1 %d %d]", sizes, scanBatchCap, schedTestPages)
 	}
-	if got := srv.schedFlushChain.Value(); got != 0 {
-		t.Errorf("chain flushes = %d, want 0 (deadline timer already claimed)", got)
+	if got := srv.schedFlushChain.Value(); got != 2 {
+		t.Errorf("chain flushes = %d, want 2", got)
 	}
 }
 
@@ -325,7 +310,7 @@ func TestSchedulerDeadlineEarlyFlush(t *testing.T) {
 // in the pending batch withdraws it — it returns the context error promptly
 // and no scan ever answers its pages.
 func TestSchedulerCancelWhileQueued(t *testing.T) {
-	srv, gx := newSchedServer(t, true, 10*time.Second, 0)
+	srv, gx := newSchedServer(t, true)
 
 	loneDone := make(chan error, 1)
 	go func() {
@@ -374,9 +359,10 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 }
 
 // TestSchedulerRejectsHostilePages: an out-of-range index is rejected at
-// submit, before the request can join (and poison) a shared batch.
+// submit, before the request can join (and poison) a shared batch, and
+// before it is counted on any route.
 func TestSchedulerRejectsHostilePages(t *testing.T) {
-	srv, _ := newSchedServer(t, false, 0, 0)
+	srv, _ := newSchedServer(t, false)
 	if _, err := srv.ReadPages(context.Background(), "F", []int{schedTestPages}); err == nil {
 		t.Fatal("out-of-range page accepted")
 	}
@@ -385,6 +371,9 @@ func TestSchedulerRejectsHostilePages(t *testing.T) {
 	}
 	if f, s := srv.schedFetches.Load(), srv.schedScans.Load(); f != 0 || s != 0 {
 		t.Errorf("rejected fetches were recorded: fetches/scans = %d/%d", f, s)
+	}
+	if w, fo := srv.routeWhole.Value(), srv.routeFanOut.Value(); w != 0 || fo != 0 {
+		t.Errorf("rejected fetches moved privsp_pir_route_total: single_scan/fan_out = %d/%d", w, fo)
 	}
 	// Valid work still flows after rejections.
 	got, err := srv.ReadPages(context.Background(), "F", []int{0, schedTestPages - 1})
@@ -409,7 +398,7 @@ func chiSquaredBits(counts []int, trials int) float64 {
 
 func selected(sel []byte, bit int) bool { return sel[bit/8]&(1<<(bit%8)) != 0 }
 
-// TestSchedulerCoScheduledSelectorsUniformAndIndependent extends the PR 5
+// TestSchedulerCoScheduledSelectorsUniformAndIndependent extends the
 // selector privacy property across connections: when two fetches from
 // DIFFERENT goroutines are merged into one scan by the scheduler, each
 // query's server-A selector vector must stay marginally uniform per bit and
@@ -418,7 +407,7 @@ func selected(sel []byte, bit int) bool { return sel[bit/8]&(1<<(bit%8)) != 0 }
 // with chi-squared statistics against ≈10-sigma thresholds.
 func TestSchedulerCoScheduledSelectorsUniformAndIndependent(t *testing.T) {
 	const trials = 256
-	srv, gx := newSchedServer(t, true, 10*time.Second, 2)
+	srv, gx := newSchedServer(t, true)
 
 	perBit := make([]int, schedTestPages)  // all co-scheduled vectors
 	pairXOR := make([]int, schedTestPages) // XOR of the two vectors per merged scan
@@ -430,12 +419,11 @@ func TestSchedulerCoScheduledSelectorsUniformAndIndependent(t *testing.T) {
 
 	for trial := 0; trial < trials; trial++ {
 		go fetch(context.Background(), trial%schedTestPages)
-		<-gx.entered
+		<-gx.entered // lone pass held at the gate
 		go fetch(context.Background(), (trial+7)%schedTestPages)
-		waitPending(t, srv, 1)
-		go fetch(context.Background(), (trial+23)%schedTestPages) // hits the cap: merged flush
-		waitPending(t, srv, 0)                                    // cap claim done while scan 1 is still held
-		gx.release <- struct{}{}
+		go fetch(context.Background(), (trial+23)%schedTestPages)
+		waitPending(t, srv, 2)
+		gx.release <- struct{}{} // lone pass ends and claims both: one merged chain pass
 		<-gx.entered
 		gx.release <- struct{}{}
 		for i := 0; i < 3; i++ {

@@ -27,7 +27,8 @@ func pirGoroutines() int {
 	}
 }
 
-// TestDroppedServerReleasesScanWorkers: a store owns memory and nothing else.
+// TestDroppedServerReleasesScanWorkers checks that a store owns memory and
+// nothing else.
 // The goroutines of a parallel pass are joined before the read returns (a
 // helper may still be unwinding past its last statement, hence the short
 // settle loop), and a server that was dropped after serving — telemetry
@@ -44,12 +45,13 @@ func TestDroppedServerReleasesScanWorkers(t *testing.T) {
 		factory := func(r pagefile.Reader) (pir.Store, error) {
 			x, err := pir.NewXORPIR(r)
 			if err == nil {
+				x.SetScanWorkers(2) // 256 KiB is below the size-aware default's floor
 				runtime.AddCleanup(x, func(c *atomic.Bool) { c.Store(true) }, &collected)
 			}
 			return x, err
 		}
 		srv, err := NewServer(db, costmodel.Default(), factory,
-			WithTelemetry(telemetry.NewRegistry(), "T"), WithWorkers(2), WithScanWorkers(2))
+			WithTelemetry(telemetry.NewRegistry(), "T"), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func (s *Server) initTelemetry() {
 		"size of the per-database PIR worker pool",
 		func() float64 { return float64(workers) }, dbl)
 	reg.GaugeFunc("privsp_pool_busy",
-		"PIR page reads executing right now",
+		"worker-pool slots held right now (a page read holds one, a width-w scan pass w)",
 		func() float64 { busy, _ := s.pool.stats(); return float64(busy) }, dbl)
 	reg.GaugeFunc("privsp_pool_queued",
 		"PIR page reads waiting for a pool slot",
@@ -61,12 +61,6 @@ func (s *Server) initTelemetry() {
 	const flushHelp = "merged scans by what triggered the flush"
 	s.schedFlushLone = reg.Counter("privsp_scan_flush_total",
 		flushHelp, dbl, telemetry.L("reason", "lone"))
-	s.schedFlushWindow = reg.Counter("privsp_scan_flush_total",
-		flushHelp, dbl, telemetry.L("reason", "window"))
-	s.schedFlushCap = reg.Counter("privsp_scan_flush_total",
-		flushHelp, dbl, telemetry.L("reason", "cap"))
-	s.schedFlushDeadline = reg.Counter("privsp_scan_flush_total",
-		flushHelp, dbl, telemetry.L("reason", "deadline"))
 	s.schedFlushChain = reg.Counter("privsp_scan_flush_total",
 		flushHelp, dbl, telemetry.L("reason", "chain"))
 	s.schedOccupancy = reg.Histogram("privsp_scan_batch_queries",
@@ -74,8 +68,8 @@ func (s *Server) initTelemetry() {
 		telemetry.HistogramOpts{}, dbl)
 	// Parallel-kernel families, likewise eager. The segment histogram
 	// observes exactly ScanWorkers durations per parallel store pass — a
-	// count fixed by configuration — and the route split depends only on
-	// the configured width, so neither can encode page contents.
+	// count fixed at host time — and the route split depends only on that
+	// width, so neither can encode page contents.
 	s.scanSegment = reg.Histogram("privsp_scan_segment_seconds",
 		"wall-clock time one worker spent folding its share of a parallel scan",
 		telemetry.Seconds(), dbl)

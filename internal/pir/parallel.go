@@ -43,13 +43,13 @@ import (
 // minSegWords is the default sizing floor: a worker must have at least this
 // many arena words (512 KiB) to pay for its share of the fan-out handshake.
 // Stores below the floor scan serially; an explicit SetScanWorkers call
-// overrides the floor (the serving layer and the tests know better).
+// overrides the floor (tests use it to force a width on small files).
 const minSegWords = 1 << 16
 
 // ParallelScan is the optional configuration face of a store whose
 // full-file scan can fan out across several workers. The serving layer
-// (lbs.Server) resolves the deployment's scan-worker setting against its
-// pool size and applies it here at host time; n is a target, and the
+// (lbs.Server) clamps the store's default width to its pool size and
+// applies it here at host time; n is a target, and the
 // returned effective count is what one scan will actually use (capped so
 // every worker has at least one unit of work). Configuration is not
 // synchronized with in-flight reads: call before serving, as lbs does.

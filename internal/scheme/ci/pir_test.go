@@ -10,6 +10,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/pir"
 )
 
 // TestEndToEndOverRealPIR runs complete CI queries with every file served
@@ -23,12 +25,23 @@ func TestEndToEndOverRealPIR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string][]lbs.ServerOption{
-		"serial-scan":   nil,
-		"parallel-scan": {lbs.WithWorkers(2), lbs.WithScanWorkers(2)},
+	for name, width := range map[string]int{
+		"serial-scan":   1,
+		"parallel-scan": 2,
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, err := lbs.NewServer(db, costmodel.Default(), lbs.XORStores, opts...)
+			// The files are too small for the size-aware default width to
+			// fan out, so the store's width is forced; a pool of the same
+			// size lets the pass hold a slot per worker.
+			stores := func(r pagefile.Reader) (pir.Store, error) {
+				x, err := pir.NewXORPIR(r)
+				if err != nil {
+					return nil, err
+				}
+				x.SetScanWorkers(width)
+				return x, nil
+			}
+			srv, err := lbs.NewServer(db, costmodel.Default(), stores, lbs.WithWorkers(width))
 			if err != nil {
 				t.Fatal(err)
 			}

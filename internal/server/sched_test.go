@@ -12,6 +12,8 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/pir"
 	"repro/internal/telemetry"
 )
 
@@ -21,13 +23,14 @@ func startSchedServer(t testing.TB, names ...string) (*Server, string) {
 	return startSchedServerOpts(t, Options{Workers: 4}, names...)
 }
 
-// startSchedServerOpts is startSchedServer with the full option surface —
-// the parallel-scan variants force ScanWorkers through it. Stores is always
-// XORPIR.
+// startSchedServerOpts is startSchedServer with the full option surface;
+// Stores defaults to lbs.XORStores.
 func startSchedServerOpts(t testing.TB, opts Options, names ...string) (*Server, string) {
 	t.Helper()
 	_, dbs := fixture(t)
-	opts.Stores = lbs.XORStores
+	if opts.Stores == nil {
+		opts.Stores = lbs.XORStores
+	}
 	srv := New(opts)
 	for _, name := range names {
 		if err := srv.Host(name, dbs[name], costmodel.Default()); err != nil {
@@ -51,6 +54,20 @@ func startSchedServerOpts(t testing.TB, opts Options, names ...string) (*Server,
 		}
 	})
 	return srv, ln.Addr().String()
+}
+
+// xorStoresWidth is lbs.XORStores with every store's scan width forced to
+// n: the fixture's files are too small for the size-aware default to fan
+// out, so the parallel-scan tests force the segmented kernel on this way.
+func xorStoresWidth(n int) lbs.StoreFactory {
+	return func(r pagefile.Reader) (pir.Store, error) {
+		x, err := pir.NewXORPIR(r)
+		if err != nil {
+			return nil, err
+		}
+		x.SetScanWorkers(n)
+		return x, nil
+	}
 }
 
 // TestTheorem1UnderCoScheduling: with the scan scheduler merging fetches
@@ -130,8 +147,8 @@ func metricTotal(reg *telemetry.Registry, family string) uint64 {
 }
 
 // TestTelemetryLeakageFreeCoScheduling extends the PR 6 leakage invariant to
-// the scan scheduler's metadata: with XORPIR stores scheduled behind the
-// batching window, same-shape queries for different endpoints must still
+// the scan scheduler's metadata: with XORPIR stores behind the scan
+// scheduler, same-shape queries for different endpoints must still
 // move every exported series identically — flush-reason counters, batch
 // occupancy buckets, fetch/scan tallies and the amortization gauge reveal
 // the workload's shape and timing, never which endpoints co-scheduled.
@@ -186,7 +203,7 @@ func TestTelemetryLeakageFreeCoScheduling(t *testing.T) {
 }
 
 // TestTheorem1UnderParallelScan re-runs the co-scheduling Theorem 1 check
-// with the segmented parallel kernel forced on (scan-workers = pool size):
+// with the segmented parallel kernel forced on (scan width = pool size):
 // fanning each merged scan across a worker group changes which core XORs
 // which words, never which file any query is seen to access, so every
 // client-recorded and server-observed trace must still be the plan's
@@ -198,7 +215,7 @@ func TestTheorem1UnderParallelScan(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			srv, addr := startSchedServerOpts(t,
-				Options{Workers: 4, ScanWorkers: 4}, scheme)
+				Options{Workers: 4, Stores: xorStoresWidth(4)}, scheme)
 			want := lbs.CanonicalTrace(dbs[scheme].Plan)
 
 			var wg sync.WaitGroup
@@ -245,7 +262,7 @@ func TestTheorem1UnderParallelScan(t *testing.T) {
 }
 
 // TestTelemetryLeakageFreeParallelScan extends the leakage invariant to the
-// parallel kernel's instrumentation: with scan-workers > 1, the segment-time
+// parallel kernel's instrumentation: with a scan width > 1, the segment-time
 // histogram gains a fixed number of observations per store pass (2 × width —
 // a function of configuration) and the kernel-route counters move with scan
 // counts — so same-shape queries for different endpoints must still produce
@@ -261,7 +278,7 @@ func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			srv, addr := startSchedServerOpts(t,
-				Options{Workers: 4, ScanWorkers: 4}, scheme)
+				Options{Workers: 4, Stores: xorStoresWidth(4)}, scheme)
 			c := dialDB(t, addr, scheme)
 			reg := srv.Telemetry()
 
@@ -304,7 +321,7 @@ func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
 // one — and, like every replica metric, identically whichever page the
 // selector picks out.
 func TestReplicaShareFetchCountsKernelRoute(t *testing.T) {
-	srv, addr := startSchedServerOpts(t, Options{Workers: 4, ScanWorkers: 2, ReplicaRole: true}, "CI")
+	srv, addr := startSchedServerOpts(t, Options{Workers: 4, Stores: xorStoresWidth(2), ReplicaRole: true}, "CI")
 	c := dialDB(t, addr, "CI")
 	reg := srv.Telemetry()
 	ctx := context.Background()

@@ -31,9 +31,10 @@ import (
 
 // Options tunes the daemon.
 type Options struct {
-	// Workers bounds the number of concurrently executing PIR page reads
-	// per hosted database, across all of its connections. Every database
-	// gets its own pool of this size, so concurrent sessions on distinct
+	// Workers sizes each hosted database's worker pool, across all of its
+	// connections: a PIR page read holds one slot, a scan-store pass one per
+	// scan worker, so Workers also caps the (otherwise derived) scan width.
+	// Every database gets its own pool, so concurrent sessions on distinct
 	// databases never serialize on each other. 0 means 2×GOMAXPROCS.
 	Workers int
 	// MaxFrame bounds an accepted frame; 0 means wire.DefaultMaxFrame.
@@ -45,13 +46,6 @@ type Options struct {
 	// lbs.PlainStores. Scan stores (e.g. pir.NewXORPIR) engage the
 	// cross-connection scan scheduler.
 	Stores lbs.StoreFactory
-	// ScanWorkers is the per-scan worker width for parallel-capable stores
-	// (pir.ParallelScan): each file pass fans out across this many workers
-	// and occupies as many pool slots, so one merged scan uses the machine
-	// instead of oversubscribing cores across concurrent scans. Clamped to
-	// Workers per database; 1 forces the serial kernel; 0 means each
-	// store's size-aware default (GOMAXPROCS, shrunk for small files).
-	ScanWorkers int
 	// MaxInflight bounds the queries open at once across the whole daemon.
 	// A BeginQuery past the budget is shed at admission — answered with a
 	// typed Busy frame carrying a retry-after hint, before any query
@@ -211,9 +205,7 @@ func (s *Server) retryAfterHint() time.Duration {
 // by default) behind a worker pool of Options.Workers slots, private to
 // this database.
 func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) error {
-	lsrv, err := lbs.NewServer(db, model, s.opts.Stores,
-		lbs.WithWorkers(s.opts.Workers),
-		lbs.WithScanWorkers(s.opts.ScanWorkers))
+	lsrv, err := lbs.NewServer(db, model, s.opts.Stores, lbs.WithWorkers(s.opts.Workers))
 	if err != nil {
 		return err
 	}

@@ -640,9 +640,9 @@ type DBStats struct {
 	InFlight  uint32
 	Cancelled uint64
 	Deadline  uint64
-	// Worker-pool gauges: pool size, reads executing now, reads waiting
-	// for a slot. Every database has its own pool, so these expose
-	// per-database saturation.
+	// Worker-pool gauges: pool size in slots, slots held now (a width-w
+	// scan pass holds w), reads and passes waiting for slots. Every
+	// database has its own pool, so these expose per-database saturation.
 	Workers     uint32
 	BusyWorkers uint32
 	QueuedReads uint32
