@@ -14,6 +14,8 @@
 #      reveals which pages the fan-out reconstructed. (Timing histograms
 #      and connection byte counters are excluded: they differ by wall
 #      clock and health-probe timing, not by access pattern.)
+#   3. A one-replica fleet is refused ("at least 2"): there is no
+#      single-server fallback.
 #
 #   ./bench/fleet_smoke.sh
 set -eu
@@ -32,6 +34,7 @@ dloga=$(mktemp -t replica-a.log.XXXXXX)
 dlogb=$(mktemp -t replica-b.log.XXXXXX)
 out1=$(mktemp -t query1.XXXXXX)
 out2=$(mktemp -t query2.XXXXXX)
+out3=$(mktemp -t query3.XXXXXX)
 counta=$(mktemp -t counters-a.XXXXXX)
 countb=$(mktemp -t counters-b.XXXXXX)
 pida=""
@@ -43,7 +46,7 @@ cleanup() {
 	done
 	pida=""
 	pidb=""
-	rm -f "$bin" "$container" "$dloga" "$dlogb" "$out1" "$out2" "$counta" "$countb"
+	rm -f "$bin" "$container" "$dloga" "$dlogb" "$out1" "$out2" "$out3" "$counta" "$countb"
 }
 trap cleanup EXIT
 trap 'cleanup; trap - INT; kill -INT $$' INT
@@ -81,8 +84,8 @@ go run ./cmd/privsp query -fleet "$fleet" \
 go run ./cmd/privsp query -fleet "$fleet" \
 	-preset Oldenburg -scale 0.05 -s 3 -t 7 | tee "$out2"
 
-# Both runs must have fanned out (not silently fallen back to mirror mode),
-# and both must have found a path.
+# Both runs must have split every read into selector shares across the two
+# replicas, and both must have found a path.
 for f in "$out1" "$out2"; do
 	if ! grep -q "shares fan-out" "$f"; then
 		echo "fleet-smoke: query did not resolve to shares fan-out:" >&2
@@ -131,8 +134,22 @@ if ! grep -q 'privsp_server_share_fetches_total{db="CI"} [1-9]' "$counta"; then
 	exit 1
 fi
 
+# Claim 3: one address is not a fleet. The dial refuses it before touching
+# the network, so the replicas' counters above are unaffected.
+if go run ./cmd/privsp query -fleet "127.0.0.1:$porta" \
+	-preset Oldenburg -scale 0.05 -s 0 -t 42 >"$out3" 2>&1; then
+	echo "fleet-smoke: a one-replica fleet query succeeded; want a refusal:" >&2
+	cat "$out3" >&2
+	exit 1
+fi
+if ! grep -q "at least 2" "$out3"; then
+	echo "fleet-smoke: one-replica fleet failed for the wrong reason:" >&2
+	cat "$out3" >&2
+	exit 1
+fi
+
 kill "$pida" "$pidb"
 wait "$pida" "$pidb" 2>/dev/null || true
 pida=""
 pidb=""
-echo "fleet-smoke: ok (traces identical across endpoints, replica counter deltas byte-identical)"
+echo "fleet-smoke: ok (traces identical across endpoints, replica counter deltas byte-identical, one-replica fleet refused)"

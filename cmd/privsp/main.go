@@ -192,7 +192,7 @@ func main() {
 				fatal(err)
 			}
 			defer fsrv.Close()
-			fmt.Printf("fleet %s hosting %s (%s fan-out)\n", *fleetAddrs, fsrv.Scheme(), fsrv.Mode())
+			fmt.Printf("fleet %s hosting %s (shares fan-out)\n", *fleetAddrs, fsrv.Scheme())
 			srv = fsrv
 		} else if *remote != "" {
 			rsrv, err := privsp.DialDatabaseContext(ctx, *remote, *database)
@@ -254,7 +254,7 @@ func fleetStats(ctx context.Context, addrs []string, database string) {
 	}
 	defer fsrv.Close()
 	st := fsrv.Status()
-	fmt.Printf("fleet of %d replicas, %s fan-out\n", len(st.Replicas), st.Mode)
+	fmt.Printf("fleet of %d replicas, shares fan-out\n", len(st.Replicas))
 	for _, rs := range fsrv.ReplicaStats(ctx) {
 		state := "up"
 		if !rs.Up {

@@ -203,10 +203,6 @@ func (c *Client) Addr() string { return c.addr }
 // shares on every hosted file (Welcome capability flag).
 func (c *Client) ShareCapable() bool { return c.flags&wire.WelcomeShareCapable != 0 }
 
-// ReplicaRole reports whether the daemon runs as a non-reconstructing
-// fleet replica, rejecting plain Fetch frames (Welcome capability flag).
-func (c *Client) ReplicaRole() bool { return c.flags&wire.WelcomeReplicaRole != 0 }
-
 // Files returns the daemon's public file table, in database order.
 func (c *Client) Files() []lbs.FileInfo { return c.order }
 

@@ -13,26 +13,16 @@ import (
 	"repro/internal/lbs"
 )
 
-// queryMode is the fan-out shape one query resolved to at start time.
-type queryMode int
-
-const (
-	qPaired   queryMode = iota // both shares, distinct replicas
-	qDegraded                  // both shares, lone survivor (trust-one-server)
-	qMirror                    // whole query, one replica
-)
-
 // Query is one fan-out query session. It implements lbs.Backend and
 // lbs.Service exactly like a single daemon's query session, so scheme
-// protocol code runs over a fleet unchanged. In paired mode every
+// protocol code runs over a fleet unchanged. In a paired query every
 // protocol step drives BOTH replica sessions symmetrically — each replica
 // records the same canonical Theorem 1 trace it would record alone, and
 // each page read becomes one uniform selector share per replica, XORed
 // back together only client-side.
 type Query struct {
 	f    *Fleet
-	mode queryMode
-	subs []*sub // paired: exactly 2; degraded/mirror: exactly 1
+	subs []*sub // paired: exactly 2; degraded: exactly 1 (both shares on it)
 	err  error  // start-time failure (no replicas); surfaced by every call
 }
 
@@ -43,24 +33,12 @@ type sub struct {
 }
 
 // StartQuery opens a fan-out query session, choosing replicas by current
-// health. In shares mode two up replicas give a paired query; exactly one
-// gives a degraded query (unless Options.DisableDegraded); zero replicas
-// give a session whose every call reports the down replica. In mirror
-// mode one replica takes the whole query, rotating per query.
+// health: two up replicas give a paired query; exactly one gives a degraded
+// query (unless Options.DisableDegraded); zero replicas give a session
+// whose every call reports the down replica.
 func (f *Fleet) StartQuery() *Query {
 	q := &Query{f: f}
-	if f.mode == ModeMirror {
-		picked := f.pick(1)
-		if len(picked) == 0 {
-			q.err = f.downError()
-			return q
-		}
-		f.m.queriesMirror.Inc()
-		q.mode = qMirror
-		q.subs = []*sub{{rep: picked[0], q: picked[0].c.StartQuery()}}
-		return q
-	}
-	picked := f.pick(2)
+	picked := f.pick()
 	switch len(picked) {
 	case 0:
 		q.err = f.downError()
@@ -72,11 +50,9 @@ func (f *Fleet) StartQuery() *Query {
 		}
 		f.m.degraded.Inc()
 		f.opts.Logf("fleet: DEGRADED query: both shares to %s — single-server XOR PIR, privacy rests on trusting that one server", picked[0].addr)
-		q.mode = qDegraded
 		q.subs = []*sub{{rep: picked[0], q: picked[0].c.StartQuery()}}
 	default:
 		f.m.queriesPaired.Inc()
-		q.mode = qPaired
 		q.subs = []*sub{
 			{rep: picked[0], q: picked[0].c.StartQuery()},
 			{rep: picked[1], q: picked[1].c.StartQuery()},
@@ -84,6 +60,9 @@ func (f *Fleet) StartQuery() *Query {
 	}
 	return q
 }
+
+// degraded reports whether both shares of this query go to one replica.
+func (q *Query) degraded() bool { return len(q.subs) == 1 }
 
 // Connect opens an lbs connection over this query, governed by ctx.
 func (q *Query) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, q) }
@@ -132,7 +111,7 @@ func (q *Query) HeaderBytes(ctx context.Context) ([]byte, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	if q.mode != qPaired {
+	if q.degraded() {
 		h, err := q.subs[0].q.HeaderBytes(ctx)
 		return h, q.f.reportError(q.subs[0].rep, err)
 	}
@@ -164,7 +143,7 @@ func (q *Query) NextRound(ctx context.Context) error {
 	if q.err != nil {
 		return q.err
 	}
-	if q.mode != qPaired {
+	if q.degraded() {
 		return q.f.reportError(q.subs[0].rep, q.subs[0].q.NextRound(ctx))
 	}
 	return firstErr(q.both(func(s *sub) error { return s.q.NextRound(ctx) }))
@@ -220,18 +199,13 @@ func xorInto(a, b [][]byte, pageSize int) error {
 // and performs one scan. Degraded queries send BOTH shares to the lone
 // survivor in one deterministic batch (selsA then selsB) — the answer is
 // still correct, but that replica now holds the same view as a
-// single-server XOR PIR store. Mirror queries read plainly from their one
-// replica.
+// single-server XOR PIR store.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
 	if len(pages) == 0 {
 		return nil, nil
-	}
-	if q.mode == qMirror {
-		out, err := q.subs[0].q.ReadPages(ctx, file, pages)
-		return out, q.f.reportError(q.subs[0].rep, err)
 	}
 	fi, err := q.FileInfo(file)
 	if err != nil {
@@ -241,7 +215,7 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 	if err != nil {
 		return nil, err
 	}
-	if q.mode == qDegraded {
+	if q.degraded() {
 		all := make([][]byte, 0, 2*len(pages))
 		all = append(append(all, selsA...), selsB...)
 		res, rerr := q.subs[0].q.ReadShares(ctx, file, all)
@@ -286,7 +260,7 @@ func (q *Query) End(ctx context.Context) (string, error) {
 	if q.err != nil {
 		return "", q.err
 	}
-	if q.mode != qPaired {
+	if q.degraded() {
 		tr, err := q.subs[0].q.End(ctx)
 		return tr, q.f.reportError(q.subs[0].rep, err)
 	}

@@ -6,16 +6,15 @@ import "repro/internal/telemetry"
 // lines of docs/metrics.catalog, enforced by TestFleetMetricsCatalog the
 // same way cmd/privspd's TestMetricsCatalog enforces the daemon lines.
 //
-// Everything is registered eagerly at Dial time, per replica address and
-// per mode, for the same reason the daemon registers eagerly at Host time:
-// series that appear on first use leak when the first use happened. A
-// scrape of a freshly dialed fleet already shows every series at zero.
+// Everything is registered eagerly at Dial time, per replica address, for
+// the same reason the daemon registers eagerly at Host time: series that
+// appear on first use leak when the first use happened. A scrape of a
+// freshly dialed fleet already shows every series at zero.
 type fleetMetrics struct {
 	replicaUp     map[string]*telemetry.Gauge   // by replica address
 	replicaErrors map[string]*telemetry.Counter // by replica address
 	fanout        *telemetry.Histogram
 	queriesPaired *telemetry.Counter
-	queriesMirror *telemetry.Counter
 	degraded      *telemetry.Counter
 	probeOK       *telemetry.Counter
 	probeFail     *telemetry.Counter
@@ -37,8 +36,6 @@ func (f *Fleet) initTelemetry(addrs []string) {
 		telemetry.Seconds())
 	f.m.queriesPaired = reg.Counter("privsp_fleet_queries_total",
 		"queries started, by fan-out mode", telemetry.L("mode", "paired"))
-	f.m.queriesMirror = reg.Counter("privsp_fleet_queries_total",
-		"queries started, by fan-out mode", telemetry.L("mode", "mirror"))
 	f.m.degraded = reg.Counter("privsp_fleet_degraded_queries_total",
 		"queries demoted to single-server XOR PIR (both shares on the lone survivor — information-theoretic privacy degraded to a trust assumption)")
 	f.m.probeOK = reg.Counter("privsp_fleet_probes_total",

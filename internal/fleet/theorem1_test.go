@@ -57,9 +57,6 @@ func TestTheorem1TwoServer(t *testing.T) {
 	_, addrB := startDaemon(t, "CI", db, true, true, nil)
 	_, addrRef := startDaemon(t, "CI", db, false, true, nil) // single-daemon XORPIR reference
 	f := dialFleet(t, []string{addrA, addrB}, fleet.Options{})
-	if f.Mode() != fleet.ModeShares {
-		t.Fatalf("mode = %v, want shares", f.Mode())
-	}
 	ref, err := client.Dial(addrRef, client.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -198,8 +198,8 @@ type hostedStore struct {
 	// only for scan stores (see scheduler.go).
 	sched *scanScheduler
 	// scanWorkers is the resolved per-scan worker width of a scan store,
-	// clamped to the pool size at host time; a pass over the store occupies
-	// this many pool slots. 1 for every other store.
+	// clamped to the pool size at host time; a pass over the store still
+	// holds one pool slot. 1 for every other store.
 	scanWorkers int
 }
 
@@ -207,14 +207,14 @@ type hostedStore struct {
 type ServerOption func(*Server)
 
 // WithWorkers sizes this server's worker pool: the slots held by PIR page
-// reads and store passes across all connections. A page read holds one
-// slot, a pass over a scan store one per scan worker, so n also caps every
-// scan store's width. n <= 1 serializes every read — the historical
-// behaviour and the default.
+// reads and store passes across all connections. A page read or a whole
+// scan-store pass holds one slot, so n bounds the passes running at once;
+// n also caps every scan store's width, which bounds each pass. n <= 1
+// serializes every read — the historical behaviour and the default.
 func WithWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
-			s.pool.size = n
+			s.pool.slots = make(chan struct{}, n)
 		}
 	}
 }
@@ -233,7 +233,7 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 		db:     db,
 		model:  model,
 		stores: map[string]*hostedStore{},
-		pool:   slotPool{size: 1},
+		pool:   slotPool{slots: make(chan struct{}, 1)},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -250,12 +250,11 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 		hs := &hostedStore{store: st, scanWorkers: 1}
 		hs.shares, _ = st.(pir.ShareAnswerer)
 		if ps, ok := st.(pir.ParallelScan); ok {
-			// A pass occupies one pool slot per scan worker, so the store's
-			// own width (GOMAXPROCS, shrunk for small files) is clamped to
-			// the pool: the per-database pool stays the single knob bounding
-			// parallel work, and the historical 1-worker default pool
-			// resolves to the serial kernel.
-			hs.scanWorkers = ps.SetScanWorkers(min(ps.ScanWorkers(), s.pool.size))
+			// The store's own width (GOMAXPROCS, shrunk for small files) is
+			// clamped to the pool: the per-database pool stays the single
+			// knob bounding parallel work, and the historical 1-worker
+			// default pool resolves to the serial kernel.
+			hs.scanWorkers = ps.SetScanWorkers(min(ps.ScanWorkers(), s.pool.size()))
 			hs.sched = &scanScheduler{srv: s, hs: hs, file: f.Name()}
 		}
 		s.stores[f.Name()] = hs
@@ -346,15 +345,15 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 		s.routeWhole.Inc()
 		return hs.sched.readInto(ctx, pages, dst)
 	}
-	if workers := min(s.pool.size, len(pages)); workers > 1 {
+	if workers := min(s.pool.size(), len(pages)); workers > 1 {
 		s.routeFanOut.Inc()
 		return s.fanOut(ctx, hs, file, workers, pages, dst)
 	}
 	s.routeWhole.Inc()
-	if err := s.pool.acquire(ctx, 1); err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		return err
 	}
-	defer s.pool.release(1)
+	defer s.pool.release()
 	return fetchErr(ctx, "PIR fetch", file, hs.store.ReadBatchInto(ctx, pages, dst))
 }
 
@@ -402,17 +401,16 @@ func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, d
 	if err := s.beginScan(ctx, hs); err != nil {
 		return err
 	}
-	defer s.pool.release(hs.scanWorkers)
+	defer s.pool.release()
 	return fetchErr(ctx, "share fetch", file, hs.shares.AnswerShares(ctx, sels, dst))
 }
 
 // beginScan is how every pass over a scan store enters the pool — a merged
-// fetch batch from the scheduler or a replica's share batch: it takes the
-// store's slot weight, one slot per scan worker, and counts the kernel route
-// the pass will run on. The caller releases hs.scanWorkers when the pass is
-// done.
+// fetch batch from the scheduler or a replica's share batch: it takes one
+// slot for the whole pass, however wide, and counts the kernel route the
+// pass will run on. The caller releases the slot when the pass is done.
 func (s *Server) beginScan(ctx context.Context, hs *hostedStore) error {
-	if err := s.pool.acquire(ctx, hs.scanWorkers); err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		return err
 	}
 	if hs.scanWorkers > 1 {
@@ -466,9 +464,9 @@ func (s *Server) fanOut(ctx context.Context, hs *hostedStore, file string, worke
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
-			err := s.pool.acquire(ctx, 1)
+			err := s.pool.acquire(ctx)
 			if err == nil {
-				defer s.pool.release(1)
+				defer s.pool.release()
 				err = fetchErr(ctx, "PIR fetch", file, hs.store.ReadBatchInto(ctx, pages[start:end], dst[start:end]))
 			}
 			if err != nil {
@@ -485,12 +483,12 @@ func (s *Server) fanOut(ctx context.Context, hs *hostedStore, file string, worke
 }
 
 // PoolStats snapshots the worker pool: its size in slots, the slots held
-// right now (a page read holds one, a width-w scan pass holds w), and the
-// reads and passes waiting for slots. The daemon exports these as serving
-// gauges.
+// right now (one per page read or store pass in progress, whatever the
+// pass's scan width), and the reads and passes waiting for a slot. The
+// daemon exports these as serving gauges.
 func (s *Server) PoolStats() (workers, busy, queued int) {
 	busy, queued = s.pool.stats()
-	return s.pool.size, busy, queued
+	return s.pool.size(), busy, queued
 }
 
 // Connect opens a client connection (one per query in the experiments),

@@ -1,10 +1,14 @@
 package lbs
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
+	"repro/internal/pagefile"
+	"repro/internal/pir"
 	"repro/internal/telemetry"
 )
 
@@ -34,94 +38,105 @@ func wantStats(t *testing.T, p *slotPool, busy, queued int) {
 
 // queue starts an acquire that is expected to park and returns the channel
 // its result arrives on.
-func queue(ctx context.Context, p *slotPool, weight int) chan error {
+func queue(ctx context.Context, p *slotPool) chan error {
 	done := make(chan error, 1)
-	go func() { done <- p.acquire(ctx, weight) }()
+	go func() { done <- p.acquire(ctx) }()
 	return done
 }
 
 // TestPoolCancelWhileQueuedHoldsNothing: a cancelled waiter gives back
-// everything — it leaves the queue holding no slot — and withdrawing the
-// head of the queue lets the waiter behind it through.
+// everything — it leaves the queue holding no slot — and the waiter behind
+// it takes the next slot freed.
 func TestPoolCancelWhileQueuedHoldsNothing(t *testing.T) {
-	p := &slotPool{size: 2, wait: telemetry.NewHistogram(telemetry.Seconds())}
+	p := &slotPool{slots: make(chan struct{}, 2), wait: telemetry.NewHistogram(telemetry.Seconds())}
 	bg := context.Background()
-	if err := p.acquire(bg, 1); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(bg)
-	scan := queue(ctx, p, 2) // needs the whole pool: parks behind the held slot
-	waitQueued(t, p, 1)
-	narrow := queue(bg, p, 1) // a slot is free, but nobody overtakes the head
-	waitQueued(t, p, 2)
-
-	cancel()
-	if err := <-scan; err != context.Canceled {
-		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
-	}
-	if err := <-narrow; err != nil {
-		t.Fatalf("waiter behind the withdrawn head: %v", err)
-	}
-	wantStats(t, p, 2, 0)
-	p.release(1)
-	p.release(1)
-	wantStats(t, p, 0, 0)
-	// One observation per successful acquisition, none for the cancelled one.
-	if n := p.wait.Count(); n != 2 {
-		t.Errorf("%d wait observations for 2 acquisitions", n)
-	}
-}
-
-// TestPoolScanWaiterNotStarved: a pass that weighs the whole pool is served
-// in arrival order — 1-slot reads that arrive after it queue behind it even
-// while a slot is free, so a steady stream of them cannot keep it out.
-func TestPoolScanWaiterNotStarved(t *testing.T) {
-	p := &slotPool{size: 2}
-	bg := context.Background()
-	if err := p.acquire(bg, 1); err != nil {
-		t.Fatal(err)
-	}
-	scan := queue(bg, p, 2)
-	waitQueued(t, p, 1)
-	late := []chan error{queue(bg, p, 1), queue(bg, p, 1)}
-	waitQueued(t, p, 3)
-	wantStats(t, p, 1, 3) // the free slot was not handed to a latecomer
-
-	p.release(1)
-	if err := <-scan; err != nil {
-		t.Fatal(err)
-	}
-	wantStats(t, p, 2, 2) // the scan holds the pool; latecomers still wait
-	p.release(2)
-	for _, done := range late {
-		if err := <-done; err != nil {
+	for i := 0; i < 2; i++ {
+		if err := p.acquire(bg); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ctx, cancel := context.WithCancel(bg)
+	first := queue(ctx, p)
+	waitQueued(t, p, 1)
+	second := queue(bg, p)
+	waitQueued(t, p, 2)
+
+	cancel()
+	if err := <-first; err != context.Canceled {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+	}
+	wantStats(t, p, 2, 1) // the cancelled waiter took nothing with it
+	p.release()
+	if err := <-second; err != nil {
+		t.Fatalf("waiter behind the cancelled one: %v", err)
+	}
 	wantStats(t, p, 2, 0)
+	p.release()
+	p.release()
+	wantStats(t, p, 0, 0)
+	// One observation per successful acquisition, none for the cancelled one.
+	if n := p.wait.Count(); n != 3 {
+		t.Errorf("%d wait observations for 3 acquisitions", n)
+	}
 }
 
-// TestPoolWeightClamps: no pass can want more than the pool, so an oversized
-// weight takes (and returns) exactly the pool, and two such passes queue one
-// behind the other instead of deadlocking.
-func TestPoolWeightClamps(t *testing.T) {
-	p := &slotPool{size: 2}
-	bg := context.Background()
-	if err := p.acquire(bg, 5); err != nil {
+// TestPoolScanPassHoldsOneSlot: a pass over a scan store holds one pool slot
+// however wide it scans, so with a two-slot pool a width-2 pass parked on
+// its store leaves the other slot to a plain page read, which runs without
+// queueing behind it.
+func TestPoolScanPassHoldsOneSlot(t *testing.T) {
+	const pageSize = 32
+	scan := pagefile.NewFile("S", pageSize)
+	plain := pagefile.NewFile("P", pageSize)
+	for i := 0; i < schedTestPages; i++ {
+		scan.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
+		plain.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
+	}
+	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{scan, plain}}
+	gx := &gatedXOR{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	factory := func(r pagefile.Reader) (pir.Store, error) {
+		if r.Name() != "S" {
+			return pir.NewPlain(r), nil
+		}
+		x, err := pir.NewXORPIR(r)
+		if err != nil {
+			return nil, err
+		}
+		x.SetScanWorkers(2) // the file is below the size-aware default's floor
+		gx.XORPIR = x
+		return gx, nil
+	}
+	srv, err := NewServer(db, costmodel.Default(), factory, WithWorkers(2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, p, 2, 0)
-	second := queue(bg, p, 7)
-	waitQueued(t, p, 1)
-	p.release(5)
-	if err := <-second; err != nil {
+	if w := srv.stores["S"].scanWorkers; w != 2 {
+		t.Fatalf("scan width %d, want 2", w)
+	}
+
+	parked := make(chan error, 1)
+	go func() {
+		_, err := srv.ReadPages(context.Background(), "S", []int{7})
+		parked <- err
+	}()
+	<-gx.entered // the pass has its slot and waits at the gate
+	if _, busy, queued := srv.PoolStats(); busy != 1 || queued != 0 {
+		t.Fatalf("width-2 pass: pool busy/queued = %d/%d, want 1/0", busy, queued)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := srv.ReadPages(ctx, "P", []int{3})
+	if err != nil {
+		t.Fatalf("plain read beside a parked scan pass: %v", err)
+	}
+	checkPage(t, got, []int{3})
+
+	gx.release <- struct{}{}
+	if err := <-parked; err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, p, 2, 0)
-	p.release(7)
-	wantStats(t, p, 0, 0)
-	if err := p.acquire(bg, 0); err != nil { // and never less than one slot
-		t.Fatal(err)
+	if _, busy, queued := srv.PoolStats(); busy != 0 || queued != 0 {
+		t.Errorf("gauges busy=%d queued=%d after drain", busy, queued)
 	}
-	wantStats(t, p, 1, 0)
 }

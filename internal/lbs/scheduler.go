@@ -180,14 +180,14 @@ func (sc *scanScheduler) runBatch(batch []*scanReq) {
 	schedScratchPool.Put(ss)
 }
 
-// scan enters the pool with the store's slot weight (see Server.beginScan)
+// scan enters the pool with one slot for the pass (see Server.beginScan)
 // and answers the merged batch in a single store pass, recording the flush
 // accounting only once the scan actually runs.
 func (sc *scanScheduler) scan(ctx context.Context, pages []int, dst [][]byte, queries int, reason *telemetry.Counter) error {
 	if err := sc.srv.beginScan(ctx, sc.hs); err != nil {
 		return err
 	}
-	defer sc.srv.pool.release(sc.hs.scanWorkers)
+	defer sc.srv.pool.release()
 	reason.Inc()
 	sc.srv.schedFetches.Add(uint64(queries))
 	sc.srv.schedScans.Add(1)

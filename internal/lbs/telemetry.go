@@ -35,15 +35,15 @@ func (s *Server) initTelemetry() {
 		return
 	}
 	dbl := telemetry.L("db", db)
-	workers := s.pool.size
+	workers := s.pool.size()
 	reg.GaugeFunc("privsp_pool_workers",
 		"size of the per-database PIR worker pool",
 		func() float64 { return float64(workers) }, dbl)
 	reg.GaugeFunc("privsp_pool_busy",
-		"worker-pool slots held right now (a page read holds one, a width-w scan pass w)",
+		"worker-pool slots held right now (one per page read or store pass, whatever its scan width)",
 		func() float64 { busy, _ := s.pool.stats(); return float64(busy) }, dbl)
 	reg.GaugeFunc("privsp_pool_queued",
-		"PIR page reads waiting for a pool slot",
+		"PIR page reads and store passes waiting for a pool slot",
 		func() float64 { _, queued := s.pool.stats(); return float64(queued) }, dbl)
 	s.pool.wait = reg.Histogram("privsp_pool_wait_seconds",
 		"time a PIR read spent waiting for a pool slot (0 when a slot was free)",

@@ -35,10 +35,9 @@ import (
 // read the same store at the same time, and lbs.Server fans the sub-batches
 // of a splittable batch out across its worker pool. Stores must NOT spawn
 // their own concurrency except through ParallelScan, whose worker width the
-// serving layer sets and charges against its pool (a parallel scan occupies
-// one slot per scan worker), so the per-database pool remains the single
-// knob bounding parallel work; the goroutines of a parallel scan live for
-// that one pass.
+// serving layer sets and clamps to its pool size, so the per-database pool
+// remains the single knob bounding parallel work; the goroutines of a
+// parallel scan live for that one pass.
 //
 // Both stores read without touching mutable state: Plain's page source and
 // XORPIR's arena are immutable, and XORPIR's test-visible last-query and

@@ -32,7 +32,7 @@ func TestEndToEndOverRealPIR(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// The files are too small for the size-aware default width to
 			// fan out, so the store's width is forced; a pool of the same
-			// size lets the pass hold a slot per worker.
+			// size keeps the clamp from narrowing it.
 			stores := func(r pagefile.Reader) (pir.Store, error) {
 				x, err := pir.NewXORPIR(r)
 				if err != nil {

@@ -32,8 +32,9 @@ import (
 // Options tunes the daemon.
 type Options struct {
 	// Workers sizes each hosted database's worker pool, across all of its
-	// connections: a PIR page read holds one slot, a scan-store pass one per
-	// scan worker, so Workers also caps the (otherwise derived) scan width.
+	// connections: a PIR page read or a whole scan-store pass holds one
+	// slot, so Workers bounds the passes running at once; it also caps the
+	// (otherwise derived) scan width of each pass.
 	// Every database gets its own pool, so concurrent sessions on distinct
 	// databases never serialize on each other. 0 means 2×GOMAXPROCS.
 	Workers int

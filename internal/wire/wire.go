@@ -640,9 +640,10 @@ type DBStats struct {
 	InFlight  uint32
 	Cancelled uint64
 	Deadline  uint64
-	// Worker-pool gauges: pool size in slots, slots held now (a width-w
-	// scan pass holds w), reads and passes waiting for slots. Every
-	// database has its own pool, so these expose per-database saturation.
+	// Worker-pool gauges: pool size in slots, slots held now (one per read
+	// or scan pass, whatever its width), reads and passes waiting for
+	// slots. Every database has its own pool, so these expose per-database
+	// saturation.
 	Workers     uint32
 	BusyWorkers uint32
 	QueuedReads uint32

@@ -22,11 +22,6 @@ type FleetConfig struct {
 	// Database selects a hosted database by name on every replica; empty
 	// selects each daemon's sole database.
 	Database string
-	// Mirror forces plain read-replica mode: each whole query goes to one
-	// replica, rotating per query (for single-server schemes). By default
-	// the mode resolves automatically — share fan-out when every replica
-	// is share-capable, mirror otherwise.
-	Mirror bool
 	// DisableDegraded refuses the single-survivor demotion: with one
 	// share replica left, queries fail with ErrReplicaDown instead of
 	// falling back to trust-one-server XOR PIR.
@@ -40,11 +35,11 @@ type FleetConfig struct {
 }
 
 // FleetServer fans private queries out across a fleet of privspd
-// replicas. In share mode each XOR PIR read is split into two selector
-// shares sent to DIFFERENT replicas, and the page is reconstructed only
-// client-side — the paper's two-server PIR model made real: each replica
-// performs one scan, sees one uniformly random bitvector, and (run with
-// -replica-role) physically cannot reconstruct what was read. Privacy is
+// replicas. Each XOR PIR read is split into two selector shares sent to
+// DIFFERENT replicas, and the page is reconstructed only client-side — the
+// paper's two-server PIR model made real: each replica performs one scan,
+// sees one uniformly random bitvector, and (run with -replica-role)
+// physically cannot reconstruct what was read. Privacy is
 // information-theoretic as long as the replicas do not collude.
 //
 // Failover is automatic: a dead replica trips its circuit breaker, a
@@ -60,9 +55,10 @@ type FleetServer struct {
 
 var _ PathService = (*FleetServer)(nil)
 
-// DialFleet connects to every replica with the default configuration. All
-// replicas must answer and must serve the same database; a dead or
-// diverged replica fails the dial with an error naming it.
+// DialFleet connects to every replica with the default configuration. It
+// needs at least two replicas, all of them answering, serving the same
+// database and able to answer selector shares; anything else fails the
+// dial with an error naming the problem.
 func DialFleet(addrs ...string) (*FleetServer, error) {
 	return DialFleetConfig(context.Background(), addrs, FleetConfig{})
 }
@@ -73,13 +69,8 @@ func DialFleetConfig(ctx context.Context, addrs []string, cfg FleetConfig) (*Fle
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mode := fleet.ModeAuto
-	if cfg.Mirror {
-		mode = fleet.ModeMirror
-	}
 	f, err := fleet.Dial(ctx, addrs, fleet.Options{
 		Database:        cfg.Database,
-		Mode:            mode,
 		ProbeInterval:   cfg.ProbeInterval,
 		DisableDegraded: cfg.DisableDegraded,
 		Logf:            cfg.Logf,
@@ -100,14 +91,11 @@ func DialFleetConfig(ctx context.Context, addrs []string, cfg FleetConfig) (*Fle
 // Scheme returns the scheme of the replicated database.
 func (fs *FleetServer) Scheme() Scheme { return fs.scheme }
 
-// Mode reports the resolved fan-out mode: "shares" or "mirror".
-func (fs *FleetServer) Mode() string { return fs.f.Mode().String() }
-
 // ShortestPath runs one private query fanned out across the fleet. The
-// scheme protocol is the same code that drives the other deployments; in
-// share mode every replica records the identical canonical trace it would
-// record alone, and WithServerTrace captures it (the fleet verifies both
-// replicas' traces match before returning one).
+// scheme protocol is the same code that drives the other deployments; every
+// replica records the identical canonical trace it would record alone, and
+// WithServerTrace captures it (the fleet verifies both replicas' traces
+// match before returning one).
 func (fs *FleetServer) ShortestPath(ctx context.Context, src, dst Point, opts ...QueryOption) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -138,28 +126,22 @@ type FleetReplicaStatus struct {
 	LastErr error
 }
 
-// FleetStatus is the fleet's health and per-mode query accounting.
+// FleetStatus is the fleet's health and query accounting.
 type FleetStatus struct {
-	// Mode is the resolved fan-out mode: "shares" or "mirror".
-	Mode     string
 	Replicas []FleetReplicaStatus
 	// PairedQueries ran with shares on two distinct replicas;
 	// DegradedQueries sent both shares to a lone survivor (privacy
-	// demoted to trusting that server); MirrorQueries ran whole on one
-	// replica.
+	// demoted to trusting that server).
 	PairedQueries   uint64
 	DegradedQueries uint64
-	MirrorQueries   uint64
 }
 
 // Status snapshots the fleet's health without touching the network.
 func (fs *FleetServer) Status() FleetStatus {
 	st := fs.f.Status()
 	out := FleetStatus{
-		Mode:            st.Mode.String(),
 		PairedQueries:   st.PairedQueries,
 		DegradedQueries: st.DegradedQueries,
-		MirrorQueries:   st.MirrorQueries,
 	}
 	for _, r := range st.Replicas {
 		out.Replicas = append(out.Replicas, FleetReplicaStatus{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -49,8 +50,8 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if fs.Scheme() != CI || fs.Mode() != "shares" {
-		t.Fatalf("fleet resolved %s/%s, want CI/shares", fs.Scheme(), fs.Mode())
+	if fs.Scheme() != CI {
+		t.Fatalf("fleet resolved %s, want CI", fs.Scheme())
 	}
 
 	queries := [][2]graph.NodeID{{0, 9}, {3, 40}, {7, 7}}
@@ -82,7 +83,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	st := fs.Status()
-	if st.Mode != "shares" || st.PairedQueries != uint64(len(queries)) || st.DegradedQueries != 0 {
+	if st.PairedQueries != uint64(len(queries)) || st.DegradedQueries != 0 {
 		t.Fatalf("status = %+v, want %d paired shares queries", st, len(queries))
 	}
 	for _, r := range st.Replicas {
@@ -102,7 +103,8 @@ func TestFleetEndToEnd(t *testing.T) {
 }
 
 // TestFleetDialErrors: the typed replica error surfaces through the public
-// package and a dead replica fails the dial naming it.
+// package, a dead replica fails the dial naming it, and one address is
+// refused outright — there is no single-server fleet.
 func TestFleetDialErrors(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -117,5 +119,8 @@ func TestFleetDialErrors(t *testing.T) {
 	var rd *ReplicaDownError
 	if !errors.As(err, &rd) || rd.Addr == "" {
 		t.Fatalf("err = %v, want *ReplicaDownError with an address", err)
+	}
+	if _, err := DialFleet(dead); err == nil || !strings.Contains(err.Error(), "at least 2") {
+		t.Fatalf("one-address fleet: err = %v, want an \"at least 2\" refusal", err)
 	}
 }
