@@ -75,7 +75,7 @@ func main() {
 	landmarks := flag.Int("landmarks", 0, "LM anchors")
 	regions := flag.Int("regions", 0, "AF regions")
 	workers := flag.Int("workers", 0, "worker-pool slots per database: a PIR page read or a whole XOR-PIR scan pass holds one, so this bounds the passes running at once; it also caps each pass's scan width (0 = 2x GOMAXPROCS)")
-	pirStore := flag.String("pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; engages the cross-connection scan scheduler)")
+	pirStore := flag.String("pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass on one -workers slot)")
 	replicaRole := flag.Bool("replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
 	maxInflight := flag.Int("max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")
 	chaosSpec := flag.String("chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")

@@ -32,9 +32,9 @@
 // every PIR answer streams the whole file — so the XOR store carries a
 // segmented parallel kernel that fans each scan across per-pass goroutines
 // (width derived from GOMAXPROCS and the file size, clamped to privspd
-// -workers; byte-identical to serial, one worker-pool slot per pass), and
-// a per-file scan scheduler that runs one pass at a time and lets fetches
-// arriving during it ride the next (group commit). The benchmarks in
+// -workers; byte-identical to serial). A fetch or share batch on a scan
+// store holds one worker-pool slot for one pass, so -workers bounds how many
+// passes run at once. The benchmarks in
 // bench_test.go regenerate every table and figure (see also
 // cmd/experiments).
 package repro

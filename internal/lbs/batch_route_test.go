@@ -31,6 +31,58 @@ func (c *countingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]
 	return c.Store.ReadBatchInto(ctx, pages, dst)
 }
 
+// gatedXOR wraps a real XORPIR store, a scan store, so tests can hold a pass
+// open (when entered is set, every ReadBatchInto announces itself on entered,
+// then blocks until release yields) and see the page list and server-A
+// selector vectors of every pass that answered.
+type gatedXOR struct {
+	*pir.XORPIR
+	entered chan struct{} // one send per ReadBatchInto, before blocking
+	release chan struct{} // one receive per ReadBatchInto, before scanning
+
+	mu     sync.Mutex
+	passes [][]int    // page list per successful ReadBatchInto, in call order
+	selsA  [][][]byte // server-A selector vectors per successful ReadBatchInto
+}
+
+func (g *gatedXOR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	err := g.XORPIR.ReadBatchInto(ctx, pages, dst)
+	if err == nil {
+		a, _ := g.XORPIR.LastBatchQueries()
+		g.mu.Lock()
+		g.passes = append(g.passes, append([]int(nil), pages...))
+		g.selsA = append(g.selsA, a)
+		g.mu.Unlock()
+	}
+	return err
+}
+
+func (g *gatedXOR) snapshotPasses() [][]int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([][]int, len(g.passes))
+	copy(out, g.passes)
+	return out
+}
+
+// testPages is the length of the test files whose page i holds the byte i+1
+// throughout (see checkPage).
+const testPages = 64
+
+func checkPage(t *testing.T, got [][]byte, pages []int) {
+	t.Helper()
+	for i, p := range pages {
+		want := bytes.Repeat([]byte{byte(p + 1)}, 32)
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("page %d: got %x, want %x", p, got[i][:4], want[:4])
+		}
+	}
+}
+
 // TestReadPagesIntoMatchesReadPages is the router's table: for every store
 // class and batch size, which route a fetch takes (the privsp_pir_route_total
 // series it moves), how many store passes answer it, and that ReadPagesInto
@@ -81,8 +133,9 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 				cs = &countingStore{Store: st}
 				return cs, err
 			}
+			reg := telemetry.NewRegistry()
 			srv, err := NewServer(db, costmodel.Default(), factory,
-				WithWorkers(tc.workers), WithTelemetry(telemetry.NewRegistry(), "T"))
+				WithWorkers(tc.workers), WithTelemetry(reg, "T"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,8 +156,8 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 			}
 			calls, maxBatch := 0, 0
 			if gx != nil {
-				for _, fl := range gx.snapshotFlushes() {
-					calls, maxBatch = calls+1, max(maxBatch, len(fl))
+				for _, pass := range gx.snapshotPasses() {
+					calls, maxBatch = calls+1, max(maxBatch, len(pass))
 				}
 			} else {
 				calls, maxBatch = cs.calls, cs.maxBatch
@@ -124,30 +177,32 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 				}
 			}
 
-			// Rejections: each must fail before any route is taken, so no
-			// privsp_pir_route_total series moves.
-			whole, fanOut := srv.routeWhole.Value(), srv.routeFanOut.Value()
+			// Rejections and the empty batch: each returns before any route
+			// is taken or any pool slot is waited for, so no series moves.
 			withLast := func(p int) []int {
 				return append(tc.batch[:len(tc.batch)-1:len(tc.batch)-1], p)
 			}
 			short := append([][]byte{make([]byte, pageSize-1)}, dst[1:]...)
-			for _, rej := range []struct {
+			for _, c := range []struct {
 				what, file string
 				pages      []int
 				dst        [][]byte
+				ok         bool
 			}{
-				{"mismatched buffer count", "F", tc.batch, dst[:len(dst)-1]},
-				{"short buffer", "F", tc.batch, short},
-				{"unknown file", "nope", tc.batch, dst},
-				{"out-of-range page", "F", withLast(pagesN), dst},
-				{"negative page", "F", withLast(-1), dst},
+				{"mismatched buffer count", "F", tc.batch, dst[:len(dst)-1], false},
+				{"short buffer", "F", tc.batch, short, false},
+				{"unknown file", "nope", tc.batch, dst, false},
+				{"out-of-range page", "F", withLast(pagesN), dst, false},
+				{"negative page", "F", withLast(-1), dst, false},
+				{"empty batch", "F", nil, nil, true},
 			} {
-				if err := srv.ReadPagesInto(context.Background(), rej.file, rej.pages, rej.dst); err == nil {
-					t.Errorf("%s accepted", rej.what)
+				before := reg.Snapshot()
+				if err := srv.ReadPagesInto(context.Background(), c.file, c.pages, c.dst); (err == nil) != c.ok {
+					t.Errorf("%s: err = %v, want ok=%v", c.what, err, c.ok)
 				}
-			}
-			if w, fo := srv.routeWhole.Value(), srv.routeFanOut.Value(); w != whole || fo != fanOut {
-				t.Errorf("rejected fetches moved routes single_scan/fan_out %d/%d → %d/%d", whole, fanOut, w, fo)
+				if d := telemetry.Delta(before, reg.Snapshot()); d != "" {
+					t.Errorf("%s moved metrics:\n%s", c.what, d)
+				}
 			}
 		})
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
@@ -163,9 +162,9 @@ func XORStores(f pagefile.Reader) (pir.Store, error) {
 // Server hosts one database behind a PIR interface. Every store pass goes
 // through a bounded worker pool private to this server (see slotPool), so
 // concurrent serving of distinct databases never contends on shared locks.
-// Scan stores (pir.ParallelScan) answer a whole batch in one pass and are
-// never split: their fetches are merged across connections by the scan
-// scheduler; any other store's batch fans out across the pool.
+// A scan store (pir.ParallelScan) answers a whole fetch or share batch in
+// one pass holding one slot, and the pool size bounds how many such passes
+// run at once; any other store's batch fans out across the pool.
 type Server struct {
 	db     *Database
 	model  costmodel.Params
@@ -173,20 +172,12 @@ type Server struct {
 
 	pool slotPool // its size is the WithWorkers bound
 
-	// Scan-scheduler accounting (see scheduler.go). The fetch/scan tallies
-	// always run — atomics, no registry needed — so the amortization ratio
-	// is observable even on servers wired to telemetry after construction.
-	schedFetches atomic.Uint64
-	schedScans   atomic.Uint64
-
 	// Telemetry handles (nil-safe; nil until WithTelemetry/EnableTelemetry).
-	telReg                          *telemetry.Registry
-	telDB                           string
-	routeWhole, routeFanOut         *telemetry.Counter
-	schedFlushLone, schedFlushChain *telemetry.Counter
-	schedOccupancy                  *telemetry.Histogram
-	scanSegment                     *telemetry.Histogram
-	scanRoutePar, scanRouteSer      *telemetry.Counter
+	telReg                     *telemetry.Registry
+	telDB                      string
+	routeWhole, routeFanOut    *telemetry.Counter
+	scanSegment                *telemetry.Histogram
+	scanRoutePar, scanRouteSer *telemetry.Counter
 }
 
 // hostedStore is one file's PIR store plus the optional faces probed once at
@@ -194,9 +185,9 @@ type Server struct {
 type hostedStore struct {
 	store  pir.Store
 	shares pir.ShareAnswerer // nil when the store cannot answer XOR selector shares
-	// sched coalesces fetches from all connections into shared scans; set
-	// only for scan stores (see scheduler.go).
-	sched *scanScheduler
+	// scan marks a scan store (pir.ParallelScan): every read scans the whole
+	// file, so its batches are answered in one pass and never split.
+	scan bool
 	// scanWorkers is the resolved per-scan worker width of a scan store,
 	// clamped to the pool size at host time; a pass over the store still
 	// holds one pool slot. 1 for every other store.
@@ -255,7 +246,7 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 			// knob bounding parallel work, and the historical 1-worker
 			// default pool resolves to the serial kernel.
 			hs.scanWorkers = ps.SetScanWorkers(min(ps.ScanWorkers(), s.pool.size()))
-			hs.sched = &scanScheduler{srv: s, hs: hs, file: f.Name()}
+			hs.scan = true
 		}
 		s.stores[f.Name()] = hs
 	}
@@ -316,17 +307,18 @@ func (s *Server) ReadPages(ctx context.Context, file string, pages []int) ([][]b
 // buffers (each dst[i] at least PageSize bytes): the serving daemon rents
 // the buffers from a pool, so its steady-state page path allocates nothing.
 // Safe for concurrent use by any number of connections. This is the one
-// place a fetch is routed: a scan store's batch goes whole to the scan
-// scheduler, which merges it with the fetches of every other connection
-// into one pass (splitting it would multiply full-file scans instead of
-// dividing work); any other batch fans out across the worker pool as
-// contiguous sub-batches when there is more than one page and more than one
-// worker, and rides a single pool slot otherwise. Buffers and page indices
-// are checked before any route is taken or counted, so a rejected fetch
-// moves no metric and never joins a shared pass. Cancelling ctx aborts the
-// batch at read boundaries — a read waiting for a pool slot gives up
-// immediately and the worker is freed — but a page read that started always
-// completes, so the caller records fetches all-or-nothing.
+// place a fetch is routed: a scan store's batch stays whole and is answered
+// by one pass on one pool slot (splitting it would multiply full-file scans
+// instead of dividing work), so concurrent fetches on one scan store run as
+// concurrent passes, as many at once as the pool has slots; any other batch
+// fans out across the worker pool as contiguous sub-batches when there is
+// more than one page and more than one worker, and rides a single pool slot
+// otherwise. Buffers and page indices are checked before any route is taken
+// or counted, and an empty batch returns before any route, so neither moves
+// a metric. Cancelling ctx aborts the batch at read boundaries — a read
+// waiting for a pool slot gives up immediately and the worker is freed — but
+// a page read that started always completes, so the caller records fetches
+// all-or-nothing.
 func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, dst [][]byte) error {
 	hs, ok := s.stores[file]
 	if !ok {
@@ -341,16 +333,15 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 			return fmt.Errorf("lbs: PIR fetch %s: page %d of %d", file, p, np)
 		}
 	}
-	if hs.sched != nil {
-		s.routeWhole.Inc()
-		return hs.sched.readInto(ctx, pages, dst)
+	if len(pages) == 0 {
+		return nil
 	}
-	if workers := min(s.pool.size(), len(pages)); workers > 1 {
+	if workers := min(s.pool.size(), len(pages)); workers > 1 && !hs.scan {
 		s.routeFanOut.Inc()
 		return s.fanOut(ctx, hs, file, workers, pages, dst)
 	}
 	s.routeWhole.Inc()
-	if err := s.pool.acquire(ctx); err != nil {
+	if err := s.beginPass(ctx, hs); err != nil {
 		return err
 	}
 	defer s.pool.release()
@@ -374,7 +365,7 @@ func (s *Server) ShareCapable() bool {
 // file: dst[i] receives the XOR of the pages selected by sels[i]. This is
 // the replica half of two-server fleet mode — the store never reconstructs
 // a page. The whole batch rides one scan (k accumulators), entering the
-// worker pool like any other pass over a scan store (see beginScan).
+// worker pool like a fetch batch on a scan store (see beginPass).
 // Buffer sizes and selector lengths are validated against the store before
 // any slot is taken, so hostile lengths fail fast.
 func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, dst [][]byte) error {
@@ -398,20 +389,24 @@ func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, d
 		return nil
 	}
 	s.routeWhole.Inc()
-	if err := s.beginScan(ctx, hs); err != nil {
+	if err := s.beginPass(ctx, hs); err != nil {
 		return err
 	}
 	defer s.pool.release()
 	return fetchErr(ctx, "share fetch", file, hs.shares.AnswerShares(ctx, sels, dst))
 }
 
-// beginScan is how every pass over a scan store enters the pool — a merged
-// fetch batch from the scheduler or a replica's share batch: it takes one
-// slot for the whole pass, however wide, and counts the kernel route the
-// pass will run on. The caller releases the slot when the pass is done.
-func (s *Server) beginScan(ctx context.Context, hs *hostedStore) error {
+// beginPass is how a whole batch enters the pool — a scan-store fetch batch,
+// a replica's share batch, or a single-slot read on any other store: it
+// takes one slot for the whole pass, however wide, and for a scan store
+// counts the kernel route the pass will run on. The caller releases the slot
+// when the pass is done.
+func (s *Server) beginPass(ctx context.Context, hs *hostedStore) error {
 	if err := s.pool.acquire(ctx); err != nil {
 		return err
+	}
+	if !hs.scan {
+		return nil
 	}
 	if hs.scanWorkers > 1 {
 		s.scanRoutePar.Inc()

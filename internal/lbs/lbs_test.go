@@ -3,6 +3,7 @@ package lbs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -265,61 +266,77 @@ func (b *blockingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]
 }
 
 // TestReadPagesCancelledWhileQueued: with the single pool slot held by a
-// parked read, a second read waits in the queue; cancelling its context
-// frees it with ctx.Err() and the pool gauges return to idle — no worker is
-// left owned by a query nobody wants.
+// parked read — a plain page read, or a pass over a scan store — a second
+// read waits in the queue; cancelling its context frees it with ctx.Err()
+// and the pool gauges return to idle — no worker is left owned by a query
+// nobody wants.
 func TestReadPagesCancelledWhileQueued(t *testing.T) {
-	db := sampleDB(t)
-	release := make(chan struct{})
-	srv, err := NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
-		return &blockingStore{inner: pir.NewPlain(f), release: release}, nil
-	}, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		store func(f pagefile.Reader, release chan struct{}) (pir.Store, error)
+	}{
+		{"plain", func(f pagefile.Reader, release chan struct{}) (pir.Store, error) {
+			return &blockingStore{inner: pir.NewPlain(f), release: release}, nil
+		}},
+		{"xorpir", func(f pagefile.Reader, release chan struct{}) (pir.Store, error) {
+			x, err := pir.NewXORPIR(f)
+			return &gatedXOR{XORPIR: x, entered: make(chan struct{}, 1), release: release}, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := sampleDB(t)
+			release := make(chan struct{})
+			srv, err := NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
+				return tc.store(f, release)
+			}, WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	holder := make(chan error, 1)
-	go func() {
-		_, err := srv.ReadPages(context.Background(), "Fa", []int{0})
-		holder <- err
-	}()
-	// Wait until the slot is held.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, busy, _ := srv.PoolStats(); busy == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("pool slot never taken")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			holder := make(chan error, 1)
+			go func() {
+				_, err := srv.ReadPages(context.Background(), "Fa", []int{0})
+				holder <- err
+			}()
+			// Wait until the slot is held.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if _, busy, _ := srv.PoolStats(); busy == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("pool slot never taken")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	queued := make(chan error, 1)
-	go func() {
-		_, err := srv.ReadPages(ctx, "Fa", []int{1})
-		queued <- err
-	}()
-	for {
-		if _, _, q := srv.PoolStats(); q == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second read never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			queued := make(chan error, 1)
+			go func() {
+				_, err := srv.ReadPages(ctx, "Fa", []int{1})
+				queued <- err
+			}()
+			for {
+				if _, _, q := srv.PoolStats(); q == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("second read never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	cancel()
-	if err := <-queued; err != context.Canceled {
-		t.Fatalf("queued read: err = %v, want context.Canceled", err)
-	}
-	close(release)
-	if err := <-holder; err != nil {
-		t.Fatalf("holding read: %v", err)
-	}
-	if _, busy, q := srv.PoolStats(); busy != 0 || q != 0 {
-		t.Errorf("gauges busy=%d queued=%d after cancel+drain", busy, q)
+			cancel()
+			if err := <-queued; !errors.Is(err, context.Canceled) {
+				t.Fatalf("queued read: err = %v, want context.Canceled", err)
+			}
+			close(release)
+			if err := <-holder; err != nil {
+				t.Fatalf("holding read: %v", err)
+			}
+			if _, busy, q := srv.PoolStats(); busy != 0 || q != 0 {
+				t.Errorf("gauges busy=%d queued=%d after cancel+drain", busy, q)
+			}
+		})
 	}
 }

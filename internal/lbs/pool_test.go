@@ -88,7 +88,7 @@ func TestPoolScanPassHoldsOneSlot(t *testing.T) {
 	const pageSize = 32
 	scan := pagefile.NewFile("S", pageSize)
 	plain := pagefile.NewFile("P", pageSize)
-	for i := 0; i < schedTestPages; i++ {
+	for i := 0; i < testPages; i++ {
 		scan.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
 		plain.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
 	}

@@ -53,46 +53,20 @@ func (s *Server) initTelemetry() {
 	s.routeFanOut = reg.Counter("privsp_pir_route_total",
 		"fetch batches by serving route", dbl, telemetry.L("route", "fan_out"))
 
-	// Scan-scheduler families, registered eagerly for every server — a
-	// database whose stores never engage the scheduler still exports the
-	// full set at zero, so the presence or absence of a series can never
-	// become a side channel. All of them are functions of workload timing
-	// and batch shape, never of page contents (Theorem 1).
-	const flushHelp = "merged scans by what triggered the flush"
-	s.schedFlushLone = reg.Counter("privsp_scan_flush_total",
-		flushHelp, dbl, telemetry.L("reason", "lone"))
-	s.schedFlushChain = reg.Counter("privsp_scan_flush_total",
-		flushHelp, dbl, telemetry.L("reason", "chain"))
-	s.schedOccupancy = reg.Histogram("privsp_scan_batch_queries",
-		"fetches answered by one merged scan (batch occupancy)",
-		telemetry.HistogramOpts{}, dbl)
-	// Parallel-kernel families, likewise eager. The segment histogram
-	// observes exactly ScanWorkers durations per parallel store pass — a
-	// count fixed at host time — and the route split depends only on that
-	// width, so neither can encode page contents.
+	// Parallel-kernel families, registered eagerly for every server — a
+	// database without scan stores still exports them at zero, so the
+	// presence or absence of a series can never become a side channel. The
+	// segment histogram observes exactly ScanWorkers durations per parallel
+	// store pass — a count fixed at host time — and the route split depends
+	// only on that width, so neither can encode page contents.
 	s.scanSegment = reg.Histogram("privsp_scan_segment_seconds",
 		"wall-clock time one worker spent folding its share of a parallel scan",
 		telemetry.Seconds(), dbl)
-	const kernelHelp = "merged scans by kernel route (parallel = segmented multi-worker pass)"
+	const kernelHelp = "scan-store passes by kernel route (parallel = segmented multi-worker pass)"
 	s.scanRoutePar = reg.Counter("privsp_scan_route_total",
 		kernelHelp, dbl, telemetry.L("kernel", "parallel"))
 	s.scanRouteSer = reg.Counter("privsp_scan_route_total",
 		kernelHelp, dbl, telemetry.L("kernel", "serial"))
-	reg.CounterFunc("privsp_scan_sched_fetches_total",
-		"fetches served through the scan scheduler (amortization numerator)",
-		s.schedFetches.Load, dbl)
-	reg.CounterFunc("privsp_scan_sched_scans_total",
-		"merged scans the scheduler ran (amortization denominator)",
-		s.schedScans.Load, dbl)
-	reg.GaugeFunc("privsp_scan_amortization",
-		"fetches per scan through the scheduler (>1 means cross-connection batching is paying)",
-		func() float64 {
-			scans := s.schedScans.Load()
-			if scans == 0 {
-				return 0
-			}
-			return float64(s.schedFetches.Load()) / float64(scans)
-		}, dbl)
 	for _, f := range s.db.Files {
 		hs := s.stores[f.Name()]
 		fl := telemetry.L("file", f.Name())

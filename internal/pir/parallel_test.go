@@ -150,8 +150,8 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 // pass is answered byte-identically however its chunks fall to the slots —
 // one slot taking every chunk while the others find none (a helper that never
 // woke), or a lone chunk here and the rest there. The slots are driven by
-// hand, one after the other, so the split is the test's and not the
-// scheduler's.
+// hand, one after the other, so the split is the test's and not the Go
+// runtime's.
 func TestChunkedPassToleratesUnevenShares(t *testing.T) {
 	const n, ps, k, nw = 4000, 1000, 8, 3
 	pages := makePages(n, ps, 91)

@@ -1,0 +1,261 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/costmodel"
+	"repro/internal/graph"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/pir"
+	"repro/internal/telemetry"
+)
+
+// startScanServer hosts the named databases on scan stores, on a loopback
+// listener; opts.Stores defaults to lbs.XORStores.
+func startScanServer(t testing.TB, opts Options, names ...string) (*Server, string) {
+	t.Helper()
+	_, dbs := fixture(t)
+	if opts.Stores == nil {
+		opts.Stores = lbs.XORStores
+	}
+	srv := New(opts)
+	for _, name := range names {
+		if err := srv.Host(name, dbs[name], costmodel.Default()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return srv, ln.Addr().String()
+}
+
+// xorStoresWidth is lbs.XORStores with every store's scan width forced to
+// n: the fixture's files are too small for the size-aware default to fan
+// out, so the parallel-scan tests force the segmented kernel on this way.
+func xorStoresWidth(n int) lbs.StoreFactory {
+	return func(r pagefile.Reader) (pir.Store, error) {
+		x, err := pir.NewXORPIR(r)
+		if err != nil {
+			return nil, err
+		}
+		x.SetScanWorkers(n)
+		return x, nil
+	}
+}
+
+// TestTheorem1UnderCoScheduling: with many connections' fetches running as
+// concurrent passes over the same scan stores at the derived width (the
+// fixture's small files resolve to the serial kernel), every query's
+// adversary-visible trace, client-recorded and daemon-observed, must still
+// be exactly the plan's canonical trace. Concurrency changes WHEN a pass
+// runs, never what any single query is seen to access (Theorem 1 is per
+// query).
+func TestTheorem1UnderCoScheduling(t *testing.T) {
+	checkTheorem1Concurrent(t, nil)
+}
+
+// TestTheorem1UnderParallelScan is TestTheorem1UnderCoScheduling with the
+// segmented kernel forced on at width 4: which core XORs which words must
+// not change which file any query is seen to access.
+func TestTheorem1UnderParallelScan(t *testing.T) {
+	checkTheorem1Concurrent(t, xorStoresWidth(4))
+}
+
+// checkTheorem1Concurrent hosts every scheme on a four-slot pool of the given
+// scan stores (nil: lbs.XORStores) and fires 8 connections with distinct
+// endpoint pairs at once, so their passes overlap; each query's client and
+// server traces must equal the plan's canonical trace.
+func checkTheorem1Concurrent(t *testing.T, stores lbs.StoreFactory) {
+	g, dbs := fixture(t)
+	const concurrency = 8
+
+	for _, scheme := range allSchemes {
+		t.Run(scheme, func(t *testing.T) {
+			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme)
+			want := lbs.CanonicalTrace(dbs[scheme].Plan)
+
+			var wg sync.WaitGroup
+			errs := make(chan error, concurrency)
+			for i := 0; i < concurrency; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					c := dialDB(t, addr, scheme)
+					s := graph.NodeID(i % g.NumNodes())
+					d := graph.NodeID((g.NumNodes() - 1 - 3*i + g.NumNodes()) % g.NumNodes())
+					res, serverTrace, err := remoteQuery(c, scheme, s, d, g)
+					if err != nil {
+						errs <- fmt.Errorf("conn %d (s=%d d=%d): %w", i, s, d, err)
+						return
+					}
+					if res.Trace != want {
+						errs <- fmt.Errorf("conn %d: client trace deviates under concurrent scans:\ngot:\n%swant:\n%s", i, res.Trace, want)
+						return
+					}
+					if serverTrace != want {
+						errs <- fmt.Errorf("conn %d: server-observed trace deviates under concurrent scans:\ngot:\n%swant:\n%s", i, serverTrace, want)
+						return
+					}
+					errs <- nil
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < concurrency; i++ {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+
+			// The scan stores must actually have served this load.
+			settle(t, srv, scheme)
+			if metricTotal(srv.Telemetry(), "privsp_scan_route_total") == 0 {
+				t.Error("no scan-store pass recorded a kernel route — XORPIR stores not engaged")
+			}
+		})
+	}
+}
+
+// metricTotal sums a counter family across its label sets.
+func metricTotal(reg *telemetry.Registry, family string) uint64 {
+	var total uint64
+	for _, row := range reg.Snapshot() {
+		if strings.HasPrefix(row.Key, family+"{") || row.Key == family {
+			total += row.Counter
+		}
+	}
+	return total
+}
+
+// TestTelemetryLeakageFreeCoScheduling extends the leakage invariant to the
+// scan stores' instrumentation at the derived width: the kernel-route
+// counters move with pass counts, so same-shape queries for different
+// endpoints must still produce byte-identical registry deltas.
+func TestTelemetryLeakageFreeCoScheduling(t *testing.T) {
+	checkTelemetryLeakageFree(t, nil, "privsp_scan_route_total")
+}
+
+// TestTelemetryLeakageFreeParallelScan is TestTelemetryLeakageFreeCoScheduling
+// at width 4, where the segment-time histogram also gains a fixed number of
+// observations per store pass (2 × width — a function of configuration).
+func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
+	checkTelemetryLeakageFree(t, xorStoresWidth(4),
+		"privsp_scan_route_total", "privsp_scan_segment_seconds")
+}
+
+// checkTelemetryLeakageFree hosts every scheme on the given scan stores (nil:
+// lbs.XORStores) and runs same-shape queries for different endpoints on one
+// connection: each query's registry delta must move every family in moved,
+// and all the deltas must be byte-identical.
+func checkTelemetryLeakageFree(t *testing.T, stores lbs.StoreFactory, moved ...string) {
+	g, _ := fixture(t)
+	queries := [][2]graph.NodeID{
+		{0, graph.NodeID(g.NumNodes() - 1)}, // far apart
+		{1, 2},                              // adjacent
+		{5, 5},                              // degenerate s == d
+	}
+
+	for _, scheme := range allSchemes {
+		t.Run(scheme, func(t *testing.T) {
+			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme)
+			c := dialDB(t, addr, scheme)
+			reg := srv.Telemetry()
+
+			if _, _, err := remoteQuery(c, scheme, 3, 4, g); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, srv, scheme)
+
+			deltas := make([]string, len(queries))
+			for i, q := range queries {
+				before := reg.Snapshot()
+				if _, _, err := remoteQuery(c, scheme, q[0], q[1], g); err != nil {
+					t.Fatalf("query %v: %v", q, err)
+				}
+				settle(t, srv, scheme)
+				deltas[i] = telemetry.Delta(before, reg.Snapshot())
+			}
+
+			// The scan instrumentation must be alive in these deltas, or the
+			// invariant checks only the other series.
+			for _, want := range moved {
+				if !strings.Contains(deltas[0], want) {
+					t.Errorf("delta does not move %s:\n%s", want, deltas[0])
+				}
+			}
+			for i := 1; i < len(deltas); i++ {
+				if deltas[i] != deltas[0] {
+					t.Errorf("endpoints %v and %v produced different metric deltas under scan stores — a side channel:\n--- %v ---\n%s\n--- %v ---\n%s",
+						queries[0], queries[i], queries[0], deltas[0], queries[i], deltas[i])
+				}
+			}
+		})
+	}
+}
+
+// TestReplicaShareFetchCountsKernelRoute: a share fetch on a -replica-role
+// daemon is one pass over a scan store, like any fetch batch there, so it must
+// show in the kernel-route split operators watch — one FetchShare against a
+// width-2 store moves privsp_scan_route_total{kernel="parallel"} by exactly
+// one — and, like every replica metric, identically whichever page the
+// selector picks out.
+func TestReplicaShareFetchCountsKernelRoute(t *testing.T) {
+	srv, addr := startScanServer(t, Options{Workers: 4, Stores: xorStoresWidth(2), ReplicaRole: true}, "CI")
+	c := dialDB(t, addr, "CI")
+	reg := srv.Telemetry()
+	ctx := context.Background()
+	var file lbs.FileInfo // the largest: a pass needs a page per scan worker
+	for _, f := range c.Files() {
+		if f.NumPages > file.NumPages {
+			file = f
+		}
+	}
+
+	shareFetch := func(page int) string {
+		t.Helper()
+		sel := make([]byte, (file.NumPages+7)/8)
+		sel[page/8] |= 1 << (page % 8)
+		before := reg.Snapshot()
+		q := c.StartQuery()
+		if _, err := q.ReadShares(ctx, file.Name, [][]byte{sel}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.End(ctx); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, srv, "CI")
+		return telemetry.Delta(before, reg.Snapshot())
+	}
+	shareFetch(0) // settle once-per-connection effects
+	first, last := shareFetch(1), shareFetch(file.NumPages-1)
+	if first != last {
+		t.Errorf("the selected page leaked into the replica's metrics:\n--- page 1 ---\n%s--- page %d ---\n%s",
+			first, file.NumPages-1, last)
+	}
+	if want := `privsp_scan_route_total{db="CI",kernel="parallel"} +1` + "\n"; !strings.Contains(first, want) {
+		t.Errorf("one share fetch did not move the parallel kernel route by one:\n%s", first)
+	}
+	if strings.Contains(first, `kernel="serial"`) {
+		t.Errorf("a width-2 share scan was counted on the serial kernel route:\n%s", first)
+	}
+}

@@ -44,8 +44,8 @@ type Options struct {
 	// retains for auditing; 0 means 128.
 	TraceHistory int
 	// Stores builds the PIR store for each hosted file; nil means
-	// lbs.PlainStores. Scan stores (e.g. pir.NewXORPIR) engage the
-	// cross-connection scan scheduler.
+	// lbs.PlainStores. A scan store (e.g. pir.NewXORPIR) answers each fetch
+	// or share batch in one pass holding one Workers slot.
 	Stores lbs.StoreFactory
 	// MaxInflight bounds the queries open at once across the whole daemon.
 	// A BeginQuery past the budget is shed at admission — answered with a
