@@ -330,9 +330,9 @@ func storeFactory(name string) lbs.StoreFactory {
 
 // chaosStores wraps every hosted file's reader with the injector's page
 // faults (EIO, slow pages) before the real store factory builds on it.
-// XOR PIR copies pages into its scan arena at construction, so under -pir
-// xorpir injected EIO can only fail hosting; -pir plain serves straight
-// from the reader and surfaces injected EIO per query-time fetch.
+// XOR PIR reads every page at construction, so under -pir xorpir injected
+// EIO can only fail hosting; -pir plain serves straight from the reader and
+// surfaces injected EIO per query-time fetch.
 func chaosStores(in *faultinject.Injector, next lbs.StoreFactory) lbs.StoreFactory {
 	if next == nil {
 		next = lbs.PlainStores

@@ -153,7 +153,8 @@ func PlainStores(f pagefile.Reader) (pir.Store, error) {
 }
 
 // XORStores backs each file with Chor et al.'s two-server XOR PIR: the file
-// is flattened into RAM and every read scans all of it. The store answers
+// is held in RAM (an in-memory build's pages in place, a container's read
+// into an arena) and every read scans all of it. The store answers
 // whole reads in-process and selector shares as a fleet replica.
 func XORStores(f pagefile.Reader) (pir.Store, error) {
 	return pir.NewXORPIR(f)

@@ -15,11 +15,15 @@ import (
 // DefaultPageSize is the 4 KByte disk page of Table 2.
 const DefaultPageSize = 4096
 
-// File is a named sequence of equal-sized pages.
+// File is a named sequence of equal-sized pages, kept back to back in one
+// buffer: page i is bytes [i*pageSize, (i+1)*pageSize). A page never changes
+// once appended, so the slices Page returns stay valid across later appends
+// (a growing buffer leaves them on the old backing array), and a reader may
+// view the whole run in place (the XOR-PIR arena does).
 type File struct {
 	name     string
 	pageSize int
-	pages    [][]byte
+	data     []byte
 }
 
 // NewFile returns an empty file.
@@ -37,10 +41,10 @@ func (f *File) Name() string { return f.name }
 func (f *File) PageSize() int { return f.pageSize }
 
 // NumPages returns the current page count.
-func (f *File) NumPages() int { return len(f.pages) }
+func (f *File) NumPages() int { return len(f.data) / f.pageSize }
 
 // Size returns the total file size in bytes.
-func (f *File) Size() int64 { return int64(len(f.pages)) * int64(f.pageSize) }
+func (f *File) Size() int64 { return int64(len(f.data)) }
 
 // AppendPage adds a page, zero-padding (or rejecting oversized) data, and
 // returns its page number.
@@ -48,10 +52,10 @@ func (f *File) AppendPage(data []byte) (int, error) {
 	if len(data) > f.pageSize {
 		return 0, fmt.Errorf("pagefile %s: page data %d bytes > page size %d", f.name, len(data), f.pageSize)
 	}
-	page := make([]byte, f.pageSize)
-	copy(page, data)
-	f.pages = append(f.pages, page)
-	return len(f.pages) - 1, nil
+	n := f.NumPages()
+	f.data = append(f.data, data...)
+	f.data = append(f.data, make([]byte, f.pageSize-len(data))...)
+	return n, nil
 }
 
 // MustAppendPage is AppendPage for construction code whose inputs are sized
@@ -64,22 +68,21 @@ func (f *File) MustAppendPage(data []byte) int {
 	return n
 }
 
-// Page returns page i. The caller must not mutate the result.
+// Page returns page i. The caller must not mutate the result. Its capacity
+// ends with the page, so an append to it copies instead of writing into the
+// next page.
 func (f *File) Page(i int) ([]byte, error) {
-	if i < 0 || i >= len(f.pages) {
-		return nil, fmt.Errorf("pagefile %s: page %d of %d", f.name, i, len(f.pages))
+	if n := f.NumPages(); i < 0 || i >= n {
+		return nil, fmt.Errorf("pagefile %s: page %d of %d", f.name, i, n)
 	}
-	return f.pages[i], nil
+	lo, hi := i*f.pageSize, (i+1)*f.pageSize
+	return f.data[lo:hi:hi], nil
 }
 
 // Checksum returns a CRC32 over all pages; the CLI inspect command and the
 // corruption-detection tests use it.
 func (f *File) Checksum() uint32 {
-	h := crc32.NewIEEE()
-	for _, p := range f.pages {
-		h.Write(p)
-	}
-	return h.Sum32()
+	return crc32.ChecksumIEEE(f.data)
 }
 
 // Enc is an append-only binary record encoder (little endian, fixed width).

@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,5 +194,82 @@ func TestPackerCurrentFree(t *testing.T) {
 	p.Append(make([]byte, 30))
 	if p.CurrentFree() != 70 {
 		t.Errorf("CurrentFree = %d, want 70", p.CurrentFree())
+	}
+}
+
+// TestFilePageAppendStaysInPage: a page's capacity ends with the page, so
+// appending to a page Page returned copies instead of writing into the
+// next page of the shared buffer.
+func TestFilePageAppendStaysInPage(t *testing.T) {
+	f := NewFile("F", 16)
+	f.MustAppendPage(bytes.Repeat([]byte{1}, 16))
+	f.MustAppendPage(bytes.Repeat([]byte{2}, 16))
+	p0, err := f.Page(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(p0) != 16 {
+		t.Errorf("cap(Page(0)) = %d, want 16", cap(p0))
+	}
+	_ = append(p0, 0xEE)
+	p1, err := f.Page(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p1, bytes.Repeat([]byte{2}, 16)) {
+		t.Errorf("append to page 0 wrote into page 1: %v", p1)
+	}
+}
+
+// TestFilePagesSurviveAppends: pages read before later AppendPage calls
+// (enough of them to move the buffer) still hold their bytes — the Reader
+// contract a store that keeps the slices relies on.
+func TestFilePagesSurviveAppends(t *testing.T) {
+	const ps = 24
+	f := NewFile("F", ps)
+	rng := rand.New(rand.NewSource(5))
+	var want, held [][]byte
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 1+rng.Intn(ps))
+		rng.Read(data)
+		n := f.MustAppendPage(data)
+		p, err := f.Page(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, append([]byte(nil), p...))
+		held = append(held, p)
+	}
+	for i := range held {
+		if !bytes.Equal(held[i], want[i]) {
+			t.Fatalf("page %d changed after later appends", i)
+		}
+		if p, _ := f.Page(i); !bytes.Equal(p, want[i]) {
+			t.Fatalf("Page(%d) differs from the page read at append time", i)
+		}
+	}
+}
+
+// TestFileMetadataAcrossAppends: NumPages, Size and Checksum keep their
+// per-page meaning as the buffer grows — one page per append, whole pages of
+// size, and the CRC of the zero-padded pages in order.
+func TestFileMetadataAcrossAppends(t *testing.T) {
+	const ps = 40
+	f := NewFile("F", ps)
+	rng := rand.New(rand.NewSource(9))
+	var padded []byte
+	for i := 0; i < 200; i++ {
+		data := make([]byte, rng.Intn(ps+1))
+		rng.Read(data)
+		f.MustAppendPage(data)
+		page := make([]byte, ps)
+		copy(page, data)
+		padded = append(padded, page...)
+		if f.NumPages() != i+1 || f.Size() != int64((i+1)*ps) {
+			t.Fatalf("after %d appends: NumPages %d, Size %d", i+1, f.NumPages(), f.Size())
+		}
+		if got, want := f.Checksum(), crc32.ChecksumIEEE(padded); got != want {
+			t.Fatalf("after %d appends: Checksum %08x, want %08x", i+1, got, want)
+		}
 	}
 }

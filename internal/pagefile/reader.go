@@ -8,7 +8,8 @@ import "fmt"
 // raw page slice) all satisfy it, so in-memory and disk-backed databases
 // serve through identical code. Implementations must be safe for concurrent
 // Page calls once serving starts, and callers must not mutate returned
-// pages.
+// pages. A page Page returns stays valid and unchanged for as long as the
+// caller holds it: a store may keep the slices themselves instead of a copy.
 type Reader interface {
 	// Name returns the file name (e.g. "Fd", "Fi").
 	Name() string
@@ -16,7 +17,8 @@ type Reader interface {
 	PageSize() int
 	// NumPages returns the file length in pages.
 	NumPages() int
-	// Page returns page i. The caller must not mutate the result.
+	// Page returns page i. The caller must not mutate the result, and the
+	// result stays valid and unchanged while the caller holds it.
 	Page(i int) ([]byte, error)
 }
 

@@ -12,9 +12,11 @@ import (
 // is the query; the unit the kernel is costed in is the ROW-XOR — folding one
 // page row (wpp words) into another row.
 //
-//   - wordArena flattens a page file into one contiguous []uint64, so a
-//     pass walks a single allocation in address order and XORs eight bytes
-//     per operation.
+//   - wordArena holds a page file as one contiguous []uint64, so a pass
+//     walks a single allocation in address order and XORs eight bytes per
+//     operation. For a build's pagefile.File the arena is the File's own
+//     buffer, viewed in place (view.go); any other reader is packed into a
+//     copy.
 //   - answerAll answers k selector vectors in ONE pass over the arena (the
 //     matrix-batching idea of Chor et al.): every page row is read once,
 //     whatever k is. What k changes is how many row-XORs the pass performs.
@@ -46,10 +48,10 @@ import (
 // and never leaves the store, so the servers' views and the Theorem-1 traces
 // are those of the direct loop.
 
-// wordArena is a page file flattened into uint64 lanes: page i occupies
-// words [i*wpp, (i+1)*wpp). Pages whose byte size is not a multiple of 8
-// are zero-padded into their final word, which is XOR-neutral, so answers
-// over padded rows decode back to exact page bytes.
+// wordArena is a page file as uint64 lanes: page i occupies words
+// [i*wpp, (i+1)*wpp). Pages whose byte size is not a multiple of 8 are
+// zero-padded into their final word, which is XOR-neutral, so answers over
+// padded rows decode back to exact page bytes.
 type wordArena struct {
 	words    []uint64
 	wpp      int // words per page
@@ -57,7 +59,8 @@ type wordArena struct {
 	pageSize int
 }
 
-// newWordArena flattens the pages of src.
+// newWordArena views the pages of src in place when viewWords allows it,
+// and otherwise packs them into a fresh word slice.
 func newWordArena(src pagefile.Reader) (*wordArena, error) {
 	n, ps := src.NumPages(), src.PageSize()
 	if n == 0 {
@@ -65,11 +68,15 @@ func newWordArena(src pagefile.Reader) (*wordArena, error) {
 	}
 	wpp := (ps + 7) / 8
 	a := &wordArena{
-		words:    make([]uint64, n*wpp),
+		words:    viewWords(src),
 		wpp:      wpp,
 		numPages: n,
 		pageSize: ps,
 	}
+	if a.words != nil {
+		return a, nil
+	}
+	a.words = make([]uint64, n*wpp)
 	for i := 0; i < n; i++ {
 		p, err := src.Page(i)
 		if err != nil {

@@ -16,8 +16,8 @@
 // XORPIR additionally shows three optional faces, which the serving layer
 // (lbs.Server) probes once at host time: ParallelScan (the store answers a
 // whole batch in one pass over the file, optionally fanned across several
-// goroutines for the length of the pass; such batches are never split and
-// are merged across connections), ShareAnswerer (the replica half of
+// goroutines for the length of the pass; such a batch is never split and
+// holds one pool slot for its pass), ShareAnswerer (the replica half of
 // two-server fleet mode) and ScanStats (work accounting, which Plain shows
 // too).
 package pir
@@ -40,8 +40,9 @@ import (
 // parallel scan live for that one pass.
 //
 // Both stores read without touching mutable state: Plain's page source and
-// XORPIR's arena are immutable, and XORPIR's test-visible last-query and
-// share-log fields are mutex-guarded.
+// XORPIR's arena are never written (the arena may be the source's own pages,
+// which the pagefile.Reader contract keeps unchanged while held), and
+// XORPIR's test-visible last-query and share-log fields are mutex-guarded.
 type Store interface {
 	// NumPages returns the logical file length. Public information.
 	NumPages() int

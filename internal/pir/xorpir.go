@@ -19,7 +19,8 @@ import (
 // computationally bounded adversaries learn anything.
 //
 // Both logical servers answer from the same contiguous word arena (see
-// kernel.go — the file is immutable, so one copy serves both), and a
+// kernel.go — the file is immutable, so one arena serves both, and for a
+// build's pagefile.File it is the File's own buffer), and a
 // multi-page ReadBatchInto answers all k selectors in a single pass per server
 // instead of k independent scans. What a pass costs is set by kernel.go's
 // row-XOR count model: the n page rows are read once whatever k is, and
@@ -72,9 +73,11 @@ type xorScratch struct {
 	accsA, accsB [][]uint64
 }
 
-// NewXORPIR flattens the pages of src into the arena the two logical servers
-// answer from (the answer to any query XORs an arbitrary page subset, so the
-// full plaintext is held in memory).
+// NewXORPIR builds the arena the two logical servers answer from (the answer
+// to any query XORs an arbitrary page subset, so the full plaintext is held
+// in memory). It reads every page of src once. A *pagefile.File whose page
+// size is a multiple of 8 is viewed in place, so the store adds no second
+// copy of it; any other reader is copied into the arena.
 func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 	arena, err := newWordArena(src)
 	if err != nil {

@@ -65,6 +65,11 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if got := srv.m.shed.Value(); got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
+	// The daemon counts the Busy once its write returns, which can be just
+	// after the client has read it.
+	for deadline := time.Now().Add(time.Second); srv.m.busySent.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := srv.m.busySent.Value(); got != 1 {
 		t.Errorf("busy-sent counter = %d, want 1", got)
 	}
