@@ -16,6 +16,9 @@
 #      clock and health-probe timing, not by access pattern.)
 #   3. A one-replica fleet is refused ("at least 2"): there is no
 #      single-server fallback.
+#   4. With replica B stopped, a query over the fleet fails with a
+#      replica-down error naming B, and replica A answers no share of it:
+#      both shares on one server would give it the page index.
 #
 #   ./bench/fleet_smoke.sh
 set -eu
@@ -35,6 +38,7 @@ dlogb=$(mktemp -t replica-b.log.XXXXXX)
 out1=$(mktemp -t query1.XXXXXX)
 out2=$(mktemp -t query2.XXXXXX)
 out3=$(mktemp -t query3.XXXXXX)
+out4=$(mktemp -t query4.XXXXXX)
 counta=$(mktemp -t counters-a.XXXXXX)
 countb=$(mktemp -t counters-b.XXXXXX)
 pida=""
@@ -46,7 +50,7 @@ cleanup() {
 	done
 	pida=""
 	pidb=""
-	rm -f "$bin" "$container" "$dloga" "$dlogb" "$out1" "$out2" "$out3" "$counta" "$countb"
+	rm -f "$bin" "$container" "$dloga" "$dlogb" "$out1" "$out2" "$out3" "$out4" "$counta" "$countb"
 }
 trap cleanup EXIT
 trap 'cleanup; trap - INT; kill -INT $$' INT
@@ -148,8 +152,36 @@ if ! grep -q "at least 2" "$out3"; then
 	exit 1
 fi
 
-kill "$pida" "$pidb"
-wait "$pida" "$pidb" 2>/dev/null || true
-pida=""
+# Claim 4: a fleet with one of two replicas down refuses the query, and
+# the survivor sees none of it. A fresh CLI process finds B dead at dial
+# time; a long-lived fleet that loses B refuses at query start
+# (internal/fleet's TestFailover). Either way A's share-fetch counter must
+# not move.
+sharesa() {
+	counters "$admina" | awk '$1 == "privsp_server_share_fetches_total{db=\"CI\"}" { print $2 }'
+}
+before=$(sharesa)
+kill "$pidb"
+wait "$pidb" 2>/dev/null || true
 pidb=""
-echo "fleet-smoke: ok (traces identical across endpoints, replica counter deltas byte-identical, one-replica fleet refused)"
+if go run ./cmd/privsp query -fleet "$fleet" \
+	-preset Oldenburg -scale 0.05 -s 0 -t 42 >"$out4" 2>&1; then
+	echo "fleet-smoke: a query with replica B down succeeded; want a refusal:" >&2
+	cat "$out4" >&2
+	exit 1
+fi
+if ! grep -q "replica 127.0.0.1:$portb down" "$out4"; then
+	echo "fleet-smoke: query with replica B down failed for the wrong reason:" >&2
+	cat "$out4" >&2
+	exit 1
+fi
+after=$(sharesa)
+if [ -z "$before" ] || [ "$before" != "$after" ]; then
+	echo "fleet-smoke: replica A answered shares of a refused query (share fetches $before -> $after)" >&2
+	exit 1
+fi
+
+kill "$pida"
+wait "$pida" 2>/dev/null || true
+pida=""
+echo "fleet-smoke: ok (traces identical across endpoints, replica counter deltas byte-identical, one-replica fleet refused, query with a replica down refused unseen)"

@@ -4,8 +4,8 @@ import "errors"
 
 // ErrReplicaDown is the sentinel matched by errors.Is for every replica
 // failure the fleet surfaces: a failed dial, a transport error mid-query
-// (which also trips that replica's breaker), or a query attempted while no
-// replica is reachable. The concrete error is always a *ReplicaDownError
+// (which also trips that replica's breaker), or a query started while fewer
+// than two replicas are up. The concrete error is always a *ReplicaDownError
 // naming the replica.
 var ErrReplicaDown = errors.New("fleet: replica down")
 

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"net"
 	"strings"
 	"sync"
@@ -45,20 +46,22 @@ func fullQuery(t testing.TB, f *fleet.Fleet, page int) ([]byte, string) {
 	return got[0], trace
 }
 
-// TestFailover kills one replica mid-query and walks the fleet through
-// the full failure arc: the in-flight query fails cleanly with a typed
-// ErrReplicaDown naming the dead replica while the surviving replica
-// keeps its prefix trace; the breaker opens; the next query succeeds in
-// degraded single-server mode with the demotion counted; and once a
-// daemon listens on the address again, the prober closes the breaker and
-// queries pair up again.
 // failN/failPS shape the raw database fullQuery and TestFailover share.
 const failN, failPS = 32, 16
 
+// TestFailover kills one replica mid-query and walks the fleet through
+// the full failure arc: the in-flight query fails cleanly with a typed
+// ErrReplicaDown naming the dead replica while the surviving replica
+// keeps its prefix trace; the breaker opens; the next query is refused
+// with the dead replica named, and the survivor receives nothing of it —
+// no share, no trace, because both shares on one server would hand it
+// the page; and once a daemon listens on the address again, the prober
+// closes the breaker and queries pair up again.
 func TestFailover(t *testing.T) {
 	pages := rawPages(failN, failPS, 11)
 	db := rawDB(pages, failPS)
-	srvA, addrA := startDaemon(t, "RAW", db, true, true, nil)
+	capA := &capture{}
+	srvA, addrA := startDaemon(t, "RAW", db, true, true, capA)
 
 	// Replica B is managed by hand — it dies and is reborn mid-test.
 	newB := func(addr string) (*server.Server, string) {
@@ -151,24 +154,37 @@ func TestFailover(t *testing.T) {
 		t.Fatalf("replica B breaker = %+v, want 1 trip with an error", st.Replicas[1])
 	}
 
-	// Degraded query: correct answer, loudly counted and logged.
-	if got, _ := fullQuery(t, f, 7); !equalBytes(got, pages[7]) {
-		t.Fatal("degraded query returned wrong page")
+	// Refusal: with one of two replicas up, the next query fails before
+	// any frame leaves the client, naming the dead replica, and every call
+	// on it repeats that error.
+	sharesBefore, tracesBefore := len(capA.stores[0].shares()), len(srvA.Traces("RAW"))
+	refused := f.StartQuery()
+	if !errors.As(refused.Err(), &rd) || rd.Addr != addrB {
+		t.Fatalf("query with one replica up: err = %v, want *ReplicaDownError naming %s", refused.Err(), addrB)
 	}
-	if st := f.Status(); st.DegradedQueries != 1 {
-		t.Fatalf("degraded queries = %d, want 1", st.DegradedQueries)
+	if _, err := refused.HeaderBytes(ctx); !errors.Is(err, fleet.ErrReplicaDown) {
+		t.Fatalf("refused query header: err = %v, want ErrReplicaDown", err)
+	}
+	if _, err := refused.ReadPages(ctx, "pages", []int{7}); !errors.Is(err, fleet.ErrReplicaDown) {
+		t.Fatalf("refused query read: err = %v, want ErrReplicaDown", err)
+	}
+	if _, err := refused.End(ctx); !errors.Is(err, fleet.ErrReplicaDown) {
+		t.Fatalf("refused query end: err = %v, want ErrReplicaDown", err)
+	}
+	refused.Cancel(wire.CancelContext)
+	if got := len(capA.stores[0].shares()); got != sharesBefore {
+		t.Fatalf("survivor answered %d shares of a refused query", got-sharesBefore)
+	}
+	if got := len(srvA.Traces("RAW")); got != tracesBefore {
+		t.Fatalf("survivor recorded %d traces for a refused query", got-tracesBefore)
 	}
 	mu.Lock()
-	demoted := false
 	for _, l := range logs {
 		if strings.Contains(l, "DEGRADED") {
-			demoted = true
+			t.Errorf("fleet logged a single-server demotion: %q", l)
 		}
 	}
 	mu.Unlock()
-	if !demoted {
-		t.Fatal("degraded demotion was not logged")
-	}
 
 	// Rebirth: a fresh daemon on the same address; the prober re-dials and
 	// closes the breaker.
@@ -194,9 +210,95 @@ func TestFailover(t *testing.T) {
 	if !equalBytes(got, pages[3]) || trace != full {
 		t.Fatal("post-recovery paired query diverged from the pre-failure one")
 	}
-	st = f.Status()
-	// Queries 1 and 2 started paired, the post-recovery one too.
-	if st.PairedQueries != 3 || st.DegradedQueries != 1 {
-		t.Fatalf("final counts: paired %d / degraded %d, want 3 / 1", st.PairedQueries, st.DegradedQueries)
+	// Queries 1 and 2 started paired, the post-recovery one too; the
+	// refused query started nowhere.
+	if st := f.Status(); st.PairedQueries != 3 {
+		t.Fatalf("final count: paired %d, want 3", st.PairedQueries)
+	}
+	f.Close() // release the held connections so the daemons drain at once
+
+}
+
+// TestFailoverThreeReplicas: with three replicas a fleet survives one
+// death without ever sending both shares to one server. While all three
+// are up, the rotation gives each query the next pair, so each replica
+// answers two of three queries. Once a replica's breaker opens, every
+// query still succeeds paired: each survivor answers exactly one share of
+// each query, the dead replica receives nothing, and no survivor ever
+// holds two shares that XOR to a unit vector (which would name the page).
+func TestFailoverThreeReplicas(t *testing.T) {
+	const n, ps, queries = 64, 16, 40
+	pages := rawPages(n, ps, 13)
+	db := rawDB(pages, ps)
+	var caps [3]*capture
+	var srvs [3]*server.Server
+	var addrs []string
+	for i := range caps {
+		caps[i] = &capture{}
+		var addr string
+		srvs[i], addr = startDaemon(t, "RAW", db, true, true, caps[i])
+		addrs = append(addrs, addr)
+	}
+	f := dialFleet(t, addrs, fleet.Options{ProbeInterval: 25 * time.Millisecond})
+	shares := func(i int) int { return len(caps[i].stores[0].shares()) }
+
+	// Healthy rotation: queries start at replicas 0, 1, 2 in turn, so the
+	// pairs are {0,1}, {1,2}, {2,0}.
+	for i := 0; i < 3; i++ {
+		if got, _ := readOne(t, f, i); !equalBytes(got, pages[i]) {
+			t.Fatalf("healthy query %d returned the wrong page", i)
+		}
+	}
+	for i := range caps {
+		if got := shares(i); got != 2 {
+			t.Fatalf("replica %d answered %d shares of 3 rotated queries, want 2", i, got)
+		}
+	}
+
+	// Kill replica 1 and wait for the prober to open its breaker.
+	sctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	srvs[1].Shutdown(sctx)
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.Status().Replicas[1].Up && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if f.Status().Replicas[1].Up {
+		t.Fatal("prober never opened the dead replica's breaker")
+	}
+
+	before := [3]int{shares(0), shares(1), shares(2)}
+	deadTraces := len(srvs[1].Traces("RAW"))
+	for i := 0; i < queries; i++ {
+		if got, _ := readOne(t, f, i%n); !equalBytes(got, pages[i%n]) {
+			t.Fatalf("query %d with one replica down returned the wrong page", i)
+		}
+	}
+	for _, i := range []int{0, 2} {
+		if got := shares(i) - before[i]; got != queries {
+			t.Errorf("survivor %d answered %d shares of %d queries, want one per query", i, got, queries)
+		}
+	}
+	if shares(1) != before[1] || len(srvs[1].Traces("RAW")) != deadTraces {
+		t.Error("the dead replica received part of a query")
+	}
+	if st := f.Status(); st.PairedQueries != 3+queries {
+		t.Errorf("paired queries = %d, want %d", st.PairedQueries, 3+queries)
+	}
+
+	// No survivor holds a pair of shares one bit apart.
+	for _, i := range []int{0, 2} {
+		log := caps[i].stores[0].shares()
+		for a := range log {
+			for b := a + 1; b < len(log); b++ {
+				weight := 0
+				for k := range log[a] {
+					weight += bits.OnesCount8(log[a][k] ^ log[b][k])
+				}
+				if weight == 1 {
+					t.Fatalf("survivor %d holds shares %d and %d one bit apart: the page index leaks", i, a, b)
+				}
+			}
+		}
 	}
 }

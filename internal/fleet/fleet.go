@@ -7,14 +7,15 @@
 // bitvector, and (in -replica-role) physically cannot reconstruct a page,
 // while per-server compute halves.
 //
-// Failover is health-checked and deterministic: a transport error trips
-// the replica's circuit breaker immediately (no threshold — one broken
-// fan-out is one broken query too many), a background prober re-dials it
-// until it answers, and while the fleet is down to one replica, queries
-// demote to degraded single-server XOR PIR: both shares go to the
-// survivor, which then holds the same view as the in-process XORPIR — the
-// information-theoretic guarantee degrades to a trust assumption, so the
-// demotion is logged and counted loudly (privsp_fleet_degraded_queries_total).
+// A query runs on two distinct up replicas or not at all. Failover is
+// health-checked and deterministic: a transport error trips the replica's
+// circuit breaker immediately (no threshold — one broken fan-out is one
+// broken query too many), a background prober re-dials it until it
+// answers, and new queries pair on the remaining up replicas. A fleet left
+// with fewer than two up replicas refuses new queries with
+// *ReplicaDownError before any frame reaches a replica: both shares on one
+// server would hand it the page index, so availability comes from running
+// three or more replicas, never from sending both shares to one.
 package fleet
 
 import (
@@ -44,13 +45,10 @@ type Options struct {
 	// ProbeInterval is the health-prober period (re-dial of down replicas,
 	// liveness ping of up ones); 0 means DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// DisableDegraded refuses single-replica demotion: queries fail with
-	// ErrReplicaDown instead of falling back to trust-one-server XOR PIR.
-	DisableDegraded bool
 	// Telemetry receives the fleet families; nil means telemetry.Default().
 	Telemetry *telemetry.Registry
-	// Logf receives failover events (replica down/up, degraded demotion);
-	// nil disables logging.
+	// Logf receives failover events (replica down/up); nil disables
+	// logging.
 	Logf func(format string, args ...any)
 }
 
@@ -99,8 +97,8 @@ type Fleet struct {
 // shares, and starts the health prober. Fewer than two replicas, or one
 // that cannot answer shares, is refused: there is no single-server
 // fallback. All replicas must answer: a dead replica fails the dial with a
-// *ReplicaDownError naming it — a fleet deliberately started degraded is a
-// misconfiguration, not a failover.
+// *ReplicaDownError naming it — a fleet deliberately started short of a
+// replica is a misconfiguration, not a failover.
 func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 	if len(addrs) < 2 {
 		return nil, fmt.Errorf("fleet: two-server PIR needs at least 2 replicas, got %d", len(addrs))
@@ -387,9 +385,12 @@ func (f *Fleet) probe(rep *replica) bool {
 	return true
 }
 
-// pick returns up to two distinct up replicas, rotating the starting point
-// per call so load spreads evenly across a healthy fleet.
-func (f *Fleet) pick() []*replica {
+// pick starts a client query on each of two distinct up replicas, rotating
+// the starting point per call so load spreads evenly across a healthy
+// fleet. Both client queries start under f.mu, so neither races the
+// breaker swapping the replica's connection. With fewer than two replicas
+// up it starts nothing and names a down replica in a *ReplicaDownError.
+func (f *Fleet) pick() (subs [2]sub, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	start := f.rr
@@ -401,25 +402,21 @@ func (f *Fleet) pick() []*replica {
 			picked = append(picked, rep)
 		}
 	}
-	return picked
-}
-
-// downError names a down replica for error surfaces: the first one with a
-// recorded failure, else the first down one.
-func (f *Fleet) downError() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, rep := range f.replicas {
-		if !rep.up && rep.lastErr != nil {
-			return &ReplicaDownError{Addr: rep.addr, Err: rep.lastErr}
+	if len(picked) < 2 {
+		// Dial admits at least two replicas, so one is down, and its
+		// breaker recorded why.
+		for _, rep := range f.replicas {
+			if !rep.up {
+				err = &ReplicaDownError{Addr: rep.addr, Err: rep.lastErr}
+				break
+			}
 		}
+		return subs, err
 	}
-	for _, rep := range f.replicas {
-		if !rep.up {
-			return &ReplicaDownError{Addr: rep.addr, Err: errors.New("replica unavailable")}
-		}
+	for i, rep := range picked {
+		subs[i] = sub{rep: rep, q: rep.c.StartQuery()}
 	}
-	return errors.New("fleet: no replicas")
+	return subs, nil
 }
 
 // ReplicaStatus is one replica's health snapshot.
@@ -430,23 +427,18 @@ type ReplicaStatus struct {
 	LastErr error  // most recent failure; nil when healthy since dial
 }
 
-// Status snapshots the fleet: per-replica health and the query counts by
-// fan-out shape (paired = both shares on distinct replicas, degraded = both
-// shares on the lone survivor).
+// Status snapshots the fleet: per-replica health and the number of queries
+// started, each with its two shares on distinct replicas.
 type Status struct {
-	Replicas        []ReplicaStatus
-	PairedQueries   uint64
-	DegradedQueries uint64
+	Replicas      []ReplicaStatus
+	PairedQueries uint64
 }
 
 // Status reports the fleet's health and accounting.
 func (f *Fleet) Status() Status {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := Status{
-		PairedQueries:   f.m.queriesPaired.Value(),
-		DegradedQueries: f.m.degraded.Value(),
-	}
+	st := Status{PairedQueries: f.m.queriesPaired.Value()}
 	for _, rep := range f.replicas {
 		st.Replicas = append(st.Replicas, ReplicaStatus{
 			Addr: rep.addr, Up: rep.up, Trips: rep.trips, LastErr: rep.lastErr,

@@ -45,11 +45,39 @@ func rawDB(pages [][]byte, ps int) *lbs.Database {
 	}
 }
 
-// capture collects the XORPIR stores a daemon builds so tests can read
-// their share logs.
+// loggingXORPIR is a replica's XOR-PIR store that also logs, in arrival
+// order, every selector share it answers: what that replica daemon
+// actually received over the wire. It embeds *pir.XORPIR, so lbs.NewServer
+// still finds ShareAnswerer and ParallelScan on it.
+type loggingXORPIR struct {
+	*pir.XORPIR
+	mu   sync.Mutex
+	sels [][]byte
+}
+
+func (x *loggingXORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error {
+	if err := x.XORPIR.AnswerShares(ctx, sels, dst); err != nil {
+		return err
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, sel := range sels {
+		x.sels = append(x.sels, append([]byte(nil), sel...))
+	}
+	return nil
+}
+
+// shares returns the logged selector shares, oldest first.
+func (x *loggingXORPIR) shares() [][]byte {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return append([][]byte(nil), x.sels...)
+}
+
+// capture collects the share-logging stores a daemon builds.
 type capture struct {
 	mu     sync.Mutex
-	stores []*pir.XORPIR
+	stores []*loggingXORPIR
 }
 
 func (c *capture) factory(r pagefile.Reader) (pir.Store, error) {
@@ -57,11 +85,11 @@ func (c *capture) factory(r pagefile.Reader) (pir.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.EnableShareLog(1024)
+	lx := &loggingXORPIR{XORPIR: x}
 	c.mu.Lock()
-	c.stores = append(c.stores, x)
+	c.stores = append(c.stores, lx)
 	c.mu.Unlock()
-	return x, nil
+	return lx, nil
 }
 
 // startDaemon hosts db under name on a loopback listener. replica runs it

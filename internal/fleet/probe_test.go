@@ -1,14 +1,23 @@
 package fleet
 
-// Internal tests for the prober's per-replica backoff schedule; the
-// externally observable failover behaviour lives in failover_test.go.
+// Internal tests for the breaker, the prober's per-replica backoff
+// schedule and replica selection; the externally observable failover
+// behaviour lives in failover_test.go.
 
 import (
+	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/costmodel"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/server"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // TestProbeDelayHealthy: a healthy replica (streak 0) is revisited about
@@ -76,5 +85,78 @@ func TestReportErrorBusyKeepsBreakerClosed(t *testing.T) {
 	var rd *ReplicaDownError
 	if errors.As(got, &rd) {
 		t.Fatalf("reportError(busy) wrapped as ReplicaDownError: %v", got)
+	}
+}
+
+// TestStartQueryRacesBreaker: StartQuery must read a replica's connection
+// under the fleet lock. Here one goroutine flaps replica B's breaker —
+// markDown drops its connection, probe dials a new one — while queries
+// start in a loop. A query that read the connection after the lock was
+// released could start on a stale or nil client: -race reports the read,
+// and a nil read panics.
+func TestStartQueryRacesBreaker(t *testing.T) {
+	const ps = 8
+	db := &lbs.Database{
+		Scheme: "RAW",
+		Header: []byte("raw fixture header\n"),
+		Files:  []pagefile.Reader{pagefile.SlicePages("pages", ps, [][]byte{make([]byte, ps), make([]byte, ps)})},
+	}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv := server.New(server.Options{Workers: 2, ReplicaRole: true, Stores: lbs.XORStores})
+		if err := srv.Host("RAW", db, costmodel.Default()); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		})
+		addrs = append(addrs, ln.Addr().String())
+	}
+	// The background prober never fires during the test: the loop below
+	// drives the breaker by hand.
+	f, err := Dial(context.Background(), addrs, Options{ProbeInterval: time.Hour, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	repB := f.replicas[1]
+
+	flapped := make(chan struct{})
+	go func() {
+		defer close(flapped)
+		for i := 0; i < 50; i++ {
+			f.markDown(repB, errors.New("injected"))
+			if !f.probe(repB) {
+				t.Error("re-dial of a live replica failed")
+				return
+			}
+		}
+	}()
+	defer func() { <-flapped }() // a failing query loop still waits for the flapper
+	for tries := 0; ; tries++ {
+		select {
+		case <-flapped:
+			if tries == 0 {
+				t.Fatal("no query was tried while the breaker flapped")
+			}
+			return
+		default:
+		}
+		q := f.StartQuery()
+		if err := q.Err(); err != nil {
+			var rd *ReplicaDownError
+			if !errors.As(err, &rd) || rd.Addr != repB.addr {
+				t.Fatalf("StartQuery with B down: err = %v, want *ReplicaDownError naming %s", err, repB.addr)
+			}
+			continue
+		}
+		q.Cancel(wire.CancelAbandon)
 	}
 }

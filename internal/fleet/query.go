@@ -15,15 +15,15 @@ import (
 
 // Query is one fan-out query session. It implements lbs.Backend and
 // lbs.Service exactly like a single daemon's query session, so scheme
-// protocol code runs over a fleet unchanged. In a paired query every
-// protocol step drives BOTH replica sessions symmetrically — each replica
-// records the same canonical Theorem 1 trace it would record alone, and
-// each page read becomes one uniform selector share per replica, XORed
-// back together only client-side.
+// protocol code runs over a fleet unchanged. Every protocol step drives
+// both replica sessions symmetrically — each replica records the same
+// canonical Theorem 1 trace it would record alone, and each page read
+// becomes one uniform selector share per replica, XORed back together only
+// client-side.
 type Query struct {
 	f    *Fleet
-	subs []*sub // paired: exactly 2; degraded: exactly 1 (both shares on it)
-	err  error  // start-time failure (no replicas); surfaced by every call
+	subs [2]sub // on two distinct replicas
+	err  error  // start-time failure (fewer than two replicas up); surfaced by every call
 }
 
 // sub is one replica's half of a query.
@@ -32,37 +32,17 @@ type sub struct {
 	q   *client.Query
 }
 
-// StartQuery opens a fan-out query session, choosing replicas by current
-// health: two up replicas give a paired query; exactly one gives a degraded
-// query (unless Options.DisableDegraded); zero replicas give a session
-// whose every call reports the down replica.
+// StartQuery opens a fan-out query session on two distinct up replicas.
+// With fewer than two up, the session starts nowhere and its every call
+// reports a down replica: there is no single-server fallback.
 func (f *Fleet) StartQuery() *Query {
-	q := &Query{f: f}
-	picked := f.pick()
-	switch len(picked) {
-	case 0:
-		q.err = f.downError()
-	case 1:
-		if f.opts.DisableDegraded {
-			q.err = fmt.Errorf("fleet: only replica %s is up and degraded mode is disabled: %w",
-				picked[0].addr, f.downError())
-			return q
-		}
-		f.m.degraded.Inc()
-		f.opts.Logf("fleet: DEGRADED query: both shares to %s — single-server XOR PIR, privacy rests on trusting that one server", picked[0].addr)
-		q.subs = []*sub{{rep: picked[0], q: picked[0].c.StartQuery()}}
-	default:
-		f.m.queriesPaired.Inc()
-		q.subs = []*sub{
-			{rep: picked[0], q: picked[0].c.StartQuery()},
-			{rep: picked[1], q: picked[1].c.StartQuery()},
-		}
+	subs, err := f.pick()
+	if err != nil {
+		return &Query{f: f, err: err}
 	}
-	return q
+	f.m.queriesPaired.Inc()
+	return &Query{f: f, subs: subs}
 }
-
-// degraded reports whether both shares of this query go to one replica.
-func (q *Query) degraded() bool { return len(q.subs) == 1 }
 
 // Connect opens an lbs connection over this query, governed by ctx.
 func (q *Query) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, q) }
@@ -80,16 +60,17 @@ func (q *Query) FileInfo(name string) (lbs.FileInfo, error) {
 	return fi, nil
 }
 
-// both runs one step against two subs concurrently and returns each sub's
-// error, classified (transport errors trip that replica's breaker).
-func (q *Query) both(step func(s *sub) error) (ea, eb error) {
+// both runs one step against the two subs concurrently, passing each its
+// slot, and returns each sub's error, classified (transport errors trip
+// that replica's breaker).
+func (q *Query) both(step func(i int, s *sub) error) (ea, eb error) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		eb = q.f.reportError(q.subs[1].rep, step(q.subs[1]))
+		eb = q.f.reportError(q.subs[1].rep, step(1, &q.subs[1]))
 	}()
-	ea = q.f.reportError(q.subs[0].rep, step(q.subs[0]))
+	ea = q.f.reportError(q.subs[0].rep, step(0, &q.subs[0]))
 	wg.Wait()
 	return ea, eb
 }
@@ -103,28 +84,17 @@ func firstErr(ea, eb error) error {
 	return eb
 }
 
-// HeaderBytes implements lbs.Backend. Paired queries fetch the header from
-// both replicas and require the bytes identical — a silent mismatch would
-// mean the replicas serve diverged databases and every share XOR after it
-// would be garbage.
+// HeaderBytes implements lbs.Backend. The header is fetched from both
+// replicas and must be byte-identical — a silent mismatch would mean the
+// replicas serve diverged databases and every share XOR after it would be
+// garbage.
 func (q *Query) HeaderBytes(ctx context.Context) ([]byte, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	if q.degraded() {
-		h, err := q.subs[0].q.HeaderBytes(ctx)
-		return h, q.f.reportError(q.subs[0].rep, err)
-	}
-	headers := make([][]byte, 2)
-	ea, eb := q.both(func(s *sub) error {
-		h, err := s.q.HeaderBytes(ctx)
-		if err == nil {
-			if s == q.subs[0] {
-				headers[0] = h
-			} else {
-				headers[1] = h
-			}
-		}
+	var headers [2][]byte
+	ea, eb := q.both(func(i int, s *sub) (err error) {
+		headers[i], err = s.q.HeaderBytes(ctx)
 		return err
 	})
 	if err := firstErr(ea, eb); err != nil {
@@ -137,16 +107,13 @@ func (q *Query) HeaderBytes(ctx context.Context) ([]byte, error) {
 	return headers[0], nil
 }
 
-// NextRound implements lbs.Backend, announcing the round boundary to every
-// participating replica so each trace stays canonical.
+// NextRound implements lbs.Backend, announcing the round boundary to both
+// replicas so each trace stays canonical.
 func (q *Query) NextRound(ctx context.Context) error {
 	if q.err != nil {
 		return q.err
 	}
-	if q.degraded() {
-		return q.f.reportError(q.subs[0].rep, q.subs[0].q.NextRound(ctx))
-	}
-	return firstErr(q.both(func(s *sub) error { return s.q.NextRound(ctx) }))
+	return firstErr(q.both(func(_ int, s *sub) error { return s.q.NextRound(ctx) }))
 }
 
 // splitShares draws the two-server XOR PIR shares for a page batch:
@@ -193,13 +160,10 @@ func xorInto(a, b [][]byte, pageSize int) error {
 	return nil
 }
 
-// ReadPages implements lbs.Backend. Paired queries split each page into
-// two selector shares, fan them out to both replicas in parallel, and XOR
-// the answers locally; each replica sees one uniform bitvector per page
-// and performs one scan. Degraded queries send BOTH shares to the lone
-// survivor in one deterministic batch (selsA then selsB) — the answer is
-// still correct, but that replica now holds the same view as a
-// single-server XOR PIR store.
+// ReadPages implements lbs.Backend. Each page splits into two selector
+// shares, fanned out to the two replicas in parallel, and the answers are
+// XORed locally; each replica sees one uniform bitvector per page and
+// performs one scan.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -215,31 +179,11 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 	if err != nil {
 		return nil, err
 	}
-	if q.degraded() {
-		all := make([][]byte, 0, 2*len(pages))
-		all = append(append(all, selsA...), selsB...)
-		res, rerr := q.subs[0].q.ReadShares(ctx, file, all)
-		if rerr != nil {
-			return nil, q.f.reportError(q.subs[0].rep, rerr)
-		}
-		out := res[:len(pages)]
-		if err := xorInto(out, res[len(pages):], fi.PageSize); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	answers := make([][][]byte, 2)
+	sels := [2][][]byte{selsA, selsB}
+	var answers [2][][]byte
 	start := time.Now()
-	ea, eb := q.both(func(s *sub) error {
-		sels := selsA
-		slot := 0
-		if s == q.subs[1] {
-			sels, slot = selsB, 1
-		}
-		res, err := s.q.ReadShares(ctx, file, sels)
-		if err == nil {
-			answers[slot] = res
-		}
+	ea, eb := q.both(func(i int, s *sub) (err error) {
+		answers[i], err = s.q.ReadShares(ctx, file, sels[i])
 		return err
 	})
 	q.f.m.fanout.Observe(time.Since(start).Nanoseconds())
@@ -252,28 +196,17 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 	return answers[0], nil
 }
 
-// End completes the query on every participating replica and returns the
-// recorded adversary-visible trace. Paired queries require both replicas'
-// traces byte-identical — they executed the same canonical plan, so any
-// divergence means a replica misrecorded its own observation.
+// End completes the query on both replicas and returns the recorded
+// adversary-visible trace. The two traces must be byte-identical — the
+// replicas executed the same canonical plan, so any divergence means a
+// replica misrecorded its own observation.
 func (q *Query) End(ctx context.Context) (string, error) {
 	if q.err != nil {
 		return "", q.err
 	}
-	if q.degraded() {
-		tr, err := q.subs[0].q.End(ctx)
-		return tr, q.f.reportError(q.subs[0].rep, err)
-	}
-	traces := make([]string, 2)
-	ea, eb := q.both(func(s *sub) error {
-		slot := 0
-		if s == q.subs[1] {
-			slot = 1
-		}
-		tr, err := s.q.End(ctx)
-		if err == nil {
-			traces[slot] = tr
-		}
+	var traces [2]string
+	ea, eb := q.both(func(i int, s *sub) (err error) {
+		traces[i], err = s.q.End(ctx)
 		return err
 	})
 	if err := firstErr(ea, eb); err != nil {
@@ -286,17 +219,21 @@ func (q *Query) End(ctx context.Context) (string, error) {
 	return traces[0], nil
 }
 
-// Cancel abandons the query on every participating replica with the given
-// wire cancel reason. Replicas that record partial traces (context or
-// deadline cancellations) each keep their prefix of the canonical trace.
+// Cancel abandons the query on both replicas with the given wire cancel
+// reason. Replicas that record partial traces (context or deadline
+// cancellations) each keep their prefix of the canonical trace. A query
+// that never started is a no-op.
 func (q *Query) Cancel(reason uint8) {
+	if q.err != nil {
+		return
+	}
 	for _, s := range q.subs {
 		s.q.Cancel(reason)
 	}
 }
 
-// Err returns the start-time failure of a query that could not select any
-// replica (every later call returns it too).
+// Err returns the start-time failure of a query that could not start on
+// two replicas (every later call returns it too).
 func (q *Query) Err() error { return q.err }
 
 var (

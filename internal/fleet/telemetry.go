@@ -15,7 +15,6 @@ type fleetMetrics struct {
 	replicaErrors map[string]*telemetry.Counter // by replica address
 	fanout        *telemetry.Histogram
 	queriesPaired *telemetry.Counter
-	degraded      *telemetry.Counter
 	probeOK       *telemetry.Counter
 	probeFail     *telemetry.Counter
 }
@@ -36,8 +35,6 @@ func (f *Fleet) initTelemetry(addrs []string) {
 		telemetry.Seconds())
 	f.m.queriesPaired = reg.Counter("privsp_fleet_queries_total",
 		"queries started, by fan-out mode", telemetry.L("mode", "paired"))
-	f.m.degraded = reg.Counter("privsp_fleet_degraded_queries_total",
-		"queries demoted to single-server XOR PIR (both shares on the lone survivor — information-theoretic privacy degraded to a trust assumption)")
 	f.m.probeOK = reg.Counter("privsp_fleet_probes_total",
 		"health-prober attempts by result", telemetry.L("result", "ok"))
 	f.m.probeFail = reg.Counter("privsp_fleet_probes_total",

@@ -150,7 +150,7 @@ func TestTheorem1TwoServer(t *testing.T) {
 	if len(capA.stores) != 1 || len(capB.stores) != 1 {
 		t.Fatalf("captured %d/%d stores, want 1/1", len(capA.stores), len(capB.stores))
 	}
-	logA, logB := capA.stores[0].ShareLog(), capB.stores[0].ShareLog()
+	logA, logB := capA.stores[0].shares(), capB.stores[0].shares()
 	if len(logA) != rounds || len(logB) != rounds {
 		t.Fatalf("share logs hold %d/%d selectors, want %d", len(logA), len(logB), rounds)
 	}

@@ -91,8 +91,8 @@ func TestAnswerSharesReconstruct(t *testing.T) {
 	}
 }
 
-// TestAnswerSharesValidation: length mismatches are rejected, empty
-// batches are no-ops, and the share log retains what arrived (bounded).
+// TestAnswerSharesValidation: length mismatches are rejected and empty
+// batches are no-ops.
 func TestAnswerSharesValidation(t *testing.T) {
 	const n, ps = 10, 16
 	pages := makePages(n, ps, 3)
@@ -110,28 +110,5 @@ func TestAnswerSharesValidation(t *testing.T) {
 	}
 	if err := x.AnswerShares(context.Background(), nil, nil); err != nil {
 		t.Errorf("empty batch: %v", err)
-	}
-
-	x.EnableShareLog(3)
-	for i := 0; i < 5; i++ {
-		sel := make([]byte, nb)
-		sel[0] = byte(i + 1)
-		if err := x.AnswerShares(context.Background(), [][]byte{sel},
-			[][]byte{make([]byte, ps)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log := x.ShareLog()
-	if len(log) != 3 {
-		t.Fatalf("share log kept %d entries, want 3", len(log))
-	}
-	for i, sel := range log {
-		if sel[0] != byte(i+3) {
-			t.Errorf("log entry %d: first byte %d, want %d (oldest dropped first)", i, sel[0], i+3)
-		}
-	}
-	x.EnableShareLog(0)
-	if len(x.ShareLog()) != 0 {
-		t.Error("disabling the share log did not clear it")
 	}
 }

