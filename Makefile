@@ -18,7 +18,8 @@ bench:
 
 # Bit-rot guard, measures nothing: the benchmark harness at a twentieth of
 # the work, then one iteration of every go-test benchmark of the serving
-# path (scan kernels, stores, worker-pool BatchRead, the paper's tables).
+# path (scan kernels, stores, worker-pool BatchRead, the paper's tables,
+# the client graph's region assembly).
 bench-smoke:
 	$(GO) run ./bench/privspbench -smoke
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pir/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pir/ ./internal/scheme/base/

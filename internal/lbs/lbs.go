@@ -624,13 +624,11 @@ func (c *Conn) FetchMany(file string, pages []int) ([][]byte, error) {
 }
 
 // Stats returns the accumulated cost components. AddClientTime must be
-// called by the scheme before reading them.
+// called by the scheme before reading them. Fetches is the connection's own
+// count, not a copy: a Conn serves one query, read once it is done.
 func (c *Conn) Stats() Stats {
 	s := c.stats
-	s.Fetches = make(map[string]int, len(c.fetches))
-	for k, v := range c.fetches {
-		s.Fetches[k] = v
-	}
+	s.Fetches = c.fetches
 	return s
 }
 

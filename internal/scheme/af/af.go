@@ -90,16 +90,22 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}
 
 	// Plan derivation on a sampled workload, in region clusters.
-	regions, err := decodeAll(fd, part.NumRegions, pagesPerRegion, flagBytes)
-	if err != nil {
-		return nil, err
+	hdr := &base.Header{
+		Scheme:               SchemeName,
+		Directed:             g.Directed(),
+		NumRegions:           part.NumRegions,
+		Tree:                 part.Tree,
+		RegionFirstPage:      firstPage,
+		ClusterPages:         pagesPerRegion,
+		LookupEntriesPerPage: 1,
+		Params:               map[string]int64{base.ParamFlagBy: int64(flagBytes)},
 	}
 	maxClusters := 2
 	rng := rand.New(rand.NewSource(opt.DeriveSeed))
 	for q := 0; q < opt.DeriveQueries; q++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		t := graph.NodeID(rng.Intn(g.NumNodes()))
-		n, err := base.SimulateFrontier(part.Tree, regions, g.Directed(), g.Point(s), g.Point(t), flagGuide)
+		n, err := base.SimulateFrontier(hdr, fd, g.Point(s), g.Point(t), flagGuide)
 		if err != nil {
 			return nil, err
 		}
@@ -117,20 +123,8 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		rounds = append(rounds, plan.Round{Fetches: []plan.Fetch{{File: base.FileData, Count: pagesPerRegion}}})
 	}
 	qp := plan.Plan{Rounds: rounds}
-	hdr := &base.Header{
-		Scheme:               SchemeName,
-		Directed:             g.Directed(),
-		NumRegions:           part.NumRegions,
-		Tree:                 part.Tree,
-		RegionFirstPage:      firstPage,
-		ClusterPages:         pagesPerRegion,
-		LookupEntriesPerPage: 1,
-		Plan:                 qp,
-		Params: map[string]int64{
-			base.ParamFlagBy: int64(flagBytes),
-			"maxClusters":    int64(maxClusters),
-		},
-	}
+	hdr.Plan = qp
+	hdr.Params["maxClusters"] = int64(maxClusters)
 	return &lbs.Database{
 		Scheme: SchemeName,
 		Header: hdr.Encode(),
@@ -214,26 +208,6 @@ func computeFlags(g *graph.Graph, part *kdtree.Partition, flagBytes int) ([][][]
 	return flags, nil
 }
 
-func decodeAll(fd *pagefile.File, numRegions, pagesPerRegion, flagBytes int) ([][]base.RegionNode, error) {
-	out := make([][]base.RegionNode, numRegions)
-	for r := 0; r < numRegions; r++ {
-		pages := make([][]byte, pagesPerRegion)
-		for i := range pages {
-			p, err := fd.Page(r*pagesPerRegion + i)
-			if err != nil {
-				return nil, err
-			}
-			pages[i] = p
-		}
-		nodes, err := base.DecodeRegionCluster(pages, 0, flagBytes)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = nodes
-	}
-	return out, nil
-}
-
 // flagGuide is AF's part of the frontier search: plain Dijkstra restricted
 // to the edges flagged for the destination region rt.
 func flagGuide(cg *base.ClientGraph, _ graph.NodeID, rt kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
@@ -252,5 +226,5 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	if err != nil {
 		return nil, err
 	}
-	return ses.FrontierQuery(sPt, tPt, 0, int(ses.Hdr.MustParam(base.ParamFlagBy)), flagGuide)
+	return ses.FrontierQuery(sPt, tPt, flagGuide)
 }

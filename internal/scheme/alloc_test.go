@@ -1,0 +1,79 @@
+package scheme_test
+
+import (
+	"context"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/lbs"
+	"repro/internal/scheme/ci"
+	"repro/internal/scheme/pi"
+)
+
+// TestClientQueryAllocations bounds what one in-process CI and PI query
+// allocates in steady state, client and in-process service together: 300
+// queries after a warm-up, measured with runtime.MemStats. The client graph
+// is pooled and region pages decode straight into it, so a query's garbage
+// is its protocol traffic, not its graph; the bounds sit above the measured
+// figures with headroom and catch a return to per-query maps.
+func TestClientQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	g := gen.GeneratePreset(gen.Oldenburg, 0.25)
+	for _, sc := range []struct {
+		name      string
+		build     func() (*lbs.Database, error)
+		query     queryFn
+		maxBytes  uint64 // per query
+		maxAllocs uint64 // per query
+	}{
+		// Measured on this network: CI 121–125 KB in 272 allocations (888 KB
+		// in 5 497 with the map-based graph), PI 58 KB in 64 (210 KB in
+		// 1 387). The bounds leave about half as much again.
+		{"CI", func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, ci.Query, 192 << 10, 400},
+		{"PI", func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, pi.Query, 96 << 10, 100},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			db, err := sc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := lbs.NewServer(db, costmodel.Default(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			pairs := make([][2]graph.NodeID, 64)
+			for i := range pairs {
+				pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))}
+			}
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					p := pairs[i%len(pairs)]
+					if _, err := sc.query(context.Background(), srv, g.Point(p[0]), g.Point(p[1])); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			const queries = 300
+			run(len(pairs)) // warm-up: pools filled, slices grown
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			run(queries)
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / queries
+			allocs := (after.Mallocs - before.Mallocs) / queries
+			t.Logf("%s: %d B and %d allocations per query", sc.name, bytes, allocs)
+			if bytes > sc.maxBytes || allocs > sc.maxAllocs {
+				t.Errorf("%s query allocates %d B in %d allocations; bound %d B, %d allocations",
+					sc.name, bytes, allocs, sc.maxBytes, sc.maxAllocs)
+			}
+		})
+	}
+}

@@ -123,6 +123,28 @@ func TestRegionCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactPageOfIsolatedNodes pins the smallest record the layouts have:
+// a degree-0 node with an id below 128 is 18 bytes compact, so a page of 40
+// of them is 722 bytes, and it must decode — as RegionNodes and into a
+// client graph. The decoder's count guard once assumed 19-byte records and
+// refused it.
+func TestCompactPageOfIsolatedNodes(t *testing.T) {
+	data := isolatedNodesPage()
+	if len(data) != 2+40*18 {
+		t.Fatalf("page is %d bytes, want %d", len(data), 2+40*18)
+	}
+	nodes, err := DecodeRegionMode(data, 0, 0, true)
+	if err != nil || len(nodes) != 40 {
+		t.Fatalf("decoded %d nodes, err %v", len(nodes), err)
+	}
+	hdr := &Header{RegionFirstPage: make([]uint32, 1), ClusterPages: 1, Params: map[string]int64{ParamCompact: 1}}
+	cg := NewClientGraph(false)
+	ids, err := cg.addRegion(hdr, [][]byte{data})
+	if err != nil || len(ids) != 40 || cg.NumNodes() != 40 {
+		t.Fatalf("graph took %d of 40 records (%d ids), err %v", cg.NumNodes(), len(ids), err)
+	}
+}
+
 func TestIndexBuilderSetRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -311,7 +333,9 @@ func TestClientGraphDirectedDoesNotMirror(t *testing.T) {
 
 func TestClientGraphSubgraphEdges(t *testing.T) {
 	cg := NewClientGraph(false)
-	cg.AddSubgraphEdges([]precomp.EdgeRef{{From: 5, To: 6, W: 2}})
+	if err := cg.AddSubgraphEdges([]precomp.EdgeRef{{From: 5, To: 6, W: 2}}); err != nil {
+		t.Fatal(err)
+	}
 	if cost, _ := cg.Dijkstra(6, 5); cost != 2 {
 		t.Error("undirected subgraph edge not mirrored")
 	}
@@ -345,7 +369,7 @@ func TestClientGraphNearest(t *testing.T) {
 		{ID: 9, Pt: geom.Point{X: 10}},
 	}
 	cg.AddRegionNodes(nodes)
-	if v := cg.Nearest(geom.Point{X: 3}, nodes); v != 4 {
+	if v := cg.Nearest(geom.Point{X: 3}, []graph.NodeID{4, 9}); v != 4 {
 		t.Errorf("Nearest(candidates) = %d", v)
 	}
 	if v := cg.Nearest(geom.Point{X: 8}, nil); v != 9 {

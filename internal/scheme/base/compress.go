@@ -350,6 +350,9 @@ func decodePayload(payload []byte, sets [][]kdtree.RegionID, edges [][]precomp.E
 	switch kind {
 	case KindSetLiteral:
 		n := int(d.U16())
+		if n > d.Remaining()/2 {
+			return rec, fmt.Errorf("base: set literal claims %d regions, %d bytes remain", n, d.Remaining())
+		}
 		rec.Set = make([]kdtree.RegionID, n)
 		for i := range rec.Set {
 			rec.Set[i] = kdtree.RegionID(d.U16())
@@ -361,8 +364,11 @@ func decodePayload(payload []byte, sets [][]kdtree.RegionID, edges [][]precomp.E
 		if ref >= len(sets) || sets[ref] == nil {
 			return rec, fmt.Errorf("base: set delta references record %d of %d", ref, len(sets))
 		}
-		adds := d.Raw(2 * nAdds) // nil on overrun, reported below
+		adds := d.Raw(2 * nAdds)
 		excl := d.Raw(2 * nExcl)
+		if d.Err() != nil { // before the counts size anything
+			return rec, fmt.Errorf("base: index record decode: %w", d.Err())
+		}
 		// ref − excl, then adds, in one slice sized up front. bestSetDelta
 		// lists exclusions in reference order, so one cursor over excl
 		// replaces a per-record lookup table; an exclusion the walk cannot

@@ -6,13 +6,15 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/kdtree"
+	"repro/internal/pagefile"
 )
 
-// fetchRegionFn retrieves a region's decoded nodes from whatever medium
-// backs the search: memory during plan derivation, a Session at query time.
-// endpoint marks the two host-region fetches of the plan's first round;
-// every later region opens a round of its own (§4).
-type fetchRegionFn func(r kdtree.RegionID, endpoint bool) ([]RegionNode, error)
+// fetchRegionFn decodes region r into the search's graph, from whatever
+// medium backs the search — the F_d file during plan derivation, a Session
+// at query time — and returns its record ids. endpoint marks the two
+// host-region fetches of the plan's first round; every later region opens a
+// round of its own (§4).
+type fetchRegionFn func(r kdtree.RegionID, endpoint bool) ([]graph.NodeID, error)
 
 // Guide builds the two ClientGraph.Search parameters that tell LM and AF
 // apart, once the endpoints are snapped: LM's landmark heuristic towards
@@ -26,20 +28,18 @@ type Guide func(cg *ClientGraph, tNode graph.NodeID, rt kdtree.RegionID) (
 // fetch the two host regions, snap the endpoints, then search, fetching a
 // region the first time the frontier settles a node inside it. A fetch
 // error — the plan running out included — aborts the search and is returned.
-func frontierSearch(tree *kdtree.Tree, directed bool, sPt, tPt geom.Point, fetch fetchRegionFn, guide Guide) (
+func frontierSearch(hdr *Header, cg *ClientGraph, sPt, tPt geom.Point, fetch fetchRegionFn, guide Guide) (
 	cost float64, path []graph.NodeID, sNode, tNode graph.NodeID, err error,
 ) {
-	rs, rt := tree.Locate(sPt), tree.Locate(tPt)
-	cg := NewClientGraph(directed)
-	fetched := map[kdtree.RegionID]bool{}
-	get := func(r kdtree.RegionID, endpoint bool) ([]RegionNode, error) {
-		nodes, err := fetch(r, endpoint)
+	rs, rt := hdr.Tree.Locate(sPt), hdr.Tree.Locate(tPt)
+	fetched := make([]bool, len(hdr.RegionFirstPage))
+	get := func(r kdtree.RegionID, endpoint bool) ([]graph.NodeID, error) {
+		ids, err := fetch(r, endpoint)
 		if err != nil {
 			return nil, err
 		}
-		fetched[r] = true
-		cg.AddRegionNodes(nodes)
-		return nodes, nil
+		fetched[r] = true // in range: the fetch succeeded
+		return ids, nil
 	}
 	sNodes, err := get(rs, true)
 	if err != nil {
@@ -62,7 +62,7 @@ func frontierSearch(tree *kdtree.Tree, directed bool, sPt, tPt geom.Point, fetch
 			err = fmt.Errorf("base: node %d has no region hint", v)
 			return false
 		}
-		if fetched[r] {
+		if int(r) < len(fetched) && fetched[r] {
 			return true // page already here; v was just a dangling ref
 		}
 		_, err = get(r, false)
@@ -72,14 +72,29 @@ func frontierSearch(tree *kdtree.Tree, directed bool, sPt, tPt geom.Point, fetch
 	return cost, path, sNode, tNode, err
 }
 
-// SimulateFrontier replays the search against in-memory regions and returns
-// how many region fetches it makes: the build-time plan derivation.
-func SimulateFrontier(tree *kdtree.Tree, regions [][]RegionNode, directed bool, sPt, tPt geom.Point, guide Guide) (int, error) {
+// SimulateFrontier replays the search against fd, the database's region-data
+// file, and returns how many region fetches it makes: the build-time plan
+// derivation. hdr describes the database as the client will read it; its
+// plan is not consulted.
+func SimulateFrontier(hdr *Header, fd pagefile.Reader, sPt, tPt geom.Point, guide Guide) (int, error) {
+	cg := borrowClientGraph(hdr.Directed)
+	defer cg.release()
+	var idx []int
+	pages := make([][]byte, hdr.ClusterPages)
 	fetches := 0
-	_, _, _, _, err := frontierSearch(tree, directed, sPt, tPt,
-		func(r kdtree.RegionID, _ bool) ([]RegionNode, error) {
+	_, _, _, _, err := frontierSearch(hdr, cg, sPt, tPt,
+		func(r kdtree.RegionID, _ bool) ([]graph.NodeID, error) {
 			fetches++
-			return regions[r], nil
+			var err error
+			if idx, err = hdr.regionPages(r, idx); err != nil {
+				return nil, err
+			}
+			for i, p := range idx {
+				if pages[i], err = fd.Page(p); err != nil {
+					return nil, err
+				}
+			}
+			return cg.addRegion(hdr, pages)
 		}, guide)
 	return fetches, err
 }
@@ -87,19 +102,19 @@ func SimulateFrontier(tree *kdtree.Tree, regions [][]RegionNode, directed bool, 
 // FrontierQuery runs the search against the service: the two host regions
 // in the plan's first PIR round, every later region in a round of its own;
 // the session pads the rounds the search did not need.
-func (s *Session) FrontierQuery(sPt, tPt geom.Point, lmDim, flagBytes int, guide Guide) (*Result, error) {
+func (s *Session) FrontierQuery(sPt, tPt geom.Point, guide Guide) (*Result, error) {
 	if err := s.NextRound(); err != nil {
 		return nil, err
 	}
-	fetch := func(r kdtree.RegionID, endpoint bool) ([]RegionNode, error) {
+	fetch := func(r kdtree.RegionID, endpoint bool) ([]graph.NodeID, error) {
 		if !endpoint {
 			if err := s.NextRound(); err != nil {
 				return nil, err
 			}
 		}
-		return s.FetchRegion(FileData, r, lmDim, flagBytes)
+		return s.FetchRegion(FileData, r)
 	}
-	cost, path, sNode, tNode, err := frontierSearch(s.Hdr.Tree, s.Hdr.Directed, sPt, tPt, fetch, guide)
+	cost, path, sNode, tNode, err := frontierSearch(s.Hdr, s.Graph(), sPt, tPt, fetch, guide)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package base
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -105,83 +106,126 @@ func (c *RegionCodec) EncodeRegion(r kdtree.RegionID) []byte {
 	return e.Bytes()
 }
 
-// RegionAdj is one decoded half-edge.
-type RegionAdj struct {
-	To       graph.NodeID
-	W        float64
-	ToRegion kdtree.RegionID
-	Flags    []byte
+// regionLayout is how a database lays out its region records; the client
+// reads it off the header.
+type regionLayout struct {
+	lmDim, flagBytes int
+	compact          bool
 }
 
-// RegionNode is one decoded node record.
-type RegionNode struct {
-	ID  graph.NodeID
-	Pt  geom.Point
-	LM  []float64
-	Adj []RegionAdj
-}
-
-// DecodeRegion parses a region page encoded with the same dimensions
-// (LandmarkDim, FlagBytes). Clients learn those from the header.
-func DecodeRegion(data []byte, landmarkDim, flagBytes int) ([]RegionNode, error) {
-	return decodeRegion(data, landmarkDim, flagBytes, false)
-}
-
-// DecodeRegionMode is DecodeRegion with an explicit compact-layout switch.
-func DecodeRegionMode(data []byte, landmarkDim, flagBytes int, compact bool) ([]RegionNode, error) {
-	return decodeRegion(data, landmarkDim, flagBytes, compact)
-}
-
-func decodeRegion(data []byte, landmarkDim, flagBytes int, compact bool) ([]RegionNode, error) {
-	d := pagefile.NewDec(data)
-	n := int(d.U16())
-	// Untrusted count: even the smallest record needs ~20 bytes.
-	if n > d.Remaining()/19+1 {
-		return nil, fmt.Errorf("base: region page claims %d nodes, %d bytes remain", n, d.Remaining())
+// regionLayout reads the region-record layout off the header: LM stores
+// landmark vectors, AF flag bit-vectors, and the compact switch is a
+// parameter of its own.
+func (h *Header) regionLayout() regionLayout {
+	return regionLayout{
+		lmDim:     int(h.Params[ParamLMDim]),
+		flagBytes: int(h.Params[ParamFlagBy]),
+		compact:   h.Params[ParamCompact] == 1,
 	}
-	nodes := make([]RegionNode, 0, n)
+}
+
+// regionPages returns the page numbers of region r's cluster, in buf.
+func (h *Header) regionPages(r kdtree.RegionID, buf []int) ([]int, error) {
+	if r < 0 || int(r) >= len(h.RegionFirstPage) {
+		return nil, fmt.Errorf("base: region %d out of range", r)
+	}
+	buf = buf[:0]
+	for i := 0; i < h.ClusterPages; i++ {
+		buf = append(buf, int(h.RegionFirstPage[r])+i)
+	}
+	return buf, nil
+}
+
+// minRecord is the size of the smallest node record: a degree-0 node with,
+// in the compact layout, a one-byte id.
+func (l regionLayout) minRecord() int {
+	if l.compact {
+		return 1 + 16 + 1 + 8*l.lmDim
+	}
+	return 4 + 16 + 2 + 8*l.lmDim
+}
+
+// minEdge is the size of the smallest half-edge: in the compact layout, one
+// whose neighbour is within a one-byte varint delta.
+func (l regionLayout) minEdge() int {
+	if l.compact {
+		return 1 + 8 + 2 + l.flagBytes
+	}
+	return 4 + 8 + 2 + l.flagBytes
+}
+
+// regionSink receives a region page's records as decodeRegion parses them:
+// record opens node id's record, edge adds a half-edge out of the open
+// record. lm (the landmark vector, little-endian float64s) and flags view
+// the page and must be copied if kept.
+type regionSink interface {
+	record(id graph.NodeID, pt geom.Point, lm []byte) error
+	edge(to graph.NodeID, w float64, toRegion kdtree.RegionID, flags []byte) error
+}
+
+// decodeRegion parses a region page — u16 node count, then the records —
+// into sink. Counts are untrusted: a node count or degree the remaining
+// bytes cannot hold at the layout's smallest record or half-edge is an
+// error before anything is handed on, so no claimed count sizes anything.
+func decodeRegion(data []byte, l regionLayout, sink regionSink) error {
+	if l.lmDim < 0 || l.flagBytes < 0 || l.lmDim > math.MaxUint16 || l.flagBytes > math.MaxUint16 {
+		return fmt.Errorf("base: region layout with %d landmarks and %d flag bytes", l.lmDim, l.flagBytes)
+	}
+	var d pagefile.Dec
+	d.Reset(data)
+	n := int(d.U16())
+	if n > d.Remaining()/l.minRecord() {
+		return fmt.Errorf("base: region page claims %d nodes, %d bytes remain", n, d.Remaining())
+	}
 	for i := 0; i < n; i++ {
-		var rn RegionNode
-		if compact {
-			rn.ID = graph.NodeID(d.UVarint())
+		var id int64
+		if l.compact {
+			id = int64(min(d.UVarint(), math.MaxInt32+1))
 		} else {
-			rn.ID = graph.NodeID(d.U32())
+			id = int64(d.U32())
 		}
-		rn.Pt = geom.Point{X: d.F64(), Y: d.F64()}
-		if landmarkDim > 0 {
-			rn.LM = make([]float64, landmarkDim)
-			for k := range rn.LM {
-				rn.LM[k] = d.F64()
-			}
-		}
+		pt := geom.Point{X: d.F64(), Y: d.F64()}
+		lm := d.Raw(8 * l.lmDim)
 		var deg int
-		if compact {
-			deg = int(d.UVarint())
+		if l.compact {
+			deg = int(min(d.UVarint(), math.MaxInt32))
 		} else {
 			deg = int(d.U16())
 		}
-		if deg < 0 || deg > len(data) {
-			return nil, fmt.Errorf("base: region page decode: implausible degree %d", deg)
+		if deg > d.Remaining()/l.minEdge() {
+			return fmt.Errorf("base: region page decode: implausible degree %d", deg)
 		}
-		rn.Adj = make([]RegionAdj, deg)
-		for j := range rn.Adj {
-			if compact {
-				rn.Adj[j].To = graph.NodeID(int64(rn.ID) + d.Varint())
+		if d.Err() != nil {
+			return fmt.Errorf("base: region page decode: %w", d.Err())
+		}
+		if id > math.MaxInt32 {
+			return fmt.Errorf("base: region page decode: node id %d out of range", id)
+		}
+		if err := sink.record(graph.NodeID(id), pt, lm); err != nil {
+			return err
+		}
+		for j := 0; j < deg; j++ {
+			var to int64
+			if l.compact {
+				to = id + d.Varint()
 			} else {
-				rn.Adj[j].To = graph.NodeID(d.U32())
+				to = int64(d.U32())
 			}
-			rn.Adj[j].W = d.F64()
-			rn.Adj[j].ToRegion = kdtree.RegionID(d.U16())
-			if flagBytes > 0 {
-				rn.Adj[j].Flags = append([]byte(nil), d.Raw(flagBytes)...)
+			w := d.F64()
+			toRegion := kdtree.RegionID(d.U16())
+			flags := d.Raw(l.flagBytes)
+			if d.Err() != nil {
+				return fmt.Errorf("base: region page decode: %w", d.Err())
+			}
+			if to < 0 || to > math.MaxInt32 {
+				return fmt.Errorf("base: region page decode: neighbour id %d out of range", to)
+			}
+			if err := sink.edge(graph.NodeID(to), w, toRegion, flags); err != nil {
+				return err
 			}
 		}
-		nodes = append(nodes, rn)
 	}
-	if d.Err() != nil {
-		return nil, fmt.Errorf("base: region page decode: %w", d.Err())
-	}
-	return nodes, nil
+	return nil
 }
 
 // BuildRegionData writes one region per ClusterPages pages into a file,
@@ -213,22 +257,4 @@ func BuildRegionData(file *pagefile.File, codec *RegionCodec, clusterPages int) 
 		}
 	}
 	return firstPage, nil
-}
-
-// DecodeRegionCluster reassembles a region spanning clusterPages pages and
-// decodes it.
-func DecodeRegionCluster(pages [][]byte, landmarkDim, flagBytes int) ([]RegionNode, error) {
-	return DecodeRegionClusterMode(pages, landmarkDim, flagBytes, false)
-}
-
-// DecodeRegionClusterMode is DecodeRegionCluster with the compact switch.
-func DecodeRegionClusterMode(pages [][]byte, landmarkDim, flagBytes int, compact bool) ([]RegionNode, error) {
-	if len(pages) == 1 { // one-page regions (all but PI* and AF) decode in place
-		return decodeRegion(pages[0], landmarkDim, flagBytes, compact)
-	}
-	var all []byte
-	for _, p := range pages {
-		all = append(all, p...)
-	}
-	return decodeRegion(all, landmarkDim, flagBytes, compact)
 }

@@ -46,6 +46,9 @@ type Session struct {
 	// less the time spent inside the backend (whose cost the Conn simulates).
 	start   time.Time
 	backend time.Duration
+
+	cg  *ClientGraph // the query's graph, once Graph borrowed it
+	idx []int        // FetchRegion's page numbers, reused
 }
 
 // Open connects, downloads the header file straight from the LBS (no PIR —
@@ -97,26 +100,40 @@ func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
 	return s.read(file, pages)
 }
 
-// FetchRegion retrieves region r's cluster from file as one frame and
-// decodes its nodes (layout per the header's ParamCompact).
-func (s *Session) FetchRegion(file string, r kdtree.RegionID, lmDim, flagBytes int) ([]RegionNode, error) {
-	if int(r) >= len(s.Hdr.RegionFirstPage) {
-		return nil, fmt.Errorf("base: region %d out of range", r)
+// Graph returns the query's client graph: borrowed from a pool on first
+// use, returned there by Finish.
+func (s *Session) Graph() *ClientGraph {
+	if s.cg == nil {
+		s.cg = borrowClientGraph(s.Hdr.Directed)
 	}
-	idx := make([]int, s.Hdr.ClusterPages)
-	for i := range idx {
-		idx[i] = int(s.Hdr.RegionFirstPage[r]) + i
+	return s.cg
+}
+
+// FetchRegion retrieves region r's cluster from file as one frame, decodes
+// its records straight into the query's graph (layout per the header) and
+// returns their ids, in page order: the candidates Nearest snaps an endpoint
+// among.
+func (s *Session) FetchRegion(file string, r kdtree.RegionID) ([]graph.NodeID, error) {
+	idx, err := s.Hdr.regionPages(r, s.idx)
+	if err != nil {
+		return nil, err
 	}
+	s.idx = idx
 	pages, err := s.Fetch(file, idx)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeRegionClusterMode(pages, lmDim, flagBytes, s.Hdr.Params[ParamCompact] == 1)
+	return s.Graph().addRegion(s.Hdr, pages)
 }
 
-// Finish pads the rest of the plan, books the client time and returns the
-// query's result; path is dropped when cost says t was unreachable.
+// Finish returns the query's graph to the pool, pads the rest of the plan,
+// books the client time and returns the query's result; path is dropped when
+// cost says t was unreachable.
 func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.NodeID) (*Result, error) {
+	if s.cg != nil {
+		s.cg.release()
+		s.cg = nil
+	}
 	if err := s.complete(); err != nil {
 		return nil, err
 	}

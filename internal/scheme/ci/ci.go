@@ -183,19 +183,11 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	if err := ses.NextRound(); err != nil {
 		return nil, err
 	}
-	cg := base.NewClientGraph(hdr.Directed)
-	fetchRegion := func(r kdtree.RegionID) ([]base.RegionNode, error) {
-		nodes, err := ses.FetchRegion(base.FileData, r, 0, 0)
-		if err == nil {
-			cg.AddRegionNodes(nodes)
-		}
-		return nodes, err
-	}
-	sNodes, err := fetchRegion(rs)
+	sNodes, err := ses.FetchRegion(base.FileData, rs)
 	if err != nil {
 		return nil, err
 	}
-	tNodes, err := fetchRegion(rt)
+	tNodes, err := ses.FetchRegion(base.FileData, rt)
 	if err != nil {
 		return nil, err
 	}
@@ -203,12 +195,13 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 		if r == rs || r == rt { // inflation may re-list the endpoints
 			continue
 		}
-		if _, err := fetchRegion(r); err != nil {
+		if _, err := ses.FetchRegion(base.FileData, r); err != nil {
 			return nil, err
 		}
 	}
 
-	// Client-side: snap and solve.
+	// Client-side: snap and solve over the graph the fetches decoded into.
+	cg := ses.Graph()
 	sNode := cg.Nearest(sPt, sNodes)
 	tNode := cg.Nearest(tPt, tNodes)
 	cost, path := cg.Dijkstra(sNode, tNode)

@@ -212,33 +212,26 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 		return nil, err
 	}
 
-	cg := base.NewClientGraph(hdr.Directed)
-	fetchRegion := func(rg kdtree.RegionID) ([]base.RegionNode, error) {
-		nodes, err := ses.FetchRegion(base.FileCombined, rg, 0, 0)
-		if err == nil {
-			cg.AddRegionNodes(nodes)
-		}
-		return nodes, err
-	}
-	sNodes, err := fetchRegion(rs)
+	sNodes, err := ses.FetchRegion(base.FileCombined, rs)
 	if err != nil {
 		return nil, err
 	}
-	tNodes, err := fetchRegion(rt)
+	tNodes, err := ses.FetchRegion(base.FileCombined, rt)
 	if err != nil {
 		return nil, err
 	}
+	cg := ses.Graph()
 	if rec.IsSet() {
 		for _, rg := range rec.Set {
 			if rg == rs || rg == rt {
 				continue
 			}
-			if _, err := fetchRegion(rg); err != nil {
+			if _, err := ses.FetchRegion(base.FileCombined, rg); err != nil {
 				return nil, err
 			}
 		}
-	} else {
-		cg.AddSubgraphEdges(rec.Edges)
+	} else if err := cg.AddSubgraphEdges(rec.Edges); err != nil {
+		return nil, err
 	}
 
 	sNode := cg.Nearest(sPt, sNodes)

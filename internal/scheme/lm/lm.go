@@ -85,15 +85,21 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		return nil, fmt.Errorf("lm: region data: %w", err)
 	}
 
-	// Derive the page quota: decode the regions once and replay the exact
-	// client algorithm, counting fetched pages.
-	regions, err := decodeAll(fd, part.NumRegions, len(anchors))
-	if err != nil {
-		return nil, err
+	// Derive the page quota: replay the exact client algorithm against the
+	// region pages, counting fetched pages.
+	hdr := &base.Header{
+		Scheme:               SchemeName,
+		Directed:             g.Directed(),
+		NumRegions:           part.NumRegions,
+		Tree:                 part.Tree,
+		RegionFirstPage:      firstPage,
+		ClusterPages:         1,
+		LookupEntriesPerPage: 1,
+		Params:               map[string]int64{base.ParamLMDim: int64(len(anchors))},
 	}
 	maxPages := 2
 	measure := func(s, t graph.NodeID) error {
-		n, err := base.SimulateFrontier(part.Tree, regions, g.Directed(), g.Point(s), g.Point(t), landmarkGuide)
+		n, err := base.SimulateFrontier(hdr, fd, g.Point(s), g.Point(t), landmarkGuide)
 		if err != nil {
 			return err
 		}
@@ -137,20 +143,8 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		rounds = append(rounds, plan.Round{Fetches: []plan.Fetch{{File: base.FileData, Count: 1}}})
 	}
 	qp := plan.Plan{Rounds: rounds}
-	hdr := &base.Header{
-		Scheme:               SchemeName,
-		Directed:             g.Directed(),
-		NumRegions:           part.NumRegions,
-		Tree:                 part.Tree,
-		RegionFirstPage:      firstPage,
-		ClusterPages:         1,
-		LookupEntriesPerPage: 1,
-		Plan:                 qp,
-		Params: map[string]int64{
-			base.ParamLMDim: int64(len(anchors)),
-			"maxPages":      int64(maxPages),
-		},
-	}
+	hdr.Plan = qp
+	hdr.Params["maxPages"] = int64(maxPages)
 	return &lbs.Database{
 		Scheme: SchemeName,
 		Header: hdr.Encode(),
@@ -185,23 +179,6 @@ func corners(g *graph.Graph) []graph.NodeID {
 	return ids
 }
 
-// decodeAll pre-decodes every region page (build-time plan derivation).
-func decodeAll(fd *pagefile.File, numRegions, lmDim int) ([][]base.RegionNode, error) {
-	out := make([][]base.RegionNode, numRegions)
-	for r := 0; r < numRegions; r++ {
-		page, err := fd.Page(r)
-		if err != nil {
-			return nil, err
-		}
-		nodes, err := base.DecodeRegion(page, lmDim, 0)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = nodes
-	}
-	return out, nil
-}
-
 // landmarkGuide is LM's part of the frontier search: A* under the landmark
 // triangle-inequality bound towards tNode, every edge allowed.
 func landmarkGuide(cg *base.ClientGraph, tNode graph.NodeID, _ kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
@@ -228,5 +205,5 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	if err != nil {
 		return nil, err
 	}
-	return ses.FrontierQuery(sPt, tPt, int(ses.Hdr.MustParam(base.ParamLMDim)), 0, landmarkGuide)
+	return ses.FrontierQuery(sPt, tPt, landmarkGuide)
 }

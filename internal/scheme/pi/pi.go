@@ -169,19 +169,19 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	if rec.IsSet() {
 		return nil, fmt.Errorf("pi: index record is not a subgraph")
 	}
-	sNodes, err := ses.FetchRegion(base.FileData, rs, 0, 0)
+	sNodes, err := ses.FetchRegion(base.FileData, rs)
 	if err != nil {
 		return nil, err
 	}
-	tNodes, err := ses.FetchRegion(base.FileData, rt, 0, 0)
+	tNodes, err := ses.FetchRegion(base.FileData, rt)
 	if err != nil {
 		return nil, err
 	}
 
-	cg := base.NewClientGraph(hdr.Directed)
-	cg.AddRegionNodes(sNodes)
-	cg.AddRegionNodes(tNodes)
-	cg.AddSubgraphEdges(rec.Edges)
+	cg := ses.Graph()
+	if err := cg.AddSubgraphEdges(rec.Edges); err != nil {
+		return nil, err
+	}
 	sNode := cg.Nearest(sPt, sNodes)
 	tNode := cg.Nearest(tPt, tNodes)
 	cost, path := cg.Dijkstra(sNode, tNode)
