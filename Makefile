@@ -19,7 +19,7 @@ bench:
 # Bit-rot guard, measures nothing: the benchmark harness at a twentieth of
 # the work, then one iteration of every go-test benchmark of the serving
 # path (scan kernels, stores, worker-pool BatchRead, the paper's tables,
-# the client graph's region assembly).
+# the client graph's region assembly) and of the build's pre-computation.
 bench-smoke:
 	$(GO) run ./bench/privspbench -smoke
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pir/ ./internal/scheme/base/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pir/ ./internal/scheme/base/ ./internal/precomp/

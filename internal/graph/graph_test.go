@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +160,35 @@ func TestDijkstraMatchesBellmanFordProperty(t *testing.T) {
 		for v := 0; v < n; v++ {
 			if math.Abs(want[v]-got.Dist[v]) > 1e-9 {
 				t.Logf("seed %d: node %d: dijkstra %v bellman-ford %v", seed, v, got.Dist[v], want[v])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSearcherMatchesDijkstra: a Searcher reused across sources, including
+// unreachable nodes left over from a previous tree, returns exactly the
+// tree Dijkstra does, parent for parent.
+func TestSearcherMatchesDijkstra(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		g := randomGraph(rng, n)
+		g.AddNode(geom.Point{}) // isolated: unreachable, and a source reaching nothing
+		n++
+		s := NewSearcher(g)
+		for k := 0; k < 5; k++ {
+			src := NodeID(rng.Intn(n))
+			if k == 2 {
+				src = NodeID(n - 1)
+			}
+			want, got := Dijkstra(g, src), s.From(src)
+			if got.Source != src || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+				t.Logf("seed %d: tree from %d differs", seed, src)
 				return false
 			}
 		}

@@ -67,15 +67,49 @@ func DijkstraFiltered(g *Graph, src, dst NodeID, allow func(Edge) bool) *SPTree 
 
 func dijkstra(g *Graph, src, dst NodeID, allow func(Edge) bool) *SPTree {
 	n := g.NumNodes()
-	t := &SPTree{Source: src, Dist: make([]float64, n), Parent: make([]NodeID, n)}
+	t := &SPTree{Dist: make([]float64, n), Parent: make([]NodeID, n)}
+	search(g, t, newNodeHeap(n), make([]bool, n), src, dst, allow)
+	return t
+}
+
+// Searcher runs full Dijkstra searches from many sources over one graph and
+// reuses its arrays across them. The tree From returns is the one Dijkstra
+// would return, and stays valid until the next call.
+type Searcher struct {
+	g    *Graph
+	t    SPTree
+	h    *nodeHeap
+	done []bool
+}
+
+// NewSearcher returns a Searcher over g.
+func NewSearcher(g *Graph) *Searcher {
+	n := g.NumNodes()
+	return &Searcher{
+		g:    g,
+		t:    SPTree{Dist: make([]float64, n), Parent: make([]NodeID, n)},
+		h:    newNodeHeap(n),
+		done: make([]bool, n),
+	}
+}
+
+// From computes the full shortest path tree from src.
+func (s *Searcher) From(src NodeID) *SPTree {
+	clear(s.done)
+	search(s.g, &s.t, s.h, s.done, src, Invalid, nil) // a full search empties h
+	return &s.t
+}
+
+// search fills t with the shortest path tree from src, stopping once dst is
+// settled. h must be empty and done all false.
+func search(g *Graph, t *SPTree, h *nodeHeap, done []bool, src, dst NodeID, allow func(Edge) bool) {
+	t.Source = src
 	for i := range t.Dist {
 		t.Dist[i] = math.Inf(1)
 		t.Parent[i] = Invalid
 	}
 	t.Dist[src] = 0
-	h := newNodeHeap(n)
 	h.PushOrDecrease(src, 0)
-	done := make([]bool, n)
 	for h.Len() > 0 {
 		u, du := h.Pop()
 		if done[u] {
@@ -83,7 +117,7 @@ func dijkstra(g *Graph, src, dst NodeID, allow func(Edge) bool) *SPTree {
 		}
 		done[u] = true
 		if u == dst {
-			return t
+			return
 		}
 		for _, he := range g.Adj(u) {
 			if done[he.To] {
@@ -99,7 +133,6 @@ func dijkstra(g *Graph, src, dst NodeID, allow func(Edge) bool) *SPTree {
 			}
 		}
 	}
-	return t
 }
 
 // ShortestPath returns one shortest path from src to dst by Dijkstra.

@@ -13,17 +13,27 @@
 // R_j through some border node v', and its middle section is a shortest path
 // SP(v, v') considered here.
 //
-// The computation runs one Dijkstra per border node on the augmented graph
-// and extracts region/edge sets with memoized parent-chain walks, so the
-// total work is O(#borders · E log V + output).
+// Work is grouped by source region. A worker takes R_i, runs the Dijkstra of
+// every border node of R_i on the augmented graph and walks the memoized
+// parent chains to the borders of every R_j, which fills the rows (i, j)
+// for all j: S bits ORed into one bitset per row, G as the uint32 IDs of
+// original edges, numbered once per Compute in (From, To) order. When R_i is
+// done, each row is deduplicated and sorted; an undirected pair is the merge
+// of its rows i→j and j→i. A border node bounds two regions, so its Dijkstra
+// runs once for each: the work is O(2·#borders · E log V + output). Memory
+// is, per worker, one region's raw rows and one Dijkstra's scratch, plus the
+// deduplicated rows of all pairs.
 package precomp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/border"
 	"repro/internal/graph"
@@ -87,25 +97,30 @@ func PairIndex(numRegions int, directed bool, i, j kdtree.RegionID) int {
 	return ii*numRegions - ii*(ii-1)/2 + int(j) - ii
 }
 
-// PairFromIndex inverts PairIndex; used by file-formation code that walks
-// pairs in (i,j) order.
+// PairFromIndex inverts PairIndex in O(1); used by file-formation code that
+// walks pairs in (i,j) order.
 func PairFromIndex(numRegions int, directed bool, k int) (kdtree.RegionID, kdtree.RegionID) {
 	if directed {
 		return kdtree.RegionID(k / numRegions), kdtree.RegionID(k % numRegions)
 	}
-	i := 0
-	rowLen := numRegions
-	for k >= rowLen {
-		k -= rowLen
-		rowLen--
-		i++
+	// Counting r = NumPairs-1-k back from the last pair, row R-L holds
+	// r ∈ [L(L-1)/2, L(L+1)/2), so L = ⌊(1 + √(8r+1)) / 2⌋; the float root
+	// is corrected to the exact integer one.
+	x := 8*(NumPairs(numRegions, false)-1-k) + 1
+	s := int(math.Sqrt(float64(x)))
+	for s*s > x {
+		s--
 	}
-	return kdtree.RegionID(i), kdtree.RegionID(i + k)
+	for (s+1)*(s+1) <= x {
+		s++
+	}
+	i := kdtree.RegionID(numRegions - (1+s)/2)
+	return i, i + kdtree.RegionID(k-PairIndex(numRegions, false, i, i))
 }
 
-// Compute runs the pre-computation over the augmented network: one Dijkstra
-// per border node (parallelized across Options.Workers), with memoized
-// parent-chain walks extracting the region sets and subgraph edges.
+// Compute runs the pre-computation over the augmented network. Up to
+// Options.Workers workers take source regions from a shared counter and
+// fill disjoint rows; the pairs are then assembled in PairIndex order.
 func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Result, error) {
 	if !opts.Sets && !opts.Subgraphs {
 		return nil, fmt.Errorf("precomp: nothing requested")
@@ -113,376 +128,349 @@ func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Resu
 	R := part.NumRegions
 	directed := aug.G.Directed()
 	res := &Result{NumRegions: R, Directed: directed}
-	np := NumPairs(R, directed)
+	// setRows[i*R+j] and edgeRows[i*R+j] hold the row i→j.
+	var (
+		setRows  [][]kdtree.RegionID
+		edgeRows [][]uint32
+		idx      *edgeIndex
+	)
 	if opts.Sets {
-		res.Sets = make([][]kdtree.RegionID, np)
+		setRows = make([][]kdtree.RegionID, R*R)
 	}
 	if opts.Subgraphs {
-		res.Subgraphs = make([][]EdgeRef, np)
+		edgeRows = make([][]uint32, R*R)
+		idx = newEdgeIndex(aug)
 	}
 
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(aug.Borders) {
-		workers = len(aug.Borders)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		w := newWorker(aug, part, opts, np)
-		for bi := range aug.Borders {
-			w.processBorder(bi)
-		}
-		w.mergeInto(res, opts)
-	} else {
-		var wg sync.WaitGroup
-		partial := make([]*worker, workers)
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				w := newWorker(aug, part, opts, np)
-				// Strided assignment keeps the split deterministic (the
-				// merged result is order-independent anyway).
-				for bi := wi; bi < len(aug.Borders); bi += workers {
-					w.processBorder(bi)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range max(1, min(workers, R)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := newWorker(aug, part, idx, opts)
+			for i := int(next.Add(1) - 1); i < R; i = int(next.Add(1) - 1) {
+				w.region(i)
+				if opts.Sets {
+					w.finishSets(i, setRows[i*R:(i+1)*R])
 				}
-				partial[wi] = w
-			}(wi)
-		}
-		wg.Wait()
-		for _, w := range partial {
-			w.mergeInto(res, opts)
-		}
-	}
-
-	if opts.Sets {
-		for k, s := range res.Sets {
-			res.Sets[k] = dedupeRegions(s)
-			if len(res.Sets[k]) > res.MaxSetSize {
-				res.MaxSetSize = len(res.Sets[k])
+				if opts.Subgraphs {
+					w.finishEdges(edgeRows[i*R : (i+1)*R])
+				}
 			}
-		}
+		}()
+	}
+	wg.Wait()
+
+	np := NumPairs(R, directed)
+	if opts.Sets {
+		res.Sets = make([][]kdtree.RegionID, 0, np)
 	}
 	if opts.Subgraphs {
-		for k := range res.Subgraphs {
-			res.Subgraphs[k] = dedupeEdges(res.Subgraphs[k])
+		res.Subgraphs = make([][]EdgeRef, 0, np)
+	}
+	var merged []uint32
+	for i := range R {
+		for j := range R {
+			if !directed && j < i {
+				continue
+			}
+			ij, ji := i*R+j, j*R+i
+			both := !directed && i != j
+			if opts.Sets {
+				s := setRows[ij]
+				if t := setRows[ji]; both && len(t) > 0 {
+					s = union(make([]kdtree.RegionID, 0, len(s)+len(t)), s, t)
+				}
+				res.Sets = append(res.Sets, s)
+				res.MaxSetSize = max(res.MaxSetSize, len(s))
+			}
+			if opts.Subgraphs {
+				ids := edgeRows[ij]
+				if both {
+					merged = union(merged[:0], ids, edgeRows[ji])
+					ids = merged
+					edgeRows[ji] = nil
+				}
+				res.Subgraphs = append(res.Subgraphs, idx.refs(ids))
+				edgeRows[ij] = nil
+			}
 		}
 	}
 	return res, nil
 }
 
-// worker carries one goroutine's scratch state and partial results.
-type worker struct {
-	aug  *border.Augmented
-	part *kdtree.Partition
-	opts Options
-	R    int
-	np   int
-
-	words    int
-	regbits  []uint64
-	regStamp []int32
-	walkSrc  []int32
-	walkJ    []int32
-	stamp    int32
-	accum    []uint64
-	chain    []graph.NodeID
-
-	sets  [][]kdtree.RegionID
-	edges [][]EdgeRef
+// union appends the sorted union of the sorted, duplicate-free lists a and
+// b to dst.
+func union[T cmp.Ordered](dst, a, b []T) []T {
+	for len(a) > 0 && len(b) > 0 {
+		switch x, y := a[0], b[0]; {
+		case x < y:
+			dst, a = append(dst, x), a[1:]
+		case y < x:
+			dst, b = append(dst, y), b[1:]
+		default:
+			dst, a, b = append(dst, x), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
-func newWorker(aug *border.Augmented, part *kdtree.Partition, opts Options, np int) *worker {
+// edgeIndex numbers the original network's arcs densely in (From, To) order.
+// An arc of the augmented graph maps to its original arc by arithmetic on
+// its border node, so the chain walks neither hash arcs nor copy edges.
+type edgeIndex struct {
+	aug   *border.Augmented
+	edges []EdgeRef // by ID; parallel arcs share one ID at their least weight
+	first []int     // per original node: the ID of its first outgoing arc
+}
+
+func newEdgeIndex(aug *border.Augmented) *edgeIndex {
+	x := &edgeIndex{aug: aug, first: make([]int, aug.NumOrig)}
+	for u := range graph.NodeID(aug.NumOrig) {
+		x.first[u] = len(x.edges)
+		for _, he := range aug.G.Adj(u) {
+			e := graph.Edge{From: u, To: he.To, W: he.W}
+			if aug.IsBorder(he.To) {
+				e = aug.OrigEdge(u, he.To)
+			}
+			x.edges = append(x.edges, EdgeRef(e))
+		}
+		out := x.edges[x.first[u]:]
+		slices.SortFunc(out, func(a, b EdgeRef) int {
+			return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.W, b.W))
+		})
+		out = slices.CompactFunc(out, func(a, b EdgeRef) bool { return a.To == b.To })
+		x.edges = x.edges[:x.first[u]+len(out)]
+	}
+	return x
+}
+
+// edgeOf returns the ID of the original arc under the augmented arc u→v: a
+// border node stands for the far end of the edge it subdivides.
+func (x *edgeIndex) edgeOf(u, v graph.NodeID) uint32 {
+	if x.aug.IsBorder(u) {
+		b := x.aug.BorderAt(u)
+		u = b.OrigFrom + b.OrigTo - v
+	} else if x.aug.IsBorder(v) {
+		b := x.aug.BorderAt(v)
+		v = b.OrigFrom + b.OrigTo - u
+	}
+	k := x.first[u]
+	for x.edges[k].To != v {
+		k++
+	}
+	return uint32(k)
+}
+
+// refs expands a sorted ID list into edges; nil when it is empty.
+func (x *edgeIndex) refs(ids []uint32) []EdgeRef {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]EdgeRef, len(ids))
+	for k, id := range ids {
+		out[k] = x.edges[id]
+	}
+	return out
+}
+
+// worker carries one goroutine's scratch state. Per Dijkstra: the memoized
+// region set of the path to each node (Sets), and the chain walks' marks
+// and parent-edge IDs (Subgraphs). Per source region: each row's S bits
+// and raw G edge IDs, and the epoch marks that deduplicate a row's IDs.
+type worker struct {
+	aug   *border.Augmented
+	part  *kdtree.Partition
+	idx   *edgeIndex
+	sp    *graph.Searcher
+	words int
+
+	stamp    int32
+	regbits  []uint64
+	regStamp []int32
+	chain    []graph.NodeID
+	walks    []walkMark
+
+	rowBits []uint64
+	raw     [][]uint32
+	seen    []int32
+	epoch   int32
+}
+
+func newWorker(aug *border.Augmented, part *kdtree.Partition, idx *edgeIndex, opts Options) *worker {
 	n := aug.G.NumNodes()
 	R := part.NumRegions
-	w := &worker{
-		aug: aug, part: part, opts: opts, R: R, np: np,
-		words:    (R + 63) / 64,
-		regStamp: make([]int32, n),
-		walkSrc:  make([]int32, n),
-		walkJ:    make([]int32, n),
-	}
-	w.regbits = make([]uint64, n*w.words)
-	w.accum = make([]uint64, w.words)
-	for i := range w.regStamp {
-		w.regStamp[i] = -1
-		w.walkSrc[i] = -1
-	}
+	w := &worker{aug: aug, part: part, idx: idx, sp: graph.NewSearcher(aug.G), words: (R + 63) / 64}
 	if opts.Sets {
-		w.sets = make([][]kdtree.RegionID, np)
+		w.regbits = make([]uint64, n*w.words)
+		w.regStamp = make([]int32, n)
+		w.rowBits = make([]uint64, R*w.words)
 	}
 	if opts.Subgraphs {
-		w.edges = make([][]EdgeRef, np)
+		w.walks = make([]walkMark, n)
+		w.raw = make([][]uint32, R)
+		w.seen = make([]int32, len(idx.edges))
 	}
 	return w
 }
 
-// mergeInto folds the worker's partial results into the shared result;
-// called single-threaded after the pool drains.
-func (w *worker) mergeInto(res *Result, opts Options) {
-	if opts.Sets {
-		for k, s := range w.sets {
-			if len(s) > 0 {
-				res.Sets[k] = append(res.Sets[k], s...)
+// region runs the Dijkstra of every border node of R_i and harvests its
+// contributions to the rows (i, j) for every j.
+func (w *worker) region(i int) {
+	clear(w.rowBits)
+	for j := range w.raw {
+		w.raw[j] = w.raw[j][:0]
+	}
+	for _, bi := range w.aug.ByRegion[i] {
+		w.border(w.aug.Borders[bi].ID)
+	}
+}
+
+// finishSets lists each row's S bits as sorted region IDs, i and j excluded
+// (the client always fetches the source and destination regions anyway);
+// nil for an empty row.
+func (w *worker) finishSets(i int, rows [][]kdtree.RegionID) {
+	for j := range rows {
+		row := w.rowBits[j*w.words : (j+1)*w.words]
+		row[i/64] &^= 1 << (i % 64)
+		row[j/64] &^= 1 << (j % 64)
+		n := 0
+		for _, word := range row {
+			n += bits.OnesCount64(word)
+		}
+		if n == 0 {
+			continue
+		}
+		s := make([]kdtree.RegionID, 0, n)
+		for k, word := range row {
+			for ; word != 0; word &= word - 1 {
+				s = append(s, kdtree.RegionID(k*64+bits.TrailingZeros64(word)))
 			}
 		}
+		rows[j] = s
 	}
-	if opts.Subgraphs {
-		for k, es := range w.edges {
-			if len(es) > 0 {
-				res.Subgraphs[k] = append(res.Subgraphs[k], es...)
+}
+
+// finishEdges deduplicates each row's raw edge IDs in place and stores them
+// sorted; nil for an empty row.
+func (w *worker) finishEdges(rows [][]uint32) {
+	for j := range rows {
+		raw := w.raw[j]
+		w.epoch++
+		n := 0
+		for _, id := range raw {
+			if w.seen[id] != w.epoch {
+				w.seen[id] = w.epoch
+				raw[n] = id
+				n++
 			}
+		}
+		if n > 0 {
+			rows[j] = slices.Clone(raw[:n])
+			slices.Sort(rows[j])
 		}
 	}
 }
 
-func (w *worker) setBits(dst []uint64, v graph.NodeID) {
-	for _, r := range w.aug.RegionsOfNode(v, w.part) {
-		dst[r/64] |= 1 << (uint(r) % 64)
-	}
-}
-
-// processBorder runs one border node's Dijkstra and harvests its
-// contributions to every pair.
-func (w *worker) processBorder(bi int) {
-	aug, part, opts := w.aug, w.part, w.opts
-	R, words, directed := w.R, w.words, aug.G.Directed()
-	regbits, regStamp := w.regbits, w.regStamp
-	walkSrc, walkJ := w.walkSrc, w.walkJ
-	accum := w.accum
-	setBits := w.setBits
-	_ = part
-
-	src := aug.Borders[bi].ID
-	tree := graph.Dijkstra(aug.G, src)
+// border runs one border node's Dijkstra and ORs its contribution to every
+// R_j into the current region's rows.
+func (w *worker) border(src graph.NodeID) {
+	aug, words := w.aug, w.words
+	tree := w.sp.From(src)
 	w.stamp++
-	stamp := w.stamp
-	// Seed the source's own region set.
-	base := int(src) * words
-	for i := 0; i < words; i++ {
-		regbits[base+i] = 0
+	if w.regbits != nil {
+		seed := w.regbits[int(src)*words : int(src+1)*words]
+		clear(seed)
+		w.setBits(seed, src)
+		w.regStamp[src] = w.stamp
 	}
-	setBits(regbits[base:base+words], src)
-	regStamp[src] = stamp
-
-	// regsetOf computes (memoized) the union of regions over the path
-	// src→v by walking the parent chain down to a computed node.
-	regsetOf := func(v graph.NodeID) []uint64 {
-		w.chain = w.chain[:0]
-		u := v
-		for regStamp[u] != stamp {
-			w.chain = append(w.chain, u)
-			u = tree.Parent[u]
-			if u == graph.Invalid {
-				break
-			}
-		}
-		for i := len(w.chain) - 1; i >= 0; i-- {
-			c := w.chain[i]
-			cb := int(c) * words
-			if u == graph.Invalid {
-				for i := 0; i < words; i++ {
-					regbits[cb+i] = 0
-				}
-			} else {
-				pb := int(u) * words
-				copy(regbits[cb:cb+words], regbits[pb:pb+words])
-			}
-			setBits(regbits[cb:cb+words], c)
-			regStamp[c] = stamp
-			u = c
-		}
-		vb := int(v) * words
-		return regbits[vb : vb+words]
-	}
-
-	srcRegions := aug.Borders[bi].Regions
-	for j := 0; j < R; j++ {
-		rj := kdtree.RegionID(j)
-		// Collect region bits / edges over all reachable borders of R_j.
-		for i := range accum {
-			accum[i] = 0
-		}
-		any := false
-		var edges []EdgeRef
-		for _, ti := range aug.ByRegion[j] {
+	for j, borders := range aug.ByRegion {
+		for _, ti := range borders {
 			dst := aug.Borders[ti].ID
 			if dst == src || math.IsInf(tree.Dist[dst], 1) {
 				continue
 			}
-			any = true
-			if opts.Sets {
-				for i, bits := range regsetOf(dst) {
-					accum[i] |= bits
+			if w.regbits != nil {
+				row := w.rowBits[j*words : (j+1)*words]
+				for k, b := range w.regsetOf(tree, dst) {
+					row[k] |= b
 				}
 			}
-			if opts.Subgraphs {
-				// Walk the parent chain collecting each node's parent
-				// edge, stopping at nodes already walked for this
-				// (source, j) combination — total work stays linear in
-				// the output size.
-				for v := dst; v != src; {
-					u := tree.Parent[v]
-					if u == graph.Invalid {
-						break
-					}
-					if walkSrc[v] == stamp && walkJ[v] == int32(j) {
-						break // remainder of the chain already collected
-					}
-					walkSrc[v] = stamp
-					walkJ[v] = int32(j)
-					e := aug.OrigEdge(u, v)
-					edges = append(edges, EdgeRef{From: e.From, To: e.To, W: e.W})
-					v = u
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		for _, ri := range uniqueRegions(srcRegions) {
-			k := PairIndex(R, directed, ri, rj)
-			if opts.Sets {
-				w.sets[k] = mergeBits(w.sets[k], accum, ri, rj)
-			}
-			if opts.Subgraphs {
-				w.edges[k] = append(w.edges[k], edges...)
+			if w.idx != nil {
+				w.raw[j] = w.walk(tree, src, dst, j, w.raw[j])
 			}
 		}
 	}
 }
 
-// uniqueRegions drops the duplicate when a border's two regions coincide
-// (cannot normally happen, but cheap to guard).
-func uniqueRegions(rs [2]kdtree.RegionID) []kdtree.RegionID {
-	if rs[0] == rs[1] {
-		return rs[:1]
+// walk appends the edge IDs of the chain dst→src to raw, stopping at nodes
+// already walked for this (source, j) combination, so the total work stays
+// linear in the output size.
+func (w *worker) walk(tree *graph.SPTree, src, dst graph.NodeID, j int, raw []uint32) []uint32 {
+	for v := dst; v != src; {
+		u, m := tree.Parent[v], &w.walks[v]
+		if u == graph.Invalid || (m.stamp == w.stamp && m.j == int32(j)) {
+			break
+		}
+		if m.stamp != w.stamp {
+			m.stamp, m.edge = w.stamp, w.idx.edgeOf(u, v)
+		}
+		m.j = int32(j)
+		raw = append(raw, m.edge)
+		v = u
 	}
-	return rs[:]
+	return raw
 }
 
-// mergeBits ORs the accumulated bitset into the sorted region list cur,
-// excluding the endpoints i and j.
-func mergeBits(cur []kdtree.RegionID, bits []uint64, i, j kdtree.RegionID) []kdtree.RegionID {
-	present := map[kdtree.RegionID]bool{}
-	for _, r := range cur {
-		present[r] = true
-	}
-	for w, word := range bits {
-		for word != 0 {
-			b := word & (-word)
-			r := kdtree.RegionID(w*64 + popLSB(word))
-			word &^= b
-			if r != i && r != j && !present[r] {
-				present[r] = true
-				cur = insertSorted(cur, r)
-			}
+// walkMark is a node's state in the current tree's chain walks: the last
+// row j walked through it, and the ID of its parent edge.
+type walkMark struct {
+	stamp, j int32
+	edge     uint32
+}
+
+// regsetOf computes (memoized) the union of regions over the path src→v by
+// walking the parent chain down to a computed node.
+func (w *worker) regsetOf(tree *graph.SPTree, v graph.NodeID) []uint64 {
+	words, regbits := w.words, w.regbits
+	w.chain = w.chain[:0]
+	u := v
+	for w.regStamp[u] != w.stamp {
+		w.chain = append(w.chain, u)
+		u = tree.Parent[u]
+		if u == graph.Invalid {
+			break
 		}
 	}
-	return cur
-}
-
-func popLSB(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
-}
-
-func insertSorted(s []kdtree.RegionID, r kdtree.RegionID) []kdtree.RegionID {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < r {
-			lo = mid + 1
+	for i := len(w.chain) - 1; i >= 0; i-- {
+		c := w.chain[i]
+		cb := regbits[int(c)*words : int(c+1)*words]
+		if u == graph.Invalid {
+			clear(cb)
 		} else {
-			hi = mid
+			copy(cb, regbits[int(u)*words:int(u+1)*words])
 		}
+		w.setBits(cb, c)
+		w.regStamp[c] = w.stamp
+		u = c
 	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = r
-	return s
+	return regbits[int(v)*words : int(v+1)*words]
 }
 
-// dedupeRegions sorts and deduplicates a region list assembled from
-// multiple workers' sorted partials.
-func dedupeRegions(s []kdtree.RegionID) []kdtree.RegionID {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
-	out := s[:1]
-	for _, r := range s[1:] {
-		if r != out[len(out)-1] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// dedupeEdges sorts by (From, To) and removes duplicates, keeping the
-// smallest weight for parallel duplicates.
-func dedupeEdges(es []EdgeRef) []EdgeRef {
-	if len(es) == 0 {
-		return nil
-	}
-	sortEdges(es)
-	out := es[:1]
-	for _, e := range es[1:] {
-		last := &out[len(out)-1]
-		if e.From == last.From && e.To == last.To {
-			if e.W < last.W {
-				last.W = e.W
-			}
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-func sortEdges(es []EdgeRef) {
-	quickSortEdges(es)
-}
-
-func quickSortEdges(es []EdgeRef) {
-	if len(es) < 12 {
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && edgeLess(es[j], es[j-1]); j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
+// setBits marks the regions of augmented node v: its own for an original
+// node, both of a border node's.
+func (w *worker) setBits(dst []uint64, v graph.NodeID) {
+	if !w.aug.IsBorder(v) {
+		r := w.part.RegionOf[v]
+		dst[r/64] |= 1 << (r % 64)
 		return
 	}
-	p := es[len(es)/2]
-	l, r := 0, len(es)-1
-	for l <= r {
-		for edgeLess(es[l], p) {
-			l++
-		}
-		for edgeLess(p, es[r]) {
-			r--
-		}
-		if l <= r {
-			es[l], es[r] = es[r], es[l]
-			l++
-			r--
-		}
+	for _, r := range w.aug.BorderAt(v).Regions {
+		dst[r/64] |= 1 << (r % 64)
 	}
-	quickSortEdges(es[:r+1])
-	quickSortEdges(es[l:])
-}
-
-func edgeLess(a, b EdgeRef) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.To < b.To
 }

@@ -37,32 +37,33 @@ func build(t *testing.T, scale float64, capacity int, opts Options) *fixture {
 	return &fixture{g: g, part: part, aug: aug, res: res}
 }
 
+// TestPairIndexRoundTrip walks every pair, in (i, j) order, at region
+// counts from the degenerate to Argentina@1.0's 1 082 CI regions: indices
+// are dense, consecutive and inverted exactly by PairFromIndex.
 func TestPairIndexRoundTrip(t *testing.T) {
-	for _, directed := range []bool{true, false} {
-		const R = 9
-		seen := map[int]bool{}
-		for i := 0; i < R; i++ {
-			jStart := 0
-			if !directed {
-				jStart = i
-			}
-			for j := jStart; j < R; j++ {
-				k := PairIndex(R, directed, kdtree.RegionID(i), kdtree.RegionID(j))
-				if k < 0 || k >= NumPairs(R, directed) {
-					t.Fatalf("index %d out of range", k)
+	for _, R := range []int{1, 2, 9, 1082} {
+		for _, directed := range []bool{true, false} {
+			next := 0
+			for i := 0; i < R; i++ {
+				jStart := 0
+				if !directed {
+					jStart = i
 				}
-				if seen[k] {
-					t.Fatalf("index %d reused (directed=%v i=%d j=%d)", k, directed, i, j)
-				}
-				seen[k] = true
-				gi, gj := PairFromIndex(R, directed, k)
-				if int(gi) != i || int(gj) != j {
-					t.Fatalf("round trip (%d,%d) -> %d -> (%d,%d)", i, j, k, gi, gj)
+				for j := jStart; j < R; j++ {
+					k := PairIndex(R, directed, kdtree.RegionID(i), kdtree.RegionID(j))
+					if k != next {
+						t.Fatalf("R=%d directed=%v: pair (%d,%d) has index %d, want %d", R, directed, i, j, k, next)
+					}
+					next++
+					gi, gj := PairFromIndex(R, directed, k)
+					if int(gi) != i || int(gj) != j {
+						t.Fatalf("R=%d directed=%v: round trip (%d,%d) -> %d -> (%d,%d)", R, directed, i, j, k, gi, gj)
+					}
 				}
 			}
-		}
-		if len(seen) != NumPairs(R, directed) {
-			t.Fatalf("covered %d of %d pairs", len(seen), NumPairs(R, directed))
+			if next != NumPairs(R, directed) {
+				t.Fatalf("R=%d directed=%v: covered %d of %d pairs", R, directed, next, NumPairs(R, directed))
+			}
 		}
 	}
 }

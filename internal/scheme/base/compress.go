@@ -50,6 +50,11 @@ type IndexBuilder struct {
 	spans    []pagefile.Span
 	ordinals []uint16 // per record: ordinal among records starting in its page
 	perPage  map[int]uint16
+
+	// mark[r] == gen marks region r as a member of the set last passed to
+	// markRegions (bestSetDelta's membership tests).
+	mark []uint32
+	gen  uint32
 }
 
 // NewIndexBuilder prepares a builder writing into file. m is the inflation
@@ -133,17 +138,24 @@ func (b *IndexBuilder) place(payload []byte, kind byte, set []kdtree.RegionID, e
 }
 
 // bestSetDelta picks the same-page reference set with the largest overlap
-// and encodes the delta per §5.5: additions always; exclusions only when
-// |ref| + additions would exceed m, excluding ref-only elements until the
-// inflated result has exactly m elements. Returns the encoded payload and
-// the inflated set the client will reconstruct.
+// (the first such on ties) and encodes the delta per §5.5: additions
+// always; exclusions only when |ref| + additions would exceed m, excluding
+// ref-only elements until the inflated result has exactly m elements.
+// Returns the encoded payload and the inflated set the client will
+// reconstruct. Membership tests use the builder's region marks.
 func (b *IndexBuilder) bestSetDelta(set []kdtree.RegionID) (payload []byte, inflated []kdtree.RegionID, ok bool) {
 	bestRef, bestOverlap := -1, -1
 	for i, ref := range b.ctxSets {
 		if !isSetKind(b.ctxKinds[i]) || ref == nil {
 			continue
 		}
-		if ov := overlapSets(set, ref); ov > bestOverlap {
+		gen, ov := b.markRegions(ref), 0
+		for _, r := range set {
+			if b.marked(r, gen) {
+				ov++
+			}
+		}
+		if ov > bestOverlap {
 			bestOverlap, bestRef = ov, i
 		}
 	}
@@ -151,25 +163,21 @@ func (b *IndexBuilder) bestSetDelta(set []kdtree.RegionID) (payload []byte, infl
 		return nil, nil, false
 	}
 	ref := b.ctxSets[bestRef]
-	inRef := map[kdtree.RegionID]bool{}
-	for _, r := range ref {
-		inRef[r] = true
-	}
-	inSet := map[kdtree.RegionID]bool{}
 	var adds []kdtree.RegionID
+	inRef := b.markRegions(ref)
 	for _, r := range set {
-		inSet[r] = true
-		if !inRef[r] {
+		if !b.marked(r, inRef) {
 			adds = append(adds, r)
 		}
 	}
 	var excl []kdtree.RegionID
 	if over := len(ref) + len(adds) - b.m; over > 0 {
+		inSet := b.markRegions(set)
 		for _, r := range ref {
 			if len(excl) == over {
 				break
 			}
-			if !inSet[r] {
+			if !b.marked(r, inSet) {
 				excl = append(excl, r)
 			}
 		}
@@ -189,17 +197,32 @@ func (b *IndexBuilder) bestSetDelta(set []kdtree.RegionID) (payload []byte, infl
 		e.U16(uint16(r))
 	}
 	// Reconstruct the inflated set: ref ∪ adds − excl.
-	exclSet := map[kdtree.RegionID]bool{}
-	for _, r := range excl {
-		exclSet[r] = true
-	}
+	excluded := b.markRegions(excl)
 	for _, r := range ref {
-		if !exclSet[r] {
+		if !b.marked(r, excluded) {
 			inflated = append(inflated, r)
 		}
 	}
 	inflated = append(inflated, adds...)
 	return e.Bytes(), inflated, true
+}
+
+// markRegions stamps the regions of s with a fresh generation of the
+// builder's mark array and returns that generation; marked tests a region
+// against it.
+func (b *IndexBuilder) markRegions(s []kdtree.RegionID) uint32 {
+	b.gen++
+	for _, r := range s {
+		if int(r) >= len(b.mark) {
+			b.mark = append(b.mark, make([]uint32, int(r)+1-len(b.mark))...)
+		}
+		b.mark[r] = b.gen
+	}
+	return b.gen
+}
+
+func (b *IndexBuilder) marked(r kdtree.RegionID, gen uint32) bool {
+	return int(r) < len(b.mark) && b.mark[r] == gen
 }
 
 // bestGraphDelta is the §6 analogue for subgraphs: additions only.
@@ -269,20 +292,6 @@ func encodeGraphLiteral(edges []precomp.EdgeRef) []byte {
 		e.F64(a.W)
 	}
 	return e.Bytes()
-}
-
-func overlapSets(a, b []kdtree.RegionID) int {
-	in := map[kdtree.RegionID]bool{}
-	for _, r := range b {
-		in[r] = true
-	}
-	n := 0
-	for _, r := range a {
-		if in[r] {
-			n++
-		}
-	}
-	return n
 }
 
 func overlapEdges(a, b []precomp.EdgeRef) int {
