@@ -47,12 +47,11 @@ func main() {
 	preset := fs.String("preset", "Oldenburg", "network preset (Oldenburg, Germany, Argentina, Denmark, India, NorthAmerica)")
 	scale := fs.Float64("scale", 0.05, "network scale in (0,1]")
 	seed := fs.Int64("seed", 1, "generator seed")
-	scheme := fs.String("scheme", "CI", "scheme: CI, PI, PI*, HY, LM, AF, OBF")
+	scheme := fs.String("scheme", "CI", "scheme: CI, PI, PI*, HY, LM, AF")
 	threshold := fs.Int("threshold", 0, "HY threshold")
 	cluster := fs.Int("cluster", 0, "PI* cluster pages")
 	landmarks := fs.Int("landmarks", 0, "LM anchors")
 	regions := fs.Int("regions", 0, "AF regions")
-	setSize := fs.Int("setsize", 0, "OBF |S|=|T|")
 	srcNode := fs.Int("s", 0, "query source node id")
 	dstNode := fs.Int("t", 1, "query destination node id")
 	remote := fs.String("remote", "", "privspd daemon address; query/stats run over the wire")
@@ -63,16 +62,11 @@ func main() {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	if *out != "" {
-		// Reject up front: build is the only writer, OBF has nothing to
-		// write, and a silently dropped -out (or one rejected after minutes
-		// of preprocessing) is worse than an immediate error.
-		if cmd != "build" {
-			fatal(fmt.Errorf("-out only applies to build"))
-		}
-		if privsp.Scheme(*scheme) == privsp.OBF {
-			fatal(fmt.Errorf("OBF has no page files to persist; -out cannot apply"))
-		}
+	// Reject up front: build is the only writer, and a silently dropped -out
+	// (or one rejected after minutes of preprocessing) is worse than an
+	// immediate error.
+	if *out != "" && cmd != "build" {
+		fatal(fmt.Errorf("-out only applies to build"))
 	}
 
 	ctx := context.Background()
@@ -124,7 +118,6 @@ func main() {
 		ClusterPages: *cluster,
 		Landmarks:    *landmarks,
 		Regions:      *regions,
-		SetSize:      *setSize,
 		Seed:         *seed,
 	}
 
@@ -138,11 +131,7 @@ func main() {
 		}
 		fmt.Printf("scheme %s on %s (%d nodes): %.2f MB\n",
 			db.Scheme(), *preset, net.NumNodes(), float64(db.TotalBytes())/(1<<20))
-		if pl := db.Plan(); pl != "" {
-			fmt.Println("query plan:", pl)
-		} else {
-			fmt.Println("query plan: none (obfuscation baseline leaks its access pattern)")
-		}
+		fmt.Println("query plan:", db.Plan())
 		if *out != "" {
 			if err := db.Save(*out); err != nil {
 				fatal(err)
@@ -174,11 +163,11 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("scheme %s: adversary advantage %.4f", cfg.Scheme, float64(adv))
-		if adv == 0 {
-			fmt.Println("  (Theorem 1 holds: queries are indistinguishable)")
-		} else {
-			fmt.Println("  (queries are distinguishable — expected only for OBF)")
+		if adv != 0 {
+			fmt.Println("  (Theorem 1 violated: queries are distinguishable)")
+			os.Exit(1)
 		}
+		fmt.Println("  (Theorem 1 holds: queries are indistinguishable)")
 	case "query":
 		var srv privsp.PathService
 		if *fleetAddrs != "" {

@@ -310,8 +310,6 @@ func (c daemonConfig) validate() (warnings []string, err error) {
 	for _, name := range c.Schemes {
 		switch privsp.Scheme(name) {
 		case privsp.CI, privsp.PI, privsp.PIStar, privsp.HY, privsp.LM, privsp.AF:
-		case privsp.OBF:
-			return warnings, fmt.Errorf("OBF has no PIR database and cannot be served remotely")
 		default:
 			return warnings, fmt.Errorf("unknown scheme %q in -schemes (use CI, PI, PI*, HY, LM, AF)", name)
 		}

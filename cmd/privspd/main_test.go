@@ -75,7 +75,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{
 			name:    "OBF rejected",
 			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"OBF"}},
-			wantErr: "OBF has no PIR database",
+			wantErr: `unknown scheme "OBF"`,
 		},
 		{
 			name:    "empty scheme list",

@@ -30,8 +30,8 @@ func main() {
 
 	// The expensive preprocessing runs once: save the database as a .psdb
 	// container and serve it from disk from now on (a daemon would do this
-	// with "privsp build -out" and "privspd -db"). OBF excepted, a database
-	// opened from disk serves byte-identically to the in-memory build.
+	// with "privsp build -out" and "privspd -db"). A database opened from
+	// disk serves byte-identically to the in-memory build.
 	dir, err := os.MkdirTemp("", "privsp-quickstart")
 	if err != nil {
 		log.Fatal(err)

@@ -56,7 +56,7 @@ type Server struct {
 
 // NewServer prepares the baseline server.
 func NewServer(g *graph.Graph, model costmodel.Params, opt Options) (*Server, error) {
-	if opt.PageSize == 0 {
+	if opt.PageSize <= 0 {
 		opt.PageSize = pagefile.DefaultPageSize
 	}
 	if opt.SetSize < 1 {
@@ -67,7 +67,7 @@ func NewServer(g *graph.Graph, model costmodel.Params, opt Options) (*Server, er
 		model:   model,
 		opt:     opt,
 		rng:     rand.New(rand.NewSource(opt.Seed)),
-		dbPages: int(DatabaseBytes(g, opt)) / opt.PageSize,
+		dbPages: (rawNetworkBytes(g) + opt.PageSize - 1) / opt.PageSize,
 	}, nil
 }
 
@@ -81,20 +81,8 @@ func rawNetworkBytes(g *graph.Graph) int {
 	return total
 }
 
-// DatabaseBytes reports the baseline's storage footprint for g under opt
-// without constructing a Server: the raw network rounded up to whole pages.
-// Size reporting (privsp.Database.TotalBytes) uses it so a metrics read
-// never pays for the decoy machinery.
-func DatabaseBytes(g *graph.Graph, opt Options) int64 {
-	ps := opt.PageSize
-	if ps <= 0 {
-		ps = pagefile.DefaultPageSize
-	}
-	pages := (rawNetworkBytes(g) + ps - 1) / ps
-	return int64(pages) * int64(ps)
-}
-
-// DatabaseBytes reports the baseline's storage footprint.
+// DatabaseBytes reports the baseline's storage footprint: the raw network
+// rounded up to whole pages.
 func (s *Server) DatabaseBytes() int64 { return int64(s.dbPages) * int64(s.opt.PageSize) }
 
 // Query runs one obfuscated query. Decoys are uniform random nodes; the

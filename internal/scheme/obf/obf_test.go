@@ -2,10 +2,12 @@ package obf
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/gen"
@@ -30,6 +32,27 @@ func TestQueryMatchesDijkstra(t *testing.T) {
 		if math.Abs(res.Cost-want.Cost) > 1e-9 {
 			t.Fatalf("trial %d: OBF %v, want %v", trial, res.Cost, want.Cost)
 		}
+	}
+}
+
+// TestQueryHonorsContext: a dead context fails the query with ctx.Err()
+// before any per-source Dijkstra runs.
+func TestQueryHonorsContext(t *testing.T) {
+	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
+	srv, err := NewServer(g, costmodel.Default(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := srv.Query(ctx, g.Point(0), g.Point(5)); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	// An expired deadline reports DeadlineExceeded, not Canceled.
+	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer dcancel()
+	if _, err := srv.Query(dctx, g.Point(0), g.Point(5)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -76,9 +76,7 @@ func DialFleetConfig(ctx context.Context, addrs []string, cfg FleetConfig) (*Fle
 		return nil, err
 	}
 	scheme := Scheme(f.Scheme())
-	switch scheme {
-	case CI, PI, PIStar, HY, LM, AF:
-	default:
+	if !servable(scheme) {
 		f.Close()
 		return nil, fmt.Errorf("privsp: fleet hosts unsupported scheme %q", scheme)
 	}

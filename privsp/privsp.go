@@ -33,8 +33,10 @@
 //
 // Four strongly private schemes are provided — CI (small database, more PIR
 // page fetches), PI (one-page-fast queries, huge index), HY (tunable hybrid)
-// and PIStar (clustered PI, tunable) — plus the weaker baselines the paper
-// compares against (LM, AF and the obfuscation scheme OBF).
+// and PIStar (clustered PI, tunable) — plus the paper's padded baselines LM
+// and AF. Every scheme runs a fixed public plan, so the service learns
+// nothing; the obfuscation baseline of §7.3, which leaks its candidate sets,
+// lives only in the experiment harness.
 package privsp
 
 import (
@@ -57,7 +59,6 @@ import (
 	"repro/internal/scheme/ci"
 	"repro/internal/scheme/hy"
 	"repro/internal/scheme/lm"
-	"repro/internal/scheme/obf"
 	"repro/internal/scheme/pi"
 	"repro/internal/wire"
 )
@@ -140,7 +141,6 @@ const (
 	HY     Scheme = "HY"
 	LM     Scheme = "LM"
 	AF     Scheme = "AF"
-	OBF    Scheme = "OBF"
 )
 
 // Config selects and tunes a scheme.
@@ -161,9 +161,7 @@ type Config struct {
 	Landmarks int
 	// Regions tunes AF (arc-flag bits per edge).
 	Regions int
-	// SetSize tunes OBF (|S| = |T|).
-	SetSize int
-	// Seed drives any randomized build step (plan derivation, decoys).
+	// Seed drives any randomized build step (LM and AF plan derivation).
 	Seed int64
 
 	// ApproxFactor in (0,1) enables CI's approximate variant (§8 future
@@ -180,9 +178,7 @@ type Config struct {
 // identical code. Close a database loaded with Open when done with it.
 type Database struct {
 	cfg       Config
-	db        *lbs.Database       // nil for OBF
-	net       *Network            // retained for OBF only
-	obfBytes  int64               // OBF footprint, computed once at build
+	db        *lbs.Database
 	container *pagefile.Container // non-nil iff loaded by Open
 }
 
@@ -242,8 +238,6 @@ func Build(n *Network, cfg Config) (*Database, error) {
 		opt.DeriveSeed = cfg.Seed
 		db, err := af.Build(n.G, opt)
 		return wrap(cfg, db, err)
-	case OBF:
-		return &Database{cfg: cfg, net: n, obfBytes: obf.DatabaseBytes(n.G, obfOptions(cfg))}, nil
 	default:
 		return nil, fmt.Errorf("privsp: unknown scheme %q", cfg.Scheme)
 	}
@@ -264,25 +258,15 @@ func pageSize(cfg Config) int {
 }
 
 // TotalBytes reports the database size (the space metric of the paper's
-// evaluation). For OBF the footprint is computed once at build time —
-// reading a size never constructs the decoy machinery.
-func (d *Database) TotalBytes() int64 {
-	if d.db != nil {
-		return d.db.TotalBytes()
-	}
-	return d.obfBytes
-}
+// evaluation).
+func (d *Database) TotalBytes() int64 { return d.db.TotalBytes() }
 
 // Save writes the built database as a versioned single-file container
 // (conventionally ".psdb"): scheme, header, query plan and every page file,
 // each data region checksummed. A saved database re-opens with Open in
 // milliseconds — the build-once / serve-many workflow that sidesteps the
-// paper's multi-hour preprocessing on every daemon start. OBF has no page
-// files and cannot be saved.
+// paper's multi-hour preprocessing on every daemon start.
 func (d *Database) Save(path string) error {
-	if d.db == nil {
-		return fmt.Errorf("privsp: %s has no page files to persist", d.cfg.Scheme)
-	}
 	enc := pagefile.NewEnc(256)
 	d.db.Plan.Encode(enc)
 	return pagefile.WriteContainer(path, pagefile.ContainerSpec{
@@ -331,9 +315,7 @@ func Open(path string, opts ...OpenOption) (*Database, error) {
 		return nil, err
 	}
 	scheme := Scheme(c.Scheme)
-	switch scheme {
-	case CI, PI, PIStar, HY, LM, AF:
-	default:
+	if !servable(scheme) {
 		c.Close()
 		return nil, fmt.Errorf("privsp: %s holds unsupported scheme %q", path, c.Scheme)
 	}
@@ -363,64 +345,30 @@ func (d *Database) Close() error {
 	return nil
 }
 
-// Plan renders the public query plan (empty for OBF, which has none).
-func (d *Database) Plan() string {
-	if d.db == nil {
-		return ""
-	}
-	return d.db.Plan.String()
-}
+// Plan renders the public query plan.
+func (d *Database) Plan() string { return d.db.Plan.String() }
 
 // Scheme returns the database's scheme.
 func (d *Database) Scheme() Scheme { return d.cfg.Scheme }
 
 // LBS exposes the underlying page-file database for hosting by the
-// networked daemon (internal/server). It is nil for OBF, which has no PIR
-// database to serve.
+// networked daemon (internal/server).
 func (d *Database) LBS() *lbs.Database { return d.db }
 
 // PlanPIRAccesses returns the fixed number of PIR page retrievals every
-// query performs (0 for OBF, which has no fixed plan).
-func (d *Database) PlanPIRAccesses() int {
-	if d.db == nil {
-		return 0
-	}
-	return d.db.Plan.TotalPIRAccesses()
-}
-
-func obfOptions(cfg Config) obf.Options {
-	opt := obf.DefaultOptions()
-	opt.PageSize = pageSize(cfg)
-	if cfg.SetSize > 0 {
-		opt.SetSize = cfg.SetSize
-	}
-	opt.Seed = cfg.Seed
-	return opt
-}
+// query performs.
+func (d *Database) PlanPIRAccesses() int { return d.db.Plan.TotalPIRAccesses() }
 
 // Server answers shortest path queries on a built database under the
 // simulated deployment of §7.1 (IBM 4764 SCP, Table 2 disk and 3G link).
 type Server struct {
 	cfg    Config
 	lbsSrv *lbs.Server
-	obfSrv *obf.Server
 }
 
-// Serve hosts a database with the default cost model.
+// Serve hosts a database with the Table 2 cost model.
 func Serve(d *Database) (*Server, error) {
-	return ServeWithModel(d, costmodel.Default())
-}
-
-// ServeWithModel hosts a database with a custom cost model.
-func ServeWithModel(d *Database, model costmodel.Params) (*Server, error) {
-	if d.cfg.Scheme == OBF {
-		srv, err := obf.NewServer(d.net.G, model, obfOptions(d.cfg))
-		if err != nil {
-			return nil, err
-		}
-		return &Server{cfg: d.cfg, obfSrv: srv}, nil
-	}
-	srv, err := lbs.NewServer(d.db, model, nil)
+	srv, err := lbs.NewServer(d.db, costmodel.Default(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -494,15 +442,7 @@ func (s *Server) ShortestPath(ctx context.Context, src, dst Point, opts ...Query
 		ctx = context.Background()
 	}
 	o := applyOptions(opts)
-	var (
-		res *Result
-		err error
-	)
-	if s.cfg.Scheme == OBF {
-		res, err = s.obfSrv.Query(ctx, src, dst)
-	} else {
-		res, err = queryScheme(ctx, s.cfg.Scheme, s.lbsSrv, src, dst)
-	}
+	res, err := queryScheme(ctx, s.cfg.Scheme, s.lbsSrv, src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -530,9 +470,15 @@ func queryScheme(ctx context.Context, scheme Scheme, svc lbs.Service, src, dst P
 	return nil, fmt.Errorf("privsp: unknown scheme %q", scheme)
 }
 
-// CostModel returns the Table 2 parameters in force for documentation and
-// what-if tuning.
-func CostModel() costmodel.Params { return costmodel.Default() }
+// servable reports whether queryScheme runs scheme's protocol: the allow-list
+// every database loaded from a container, a daemon or a fleet must pass.
+func servable(scheme Scheme) bool {
+	switch scheme {
+	case CI, PI, PIStar, HY, LM, AF:
+		return true
+	}
+	return false
+}
 
 // PathService is the query surface shared by the in-process Server and the
 // remote client returned by Dial: the same scheme protocol code runs behind
@@ -608,10 +554,8 @@ func DialDatabaseContext(ctx context.Context, addr, database string) (*RemoteSer
 		return nil, err
 	}
 	scheme := Scheme(c.Scheme())
-	switch scheme {
-	case CI, PI, PIStar, HY, LM, AF:
-	case "": // unbound stats-only session
-	default:
+	// An empty scheme is an unbound, stats-only session.
+	if scheme != "" && !servable(scheme) {
 		c.Close()
 		return nil, fmt.Errorf("privsp: daemon hosts unsupported scheme %q", scheme)
 	}

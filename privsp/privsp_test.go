@@ -14,7 +14,7 @@ func TestAllSchemesEndToEnd(t *testing.T) {
 	net := Generate(Oldenburg, 0.08, 1)
 	oracle := func(s, d NodeID) float64 { return graph.ShortestPath(net.G, s, d).Cost }
 
-	for _, scheme := range []Scheme{CI, PI, PIStar, HY, LM, AF, OBF} {
+	for _, scheme := range []Scheme{CI, PI, PIStar, HY, LM, AF} {
 		t.Run(string(scheme), func(t *testing.T) {
 			db, err := Build(net, Config{Scheme: scheme})
 			if err != nil {
@@ -73,8 +73,12 @@ func TestManualNetworkConstruction(t *testing.T) {
 
 func TestUnknownSchemeRejected(t *testing.T) {
 	net := Generate(Oldenburg, 0.02, 1)
-	if _, err := Build(net, Config{Scheme: "nope"}); err == nil {
-		t.Error("unknown scheme accepted")
+	// OBF, the obfuscation baseline, leaks its candidate sets and is not a
+	// servable scheme.
+	for _, scheme := range []Scheme{"nope", "OBF"} {
+		if _, err := Build(net, Config{Scheme: scheme}); err == nil {
+			t.Errorf("unknown scheme %q accepted", scheme)
+		}
 	}
 }
 
@@ -92,16 +96,6 @@ func TestDatabaseMetadata(t *testing.T) {
 	}
 	if db.Scheme() != CI {
 		t.Error("scheme mismatch")
-	}
-	obfDB, err := Build(net, Config{Scheme: OBF})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obfDB.TotalBytes() <= 0 {
-		t.Error("OBF size missing")
-	}
-	if obfDB.Plan() != "" {
-		t.Error("OBF should have no fixed plan")
 	}
 }
 

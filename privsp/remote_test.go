@@ -154,26 +154,24 @@ func TestDialUnresponsiveAddress(t *testing.T) {
 // too — a dead context fails the query with ctx.Err() before any round runs.
 func TestShortestPathHonorsContext(t *testing.T) {
 	net0 := Generate(Oldenburg, 0.05, 1)
-	for _, scheme := range []Scheme{CI, OBF} {
-		db, err := Build(net0, Config{Scheme: scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := Serve(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := srv.ShortestPath(ctx, net0.NodePoint(0), net0.NodePoint(5)); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", scheme, err)
-		}
-		// An expired deadline reports DeadlineExceeded, not Canceled.
-		dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-		defer dcancel()
-		if _, err := srv.ShortestPath(dctx, net0.NodePoint(0), net0.NodePoint(5)); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: err = %v, want context.DeadlineExceeded", scheme, err)
-		}
+	db, err := Build(net0, Config{Scheme: CI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := srv.ShortestPath(ctx, net0.NodePoint(0), net0.NodePoint(5)); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	// An expired deadline reports DeadlineExceeded, not Canceled.
+	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer dcancel()
+	if _, err := srv.ShortestPath(dctx, net0.NodePoint(0), net0.NodePoint(5)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
