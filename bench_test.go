@@ -178,9 +178,7 @@ func BenchmarkBatchRead(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				conn := srv.Connect(context.Background())
-				conn.BeginRound()
-				if _, err := conn.FetchMany(file, batch); err != nil {
+				if _, err := srv.ReadPages(context.Background(), file, batch); err != nil {
 					b.Fatal(err)
 				}
 			}

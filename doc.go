@@ -3,13 +3,14 @@
 // shortest path schemes on road networks where the location-based service
 // learns nothing about the queries it answers.
 //
-// The client side of the protocol is split three ways: a scheme
+// The client side of the protocol is split two ways: a scheme
 // (internal/scheme/{ci,pi,hy,lm,af}) says what it needs — NextRound, one
-// Fetch per record, Finish; base.Session, the one plan walker, charges those
-// wants to the public plan, pads what they leave unused and refuses (with
-// ErrPlanOverflow, after completing the canonical plan) what the plan has no
-// room for; lbs.Conn records the adversary-visible trace and the simulated
-// costs. What reaches the service — frames included: one per record,
+// Fetch per record, Finish; base.Session, the one plan walker and the one
+// per-query object, charges those wants to the public plan, pads what they
+// leave unused, refuses (with ErrPlanOverflow, after completing the
+// canonical plan) what the plan has no room for, and keeps the query's
+// books: the simulated costs, the client clock and the adversary-visible
+// transcript. What reaches the service — frames included: one per record,
 // padding shaped like a region fetch — is therefore a function of the plan
 // alone.
 //

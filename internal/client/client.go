@@ -28,7 +28,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -43,8 +42,6 @@ type Options struct {
 	// Database selects a hosted database by name; empty selects the
 	// daemon's sole database.
 	Database string
-	// MaxFrame bounds accepted frames; 0 means wire.DefaultMaxFrame.
-	MaxFrame int
 	// DialTimeout bounds the TCP connect and handshake when the dial
 	// context has no deadline; 0 means DefaultDialTimeout.
 	DialTimeout time.Duration
@@ -60,8 +57,7 @@ type frame struct {
 // Hello/Welcome handshake. Safe for concurrent use: start one Query per
 // in-flight query, from any goroutine.
 type Client struct {
-	conn     net.Conn
-	maxFrame int
+	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes and flushes
 	bw  *bufio.Writer
@@ -103,9 +99,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 // DialTimeout. A daemon that accepts the connection but never completes the
 // handshake fails the dial when that budget expires.
 func DialContext(ctx context.Context, addr string, opts Options) (*Client, error) {
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = wire.DefaultMaxFrame
-	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = DefaultDialTimeout
 	}
@@ -113,8 +106,6 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	// is min(caller deadline, DialTimeout) — not the default layered on top.
 	ctx, cancel := context.WithTimeout(ctx, opts.DialTimeout)
 	defer cancel()
-	sp := telemetry.Begin(ctx, "connect")
-	defer sp.End()
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -124,12 +115,11 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	// connection deadline from the context for the duration.
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
 	c := &Client{
-		conn:     conn,
-		maxFrame: opts.MaxFrame,
-		bw:       bufio.NewWriterSize(conn, 64<<10),
-		pending:  map[uint32]chan frame{},
-		ctl:      make(chan frame, 8),
-		done:     make(chan struct{}),
+		conn:    conn,
+		bw:      bufio.NewWriterSize(conn, 64<<10),
+		pending: map[uint32]chan frame{},
+		ctl:     make(chan frame, 8),
+		done:    make(chan struct{}),
 	}
 	c.fw = wire.NewFrameWriter(c.bw)
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -173,7 +163,7 @@ func handshake(br *bufio.Reader, bw *bufio.Writer, opts Options) (wire.Welcome, 
 	if err := bw.Flush(); err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: write Hello: %w", err)
 	}
-	t, _, payload, err := wire.ReadFrame(br, opts.MaxFrame)
+	t, _, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 	if err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: read: %w", err)
 	}
@@ -263,7 +253,7 @@ func (c *Client) release(id uint32) {
 // buys: no stream position to desynchronize.
 func (c *Client) readLoop(br *bufio.Reader) {
 	for {
-		t, qid, payload, err := wire.ReadFrame(br, c.maxFrame)
+		t, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			c.fail(fmt.Errorf("client: read: %w", err))
 			return

@@ -4,13 +4,13 @@ import (
 	"context"
 	crand "crypto/rand"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
+	"repro/internal/pir"
 )
 
 // Query is one fan-out query session. It implements lbs.Backend and
@@ -116,37 +116,6 @@ func (q *Query) NextRound(ctx context.Context) error {
 	return firstErr(q.both(func(_ int, s *sub) error { return s.q.NextRound(ctx) }))
 }
 
-// splitShares draws the two-server XOR PIR shares for a page batch:
-// selsA[i] is uniform from crypto/rand (trailing bits masked so both
-// replica views match the store's own drawing discipline bit for bit),
-// selsB[i] = selsA[i] xor e_pages[i]. Each share alone is marginally
-// uniform and independent of the page index.
-func splitShares(fi lbs.FileInfo, pages []int) (selsA, selsB [][]byte, err error) {
-	nb := (fi.NumPages + 7) / 8
-	buf := make([]byte, 2*len(pages)*nb)
-	if _, err := io.ReadFull(crand.Reader, buf[:len(pages)*nb]); err != nil {
-		return nil, nil, fmt.Errorf("fleet: drawing selector shares: %w", err)
-	}
-	mask := byte(0xFF)
-	if rem := fi.NumPages % 8; rem != 0 {
-		mask = byte(1<<rem) - 1
-	}
-	selsA = make([][]byte, len(pages))
-	selsB = make([][]byte, len(pages))
-	for i, p := range pages {
-		if p < 0 || p >= fi.NumPages {
-			return nil, nil, fmt.Errorf("fleet: page %d out of range of %q (%d pages)", p, fi.Name, fi.NumPages)
-		}
-		a := buf[i*nb : (i+1)*nb : (i+1)*nb]
-		b := buf[(len(pages)+i)*nb : (len(pages)+i+1)*nb : (len(pages)+i+1)*nb]
-		a[nb-1] &= mask
-		copy(b, a)
-		b[p/8] ^= 1 << (p % 8)
-		selsA[i], selsB[i] = a, b
-	}
-	return selsA, selsB, nil
-}
-
 // xorInto XORs b into a page-wise, validating sizes.
 func xorInto(a, b [][]byte, pageSize int) error {
 	for i := range a {
@@ -161,9 +130,9 @@ func xorInto(a, b [][]byte, pageSize int) error {
 }
 
 // ReadPages implements lbs.Backend. Each page splits into two selector
-// shares, fanned out to the two replicas in parallel, and the answers are
-// XORed locally; each replica sees one uniform bitvector per page and
-// performs one scan.
+// shares (pir.SplitShares), fanned out to the two replicas in parallel, and
+// the answers are XORed locally; each replica sees one uniform bitvector per
+// page and performs one scan.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -175,11 +144,17 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 	if err != nil {
 		return nil, err
 	}
-	selsA, selsB, err := splitShares(fi, pages)
-	if err != nil {
-		return nil, err
+	// Each page becomes one selector share per replica, cut from one buffer.
+	k, nb := len(pages), (fi.NumPages+7)/8
+	buf := make([]byte, 2*k*nb)
+	sels := [2][][]byte{make([][]byte, k), make([][]byte, k)}
+	for i := range k {
+		sels[0][i] = buf[i*nb : (i+1)*nb : (i+1)*nb]
+		sels[1][i] = buf[(k+i)*nb : (k+i+1)*nb : (k+i+1)*nb]
 	}
-	sels := [2][][]byte{selsA, selsB}
+	if err := pir.SplitShares(crand.Reader, fi.NumPages, pages, sels[0], sels[1]); err != nil {
+		return nil, fmt.Errorf("fleet: %s: %w", file, err)
+	}
 	var answers [2][][]byte
 	start := time.Now()
 	ea, eb := q.both(func(i int, s *sub) (err error) {

@@ -12,14 +12,16 @@
 // scheme code drives either deployment: Backend is the raw service surface
 // (header download, batched PIR page reads), implemented in-process by
 // Server and over the network by the wire client; Service is anything that
-// can open a Conn. Conn layers the protocol bookkeeping — rounds, the
-// adversary-visible trace, and the Table 2 cost simulation — on top of
-// whichever backend it drives.
+// can open a Conn, the pair of a query's context and its Backend. The
+// protocol bookkeeping — rounds, the Table 2 cost simulation and the
+// Transcript — belongs to the one per-query object that walks the plan,
+// base.Session.
 package lbs
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -107,7 +109,7 @@ type FileInfo struct {
 	PageSize int
 }
 
-// Backend is the raw service surface a Conn drives: header download and PIR
+// Backend is the raw service surface a query drives: header download and PIR
 // page retrieval. The in-process Server implements it directly; the remote
 // wire client implements it over TCP, so the schemes execute identical
 // protocol logic against either deployment. Every operation that can block
@@ -282,8 +284,8 @@ func (s *Server) Files() []FileInfo {
 	return infos
 }
 
-// NextRound is a no-op for the in-process backend: the Conn itself records
-// the round in the trace.
+// NextRound is a no-op for the in-process backend: the client session
+// itself records the round in its transcript.
 func (s *Server) NextRound(context.Context) error { return nil }
 
 // ReadPages retrieves pages through the PIR stores into freshly allocated
@@ -509,29 +511,14 @@ type Stats struct {
 // Response is the total response time: the paper's headline metric.
 func (s Stats) Response() time.Duration { return s.PIR + s.Comm + s.Client + s.Server }
 
-// Conn is a client's secure connection to the SCP for one query. It keeps
-// the protocol bookkeeping — rounds, stats, the adversary-visible trace —
-// and delegates the raw operations to its Backend. It charges what it is
-// asked to do; which rounds and frames a query asks for is decided one layer
-// up, by the plan walker (base.Session), never by a scheme directly.
-//
-// The connection is governed by the query's context. Cancellation is
-// honored at round boundaries only: BeginRound checks the context before
-// announcing the next round, so a query cancelled mid-round finishes the
-// round it is in and aborts before the next one begins. The service
-// therefore observes either k complete rounds or a round whose in-flight
-// fetch it refused itself — in both cases a prefix of the one full-query
-// trace, so a cancelled query leaks nothing beyond its (data-independent)
-// abort time (Theorem 1 is preserved).
+// Conn is a client's secure connection to the SCP for one query: the
+// query's context and the Backend that serves it. It keeps no state of its
+// own — base.Session walks the public plan over it and owns every piece of
+// per-query bookkeeping: rounds, the Table 2 charges, the client clock and
+// the adversary-visible transcript.
 type Conn struct {
-	ctx     context.Context
-	backend Backend
-	model   costmodel.Params
-	stats   Stats
-	fetches map[string]int
-	trace   strings.Builder
-	round   int
-	err     error // first backend or context error; surfaced by every later call
+	Ctx     context.Context
+	Backend Backend
 }
 
 // NewConn opens a connection over an arbitrary backend, governed by the
@@ -540,129 +527,51 @@ func NewConn(ctx context.Context, b Backend) *Conn {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Conn{ctx: ctx, backend: b, model: b.Model(), fetches: map[string]int{}}
+	return &Conn{Ctx: ctx, Backend: b}
 }
 
-// DownloadHeader returns the full header file. It is public data fetched by
-// every client without the PIR interface (§5.3).
-func (c *Conn) DownloadHeader() ([]byte, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if err := c.ctx.Err(); err != nil {
-		c.err = err
-		return nil, err
-	}
-	sp := telemetry.Begin(c.ctx, "header")
-	h, err := c.backend.HeaderBytes(c.ctx)
-	sp.End()
-	if err != nil {
-		c.err = err
-		return nil, err
-	}
-	c.stats.HeaderBytes = len(h)
-	c.stats.Comm += c.model.RTT + c.model.Transfer(len(h))
-	c.trace.WriteString("header\n")
-	return h, nil
+// Transcript is the adversary-visible access transcript of one query, and
+// the one writer of its text: the client's own record (base.Session), the
+// daemon's per-query record and CanonicalTrace all write through it, so the
+// three views compare byte for byte. It records file names and page counts;
+// page numbers never reach it, as the PIR layer hides them. Two queries are
+// indistinguishable exactly when their transcripts are equal.
+type Transcript struct{ b strings.Builder }
+
+// Header records the header download.
+func (t *Transcript) Header() { t.b.WriteString("header\n") }
+
+// Round records the start of protocol round n (counted from 1).
+func (t *Transcript) Round(n int) {
+	t.b.WriteString("round ")
+	t.b.WriteString(strconv.Itoa(n))
+	t.b.WriteString(":\n")
 }
 
-// BeginRound starts the next protocol round (one client→SCP round trip).
-// This is the round boundary where cancellation takes effect: a dead context
-// stops the query here, before the round is announced to the service, so the
-// service-visible trace ends after a complete round.
-func (c *Conn) BeginRound() error {
-	if c.err != nil {
-		return c.err
-	}
-	if err := c.ctx.Err(); err != nil {
-		c.err = err
-		return err
-	}
-	if err := c.backend.NextRound(c.ctx); err != nil {
-		c.err = err
-		return err
-	}
-	c.round++
-	c.stats.Rounds++
-	c.stats.Comm += c.model.RTT
-	fmt.Fprintf(&c.trace, "round %d:\n", c.round)
-	return nil
-}
-
-// FetchMany retrieves pages of one file through the PIR interface as one
-// frame: remote backends ship the whole batch in a single round trip. The
-// page indices travel encrypted to the SCP; the adversary observes only how
-// many pages of the file were read, so the trace and the simulated stats
-// charge each page of the batch alike.
-func (c *Conn) FetchMany(file string, pages []int) ([][]byte, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	info, err := c.backend.FileInfo(file)
-	if err != nil {
-		c.err = err
-		return nil, err
-	}
-	sp := telemetry.Begin(c.ctx, "fetch")
-	data, err := c.backend.ReadPages(c.ctx, file, pages)
-	sp.End()
-	if err != nil {
-		c.err = err
-		return nil, err
-	}
-	if len(data) != len(pages) {
-		c.err = fmt.Errorf("lbs: fetch %s: got %d pages, want %d", file, len(data), len(pages))
-		return nil, c.err
-	}
+// Fetch records the retrieval of pages pages of file, one line per page:
+// how the pages were framed does not show.
+func (t *Transcript) Fetch(file string, pages int) {
 	for range pages {
-		c.stats.PIR += c.model.PIRFetch(info.NumPages)
-		c.stats.Comm += c.model.Transfer(info.PageSize)
-		c.fetches[file]++
-		fmt.Fprintf(&c.trace, "  fetch %s\n", file) // page number NOT visible
+		t.b.WriteString("  fetch ")
+		t.b.WriteString(file)
+		t.b.WriteByte('\n')
 	}
-	return data, nil
 }
 
-// Stats returns the accumulated cost components. AddClientTime must be
-// called by the scheme before reading them. Fetches is the connection's own
-// count, not a copy: a Conn serves one query, read once it is done.
-func (c *Conn) Stats() Stats {
-	s := c.stats
-	s.Fetches = c.fetches
-	return s
-}
-
-// AddClientTime accrues measured client-side computation.
-func (c *Conn) AddClientTime(d time.Duration) { c.stats.Client += d }
-
-// Trace returns the adversary-visible access transcript. Two queries are
-// indistinguishable exactly when their traces are equal.
-func (c *Conn) Trace() string { return c.trace.String() }
-
-// ConformsTo checks the transcript against the public plan: same number of
-// rounds, same files in the same order, same per-file counts. The privacy
-// tests run every query through this.
-func (c *Conn) ConformsTo(p plan.Plan) error {
-	want := CanonicalTrace(p)
-	if got := c.trace.String(); got != want {
-		return fmt.Errorf("lbs: trace deviates from plan\ngot:\n%swant:\n%s", got, want)
-	}
-	return nil
-}
+// String returns the transcript text.
+func (t *Transcript) String() string { return t.b.String() }
 
 // CanonicalTrace renders the unique transcript a plan-conforming query
 // produces. The networked server records its observations in the same
 // format, so client- and server-side views compare directly.
 func CanonicalTrace(p plan.Plan) string {
-	var b strings.Builder
-	b.WriteString("header\n")
+	var t Transcript
+	t.Header()
 	for i, r := range p.Rounds {
-		fmt.Fprintf(&b, "round %d:\n", i+1)
+		t.Round(i + 1)
 		for _, f := range r.Fetches {
-			for k := 0; k < f.Count; k++ {
-				fmt.Fprintf(&b, "  fetch %s\n", f.File)
-			}
+			t.Fetch(f.File, f.Count)
 		}
 	}
-	return b.String()
+	return t.String()
 }

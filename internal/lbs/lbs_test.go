@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,98 +92,41 @@ func TestServerRejectsOversizedFiles(t *testing.T) {
 	}
 }
 
-// fetchOne retrieves a single page as a one-page frame.
-func fetchOne(conn *Conn, file string, page int) ([]byte, error) {
-	pages, err := conn.FetchMany(file, []int{page})
-	if err != nil {
-		return nil, err
-	}
-	return pages[0], nil
-}
-
-func TestConnAccountingAndTrace(t *testing.T) {
-	db := sampleDB(t)
-	srv, err := NewServer(db, costmodel.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := srv.Connect(context.Background())
-	h, err := conn.DownloadHeader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(h) != "header-bytes" {
-		t.Errorf("header = %q", h)
-	}
-	conn.BeginRound()
-	if _, err := fetchOne(conn, "Fa", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fetchOne(conn, "Fa", 3); err != nil {
-		t.Fatal(err)
-	}
-	conn.BeginRound()
-	if _, err := fetchOne(conn, "Fb", 0); err != nil {
-		t.Fatal(err)
-	}
-	conn.AddClientTime(5 * time.Millisecond)
-
-	st := conn.Stats()
-	if st.Rounds != 2 {
-		t.Errorf("Rounds = %d", st.Rounds)
-	}
-	if st.Fetches["Fa"] != 2 || st.Fetches["Fb"] != 1 {
-		t.Errorf("Fetches = %v", st.Fetches)
-	}
-	if st.PIR <= 0 || st.Comm <= 0 || st.Client != 5*time.Millisecond {
-		t.Errorf("components: %+v", st)
-	}
-	if st.HeaderBytes != len("header-bytes") {
-		t.Errorf("HeaderBytes = %d", st.HeaderBytes)
-	}
-	if st.Response() != st.PIR+st.Comm+st.Client+st.Server {
-		t.Error("Response mismatch")
-	}
-	// The trace shows files but never page numbers.
-	if strings.Contains(conn.Trace(), "3") {
-		t.Errorf("trace leaks page number:\n%s", conn.Trace())
-	}
-	if err := conn.ConformsTo(db.Plan); err != nil {
-		t.Errorf("conforming trace rejected: %v", err)
-	}
-}
-
-func TestConformsToCatchesDeviation(t *testing.T) {
-	db := sampleDB(t)
-	srv, err := NewServer(db, costmodel.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := srv.Connect(context.Background())
-	if _, err := conn.DownloadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	conn.BeginRound()
-	fetchOne(conn, "Fa", 0) // plan wants 2 fetches in round 1
-	conn.BeginRound()
-	fetchOne(conn, "Fb", 0)
-	if err := conn.ConformsTo(db.Plan); err == nil {
-		t.Error("deviating trace accepted")
-	}
-}
-
+// TestFetchErrors: the in-process backend refuses an unknown file and an
+// out-of-range page.
 func TestFetchErrors(t *testing.T) {
 	db := sampleDB(t)
 	srv, err := NewServer(db, costmodel.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := srv.Connect(context.Background())
-	if _, err := fetchOne(conn, "nope", 0); err == nil {
+	if _, err := srv.FileInfo("nope"); err == nil {
+		t.Error("unknown file described")
+	}
+	if _, err := srv.ReadPages(context.Background(), "nope", []int{0}); err == nil {
 		t.Error("unknown file fetched")
 	}
-	if _, err := fetchOne(conn, "Fa", 99); err == nil {
+	if _, err := srv.ReadPages(context.Background(), "Fa", []int{99}); err == nil {
 		t.Error("out-of-range page fetched")
+	}
+}
+
+// TestCanonicalTraceText pins the transcript format every view of a query
+// shares: the client's record, the daemon's, and a plan's rendering.
+func TestCanonicalTraceText(t *testing.T) {
+	want := "header\nround 1:\n  fetch Fa\n  fetch Fa\nround 2:\n  fetch Fb\n"
+	if got := CanonicalTrace(sampleDB(t).Plan); got != want {
+		t.Errorf("CanonicalTrace = %q, want %q", got, want)
+	}
+	var tr Transcript
+	tr.Header()
+	tr.Round(1)
+	tr.Fetch("Fa", 1)
+	tr.Fetch("Fa", 1)
+	tr.Round(2)
+	tr.Fetch("Fb", 1)
+	if tr.String() != want {
+		t.Errorf("frame by frame: %q, want %q", tr.String(), want)
 	}
 }
 

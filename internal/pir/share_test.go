@@ -112,3 +112,38 @@ func TestAnswerSharesValidation(t *testing.T) {
 		t.Errorf("empty batch: %v", err)
 	}
 }
+
+// TestSplitSharesSelectOnePage: for every page of files whose length is and
+// is not a whole number of bytes, the two shares XOR to that page's bit
+// alone and both are zero past the last page; an out-of-range page is
+// refused.
+func TestSplitSharesSelectOnePage(t *testing.T) {
+	for _, numPages := range []int{1, 7, 8, 9, 4097} {
+		nb := (numPages + 7) / 8
+		pages := make([]int, numPages)
+		selsA, selsB := make([][]byte, numPages), make([][]byte, numPages)
+		for p := range pages {
+			pages[p] = p
+			selsA[p], selsB[p] = make([]byte, nb), make([]byte, nb)
+		}
+		if err := SplitShares(rand.Reader, numPages, pages, selsA, selsB); err != nil {
+			t.Fatalf("%d pages: %v", numPages, err)
+		}
+		for p := range pages {
+			for bit := 0; bit < 8*nb; bit++ {
+				a, b := selsA[p][bit/8]>>(bit%8)&1, selsB[p][bit/8]>>(bit%8)&1
+				if set := a^b == 1; set != (bit == p) {
+					t.Fatalf("%d pages, page %d: bit %d of A xor B is set = %v", numPages, p, bit, set)
+				}
+				if bit >= numPages && a|b != 0 {
+					t.Fatalf("%d pages, page %d: share bit %d past the last page is set", numPages, p, bit)
+				}
+			}
+		}
+		for _, bad := range []int{-1, numPages} {
+			if err := SplitShares(rand.Reader, numPages, []int{bad}, selsA[:1], selsB[:1]); err == nil {
+				t.Errorf("%d pages: page %d split", numPages, bad)
+			}
+		}
+	}
+}

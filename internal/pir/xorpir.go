@@ -140,26 +140,10 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	k, nbytes := len(pages), x.selBytes()
-	sc := x.getScratch(k)
+	sc := x.getScratch(len(pages))
 	defer x.scratch.Put(sc)
-
-	// One draw covers every query's server-A vector: disjoint stretches of
-	// a uniform stream are mutually independent, so per-query independence
-	// is preserved. Trailing bits beyond numPages are masked so the two
-	// server views stay comparable bit for bit.
-	if _, err := io.ReadFull(x.rng, sc.selbuf[:k*nbytes]); err != nil {
+	if err := SplitShares(x.rng, x.numPages, pages, sc.selsA, sc.selsB); err != nil {
 		return err
-	}
-	mask := byte(0xFF)
-	if rem := x.numPages % 8; rem != 0 {
-		mask = byte(1<<rem) - 1
-	}
-	for j, p := range pages {
-		selA, selB := sc.selsA[j], sc.selsB[j]
-		selA[nbytes-1] &= mask
-		copy(selB, selA)
-		selB[p/8] ^= 1 << (p % 8)
 	}
 	x.recordQueries(sc.selsA, sc.selsB)
 
@@ -181,6 +165,38 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 		acc := sc.accsA[j]
 		xorWords(acc, sc.accsB[j])
 		unpackWords(dst[j][:x.pageSize], acc)
+	}
+	return nil
+}
+
+// SplitShares draws the two-server XOR PIR selector shares of a page batch
+// into caller-owned buffers, one pair per page, each exactly (numPages+7)/8
+// bytes — one bit per page of the file. selsA[i] is uniform from rng with
+// the bits past the last page zeroed, and selsB[i] is selsA[i] with the bit
+// of pages[i] flipped. Each share alone is
+// uniform and independent of the page; their XOR selects exactly pages[i].
+// Every query draws its own share, so the shares of one batch are mutually
+// independent. A page outside [0, numPages) fails the batch before any
+// share is drawn.
+func SplitShares(rng io.Reader, numPages int, pages []int, selsA, selsB [][]byte) error {
+	for _, p := range pages {
+		if p < 0 || p >= numPages {
+			return fmt.Errorf("pir: page %d of %d", p, numPages)
+		}
+	}
+	nb := (numPages + 7) / 8
+	mask := byte(0xFF)
+	if rem := numPages % 8; rem != 0 {
+		mask = byte(1<<rem) - 1
+	}
+	for i, p := range pages {
+		a, b := selsA[i], selsB[i]
+		if _, err := io.ReadFull(rng, a); err != nil {
+			return fmt.Errorf("pir: drawing selector shares: %w", err)
+		}
+		a[nb-1] &= mask
+		copy(b, a)
+		b[p/8] ^= 1 << (p % 8)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/kdtree"
 	"repro/internal/lbs"
@@ -23,40 +24,60 @@ import (
 // canonical plan with padding before it returns the error.
 var ErrPlanOverflow = errors.New("plan budget exhausted: the query needs more retrievals than the public plan allows")
 
-// Session walks the public plan for one query (§3.1: every query follows the
-// same plan, "padding its requests with dummy page retrievals"). A scheme
-// says what it needs — NextRound, one Fetch per record, Finish — and the
-// session owns everything that follows from the plan: the round cursor, the
-// per-(round, file) quotas, the padding, and the client-compute clock. What
-// reaches the service is therefore a function of the plan alone, whatever a
-// scheme asks for: each Fetch is one frame (a look-up page, an index window,
-// a region cluster), padding goes out in frames of Hdr.ClusterPages pages
-// (the shape of a region fetch), in plan file order, and a want the plan has
-// no room for is never sent.
+// Session is one query, and the one object that walks the public plan for
+// it (§3.1: every query follows the same plan, "padding its requests with
+// dummy page retrievals"). A scheme says what it needs — NextRound, one
+// Fetch per record, Finish — and the session owns everything that follows
+// from the plan: the round cursor, the per-(round, file) quotas, the
+// padding, and every piece of per-query bookkeeping: the error latch, the
+// Table 2 charges, the client-compute clock, the per-file fetch counts and
+// the adversary-visible transcript. What reaches the service is therefore a
+// function of the plan alone, whatever a scheme asks for: each Fetch is one
+// frame (a look-up page, an index window, a region cluster), padding goes
+// out in frames of Hdr.ClusterPages pages (the shape of a region fetch), in
+// plan file order, and a want the plan has no room for is never sent.
+//
+// Cancellation is honored at round boundaries only: the context is checked
+// before each round is announced, so a query cancelled mid-round finishes
+// the round it is in and stops before the next one. The service therefore
+// observes either k complete rounds or a round whose in-flight fetch it
+// refused itself — in both cases a prefix of the one full-query transcript,
+// so a cancelled query leaks nothing beyond its (data-independent) abort
+// time (Theorem 1 is preserved).
 type Session struct {
 	// Hdr is the decoded header file: the plan and the scheme parameters.
-	Hdr  *Header
-	conn *lbs.Conn
+	Hdr *Header
+
+	ctx     context.Context
+	backend lbs.Backend
+	model   costmodel.Params
 
 	round int // plan round in progress; -1 until the first NextRound
 	entry int // cursor into that round's Fetches: the entries before it are full
 	used  int // pages of Fetches[entry] retrieved so far
 
+	err   error     // first backend or context error; every later call returns it
+	stats lbs.Stats // the Table 2 charges and per-file fetch counts so far
+	trace lbs.Transcript
+
 	// Client compute is the query's wall clock since the header arrived,
-	// less the time spent inside the backend (whose cost the Conn simulates).
-	start   time.Time
-	backend time.Duration
+	// less the time spent inside the backend (whose cost the stats simulate).
+	start  time.Time
+	inside time.Duration
 
 	cg  *ClientGraph // the query's graph, once Graph borrowed it
 	idx []int        // FetchRegion's page numbers, reused
 }
 
 // Open connects, downloads the header file straight from the LBS (no PIR —
-// it is identical for every client, §5.3) and checks that the service hosts
-// one of the named schemes.
+// it is identical for every client, §5.3), charging one round trip and its
+// transfer, and checks that the service hosts one of the named schemes.
 func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, error) {
 	conn := svc.Connect(ctx)
-	raw, err := conn.DownloadHeader()
+	if err := conn.Ctx.Err(); err != nil {
+		return nil, err
+	}
+	raw, err := conn.Backend.HeaderBytes(conn.Ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +88,13 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, er
 	if !slices.Contains(schemes, hdr.Scheme) {
 		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(schemes[0]), hdr.Scheme)
 	}
-	return &Session{Hdr: hdr, conn: conn, round: -1, start: time.Now()}, nil
+	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1}
+	s.stats.HeaderBytes = len(raw)
+	s.stats.Comm = s.model.RTT + s.model.Transfer(len(raw))
+	s.stats.Fetches = map[string]int{}
+	s.trace.Header()
+	s.start = time.Now()
+	return s, nil
 }
 
 // NextRound pads what the round in progress left unused and begins the
@@ -137,16 +164,20 @@ func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.N
 	if err := s.complete(); err != nil {
 		return nil, err
 	}
-	s.conn.AddClientTime(time.Since(s.start) - s.backend)
-	if err := s.conn.ConformsTo(s.Hdr.Plan); err != nil {
-		return nil, err
+	s.stats.Client = time.Since(s.start) - s.inside
+	s.stats.Rounds = s.round + 1
+	// The privacy tests run every query through this check: same rounds,
+	// same files in the same order, same per-file counts as the plan.
+	trace := s.trace.String()
+	if want := lbs.CanonicalTrace(s.Hdr.Plan); trace != want {
+		return nil, fmt.Errorf("%s: transcript deviates from the plan\ngot:\n%swant:\n%s", strings.ToLower(s.Hdr.Scheme), trace, want)
 	}
 	res := &Result{
 		Cost:          cost,
 		SnappedSource: sNode,
 		SnappedDest:   tNode,
-		Stats:         s.conn.Stats(),
-		Trace:         s.conn.Trace(),
+		Stats:         s.stats,
+		Trace:         trace,
 	}
 	if !math.IsInf(cost, 1) {
 		res.Path = path
@@ -201,19 +232,62 @@ func (s *Session) fetches() []plan.Fetch {
 	return s.Hdr.Plan.Rounds[s.round].Fetches
 }
 
+// beginRound moves the cursor to the plan's next round and announces it to
+// the service, charging one round trip. This is the round boundary where
+// cancellation takes effect: a dead context stops the query before the
+// round is announced, so the service-visible transcript ends after a
+// complete round.
 func (s *Session) beginRound() error {
-	t0 := time.Now()
-	err := s.conn.BeginRound()
-	s.backend += time.Since(t0)
 	s.round, s.entry, s.used = s.round+1, 0, 0
-	return err
+	if s.err != nil {
+		return s.err
+	}
+	if err := s.ctx.Err(); err != nil {
+		return s.fail(err)
+	}
+	t0 := time.Now()
+	err := s.backend.NextRound(s.ctx)
+	s.inside += time.Since(t0)
+	if err != nil {
+		return s.fail(err)
+	}
+	s.stats.Comm += s.model.RTT
+	s.trace.Round(s.round + 1)
+	return nil
 }
 
-// read sends one frame and charges it to the entry under the cursor.
+// read sends one frame — the service sees how many pages of file it holds,
+// never which — and charges it to the entry under the cursor: per page one
+// PIR retrieval against the file's length and one page transfer.
 func (s *Session) read(file string, pages []int) ([][]byte, error) {
-	t0 := time.Now()
-	data, err := s.conn.FetchMany(file, pages)
-	s.backend += time.Since(t0)
 	s.used += len(pages)
-	return data, err
+	if s.err != nil {
+		return nil, s.err
+	}
+	t0 := time.Now()
+	info, err := s.backend.FileInfo(file)
+	var data [][]byte
+	if err == nil {
+		data, err = s.backend.ReadPages(s.ctx, file, pages)
+	}
+	s.inside += time.Since(t0)
+	if err == nil && len(data) != len(pages) {
+		err = fmt.Errorf("%s: fetch %s: got %d pages, want %d", strings.ToLower(s.Hdr.Scheme), file, len(data), len(pages))
+	}
+	if err != nil {
+		return nil, s.fail(err)
+	}
+	if n := len(pages); n > 0 {
+		s.stats.PIR += time.Duration(n) * s.model.PIRFetch(info.NumPages)
+		s.stats.Comm += time.Duration(n) * s.model.Transfer(info.PageSize)
+		s.stats.Fetches[file] += n
+		s.trace.Fetch(file, n)
+	}
+	return data, nil
+}
+
+// fail latches the query's first error.
+func (s *Session) fail(err error) error {
+	s.err = err
+	return err
 }

@@ -3,9 +3,11 @@ package base
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
@@ -167,7 +169,7 @@ func TestSessionOverflowSendsNothingAndCompletesThePlan(t *testing.T) {
 					t.Errorf("the overflowing want was sent: %v", f)
 				}
 			}
-			if got, want := ses.conn.Trace(), lbs.CanonicalTrace(ses.Hdr.Plan); got != want {
+			if got, want := ses.trace.String(), lbs.CanonicalTrace(ses.Hdr.Plan); got != want {
 				t.Errorf("transcript after overflow:\n%swant:\n%s", got, want)
 			}
 		})
@@ -192,8 +194,84 @@ func TestSessionStopsAtCancelledRoundBoundary(t *testing.T) {
 	if _, err := ses.Finish(1, nil, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Finish after cancellation: %v", err)
 	}
-	got, full := ses.conn.Trace(), lbs.CanonicalTrace(ses.Hdr.Plan)
+	got, full := ses.trace.String(), lbs.CanonicalTrace(ses.Hdr.Plan)
 	if want := "header\nround 1:\n  fetch Fl\n"; got != want || !strings.HasPrefix(full, got) {
 		t.Errorf("cancelled transcript %q, want the one-round prefix %q", got, want)
+	}
+}
+
+// TestSessionAccountingAndTrace: every page retrieved — wanted or padding —
+// is charged one PIR fetch against its file's length and one page transfer,
+// the header one round trip and its transfer, each round one round trip;
+// the transcript names files but never page numbers.
+func TestSessionAccountingAndTrace(t *testing.T) {
+	ses, svc := openSession(t)
+	mustDo(t, ses.NextRound())
+	_, err := ses.Fetch(FileLookup, []int{7})
+	mustDo(t, err)
+	mustDo(t, ses.NextRound())
+	_, err = ses.Fetch(FileData, []int{7, 6, 5, 7})
+	mustDo(t, err)
+	res, err := ses.Finish(1, nil, 0, 0)
+	mustDo(t, err)
+
+	m := svc.Model()
+	pages := ses.Hdr.Plan.TotalPIRAccesses() // 9, in 8-page files of 64-byte pages
+	hdrBytes := len(ses.Hdr.Encode())
+	st := res.Stats
+	if st.Rounds != 3 || st.HeaderBytes != hdrBytes {
+		t.Errorf("Rounds = %d, HeaderBytes = %d", st.Rounds, st.HeaderBytes)
+	}
+	if want := map[string]int{FileLookup: 1, FileIndex: 2, FileData: 6}; !maps.Equal(st.Fetches, want) {
+		t.Errorf("Fetches = %v, want %v", st.Fetches, want)
+	}
+	if want := time.Duration(pages) * m.PIRFetch(8); st.PIR != want {
+		t.Errorf("PIR = %v, want %v", st.PIR, want)
+	}
+	if want := 4*m.RTT + m.Transfer(hdrBytes) + time.Duration(pages)*m.Transfer(64); st.Comm != want {
+		t.Errorf("Comm = %v, want %v", st.Comm, want)
+	}
+	if st.Client < 0 || st.Server != 0 {
+		t.Errorf("Client = %v, Server = %v", st.Client, st.Server)
+	}
+	if st.Response() != st.PIR+st.Comm+st.Client+st.Server {
+		t.Error("Response mismatch")
+	}
+	if strings.ContainsAny(res.Trace, "567") {
+		t.Errorf("transcript leaks page numbers:\n%s", res.Trace)
+	}
+}
+
+// TestFinishRejectsDeviatingTranscript: Finish holds the transcript to the
+// plan, so a query whose record deviates — here one retrieval more than the
+// plan has — returns no result.
+func TestFinishRejectsDeviatingTranscript(t *testing.T) {
+	ses, _ := openSession(t)
+	mustDo(t, ses.NextRound())
+	ses.trace.Fetch(FileLookup, 1)
+	if _, err := ses.Finish(1, nil, 0, 0); err == nil || !strings.Contains(err.Error(), "deviates") {
+		t.Fatalf("deviating transcript accepted: %v", err)
+	}
+}
+
+// TestSessionLatchesBackendError: a fetch the backend refuses fails the
+// query, and every later call returns the same error without reaching the
+// service.
+func TestSessionLatchesBackendError(t *testing.T) {
+	ses, svc := openSession(t)
+	mustDo(t, ses.NextRound())
+	_, err := ses.Fetch(FileLookup, []int{99})
+	if err == nil {
+		t.Fatal("out-of-range page fetched")
+	}
+	sent := len(svc.frames)
+	if err2 := ses.NextRound(); err2 != err {
+		t.Errorf("NextRound after a failed fetch: %v, want %v", err2, err)
+	}
+	if _, err2 := ses.Finish(1, nil, 0, 0); err2 != err {
+		t.Errorf("Finish after a failed fetch: %v, want %v", err2, err)
+	}
+	if len(svc.frames) != sent {
+		t.Errorf("%d frames sent after the error", len(svc.frames)-sent)
 	}
 }

@@ -38,11 +38,6 @@ type Options struct {
 	// Every database gets its own pool, so concurrent sessions on distinct
 	// databases never serialize on each other. 0 means 2×GOMAXPROCS.
 	Workers int
-	// MaxFrame bounds an accepted frame; 0 means wire.DefaultMaxFrame.
-	MaxFrame int
-	// TraceHistory is how many completed per-query traces each database
-	// retains for auditing; 0 means 128.
-	TraceHistory int
 	// Stores builds the PIR store for each hosted file; nil means
 	// lbs.PlainStores. A scan store (e.g. pir.NewXORPIR) answers each fetch
 	// or share batch in one pass holding one Workers slot.
@@ -61,12 +56,11 @@ type Options struct {
 	ReplicaRole bool
 	// Logf receives serving events; nil disables logging.
 	Logf func(format string, args ...any)
-	// Telemetry receives every serving metric this daemon records; nil
-	// means a private registry (read it back with Server.Telemetry). The
-	// registry is per-daemon, not process-global, so two servers in one
-	// process — common in tests — never share series.
-	Telemetry *telemetry.Registry
 }
+
+// traceHistory is how many completed per-query traces each database
+// retains for auditing.
+const traceHistory = 128
 
 // hosted is one served database plus its metric handles and recent traces.
 // All serving counters live in the telemetry registry (see hostedMetrics);
@@ -127,12 +121,6 @@ func New(opts Options) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = 2 * runtime.GOMAXPROCS(0)
 	}
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = wire.DefaultMaxFrame
-	}
-	if opts.TraceHistory <= 0 {
-		opts.TraceHistory = 128
-	}
 	if opts.MaxInflight == 0 {
 		// Generous by default: admission control is an overload backstop,
 		// not a throttle. 32 queries per pool slot comfortably covers the
@@ -142,9 +130,6 @@ func New(opts Options) *Server {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	if opts.Telemetry == nil {
-		opts.Telemetry = telemetry.NewRegistry()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
@@ -152,14 +137,16 @@ func New(opts Options) *Server {
 		baseCancel: cancel,
 		dbs:        map[string]*hosted{},
 		conns:      map[net.Conn]struct{}{},
-		tel:        opts.Telemetry,
+		tel:        telemetry.NewRegistry(),
 	}
 	s.initTelemetry()
 	return s
 }
 
-// Telemetry returns the registry this daemon records into — the source the
-// admin endpoint scrapes and Stats views.
+// Telemetry returns the registry this daemon records every serving metric
+// into — the source the admin endpoint scrapes and Stats views. It is
+// private to the daemon, not process-global, so two servers in one process
+// — common in tests — never share series.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // admitQuery claims one slot of the in-flight budget, reporting whether the
@@ -418,20 +405,16 @@ func (s *Server) answerFetch(ctx context.Context, h *hosted, sc *fetchScratch) (
 		sc.idx[i] = int(p)
 	}
 	h.m.batchSize.Observe(int64(len(sc.req.Pages)))
-	scan := telemetry.Begin(ctx, "scan")
 	t0 := time.Now()
 	err = h.srv.ReadPagesInto(ctx, sc.req.File, sc.idx, sc.bufs)
 	h.m.scanLat.Observe(int64(time.Since(t0)))
-	scan.End()
 	if err != nil {
 		return nil, err
 	}
-	enc := telemetry.Begin(ctx, "encode")
 	t0 = time.Now()
 	sc.enc.Reset()
 	payload := wire.Pages{Pages: sc.bufs}.EncodeTo(sc.enc)
 	h.m.encodeLat.Observe(int64(time.Since(t0)))
-	enc.End()
 	return payload, nil
 }
 
@@ -451,20 +434,16 @@ func (s *Server) answerShareFetch(ctx context.Context, h *hosted, sc *fetchScrat
 	sc.grow(len(sc.shareReq.Sels), info.PageSize)
 	h.m.batchSize.Observe(int64(len(sc.shareReq.Sels)))
 	h.m.shareFetches.Inc()
-	scan := telemetry.Begin(ctx, "scan")
 	t0 := time.Now()
 	err = h.srv.AnswerShares(ctx, sc.shareReq.File, sc.shareReq.Sels, sc.bufs)
 	h.m.scanLat.Observe(int64(time.Since(t0)))
-	scan.End()
 	if err != nil {
 		return nil, err
 	}
-	enc := telemetry.Begin(ctx, "encode")
 	t0 = time.Now()
 	sc.enc.Reset()
 	payload := wire.Pages{Pages: sc.bufs}.EncodeTo(sc.enc)
 	h.m.encodeLat.Observe(int64(time.Since(t0)))
-	enc.End()
 	return payload, nil
 }
 

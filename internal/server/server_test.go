@@ -297,8 +297,7 @@ func TestDatabaseSelection(t *testing.T) {
 		t.Errorf("stats on unbound session: %+v, %v", st, err)
 	}
 	uq := unbound.StartQuery()
-	conn := uq.Connect(context.Background())
-	if _, err := conn.DownloadHeader(); err == nil {
+	if _, err := uq.HeaderBytes(context.Background()); err == nil {
 		t.Error("query op on unbound session succeeded")
 	}
 	uq.Cancel(wire.CancelAbandon)
@@ -323,17 +322,15 @@ func TestSessionSurvivesRejectedRequests(t *testing.T) {
 	// An unknown file fails fast against the Welcome's public file table,
 	// before any bytes go out.
 	q1 := c.StartQuery()
-	conn := q1.Connect(context.Background())
-	if _, err := conn.FetchMany("no-such-file", []int{0}); err == nil {
-		t.Fatal("fetch of unknown file succeeded")
+	if _, err := q1.FileInfo("no-such-file"); err == nil {
+		t.Fatal("unknown file described")
 	}
 	q1.Cancel(wire.CancelAbandon)
 	// An out-of-range page of a real file is rejected by the server;
 	// abandoning discards the partial query, and the connection serves the
 	// next one untroubled.
 	q2 := c.StartQuery()
-	conn = q2.Connect(context.Background())
-	if _, err := conn.FetchMany(base.FileLookup, []int{1 << 20}); err == nil {
+	if _, err := q2.ReadPages(context.Background(), base.FileLookup, []int{1 << 20}); err == nil {
 		t.Fatal("out-of-range fetch succeeded")
 	}
 	q2.Cancel(wire.CancelAbandon)

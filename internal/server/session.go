@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
+	"repro/internal/lbs"
 	"repro/internal/wire"
 )
 
@@ -29,9 +29,9 @@ import (
 // and daemon shutdown aborts everything — in each case freeing any worker
 // the query's PIR reads are queued on.
 //
-// The trace recorder writes the same canonical format as
-// lbs.CanonicalTrace, so the server-side view compares directly against the
-// public plan and against the client's own transcript. A query cancelled at
+// The trace recorder writes through lbs.Transcript, like the client's own
+// record and lbs.CanonicalTrace, so the server-side view compares directly
+// against the public plan and against the client's transcript. A query cancelled at
 // a round boundary records a trace that is byte-identical to the first k
 // rounds of a full query — a prefix, never a deviation (Theorem 1).
 type session struct {
@@ -69,7 +69,7 @@ type query struct {
 	// Owned by the query goroutine:
 	start   time.Time
 	round   int
-	trace   strings.Builder
+	trace   lbs.Transcript
 	fetched uint64
 	ended   bool
 }
@@ -151,7 +151,7 @@ func (ss *session) run() {
 	}
 	for {
 		bp := framePool.Get().(*[]byte)
-		t, qid, payload, buf, err := wire.ReadFrameBuf(ss.br, ss.s.opts.MaxFrame, *bp)
+		t, qid, payload, buf, err := wire.ReadFrameBuf(ss.br, wire.DefaultMaxFrame, *bp)
 		*bp = buf
 		if err != nil {
 			putFrameBuf(bp)
@@ -167,7 +167,7 @@ func (ss *session) run() {
 }
 
 func (ss *session) handshake() error {
-	t, _, payload, err := wire.ReadFrame(ss.br, ss.s.opts.MaxFrame)
+	t, _, payload, err := wire.ReadFrame(ss.br, wire.DefaultMaxFrame)
 	if err != nil {
 		return err
 	}
@@ -337,7 +337,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			ss.sendErr(q.id, "%v", err)
 			return false
 		}
-		q.trace.WriteString("header\n")
+		q.trace.Header()
 		ss.send(wire.MsgHeader, q.id, wire.Header{Data: h}.Encode())
 		return false
 
@@ -345,7 +345,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// Fire-and-forget (one real round trip per round).
 		q.round++
 		ss.db.m.rounds.Inc()
-		fmt.Fprintf(&q.trace, "round %d:\n", q.round)
+		q.trace.Round(q.round)
 		return false
 
 	case wire.MsgFetch:
@@ -378,11 +378,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		}
 		// The adversarial view: file name and count only — the page
 		// indices model a PIR-encrypted request and are never recorded.
-		for range sc.req.Pages {
-			q.trace.WriteString("  fetch ")
-			q.trace.WriteString(sc.req.File)
-			q.trace.WriteByte('\n')
-		}
+		q.trace.Fetch(sc.req.File, len(sc.req.Pages))
 		q.fetched += uint64(len(sc.req.Pages))
 		ss.send(wire.MsgPages, q.id, payload)
 		return false
@@ -411,11 +407,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// The adversarial view is identical to a plain fetch: file name and
 		// count only. The selector bits themselves are each replica's whole
 		// view of the PIR query and are uniformly random by construction.
-		for range sc.shareReq.Sels {
-			q.trace.WriteString("  fetch ")
-			q.trace.WriteString(sc.shareReq.File)
-			q.trace.WriteByte('\n')
-		}
+		q.trace.Fetch(sc.shareReq.File, len(sc.shareReq.Sels))
 		q.fetched += uint64(len(sc.shareReq.Sels))
 		ss.send(wire.MsgPages, q.id, payload)
 		return false

@@ -74,7 +74,7 @@ type hostedMetrics struct {
 // first use) means a scrape sees the full catalog from startup, with zero
 // values — absence of a series never becomes a side channel.
 func (s *Server) newHosted(name string, lsrv *lbs.Server) *hosted {
-	h := &hosted{name: name, srv: lsrv, limit: s.opts.TraceHistory}
+	h := &hosted{name: name, srv: lsrv, limit: traceHistory}
 	reg := s.tel
 	if reg == nil {
 		return h

@@ -1,7 +1,6 @@
 // Package telemetry is the dependency-free metrics core of the serving
 // stack: atomic counters and gauges, lock-cheap log-bucketed latency
-// histograms, a labeled registry with Prometheus text exposition, and a
-// per-query round tracer carried through contexts.
+// histograms, and a labeled registry with Prometheus text exposition.
 //
 // The defining constraint is Theorem 1 (Mouratidis & Yiu, VLDB 2012): the
 // service's view of a query is a data-independent trace of rounds and

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -160,47 +159,5 @@ func TestDeltaDeterminism(t *testing.T) {
 	}
 	if strings.Contains(d1, "inflight") {
 		t.Errorf("settled gauge appears in delta:\n%s", d1)
-	}
-}
-
-// TestQueryTraceSpans: spans record through the context with fixed names
-// and are invisible (and free) when no tracer is attached.
-func TestQueryTraceSpans(t *testing.T) {
-	tr := NewQueryTrace()
-	ctx := WithQueryTrace(context.Background(), tr)
-	sp := Begin(ctx, "connect")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	sp2 := Begin(ctx, "fetch")
-	sp2.End()
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Name != "connect" || spans[1].Name != "fetch" {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[0].Dur < time.Millisecond {
-		t.Errorf("connect span %v shorter than the work", spans[0].Dur)
-	}
-	if spans[1].Start < spans[0].Dur {
-		t.Errorf("second span starts at %v, before first ended", spans[1].Start)
-	}
-	if s := tr.String(); !strings.Contains(s, "connect@") {
-		t.Errorf("trace string %q", s)
-	}
-	// No tracer: inert and panic-free.
-	Begin(context.Background(), "x").End()
-	if TraceFrom(context.Background()) != nil {
-		t.Error("TraceFrom invented a tracer")
-	}
-}
-
-// TestBeginZeroAllocsWithoutTracer: Begin/End on an untraced context must
-// stay off the allocator — it sits on the zero-alloc serving path.
-func TestBeginZeroAllocsWithoutTracer(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates")
-	}
-	ctx := context.Background()
-	if allocs := testing.AllocsPerRun(1000, func() { Begin(ctx, "scan").End() }); allocs != 0 {
-		t.Fatalf("untraced Begin/End allocates %.1f objects; want 0", allocs)
 	}
 }

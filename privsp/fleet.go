@@ -3,7 +3,6 @@ package privsp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/fleet"
 )
@@ -22,9 +21,6 @@ type FleetConfig struct {
 	// Database selects a hosted database by name on every replica; empty
 	// selects each daemon's sole database.
 	Database string
-	// ProbeInterval is the health prober's period; 0 means the default
-	// (2 s).
-	ProbeInterval time.Duration
 	// Logf receives failover events (replica down/up); nil disables
 	// logging.
 	Logf func(format string, args ...any)
@@ -39,8 +35,8 @@ type FleetConfig struct {
 // information-theoretic as long as the replicas do not collude.
 //
 // Every query runs on two distinct replicas or fails. A dead replica trips
-// its circuit breaker and a health prober re-dials it; meanwhile queries
-// pair on the replicas still up. With fewer than two up, ShortestPath
+// its circuit breaker and a health prober re-dials it every 2 s; meanwhile
+// queries pair on the replicas still up. With fewer than two up, ShortestPath
 // returns ErrReplicaDown without sending any replica a share — both shares
 // on one server would reveal the page — so availability through a replica
 // failure comes from running three or more replicas. It satisfies the
@@ -67,11 +63,7 @@ func DialFleetConfig(ctx context.Context, addrs []string, cfg FleetConfig) (*Fle
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f, err := fleet.Dial(ctx, addrs, fleet.Options{
-		Database:      cfg.Database,
-		ProbeInterval: cfg.ProbeInterval,
-		Logf:          cfg.Logf,
-	})
+	f, err := fleet.Dial(ctx, addrs, fleet.Options{Database: cfg.Database, Logf: cfg.Logf})
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +90,7 @@ func (fs *FleetServer) ShortestPath(ctx context.Context, src, dst Point, opts ..
 	o := applyOptions(opts)
 	// A replica shedding under overload yields ErrBusy, which does not trip
 	// its breaker; the whole query is retried with fresh selector shares —
-	// splitShares redraws from crypto/rand every attempt (see retryBusy).
+	// pir.SplitShares redraws from crypto/rand every attempt (see retryBusy).
 	var res *Result
 	err := retryBusy(ctx, func() (err error) {
 		qs := fs.f.StartQuery()
