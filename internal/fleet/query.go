@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	crand "crypto/rand"
+	"crypto/subtle"
 	"fmt"
 	"sync"
 	"time"
@@ -122,9 +123,7 @@ func xorInto(a, b [][]byte, pageSize int) error {
 		if len(a[i]) != pageSize || len(b[i]) != pageSize {
 			return fmt.Errorf("fleet: share answer %d is %d/%d bytes, want %d", i, len(a[i]), len(b[i]), pageSize)
 		}
-		for j := range a[i] {
-			a[i][j] ^= b[i][j]
-		}
+		subtle.XORBytes(a[i], a[i], b[i])
 	}
 	return nil
 }

@@ -127,7 +127,9 @@ type Backend interface {
 	// ReadPages retrieves the given pages of one file through the PIR
 	// interface — a single batched round trip for remote backends. The
 	// page indices travel encrypted to the SCP; the adversary observes
-	// only how many pages of the file were read.
+	// only how many pages of the file were read. The backend reads pages
+	// and never writes it: a session passes one slice to every padding
+	// frame.
 	ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error)
 	// Model returns the cost-model parameters for the simulated stats.
 	Model() costmodel.Params

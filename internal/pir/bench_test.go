@@ -21,7 +21,9 @@ import (
 // through a func value here, so neither is inlined), and in the kernel
 // itself, BenchmarkScanParallel over 11 321 4-KB pages on one worker, the
 // k=1 pass went from 3.0–3.8 ms to 1.9–2.0 ms and the k=8 pass from 6.8–8.3
-// ms to 4.0–4.7 ms — above the 10 % the unroll had to earn to stay.
+// ms to 4.0–4.7 ms — above the 10 % the unroll had to earn to stay. The
+// third member, "vector", is xorWords itself: the AVX2 body on a host that
+// has it, the unrolled loop elsewhere.
 func BenchmarkXORAnswer(b *testing.B) {
 	const n, ps = 2048, 1024
 	pages := makePages(n, ps, 7)
@@ -54,7 +56,7 @@ func BenchmarkXORAnswer(b *testing.B) {
 	for _, fold := range []struct {
 		name string
 		xor  func(acc, src []uint64)
-	}{{"plain", xorWordsPlain}, {"unrolled", xorWords}} {
+	}{{"plain", xorWordsPlain}, {"unrolled", xorWordsGo}, {"vector", xorWords}} {
 		b.Run("row-xor-4KB/"+fold.name, func(b *testing.B) {
 			const wpp, rows = 512, 256 // a 1 MiB table's worth of rows
 			table := make([]uint64, rows*wpp)

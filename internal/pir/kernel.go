@@ -13,10 +13,14 @@ import (
 // page row (wpp words) into another row.
 //
 //   - wordArena holds a page file as one contiguous []uint64, so a pass
-//     walks a single allocation in address order and XORs eight bytes per
-//     operation. For a build's pagefile.File the arena is the File's own
-//     buffer, viewed in place (view.go); any other reader is packed into a
-//     copy.
+//     walks a single allocation in address order. For a build's
+//     pagefile.File the arena is the File's own buffer, viewed in place
+//     (view.go); any other reader is packed into a copy.
+//   - xorWords, the row-XOR itself, is 32 bytes per instruction on an AVX2
+//     host (xor_amd64.s, 128 bytes per loop iteration, chosen once at
+//     package init from CPUID and XGETBV) and xorWordsGo's unrolled
+//     eight-byte lanes everywhere else — off amd64, on a CPU without AVX2,
+//     and under the purego build tag. Both bodies compute the same words.
 //   - answerAll answers k selector vectors in ONE pass over the arena (the
 //     matrix-batching idea of Chor et al.): every page row is read once,
 //     whatever k is. What k changes is how many row-XORs the pass performs.
@@ -130,11 +134,13 @@ func unpackWords(dst []byte, src []uint64) {
 	}
 }
 
-// xorWords folds src into acc lane-wise, eight words per iteration: the
-// fixed-size reslices give the compiler one bounds check per block instead
-// of one per word (see BenchmarkXORAnswer for what that buys). Both slices
-// must have equal length.
-func xorWords(acc, src []uint64) {
+// xorWordsGo is the portable row-XOR: it folds src into acc lane-wise,
+// eight words per iteration, and the fixed-size reslices give the compiler
+// one bounds check per block instead of one per word (see
+// BenchmarkXORAnswer for what that buys). It is xorWords wherever the AVX2
+// body is not built or not supported, and the tail of the AVX2 body where it
+// is. Both slices must have equal length.
+func xorWordsGo(acc, src []uint64) {
 	if len(acc) != len(src) {
 		panic("pir: xorWords length mismatch")
 	}

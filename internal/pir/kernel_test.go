@@ -105,6 +105,43 @@ func TestWordArenaPageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestXORWordsMatchesGoLoop holds the row-XOR the kernel runs (the AVX2
+// body where the host has it) to the portable loop: lengths on either side
+// of the 8-word unroll and the 16-word vector block, and sub-slices at every
+// word offset, so neither body may assume an aligned start or a whole block.
+// Words outside the folded slice must come out untouched.
+func TestXORWordsMatchesGoLoop(t *testing.T) {
+	if !hasAVX2 {
+		t.Log("no AVX2 body on this build or host: xorWords is the portable loop")
+	}
+	rng := rand.New(rand.NewSource(5))
+	const guard = 4
+	for _, n := range []int{0, 1, 7, 8, 15, 16, 17, 127, 128, 512, 513} {
+		for _, off := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {2, 1}, {3, 3}} {
+			src := make([]uint64, n+2*guard)
+			acc := make([]uint64, n+2*guard)
+			for i := range src {
+				src[i], acc[i] = rng.Uint64(), rng.Uint64()
+			}
+			want := append([]uint64(nil), acc...)
+			a, s := acc[guard+off[0]:guard+off[0]+n], src[guard+off[1]:guard+off[1]+n]
+			xorWords(a, s)
+			xorWordsGo(want[guard+off[0]:guard+off[0]+n], s)
+			for i := range acc {
+				if acc[i] != want[i] {
+					t.Fatalf("n=%d offsets %v: word %d of the buffer is %#x, the portable loop gives %#x", n, off, i-guard-off[0], acc[i], want[i])
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("xorWords accepted slices of different lengths")
+		}
+	}()
+	xorWords(make([]uint64, 16), make([]uint64, 17))
+}
+
 // kernelCase is one geometry of the bucketed-kernel equivalence table, with
 // the byte-oracle answers of a selector pool computed once and shared by
 // every batch size drawn from it.

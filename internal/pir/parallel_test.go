@@ -204,9 +204,9 @@ func TestChunkedPassToleratesUnevenShares(t *testing.T) {
 }
 
 // TestScanObserverDeterministicCount pins the telemetry leakage invariant at
-// the store level: a parallel batch produces exactly 2×ScanWorkers segment
-// observations (one arena pass per replica), a function of configuration
-// alone — never of batch size, targets, or page contents.
+// the store level: a parallel batch produces exactly ScanWorkers segment
+// observations (one arena pass answers both logical servers), a function of
+// configuration alone — never of batch size, targets, or page contents.
 func TestScanObserverDeterministicCount(t *testing.T) {
 	const n, ps = 64, 64
 	pages := makePages(n, ps, 51)
@@ -233,8 +233,8 @@ func TestScanObserverDeterministicCount(t *testing.T) {
 			mu.Lock()
 			got := count
 			mu.Unlock()
-			if got != 2*nw {
-				t.Fatalf("nw=%d batch=%v: %d segment observations, want %d", nw, batch, got, 2*nw)
+			if got != nw {
+				t.Fatalf("nw=%d batch=%v: %d segment observations, want %d", nw, batch, got, nw)
 			}
 		}
 	}

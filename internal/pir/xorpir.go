@@ -20,19 +20,23 @@ import (
 //
 // Both logical servers answer from the same contiguous word arena (see
 // kernel.go — the file is immutable, so one arena serves both, and for a
-// build's pagefile.File it is the File's own buffer), and a
-// multi-page ReadBatchInto answers all k selectors in a single pass per server
-// instead of k independent scans. What a pass costs is set by kernel.go's
-// row-XOR count model: the n page rows are read once whatever k is, and
-// folded n·k/2 times by the direct loop or — once n is long enough for a
-// table to pay, which bucketBits decides from k and n alone — about
-// n·(1−2^−g) + 3·2^g times per group of g ≤ 8 selectors by the bucketed
-// fold, so a k = 8 round costs about one k = 2 pass. Each batched query
-// still samples its own fresh selector vector, so the servers' views stay
-// uniform and mutually independent whether pages arrive one at a time or
-// batched; the fold reads the same selector bits for the same pages either
-// way, and its bucket table is scan-worker scratch that never leaves the
-// store.
+// build's pagefile.File it is the File's own buffer), and a k-page
+// ReadBatchInto reads that arena ONCE: one pass answers server A's k
+// selectors and server B's k selectors together, 2k accumulators side by
+// side, rather than k independent scans. Each logical server's answer is
+// the fold of its own full selector vector over every page: sharing the
+// pass changes which loop folds a row, not which rows a server's answer
+// contains. What a pass costs is set by kernel.go's
+// row-XOR count model: the n page rows are read once whatever the selector
+// count s is, and folded n·s/2 times by the direct loop or — once n is long
+// enough for a table to pay, which bucketBits decides from s and n alone —
+// about n·(1−2^−g) + 3·2^g times per group of g ≤ 8 selectors by the
+// bucketed fold: a one-page read is one s = 2 pass, and a k = 8 round one
+// s = 16 pass in groups of 6. Each batched query still samples its own
+// fresh selector vector, so the servers' views stay uniform and mutually
+// independent whether pages arrive one at a time or batched; the fold reads
+// the same selector bits for the same pages either way, and its bucket
+// table is scan-worker scratch that never leaves the store.
 type XORPIR struct {
 	arena    *wordArena
 	numPages int
@@ -56,13 +60,16 @@ type XORPIR struct {
 }
 
 // xorScratch is the per-batch working set: selector vectors and word
-// accumulators for both servers, backed by two flat allocations so a
-// steady-state batch reuses everything.
+// accumulators, backed by two flat allocations so a steady-state batch
+// reuses everything. A k-page ReadBatchInto holds 2k of each, server A's
+// rows first and server B's after them, so one pass takes all 2k; a replica
+// answering k shares holds k accumulators and no selectors (its selectors
+// are the client's).
 type xorScratch struct {
-	selbuf       []byte
-	selsA, selsB [][]byte
-	accbuf       []uint64
-	accsA, accsB [][]uint64
+	selbuf []byte
+	sels   [][]byte
+	accbuf []uint64
+	accs   [][]uint64
 }
 
 // NewXORPIR builds the arena the two logical servers answer from (the answer
@@ -88,23 +95,25 @@ func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 // selBytes is the selector vector size: one bit per page.
 func (x *XORPIR) selBytes() int { return (x.numPages + 7) / 8 }
 
-// getScratch rents a scratch sized for a k-query batch.
-func (x *XORPIR) getScratch(k int) *xorScratch {
+// getScratch rents a scratch with nsel selector rows and nacc zeroed
+// accumulator rows.
+func (x *XORPIR) getScratch(nsel, nacc int) *xorScratch {
 	sc, _ := x.scratch.Get().(*xorScratch)
 	if sc == nil {
 		sc = &xorScratch{}
 	}
 	nbytes, wpp := x.selBytes(), x.arena.wpp
-	if cap(sc.selbuf) < 2*k*nbytes {
-		sc.selbuf = make([]byte, 2*k*nbytes)
+	if cap(sc.selbuf) < nsel*nbytes {
+		sc.selbuf = make([]byte, nsel*nbytes)
 	}
-	sc.selbuf = sc.selbuf[:2*k*nbytes]
-	if cap(sc.accbuf) < 2*k*wpp {
-		sc.accbuf = make([]uint64, 2*k*wpp)
+	sc.selbuf = sc.selbuf[:nsel*nbytes]
+	if cap(sc.accbuf) < nacc*wpp {
+		sc.accbuf = make([]uint64, nacc*wpp)
 	}
-	sc.accbuf = sc.accbuf[:2*k*wpp]
-	sc.selsA, sc.selsB = sliceRows(sc.selsA[:0], sc.selbuf[:k*nbytes], nbytes), sliceRows(sc.selsB[:0], sc.selbuf[k*nbytes:], nbytes)
-	sc.accsA, sc.accsB = sliceWordRows(sc.accsA[:0], sc.accbuf[:k*wpp], wpp), sliceWordRows(sc.accsB[:0], sc.accbuf[k*wpp:], wpp)
+	sc.accbuf = sc.accbuf[:nacc*wpp]
+	clearWords(sc.accbuf)
+	sc.sels = sliceRows(sc.sels[:0], sc.selbuf, nbytes)
+	sc.accs = sliceWordRows(sc.accs[:0], sc.accbuf, wpp)
 	return sc
 }
 
@@ -126,8 +135,8 @@ func sliceWordRows(dst [][]uint64, flat []uint64, n int) [][]uint64 {
 
 // ReadBatchInto implements Store: every batched read samples its own fresh
 // query vectors against the immutable arena (so the servers' views stay
-// independent and uniform), and the whole batch is answered with one scan
-// per logical server — k accumulators per scan rather than k scans. With
+// independent and uniform), and the whole batch — both logical servers'
+// selectors, 2k accumulators — is answered by one pass over the arena. With
 // pooled scratch inside the store, a steady-state batch allocates nothing
 // beyond what the cryptographic randomness source needs.
 func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
@@ -140,30 +149,25 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sc := x.getScratch(len(pages))
+	k := len(pages)
+	sc := x.getScratch(2*k, 2*k)
 	defer x.scratch.Put(sc)
-	if err := SplitShares(x.rng, x.numPages, pages, sc.selsA, sc.selsB); err != nil {
+	selsA, selsB := sc.sels[:k], sc.sels[k:]
+	if err := SplitShares(x.rng, x.numPages, pages, selsA, selsB); err != nil {
 		return err
 	}
-	x.recordQueries(sc.selsA, sc.selsB)
+	x.recordQueries(selsA, selsB)
 
-	// One scan per logical server answers the whole batch. The ctx check
-	// between the two scans is the only read boundary a single-scan batch
-	// has. With scan workers configured, each pass fans out across them —
-	// same pass count, same pages touched, answers byte-identical to the
-	// serial kernel (XOR is associative).
-	clearWords(sc.accbuf)
-	x.pass(sc.selsA, sc.accsA)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	x.pass(sc.selsB, sc.accsB)
-	// Two full-file passes (one per server) answered the whole batch,
-	// whatever its size — the quantity the amortization ratio tracks.
-	x.recordScan(2*uint64(x.numPages), 2)
+	// One pass answers both servers' selectors for the whole batch. With
+	// scan workers configured it fans out across them — same pages touched,
+	// answers byte-identical to the serial kernel (XOR is associative).
+	x.pass(sc.sels, sc.accs)
+	// One full-file pass answered the whole batch, whatever its size — the
+	// quantity the amortization ratio tracks.
+	x.recordScan(uint64(x.numPages), 1)
 	for j := range pages {
-		acc := sc.accsA[j]
-		xorWords(acc, sc.accsB[j])
+		acc := sc.accs[j]
+		xorWords(acc, sc.accs[k+j])
 		unpackWords(dst[j][:x.pageSize], acc)
 	}
 	return nil
@@ -201,7 +205,7 @@ func SplitShares(rng io.Reader, numPages int, pages []int, selsA, selsB [][]byte
 	return nil
 }
 
-// pass answers sels in one pass over the arena (accs caller-zeroed), fanned
+// pass answers sels in one pass over the arena (accs zeroed), fanned
 // out when the store's scan width is above 1.
 func (x *XORPIR) pass(sels [][]byte, accs [][]uint64) {
 	if nw := x.ScanWorkers(); nw > 1 {
@@ -270,9 +274,9 @@ func (x *XORPIR) SelectorBytes() int { return x.selBytes() }
 // AnswerShares implements ShareAnswerer: one scan with k accumulators
 // answers all k client-supplied selectors. This is the replica half of
 // fleet mode — the store never sees the companion share, never
-// reconstructs a page, and performs half the work of ReadBatchInto (which
-// scans once per logical server). Bits beyond numPages select nothing:
-// the kernel walks only the numPages real rows.
+// reconstructs a page, and folds half the selectors ReadBatchInto does
+// (which answers both logical servers' in its one pass). Bits beyond
+// numPages select nothing: the kernel walks only the numPages real rows.
 func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error {
 	if len(dst) != len(sels) {
 		return fmt.Errorf("pir: %d buffers for %d selectors", len(dst), len(sels))
@@ -289,16 +293,13 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	k := len(sels)
-	sc := x.getScratch(k)
+	sc := x.getScratch(0, len(sels))
 	defer x.scratch.Put(sc)
-	accs := sc.accsA
-	clearWords(sc.accbuf[:k*x.arena.wpp])
-	x.pass(sels, accs)
+	x.pass(sels, sc.accs)
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
 	for j := range sels {
-		unpackWords(dst[j][:x.pageSize], accs[j])
+		unpackWords(dst[j][:x.pageSize], sc.accs[j])
 	}
 	return nil
 }

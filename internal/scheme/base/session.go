@@ -67,6 +67,7 @@ type Session struct {
 
 	cg  *ClientGraph // the query's graph, once Graph borrowed it
 	idx []int        // FetchRegion's page numbers, reused
+	pad []int        // padding's page numbers: all zero, never written, reused
 }
 
 // Open connects, downloads the header file straight from the LBS (no PIR —
@@ -211,12 +212,16 @@ func (s *Session) complete() error {
 
 // padTo fills the round's quotas before entry i with padding retrievals and
 // moves the cursor there. Which pages padding asks for is arbitrary — the PIR
-// layer hides them — so it asks for page 0.
+// layer hides them — so it asks for page 0, every frame from the one zeroed
+// slice (a backend reads the page list, never writes it).
 func (s *Session) padTo(i int) error {
 	for fs := s.fetches(); s.entry < i; s.entry, s.used = s.entry+1, 0 {
 		for f := fs[s.entry]; s.used < f.Count; {
 			frame := min(max(s.Hdr.ClusterPages, 1), f.Count-s.used)
-			if _, err := s.read(f.File, make([]int, frame)); err != nil {
+			if cap(s.pad) < frame {
+				s.pad = make([]int, frame)
+			}
+			if _, err := s.read(f.File, s.pad[:frame]); err != nil {
 				return err
 			}
 		}
