@@ -274,7 +274,9 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			continue // finished or cancelled query: drop
 		}
 		// The channel is never closed (see fail), so this send cannot
-		// panic even if the query is released concurrently.
+		// panic even if the query is released concurrently. It holds a
+		// whole batch's replies (Query.batch sizes it before writing), so
+		// it is full only when the daemon answers more than was asked.
 		select {
 		case ch <- frame{t, payload}:
 		default:
@@ -302,6 +304,35 @@ func (c *Client) writeFrame(t wire.MsgType, qid uint32, payload []byte, flush bo
 	}
 	if err != nil {
 		err = fmt.Errorf("client: write %s: %w", t, err)
+		c.fail(err)
+		return err
+	}
+	return nil
+}
+
+// writeBatch emits a query's batch of request frames under one lock and one
+// flush: the daemon reads them back to back, and other queries' frames
+// never land between them. Each payload is enc[lo:hi].
+func (c *Client) writeBatch(qid uint32, reqs []request, enc []byte) error {
+	c.mu.Lock()
+	if c.err != nil {
+		defer c.mu.Unlock()
+		return c.err
+	}
+	c.mu.Unlock()
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	var err error
+	for _, r := range reqs {
+		if err = c.fw.WriteFrame(r.t, qid, enc[r.lo:r.hi]); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		err = fmt.Errorf("client: write batch: %w", err)
 		c.fail(err)
 		return err
 	}
@@ -395,23 +426,43 @@ func (c *Client) ServerStats(ctx context.Context) (wire.ServerStats, error) {
 }
 
 // Query is one query session multiplexed on a Client. It implements
-// lbs.Service (and lbs.Backend), so scheme protocol code runs against it
-// exactly as against an in-process server. A Query is used by one goroutine
-// at a time and must be settled with End (completed) or Cancel (aborted);
-// different Queries on one Client run fully concurrently.
+// lbs.Service, lbs.Backend and lbs.RoundReader, so scheme protocol code runs
+// against it exactly as against an in-process server. A Query is used by one
+// goroutine at a time and must be settled with End (completed) or Cancel
+// (aborted); different Queries on one Client run fully concurrently.
+//
+// Every exchange is a batch: the request frames go out under one flush, and
+// the replies are collected in order, so a batch costs one wait however
+// many frames it holds.
 type Query struct {
 	c    *Client
 	id   uint32
-	resp chan frame
+	resp chan frame // replies, in request order; holds a whole batch
 
 	begun bool // BeginQuery sent
 	done  bool // settled: no more frames in either direction
 
-	// Fetch-encoding scratch, reused across the query's rounds (a Query is
-	// single-goroutine by contract): a protocol run issuing dozens of
-	// fetch rounds encodes them all into one buffer.
-	fetchEnc   *pagefile.Enc
-	fetchPages []uint32
+	// Batch-encoding scratch, reused across the query's batches (a Query is
+	// single-goroutine by contract): every request payload of a batch is
+	// encoded into enc, back to back.
+	enc   *pagefile.Enc
+	reqs  []request
+	pages []uint32
+}
+
+// request is one request frame of a batch; its payload is the batch
+// encoder's bytes [lo, hi).
+type request struct {
+	t      wire.MsgType
+	lo, hi int
+}
+
+// ShareFrame is one request of a share batch (Query.ReadShareFrames): the
+// announcement of the next round, or XOR PIR selector shares of File.
+type ShareFrame struct {
+	NewRound bool
+	File     string
+	Sels     [][]byte
 }
 
 // StartQuery opens a fresh query session. The returned Query holds a
@@ -428,7 +479,7 @@ func (c *Client) StartQuery() *Query {
 	// through the closed done channel.
 	c.mu.Unlock()
 	mInflight.Inc()
-	return &Query{c: c, id: id, resp: ch}
+	return &Query{c: c, id: id, resp: ch, enc: pagefile.NewEnc(256)}
 }
 
 // Connect implements lbs.Service: the scheme's protocol drives this query
@@ -451,62 +502,120 @@ func (q *Query) begin() error {
 	return nil
 }
 
-// roundTrip sends one request frame and waits for its reply. A dead context
-// abandons the wait (late replies are dropped by the reader); the caller is
-// expected to settle the query with Cancel.
-func (q *Query) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
+// add queues one request of the batch being built: its payload is what
+// the batch encoder gained since it held lo bytes.
+func (q *Query) add(t wire.MsgType, lo int) {
+	q.reqs = append(q.reqs, request{t, lo, q.enc.Len()})
+}
+
+// batch writes the queued requests under one flush, then collects their
+// replies — one of type want for every request but a round announcement —
+// in order. An Error reply fails the batch, but only once the rest of the
+// batch's replies are in, so nothing of this batch is left to be mistaken
+// for a later reply. A dead context abandons the wait (late replies are
+// dropped by the reader); the caller is expected to settle the query with
+// Cancel.
+func (q *Query) batch(ctx context.Context, want wire.MsgType) ([][]byte, error) {
+	reqs := q.reqs
+	q.reqs = q.reqs[:0]
+	n := 0
+	for _, r := range reqs {
+		if r.t != wire.MsgNextRound {
+			n++
+		}
+	}
+	if cap(q.resp) < n {
+		// Grow the reply queue before anything is sent, so the reader never
+		// finds it full while this batch is answered.
+		ch := make(chan frame, max(n, 2*cap(q.resp)))
+		q.c.mu.Lock()
+		if _, ok := q.c.pending[q.id]; ok {
+			q.c.pending[q.id] = ch
+		}
+		q.c.mu.Unlock()
+		q.resp = ch
+	}
 	start := time.Now()
-	if err := q.c.writeFrame(t, q.id, payload, true); err != nil {
+	if err := q.c.writeBatch(q.id, reqs, q.enc.Bytes()); err != nil {
 		return nil, err
 	}
-	select {
-	case f := <-q.resp:
-		mRoundtrip.Observe(int64(time.Since(start)))
-		if f.t == wire.MsgBusy {
-			// The daemon shed this query at admission: it was never opened
-			// server-side, so the session simply ends here. The connection
-			// stays usable; the caller retries the whole query after the
-			// hinted delay, with fresh randomness.
-			busy, derr := wire.DecodeBusy(f.payload)
-			if derr != nil {
-				q.c.fail(derr)
-				return nil, derr
+	replies := make([][]byte, 0, n)
+	var failed error
+	for got := 0; got < n; got++ {
+		select {
+		case f := <-q.resp:
+			switch f.t {
+			case want:
+				replies = append(replies, f.payload)
+			case wire.MsgBusy:
+				// The daemon shed this query at admission: it was never
+				// opened server-side, so the session simply ends here. The
+				// connection stays usable; the caller retries the whole
+				// query after the hinted delay, with fresh randomness.
+				busy, derr := wire.DecodeBusy(f.payload)
+				if derr != nil {
+					q.c.fail(derr)
+					return nil, derr
+				}
+				q.done = true
+				q.c.release(q.id)
+				mInflight.Dec()
+				return nil, &BusyError{RetryAfter: time.Duration(busy.RetryAfterMillis) * time.Millisecond}
+			case wire.MsgError:
+				em, derr := wire.DecodeErrorMsg(f.payload)
+				if derr != nil {
+					err := errors.New("client: server reported an undecodable error")
+					q.c.fail(err)
+					return nil, err
+				}
+				err := &serverError{text: em.Text}
+				if IsServerShutdown(err) {
+					// The daemon aborted the query: the rest of the batch
+					// will not be answered.
+					q.c.release(q.id)
+					return nil, err
+				}
+				if failed == nil {
+					failed = err
+				}
+			default:
+				err := fmt.Errorf("client: expected %s, got %s", want, f.t)
+				q.c.fail(err)
+				return nil, err
 			}
-			q.done = true
+		case <-q.c.done:
+			return nil, q.c.lastErr()
+		case <-ctx.Done():
+			// The replies may still arrive; drop them when they do. The
+			// query can no longer be driven — Cancel settles it.
 			q.c.release(q.id)
-			mInflight.Dec()
-			return nil, &BusyError{RetryAfter: time.Duration(busy.RetryAfterMillis) * time.Millisecond}
+			return nil, ctx.Err()
 		}
-		if f.t == wire.MsgError {
-			if em, derr := wire.DecodeErrorMsg(f.payload); derr == nil {
-				return nil, &serverError{text: em.Text}
-			}
-			err := errors.New("client: server reported an undecodable error")
-			q.c.fail(err)
-			return nil, err
-		}
-		if f.t != want {
-			err := fmt.Errorf("client: expected %s, got %s", want, f.t)
-			q.c.fail(err)
-			return nil, err
-		}
-		return f.payload, nil
-	case <-q.c.done:
-		return nil, q.c.lastErr()
-	case <-ctx.Done():
-		// The reply may still arrive; drop it when it does. The query can
-		// no longer be driven — Cancel settles it.
-		q.c.release(q.id)
-		return nil, ctx.Err()
 	}
+	mRoundtrip.Observe(int64(time.Since(start)))
+	if failed != nil {
+		return nil, failed
+	}
+	return replies, nil
+}
+
+// exchange sends one request frame and waits for its reply.
+func (q *Query) exchange(ctx context.Context, t wire.MsgType, want wire.MsgType) ([]byte, error) {
+	if err := q.begin(); err != nil {
+		return nil, err
+	}
+	q.enc.Reset()
+	q.add(t, 0)
+	replies, err := q.batch(ctx, want)
+	if err != nil {
+		return nil, err
+	}
+	return replies[0], nil
 }
 
 // HeaderBytes downloads the public header (no PIR).
 func (q *Query) HeaderBytes(ctx context.Context) ([]byte, error) {
-	if err := q.begin(); err != nil {
-		return nil, err
-	}
-	payload, err := q.roundTrip(ctx, wire.MsgHeaderReq, nil, wire.MsgHeader)
+	payload, err := q.exchange(ctx, wire.MsgHeaderReq, wire.MsgHeader)
 	if err != nil {
 		return nil, err
 	}
@@ -524,8 +633,9 @@ func (q *Query) FileInfo(name string) (lbs.FileInfo, error) {
 	return q.c.FileInfo(name)
 }
 
-// NextRound is fire-and-forget: the frame rides in front of the round's
-// first Fetch, so every protocol round costs exactly one real round trip.
+// NextRound announces the next round on its own, fire-and-forget: the frame
+// rides with the next batch's flush. A session that batches its rounds
+// sends the announcement inside ReadFrames instead.
 func (q *Query) NextRound(context.Context) error {
 	if err := q.begin(); err != nil {
 		return err
@@ -533,102 +643,115 @@ func (q *Query) NextRound(context.Context) error {
 	return q.c.writeFrame(wire.MsgNextRound, q.id, nil, false)
 }
 
-// ReadPages ships the batch in one Fetch frame and one reply. Batches
-// beyond the frame's 16-bit count limit are chunked transparently.
+// ReadFrames implements lbs.RoundReader: it writes every frame under one
+// flush — a round announcement as NextRound, a read as one Fetch frame per
+// wire.MaxFetchBatch pages — and then collects the replies in order.
+func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
+	for _, f := range frames {
+		for _, p := range f.Pages {
+			if p < 0 {
+				return nil, fmt.Errorf("client: negative page %d", p)
+			}
+		}
+	}
+	return q.pipeline(ctx, wire.MsgFetch, len(frames),
+		func(i int) (bool, int) { return frames[i].NewRound, len(frames[i].Pages) },
+		func(e *pagefile.Enc, i, from, to int) {
+			q.pages = q.pages[:0]
+			for _, p := range frames[i].Pages[from:to] {
+				q.pages = append(q.pages, uint32(p))
+			}
+			wire.Fetch{File: frames[i].File, Pages: q.pages}.EncodeTo(e)
+		})
+}
+
+// ReadPages ships the batch in one Fetch frame and one reply: a one-frame
+// ReadFrames. Batches beyond the frame's 16-bit count limit are chunked
+// transparently.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
-	if err := q.begin(); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, 0, len(pages))
-	for start := 0; start < len(pages); start += wire.MaxFetchBatch {
-		end := start + wire.MaxFetchBatch
-		if end > len(pages) {
-			end = len(pages)
-		}
-		chunk, err := q.readChunk(ctx, file, pages[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
-}
-
-func (q *Query) readChunk(ctx context.Context, file string, pages []int) ([][]byte, error) {
-	q.fetchPages = q.fetchPages[:0]
-	for _, p := range pages {
-		if p < 0 {
-			return nil, fmt.Errorf("client: negative page %d", p)
-		}
-		q.fetchPages = append(q.fetchPages, uint32(p))
-	}
-	if q.fetchEnc == nil {
-		q.fetchEnc = pagefile.NewEnc(4 + len(file) + 4*len(pages))
-	}
-	q.fetchEnc.Reset()
-	req := wire.Fetch{File: file, Pages: q.fetchPages}.EncodeTo(q.fetchEnc)
-	payload, err := q.roundTrip(ctx, wire.MsgFetch, req, wire.MsgPages)
+	out, err := q.ReadFrames(ctx, []lbs.Frame{{File: file, Pages: pages}})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := wire.DecodePages(payload)
-	if err != nil {
-		q.c.fail(err)
-		return nil, err
-	}
-	if len(resp.Pages) != len(pages) {
-		err := fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), len(pages))
-		q.c.fail(err)
-		return nil, err
-	}
-	return resp.Pages, nil
+	return out[0], nil
 }
 
-// ReadShares ships XOR PIR selector shares in one FetchShare frame and
-// returns, per selector, the XOR of the selected pages. This is the fleet
-// client's half of two-server PIR: the daemon answers each share in a
-// single scan without ever reconstructing a page. Batches beyond the
-// frame's 16-bit count limit are chunked transparently, like ReadPages.
+// ReadShareFrames is ReadFrames for XOR PIR selector shares: every frame
+// goes out under one flush, a round announcement as NextRound, shares as one
+// FetchShare frame per wire.MaxFetchBatch selectors, and it returns, per
+// selector, the XOR of the pages it selects. This is the fleet client's half
+// of two-server PIR: the daemon answers each share in a single scan without
+// ever reconstructing a page.
+func (q *Query) ReadShareFrames(ctx context.Context, frames []ShareFrame) ([][][]byte, error) {
+	return q.pipeline(ctx, wire.MsgFetchShare, len(frames),
+		func(i int) (bool, int) { return frames[i].NewRound, len(frames[i].Sels) },
+		func(e *pagefile.Enc, i, from, to int) {
+			wire.ShareFetch{File: frames[i].File, Sels: frames[i].Sels[from:to]}.EncodeTo(e)
+		})
+}
+
+// ReadShares ships XOR PIR selector shares in one FetchShare frame: a
+// one-frame ReadShareFrames.
 func (q *Query) ReadShares(ctx context.Context, file string, sels [][]byte) ([][]byte, error) {
+	out, err := q.ReadShareFrames(ctx, []ShareFrame{{File: file, Sels: sels}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// pipeline sends n frames as one batch — frame i a round announcement when
+// shape says so, else shape's count of items, requested as frames of type t
+// of at most wire.MaxFetchBatch items, items [from, to) of frame i encoded
+// by encode — and returns each frame's answers, one page per item (nil for
+// an announcement).
+func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
+	shape func(i int) (newRound bool, items int), encode func(e *pagefile.Enc, i, from, to int),
+) ([][][]byte, error) {
 	if err := q.begin(); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, 0, len(sels))
-	for start := 0; start < len(sels); start += wire.MaxFetchBatch {
-		end := start + wire.MaxFetchBatch
-		if end > len(sels) {
-			end = len(sels)
+	q.enc.Reset()
+	for i := range n {
+		round, items := shape(i)
+		if round {
+			q.add(wire.MsgNextRound, q.enc.Len())
+			continue
 		}
-		chunk, err := q.readShareChunk(ctx, file, sels[start:end])
-		if err != nil {
-			return nil, err
+		for from := 0; from < items; from += wire.MaxFetchBatch {
+			lo := q.enc.Len()
+			encode(q.enc, i, from, min(from+wire.MaxFetchBatch, items))
+			q.add(t, lo)
 		}
-		out = append(out, chunk...)
+	}
+	replies, err := q.batch(ctx, wire.MsgPages)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]byte, n)
+	for i := range n {
+		round, items := shape(i)
+		if round {
+			continue
+		}
+		for from := 0; from < items; from += wire.MaxFetchBatch {
+			resp, err := wire.DecodePages(replies[0])
+			replies = replies[1:]
+			if want := min(wire.MaxFetchBatch, items-from); err == nil && len(resp.Pages) != want {
+				err = fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), want)
+			}
+			if err != nil {
+				q.c.fail(err)
+				return nil, err
+			}
+			if out[i] == nil {
+				out[i] = resp.Pages
+			} else {
+				out[i] = append(out[i], resp.Pages...)
+			}
+		}
 	}
 	return out, nil
-}
-
-func (q *Query) readShareChunk(ctx context.Context, file string, sels [][]byte) ([][]byte, error) {
-	if q.fetchEnc == nil {
-		q.fetchEnc = pagefile.NewEnc(0)
-	}
-	q.fetchEnc.Reset()
-	req := wire.ShareFetch{File: file, Sels: sels}.EncodeTo(q.fetchEnc)
-	payload, err := q.roundTrip(ctx, wire.MsgFetchShare, req, wire.MsgPages)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodePages(payload)
-	if err != nil {
-		q.c.fail(err)
-		return nil, err
-	}
-	if len(resp.Pages) != len(sels) {
-		err := fmt.Errorf("client: got %d share answers, want %d", len(resp.Pages), len(sels))
-		q.c.fail(err)
-		return nil, err
-	}
-	return resp.Pages, nil
 }
 
 // Model returns the cost-model parameters the daemon announced.
@@ -646,7 +769,7 @@ func (q *Query) End(ctx context.Context) (string, error) {
 	if !q.begun {
 		return "", errors.New("client: no query in flight")
 	}
-	payload, err := q.roundTrip(ctx, wire.MsgEndQuery, nil, wire.MsgQueryDone)
+	payload, err := q.exchange(ctx, wire.MsgEndQuery, wire.MsgQueryDone)
 	if err != nil {
 		return "", err
 	}
@@ -679,3 +802,5 @@ func (q *Query) Cancel(reason uint8) {
 	}
 	q.c.release(q.id)
 }
+
+var _ lbs.RoundReader = (*Query)(nil)

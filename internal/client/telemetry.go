@@ -8,12 +8,13 @@ import (
 // process talks to however many daemons it likes, but its own view —
 // connects, round trips, open queries — is one program-wide story. Nothing
 // here depends on query contents; round-trip timing is the client's own
-// wall clock over the adversary-visible frame exchange.
+// wall clock over the adversary-visible frame exchange, one observation per
+// batch a query waits on (a round's frames and padding go out as one).
 var (
 	mConnects = telemetry.Default().Counter("privsp_client_connects_total",
 		"daemon connections dialed and handshaken")
 	mRoundtrip = telemetry.Default().Histogram("privsp_client_roundtrip_seconds",
-		"request-to-reply wall time per wire round trip", telemetry.Seconds())
+		"wall time per pipelined batch of request frames, from the write to the last reply", telemetry.Seconds())
 	mInflight = telemetry.Default().Gauge("privsp_client_queries_inflight",
 		"query sessions open right now")
 	// Retry accounting, by stage: dial retries re-attempt the connect and

@@ -1,0 +1,84 @@
+package fleet_test
+
+import (
+	"context"
+	"errors"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/costmodel"
+	"repro/internal/fleet"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/pir"
+	"repro/internal/server"
+	"repro/internal/wire"
+)
+
+// failingShares answers selector shares like the XOR-PIR store it embeds,
+// but refuses every batch of exactly three shares.
+type failingShares struct{ *pir.XORPIR }
+
+func (x failingShares) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error {
+	if len(sels) == 3 {
+		return errors.New("injected share failure")
+	}
+	return x.XORPIR.AnswerShares(ctx, sels, dst)
+}
+
+// TestFleetBatchErrorDrainsTheBatch: one replica answers one frame in the
+// middle of a pipelined batch with Error, the other answers every frame.
+// The fleet query returns that error once both replicas' batches are
+// answered, so the same query's next read gets its own replies; the
+// replica stays up, and the next query succeeds.
+func TestFleetBatchErrorDrainsTheBatch(t *testing.T) {
+	pages := rawPages(16, 64, 5)
+	db := rawDB(pages, 64)
+	srvA := server.New(server.Options{Workers: 4, ReplicaRole: true, Stores: func(r pagefile.Reader) (pir.Store, error) {
+		x, err := pir.NewXORPIR(r)
+		return failingShares{x}, err
+	}})
+	if err := srvA.Host("RAW", db, costmodel.Default()); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srvA.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srvA.Shutdown(ctx)
+	})
+	_, addrB := startDaemon(t, "RAW", db, true, true, nil)
+	f := dialFleet(t, []string{ln.Addr().String(), addrB}, fleet.Options{})
+	ctx := context.Background()
+
+	q := f.StartQuery()
+	if err := q.Err(); err != nil {
+		t.Fatal(err)
+	}
+	batch := []lbs.Frame{{NewRound: true}, {File: "pages", Pages: []int{0}}, {File: "pages", Pages: []int{1, 2, 3}},
+		{File: "pages", Pages: []int{4}}, {File: "pages", Pages: []int{5}}}
+	_, err = q.ReadFrames(ctx, batch)
+	if !client.IsServerReject(err) || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("batch with a refused frame: err = %v, want the replica's rejection", err)
+	}
+	got, err := q.ReadPages(ctx, "pages", []int{6})
+	if err != nil {
+		t.Fatalf("read after the failed batch: %v", err)
+	}
+	if !equalBytes(got[0], pages[6]) {
+		t.Error("read after the failed batch XORed another frame's answers: a batch was not drained")
+	}
+	q.Cancel(wire.CancelAbandon)
+
+	page, _ := readOne(t, f, 7)
+	if !equalBytes(page, pages[7]) {
+		t.Error("next query read the wrong page")
+	}
+}

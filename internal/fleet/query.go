@@ -128,44 +128,71 @@ func xorInto(a, b [][]byte, pageSize int) error {
 	return nil
 }
 
-// ReadPages implements lbs.Backend. Each page splits into two selector
-// shares (pir.SplitShares), fanned out to the two replicas in parallel, and
-// the answers are XORed locally; each replica sees one uniform bitvector per
-// page and performs one scan.
+// ReadPages implements lbs.Backend as a one-frame ReadFrames.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
-	if q.err != nil {
-		return nil, q.err
-	}
-	if len(pages) == 0 {
-		return nil, nil
-	}
-	fi, err := q.FileInfo(file)
+	out, err := q.ReadFrames(ctx, []lbs.Frame{{File: file, Pages: pages}})
 	if err != nil {
 		return nil, err
 	}
-	// Each page becomes one selector share per replica, cut from one buffer.
-	k, nb := len(pages), (fi.NumPages+7)/8
-	buf := make([]byte, 2*k*nb)
-	sels := [2][][]byte{make([][]byte, k), make([][]byte, k)}
-	for i := range k {
-		sels[0][i] = buf[i*nb : (i+1)*nb : (i+1)*nb]
-		sels[1][i] = buf[(k+i)*nb : (k+i+1)*nb : (k+i+1)*nb]
+	return out[0], nil
+}
+
+// ReadFrames implements lbs.RoundReader. Each page splits into two selector
+// shares (pir.SplitShares); each replica gets the whole batch — round
+// announcements and one share per page — pipelined on its connection, both
+// in parallel, and the answers are XORed locally frame by frame. Each
+// replica sees one uniform bitvector per page and performs one scan.
+func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
+	if q.err != nil {
+		return nil, q.err
 	}
-	if err := pir.SplitShares(crand.Reader, fi.NumPages, pages, sels[0], sels[1]); err != nil {
-		return nil, fmt.Errorf("fleet: %s: %w", file, err)
+	var shares [2][]client.ShareFrame
+	infos := make([]lbs.FileInfo, len(frames))
+	for i, f := range frames {
+		if f.NewRound || len(f.Pages) == 0 {
+			for j := range shares {
+				shares[j] = append(shares[j], client.ShareFrame{NewRound: f.NewRound})
+			}
+			continue
+		}
+		fi, err := q.FileInfo(f.File)
+		if err != nil {
+			return nil, err
+		}
+		infos[i] = fi
+		// Each page becomes one selector share per replica, cut from one
+		// buffer.
+		k, nb := len(f.Pages), (fi.NumPages+7)/8
+		buf := make([]byte, 2*k*nb)
+		sels := [2][][]byte{make([][]byte, k), make([][]byte, k)}
+		for p := range k {
+			sels[0][p] = buf[p*nb : (p+1)*nb : (p+1)*nb]
+			sels[1][p] = buf[(k+p)*nb : (k+p+1)*nb : (k+p+1)*nb]
+		}
+		if err := pir.SplitShares(crand.Reader, fi.NumPages, f.Pages, sels[0], sels[1]); err != nil {
+			return nil, fmt.Errorf("fleet: %s: %w", f.File, err)
+		}
+		for j := range shares {
+			shares[j] = append(shares[j], client.ShareFrame{File: f.File, Sels: sels[j]})
+		}
 	}
-	var answers [2][][]byte
+	var answers [2][][][]byte
 	start := time.Now()
 	ea, eb := q.both(func(i int, s *sub) (err error) {
-		answers[i], err = s.q.ReadShares(ctx, file, sels[i])
+		answers[i], err = s.q.ReadShareFrames(ctx, shares[i])
 		return err
 	})
 	q.f.m.fanout.Observe(time.Since(start).Nanoseconds())
 	if err := firstErr(ea, eb); err != nil {
 		return nil, err
 	}
-	if err := xorInto(answers[0], answers[1], fi.PageSize); err != nil {
-		return nil, err
+	for i, f := range frames {
+		if f.NewRound || len(f.Pages) == 0 {
+			continue
+		}
+		if err := xorInto(answers[0][i], answers[1][i], infos[i].PageSize); err != nil {
+			return nil, err
+		}
 	}
 	return answers[0], nil
 }
@@ -211,7 +238,8 @@ func (q *Query) Cancel(reason uint8) {
 func (q *Query) Err() error { return q.err }
 
 var (
-	_ lbs.Backend = (*Query)(nil)
-	_ lbs.Service = (*Query)(nil)
-	_ error       = (*ReplicaDownError)(nil)
+	_ lbs.Backend     = (*Query)(nil)
+	_ lbs.RoundReader = (*Query)(nil)
+	_ lbs.Service     = (*Query)(nil)
+	_ error           = (*ReplicaDownError)(nil)
 )

@@ -135,6 +135,45 @@ type Backend interface {
 	Model() costmodel.Params
 }
 
+// Frame is one request of a query as the service sees it: the announcement
+// of the next round, or one batched read of Pages of File.
+type Frame struct {
+	NewRound bool
+	File     string
+	Pages    []int
+}
+
+// RoundReader is the optional batch face of a Backend: ReadFrames sends
+// every frame before it waits for any reply, and returns one entry per
+// frame, in order — the pages of a read, nil for a round announcement. A
+// remote backend pipelines the batch on its connection, so the batch costs
+// one wait however many frames it holds. Like ReadPages, it never writes a
+// frame's page list.
+type RoundReader interface {
+	ReadFrames(ctx context.Context, frames []Frame) ([][][]byte, error)
+}
+
+// ReadFrames sends frames to b as one batch when b is a RoundReader, and
+// otherwise replays them one at a time as NextRound and ReadPages calls.
+func ReadFrames(ctx context.Context, b Backend, frames []Frame) ([][][]byte, error) {
+	if rr, ok := b.(RoundReader); ok {
+		return rr.ReadFrames(ctx, frames)
+	}
+	out := make([][][]byte, len(frames))
+	for i, f := range frames {
+		var err error
+		if f.NewRound {
+			err = b.NextRound(ctx)
+		} else {
+			out[i], err = b.ReadPages(ctx, f.File, f.Pages)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // Service is what a scheme's query protocol needs from a deployment: the
 // ability to open a per-query connection governed by the query's context.
 // *Server and the remote client's per-query session both implement it.

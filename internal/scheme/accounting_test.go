@@ -24,7 +24,7 @@ import (
 
 // callLog is an in-process Backend that records the calls a query makes, as
 // the plan they amount to: one round per NextRound, one fetch entry per
-// ReadPages call.
+// ReadPages call. Over pipelined, it records a batch's frames the same way.
 type callLog struct {
 	*lbs.Server
 	headers int
@@ -138,30 +138,33 @@ func TestAccountingIsAFunctionOfThePlan(t *testing.T) {
 				}
 			}
 			overflowed, answered := 0, 0
+			log := &callLog{Server: srv}
 			for _, p := range pairs {
-				log := &callLog{Server: srv}
-				res, err := sc.query(context.Background(), log, g.Point(p[0]), g.Point(p[1]))
-				if err != nil && !errors.Is(err, base.ErrPlanOverflow) {
-					t.Fatalf("pair %v: %v", p, err)
-				}
-				if log.headers != 1 || log.stray != 0 {
-					t.Errorf("pair %v: %d header downloads, %d fetches before the first round", p, log.headers, log.stray)
-				}
-				if got := lbs.CanonicalTrace(log.seen); got != canonical {
-					t.Errorf("pair %v (err %v): backend saw\n%swant\n%s", p, err, got, canonical)
-				}
-				if err != nil {
-					overflowed++
-					continue
-				}
-				answered++
-				if res.Trace != canonical {
-					t.Errorf("pair %v: Result.Trace\n%swant\n%s", p, res.Trace, canonical)
-				}
-				got := res.Stats
-				got.Client = 0
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("pair %v: stats %+v, want %+v", p, got, want)
+				for path, svc := range paths(log) {
+					*log = callLog{Server: srv}
+					res, err := sc.query(context.Background(), svc, g.Point(p[0]), g.Point(p[1]))
+					if err != nil && !errors.Is(err, base.ErrPlanOverflow) {
+						t.Fatalf("pair %v (%s): %v", p, path, err)
+					}
+					if log.headers != 1 || log.stray != 0 {
+						t.Errorf("pair %v (%s): %d header downloads, %d fetches before the first round", p, path, log.headers, log.stray)
+					}
+					if got := lbs.CanonicalTrace(log.seen); got != canonical {
+						t.Errorf("pair %v (%s, err %v): backend saw\n%swant\n%s", p, path, err, got, canonical)
+					}
+					if err != nil {
+						overflowed++
+						continue
+					}
+					answered++
+					if res.Trace != canonical {
+						t.Errorf("pair %v (%s): Result.Trace\n%swant\n%s", p, path, res.Trace, canonical)
+					}
+					got := res.Stats
+					got.Client = 0
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("pair %v (%s): stats %+v, want %+v", p, path, got, want)
+					}
 				}
 			}
 			if !sc.sampledPlan && overflowed > 0 {

@@ -66,6 +66,8 @@ type ClientGraph struct {
 	g      []float64
 	parent []int32
 	open   []pqItem
+
+	observe func(string) // the borrowing session's test observer, if any
 }
 
 // cgNode is one row of the node table.
@@ -122,6 +124,7 @@ func (cg *ClientGraph) release() {
 	cg.nodes, cg.edges, cg.records = cg.nodes[:0], cg.edges[:0], 0
 	cg.nodeLM, cg.edgeFlags, cg.lms, cg.flags = cg.nodeLM[:0], cg.edgeFlags[:0], cg.lms[:0], cg.flags[:0]
 	cg.recIDs = cg.recIDs[:0]
+	cg.observe = nil
 	graphPool.Put(cg)
 }
 
@@ -363,7 +366,7 @@ func (cg *ClientGraph) NumNodes() int { return cg.records }
 // Nearest returns the known node closest to p, restricted to candidates
 // (nil = all known nodes). Clients snap arbitrary query coordinates to the
 // network this way (§5.4: sources and destinations may lie anywhere); the
-// candidates are what Session.FetchRegion returned for the endpoint's region.
+// candidates are what Session.FetchRegions returned for the endpoint's region.
 func (cg *ClientGraph) Nearest(p geom.Point, candidates []graph.NodeID) graph.NodeID {
 	best, bestD := graph.Invalid, math.Inf(1)
 	if candidates != nil {
@@ -461,6 +464,9 @@ func (cg *ClientGraph) Search(
 	allowEdge func(from graph.NodeID, e graph.HalfEdge) bool,
 	onSettle func(graph.NodeID) bool,
 ) (float64, []graph.NodeID) {
+	if cg.observe != nil {
+		cg.observe("search")
+	}
 	if h == nil {
 		h = func(graph.NodeID) float64 { return 0 }
 	}

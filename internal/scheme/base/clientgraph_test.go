@@ -342,9 +342,16 @@ func frontierCase(t *testing.T, db *oracleDB, sPt, tPt geom.Point, lm, af bool) 
 	defer cg.release()
 	var fetches []kdtree.RegionID
 	cost, path, sNode, tNode, err := frontierSearch(db.hdr, cg, sPt, tPt,
-		func(r kdtree.RegionID, _ bool) ([]graph.NodeID, error) {
-			fetches = append(fetches, r)
-			return cg.addRegion(db.hdr, db.pages(t, r))
+		func(_ bool, regions ...kdtree.RegionID) ([][]graph.NodeID, error) {
+			out := make([][]graph.NodeID, len(regions))
+			for i, r := range regions {
+				fetches = append(fetches, r)
+				var err error
+				if out[i], err = cg.addRegion(db.hdr, db.pages(t, r)); err != nil {
+					return nil, err
+				}
+			}
+			return out, nil
 		},
 		func(cg *ClientGraph, tNode graph.NodeID, rt kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
 			var h func(graph.NodeID) float64

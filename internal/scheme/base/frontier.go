@@ -9,12 +9,12 @@ import (
 	"repro/internal/pagefile"
 )
 
-// fetchRegionFn decodes region r into the search's graph, from whatever
+// fetchRegionsFn decodes regions into the search's graph, from whatever
 // medium backs the search — the F_d file during plan derivation, a Session
-// at query time — and returns its record ids. endpoint marks the two
-// host-region fetches of the plan's first round; every later region opens a
-// round of its own (§4).
-type fetchRegionFn func(r kdtree.RegionID, endpoint bool) ([]graph.NodeID, error)
+// at query time — and returns each one's record ids. endpoints marks the
+// two host-region fetches of the plan's first round; every later region
+// opens a round of its own (§4).
+type fetchRegionsFn func(endpoints bool, regions ...kdtree.RegionID) ([][]graph.NodeID, error)
 
 // Guide builds the two ClientGraph.Search parameters that tell LM and AF
 // apart, once the endpoints are snapped: LM's landmark heuristic towards
@@ -28,30 +28,19 @@ type Guide func(cg *ClientGraph, tNode graph.NodeID, rt kdtree.RegionID) (
 // fetch the two host regions, snap the endpoints, then search, fetching a
 // region the first time the frontier settles a node inside it. A fetch
 // error — the plan running out included — aborts the search and is returned.
-func frontierSearch(hdr *Header, cg *ClientGraph, sPt, tPt geom.Point, fetch fetchRegionFn, guide Guide) (
+func frontierSearch(hdr *Header, cg *ClientGraph, sPt, tPt geom.Point, fetch fetchRegionsFn, guide Guide) (
 	cost float64, path []graph.NodeID, sNode, tNode graph.NodeID, err error,
 ) {
 	rs, rt := hdr.Tree.Locate(sPt), hdr.Tree.Locate(tPt)
 	fetched := make([]bool, len(hdr.RegionFirstPage))
-	get := func(r kdtree.RegionID, endpoint bool) ([]graph.NodeID, error) {
-		ids, err := fetch(r, endpoint)
-		if err != nil {
-			return nil, err
-		}
-		fetched[r] = true // in range: the fetch succeeded
-		return ids, nil
-	}
-	sNodes, err := get(rs, true)
-	if err != nil {
-		return 0, nil, 0, 0, err
-	}
 	// The plan's first round holds two fetches even when rt == rs.
-	tNodes, err := get(rt, true)
+	hosts, err := fetch(true, rs, rt)
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
-	sNode = cg.Nearest(sPt, sNodes)
-	tNode = cg.Nearest(tPt, tNodes)
+	fetched[rs], fetched[rt] = true, true // in range: the fetch succeeded
+	sNode = cg.Nearest(sPt, hosts[0])
+	tNode = cg.Nearest(tPt, hosts[1])
 	h, allowEdge := guide(cg, tNode, rt)
 	onSettle := func(v graph.NodeID) bool {
 		if cg.Has(v) {
@@ -65,8 +54,11 @@ func frontierSearch(hdr *Header, cg *ClientGraph, sPt, tPt geom.Point, fetch fet
 		if int(r) < len(fetched) && fetched[r] {
 			return true // page already here; v was just a dangling ref
 		}
-		_, err = get(r, false)
-		return err == nil
+		if _, err = fetch(false, r); err != nil {
+			return false
+		}
+		fetched[r] = true
+		return true
 	}
 	cost, path = cg.Search(sNode, tNode, h, allowEdge, onSettle)
 	return cost, path, sNode, tNode, err
@@ -83,36 +75,43 @@ func SimulateFrontier(hdr *Header, fd pagefile.Reader, sPt, tPt geom.Point, guid
 	pages := make([][]byte, hdr.ClusterPages)
 	fetches := 0
 	_, _, _, _, err := frontierSearch(hdr, cg, sPt, tPt,
-		func(r kdtree.RegionID, _ bool) ([]graph.NodeID, error) {
-			fetches++
-			var err error
-			if idx, err = hdr.regionPages(r, idx); err != nil {
-				return nil, err
-			}
-			for i, p := range idx {
-				if pages[i], err = fd.Page(p); err != nil {
+		func(_ bool, regions ...kdtree.RegionID) ([][]graph.NodeID, error) {
+			out := make([][]graph.NodeID, len(regions))
+			for i, r := range regions {
+				fetches++
+				var err error
+				if idx, err = hdr.regionPages(r, idx); err != nil {
+					return nil, err
+				}
+				for j, p := range idx {
+					if pages[j], err = fd.Page(p); err != nil {
+						return nil, err
+					}
+				}
+				if out[i], err = cg.addRegion(hdr, pages); err != nil {
 					return nil, err
 				}
 			}
-			return cg.addRegion(hdr, pages)
+			return out, nil
 		}, guide)
 	return fetches, err
 }
 
 // FrontierQuery runs the search against the service: the two host regions
 // in the plan's first PIR round, every later region in a round of its own;
-// the session pads the rounds the search did not need.
+// Finish sends the rounds the search did not need, padded, as one batch.
 func (s *Session) FrontierQuery(sPt, tPt geom.Point, guide Guide) (*Result, error) {
 	if err := s.NextRound(); err != nil {
 		return nil, err
 	}
-	fetch := func(r kdtree.RegionID, endpoint bool) ([]graph.NodeID, error) {
-		if !endpoint {
+	fetch := func(endpoints bool, regions ...kdtree.RegionID) ([][]graph.NodeID, error) {
+		if !endpoints {
 			if err := s.NextRound(); err != nil {
 				return nil, err
 			}
 		}
-		return s.FetchRegion(FileData, r)
+		_, nodes, err := s.FetchRegions(FileData, regions)
+		return nodes, err
 	}
 	cost, path, sNode, tNode, err := frontierSearch(s.Hdr, s.Graph(), sPt, tPt, fetch, guide)
 	if err != nil {

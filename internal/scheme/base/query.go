@@ -50,9 +50,8 @@ func (s *Session) LookupRound(pairIdx int) (LookupEntry, error) {
 	return ParseLookupEntry(page[0], pairIdx, s.Hdr.LookupEntriesPerPage)
 }
 
-// IndexRound runs the index round of CI and PI: it begins the next round and
-// fetches, as one frame, the ParamMaxSpan-page window of F_i that holds
-// entry's record.
+// IndexRound runs CI's index round: it begins the next round and fetches, as
+// one frame, the ParamMaxSpan-page window of F_i that holds entry's record.
 func (s *Session) IndexRound(entry LookupEntry) (IndexRecord, error) {
 	if err := s.NextRound(); err != nil {
 		return IndexRecord{}, err

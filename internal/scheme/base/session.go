@@ -26,24 +26,33 @@ var ErrPlanOverflow = errors.New("plan budget exhausted: the query needs more re
 
 // Session is one query, and the one object that walks the public plan for
 // it (§3.1: every query follows the same plan, "padding its requests with
-// dummy page retrievals"). A scheme says what it needs — NextRound, one
-// Fetch per record, Finish — and the session owns everything that follows
-// from the plan: the round cursor, the per-(round, file) quotas, the
-// padding, and every piece of per-query bookkeeping: the error latch, the
-// Table 2 charges, the client-compute clock, the per-file fetch counts and
-// the adversary-visible transcript. What reaches the service is therefore a
-// function of the plan alone, whatever a scheme asks for: each Fetch is one
+// dummy page retrievals"). A scheme says what it needs — NextRound, Fetch,
+// FetchRegions, Finish — and the session owns everything that follows from
+// the plan: the round cursor, the per-(round, file) quotas, the padding, and
+// every piece of per-query bookkeeping: the error latch, the Table 2
+// charges, the client-compute clock, the per-file fetch counts and the
+// adversary-visible transcript. What reaches the service is therefore a
+// function of the plan alone, whatever a scheme asks for: each want is one
 // frame (a look-up page, an index window, a region cluster), padding goes
 // out in frames of Hdr.ClusterPages pages (the shape of a region fetch), in
 // plan file order, and a want the plan has no room for is never sent.
 //
-// Cancellation is honored at round boundaries only: the context is checked
-// before each round is announced, so a query cancelled mid-round finishes
-// the round it is in and stops before the next one. The service therefore
-// observes either k complete rounds or a round whose in-flight fetch it
-// refused itself — in both cases a prefix of the one full-query transcript,
-// so a cancelled query leaks nothing beyond its (data-independent) abort
-// time (Theorem 1 is preserved).
+// A dependent frame waits; a round's declared frames and its padding go out
+// together. The session queues round announcements, padding and wants, and
+// sends the queue as one batch (lbs.ReadFrames) only when a scheme needs a
+// reply: Fetch waits for the one frame it asks for, FetchRegions for a
+// round's region clusters and the padding that closes their file's quota,
+// and Finish sends the padded rest of the plan, every later round included,
+// as one batch. The frames, their order and the charges are those of
+// sending one frame at a time; only the waits between them are gone.
+//
+// Cancellation is honored at round boundaries and before each batch: the
+// context is checked before a round is announced and before anything is
+// sent, so a query cancelled mid-round stops before its next batch. The
+// service therefore observes either complete rounds or a round whose
+// in-flight batch it refused itself — in both cases a prefix of the one
+// full-query transcript, so a cancelled query leaks nothing beyond its
+// (data-independent) abort time (Theorem 1 is preserved).
 type Session struct {
 	// Hdr is the decoded header file: the plan and the scheme parameters.
 	Hdr *Header
@@ -54,7 +63,8 @@ type Session struct {
 
 	round int // plan round in progress; -1 until the first NextRound
 	entry int // cursor into that round's Fetches: the entries before it are full
-	used  int // pages of Fetches[entry] retrieved so far
+	used  int // pages of Fetches[entry] declared so far
+	sent  int // rounds announced to the service
 
 	err   error     // first backend or context error; every later call returns it
 	stats lbs.Stats // the Table 2 charges and per-file fetch counts so far
@@ -65,10 +75,19 @@ type Session struct {
 	start  time.Time
 	inside time.Duration
 
-	cg  *ClientGraph // the query's graph, once Graph borrowed it
-	idx []int        // FetchRegion's page numbers, reused
-	pad []int        // padding's page numbers: all zero, never written, reused
+	cg    *ClientGraph // the query's graph, once Graph borrowed it
+	queue []lbs.Frame  // frames declared and not yet sent, in plan order
+	idx   []int        // page numbers of the queued region frames
+	pad   []int        // padding's page numbers: all zero, never written, reused
+
+	// observe, when a test asked for it through the context, is told each
+	// time the session hands fetched pages to a decoder ("decode") and the
+	// query's graph starts a search ("search").
+	observe func(string)
 }
+
+// observeKey is the context key under which a test hands Open an observer.
+type observeKey struct{}
 
 // Open connects, downloads the header file straight from the LBS (no PIR —
 // it is identical for every client, §5.3), charging one round trip and its
@@ -90,6 +109,7 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, er
 		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(schemes[0]), hdr.Scheme)
 	}
 	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1}
+	s.observe, _ = conn.Ctx.Value(observeKey{}).(func(string))
 	s.stats.HeaderBytes = len(raw)
 	s.stats.Comm = s.model.RTT + s.model.Transfer(len(raw))
 	s.stats.Fetches = map[string]int{}
@@ -99,33 +119,31 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, er
 }
 
 // NextRound pads what the round in progress left unused and begins the
-// plan's next round. This is where a cancelled context stops the query.
+// plan's next round; both go out with the next batch. This is where a
+// cancelled context stops the query.
 func (s *Session) NextRound() error {
 	if s.round+1 >= len(s.Hdr.Plan.Rounds) {
 		return s.overflow("no round follows round %d", s.round+1)
 	}
-	if err := s.padTo(len(s.fetches())); err != nil {
-		return err
-	}
+	s.padTo(len(s.fetches()))
 	return s.beginRound()
 }
 
 // Fetch retrieves pages of file as one frame, charged to the current round's
-// quota for that file. Quotas of files the plan lists earlier in the round
+// quota for that file, and waits for it: everything queued before it goes
+// out in the same batch. Quotas of files the plan lists earlier in the round
 // are padded first, so the transcript keeps the plan's file order.
 func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
-	fs := s.fetches()
-	i, used := s.entry, s.used
-	for i < len(fs) && fs[i].File != file {
-		i, used = i+1, 0
-	}
-	if i == len(fs) || used+len(pages) > fs[i].Count {
-		return nil, s.overflow("round %d has no room for %d more %s pages", s.round+1, len(pages), file)
-	}
-	if err := s.padTo(i); err != nil {
+	at, err := s.want(file, pages)
+	if err != nil {
 		return nil, err
 	}
-	return s.read(file, pages)
+	data, err := s.send()
+	if err != nil || at < 0 {
+		return nil, err
+	}
+	s.decoding()
+	return data[at], nil
 }
 
 // Graph returns the query's client graph: borrowed from a pool on first
@@ -133,30 +151,64 @@ func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
 func (s *Session) Graph() *ClientGraph {
 	if s.cg == nil {
 		s.cg = borrowClientGraph(s.Hdr.Directed)
+		s.cg.observe = s.observe
 	}
 	return s.cg
 }
 
-// FetchRegion retrieves region r's cluster from file as one frame, decodes
-// its records straight into the query's graph (layout per the header) and
-// returns their ids, in page order: the candidates Nearest snaps an endpoint
-// among.
-func (s *Session) FetchRegion(file string, r kdtree.RegionID) ([]graph.NodeID, error) {
-	idx, err := s.Hdr.regionPages(r, s.idx)
-	if err != nil {
-		return nil, err
+// FetchRegions retrieves one round's region clusters as one batch: the lead
+// frames first (wants the round holds in front of the clusters, such as an
+// index window), then one frame per region of file, then the padding that
+// closes file's quota for the round. Only once all of it is sent does it
+// decode anything: it returns the lead frames' pages, and per region the ids
+// of its records, in page order — the candidates Nearest snaps an endpoint
+// among — decoded straight into the query's graph (layout per the header).
+func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...lbs.Frame) ([][][]byte, [][]graph.NodeID, error) {
+	at := make([]int, len(lead)+len(regions))
+	var err error
+	for i, f := range lead {
+		if at[i], err = s.want(f.File, f.Pages); err != nil {
+			return nil, nil, err
+		}
 	}
-	s.idx = idx
-	pages, err := s.Fetch(file, idx)
-	if err != nil {
-		return nil, err
+	for i, r := range regions {
+		n := len(s.idx)
+		s.idx = slices.Grow(s.idx, s.Hdr.ClusterPages)
+		pages, err := s.Hdr.regionPages(r, s.idx[n:n])
+		if err != nil {
+			return nil, nil, err
+		}
+		s.idx = s.idx[:n+len(pages)]
+		if at[len(lead)+i], err = s.want(file, pages); err != nil {
+			return nil, nil, err
+		}
 	}
-	return s.Graph().addRegion(s.Hdr, pages)
+	if len(regions) > 0 {
+		s.padTo(s.entry + 1)
+	}
+	data, err := s.send()
+	if err != nil {
+		return nil, nil, err
+	}
+	s.decoding()
+	pages := make([][][]byte, len(at)) // nil for a want of no pages
+	for i, j := range at {
+		if j >= 0 {
+			pages[i] = data[j]
+		}
+	}
+	nodes := make([][]graph.NodeID, len(regions))
+	for i, cluster := range pages[len(lead):] {
+		if nodes[i], err = s.Graph().addRegion(s.Hdr, cluster); err != nil {
+			return nil, nil, err
+		}
+	}
+	return pages[:len(lead)], nodes, nil
 }
 
-// Finish returns the query's graph to the pool, pads the rest of the plan,
-// books the client time and returns the query's result; path is dropped when
-// cost says t was unreachable.
+// Finish returns the query's graph to the pool, sends the padded rest of the
+// plan, books the client time and returns the query's result; path is
+// dropped when cost says t was unreachable.
 func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.NodeID) (*Result, error) {
 	if s.cg != nil {
 		s.cg.release()
@@ -195,38 +247,59 @@ func (s *Session) overflow(format string, args ...any) error {
 	return fmt.Errorf("%s: %w (%s)", strings.ToLower(s.Hdr.Scheme), ErrPlanOverflow, fmt.Sprintf(format, args...))
 }
 
-// complete pads the round in progress and every round after it.
+// complete pads the round in progress and every round after it, and sends
+// all of it, with whatever was queued before, as one batch.
 func (s *Session) complete() error {
 	for {
-		if err := s.padTo(len(s.fetches())); err != nil {
-			return err
-		}
+		s.padTo(len(s.fetches()))
 		if s.round+1 >= len(s.Hdr.Plan.Rounds) {
-			return nil
+			break
 		}
 		if err := s.beginRound(); err != nil {
 			return err
 		}
 	}
+	_, err := s.send()
+	return err
 }
 
-// padTo fills the round's quotas before entry i with padding retrievals and
-// moves the cursor there. Which pages padding asks for is arbitrary — the PIR
-// layer hides them — so it asks for page 0, every frame from the one zeroed
-// slice (a backend reads the page list, never writes it).
-func (s *Session) padTo(i int) error {
+// want queues pages of file as one frame of the round in progress, padding
+// the quotas the plan lists before file's first, and returns the frame's
+// place in the queue (-1 for no pages: nothing to send). A want the round
+// has no room for is not queued: the query overflows.
+func (s *Session) want(file string, pages []int) (int, error) {
+	fs := s.fetches()
+	i, used := s.entry, s.used
+	for i < len(fs) && fs[i].File != file {
+		i, used = i+1, 0
+	}
+	if i == len(fs) || used+len(pages) > fs[i].Count {
+		return -1, s.overflow("round %d has no room for %d more %s pages", s.round+1, len(pages), file)
+	}
+	s.padTo(i)
+	if len(pages) == 0 {
+		return -1, nil
+	}
+	s.used += len(pages)
+	s.queue = append(s.queue, lbs.Frame{File: file, Pages: pages})
+	return len(s.queue) - 1, nil
+}
+
+// padTo fills the round's quotas before entry i with padding frames and
+// moves the cursor there. Which pages padding asks for is arbitrary — the
+// PIR layer hides them — so it asks for page 0, every frame from the one
+// zeroed slice (a backend reads the page list, never writes it).
+func (s *Session) padTo(i int) {
 	for fs := s.fetches(); s.entry < i; s.entry, s.used = s.entry+1, 0 {
 		for f := fs[s.entry]; s.used < f.Count; {
-			frame := min(max(s.Hdr.ClusterPages, 1), f.Count-s.used)
-			if cap(s.pad) < frame {
-				s.pad = make([]int, frame)
+			n := min(max(s.Hdr.ClusterPages, 1), f.Count-s.used)
+			if cap(s.pad) < n {
+				s.pad = make([]int, n)
 			}
-			if _, err := s.read(f.File, s.pad[:frame]); err != nil {
-				return err
-			}
+			s.queue = append(s.queue, lbs.Frame{File: f.File, Pages: s.pad[:n]})
+			s.used += n
 		}
 	}
-	return nil
 }
 
 // fetches is the quota list of the round in progress.
@@ -237,11 +310,10 @@ func (s *Session) fetches() []plan.Fetch {
 	return s.Hdr.Plan.Rounds[s.round].Fetches
 }
 
-// beginRound moves the cursor to the plan's next round and announces it to
-// the service, charging one round trip. This is the round boundary where
-// cancellation takes effect: a dead context stops the query before the
-// round is announced, so the service-visible transcript ends after a
-// complete round.
+// beginRound moves the cursor to the plan's next round and queues its
+// announcement. This is the round boundary where cancellation takes effect:
+// a dead context stops the query before the round is announced, so the
+// service-visible transcript ends after a complete round.
 func (s *Session) beginRound() error {
 	s.round, s.entry, s.used = s.round+1, 0, 0
 	if s.err != nil {
@@ -250,45 +322,64 @@ func (s *Session) beginRound() error {
 	if err := s.ctx.Err(); err != nil {
 		return s.fail(err)
 	}
-	t0 := time.Now()
-	err := s.backend.NextRound(s.ctx)
-	s.inside += time.Since(t0)
-	if err != nil {
-		return s.fail(err)
-	}
-	s.stats.Comm += s.model.RTT
-	s.trace.Round(s.round + 1)
+	s.queue = append(s.queue, lbs.Frame{NewRound: true})
 	return nil
 }
 
-// read sends one frame — the service sees how many pages of file it holds,
-// never which — and charges it to the entry under the cursor: per page one
-// PIR retrieval against the file's length and one page transfer.
-func (s *Session) read(file string, pages []int) ([][]byte, error) {
-	s.used += len(pages)
+// send hands the queued frames to the service as one batch — the one path
+// by which anything of the query reaches it — and charges them: one round
+// trip per round announced, and per page one PIR retrieval against the
+// file's length and one page transfer. The service sees how many pages of
+// which file each frame holds, never which. It returns one entry per frame.
+func (s *Session) send() ([][][]byte, error) {
+	frames := s.queue
+	s.queue, s.idx = s.queue[:0], s.idx[:0]
 	if s.err != nil {
 		return nil, s.err
 	}
-	t0 := time.Now()
-	info, err := s.backend.FileInfo(file)
-	var data [][]byte
-	if err == nil {
-		data, err = s.backend.ReadPages(s.ctx, file, pages)
+	if len(frames) == 0 {
+		return nil, nil
 	}
+	if err := s.ctx.Err(); err != nil {
+		return nil, s.fail(err)
+	}
+	t0 := time.Now()
+	data, err := lbs.ReadFrames(s.ctx, s.backend, frames)
 	s.inside += time.Since(t0)
-	if err == nil && len(data) != len(pages) {
-		err = fmt.Errorf("%s: fetch %s: got %d pages, want %d", strings.ToLower(s.Hdr.Scheme), file, len(data), len(pages))
+	if err == nil && len(data) != len(frames) {
+		err = fmt.Errorf("%s: batch of %d frames got %d replies", strings.ToLower(s.Hdr.Scheme), len(frames), len(data))
 	}
 	if err != nil {
 		return nil, s.fail(err)
 	}
-	if n := len(pages); n > 0 {
+	for i, f := range frames {
+		if f.NewRound {
+			s.sent++
+			s.stats.Comm += s.model.RTT
+			s.trace.Round(s.sent)
+			continue
+		}
+		info, err := s.backend.FileInfo(f.File)
+		if err == nil && len(data[i]) != len(f.Pages) {
+			err = fmt.Errorf("%s: fetch %s: got %d pages, want %d", strings.ToLower(s.Hdr.Scheme), f.File, len(data[i]), len(f.Pages))
+		}
+		if err != nil {
+			return nil, s.fail(err)
+		}
+		n := len(f.Pages)
 		s.stats.PIR += time.Duration(n) * s.model.PIRFetch(info.NumPages)
 		s.stats.Comm += time.Duration(n) * s.model.Transfer(info.PageSize)
-		s.stats.Fetches[file] += n
-		s.trace.Fetch(file, n)
+		s.stats.Fetches[f.File] += n
+		s.trace.Fetch(f.File, n)
 	}
 	return data, nil
+}
+
+// decoding tells a test's observer that fetched pages go to a decoder.
+func (s *Session) decoding() {
+	if s.observe != nil {
+		s.observe("decode")
+	}
 }
 
 // fail latches the query's first error.

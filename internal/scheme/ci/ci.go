@@ -178,32 +178,26 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 		return nil, fmt.Errorf("ci: index record is not a region set")
 	}
 
-	// Round 4: R_s, R_t and the regions of S_s,t; the session pads the
-	// round to its m+2 pages.
+	// Round 4: R_s, R_t and the regions of S_s,t, sent with the padding
+	// that fills the round's m+2 pages before any of them is decoded.
 	if err := ses.NextRound(); err != nil {
 		return nil, err
 	}
-	sNodes, err := ses.FetchRegion(base.FileData, rs)
-	if err != nil {
-		return nil, err
-	}
-	tNodes, err := ses.FetchRegion(base.FileData, rt)
-	if err != nil {
-		return nil, err
-	}
+	regions := []kdtree.RegionID{rs, rt}
 	for _, r := range rec.Set {
-		if r == rs || r == rt { // inflation may re-list the endpoints
-			continue
+		if r != rs && r != rt { // inflation may re-list the endpoints
+			regions = append(regions, r)
 		}
-		if _, err := ses.FetchRegion(base.FileData, r); err != nil {
-			return nil, err
-		}
+	}
+	_, nodes, err := ses.FetchRegions(base.FileData, regions)
+	if err != nil {
+		return nil, err
 	}
 
 	// Client-side: snap and solve over the graph the fetches decoded into.
 	cg := ses.Graph()
-	sNode := cg.Nearest(sPt, sNodes)
-	tNode := cg.Nearest(tPt, tNodes)
+	sNode := cg.Nearest(sPt, nodes[0])
+	tNode := cg.Nearest(tPt, nodes[1])
 	cost, path := cg.Dijkstra(sNode, tNode)
 	return ses.Finish(cost, path, sNode, tNode)
 }

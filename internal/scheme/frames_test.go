@@ -48,6 +48,25 @@ func (r *recorder) ReadPages(ctx context.Context, file string, pages []int) ([][
 	return r.Server.ReadPages(ctx, file, pages)
 }
 
+// pipelined gives a recording backend the batch face (lbs.RoundReader): the
+// session hands it whole batches, and it records them frame by frame
+// through the wrapped backend's own NextRound and ReadPages, so a test run
+// over both it and the bare backend holds the batch path and the
+// frame-by-frame path to the same record.
+type pipelined struct{ lbs.Backend }
+
+func (p pipelined) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, p) }
+
+func (p pipelined) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
+	return lbs.ReadFrames(ctx, p.Backend, frames)
+}
+
+// paths returns the service a query runs against on each path: the bare
+// backend (frame by frame) and pipelined over it (batched).
+func paths(b lbs.Backend) map[string]lbs.Service {
+	return map[string]lbs.Service{"frame-by-frame": b.(lbs.Service), "batched": pipelined{b}}
+}
+
 // planFrames is the frame sequence of a plan: every (round, file) quota goes
 // out in frames of clusterPages pages, except the index window — the first
 // quota of the round after the look-up round, in the schemes that have one —
@@ -146,14 +165,17 @@ func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
 				t.Fatalf("plan frames changed from the pinned sequence:\n got %v\nwant %v", want, sc.parent)
 			}
 
-			run := func(p [2]graph.NodeID) error {
+			run := func(p [2]graph.NodeID) (err error) {
 				rec := &recorder{Server: srv}
-				_, err := sc.query(context.Background(), rec, g.Point(p[0]), g.Point(p[1]))
-				if err != nil && !errors.Is(err, base.ErrPlanOverflow) {
-					t.Fatalf("pair %v: %v", p, err)
-				}
-				if !slices.Equal(rec.frames, want) {
-					t.Errorf("pair %v (err %v) sent frames\n     %v\nwant %v", p, err, rec.frames, want)
+				for path, svc := range paths(rec) {
+					rec.round, rec.frames = 0, nil
+					_, err = sc.query(context.Background(), svc, g.Point(p[0]), g.Point(p[1]))
+					if err != nil && !errors.Is(err, base.ErrPlanOverflow) {
+						t.Fatalf("pair %v (%s): %v", p, path, err)
+					}
+					if !slices.Equal(rec.frames, want) {
+						t.Errorf("pair %v (%s, err %v) sent frames\n     %v\nwant %v", p, path, err, rec.frames, want)
+					}
 				}
 				return err
 			}

@@ -196,46 +196,54 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	}
 
 	// Round 4: continuation pages — one frame each, like the region pages
-	// and the padding — then the two host regions and the regions of a set.
+	// and the padding — then the two host regions and, for a set record,
+	// its regions, all sent with the round's padding before any is decoded.
+	// A set record always fits round 3's window (r is the widest set), so
+	// only a subgraph record has continuation pages, and a set's regions are
+	// known before the round goes out.
 	if err := ses.NextRound(); err != nil {
 		return nil, err
 	}
+	var cont []lbs.Frame
 	for i := len(recPages); i < total; i++ {
-		p, err := ses.Fetch(base.FileCombined, []int{int(entry.Page) + i})
-		if err != nil {
+		cont = append(cont, lbs.Frame{File: base.FileCombined, Pages: []int{int(entry.Page) + i}})
+	}
+	regions := []kdtree.RegionID{rs, rt}
+	var rec base.IndexRecord
+	if len(cont) == 0 {
+		if rec, err = base.DecodeIndexRecord(recPages, 0, int(entry.RecIndex)); err != nil {
 			return nil, err
 		}
-		recPages = append(recPages, p[0])
-	}
-	rec, err := base.DecodeIndexRecord(recPages, 0, int(entry.RecIndex))
-	if err != nil {
-		return nil, err
-	}
-
-	sNodes, err := ses.FetchRegion(base.FileCombined, rs)
-	if err != nil {
-		return nil, err
-	}
-	tNodes, err := ses.FetchRegion(base.FileCombined, rt)
-	if err != nil {
-		return nil, err
-	}
-	cg := ses.Graph()
-	if rec.IsSet() {
 		for _, rg := range rec.Set {
-			if rg == rs || rg == rt {
-				continue
-			}
-			if _, err := ses.FetchRegion(base.FileCombined, rg); err != nil {
-				return nil, err
+			if rg != rs && rg != rt {
+				regions = append(regions, rg)
 			}
 		}
-	} else if err := cg.AddSubgraphEdges(rec.Edges); err != nil {
+	}
+	contPages, nodes, err := ses.FetchRegions(base.FileCombined, regions, cont...)
+	if err != nil {
 		return nil, err
 	}
+	if len(cont) > 0 {
+		for _, p := range contPages {
+			recPages = append(recPages, p[0])
+		}
+		if rec, err = base.DecodeIndexRecord(recPages, 0, int(entry.RecIndex)); err != nil {
+			return nil, err
+		}
+		if rec.IsSet() {
+			return nil, fmt.Errorf("hy: set record runs past the round-3 window")
+		}
+	}
+	cg := ses.Graph()
+	if !rec.IsSet() {
+		if err := cg.AddSubgraphEdges(rec.Edges); err != nil {
+			return nil, err
+		}
+	}
 
-	sNode := cg.Nearest(sPt, sNodes)
-	tNode := cg.Nearest(tPt, tNodes)
+	sNode := cg.Nearest(sPt, nodes[0])
+	tNode := cg.Nearest(tPt, nodes[1])
 	cost, path := cg.Dijkstra(sNode, tNode)
 	return ses.Finish(cost, path, sNode, tNode)
 }

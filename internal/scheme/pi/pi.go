@@ -161,29 +161,31 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 		return nil, err
 	}
 
-	// Round 3: h index pages, then the two region clusters.
-	rec, err := ses.IndexRound(entry)
+	// Round 3: h index pages, then the two region clusters, all sent before
+	// the record or a region is decoded.
+	if err := ses.NextRound(); err != nil {
+		return nil, err
+	}
+	window, off := base.IndexWindow(entry, int(hdr.MustParam(base.ParamMaxSpan)), int(hdr.MustParam(base.ParamIdxPages)))
+	lead, nodes, err := ses.FetchRegions(base.FileData, []kdtree.RegionID{rs, rt},
+		lbs.Frame{File: base.FileIndex, Pages: window})
+	if err != nil {
+		return nil, err
+	}
+	rec, err := base.DecodeIndexRecord(lead[0], off, int(entry.RecIndex))
 	if err != nil {
 		return nil, err
 	}
 	if rec.IsSet() {
 		return nil, fmt.Errorf("pi: index record is not a subgraph")
 	}
-	sNodes, err := ses.FetchRegion(base.FileData, rs)
-	if err != nil {
-		return nil, err
-	}
-	tNodes, err := ses.FetchRegion(base.FileData, rt)
-	if err != nil {
-		return nil, err
-	}
 
 	cg := ses.Graph()
 	if err := cg.AddSubgraphEdges(rec.Edges); err != nil {
 		return nil, err
 	}
-	sNode := cg.Nearest(sPt, sNodes)
-	tNode := cg.Nearest(tPt, tNodes)
+	sNode := cg.Nearest(sPt, nodes[0])
+	tNode := cg.Nearest(tPt, nodes[1])
 	cost, path := cg.Dijkstra(sNode, tNode)
 	return ses.Finish(cost, path, sNode, tNode)
 }

@@ -56,6 +56,41 @@ func (b *boundaryCancel) ReadPages(ctx context.Context, file string, pages []int
 
 func (b *boundaryCancel) Model() costmodel.Params { return b.inner.Model() }
 
+// batchCancel is boundaryCancel with the batch face (lbs.RoundReader): a
+// batch that reaches round k+1 goes out up to that round's announcement,
+// then the context is cancelled. The session drives it batch by batch, the
+// bare boundaryCancel frame by frame.
+type batchCancel struct{ *boundaryCancel }
+
+func (b batchCancel) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, b) }
+
+func (b batchCancel) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
+	cut := len(frames)
+	for i, f := range frames {
+		if f.NewRound {
+			if b.n++; b.n > b.k {
+				cut = i
+				break
+			}
+		}
+	}
+	out, err := lbs.ReadFrames(ctx, b.inner, frames[:cut])
+	if err != nil {
+		return nil, err
+	}
+	if cut < len(frames) {
+		b.cancel()
+		return nil, context.Canceled
+	}
+	return out, nil
+}
+
+// cancelPaths returns the service a boundary-cancelled query runs against
+// on each path: frame by frame, and batched.
+func cancelPaths(bc *boundaryCancel) map[string]lbs.Service {
+	return map[string]lbs.Service{"frame-by-frame": bc, "batched": batchCancel{bc}}
+}
+
 // roundPrefix truncates a canonical trace to its first k complete rounds.
 func roundPrefix(full string, k int) string {
 	marker := fmt.Sprintf("round %d:\n", k+1)
@@ -118,26 +153,28 @@ func TestCancellationTracePrefix(t *testing.T) {
 				if k < 0 || k >= rounds {
 					continue
 				}
-				ctx, cancel := context.WithCancel(context.Background())
-				qs := c.StartQuery()
-				bc := &boundaryCancel{inner: qs, cancel: cancel, k: k}
-				_, err := queryScheme(ctx, bc, scheme, 3, 5, g)
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancel at round %d: err = %v, want context.Canceled", k, err)
-				}
-				qs.Cancel(wire.CancelContext)
-				cancel()
+				for _, path := range []string{"frame-by-frame", "batched"} {
+					ctx, cancel := context.WithCancel(context.Background())
+					qs := c.StartQuery()
+					bc := &boundaryCancel{inner: qs, cancel: cancel, k: k}
+					_, err := queryScheme(ctx, cancelPaths(bc)[path], scheme, 3, 5, g)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("cancel at round %d (%s): err = %v, want context.Canceled", k, path, err)
+					}
+					qs.Cancel(wire.CancelContext)
+					cancel()
 
-				recorded++
-				traces := waitTraces(t, srv, scheme, recorded)
-				got := traces[len(traces)-1]
-				want := roundPrefix(full, k)
-				if got != want {
-					t.Fatalf("cancel at round %d: server trace is not the first %d rounds:\ngot:\n%swant:\n%s",
-						k, k, got, want)
-				}
-				if !strings.HasPrefix(full, got) {
-					t.Fatalf("cancel at round %d: trace is not a prefix of the full trace", k)
+					recorded++
+					traces := waitTraces(t, srv, scheme, recorded)
+					got := traces[len(traces)-1]
+					want := roundPrefix(full, k)
+					if got != want {
+						t.Fatalf("cancel at round %d (%s): server trace is not the first %d rounds:\ngot:\n%swant:\n%s",
+							k, path, k, got, want)
+					}
+					if !strings.HasPrefix(full, got) {
+						t.Fatalf("cancel at round %d (%s): trace is not a prefix of the full trace", k, path)
+					}
 				}
 			}
 
@@ -160,7 +197,8 @@ func TestCancellationTracePrefix(t *testing.T) {
 }
 
 // TestMultiplexedQueriesOneConnection runs 32 interleaved queries over a
-// single TCP connection — including one cancelled mid-stream — and checks
+// single TCP connection — including two cancelled mid-stream, one driven
+// frame by frame and one batched — and checks
 // every completed answer against Dijkstra. Run under -race this proves the
 // multiplexed client and the per-query server goroutines share the
 // connection safely.
@@ -171,7 +209,7 @@ func TestMultiplexedQueriesOneConnection(t *testing.T) {
 	canonical := lbs.CanonicalTrace(dbs["CI"].Plan)
 
 	const queries = 32
-	const cancelIdx = 13
+	cancelled := map[int]string{13: "frame-by-frame", 21: "batched"}
 	var wg sync.WaitGroup
 	errs := make(chan error, queries)
 	for i := 0; i < queries; i++ {
@@ -180,14 +218,14 @@ func TestMultiplexedQueriesOneConnection(t *testing.T) {
 			defer wg.Done()
 			s := graph.NodeID((i * 131) % g.NumNodes())
 			d := graph.NodeID((i*257 + 13) % g.NumNodes())
-			if i == cancelIdx {
-				// One query is called off after its first round while the
-				// other 31 stream on the same connection.
+			if path, ok := cancelled[i]; ok {
+				// Two queries are called off after their first round while
+				// the other 30 stream on the same connection.
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				qs := c.StartQuery()
 				bc := &boundaryCancel{inner: qs, cancel: cancel, k: 1}
-				if _, err := ci.Query(ctx, bc, g.Point(s), g.Point(d)); !errors.Is(err, context.Canceled) {
+				if _, err := ci.Query(ctx, cancelPaths(bc)[path], g.Point(s), g.Point(d)); !errors.Is(err, context.Canceled) {
 					errs <- fmt.Errorf("query %d: err = %v, want context.Canceled", i, err)
 				}
 				qs.Cancel(wire.CancelContext)
@@ -221,7 +259,7 @@ func TestMultiplexedQueriesOneConnection(t *testing.T) {
 	waitFor(t, "completed+cancelled accounting", func() bool {
 		st := srv.Stats()
 		db := st.Databases[0]
-		return db.Queries == queries-1 && db.Cancelled == 1 && db.InFlight == 0
+		return db.Queries == uint64(queries-len(cancelled)) && db.Cancelled == uint64(len(cancelled)) && db.InFlight == 0
 	})
 	// The worker pool drained: no slot is still held by the cancelled
 	// query.

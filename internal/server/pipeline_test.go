@@ -1,0 +1,209 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/costmodel"
+	"repro/internal/graph"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/pir"
+	"repro/internal/plan"
+	"repro/internal/wire"
+)
+
+// gateStore holds every read of one page until open is closed, and says on
+// entered when the first such read arrives.
+type gateStore struct {
+	pir.Store
+	page    int
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (s gateStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	if slices.Contains(pages, s.page) {
+		select {
+		case s.entered <- struct{}{}:
+		default:
+		}
+		select {
+		case <-s.open:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return s.Store.ReadBatchInto(ctx, pages, dst)
+}
+
+// numberedPages builds n pages of size bytes whose first four bytes are
+// the page's number.
+func numberedPages(n, size int) [][]byte {
+	pages := make([][]byte, n)
+	for i := range pages {
+		pages[i] = make([]byte, size)
+		copy(pages[i], fmt.Sprintf("%04d", i))
+	}
+	return pages
+}
+
+// TestPipelinedBatchSharesTheConnection: one query pipelines a batch of 97
+// frames — a round announcement and 96 one-page reads — whose fourth read
+// is held at the store, while a second query on the same connection runs
+// from header to End. The second query completes while the first one's
+// batch still waits (the daemon's connection reader never blocks on the
+// first query's inbox), and once released, every reply of the batch
+// arrives, in order.
+func TestPipelinedBatchSharesTheConnection(t *testing.T) {
+	const frames = 96
+	db := &lbs.Database{
+		Scheme: "T",
+		Header: []byte("pipelining fixture\n"),
+		Files: []pagefile.Reader{
+			pagefile.SlicePages("A", 64, numberedPages(frames, 64)),
+			pagefile.SlicePages("B", 64, numberedPages(4, 64)),
+		},
+		Plan: plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: frames}}}}},
+	}
+	gate := gateStore{page: 3, entered: make(chan struct{}, 1), open: make(chan struct{})}
+	lsrv, err := lbs.NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
+		if f.Name() == "A" {
+			g := gate
+			g.Store = pir.NewPlain(f)
+			return g, nil
+		}
+		return pir.NewPlain(f), nil
+	}, lbs.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{})
+	if err := srv.HostLBS("T", lsrv); err != nil {
+		t.Fatal(err)
+	}
+	done, addr := listen(t, srv)
+	defer shutdown(t, srv, done)
+	c := dialDB(t, addr, "T")
+	defer c.Close() // before shutdown, which would wait out its drain deadline
+	ctx := context.Background()
+
+	q1 := c.StartQuery()
+	batch := []lbs.Frame{{NewRound: true}}
+	for i := range frames {
+		batch = append(batch, lbs.Frame{File: "A", Pages: []int{i}})
+	}
+	type reply struct {
+		pages [][][]byte
+		err   error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		out, err := q1.ReadFrames(ctx, batch)
+		replied <- reply{out, err}
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the gated read never reached the store")
+	}
+
+	// Everything of q1's batch was written before the gated read began, so
+	// the connection reader meets all of it before any frame of q2.
+	ctx2, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	q2 := c.StartQuery()
+	if _, err := q2.HeaderBytes(ctx2); err != nil {
+		t.Fatalf("second query's header behind a held batch: %v", err)
+	}
+	got, err := q2.ReadFrames(ctx2, []lbs.Frame{{NewRound: true}, {File: "B", Pages: []int{2, 0}}, {File: "B", Pages: []int{3}}})
+	if err != nil {
+		t.Fatalf("second query's batch behind a held batch: %v", err)
+	}
+	for i, want := range [][]string{nil, {"0002", "0000"}, {"0003"}} {
+		for j, w := range want {
+			if string(got[i][j][:4]) != w {
+				t.Errorf("second query, frame %d page %d: got %q, want %q", i, j, got[i][j][:4], w)
+			}
+		}
+	}
+	if _, err := q2.End(ctx2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-replied:
+		t.Fatalf("the held batch returned early: %v", r.err)
+	default:
+	}
+
+	close(gate.open)
+	r := <-replied
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.pages) != len(batch) || r.pages[0] != nil {
+		t.Fatalf("got %d replies (first %v), want %d with none for the announcement", len(r.pages), r.pages[0], len(batch))
+	}
+	for i, pages := range r.pages[1:] {
+		if len(pages) != 1 || string(pages[0][:4]) != fmt.Sprintf("%04d", i) {
+			t.Fatalf("reply %d out of order or wrong: %q", i+1, pages)
+		}
+	}
+	trace, err := q1.End(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lbs.CanonicalTrace(db.Plan); trace != "round 1:\n"+strings.TrimPrefix(want, "header\nround 1:\n") {
+		t.Errorf("daemon trace of the batch:\n%s", trace)
+	}
+}
+
+// TestBatchErrorDrainsTheBatch: the daemon answers one frame in the middle
+// of a batch with Error (a page past the file's end) and the rest with
+// pages. The client returns that error once the whole batch is answered,
+// so the same query's next read gets its own reply, and the next query on
+// the connection succeeds.
+func TestBatchErrorDrainsTheBatch(t *testing.T) {
+	g, dbs := fixture(t)
+	_, addr := startServer(t, "CI")
+	c := dialDB(t, addr, "CI")
+	ctx := context.Background()
+	fd := dbs["CI"].File("Fd")
+
+	q := c.StartQuery()
+	if _, err := q.HeaderBytes(ctx); err != nil {
+		t.Fatal(err)
+	}
+	batch := []lbs.Frame{{NewRound: true}, {File: "Fd", Pages: []int{0}}, {File: "Fd", Pages: []int{1}},
+		{File: "Fd", Pages: []int{fd.NumPages()}}, {File: "Fd", Pages: []int{2}}, {File: "Fd", Pages: []int{3}}}
+	_, err := q.ReadFrames(ctx, batch)
+	if !client.IsServerReject(err) || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("batch with a page past the end: err = %v, want the daemon's out-of-range rejection", err)
+	}
+	got, err := q.ReadPages(ctx, "Fd", []int{5})
+	if err != nil {
+		t.Fatalf("read after the failed batch: %v", err)
+	}
+	if want, _ := fd.Page(5); !bytes.Equal(got[0][:len(want)], want) {
+		t.Error("read after the failed batch got another frame's reply: the batch was not drained")
+	}
+	q.Cancel(wire.CancelAbandon)
+
+	res, trace, err := remoteQuery(c, "CI", 1, 2, g)
+	if err != nil {
+		t.Fatalf("next query on the connection: %v", err)
+	}
+	if want := graph.ShortestPath(g, 1, 2); math.Abs(res.Cost-want.Cost) > 1e-9 {
+		t.Errorf("next query: cost %v, Dijkstra %v", res.Cost, want.Cost)
+	}
+	if trace != lbs.CanonicalTrace(dbs["CI"].Plan) {
+		t.Error("next query: daemon trace deviates from the plan")
+	}
+}

@@ -66,9 +66,10 @@ const traceHistory = 128
 // All serving counters live in the telemetry registry (see hostedMetrics);
 // Stats is a view over them, never an independent tally.
 type hosted struct {
-	name string
-	srv  *lbs.Server
-	m    hostedMetrics // nil-safe handles; zero value records into nothing
+	name  string
+	srv   *lbs.Server
+	m     hostedMetrics // nil-safe handles; zero value records into nothing
+	inbox int           // frames a query inbox holds: its plan's most in flight
 
 	mu     sync.Mutex
 	traces []string // ring of the most recent completed query traces

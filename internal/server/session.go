@@ -67,11 +67,12 @@ type query struct {
 	reason atomic.Uint32
 
 	// Owned by the query goroutine:
-	start   time.Time
-	round   int
-	trace   lbs.Transcript
-	fetched uint64
-	ended   bool
+	start     time.Time
+	round     int
+	trace     lbs.Transcript
+	fetched   uint64
+	ended     bool
+	unflushed bool // a reply of this query may sit in the write buffer
 }
 
 // sframe is one routed client frame. payload aliases a pooled buffer (buf);
@@ -119,6 +120,15 @@ func newSession(s *Server, conn net.Conn) *session {
 // send writes one frame and flushes. Safe for concurrent use by the query
 // goroutines.
 func (ss *session) send(t wire.MsgType, qid uint32, payload []byte) error {
+	return ss.write(t, qid, payload, true)
+}
+
+func (ss *session) sendErr(qid uint32, format string, args ...any) error {
+	return ss.send(wire.MsgError, qid, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
+}
+
+// write writes one frame, flushing the connection's buffer if asked.
+func (ss *session) write(t wire.MsgType, qid uint32, payload []byte, flush bool) error {
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
 	if err := ss.fw.WriteFrame(t, qid, payload); err != nil {
@@ -126,11 +136,32 @@ func (ss *session) send(t wire.MsgType, qid uint32, payload []byte) error {
 	}
 	ss.s.m.framesWritten.Inc()
 	ss.s.m.bytesWritten.Add(uint64(len(payload)) + wire.FrameOverhead)
+	if !flush {
+		return nil
+	}
 	return ss.bw.Flush()
 }
 
-func (ss *session) sendErr(qid uint32, format string, args ...any) error {
-	return ss.send(wire.MsgError, qid, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
+// reply writes one of q's replies without flushing: runQuery flushes once
+// q's inbox is empty, so a pipelined batch's replies leave together.
+func (ss *session) reply(q *query, t wire.MsgType, payload []byte) {
+	ss.write(t, q.id, payload, false)
+	q.unflushed = true
+}
+
+func (ss *session) replyErr(q *query, format string, args ...any) {
+	ss.reply(q, wire.MsgError, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
+}
+
+// flush sends q's buffered replies, if any.
+func (ss *session) flush(q *query) {
+	if !q.unflushed {
+		return
+	}
+	q.unflushed = false
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
+	ss.bw.Flush()
 }
 
 // run drives the session to completion. Transport errors end it; protocol
@@ -281,7 +312,7 @@ func (ss *session) beginQuery(qid uint32) {
 		return
 	}
 	qctx, qcancel := context.WithCancel(ss.ctx)
-	q := &query{id: qid, ctx: qctx, cancel: qcancel, inbox: make(chan sframe, 16), start: time.Now()}
+	q := &query{id: qid, ctx: qctx, cancel: qcancel, inbox: make(chan sframe, ss.db.inbox), start: time.Now()}
 	ss.queries[qid] = q
 	ss.qmu.Unlock()
 	ss.db.m.inflight.Inc()
@@ -310,9 +341,13 @@ func (ss *session) cancelQuery(qid uint32, payload []byte) {
 
 // runQuery is one query's serving loop: frames arrive in client send order
 // through the inbox, the context aborts it between frames or mid-read.
+// Replies are flushed whenever the inbox runs empty — after a pipelined
+// batch's last frame, not after each — and never left buffered while the
+// loop waits.
 func (ss *session) runQuery(q *query) {
 	defer ss.wg.Done()
 	defer ss.finishQuery(q)
+	defer ss.flush(q)
 	for {
 		select {
 		case <-q.ctx.Done():
@@ -322,6 +357,9 @@ func (ss *session) runQuery(q *query) {
 			putFrameBuf(f.buf)
 			if terminal {
 				return
+			}
+			if len(q.inbox) == 0 {
+				ss.flush(q)
 			}
 		}
 	}
@@ -334,15 +372,16 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 	case wire.MsgHeaderReq:
 		h, err := ss.db.srv.HeaderBytes(q.ctx)
 		if err != nil {
-			ss.sendErr(q.id, "%v", err)
+			ss.replyErr(q, "%v", err)
 			return false
 		}
 		q.trace.Header()
-		ss.send(wire.MsgHeader, q.id, wire.Header{Data: h}.Encode())
+		ss.reply(q, wire.MsgHeader, wire.Header{Data: h}.Encode())
 		return false
 
 	case wire.MsgNextRound:
-		// Fire-and-forget (one real round trip per round).
+		// Fire-and-forget: no reply; it rides in front of the round's
+		// first fetch, or with the rest of a pipelined batch.
 		q.round++
 		ss.db.m.rounds.Inc()
 		q.trace.Round(q.round)
@@ -352,17 +391,17 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		if ss.s.opts.ReplicaRole {
 			// A replica never reconstructs: it answers selector shares only,
 			// so this process cannot hold both halves of any query.
-			ss.sendErr(q.id, "replica serves selector shares only (send FetchShare, not Fetch)")
+			ss.replyErr(q, "replica serves selector shares only (send FetchShare, not Fetch)")
 			return false
 		}
 		sc := fetchPool.Get().(*fetchScratch)
 		defer fetchPool.Put(sc)
 		if err := sc.req.DecodeInto(f.payload); err != nil {
-			ss.sendErr(q.id, "%v", err)
+			ss.replyErr(q, "%v", err)
 			return false
 		}
 		if len(sc.req.Pages) == 0 {
-			ss.sendErr(q.id, "empty fetch")
+			ss.replyErr(q, "empty fetch")
 			return false
 		}
 		payload, err := ss.s.answerFetch(q.ctx, ss.db, sc)
@@ -373,14 +412,14 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 				// stays a prefix of a full query's.
 				return true
 			}
-			ss.sendErr(q.id, "%v", err)
+			ss.replyErr(q, "%v", err)
 			return false
 		}
 		// The adversarial view: file name and count only — the page
 		// indices model a PIR-encrypted request and are never recorded.
 		q.trace.Fetch(sc.req.File, len(sc.req.Pages))
 		q.fetched += uint64(len(sc.req.Pages))
-		ss.send(wire.MsgPages, q.id, payload)
+		ss.reply(q, wire.MsgPages, payload)
 		return false
 
 	case wire.MsgFetchShare:
@@ -389,11 +428,11 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// The selectors alias the frame buffer, which stays pinned until the
 		// answer is computed and encoded (runQuery returns it after this).
 		if err := sc.shareReq.DecodeInto(f.payload); err != nil {
-			ss.sendErr(q.id, "%v", err)
+			ss.replyErr(q, "%v", err)
 			return false
 		}
 		if len(sc.shareReq.Sels) == 0 {
-			ss.sendErr(q.id, "empty share fetch")
+			ss.replyErr(q, "empty share fetch")
 			return false
 		}
 		payload, err := ss.s.answerShareFetch(q.ctx, ss.db, sc)
@@ -401,7 +440,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			if q.ctx.Err() != nil {
 				return true
 			}
-			ss.sendErr(q.id, "%v", err)
+			ss.replyErr(q, "%v", err)
 			return false
 		}
 		// The adversarial view is identical to a plain fetch: file name and
@@ -409,7 +448,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// view of the PIR query and are uniformly random by construction.
 		q.trace.Fetch(sc.shareReq.File, len(sc.shareReq.Sels))
 		q.fetched += uint64(len(sc.shareReq.Sels))
-		ss.send(wire.MsgPages, q.id, payload)
+		ss.reply(q, wire.MsgPages, payload)
 		return false
 
 	case wire.MsgEndQuery:
@@ -419,11 +458,11 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		ss.db.m.queries.Inc()
 		ss.db.m.pages.Add(q.fetched)
 		ss.db.m.queryLat.Observe(int64(time.Since(q.start)))
-		ss.send(wire.MsgQueryDone, q.id, wire.QueryDone{Trace: tr}.Encode())
+		ss.reply(q, wire.MsgQueryDone, wire.QueryDone{Trace: tr}.Encode())
 		return true
 
 	default:
-		ss.sendErr(q.id, "unexpected message %s", f.t)
+		ss.replyErr(q, "unexpected message %s", f.t)
 		return false
 	}
 }
