@@ -47,6 +47,11 @@ type Options struct {
 	DialTimeout time.Duration
 }
 
+// maxFrame is the largest frame payload a client reads, and so the bound
+// its requests are chunked by: every reply must fit it, or the reader fails
+// the connection. Tests lower it before dialing to drive the chunking.
+var maxFrame = wire.DefaultMaxFrame
+
 // frame is one routed server frame.
 type frame struct {
 	t       wire.MsgType
@@ -71,6 +76,7 @@ type Client struct {
 	order    []lbs.FileInfo // Welcome file table, in database order
 	model    costmodel.Params
 	addr     string
+	maxFrame int // maxFrame as the client was dialed
 
 	ctlMu sync.Mutex // serializes control (stats) request/response pairs
 
@@ -143,6 +149,7 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	c.flags = w.Flags
 	c.model = w.Model
 	c.addr = addr
+	c.maxFrame = maxFrame
 	c.order = w.Files
 	c.files = make(map[string]lbs.FileInfo, len(w.Files))
 	for _, f := range w.Files {
@@ -253,7 +260,7 @@ func (c *Client) release(id uint32) {
 // buys: no stream position to desynchronize.
 func (c *Client) readLoop(br *bufio.Reader) {
 	for {
-		t, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		t, qid, payload, err := wire.ReadFrame(br, c.maxFrame)
 		if err != nil {
 			c.fail(fmt.Errorf("client: read: %w", err))
 			return
@@ -645,7 +652,8 @@ func (q *Query) NextRound(context.Context) error {
 
 // ReadFrames implements lbs.RoundReader: it writes every frame under one
 // flush — a round announcement as NextRound, a read as one Fetch frame per
-// wire.MaxFetchBatch pages — and then collects the replies in order.
+// chunk of the file's pages (see chunk) — and then collects the replies in
+// order.
 func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
 	for _, f := range frames {
 		for _, p := range f.Pages {
@@ -655,7 +663,7 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 		}
 	}
 	return q.pipeline(ctx, wire.MsgFetch, len(frames),
-		func(i int) (bool, int) { return frames[i].NewRound, len(frames[i].Pages) },
+		func(i int) (bool, string, int) { return frames[i].NewRound, frames[i].File, len(frames[i].Pages) },
 		func(e *pagefile.Enc, i, from, to int) {
 			q.pages = q.pages[:0]
 			for _, p := range frames[i].Pages[from:to] {
@@ -678,13 +686,13 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 
 // ReadShareFrames is ReadFrames for XOR PIR selector shares: every frame
 // goes out under one flush, a round announcement as NextRound, shares as one
-// FetchShare frame per wire.MaxFetchBatch selectors, and it returns, per
+// FetchShare frame per chunk of the file's selectors, and it returns, per
 // selector, the XOR of the pages it selects. This is the fleet client's half
 // of two-server PIR: the daemon answers each share in a single scan without
 // ever reconstructing a page.
 func (q *Query) ReadShareFrames(ctx context.Context, frames []ShareFrame) ([][][]byte, error) {
 	return q.pipeline(ctx, wire.MsgFetchShare, len(frames),
-		func(i int) (bool, int) { return frames[i].NewRound, len(frames[i].Sels) },
+		func(i int) (bool, string, int) { return frames[i].NewRound, frames[i].File, len(frames[i].Sels) },
 		func(e *pagefile.Enc, i, from, to int) {
 			wire.ShareFetch{File: frames[i].File, Sels: frames[i].Sels[from:to]}.EncodeTo(e)
 		})
@@ -701,26 +709,27 @@ func (q *Query) ReadShares(ctx context.Context, file string, sels [][]byte) ([][
 }
 
 // pipeline sends n frames as one batch — frame i a round announcement when
-// shape says so, else shape's count of items, requested as frames of type t
-// of at most wire.MaxFetchBatch items, items [from, to) of frame i encoded
-// by encode — and returns each frame's answers, one page per item (nil for
-// an announcement).
+// shape says so, else shape's count of items of its file, requested as
+// frames of type t of at most chunk(file) items, items [from, to) of frame
+// i encoded by encode — and returns each frame's answers, one page per item
+// (nil for an announcement).
 func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
-	shape func(i int) (newRound bool, items int), encode func(e *pagefile.Enc, i, from, to int),
+	shape func(i int) (newRound bool, file string, items int), encode func(e *pagefile.Enc, i, from, to int),
 ) ([][][]byte, error) {
 	if err := q.begin(); err != nil {
 		return nil, err
 	}
 	q.enc.Reset()
 	for i := range n {
-		round, items := shape(i)
+		round, file, items := shape(i)
 		if round {
 			q.add(wire.MsgNextRound, q.enc.Len())
 			continue
 		}
-		for from := 0; from < items; from += wire.MaxFetchBatch {
+		step := q.c.chunk(file)
+		for from := 0; from < items; from += step {
 			lo := q.enc.Len()
-			encode(q.enc, i, from, min(from+wire.MaxFetchBatch, items))
+			encode(q.enc, i, from, min(from+step, items))
 			q.add(t, lo)
 		}
 	}
@@ -730,14 +739,15 @@ func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
 	}
 	out := make([][][]byte, n)
 	for i := range n {
-		round, items := shape(i)
+		round, file, items := shape(i)
 		if round {
 			continue
 		}
-		for from := 0; from < items; from += wire.MaxFetchBatch {
+		step := q.c.chunk(file)
+		for from := 0; from < items; from += step {
 			resp, err := wire.DecodePages(replies[0])
 			replies = replies[1:]
-			if want := min(wire.MaxFetchBatch, items-from); err == nil && len(resp.Pages) != want {
+			if want := min(step, items-from); err == nil && len(resp.Pages) != want {
 				err = fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), want)
 			}
 			if err != nil {
@@ -752,6 +762,26 @@ func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
 		}
 	}
 	return out, nil
+}
+
+// smallReply is the payload size a reply is held to: the largest of the Go
+// allocator's small-object size classes. A reply is read into a buffer of
+// its own, and the daemon writes it from page buffers of the same size;
+// past this size each is a large object, allocated from and swept back to
+// the page heap one at a time, and a whole round's quota in one reply
+// holds the round in such objects on both sides of the connection — on a
+// fleet, twice. Cut at 32 KiB (7 pages of 4 KB), the buffers stay small
+// objects, and the round still goes out in one batch.
+const smallReply = 32 << 10
+
+// chunk is how many pages, or selector shares, of file one request frame
+// carries: wire.FramePages at the larger of the file's page and selector
+// sizes, so that the request and its reply fit the frame limit and the
+// reply fits smallReply. It depends on the public file table alone, so the
+// frames a plan quota is cut into are a function of the plan.
+func (c *Client) chunk(file string) int {
+	info := c.files[file] // an unknown file is refused by the daemon, whatever its chunking
+	return wire.FramePages(file, max(info.PageSize, (info.NumPages+7)/8), min(c.maxFrame, smallReply))
 }
 
 // Model returns the cost-model parameters the daemon announced.

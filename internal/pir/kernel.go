@@ -202,11 +202,20 @@ func passCost2(k, n, g int) int {
 
 // bucketBits returns the group size g the row-XOR count model picks for k
 // selectors over an n-page range of wpp-word rows; 1 means the direct loop.
+// A table is feasible only within the byte bound and with no more rows than
+// the range it folds. A table with more rows than its range is more memory
+// than the rows it folds, kept live on the free list for every fold that
+// overlaps, to save row-XORs on a range small enough for the direct loop to
+// be cheap anyway: 52 selectors over 81 pages would hold 208 rows (832 KB
+// at 4-KB pages) to fold 1 612 row-XORs instead of 2 106.
 func bucketBits(k, n, wpp int) int {
 	best, bestCost := 1, passCost2(k, n, 1)
 	for g := 2; g <= maxBucketBits && g <= k; g++ {
 		if tableRows(k, g)*wpp*8 > maxTableBytes {
 			break
+		}
+		if tableRows(k, g) > n {
+			continue
 		}
 		if cost := passCost2(k, n, g); cost < bestCost {
 			best, bestCost = g, cost

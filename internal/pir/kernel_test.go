@@ -272,7 +272,8 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 }
 
 // TestBucketBitsFollowsTheCountModel pins the plan the row-XOR count model
-// picks at the shapes the benchmark runs, and the constant table bound.
+// picks at the shapes the benchmark runs, the constant table bound, and that
+// no table has more rows than the range it folds.
 func TestBucketBitsFollowsTheCountModel(t *testing.T) {
 	for _, c := range []struct{ k, n, wpp, want int }{
 		{1, 11321, 512, 1},  // one selector: nothing to share
@@ -282,17 +283,26 @@ func TestBucketBitsFollowsTheCountModel(t *testing.T) {
 		{2, 11321, 512, 2},  // 0.75n + 12 against n
 		{64, 11321, 512, 4}, // 16 groups of 16 buckets fill the 1 MiB
 		{256, 11321, 512, 1},
-		{52, 81, 512, 4}, // the fleet's CI shares over an 81-page file: 1 612 row-XORs against 2 106
+		// The fleet's CI round, 52 shares over an 81-page file: g = 4 would
+		// fold 1 612 row-XORs against the direct loop's 2 106, through a
+		// 208-row table for 81 rows; no table may outgrow its range.
+		{52, 81, 512, 1},
+		{8, 81, 512, 4}, // 64 rows fit 81: the table still pays on a small range
 	} {
 		if got := bucketBits(c.k, c.n, c.wpp); got != c.want {
 			t.Errorf("bucketBits(k=%d, n=%d, wpp=%d) = %d, want %d", c.k, c.n, c.wpp, got, c.want)
 		}
 	}
 	for _, wpp := range []int{1, 125, 128, 512, 513} {
-		for k := 1; k <= 300; k++ {
-			g := bucketBits(k, 100000, wpp)
-			if g > 1 && tableRows(k, g)*wpp*8 > maxTableBytes {
-				t.Fatalf("k=%d wpp=%d: g=%d needs %d table bytes, bound %d", k, wpp, g, tableRows(k, g)*wpp*8, maxTableBytes)
+		for _, n := range []int{1, 8, 81, 100000} {
+			for k := 1; k <= 300; k++ {
+				g := bucketBits(k, n, wpp)
+				if g > 1 && tableRows(k, g)*wpp*8 > maxTableBytes {
+					t.Fatalf("k=%d wpp=%d: g=%d needs %d table bytes, bound %d", k, wpp, g, tableRows(k, g)*wpp*8, maxTableBytes)
+				}
+				if g > 1 && tableRows(k, g) > n {
+					t.Fatalf("k=%d n=%d: g=%d needs %d table rows for %d page rows", k, n, g, tableRows(k, g), n)
+				}
 			}
 		}
 	}

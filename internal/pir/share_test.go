@@ -23,7 +23,8 @@ func xorPages(pages [][]byte, sel []byte, pageSize int) []byte {
 // TestAnswerSharesMatchesReference: the single-scan share path must return,
 // for every selector, exactly the XOR of the selected pages — including
 // the empty selector, the all-ones selector, and selectors with trailing
-// bits set beyond the page count (which must select nothing).
+// bits set beyond the page count (which must select nothing) — whether the
+// answers are folded in the reply buffers in place or unpacked into them.
 func TestAnswerSharesMatchesReference(t *testing.T) {
 	for _, shape := range oddShapes {
 		pages := makePages(shape.n, shape.ps, int64(17*shape.n+shape.ps))
@@ -43,17 +44,26 @@ func TestAnswerSharesMatchesReference(t *testing.T) {
 		if _, err := rand.Read(sels[2]); err != nil {
 			t.Fatal(err)
 		}
-		dst := make([][]byte, len(sels))
-		for i := range dst {
-			dst[i] = make([]byte, shape.ps)
-		}
-		if err := x.AnswerShares(context.Background(), sels, dst); err != nil {
-			t.Fatalf("%dx%d: %v", shape.n, shape.ps, err)
-		}
-		for i, sel := range sels {
-			want := xorPages(pages, sel, shape.ps)
-			if !bytes.Equal(dst[i], want) {
-				t.Fatalf("%dx%d: share answer %d wrong", shape.n, shape.ps, i)
+		// The answers land in buffers cut from one dirty buffer: from an
+		// aligned start, where they are folded into in place when the page
+		// size allows it, and from an odd one, where they never are.
+		for _, off := range []int{0, 1} {
+			flat := bytes.Repeat([]byte{0xA5}, off+len(sels)*shape.ps+1)
+			dst := make([][]byte, len(sels))
+			for i := range dst {
+				dst[i] = flat[off+i*shape.ps : off+(i+1)*shape.ps]
+			}
+			if err := x.AnswerShares(context.Background(), sels, dst); err != nil {
+				t.Fatalf("%dx%d: %v", shape.n, shape.ps, err)
+			}
+			for i, sel := range sels {
+				want := xorPages(pages, sel, shape.ps)
+				if !bytes.Equal(dst[i], want) {
+					t.Fatalf("%dx%d, offset %d: share answer %d wrong", shape.n, shape.ps, off, i)
+				}
+			}
+			if flat[len(flat)-1] != 0xA5 || (off == 1 && flat[0] != 0xA5) {
+				t.Fatalf("%dx%d, offset %d: a share answer wrote past its buffer", shape.n, shape.ps, off)
 			}
 		}
 	}

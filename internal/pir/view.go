@@ -48,3 +48,14 @@ func viewWords(src pagefile.Reader) []uint64 {
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(first))), n*ps/8)
 }
+
+// wordsInPlace returns the first wpp words of b as a []uint64 sharing its
+// memory, or nil unless b holds 8·wpp bytes from an 8-byte-aligned start on
+// a little-endian host — where word i, read in place, is what unpackWords
+// would write to bytes [8i, 8i+8).
+func wordsInPlace(b []byte, wpp int) []uint64 {
+	if !littleEndian || wpp == 0 || len(b) < 8*wpp || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(b))), wpp)
+}

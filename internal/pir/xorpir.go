@@ -42,7 +42,7 @@ type XORPIR struct {
 	numPages int
 	pageSize int
 	rng      io.Reader
-	scratch  sync.Pool // *xorScratch, sized for this store
+	scratch  chan *xorScratch // free list of batch scratch, sized for this store
 
 	// Parallel scan machinery (see parallel.go): each server's pass fans
 	// out across ScanWorkers() goroutines when that is above 1.
@@ -63,8 +63,13 @@ type XORPIR struct {
 // accumulators, backed by two flat allocations so a steady-state batch
 // reuses everything. A k-page ReadBatchInto holds 2k of each, server A's
 // rows first and server B's after them, so one pass takes all 2k; a replica
-// answering k shares holds k accumulators and no selectors (its selectors
-// are the client's).
+// answering k shares holds no selectors (its selectors are the client's)
+// and, where it can, no accumulators either: it folds into the answer
+// buffers in place (viewAccs). Scratch lives on a free list, like the
+// bucket tables (tableList) and for the same reason: the accumulators are a
+// page per selector, and a sync.Pool would reallocate them after every
+// second collection, where the list keeps as many as batches have run at
+// once.
 type xorScratch struct {
 	selbuf []byte
 	sels   [][]byte
@@ -87,6 +92,7 @@ func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 		numPages:     arena.numPages,
 		pageSize:     arena.pageSize,
 		rng:          rand.Reader,
+		scratch:      make(chan *xorScratch, tableListCap),
 		scanGroup:    newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
 		arenaScratch: newArenaScratch(),
 	}, nil
@@ -98,11 +104,19 @@ func (x *XORPIR) selBytes() int { return (x.numPages + 7) / 8 }
 // getScratch rents a scratch with nsel selector rows and nacc zeroed
 // accumulator rows.
 func (x *XORPIR) getScratch(nsel, nacc int) *xorScratch {
-	sc, _ := x.scratch.Get().(*xorScratch)
-	if sc == nil {
+	var sc *xorScratch
+	select {
+	case sc = <-x.scratch:
+	default:
 		sc = &xorScratch{}
 	}
-	nbytes, wpp := x.selBytes(), x.arena.wpp
+	sc.size(nsel, nacc, x.selBytes(), x.arena.wpp)
+	return sc
+}
+
+// size cuts sc into nsel selector rows of nbytes and nacc zeroed
+// accumulator rows of wpp words, growing its buffers when too small.
+func (sc *xorScratch) size(nsel, nacc, nbytes, wpp int) {
 	if cap(sc.selbuf) < nsel*nbytes {
 		sc.selbuf = make([]byte, nsel*nbytes)
 	}
@@ -114,7 +128,36 @@ func (x *XORPIR) getScratch(nsel, nacc int) *xorScratch {
 	clearWords(sc.accbuf)
 	sc.sels = sliceRows(sc.sels[:0], sc.selbuf, nbytes)
 	sc.accs = sliceWordRows(sc.accs[:0], sc.accbuf, wpp)
-	return sc
+}
+
+// viewAccs points sc's accumulator rows at the answer buffers themselves,
+// zeroed, when every one can be read as wpp words in place (wordsInPlace),
+// so the pass folds straight into them; false leaves sc without rows.
+func (sc *xorScratch) viewAccs(dst [][]byte, wpp int) bool {
+	sc.accs = sc.accs[:0]
+	for _, d := range dst {
+		w := wordsInPlace(d, wpp)
+		if w == nil {
+			sc.accs = sc.accs[:0]
+			return false
+		}
+		clearWords(w)
+		sc.accs = append(sc.accs, w)
+	}
+	return true
+}
+
+// putScratch returns a batch's scratch to the free list, unless a batch far
+// beyond a plan quota's grew it past maxTableBytes: that one goes to the
+// collector rather than stay resident for good.
+func (x *XORPIR) putScratch(sc *xorScratch) {
+	if cap(sc.selbuf)+8*cap(sc.accbuf) > maxTableBytes {
+		return
+	}
+	select {
+	case x.scratch <- sc:
+	default:
+	}
 }
 
 // sliceRows cuts flat into rows of n bytes, reusing dst's backing array.
@@ -151,7 +194,7 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	}
 	k := len(pages)
 	sc := x.getScratch(2*k, 2*k)
-	defer x.scratch.Put(sc)
+	defer x.putScratch(sc)
 	selsA, selsB := sc.sels[:k], sc.sels[k:]
 	if err := SplitShares(x.rng, x.numPages, pages, selsA, selsB); err != nil {
 		return err
@@ -293,11 +336,22 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sc := x.getScratch(0, len(sels))
-	defer x.scratch.Put(sc)
+	// The answers accumulate in dst itself where the buffers allow it, so a
+	// replica holds a round's pages once; otherwise in scratch rows that
+	// are unpacked into dst after the pass.
+	sc := x.getScratch(0, 0)
+	defer x.putScratch(sc)
+	inPlace := sc.viewAccs(dst, x.arena.wpp)
+	if !inPlace {
+		sc.size(0, len(sels), x.selBytes(), x.arena.wpp)
+	}
 	x.pass(sels, sc.accs)
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
+	if inPlace {
+		clear(sc.accs) // the listed scratch must not keep the caller's buffers
+		return nil
+	}
 	for j := range sels {
 		unpackWords(dst[j][:x.pageSize], sc.accs[j])
 	}

@@ -24,6 +24,13 @@ import (
 // canonical plan with padding before it returns the error.
 var ErrPlanOverflow = errors.New("plan budget exhausted: the query needs more retrievals than the public plan allows")
 
+// ErrEntrySent reports a want for a (round, file) quota that has already
+// gone out: a plan entry leaves in one frame, its wants and then its
+// padding, so once a batch carried it nothing can be added to it. No scheme
+// asks for an entry in two steps; like an overflow, the want is not sent and
+// the session completes the canonical plan with padding first.
+var ErrEntrySent = errors.New("plan entry already sent: a (round, file) quota goes out in one frame")
+
 // Session is one query, and the one object that walks the public plan for
 // it (§3.1: every query follows the same plan, "padding its requests with
 // dummy page retrievals"). A scheme says what it needs — NextRound, Fetch,
@@ -32,19 +39,23 @@ var ErrPlanOverflow = errors.New("plan budget exhausted: the query needs more re
 // every piece of per-query bookkeeping: the error latch, the Table 2
 // charges, the client-compute clock, the per-file fetch counts and the
 // adversary-visible transcript. What reaches the service is therefore a
-// function of the plan alone, whatever a scheme asks for: each want is one
-// frame (a look-up page, an index window, a region cluster), padding goes
-// out in frames of Hdr.ClusterPages pages (the shape of a region fetch), in
-// plan file order, and a want the plan has no room for is never sent.
+// function of the plan alone, whatever a scheme asks for: each plan entry —
+// one (round, file) quota — is one frame, holding the entry's wants (a
+// look-up page, an index window, region clusters) in declaration order and
+// then its padding, entries in plan order; a want the plan has no room for
+// is never sent.
 //
-// A dependent frame waits; a round's declared frames and its padding go out
-// together. The session queues round announcements, padding and wants, and
+// A dependent frame waits; a round's declared wants and its padding go out
+// together. The session queues round announcements and entry frames, and
 // sends the queue as one batch (lbs.ReadFrames) only when a scheme needs a
-// reply: Fetch waits for the one frame it asks for, FetchRegions for a
-// round's region clusters and the padding that closes their file's quota,
-// and Finish sends the padded rest of the plan, every later round included,
-// as one batch. The frames, their order and the charges are those of
-// sending one frame at a time; only the waits between them are gone.
+// reply: Fetch waits for the entry it asks in, FetchRegions for a round's
+// region clusters and the padding that closes their file's quota, and
+// Finish sends the padded rest of the plan, every later round included, as
+// one batch. An entry leaves in one batch: one that is part declared when a
+// batch goes is padded to its quota and sent whole, and a later want for it
+// fails with ErrEntrySent. The frames, their order and the charges are
+// those of sending one frame at a time; only the waits between them are
+// gone.
 //
 // Cancellation is honored at round boundaries and before each batch: the
 // context is checked before a round is announced and before anything is
@@ -61,10 +72,12 @@ type Session struct {
 	backend lbs.Backend
 	model   costmodel.Params
 
-	round int // plan round in progress; -1 until the first NextRound
-	entry int // cursor into that round's Fetches: the entries before it are full
-	used  int // pages of Fetches[entry] declared so far
-	sent  int // rounds announced to the service
+	round int  // plan round in progress; -1 until the first NextRound
+	entry int  // cursor into that round's Fetches: the entries before it are full
+	used  int  // pages of Fetches[entry] wanted so far
+	open  bool // Fetches[entry] has the last frame of the queue
+	shut  bool // Fetches[entry] went out whole with an earlier batch
+	sent  int  // rounds announced to the service
 
 	err   error     // first backend or context error; every later call returns it
 	stats lbs.Stats // the Table 2 charges and per-file fetch counts so far
@@ -75,16 +88,22 @@ type Session struct {
 	start  time.Time
 	inside time.Duration
 
-	cg    *ClientGraph // the query's graph, once Graph borrowed it
-	queue []lbs.Frame  // frames declared and not yet sent, in plan order
-	idx   []int        // page numbers of the queued region frames
-	pad   []int        // padding's page numbers: all zero, never written, reused
+	cg     *ClientGraph // the query's graph, once Graph borrowed it
+	queue  []lbs.Frame  // frames declared and not yet sent, in plan order; Pages cut at send
+	counts []int        // per queued frame, its page count
+	pages  []int        // the queued frames' page numbers, back to back; padding asks for page 0
+	wants  []wantSpan   // the queued wants, each a run of one frame's pages
+	idx    []int        // one region's page numbers
 
 	// observe, when a test asked for it through the context, is told each
 	// time the session hands fetched pages to a decoder ("decode") and the
 	// query's graph starts a search ("search").
 	observe func(string)
 }
+
+// wantSpan is one want's pages inside its entry's frame: pages [from, from+n)
+// of queued frame f.
+type wantSpan struct{ f, from, n int }
 
 // observeKey is the context key under which a test hands Open an observer.
 type observeKey struct{}
@@ -129,10 +148,11 @@ func (s *Session) NextRound() error {
 	return s.beginRound()
 }
 
-// Fetch retrieves pages of file as one frame, charged to the current round's
-// quota for that file, and waits for it: everything queued before it goes
-// out in the same batch. Quotas of files the plan lists earlier in the round
-// are padded first, so the transcript keeps the plan's file order.
+// Fetch retrieves pages of file, charged to the current round's quota for
+// that file, and waits for them: everything queued before goes out in the
+// same batch, and the quota's frame with it, padded to the quota. Quotas of
+// files the plan lists earlier in the round are padded first, so the
+// transcript keeps the plan's file order.
 func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
 	at, err := s.want(file, pages)
 	if err != nil {
@@ -157,9 +177,9 @@ func (s *Session) Graph() *ClientGraph {
 }
 
 // FetchRegions retrieves one round's region clusters as one batch: the lead
-// frames first (wants the round holds in front of the clusters, such as an
-// index window), then one frame per region of file, then the padding that
-// closes file's quota for the round. Only once all of it is sent does it
+// wants first (those the round holds in front of the clusters, such as an
+// index window), then each region's pages in file's frame, then the padding
+// that closes file's quota for the round. Only once all of it is sent does it
 // decode anything: it returns the lead frames' pages, and per region the ids
 // of its records, in page order — the candidates Nearest snaps an endpoint
 // among — decoded straight into the query's graph (layout per the header).
@@ -172,14 +192,10 @@ func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...l
 		}
 	}
 	for i, r := range regions {
-		n := len(s.idx)
-		s.idx = slices.Grow(s.idx, s.Hdr.ClusterPages)
-		pages, err := s.Hdr.regionPages(r, s.idx[n:n])
-		if err != nil {
+		if s.idx, err = s.Hdr.regionPages(r, s.idx); err != nil {
 			return nil, nil, err
 		}
-		s.idx = s.idx[:n+len(pages)]
-		if at[len(lead)+i], err = s.want(file, pages); err != nil {
+		if at[len(lead)+i], err = s.want(file, s.idx); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -241,10 +257,16 @@ func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.N
 // overflow ends a query the plan cannot serve like any other: the excess is
 // not sent, the rest of the plan is.
 func (s *Session) overflow(format string, args ...any) error {
+	return s.abort(ErrPlanOverflow, format, args...)
+}
+
+// abort ends a query with a want the session refuses to send: the rest of
+// the plan goes out, then err, with the detail, is returned.
+func (s *Session) abort(err error, format string, args ...any) error {
 	if err := s.complete(); err != nil {
 		return err
 	}
-	return fmt.Errorf("%s: %w (%s)", strings.ToLower(s.Hdr.Scheme), ErrPlanOverflow, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: %w (%s)", strings.ToLower(s.Hdr.Scheme), err, fmt.Sprintf(format, args...))
 }
 
 // complete pads the round in progress and every round after it, and sends
@@ -263,10 +285,11 @@ func (s *Session) complete() error {
 	return err
 }
 
-// want queues pages of file as one frame of the round in progress, padding
-// the quotas the plan lists before file's first, and returns the frame's
-// place in the queue (-1 for no pages: nothing to send). A want the round
-// has no room for is not queued: the query overflows.
+// want queues pages of file into the frame of its quota in the round in
+// progress, padding the quotas the plan lists before file's first, and
+// returns the want's place among the queued wants (-1 for no pages: nothing
+// to send). A want the round has no room for is not queued: the query
+// overflows; nor is one for a quota an earlier batch already sent.
 func (s *Session) want(file string, pages []int) (int, error) {
 	fs := s.fetches()
 	i, used := s.entry, s.used
@@ -276,29 +299,49 @@ func (s *Session) want(file string, pages []int) (int, error) {
 	if i == len(fs) || used+len(pages) > fs[i].Count {
 		return -1, s.overflow("round %d has no room for %d more %s pages", s.round+1, len(pages), file)
 	}
+	if i == s.entry && s.shut && len(pages) > 0 {
+		return -1, s.abort(ErrEntrySent, "round %d, %d more %s pages", s.round+1, len(pages), file)
+	}
 	s.padTo(i)
 	if len(pages) == 0 {
 		return -1, nil
 	}
+	s.openFrame()
+	s.wants = append(s.wants, wantSpan{len(s.queue) - 1, s.counts[len(s.counts)-1], len(pages)})
+	s.pages = append(s.pages, pages...)
+	s.counts[len(s.counts)-1] += len(pages)
 	s.used += len(pages)
-	s.queue = append(s.queue, lbs.Frame{File: file, Pages: pages})
-	return len(s.queue) - 1, nil
+	return len(s.wants) - 1, nil
 }
 
-// padTo fills the round's quotas before entry i with padding frames and
-// moves the cursor there. Which pages padding asks for is arbitrary — the
-// PIR layer hides them — so it asks for page 0, every frame from the one
-// zeroed slice (a backend reads the page list, never writes it).
+// padTo closes the round's quotas before entry i — each padded to its count
+// inside its frame — and moves the cursor there. Which pages padding asks
+// for is arbitrary — the PIR layer hides them — so it asks for page 0.
 func (s *Session) padTo(i int) {
-	for fs := s.fetches(); s.entry < i; s.entry, s.used = s.entry+1, 0 {
-		for f := fs[s.entry]; s.used < f.Count; {
-			n := min(max(s.Hdr.ClusterPages, 1), f.Count-s.used)
-			if cap(s.pad) < n {
-				s.pad = make([]int, n)
-			}
-			s.queue = append(s.queue, lbs.Frame{File: f.File, Pages: s.pad[:n]})
-			s.used += n
+	for fs := s.fetches(); s.entry < i; s.entry, s.used, s.open, s.shut = s.entry+1, 0, false, false {
+		if !s.shut {
+			s.pad(fs[s.entry].Count - s.used)
 		}
+	}
+}
+
+// pad appends n padding pages to the cursor entry's frame; used counts
+// wants only.
+func (s *Session) pad(n int) {
+	if n <= 0 {
+		return
+	}
+	s.openFrame()
+	s.pages = append(s.pages, make([]int, n)...)
+	s.counts[len(s.counts)-1] += n
+}
+
+// openFrame makes sure the cursor entry's frame ends the queue.
+func (s *Session) openFrame() {
+	if !s.open {
+		s.queue = append(s.queue, lbs.Frame{File: s.fetches()[s.entry].File})
+		s.counts = append(s.counts, 0)
+		s.open = true
 	}
 }
 
@@ -315,7 +358,7 @@ func (s *Session) fetches() []plan.Fetch {
 // a dead context stops the query before the round is announced, so the
 // service-visible transcript ends after a complete round.
 func (s *Session) beginRound() error {
-	s.round, s.entry, s.used = s.round+1, 0, 0
+	s.round, s.entry, s.used, s.open, s.shut = s.round+1, 0, 0, false, false
 	if s.err != nil {
 		return s.err
 	}
@@ -323,17 +366,31 @@ func (s *Session) beginRound() error {
 		return s.fail(err)
 	}
 	s.queue = append(s.queue, lbs.Frame{NewRound: true})
+	s.counts = append(s.counts, 0)
 	return nil
 }
 
 // send hands the queued frames to the service as one batch — the one path
 // by which anything of the query reaches it — and charges them: one round
 // trip per round announced, and per page one PIR retrieval against the
-// file's length and one page transfer. The service sees how many pages of
-// which file each frame holds, never which. It returns one entry per frame.
+// file's length and one page transfer. The cursor entry, if it has a frame,
+// is padded to its quota first and goes out whole. The service sees how
+// many pages of which file each frame holds, never which. It returns each
+// queued want's pages, in want order.
 func (s *Session) send() ([][][]byte, error) {
-	frames := s.queue
-	s.queue, s.idx = s.queue[:0], s.idx[:0]
+	if s.open {
+		s.pad(s.fetches()[s.entry].Count - s.used)
+		s.open, s.shut = false, true
+	}
+	frames, wants := s.queue, s.wants
+	for i, at := 0, 0; i < len(frames); i++ {
+		n := s.counts[i]
+		if !frames[i].NewRound {
+			frames[i].Pages = s.pages[at : at+n : at+n]
+		}
+		at += n
+	}
+	s.queue, s.counts, s.pages, s.wants = s.queue[:0], s.counts[:0], s.pages[:0], s.wants[:0]
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -372,7 +429,11 @@ func (s *Session) send() ([][][]byte, error) {
 		s.stats.Fetches[f.File] += n
 		s.trace.Fetch(f.File, n)
 	}
-	return data, nil
+	out := make([][][]byte, len(wants))
+	for i, w := range wants {
+		out[i] = data[w.f][w.from : w.from+w.n : w.from+w.n]
+	}
+	return out, nil
 }
 
 // decoding tells a test's observer that fetched pages go to a decoder.

@@ -82,8 +82,9 @@ func TestOpenRejectsForeignScheme(t *testing.T) {
 
 // TestSessionPadsInPlanOrder: a round left half-used is padded before the
 // next begins, quotas of files the plan lists earlier are padded before a
-// later file is fetched, and padding goes out in region-shaped frames — with
-// the next want, as nothing waits on padding.
+// later file is fetched, and every quota goes out as one frame, its wants
+// first and its padding after — with the next want, as nothing waits on
+// padding.
 func TestSessionPadsInPlanOrder(t *testing.T) {
 	ses, svc := openSession(t)
 	mustDo(t, ses.NextRound())
@@ -101,7 +102,7 @@ func TestSessionPadsInPlanOrder(t *testing.T) {
 	mustDo(t, err)
 	want := []sentFrame{
 		{FileLookup, []int{0}},
-		{FileIndex, []int{0, 0}}, {FileData, []int{6, 7}}, {FileData, []int{0, 0}},
+		{FileIndex, []int{0, 0}}, {FileData, []int{6, 7, 0, 0}},
 		{FileData, []int{0, 0}},
 	}
 	if !slices.EqualFunc(svc.frames, want, sameFrame) {
@@ -175,6 +176,36 @@ func TestSessionOverflowSendsNothingAndCompletesThePlan(t *testing.T) {
 				t.Errorf("transcript after overflow:\n%swant:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestSessionRefusesToReopenASentEntry: a quota goes out in one frame, so a
+// scheme that fetches half of one, waits, and asks for the rest gets
+// ErrEntrySent; nothing of the second half is sent, and the service still
+// sees the canonical plan, the first half's quota padded inside its frame.
+func TestSessionRefusesToReopenASentEntry(t *testing.T) {
+	ses, svc := openSession(t)
+	mustDo(t, ses.NextRound())
+	mustDo(t, ses.NextRound())
+	pages, err := ses.Fetch(FileData, []int{6, 7})
+	mustDo(t, err)
+	if len(pages) != 2 || pages[0][0] != 6 || pages[1][0] != 7 {
+		t.Fatalf("first half returned the wrong pages: %v", pages)
+	}
+	_, err = ses.Fetch(FileData, []int{5, 5})
+	if !errors.Is(err, ErrEntrySent) || errors.Is(err, ErrPlanOverflow) {
+		t.Fatalf("err = %v, want ErrEntrySent", err)
+	}
+	want := []sentFrame{
+		{FileLookup, []int{0}},
+		{FileIndex, []int{0, 0}}, {FileData, []int{6, 7, 0, 0}},
+		{FileData, []int{0, 0}},
+	}
+	if !slices.EqualFunc(svc.frames, want, sameFrame) {
+		t.Errorf("sent %v\nwant %v", svc.frames, want)
+	}
+	if got, want := ses.trace.String(), lbs.CanonicalTrace(ses.Hdr.Plan); got != want {
+		t.Errorf("transcript after the refused want:\n%swant:\n%s", got, want)
 	}
 }
 

@@ -68,29 +68,13 @@ func paths(b lbs.Backend) map[string]lbs.Service {
 }
 
 // planFrames is the frame sequence of a plan: every (round, file) quota goes
-// out in frames of clusterPages pages, except the index window — the first
-// quota of the round after the look-up round, in the schemes that have one —
-// which is a single frame.
-func planFrames(hdr *base.Header, indexWindow bool) []frame {
+// out as one frame of its count, the wants first and the padding after.
+func planFrames(hdr *base.Header) []frame {
 	var out []frame
 	for ri, round := range hdr.Plan.Rounds {
-		for fi, f := range round.Fetches {
-			size := hdr.ClusterPages
-			if indexWindow && ri == 1 && fi == 0 {
-				size = f.Count
-			}
-			for left := f.Count; left > 0; left -= min(size, left) {
-				out = append(out, frame{ri + 1, f.File, min(size, left)})
-			}
+		for _, f := range round.Fetches {
+			out = append(out, frame{ri + 1, f.File, f.Count})
 		}
-	}
-	return out
-}
-
-func repeat(f frame, n int) []frame {
-	out := make([]frame, n)
-	for i := range out {
-		out[i] = f
 	}
 	return out
 }
@@ -101,7 +85,7 @@ type queryFn func(context.Context, lbs.Service, geom.Point, geom.Point) (*base.R
 // endpoint pairs chosen to differ in everything a query could leak — same
 // region, adjacent nodes, opposite corners, and for the sampled-plan schemes
 // a pair that overflows the plan — and holds the recorded frame sequence to
-// the one computed from the header's plan and ClusterPages alone.
+// the one computed from the header's plan alone: one frame per quota.
 func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
 	n := graph.NodeID(g.NumNodes())
@@ -132,18 +116,19 @@ func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
 		name        string
 		build       func() (*lbs.Database, error)
 		query       queryFn
-		indexWindow bool
 		sampledPlan bool
-		// parent pins the sequence the commit before the plan walker sent
-		// (recorded there with this recorder, same network and options).
-		parent []frame
+		// pinned is the sequence recorded with this recorder on this network
+		// and these options once every quota went out as one frame (before,
+		// each want and each region-sized run of padding was a frame: CI sent
+		// its Fd quota as 9 one-page frames, PI its two regions as two).
+		pinned []frame
 	}{
-		{name: "CI", build: func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, query: ci.Query, indexWindow: true,
-			parent: slices.Concat([]frame{{1, "Fl", 1}, {2, "Fi", 1}}, repeat(frame{3, "Fd", 1}, 9))},
-		{name: "PI", build: func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, query: pi.Query, indexWindow: true,
-			parent: []frame{{1, "Fl", 1}, {2, "Fi", 3}, {2, "Fd", 1}, {2, "Fd", 1}}},
-		{name: "PI*", build: func() (*lbs.Database, error) { return pi.Build(g, piStar) }, query: pi.Query, indexWindow: true},
-		{name: "HY", build: func() (*lbs.Database, error) { return hy.Build(g, hy.DefaultOptions()) }, query: hy.Query, indexWindow: true},
+		{name: "CI", build: func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, query: ci.Query,
+			pinned: []frame{{1, "Fl", 1}, {2, "Fi", 1}, {3, "Fd", 9}}},
+		{name: "PI", build: func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, query: pi.Query,
+			pinned: []frame{{1, "Fl", 1}, {2, "Fi", 3}, {2, "Fd", 2}}},
+		{name: "PI*", build: func() (*lbs.Database, error) { return pi.Build(g, piStar) }, query: pi.Query},
+		{name: "HY", build: func() (*lbs.Database, error) { return hy.Build(g, hy.DefaultOptions()) }, query: hy.Query},
 		{name: "LM", build: func() (*lbs.Database, error) { return lm.Build(g, lmOpt) }, query: lm.Query, sampledPlan: true},
 		{name: "AF", build: func() (*lbs.Database, error) { return af.Build(g, afOpt) }, query: af.Query, sampledPlan: true},
 	} {
@@ -160,9 +145,9 @@ func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := planFrames(hdr, sc.indexWindow)
-			if sc.parent != nil && !slices.Equal(want, sc.parent) {
-				t.Fatalf("plan frames changed from the pinned sequence:\n got %v\nwant %v", want, sc.parent)
+			want := planFrames(hdr)
+			if sc.pinned != nil && !slices.Equal(want, sc.pinned) {
+				t.Fatalf("plan frames changed from the pinned sequence:\n got %v\nwant %v", want, sc.pinned)
 			}
 
 			run := func(p [2]graph.NodeID) (err error) {

@@ -15,11 +15,11 @@ import (
 )
 
 // TestSteadyStateFetchZeroAllocs pins the zero-allocation property of the
-// fetch-serving hot path: once the pooled scratch is warm, serving one
+// fetch-serving hot path: once the listed scratch is warm, serving one
 // batched Fetch — read the request frame into a recycled buffer, decode it
 // in place, read the pages through the worker pool into the scratch's page
-// buffers, encode the MsgPages response into the scratch encoder, and write
-// the response frame — allocates nothing.
+// buffers, and write the MsgPages reply from those buffers — allocates
+// nothing.
 func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -55,8 +55,8 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 	// The per-connection working set a live session holds: the frame read
 	// buffer, the fetch scratch, and the buffered response writer.
 	var frameBuf []byte
-	sc := fetchPool.Get().(*fetchScratch)
-	defer fetchPool.Put(sc)
+	sc := s.scratch.get()
+	defer s.scratch.put(sc)
 	br := bytes.NewReader(nil)
 	bw := bufio.NewWriterSize(io.Discard, 64<<10)
 	fw := wire.NewFrameWriter(bw)
@@ -76,7 +76,7 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fw.WriteFrame(wire.MsgPages, qid, resp); err != nil {
+		if _, err := fw.WritePages(qid, resp); err != nil {
 			t.Fatal(err)
 		}
 		if err := bw.Flush(); err != nil {
@@ -121,7 +121,7 @@ func TestFramePoolDoesNotRatchet(t *testing.T) {
 	putFrameBuf(&edge)
 }
 
-// TestAnswerFetchMatchesReadPages checks the pooled serving path returns
+// TestAnswerFetchMatchesReadPages checks the listed-scratch serving path returns
 // exactly what the allocating path returns, across reuse of one scratch for
 // requests of different files, sizes and batch shapes.
 func TestAnswerFetchMatchesReadPages(t *testing.T) {
@@ -145,8 +145,8 @@ func TestAnswerFetchMatchesReadPages(t *testing.T) {
 	}
 	h := &hosted{name: "T", srv: lsrv, limit: 1}
 	s := New(Options{})
-	sc := fetchPool.Get().(*fetchScratch)
-	defer fetchPool.Put(sc)
+	sc := s.scratch.get()
+	defer s.scratch.put(sc)
 
 	cases := []wire.Fetch{
 		{File: "A", Pages: []uint32{0, 31, 5, 5, 17}},
@@ -156,14 +156,11 @@ func TestAnswerFetchMatchesReadPages(t *testing.T) {
 	}
 	for _, req := range cases {
 		sc.req = wire.Fetch{File: req.File, Pages: append(sc.req.Pages[:0], req.Pages...)}
-		payload, err := s.answerFetch(context.Background(), h, sc)
+		pages, err := s.answerFetch(context.Background(), h, sc)
 		if err != nil {
 			t.Fatalf("%s%v: %v", req.File, req.Pages, err)
 		}
-		resp, err := wire.DecodePages(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := wire.Pages{Pages: pages}
 		idx := make([]int, len(req.Pages))
 		for i, p := range req.Pages {
 			idx[i] = int(p)

@@ -1,0 +1,151 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
+	"repro/internal/wire"
+)
+
+// streamFixture hosts file A (60 pages of 4 KB) and file B (9 pages of an
+// odd 13 bytes) under the given options, and returns the daemon's address
+// and the files' pages.
+func streamFixture(t *testing.T, opts Options) (string, map[string][][]byte) {
+	t.Helper()
+	pages := map[string][][]byte{"A": numberedPages(60, 4096), "B": numberedPages(9, 13)}
+	db := &lbs.Database{
+		Scheme: "T",
+		Header: []byte("streamed reply fixture\n"),
+		Files:  []pagefile.Reader{pagefile.SlicePages("A", 4096, pages["A"]), pagefile.SlicePages("B", 13, pages["B"])},
+	}
+	srv := New(opts)
+	if err := srv.Host("T", db, costmodel.Default()); err != nil {
+		t.Fatal(err)
+	}
+	done, addr := listen(t, srv)
+	t.Cleanup(func() { shutdown(t, srv, done) })
+	return addr, pages
+}
+
+// rawQuery opens query 1 on a raw connection to addr and returns the
+// connection and a reader over it.
+func rawQuery(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	br := bufio.NewReader(conn)
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.ControlID, wire.Hello{Version: wire.ProtocolVersion}.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgWelcome {
+		t.Fatalf("handshake: %s, %v", typ, err)
+	}
+	if err := wire.WriteFrame(conn, wire.MsgBeginQuery, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	return conn, br
+}
+
+// TestStreamedPagesReply: the daemon writes a Pages reply from its page
+// buffers, and what arrives is the frame of the encoded payload byte for
+// byte — for a plain fetch of a round's 52 pages, at 4-KB and at odd page
+// sizes, and for a replica's share fetch — while, on one shared client
+// connection, concurrent queries stream their replies between each other's.
+func TestStreamedPagesReply(t *testing.T) {
+	addr, pages := streamFixture(t, Options{Workers: 2})
+	conn, br := rawQuery(t, addr)
+	round := make([]uint32, 52)
+	for i := range round {
+		round[i] = uint32(i)
+	}
+	for _, c := range []struct {
+		file string
+		idx  []uint32
+	}{
+		{"A", round}, {"A", []uint32{59, 3, 3}}, {"B", []uint32{8, 0, 7, 1, 1, 2, 6}},
+	} {
+		if err := wire.WriteFrame(conn, wire.MsgFetch, 1, wire.Fetch{File: c.file, Pages: c.idx}.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil || typ != wire.MsgPages || qid != 1 {
+			t.Fatalf("%s%v: reply %s/%d, %v", c.file, c.idx, typ, qid, err)
+		}
+		var want wire.Pages
+		for _, p := range c.idx {
+			want.Pages = append(want.Pages, pages[c.file][p])
+		}
+		if !bytes.Equal(payload, want.Encode()) {
+			t.Errorf("%s%v: streamed reply differs from the encoded payload", c.file, c.idx)
+		}
+	}
+
+	replica, rpages := streamFixture(t, Options{Workers: 2, Stores: lbs.XORStores, ReplicaRole: true})
+	conn, br = rawQuery(t, replica)
+	sels := make([][]byte, 9)
+	for i := range sels {
+		sels[i] = make([]byte, 2)
+		sels[i][i/8] = 1 << (i % 8) // selector i picks page i alone
+	}
+	if err := wire.WriteFrame(conn, wire.MsgFetchShare, 1, wire.ShareFetch{File: "B", Sels: sels}.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+	if err != nil || typ != wire.MsgPages {
+		t.Fatalf("share reply %s: %v", typ, err)
+	}
+	if !bytes.Equal(payload, wire.Pages{Pages: rpages["B"]}.Encode()) {
+		t.Error("streamed share reply differs from the encoded payload")
+	}
+
+	c := dialDB(t, addr, "T")
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 10 {
+				q := c.StartQuery()
+				idx := make([]int, 52)
+				for i := range idx {
+					idx[i] = (i*7 + g + n) % 60
+				}
+				got, err := q.ReadFrames(context.Background(), []lbs.Frame{{NewRound: true}, {File: "A", Pages: idx}, {File: "B", Pages: []int{g, 8 - g}}})
+				if err == nil {
+					for i, p := range idx {
+						if !bytes.Equal(got[1][i], pages["A"][p]) {
+							err = fmt.Errorf("query %d.%d: page %d of A differs", g, n, p)
+						}
+					}
+					if !bytes.Equal(got[2][1], pages["B"][8-g]) {
+						err = fmt.Errorf("query %d.%d: page %d of B differs", g, n, 8-g)
+					}
+				}
+				if err == nil {
+					_, err = q.End(context.Background())
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

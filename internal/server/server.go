@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
-	"repro/internal/pagefile"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -113,6 +112,8 @@ type Server struct {
 	// moves in beginQuery/finishQuery, never on query content.
 	inflight atomic.Int64
 
+	scratch scratchList // fetch scratch of every session's fetches
+
 	tel *telemetry.Registry
 	m   serverMetrics
 }
@@ -138,6 +139,7 @@ func New(opts Options) *Server {
 		baseCancel: cancel,
 		dbs:        map[string]*hosted{},
 		conns:      map[net.Conn]struct{}{},
+		scratch:    make(scratchList, scratchListCap),
 		tel:        telemetry.NewRegistry(),
 	}
 	s.initTelemetry()
@@ -349,22 +351,56 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// fetchScratch is the pooled working set of the fetch-serving hot path: the
-// decoded request, the page-index conversion, the page buffers the PIR
-// stores fill, and the response encoder. One scratch serves one fetch at a
-// time; recycling them through fetchPool makes a steady-state fetch —
-// decode, PIR read, response encode — perform zero allocations (see
-// TestSteadyStateFetchZeroAllocs).
+// fetchScratch is the working set of the fetch-serving hot path: the
+// decoded request, the page-index conversion, and the page buffers the PIR
+// stores fill and the reply is written from (wire.FrameWriter.WritePages).
+// One scratch serves one fetch at a time; recycling them through the
+// server's free list makes a steady-state fetch — decode, PIR read, reply
+// write — perform zero allocations (see TestSteadyStateFetchZeroAllocs).
 type fetchScratch struct {
 	req      wire.Fetch
 	shareReq wire.ShareFetch // decoded FetchShare; selectors alias the frame buffer
 	idx      []int
 	flat     []byte   // one backing array for all page buffers
 	bufs     [][]byte // page buffers, cut from flat
-	enc      *pagefile.Enc
 }
 
-var fetchPool = sync.Pool{New: func() any { return &fetchScratch{enc: pagefile.NewEnc(0)} }}
+// scratchList is the daemon's free list of fetch scratch. A sync.Pool would
+// drop a scratch's page buffers and reallocate them after every second
+// collection; the list keeps as many as fetches have been served at once,
+// up to its capacity.
+type scratchList chan *fetchScratch
+
+// scratchListCap bounds the scratch the list keeps; an unused slot costs a
+// pointer.
+const scratchListCap = 64
+
+// maxListedScratch is the largest page buffer the list keeps: a fetch far
+// beyond what a client sends for a plan quota (MaxFetchBatch pages is 256 MB
+// at 4 KB) leaves its buffer to the collector instead of pinning it for the
+// daemon's lifetime.
+const maxListedScratch = 1 << 20
+
+// get takes a scratch off the list, or a new one.
+func (l scratchList) get() *fetchScratch {
+	select {
+	case sc := <-l:
+		return sc
+	default:
+		return &fetchScratch{}
+	}
+}
+
+// put returns sc to the list, unless it outgrew maxListedScratch.
+func (l scratchList) put(sc *fetchScratch) {
+	if cap(sc.flat) > maxListedScratch {
+		return
+	}
+	select {
+	case l <- sc:
+	default:
+	}
+}
 
 // grow sizes the scratch for k pages of ps bytes each, keeping the backing
 // arrays when they are already big enough.
@@ -386,14 +422,14 @@ func (sc *fetchScratch) grow(k, ps int) {
 
 // answerFetch serves one decoded Fetch (held in sc.req): it validates the
 // page indices up front — so the error text names the hostile index instead
-// of surfacing from deep inside a store — reads the pages into the scratch
-// buffers through the database's worker pool (lbs.Server.ReadPagesInto
-// routes scan stores whole and fans the rest out), and encodes the
-// MsgPages payload into the scratch encoder. The query's context aborts a
-// read waiting for a pool slot, freeing the worker for queries that still
-// want answers. The returned payload aliases sc and is valid until the
-// scratch is reused.
-func (s *Server) answerFetch(ctx context.Context, h *hosted, sc *fetchScratch) ([]byte, error) {
+// of surfacing from deep inside a store — and reads the pages into the
+// scratch buffers through the database's worker pool
+// (lbs.Server.ReadPagesInto routes scan stores whole and fans the rest out).
+// The query's context aborts a read waiting for a pool slot, freeing the
+// worker for queries that still want answers. The returned pages are sc's
+// buffers, valid until the scratch is reused: the reply is written from
+// them.
+func (s *Server) answerFetch(ctx context.Context, h *hosted, sc *fetchScratch) ([][]byte, error) {
 	info, err := h.srv.FileInfo(sc.req.File)
 	if err != nil {
 		return nil, err
@@ -412,22 +448,18 @@ func (s *Server) answerFetch(ctx context.Context, h *hosted, sc *fetchScratch) (
 	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	sc.enc.Reset()
-	payload := wire.Pages{Pages: sc.bufs}.EncodeTo(sc.enc)
-	h.m.encodeLat.Observe(int64(time.Since(t0)))
-	return payload, nil
+	return sc.bufs, nil
 }
 
 // answerShareFetch serves one decoded FetchShare (held in sc.shareReq): the
 // XOR-accumulated answer to each client-supplied selector share is computed
-// in one scan (lbs.Server.AnswerShares) and encoded as a MsgPages payload —
-// one page-sized XOR per selector, in request order. The selectors alias the
+// in one scan (lbs.Server.AnswerShares) into the scratch buffers — one
+// page-sized XOR per selector, in request order. The selectors alias the
 // frame buffer, which stays pinned for the duration of the call. Selector
 // lengths are validated inside AnswerShares against the store's own
 // SelectorBytes, so hostile lengths fail before any slot is taken. The
-// returned payload aliases sc and is valid until the scratch is reused.
-func (s *Server) answerShareFetch(ctx context.Context, h *hosted, sc *fetchScratch) ([]byte, error) {
+// returned pages are sc's buffers, valid until the scratch is reused.
+func (s *Server) answerShareFetch(ctx context.Context, h *hosted, sc *fetchScratch) ([][]byte, error) {
 	info, err := h.srv.FileInfo(sc.shareReq.File)
 	if err != nil {
 		return nil, err
@@ -441,11 +473,7 @@ func (s *Server) answerShareFetch(ctx context.Context, h *hosted, sc *fetchScrat
 	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	sc.enc.Reset()
-	payload := wire.Pages{Pages: sc.bufs}.EncodeTo(sc.enc)
-	h.m.encodeLat.Observe(int64(time.Since(t0)))
-	return payload, nil
+	return sc.bufs, nil
 }
 
 // Traces returns the retained server-observed traces of the named database,

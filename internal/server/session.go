@@ -149,6 +149,22 @@ func (ss *session) reply(q *query, t wire.MsgType, payload []byte) {
 	q.unflushed = true
 }
 
+// replyPages writes q's Pages reply straight from the page buffers, like
+// reply without flushing; the write is what the encode histogram times.
+func (ss *session) replyPages(q *query, pages [][]byte) {
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
+	t0 := time.Now()
+	n, err := ss.fw.WritePages(q.id, pages)
+	if err != nil {
+		return
+	}
+	ss.db.m.encodeLat.Observe(int64(time.Since(t0)))
+	ss.s.m.framesWritten.Inc()
+	ss.s.m.bytesWritten.Add(uint64(n))
+	q.unflushed = true
+}
+
 func (ss *session) replyErr(q *query, format string, args ...any) {
 	ss.reply(q, wire.MsgError, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
 }
@@ -394,8 +410,8 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			ss.replyErr(q, "replica serves selector shares only (send FetchShare, not Fetch)")
 			return false
 		}
-		sc := fetchPool.Get().(*fetchScratch)
-		defer fetchPool.Put(sc)
+		sc := ss.s.scratch.get()
+		defer ss.s.scratch.put(sc)
 		if err := sc.req.DecodeInto(f.payload); err != nil {
 			ss.replyErr(q, "%v", err)
 			return false
@@ -404,7 +420,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			ss.replyErr(q, "empty fetch")
 			return false
 		}
-		payload, err := ss.s.answerFetch(q.ctx, ss.db, sc)
+		pages, err := ss.s.answerFetch(q.ctx, ss.db, sc)
 		if err != nil {
 			if q.ctx.Err() != nil {
 				// Cancelled while the read was queued or between its page
@@ -419,12 +435,12 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// indices model a PIR-encrypted request and are never recorded.
 		q.trace.Fetch(sc.req.File, len(sc.req.Pages))
 		q.fetched += uint64(len(sc.req.Pages))
-		ss.reply(q, wire.MsgPages, payload)
+		ss.replyPages(q, pages)
 		return false
 
 	case wire.MsgFetchShare:
-		sc := fetchPool.Get().(*fetchScratch)
-		defer fetchPool.Put(sc)
+		sc := ss.s.scratch.get()
+		defer ss.s.scratch.put(sc)
 		// The selectors alias the frame buffer, which stays pinned until the
 		// answer is computed and encoded (runQuery returns it after this).
 		if err := sc.shareReq.DecodeInto(f.payload); err != nil {
@@ -435,7 +451,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			ss.replyErr(q, "empty share fetch")
 			return false
 		}
-		payload, err := ss.s.answerShareFetch(q.ctx, ss.db, sc)
+		pages, err := ss.s.answerShareFetch(q.ctx, ss.db, sc)
 		if err != nil {
 			if q.ctx.Err() != nil {
 				return true
@@ -448,7 +464,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// view of the PIR query and are uniformly random by construction.
 		q.trace.Fetch(sc.shareReq.File, len(sc.shareReq.Sels))
 		q.fetched += uint64(len(sc.shareReq.Sels))
-		ss.reply(q, wire.MsgPages, payload)
+		ss.replyPages(q, pages)
 		return false
 
 	case wire.MsgEndQuery:

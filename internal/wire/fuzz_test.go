@@ -149,3 +149,45 @@ func FuzzDecodeCancel(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPagesReply round-trips a Pages reply streamed from page buffers
+// (FrameWriter.WritePages): at any page count and page size it must read
+// back as one MsgPages frame for the query, equal byte for byte to the frame
+// of the encoded payload, and decode to the same pages.
+func FuzzPagesReply(f *testing.F) {
+	f.Add(uint16(0), uint16(4096), uint32(1), byte(0))
+	f.Add(uint16(1), uint16(1), uint32(0), byte(7))
+	f.Add(uint16(52), uint16(4096), uint32(0xFFFFFFFF), byte(0xA5))
+	f.Add(uint16(300), uint16(3), uint32(9), byte(1))
+
+	f.Fuzz(func(t *testing.T, n16, ps16 uint16, qid uint32, fill byte) {
+		n, ps := int(n16)%600, int(ps16)%5000
+		pages := make([][]byte, n)
+		for i := range pages {
+			pages[i] = bytes.Repeat([]byte{fill ^ byte(i)}, ps)
+		}
+		var got, want bytes.Buffer
+		if size, err := NewFrameWriter(&got).WritePages(qid, pages); err != nil || size != got.Len() {
+			t.Fatalf("wrote %d of %d bytes: %v", size, got.Len(), err)
+		}
+		if err := WriteFrame(&want, MsgPages, qid, Pages{Pages: pages}.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d pages of %d bytes: streamed reply differs from the encoded frame", n, ps)
+		}
+		typ, id, payload, err := ReadFrame(&got, DefaultMaxFrame)
+		if err != nil || typ != MsgPages || id != qid {
+			t.Fatalf("read back %s/%d: %v", typ, id, err)
+		}
+		m, err := DecodePages(payload)
+		if err != nil || len(m.Pages) != n {
+			t.Fatalf("decoded %d pages, want %d: %v", len(m.Pages), n, err)
+		}
+		for i := range pages {
+			if !bytes.Equal(m.Pages[i], pages[i]) {
+				t.Fatalf("page %d differs", i)
+			}
+		}
+	})
+}

@@ -146,6 +146,7 @@ func WriteFrame(w io.Writer, t MsgType, queryID uint32, payload []byte) error {
 type FrameWriter struct {
 	w   io.Writer
 	hdr [frameHdrLen]byte
+	n   [4]byte // a length prefix inside a streamed payload
 }
 
 // NewFrameWriter wraps w (typically a *bufio.Writer; FrameWriter never
@@ -156,6 +157,43 @@ func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 // serializes writers (the daemon's per-connection write lock).
 func (fw *FrameWriter) WriteFrame(t MsgType, queryID uint32, payload []byte) error {
 	return writeFrame(fw.w, fw.hdr[:], t, queryID, payload)
+}
+
+// WritePages emits one MsgPages frame answering a fetch with pages, written
+// from the page buffers themselves: the header, the count, then each page
+// behind its length prefix. The bytes are those of WriteFrame with
+// Pages{Pages: pages}.Encode(), without the payload ever being assembled in
+// memory — a quota's pages are held once, by whoever filled them. It
+// returns the frame's size, header included; a batch the 16-bit count
+// cannot carry is refused before anything is written.
+func (fw *FrameWriter) WritePages(queryID uint32, pages [][]byte) (int, error) {
+	size := uint64(2)
+	for _, p := range pages {
+		size += 4 + uint64(len(p))
+	}
+	if size > math.MaxUint32 || len(pages) > MaxFetchBatch {
+		return 0, fmt.Errorf("wire: %d pages (%d bytes) do not fit a frame", len(pages), size)
+	}
+	binary.BigEndian.PutUint32(fw.hdr[:4], uint32(size))
+	fw.hdr[4] = byte(MsgPages)
+	binary.BigEndian.PutUint32(fw.hdr[5:9], queryID)
+	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
+		return 0, err
+	}
+	binary.LittleEndian.PutUint16(fw.n[:2], uint16(len(pages)))
+	if _, err := fw.w.Write(fw.n[:2]); err != nil {
+		return 0, err
+	}
+	for _, p := range pages {
+		binary.LittleEndian.PutUint32(fw.n[:], uint32(len(p)))
+		if _, err := fw.w.Write(fw.n[:]); err != nil {
+			return 0, err
+		}
+		if _, err := fw.w.Write(p); err != nil {
+			return 0, err
+		}
+	}
+	return frameHdrLen + int(size), nil
 }
 
 func writeFrame(w io.Writer, hdr []byte, t MsgType, queryID uint32, payload []byte) error {
@@ -218,6 +256,18 @@ func ReadFrameBuf(r io.Reader, maxFrame int, buf []byte) (MsgType, uint32, []byt
 // MaxFetchBatch is the largest page batch one Fetch frame carries (its
 // count field is 16-bit); the client chunks larger batches transparently.
 const MaxFetchBatch = 0xFFFF
+
+// FramePages is how many items of itemBytes each — pages, or selector
+// shares — one Fetch or FetchShare of file may carry so that both the
+// request and its Pages reply fit a frame of maxFrame payload bytes: at
+// most MaxFetchBatch, and at least 1. A reply is a 2-byte count and, per
+// page, a 4-byte length and the page; a request a 2-byte name length, the
+// name, a 2-byte count and, per item, at most 4 bytes and itemBytes. It is
+// a function of the public file table, so chunking by it keeps a query's
+// frame shape a function of the plan.
+func FramePages(file string, itemBytes, maxFrame int) int {
+	return max(1, min(MaxFetchBatch, (maxFrame-4-len(file))/(4+itemBytes)))
+}
 
 func putString(e *pagefile.Enc, s string) {
 	if len(s) > 0xFFFF {
@@ -517,10 +567,10 @@ func (m Pages) Encode() []byte {
 }
 
 // EncodeTo serializes the message payload into e, which the caller has
-// Reset. This is the serving hot path's encoder: batch responses are built
-// in a pooled encoder whose backing array survives across fetches, so a
-// steady-state response performs zero allocations. The returned bytes alias
-// e's buffer and are valid until its next Reset.
+// Reset: with a reused encoder, it allocates nothing in steady state. The
+// daemon does not assemble its replies at all — FrameWriter.WritePages
+// writes the same bytes from the page buffers. The returned bytes alias e's
+// buffer and are valid until its next Reset.
 func (m Pages) EncodeTo(e *pagefile.Enc) []byte {
 	e.U16(uint16(len(m.Pages)))
 	for _, p := range m.Pages {

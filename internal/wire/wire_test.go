@@ -199,6 +199,61 @@ func TestPagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWritePagesMatchesEncode: a Pages reply streamed from the page
+// buffers is byte for byte the frame of the encoded payload — at no pages,
+// one, seven, a CI round's 52, and a count on the chunk boundary
+// FramePages draws — at odd page sizes as well as the 4-KB one; and a
+// batch the 16-bit count cannot carry is refused before anything is
+// written.
+func TestWritePagesMatchesEncode(t *testing.T) {
+	const maxFrame = 1 << 20
+	for _, ps := range []int{1, 3, 8, 513, 4096} {
+		for _, n := range []int{0, 1, 7, 52, FramePages("Fd", ps, maxFrame)} {
+			pages := make([][]byte, n)
+			for i := range pages {
+				pages[i] = bytes.Repeat([]byte{byte(i), byte(i >> 8)}, ps)[:ps]
+			}
+			var want, got bytes.Buffer
+			if err := WriteFrame(&want, MsgPages, 7, Pages{Pages: pages}.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			size, err := NewFrameWriter(&got).WritePages(7, pages)
+			if err != nil {
+				t.Fatalf("ps %d n %d: %v", ps, n, err)
+			}
+			if size != got.Len() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("ps %d n %d: streamed reply differs from the encoded frame", ps, n)
+			}
+			if n == FramePages("Fd", ps, maxFrame) && got.Len()-FrameOverhead > maxFrame {
+				t.Errorf("ps %d: a %d-page reply is %d bytes, over the %d frame limit", ps, n, got.Len()-FrameOverhead, maxFrame)
+			}
+		}
+	}
+	var out bytes.Buffer
+	if _, err := NewFrameWriter(&out).WritePages(1, make([][]byte, MaxFetchBatch+1)); err == nil || out.Len() != 0 {
+		t.Errorf("a %d-page reply: err %v, %d bytes written", MaxFetchBatch+1, err, out.Len())
+	}
+}
+
+// TestFramePagesFitsTheFrame: at FramePages items both a Fetch or
+// FetchShare and its Pages reply fit the frame limit, and one more item
+// overflows it unless the 16-bit count was the binding bound.
+func TestFramePagesFitsTheFrame(t *testing.T) {
+	for _, maxFrame := range []int{64, 4 << 10, 1 << 20, DefaultMaxFrame} {
+		for _, ps := range []int{1, 7, 512, 4096, 8192} {
+			k := FramePages("Fd", ps, maxFrame)
+			reply := 2 + k*(4+ps)
+			share := 2 + 2 + 2 + k*(4+ps)
+			if k > 1 && (reply > maxFrame || share > maxFrame) {
+				t.Errorf("limit %d, %d-byte items: %d items make a %d-byte reply, %d-byte request", maxFrame, ps, k, reply, share)
+			}
+			if k < MaxFetchBatch && 2+(k+1)*(4+ps) <= maxFrame-4 {
+				t.Errorf("limit %d, %d-byte items: %d items leave room for another", maxFrame, ps, k)
+			}
+		}
+	}
+}
+
 // TestDecodePagesAliasesFrame pins the client's decode cost: the pages are
 // views of the frame payload, so decoding allocates the slice of pages and
 // nothing per page.
