@@ -248,39 +248,6 @@ func BenchmarkServeDiskVsRAM(b *testing.B) {
 
 // --- extension ablations (the paper's §8 future-work directions) ---
 
-// BenchmarkExtensionApproxCI measures the approximate CI variant: plan
-// shrinkage and result quality versus the truncation factor.
-func BenchmarkExtensionApproxCI(b *testing.B) {
-	cfg := benchConfig()
-	g := gen.GeneratePreset(gen.Argentina, cfg.Scale)
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		for _, factor := range []float64{1.0, 0.75, 0.5, 0.25} {
-			opt := ci.DefaultOptions()
-			if factor < 1 {
-				opt.ApproxFactor = factor
-			}
-			db, err := ci.Build(g, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := lbs.NewServer(db, costmodel.Default(), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := ci.EvaluateApproximation(context.Background(), srv, g, cfg.Queries, cfg.Seed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fmt.Fprintf(&buf, "factor %.2f: plan Fd pages %d, %s\n",
-				factor, db.Plan.TotalFetches("Fd"), q)
-		}
-		if i == 0 {
-			b.Log("\n" + buf.String())
-		}
-	}
-}
-
 // BenchmarkExtensionCompactData measures the lossless region-record
 // compression: database size with and without it, for CI and PI.
 func BenchmarkExtensionCompactData(b *testing.B) {

@@ -4,10 +4,12 @@
 //
 // Usage:
 //
-//	experiments [-run id] [-scale f] [-queries n] [-seed n] [-verify] [-list]
+//	experiments [-run id] [-scale f] [-queries n] [-seed n] [-list]
 //
-// Without -run, every experiment runs in paper order. REPRO_SCALE and
-// REPRO_QUERIES environment variables set defaults (flags win).
+// Without -run, every experiment runs in paper order. Every query's answer
+// is checked against plain Dijkstra, and a wrong cost stops the run with
+// exit status 1. REPRO_SCALE and REPRO_QUERIES environment variables set
+// defaults (flags win).
 package main
 
 import (
@@ -25,7 +27,6 @@ func main() {
 	scale := flag.Float64("scale", cfg.Scale, "network scale in (0,1]; 1.0 = paper sizes")
 	queries := flag.Int("queries", cfg.Queries, "queries per workload (paper: 1000)")
 	seed := flag.Int64("seed", cfg.Seed, "workload seed")
-	verify := flag.Bool("verify", cfg.Verify, "cross-check every query against plain Dijkstra")
 	flag.Parse()
 
 	if *list {
@@ -34,7 +35,7 @@ func main() {
 		}
 		return
 	}
-	cfg.Scale, cfg.Queries, cfg.Seed, cfg.Verify = *scale, *queries, *seed, *verify
+	cfg.Scale, cfg.Queries, cfg.Seed = *scale, *queries, *seed
 	r := exp.NewRunner(cfg)
 	var err error
 	if *run == "" {

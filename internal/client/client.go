@@ -128,8 +128,8 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 		done:    make(chan struct{}),
 	}
 	c.fw = wire.NewFrameWriter(c.bw)
-	br := bufio.NewReaderSize(conn, 64<<10)
-	w, err := handshake(br, c.bw, opts)
+	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
+	w, err := handshake(fr, c.bw, opts)
 	if !stop() && err == nil {
 		// The deadline-poisoning AfterFunc already started: it may run
 		// after the reset below and poison a connection we reported as
@@ -155,14 +155,14 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	for _, f := range w.Files {
 		c.files[f.Name] = f
 	}
-	go c.readLoop(br)
+	go c.readLoop(fr)
 	mConnects.Inc()
 	return c, nil
 }
 
 // handshake runs the Hello/Welcome exchange on the raw buffered stream,
 // before the reader goroutine exists.
-func handshake(br *bufio.Reader, bw *bufio.Writer, opts Options) (wire.Welcome, error) {
+func handshake(fr *wire.FrameReader, bw *bufio.Writer, opts Options) (wire.Welcome, error) {
 	hello := wire.Hello{Version: wire.ProtocolVersion, Database: opts.Database}
 	if err := wire.WriteFrame(bw, wire.MsgHello, wire.ControlID, hello.Encode()); err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: write Hello: %w", err)
@@ -170,7 +170,7 @@ func handshake(br *bufio.Reader, bw *bufio.Writer, opts Options) (wire.Welcome, 
 	if err := bw.Flush(); err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: write Hello: %w", err)
 	}
-	t, _, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+	t, _, payload, err := fr.ReadFrame(wire.DefaultMaxFrame)
 	if err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: read: %w", err)
 	}
@@ -257,10 +257,11 @@ func (c *Client) release(id uint32) {
 // readLoop routes every incoming frame to the query (or control waiter) it
 // is addressed to. Frames for finished queries — a reply overtaken by a
 // cancellation — are dropped, which is precisely what keying by query ID
-// buys: no stream position to desynchronize.
-func (c *Client) readLoop(br *bufio.Reader) {
+// buys: no stream position to desynchronize. Each payload is allocated
+// fresh and handed to its query, which keeps the pages it decodes from it.
+func (c *Client) readLoop(fr *wire.FrameReader) {
 	for {
-		t, qid, payload, err := wire.ReadFrame(br, c.maxFrame)
+		t, qid, payload, err := fr.ReadFrame(c.maxFrame)
 		if err != nil {
 			c.fail(fmt.Errorf("client: read: %w", err))
 			return

@@ -97,7 +97,7 @@ func (r *Runner) BuildHY(g *graph.Graph, threshold int) (Servable, error) {
 
 // BuildLM builds the Landmark baseline. Plan derivation samples the exact
 // evaluation workload plus extra random and extremal pairs, standing in for
-// the paper's exhaustive all-pairs derivation (DESIGN.md substitution 5).
+// the paper's derivation over all V² pairs, which is quadratic.
 func (r *Runner) BuildLM(g *graph.Graph, landmarks int) (Servable, error) {
 	opt := lm.DefaultOptions()
 	opt.Landmarks = landmarks

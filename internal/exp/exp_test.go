@@ -2,16 +2,21 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/geom"
+	"repro/internal/graph"
+	"repro/internal/scheme/base"
 )
 
 // tinyConfig keeps unit tests fast; the real runs use DefaultConfig (env
 // tunable) via cmd/experiments and the benchmarks.
 func tinyConfig() Config {
-	return Config{Scale: 0.02, Queries: 6, Seed: 1, Verify: true}
+	return Config{Scale: 0.02, Queries: 6, Seed: 1}
 }
 
 func TestTable1(t *testing.T) {
@@ -100,6 +105,43 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadRejectsWrongCost: a query whose answer is not Dijkstra's
+// fails the workload, and the error names that query.
+func TestRunWorkloadRejectsWrongCost(t *testing.T) {
+	for name, wrong := range map[string]func(float64) float64{
+		"one too long": func(c float64) float64 { return c + 1 },
+		"unreachable":  func(float64) float64 { return math.Inf(1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRunner(tinyConfig())
+			g := r.Network(gen.Oldenburg)
+			const bad = 3
+			calls := 0
+			_, err := r.RunWorkload(g, func(s, d geom.Point) (*base.Result, error) {
+				p := graph.ShortestPath(g, g.NearestNode(s), g.NearestNode(d))
+				if math.IsInf(p.Cost, 1) {
+					t.Fatalf("query %d: pair unreachable in the oracle", calls)
+				}
+				res := &base.Result{Cost: p.Cost}
+				if calls == bad {
+					res.Cost = wrong(p.Cost)
+				}
+				calls++
+				return res, nil
+			})
+			if err == nil {
+				t.Fatal("a wrong cost passed the Dijkstra check")
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("query %d ", bad)) {
+				t.Errorf("error %q does not name query %d", err, bad)
+			}
+			if calls != bad+1 {
+				t.Errorf("workload ran %d queries, want it to stop after query %d", calls, bad)
+			}
+		})
+	}
+}
+
 func TestScaledSizeLimit(t *testing.T) {
 	r := NewRunner(Config{Scale: 1.0, Queries: 1, Seed: 1})
 	full := r.ScaledSizeLimit()
@@ -121,19 +163,12 @@ func TestIDsStable(t *testing.T) {
 
 func TestExtensionsExperiment(t *testing.T) {
 	r := NewRunner(tinyConfig())
-	tables, err := r.Extensions()
+	tab, err := r.Extensions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("Extensions yields %d tables, want 2", len(tables))
-	}
-	if len(tables[0].Rows) != 4 || len(tables[1].Rows) != 2 {
-		t.Fatalf("unexpected row counts: %d, %d", len(tables[0].Rows), len(tables[1].Rows))
-	}
-	// Exact CI (factor 1.00) must report zero deviation.
-	if tables[0].Rows[0][4] != "1.0000x" {
-		t.Errorf("exact CI mean deviation = %s", tables[0].Rows[0][4])
+	if tab.ID != "ext-compact" || len(tab.Rows) != 2 {
+		t.Fatalf("Extensions yields %s with %d rows, want ext-compact with 2", tab.ID, len(tab.Rows))
 	}
 }
 

@@ -421,8 +421,8 @@ func (r *Runner) tunePIStar(gr *graph.Graph, limit int64) (Servable, error) {
 
 // RunAll executes every experiment in paper order, rendering each table.
 func (r *Runner) RunAll(w io.Writer) error {
-	fmt.Fprintf(w, "reproduction run: scale=%.3f queries=%d seed=%d verify=%v\n\n",
-		r.Cfg.Scale, r.Cfg.Queries, r.Cfg.Seed, r.Cfg.Verify)
+	fmt.Fprintf(w, "reproduction run: scale=%.3f queries=%d seed=%d\n\n",
+		r.Cfg.Scale, r.Cfg.Queries, r.Cfg.Seed)
 	type multi func() ([]*Table, error)
 	single := func(f func() (*Table, error)) multi {
 		return func() ([]*Table, error) {
@@ -447,7 +447,7 @@ func (r *Runner) RunAll(w io.Writer) error {
 		{"fig10", r.Fig10},
 		{"fig11", single(r.Fig11)},
 		{"fig12", single(r.Fig12)},
-		{"ext", r.Extensions},
+		{"ext", single(r.Extensions)},
 	}
 	for _, s := range steps {
 		tables, err := s.run()
@@ -478,14 +478,8 @@ func (r *Runner) Run(id string, w io.Writer) error {
 		return renderOne(w)(r.Fig8())
 	case "fig9":
 		return renderOne(w)(r.Fig9())
-	case "fig10", "ext":
-		var tables []*Table
-		var err error
-		if id == "fig10" {
-			tables, err = r.Fig10()
-		} else {
-			tables, err = r.Extensions()
-		}
+	case "fig10":
+		tables, err := r.Fig10()
 		if err != nil {
 			return err
 		}
@@ -497,6 +491,8 @@ func (r *Runner) Run(id string, w io.Writer) error {
 		return renderOne(w)(r.Fig11())
 	case "fig12":
 		return renderOne(w)(r.Fig12())
+	case "ext":
+		return renderOne(w)(r.Extensions())
 	default:
 		return fmt.Errorf("exp: unknown experiment %q (want table1, table3, fig5..fig12)", id)
 	}

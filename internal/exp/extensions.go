@@ -1,58 +1,18 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/gen"
-	"repro/internal/geom"
-	"repro/internal/graph"
-	"repro/internal/lbs"
-	"repro/internal/scheme/base"
 	"repro/internal/scheme/ci"
 	"repro/internal/scheme/pi"
 )
 
-// Extensions evaluates the two §8 future-work directions implemented here:
-// the approximate CI variant (bounded-in-practice cost deviation for a
-// smaller query plan) and the compact lossless region-data layout. Not a
-// paper figure — an extension study, reported alongside the reproduction.
-func (r *Runner) Extensions() ([]*Table, error) {
+// Extensions evaluates the compact lossless region-data layout, one of the
+// paper's §8 future-work directions. Not a paper figure — an extension
+// study, reported alongside the reproduction.
+func (r *Runner) Extensions() (*Table, error) {
 	g := r.Network(gen.Argentina)
-
-	approx := &Table{ID: "ext-approx", Title: "Approximate CI (Argentina): plan size vs deviation", Header: []string{
-		"factor", "plan Fd pages", "response (s)", "answered", "mean dev", "max dev"}}
-	for _, factor := range []float64{1.0, 0.75, 0.5, 0.25} {
-		opt := ci.DefaultOptions()
-		if factor < 1 {
-			opt.ApproxFactor = factor
-		}
-		db, err := ci.Build(g, opt)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := lbs.NewServer(db, r.Model, nil)
-		if err != nil {
-			return nil, err
-		}
-		agg, err := r.RunWorkloadUnchecked(g, func(s, t Point) (*base.Result, error) { return ci.Query(context.Background(), srv, s, t) })
-		if err != nil {
-			return nil, err
-		}
-		q, err := ci.EvaluateApproximation(context.Background(), srv, g, r.Cfg.Queries, r.Cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		approx.AddRow(fmt.Sprintf("%.2f", factor),
-			fmt.Sprint(db.Plan.TotalFetches(base.FileData)),
-			Secs(agg.Response),
-			fmt.Sprintf("%d/%d", q.Found, q.Queries),
-			fmt.Sprintf("%.4fx", q.MeanDeviation),
-			fmt.Sprintf("%.4fx", q.MaxDeviation))
-	}
-	approx.Notes = append(approx.Notes,
-		"factor 1.00 is the paper's exact CI; truncation keeps regions nearest the centroid corridor",
-		"the fixed query plan (and hence Theorem 1 privacy) is unchanged")
 
 	compact := &Table{ID: "ext-compact", Title: "Compact region data (Argentina): lossless size reduction", Header: []string{
 		"scheme", "plain (MB)", "compact (MB)", "ratio"}}
@@ -88,17 +48,5 @@ func (r *Runner) Extensions() ([]*Table, error) {
 	}
 	compact.Notes = append(compact.Notes,
 		"identical query answers (lossless); smaller records also mean fewer regions and index pairs")
-	return []*Table{approx, compact}, nil
-}
-
-// Point aliases geom.Point for the extension driver's closure signature.
-type Point = geom.Point
-
-// RunWorkloadUnchecked is RunWorkload with verification forced off —
-// approximate schemes intentionally deviate from the Dijkstra oracle.
-func (r *Runner) RunWorkloadUnchecked(g *graph.Graph, q QueryFunc) (Agg, error) {
-	saved := r.Cfg.Verify
-	r.Cfg.Verify = false
-	defer func() { r.Cfg.Verify = saved }()
-	return r.RunWorkload(g, q)
+	return compact, nil
 }

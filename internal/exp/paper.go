@@ -3,8 +3,8 @@ package exp
 // PaperTable3 holds the values the paper reports in Table 3 (Argentina,
 // full scale, IBM 4764): response/PIR/communication/client seconds, the
 // "x of y" PIR page accesses for the region-data and network-index files,
-// and total storage in MB. EXPERIMENTS.md compares these against measured
-// values; the harness prints them alongside its own numbers.
+// and total storage in MB. The harness prints them alongside its own
+// numbers.
 var PaperTable3 = map[string]struct {
 	Response, PIR, Comm, Client float64
 	FdAcc, FdPages              int

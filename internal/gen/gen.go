@@ -8,7 +8,8 @@
 //     so shortest paths are spatially coherent and cross few KD-tree regions;
 //   - long degree-2 polyline chains between true intersections, as in DCW data;
 //   - globally distinct x and distinct y coordinates, so the KD-tree
-//     coordinate→region mapping is exact (see DESIGN.md substitution 6).
+//     coordinate→region mapping is exact: two nodes that share a coordinate
+//     could fall on both sides of a split, where Locate sends both one way.
 //
 // Construction: lay a jittered grid of intersections, connect 4-neighbours,
 // delete random edges (keeping the graph connected) until the target
@@ -272,7 +273,8 @@ func subdivide(g *graph.Graph, target int, rng *rand.Rand) *graph.Graph {
 // a y value. The nudge is deterministic and far smaller than any edge
 // length, so weights (already fixed) stay consistent with geometry for the
 // purposes of partitioning. Required so the KD-tree point→region lookup is
-// exact (DESIGN.md substitution 6).
+// exact: two nodes that share a coordinate could fall on both sides of a
+// split, where Locate sends both one way.
 func ensureDistinctCoords(g *graph.Graph) {
 	n := g.NumNodes()
 	order := make([]int, n)

@@ -97,27 +97,6 @@ func PairIndex(numRegions int, directed bool, i, j kdtree.RegionID) int {
 	return ii*numRegions - ii*(ii-1)/2 + int(j) - ii
 }
 
-// PairFromIndex inverts PairIndex in O(1); used by file-formation code that
-// walks pairs in (i,j) order.
-func PairFromIndex(numRegions int, directed bool, k int) (kdtree.RegionID, kdtree.RegionID) {
-	if directed {
-		return kdtree.RegionID(k / numRegions), kdtree.RegionID(k % numRegions)
-	}
-	// Counting r = NumPairs-1-k back from the last pair, row R-L holds
-	// r ∈ [L(L-1)/2, L(L+1)/2), so L = ⌊(1 + √(8r+1)) / 2⌋; the float root
-	// is corrected to the exact integer one.
-	x := 8*(NumPairs(numRegions, false)-1-k) + 1
-	s := int(math.Sqrt(float64(x)))
-	for s*s > x {
-		s--
-	}
-	for (s+1)*(s+1) <= x {
-		s++
-	}
-	i := kdtree.RegionID(numRegions - (1+s)/2)
-	return i, i + kdtree.RegionID(k-PairIndex(numRegions, false, i, i))
-}
-
 // Compute runs the pre-computation over the augmented network. Up to
 // Options.Workers workers take source regions from a shared counter and
 // fill disjoint rows; the pairs are then assembled in PairIndex order.

@@ -39,7 +39,8 @@ func build(t *testing.T, scale float64, capacity int, opts Options) *fixture {
 
 // TestPairIndexRoundTrip walks every pair, in (i, j) order, at region
 // counts from the degenerate to Argentina@1.0's 1 082 CI regions: indices
-// are dense, consecutive and inverted exactly by PairFromIndex.
+// are dense and consecutive, and (j, i) shares (i, j)'s index when the
+// network is undirected.
 func TestPairIndexRoundTrip(t *testing.T) {
 	for _, R := range []int{1, 2, 9, 1082} {
 		for _, directed := range []bool{true, false} {
@@ -55,9 +56,8 @@ func TestPairIndexRoundTrip(t *testing.T) {
 						t.Fatalf("R=%d directed=%v: pair (%d,%d) has index %d, want %d", R, directed, i, j, k, next)
 					}
 					next++
-					gi, gj := PairFromIndex(R, directed, k)
-					if int(gi) != i || int(gj) != j {
-						t.Fatalf("R=%d directed=%v: round trip (%d,%d) -> %d -> (%d,%d)", R, directed, i, j, k, gi, gj)
+					if !directed && PairIndex(R, false, kdtree.RegionID(j), kdtree.RegionID(i)) != k {
+						t.Fatalf("R=%d: pair (%d,%d) and (%d,%d) have different indices", R, i, j, j, i)
 					}
 				}
 			}
@@ -242,15 +242,17 @@ func distOr(m map[graph.NodeID]float64, v graph.NodeID) float64 {
 
 func TestSetsExcludeEndpointsAndAreSorted(t *testing.T) {
 	f := build(t, 0.12, 1024, Options{Sets: true})
-	R := f.res.NumRegions
-	for k, set := range f.res.Sets {
-		i, j := PairFromIndex(R, false, k)
-		for idx, r := range set {
-			if r == i || r == j {
-				t.Fatalf("S_%d,%d contains endpoint region %d", i, j, r)
-			}
-			if idx > 0 && set[idx-1] >= r {
-				t.Fatalf("S_%d,%d not sorted/deduped: %v", i, j, set)
+	R := kdtree.RegionID(f.res.NumRegions)
+	for i := kdtree.RegionID(0); i < R; i++ {
+		for j := i; j < R; j++ {
+			set := f.res.Sets[PairIndex(int(R), false, i, j)]
+			for idx, r := range set {
+				if r == i || r == j {
+					t.Fatalf("S_%d,%d contains endpoint region %d", i, j, r)
+				}
+				if idx > 0 && set[idx-1] >= r {
+					t.Fatalf("S_%d,%d not sorted/deduped: %v", i, j, set)
+				}
 			}
 		}
 	}

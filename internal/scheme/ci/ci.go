@@ -30,14 +30,6 @@ type Options struct {
 	Packed bool
 	// Compress enables the §5.5 index compression; false reproduces CI-C.
 	Compress bool
-	// ApproxFactor in (0, 1) enables the approximate variant the paper
-	// names as future work (§8): every S_i,j is truncated to
-	// ceil(factor·|S_i,j|) regions, keeping those nearest the corridor
-	// between the two region centroids. This shrinks m — and with it the
-	// dominant F_d round — at the price of occasionally suboptimal (or,
-	// rarely, missed) paths; EvaluateApproximation measures the damage.
-	// 0 or 1 means exact (the paper's CI).
-	ApproxFactor float64
 	// CompactData switches the region-data file to the losslessly
 	// compressed record layout (the paper's other §8 future-work
 	// direction). Fully transparent to queries.
@@ -76,12 +68,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	pre, err := precomp.Compute(aug, part, precomp.Options{Sets: true})
 	if err != nil {
 		return nil, fmt.Errorf("ci: pre-computation: %w", err)
-	}
-	if opt.ApproxFactor < 0 || opt.ApproxFactor > 1 {
-		return nil, fmt.Errorf("ci: approx factor %v outside [0,1]", opt.ApproxFactor)
-	}
-	if opt.ApproxFactor > 0 && opt.ApproxFactor < 1 {
-		truncateSets(g, part, pre, opt.ApproxFactor)
 	}
 	m := pre.MaxSetSize
 	if m == 0 {

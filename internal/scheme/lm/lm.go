@@ -7,7 +7,7 @@
 //
 // The paper derives the page quota by running all V² queries offline; that
 // is quadratic, so by default the quota comes from a large sampled workload
-// plus extremal pairs (DESIGN.md substitution 5). Small networks can use
+// plus extremal pairs, with a safety margin on top. Small networks can use
 // DeriveAllPairs for the exact paper procedure.
 package lm
 

@@ -216,10 +216,36 @@ func writeFrame(w io.Writer, hdr []byte, t MsgType, queryID uint32, payload []by
 
 // ReadFrame reads one frame, rejecting payloads beyond maxFrame bytes. The
 // length is compared in 64 bits so a hostile header cannot overflow int on
-// 32-bit platforms.
+// 32-bit platforms. It allocates the header as well as the payload; a loop
+// reading one stream holds a FrameReader instead.
 func ReadFrame(r io.Reader, maxFrame int) (MsgType, uint32, []byte, error) {
-	t, qid, payload, _, err := ReadFrameBuf(r, maxFrame, nil)
-	return t, qid, payload, err
+	return NewFrameReader(r).ReadFrame(maxFrame)
+}
+
+// FrameReader reads one stream's frames, staging each header in a buffer
+// it owns, so a frame costs one allocation: its payload. Not safe for
+// concurrent use.
+type FrameReader struct {
+	r   io.Reader
+	hdr [frameHdrLen]byte
+}
+
+// NewFrameReader wraps r (typically a *bufio.Reader).
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// ReadFrame is the package-level ReadFrame on fr's stream. The payload is
+// the caller's to keep: it never aliases the header buffer, so even a
+// payload shorter than a header survives the next read.
+func (fr *FrameReader) ReadFrame(maxFrame int) (MsgType, uint32, []byte, error) {
+	t, qid, n, err := readHeader(fr.r, fr.hdr[:], maxFrame)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return 0, 0, nil, fmt.Errorf("wire: short frame: %w", err)
+	}
+	return t, qid, payload, nil
 }
 
 // ReadFrameBuf is ReadFrame reading the payload into buf, growing it only
@@ -233,15 +259,9 @@ func ReadFrameBuf(r io.Reader, maxFrame int, buf []byte) (MsgType, uint32, []byt
 	if cap(buf) < frameHdrLen {
 		buf = make([]byte, frameHdrLen)
 	}
-	hdr := buf[:frameHdrLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	t, qid, n, err := readHeader(r, buf[:frameHdrLen], maxFrame)
+	if err != nil {
 		return 0, 0, nil, buf, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	t := MsgType(hdr[4])
-	qid := binary.BigEndian.Uint32(hdr[5:9])
-	if uint64(n) > uint64(maxFrame) {
-		return 0, 0, nil, buf, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
 	if uint64(cap(buf)) < uint64(n) {
 		buf = make([]byte, n)
@@ -251,6 +271,19 @@ func ReadFrameBuf(r io.Reader, maxFrame int, buf []byte) (MsgType, uint32, []byt
 		return 0, 0, nil, buf, fmt.Errorf("wire: short frame: %w", err)
 	}
 	return t, qid, payload, buf, nil
+}
+
+// readHeader reads a frame header into hdr and returns its type, query ID
+// and payload length, refusing a length beyond maxFrame.
+func readHeader(r io.Reader, hdr []byte, maxFrame int) (MsgType, uint32, uint32, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, 0, 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if uint64(n) > uint64(maxFrame) {
+		return 0, 0, 0, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, maxFrame)
+	}
+	return MsgType(hdr[4]), binary.BigEndian.Uint32(hdr[5:9]), n, nil
 }
 
 // MaxFetchBatch is the largest page batch one Fetch frame carries (its
@@ -267,6 +300,16 @@ const MaxFetchBatch = 0xFFFF
 // frame shape a function of the plan.
 func FramePages(file string, itemBytes, maxFrame int) int {
 	return max(1, min(MaxFetchBatch, (maxFrame-4-len(file))/(4+itemBytes)))
+}
+
+// putCount writes a message's item count. A list longer than the 16-bit
+// field holds is a caller bug — every caller cuts at FramePages — so it
+// panics rather than write a count that has wrapped.
+func putCount(e *pagefile.Enc, n int) {
+	if n > MaxFetchBatch {
+		panic(fmt.Sprintf("wire: %d items do not fit a 16-bit count", n))
+	}
+	e.U16(uint16(n))
 }
 
 func putString(e *pagefile.Enc, s string) {
@@ -457,10 +500,11 @@ func (m Fetch) Encode() []byte {
 
 // EncodeTo serializes the message payload into e, which the caller has
 // Reset: with a reused encoder, a steady-state stream of fetches encodes
-// without allocating. The returned bytes alias e's buffer.
+// without allocating. The returned bytes alias e's buffer. More than
+// MaxFetchBatch pages panics.
 func (m Fetch) EncodeTo(e *pagefile.Enc) []byte {
 	putString(e, m.File)
-	e.U16(uint16(len(m.Pages)))
+	putCount(e, len(m.Pages))
 	for _, p := range m.Pages {
 		e.U32(p)
 	}
@@ -514,10 +558,11 @@ func (m ShareFetch) Encode() []byte {
 }
 
 // EncodeTo serializes the message payload into e, which the caller has
-// Reset. The returned bytes alias e's buffer.
+// Reset. The returned bytes alias e's buffer. More than MaxFetchBatch
+// selectors panics.
 func (m ShareFetch) EncodeTo(e *pagefile.Enc) []byte {
 	putString(e, m.File)
-	e.U16(uint16(len(m.Sels)))
+	putCount(e, len(m.Sels))
 	for _, s := range m.Sels {
 		putBytes(e, s)
 	}
@@ -570,9 +615,10 @@ func (m Pages) Encode() []byte {
 // Reset: with a reused encoder, it allocates nothing in steady state. The
 // daemon does not assemble its replies at all — FrameWriter.WritePages
 // writes the same bytes from the page buffers. The returned bytes alias e's
-// buffer and are valid until its next Reset.
+// buffer and are valid until its next Reset. More than MaxFetchBatch pages
+// panics.
 func (m Pages) EncodeTo(e *pagefile.Enc) []byte {
-	e.U16(uint16(len(m.Pages)))
+	putCount(e, len(m.Pages))
 	for _, p := range m.Pages {
 		putBytes(e, p)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -323,5 +324,92 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	b := append(Hello{Version: 1, Database: "x"}.Encode(), 0xEE)
 	if _, err := DecodeHello(b); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing bytes: err = %v", err)
+	}
+}
+
+// TestFrameReaderAllocatesOnlyThePayload: a FrameReader stages headers in
+// its own buffer, so a stream of Pages replies costs one allocation per
+// frame, and a payload shorter than a header does not alias that buffer:
+// it survives the next read.
+func TestFrameReaderAllocatesOnlyThePayload(t *testing.T) {
+	page := bytes.Repeat([]byte{0x5A}, 4096)
+	replies := []Pages{
+		{Pages: [][]byte{page}},
+		{},                        // 2-byte payload, shorter than a header
+		{Pages: [][]byte{{0x7F}}}, // 7-byte payload
+		{Pages: [][]byte{page, page, page, page, page, page, page}},
+		{Pages: [][]byte{page[:13]}},
+	}
+	var stream bytes.Buffer
+	for i, p := range replies {
+		if err := WriteFrame(&stream, MsgPages, uint32(i+1), p.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := bytes.NewReader(stream.Bytes())
+	fr := NewFrameReader(rd)
+
+	var kept [][]byte
+	for i := range replies {
+		typ, qid, payload, err := fr.ReadFrame(DefaultMaxFrame)
+		if err != nil || typ != MsgPages || qid != uint32(i+1) {
+			t.Fatalf("frame %d: %v %v %d", i, err, typ, qid)
+		}
+		kept = append(kept, payload)
+	}
+	for i, p := range replies {
+		if !bytes.Equal(kept[i], p.Encode()) {
+			t.Errorf("payload %d changed after later reads: % x", i, kept[i][:min(len(kept[i]), 16)])
+		}
+	}
+	if _, _, _, err := fr.ReadFrame(DefaultMaxFrame); err != io.EOF {
+		t.Errorf("read past the stream: %v, want io.EOF", err)
+	}
+
+	allocs := testing.AllocsPerRun(50, func() {
+		rd.Reset(stream.Bytes())
+		for range replies {
+			if _, _, _, err := fr.ReadFrame(DefaultMaxFrame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if want := float64(len(replies)); allocs != want {
+		t.Errorf("%v allocations for %d frames, want one per frame", allocs, len(replies))
+	}
+}
+
+// TestEncodersRefuseCountsTheyCannotWrite: an item count is 16 bits, so
+// MaxFetchBatch items round-trip and one more panics rather than wrap.
+func TestEncodersRefuseCountsTheyCannotWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		round func(n int) (int, error) // encode n items, decode, return the count
+	}{
+		{"Fetch", func(n int) (int, error) {
+			m, err := DecodeFetch(Fetch{File: "Fd", Pages: make([]uint32, n)}.Encode())
+			return len(m.Pages), err
+		}},
+		{"ShareFetch", func(n int) (int, error) {
+			m, err := DecodeShareFetch(ShareFetch{File: "Fd", Sels: make([][]byte, n)}.Encode())
+			return len(m.Sels), err
+		}},
+		{"Pages", func(n int) (int, error) {
+			m, err := DecodePages(Pages{Pages: make([][]byte, n)}.Encode())
+			return len(m.Pages), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, err := tc.round(MaxFetchBatch); err != nil || got != MaxFetchBatch {
+				t.Fatalf("%d items decoded as %d (%v)", MaxFetchBatch, got, err)
+			}
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "65536 items") {
+					t.Errorf("panic %v, want one naming the count 65536", r)
+				}
+			}()
+			got, err := tc.round(MaxFetchBatch + 1)
+			t.Errorf("%d items encoded; decoded as %d (%v)", MaxFetchBatch+1, got, err)
+		})
 	}
 }

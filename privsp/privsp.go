@@ -87,8 +87,10 @@ const (
 	NorthAmerica = gen.NorthAmerica
 )
 
-// Generate synthesizes a preset network at the given scale in (0, 1]; see
-// DESIGN.md on how the synthetic networks match the paper's datasets.
+// Generate synthesizes a preset network at the given scale in (0, 1]. The
+// real Table 1 datasets are not redistributable, so the network is
+// synthetic with their node and edge counts (times scale), sparsity and
+// planar, Euclidean-weighted layout (see package gen).
 func Generate(p Preset, scale float64, seed int64) *Network {
 	spec := gen.PresetSpec(p, scale)
 	spec.Seed = seed
@@ -164,10 +166,6 @@ type Config struct {
 	// Seed drives any randomized build step (LM and AF plan derivation).
 	Seed int64
 
-	// ApproxFactor in (0,1) enables CI's approximate variant (§8 future
-	// work): region sets truncated toward the source–destination corridor,
-	// shrinking the query plan at the cost of occasional suboptimality.
-	ApproxFactor float64
 	// CompactData enables the losslessly compressed region-data layout
 	// (§8 future work) for CI, PI and PIStar.
 	CompactData bool
@@ -193,7 +191,6 @@ func Build(n *Network, cfg Config) (*Database, error) {
 		opt.PageSize = pageSize(cfg)
 		opt.Packed = !cfg.DisablePacking
 		opt.Compress = !cfg.DisableCompression
-		opt.ApproxFactor = cfg.ApproxFactor
 		opt.CompactData = cfg.CompactData
 		db, err := ci.Build(n.G, opt)
 		return wrap(cfg, db, err)
