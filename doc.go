@@ -3,6 +3,11 @@
 // shortest path schemes on road networks where the location-based service
 // learns nothing about the queries it answers.
 //
+// Road networks are undirected, like the paper's Table 1 datasets: a road
+// costs the same both ways, and a road given twice keeps its least weight.
+// §3.1 allows directed edges; this reproduction does not, and one-way
+// streets are a parked roadmap item.
+//
 // The client side of the protocol is split two ways: a scheme
 // (internal/scheme/{ci,pi,hy,lm,af}) says what it needs — NextRound, one
 // Fetch per record, Finish; base.Session, the one plan walker and the one

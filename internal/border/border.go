@@ -31,8 +31,9 @@ type Augmented struct {
 	// Borders lists all border nodes. ByRegion[r] indexes into Borders.
 	Borders  []Node
 	ByRegion [][]int
-	// origEdge maps an augmented arc (u,v) of a subdivided edge back to the
-	// original directed edge. Arcs of non-crossing edges are identity.
+	// origOf maps an augmented arc (u,v) of a subdivided road back to the
+	// original arc it runs along. Arcs of non-crossing roads are absent:
+	// they are their own original arc.
 	origOf map[[2]graph.NodeID]graph.Edge
 }
 
@@ -48,85 +49,33 @@ func Build(g *graph.Graph, p *kdtree.Partition) *Augmented {
 		ByRegion: make([][]int, p.NumRegions),
 		origOf:   make(map[[2]graph.NodeID]graph.Edge),
 	}
-	type crossing struct {
-		u, v graph.NodeID
-	}
-	var crossings []crossing
-	seen := map[[2]graph.NodeID]bool{}
-	g.Edges(func(e graph.Edge) bool {
-		if p.RegionOf[e.From] == p.RegionOf[e.To] {
-			return true
-		}
-		key := [2]graph.NodeID{e.From, e.To}
-		if e.From > e.To {
-			key = [2]graph.NodeID{e.To, e.From}
-		}
-		if seen[key] {
-			return true // reverse arc / undirected twin already handled
-		}
-		seen[key] = true
-		crossings = append(crossings, crossing{key[0], key[1]})
-		return true
-	})
-
-	// Rebuild the graph without the crossing edges, then insert subdivided
-	// chains. Cheaper: clone then surgically patch adjacency — but the graph
-	// API is append-only, so rebuild.
-	var ng *graph.Graph
-	if g.Directed() {
-		ng = graph.New()
-	} else {
-		ng = graph.NewUndirected()
-	}
+	// One walk over the roads: a road inside one region is copied as is, a
+	// crossing road is set aside and subdivided once all others are in.
+	ng := graph.NewUndirected()
 	for i := 0; i < g.NumNodes(); i++ {
 		ng.AddNode(g.Point(graph.NodeID(i)))
 	}
-	isCrossing := func(u, v graph.NodeID) bool {
-		key := [2]graph.NodeID{u, v}
-		if u > v {
-			key = [2]graph.NodeID{v, u}
+	var crossings []graph.Edge
+	g.UndirectedEdges(func(e graph.Edge) bool {
+		if p.RegionOf[e.From] == p.RegionOf[e.To] {
+			ng.MustAddEdge(e.From, e.To, e.W)
+		} else {
+			crossings = append(crossings, e)
 		}
-		return seen[key]
-	}
-	g.Edges(func(e graph.Edge) bool {
-		if isCrossing(e.From, e.To) {
-			return true
-		}
-		if !g.Directed() && e.From > e.To {
-			return true
-		}
-		ng.MustAddEdge(e.From, e.To, e.W)
 		return true
 	})
 	for _, c := range crossings {
-		ru, rv := p.RegionOf[c.u], p.RegionOf[c.v]
-		t := crossFraction(g.Point(c.u), g.Point(c.v), p, ru)
-		bp := geom.Lerp(g.Point(c.u), g.Point(c.v), t)
-		bid := ng.AddNode(bp)
-		if wf, ok := g.EdgeWeight(c.u, c.v); ok {
-			ng.MustAddEdge(c.u, bid, wf*t)
-			ng.MustAddEdge(bid, c.v, wf*(1-t))
-			orig := graph.Edge{From: c.u, To: c.v, W: wf}
-			a.origOf[[2]graph.NodeID{c.u, bid}] = orig
-			a.origOf[[2]graph.NodeID{bid, c.v}] = orig
-		}
-		if g.Directed() {
-			// The reverse arc, if present, shares the border node.
-			if wr, ok := g.EdgeWeight(c.v, c.u); ok {
-				ng.MustAddEdge(c.v, bid, wr*(1-t))
-				ng.MustAddEdge(bid, c.u, wr*t)
-				rev := graph.Edge{From: c.v, To: c.u, W: wr}
-				a.origOf[[2]graph.NodeID{c.v, bid}] = rev
-				a.origOf[[2]graph.NodeID{bid, c.u}] = rev
-			}
-		} else {
-			wf, _ := g.EdgeWeight(c.u, c.v)
-			rev := graph.Edge{From: c.v, To: c.u, W: wf}
-			a.origOf[[2]graph.NodeID{c.v, bid}] = rev
-			a.origOf[[2]graph.NodeID{bid, c.u}] = rev
-		}
-		bn := Node{ID: bid, Regions: [2]kdtree.RegionID{ru, rv}, OrigFrom: c.u, OrigTo: c.v}
-		a.Borders = append(a.Borders, bn)
+		ru, rv := p.RegionOf[c.From], p.RegionOf[c.To]
+		t := crossFraction(g.Point(c.From), g.Point(c.To), p, ru)
+		bid := ng.AddNode(geom.Lerp(g.Point(c.From), g.Point(c.To), t))
+		ng.MustAddEdge(c.From, bid, c.W*t)
+		ng.MustAddEdge(bid, c.To, c.W*(1-t))
+		rev := graph.Edge{From: c.To, To: c.From, W: c.W}
+		a.origOf[[2]graph.NodeID{c.From, bid}] = c
+		a.origOf[[2]graph.NodeID{bid, c.To}] = c
+		a.origOf[[2]graph.NodeID{c.To, bid}] = rev
+		a.origOf[[2]graph.NodeID{bid, c.From}] = rev
+		a.Borders = append(a.Borders, Node{ID: bid, Regions: [2]kdtree.RegionID{ru, rv}, OrigFrom: c.From, OrigTo: c.To})
 		idx := len(a.Borders) - 1
 		a.ByRegion[ru] = append(a.ByRegion[ru], idx)
 		a.ByRegion[rv] = append(a.ByRegion[rv], idx)
@@ -168,8 +117,8 @@ func (a *Augmented) IsBorder(v graph.NodeID) bool { return int(v) >= a.NumOrig }
 // BorderAt returns the border Node record for augmented node id v.
 func (a *Augmented) BorderAt(v graph.NodeID) Node { return a.Borders[int(v)-a.NumOrig] }
 
-// OrigEdge maps an augmented arc to the original directed edge it belongs
-// to. Arcs between original nodes map to themselves.
+// OrigEdge maps an augmented arc to the original arc it runs along. Arcs
+// between original nodes map to themselves.
 func (a *Augmented) OrigEdge(u, v graph.NodeID) graph.Edge {
 	if e, ok := a.origOf[[2]graph.NodeID{u, v}]; ok {
 		return e

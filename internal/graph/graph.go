@@ -4,8 +4,10 @@
 //
 // A road network is a weighted graph G = (V, E). Nodes carry Euclidean
 // coordinates; every edge has a positive weight modelling traversal cost.
-// Graphs may be directed or undirected; undirected graphs store each edge in
-// both adjacency lists but report it once through Edges.
+// The network is undirected: a road can be driven both ways at one cost,
+// so each road is stored as an arc in both endpoints' adjacency lists, and
+// a road given twice keeps its least weight. §3.1 allows directed edges;
+// this reproduction does not, and one-way streets are a parked ROADMAP item.
 package graph
 
 import (
@@ -21,49 +23,36 @@ type NodeID int32
 // Invalid is the sentinel for "no node" (e.g. absent parent pointers).
 const Invalid NodeID = -1
 
-// HalfEdge is one directed adjacency entry: an edge from an implicit source
-// node to To with weight W.
+// HalfEdge is one adjacency entry: an arc from an implicit source node to
+// To with weight W.
 type HalfEdge struct {
 	To NodeID
 	W  float64
 }
 
-// Edge is a fully specified directed edge.
+// Edge is a fully specified arc: one direction of a road.
 type Edge struct {
 	From, To NodeID
 	W        float64
 }
 
-// Graph is an in-memory weighted graph with Euclidean node coordinates.
-// The zero value is an empty directed graph; use New or NewUndirected.
+// Graph is an in-memory undirected weighted graph with Euclidean node
+// coordinates. The zero value is an empty graph; NewUndirected returns one.
 type Graph struct {
 	pts      []geom.Point
 	adj      [][]HalfEdge
-	directed bool
-	numEdges int // directed arc count
+	numEdges int
 }
 
-// New returns an empty directed graph.
-func New() *Graph { return &Graph{directed: true} }
-
-// NewUndirected returns an empty undirected graph. AddEdge inserts both
-// directions.
-func NewUndirected() *Graph { return &Graph{directed: false} }
-
-// Directed reports whether g is directed.
-func (g *Graph) Directed() bool { return g.directed }
+// NewUndirected returns an empty graph. AddEdge inserts both directions of
+// a road.
+func NewUndirected() *Graph { return &Graph{} }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.pts) }
 
-// NumEdges returns |E|: directed arcs for directed graphs, undirected edges
-// for undirected graphs.
-func (g *Graph) NumEdges() int {
-	if g.directed {
-		return g.numEdges
-	}
-	return g.numEdges / 2
-}
+// NumEdges returns |E|, the number of roads.
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // AddNode appends a node at p and returns its ID.
 func (g *Graph) AddNode(p geom.Point) NodeID {
@@ -79,8 +68,10 @@ func (g *Graph) Point(v NodeID) geom.Point { return g.pts[v] }
 // coordinates after construction.
 func (g *Graph) SetPoint(v NodeID, p geom.Point) { g.pts[v] = p }
 
-// AddEdge inserts an edge u→v with weight w (> 0). For undirected graphs the
-// reverse arc is inserted too. Self loops are rejected.
+// AddEdge inserts the road u–v with weight w (> 0) as the arcs u→v and
+// v→u. A road already present between u and v keeps the lesser of its
+// weight and w, on both arcs, and is not counted again. Self loops are
+// rejected.
 func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop at node %d", u)
@@ -91,13 +82,27 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	if int(u) >= len(g.pts) || int(v) >= len(g.pts) || u < 0 || v < 0 {
 		return fmt.Errorf("graph: edge %d->%d references missing node", u, v)
 	}
-	g.adj[u] = append(g.adj[u], HalfEdge{To: v, W: w})
-	g.numEdges++
-	if !g.directed {
-		g.adj[v] = append(g.adj[v], HalfEdge{To: u, W: w})
-		g.numEdges++
+	if i := g.arc(u, v); i >= 0 {
+		if w < g.adj[u][i].W {
+			g.adj[u][i].W = w
+			g.adj[v][g.arc(v, u)].W = w
+		}
+		return nil
 	}
+	g.adj[u] = append(g.adj[u], HalfEdge{To: v, W: w})
+	g.adj[v] = append(g.adj[v], HalfEdge{To: u, W: w})
+	g.numEdges++
 	return nil
+}
+
+// arc returns the position of u→v in u's adjacency list, or -1.
+func (g *Graph) arc(u, v NodeID) int {
+	for i, he := range g.adj[u] {
+		if he.To == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // MustAddEdge is AddEdge but panics on error; for generators and tests whose
@@ -111,23 +116,19 @@ func (g *Graph) MustAddEdge(u, v NodeID, w float64) {
 // Adj returns the adjacency list of u. The caller must not mutate it.
 func (g *Graph) Adj(u NodeID) []HalfEdge { return g.adj[u] }
 
-// Degree returns the out-degree of u.
+// Degree returns the number of roads at u.
 func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
 
-// EdgeWeight returns the weight of arc u→v and whether it exists. If
-// parallel arcs exist, the smallest weight is returned.
+// EdgeWeight returns the weight of the road u–v and whether it exists.
 func (g *Graph) EdgeWeight(u, v NodeID) (float64, bool) {
-	best, ok := 0.0, false
-	for _, he := range g.adj[u] {
-		if he.To == v && (!ok || he.W < best) {
-			best, ok = he.W, true
-		}
+	if i := g.arc(u, v); i >= 0 {
+		return g.adj[u][i].W, true
 	}
-	return best, ok
+	return 0, false
 }
 
-// Edges calls fn for every directed arc (both directions of an undirected
-// edge). Iteration stops early if fn returns false.
+// Edges calls fn for every arc, both directions of each road. Iteration
+// stops early if fn returns false.
 func (g *Graph) Edges(fn func(Edge) bool) {
 	for u := range g.adj {
 		for _, he := range g.adj[u] {
@@ -138,12 +139,9 @@ func (g *Graph) Edges(fn func(Edge) bool) {
 	}
 }
 
-// UndirectedEdges calls fn once per undirected edge (u < v) of an undirected
-// graph. It panics on directed graphs.
+// UndirectedEdges calls fn once per road, as its arc u→v with u < v, in the
+// order Edges meets those arcs. Iteration stops early if fn returns false.
 func (g *Graph) UndirectedEdges(fn func(Edge) bool) {
-	if g.directed {
-		panic("graph: UndirectedEdges on directed graph")
-	}
 	for u := range g.adj {
 		for _, he := range g.adj[u] {
 			if NodeID(u) < he.To {
@@ -153,54 +151,6 @@ func (g *Graph) UndirectedEdges(fn func(Edge) bool) {
 			}
 		}
 	}
-}
-
-// Reverse returns the graph with every arc reversed. For undirected graphs it
-// returns a copy. Node coordinates are shared semantics (copied values).
-func (g *Graph) Reverse() *Graph {
-	r := &Graph{directed: g.directed}
-	r.pts = append([]geom.Point(nil), g.pts...)
-	r.adj = make([][]HalfEdge, len(g.adj))
-	for u := range g.adj {
-		for _, he := range g.adj[u] {
-			r.adj[he.To] = append(r.adj[he.To], HalfEdge{To: NodeID(u), W: he.W})
-		}
-	}
-	r.numEdges = g.numEdges
-	return r
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{directed: g.directed, numEdges: g.numEdges}
-	c.pts = append([]geom.Point(nil), g.pts...)
-	c.adj = make([][]HalfEdge, len(g.adj))
-	for u := range g.adj {
-		c.adj[u] = append([]HalfEdge(nil), g.adj[u]...)
-	}
-	return c
-}
-
-// Directize converts an undirected graph into a directed one: every
-// undirected edge {u, v} becomes two arcs whose weights are skewed by the
-// given factor (w·(1+skew) one way, w·(1-skew) the other, direction chosen
-// by node order). skew = 0 yields a symmetric directed graph. The paper's
-// schemes support directed networks (§3.1); tests use this to exercise that
-// generality on the undirected synthetic networks.
-func Directize(g *Graph, skew float64) *Graph {
-	if g.Directed() {
-		return g.Clone()
-	}
-	d := New()
-	for i := 0; i < g.NumNodes(); i++ {
-		d.AddNode(g.Point(NodeID(i)))
-	}
-	g.UndirectedEdges(func(e Edge) bool {
-		d.MustAddEdge(e.From, e.To, e.W*(1+skew))
-		d.MustAddEdge(e.To, e.From, e.W*(1-skew))
-		return true
-	})
-	return d
 }
 
 // NearestNode returns the node closest to p in Euclidean distance, or

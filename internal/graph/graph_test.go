@@ -23,7 +23,7 @@ func line(t *testing.T, n int) *Graph {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := New()
+	g := NewUndirected()
 	a := g.AddNode(geom.Point{})
 	b := g.AddNode(geom.Point{X: 1})
 	if err := g.AddEdge(a, a, 1); err == nil {
@@ -66,18 +66,30 @@ func TestUndirectedEdgeCounting(t *testing.T) {
 	}
 }
 
-func TestEdgeWeightParallelArcs(t *testing.T) {
-	g := New()
+// TestAddEdgeMergesParallelRoads: a road given again between the same two
+// nodes, in either direction, is one road at the least weight, on both arcs.
+func TestAddEdgeMergesParallelRoads(t *testing.T) {
+	g := NewUndirected()
 	a := g.AddNode(geom.Point{})
 	b := g.AddNode(geom.Point{X: 1})
+	c := g.AddNode(geom.Point{X: 2})
 	g.MustAddEdge(a, b, 5)
+	g.MustAddEdge(b, c, 1)
 	g.MustAddEdge(a, b, 3)
-	w, ok := g.EdgeWeight(a, b)
-	if !ok || w != 3 {
-		t.Errorf("EdgeWeight = %v,%v, want 3,true", w, ok)
+	g.MustAddEdge(b, a, 4)
+	if g.NumEdges() != 2 {
+		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	if _, ok := g.EdgeWeight(b, a); ok {
-		t.Error("reverse arc should not exist in directed graph")
+	for _, arc := range [][2]NodeID{{a, b}, {b, a}} {
+		if w, ok := g.EdgeWeight(arc[0], arc[1]); !ok || w != 3 {
+			t.Errorf("EdgeWeight(%d, %d) = %v,%v, want 3,true", arc[0], arc[1], w, ok)
+		}
+	}
+	if g.Degree(a) != 1 || g.Degree(b) != 2 {
+		t.Errorf("degrees %d, %d, want 1, 2", g.Degree(a), g.Degree(b))
+	}
+	if d := Dijkstra(g, a).Dist[c]; d != 4 {
+		t.Errorf("a->c = %v, want 4", d)
 	}
 }
 
@@ -99,7 +111,7 @@ func TestDijkstraOnLine(t *testing.T) {
 }
 
 func TestDijkstraUnreachable(t *testing.T) {
-	g := New()
+	g := NewUndirected()
 	a := g.AddNode(geom.Point{})
 	b := g.AddNode(geom.Point{X: 1})
 	c := g.AddNode(geom.Point{X: 2})
@@ -110,22 +122,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 	if tr.PathTo(c).Found() {
 		t.Error("path to unreachable node reported found")
-	}
-}
-
-func TestDijkstraDirectedAsymmetry(t *testing.T) {
-	g := New()
-	a := g.AddNode(geom.Point{})
-	b := g.AddNode(geom.Point{X: 1})
-	c := g.AddNode(geom.Point{X: 2})
-	g.MustAddEdge(a, b, 1)
-	g.MustAddEdge(b, c, 1)
-	g.MustAddEdge(c, a, 10)
-	if d := Dijkstra(g, a).Dist[c]; d != 2 {
-		t.Errorf("a->c = %v, want 2", d)
-	}
-	if d := Dijkstra(g, c).Dist[b]; d != 11 {
-		t.Errorf("c->b = %v, want 11", d)
 	}
 }
 
@@ -276,20 +272,6 @@ func TestAStarVisitAbort(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := New()
-	a := g.AddNode(geom.Point{})
-	b := g.AddNode(geom.Point{X: 1})
-	g.MustAddEdge(a, b, 2)
-	r := g.Reverse()
-	if _, ok := r.EdgeWeight(a, b); ok {
-		t.Error("reverse still has forward arc")
-	}
-	if w, ok := r.EdgeWeight(b, a); !ok || w != 2 {
-		t.Errorf("reverse arc = %v,%v", w, ok)
-	}
-}
-
 func TestLargestComponent(t *testing.T) {
 	g := NewUndirected()
 	for i := 0; i < 7; i++ {
@@ -334,7 +316,7 @@ func TestLandmarkHeuristicAdmissible(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		dst := NodeID(rng.Intn(g.NumNodes()))
 		h := lm.Heuristic(dst)
-		tr := Dijkstra(g.Reverse(), dst) // true distance v->dst
+		tr := Dijkstra(g, dst) // true distance v->dst
 		for v := 0; v < g.NumNodes(); v++ {
 			if hv := h(NodeID(v)); hv > tr.Dist[v]+1e-9 {
 				t.Fatalf("heuristic inadmissible: h(%d)=%v > d=%v", v, hv, tr.Dist[v])
@@ -457,14 +439,5 @@ func TestHeapRandomizedOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := line(t, 4)
-	c := g.Clone()
-	c.MustAddEdge(0, 3, 1)
-	if g.NumEdges() == c.NumEdges() {
-		t.Error("clone shares edge storage with original")
 	}
 }

@@ -8,8 +8,8 @@ import "math"
 // the region-data file.
 type Landmarks struct {
 	Anchors []NodeID
-	// Dist[v][k] is the shortest-path distance from node v to Anchors[k]
-	// (on undirected networks this equals the distance from the anchor).
+	// Dist[v][k] is the shortest-path distance between node v and
+	// Anchors[k].
 	Dist [][]float64
 }
 
@@ -59,8 +59,7 @@ func SelectLandmarks(g *Graph, k int) []NodeID {
 }
 
 // BuildLandmarks computes the landmark distance vectors for the given
-// anchors. On directed graphs distances are measured *to* the anchors using
-// the reverse graph, which keeps the ALT bound admissible for forward search.
+// anchors.
 func BuildLandmarks(g *Graph, anchors []NodeID) *Landmarks {
 	n := g.NumNodes()
 	lm := &Landmarks{Anchors: append([]NodeID(nil), anchors...)}
@@ -68,12 +67,8 @@ func BuildLandmarks(g *Graph, anchors []NodeID) *Landmarks {
 	for i := range lm.Dist {
 		lm.Dist[i] = make([]float64, len(anchors))
 	}
-	src := g
-	if g.Directed() {
-		src = g.Reverse()
-	}
 	for k, a := range anchors {
-		t := Dijkstra(src, a)
+		t := Dijkstra(g, a)
 		for v := 0; v < n; v++ {
 			lm.Dist[v][k] = t.Dist[v]
 		}

@@ -250,18 +250,11 @@ func Eccentricity(g *Graph, src NodeID) float64 {
 	return max
 }
 
-// LargestComponent returns the node set of the largest weakly connected
-// component. Generators use it to trim disconnected fragments so every
-// query has an answer.
+// LargestComponent returns the node set of the largest connected
+// component. The generator's tests use it to check that every query has an
+// answer.
 func LargestComponent(g *Graph) []NodeID {
 	n := g.NumNodes()
-	// Union by BFS over the undirected closure.
-	undirected := make([][]NodeID, n)
-	g.Edges(func(e Edge) bool {
-		undirected[e.From] = append(undirected[e.From], e.To)
-		undirected[e.To] = append(undirected[e.To], e.From)
-		return true
-	})
 	seen := make([]bool, n)
 	var best []NodeID
 	queue := make([]NodeID, 0, n)
@@ -277,10 +270,10 @@ func LargestComponent(g *Graph) []NodeID {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			comp = append(comp, u)
-			for _, v := range undirected[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
+			for _, he := range g.adj[u] {
+				if !seen[he.To] {
+					seen[he.To] = true
+					queue = append(queue, he.To)
 				}
 			}
 		}
@@ -297,12 +290,7 @@ func LargestComponent(g *Graph) []NodeID {
 func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, map[NodeID]NodeID, []NodeID) {
 	oldToNew := make(map[NodeID]NodeID, len(keep))
 	newToOld := make([]NodeID, 0, len(keep))
-	var sub *Graph
-	if g.Directed() {
-		sub = New()
-	} else {
-		sub = NewUndirected()
-	}
+	sub := NewUndirected()
 	for _, v := range keep {
 		oldToNew[v] = sub.AddNode(g.Point(v))
 		newToOld = append(newToOld, v)
@@ -313,7 +301,7 @@ func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, map[NodeID]NodeID, []Node
 			if _, ok := oldToNew[he.To]; !ok {
 				continue
 			}
-			if !g.Directed() && nu > nv {
+			if nu > nv {
 				continue // other direction adds it
 			}
 			sub.MustAddEdge(nu, nv, he.W)

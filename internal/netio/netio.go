@@ -18,8 +18,10 @@ import (
 )
 
 // ReadNetwork parses a node list and an edge list into an undirected
-// network. Node IDs in the files may be arbitrary; they are remapped to
-// dense IDs in file order, and edges refer to the original IDs.
+// network: each edge line is a road both ways. Node IDs in the files may be
+// arbitrary; they are remapped to dense IDs in file order, and edges refer
+// to the original IDs. A road listed more than once, in either direction,
+// keeps its least weight.
 func ReadNetwork(nodes, edges io.Reader) (*graph.Graph, error) {
 	g := graph.NewUndirected()
 	idMap := map[int64]graph.NodeID{}
@@ -86,7 +88,8 @@ func ReadNetwork(nodes, edges io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// WriteNetwork emits the network in the same two-file format.
+// WriteNetwork emits the network in the same two-file format, one edge line
+// per road.
 func WriteNetwork(g *graph.Graph, nodes, edges io.Writer) error {
 	nw := bufio.NewWriter(nodes)
 	fmt.Fprintln(nw, "# id x y")
@@ -109,11 +112,7 @@ func WriteNetwork(g *graph.Graph, nodes, edges io.Writer) error {
 		id++
 		return true
 	}
-	if g.Directed() {
-		g.Edges(emit)
-	} else {
-		g.UndirectedEdges(emit)
-	}
+	g.UndirectedEdges(emit)
 	if werr != nil {
 		return werr
 	}

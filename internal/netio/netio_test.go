@@ -151,14 +151,31 @@ func TestRoundTripPreservesDistances(t *testing.T) {
 	}
 }
 
-func TestWriteDirected(t *testing.T) {
-	g := graph.Directize(gen.GeneratePreset(gen.Oldenburg, 0.02), 0.1)
-	var nodes, edges bytes.Buffer
-	if err := WriteNetwork(g, &nodes, &edges); err != nil {
+// TestReadNetworkRepeatedRoad: a road listed twice, once each way, loads as
+// one road at its least weight and is written back once.
+func TestReadNetworkRepeatedRoad(t *testing.T) {
+	nodes := strings.NewReader("0 0 0\n1 1 0\n2 2 0\n")
+	edges := strings.NewReader("0 0 1 5\n1 1 2 1\n2 1 0 2\n")
+	g, err := ReadNetwork(nodes, edges)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(edges.String(), "\n") - 1 // minus header
-	if lines != g.NumEdges() {
-		t.Errorf("wrote %d edge lines, want %d", lines, g.NumEdges())
+	if g.NumEdges() != 2 {
+		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
+	}
+	for _, arc := range [][2]graph.NodeID{{0, 1}, {1, 0}} {
+		if w, ok := g.EdgeWeight(arc[0], arc[1]); !ok || w != 2 {
+			t.Errorf("edge %d-%d = %v,%v, want 2,true", arc[0], arc[1], w, ok)
+		}
+	}
+	if d := graph.ShortestPath(g, 0, 2).Cost; d != 3 {
+		t.Errorf("dist = %v, want 3", d)
+	}
+	var nb, eb bytes.Buffer
+	if err := WriteNetwork(g, &nb, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(eb.String(), "\n") - 1; lines != 2 {
+		t.Errorf("wrote %d edge lines, want 2", lines)
 	}
 }

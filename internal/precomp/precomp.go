@@ -18,9 +18,9 @@
 // parent chains to the borders of every R_j, which fills the rows (i, j)
 // for all j: S bits ORed into one bitset per row, G as the uint32 IDs of
 // original edges, numbered once per Compute in (From, To) order. When R_i is
-// done, each row is deduplicated and sorted; an undirected pair is the merge
-// of its rows i→j and j→i. A border node bounds two regions, so its Dijkstra
-// runs once for each: the work is O(2·#borders · E log V + output). Memory
+// done, each row is deduplicated and sorted; a pair is the merge of its
+// rows i→j and j→i. A border node bounds two regions, so its Dijkstra runs
+// once for each: the work is O(2·#borders · E log V + output). Memory
 // is, per worker, one region's raw rows and one Dijkstra's scratch, plus the
 // deduplicated rows of all pairs.
 package precomp
@@ -60,7 +60,6 @@ type Options struct {
 // Result holds the materialized pre-computation, indexed by PairIndex.
 type Result struct {
 	NumRegions int
-	Directed   bool
 	// Sets[k] is S_i,j as a sorted slice of region IDs, excluding i and j
 	// themselves (the client always fetches the source and destination
 	// regions anyway). Nil slices mean "no border pair connects i to j".
@@ -73,26 +72,19 @@ type Result struct {
 	MaxSetSize int
 }
 
-// NumPairs returns how many (i,j) combinations are materialized: all ordered
-// pairs for directed networks, i<=j for undirected ones (§5.3: "sets S_i,j
-// where i > j would be omitted").
-func NumPairs(numRegions int, directed bool) int {
-	if directed {
-		return numRegions * numRegions
-	}
+// NumPairs returns how many (i,j) combinations are materialized: the pairs
+// i<=j, as the network is undirected (§5.3: "sets S_i,j where i > j would be
+// omitted").
+func NumPairs(numRegions int) int {
 	return numRegions * (numRegions + 1) / 2
 }
 
-// PairIndex flattens (i, j) into an index of Sets/Subgraphs. For undirected
-// networks the pair is canonicalized to i <= j first.
-func PairIndex(numRegions int, directed bool, i, j kdtree.RegionID) int {
-	if !directed && i > j {
+// PairIndex flattens (i, j) into an index of Sets/Subgraphs: the pair is
+// canonicalized to i <= j, then numbered row by row over the triangle.
+func PairIndex(numRegions int, i, j kdtree.RegionID) int {
+	if i > j {
 		i, j = j, i
 	}
-	if directed {
-		return int(i)*numRegions + int(j)
-	}
-	// Triangular numbering over i <= j.
 	ii := int(i)
 	return ii*numRegions - ii*(ii-1)/2 + int(j) - ii
 }
@@ -105,8 +97,7 @@ func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Resu
 		return nil, fmt.Errorf("precomp: nothing requested")
 	}
 	R := part.NumRegions
-	directed := aug.G.Directed()
-	res := &Result{NumRegions: R, Directed: directed}
+	res := &Result{NumRegions: R}
 	// setRows[i*R+j] and edgeRows[i*R+j] hold the row i→j.
 	var (
 		setRows  [][]kdtree.RegionID
@@ -145,7 +136,7 @@ func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Resu
 	}
 	wg.Wait()
 
-	np := NumPairs(R, directed)
+	np := NumPairs(R)
 	if opts.Sets {
 		res.Sets = make([][]kdtree.RegionID, 0, np)
 	}
@@ -154,12 +145,9 @@ func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Resu
 	}
 	var merged []uint32
 	for i := range R {
-		for j := range R {
-			if !directed && j < i {
-				continue
-			}
+		for j := i; j < R; j++ {
 			ij, ji := i*R+j, j*R+i
-			both := !directed && i != j
+			both := i != j
 			if opts.Sets {
 				s := setRows[ij]
 				if t := setRows[ji]; both && len(t) > 0 {
@@ -204,7 +192,7 @@ func union[T cmp.Ordered](dst, a, b []T) []T {
 // its border node, so the chain walks neither hash arcs nor copy edges.
 type edgeIndex struct {
 	aug   *border.Augmented
-	edges []EdgeRef // by ID; parallel arcs share one ID at their least weight
+	edges []EdgeRef // by ID
 	first []int     // per original node: the ID of its first outgoing arc
 }
 
@@ -219,12 +207,7 @@ func newEdgeIndex(aug *border.Augmented) *edgeIndex {
 			}
 			x.edges = append(x.edges, EdgeRef(e))
 		}
-		out := x.edges[x.first[u]:]
-		slices.SortFunc(out, func(a, b EdgeRef) int {
-			return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.W, b.W))
-		})
-		out = slices.CompactFunc(out, func(a, b EdgeRef) bool { return a.To == b.To })
-		x.edges = x.edges[:x.first[u]+len(out)]
+		slices.SortFunc(x.edges[x.first[u]:], func(a, b EdgeRef) int { return cmp.Compare(a.To, b.To) })
 	}
 	return x
 }

@@ -39,41 +39,31 @@ func build(t *testing.T, scale float64, capacity int, opts Options) *fixture {
 
 // TestPairIndexRoundTrip walks every pair, in (i, j) order, at region
 // counts from the degenerate to Argentina@1.0's 1 082 CI regions: indices
-// are dense and consecutive, and (j, i) shares (i, j)'s index when the
-// network is undirected.
+// are dense and consecutive, and (j, i) shares (i, j)'s index.
 func TestPairIndexRoundTrip(t *testing.T) {
 	for _, R := range []int{1, 2, 9, 1082} {
-		for _, directed := range []bool{true, false} {
-			next := 0
-			for i := 0; i < R; i++ {
-				jStart := 0
-				if !directed {
-					jStart = i
+		next := 0
+		for i := 0; i < R; i++ {
+			for j := i; j < R; j++ {
+				k := PairIndex(R, kdtree.RegionID(i), kdtree.RegionID(j))
+				if k != next {
+					t.Fatalf("R=%d: pair (%d,%d) has index %d, want %d", R, i, j, k, next)
 				}
-				for j := jStart; j < R; j++ {
-					k := PairIndex(R, directed, kdtree.RegionID(i), kdtree.RegionID(j))
-					if k != next {
-						t.Fatalf("R=%d directed=%v: pair (%d,%d) has index %d, want %d", R, directed, i, j, k, next)
-					}
-					next++
-					if !directed && PairIndex(R, false, kdtree.RegionID(j), kdtree.RegionID(i)) != k {
-						t.Fatalf("R=%d: pair (%d,%d) and (%d,%d) have different indices", R, i, j, j, i)
-					}
+				next++
+				if PairIndex(R, kdtree.RegionID(j), kdtree.RegionID(i)) != k {
+					t.Fatalf("R=%d: pair (%d,%d) and (%d,%d) have different indices", R, i, j, j, i)
 				}
 			}
-			if next != NumPairs(R, directed) {
-				t.Fatalf("R=%d directed=%v: covered %d of %d pairs", R, directed, next, NumPairs(R, directed))
-			}
+		}
+		if next != NumPairs(R) {
+			t.Fatalf("R=%d: covered %d of %d pairs", R, next, NumPairs(R))
 		}
 	}
 }
 
 func TestPairIndexCanonicalizesUndirected(t *testing.T) {
-	if PairIndex(10, false, 7, 3) != PairIndex(10, false, 3, 7) {
+	if PairIndex(10, 7, 3) != PairIndex(10, 3, 7) {
 		t.Error("undirected pair index not symmetric")
-	}
-	if PairIndex(10, true, 7, 3) == PairIndex(10, true, 3, 7) {
-		t.Error("directed pair index wrongly symmetric")
 	}
 }
 
@@ -127,7 +117,7 @@ func TestRegionSetCoverage(t *testing.T) {
 		d := graph.NodeID(rng.Intn(f.g.NumNodes()))
 		rs, rt := f.part.RegionOf[s], f.part.RegionOf[d]
 		allowed := map[kdtree.RegionID]bool{rs: true, rt: true}
-		for _, r := range f.res.Sets[PairIndex(f.res.NumRegions, false, rs, rt)] {
+		for _, r := range f.res.Sets[PairIndex(f.res.NumRegions, rs, rt)] {
 			allowed[r] = true
 		}
 		p := graph.ShortestPath(f.g, s, d)
@@ -194,16 +184,16 @@ func assembleAndSolve(f *fixture, rs, rt kdtree.RegionID, s, d graph.NodeID) flo
 		for _, v := range f.part.Members[r] {
 			for _, he := range f.g.Adj(v) {
 				addEdge(v, he.To, he.W)
-				// Undirected networks: the reverse direction is stored in
-				// the neighbour's page, which may be absent; add it here as
-				// region pages describe undirected segments fully.
+				// The reverse direction is stored in the neighbour's page,
+				// which may be absent; add it here as region pages describe
+				// roads fully.
 				addEdge(he.To, v, he.W)
 			}
 		}
 	}
 	addRegion(rs)
 	addRegion(rt)
-	for _, e := range f.res.Subgraphs[PairIndex(f.res.NumRegions, false, rs, rt)] {
+	for _, e := range f.res.Subgraphs[PairIndex(f.res.NumRegions, rs, rt)] {
 		addEdge(e.From, e.To, e.W)
 		addEdge(e.To, e.From, e.W)
 	}
@@ -245,7 +235,7 @@ func TestSetsExcludeEndpointsAndAreSorted(t *testing.T) {
 	R := kdtree.RegionID(f.res.NumRegions)
 	for i := kdtree.RegionID(0); i < R; i++ {
 		for j := i; j < R; j++ {
-			set := f.res.Sets[PairIndex(int(R), false, i, j)]
+			set := f.res.Sets[PairIndex(int(R), i, j)]
 			for idx, r := range set {
 				if r == i || r == j {
 					t.Fatalf("S_%d,%d contains endpoint region %d", i, j, r)
@@ -289,7 +279,7 @@ func TestSameRegionPairsComputed(t *testing.T) {
 	nonEmpty := 0
 	for i := 0; i < f.res.NumRegions; i++ {
 		ri := kdtree.RegionID(i)
-		if len(f.res.Sets[PairIndex(f.res.NumRegions, false, ri, ri)]) > 0 {
+		if len(f.res.Sets[PairIndex(f.res.NumRegions, ri, ri)]) > 0 {
 			nonEmpty++
 		}
 	}

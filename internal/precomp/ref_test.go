@@ -30,9 +30,8 @@ func computeRef(aug *border.Augmented, part *kdtree.Partition, opts Options) (*R
 		return nil, fmt.Errorf("precomp: nothing requested")
 	}
 	R := part.NumRegions
-	directed := aug.G.Directed()
-	res := &Result{NumRegions: R, Directed: directed}
-	np := NumPairs(R, directed)
+	res := &Result{NumRegions: R}
+	np := NumPairs(R)
 	if opts.Sets {
 		res.Sets = make([][]kdtree.RegionID, np)
 	}
@@ -169,7 +168,7 @@ func (w *refWorker) setBits(dst []uint64, v graph.NodeID) {
 // contributions to every pair.
 func (w *refWorker) processBorder(bi int) {
 	aug, part, opts := w.aug, w.part, w.opts
-	R, words, directed := w.R, w.words, aug.G.Directed()
+	R, words := w.R, w.words
 	regbits, regStamp := w.regbits, w.regStamp
 	walkSrc, walkJ := w.walkSrc, w.walkJ
 	accum := w.accum
@@ -264,7 +263,7 @@ func (w *refWorker) processBorder(bi int) {
 			continue
 		}
 		for _, ri := range uniqueRegions(srcRegions) {
-			k := PairIndex(R, directed, ri, rj)
+			k := PairIndex(R, ri, rj)
 			if opts.Sets {
 				w.sets[k] = mergeBits(w.sets[k], accum, ri, rj)
 			}
@@ -408,25 +407,33 @@ func edgeLess(a, b EdgeRef) bool {
 
 // TestComputeMatchesReference: Compute must reproduce computeRef pair for
 // pair — the same S_i,j regions and the same G_i,j edges and weights — on
-// undirected and directed networks, for every option mix and worker count.
+// generated networks, for every option mix and worker count. With
+// roads=repeated, Compute runs on the network rebuilt with every road given
+// three times at different weights, and must reproduce computeRef on the
+// network rebuilt with each road given once: a repeated road is one road at
+// its least weight.
 func TestComputeMatchesReference(t *testing.T) {
 	for _, scale := range []float64{0.05, 0.15} {
-		und := gen.GeneratePreset(gen.Oldenburg, scale)
-		for _, g := range []*graph.Graph{und, graph.Directize(und, 0.3)} {
-			part, err := kdtree.BuildPacked(g, sizeFn(g), 1024)
-			if err != nil {
-				t.Fatal(err)
+		g := gen.GeneratePreset(gen.Oldenburg, scale)
+		for _, roads := range []string{"once", "repeated"} {
+			refG, g := g, g
+			if roads == "repeated" {
+				refG, g = rebuild(g, false), rebuild(g, true)
 			}
-			aug := border.Build(g, part)
+			part, aug := partition(t, g)
+			refPart, refAug := part, aug
+			if refG != g {
+				refPart, refAug = partition(t, refG)
+			}
 			for _, opts := range []Options{{Sets: true}, {Subgraphs: true}, {Sets: true, Subgraphs: true}} {
-				want, err := computeRef(aug, part, opts)
+				want, err := computeRef(refAug, refPart, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 2, 7} {
 					opts.Workers = workers
-					name := fmt.Sprintf("scale=%v/directed=%v/sets=%v/subgraphs=%v/workers=%d",
-						scale, g.Directed(), opts.Sets, opts.Subgraphs, workers)
+					name := fmt.Sprintf("scale=%v/roads=%s/sets=%v/subgraphs=%v/workers=%d",
+						scale, roads, opts.Sets, opts.Subgraphs, workers)
 					t.Run(name, func(t *testing.T) {
 						got, err := Compute(aug, part, opts)
 						if err != nil {
@@ -440,11 +447,41 @@ func TestComputeMatchesReference(t *testing.T) {
 	}
 }
 
+func partition(t *testing.T, g *graph.Graph) (*kdtree.Partition, *border.Augmented) {
+	t.Helper()
+	part, err := kdtree.BuildPacked(g, sizeFn(g), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part, border.Build(g, part)
+}
+
+// rebuild copies g's nodes and roads into a new graph, in UndirectedEdges
+// order. With repeat, each road u–v of weight w is given three times: as
+// v–u at 1.5·w, as u–v at w and as u–v at 2·w.
+func rebuild(g *graph.Graph, repeat bool) *graph.Graph {
+	out := graph.NewUndirected()
+	for v := range g.NumNodes() {
+		out.AddNode(g.Point(graph.NodeID(v)))
+	}
+	g.UndirectedEdges(func(e graph.Edge) bool {
+		if repeat {
+			out.MustAddEdge(e.To, e.From, 1.5*e.W)
+		}
+		out.MustAddEdge(e.From, e.To, e.W)
+		if repeat {
+			out.MustAddEdge(e.From, e.To, 2*e.W)
+		}
+		return true
+	})
+	return out
+}
+
 func requireSameResult(t *testing.T, got, want *Result) {
 	t.Helper()
-	if got.NumRegions != want.NumRegions || got.Directed != want.Directed || got.MaxSetSize != want.MaxSetSize {
-		t.Fatalf("R=%d directed=%v m=%d, want R=%d directed=%v m=%d",
-			got.NumRegions, got.Directed, got.MaxSetSize, want.NumRegions, want.Directed, want.MaxSetSize)
+	if got.NumRegions != want.NumRegions || got.MaxSetSize != want.MaxSetSize {
+		t.Fatalf("R=%d m=%d, want R=%d m=%d",
+			got.NumRegions, got.MaxSetSize, want.NumRegions, want.MaxSetSize)
 	}
 	if len(got.Sets) != len(want.Sets) || len(got.Subgraphs) != len(want.Subgraphs) {
 		t.Fatalf("%d sets and %d subgraphs, want %d and %d",

@@ -92,7 +92,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	// Plan derivation on a sampled workload, in region clusters.
 	hdr := &base.Header{
 		Scheme:               SchemeName,
-		Directed:             g.Directed(),
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
@@ -135,9 +134,9 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 
 // computeFlags derives, for every half-edge, the bit-vector over regions:
 // bit j is set when the edge lies on some shortest path into region j (or
-// touches region j directly). Computation runs one reverse-graph Dijkstra
-// per border node (§4's pre-computation), with over-flagging on ties —
-// harmless for correctness.
+// touches region j directly). Computation runs one Dijkstra per border node
+// (§4's pre-computation), with over-flagging on ties — harmless for
+// correctness.
 func computeFlags(g *graph.Graph, part *kdtree.Partition, flagBytes int) ([][][]byte, error) {
 	flags := make([][][]byte, g.NumNodes())
 	for v := range flags {
@@ -158,14 +157,13 @@ func computeFlags(g *graph.Graph, part *kdtree.Partition, flagBytes int) ([][][]
 		}
 	}
 	aug := border.Build(g, part)
-	rev := aug.G.Reverse()
 	for j := 0; j < part.NumRegions; j++ {
 		for _, bi := range aug.ByRegion[j] {
 			b := aug.Borders[bi]
-			tree := graph.Dijkstra(rev, b.ID)
+			tree := graph.Dijkstra(aug.G, b.ID)
 			// dist[v] is the shortest v→border distance in the original
-			// graph. Edge (u,v) is on a shortest path toward the border
-			// when dist[v] + w == dist[u].
+			// graph (the network is undirected). Edge (u,v) is on a
+			// shortest path toward the border when dist[v] + w == dist[u].
 			for u := 0; u < g.NumNodes(); u++ {
 				du := tree.Dist[u]
 				if math.IsInf(du, 1) {
@@ -183,24 +181,21 @@ func computeFlags(g *graph.Graph, part *kdtree.Partition, flagBytes int) ([][][]
 			}
 		}
 	}
-	// Undirected networks: symmetrize so the client may reuse a page's
-	// flags for the reverse direction (the reverse lives in an unfetched
-	// page otherwise).
-	if !g.Directed() {
-		idx := map[[2]graph.NodeID]int{}
-		for u := 0; u < g.NumNodes(); u++ {
-			for i, he := range g.Adj(graph.NodeID(u)) {
-				idx[[2]graph.NodeID{graph.NodeID(u), he.To}] = i
-			}
+	// Symmetrize so the client may reuse a page's flags for the reverse
+	// direction (the reverse lives in an unfetched page otherwise).
+	idx := map[[2]graph.NodeID]int{}
+	for u := 0; u < g.NumNodes(); u++ {
+		for i, he := range g.Adj(graph.NodeID(u)) {
+			idx[[2]graph.NodeID{graph.NodeID(u), he.To}] = i
 		}
-		for u := 0; u < g.NumNodes(); u++ {
-			for i, he := range g.Adj(graph.NodeID(u)) {
-				if ri, ok := idx[[2]graph.NodeID{he.To, graph.NodeID(u)}]; ok {
-					for byteIdx := range flags[u][i] {
-						merged := flags[u][i][byteIdx] | flags[he.To][ri][byteIdx]
-						flags[u][i][byteIdx] = merged
-						flags[he.To][ri][byteIdx] = merged
-					}
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		for i, he := range g.Adj(graph.NodeID(u)) {
+			if ri, ok := idx[[2]graph.NodeID{he.To, graph.NodeID(u)}]; ok {
+				for byteIdx := range flags[u][i] {
+					merged := flags[u][i][byteIdx] | flags[he.To][ri][byteIdx]
+					flags[u][i][byteIdx] = merged
+					flags[he.To][ri][byteIdx] = merged
 				}
 			}
 		}

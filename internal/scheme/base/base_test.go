@@ -18,7 +18,6 @@ import (
 func sampleHeader() *Header {
 	return &Header{
 		Scheme:     "CI",
-		Directed:   false,
 		NumRegions: 3,
 		Tree: &kdtree.Tree{Nodes: []kdtree.Node{
 			{Axis: kdtree.AxisX, Split: 4.5, Left: 1, Right: 2, Region: kdtree.NoRegion},
@@ -43,7 +42,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Scheme != h.Scheme || got.Directed != h.Directed || got.NumRegions != h.NumRegions {
+	if got.Scheme != h.Scheme || got.NumRegions != h.NumRegions {
 		t.Fatalf("meta mismatch: %+v", got)
 	}
 	if len(got.Tree.Nodes) != len(h.Tree.Nodes) {
@@ -63,6 +62,24 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	if got.Plan.String() != h.Plan.String() {
 		t.Error("plan lost")
+	}
+}
+
+// TestDecodeHeaderRefusesDirectedByte: the byte after the scheme name once
+// marked a directed network. Encode writes 0; a header from the server with
+// any other value is refused with an error.
+func TestDecodeHeaderRefusesDirectedByte(t *testing.T) {
+	h := sampleHeader()
+	data := h.Encode()
+	at := 1 + len(h.Scheme)
+	if data[at] != 0 {
+		t.Fatalf("Encode wrote %d after the scheme name, want 0", data[at])
+	}
+	for _, b := range []byte{1, 0xff} {
+		data[at] = b
+		if got, err := DecodeHeader(data); err == nil {
+			t.Errorf("byte %d: decoded %+v, want an error", b, got)
+		}
 	}
 }
 
@@ -138,7 +155,7 @@ func TestCompactPageOfIsolatedNodes(t *testing.T) {
 		t.Fatalf("decoded %d nodes, err %v", len(nodes), err)
 	}
 	hdr := &Header{RegionFirstPage: make([]uint32, 1), ClusterPages: 1, Params: map[string]int64{ParamCompact: 1}}
-	cg := NewClientGraph(false)
+	cg := NewClientGraph()
 	ids, err := cg.addRegion(hdr, [][]byte{data})
 	if err != nil || len(ids) != 40 || cg.NumNodes() != 40 {
 		t.Fatalf("graph took %d of 40 records (%d ids), err %v", cg.NumNodes(), len(ids), err)
@@ -306,7 +323,7 @@ func TestLookupEmpty(t *testing.T) {
 }
 
 func TestClientGraphDijkstra(t *testing.T) {
-	cg := NewClientGraph(false)
+	cg := NewClientGraph()
 	cg.AddRegionNodes([]RegionNode{
 		{ID: 0, Pt: geom.Point{}, Adj: []RegionAdj{{To: 1, W: 1}, {To: 2, W: 5}}},
 		{ID: 1, Pt: geom.Point{X: 1}, Adj: []RegionAdj{{To: 2, W: 1}}},
@@ -321,28 +338,18 @@ func TestClientGraphDijkstra(t *testing.T) {
 	}
 }
 
-func TestClientGraphDirectedDoesNotMirror(t *testing.T) {
-	cg := NewClientGraph(true)
-	cg.AddRegionNodes([]RegionNode{
-		{ID: 0, Adj: []RegionAdj{{To: 1, W: 1}}},
-	})
-	if cost, _ := cg.Dijkstra(1, 0); !math.IsInf(cost, 1) {
-		t.Error("directed client graph mirrored an edge")
-	}
-}
-
 func TestClientGraphSubgraphEdges(t *testing.T) {
-	cg := NewClientGraph(false)
+	cg := NewClientGraph()
 	if err := cg.AddSubgraphEdges([]precomp.EdgeRef{{From: 5, To: 6, W: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if cost, _ := cg.Dijkstra(6, 5); cost != 2 {
-		t.Error("undirected subgraph edge not mirrored")
+		t.Error("subgraph edge not mirrored")
 	}
 }
 
 func TestClientGraphSearchWithFilterAndSettle(t *testing.T) {
-	cg := NewClientGraph(false)
+	cg := NewClientGraph()
 	cg.AddRegionNodes([]RegionNode{
 		{ID: 0, Adj: []RegionAdj{{To: 1, W: 1}, {To: 2, W: 1}}},
 		{ID: 1, Adj: []RegionAdj{{To: 3, W: 1}}},
@@ -363,7 +370,7 @@ func TestClientGraphSearchWithFilterAndSettle(t *testing.T) {
 }
 
 func TestClientGraphNearest(t *testing.T) {
-	cg := NewClientGraph(false)
+	cg := NewClientGraph()
 	nodes := []RegionNode{
 		{ID: 4, Pt: geom.Point{X: 0}},
 		{ID: 9, Pt: geom.Point{X: 10}},

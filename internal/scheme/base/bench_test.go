@@ -34,7 +34,7 @@ func BenchmarkClientAssemble(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hdr := &Header{Directed: g.Directed(), NumRegions: part.NumRegions, Tree: part.Tree, RegionFirstPage: firstPage, ClusterPages: 1}
+	hdr := &Header{NumRegions: part.NumRegions, Tree: part.Tree, RegionFirstPage: firstPage, ClusterPages: 1}
 
 	// Per pair: its endpoints and the region pages CI fetches, in order.
 	type query struct {
@@ -54,7 +54,7 @@ func BenchmarkClientAssemble(b *testing.B) {
 		s, t := graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))
 		rs, rt := part.RegionOf[s], part.RegionOf[t]
 		q := query{s: s, t: t, pages: [][]byte{page(rs), page(rt)}}
-		for _, r := range pre.Sets[precomp.PairIndex(part.NumRegions, g.Directed(), rs, rt)] {
+		for _, r := range pre.Sets[precomp.PairIndex(part.NumRegions, rs, rt)] {
 			if r != rs && r != rt {
 				q.pages = append(q.pages, page(r))
 			}
@@ -66,7 +66,7 @@ func BenchmarkClientAssemble(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
-		cg := borrowClientGraph(hdr.Directed)
+		cg := borrowClientGraph()
 		var cands [2][]graph.NodeID
 		for k, p := range q.pages {
 			ids, err := cg.addRegion(hdr, [][]byte{p})

@@ -28,7 +28,7 @@ import (
 // size the index.
 //
 // Dedupe. The first u→v half-edge wins: a later one with the same endpoints —
-// the mirror of an undirected edge whose other page arrives too, a PI
+// the mirror of a road whose other page arrives too, a PI
 // subgraph edge a region page already listed — is dropped, found by scanning
 // u's list, which is as short as u's degree. Arc flags and region hints keep
 // the latest value written.
@@ -39,12 +39,11 @@ import (
 // landmark vectors, flags — may be held past Finish; paths returned by
 // Search belong to the caller.
 type ClientGraph struct {
-	directed bool
-	maxID    graph.NodeID // largest id the database could hold
-	index    []int32      // network id → local number + 1; 0 = not met
-	nodes    []cgNode
-	edges    []cgEdge
-	records  int // nodes whose record arrived
+	maxID   graph.NodeID // largest id the database could hold
+	index   []int32      // network id → local number + 1; 0 = not met
+	nodes   []cgNode
+	edges   []cgEdge
+	records int // nodes whose record arrived
 
 	// LM's landmark vectors and AF's Arc flags sit beside the tables they
 	// belong to, so CI, PI and HY pay nothing for them: nodeLM[v] locates
@@ -89,19 +88,18 @@ type cgEdge struct {
 // none.
 type span struct{ off, n int32 }
 
-// NewClientGraph returns an empty client graph. directed must match the
-// network (it is in the header).
-func NewClientGraph(directed bool) *ClientGraph {
-	return &ClientGraph{directed: directed, maxID: math.MaxInt32}
+// NewClientGraph returns an empty client graph.
+func NewClientGraph() *ClientGraph {
+	return &ClientGraph{maxID: math.MaxInt32}
 }
 
 // graphPool holds the graphs of finished queries, slices kept.
 var graphPool = sync.Pool{New: func() any { return new(ClientGraph) }}
 
 // borrowClientGraph takes an empty graph from the pool; release returns it.
-func borrowClientGraph(directed bool) *ClientGraph {
+func borrowClientGraph() *ClientGraph {
 	cg := graphPool.Get().(*ClientGraph)
-	cg.directed, cg.maxID = directed, math.MaxInt32
+	cg.maxID = math.MaxInt32
 	return cg
 }
 
@@ -266,10 +264,9 @@ func (cg *ClientGraph) record(id graph.NodeID, pt geom.Point, lm []byte) error {
 	return nil
 }
 
-// edge implements regionSink: it adds one half-edge of the open record. For
-// undirected networks each half-edge implies its reverse, which may live in
-// a page the client never fetches, so it is added here; Arc flags are
-// symmetrized at build time, so the reverse shares the bit-vector.
+// edge implements regionSink: it adds one half-edge of the open record and
+// its reverse, which may live in a page the client never fetches; Arc flags
+// are symmetrized at build time, so the reverse shares the bit-vector.
 func (cg *ClientGraph) edge(to graph.NodeID, w float64, toRegion kdtree.RegionID, flags []byte) error {
 	v, ok := cg.local(to)
 	if !ok {
@@ -278,17 +275,12 @@ func (cg *ClientGraph) edge(to graph.NodeID, w float64, toRegion kdtree.RegionID
 	u := cg.rec
 	e := cg.addEdge(u, v, w)
 	cg.nodes[v].hint, cg.nodes[v].hinted = toRegion, true
-	var rev int32 = -1
-	if !cg.directed {
-		rev = cg.addEdge(v, u, w)
-	}
+	rev := cg.addEdge(v, u, w)
 	if len(flags) > 0 {
 		sp := span{int32(len(cg.flags)), int32(len(flags))}
 		cg.flags = append(cg.flags, flags...)
 		setSpan(&cg.edgeFlags, e, sp)
-		if rev >= 0 {
-			setSpan(&cg.edgeFlags, rev, sp)
-		}
+		setSpan(&cg.edgeFlags, rev, sp)
 	}
 	return nil
 }
@@ -303,9 +295,7 @@ func (cg *ClientGraph) AddSubgraphEdges(edges []precomp.EdgeRef) error {
 			return fmt.Errorf("base: subgraph edge %d→%d, beyond the database's largest id %d", e.From, e.To, cg.maxID)
 		}
 		cg.addEdge(u, v, e.W)
-		if !cg.directed {
-			cg.addEdge(v, u, e.W)
-		}
+		cg.addEdge(v, u, e.W)
 	}
 	return nil
 }

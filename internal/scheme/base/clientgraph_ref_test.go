@@ -17,11 +17,10 @@ import (
 )
 
 type refGraph struct {
-	directed bool
-	adj      map[graph.NodeID][]graph.HalfEdge
-	pts      map[graph.NodeID]geom.Point
-	lm       map[graph.NodeID][]float64
-	seen     map[[2]graph.NodeID]bool
+	adj  map[graph.NodeID][]graph.HalfEdge
+	pts  map[graph.NodeID]geom.Point
+	lm   map[graph.NodeID][]float64
+	seen map[[2]graph.NodeID]bool
 	// hints remembers, for nodes referenced by fetched adjacency lists but
 	// not yet fetched themselves, which region their page lives in — the
 	// incremental baselines (LM, AF) use it to decide what to fetch next.
@@ -30,23 +29,21 @@ type refGraph struct {
 	flags map[[2]graph.NodeID][]byte
 }
 
-// newRefGraph returns an empty client graph. directed must match the
-// network (it is in the header).
-func newRefGraph(directed bool) *refGraph {
+// newRefGraph returns an empty client graph.
+func newRefGraph() *refGraph {
 	return &refGraph{
-		directed: directed,
-		adj:      map[graph.NodeID][]graph.HalfEdge{},
-		pts:      map[graph.NodeID]geom.Point{},
-		lm:       map[graph.NodeID][]float64{},
-		seen:     map[[2]graph.NodeID]bool{},
-		hints:    map[graph.NodeID]kdtree.RegionID{},
-		flags:    map[[2]graph.NodeID][]byte{},
+		adj:   map[graph.NodeID][]graph.HalfEdge{},
+		pts:   map[graph.NodeID]geom.Point{},
+		lm:    map[graph.NodeID][]float64{},
+		seen:  map[[2]graph.NodeID]bool{},
+		hints: map[graph.NodeID]kdtree.RegionID{},
+		flags: map[[2]graph.NodeID][]byte{},
 	}
 }
 
-// AddRegionNodes merges a decoded region page. For undirected networks each
-// half-edge implies its reverse, which may live in a page the client never
-// fetches, so it is added here.
+// AddRegionNodes merges a decoded region page. Each half-edge implies its
+// reverse, which may live in a page the client never fetches, so it is
+// added here.
 func (cg *refGraph) AddRegionNodes(nodes []RegionNode) {
 	for _, rn := range nodes {
 		cg.pts[rn.ID] = rn.Pt
@@ -57,16 +54,12 @@ func (cg *refGraph) AddRegionNodes(nodes []RegionNode) {
 			cg.addEdge(rn.ID, a.To, a.W)
 			cg.hints[a.To] = a.ToRegion
 			if a.Flags != nil {
+				// Flags are symmetrized at build time, so the reverse
+				// direction shares the bit-vector.
 				cg.flags[[2]graph.NodeID{rn.ID, a.To}] = a.Flags
-				if !cg.directed {
-					// Undirected flags are symmetrized at build time, so
-					// the reverse direction shares the bit-vector.
-					cg.flags[[2]graph.NodeID{a.To, rn.ID}] = a.Flags
-				}
+				cg.flags[[2]graph.NodeID{a.To, rn.ID}] = a.Flags
 			}
-			if !cg.directed {
-				cg.addEdge(a.To, rn.ID, a.W)
-			}
+			cg.addEdge(a.To, rn.ID, a.W)
 		}
 	}
 }
@@ -75,9 +68,7 @@ func (cg *refGraph) AddRegionNodes(nodes []RegionNode) {
 func (cg *refGraph) AddSubgraphEdges(edges []precomp.EdgeRef) {
 	for _, e := range edges {
 		cg.addEdge(e.From, e.To, e.W)
-		if !cg.directed {
-			cg.addEdge(e.To, e.From, e.W)
-		}
+		cg.addEdge(e.To, e.From, e.W)
 	}
 }
 

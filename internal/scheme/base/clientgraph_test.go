@@ -26,22 +26,19 @@ type oracleDB struct {
 }
 
 type oracleConfig struct {
-	directed, compact bool
-	lmDim, flagBytes  int
-	clusterPages      int
+	compact          bool
+	lmDim, flagBytes int
+	clusterPages     int
 }
 
 func (c oracleConfig) String() string {
-	return fmt.Sprintf("directed=%v/compact=%v/lm=%d/flags=%d/cluster=%d",
-		c.directed, c.compact, c.lmDim, c.flagBytes, c.clusterPages)
+	return fmt.Sprintf("compact=%v/lm=%d/flags=%d/cluster=%d",
+		c.compact, c.lmDim, c.flagBytes, c.clusterPages)
 }
 
 func newOracleDB(t *testing.T, c oracleConfig, seed int64) *oracleDB {
 	t.Helper()
 	g := gen.Generate(gen.Spec{Nodes: 300, Edges: 345, Seed: seed})
-	if c.directed {
-		g = graph.Directize(g, 0.3)
-	}
 	codec := &RegionCodec{G: g, Compact: c.compact, FlagBytes: c.flagBytes}
 	if c.lmDim > 0 {
 		codec.Landmarks = graph.BuildLandmarks(g, graph.SelectLandmarks(g, c.lmDim)).Dist
@@ -77,7 +74,6 @@ func newOracleDB(t *testing.T, c oracleConfig, seed int64) *oracleDB {
 		compact = 1
 	}
 	db := &oracleDB{g: g, fd: fd, hdr: &Header{
-		Directed:        c.directed,
 		NumRegions:      part.NumRegions,
 		Tree:            part.Tree,
 		RegionFirstPage: firstPage,
@@ -147,7 +143,7 @@ func flagFilter(cg guideGraph, rt kdtree.RegionID) func(graph.NodeID, graph.Half
 // refFrontier is frontierSearch as it ran on the map-based graph.
 func refFrontier(db *oracleDB, sPt, tPt geom.Point, lm, af bool) (cost float64, path []graph.NodeID, sNode, tNode graph.NodeID, fetches []kdtree.RegionID) {
 	rs, rt := db.hdr.Tree.Locate(sPt), db.hdr.Tree.Locate(tPt)
-	cg := newRefGraph(db.hdr.Directed)
+	cg := newRefGraph()
 	fetched := map[kdtree.RegionID]bool{}
 	get := func(r kdtree.RegionID) []RegionNode {
 		fetches = append(fetches, r)
@@ -182,8 +178,8 @@ func refFrontier(db *oracleDB, sPt, tPt geom.Point, lm, af bool) (cost float64, 
 }
 
 // TestClientGraphMatchesReference holds ClientGraph to the map-based graph
-// it replaced: over random region subsets of generated networks, undirected
-// and directed, plain and compact pages, with PI/HY subgraph edges merged
+// it replaced: over random region subsets of generated networks, plain and
+// compact pages, with PI/HY subgraph edges merged
 // in, LM's landmark heuristic, AF's flag filter, and LM/AF's frontier search
 // fetching regions from onSettle mid-search, both graphs must return the
 // same cost and the same path node for node, and agree on every node's
@@ -191,12 +187,12 @@ func refFrontier(db *oracleDB, sPt, tPt geom.Point, lm, af bool) (cost float64, 
 func TestClientGraphMatchesReference(t *testing.T) {
 	configs := []oracleConfig{
 		{clusterPages: 1},
-		{directed: true, clusterPages: 1},
 		{compact: true, clusterPages: 1},
 		{lmDim: 3, clusterPages: 1},
-		{directed: true, lmDim: 3, clusterPages: 1},
 		{flagBytes: 2, clusterPages: 2},
-		{directed: true, flagBytes: 2, compact: true, clusterPages: 2},
+		{compact: true, lmDim: 3, clusterPages: 1},
+		{lmDim: 3, clusterPages: 2},
+		{compact: true, flagBytes: 2, clusterPages: 2},
 	}
 	paths := 0 // comparisons where both graphs found a path of 3+ nodes
 	for ci, c := range configs {
@@ -225,9 +221,9 @@ func TestClientGraphMatchesReference(t *testing.T) {
 // many searches found a path of 3+ nodes.
 func staticCase(t *testing.T, db *oracleDB, rng *rand.Rand, c oracleConfig) (paths int) {
 	t.Helper()
-	cg := borrowClientGraph(db.hdr.Directed)
+	cg := borrowClientGraph()
 	defer cg.release()
-	ref := newRefGraph(db.hdr.Directed)
+	ref := newRefGraph()
 	var fetched []kdtree.RegionID
 	for r := range db.regions {
 		if rng.Intn(3) == 0 {
@@ -338,7 +334,7 @@ func sameSearch(t *testing.T, what string, got, want searchResult) int {
 // in the middle of the search — on both graphs.
 func frontierCase(t *testing.T, db *oracleDB, sPt, tPt geom.Point, lm, af bool) int {
 	t.Helper()
-	cg := borrowClientGraph(db.hdr.Directed)
+	cg := borrowClientGraph()
 	defer cg.release()
 	var fetches []kdtree.RegionID
 	cost, path, sNode, tNode, err := frontierSearch(db.hdr, cg, sPt, tPt,

@@ -69,7 +69,7 @@ func frontierSearch(hdr *Header, cg *ClientGraph, sPt, tPt geom.Point, fetch fet
 // derivation. hdr describes the database as the client will read it; its
 // plan is not consulted.
 func SimulateFrontier(hdr *Header, fd pagefile.Reader, sPt, tPt geom.Point, guide Guide) (int, error) {
-	cg := borrowClientGraph(hdr.Directed)
+	cg := borrowClientGraph()
 	defer cg.release()
 	var idx []int
 	pages := make([][]byte, hdr.ClusterPages)

@@ -30,7 +30,6 @@ const (
 // is downloaded in full by every client, so it leaks nothing query-specific.
 type Header struct {
 	Scheme     string
-	Directed   bool
 	NumRegions int
 	Tree       *kdtree.Tree
 	// RegionFirstPage maps each region to its first page in the region-data
@@ -69,11 +68,7 @@ func (h *Header) Encode() []byte {
 	e := pagefile.NewEnc(1024)
 	e.U8(uint8(len(h.Scheme)))
 	e.Raw([]byte(h.Scheme))
-	if h.Directed {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
+	e.U8(0) // the directed-network byte: networks are undirected, so always 0
 	e.U32(uint32(h.NumRegions))
 	e.U32(uint32(len(h.Tree.Nodes)))
 	for _, n := range h.Tree.Nodes {
@@ -110,7 +105,9 @@ func DecodeHeader(data []byte) (*Header, error) {
 	h := &Header{Params: map[string]int64{}}
 	schemeLen := int(d.U8())
 	h.Scheme = string(d.Raw(schemeLen))
-	h.Directed = d.U8() == 1
+	if b := d.U8(); b != 0 {
+		return nil, fmt.Errorf("base: header of %q marks a directed network (byte %d); only undirected networks are served", h.Scheme, b)
+	}
 	h.NumRegions = int(d.U32())
 	nNodes := int(d.U32())
 	// Untrusted count: each encoded tree node needs 21 bytes.

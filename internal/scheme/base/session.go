@@ -170,7 +170,7 @@ func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
 // use, returned there by Finish.
 func (s *Session) Graph() *ClientGraph {
 	if s.cg == nil {
-		s.cg = borrowClientGraph(s.Hdr.Directed)
+		s.cg = borrowClientGraph()
 		s.cg.observe = s.observe
 	}
 	return s.cg

@@ -82,7 +82,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 
 	fi := pagefile.NewFile(base.FileIndex, opt.PageSize)
 	ib := base.NewIndexBuilder(fi, m)
-	np := precomp.NumPairs(part.NumRegions, g.Directed())
+	np := precomp.NumPairs(part.NumRegions)
 	for k := 0; k < np; k++ {
 		if err := ib.AddSet(pre.Sets[k], opt.Compress); err != nil {
 			return nil, fmt.Errorf("ci: index pair %d: %w", k, err)
@@ -106,7 +106,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}}
 	hdr := &base.Header{
 		Scheme:               SchemeName,
-		Directed:             g.Directed(),
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
@@ -147,7 +146,7 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	}
 	hdr := ses.Hdr
 	rs, rt := base.LocatePair(hdr, sPt, tPt)
-	pairIdx := precomp.PairIndex(hdr.NumRegions, hdr.Directed, rs, rt)
+	pairIdx := precomp.PairIndex(hdr.NumRegions, rs, rt)
 
 	// Round 2: one look-up page.
 	entry, err := ses.LookupRound(pairIdx)

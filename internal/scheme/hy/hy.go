@@ -63,7 +63,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hy: pre-computation: %w", err)
 	}
-	np := precomp.NumPairs(part.NumRegions, g.Directed())
+	np := precomp.NumPairs(part.NumRegions)
 
 	// Replacement: any set larger than the threshold becomes a subgraph.
 	// m' is the largest remaining set (the inflation cap for compression).
@@ -135,7 +135,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}}
 	hdr := &base.Header{
 		Scheme:               SchemeName,
-		Directed:             g.Directed(),
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
@@ -166,7 +165,7 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	}
 	hdr := ses.Hdr
 	rs, rt := base.LocatePair(hdr, sPt, tPt)
-	pairIdx := precomp.PairIndex(hdr.NumRegions, hdr.Directed, rs, rt)
+	pairIdx := precomp.PairIndex(hdr.NumRegions, rs, rt)
 	fiPart := int(hdr.MustParam(base.ParamFiPart))
 
 	// Round 2: look-up entry.

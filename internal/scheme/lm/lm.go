@@ -89,7 +89,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	// region pages, counting fetched pages.
 	hdr := &base.Header{
 		Scheme:               SchemeName,
-		Directed:             g.Directed(),
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,

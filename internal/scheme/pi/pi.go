@@ -90,7 +90,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 
 	fi := pagefile.NewFile(base.FileIndex, opt.PageSize)
 	ib := base.NewIndexBuilder(fi, 1) // m unused for subgraph records
-	np := precomp.NumPairs(part.NumRegions, g.Directed())
+	np := precomp.NumPairs(part.NumRegions)
 	for k := 0; k < np; k++ {
 		if err := ib.AddGraph(pre.Subgraphs[k], opt.Compress); err != nil {
 			return nil, fmt.Errorf("pi: index pair %d: %w", k, err)
@@ -117,7 +117,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}}
 	hdr := &base.Header{
 		Scheme:               name,
-		Directed:             g.Directed(),
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
@@ -154,7 +153,7 @@ func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Res
 	}
 	hdr := ses.Hdr
 	rs, rt := base.LocatePair(hdr, sPt, tPt)
-	pairIdx := precomp.PairIndex(hdr.NumRegions, hdr.Directed, rs, rt)
+	pairIdx := precomp.PairIndex(hdr.NumRegions, rs, rt)
 
 	entry, err := ses.LookupRound(pairIdx)
 	if err != nil {

@@ -99,7 +99,9 @@ func Generate(p Preset, scale float64, seed int64) *Network {
 
 // LoadNetwork parses a road network from the plain two-file edge-list
 // format the original datasets use ("id x y" node lines, "id from to
-// weight" edge lines); see internal/netio for the grammar.
+// weight" edge lines); see internal/netio for the grammar. The network is
+// undirected: each edge line is a road both ways, and a road listed more
+// than once, in either direction, keeps its least weight.
 func LoadNetwork(nodes, edges io.Reader) (*Network, error) {
 	g, err := netio.ReadNetwork(nodes, edges)
 	if err != nil {
@@ -113,14 +115,18 @@ func (n *Network) SaveNetwork(nodes, edges io.Writer) error {
 	return netio.WriteNetwork(n.G, nodes, edges)
 }
 
-// NewNetwork starts an empty undirected network for manual construction.
+// NewNetwork starts an empty network for manual construction. Networks are
+// undirected, as in the paper's experiments: §3.1 allows directed edges,
+// this reproduction does not, and one-way streets are a parked roadmap item.
 func NewNetwork() *Network { return &Network{G: graph.NewUndirected()} }
 
 // AddNode appends a node and returns its ID. Coordinates must be unique per
 // axis for exact coordinate→region mapping.
 func (n *Network) AddNode(p Point) NodeID { return n.G.AddNode(p) }
 
-// AddRoad inserts an undirected road segment of the given positive cost.
+// AddRoad inserts a road segment between u and v, drivable both ways at the
+// given positive cost. A road already present between u and v keeps the
+// lesser of the two costs and is not counted again in NumEdges.
 func (n *Network) AddRoad(u, v NodeID, cost float64) error { return n.G.AddEdge(u, v, cost) }
 
 // NumNodes returns |V|.

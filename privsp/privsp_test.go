@@ -5,6 +5,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/graph"
@@ -146,13 +148,27 @@ func TestExtensionConfigs(t *testing.T) {
 	}
 }
 
-// TestAllSchemesDirected exercises §3.1's general case — directed edges
-// with asymmetric weights — across every fixed-plan scheme.
-func TestAllSchemesDirected(t *testing.T) {
-	und := Generate(Oldenburg, 0.06, 2)
-	net := &Network{G: graph.Directize(und.G, 0.25)}
-	oracle := func(s, d NodeID) float64 { return graph.ShortestPath(net.G, s, d).Cost }
-	for _, scheme := range []Scheme{CI, PI, PIStar, HY} {
+// TestParallelRoadsKeepLeastWeight: a road given twice between the same
+// two nodes is one road at its lesser cost, so a→c costs 1 + 1, not the
+// 5 + 1 of the first a–b road given. AF is left out: it snaps query points
+// to the wrong node on this network (a ROADMAP item of its own).
+func TestParallelRoadsKeepLeastWeight(t *testing.T) {
+	net := NewNetwork()
+	a := net.AddNode(Point{X: 0, Y: 0})
+	b := net.AddNode(Point{X: 1, Y: 0})
+	c := net.AddNode(Point{X: 2, Y: 0})
+	for _, e := range []struct {
+		u, v NodeID
+		w    float64
+	}{{a, b, 5}, {a, b, 1}, {b, c, 1}} {
+		if err := net.AddRoad(e.u, e.v, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if net.NumEdges() != 2 {
+		t.Fatalf("NumEdges = %d, want 2", net.NumEdges())
+	}
+	for _, scheme := range []Scheme{CI, PI, PIStar, HY, LM} {
 		t.Run(string(scheme), func(t *testing.T) {
 			db, err := Build(net, Config{Scheme: scheme})
 			if err != nil {
@@ -162,17 +178,64 @@ func TestAllSchemesDirected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(13))
-			for trial := 0; trial < 6; trial++ {
-				s := NodeID(rng.Intn(net.NumNodes()))
-				d := NodeID(rng.Intn(net.NumNodes()))
-				res, err := srv.ShortestPath(context.Background(), net.NodePoint(s), net.NodePoint(d))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(res.Cost-oracle(s, d)) > 1e-9 {
-					t.Fatalf("%s directed trial %d: cost %v, want %v", scheme, trial, res.Cost, oracle(s, d))
-				}
+			res, err := srv.ShortestPath(context.Background(), net.NodePoint(a), net.NodePoint(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost != 2 {
+				t.Errorf("a->c cost %v, want 2", res.Cost)
+			}
+		})
+	}
+}
+
+// TestRepeatedRoadsBuildTheSameDatabase: a network with every road given
+// three times, once reversed and at heavier weights, builds for every scheme
+// the same database bytes as the network with each road given once.
+func TestRepeatedRoadsBuildTheSameDatabase(t *testing.T) {
+	net := Generate(Oldenburg, 0.03, 1)
+	once, repeated := NewNetwork(), NewNetwork()
+	for v := range net.NumNodes() {
+		once.AddNode(net.NodePoint(NodeID(v)))
+		repeated.AddNode(net.NodePoint(NodeID(v)))
+	}
+	net.G.UndirectedEdges(func(e graph.Edge) bool {
+		for _, err := range []error{
+			once.AddRoad(e.From, e.To, e.W),
+			repeated.AddRoad(e.To, e.From, 1.5*e.W),
+			repeated.AddRoad(e.From, e.To, e.W),
+			repeated.AddRoad(e.From, e.To, 2*e.W),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return true
+	})
+	if repeated.NumEdges() != net.NumEdges() {
+		t.Fatalf("NumEdges = %d, want %d", repeated.NumEdges(), net.NumEdges())
+	}
+	dir := t.TempDir()
+	save := func(t *testing.T, n *Network, scheme Scheme, name string) []byte {
+		t.Helper()
+		db, err := Build(n, Config{Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, string(scheme)+"-"+name+".psdb")
+		if err := db.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, scheme := range []Scheme{CI, PI, PIStar, HY, LM, AF} {
+		t.Run(string(scheme), func(t *testing.T) {
+			if !bytes.Equal(save(t, repeated, scheme, "repeated"), save(t, once, scheme, "once")) {
+				t.Error("repeated roads built a different database")
 			}
 		})
 	}
