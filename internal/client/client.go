@@ -74,7 +74,7 @@ type Client struct {
 	flags    uint16
 	files    map[string]lbs.FileInfo
 	order    []lbs.FileInfo // Welcome file table, in database order
-	model    costmodel.Params
+	header   []byte         // the bound database's public header; empty when unbound
 	addr     string
 	maxFrame int // maxFrame as the client was dialed
 
@@ -147,7 +147,7 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	c.scheme = w.Scheme
 	c.database = w.Database
 	c.flags = w.Flags
-	c.model = w.Model
+	c.header = w.Header
 	c.addr = addr
 	c.maxFrame = maxFrame
 	c.order = w.Files
@@ -212,8 +212,9 @@ func (c *Client) FileInfo(name string) (lbs.FileInfo, error) {
 	return info, nil
 }
 
-// Model returns the cost-model parameters the daemon announced.
-func (c *Client) Model() costmodel.Params { return c.model }
+// Header returns the bound database's public header, as the Welcome
+// carried it: empty on an unbound, stats-only session.
+func (c *Client) Header() []byte { return c.header }
 
 // Close tears the connection down: every in-flight query fails promptly.
 func (c *Client) Close() error {
@@ -621,18 +622,14 @@ func (q *Query) exchange(ctx context.Context, t wire.MsgType, want wire.MsgType)
 	return replies[0], nil
 }
 
-// HeaderBytes downloads the public header (no PIR).
-func (q *Query) HeaderBytes(ctx context.Context) ([]byte, error) {
-	payload, err := q.exchange(ctx, wire.MsgHeaderReq, wire.MsgHeader)
-	if err != nil {
-		return nil, err
+// HeaderBytes returns the public header the Welcome carried, without a
+// round trip: the header is the same for every client (§5.3), so no query
+// asks for it.
+func (q *Query) HeaderBytes(context.Context) ([]byte, error) {
+	if q.c.scheme == "" {
+		return nil, errors.New("client: session is not bound to a database; reconnect naming one")
 	}
-	h, err := wire.DecodeHeader(payload)
-	if err != nil {
-		q.c.fail(err)
-		return nil, err
-	}
-	return h.Data, nil
+	return q.c.header, nil
 }
 
 // FileInfo answers from the Welcome's public file table without a round
@@ -785,8 +782,9 @@ func (c *Client) chunk(file string) int {
 	return wire.FramePages(file, max(info.PageSize, (info.NumPages+7)/8), min(c.maxFrame, smallReply))
 }
 
-// Model returns the cost-model parameters the daemon announced.
-func (q *Query) Model() costmodel.Params { return q.c.model }
+// Model returns the cost-model parameters queries simulate with: the
+// paper's Table 2 defaults.
+func (q *Query) Model() costmodel.Params { return costmodel.Default() }
 
 // End completes the query session and returns the trace the daemon
 // observed for it — the adversarial view of the query just run.

@@ -18,10 +18,11 @@ import (
 	"repro/internal/wire"
 )
 
-// fullQuery runs the canonical query shape of this test file — header,
-// then two single-page read rounds — and returns the first page and the
-// replica trace. The second round exists so a query that dies in the
-// first leaves a PROPER prefix behind.
+// fullQuery runs the canonical query shape of this test file — three
+// single-page reads — and returns the first page and the replica trace.
+// A query that opens with a read and dies in the next leaves a PROPER,
+// non-empty prefix behind: the survivor answers its share of the read
+// that dies, so it records two reads of the three.
 func fullQuery(t testing.TB, f *fleet.Fleet, page int) ([]byte, string) {
 	t.Helper()
 	ctx := context.Background()
@@ -29,15 +30,14 @@ func fullQuery(t testing.TB, f *fleet.Fleet, page int) ([]byte, string) {
 	if err := q.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.HeaderBytes(ctx); err != nil {
-		t.Fatal(err)
-	}
 	got, err := q.ReadPages(ctx, "pages", []int{page})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.ReadPages(ctx, "pages", []int{(page + 1) % failN}); err != nil {
-		t.Fatal(err)
+	for _, p := range []int{(page + 1) % failN, (page + 2) % failN} {
+		if _, err := q.ReadPages(ctx, "pages", []int{p}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	trace, err := q.End(ctx)
 	if err != nil {
@@ -48,6 +48,34 @@ func fullQuery(t testing.TB, f *fleet.Fleet, page int) ([]byte, string) {
 
 // failN/failPS shape the raw database fullQuery and TestFailover share.
 const failN, failPS = 32, 16
+
+// startReplicaAt hosts db on a replica-role XOR-PIR daemon listening on
+// addr, retrying the bind while a daemon that just died there lets go of
+// it; cap, when non-nil, captures its stores. The caller shuts it down.
+func startReplicaAt(t *testing.T, addr string, db *lbs.Database, cap *capture) (*server.Server, string) {
+	t.Helper()
+	opts := server.Options{Workers: 4, ReplicaRole: true, Stores: lbs.XORStores}
+	if cap != nil {
+		opts.Stores = cap.factory
+	}
+	s := server.New(opts)
+	if err := s.Host("RAW", db, costmodel.Default()); err != nil {
+		t.Fatal(err)
+	}
+	var ln net.Listener
+	for i := 0; i < 50; i++ {
+		var lerr error
+		if ln, lerr = net.Listen("tcp", addr); lerr == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if ln == nil {
+		t.Fatalf("could not bind %s", addr)
+	}
+	go s.Serve(ln)
+	return s, ln.Addr().String()
+}
 
 // TestFailover kills one replica mid-query and walks the fleet through
 // the full failure arc: the in-flight query fails cleanly with a typed
@@ -64,25 +92,7 @@ func TestFailover(t *testing.T) {
 	srvA, addrA := startDaemon(t, "RAW", db, true, true, capA)
 
 	// Replica B is managed by hand — it dies and is reborn mid-test.
-	newB := func(addr string) (*server.Server, string) {
-		s := server.New(server.Options{Workers: 4, ReplicaRole: true, Stores: lbs.XORStores})
-		if err := s.Host("RAW", db, costmodel.Default()); err != nil {
-			t.Fatal(err)
-		}
-		var ln net.Listener
-		for i := 0; i < 50; i++ {
-			var lerr error
-			if ln, lerr = net.Listen("tcp", addr); lerr == nil {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		if ln == nil {
-			t.Fatalf("could not bind %s", addr)
-		}
-		go s.Serve(ln)
-		return s, ln.Addr().String()
-	}
+	newB := func(addr string) (*server.Server, string) { return startReplicaAt(t, addr, db, nil) }
 	srvB, addrB := newB("127.0.0.1:0")
 
 	var mu sync.Mutex
@@ -104,14 +114,14 @@ func TestFailover(t *testing.T) {
 		t.Fatal("paired query returned wrong page")
 	}
 
-	// Kill replica B, then run a query that spans the death: the header
-	// fetch lands on both replicas (A records it), then the page read hits
-	// the dead socket.
+	// Kill replica B, then run a query that spans the death: the first
+	// page read lands on both replicas (A records it), then the second
+	// hits the dead socket.
 	q := f.StartQuery()
 	if err := q.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.HeaderBytes(ctx); err != nil {
+	if _, err := q.ReadPages(ctx, "pages", []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	// Shutdown force-closes the fleet's held connection at the context
@@ -130,7 +140,7 @@ func TestFailover(t *testing.T) {
 	}
 	// Settle the query the way scheme code does on a context-style abort:
 	// the survivor records the partial trace — a proper prefix of the
-	// canonical one (here: the header line alone).
+	// canonical one (here: the lines of the two reads).
 	q.Cancel(wire.CancelContext)
 	deadline := time.Now().Add(5 * time.Second)
 	var partial string
@@ -300,5 +310,68 @@ func TestFailoverThreeReplicas(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRedialKeepsDivergedReplicaDown: a replica that dies and comes back
+// serving another build of the database — same file table, different
+// header — is re-dialed by the prober and refused: its breaker stays open,
+// and the queries that follow pair on the two replicas that agree, so the
+// diverged one receives no share and records no trace.
+func TestRedialKeepsDivergedReplicaDown(t *testing.T) {
+	const n, ps, queries = 16, 8, 6
+	pages := rawPages(n, ps, 17)
+	db := rawDB(pages, ps)
+	_, addrA := startDaemon(t, "RAW", db, true, true, nil)
+	_, addrB := startDaemon(t, "RAW", db, true, true, nil)
+	srvC, addrC := startReplicaAt(t, "127.0.0.1:0", db, nil)
+	f := dialFleet(t, []string{addrA, addrB, addrC}, fleet.Options{ProbeInterval: 25 * time.Millisecond})
+
+	waitStatus := func(what string, cond func(fleet.ReplicaStatus) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if cond(f.Status().Replicas[2]) {
+				return
+			}
+		}
+		t.Fatalf("replica C never %s: %+v", what, f.Status().Replicas[2])
+	}
+
+	// C dies; the prober's ping opens its breaker.
+	sctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	srvC.Shutdown(sctx)
+	cancel()
+	waitStatus("went down", func(r fleet.ReplicaStatus) bool { return !r.Up })
+
+	// C comes back on another build: the same pages under another header.
+	rebuilt := rawDB(pages, ps)
+	rebuilt.Header = []byte("another build's header\n")
+	capC := &capture{}
+	srvC2, _ := startReplicaAt(t, addrC, rebuilt, capC)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srvC2.Shutdown(ctx)
+	})
+	waitStatus("was re-dialed and refused", func(r fleet.ReplicaStatus) bool {
+		return r.LastErr != nil && strings.Contains(r.LastErr.Error(), "different headers")
+	})
+	if st := f.Status().Replicas[2]; st.Up || st.Trips != 1 {
+		t.Fatalf("diverged replica after re-dial = %+v, want down with its one trip", st)
+	}
+
+	for i := 0; i < queries; i++ {
+		if got, _ := readOne(t, f, i); !equalBytes(got, pages[i]) {
+			t.Fatalf("query %d returned the wrong page", i)
+		}
+	}
+	if st := f.Status(); st.Replicas[2].Up || !st.Replicas[0].Up || !st.Replicas[1].Up {
+		t.Fatalf("status after the queries = %+v, want A and B up, C down", st.Replicas)
+	}
+	if got := len(capC.stores[0].shares()); got != 0 {
+		t.Errorf("the diverged replica answered %d shares", got)
+	}
+	if got := len(srvC2.Traces("RAW")); got != 0 {
+		t.Errorf("the diverged replica recorded %d traces", got)
 	}
 }

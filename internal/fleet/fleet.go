@@ -27,8 +27,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/costmodel"
-	"repro/internal/lbs"
 	"repro/internal/retrier"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -75,11 +73,11 @@ type replica struct {
 // Fleet fans queries out across privspd replicas. Safe for concurrent use:
 // start one Query per in-flight query, from any goroutine.
 type Fleet struct {
-	opts     Options
-	scheme   string
-	database string
-	model    costmodel.Params
-	files    map[string]lbs.FileInfo
+	opts Options
+	// ref is the replica the others are checked against, at dial and at
+	// every re-dial: its scheme, file table and header are the fleet's.
+	// They stay readable once its connection is closed.
+	ref *client.Client
 
 	mu       sync.Mutex
 	replicas []*replica
@@ -93,7 +91,7 @@ type Fleet struct {
 }
 
 // Dial connects to every replica, validates that they serve the same
-// database (scheme, file table, cost model) and can all answer selector
+// database (scheme, file table, header) and can all answer selector
 // shares, and starts the health prober. Fewer than two replicas, or one
 // that cannot answer shares, is refused: there is no single-server
 // fallback. All replicas must answer: a dead replica fails the dial with a
@@ -120,10 +118,9 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 		opts.Logf = func(string, ...any) {}
 	}
 	f := &Fleet{
-		opts:     opts,
-		database: opts.Database,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		opts: opts,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	f.initTelemetry(addrs)
 
@@ -162,15 +159,10 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 	}
 
 	// Every replica must serve the same database: shares XOR page contents
-	// across replicas, so diverging file tables corrupt answers silently.
-	ref := clients[0]
-	f.scheme, f.model = ref.Scheme(), ref.Model()
-	f.files = make(map[string]lbs.FileInfo, len(ref.Files()))
-	for _, fi := range ref.Files() {
-		f.files[fi.Name] = fi
-	}
+	// across replicas, so diverging databases corrupt answers silently.
+	f.ref = clients[0]
 	for _, c := range clients[1:] {
-		if err := consistent(ref, c); err != nil {
+		if err := consistent(f.ref, c); err != nil {
 			return fail(err)
 		}
 	}
@@ -192,14 +184,17 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 	return f, nil
 }
 
-// consistent verifies b serves the same database as a.
+// consistent verifies b serves the same database as a: the same scheme,
+// file table and public header. It runs on the handshakes alone, so no
+// query ever compares the two replicas' copies.
 func consistent(a, b *client.Client) error {
 	if a.Scheme() != b.Scheme() || a.Database() != b.Database() {
 		return fmt.Errorf("fleet: replicas disagree: %s serves %s/%s, %s serves %s/%s",
 			a.Addr(), a.Database(), a.Scheme(), b.Addr(), b.Database(), b.Scheme())
 	}
-	if a.Model() != b.Model() {
-		return fmt.Errorf("fleet: replicas %s and %s disagree on the cost model", a.Addr(), b.Addr())
+	if !bytes.Equal(a.Header(), b.Header()) {
+		return fmt.Errorf("fleet: replicas %s and %s serve different headers (%d vs %d bytes): diverged databases",
+			a.Addr(), b.Addr(), len(a.Header()), len(b.Header()))
 	}
 	fa, fb := a.Files(), b.Files()
 	if len(fa) != len(fb) {
@@ -215,10 +210,7 @@ func consistent(a, b *client.Client) error {
 }
 
 // Scheme returns the replicated database's scheme name.
-func (f *Fleet) Scheme() string { return f.scheme }
-
-// Model returns the cost-model parameters the replicas announced.
-func (f *Fleet) Model() costmodel.Params { return f.model }
+func (f *Fleet) Scheme() string { return f.ref.Scheme() }
 
 // Close stops the prober and tears down every replica connection.
 func (f *Fleet) Close() error {
@@ -364,6 +356,14 @@ func (f *Fleet) probe(rep *replica) bool {
 		return true
 	}
 	nc, err := client.DialContext(ctx, rep.addr, client.Options{Database: f.opts.Database})
+	if err == nil {
+		// A replica that came back serving another database (a rebuild, a
+		// different -db) would XOR garbage into every share it answers:
+		// its breaker stays open.
+		if err = consistent(f.ref, nc); err != nil {
+			nc.Close()
+		}
+	}
 	if err != nil {
 		f.m.probeFail.Inc()
 		f.mu.Lock()
@@ -488,7 +488,3 @@ func (f *Fleet) ReplicaServerStats(ctx context.Context) []ReplicaStats {
 	}
 	return out
 }
-
-// headersMatch is the paired-query integrity check: both replicas must
-// serve the identical public header.
-func headersMatch(a, b []byte) bool { return bytes.Equal(a, b) }

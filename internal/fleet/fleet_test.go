@@ -210,6 +210,16 @@ func TestDialValidation(t *testing.T) {
 			t.Fatalf("plain daemons: err = %v", err)
 		}
 	})
+	t.Run("diverged headers", func(t *testing.T) {
+		other := rawDB(pages, 8)
+		other.Header = []byte("another build's header\n")
+		_, addrC := startDaemon(t, "RAW", other, true, true, nil)
+		_, err := fleet.Dial(context.Background(), []string{addrA, addrC}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		if err == nil || !strings.Contains(err.Error(), "different headers") ||
+			!strings.Contains(err.Error(), addrA) || !strings.Contains(err.Error(), addrC) {
+			t.Fatalf("diverged headers: err = %v, want a header mismatch naming %s and %s", err, addrA, addrC)
+		}
+	})
 	t.Run("diverged file tables", func(t *testing.T) {
 		other := rawDB(rawPages(32, 8, 2), 8) // different page count
 		_, addrC := startDaemon(t, "RAW", other, true, true, nil)

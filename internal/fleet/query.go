@@ -48,18 +48,13 @@ func (f *Fleet) StartQuery() *Query {
 // Connect opens an lbs connection over this query, governed by ctx.
 func (q *Query) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, q) }
 
-// Model implements lbs.Backend with the fleet-wide cost model.
-func (q *Query) Model() costmodel.Params { return q.f.model }
+// Model implements lbs.Backend: queries simulate with the paper's Table 2
+// defaults.
+func (q *Query) Model() costmodel.Params { return costmodel.Default() }
 
-// FileInfo implements lbs.Backend from the dial-time file table (already
-// validated identical on every replica).
-func (q *Query) FileInfo(name string) (lbs.FileInfo, error) {
-	fi, ok := q.f.files[name]
-	if !ok {
-		return lbs.FileInfo{}, fmt.Errorf("fleet: no such file %q", name)
-	}
-	return fi, nil
-}
+// FileInfo implements lbs.Backend from the dial-time file table (validated
+// identical on every replica).
+func (q *Query) FileInfo(name string) (lbs.FileInfo, error) { return q.f.ref.FileInfo(name) }
 
 // both runs one step against the two subs concurrently, passing each its
 // slot, and returns each sub's error, classified (transport errors trip
@@ -85,27 +80,14 @@ func firstErr(ea, eb error) error {
 	return eb
 }
 
-// HeaderBytes implements lbs.Backend. The header is fetched from both
-// replicas and must be byte-identical — a silent mismatch would mean the
-// replicas serve diverged databases and every share XOR after it would be
-// garbage.
-func (q *Query) HeaderBytes(ctx context.Context) ([]byte, error) {
+// HeaderBytes implements lbs.Backend with the header every replica's
+// handshake carried, checked identical when the replica was dialed: no
+// frame goes out.
+func (q *Query) HeaderBytes(context.Context) ([]byte, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	var headers [2][]byte
-	ea, eb := q.both(func(i int, s *sub) (err error) {
-		headers[i], err = s.q.HeaderBytes(ctx)
-		return err
-	})
-	if err := firstErr(ea, eb); err != nil {
-		return nil, err
-	}
-	if !headersMatch(headers[0], headers[1]) {
-		return nil, fmt.Errorf("fleet: replicas %s and %s serve different headers (%d vs %d bytes) — diverged databases",
-			q.subs[0].rep.addr, q.subs[1].rep.addr, len(headers[0]), len(headers[1]))
-	}
-	return headers[0], nil
+	return q.f.ref.Header(), nil
 }
 
 // NextRound implements lbs.Backend, announcing the round boundary to both

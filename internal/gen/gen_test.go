@@ -22,9 +22,11 @@ func TestGenerateHitsTargets(t *testing.T) {
 
 func TestGenerateConnected(t *testing.T) {
 	g := GeneratePreset(Oldenburg, 0.2)
-	comp := graph.LargestComponent(g)
-	if len(comp) != g.NumNodes() {
-		t.Errorf("largest component %d of %d nodes; network must be connected", len(comp), g.NumNodes())
+	dist := graph.NewSearcher(g).From(0).Dist
+	for v, d := range dist {
+		if math.IsInf(d, 1) {
+			t.Fatalf("node %d unreachable from node 0 of %d nodes; network must be connected", v, g.NumNodes())
+		}
 	}
 }
 

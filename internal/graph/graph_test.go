@@ -272,39 +272,6 @@ func TestAStarVisitAbort(t *testing.T) {
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	g := NewUndirected()
-	for i := 0; i < 7; i++ {
-		g.AddNode(geom.Point{X: float64(i)})
-	}
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(3, 4, 1)
-	g.MustAddEdge(5, 6, 1)
-	comp := LargestComponent(g)
-	if len(comp) != 3 {
-		t.Errorf("largest component size %d, want 3", len(comp))
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := line(t, 6)
-	sub, oldToNew, newToOld := InducedSubgraph(g, []NodeID{1, 2, 3, 5})
-	if sub.NumNodes() != 4 {
-		t.Fatalf("sub nodes = %d", sub.NumNodes())
-	}
-	if sub.NumEdges() != 2 { // 1-2, 2-3 survive; 3-4,4-5 drop
-		t.Errorf("sub edges = %d, want 2", sub.NumEdges())
-	}
-	if newToOld[oldToNew[3]] != 3 {
-		t.Error("mapping round trip failed")
-	}
-	d := Dijkstra(sub, oldToNew[1]).Dist[oldToNew[3]]
-	if d != 2 {
-		t.Errorf("sub dist = %v, want 2", d)
-	}
-}
-
 func TestLandmarkHeuristicAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraphEuclidean(rng, 120)

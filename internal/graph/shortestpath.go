@@ -249,63 +249,3 @@ func Eccentricity(g *Graph, src NodeID) float64 {
 	}
 	return max
 }
-
-// LargestComponent returns the node set of the largest connected
-// component. The generator's tests use it to check that every query has an
-// answer.
-func LargestComponent(g *Graph) []NodeID {
-	n := g.NumNodes()
-	seen := make([]bool, n)
-	var best []NodeID
-	queue := make([]NodeID, 0, n)
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, NodeID(s))
-		seen[s] = true
-		var comp []NodeID
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			comp = append(comp, u)
-			for _, he := range g.adj[u] {
-				if !seen[he.To] {
-					seen[he.To] = true
-					queue = append(queue, he.To)
-				}
-			}
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	return best
-}
-
-// InducedSubgraph returns the subgraph of g induced by keep (which must be
-// deduplicated) plus a mapping old→new and new→old. Edges with an endpoint
-// outside keep are dropped.
-func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, map[NodeID]NodeID, []NodeID) {
-	oldToNew := make(map[NodeID]NodeID, len(keep))
-	newToOld := make([]NodeID, 0, len(keep))
-	sub := NewUndirected()
-	for _, v := range keep {
-		oldToNew[v] = sub.AddNode(g.Point(v))
-		newToOld = append(newToOld, v)
-	}
-	for _, v := range keep {
-		for _, he := range g.Adj(v) {
-			nu, nv := oldToNew[v], oldToNew[he.To]
-			if _, ok := oldToNew[he.To]; !ok {
-				continue
-			}
-			if nu > nv {
-				continue // other direction adds it
-			}
-			sub.MustAddEdge(nu, nv, he.W)
-		}
-	}
-	return sub, oldToNew, newToOld
-}

@@ -202,9 +202,10 @@ func totalSize(items []item) int {
 	return t
 }
 
-// sortByAxis orders items ascending by the axis coordinate. Coordinates are
-// assumed globally distinct per axis (the generator guarantees this), so the
-// order is total and a split coordinate strictly separates the halves.
+// sortByAxis orders items ascending by the axis coordinate. The packed and
+// plain builders assume coordinates globally distinct per axis (the
+// generator guarantees this), so the order is total and a split coordinate
+// strictly separates the halves; BuildFixedRegions moves its cuts off ties.
 func sortByAxis(items []item, axis Axis) {
 	if axis == AxisX {
 		sortItems(items, func(a, c item) bool { return a.x < c.x })

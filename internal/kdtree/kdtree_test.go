@@ -211,6 +211,53 @@ func TestBuildFixedRegions(t *testing.T) {
 	}
 }
 
+// TestBuildFixedRegionsTiedCoordinates: nodes that tie on a split axis are
+// never cut apart on it — the cut moves to where the coordinates differ, or
+// to the other axis — so Locate finds every node in its own region. Nodes
+// on one point end as one leaf.
+func TestBuildFixedRegionsTiedCoordinates(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		points  []geom.Point
+		regions int
+		want    int
+	}{
+		{"a line", []geom.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}}, 8, 3},
+		{"a column", []geom.Point{{X: 5, Y: 2}, {X: 5, Y: 0}, {X: 5, Y: 1}, {X: 5, Y: 3}}, 2, 2},
+		{"a grid", grid(4), 8, 8},
+		{"duplicates", []geom.Point{{X: 1, Y: 1}, {X: 1, Y: 1}, {X: 1, Y: 1}, {X: 2, Y: 1}}, 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.NewUndirected()
+			for _, p := range tc.points {
+				g.AddNode(p)
+			}
+			p, err := BuildFixedRegions(g, uniformSize(10), tc.regions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(p, g, uniformSize(10), 1<<62); err != nil {
+				t.Fatal(err)
+			}
+			if p.NumRegions != tc.want {
+				t.Errorf("regions = %d, want %d", p.NumRegions, tc.want)
+			}
+		})
+	}
+}
+
+// grid returns the n×n integer lattice: every x and every y is shared by n
+// points.
+func grid(n int) []geom.Point {
+	var pts []geom.Point
+	for x := range n {
+		for y := range n {
+			pts = append(pts, geom.Point{X: float64(x), Y: float64(y)})
+		}
+	}
+	return pts
+}
+
 func TestRegionsAreSpatiallyCoherent(t *testing.T) {
 	// Locate of a region's own bounding-box interior points must frequently
 	// return that region — regions tile the plane.

@@ -40,10 +40,12 @@ func (b *builder) plainRec(items []item, axis Axis, rect geom.Rect) int32 {
 	return self
 }
 
-// BuildFixedRegions partitions g into exactly `regions` leaves of roughly
-// equal byte size, alternating axes. The Arc-flag baseline (§4) uses this:
-// AF keeps one flag bit per region with every edge, so the region count is a
-// tuning parameter rather than a page-capacity consequence.
+// BuildFixedRegions partitions g into `regions` leaves of roughly equal
+// byte size, alternating axes. The Arc-flag baseline (§4) uses this: AF
+// keeps one flag bit per region with every edge, so the region count is a
+// tuning parameter rather than a page-capacity consequence. Nodes that share
+// a point cannot be told apart by any split, so a group of such duplicates
+// ends as one leaf, and the partition has fewer regions.
 func BuildFixedRegions(g *graph.Graph, size SizeFunc, regions int) (*Partition, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("kdtree: region count %d < 1", regions)
@@ -63,18 +65,20 @@ func (b *builder) fixedRec(items []item, regions int, axis Axis, rect geom.Rect)
 	if regions <= 1 || len(items) == 1 {
 		return b.addLeaf(items, rect)
 	}
-	sortByAxis(items, axis)
+	// Split on this axis, or on the other one where every coordinate on
+	// this one ties; points that tie on both are duplicates, one leaf.
+	k := 0
+	for range 2 {
+		sortByAxis(items, axis)
+		if k = fixedCut(items, regions, axis); k > 0 {
+			break
+		}
+		axis = nextAxis(axis)
+	}
+	if k == 0 {
+		return b.addLeaf(items, rect)
+	}
 	leftRegions := regions / 2
-	// Split bytes proportionally to the region counts on each side.
-	total := totalSize(items)
-	target := total * leftRegions / regions
-	k := prefixEndingAtByte(items, target)
-	if k < 1 {
-		k = 1
-	}
-	if k >= len(items) {
-		k = len(items) - 1
-	}
 	split := splitCoord(items, k, axis)
 	self := b.addInternal(axis, split)
 	leftRect, rightRect := splitRect(rect, axis, split)
@@ -83,6 +87,32 @@ func (b *builder) fixedRec(items []item, regions int, axis Axis, rect geom.Rect)
 	b.tree.Nodes[self].Left = left
 	b.tree.Nodes[self].Right = right
 	return self
+}
+
+// fixedCut returns where items, sorted on axis, split for fixedRec: after
+// the byte share of the left half's regions, moved to the nearest cut
+// whose two sides differ on axis, so that the split coordinate strictly
+// separates them and Locate sends every item to its own side. It returns
+// 0 when every coordinate on axis ties.
+func fixedCut(items []item, regions int, axis Axis) int {
+	// Split bytes proportionally to the region counts on each side.
+	k := prefixEndingAtByte(items, totalSize(items)*(regions/2)/regions)
+	k = min(max(k, 1), len(items)-1)
+	coord := func(i int) float64 {
+		if axis == AxisX {
+			return items[i].x
+		}
+		return items[i].y
+	}
+	for d := 0; k-d >= 1 || k+d < len(items); d++ {
+		if i := k - d; i >= 1 && coord(i-1) != coord(i) {
+			return i
+		}
+		if i := k + d; i < len(items) && coord(i-1) != coord(i) {
+			return i
+		}
+	}
+	return 0
 }
 
 // Utilization returns per-region byte totals and the overall utilization

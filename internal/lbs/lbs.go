@@ -10,7 +10,7 @@
 //
 // The query protocol is written against two small interfaces so the same
 // scheme code drives either deployment: Backend is the raw service surface
-// (header download, batched PIR page reads), implemented in-process by
+// (the public header, batched PIR page reads), implemented in-process by
 // Server and over the network by the wire client; Service is anything that
 // can open a Conn, the pair of a query's context and its Backend. The
 // protocol bookkeeping — rounds, the Table 2 cost simulation and the
@@ -109,7 +109,7 @@ type FileInfo struct {
 	PageSize int
 }
 
-// Backend is the raw service surface a query drives: header download and PIR
+// Backend is the raw service surface a query drives: the public header and PIR
 // page retrieval. The in-process Server implements it directly; the remote
 // wire client implements it over TCP, so the schemes execute identical
 // protocol logic against either deployment. Every operation that can block
@@ -117,7 +117,9 @@ type FileInfo struct {
 // queued (waiting for a pool slot, waiting for a wire reply) and returns
 // ctx.Err() once the context is dead.
 type Backend interface {
-	// HeaderBytes returns the public header file.
+	// HeaderBytes returns the public header file. It is the same for
+	// every client (§5.3): a remote backend returns the copy its
+	// connection received at handshake, without a round trip.
 	HeaderBytes(ctx context.Context) ([]byte, error)
 	// FileInfo returns the public metadata of the named file.
 	FileInfo(name string) (FileInfo, error)
@@ -575,12 +577,11 @@ func NewConn(ctx context.Context, b Backend) *Conn {
 // the one writer of its text: the client's own record (base.Session), the
 // daemon's per-query record and CanonicalTrace all write through it, so the
 // three views compare byte for byte. It records file names and page counts;
-// page numbers never reach it, as the PIR layer hides them. Two queries are
-// indistinguishable exactly when their transcripts are equal.
+// page numbers never reach it, as the PIR layer hides them. The header is
+// not in it: every client holds the same one from connect time on (§5.3).
+// Two queries are indistinguishable exactly when their transcripts are
+// equal.
 type Transcript struct{ b strings.Builder }
-
-// Header records the header download.
-func (t *Transcript) Header() { t.b.WriteString("header\n") }
 
 // Round records the start of protocol round n (counted from 1).
 func (t *Transcript) Round(n int) {
@@ -607,7 +608,6 @@ func (t *Transcript) String() string { return t.b.String() }
 // format, so client- and server-side views compare directly.
 func CanonicalTrace(p plan.Plan) string {
 	var t Transcript
-	t.Header()
 	for i, r := range p.Rounds {
 		t.Round(i + 1)
 		for _, f := range r.Fetches {

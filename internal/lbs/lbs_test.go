@@ -114,12 +114,11 @@ func TestFetchErrors(t *testing.T) {
 // TestCanonicalTraceText pins the transcript format every view of a query
 // shares: the client's record, the daemon's, and a plan's rendering.
 func TestCanonicalTraceText(t *testing.T) {
-	want := "header\nround 1:\n  fetch Fa\n  fetch Fa\nround 2:\n  fetch Fb\n"
+	want := "round 1:\n  fetch Fa\n  fetch Fa\nround 2:\n  fetch Fb\n"
 	if got := CanonicalTrace(sampleDB(t).Plan); got != want {
 		t.Errorf("CanonicalTrace = %q, want %q", got, want)
 	}
 	var tr Transcript
-	tr.Header()
 	tr.Round(1)
 	tr.Fetch("Fa", 1)
 	tr.Fetch("Fa", 1)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/border"
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/kdtree"
 )
@@ -133,7 +134,7 @@ func TestRegionSetCoverage(t *testing.T) {
 				keep = append(keep, graph.NodeID(v))
 			}
 		}
-		sub, oldToNew, _ := InducedForTest(f.g, keep)
+		sub, oldToNew, _ := inducedSubgraph(f.g, keep)
 		got := graph.ShortestPath(sub, oldToNew[s], oldToNew[d])
 		if !got.Found() || math.Abs(got.Cost-p.Cost) > 1e-9 {
 			t.Fatalf("trial %d: restricted cost %v, true cost %v (s=%d in R%d, t=%d in R%d, |S|=%d)",
@@ -142,10 +143,54 @@ func TestRegionSetCoverage(t *testing.T) {
 	}
 }
 
-// InducedForTest re-exports graph.InducedSubgraph with the signature the
-// tests want.
-func InducedForTest(g *graph.Graph, keep []graph.NodeID) (*graph.Graph, map[graph.NodeID]graph.NodeID, []graph.NodeID) {
-	return graph.InducedSubgraph(g, keep)
+// inducedSubgraph returns the subgraph of g induced by keep (which must be
+// deduplicated) plus a mapping old→new and new→old. Edges with an endpoint
+// outside keep are dropped. It is the oracle the S-set tests search in.
+func inducedSubgraph(g *graph.Graph, keep []graph.NodeID) (*graph.Graph, map[graph.NodeID]graph.NodeID, []graph.NodeID) {
+	oldToNew := make(map[graph.NodeID]graph.NodeID, len(keep))
+	newToOld := make([]graph.NodeID, 0, len(keep))
+	sub := graph.NewUndirected()
+	for _, v := range keep {
+		oldToNew[v] = sub.AddNode(g.Point(v))
+		newToOld = append(newToOld, v)
+	}
+	for _, v := range keep {
+		for _, he := range g.Adj(v) {
+			nu, nv := oldToNew[v], oldToNew[he.To]
+			if _, ok := oldToNew[he.To]; !ok {
+				continue
+			}
+			if nu > nv {
+				continue // other direction adds it
+			}
+			sub.MustAddEdge(nu, nv, he.W)
+		}
+	}
+	return sub, oldToNew, newToOld
+}
+
+func TestInducedSubgraph(t *testing.T) {
+	g := graph.NewUndirected()
+	for i := range 6 {
+		g.AddNode(geom.Point{X: float64(i)})
+	}
+	for i := range 5 {
+		g.MustAddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
+	}
+	sub, oldToNew, newToOld := inducedSubgraph(g, []graph.NodeID{1, 2, 3, 5})
+	if sub.NumNodes() != 4 {
+		t.Fatalf("sub nodes = %d", sub.NumNodes())
+	}
+	if sub.NumEdges() != 2 { // 1-2, 2-3 survive; 3-4,4-5 drop
+		t.Errorf("sub edges = %d, want 2", sub.NumEdges())
+	}
+	if newToOld[oldToNew[3]] != 3 {
+		t.Error("mapping round trip failed")
+	}
+	d := graph.Dijkstra(sub, oldToNew[1]).Dist[oldToNew[3]]
+	if d != 2 {
+		t.Errorf("sub dist = %v, want 2", d)
+	}
 }
 
 // TestSubgraphCoverage is the central PI correctness property: region data

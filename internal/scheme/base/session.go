@@ -132,7 +132,6 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, er
 	s.stats.HeaderBytes = len(raw)
 	s.stats.Comm = s.model.RTT + s.model.Transfer(len(raw))
 	s.stats.Fetches = map[string]int{}
-	s.trace.Header()
 	s.start = time.Now()
 	return s, nil
 }

@@ -228,7 +228,7 @@ func TestSessionStopsAtCancelledRoundBoundary(t *testing.T) {
 		t.Fatalf("Finish after cancellation: %v", err)
 	}
 	got, full := ses.trace.String(), lbs.CanonicalTrace(ses.Hdr.Plan)
-	if want := "header\nround 1:\n  fetch Fl\n"; got != want || !strings.HasPrefix(full, got) {
+	if want := "round 1:\n  fetch Fl\n"; got != want || !strings.HasPrefix(full, got) {
 		t.Errorf("cancelled transcript %q, want the one-round prefix %q", got, want)
 	}
 }

@@ -6,9 +6,8 @@
 // regions, and padding with dummy retrievals up to the fixed plan.
 //
 // The paper derives the page quota by running all V² queries offline; that
-// is quadratic, so by default the quota comes from a large sampled workload
-// plus extremal pairs, with a safety margin on top. Small networks can use
-// DeriveAllPairs for the exact paper procedure.
+// is quadratic, so the quota comes from a large sampled workload plus
+// extremal pairs, with a safety margin on top.
 package lm
 
 import (
@@ -33,13 +32,10 @@ type Options struct {
 	Landmarks int
 	// DeriveQueries sizes the sampled workload for plan derivation.
 	DeriveQueries int
-	// DeriveAllPairs derives the plan exhaustively (paper procedure; only
-	// viable on small networks).
-	DeriveAllPairs bool
 	// DeriveSeed makes plan derivation reproducible.
 	DeriveSeed int64
 	// SafetyMargin multiplies the sampled quota to cover unsampled pairs
-	// (>= 1; ignored for DeriveAllPairs).
+	// (>= 1).
 	SafetyMargin float64
 }
 
@@ -107,32 +103,22 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		}
 		return nil
 	}
-	if opt.DeriveAllPairs {
-		for s := 0; s < g.NumNodes(); s++ {
-			for t := 0; t < g.NumNodes(); t++ {
-				if err := measure(graph.NodeID(s), graph.NodeID(t)); err != nil {
-					return nil, err
-				}
-			}
+	rng := rand.New(rand.NewSource(opt.DeriveSeed))
+	for q := 0; q < opt.DeriveQueries; q++ {
+		if err := measure(graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))); err != nil {
+			return nil, err
 		}
-	} else {
-		rng := rand.New(rand.NewSource(opt.DeriveSeed))
-		for q := 0; q < opt.DeriveQueries; q++ {
-			if err := measure(graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))); err != nil {
+	}
+	for _, s := range corners(g) {
+		for _, t := range corners(g) {
+			if err := measure(s, t); err != nil {
 				return nil, err
 			}
 		}
-		for _, s := range corners(g) {
-			for _, t := range corners(g) {
-				if err := measure(s, t); err != nil {
-					return nil, err
-				}
-			}
-		}
-		maxPages = int(math.Ceil(float64(maxPages) * opt.SafetyMargin))
-		if maxPages > fd.NumPages() {
-			maxPages = fd.NumPages()
-		}
+	}
+	maxPages = int(math.Ceil(float64(maxPages) * opt.SafetyMargin))
+	if maxPages > fd.NumPages() {
+		maxPages = fd.NumPages()
 	}
 
 	// Plan: round 2 fetches the two endpoint regions; every further round

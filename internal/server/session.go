@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/wire"
 )
@@ -233,13 +232,11 @@ func (ss *session) handshake() error {
 		return err
 	}
 	// An empty database name against a multi-database daemon yields an
-	// unbound, stats-only session (Welcome with empty scheme): daemon-wide
-	// statistics don't require picking a database. Query messages on an
-	// unbound session are rejected.
+	// unbound, stats-only session (Welcome with empty scheme and header):
+	// daemon-wide statistics don't require picking a database. Query
+	// messages on an unbound session are rejected.
 	var welcome wire.Welcome
-	if hello.Database == "" && ss.s.numDatabases() != 1 {
-		welcome.Model = costmodel.Default()
-	} else {
+	if hello.Database != "" || ss.s.numDatabases() == 1 {
 		db, err := ss.s.lookup(hello.Database)
 		if err != nil {
 			ss.sendErr(wire.ControlID, "%v", err)
@@ -250,7 +247,7 @@ func (ss *session) handshake() error {
 			Scheme:   db.srv.Database().Scheme,
 			Database: db.name,
 			Files:    db.srv.Files(),
-			Model:    db.srv.Model(),
+			Header:   db.srv.Database().Header,
 		}
 		if db.srv.ShareCapable() {
 			welcome.Flags |= wire.WelcomeShareCapable
@@ -385,16 +382,6 @@ func (ss *session) runQuery(q *query) {
 // the query reached a terminal state (completed or aborted mid-read).
 func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 	switch f.t {
-	case wire.MsgHeaderReq:
-		h, err := ss.db.srv.HeaderBytes(q.ctx)
-		if err != nil {
-			ss.replyErr(q, "%v", err)
-			return false
-		}
-		q.trace.Header()
-		ss.reply(q, wire.MsgHeader, wire.Header{Data: h}.Encode())
-		return false
-
 	case wire.MsgNextRound:
 		// Fire-and-forget: no reply; it rides in front of the round's
 		// first fetch, or with the rest of a pipelined batch.

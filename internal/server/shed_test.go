@@ -40,7 +40,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 	// Park one query: it holds the only admission slot until settled.
 	blocker := c.StartQuery()
-	if _, err := blocker.HeaderBytes(ctx); err != nil {
+	if _, err := blocker.ReadPages(ctx, "Fd", []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Ready() {
@@ -48,7 +48,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 
 	attempt := c.StartQuery()
-	_, err := attempt.HeaderBytes(ctx)
+	_, err := attempt.ReadPages(ctx, "Fd", []int{0})
 	if !errors.Is(err, client.ErrBusy) {
 		t.Fatalf("query against a full daemon: err = %v, want ErrBusy", err)
 	}
@@ -89,7 +89,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	blocker.Cancel(wire.CancelAbandon)
 	waitFor(t, "readiness after drain", srv.Ready)
 	retry := c.StartQuery()
-	if _, err := retry.HeaderBytes(ctx); err != nil {
+	if _, err := retry.ReadPages(ctx, "Fd", []int{0}); err != nil {
 		t.Fatalf("retried query after drain: %v", err)
 	}
 	if _, err := retry.End(ctx); err != nil {
@@ -133,7 +133,7 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 	// the whole test.
 	cBlock := dialDB(t, addr, "CI")
 	blocker := cBlock.StartQuery()
-	if _, err := blocker.HeaderBytes(ctx); err != nil {
+	if _, err := blocker.ReadPages(ctx, "Fd", []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	defer blocker.Cancel(wire.CancelAbandon)
@@ -149,8 +149,8 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 		qs.Cancel(wire.CancelAbandon) // settled by the Busy; no-op
 		// Sequencing barrier: server frames on one connection are processed
 		// in order, so once the stats reply arrives every frame of the shed
-		// attempt — including the daemon's late "no open query" error for
-		// the request that followed BeginQuery — has been fully written and
+		// attempt — including the daemon's late "no open query" errors for
+		// the requests that followed BeginQuery — has been fully written and
 		// counted.
 		if _, err := c.ServerStats(ctx); err != nil {
 			t.Fatal(err)

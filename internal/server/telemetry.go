@@ -74,11 +74,11 @@ type hostedMetrics struct {
 // first use) means a scrape sees the full catalog from startup, with zero
 // values — absence of a series never becomes a side channel.
 func (s *Server) newHosted(name string, lsrv *lbs.Server) *hosted {
-	// A conforming query sends the header request, End, and per round its
-	// announcement and at most one frame per page: that many frames can be
-	// in flight at once when a client pipelines the whole plan.
+	// A conforming query sends End and per round its announcement and at
+	// most one frame per page: that many frames can be in flight at once
+	// when a client pipelines the whole plan.
 	p := lsrv.Database().Plan
-	h := &hosted{name: name, srv: lsrv, limit: traceHistory, inbox: 2 + len(p.Rounds) + p.TotalPIRAccesses()}
+	h := &hosted{name: name, srv: lsrv, limit: traceHistory, inbox: 1 + len(p.Rounds) + p.TotalPIRAccesses()}
 	reg := s.tel
 	if reg == nil {
 		return h

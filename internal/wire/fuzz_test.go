@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"repro/internal/lbs"
 )
 
 // FuzzDecodeFrame throws arbitrary byte streams at the v3 frame reader: it
@@ -99,6 +102,37 @@ func FuzzDecodeShareFetch(f *testing.F) {
 		}
 		m2, err := DecodeShareFetch(re)
 		if err != nil || m2.File != m.File || len(m2.Sels) != len(m.Sels) {
+			t.Fatalf("round trip diverged: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeWelcome fuzzes the Welcome decoder — the handshake reply from
+// which a client takes the scheme, the file table and the public header it
+// runs every query on. Accepted payloads must be canonical and round-trip
+// field for field.
+func FuzzDecodeWelcome(f *testing.F) {
+	f.Add(Welcome{
+		Scheme: "CI", Database: "ci", Flags: WelcomeShareCapable,
+		Files:  []lbs.FileInfo{{Name: "Fl", NumPages: 3, PageSize: 4096}},
+		Header: []byte("public header"),
+	}.Encode())
+	f.Add(Welcome{}.Encode())                                               // an unbound, stats-only session
+	f.Add([]byte{0, 2, 'C', 'I', 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // header length overruns payload
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeWelcome(data)
+		if err != nil {
+			return
+		}
+		re := m.Encode()
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", data, re)
+		}
+		m2, err := DecodeWelcome(re)
+		if err != nil || m2.Scheme != m.Scheme || m2.Database != m.Database || m2.Flags != m.Flags ||
+			!slices.Equal(m2.Files, m.Files) || !bytes.Equal(m2.Header, m.Header) {
 			t.Fatalf("round trip diverged: %v", err)
 		}
 	})

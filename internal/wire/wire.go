@@ -15,12 +15,13 @@
 //
 // The protocol mirrors the §3.1 query structure one-to-one, so the server
 // observes exactly what the paper's adversary observes: a session handshake
-// (Hello/Welcome), then per query a BeginQuery, one HeaderReq (the public
-// header, no PIR), a NextRound marker per protocol round, and batched Fetch
-// requests that name a file and a page count. Page indices ride inside the
-// Fetch payload standing in for the PIR-encrypted request; the server's
-// trace recorder never looks at them, only at the file name and count —
-// that is the complete adversarial view (Theorem 1). A Cancel frame lets
+// (Hello/Welcome, the Welcome carrying the public header, which is the same
+// for every client and needs no PIR), then per query a BeginQuery, a
+// NextRound marker per protocol round, and batched Fetch requests that name
+// a file and a page count. Page indices ride inside the Fetch payload
+// standing in for the PIR-encrypted request; the server's trace recorder
+// never looks at them, only at the file name and count — that is the
+// complete adversarial view (Theorem 1). A Cancel frame lets
 // the client abandon an in-flight query; because clients only volunteer
 // cancellation at round boundaries, the server-recorded trace of a
 // cancelled query is a prefix of the one full-query trace, which leaks
@@ -32,9 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
 )
@@ -50,7 +49,10 @@ import (
 // Version 5 added the Busy message: an overloaded daemon sheds a query at
 // admission — before any query content is read — and replies with a
 // retry-after hint instead of opening the session.
-const ProtocolVersion = 5
+// Version 6 moved the public header into the Welcome, deleting the
+// per-query HeaderReq/Header exchange, and dropped the Welcome's cost-model
+// parameters.
+const ProtocolVersion = 6
 
 // DefaultMaxFrame bounds a single frame's payload; it must accommodate the
 // largest header file and the largest batched page fetch.
@@ -64,11 +66,9 @@ type MsgType uint8
 // Welcome, StatsReq and Stats ride on ControlID.
 const (
 	MsgHello      MsgType = iota + 1 // C→S: version + database name
-	MsgWelcome                       // S→C: scheme, file table, cost model
+	MsgWelcome                       // S→C: scheme, file table, public header
 	MsgError                         // S→C: request failed; session stays up
 	MsgBeginQuery                    // C→S: open the query session of this frame's ID (no reply)
-	MsgHeaderReq                     // C→S: download the public header
-	MsgHeader                        // S→C: header bytes
 	MsgNextRound                     // C→S: next protocol round begins (no reply)
 	MsgFetch                         // C→S: batched PIR page retrieval
 	MsgPages                         // S→C: the retrieved pages
@@ -92,10 +92,6 @@ func (t MsgType) String() string {
 		return "Error"
 	case MsgBeginQuery:
 		return "BeginQuery"
-	case MsgHeaderReq:
-		return "HeaderReq"
-	case MsgHeader:
-		return "Header"
 	case MsgNextRound:
 		return "NextRound"
 	case MsgFetch:
@@ -375,15 +371,17 @@ const (
 	WelcomeReplicaRole uint16 = 1 << 1
 )
 
-// Welcome acknowledges a session: the scheme, the public file table, the
-// cost-model parameters the client should simulate with, and the daemon's
-// capability flags.
+// Welcome acknowledges a session: the scheme, the daemon's capability
+// flags, the public file table and the bound database's public header —
+// the §5.3 header every client downloads straight from the LBS, so a client
+// holds it from the handshake on and no query asks for it. An unbound,
+// stats-only session has an empty scheme, file table and header.
 type Welcome struct {
 	Scheme   string
 	Database string
 	Flags    uint16
 	Files    []lbs.FileInfo
-	Model    costmodel.Params
+	Header   []byte
 }
 
 // Encode serializes the message payload.
@@ -398,7 +396,7 @@ func (m Welcome) Encode() []byte {
 		e.U32(uint32(f.NumPages))
 		e.U32(uint32(f.PageSize))
 	}
-	encodeModel(e, m.Model)
+	putBytes(e, m.Header)
 	return e.Bytes()
 }
 
@@ -414,36 +412,8 @@ func DecodeWelcome(b []byte) (Welcome, error) {
 			PageSize: int(d.U32()),
 		})
 	}
-	m.Model = decodeModel(d)
+	m.Header = getBytes(d)
 	return m, decErr("Welcome", d)
-}
-
-func encodeModel(e *pagefile.Enc, p costmodel.Params) {
-	e.U32(uint32(p.PageSize))
-	e.U64(uint64(p.DiskSeek))
-	e.F64(p.DiskRate)
-	e.F64(p.SCPRate)
-	e.F64(p.CryptRate)
-	e.F64(p.Bandwidth)
-	e.U64(uint64(p.RTT))
-	e.U64(uint64(p.SCPMemory))
-	e.F64(p.SCPFactor)
-	e.F64(p.ShuffleK)
-}
-
-func decodeModel(d *pagefile.Dec) costmodel.Params {
-	return costmodel.Params{
-		PageSize:  int(d.U32()),
-		DiskSeek:  time.Duration(d.U64()),
-		DiskRate:  d.F64(),
-		SCPRate:   d.F64(),
-		CryptRate: d.F64(),
-		Bandwidth: d.F64(),
-		RTT:       time.Duration(d.U64()),
-		SCPMemory: int64(d.U64()),
-		SCPFactor: d.F64(),
-		ShuffleK:  d.F64(),
-	}
 }
 
 // ErrorMsg reports a failed request. The session survives; the client
@@ -464,25 +434,6 @@ func DecodeErrorMsg(b []byte) (ErrorMsg, error) {
 	d := pagefile.NewDec(b)
 	m := ErrorMsg{Text: getString(d)}
 	return m, decErr("Error", d)
-}
-
-// Header carries the public header file.
-type Header struct {
-	Data []byte
-}
-
-// Encode serializes the message payload.
-func (m Header) Encode() []byte {
-	e := pagefile.NewEnc(4 + len(m.Data))
-	putBytes(e, m.Data)
-	return e.Bytes()
-}
-
-// DecodeHeader reverses Header.Encode.
-func DecodeHeader(b []byte) (Header, error) {
-	d := pagefile.NewDec(b)
-	m := Header{Data: getBytes(d)}
-	return m, decErr("Header", d)
 }
 
 // Fetch is a batched PIR retrieval: up to 65535 pages of one file in a

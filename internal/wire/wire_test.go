@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/lbs"
 )
 
@@ -118,7 +117,7 @@ func TestWelcomeRoundTrip(t *testing.T) {
 			{Name: "Fl", NumPages: 12, PageSize: 4096},
 			{Name: "Fc", NumPages: 9999, PageSize: 512},
 		},
-		Model: costmodel.Default(),
+		Header: []byte("public header"),
 	}
 	got, err := DecodeWelcome(m.Encode())
 	if err != nil {
@@ -133,8 +132,8 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	if len(got.Files) != 2 || got.Files[0] != m.Files[0] || got.Files[1] != m.Files[1] {
 		t.Errorf("files: got %+v", got.Files)
 	}
-	if got.Model != m.Model {
-		t.Errorf("model: got %+v, want %+v", got.Model, m.Model)
+	if !bytes.Equal(got.Header, m.Header) {
+		t.Errorf("header: got %q, want %q", got.Header, m.Header)
 	}
 }
 
@@ -275,7 +274,7 @@ func TestDecodePagesAliasesFrame(t *testing.T) {
 }
 
 func TestQueryDoneAndErrorRoundTrip(t *testing.T) {
-	q := QueryDone{Trace: "header\nround 1:\n  fetch Fl\n"}
+	q := QueryDone{Trace: "round 1:\n  fetch Fl\n"}
 	gotQ, err := DecodeQueryDone(q.Encode())
 	if err != nil || gotQ.Trace != q.Trace {
 		t.Errorf("QueryDone: %+v, %v", gotQ, err)

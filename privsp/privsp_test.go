@@ -150,8 +150,9 @@ func TestExtensionConfigs(t *testing.T) {
 
 // TestParallelRoadsKeepLeastWeight: a road given twice between the same
 // two nodes is one road at its lesser cost, so a→c costs 1 + 1, not the
-// 5 + 1 of the first a–b road given. AF is left out: it snaps query points
-// to the wrong node on this network (a ROADMAP item of its own).
+// 5 + 1 of the first a–b road given. The three nodes tie on y, so AF's
+// fixed-region split must cut between distinct x coordinates to snap each
+// query point to its own node.
 func TestParallelRoadsKeepLeastWeight(t *testing.T) {
 	net := NewNetwork()
 	a := net.AddNode(Point{X: 0, Y: 0})
@@ -168,7 +169,7 @@ func TestParallelRoadsKeepLeastWeight(t *testing.T) {
 	if net.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", net.NumEdges())
 	}
-	for _, scheme := range []Scheme{CI, PI, PIStar, HY, LM} {
+	for _, scheme := range []Scheme{CI, PI, PIStar, HY, LM, AF} {
 		t.Run(string(scheme), func(t *testing.T) {
 			db, err := Build(net, Config{Scheme: scheme})
 			if err != nil {

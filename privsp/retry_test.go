@@ -68,7 +68,7 @@ func startBusyDaemon(t *testing.T, db *Database) (addr string, release func()) {
 	}
 	t.Cleanup(func() { bc.Close() })
 	blocker := bc.StartQuery()
-	if _, err := blocker.HeaderBytes(context.Background()); err != nil {
+	if _, err := blocker.ReadPages(context.Background(), bc.Files()[0].Name, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	return ln.Addr().String(), func() { blocker.Cancel(wire.CancelAbandon) }
