@@ -27,7 +27,6 @@ import (
 	"repro/internal/pagefile"
 	"repro/internal/pir"
 	"repro/internal/scheme/ci"
-	"repro/internal/scheme/pi"
 )
 
 // benchConfig sizes benchmark runs: smaller than cmd/experiments defaults
@@ -248,31 +247,7 @@ func BenchmarkServeDiskVsRAM(b *testing.B) {
 
 // --- extension ablations (the paper's §8 future-work directions) ---
 
-// BenchmarkExtensionCompactData measures the lossless region-record
-// compression: database size with and without it, for CI and PI.
-func BenchmarkExtensionCompactData(b *testing.B) {
-	cfg := benchConfig()
-	g := gen.GeneratePreset(gen.Argentina, cfg.Scale)
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		for _, compact := range []bool{false, true} {
-			ciOpt := ci.DefaultOptions()
-			ciOpt.CompactData = compact
-			cidb, err := ci.Build(g, ciOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			piOpt := pi.DefaultOptions()
-			piOpt.CompactData = compact
-			pidb, err := pi.Build(g, piOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fmt.Fprintf(&buf, "compact=%v: CI %d bytes, PI %d bytes\n",
-				compact, cidb.TotalBytes(), pidb.TotalBytes())
-		}
-		if i == 0 {
-			b.Log("\n" + buf.String())
-		}
-	}
-}
+// BenchmarkExtensionCompactData regenerates the ext-compact table: database
+// size with and without the lossless region-record compression, for CI and
+// PI.
+func BenchmarkExtensionCompactData(b *testing.B) { runExperiment(b, "ext") }

@@ -14,115 +14,30 @@ import (
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
 	"repro/internal/precomp"
-	"repro/internal/scheme/af"
 	"repro/internal/scheme/base"
-	"repro/internal/scheme/ci"
-	"repro/internal/scheme/hy"
-	"repro/internal/scheme/lm"
 	"repro/internal/scheme/obf"
-	"repro/internal/scheme/pi"
+	"repro/privsp"
 )
 
-// serve wraps an lbs database into a Servable.
-func (r *Runner) serve(name string, db *lbs.Database, q func(context.Context, lbs.Service, geom.Point, geom.Point) (*base.Result, error)) (Servable, error) {
-	// Experiments may legitimately exceed the real PIR size limit at full
-	// scale (that is one of the paper's findings); the harness keeps
-	// serving and flags the overflow in the tables instead of refusing.
-	model := r.Model
-	if db.LargestFileBytes() > model.MaxFileBytes() {
-		model.SCPMemory = 1 << 40
-	}
-	srv, err := lbs.NewServer(db, model, nil)
+// Build builds g under cfg and hosts it exactly as a user would: with
+// privsp.Build, seeded by the run's seed, and privsp.Serve, queried through
+// ShortestPath. name labels the table row.
+func (r *Runner) Build(name string, g *graph.Graph, cfg privsp.Config) (Servable, error) {
+	cfg.Seed = r.Cfg.Seed
+	db, err := privsp.Build(&privsp.Network{G: g}, cfg)
 	if err != nil {
-		return Servable{}, err
+		return Servable{}, fmt.Errorf("%s build: %w", name, err)
+	}
+	srv, err := privsp.Serve(db)
+	if err != nil {
+		return Servable{}, fmt.Errorf("%s: %w", name, err)
 	}
 	return Servable{
 		Name:  name,
 		Bytes: db.TotalBytes(),
-		DB:    db,
-		Query: func(s, t geom.Point) (*base.Result, error) { return q(context.Background(), srv, s, t) },
+		DB:    db.LBS(),
+		Query: func(s, t geom.Point) (*base.Result, error) { return srv.ShortestPath(context.Background(), s, t) },
 	}, nil
-}
-
-// BuildCI builds CI with optional ablations.
-func (r *Runner) BuildCI(g *graph.Graph, packed, compress bool) (Servable, error) {
-	opt := ci.DefaultOptions()
-	opt.Packed, opt.Compress = packed, compress
-	db, err := ci.Build(g, opt)
-	if err != nil {
-		return Servable{}, fmt.Errorf("CI build: %w", err)
-	}
-	name := "CI"
-	if !packed {
-		name = "CI-P"
-	}
-	if !compress {
-		name = "CI-C"
-	}
-	return r.serve(name, db, ci.Query)
-}
-
-// BuildPI builds PI (cluster=1) or PI* with optional ablations.
-func (r *Runner) BuildPI(g *graph.Graph, cluster int, packed, compress bool) (Servable, error) {
-	opt := pi.DefaultOptions()
-	opt.ClusterPages = cluster
-	opt.Packed, opt.Compress = packed, compress
-	db, err := pi.Build(g, opt)
-	if err != nil {
-		return Servable{}, fmt.Errorf("PI build: %w", err)
-	}
-	name := "PI"
-	if cluster > 1 {
-		name = fmt.Sprintf("PI*(%d)", cluster)
-	}
-	if !packed {
-		name = "PI-P"
-	}
-	if !compress {
-		name = "PI-C"
-	}
-	return r.serve(name, db, pi.Query)
-}
-
-// BuildHY builds HY at the given set-cardinality threshold.
-func (r *Runner) BuildHY(g *graph.Graph, threshold int) (Servable, error) {
-	opt := hy.DefaultOptions()
-	opt.Threshold = threshold
-	db, err := hy.Build(g, opt)
-	if err != nil {
-		return Servable{}, fmt.Errorf("HY build: %w", err)
-	}
-	return r.serve(fmt.Sprintf("HY(%d)", threshold), db, hy.Query)
-}
-
-// BuildLM builds the Landmark baseline. Plan derivation samples the exact
-// evaluation workload plus extra random and extremal pairs, standing in for
-// the paper's derivation over all V² pairs, which is quadratic.
-func (r *Runner) BuildLM(g *graph.Graph, landmarks int) (Servable, error) {
-	opt := lm.DefaultOptions()
-	opt.Landmarks = landmarks
-	opt.DeriveSeed = r.Cfg.Seed
-	opt.DeriveQueries = r.Cfg.Queries + 256
-	opt.SafetyMargin = 1.0
-	db, err := lm.Build(g, opt)
-	if err != nil {
-		return Servable{}, fmt.Errorf("LM build: %w", err)
-	}
-	return r.serve("LM", db, lm.Query)
-}
-
-// BuildAF builds the Arc-flag baseline; plan derivation as in BuildLM.
-func (r *Runner) BuildAF(g *graph.Graph, regions int) (Servable, error) {
-	opt := af.DefaultOptions()
-	opt.Regions = regions
-	opt.DeriveSeed = r.Cfg.Seed
-	opt.DeriveQueries = r.Cfg.Queries + 256
-	opt.SafetyMargin = 1.0
-	db, err := af.Build(g, opt)
-	if err != nil {
-		return Servable{}, fmt.Errorf("AF build: %w", err)
-	}
-	return r.serve("AF", db, af.Query)
 }
 
 // BuildOBF builds the obfuscation baseline with |S| = |T| = setSize.
@@ -130,7 +45,7 @@ func (r *Runner) BuildOBF(g *graph.Graph, setSize int) (Servable, error) {
 	opt := obf.DefaultOptions()
 	opt.SetSize = setSize
 	opt.Seed = r.Cfg.Seed
-	srv, err := obf.NewServer(g, r.Model, opt)
+	srv, err := obf.NewServer(g, costmodel.Default(), opt)
 	if err != nil {
 		return Servable{}, err
 	}

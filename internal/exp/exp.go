@@ -2,6 +2,15 @@
 // and figure of the paper's experimental study — Table 3 and Figures 5–12 —
 // on the synthetic counterparts of the Table 1 road networks.
 //
+// Every row measures the product: Runner.Build names a privsp.Config (the
+// Fig. 8/9 ablations are its DisablePacking / DisableCompression, PI* is
+// Scheme PIStar with ClusterPages, the extension table is CompactData),
+// builds it with privsp.Build and serves it with privsp.Serve. LM and AF
+// therefore run with the product's plan derivation, not one fitted to the
+// timed workload. The one exception is the obfuscation baseline of Fig. 6,
+// which fails Theorem 1 by design and which product packages must not
+// link; it is built here from internal/scheme/obf.
+//
 // Costs come from the same recipe as the paper: PIR and communication times
 // from the Table 2 simulation, client/server computation measured wall-clock.
 // Absolute numbers therefore depend on the machine and on the configured
@@ -20,7 +29,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -54,14 +62,13 @@ func DefaultConfig() Config {
 
 // Runner caches generated networks across experiments.
 type Runner struct {
-	Cfg   Config
-	Model costmodel.Params
-	nets  map[gen.Preset]*graph.Graph
+	Cfg  Config
+	nets map[gen.Preset]*graph.Graph
 }
 
-// NewRunner prepares a runner with the Table 2 cost model.
+// NewRunner prepares a runner.
 func NewRunner(cfg Config) *Runner {
-	return &Runner{Cfg: cfg, Model: costmodel.Default(), nets: map[gen.Preset]*graph.Graph{}}
+	return &Runner{Cfg: cfg, nets: map[gen.Preset]*graph.Graph{}}
 }
 
 // Network returns the (cached) synthetic network for a preset.

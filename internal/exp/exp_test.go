@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/scheme/base"
+	"repro/privsp"
 )
 
 // tinyConfig keeps unit tests fast; the real runs use DefaultConfig (env
@@ -83,11 +84,11 @@ func TestWorkloadDeterminism(t *testing.T) {
 	r2 := NewRunner(cfg)
 	g1 := r1.Network(gen.Oldenburg)
 	g2 := r2.Network(gen.Oldenburg)
-	sv1, err := r1.BuildCI(g1, true, true)
+	sv1, err := r1.Build("CI", g1, privsp.Config{Scheme: privsp.CI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv2, err := r2.BuildCI(g2, true, true)
+	sv2, err := r2.Build("CI", g2, privsp.Config{Scheme: privsp.CI})
 	if err != nil {
 		t.Fatal(err)
 	}

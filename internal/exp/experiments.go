@@ -3,11 +3,12 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/scheme/base"
+	"repro/privsp"
 )
 
 // Table1 reproduces Table 1: the evaluated road networks.
@@ -26,6 +27,34 @@ func (r *Runner) Table1() (*Table, error) {
 	return t, nil
 }
 
+// row is one table row: its label and the product configuration behind it.
+type row struct {
+	name string
+	cfg  privsp.Config
+}
+
+// The four methods of Table 3 and Fig. 7, the baselines at the paper's
+// tuning (§7.2).
+var (
+	rowAF = row{"AF", privsp.Config{Scheme: privsp.AF, Regions: 8}}
+	rowLM = row{"LM", privsp.Config{Scheme: privsp.LM, Landmarks: 5}}
+	rowCI = row{"CI", privsp.Config{Scheme: privsp.CI}}
+	rowPI = row{"PI", privsp.Config{Scheme: privsp.PI}}
+)
+
+// measure builds one row and runs the workload on it.
+func (r *Runner) measure(g *graph.Graph, rw row) (Servable, Agg, error) {
+	sv, err := r.Build(rw.name, g, rw.cfg)
+	if err != nil {
+		return Servable{}, Agg{}, err
+	}
+	agg, err := r.RunWorkload(g, sv.Query)
+	if err != nil {
+		return Servable{}, Agg{}, fmt.Errorf("%s: %w", rw.name, err)
+	}
+	return sv, agg, nil
+}
+
 // Fig5 reproduces Figure 5: LM fine-tuning on Argentina — response time and
 // space versus the number of landmarks.
 func (r *Runner) Fig5() (*Table, error) {
@@ -33,13 +62,9 @@ func (r *Runner) Fig5() (*Table, error) {
 	t := &Table{ID: "fig5", Title: "LM fine-tuning (Argentina)", Header: []string{
 		"landmarks", "response (s)", "space (MB)", "plan pages"}}
 	for _, k := range []int{1, 2, 3, 5, 8, 12, 16, 20} {
-		sv, err := r.BuildLM(g, k)
+		sv, agg, err := r.measure(g, row{fmt.Sprintf("LM(%d)", k), privsp.Config{Scheme: privsp.LM, Landmarks: k}})
 		if err != nil {
 			return nil, err
-		}
-		agg, err := r.RunWorkload(g, sv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("fig5 k=%d: %w", k, err)
 		}
 		t.AddRow(fmt.Sprint(k), Secs(agg.Response), MB(sv.Bytes),
 			fmt.Sprint(sv.DB.Plan.TotalFetches(base.FileData)))
@@ -56,23 +81,10 @@ func (r *Runner) Table3() (*Table, error) {
 		"method", "response (s)", "PIR (s)", "comm (s)", "client (s)", "server (s)",
 		"Fd acc (of pages)", "Fi acc (of pages)", "space (MB)",
 		"paper resp (s)", "paper space (MB)"}}
-	builds := []struct {
-		name  string
-		build func() (Servable, error)
-	}{
-		{"AF", func() (Servable, error) { return r.BuildAF(g, 8) }},
-		{"LM", func() (Servable, error) { return r.BuildLM(g, 5) }},
-		{"CI", func() (Servable, error) { return r.BuildCI(g, true, true) }},
-		{"PI", func() (Servable, error) { return r.BuildPI(g, 1, true, true) }},
-	}
-	for _, b := range builds {
-		sv, err := b.build()
+	for _, rw := range []row{rowAF, rowLM, rowCI, rowPI} {
+		sv, agg, err := r.measure(g, rw)
 		if err != nil {
 			return nil, err
-		}
-		agg, err := r.RunWorkload(g, sv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("table3 %s: %w", b.name, err)
 		}
 		fdPages, fiPages := 0, 0
 		if f := sv.DB.File(base.FileData); f != nil {
@@ -81,8 +93,8 @@ func (r *Runner) Table3() (*Table, error) {
 		if f := sv.DB.File(base.FileIndex); f != nil {
 			fiPages = f.NumPages()
 		}
-		paper := PaperTable3[b.name]
-		t.AddRow(b.name,
+		paper := PaperTable3[rw.name]
+		t.AddRow(rw.name,
 			Secs(agg.Response), Secs(agg.PIR), Secs(agg.Comm), Secs(agg.Client), Secs(agg.Server),
 			fmt.Sprintf("%.0f of %d", agg.FetchesFd, fdPages),
 			fmt.Sprintf("%.0f of %d", agg.FetchesFi, fiPages),
@@ -108,30 +120,41 @@ func (r *Runner) Fig6() (*Table, error) {
 		}
 		agg, err := r.RunWorkload(g, sv.Query)
 		if err != nil {
-			return nil, fmt.Errorf("fig6 k=%d: %w", k, err)
+			return nil, fmt.Errorf("%s: %w", sv.Name, err)
 		}
 		t.AddRow(sv.Name, Secs(agg.Response))
 	}
-	for _, b := range []struct {
-		name  string
-		build func() (Servable, error)
-	}{
-		{"CI", func() (Servable, error) { return r.BuildCI(g, true, true) }},
-		{"PI", func() (Servable, error) { return r.BuildPI(g, 1, true, true) }},
-	} {
-		sv, err := b.build()
+	for _, rw := range []row{rowCI, rowPI} {
+		_, agg, err := r.measure(g, rw)
 		if err != nil {
 			return nil, err
 		}
-		agg, err := r.RunWorkload(g, sv.Query)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(b.name+" (reference)", Secs(agg.Response))
+		t.AddRow(rw.name+" (reference)", Secs(agg.Response))
 	}
 	t.Notes = append(t.Notes, PaperFindings["fig6"],
 		"OBF additionally leaks the |S|x|T| candidate sets; the PIR schemes leak nothing.")
 	return t, nil
+}
+
+// sweep measures rows on Oldenburg, Germany and Argentina, adding one table
+// row per network and row; cells renders the columns after the two labels.
+func (r *Runner) sweep(t *Table, rows []row, cells func(g *graph.Graph, sv Servable, agg Agg) []string) error {
+	for _, p := range []gen.Preset{gen.Oldenburg, gen.Germany, gen.Argentina} {
+		g := r.Network(p)
+		for _, rw := range rows {
+			sv, agg, err := r.measure(g, rw)
+			if err != nil {
+				return fmt.Errorf("%s: %w", PresetName(p), err)
+			}
+			t.AddRow(append([]string{PresetName(p), rw.name}, cells(g, sv, agg)...)...)
+		}
+	}
+	return nil
+}
+
+// responseAndSpace is the cells of a sweep row in Fig. 7 and Fig. 9.
+func responseAndSpace(_ *graph.Graph, sv Servable, agg Agg) []string {
+	return []string{Secs(agg.Response), MB(sv.Bytes)}
 }
 
 // Fig7 reproduces Figure 7: the four methods across Oldenburg, Germany and
@@ -139,27 +162,8 @@ func (r *Runner) Fig6() (*Table, error) {
 func (r *Runner) Fig7() (*Table, error) {
 	t := &Table{ID: "fig7", Title: "Performance on different road networks", Header: []string{
 		"network", "method", "response (s)", "space (MB)"}}
-	for _, p := range []gen.Preset{gen.Oldenburg, gen.Germany, gen.Argentina} {
-		g := r.Network(p)
-		for _, b := range []struct {
-			name  string
-			build func() (Servable, error)
-		}{
-			{"AF", func() (Servable, error) { return r.BuildAF(g, 8) }},
-			{"LM", func() (Servable, error) { return r.BuildLM(g, 5) }},
-			{"CI", func() (Servable, error) { return r.BuildCI(g, true, true) }},
-			{"PI", func() (Servable, error) { return r.BuildPI(g, 1, true, true) }},
-		} {
-			sv, err := b.build()
-			if err != nil {
-				return nil, err
-			}
-			agg, err := r.RunWorkload(g, sv.Query)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s/%s: %w", PresetName(p), b.name, err)
-			}
-			t.AddRow(PresetName(p), b.name, Secs(agg.Response), MB(sv.Bytes))
-		}
+	if err := r.sweep(t, []row{rowAF, rowLM, rowCI, rowPI}, responseAndSpace); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, PaperFindings["fig7"])
 	return t, nil
@@ -170,34 +174,15 @@ func (r *Runner) Fig7() (*Table, error) {
 func (r *Runner) Fig8() (*Table, error) {
 	t := &Table{ID: "fig8", Title: "Effect of packed partitioning", Header: []string{
 		"network", "method", "Fd utilization (%)", "response (s)", "space (MB)"}}
-	for _, p := range []gen.Preset{gen.Oldenburg, gen.Germany, gen.Argentina} {
-		g := r.Network(p)
-		for _, b := range []struct {
-			name   string
-			packed bool
-			isPI   bool
-		}{
-			{"CI", true, false}, {"CI-P", false, false},
-			{"PI", true, true}, {"PI-P", false, true},
-		} {
-			var sv Servable
-			var err error
-			if b.isPI {
-				sv, err = r.BuildPI(g, 1, b.packed, true)
-			} else {
-				sv, err = r.BuildCI(g, b.packed, true)
-			}
-			if err != nil {
-				return nil, err
-			}
-			agg, err := r.RunWorkload(g, sv.Query)
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %s/%s: %w", PresetName(p), b.name, err)
-			}
-			t.AddRow(PresetName(p), b.name,
-				fmt.Sprintf("%.1f", 100*Utilization(g, sv.DB)),
-				Secs(agg.Response), MB(sv.Bytes))
-		}
+	rows := []row{
+		rowCI, {"CI-P", privsp.Config{Scheme: privsp.CI, DisablePacking: true}},
+		rowPI, {"PI-P", privsp.Config{Scheme: privsp.PI, DisablePacking: true}},
+	}
+	err := r.sweep(t, rows, func(g *graph.Graph, sv Servable, agg Agg) []string {
+		return []string{fmt.Sprintf("%.1f", 100*Utilization(g, sv.DB)), Secs(agg.Response), MB(sv.Bytes)}
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, PaperFindings["fig8"])
 	return t, nil
@@ -208,35 +193,34 @@ func (r *Runner) Fig8() (*Table, error) {
 func (r *Runner) Fig9() (*Table, error) {
 	t := &Table{ID: "fig9", Title: "Effect of compression", Header: []string{
 		"network", "method", "response (s)", "space (MB)"}}
-	for _, p := range []gen.Preset{gen.Oldenburg, gen.Germany, gen.Argentina} {
-		g := r.Network(p)
-		for _, b := range []struct {
-			name     string
-			compress bool
-			isPI     bool
-		}{
-			{"CI", true, false}, {"CI-C", false, false},
-			{"PI", true, true}, {"PI-C", false, true},
-		} {
-			var sv Servable
-			var err error
-			if b.isPI {
-				sv, err = r.BuildPI(g, 1, true, b.compress)
-			} else {
-				sv, err = r.BuildCI(g, true, b.compress)
-			}
-			if err != nil {
-				return nil, err
-			}
-			agg, err := r.RunWorkload(g, sv.Query)
-			if err != nil {
-				return nil, fmt.Errorf("fig9 %s/%s: %w", PresetName(p), b.name, err)
-			}
-			t.AddRow(PresetName(p), b.name, Secs(agg.Response), MB(sv.Bytes))
-		}
+	rows := []row{
+		rowCI, {"CI-C", privsp.Config{Scheme: privsp.CI, DisableCompression: true}},
+		rowPI, {"PI-C", privsp.Config{Scheme: privsp.PI, DisableCompression: true}},
+	}
+	if err := r.sweep(t, rows, responseAndSpace); err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, PaperFindings["fig9"])
 	return t, nil
+}
+
+// hyRows are HY at thresholds m/frac for each frac (at least 1), in order.
+func hyRows(m int, fracs ...int) []row {
+	rows := make([]row, len(fracs))
+	for i, frac := range fracs {
+		th := max(m/frac, 1)
+		rows[i] = row{fmt.Sprintf("HY(%d)", th), privsp.Config{Scheme: privsp.HY, Threshold: th}}
+	}
+	return rows
+}
+
+// piStarRows are PI* at each cluster size, in order.
+func piStarRows(clusters ...int) []row {
+	rows := make([]row, len(clusters))
+	for i, c := range clusters {
+		rows[i] = row{fmt.Sprintf("PI*(%d)", c), privsp.Config{Scheme: privsp.PIStar, ClusterPages: c}}
+	}
+	return rows
 }
 
 // Fig10 reproduces Figure 10: the |S_i,j| histogram on Denmark and HY's
@@ -270,26 +254,14 @@ func (r *Runner) Fig10() ([]*Table, error) {
 	sweep := &Table{ID: "fig10bc", Title: "HY vs threshold on |S_i,j| (Denmark)", Header: []string{
 		"threshold", "response (s)", "space (MB)", "fits scaled limit"}}
 	limit := r.ScaledSizeLimit()
-	for _, frac := range []int{8, 4, 2, 1} {
-		th := m / frac
-		if th < 1 {
-			th = 1
-		}
-		sv, err := r.BuildHY(g, th)
+	for _, rw := range hyRows(m, 8, 4, 2, 1) {
+		sv, agg, err := r.measure(g, rw)
 		if err != nil {
 			return nil, err
 		}
-		agg, err := r.RunWorkload(g, sv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("fig10 th=%d: %w", th, err)
-		}
-		sweep.AddRow(fmt.Sprint(th), Secs(agg.Response), MB(sv.Bytes), fmt.Sprint(sv.Bytes <= limit))
+		sweep.AddRow(fmt.Sprint(rw.cfg.Threshold), Secs(agg.Response), MB(sv.Bytes), fmt.Sprint(sv.Bytes <= limit))
 	}
-	ciRef, err := r.BuildCI(g, true, true)
-	if err != nil {
-		return nil, err
-	}
-	aggCI, err := r.RunWorkload(g, ciRef.Query)
+	ciRef, aggCI, err := r.measure(g, rowCI)
 	if err != nil {
 		return nil, err
 	}
@@ -305,22 +277,14 @@ func (r *Runner) Fig11() (*Table, error) {
 	t := &Table{ID: "fig11", Title: "PI* vs cluster size (Denmark)", Header: []string{
 		"cluster pages", "response (s)", "space (MB)", "fits scaled limit"}}
 	limit := r.ScaledSizeLimit()
-	for _, c := range []int{2, 4, 8, 12, 16, 20} {
-		sv, err := r.BuildPI(g, c, true, true)
+	for _, rw := range piStarRows(2, 4, 8, 12, 16, 20) {
+		sv, agg, err := r.measure(g, rw)
 		if err != nil {
 			return nil, err
 		}
-		agg, err := r.RunWorkload(g, sv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("fig11 c=%d: %w", c, err)
-		}
-		t.AddRow(fmt.Sprint(c), Secs(agg.Response), MB(sv.Bytes), fmt.Sprint(sv.Bytes <= limit))
+		t.AddRow(fmt.Sprint(rw.cfg.ClusterPages), Secs(agg.Response), MB(sv.Bytes), fmt.Sprint(sv.Bytes <= limit))
 	}
-	ciRef, err := r.BuildCI(g, true, true)
-	if err != nil {
-		return nil, err
-	}
-	aggCI, err := r.RunWorkload(g, ciRef.Query)
+	ciRef, aggCI, err := r.measure(g, rowCI)
 	if err != nil {
 		return nil, err
 	}
@@ -337,125 +301,79 @@ func (r *Runner) Fig12() (*Table, error) {
 	limit := r.ScaledSizeLimit()
 	for _, p := range []gen.Preset{gen.Denmark, gen.India, gen.NorthAmerica} {
 		g := r.Network(p)
-
-		ciSv, err := r.BuildCI(g, true, true)
+		_, m, err := r.SetSizeHistogram(g)
 		if err != nil {
 			return nil, err
 		}
-		aggCI, err := r.RunWorkload(g, ciSv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("fig12 %s/CI: %w", PresetName(p), err)
+		// CI has no knob; HY and PI* are tuned to the budget.
+		for _, candidates := range [][]row{{rowCI}, hyRows(m, 16, 8, 4, 2, 1), piStarRows(2, 4, 8, 12, 16, 20)} {
+			sv, err := r.fastestFitting(g, limit, candidates)
+			if err != nil {
+				return nil, err
+			}
+			agg, err := r.RunWorkload(g, sv.Query)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", PresetName(p), sv.Name, err)
+			}
+			t.AddRow(PresetName(p), sv.Name, Secs(agg.Response), MB(sv.Bytes))
 		}
-		t.AddRow(PresetName(p), "CI", Secs(aggCI.Response), MB(ciSv.Bytes))
-
-		hySv, err := r.tuneHY(g, limit)
-		if err != nil {
-			return nil, err
-		}
-		aggHY, err := r.RunWorkload(g, hySv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("fig12 %s/HY: %w", PresetName(p), err)
-		}
-		t.AddRow(PresetName(p), hySv.Name, Secs(aggHY.Response), MB(hySv.Bytes))
-
-		piSv, err := r.tunePIStar(g, limit)
-		if err != nil {
-			return nil, err
-		}
-		aggPI, err := r.RunWorkload(g, piSv.Query)
-		if err != nil {
-			return nil, fmt.Errorf("fig12 %s/PI*: %w", PresetName(p), err)
-		}
-		t.AddRow(PresetName(p), piSv.Name, Secs(aggPI.Response), MB(piSv.Bytes))
 	}
 	t.Notes = append(t.Notes, PaperFindings["fig12"],
 		fmt.Sprintf("HY and PI* tuned to the scaled size limit of %s MB", MB(limit)))
 	return t, nil
 }
 
-// tuneHY finds the smallest threshold (fastest responses) whose database
-// fits the budget, mirroring §7.5's tuning rule.
-func (r *Runner) tuneHY(gr *graph.Graph, limit int64) (Servable, error) {
-	sizes, m, err := r.SetSizeHistogram(gr)
-	if err != nil {
-		return Servable{}, err
-	}
-	_ = sizes
-	var best Servable
-	found := false
-	for _, frac := range []int{16, 8, 4, 2, 1} {
-		th := m / frac
-		if th < 1 {
-			th = 1
+// fastestFitting builds candidates, fastest first, and returns the first
+// whose database fits the budget, or the last when none does (flagged by its
+// size in the table): §7.5's tuning rule for HY's threshold and PI*'s
+// cluster size.
+func (r *Runner) fastestFitting(g *graph.Graph, limit int64, candidates []row) (Servable, error) {
+	var sv Servable
+	for _, rw := range candidates {
+		var err error
+		if sv, err = r.Build(rw.name, g, rw.cfg); err != nil || sv.Bytes <= limit {
+			return sv, err
 		}
-		sv, err := r.BuildHY(gr, th)
-		if err != nil {
-			return Servable{}, err
-		}
-		if sv.Bytes <= limit {
-			return sv, nil // smallest threshold that fits = fastest feasible
-		}
-		best, found = sv, true
 	}
-	if found {
-		return best, nil // nothing fits; report the closest and flag via size
-	}
-	return r.BuildHY(gr, m)
+	return sv, nil
 }
 
-// tunePIStar finds the smallest cluster size (fastest) whose index fits.
-func (r *Runner) tunePIStar(gr *graph.Graph, limit int64) (Servable, error) {
-	var last Servable
-	for _, c := range []int{2, 4, 8, 12, 16, 20} {
-		sv, err := r.BuildPI(gr, c, true, true)
-		if err != nil {
-			return Servable{}, err
-		}
-		last = sv
-		if sv.Bytes <= limit {
-			return sv, nil
-		}
+// step is one runnable experiment.
+type step struct {
+	id  string
+	run func(*Runner) ([]*Table, error)
+}
+
+// steps are the experiments in paper order; RunAll, Run and IDs read them.
+var steps = []step{
+	{"table1", one((*Runner).Table1)},
+	{"fig5", one((*Runner).Fig5)},
+	{"table3", one((*Runner).Table3)},
+	{"fig6", one((*Runner).Fig6)},
+	{"fig7", one((*Runner).Fig7)},
+	{"fig8", one((*Runner).Fig8)},
+	{"fig9", one((*Runner).Fig9)},
+	{"fig10", (*Runner).Fig10},
+	{"fig11", one((*Runner).Fig11)},
+	{"fig12", one((*Runner).Fig12)},
+	{"ext", one((*Runner).Extensions)},
+}
+
+// one adapts a single-table experiment to a step.
+func one(f func(*Runner) (*Table, error)) func(*Runner) ([]*Table, error) {
+	return func(r *Runner) ([]*Table, error) {
+		t, err := f(r)
+		return []*Table{t}, err
 	}
-	return last, nil
 }
 
 // RunAll executes every experiment in paper order, rendering each table.
 func (r *Runner) RunAll(w io.Writer) error {
 	fmt.Fprintf(w, "reproduction run: scale=%.3f queries=%d seed=%d\n\n",
 		r.Cfg.Scale, r.Cfg.Queries, r.Cfg.Seed)
-	type multi func() ([]*Table, error)
-	single := func(f func() (*Table, error)) multi {
-		return func() ([]*Table, error) {
-			t, err := f()
-			if err != nil {
-				return nil, err
-			}
-			return []*Table{t}, nil
-		}
-	}
-	steps := []struct {
-		name string
-		run  multi
-	}{
-		{"table1", single(r.Table1)},
-		{"fig5", single(r.Fig5)},
-		{"table3", single(r.Table3)},
-		{"fig6", single(r.Fig6)},
-		{"fig7", single(r.Fig7)},
-		{"fig8", single(r.Fig8)},
-		{"fig9", single(r.Fig9)},
-		{"fig10", r.Fig10},
-		{"fig11", single(r.Fig11)},
-		{"fig12", single(r.Fig12)},
-		{"ext", single(r.Extensions)},
-	}
 	for _, s := range steps {
-		tables, err := s.run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
-		}
-		for _, t := range tables {
-			t.Render(w)
+		if err := r.render(s, w); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -463,54 +381,30 @@ func (r *Runner) RunAll(w io.Writer) error {
 
 // Run executes one named experiment.
 func (r *Runner) Run(id string, w io.Writer) error {
-	switch id {
-	case "table1":
-		return renderOne(w)(r.Table1())
-	case "fig5":
-		return renderOne(w)(r.Fig5())
-	case "table3":
-		return renderOne(w)(r.Table3())
-	case "fig6":
-		return renderOne(w)(r.Fig6())
-	case "fig7":
-		return renderOne(w)(r.Fig7())
-	case "fig8":
-		return renderOne(w)(r.Fig8())
-	case "fig9":
-		return renderOne(w)(r.Fig9())
-	case "fig10":
-		tables, err := r.Fig10()
-		if err != nil {
-			return err
+	for _, s := range steps {
+		if s.id == id {
+			return r.render(s, w)
 		}
-		for _, t := range tables {
-			t.Render(w)
-		}
-		return nil
-	case "fig11":
-		return renderOne(w)(r.Fig11())
-	case "fig12":
-		return renderOne(w)(r.Fig12())
-	case "ext":
-		return renderOne(w)(r.Extensions())
-	default:
-		return fmt.Errorf("exp: unknown experiment %q (want table1, table3, fig5..fig12)", id)
 	}
+	return fmt.Errorf("exp: unknown experiment %q (want one of %s)", id, strings.Join(IDs(), ", "))
 }
 
-func renderOne(w io.Writer) func(*Table, error) error {
-	return func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
+func (r *Runner) render(s step, w io.Writer) error {
+	tables, err := s.run(r)
+	if err != nil {
+		return fmt.Errorf("%s: %w", s.id, err)
 	}
+	for _, t := range tables {
+		t.Render(w)
+	}
+	return nil
 }
 
 // IDs lists the runnable experiments in paper order.
 func IDs() []string {
-	ids := []string{"table1", "fig5", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ext"}
-	sort.Strings(ids)
+	ids := make([]string, len(steps))
+	for i, s := range steps {
+		ids[i] = s.id
+	}
 	return ids
 }

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gen"
-	"repro/internal/scheme/ci"
-	"repro/internal/scheme/pi"
+	"repro/privsp"
 )
 
 // Extensions evaluates the compact lossless region-data layout, one of the
@@ -16,35 +15,17 @@ func (r *Runner) Extensions() (*Table, error) {
 
 	compact := &Table{ID: "ext-compact", Title: "Compact region data (Argentina): lossless size reduction", Header: []string{
 		"scheme", "plain (MB)", "compact (MB)", "ratio"}}
-	for _, scheme := range []string{"CI", "PI"} {
-		var plainB, compactB int64
-		for _, c := range []bool{false, true} {
-			var bytes int64
-			if scheme == "CI" {
-				opt := ci.DefaultOptions()
-				opt.CompactData = c
-				db, err := ci.Build(g, opt)
-				if err != nil {
-					return nil, err
-				}
-				bytes = db.TotalBytes()
-			} else {
-				opt := pi.DefaultOptions()
-				opt.CompactData = c
-				db, err := pi.Build(g, opt)
-				if err != nil {
-					return nil, err
-				}
-				bytes = db.TotalBytes()
-			}
-			if c {
-				compactB = bytes
-			} else {
-				plainB = bytes
-			}
+	for _, scheme := range []privsp.Scheme{privsp.CI, privsp.PI} {
+		plain, err := r.Build(string(scheme), g, privsp.Config{Scheme: scheme})
+		if err != nil {
+			return nil, err
 		}
-		compact.AddRow(scheme, MB(plainB), MB(compactB),
-			fmt.Sprintf("%.2f", float64(compactB)/float64(plainB)))
+		small, err := r.Build(string(scheme)+" compact", g, privsp.Config{Scheme: scheme, CompactData: true})
+		if err != nil {
+			return nil, err
+		}
+		compact.AddRow(string(scheme), MB(plain.Bytes), MB(small.Bytes),
+			fmt.Sprintf("%.2f", float64(small.Bytes)/float64(plain.Bytes)))
 	}
 	compact.Notes = append(compact.Notes,
 		"identical query answers (lossless); smaller records also mean fewer regions and index pairs")

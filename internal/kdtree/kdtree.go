@@ -18,7 +18,9 @@
 package kdtree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -202,50 +204,34 @@ func totalSize(items []item) int {
 	return t
 }
 
-// sortByAxis orders items ascending by the axis coordinate. The packed and
-// plain builders assume coordinates globally distinct per axis (the
-// generator guarantees this), so the order is total and a split coordinate
-// strictly separates the halves; BuildFixedRegions moves its cuts off ties.
+// sortByAxis orders items ascending by the axis coordinate. BuildPacked
+// and BuildPlain cut the sorted order at an index, which strictly separates
+// the halves only where the coordinates at the cut differ; finishLocated
+// refuses a partition where they tied. BuildFixedRegions moves its cuts off
+// ties.
 func sortByAxis(items []item, axis Axis) {
 	if axis == AxisX {
-		sortItems(items, func(a, c item) bool { return a.x < c.x })
+		slices.SortFunc(items, func(a, c item) int { return cmp.Compare(a.x, c.x) })
 	} else {
-		sortItems(items, func(a, c item) bool { return a.y < c.y })
+		slices.SortFunc(items, func(a, c item) int { return cmp.Compare(a.y, c.y) })
 	}
 }
 
-func sortItems(items []item, less func(a, b item) bool) {
-	// insertion-free: use sort.Slice via small wrapper (kept local to avoid
-	// repeated closure allocations at call sites).
-	quickSort(items, less)
-}
-
-func quickSort(items []item, less func(a, b item) bool) {
-	if len(items) < 12 {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && less(items[j], items[j-1]); j-- {
-				items[j], items[j-1] = items[j-1], items[j]
-			}
-		}
-		return
-	}
-	pivot := items[len(items)/2]
-	left, right := 0, len(items)-1
-	for left <= right {
-		for less(items[left], pivot) {
-			left++
-		}
-		for less(pivot, items[right]) {
-			right--
-		}
-		if left <= right {
-			items[left], items[right] = items[right], items[left]
-			left++
-			right--
+// finishLocated is finish for BuildPacked and BuildPlain, which may cut
+// between two nodes that tie on the split axis: the split coordinate is
+// then their shared one, and Locate sends both to the right. A partition
+// like that would snap a query endpoint on the left node into the wrong
+// region, so the build fails instead, naming the first such node.
+func (b *builder) finishLocated() (*Partition, error) {
+	p := b.finish()
+	for v, r := range p.RegionOf {
+		pt := b.g.Point(graph.NodeID(v))
+		if got := p.Tree.Locate(pt); got != r {
+			return nil, fmt.Errorf("kdtree: node %d at (%g, %g) is assigned region %d but located in region %d: "+
+				"a split cuts between nodes that share its coordinate", v, pt.X, pt.Y, r, got)
 		}
 	}
-	quickSort(items[:right+1], less)
-	quickSort(items[left:], less)
+	return p, nil
 }
 
 // splitCoord returns the boundary coordinate between items[k-1] and items[k]

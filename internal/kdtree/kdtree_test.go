@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math/rand"
+	"regexp"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,38 @@ func TestBuildFixedRegionsTiedCoordinates(t *testing.T) {
 				t.Errorf("regions = %d, want %d", p.NumRegions, tc.want)
 			}
 		})
+	}
+}
+
+// TestTiedCutFailsTheBuild: on a 10×10 unit grid the packed and plain
+// builders cut between nodes that share the split coordinate, so Locate
+// would send one of them to its neighbour's region. The build fails and
+// names the node and its point. The fixed-region split moves off the ties
+// and still builds.
+func TestTiedCutFailsTheBuild(t *testing.T) {
+	g := graph.NewUndirected()
+	for _, p := range grid(10) {
+		g.AddNode(p)
+	}
+	size := uniformSize(10)
+	for name, build := range map[string]func(*graph.Graph, SizeFunc, int) (*Partition, error){
+		"packed": BuildPacked,
+		"plain":  BuildPlain,
+	} {
+		p, err := build(g, size, 64)
+		if err == nil {
+			t.Fatalf("%s: grid built %d regions; want a tied-cut error", name, p.NumRegions)
+		}
+		if !regexp.MustCompile(`node \d+ at \(\d+, \d+\)`).MatchString(err.Error()) {
+			t.Errorf("%s: error %q does not name the node and its point", name, err)
+		}
+	}
+	p, err := BuildFixedRegions(g, size, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(p, g, size, 1<<62); err != nil {
+		t.Fatal(err)
 	}
 }
 

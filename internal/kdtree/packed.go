@@ -22,6 +22,11 @@ import (
 // states B−z; our variant loses two extra z to make the no-overflow argument
 // airtight — see the cap() invariant below — and still achieves the >95%
 // utilization the paper reports).
+//
+// The cuts assume coordinates distinct per axis, as generated networks
+// have them. Where a cut falls between two nodes that share the split
+// coordinate, Locate cannot tell them apart and the build fails, naming
+// the node.
 func BuildPacked(g *graph.Graph, size SizeFunc, capacity int) (*Partition, error) {
 	b, items, err := newBuilder(g, size, capacity)
 	if err != nil {
@@ -31,7 +36,7 @@ func BuildPacked(g *graph.Graph, size SizeFunc, capacity int) (*Partition, error
 		return nil, fmt.Errorf("kdtree: empty graph")
 	}
 	b.packRoot(items, AxisX, geom.UniverseRect())
-	return b.finish(), nil
+	return b.finishLocated()
 }
 
 // cap returns the largest byte total that can always be split into 2^k

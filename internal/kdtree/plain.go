@@ -11,7 +11,8 @@ import (
 // node, alternating axes, until every leaf's records fit in capacity bytes.
 // This is the partitioning behind the CI-P and PI-P ablations of Figure 8;
 // utilization can drop to ~50% because a leaf just over capacity splits into
-// two half-full leaves.
+// two half-full leaves. Like BuildPacked, it fails where a median cut falls
+// between two nodes that share the split coordinate.
 func BuildPlain(g *graph.Graph, size SizeFunc, capacity int) (*Partition, error) {
 	b, items, err := newBuilder(g, size, capacity)
 	if err != nil {
@@ -21,7 +22,7 @@ func BuildPlain(g *graph.Graph, size SizeFunc, capacity int) (*Partition, error)
 		return nil, fmt.Errorf("kdtree: empty graph")
 	}
 	b.plainRec(items, AxisX, geom.UniverseRect())
-	return b.finish(), nil
+	return b.finishLocated()
 }
 
 func (b *builder) plainRec(items []item, axis Axis, rect geom.Rect) int32 {

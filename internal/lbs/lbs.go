@@ -88,18 +88,6 @@ func (db *Database) TotalBytes() int64 {
 	return total
 }
 
-// LargestFileBytes returns the biggest single file — the quantity the PIR
-// interface's 2.5 GB limit applies to.
-func (db *Database) LargestFileBytes() int64 {
-	var max int64
-	for _, f := range db.Files {
-		if pagefile.Bytes(f) > max {
-			max = pagefile.Bytes(f)
-		}
-	}
-	return max
-}
-
 // FileInfo is the public metadata of one hosted page file. File lengths and
 // page sizes are not secrets — the query plan itself is public — so backends
 // expose them for cost accounting and batching.

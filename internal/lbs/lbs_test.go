@@ -44,9 +44,6 @@ func TestDatabaseAccessors(t *testing.T) {
 	if db.TotalBytes() != int64(len(db.Header))+5*64 {
 		t.Errorf("TotalBytes = %d", db.TotalBytes())
 	}
-	if db.LargestFileBytes() != 4*64 {
-		t.Errorf("LargestFileBytes = %d", db.LargestFileBytes())
-	}
 }
 
 func TestDuplicateFileNamesRejected(t *testing.T) {

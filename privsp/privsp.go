@@ -120,8 +120,11 @@ func (n *Network) SaveNetwork(nodes, edges io.Writer) error {
 // this reproduction does not, and one-way streets are a parked roadmap item.
 func NewNetwork() *Network { return &Network{G: graph.NewUndirected()} }
 
-// AddNode appends a node and returns its ID. Coordinates must be unique per
-// axis for exact coordinate→region mapping.
+// AddNode appends a node and returns its ID. Coordinates should be unique
+// per axis: CI, PI, PIStar, HY and LM partition the network with cuts that
+// assume so, and Build fails, naming the node and its point, where a cut
+// falls between two nodes that share the split coordinate (as on a grid).
+// AF's partition splits around shared coordinates and builds.
 func (n *Network) AddNode(p Point) NodeID { return n.G.AddNode(p) }
 
 // AddRoad inserts a road segment between u and v, drivable both ways at the
