@@ -18,9 +18,9 @@ bench:
 
 # Bit-rot guard, measures nothing: the benchmark harness at a twentieth of
 # the work, then one iteration of every go-test benchmark: the serving path
-# (scan kernels, stores, worker-pool BatchRead, the paper's tables, the
-# client graph's region assembly, in-process and loopback queries), the
-# build's pre-computation and KD-tree packing, and the graph's searches.
+# (scan kernels, stores, the paper's tables, the client graph's region
+# assembly, in-process and loopback queries), the build's pre-computation
+# and KD-tree packing, and the graph's searches.
 bench-smoke:
 	$(GO) run ./bench/privspbench -smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/pir/ ./internal/scheme/base/ ./internal/precomp/ \

@@ -123,7 +123,7 @@ fi
 # Daemons start at zero (eager registration), so the scrape IS the delta.
 counters() {
 	curl -fsS "http://127.0.0.1:$1/metrics" | awk '
-		$1 ~ /^privsp_(server_(queries|rounds|share_fetches|pages_served)_total|pir_(scans|pages_scanned|route)_total)/ \
+		$1 ~ /^privsp_(server_(queries|rounds|share_fetches|pages_served)_total|pir_(scans|pages_scanned)_total)/ \
 			{ print $1, $2 }' | sort
 }
 counters "$admina" >"$counta"

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/exp"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
-	"repro/internal/pir"
 	"repro/internal/scheme/ci"
 )
 
@@ -88,103 +86,6 @@ func BenchmarkFig11PIStar(b *testing.B) { runExperiment(b, "fig11") }
 // BenchmarkFig12Large regenerates Figure 12 (CI vs tuned HY vs tuned PI*
 // on the three largest networks).
 func BenchmarkFig12Large(b *testing.B) { runExperiment(b, "fig12") }
-
-// seekStore injects the cost model's physical reality into a PIR store: a
-// real SCP deployment pays a disk seek per page retrieval (Table 2 charges
-// 11 ms), which is exactly the latency a read worker pool overlaps when
-// lbs.Server fans a batch out.
-type seekStore struct {
-	pir.Store
-	seek time.Duration
-}
-
-// ReadBatchInto pays one seek per page, checking ctx between pages — the
-// read boundaries of the Store contract.
-func (s seekStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
-	for i := range pages {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		time.Sleep(s.seek)
-		if err := s.Store.ReadBatchInto(ctx, pages[i:i+1], dst[i:i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func seekStores(seek time.Duration) lbs.StoreFactory {
-	return func(f pagefile.Reader) (pir.Store, error) {
-		st, err := lbs.PlainStores(f)
-		if err != nil {
-			return nil, err
-		}
-		return seekStore{Store: st, seek: seek}, nil
-	}
-}
-
-// biggestRound returns the (file, count) of the largest single-file fetch
-// in the database's public plan — the batched round the daemon actually
-// serves per query.
-func biggestRound(db *lbs.Database) (string, int) {
-	file, count := "", 0
-	for _, r := range db.Plan.Rounds {
-		for _, f := range r.Fetches {
-			if f.Count > count {
-				file, count = f.File, f.Count
-			}
-		}
-	}
-	return file, count
-}
-
-// BenchmarkBatchRead measures one batched multi-page CI-scheme round
-// against the per-database worker pool at increasing pool sizes, over plain
-// stores behind a simulated 500 µs per-page seek — the latency a deployment
-// pays the disk per PIR retrieval (scaled down from Table 2's 11 ms to keep
-// iterations fast). Throughput scales with the worker count on any hardware,
-// because the pool's job here is overlapping I/O waits.
-func BenchmarkBatchRead(b *testing.B) {
-	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
-	db, err := ci.Build(g, ci.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	file, count := biggestRound(db)
-	if file == "" {
-		b.Skip("CI plan has no fetch rounds")
-	}
-	if count < 16 {
-		// Tiny plans make worker scaling unmeasurable; pad to a realistic
-		// round (larger networks fetch dozens of pages per round).
-		count = 16
-	}
-	info := db.File(file)
-	if info == nil {
-		b.Fatalf("plan names unknown file %q", file)
-	}
-	batch := make([]int, count)
-	for i := range batch {
-		batch[i] = i % info.NumPages()
-	}
-	b.Logf("CI round: %d pages of %s (%d-page file)", count, file, info.NumPages())
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("disk/workers=%d", workers), func(b *testing.B) {
-			srv, err := lbs.NewServer(db, costmodel.Default(), seekStores(500*time.Microsecond), lbs.WithWorkers(workers))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := srv.ReadPages(context.Background(), file, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-		})
-	}
-}
 
 // BenchmarkServeDiskVsRAM runs full private CI queries against the same
 // database served three ways: from the in-memory build output, and from a

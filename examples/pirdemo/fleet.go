@@ -5,7 +5,6 @@ import (
 	"context"
 	crand "crypto/rand"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
+	"repro/internal/pir"
 	"repro/internal/plan"
 	"repro/internal/server"
 )
@@ -135,12 +135,10 @@ func runFleet() error {
 	// selA is uniform noise; selB differs from it in exactly the target
 	// bit. Each alone is independent of the target — only the pair, held
 	// by no single server, determines what is read.
-	selA := make([]byte, (demoPageCount+7)/8)
-	if _, err := io.ReadFull(crand.Reader, selA); err != nil {
+	selA, selB := make([]byte, (demoPageCount+7)/8), make([]byte, (demoPageCount+7)/8)
+	if err := pir.SplitShares(crand.Reader, demoPageCount, []int{demoTarget}, [][]byte{selA}, [][]byte{selB}); err != nil {
 		return err
 	}
-	selB := append([]byte(nil), selA...)
-	selB[demoTarget/8] ^= 1 << (demoTarget % 8)
 	fmt.Printf("\n   retrieving page %d privately:\n", demoTarget)
 	fmt.Printf("   share to A: %s  (uniform random)\n", bits(selA))
 	fmt.Printf("   share to B: %s  (same, bit %d flipped)\n", bits(selB), demoTarget)

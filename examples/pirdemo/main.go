@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	crand "crypto/rand"
 	"flag"
 	"fmt"
 	"log"
@@ -56,9 +57,24 @@ func main() {
 		log.Fatal(err)
 	}
 	demo("XORPIR", x)
-	selA, selB := x.LastQueries()
-	fmt.Printf("   server A saw subset %08b\n   server B saw subset %08b\n", selA, selB)
-	fmt.Printf("   (each is a uniformly random subset of the %d pages; they differ in one bit)\n", demoPageCount)
+	// What each server sees of one read: SplitShares draws the two subsets,
+	// as ReadBatchInto does inside the store, and each server answers its
+	// own subset with the XOR of its pages (AnswerShares).
+	selA, selB := make([]byte, x.SelectorBytes()), make([]byte, x.SelectorBytes())
+	if err := pir.SplitShares(crand.Reader, x.NumPages(), []int{demoTarget}, [][]byte{selA}, [][]byte{selB}); err != nil {
+		log.Fatal(err)
+	}
+	answers := [][]byte{make([]byte, demoPageSize), make([]byte, demoPageSize)}
+	if err := x.AnswerShares(context.Background(), [][]byte{selA, selB}, answers); err != nil {
+		log.Fatal(err)
+	}
+	for i := range answers[0] {
+		answers[0][i] ^= answers[1][i]
+	}
+	fmt.Printf("   reading page %d: server A sees subset %s\n", demoTarget, bits(selA))
+	fmt.Printf("                    server B sees subset %s\n", bits(selB))
+	fmt.Printf("   (each is a uniformly random subset of the %d pages; they differ in bit %d)\n", demoPageCount, demoTarget)
+	fmt.Printf("   A's answer xor B's answer = %q\n", trim(answers[0]))
 	fmt.Println("   (run with -fleet to split the two servers into two real processes)")
 
 	// Batched reads take the query's context: the serving layer checks it

@@ -20,10 +20,10 @@ import (
 )
 
 // Build builds g under cfg and hosts it exactly as a user would: with
-// privsp.Build, seeded by the run's seed, and privsp.Serve, queried through
+// privsp.Build, seeded by buildSeed, and privsp.Serve, queried through
 // ShortestPath. name labels the table row.
 func (r *Runner) Build(name string, g *graph.Graph, cfg privsp.Config) (Servable, error) {
-	cfg.Seed = r.Cfg.Seed
+	cfg.Seed = r.buildSeed()
 	db, err := privsp.Build(&privsp.Network{G: g}, cfg)
 	if err != nil {
 		return Servable{}, fmt.Errorf("%s build: %w", name, err)
@@ -39,6 +39,12 @@ func (r *Runner) Build(name string, g *graph.Graph, cfg privsp.Config) (Servable
 		Query: func(s, t geom.Point) (*base.Result, error) { return srv.ShortestPath(context.Background(), s, t) },
 	}, nil
 }
+
+// buildSeed seeds privsp's randomized build steps (LM and AF sample the
+// endpoint pairs their plans are derived from). It is not the run's seed:
+// RunWorkload draws the timed pairs from that one, with the same sampler,
+// and a plan derived from the pairs it is timed on could never overflow.
+func (r *Runner) buildSeed() int64 { return r.Cfg.Seed + 1 }
 
 // BuildOBF builds the obfuscation baseline with |S| = |T| = setSize.
 func (r *Runner) BuildOBF(g *graph.Graph, setSize int) (Servable, error) {

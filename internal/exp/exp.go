@@ -6,10 +6,11 @@
 // Fig. 8/9 ablations are its DisablePacking / DisableCompression, PI* is
 // Scheme PIStar with ClusterPages, the extension table is CompactData),
 // builds it with privsp.Build and serves it with privsp.Serve. LM and AF
-// therefore run with the product's plan derivation, not one fitted to the
-// timed workload. The one exception is the obfuscation baseline of Fig. 6,
-// which fails Theorem 1 by design and which product packages must not
-// link; it is built here from internal/scheme/obf.
+// therefore run with the product's plan derivation, seeded apart from the
+// workload, so no plan is fitted to the pairs it is timed on. The one
+// exception is the obfuscation baseline of Fig. 6, which fails Theorem 1
+// by design and which product packages must not link; it is built here
+// from internal/scheme/obf.
 //
 // Costs come from the same recipe as the paper: PIR and communication times
 // from the Table 2 simulation, client/server computation measured wall-clock.
@@ -24,7 +25,6 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"time"
@@ -42,7 +42,9 @@ type Config struct {
 	Scale float64
 	// Queries per workload (the paper uses 1,000).
 	Queries int
-	// Seed drives workload generation and every randomized build step.
+	// Seed draws the workload and seeds OBF's decoy sets; the randomized
+	// steps of a privsp build (LM and AF plan derivation) take a seed
+	// derived from it (Runner.Build).
 	Seed int64
 }
 
@@ -103,13 +105,11 @@ type Agg struct {
 // differs is an error naming the query, so no table is built on a wrong
 // path.
 func (r *Runner) RunWorkload(g *graph.Graph, q QueryFunc) (Agg, error) {
-	rng := rand.New(rand.NewSource(r.Cfg.Seed))
 	var agg Agg
 	var totR, totP, totC, totCl, totSv time.Duration
 	var fd, fi float64
-	for i := 0; i < r.Cfg.Queries; i++ {
-		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		t := graph.NodeID(rng.Intn(g.NumNodes()))
+	for i, pair := range base.SamplePairs(g.NumNodes(), r.Cfg.Queries, r.Cfg.Seed) {
+		s, t := pair[0], pair[1]
 		res, err := q(g.Point(s), g.Point(t))
 		if err != nil {
 			return agg, fmt.Errorf("query %d (s=%d t=%d): %w", i, s, t, err)

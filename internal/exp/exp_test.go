@@ -106,6 +106,29 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
+// TestTimedPairsAreNotDerivationPairs: Runner.Build seeds LM's and AF's
+// plan derivation apart from the workload, so the pairs RunWorkload times
+// are not the pairs those plans were fitted to. With one seed for both,
+// the two samplers draw the same sequence, and every timed pair of a run
+// of up to 512 queries is a derivation pair.
+func TestTimedPairsAreNotDerivationPairs(t *testing.T) {
+	r := NewRunner(Config{Scale: 0.05, Queries: 40, Seed: 1})
+	n := r.Network(gen.Oldenburg).NumNodes()
+	derived := map[[2]graph.NodeID]bool{}
+	for _, pair := range base.SamplePairs(n, 512, r.buildSeed()) { // privsp's LM and AF sample 512
+		derived[pair] = true
+	}
+	shared := 0
+	for _, pair := range base.SamplePairs(n, r.Cfg.Queries, r.Cfg.Seed) {
+		if derived[pair] {
+			shared++
+		}
+	}
+	if shared > r.Cfg.Queries/4 {
+		t.Errorf("%d of the %d timed pairs are plan-derivation pairs", shared, r.Cfg.Queries)
+	}
+}
+
 // TestRunWorkloadRejectsWrongCost: a query whose answer is not Dijkstra's
 // fails the workload, and the error names that query.
 func TestRunWorkloadRejectsWrongCost(t *testing.T) {

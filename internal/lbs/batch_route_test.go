@@ -3,6 +3,7 @@ package lbs
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,37 +13,34 @@ import (
 	"repro/internal/telemetry"
 )
 
-// countingStore wraps a store that is not a scan store, counting the
-// ReadBatchInto calls it receives and the largest batch among them — what
-// the router's decision looks like from the store's side.
+// countingStore wraps a store, keeping the page list of every
+// ReadBatchInto call it receives — what the router's decision looks like
+// from the store's side.
 type countingStore struct {
 	pir.Store
 
-	mu       sync.Mutex
-	calls    int
-	maxBatch int
+	mu    sync.Mutex
+	calls [][]int
 }
 
 func (c *countingStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	c.mu.Lock()
-	c.calls++
-	c.maxBatch = max(c.maxBatch, len(pages))
+	c.calls = append(c.calls, append([]int(nil), pages...))
 	c.mu.Unlock()
 	return c.Store.ReadBatchInto(ctx, pages, dst)
 }
 
 // gatedXOR wraps a real XORPIR store, a scan store, so tests can hold a pass
 // open (when entered is set, every ReadBatchInto announces itself on entered,
-// then blocks until release yields) and see the page list and server-A
-// selector vectors of every pass that answered.
+// then blocks until release yields) and see the page list of every pass
+// that answered.
 type gatedXOR struct {
 	*pir.XORPIR
 	entered chan struct{} // one send per ReadBatchInto, before blocking
 	release chan struct{} // one receive per ReadBatchInto, before scanning
 
 	mu     sync.Mutex
-	passes [][]int    // page list per successful ReadBatchInto, in call order
-	selsA  [][][]byte // server-A selector vectors per successful ReadBatchInto
+	passes [][]int // page list per successful ReadBatchInto, in call order
 }
 
 func (g *gatedXOR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
@@ -52,10 +50,8 @@ func (g *gatedXOR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte)
 	}
 	err := g.XORPIR.ReadBatchInto(ctx, pages, dst)
 	if err == nil {
-		a, _ := g.XORPIR.LastBatchQueries()
 		g.mu.Lock()
 		g.passes = append(g.passes, append([]int(nil), pages...))
-		g.selsA = append(g.selsA, a)
 		g.mu.Unlock()
 	}
 	return err
@@ -83,13 +79,11 @@ func checkPage(t *testing.T, got [][]byte, pages []int) {
 	}
 }
 
-// TestReadPagesIntoMatchesReadPages is the router's table: for every store
-// class and batch size, which route a fetch takes (the privsp_pir_route_total
-// series it moves), how many store passes answer it, and that ReadPagesInto
-// and the allocating ReadPages return the same, correct bytes. A scan store
-// must receive its entire batch in ONE pass however many pool workers are
-// free — splitting would multiply full-file scans — while any other store's
-// batch fans out across the workers.
+// TestReadPagesIntoMatchesReadPages is the router's table: for plain and
+// XOR-PIR stores at every pool size, a fetch reaches the store as ONE
+// ReadBatchInto call carrying the whole batch — however many pool workers
+// are free — and ReadPagesInto and the allocating ReadPages return the
+// same, correct bytes.
 func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 	const pagesN, pageSize = 24, 32
 	f := pagefile.NewFile("F", pageSize)
@@ -103,32 +97,22 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 
 	for _, tc := range []struct {
 		name    string
-		factory StoreFactory // nil for the xorpir rows, which count through gatedXOR
+		factory StoreFactory
 		workers int
 		batch   []int
-		// Expected route counter deltas, store passes, and largest pass.
-		whole, fanOut   uint64
-		calls, maxBatch int
 	}{
-		{"plain one page", PlainStores, 4, batch8[:1], 1, 0, 1, 1},
-		{"plain batch", PlainStores, 4, batch8, 0, 1, 4, 2},
-		{"plain batch one worker", PlainStores, 1, batch8, 1, 0, 1, 8},
-		{"plain batch three workers", PlainStores, 3, batch8, 0, 1, 3, 3},
-		{"xorpir one page", nil, 4, batch8[:1], 1, 0, 1, 1},
-		{"xorpir batch", nil, 4, batch8, 1, 0, 1, 8},
-		{"xorpir batch one worker", nil, 1, batch8, 1, 0, 1, 8},
+		{"plain one page", PlainStores, 4, batch8[:1]},
+		{"plain batch one worker", PlainStores, 1, batch8},
+		{"plain batch three workers", PlainStores, 3, batch8},
+		{"plain batch four workers", PlainStores, 4, batch8},
+		{"xorpir one page", XORStores, 4, batch8[:1]},
+		{"xorpir batch one worker", XORStores, 1, batch8},
+		{"xorpir batch three workers", XORStores, 3, batch8},
+		{"xorpir batch four workers", XORStores, 4, batch8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var (
-				cs *countingStore
-				gx *gatedXOR
-			)
+			var cs *countingStore
 			factory := func(r pagefile.Reader) (pir.Store, error) {
-				if tc.factory == nil {
-					x, err := pir.NewXORPIR(r)
-					gx = &gatedXOR{XORPIR: x}
-					return gx, err
-				}
 				st, err := tc.factory(r)
 				cs = &countingStore{Store: st}
 				return cs, err
@@ -151,20 +135,8 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 					t.Fatalf("slot %d: not page %d", i, p)
 				}
 			}
-			if w, fo := srv.routeWhole.Value(), srv.routeFanOut.Value(); w != tc.whole || fo != tc.fanOut {
-				t.Errorf("routes single_scan/fan_out = %d/%d, want %d/%d", w, fo, tc.whole, tc.fanOut)
-			}
-			calls, maxBatch := 0, 0
-			if gx != nil {
-				for _, pass := range gx.snapshotPasses() {
-					calls, maxBatch = calls+1, max(maxBatch, len(pass))
-				}
-			} else {
-				calls, maxBatch = cs.calls, cs.maxBatch
-			}
-			if calls != tc.calls || maxBatch != tc.maxBatch {
-				t.Errorf("store saw %d passes, largest %d pages; want %d, largest %d",
-					calls, maxBatch, tc.calls, tc.maxBatch)
+			if len(cs.calls) != 1 || !slices.Equal(cs.calls[0], tc.batch) {
+				t.Errorf("store calls %v, want one carrying %v", cs.calls, tc.batch)
 			}
 
 			got, err := srv.ReadPages(context.Background(), "F", tc.batch)
@@ -177,8 +149,9 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 				}
 			}
 
-			// Rejections and the empty batch: each returns before any route
-			// is taken or any pool slot is waited for, so no series moves.
+			// Rejections and the empty batch: each returns before a pool slot
+			// is taken or waited for, so no series moves and the store is not
+			// called.
 			withLast := func(p int) []int {
 				return append(tc.batch[:len(tc.batch)-1:len(tc.batch)-1], p)
 			}
@@ -203,6 +176,9 @@ func TestReadPagesIntoMatchesReadPages(t *testing.T) {
 				if d := telemetry.Delta(before, reg.Snapshot()); d != "" {
 					t.Errorf("%s moved metrics:\n%s", c.what, d)
 				}
+			}
+			if n := len(cs.calls); n != 2 {
+				t.Errorf("store saw %d calls after the rejections, want the 2 good fetches", n)
 			}
 		})
 	}
@@ -280,4 +256,37 @@ func TestAnswerSharesValidation(t *testing.T) {
 	if want := bytes.Repeat([]byte{1 ^ 24}, pageSize); !bytes.Equal(dst[0], want) {
 		t.Fatalf("share answer %x, want %x", dst[0][:4], want[:4])
 	}
+
+	// An accepted batch reaches the store as one AnswerShares call carrying
+	// every selector, however many pool workers are free.
+	for _, workers := range []int{1, 3, 4} {
+		var cs *countingShares
+		srv, err := NewServer(db, costmodel.Default(), func(r pagefile.Reader) (pir.Store, error) {
+			x, err := pir.NewXORPIR(r)
+			cs = &countingShares{XORPIR: x}
+			return cs, err
+		}, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sels := [][]byte{sel(selBytes, 0), sel(selBytes, 5, 6), sel(selBytes, 23)}
+		if err := srv.AnswerShares(context.Background(), "F", sels, bufs(pageSize, pageSize, pageSize)); err != nil {
+			t.Fatal(err)
+		}
+		if len(cs.calls) != 1 || cs.calls[0] != len(sels) {
+			t.Errorf("workers=%d: store share calls %v, want one carrying %d selectors", workers, cs.calls, len(sels))
+		}
+	}
+}
+
+// countingShares wraps a real XORPIR store, keeping the selector count of
+// every AnswerShares call it receives.
+type countingShares struct {
+	*pir.XORPIR
+	calls []int
+}
+
+func (c *countingShares) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) error {
+	c.calls = append(c.calls, len(sels))
+	return c.XORPIR.AnswerShares(ctx, sels, dst)
 }

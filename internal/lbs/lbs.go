@@ -193,12 +193,11 @@ func XORStores(f pagefile.Reader) (pir.Store, error) {
 	return pir.NewXORPIR(f)
 }
 
-// Server hosts one database behind a PIR interface. Every store pass goes
+// Server hosts one database behind a PIR interface. Every store call goes
 // through a bounded worker pool private to this server (see slotPool), so
 // concurrent serving of distinct databases never contends on shared locks.
-// A scan store (pir.ParallelScan) answers a whole fetch or share batch in
-// one pass holding one slot, and the pool size bounds how many such passes
-// run at once; any other store's batch fans out across the pool.
+// A fetch or share batch is answered by one store call holding one slot,
+// and the pool size bounds how many such calls run at once.
 type Server struct {
 	db     *Database
 	model  costmodel.Params
@@ -207,11 +206,9 @@ type Server struct {
 	pool slotPool // its size is the WithWorkers bound
 
 	// Telemetry handles (nil-safe; nil until WithTelemetry/EnableTelemetry).
-	telReg                     *telemetry.Registry
-	telDB                      string
-	routeWhole, routeFanOut    *telemetry.Counter
-	scanSegment                *telemetry.Histogram
-	scanRoutePar, scanRouteSer *telemetry.Counter
+	telReg      *telemetry.Registry
+	telDB       string
+	scanSegment *telemetry.Histogram
 }
 
 // hostedStore is one file's PIR store plus the optional faces probed once at
@@ -219,23 +216,20 @@ type Server struct {
 type hostedStore struct {
 	store  pir.Store
 	shares pir.ShareAnswerer // nil when the store cannot answer XOR selector shares
-	// scan marks a scan store (pir.ParallelScan): every read scans the whole
-	// file, so its batches are answered in one pass and never split.
-	scan bool
-	// scanWorkers is the resolved per-scan worker width of a scan store,
-	// clamped to the pool size at host time; a pass over the store still
-	// holds one pool slot. 1 for every other store.
+	// scanWorkers is the resolved per-scan worker width of a scan store
+	// (pir.ParallelScan), clamped to the pool size at host time; a pass over
+	// the store still holds one pool slot. 1 for every other store.
 	scanWorkers int
 }
 
 // ServerOption tunes a Server at construction.
 type ServerOption func(*Server)
 
-// WithWorkers sizes this server's worker pool: the slots held by PIR page
-// reads and store passes across all connections. A page read or a whole
-// scan-store pass holds one slot, so n bounds the passes running at once;
-// n also caps every scan store's width, which bounds each pass. n <= 1
-// serializes every read — the historical behaviour and the default.
+// WithWorkers sizes this server's worker pool: the slots held by store calls
+// across all connections. A fetch or share batch is one store call on one
+// slot, so n bounds the batches served at once; n also caps every scan
+// store's width, which bounds each pass. n <= 1 serializes every batch —
+// the historical behaviour and the default.
 func WithWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -280,7 +274,6 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 			// knob bounding parallel work, and the historical 1-worker
 			// default pool resolves to the serial kernel.
 			hs.scanWorkers = ps.SetScanWorkers(min(ps.ScanWorkers(), s.pool.size()))
-			hs.scan = true
 		}
 		s.stores[f.Name()] = hs
 	}
@@ -340,18 +333,14 @@ func (s *Server) ReadPages(ctx context.Context, file string, pages []int) ([][]b
 // ReadPagesInto retrieves pages through the PIR stores into caller-provided
 // buffers (each dst[i] at least PageSize bytes): the serving daemon rents
 // the buffers from a pool, so its steady-state page path allocates nothing.
-// Safe for concurrent use by any number of connections. This is the one
-// place a fetch is routed: a scan store's batch stays whole and is answered
-// by one pass on one pool slot (splitting it would multiply full-file scans
-// instead of dividing work), so concurrent fetches on one scan store run as
-// concurrent passes, as many at once as the pool has slots; any other batch
-// fans out across the worker pool as contiguous sub-batches when there is
-// more than one page and more than one worker, and rides a single pool slot
-// otherwise. Buffers and page indices are checked before any route is taken
-// or counted, and an empty batch returns before any route, so neither moves
-// a metric. Cancelling ctx aborts the batch at read boundaries — a read
-// waiting for a pool slot gives up immediately and the worker is freed — but
-// a page read that started always completes, so the caller records fetches
+// Safe for concurrent use by any number of connections. Every batch takes
+// one route: it is validated, takes one pool slot and goes to the store in
+// one ReadBatchInto call, so concurrent fetches run as concurrent store
+// calls, as many at once as the pool has slots. Buffers and page indices
+// are checked before a slot is taken, and an empty batch returns before
+// one, so neither moves a metric. Cancelling ctx aborts the batch at read
+// boundaries — a batch waiting for a pool slot gives up immediately — but a
+// page read that started always completes, so the caller records fetches
 // all-or-nothing.
 func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, dst [][]byte) error {
 	hs, ok := s.stores[file]
@@ -370,12 +359,7 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	if len(pages) == 0 {
 		return nil
 	}
-	if workers := min(s.pool.size(), len(pages)); workers > 1 && !hs.scan {
-		s.routeFanOut.Inc()
-		return s.fanOut(ctx, hs, file, workers, pages, dst)
-	}
-	s.routeWhole.Inc()
-	if err := s.beginPass(ctx, hs); err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		return err
 	}
 	defer s.pool.release()
@@ -398,10 +382,10 @@ func (s *Server) ShareCapable() bool {
 // AnswerShares answers client-supplied XOR selector shares against one
 // file: dst[i] receives the XOR of the pages selected by sels[i]. This is
 // the replica half of two-server fleet mode — the store never reconstructs
-// a page. The whole batch rides one scan (k accumulators), entering the
-// worker pool like a fetch batch on a scan store (see beginPass).
-// Buffer sizes and selector lengths are validated against the store before
-// any slot is taken, so hostile lengths fail fast.
+// a page. The whole batch is one AnswerShares call (one scan with k
+// accumulators) on one pool slot, like a fetch batch. Buffer sizes and
+// selector lengths are validated against the store before any slot is
+// taken, so hostile lengths fail fast.
 func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, dst [][]byte) error {
 	hs, ok := s.stores[file]
 	if !ok {
@@ -422,32 +406,11 @@ func (s *Server) AnswerShares(ctx context.Context, file string, sels [][]byte, d
 	if len(sels) == 0 {
 		return nil
 	}
-	s.routeWhole.Inc()
-	if err := s.beginPass(ctx, hs); err != nil {
+	if err := s.pool.acquire(ctx); err != nil {
 		return err
 	}
 	defer s.pool.release()
 	return fetchErr(ctx, "share fetch", file, hs.shares.AnswerShares(ctx, sels, dst))
-}
-
-// beginPass is how a whole batch enters the pool — a scan-store fetch batch,
-// a replica's share batch, or a single-slot read on any other store: it
-// takes one slot for the whole pass, however wide, and for a scan store
-// counts the kernel route the pass will run on. The caller releases the slot
-// when the pass is done.
-func (s *Server) beginPass(ctx context.Context, hs *hostedStore) error {
-	if err := s.pool.acquire(ctx); err != nil {
-		return err
-	}
-	if !hs.scan {
-		return nil
-	}
-	if hs.scanWorkers > 1 {
-		s.scanRoutePar.Inc()
-	} else {
-		s.scanRouteSer.Inc()
-	}
-	return nil
 }
 
 // checkBuffers is the reply-buffer check every fetch opens with: one buffer
@@ -464,7 +427,7 @@ func checkBuffers(op, file string, want int, dst [][]byte, pageSize int) error {
 	return nil
 }
 
-// fetchErr settles a store pass's error: the context's own error when it
+// fetchErr settles a store call's error: the context's own error when it
 // died (a cancelled fetch reports cancellation, not whatever the store made
 // of it), the store's error under the operation and file otherwise.
 func fetchErr(ctx context.Context, op, file string, err error) error {
@@ -477,43 +440,9 @@ func fetchErr(ctx context.Context, op, file string, err error) error {
 	return fmt.Errorf("lbs: %s %s: %w", op, file, err)
 }
 
-// fanOut splits a batch into up to `workers` contiguous sub-batches, reads
-// each on its own pool slot, and returns the first error. The split never
-// spawns more goroutines than workers, so a hostile maximum-size batch
-// cannot balloon goroutine memory.
-func (s *Server) fanOut(ctx context.Context, hs *hostedStore, file string, workers int, pages []int, dst [][]byte) error {
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	per := (len(pages) + workers - 1) / workers
-	for start := 0; start < len(pages); start += per {
-		end := min(start+per, len(pages))
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			err := s.pool.acquire(ctx)
-			if err == nil {
-				defer s.pool.release()
-				err = fetchErr(ctx, "PIR fetch", file, hs.store.ReadBatchInto(ctx, pages[start:end], dst[start:end]))
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(start, end)
-	}
-	wg.Wait()
-	return firstErr
-}
-
 // PoolStats snapshots the worker pool: its size in slots, the slots held
-// right now (one per page read or store pass in progress, whatever the
-// pass's scan width), and the reads and passes waiting for a slot. The
+// right now (one per store call in progress, whatever its scan width), and
+// the batches waiting for a slot. The
 // daemon exports these as serving gauges.
 func (s *Server) PoolStats() (workers, busy, queued int) {
 	busy, queued = s.pool.stats()

@@ -126,9 +126,9 @@ func TestCanonicalTraceText(t *testing.T) {
 	}
 }
 
-// TestParallelReadPages drives the worker-pool fan-out: batches over a
-// splittable store split across workers and reassemble in order, for every
-// worker count, under concurrent connections.
+// TestParallelReadPages drives the worker pool from concurrent connections:
+// every batch comes back whole and in order, on plain and XOR-PIR stores,
+// for every worker count.
 func TestParallelReadPages(t *testing.T) {
 	const pagesN = 40
 	f := pagefile.NewFile("Fbig", 64)

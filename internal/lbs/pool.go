@@ -8,14 +8,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// slotPool is the per-server gate every store pass goes through: a counting
-// semaphore over the server's worker slots. A page read holds one slot, and
-// so does a whole pass over a scan store — how many cores that pass folds
-// with is the store's scan width, bounded separately at host time — so the
-// pool size bounds how many store passes run at once.
+// slotPool is the per-server gate every store call goes through: a counting
+// semaphore over the server's worker slots. A fetch or share batch is one
+// store call on one slot — how many cores a scan store's pass folds with is
+// its scan width, bounded separately at host time — so the pool size bounds
+// how many store calls run at once.
 type slotPool struct {
 	slots  chan struct{}        // one token per held slot; cap is the pool size
-	queued atomic.Int64         // passes waiting for a slot
+	queued atomic.Int64         // batches waiting for a slot
 	wait   *telemetry.Histogram // privsp_pool_wait_seconds; nil-safe
 }
 
@@ -23,9 +23,9 @@ type slotPool struct {
 func (p *slotPool) size() int { return cap(p.slots) }
 
 // acquire takes a slot, or returns ctx.Err() if the context dies while the
-// pass is queued — the cancellation path that frees a worker the query no
+// batch is queued — the cancellation path that frees a worker the query no
 // longer wants; a cancelled waiter holds nothing afterwards. Every
-// successful acquisition records exactly one wait observation, and a pass
+// successful acquisition records exactly one wait observation, and a batch
 // that finds a slot free records zero without touching the clock, so the
 // fast path stays allocation- and syscall-free.
 func (p *slotPool) acquire(ctx context.Context) error {
@@ -47,10 +47,10 @@ func (p *slotPool) acquire(ctx context.Context) error {
 	}
 }
 
-// release gives a slot back; a queued pass, if any, takes it.
+// release gives a slot back; a queued batch, if any, takes it.
 func (p *slotPool) release() { <-p.slots }
 
-// stats returns the slots held and the passes queued right now.
+// stats returns the slots held and the batches queued right now.
 func (p *slotPool) stats() (busy, queued int) {
 	return len(p.slots), int(p.queued.Load())
 }

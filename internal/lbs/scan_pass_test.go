@@ -3,7 +3,6 @@ package lbs
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -45,10 +44,10 @@ func newScanServer(t *testing.T, gate bool, opts ...ServerOption) (*Server, *gat
 	return srv, gx, reg
 }
 
-// TestSchedulerRejectsHostilePages: on a scan store, an out-of-range or
-// negative page index is rejected before a pool slot is scheduled — no pass
+// TestScanStoreRejectsHostilePages: on a scan store, an out-of-range or
+// negative page index is rejected before a pool slot is taken — no pass
 // runs over the file, no series moves — and valid work still flows after.
-func TestSchedulerRejectsHostilePages(t *testing.T) {
+func TestScanStoreRejectsHostilePages(t *testing.T) {
 	srv, gx, reg := newScanServer(t, false)
 	before := reg.Snapshot()
 	if _, err := srv.ReadPages(context.Background(), "F", []int{testPages}); err == nil {
@@ -74,91 +73,12 @@ func TestSchedulerRejectsHostilePages(t *testing.T) {
 	}
 }
 
-// chiSquaredBits mirrors the pir package's helper: the chi-squared statistic
-// of per-bit set counts against the fair-coin expectation.
-func chiSquaredBits(counts []int, trials int) float64 {
-	expect := float64(trials) / 2
-	variance := float64(trials) / 4
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c) - expect
-		chi2 += d * d / variance
-	}
-	return chi2
-}
-
-func selected(sel []byte, bit int) bool { return sel[bit/8]&(1<<(bit%8)) != 0 }
-
-// TestSchedulerCoScheduledSelectorsUniformAndIndependent extends the
-// selector privacy property across connections: when fetches from two
-// DIFFERENT goroutines are scheduled on one scan store at once — two passes
-// in flight, each holding a pool slot — each query's server-A selector
-// vector must stay marginally uniform per bit, and the two co-scheduled
-// vectors must be mutually independent (their XOR is uniform too), exactly
-// as if the queries had run alone. Checked with chi-squared statistics
-// against ≈10-sigma thresholds.
-func TestSchedulerCoScheduledSelectorsUniformAndIndependent(t *testing.T) {
-	const trials = 256
-	srv, gx, _ := newScanServer(t, true, WithWorkers(2))
-
-	perBit := make([]int, testPages)  // all co-scheduled vectors
-	pairXOR := make([]int, testPages) // XOR of the two vectors per trial
-	results := make(chan error, 2)
-	fetch := func(page int) {
-		_, err := srv.ReadPages(context.Background(), "F", []int{page})
-		results <- err
-	}
-
-	for trial := 0; trial < trials; trial++ {
-		go fetch(trial % testPages)
-		go fetch((trial + 23) % testPages)
-		<-gx.entered // both passes hold a slot at the gate
-		<-gx.entered
-		// Release them one at a time, so each pass's recorded selectors
-		// are its own.
-		for i := 0; i < 2; i++ {
-			gx.release <- struct{}{}
-			if err := <-results; err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		gx.mu.Lock()
-		sels := gx.selsA
-		gx.passes, gx.selsA = gx.passes[:0], nil
-		gx.mu.Unlock()
-		if len(sels) != 2 || len(sels[0]) != 1 || len(sels[1]) != 1 {
-			t.Fatalf("trial %d: want two one-query passes, got %d passes", trial, len(sels))
-		}
-		a, b := sels[0][0], sels[1][0]
-		for bit := 0; bit < testPages; bit++ {
-			for _, sel := range [][]byte{a, b} {
-				if selected(sel, bit) {
-					perBit[bit]++
-				}
-			}
-			if selected(a, bit) != selected(b, bit) {
-				pairXOR[bit]++
-			}
-		}
-	}
-
-	threshold := float64(testPages) + 10*math.Sqrt(2*float64(testPages))
-	if chi2 := chiSquaredBits(perBit, 2*trials); chi2 > threshold {
-		t.Errorf("co-scheduled selector bits not uniform (chi2 %.1f > %.1f)", chi2, threshold)
-	}
-	if chi2 := chiSquaredBits(pairXOR, trials); chi2 > threshold {
-		t.Errorf("co-scheduled queries correlated across connections (pair XOR chi2 %.1f > %.1f)", chi2, threshold)
-	}
-}
-
-// TestSchedulerMetricsEndpointIndependent: a scan store's observable
-// accounting — pool gauges and waits, fetch routes, kernel routes, pages
-// scanned and passes — must move identically for same-shape workloads
-// whatever pages (endpoints) the queries actually asked for. Two serial
-// single-page fetches with different targets must produce byte-identical
-// registry deltas.
-func TestSchedulerMetricsEndpointIndependent(t *testing.T) {
+// TestScanStoreMetricsEndpointIndependent: a scan store's observable
+// accounting — pool gauges and waits, pages scanned and passes — must move
+// identically for same-shape workloads whatever pages (endpoints) the
+// queries actually asked for. Two serial single-page fetches with different
+// targets must produce byte-identical registry deltas.
+func TestScanStoreMetricsEndpointIndependent(t *testing.T) {
 	srv, _, reg := newScanServer(t, false)
 
 	// Warm up pools so both measured runs start from identical state.

@@ -65,8 +65,8 @@ func TestDroppedServerReleasesScanWorkers(t *testing.T) {
 		if got[0][0] != 4 || got[1][0] != 201 {
 			t.Fatalf("wrong pages: %x %x", got[0][0], got[1][0])
 		}
-		if srv.scanRoutePar.Value() == 0 {
-			t.Fatal("the read did not take the parallel kernel")
+		if n := srv.scanSegment.Count(); n != 2 {
+			t.Fatalf("the read folded %d segments, want 2: it did not take the parallel kernel", n)
 		}
 		n := pirGoroutines()
 		for i := 0; i < 100 && n > 0; i++ {

@@ -7,8 +7,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// WithTelemetry registers this server's pool, routing and scan-accounting
-// series with reg, labeled by database name. Every exported quantity is a
+// WithTelemetry registers this server's pool and scan-accounting series with reg, labeled by database name. Every exported quantity is a
 // function of the adversary-visible workload shape — batch sizes, file
 // capabilities, read counts — never of which pages were requested, so the
 // metrics leak nothing the LBS could not already observe (Theorem 1).
@@ -40,33 +39,23 @@ func (s *Server) initTelemetry() {
 		"size of the per-database PIR worker pool",
 		func() float64 { return float64(workers) }, dbl)
 	reg.GaugeFunc("privsp_pool_busy",
-		"worker-pool slots held right now (one per page read or store pass, whatever its scan width)",
+		"worker-pool slots held right now (one per store call, whatever its scan width)",
 		func() float64 { busy, _ := s.pool.stats(); return float64(busy) }, dbl)
 	reg.GaugeFunc("privsp_pool_queued",
-		"PIR page reads and store passes waiting for a pool slot",
+		"fetch and share batches waiting for a pool slot",
 		func() float64 { _, queued := s.pool.stats(); return float64(queued) }, dbl)
 	s.pool.wait = reg.Histogram("privsp_pool_wait_seconds",
-		"time a PIR read spent waiting for a pool slot (0 when a slot was free)",
+		"time a batch spent waiting for a pool slot (0 when a slot was free)",
 		telemetry.Seconds(), dbl)
-	s.routeWhole = reg.Counter("privsp_pir_route_total",
-		"fetch batches by serving route", dbl, telemetry.L("route", "single_scan"))
-	s.routeFanOut = reg.Counter("privsp_pir_route_total",
-		"fetch batches by serving route", dbl, telemetry.L("route", "fan_out"))
 
-	// Parallel-kernel families, registered eagerly for every server — a
-	// database without scan stores still exports them at zero, so the
-	// presence or absence of a series can never become a side channel. The
-	// segment histogram observes exactly ScanWorkers durations per parallel
-	// store pass — a count fixed at host time — and the route split depends
-	// only on that width, so neither can encode page contents.
+	// The parallel kernel's histogram, registered eagerly for every server
+	// — a database without scan stores still exports it at zero, so the
+	// presence or absence of a series can never become a side channel. It
+	// observes exactly ScanWorkers durations per parallel store pass — a
+	// count fixed at host time — so it cannot encode page contents.
 	s.scanSegment = reg.Histogram("privsp_scan_segment_seconds",
 		"wall-clock time one worker spent folding its share of a parallel scan",
 		telemetry.Seconds(), dbl)
-	const kernelHelp = "scan-store passes by kernel route (parallel = segmented multi-worker pass)"
-	s.scanRoutePar = reg.Counter("privsp_scan_route_total",
-		kernelHelp, dbl, telemetry.L("kernel", "parallel"))
-	s.scanRouteSer = reg.Counter("privsp_scan_route_total",
-		kernelHelp, dbl, telemetry.L("kernel", "serial"))
 	for _, f := range s.db.Files {
 		hs := s.stores[f.Name()]
 		fl := telemetry.L("file", f.Name())

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // TestXORPIRBatchMatchesSequential: the single-scan multi-query path must
@@ -48,13 +49,15 @@ func TestXORPIRBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("%dx%d: out-of-range batch accepted", shape.n, shape.ps)
 		}
 		// An empty batch is a valid no-op, as it was under sequential
-		// readEach — it must not disturb the recorded last queries.
+		// readEach — it draws no selector.
+		log := &drawLog{}
+		x.rng = log
 		empty, err := ReadBatch(context.Background(), x, nil)
 		if err != nil || len(empty) != 0 {
 			t.Fatalf("%dx%d: empty batch: %v, %d answers", shape.n, shape.ps, err, len(empty))
 		}
-		if a, b := x.LastQueries(); a == nil || b == nil {
-			t.Fatalf("%dx%d: empty batch clobbered the recorded queries", shape.n, shape.ps)
+		if v := log.views(shape.n); len(v) != 0 {
+			t.Fatalf("%dx%d: empty batch drew %d selectors", shape.n, shape.ps, len(v))
 		}
 	}
 }
@@ -87,6 +90,8 @@ func TestXORPIRBatchSelectorsUniformAndIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := &drawLog{}
+	x.rng = log
 	// Fixed targets, including a duplicate: two queries for one page must
 	// still carry independent randomness.
 	targets := []int{3, 17, 17, 42}
@@ -107,27 +112,11 @@ func TestXORPIRBatchSelectorsUniformAndIndependent(t *testing.T) {
 		if _, err := ReadBatch(context.Background(), x, targets); err != nil {
 			t.Fatal(err)
 		}
-		selsA, selsB := x.LastBatchQueries()
-		if len(selsA) != k || len(selsB) != k {
-			t.Fatalf("recorded %d/%d batch queries, want %d", len(selsA), len(selsB), k)
+		selsA := log.views(n)
+		if len(selsA) != k {
+			t.Fatalf("the store drew %d selectors for %d queries", len(selsA), k)
 		}
 		for j := range selsA {
-			// The two server views must differ exactly at the target bit —
-			// per query, batched or not.
-			diffBits, diffAt := 0, -1
-			for i := range selsA[j] {
-				d := selsA[j][i] ^ selsB[j][i]
-				for b := 0; b < 8; b++ {
-					if d&(1<<b) != 0 {
-						diffBits++
-						diffAt = i*8 + b
-					}
-				}
-			}
-			if diffBits != 1 || diffAt != targets[j] {
-				t.Fatalf("trial %d query %d: views differ at %d bit(s), position %d; want bit %d",
-					trial, j, diffBits, diffAt, targets[j])
-			}
 			for b := 0; b < n; b++ {
 				if selected(selsA[j], b) {
 					perQuery[j][b]++
@@ -162,6 +151,72 @@ func TestXORPIRBatchSelectorsUniformAndIndependent(t *testing.T) {
 		if chi2 := chiSquaredBits(pairXOR[pi], trials); chi2 > threshold {
 			t.Errorf("queries %v: pairwise XOR not uniform (chi2 %.1f > %.1f) — batch queries correlated", pr, chi2, threshold)
 		}
+	}
+}
+
+// TestXORPIRConcurrentPassSelectorsUniformAndIndependent extends the
+// selector privacy property across concurrent passes: when reads from two
+// goroutines are inside one store at once, each with its own scratch, each
+// read's server-A view must stay marginally uniform per bit and the two
+// views must be mutually independent (their XOR is uniform too), exactly as
+// if the reads had run alone. Checked with chi-squared statistics against
+// ≈10-sigma thresholds.
+func TestXORPIRConcurrentPassSelectorsUniformAndIndependent(t *testing.T) {
+	const n, ps, trials = 64, 8, 256
+	x, err := NewXORPIR(src(makePages(n, ps, 24), ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &drawLog{entered: make(chan struct{}, 2), release: make(chan struct{})}
+	x.rng = log
+
+	perBit := make([]int, n)  // both reads' views
+	pairXOR := make([]int, n) // XOR of the two views per trial
+	results := make(chan error, 2)
+	read := func(page int) {
+		_, err := Read(x, page)
+		results <- err
+	}
+	for trial := 0; trial < trials; trial++ {
+		go read(trial % n)
+		go read((trial + 23) % n)
+		for i := 0; i < 2; i++ {
+			select {
+			case <-log.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("trial %d: a read never drew its selector", trial)
+			}
+		}
+		// Both reads are in the store. Release them one at a time, so the
+		// log holds each one's draw in release order.
+		for i := 0; i < 2; i++ {
+			log.release <- struct{}{}
+			if err := <-results; err != nil {
+				t.Fatal(err)
+			}
+		}
+		views := log.views(n)
+		if len(views) != 2 {
+			t.Fatalf("trial %d: two reads drew %d selectors", trial, len(views))
+		}
+		for bit := 0; bit < n; bit++ {
+			for _, v := range views {
+				if selected(v, bit) {
+					perBit[bit]++
+				}
+			}
+			if selected(views[0], bit) != selected(views[1], bit) {
+				pairXOR[bit]++
+			}
+		}
+	}
+
+	threshold := float64(n) + 10*math.Sqrt(2*float64(n))
+	if chi2 := chiSquaredBits(perBit, 2*trials); chi2 > threshold {
+		t.Errorf("concurrent reads' selector bits not uniform (chi2 %.1f > %.1f)", chi2, threshold)
+	}
+	if chi2 := chiSquaredBits(pairXOR, trials); chi2 > threshold {
+		t.Errorf("concurrent reads' selectors correlated (pair XOR chi2 %.1f > %.1f)", chi2, threshold)
 	}
 }
 
@@ -203,7 +258,7 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read() // warm the scratch pool and the recorded-query buffers
+	read() // warm the scratch pool
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 		t.Fatalf("steady-state ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
 	}

@@ -13,13 +13,13 @@
 //     in one process (ReadBatchInto plays both servers) or split across two
 //     replica daemons (ShareAnswerer).
 //
-// XORPIR additionally shows three optional faces, which the serving layer
-// (lbs.Server) probes once at host time: ParallelScan (the store answers a
-// whole batch in one pass over the file, optionally fanned across several
-// goroutines for the length of the pass; such a batch is never split and
-// holds one pool slot for its pass), ShareAnswerer (the replica half of
-// two-server fleet mode) and ScanStats (work accounting, which Plain shows
-// too).
+// The serving layer (lbs.Server) hands every batch to its store whole, in
+// one call on one pool slot. XORPIR additionally shows three optional
+// faces, which the serving layer probes once at host time: ParallelScan
+// (the store answers a whole batch in one pass over the file, optionally
+// fanned across several goroutines for the length of the pass),
+// ShareAnswerer (the replica half of two-server fleet mode) and ScanStats
+// (work accounting, which Plain shows too).
 package pir
 
 import (
@@ -31,18 +31,18 @@ import (
 
 // Store is the PIR contract the serving layer programs against: retrieve
 // pages by index, with the backing server(s) learning nothing about the
-// indices. Every store is safe for concurrent use — several connections may
-// read the same store at the same time, and lbs.Server fans the sub-batches
-// of a splittable batch out across its worker pool. Stores must NOT spawn
-// their own concurrency except through ParallelScan, whose worker width the
-// serving layer sets and clamps to its pool size, so the per-database pool
-// remains the single knob bounding parallel work; the goroutines of a
-// parallel scan live for that one pass.
+// indices. lbs.Server makes one ReadBatchInto call per batch, holding one
+// slot of its worker pool, and every store is safe for concurrent use:
+// several connections' batches may read the same store at the same time,
+// as many as the pool has slots. Stores must NOT spawn their own
+// concurrency except through ParallelScan, whose worker width the serving
+// layer sets and clamps to its pool size, so the per-database pool remains
+// the single knob bounding parallel work; the goroutines of a parallel scan
+// live for that one pass.
 //
 // Both stores read without touching mutable state: Plain's page source and
 // XORPIR's arena are never written (the arena may be the source's own pages,
-// which the pagefile.Reader contract keeps unchanged while held), and
-// XORPIR's test-visible last-query and share-log fields are mutex-guarded.
+// which the pagefile.Reader contract keeps unchanged while held).
 type Store interface {
 	// NumPages returns the logical file length. Public information.
 	NumPages() int

@@ -2,8 +2,12 @@ package pir
 
 import (
 	"bytes"
+	"context"
+	crand "crypto/rand"
 	"errors"
+	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -80,59 +84,140 @@ func TestXORPIRCorrectnessProperty(t *testing.T) {
 	}
 }
 
+// drawLog is the test hook on XORPIR.rng: it fills every read from
+// crypto/rand and keeps a copy, so a test sees each query's draw — server
+// A's view of the query, once the bits past the last page are cleared — in
+// draw order. With entered set, every read first announces itself there and
+// waits for a receive on release, so a test can hold several reads inside
+// one store at once.
+type drawLog struct {
+	entered chan struct{}
+	release chan struct{}
+
+	mu    sync.Mutex
+	draws [][]byte
+}
+
+func (d *drawLog) Read(p []byte) (int, error) {
+	if d.entered != nil {
+		d.entered <- struct{}{}
+		<-d.release
+	}
+	if _, err := io.ReadFull(crand.Reader, p); err != nil {
+		return 0, err
+	}
+	d.mu.Lock()
+	d.draws = append(d.draws, append([]byte(nil), p...))
+	d.mu.Unlock()
+	return len(p), nil
+}
+
+// views returns the draws since the last call as server A's views over a
+// numPages-page file, the bits past the last page cleared.
+func (d *drawLog) views(numPages int) [][]byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := d.draws
+	d.draws = nil
+	for _, v := range out {
+		for bit := numPages; bit < 8*len(v); bit++ {
+			v[bit/8] &^= 1 << (bit % 8)
+		}
+	}
+	return out
+}
+
+// TestXORPIRServerViewsDifferOnlyAtTarget: every query of a batch draws its
+// own selector, server A's view; server B's view is that draw with the
+// target's bit flipped and nothing else — per query, duplicates included,
+// over a file whose length is not a whole number of bytes.
 func TestXORPIRServerViewsDifferOnlyAtTarget(t *testing.T) {
-	pages := makePages(32, 16, 9)
-	x, err := NewXORPIR(src(pages, 16))
+	const n, ps = 37, 16
+	pages := makePages(n, ps, 9)
+	x, err := NewXORPIR(src(pages, ps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for target := 0; target < 32; target += 5 {
-		if _, err := Read(x, target); err != nil {
-			t.Fatal(err)
+	log := &drawLog{}
+	x.rng = log
+	targets := []int{0, 5, 5, 36, 20}
+	got, err := ReadBatch(context.Background(), x, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, p := range targets {
+		if !bytes.Equal(got[j], pages[p]) {
+			t.Fatalf("query %d (page %d): wrong answer", j, p)
 		}
-		selA, selB := x.LastQueries()
-		diffBits := 0
-		diffAt := -1
-		for i := range selA {
-			d := selA[i] ^ selB[i]
-			for b := 0; b < 8; b++ {
-				if d&(1<<b) != 0 {
-					diffBits++
-					diffAt = i*8 + b
-				}
+	}
+	if v := log.views(n); len(v) != len(targets) {
+		t.Fatalf("the store drew %d selectors for %d queries", len(v), len(targets))
+	}
+
+	// The shares the store folds are SplitShares', from the same source.
+	nb := (n + 7) / 8
+	selsA, selsB := make([][]byte, len(targets)), make([][]byte, len(targets))
+	for j := range targets {
+		selsA[j], selsB[j] = make([]byte, nb), make([]byte, nb)
+	}
+	if err := SplitShares(log, n, targets, selsA, selsB); err != nil {
+		t.Fatal(err)
+	}
+	draws := log.views(n)
+	if len(draws) != len(targets) {
+		t.Fatalf("SplitShares drew %d selectors for %d queries", len(draws), len(targets))
+	}
+	for j, target := range targets {
+		if !bytes.Equal(selsA[j], draws[j]) {
+			t.Fatalf("query %d: server A's view is not its own draw", j)
+		}
+		diffBits, diffAt := 0, -1
+		for bit := 0; bit < 8*nb; bit++ {
+			if selected(selsA[j], bit) != selected(selsB[j], bit) {
+				diffBits++
+				diffAt = bit
 			}
 		}
 		if diffBits != 1 || diffAt != target {
-			t.Fatalf("queries differ at %d bit(s), position %d; want exactly bit %d", diffBits, diffAt, target)
+			t.Fatalf("query %d: views differ at %d bit(s), position %d; want exactly bit %d", j, diffBits, diffAt, target)
 		}
 	}
 }
 
 func TestXORPIRSingleServerViewIsUniform(t *testing.T) {
-	// Each individual server's query vector is fresh uniform randomness:
-	// across many reads of the SAME page, each selection bit should be set
-	// about half the time.
+	// Each query's server-A view is fresh uniform randomness: across many
+	// batches of two reads of the SAME page, each selection bit of each
+	// query's view should be set about half the time.
 	pages := makePages(64, 8, 10)
 	x, err := NewXORPIR(src(pages, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := &drawLog{}
+	x.rng = log
 	const trials = 400
-	counts := make([]int, 64)
+	counts := [2][]int{make([]int, 64), make([]int, 64)}
 	for i := 0; i < trials; i++ {
-		if _, err := Read(x, 13); err != nil {
+		if _, err := ReadBatch(context.Background(), x, []int{13, 13}); err != nil {
 			t.Fatal(err)
 		}
-		selA, _ := x.LastQueries()
-		for b := 0; b < 64; b++ {
-			if selA[b/8]&(1<<(b%8)) != 0 {
-				counts[b]++
+		views := log.views(64)
+		if len(views) != 2 {
+			t.Fatalf("the store drew %d selectors for 2 queries", len(views))
+		}
+		for j, v := range views {
+			for b := 0; b < 64; b++ {
+				if selected(v, b) {
+					counts[j][b]++
+				}
 			}
 		}
 	}
-	for b, c := range counts {
-		if c < trials/4 || c > trials*3/4 {
-			t.Errorf("bit %d set %d/%d times; server view not uniform", b, c, trials)
+	for j := range counts {
+		for b, c := range counts[j] {
+			if c < trials/4 || c > trials*3/4 {
+				t.Errorf("query %d: bit %d set %d/%d times; server view not uniform", j, b, c, trials)
+			}
 		}
 	}
 }

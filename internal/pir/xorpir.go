@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/pagefile"
 )
@@ -41,20 +40,13 @@ type XORPIR struct {
 	arena    *wordArena
 	numPages int
 	pageSize int
-	rng      io.Reader
+	rng      io.Reader        // draws the selector shares; tests wrap it to read the servers' views
 	scratch  chan *xorScratch // free list of batch scratch, sized for this store
 
 	// Parallel scan machinery (see parallel.go): each server's pass fans
 	// out across ScanWorkers() goroutines when that is above 1.
 	*scanGroup
 	arenaScratch *arenaScratch // pooled scan tasks and bucket tables
-
-	// lastMu guards the recorded-query buffers: reads are otherwise
-	// stateless and run concurrently under a batch fan-out. The buffers
-	// are reused across reads (the hot path records without allocating),
-	// so observers go through LastQueries/LastBatchQueries, which copy.
-	lastMu                 sync.Mutex
-	lastBatchA, lastBatchB [][]byte
 
 	scanCounters
 }
@@ -199,7 +191,6 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 	if err := SplitShares(x.rng, x.numPages, pages, selsA, selsB); err != nil {
 		return err
 	}
-	x.recordQueries(selsA, selsB)
 
 	// One pass answers both servers' selectors for the whole batch. With
 	// scan workers configured it fans out across them — same pages touched,
@@ -264,51 +255,6 @@ func clearWords(w []uint64) {
 	for i := range w {
 		w[i] = 0
 	}
-}
-
-// recordQueries snapshots the servers' views for the privacy tests,
-// reusing the retained buffers so steady-state recording allocates nothing.
-func (x *XORPIR) recordQueries(selsA, selsB [][]byte) {
-	x.lastMu.Lock()
-	defer x.lastMu.Unlock()
-	for len(x.lastBatchA) < len(selsA) {
-		x.lastBatchA = append(x.lastBatchA, nil)
-		x.lastBatchB = append(x.lastBatchB, nil)
-	}
-	x.lastBatchA, x.lastBatchB = x.lastBatchA[:len(selsA)], x.lastBatchB[:len(selsB)]
-	for j := range selsA {
-		x.lastBatchA[j] = append(x.lastBatchA[j][:0], selsA[j]...)
-		x.lastBatchB[j] = append(x.lastBatchB[j][:0], selsB[j]...)
-	}
-}
-
-// LastQueries returns copies of the query vectors the two servers saw for
-// the most recent read (for a batch, its last query). Test observability:
-// the privacy tests verify the views are uniform and differ only at the
-// target. Nil before the first read.
-func (x *XORPIR) LastQueries() (a, b []byte) {
-	x.lastMu.Lock()
-	defer x.lastMu.Unlock()
-	last := len(x.lastBatchA) - 1
-	if last < 0 {
-		return nil, nil
-	}
-	return append([]byte(nil), x.lastBatchA[last]...), append([]byte(nil), x.lastBatchB[last]...)
-}
-
-// LastBatchQueries returns copies of the per-query selector vectors the two
-// servers saw in the most recent ReadBatchInto, in request order. Test
-// observability, like LastQueries.
-func (x *XORPIR) LastBatchQueries() (a, b [][]byte) {
-	x.lastMu.Lock()
-	defer x.lastMu.Unlock()
-	a = make([][]byte, len(x.lastBatchA))
-	b = make([][]byte, len(x.lastBatchB))
-	for j := range x.lastBatchA {
-		a[j] = append([]byte(nil), x.lastBatchA[j]...)
-		b[j] = append([]byte(nil), x.lastBatchB[j]...)
-	}
-	return a, b
 }
 
 // SelectorBytes implements ShareAnswerer: one bit per page, whole bytes.

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/border"
 	"repro/internal/geom"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/kdtree"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
-	"repro/internal/plan"
 	"repro/internal/scheme/base"
 )
 
@@ -29,21 +27,16 @@ type Options struct {
 	// with every edge (the paper's tuning knob; 8 was optimal on
 	// Argentina).
 	Regions int
-	// DeriveQueries / DeriveSeed / SafetyMargin control plan derivation as
-	// in the LM baseline.
-	DeriveQueries int
-	DeriveSeed    int64
-	SafetyMargin  float64
+	// Derivation fits the region-cluster quota.
+	base.Derivation
 }
 
 // DefaultOptions matches the paper's tuned Argentina configuration.
 func DefaultOptions() Options {
 	return Options{
-		PageSize:      pagefile.DefaultPageSize,
-		Regions:       8,
-		DeriveQueries: 512,
-		DeriveSeed:    1,
-		SafetyMargin:  1.25,
+		PageSize:   pagefile.DefaultPageSize,
+		Regions:    8,
+		Derivation: base.Derivation{DeriveQueries: 512, DeriveSeed: 1, SafetyMargin: 1.25},
 	}
 }
 
@@ -57,9 +50,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}
 	if opt.Regions < 1 {
 		return nil, fmt.Errorf("af: region count %d < 1", opt.Regions)
-	}
-	if opt.SafetyMargin < 1 {
-		opt.SafetyMargin = 1
 	}
 	flagBytes := (opt.Regions + 7) / 8
 	codec := &base.RegionCodec{G: g, FlagBytes: flagBytes}
@@ -99,29 +89,10 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		LookupEntriesPerPage: 1,
 		Params:               map[string]int64{base.ParamFlagBy: int64(flagBytes)},
 	}
-	maxClusters := 2
-	rng := rand.New(rand.NewSource(opt.DeriveSeed))
-	for q := 0; q < opt.DeriveQueries; q++ {
-		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		t := graph.NodeID(rng.Intn(g.NumNodes()))
-		n, err := base.SimulateFrontier(hdr, fd, g.Point(s), g.Point(t), flagGuide)
-		if err != nil {
-			return nil, err
-		}
-		if n > maxClusters {
-			maxClusters = n
-		}
+	qp, maxClusters, err := base.DerivePlan(g, hdr, fd, flagGuide, opt.Derivation)
+	if err != nil {
+		return nil, err
 	}
-	maxClusters = int(math.Ceil(float64(maxClusters) * opt.SafetyMargin))
-	if maxClusters > part.NumRegions {
-		maxClusters = part.NumRegions
-	}
-
-	rounds := []plan.Round{{Fetches: []plan.Fetch{{File: base.FileData, Count: 2 * pagesPerRegion}}}}
-	for i := 2; i < maxClusters; i++ {
-		rounds = append(rounds, plan.Round{Fetches: []plan.Fetch{{File: base.FileData, Count: pagesPerRegion}}})
-	}
-	qp := plan.Plan{Rounds: rounds}
 	hdr.Plan = qp
 	hdr.Params["maxClusters"] = int64(maxClusters)
 	return &lbs.Database{

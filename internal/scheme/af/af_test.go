@@ -90,11 +90,11 @@ func TestFlagsPruneSearch(t *testing.T) {
 
 func TestMoreRegionsBiggerRecords(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	small, err := Build(g, Options{PageSize: 4096, Regions: 4, DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2})
+	small, err := Build(g, Options{PageSize: 4096, Regions: 4, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Build(g, Options{PageSize: 4096, Regions: 64, DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2})
+	big, err := Build(g, Options{PageSize: 4096, Regions: 64, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/kdtree"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
-	"repro/internal/plan"
 	"repro/internal/scheme/base"
 )
 
@@ -30,24 +28,18 @@ type Options struct {
 	PageSize int
 	// Landmarks is the anchor count (Figure 5's tuning knob).
 	Landmarks int
-	// DeriveQueries sizes the sampled workload for plan derivation.
-	DeriveQueries int
-	// DeriveSeed makes plan derivation reproducible.
-	DeriveSeed int64
-	// SafetyMargin multiplies the sampled quota to cover unsampled pairs
-	// (>= 1).
-	SafetyMargin float64
+	// Derivation fits the page quota; its sample is replayed together with
+	// the pairs of the network's extremal nodes.
+	base.Derivation
 }
 
 // DefaultOptions matches the paper's tuned configuration for mid-size
 // networks (5 anchors were optimal on Argentina, Figure 5).
 func DefaultOptions() Options {
 	return Options{
-		PageSize:      pagefile.DefaultPageSize,
-		Landmarks:     5,
-		DeriveQueries: 512,
-		DeriveSeed:    1,
-		SafetyMargin:  1.25,
+		PageSize:   pagefile.DefaultPageSize,
+		Landmarks:  5,
+		Derivation: base.Derivation{DeriveQueries: 512, DeriveSeed: 1, SafetyMargin: 1.25},
 	}
 }
 
@@ -61,9 +53,6 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}
 	if opt.Landmarks < 1 {
 		return nil, fmt.Errorf("lm: landmark count %d < 1", opt.Landmarks)
-	}
-	if opt.SafetyMargin < 1 {
-		opt.SafetyMargin = 1
 	}
 	anchors := graph.SelectLandmarks(g, opt.Landmarks)
 	lms := graph.BuildLandmarks(g, anchors)
@@ -81,8 +70,9 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		return nil, fmt.Errorf("lm: region data: %w", err)
 	}
 
-	// Derive the page quota: replay the exact client algorithm against the
-	// region pages, counting fetched pages.
+	// Derive the plan: replay the exact client algorithm against the region
+	// pages, counting fetched pages; the first round fetches the two
+	// endpoint regions, every further round one page (§4).
 	hdr := &base.Header{
 		Scheme:               SchemeName,
 		NumRegions:           part.NumRegions,
@@ -92,42 +82,10 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		LookupEntriesPerPage: 1,
 		Params:               map[string]int64{base.ParamLMDim: int64(len(anchors))},
 	}
-	maxPages := 2
-	measure := func(s, t graph.NodeID) error {
-		n, err := base.SimulateFrontier(hdr, fd, g.Point(s), g.Point(t), landmarkGuide)
-		if err != nil {
-			return err
-		}
-		if n > maxPages {
-			maxPages = n
-		}
-		return nil
+	qp, maxPages, err := base.DerivePlan(g, hdr, fd, landmarkGuide, opt.Derivation, cornerPairs(g)...)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opt.DeriveSeed))
-	for q := 0; q < opt.DeriveQueries; q++ {
-		if err := measure(graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range corners(g) {
-		for _, t := range corners(g) {
-			if err := measure(s, t); err != nil {
-				return nil, err
-			}
-		}
-	}
-	maxPages = int(math.Ceil(float64(maxPages) * opt.SafetyMargin))
-	if maxPages > fd.NumPages() {
-		maxPages = fd.NumPages()
-	}
-
-	// Plan: round 2 fetches the two endpoint regions; every further round
-	// fetches one page (§4).
-	rounds := []plan.Round{{Fetches: []plan.Fetch{{File: base.FileData, Count: 2}}}}
-	for i := 2; i < maxPages; i++ {
-		rounds = append(rounds, plan.Round{Fetches: []plan.Fetch{{File: base.FileData, Count: 1}}})
-	}
-	qp := plan.Plan{Rounds: rounds}
 	hdr.Plan = qp
 	hdr.Params["maxPages"] = int64(maxPages)
 	return &lbs.Database{
@@ -136,6 +94,20 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		Files:  []pagefile.Reader{fd},
 		Plan:   qp,
 	}, nil
+}
+
+// cornerPairs pairs the extremal nodes (bounding-box corners) with each
+// other: pairs that tend to maximize the search footprint, so the plan
+// derivation replays them beside its sample.
+func cornerPairs(g *graph.Graph) [][2]graph.NodeID {
+	var pairs [][2]graph.NodeID
+	cs := corners(g)
+	for _, s := range cs {
+		for _, t := range cs {
+			pairs = append(pairs, [2]graph.NodeID{s, t})
+		}
+	}
+	return pairs
 }
 
 // corners picks extremal nodes (bounding-box corners) whose pairs tend to

@@ -87,11 +87,11 @@ func TestPlanQuotaPadsShortQueries(t *testing.T) {
 func TestMoreLandmarksBiggerDatabase(t *testing.T) {
 	// Figure 5(b): storage grows with the landmark count.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	small, err := Build(g, Options{PageSize: 4096, Landmarks: 2, DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2})
+	small, err := Build(g, Options{PageSize: 4096, Landmarks: 2, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Build(g, Options{PageSize: 4096, Landmarks: 16, DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2})
+	big, err := Build(g, Options{PageSize: 4096, Landmarks: 16, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
 	if err != nil {
 		t.Fatal(err)
 	}

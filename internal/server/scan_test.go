@@ -72,21 +72,22 @@ func xorStoresWidth(n int) lbs.StoreFactory {
 // runs, never what any single query is seen to access (Theorem 1 is per
 // query).
 func TestTheorem1UnderCoScheduling(t *testing.T) {
-	checkTheorem1Concurrent(t, nil)
+	checkTheorem1Concurrent(t, nil, "privsp_pir_scans_total")
 }
 
 // TestTheorem1UnderParallelScan is TestTheorem1UnderCoScheduling with the
 // segmented kernel forced on at width 4: which core XORs which words must
 // not change which file any query is seen to access.
 func TestTheorem1UnderParallelScan(t *testing.T) {
-	checkTheorem1Concurrent(t, xorStoresWidth(4))
+	checkTheorem1Concurrent(t, xorStoresWidth(4), "privsp_pir_scans_total", "privsp_scan_segment_seconds")
 }
 
 // checkTheorem1Concurrent hosts every scheme on a four-slot pool of the given
 // scan stores (nil: lbs.XORStores) and fires 8 connections with distinct
 // endpoint pairs at once, so their passes overlap; each query's client and
-// server traces must equal the plan's canonical trace.
-func checkTheorem1Concurrent(t *testing.T, stores lbs.StoreFactory) {
+// server traces must equal the plan's canonical trace, and every family in
+// moved must have moved.
+func checkTheorem1Concurrent(t *testing.T, stores lbs.StoreFactory, moved ...string) {
 	g, dbs := fixture(t)
 	const concurrency = 8
 
@@ -129,30 +130,33 @@ func checkTheorem1Concurrent(t *testing.T, stores lbs.StoreFactory) {
 
 			// The scan stores must actually have served this load.
 			settle(t, srv, scheme)
-			if metricTotal(srv.Telemetry(), "privsp_scan_route_total") == 0 {
-				t.Error("no scan-store pass recorded a kernel route — XORPIR stores not engaged")
+			for _, family := range moved {
+				if metricTotal(srv.Telemetry(), family) == 0 {
+					t.Errorf("%s did not move — the scan stores were not engaged", family)
+				}
 			}
 		})
 	}
 }
 
-// metricTotal sums a counter family across its label sets.
+// metricTotal sums a counter family, or a histogram family's observation
+// count, across its label sets.
 func metricTotal(reg *telemetry.Registry, family string) uint64 {
 	var total uint64
 	for _, row := range reg.Snapshot() {
 		if strings.HasPrefix(row.Key, family+"{") || row.Key == family {
-			total += row.Counter
+			total += row.Counter + row.Hist.Count
 		}
 	}
 	return total
 }
 
 // TestTelemetryLeakageFreeCoScheduling extends the leakage invariant to the
-// scan stores' instrumentation at the derived width: the kernel-route
-// counters move with pass counts, so same-shape queries for different
-// endpoints must still produce byte-identical registry deltas.
+// scan stores' instrumentation at the derived width: the pass counters move
+// with every fetch, so same-shape queries for different endpoints must
+// still produce byte-identical registry deltas.
 func TestTelemetryLeakageFreeCoScheduling(t *testing.T) {
-	checkTelemetryLeakageFree(t, nil, "privsp_scan_route_total")
+	checkTelemetryLeakageFree(t, nil, "privsp_pir_scans_total")
 }
 
 // TestTelemetryLeakageFreeParallelScan is TestTelemetryLeakageFreeCoScheduling
@@ -160,7 +164,7 @@ func TestTelemetryLeakageFreeCoScheduling(t *testing.T) {
 // observations per store pass (2 × width — a function of configuration).
 func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
 	checkTelemetryLeakageFree(t, xorStoresWidth(4),
-		"privsp_scan_route_total", "privsp_scan_segment_seconds")
+		"privsp_pir_scans_total", "privsp_scan_segment_seconds")
 }
 
 // checkTelemetryLeakageFree hosts every scheme on the given scan stores (nil:
@@ -213,13 +217,13 @@ func checkTelemetryLeakageFree(t *testing.T, stores lbs.StoreFactory, moved ...s
 	}
 }
 
-// TestReplicaShareFetchCountsKernelRoute: a share fetch on a -replica-role
-// daemon is one pass over a scan store, like any fetch batch there, so it must
-// show in the kernel-route split operators watch — one FetchShare against a
-// width-2 store moves privsp_scan_route_total{kernel="parallel"} by exactly
-// one — and, like every replica metric, identically whichever page the
-// selector picks out.
-func TestReplicaShareFetchCountsKernelRoute(t *testing.T) {
+// TestReplicaShareFetchIsOnePass: a share fetch on a -replica-role daemon is
+// one pass over a scan store, like any fetch batch there, so one FetchShare
+// against a width-2 store moves the file's privsp_pir_scans_total by exactly
+// one and privsp_scan_segment_seconds by one observation per scan worker —
+// and, like every replica metric, identically whichever page the selector
+// picks out.
+func TestReplicaShareFetchIsOnePass(t *testing.T) {
 	srv, addr := startScanServer(t, Options{Workers: 4, Stores: xorStoresWidth(2), ReplicaRole: true}, "CI")
 	c := dialDB(t, addr, "CI")
 	reg := srv.Telemetry()
@@ -252,10 +256,15 @@ func TestReplicaShareFetchCountsKernelRoute(t *testing.T) {
 		t.Errorf("the selected page leaked into the replica's metrics:\n--- page 1 ---\n%s--- page %d ---\n%s",
 			first, file.NumPages-1, last)
 	}
-	if want := `privsp_scan_route_total{db="CI",kernel="parallel"} +1` + "\n"; !strings.Contains(first, want) {
-		t.Errorf("one share fetch did not move the parallel kernel route by one:\n%s", first)
+	for _, want := range []string{
+		`privsp_pir_scans_total{db="CI",file="` + file.Name + `"} +1`,
+		`privsp_scan_segment_seconds{db="CI"} +2 observations (timing elided)`,
+	} {
+		if !strings.Contains(first, want+"\n") {
+			t.Errorf("one width-2 share fetch did not move %q:\n%s", want, first)
+		}
 	}
-	if strings.Contains(first, `kernel="serial"`) {
-		t.Errorf("a width-2 share scan was counted on the serial kernel route:\n%s", first)
+	if n := strings.Count(first, "privsp_pir_scans_total"); n != 1 {
+		t.Errorf("one share fetch moved %d files' pass counters, want 1:\n%s", n, first)
 	}
 }

@@ -31,15 +31,15 @@ import (
 // Options tunes the daemon.
 type Options struct {
 	// Workers sizes each hosted database's worker pool, across all of its
-	// connections: a PIR page read or a whole scan-store pass holds one
-	// slot, so Workers bounds the passes running at once; it also caps the
-	// (otherwise derived) scan width of each pass.
+	// connections: every fetch or share batch is one store call holding
+	// one slot, so Workers bounds the batches served at once; it also caps
+	// the (otherwise derived) scan width of each pass.
 	// Every database gets its own pool, so concurrent sessions on distinct
 	// databases never serialize on each other. 0 means 2×GOMAXPROCS.
 	Workers int
 	// Stores builds the PIR store for each hosted file; nil means
 	// lbs.PlainStores. A scan store (e.g. pir.NewXORPIR) answers each fetch
-	// or share batch in one pass holding one Workers slot.
+	// or share batch in one pass.
 	Stores lbs.StoreFactory
 	// MaxInflight bounds the queries open at once across the whole daemon.
 	// A BeginQuery past the budget is shed at admission — answered with a

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +51,20 @@ type session struct {
 	qmu     sync.Mutex
 	queries map[uint32]*query
 	wg      sync.WaitGroup
+
+	// shed holds the IDs of the last queries shed at admission, so the
+	// frames a client pipelined behind a shed BeginQuery are dropped
+	// unanswered: the Busy is the query's one reply. Owned by the
+	// connection reader (dispatch), like shedNext, the slot the next shed
+	// ID takes.
+	shed     [shedRing]uint32
+	shedNext int
 }
+
+// shedRing bounds how many shed query IDs a session remembers. A client
+// stops sending for a query once it reads the Busy, so only the last few
+// shed queries can still have frames in flight.
+const shedRing = 16
 
 // query is one in-flight query session on a connection.
 type query struct {
@@ -260,8 +274,10 @@ func (ss *session) handshake() error {
 }
 
 // dispatch handles connection-level frames inline and routes query frames
-// to their goroutine. bp is the frame's pooled payload buffer: inline
-// frames return it here, routed frames hand it to the query goroutine.
+// to their goroutine. A frame for a query that is not open gets an Error,
+// unless the session shed that query: its Busy was the one reply. bp is
+// the frame's pooled payload buffer: inline frames return it here, routed
+// frames hand it to the query goroutine.
 func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]byte) {
 	switch t {
 	case wire.MsgStatsReq:
@@ -281,7 +297,9 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]by
 	q := ss.queries[qid]
 	ss.qmu.Unlock()
 	if q == nil {
-		ss.sendErr(qid, "no open query %d for %s", qid, t)
+		if !ss.wasShed(qid) {
+			ss.sendErr(qid, "no open query %d for %s", qid, t)
+		}
 		putFrameBuf(bp)
 		return
 	}
@@ -318,6 +336,8 @@ func (ss *session) beginQuery(qid uint32) {
 		// src, dst, even its target database's load — was read or recorded.
 		// The Busy hint depends on the in-flight counter alone.
 		ss.s.m.shed.Inc()
+		ss.shed[ss.shedNext] = qid
+		ss.shedNext = (ss.shedNext + 1) % shedRing
 		hint := uint32(ss.s.retryAfterHint() / time.Millisecond)
 		if ss.send(wire.MsgBusy, qid, wire.Busy{RetryAfterMillis: hint}.Encode()) == nil {
 			ss.s.m.busySent.Inc()
@@ -331,6 +351,13 @@ func (ss *session) beginQuery(qid uint32) {
 	ss.db.m.inflight.Inc()
 	ss.wg.Add(1)
 	go ss.runQuery(q)
+}
+
+// wasShed reports whether qid is one of the last shedRing queries this
+// session shed at admission. Query ID 0 is connection control, never a
+// query, so the ring's zero slots match nothing.
+func (ss *session) wasShed(qid uint32) bool {
+	return qid != wire.ControlID && slices.Contains(ss.shed[:], qid)
 }
 
 // cancelQuery handles a client CANCEL: it cancels the query's context —

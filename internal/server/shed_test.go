@@ -97,6 +97,54 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// TestShedQueryFramesGoUnanswered: the Busy is a shed query's one reply —
+// the frames a client pipelined behind its BeginQuery are dropped
+// unanswered — while a frame for a query the session neither opened nor
+// shed still gets an Error.
+func TestShedQueryFramesGoUnanswered(t *testing.T) {
+	_, addr := startShedServer(t, 1)
+	ctx := context.Background()
+	blocker := dialDB(t, addr, "CI").StartQuery()
+	if _, err := blocker.ReadPages(ctx, "Fd", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Cancel(wire.CancelAbandon)
+
+	conn, br := rawQuery(t, addr) // query 1 meets a full budget
+	fetch := wire.Fetch{File: "Fd", Pages: []uint32{0}}.Encode()
+	for _, f := range []struct {
+		t   wire.MsgType
+		qid uint32
+		p   []byte
+	}{
+		{wire.MsgNextRound, 1, nil},
+		{wire.MsgFetch, 1, fetch},
+		{wire.MsgFetch, 2, fetch}, // never opened
+		{wire.MsgStatsReq, wire.ControlID, nil},
+	} {
+		if err := wire.WriteFrame(conn, f.t, f.qid, f.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []struct {
+		t   wire.MsgType
+		qid uint32
+	}{{wire.MsgBusy, 1}, {wire.MsgError, 2}, {wire.MsgStats, wire.ControlID}} {
+		typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != want.t || qid != want.qid {
+			t.Fatalf("got %s for query %d, want %s for query %d", typ, qid, want.t, want.qid)
+		}
+		if typ == wire.MsgError {
+			if m, _ := wire.DecodeErrorMsg(payload); !strings.Contains(m.Text, "no open query 2") {
+				t.Errorf("error for the unopened query: %q", m.Text)
+			}
+		}
+	}
+}
+
 // TestAdmissionBudgetDefaults: the zero value derives a budget from the
 // pool size; a negative budget disables shedding entirely.
 func TestAdmissionBudgetDefaults(t *testing.T) {
@@ -149,19 +197,17 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 		qs.Cancel(wire.CancelAbandon) // settled by the Busy; no-op
 		// Sequencing barrier: server frames on one connection are processed
 		// in order, so once the stats reply arrives every frame of the shed
-		// attempt — including the daemon's late "no open query" errors for
-		// the requests that followed BeginQuery — has been fully written and
-		// counted.
+		// attempt — the requests that followed BeginQuery included, which
+		// the daemon drops unanswered — has been fully read and counted.
 		if _, err := c.ServerStats(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Warmup burns query ID 1 on this connection so every measured attempt
-	// uses a same-width (single-digit) ID: the daemon's "no open query %d"
-	// error text embeds the ID, and a differing digit count would move the
-	// byte counters differently for reasons that have nothing to do with
-	// the endpoints.
+	// Warmup: one shed attempt before measuring, so whatever a connection
+	// does once is out of the deltas. No frame text embeds the query ID —
+	// the shed query's later frames get no "no open query" Error — so the
+	// measured attempts' IDs do not matter.
 	shedAttempt(3, 4)
 
 	queries := [][2]graph.NodeID{
@@ -180,6 +226,12 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 		if !strings.Contains(deltas[0], want) {
 			t.Errorf("shed delta does not move %s:\n%s", want, deltas[0])
 		}
+	}
+	// The Busy is the shed query's one reply: the frames pipelined behind
+	// its BeginQuery are dropped unanswered, so the attempt writes the
+	// Busy and the stats barrier's reply and nothing else.
+	if want := "privsp_server_frames_written_total +2\n"; !strings.Contains(deltas[0], want) {
+		t.Errorf("shed attempt's delta does not write exactly 2 frames (the Busy and the stats reply):\n%s", deltas[0])
 	}
 	for i := 1; i < len(deltas); i++ {
 		if deltas[i] != deltas[0] {
