@@ -12,7 +12,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -88,12 +87,8 @@ func BenchmarkFig11PIStar(b *testing.B) { runExperiment(b, "fig11") }
 func BenchmarkFig12Large(b *testing.B) { runExperiment(b, "fig12") }
 
 // BenchmarkServeDiskVsRAM runs full private CI queries against the same
-// database served three ways: from the in-memory build output, and from a
-// .psdb container on disk with the page cache off and at the default size.
-// The comparison is what justifies DefaultCachePages: with the cache on,
-// the hot lookup/index pages stay resident and disk-backed query latency
-// lands within noise of RAM, so the default can stay small (256 pages = 1
-// MB per file at 4 KB pages).
+// database served two ways: from the in-memory build output, and from the
+// read-only mapping of a saved .psdb container.
 func BenchmarkServeDiskVsRAM(b *testing.B) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
 	db, err := ci.Build(g, ci.DefaultOptions())
@@ -108,26 +103,21 @@ func BenchmarkServeDiskVsRAM(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-
-	diskDB := func(cachePages int) *lbs.Database {
-		c, err := pagefile.OpenContainer(path, pagefile.WithCachePages(cachePages))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { c.Close() })
-		files := make([]pagefile.Reader, len(c.Files))
-		for i, f := range c.Files {
-			files[i] = f
-		}
-		return &lbs.Database{Scheme: c.Scheme, Header: c.Header, Files: files, Plan: db.Plan}
+	c, err := pagefile.OpenContainer(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	files := make([]pagefile.Reader, len(c.Files))
+	for i, f := range c.Files {
+		files[i] = f
 	}
 	variants := []struct {
 		name string
 		db   *lbs.Database
 	}{
 		{"ram", db},
-		{"disk/cache=0", diskDB(0)},
-		{fmt.Sprintf("disk/cache=%d", pagefile.DefaultCachePages), diskDB(pagefile.DefaultCachePages)},
+		{"psdb", &lbs.Database{Scheme: c.Scheme, Header: c.Header, Files: files, Plan: db.Plan}},
 	}
 	src, dst := g.Point(0), g.Point(graph.NodeID(g.NumNodes()-1))
 	for _, v := range variants {

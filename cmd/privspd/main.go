@@ -204,8 +204,8 @@ func main() {
 		}()
 	}
 
-	// Listen explicitly (rather than ListenAndServe) so chaos mode can wrap
-	// the listener with its connection-level faults.
+	// Listen here, not in the server, so chaos mode can wrap the listener
+	// with its connection-level faults.
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("privspd: listen %s: %v", *listen, err)

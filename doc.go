@@ -29,8 +29,8 @@
 // queries by query ID and can CANCEL in-flight work), and the build-once /
 // serve-many persistence workflow (privsp.Database.Save / privsp.Open,
 // "privsp build -out" / "privspd -db": the expensive preprocessing runs
-// once and the daemon serves the resulting .psdb container straight from
-// disk). The daemon is observable without being leaky: internal/telemetry
+// once and the daemon serves the resulting .psdb container from a
+// read-only mapping of the file). The daemon is observable without being leaky: internal/telemetry
 // backs a privspd -admin endpoint (Prometheus-text /metrics, /healthz,
 // pprof) whose exported series are functions of the adversary-visible
 // trace plus timing only — never of query contents (README

@@ -177,21 +177,3 @@ func MeasureAdvantage(exec Executor, pointOf func(int) geom.Point, numNodes int,
 	}
 	return worst, nil
 }
-
-// CheckPlanProperties verifies the three structural requirements of the
-// methodology on a set of transcripts: identical round count, identical file
-// order, identical per-file counts. It returns a descriptive error naming
-// the first violated property — more diagnosable than a bare "differs".
-func CheckPlanProperties(transcripts []string) error {
-	if len(transcripts) < 2 {
-		return nil
-	}
-	ref := transcripts[0]
-	for i, tr := range transcripts[1:] {
-		if tr != ref {
-			return fmt.Errorf("core: transcript %d deviates from the fixed query plan:\n--- reference ---\n%s--- transcript %d ---\n%s",
-				i+1, ref, i+1, tr)
-		}
-	}
-	return nil
-}

@@ -128,18 +128,3 @@ func TestGameMechanics(t *testing.T) {
 		t.Errorf("constant scheme advantage %.3f, want ≈ 0 (statistical noise only)", adv)
 	}
 }
-
-func TestCheckPlanProperties(t *testing.T) {
-	if err := CheckPlanProperties([]string{"a", "a", "a"}); err != nil {
-		t.Errorf("identical transcripts rejected: %v", err)
-	}
-	if err := CheckPlanProperties([]string{"a", "b"}); err == nil {
-		t.Error("deviating transcripts accepted")
-	}
-	if err := CheckPlanProperties([]string{"only one"}); err != nil {
-		t.Error("single transcript should pass vacuously")
-	}
-	if err := CheckPlanProperties(nil); err != nil {
-		t.Error("empty set should pass vacuously")
-	}
-}

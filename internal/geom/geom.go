@@ -54,17 +54,6 @@ func (r Rect) SplitY(c float64) (bottom, top Rect) {
 	return bottom, top
 }
 
-// Width returns the extent of r along the x axis.
-func (r Rect) Width() float64 { return r.MaxX - r.MinX }
-
-// Height returns the extent of r along the y axis.
-func (r Rect) Height() float64 { return r.MaxY - r.MinY }
-
-// Center returns the midpoint of r. Only meaningful for finite rectangles.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
 // SegCrossXFrac returns the fraction t in (0,1) at which the segment p→q
 // crosses the vertical line x=c, and whether it crosses at all. Endpoints
 // exactly on the line do not count as crossings.

@@ -69,13 +69,17 @@ func TestSplitTilesThePlane(t *testing.T) {
 	}
 }
 
+// TestRectGeometry: a split keeps the parent's other three sides and puts
+// the cut line on both halves.
 func TestRectGeometry(t *testing.T) {
 	r := Rect{MinX: 1, MinY: 2, MaxX: 5, MaxY: 10}
-	if r.Width() != 4 || r.Height() != 8 {
-		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())
+	l, rr := r.SplitX(3)
+	if l != (Rect{MinX: 1, MinY: 2, MaxX: 3, MaxY: 10}) || rr != (Rect{MinX: 3, MinY: 2, MaxX: 5, MaxY: 10}) {
+		t.Errorf("SplitX(3) = %v, %v", l, rr)
 	}
-	if c := r.Center(); c.X != 3 || c.Y != 6 {
-		t.Errorf("Center = %v", c)
+	b, tp := r.SplitY(6)
+	if b != (Rect{MinX: 1, MinY: 2, MaxX: 5, MaxY: 6}) || tp != (Rect{MinX: 1, MinY: 6, MaxX: 5, MaxY: 10}) {
+		t.Errorf("SplitY(6) = %v, %v", b, tp)
 	}
 }
 

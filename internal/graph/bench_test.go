@@ -45,28 +45,6 @@ func BenchmarkDijkstraPointToPoint10k(b *testing.B) {
 	}
 }
 
-func BenchmarkAStarEuclidean10k(b *testing.B) {
-	g := benchNetwork(10000)
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := NodeID(rng.Intn(g.NumNodes()))
-		h := func(v NodeID) float64 { return g.Point(v).Dist(g.Point(dst)) }
-		AStar(g, NodeID(rng.Intn(g.NumNodes())), dst, h)
-	}
-}
-
-func BenchmarkLandmarkHeuristicALT(b *testing.B) {
-	g := benchNetwork(5000)
-	lm := BuildLandmarks(g, SelectLandmarks(g, 5))
-	rng := rand.New(rand.NewSource(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst := NodeID(rng.Intn(g.NumNodes()))
-		AStar(g, NodeID(rng.Intn(g.NumNodes())), dst, lm.Heuristic(dst))
-	}
-}
-
 func BenchmarkHeapPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 4096

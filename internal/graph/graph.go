@@ -165,15 +165,3 @@ func (g *Graph) NearestNode(p geom.Point) NodeID {
 	}
 	return best
 }
-
-// NearestNodeAmong returns the node of ids closest to p, or Invalid if ids is
-// empty.
-func (g *Graph) NearestNodeAmong(p geom.Point, ids []NodeID) NodeID {
-	best, bestD := Invalid, math.Inf(1)
-	for _, id := range ids {
-		if d := p.Dist(g.pts[id]); d < bestD {
-			best, bestD = id, d
-		}
-	}
-	return best
-}

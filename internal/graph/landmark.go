@@ -75,46 +75,3 @@ func BuildLandmarks(g *Graph, anchors []NodeID) *Landmarks {
 	}
 	return lm
 }
-
-// Heuristic returns an admissible A* heuristic for destination dst based on
-// the landmark triangle inequality: |d(v,L) - d(dst,L)| <= d(v,dst).
-func (lm *Landmarks) Heuristic(dst NodeID) func(NodeID) float64 {
-	dvec := lm.Dist[dst]
-	return func(v NodeID) float64 {
-		best := 0.0
-		vv := lm.Dist[v]
-		for k := range dvec {
-			dv, dt := vv[k], dvec[k]
-			if math.IsInf(dv, 1) || math.IsInf(dt, 1) {
-				continue
-			}
-			if diff := math.Abs(dv - dt); diff > best {
-				best = diff
-			}
-		}
-		return best
-	}
-}
-
-// HeuristicFromVectors is Heuristic when the per-node vectors come from
-// region pages rather than a full Landmarks table. vec returns the landmark
-// vector of a node (nil if unknown, in which case the bound degrades to 0).
-func HeuristicFromVectors(dstVec []float64, vec func(NodeID) []float64) func(NodeID) float64 {
-	return func(v NodeID) float64 {
-		vv := vec(v)
-		if vv == nil {
-			return 0
-		}
-		best := 0.0
-		for k := range dstVec {
-			dv, dt := vv[k], dstVec[k]
-			if math.IsInf(dv, 1) || math.IsInf(dt, 1) {
-				continue
-			}
-			if diff := math.Abs(dv - dt); diff > best {
-				best = diff
-			}
-		}
-		return best
-	}
-}

@@ -48,27 +48,19 @@ func (t *SPTree) PathTo(dst NodeID) Path {
 
 // Dijkstra computes the full shortest path tree from src.
 func Dijkstra(g *Graph, src NodeID) *SPTree {
-	return dijkstra(g, src, Invalid, nil)
+	return dijkstra(g, src, Invalid)
 }
 
 // DijkstraTo computes shortest paths from src until dst is settled, then
 // stops. The returned tree is valid for dst (and all nodes closer than dst).
 func DijkstraTo(g *Graph, src, dst NodeID) *SPTree {
-	return dijkstra(g, src, dst, nil)
+	return dijkstra(g, src, dst)
 }
 
-// DijkstraFiltered computes the shortest path tree from src using only edges
-// for which allow returns true. A nil allow admits every edge. This powers
-// the Arc-flag baseline, where only edges flagged for the destination region
-// are considered.
-func DijkstraFiltered(g *Graph, src, dst NodeID, allow func(Edge) bool) *SPTree {
-	return dijkstra(g, src, dst, allow)
-}
-
-func dijkstra(g *Graph, src, dst NodeID, allow func(Edge) bool) *SPTree {
+func dijkstra(g *Graph, src, dst NodeID) *SPTree {
 	n := g.NumNodes()
 	t := &SPTree{Dist: make([]float64, n), Parent: make([]NodeID, n)}
-	search(g, t, newNodeHeap(n), make([]bool, n), src, dst, allow)
+	search(g, t, newNodeHeap(n), make([]bool, n), src, dst)
 	return t
 }
 
@@ -96,13 +88,13 @@ func NewSearcher(g *Graph) *Searcher {
 // From computes the full shortest path tree from src.
 func (s *Searcher) From(src NodeID) *SPTree {
 	clear(s.done)
-	search(s.g, &s.t, s.h, s.done, src, Invalid, nil) // a full search empties h
+	search(s.g, &s.t, s.h, s.done, src, Invalid) // a full search empties h
 	return &s.t
 }
 
 // search fills t with the shortest path tree from src, stopping once dst is
 // settled. h must be empty and done all false.
-func search(g *Graph, t *SPTree, h *nodeHeap, done []bool, src, dst NodeID, allow func(Edge) bool) {
+func search(g *Graph, t *SPTree, h *nodeHeap, done []bool, src, dst NodeID) {
 	t.Source = src
 	for i := range t.Dist {
 		t.Dist[i] = math.Inf(1)
@@ -123,9 +115,6 @@ func search(g *Graph, t *SPTree, h *nodeHeap, done []bool, src, dst NodeID, allo
 			if done[he.To] {
 				continue
 			}
-			if allow != nil && !allow(Edge{From: u, To: he.To, W: he.W}) {
-				continue
-			}
 			if nd := du + he.W; nd < t.Dist[he.To] {
 				t.Dist[he.To] = nd
 				t.Parent[he.To] = u
@@ -138,62 +127,6 @@ func search(g *Graph, t *SPTree, h *nodeHeap, done []bool, src, dst NodeID, allo
 // ShortestPath returns one shortest path from src to dst by Dijkstra.
 func ShortestPath(g *Graph, src, dst NodeID) Path {
 	return DijkstraTo(g, src, dst).PathTo(dst)
-}
-
-// AStar finds a shortest path from src to dst guided by the admissible
-// heuristic h(v) (a lower bound on the remaining cost to dst). It returns
-// the path and the number of nodes expanded (settled), which the LM baseline
-// uses to account page fetches. A nil heuristic degenerates to Dijkstra.
-func AStar(g *Graph, src, dst NodeID, h func(NodeID) float64) (Path, int) {
-	return AStarVisit(g, src, dst, h, nil)
-}
-
-// AStarVisit is AStar with a visit callback invoked when a node is settled,
-// before its neighbours are relaxed. The callback lets callers (the LM and
-// AF baselines) model page fetches as the search expands into new regions.
-// If visit returns false the search aborts and an empty path is returned.
-func AStarVisit(g *Graph, src, dst NodeID, h func(NodeID) float64, visit func(NodeID) bool) (Path, int) {
-	if h == nil {
-		h = func(NodeID) float64 { return 0 }
-	}
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]NodeID, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = Invalid
-	}
-	dist[src] = 0
-	pq := newNodeHeap(n)
-	pq.PushOrDecrease(src, h(src))
-	done := make([]bool, n)
-	expanded := 0
-	for pq.Len() > 0 {
-		u, _ := pq.Pop()
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		expanded++
-		if visit != nil && !visit(u) {
-			return Path{Cost: math.Inf(1)}, expanded
-		}
-		if u == dst {
-			tree := SPTree{Source: src, Dist: dist, Parent: parent}
-			return tree.PathTo(dst), expanded
-		}
-		for _, he := range g.Adj(u) {
-			if done[he.To] {
-				continue
-			}
-			if nd := dist[u] + he.W; nd < dist[he.To] {
-				dist[he.To] = nd
-				parent[he.To] = u
-				pq.PushOrDecrease(he.To, nd+h(he.To))
-			}
-		}
-	}
-	return Path{Cost: math.Inf(1)}, expanded
 }
 
 // BellmanFord is a reference shortest-path implementation used only by tests
@@ -236,16 +169,4 @@ func PathCost(g *Graph, nodes []NodeID) float64 {
 		total += w
 	}
 	return total
-}
-
-// Eccentricity returns the largest finite shortest-path distance from src.
-func Eccentricity(g *Graph, src NodeID) float64 {
-	t := Dijkstra(g, src)
-	max := 0.0
-	for _, d := range t.Dist {
-		if !math.IsInf(d, 1) && d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -102,23 +102,6 @@ func (t *Tree) NumLeaves() int {
 	return count
 }
 
-// Depth returns the maximum leaf depth (root = 0). Diagnostic.
-func (t *Tree) Depth() int {
-	var rec func(i int32) int
-	rec = func(i int32) int {
-		n := t.Nodes[i]
-		if n.IsLeaf() {
-			return 0
-		}
-		l, r := rec(n.Left), rec(n.Right)
-		if r > l {
-			l = r
-		}
-		return 1 + l
-	}
-	return rec(0)
-}
-
 // SizeFunc returns the encoded byte size of a node's record in the region
 // data file (identifier + coordinates + adjacency list, and for LM the
 // landmark vector). Page packing is computed against these sizes.

@@ -160,9 +160,6 @@ func TestSingleRegionWhenEverythingFits(t *testing.T) {
 	if p.NumRegions != 1 {
 		t.Errorf("NumRegions = %d, want 1", p.NumRegions)
 	}
-	if p.Tree.Depth() != 0 {
-		t.Errorf("Depth = %d, want 0", p.Tree.Depth())
-	}
 }
 
 func TestRecordLargerThanPageRejected(t *testing.T) {

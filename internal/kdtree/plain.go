@@ -135,7 +135,7 @@ func Utilization(p *Partition, size SizeFunc, capacity int) (perRegion []int, ov
 
 // Validate checks structural invariants of a partition against its graph:
 // every node is in exactly one region, Locate agrees with RegionOf, and no
-// region exceeds capacity. Tests and the CLI's inspect command use it.
+// region exceeds capacity. The partition tests use it as their oracle.
 func Validate(p *Partition, g *graph.Graph, size SizeFunc, capacity int) error {
 	if len(p.RegionOf) != g.NumNodes() {
 		return fmt.Errorf("kdtree: RegionOf covers %d of %d nodes", len(p.RegionOf), g.NumNodes())

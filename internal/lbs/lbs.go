@@ -174,13 +174,13 @@ type Service interface {
 // StoreFactory turns a page file into a PIR store. The default, PlainStores,
 // simulates PIR timing analytically, like the paper; XORStores serves real
 // two-server PIR (privspd -pir xorpir). The factory receives the Reader, not
-// a concrete file, so the same store construction serves in-memory builds
-// and disk-backed containers.
+// a concrete file, so the same store construction serves in-memory builds,
+// opened containers and raw page slices.
 type StoreFactory func(pagefile.Reader) (pir.Store, error)
 
 // PlainStores is the default StoreFactory: reads delegate straight to the
-// Reader, so a disk-backed file is served from disk (through its page
-// cache) without ever materializing in RAM.
+// Reader, so an opened container's file is served from its read-only
+// mapping, paged in by the operating system, without a copy on the heap.
 func PlainStores(f pagefile.Reader) (pir.Store, error) {
 	return pir.NewPlain(f), nil
 }

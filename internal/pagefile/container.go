@@ -2,12 +2,11 @@ package pagefile
 
 import (
 	"bufio"
-	"container/list"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 )
 
 // This file implements the persistent database container (".psdb"): the
@@ -15,7 +14,7 @@ import (
 // single versioned file holding everything a scheme's build step produced —
 // scheme name, public header blob, encoded query plan, and every page file —
 // so a daemon can load a multi-hour build in milliseconds and serve its
-// pages straight from disk through the Reader interface.
+// pages straight from a read-only mapping of the file.
 //
 // Layout (all integers little endian):
 //
@@ -23,6 +22,7 @@ import (
 //	[4:6)    format version (u16), currently 1
 //	[6:10)   meta length (u32)
 //	[10:...) meta block (see below), then its CRC32-IEEE (u32)
+//	...      zero padding up to the next multiple of dataAlign
 //	...      data region: each file's pages back to back
 //
 // Meta block:
@@ -36,6 +36,9 @@ import (
 //
 // The meta CRC catches torn or truncated writes before any field is
 // trusted; the per-file CRCs catch data-region corruption at open time.
+// Readers take every file's position from its table offset, so containers
+// written before the padding was introduced (data right after the meta
+// CRC) open unchanged.
 
 // ContainerMagic begins every container file.
 const ContainerMagic = "PSDB"
@@ -43,18 +46,6 @@ const ContainerMagic = "PSDB"
 // ContainerVersion is the current format version. Readers reject newer
 // versions (a future format is unknowable) and accept all older ones.
 const ContainerVersion = 1
-
-// DefaultCacheBytes bounds the default per-file LRU page cache at ~1 MB
-// whatever the container's page size (the budget is divided by the page
-// size, so a large-page container cannot silently pin gigabytes).
-// BenchmarkServeDiskVsRAM measures the choice: 1 MB keeps the hot
-// lookup/index pages of every scheme's plan resident while staying
-// irrelevant next to the database itself.
-const DefaultCacheBytes = 1 << 20
-
-// DefaultCachePages is the default cache size in pages at the standard
-// 4 KB page size (Table 2).
-const DefaultCachePages = DefaultCacheBytes / DefaultPageSize
 
 const (
 	containerPreamble = 4 + 2 + 4 // magic + version + meta length
@@ -66,6 +57,11 @@ const (
 	maxContainerFiles = 4096
 	// maxContainerPageSize bounds a declared page size (Table 2 uses 4 KB).
 	maxContainerPageSize = 1 << 26
+	// dataAlign aligns the start of the data region. A mapping starts on an
+	// OS page boundary, so a file whose pages, and those of every file
+	// before it, are a multiple of 8 bytes long is 8-byte aligned in memory
+	// and the XOR-PIR arena views it in place.
+	dataAlign = 4096
 )
 
 // ContainerSpec is everything WriteContainer persists.
@@ -78,7 +74,8 @@ type ContainerSpec struct {
 
 // WriteContainer writes the spec as a container file at path. The write
 // goes to a temporary sibling first and renames into place, so a crash
-// never leaves a half-written file under the final name.
+// never leaves a half-written file under the final name, and a daemon
+// serving the old file keeps its mapping of the old contents.
 func WriteContainer(path string, spec ContainerSpec) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -109,20 +106,31 @@ func WriteContainer(path string, spec ContainerSpec) error {
 	return nil
 }
 
-// WriteContainerTo writes the container encoding to w. A seekable w (an
-// *os.File — the WriteContainer path) gets a single pass over the page
-// data: the file-table CRCs are computed while the data region streams out
-// and the meta block is patched in afterwards. A plain io.Writer falls back
-// to two passes (one to checksum, one to write).
+// WriteContainerTo writes the container encoding to w in file order. A
+// checksum pass over every page comes first, so the meta block is complete
+// before it is written and a short page is rejected before any byte is.
 func WriteContainerTo(w io.Writer, spec ContainerSpec) error {
 	metaLen, err := containerMetaLen(spec)
 	if err != nil {
 		return err
 	}
-	if ws, ok := w.(io.WriteSeeker); ok {
-		return writeContainerSeek(ws, spec, metaLen)
+	crcs, err := writeDataRegion(io.Discard, spec)
+	if err != nil {
+		return err
 	}
-	return writeContainerStream(w, spec, metaLen)
+	meta, err := encodeContainerMeta(spec, metaLen, crcs)
+	if err != nil {
+		return err
+	}
+	meta.U32(crc32.ChecksumIEEE(meta.Bytes()))
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(NewEnc(containerPreamble).Raw([]byte(ContainerMagic)).U16(ContainerVersion).U32(uint32(metaLen)).Bytes())
+	bw.Write(meta.Bytes())
+	bw.Write(make([]byte, dataStart(metaLen)-int64(containerPreamble+meta.Len())))
+	if _, err := writeDataRegion(bw, spec); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // containerMetaLen validates the spec and sizes its meta block. The file
@@ -148,15 +156,22 @@ func containerMetaLen(spec ContainerSpec) (int, error) {
 	return metaLen, nil
 }
 
+// dataStart is where the writer starts the data region: the first multiple
+// of dataAlign after the meta block and its CRC.
+func dataStart(metaLen int) int64 {
+	end := int64(containerPreamble + metaLen + 4)
+	return (end + dataAlign - 1) / dataAlign * dataAlign
+}
+
 // encodeContainerMeta renders the meta block; crcs holds one data-region
 // CRC per file, in order.
 func encodeContainerMeta(spec ContainerSpec, metaLen int, crcs []uint32) (*Enc, error) {
-	meta := NewEnc(metaLen)
+	meta := NewEnc(metaLen + 4)
 	meta.U8(uint8(len(spec.Scheme))).Raw([]byte(spec.Scheme))
 	meta.U32(uint32(len(spec.Header))).Raw(spec.Header)
 	meta.U32(uint32(len(spec.Plan))).Raw(spec.Plan)
 	meta.U16(uint16(len(spec.Files)))
-	offset := int64(containerPreamble + metaLen + 4) // data region start
+	offset := dataStart(metaLen)
 	for fi, f := range spec.Files {
 		meta.U8(uint8(len(f.Name()))).Raw([]byte(f.Name()))
 		meta.U32(uint32(f.PageSize()))
@@ -169,12 +184,6 @@ func encodeContainerMeta(spec ContainerSpec, metaLen int, crcs []uint32) (*Enc, 
 		return nil, fmt.Errorf("pagefile: internal error: meta %d bytes, sized %d", meta.Len(), metaLen)
 	}
 	return meta, nil
-}
-
-func containerPreambleBytes(metaLen int) []byte {
-	pre := NewEnc(containerPreamble)
-	pre.Raw([]byte(ContainerMagic)).U16(ContainerVersion).U32(uint32(metaLen))
-	return pre.Bytes()
 }
 
 // writeDataRegion streams every file's pages to w, returning the per-file
@@ -204,164 +213,89 @@ func writeDataRegion(w io.Writer, spec ContainerSpec) ([]uint32, error) {
 	return crcs, nil
 }
 
-// writeContainerSeek writes preamble + zeroed meta, streams the data region
-// once (computing CRCs as it goes), then seeks back and patches the real
-// meta block in.
-func writeContainerSeek(w io.WriteSeeker, spec ContainerSpec, metaLen int) error {
-	if _, err := w.Write(containerPreambleBytes(metaLen)); err != nil {
-		return err
-	}
-	if _, err := w.Write(make([]byte, metaLen+4)); err != nil { // placeholder
-		return err
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	crcs, err := writeDataRegion(bw, spec)
-	if err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	meta, err := encodeContainerMeta(spec, metaLen, crcs)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Seek(containerPreamble, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := w.Write(meta.Bytes()); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	putU32(crcBuf[:], crc32.ChecksumIEEE(meta.Bytes()))
-	if _, err := w.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	_, err = w.Seek(0, io.SeekEnd)
-	return err
-}
-
-// writeContainerStream is the non-seekable fallback: checksum pass first
-// (which also validates every page up front, before a byte is emitted),
-// then everything in order.
-func writeContainerStream(w io.Writer, spec ContainerSpec, metaLen int) error {
-	crcs, err := writeDataRegion(io.Discard, spec)
-	if err != nil {
-		return err
-	}
-	meta, err := encodeContainerMeta(spec, metaLen, crcs)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.Write(containerPreambleBytes(metaLen))
-	bw.Write(meta.Bytes())
-	var crcBuf [4]byte
-	putU32(crcBuf[:], crc32.ChecksumIEEE(meta.Bytes()))
-	bw.Write(crcBuf[:])
-	if _, err := writeDataRegion(bw, spec); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// Container is an opened database container. Its Files read pages on demand
-// from the underlying storage; Close releases it (after which Page calls
-// fail), so serving code must keep the container open for its lifetime.
+// Container is an opened database container. Its Files are views of one
+// read-only copy of the container's bytes — a mapping of the file, for
+// OpenContainer — so serving code must keep the container open for as long
+// as it serves them: after Close, touching a page a File returned faults the
+// process.
 type Container struct {
 	Scheme string
 	Header []byte
 	Plan   []byte // encoded plan.Plan, exactly as written
-	Files  []*DiskFile
+	Files  []*File
 
-	closer io.Closer
+	unmap func() error // nil once closed, or when nothing was mapped
 }
 
-// Close releases the backing file, if the container owns one.
+// Close releases the mapping backing the container's Files. Calling it
+// again is a no-op.
 func (c *Container) Close() error {
-	if c.closer == nil {
+	unmap := c.unmap
+	c.unmap = nil
+	if unmap == nil {
 		return nil
 	}
-	return c.closer.Close()
+	return unmap()
 }
 
 // ContainerOption tunes OpenContainer / ReadContainer.
 type ContainerOption func(*containerOpts)
 
 type containerOpts struct {
-	cachePages int
 	skipVerify bool
 }
 
-// WithCachePages sets the per-file LRU page-cache capacity in pages. n <= 0
-// disables caching (every Page call hits the ReaderAt); unset means a
-// DefaultCacheBytes budget per file, whatever its page size.
-func WithCachePages(n int) ContainerOption {
-	return func(o *containerOpts) {
-		if n < 0 {
-			n = 0
-		}
-		o.cachePages = n
-	}
-}
-
-// WithoutDataVerify skips the per-file data-region CRC scan at open time.
-// The default full verification reads every data byte once sequentially —
-// right for databases that fit a startup scan, but a deliberately
-// larger-than-RAM container would turn "open" into a full disk pass;
-// deployments that trust their storage (or verify out of band) opt out
-// with this. Metadata is always verified.
+// WithoutDataVerify skips the per-file data-region CRC check at open time.
+// The default full verification reads every data byte once sequentially,
+// paging the whole file in — right for databases that fit a startup scan,
+// but a deliberately larger-than-RAM container would turn "open" into a
+// full disk pass; deployments that trust their storage (or verify out of
+// band) opt out with this. Metadata is always verified.
 func WithoutDataVerify() ContainerOption {
 	return func(o *containerOpts) { o.skipVerify = true }
 }
 
-// OpenContainer opens and fully validates a container file: magic, version,
-// meta CRC, file-table bounds, and (unless WithoutDataVerify) the CRC of
-// every file's data region, so a corrupt database fails at load time rather
-// than mid-query.
+// OpenContainer maps a container file read-only and fully validates it:
+// magic, version, meta CRC, file-table bounds, and (unless
+// WithoutDataVerify) the CRC of every file's data region, so a corrupt
+// database fails at load time rather than mid-query. The Files are views of
+// the mapping, so the operating system's page cache holds the pages and a
+// database need not fit in RAM.
+//
+// Replace a served container by writing a new file and renaming it into
+// place, as WriteContainer does; never rewrite it in place. A mapping of a
+// file that is truncated under it faults the process on the next read.
 func OpenContainer(path string, opts ...ContainerOption) (*Container, error) {
-	f, err := os.Open(path)
+	data, unmap, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	c, err := ReadContainer(data, opts...)
 	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	c, err := ReadContainer(f, st.Size(), opts...)
-	if err != nil {
-		f.Close()
+		if unmap != nil {
+			unmap()
+		}
 		return nil, fmt.Errorf("pagefile: %s: %w", path, err)
 	}
-	c.closer = f
+	c.unmap = unmap
 	return c, nil
 }
 
-// ReadContainer parses and validates a container from an arbitrary
-// io.ReaderAt of the given size. The returned container does not own r;
-// its Files keep reading from it on demand.
-func ReadContainer(r io.ReaderAt, size int64, opts ...ContainerOption) (*Container, error) {
-	o := containerOpts{cachePages: -1} // -1 = byte-budgeted default
+// ReadContainer parses and validates a container held in data, with the
+// same checks as OpenContainer. The returned Files are views of data, each
+// cut with a full slice expression so an append to one copies instead of
+// writing into data; data must stay unchanged while they are served.
+func ReadContainer(data []byte, opts ...ContainerOption) (*Container, error) {
+	var o containerOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
 
-	var pre [containerPreamble]byte
-	if size < int64(len(pre)) {
+	size := int64(len(data))
+	if size < containerPreamble {
 		return nil, fmt.Errorf("container truncated: %d bytes", size)
 	}
-	if _, err := r.ReadAt(pre[:], 0); err != nil {
-		return nil, err
-	}
-	d := NewDec(pre[:])
+	d := NewDec(data[:containerPreamble])
 	if string(d.Raw(4)) != ContainerMagic {
 		return nil, fmt.Errorf("not a database container (bad magic)")
 	}
@@ -372,18 +306,17 @@ func ReadContainer(r io.ReaderAt, size int64, opts ...ContainerOption) (*Contain
 	if metaLen > maxMetaLen || containerPreamble+metaLen+4 > size {
 		return nil, fmt.Errorf("container truncated: meta block of %d bytes does not fit in %d-byte file", metaLen, size)
 	}
-	meta := make([]byte, metaLen+4)
-	if _, err := io.ReadFull(io.NewSectionReader(r, containerPreamble, metaLen+4), meta); err != nil {
-		return nil, fmt.Errorf("container meta block: %w", err)
-	}
-	body, sum := meta[:metaLen], meta[metaLen:]
-	if crc32.ChecksumIEEE(body) != u32(sum) {
+	body := data[containerPreamble : containerPreamble+metaLen]
+	sum := data[containerPreamble+metaLen : containerPreamble+metaLen+4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sum) {
 		return nil, fmt.Errorf("container meta block CRC mismatch (corrupt or truncated write)")
 	}
 
 	md := NewDec(body)
 	c := &Container{}
 	c.Scheme = string(md.Raw(int(md.U8())))
+	// Header and plan are small and copied out of data, so they outlive
+	// Close.
 	c.Header = append([]byte(nil), md.Raw(int(md.U32()))...)
 	c.Plan = append([]byte(nil), md.Raw(int(md.U32()))...)
 	numFiles := int(md.U16())
@@ -414,22 +347,12 @@ func ReadContainer(r io.ReaderAt, size int64, opts ...ContainerOption) (*Contain
 		if offset > uint64(size) || int64(offset) > size-dataLen {
 			return nil, fmt.Errorf("container file %s: data region [%d, %d) outside the %d-byte file", name, offset, int64(offset)+dataLen, size)
 		}
-		if !o.skipVerify {
-			h := crc32.NewIEEE()
-			if _, err := io.Copy(h, io.NewSectionReader(r, int64(offset), dataLen)); err != nil {
-				return nil, fmt.Errorf("container file %s: %w", name, err)
-			}
-			if h.Sum32() != crc {
-				return nil, fmt.Errorf("container file %s: data CRC mismatch (corrupt data region)", name)
-			}
+		end := int64(offset) + dataLen
+		f := &File{name: name, pageSize: int(pageSize), data: data[offset:end:end]}
+		if !o.skipVerify && f.Checksum() != crc {
+			return nil, fmt.Errorf("container file %s: data CRC mismatch (corrupt data region)", name)
 		}
-		cachePages := o.cachePages
-		if cachePages < 0 { // default: a byte budget, not a page count
-			if cachePages = int(DefaultCacheBytes / pageSize); cachePages < 1 {
-				cachePages = 1
-			}
-		}
-		c.Files = append(c.Files, NewDiskFile(name, int(pageSize), int(numPages), r, int64(offset), cachePages))
+		c.Files = append(c.Files, f)
 	}
 	if md.Err() != nil {
 		return nil, fmt.Errorf("container meta block: %w", md.Err())
@@ -438,93 +361,4 @@ func ReadContainer(r io.ReaderAt, size int64, opts ...ContainerOption) (*Contain
 		return nil, fmt.Errorf("container meta block: %d trailing bytes", md.Remaining())
 	}
 	return c, nil
-}
-
-func u32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// DiskFile is a Reader whose pages live on persistent storage and are read
-// through an io.ReaderAt on demand, with an optional bounded LRU page cache
-// in front. It is safe for concurrent use: the cache is mutex-guarded and
-// ReadAt is concurrency-safe by contract, so the lbs worker pool can fan
-// page reads out against it directly.
-type DiskFile struct {
-	name     string
-	pageSize int
-	numPages int
-	src      io.ReaderAt
-	off      int64 // absolute offset of page 0 in src
-
-	mu    sync.Mutex
-	cap   int
-	cache map[int]*list.Element // page -> element holding cachedPage
-	lru   *list.List            // front = most recently used
-}
-
-type cachedPage struct {
-	page int
-	data []byte
-}
-
-// NewDiskFile wraps a region of src as a page file. cachePages bounds the
-// LRU page cache; <= 0 disables caching.
-func NewDiskFile(name string, pageSize, numPages int, src io.ReaderAt, off int64, cachePages int) *DiskFile {
-	f := &DiskFile{name: name, pageSize: pageSize, numPages: numPages, src: src, off: off}
-	if cachePages > 0 {
-		f.cap = cachePages
-		f.cache = make(map[int]*list.Element, cachePages)
-		f.lru = list.New()
-	}
-	return f
-}
-
-// Name implements Reader.
-func (f *DiskFile) Name() string { return f.name }
-
-// PageSize implements Reader.
-func (f *DiskFile) PageSize() int { return f.pageSize }
-
-// NumPages implements Reader.
-func (f *DiskFile) NumPages() int { return f.numPages }
-
-// CachePages returns the cache capacity (0 = uncached).
-func (f *DiskFile) CachePages() int { return f.cap }
-
-// Page implements Reader. The read happens outside the cache lock, so
-// concurrent misses overlap their I/O; a duplicate read of the same page is
-// benign (last one in populates the cache).
-func (f *DiskFile) Page(i int) ([]byte, error) {
-	if i < 0 || i >= f.numPages {
-		return nil, fmt.Errorf("pagefile %s: page %d of %d", f.name, i, f.numPages)
-	}
-	if f.cap > 0 {
-		f.mu.Lock()
-		if el, ok := f.cache[i]; ok {
-			f.lru.MoveToFront(el)
-			data := el.Value.(*cachedPage).data
-			f.mu.Unlock()
-			return data, nil
-		}
-		f.mu.Unlock()
-	}
-	data := make([]byte, f.pageSize)
-	if _, err := f.src.ReadAt(data, f.off+int64(i)*int64(f.pageSize)); err != nil {
-		return nil, fmt.Errorf("pagefile %s: page %d: %w", f.name, i, err)
-	}
-	if f.cap > 0 {
-		f.mu.Lock()
-		if el, ok := f.cache[i]; ok {
-			f.lru.MoveToFront(el) // raced with another miss; keep theirs
-		} else {
-			f.cache[i] = f.lru.PushFront(&cachedPage{page: i, data: data})
-			if f.lru.Len() > f.cap {
-				oldest := f.lru.Back()
-				f.lru.Remove(oldest)
-				delete(f.cache, oldest.Value.(*cachedPage).page)
-			}
-		}
-		f.mu.Unlock()
-	}
-	return data, nil
 }

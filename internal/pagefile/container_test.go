@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -76,6 +75,15 @@ func TestContainerRoundTrip(t *testing.T) {
 		if _, err := got.Page(-1); err == nil {
 			t.Errorf("file %s: negative page read", want.Name())
 		}
+		if allocs := testing.AllocsPerRun(100, func() { got.Page(0) }); allocs != 0 {
+			t.Errorf("file %s: Page allocates %v times per call", want.Name(), allocs)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }
 
@@ -159,7 +167,7 @@ func TestContainerCorruptionPaths(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(append([]byte(nil), valid...))
-			_, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
+			_, err := ReadContainer(data)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("ReadContainer = %v, want error containing %q", err, tc.wantErr)
 			}
@@ -184,7 +192,7 @@ func TestWithoutDataVerify(t *testing.T) {
 
 	// Skipping the data scan defers corruption to read time — the open
 	// succeeds, metadata is still verified.
-	c, err := ReadContainer(bytes.NewReader(corrupt), int64(len(corrupt)), WithoutDataVerify())
+	c, err := ReadContainer(corrupt, WithoutDataVerify())
 	if err != nil {
 		t.Fatalf("WithoutDataVerify open: %v", err)
 	}
@@ -193,7 +201,7 @@ func TestWithoutDataVerify(t *testing.T) {
 	}
 	metaCorrupt := append([]byte(nil), valid...)
 	metaCorrupt[11] ^= 0xFF
-	if _, err := ReadContainer(bytes.NewReader(metaCorrupt), int64(len(metaCorrupt)), WithoutDataVerify()); err == nil {
+	if _, err := ReadContainer(metaCorrupt, WithoutDataVerify()); err == nil {
 		t.Error("meta corruption accepted with WithoutDataVerify")
 	}
 }
@@ -212,68 +220,20 @@ func TestWriteContainerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestDiskFileLRUCache(t *testing.T) {
-	// countingReaderAt counts physical reads so cache hits are observable.
+// TestMappedFileConcurrentReads: many goroutines read the pages of one
+// opened container at once; run with -race it shows that the mapped Files
+// are safe for the concurrent daemon.
+func TestMappedFileConcurrentReads(t *testing.T) {
 	spec := buildSpec(t)
-	data := encodeSpec(t, spec)
-	cr := &countingReaderAt{data: data}
-	c, err := ReadContainer(cr, int64(len(data)), WithCachePages(4))
+	path := filepath.Join(t.TempDir(), "db.psdb")
+	if err := WriteContainer(path, spec); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenContainer(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa := c.Files[0]
-	if fa.CachePages() != 4 {
-		t.Fatalf("cache capacity %d", fa.CachePages())
-	}
-	base := cr.reads.Load()
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 4; i++ { // working set fits the cache
-			if _, err := fa.Page(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if got := cr.reads.Load() - base; got != 4 {
-		t.Errorf("hot working set caused %d physical reads, want 4", got)
-	}
-	// Touch pages beyond the capacity: the LRU evicts, so re-reading the
-	// first pages goes back to storage.
-	for i := 0; i < 10; i++ {
-		if _, err := fa.Page(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base = cr.reads.Load()
-	if _, err := fa.Page(0); err != nil {
-		t.Fatal(err)
-	}
-	if cr.reads.Load() == base {
-		t.Error("evicted page served from cache")
-	}
-
-	// Uncached files always hit storage.
-	c2, err := ReadContainer(cr, int64(len(data)), WithCachePages(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base = cr.reads.Load()
-	for i := 0; i < 3; i++ {
-		if _, err := c2.Files[0].Page(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := cr.reads.Load() - base; got != 3 {
-		t.Errorf("uncached reads = %d, want 3", got)
-	}
-}
-
-func TestDiskFileConcurrentReads(t *testing.T) {
-	spec := buildSpec(t)
-	data := encodeSpec(t, spec)
-	c, err := ReadContainer(bytes.NewReader(data), int64(len(data)), WithCachePages(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer c.Close()
 	fa := c.Files[0]
 	want := make([][]byte, fa.NumPages())
 	for i := range want {
@@ -306,7 +266,7 @@ func TestContainerEmptyAndManyFiles(t *testing.T) {
 	empty := NewFile("F0", 16)
 	spec := ContainerSpec{Scheme: "S", Header: nil, Plan: nil, Files: []Reader{empty}}
 	data := encodeSpec(t, spec)
-	c, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
+	c, err := ReadContainer(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +283,7 @@ func TestContainerEmptyAndManyFiles(t *testing.T) {
 	fa2 := NewFile("Fa", 16)
 	fa2.MustAppendPage([]byte{2})
 	dup := encodeSpec(t, ContainerSpec{Scheme: "S", Files: []Reader{fa1, fa2}})
-	if _, err := ReadContainer(bytes.NewReader(dup), int64(len(dup))); err == nil ||
+	if _, err := ReadContainer(dup); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate names: %v", err)
 	}
@@ -335,18 +295,6 @@ func TestOpenContainerMissingFile(t *testing.T) {
 	}
 }
 
-// countingReaderAt wraps a byte slice and counts ReadAt calls, so cache
-// hits and misses are observable as count deltas.
-type countingReaderAt struct {
-	data  []byte
-	reads atomic.Int64
-}
-
-func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	c.reads.Add(1)
-	return bytes.NewReader(c.data).ReadAt(p, off)
-}
-
 func TestContainerVersionIsCurrent(t *testing.T) {
 	// Guard against accidentally bumping the version without a reader
 	// migration: this test pins the on-disk preamble.
@@ -356,6 +304,58 @@ func TestContainerVersionIsCurrent(t *testing.T) {
 	}
 	if v := int(data[4]) | int(data[5])<<8; v != ContainerVersion {
 		t.Errorf("version = %d, want %d", v, ContainerVersion)
+	}
+}
+
+// TestOpenedFileAppendCopies: a container's Files are views of its bytes,
+// but an append to one — Fa, with Fb's pages right behind it — copies it
+// instead of writing into the next file or the container.
+func TestOpenedFileAppendCopies(t *testing.T) {
+	spec := buildSpec(t)
+	data := encodeSpec(t, spec)
+	orig := append([]byte(nil), data...)
+	c, err := ReadContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := c.Files[0]
+	n := fa.NumPages()
+	fa.MustAppendPage(bytes.Repeat([]byte{0xEE}, fa.PageSize()))
+	if !bytes.Equal(data, orig) {
+		t.Fatal("an append to an opened file wrote into the container")
+	}
+	if fa.NumPages() != n+1 {
+		t.Fatalf("%d pages after the append, want %d", fa.NumPages(), n+1)
+	}
+	want, _ := spec.Files[1].Page(0)
+	if got, _ := c.Files[1].Page(0); !bytes.Equal(got, want) {
+		t.Error("the next file changed")
+	}
+}
+
+// TestContainerDataRegionAligned: the writer zero-pads the meta block out
+// to the next multiple of dataAlign and starts the first file's pages there,
+// as its file-table offset says.
+func TestContainerDataRegionAligned(t *testing.T) {
+	spec := buildSpec(t)
+	data := encodeSpec(t, spec)
+	metaLen, err := containerMetaLen(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := int(dataStart(metaLen))
+	if start%dataAlign != 0 || start < containerPreamble+metaLen+4 {
+		t.Fatalf("data region starts at %d", start)
+	}
+	if pad := data[containerPreamble+metaLen+4 : start]; !bytes.Equal(pad, make([]byte, len(pad))) {
+		t.Error("padding before the data region is not zero")
+	}
+	page0, _ := spec.Files[0].Page(0)
+	if !bytes.Equal(data[start:start+len(page0)], page0) {
+		t.Error("first file does not start the data region")
+	}
+	if want := start + int(Bytes(spec.Files[0])+Bytes(spec.Files[1])); len(data) != want {
+		t.Errorf("container is %d bytes, want %d", len(data), want)
 	}
 }
 

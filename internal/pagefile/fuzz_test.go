@@ -33,7 +33,7 @@ func FuzzOpenContainer(f *testing.F) {
 	f.Add(truncated[:len(truncated)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadContainer(bytes.NewReader(data), int64(len(data)))
+		c, err := ReadContainer(data)
 		if err != nil {
 			return
 		}

@@ -51,23 +51,18 @@ func (p *Packer) Append(rec []byte) Span {
 	if len(p.current)+len(rec) > ps {
 		p.flush()
 	}
-	span := Span{Page: p.pendingPage(), Pages: 1, Off: len(p.current), Len: len(rec)}
+	// The open page becomes the file's next page when it is flushed.
+	span := Span{Page: p.file.NumPages(), Pages: 1, Off: len(p.current), Len: len(rec)}
 	p.current = append(p.current, rec...)
 	p.spans = append(p.spans, span)
 	return span
 }
-
-// pendingPage is the page number the current buffer will become.
-func (p *Packer) pendingPage() int { return p.file.NumPages() }
 
 // CurrentFree returns the free bytes left in the open page; compression code
 // uses it to decide whether a delta-coded record still fits.
 func (p *Packer) CurrentFree() int {
 	return p.file.PageSize() - len(p.current)
 }
-
-// CurrentPage returns the page number the next small record would land in.
-func (p *Packer) CurrentPage() int { return p.pendingPage() }
 
 // Flush closes the open page, if any.
 func (p *Packer) Flush() { p.flush() }

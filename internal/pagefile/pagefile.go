@@ -1,8 +1,9 @@
 // Package pagefile provides the equal-sized-block storage model of §3.1: the
 // LBS organizes the graph data and all indexing information into files of
 // fixed-size pages, and the PIR interface retrieves exactly one page at a
-// time. Files are held in memory (the paper notes the framework applies
-// unchanged to disk, SSD or RAM storage).
+// time. A File keeps its pages in one buffer: the build step's, or a
+// read-only mapping of a saved container (the paper notes the framework
+// applies unchanged to disk, SSD or RAM storage).
 package pagefile
 
 import (
@@ -19,7 +20,9 @@ const DefaultPageSize = 4096
 // buffer: page i is bytes [i*pageSize, (i+1)*pageSize). A page never changes
 // once appended, so the slices Page returns stay valid across later appends
 // (a growing buffer leaves them on the old backing array), and a reader may
-// view the whole run in place (the XOR-PIR arena does).
+// view the whole run in place (the XOR-PIR arena does). The Files of an
+// opened container are views of its read-only mapping; an append to one
+// copies its pages to the heap first.
 type File struct {
 	name     string
 	pageSize int
@@ -79,8 +82,8 @@ func (f *File) Page(i int) ([]byte, error) {
 	return f.data[lo:hi:hi], nil
 }
 
-// Checksum returns a CRC32 over all pages; the CLI inspect command and the
-// corruption-detection tests use it.
+// Checksum returns a CRC32 over all pages; opening a container compares it
+// with the file-table CRC.
 func (f *File) Checksum() uint32 {
 	return crc32.ChecksumIEEE(f.data)
 }
@@ -127,9 +130,6 @@ func (e *Enc) U64(v uint64) *Enc {
 
 // F64 appends a float64.
 func (e *Enc) F64(v float64) *Enc { return e.U64(math.Float64bits(v)) }
-
-// F32 appends a float32.
-func (e *Enc) F32(v float32) *Enc { return e.U32(math.Float32bits(v)) }
 
 // Raw appends bytes verbatim.
 func (e *Enc) Raw(b []byte) *Enc { e.buf = append(e.buf, b...); return e }
@@ -186,9 +186,6 @@ func (d *Dec) Err() error { return d.err }
 
 // Remaining returns how many bytes are left.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
-
-// Offset returns the current read position.
-func (d *Dec) Offset() int { return d.off }
 
 // Seek moves the read position.
 func (d *Dec) Seek(off int) {
@@ -253,9 +250,6 @@ func (d *Dec) U64() uint64 {
 
 // F64 reads a float64.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// F32 reads a float32.
-func (d *Dec) F32() float32 { return math.Float32frombits(d.U32()) }
 
 // Raw reads n bytes verbatim.
 func (d *Dec) Raw(n int) []byte { return d.take(n) }

@@ -3,13 +3,14 @@ package pagefile
 import "fmt"
 
 // Reader is the read-only page access the serving path programs against.
-// *File (in-memory, produced by the build step), *DiskFile (pages read from
-// a persistent container via io.ReaderAt) and *PageSlice (an adapter over a
-// raw page slice) all satisfy it, so in-memory and disk-backed databases
-// serve through identical code. Implementations must be safe for concurrent
-// Page calls once serving starts, and callers must not mutate returned
-// pages. A page Page returns stays valid and unchanged for as long as the
-// caller holds it: a store may keep the slices themselves instead of a copy.
+// *File (a build step's output, or a view of an opened container's mapping)
+// and *PageSlice (an adapter over a raw page slice) satisfy it, so built and
+// opened databases serve through identical code. Implementations must be
+// safe for concurrent Page calls once serving starts, and callers must not
+// mutate returned pages. A page Page returns stays valid and unchanged for
+// as long as the caller holds it (for an opened container's File, while the
+// container is open): a store may keep the slices themselves instead of a
+// copy.
 type Reader interface {
 	// Name returns the file name (e.g. "Fd", "Fi").
 	Name() string
@@ -24,7 +25,6 @@ type Reader interface {
 
 var (
 	_ Reader = (*File)(nil)
-	_ Reader = (*DiskFile)(nil)
 	_ Reader = (*PageSlice)(nil)
 )
 

@@ -120,7 +120,8 @@ func checkBatch(numPages int, pages []int, dst [][]byte) error {
 }
 
 // Plain is a non-private Store: reads delegate directly to the underlying
-// page source (an in-memory build file or a disk-backed container file).
+// page source (a build's file, or a view of an opened container's
+// read-only mapping).
 // The obfuscation baseline and build-time verification use it; it also
 // demonstrates that the schemes are agnostic to the PIR implementation
 // behind the interface.

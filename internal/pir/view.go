@@ -24,8 +24,10 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 //     is exactly words [i*wpp, (i+1)*wpp);
 //   - the host is little-endian.
 //
-// The pages stay unchanged while held (the pagefile.Reader contract), and
-// the view itself holds the File's buffer.
+// The pages stay unchanged while held (the pagefile.Reader contract). The
+// view holds a build's File buffer alive itself; a File of an opened
+// container is a view of its read-only mapping, which stays valid until the
+// container is closed, so the store must not outlive it.
 func viewWords(src pagefile.Reader) []uint64 {
 	f, ok := src.(*pagefile.File)
 	n, ps := src.NumPages(), src.PageSize()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/kdtree"
 	"repro/internal/lbs"
 	"repro/internal/scheme/base"
 )
@@ -46,6 +47,46 @@ func TestQueryMatchesDijkstra(t *testing.T) {
 		if got := graph.PathCost(g, res.Path); math.Abs(got-res.Cost) > 1e-9 {
 			t.Fatalf("invalid path: %v vs %v", got, res.Cost)
 		}
+	}
+}
+
+// TestLandmarkHeuristicAdmissible runs LM queries whose guide checks every
+// bound landmarkGuide gives, over the vectors the client decoded from the
+// fetched pages, against the node's true distance to the destination.
+func TestLandmarkHeuristicAdmissible(t *testing.T) {
+	opt := DefaultOptions()
+	opt.SafetyMargin = 2
+	g, srv := buildServer(t, opt)
+	rng := rand.New(rand.NewSource(3))
+	checked, positive := 0, 0
+	guide := func(cg *base.ClientGraph, tNode graph.NodeID, rt kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
+		h, allow := landmarkGuide(cg, tNode, rt)
+		truth := graph.Dijkstra(g, tNode)
+		return func(v graph.NodeID) float64 {
+			hv := h(v)
+			if hv > truth.Dist[v]+1e-9 {
+				t.Errorf("bound towards %d inadmissible: h(%d) = %v > d = %v", tNode, v, hv, truth.Dist[v])
+			}
+			checked++
+			if hv > 0 {
+				positive++
+			}
+			return hv
+		}, allow
+	}
+	for trial := 0; trial < 20; trial++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		d := graph.NodeID(rng.Intn(g.NumNodes()))
+		ses, err := base.Open(context.Background(), srv, SchemeName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ses.FrontierQuery(g.Point(s), g.Point(d), guide); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if positive == 0 {
+		t.Fatalf("none of %d bounds was positive: the vectors never reached the guide", checked)
 	}
 }
 

@@ -251,15 +251,6 @@ func (s *Server) lookup(name string) (*hosted, error) {
 	return h, nil
 }
 
-// ListenAndServe listens on the TCP address and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections until the listener fails or Shutdown runs.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()

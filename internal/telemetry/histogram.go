@@ -132,19 +132,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge adds another snapshot's observations into s (for aggregating
-// per-shard or per-connection histograms).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	if s.Buckets == nil {
-		s.Buckets = make([]uint64, histBuckets)
-	}
-	for i, c := range o.Buckets {
-		s.Buckets[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-}
-
 // Sub returns the observations recorded between an earlier snapshot and
 // this one.
 func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
@@ -190,17 +177,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return float64(bucketUpper(len(s.Buckets) - 1))
-}
-
-// Quantiles returns the standard latency summary (p50, p90, p99, p999).
-func (s HistogramSnapshot) Quantiles() (p50, p90, p99, p999 float64) {
-	return s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99), s.Quantile(0.999)
-}
-
-// Mean returns the average recorded value (NaN when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -162,7 +162,7 @@ func TestDiskBackedRemoteServing(t *testing.T) {
 }
 
 // TestDiskBackedConcurrentQueries exercises the disk-backed serving path —
-// shared DiskFiles, their LRU caches, and the lbs worker pool — from many
+// the Files of one mapped container and the lbs worker pool — from many
 // goroutines; run with -race this proves the container layer is safe for
 // the concurrent daemon.
 func TestDiskBackedConcurrentQueries(t *testing.T) {
@@ -228,7 +228,7 @@ func TestDiskBackedConcurrentQueries(t *testing.T) {
 }
 
 // TestOpenOptions locks the public tuning surface: a database opened with
-// the verify scan skipped and a custom cache still answers correctly.
+// the verify scan skipped still answers correctly.
 func TestOpenOptions(t *testing.T) {
 	net := Generate(Oldenburg, 0.05, 1)
 	built, err := Build(net, Config{Scheme: CI})
@@ -239,7 +239,7 @@ func TestOpenOptions(t *testing.T) {
 	if err := built.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := Open(path, WithoutDataVerify(), WithCachePages(8))
+	opened, err := Open(path, WithoutDataVerify())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,31 +286,25 @@ func (d *Database) Save(path string) error {
 // OpenOption tunes Open.
 type OpenOption func(*[]pagefile.ContainerOption)
 
-// WithCachePages sets the per-file LRU page-cache capacity in pages. n <= 0
-// disables caching; unset means a ~1 MB budget per file.
-func WithCachePages(n int) OpenOption {
-	return func(opts *[]pagefile.ContainerOption) {
-		*opts = append(*opts, pagefile.WithCachePages(n))
-	}
-}
-
 // WithoutDataVerify skips the checksum scan of the page data at open time
 // (metadata is always verified). Right for containers larger than a
-// startup disk pass should cost, on storage verified out of band;
-// corruption then surfaces at query time instead of open time.
+// startup disk pass should cost, on storage verified out of band; a
+// corrupt page then goes unnoticed until a query decodes it.
 func WithoutDataVerify() OpenOption {
 	return func(opts *[]pagefile.ContainerOption) {
 		*opts = append(*opts, pagefile.WithoutDataVerify())
 	}
 }
 
-// Open loads a database container written by Save. Pages are served from
-// disk on demand through a bounded LRU page cache, so the database may
-// exceed RAM and no preprocessing is redone; by default opening costs one
-// sequential scan of the file to verify its checksums (WithoutDataVerify
-// skips that). The client Result and the server-observed trace are
-// identical to serving the freshly built database. Close the returned
-// database when done.
+// Open loads a database container written by Save. Pages are served from a
+// read-only mapping of the file, so the operating system pages them in on
+// demand, the database may exceed RAM, and no preprocessing is redone; by
+// default opening costs one sequential scan of the file to verify its
+// checksums (WithoutDataVerify skips that). The client Result and the
+// server-observed trace are identical to serving the freshly built
+// database. Close the returned database when done, and replace a served
+// container only by renaming a new file over it, as Save does: a file
+// rewritten or truncated under its mapping faults the process.
 func Open(path string, opts ...OpenOption) (*Database, error) {
 	var copts []pagefile.ContainerOption
 	for _, opt := range opts {
@@ -341,9 +335,9 @@ func Open(path string, opts ...OpenOption) (*Database, error) {
 	}, nil
 }
 
-// Close releases the on-disk container backing a database returned by Open.
-// It is a no-op for databases built in memory. Servers must not be queried
-// after their database is closed.
+// Close unmaps the container backing a database returned by Open. It is a
+// no-op for databases built in memory. Servers must not be queried after
+// their database is closed.
 func (d *Database) Close() error {
 	if d.container != nil {
 		return d.container.Close()
