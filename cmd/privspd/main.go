@@ -74,7 +74,7 @@ func main() {
 	cluster := flag.Int("cluster", 0, "PI* cluster pages")
 	landmarks := flag.Int("landmarks", 0, "LM anchors")
 	regions := flag.Int("regions", 0, "AF regions")
-	workers := flag.Int("workers", 0, "worker-pool slots per database: every fetch or share batch is one store call holding one, so this bounds the batches served at once; it also caps each XOR-PIR pass's scan width (0 = 2x GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker-pool slots per database: every fetch or share batch is one store call holding one, so this bounds the store calls running at once; an XOR-PIR pass's scan width is the store's own, set by GOMAXPROCS and file size (0 = 2x GOMAXPROCS)")
 	pirStore := flag.String("pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass on one -workers slot)")
 	replicaRole := flag.Bool("replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
 	maxInflight := flag.Int("max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")

@@ -37,10 +37,10 @@
 // "Observability"). Serving capacity is scan throughput by construction —
 // every PIR answer streams the whole file — so the XOR store carries a
 // segmented parallel kernel that fans each scan across per-pass goroutines
-// (width derived from GOMAXPROCS and the file size, clamped to privspd
-// -workers; byte-identical to serial). A fetch or share batch on a scan
-// store holds one worker-pool slot for one pass, so -workers bounds how many
-// passes run at once. The benchmarks in
+// (width derived once from GOMAXPROCS and the file size; byte-identical to
+// serial). A fetch or share batch on a scan store holds one worker-pool slot
+// for one pass, so privspd -workers bounds how many passes run at once, not
+// how wide each is. The benchmarks in
 // bench_test.go regenerate every table and figure (see also
 // cmd/experiments).
 package repro

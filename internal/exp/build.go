@@ -78,10 +78,11 @@ func Utilization(g *graph.Graph, db *lbs.Database) float64 {
 }
 
 // SetSizeHistogram computes the |S_i,j| distribution of CI's network index
-// (Figure 10a) without building the full database.
+// (Figure 10a) without building the full database, from the partition CI
+// builds.
 func (r *Runner) SetSizeHistogram(g *graph.Graph) (sizes []int, m int, err error) {
 	codec := &base.RegionCodec{G: g}
-	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), costmodel.Default().PageSize)
+	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(costmodel.Default().PageSize))
 	if err != nil {
 		return nil, 0, err
 	}

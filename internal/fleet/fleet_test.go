@@ -48,7 +48,7 @@ func rawDB(pages [][]byte, ps int) *lbs.Database {
 // loggingXORPIR is a replica's XOR-PIR store that also logs, in arrival
 // order, every selector share it answers: what that replica daemon
 // actually received over the wire. It embeds *pir.XORPIR, so lbs.NewServer
-// still finds ShareAnswerer and ParallelScan on it.
+// still finds ShareAnswerer and ScanStats on it.
 type loggingXORPIR struct {
 	*pir.XORPIR
 	mu   sync.Mutex

@@ -186,9 +186,11 @@ func PlainStores(f pagefile.Reader) (pir.Store, error) {
 }
 
 // XORStores backs each file with Chor et al.'s two-server XOR PIR: the file
-// is held in RAM (an in-memory build's pages in place, a container's read
-// into an arena) and every read scans all of it. The store answers
-// whole reads in-process and selector shares as a fleet replica.
+// is held in memory and every read scans all of it. An in-memory build's
+// pages, and an opened container's mapping when its pages are a multiple of
+// 8 bytes, are viewed in place; any other file is copied into an arena. The
+// store answers whole reads in-process and selector shares as a fleet
+// replica.
 func XORStores(f pagefile.Reader) (pir.Store, error) {
 	return pir.NewXORPIR(f)
 }
@@ -205,10 +207,9 @@ type Server struct {
 
 	pool slotPool // its size is the WithWorkers bound
 
-	// Telemetry handles (nil-safe; nil until WithTelemetry/EnableTelemetry).
-	telReg      *telemetry.Registry
-	telDB       string
-	scanSegment *telemetry.Histogram
+	// Telemetry registry (nil until WithTelemetry/EnableTelemetry).
+	telReg *telemetry.Registry
+	telDB  string
 }
 
 // hostedStore is one file's PIR store plus the optional faces probed once at
@@ -216,10 +217,6 @@ type Server struct {
 type hostedStore struct {
 	store  pir.Store
 	shares pir.ShareAnswerer // nil when the store cannot answer XOR selector shares
-	// scanWorkers is the resolved per-scan worker width of a scan store
-	// (pir.ParallelScan), clamped to the pool size at host time; a pass over
-	// the store still holds one pool slot. 1 for every other store.
-	scanWorkers int
 }
 
 // ServerOption tunes a Server at construction.
@@ -227,9 +224,9 @@ type ServerOption func(*Server)
 
 // WithWorkers sizes this server's worker pool: the slots held by store calls
 // across all connections. A fetch or share batch is one store call on one
-// slot, so n bounds the batches served at once; n also caps every scan
-// store's width, which bounds each pass. n <= 1 serializes every batch —
-// the historical behaviour and the default.
+// slot, so n bounds the store calls running at once; how wide one call
+// scans is the store's own (pir.XORPIR.ScanWorkers). n <= 1 serializes
+// every batch — the historical behaviour and the default.
 func WithWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -266,15 +263,8 @@ func NewServer(db *Database, model costmodel.Params, factory StoreFactory, opts 
 		if err != nil {
 			return nil, fmt.Errorf("lbs: building PIR store for %s: %w", f.Name(), err)
 		}
-		hs := &hostedStore{store: st, scanWorkers: 1}
+		hs := &hostedStore{store: st}
 		hs.shares, _ = st.(pir.ShareAnswerer)
-		if ps, ok := st.(pir.ParallelScan); ok {
-			// The store's own width (GOMAXPROCS, shrunk for small files) is
-			// clamped to the pool: the per-database pool stays the single
-			// knob bounding parallel work, and the historical 1-worker
-			// default pool resolves to the serial kernel.
-			hs.scanWorkers = ps.SetScanWorkers(min(ps.ScanWorkers(), s.pool.size()))
-		}
 		s.stores[f.Name()] = hs
 	}
 	s.initTelemetry()

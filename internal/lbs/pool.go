@@ -11,8 +11,8 @@ import (
 // slotPool is the per-server gate every store call goes through: a counting
 // semaphore over the server's worker slots. A fetch or share batch is one
 // store call on one slot — how many cores a scan store's pass folds with is
-// its scan width, bounded separately at host time — so the pool size bounds
-// how many store calls run at once.
+// the store's own scan width — so the pool size bounds how many store calls
+// run at once.
 type slotPool struct {
 	slots  chan struct{}        // one token per held slot; cap is the pool size
 	queued atomic.Int64         // batches waiting for a slot

@@ -9,6 +9,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/pagefile"
 	"repro/internal/pir"
+	"repro/internal/pir/pirtest"
 	"repro/internal/telemetry"
 )
 
@@ -85,14 +86,13 @@ func TestPoolCancelWhileQueuedHoldsNothing(t *testing.T) {
 // its store leaves the other slot to a plain page read, which runs without
 // queueing behind it.
 func TestPoolScanPassHoldsOneSlot(t *testing.T) {
+	pirtest.AtLeastProcs(t, 2)
 	const pageSize = 32
-	scan := pagefile.NewFile("S", pageSize)
 	plain := pagefile.NewFile("P", pageSize)
 	for i := 0; i < testPages; i++ {
-		scan.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
 		plain.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
 	}
-	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{scan, plain}}
+	db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{pirtest.WideFile("S"), plain}}
 	gx := &gatedXOR{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	factory := func(r pagefile.Reader) (pir.Store, error) {
 		if r.Name() != "S" {
@@ -102,7 +102,6 @@ func TestPoolScanPassHoldsOneSlot(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		x.SetScanWorkers(2) // the file is below the size-aware default's floor
 		gx.XORPIR = x
 		return gx, nil
 	}
@@ -110,8 +109,8 @@ func TestPoolScanPassHoldsOneSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := srv.stores["S"].scanWorkers; w != 2 {
-		t.Fatalf("scan width %d, want 2", w)
+	if w := gx.ScanWorkers(); w < 2 {
+		t.Fatalf("scan width %d on a 1 MiB file, want >= 2", w)
 	}
 
 	parked := make(chan error, 1)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/pagefile"
 	"repro/internal/pir"
+	"repro/internal/pir/pirtest"
 	"repro/internal/telemetry"
 )
 
@@ -32,20 +33,17 @@ func pirGoroutines() int {
 // The goroutines of a parallel pass are joined before the read returns (a
 // helper may still be unwinding past its last statement, hence the short
 // settle loop), and a server that was dropped after serving — telemetry
-// observer installed — is collectable together with its stores' arenas.
+// registered — is collectable together with its stores' arenas.
 func TestDroppedServerReleasesScanWorkers(t *testing.T) {
+	pirtest.AtLeastProcs(t, 2)
 	var collected atomic.Bool
 	func() {
-		const pages, pageSize = 256, 1024
-		f := pagefile.NewFile("F", pageSize)
-		for i := 0; i < pages; i++ {
-			f.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))
-		}
-		db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{f}}
+		db := &Database{Scheme: "TEST", Header: []byte("h"), Files: []pagefile.Reader{pirtest.WideFile("F")}}
+		var store *pir.XORPIR
 		factory := func(r pagefile.Reader) (pir.Store, error) {
 			x, err := pir.NewXORPIR(r)
 			if err == nil {
-				x.SetScanWorkers(2) // 256 KiB is below the size-aware default's floor
+				store = x
 				runtime.AddCleanup(x, func(c *atomic.Bool) { c.Store(true) }, &collected)
 			}
 			return x, err
@@ -55,8 +53,9 @@ func TestDroppedServerReleasesScanWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := srv.stores["F"].scanWorkers; w != 2 {
-			t.Fatalf("scan width %d, want 2", w)
+		if w := store.ScanWorkers(); w < 2 {
+			t.Fatalf("scan width %d on a 1 MiB file at GOMAXPROCS %d, want >= 2: the read would not take the parallel kernel",
+				w, runtime.GOMAXPROCS(0))
 		}
 		got, err := srv.ReadPages(context.Background(), "F", []int{3, 200})
 		if err != nil {
@@ -64,9 +63,6 @@ func TestDroppedServerReleasesScanWorkers(t *testing.T) {
 		}
 		if got[0][0] != 4 || got[1][0] != 201 {
 			t.Fatalf("wrong pages: %x %x", got[0][0], got[1][0])
-		}
-		if n := srv.scanSegment.Count(); n != 2 {
-			t.Fatalf("the read folded %d segments, want 2: it did not take the parallel kernel", n)
 		}
 		n := pirGoroutines()
 		for i := 0; i < 100 && n > 0; i++ {

@@ -1,8 +1,6 @@
 package lbs
 
 import (
-	"time"
-
 	"repro/internal/pir"
 	"repro/internal/telemetry"
 )
@@ -48,35 +46,12 @@ func (s *Server) initTelemetry() {
 		"time a batch spent waiting for a pool slot (0 when a slot was free)",
 		telemetry.Seconds(), dbl)
 
-	// The parallel kernel's histogram, registered eagerly for every server
-	// — a database without scan stores still exports it at zero, so the
-	// presence or absence of a series can never become a side channel. It
-	// observes exactly ScanWorkers durations per parallel store pass — a
-	// count fixed at host time — so it cannot encode page contents.
-	s.scanSegment = reg.Histogram("privsp_scan_segment_seconds",
-		"wall-clock time one worker spent folding its share of a parallel scan",
-		telemetry.Seconds(), dbl)
 	for _, f := range s.db.Files {
-		hs := s.stores[f.Name()]
-		fl := telemetry.L("file", f.Name())
-		// Registered for every file — a store without a parallel kernel
-		// simply reports width 1 — so the family exists on any daemon and
-		// the presence of a series never encodes store capabilities beyond
-		// what the public configuration already states.
-		width := hs.scanWorkers
-		reg.GaugeFunc("privsp_scan_workers",
-			"scan-worker width per store pass (1 = serial kernel), resolved against the pool at host time",
-			func() float64 { return float64(width) }, dbl, fl)
-		if ps, ok := hs.store.(pir.ParallelScan); ok {
-			// The store keeps the observer: hand it the histogram, not a
-			// closure over the server.
-			segments := s.scanSegment
-			ps.SetScanObserver(func(d time.Duration) { segments.Observe(int64(d)) })
-		}
-		ss, ok := hs.store.(pir.ScanStats)
+		ss, ok := s.stores[f.Name()].store.(pir.ScanStats)
 		if !ok {
 			continue
 		}
+		fl := telemetry.L("file", f.Name())
 		reg.CounterFunc("privsp_pir_pages_scanned_total",
 			"pages-equivalent server work performed by the PIR store (scan amortization numerator)",
 			func() uint64 { p, _ := ss.ScanStats(); return p }, dbl, fl)

@@ -297,7 +297,7 @@ func TestXORPIRAnswerSharesZeroAllocs(t *testing.T) {
 		}
 	}
 	for _, nw := range []int{1, 4} {
-		nw = x.SetScanWorkers(nw)
+		nw = setWidth(x, nw)
 		if bucketBits(k, n/nw, x.arena.wpp) == 1 {
 			t.Fatalf("workers=%d: geometry does not engage the bucketed fold", nw)
 		}

@@ -156,7 +156,6 @@ func BenchmarkScanParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		g := newScanGroup(8, arena.numPages)
 		pool := newArenaScratch()
 		var table []uint64
 		rng := rand.New(rand.NewSource(12))
@@ -180,7 +179,7 @@ func BenchmarkScanParallel(b *testing.B) {
 						if w == 1 {
 							arena.answerAll(sels, accs, &table)
 						} else {
-							g.answerAllParallel(pool, arena, sels, accs, w)
+							pool.answerAllParallel(arena, sels, accs, w)
 						}
 					}
 					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")

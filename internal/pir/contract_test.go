@@ -17,7 +17,7 @@ func TestStoreInterfaceCompliance(t *testing.T) {
 	xorpir := func(width int) func() (Store, error) {
 		return func() (Store, error) {
 			x, err := NewXORPIR(src(pages, ps))
-			if err == nil && x.SetScanWorkers(width) != width {
+			if err == nil && setWidth(x, width) != width {
 				err = errors.New("scan width not honoured")
 			}
 			return x, err

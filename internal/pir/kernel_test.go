@@ -227,7 +227,6 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 		for _, n := range []int{1, 7, 63, 64, 65, 1000} {
 			c := newKernelCase(t, n, ps, 64, int64(n*10000+ps))
 			wpp := c.arena.wpp
-			group := newScanGroup(1, n)
 			pool := newArenaScratch()
 			var table []uint64
 			for _, k := range batchSizes {
@@ -241,12 +240,12 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 					t.Fatalf("%dx%d k=%d serial: acc %d word %d differs from the byte oracle", n, ps, k, j, w)
 				}
 				for _, nw := range []int{2, 3, 8} {
-					eff := group.SetScanWorkers(nw)
+					eff := min(nw, n)
 					if eff < 2 {
 						continue // a 1-page file has nothing to segment
 					}
 					got := zeroedAccs(k, wpp)
-					group.answerAllParallel(pool, c.arena, sels, got, eff)
+					pool.answerAllParallel(c.arena, sels, got, eff)
 					if j, w, bad := diffAccs(got, want); bad {
 						t.Fatalf("%dx%d k=%d workers=%d: acc %d word %d differs from the byte oracle", n, ps, k, eff, j, w)
 					}
@@ -330,10 +329,9 @@ func FuzzAnswerAll(f *testing.F) {
 			t.Fatalf("%dx%d k=%d pages [%d,%d): acc %d word %d differs from the byte oracle", n, ps, k, start, end, j, w)
 		}
 
-		group := newScanGroup(1, n)
-		if nw := group.SetScanWorkers(int(nw8)%8 + 1); nw > 1 {
+		if nw := min(int(nw8)%8+1, n); nw > 1 {
 			got := zeroedAccs(k, c.arena.wpp)
-			group.answerAllParallel(newArenaScratch(), c.arena, c.sels, got, nw)
+			newArenaScratch().answerAllParallel(c.arena, c.sels, got, nw)
 			if j, w, bad := diffAccs(got, c.want); bad {
 				t.Fatalf("%dx%d k=%d workers=%d: acc %d word %d differs from the byte oracle", n, ps, k, nw, j, w)
 			}

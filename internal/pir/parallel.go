@@ -1,10 +1,8 @@
 package pir
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file parallelizes the full-file scan every XOR-PIR answer performs.
@@ -40,98 +38,17 @@ import (
 // selector randomness is drawn (per query, inside the store, exactly as in
 // the serial path).
 
-// minSegWords is the default sizing floor: a worker must have at least this
-// many arena words (512 KiB) to pay for its share of the fan-out handshake.
-// Stores below the floor scan serially; an explicit SetScanWorkers call
-// overrides the floor (tests use it to force a width on small files).
+// minSegWords is the sizing floor of the scan width: a worker must have at
+// least this many arena words (512 KiB) to pay for its share of the fan-out
+// handshake, so a file below twice the floor scans serially.
 const minSegWords = 1 << 16
 
-// ParallelScan is the optional configuration face of a store whose
-// full-file scan can fan out across several workers. The serving layer
-// (lbs.Server) clamps the store's default width to its pool size and
-// applies it here at host time; n is a target, and the
-// returned effective count is what one scan will actually use (capped so
-// every worker has at least one unit of work). Configuration is not
-// synchronized with in-flight reads: call before serving, as lbs does.
-type ParallelScan interface {
-	// SetScanWorkers sets the scan width. n <= 0 restores the
-	// GOMAXPROCS-and-size-aware default; n == 1 forces the serial kernel;
-	// n > 1 is capped only by the store's segmentable units. Returns the
-	// effective width.
-	SetScanWorkers(n int) int
-	// ScanWorkers returns the effective scan width (1 = serial).
-	ScanWorkers() int
-	// SetScanObserver installs fn to receive the wall-clock duration of
-	// every slot of a parallel scan (nil removes it). The observation count
-	// per scan equals ScanWorkers() — a function of configuration, never of
-	// page contents.
-	SetScanObserver(fn func(segment time.Duration))
-}
-
-// scanGroup is the scan-width configuration embedded in a parallel-capable
-// store: it resolves the configured width against the store's geometry and
-// runs a pass at that width.
-type scanGroup struct {
-	defaultN int // resolved GOMAXPROCS/size-aware default width
-	maxUnits int // hard cap: the most slots a scan of this store can feed
-
-	workers  atomic.Int32
-	observer atomic.Pointer[func(time.Duration)]
-}
-
-// newScanGroup builds the configuration of a store with maxUnits
-// segmentable units (pages) and the given default width; the effective width
-// starts at the default.
-func newScanGroup(defaultN, maxUnits int) *scanGroup {
-	g := &scanGroup{
-		defaultN: clampWorkers(defaultN, maxUnits),
-		maxUnits: maxUnits,
-	}
-	g.workers.Store(int32(g.defaultN))
-	return g
-}
-
-// defaultArenaWorkers sizes the default width for a word-arena store:
-// GOMAXPROCS, shrunk so every worker gets at least minSegWords of arena.
-func defaultArenaWorkers(totalWords int) int {
-	w := runtime.GOMAXPROCS(0)
-	if bySize := totalWords / minSegWords; bySize < w {
-		w = bySize
-	}
-	return w
-}
-
-// clampWorkers bounds a width to [1, maxUnits].
-func clampWorkers(n, maxUnits int) int {
-	if n > maxUnits {
-		n = maxUnits
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// SetScanWorkers implements ParallelScan.
-func (g *scanGroup) SetScanWorkers(n int) int {
-	if n <= 0 {
-		n = g.defaultN
-	}
-	eff := clampWorkers(n, g.maxUnits)
-	g.workers.Store(int32(eff))
-	return eff
-}
-
-// ScanWorkers implements ParallelScan.
-func (g *scanGroup) ScanWorkers() int { return int(g.workers.Load()) }
-
-// SetScanObserver implements ParallelScan.
-func (g *scanGroup) SetScanObserver(fn func(time.Duration)) {
-	if fn == nil {
-		g.observer.Store(nil)
-		return
-	}
-	g.observer.Store(&fn)
+// scanWidth is the number of workers a pass over an arena of words words and
+// pages pages folds with: procs (GOMAXPROCS), shrunk so every worker gets at
+// least minSegWords of arena, never more than the page count, never below 1.
+// A store works it out once, at construction; nothing changes it afterwards.
+func scanWidth(procs, words, pages int) int {
+	return max(1, min(procs, words/minSegWords, pages))
 }
 
 // arenaScratch is the reusable working memory of one arena store: pooled
@@ -209,10 +126,9 @@ type arenaTask struct {
 	nchunks int32
 	next    atomic.Int32 // next unclaimed chunk
 
-	help    func()       // runHelper, bound once (see newArenaScratch)
-	slot    atomic.Int32 // last slot a helper took
-	wg      sync.WaitGroup
-	observe func(time.Duration)
+	help func()       // runHelper, bound once (see newArenaScratch)
+	slot atomic.Int32 // last slot a helper took
+	wg   sync.WaitGroup
 
 	partbuf []uint64
 	parts   [][]uint64
@@ -221,8 +137,8 @@ type arenaTask struct {
 // chunkPages is the claiming granularity of an nw-wide pass over an arena:
 // minSegWords of rows, the unit the sizing floor already uses — fine enough
 // that a straggler costs the pass one chunk, coarse enough that a claim (one
-// atomic add) is free. A store scanned wider than the floor allows (an
-// explicit SetScanWorkers) still gets a chunk per worker.
+// atomic add) is free. A pass wider than the floor allows (the tests force
+// such widths on small files) still gets a chunk per worker.
 func chunkPages(a *wordArena, nw int) int {
 	return max(1, min(minSegWords/a.wpp, (a.numPages+nw-1)/nw))
 }
@@ -263,22 +179,10 @@ func (t *arenaTask) runSegment(seg int) {
 	}
 }
 
-// runSlot is runSegment, timed for the observer: exactly one observation per
-// slot, so nw per pass.
-func (t *arenaTask) runSlot(seg int) {
-	if t.observe == nil {
-		t.runSegment(seg)
-		return
-	}
-	start := time.Now()
-	t.runSegment(seg)
-	t.observe(time.Since(start))
-}
-
 // runHelper is the body of each goroutine a pass starts: take the next free
 // slot, run it, report in.
 func (t *arenaTask) runHelper() {
-	t.runSlot(int(t.slot.Add(1)))
+	t.runSegment(int(t.slot.Add(1)))
 	t.wg.Done()
 }
 
@@ -287,21 +191,17 @@ func (t *arenaTask) runHelper() {
 // like answerAll). Byte-identical to answerAll. Every goroutine it starts
 // is done with the task before it returns, so the task is recycled right
 // here, minus its references to the caller's selectors and accumulators.
-func (g *scanGroup) answerAllParallel(sc *arenaScratch, a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
+func (sc *arenaScratch) answerAllParallel(a *wordArena, sels [][]byte, accs [][]uint64, nw int) {
 	t := sc.tasks.Get().(*arenaTask)
 	t.prepare(a, sels, accs, nw)
-	t.observe = nil
-	if p := g.observer.Load(); p != nil {
-		t.observe = *p
-	}
 	t.wg.Add(nw - 1)
 	for i := 1; i < nw; i++ {
 		go t.help()
 	}
-	t.runSlot(0)
+	t.runSegment(0)
 	t.wg.Wait()
 	t.combine()
-	t.arena, t.sels, t.accs, t.observe = nil, nil, nil, nil
+	t.arena, t.sels, t.accs = nil, nil, nil
 	sc.tasks.Put(t)
 }
 

@@ -4,15 +4,23 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"sync"
+	"runtime"
 	"testing"
-	"time"
 )
 
 // workerFanOuts are the group widths the equivalence tests force, chosen to
 // exercise submitter-only (1), even splits, odd splits, and widths at or
-// beyond the page count of the smaller shapes (SetScanWorkers clamps).
+// beyond the page count of the smaller shapes (capped there, as scanWidth
+// caps them).
 var workerFanOuts = []int{1, 2, 3, 4, 8}
+
+// setWidth forces x's scan width to n — capped at its page count, as
+// scanWidth caps it — whatever the size floor would give the file, and
+// returns the width set.
+func setWidth(x *XORPIR, n int) int {
+	x.workers = max(1, min(n, x.numPages))
+	return x.workers
+}
 
 // TestAnswerAllParallelMatchesSerial pins the kernel-level contract: the
 // segmented parallel fold must produce byte-identical accumulators to the
@@ -25,7 +33,6 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		group := newScanGroup(1, shape.n)
 		pool := newArenaScratch()
 		var table []uint64
 		rng := rand.New(rand.NewSource(int64(shape.n)))
@@ -43,12 +50,12 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 			}
 			arena.answerAll(sels, want, &table)
 			for _, nw := range workerFanOuts {
-				eff := group.SetScanWorkers(nw)
+				eff := min(nw, shape.n)
 				for j := range got {
 					clearWords(got[j])
 				}
 				if eff > 1 {
-					group.answerAllParallel(pool, arena, sels, got, eff)
+					pool.answerAllParallel(arena, sels, got, eff)
 				} else {
 					arena.answerAll(sels, got, &table)
 				}
@@ -81,9 +88,9 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 		}
 		batch = append(batch, 0, shape.n-1) // duplicates share the scan
 		for _, nw := range workerFanOuts {
-			eff := x.SetScanWorkers(nw)
+			eff := setWidth(x, nw)
 			if eff < 1 || eff > shape.n {
-				t.Fatalf("%dx%d: SetScanWorkers(%d) = %d, outside [1,%d]",
+				t.Fatalf("%dx%d: width %d set as %d, outside [1,%d]",
 					shape.n, shape.ps, nw, eff, shape.n)
 			}
 			got, err := ReadBatch(context.Background(), x, batch)
@@ -120,7 +127,7 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
-	x.SetScanWorkers(4)
+	setWidth(x, 4)
 	if bucketBits(k, n/4, x.arena.wpp) == 1 {
 		t.Fatal("segments too short to engage the bucketed fold")
 	}
@@ -203,86 +210,53 @@ func TestChunkedPassToleratesUnevenShares(t *testing.T) {
 	}
 }
 
-// TestScanObserverDeterministicCount pins the telemetry leakage invariant at
-// the store level: a parallel batch produces exactly ScanWorkers segment
-// observations (one arena pass answers both logical servers), a function of
-// configuration alone — never of batch size, targets, or page contents.
-func TestScanObserverDeterministicCount(t *testing.T) {
-	const n, ps = 64, 64
-	pages := makePages(n, ps, 51)
-	x, err := NewXORPIR(src(pages, ps))
-	if err != nil {
-		t.Fatal(err)
+// TestScanWidthRule pins the one rule a store's scan width comes from:
+// GOMAXPROCS, shrunk so each worker folds at least minSegWords of arena,
+// never more than the page count and never below 1.
+func TestScanWidthRule(t *testing.T) {
+	const floor = minSegWords
+	for _, c := range []struct {
+		name                string
+		procs, words, pages int
+		want                int
+	}{
+		{"empty arena", 8, 0, 0, 1},
+		{"below the floor", 8, floor - 1, 100, 1},
+		{"one floor", 8, floor, 100, 1},
+		{"just under two floors", 8, 2*floor - 1, 100, 1},
+		{"two floors", 8, 2 * floor, 100, 2},
+		{"three floors", 8, 3 * floor, 100, 3},
+		{"k floors, fewer procs", 2, 5 * floor, 100, 2},
+		{"k floors, one proc", 1, 5 * floor, 100, 1},
+		{"k floors, more procs", 16, 5 * floor, 100, 5},
+		{"PI Fi at 1.0 on two cores", 2, 11321 * 512, 11321, 2},
+		{"capped by the page count", 8, 8 * floor, 3, 3},
+		{"one huge page", 8, 8 * floor, 1, 1},
+		{"no procs", 0, 8 * floor, 100, 1},
+	} {
+		if got := scanWidth(c.procs, c.words, c.pages); got != c.want {
+			t.Errorf("%s: scanWidth(procs=%d, words=%d, pages=%d) = %d, want %d",
+				c.name, c.procs, c.words, c.pages, got, c.want)
+		}
 	}
-	var mu sync.Mutex
-	count := 0
-	x.SetScanObserver(func(time.Duration) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	})
-	for _, nw := range []int{2, 3, 4} {
-		x.SetScanWorkers(nw)
-		for _, batch := range [][]int{{0}, {1, 2, 3}, {5, 5, 5, 5, 5}} {
-			mu.Lock()
-			count = 0
-			mu.Unlock()
-			if _, err := ReadBatch(context.Background(), x, batch); err != nil {
-				t.Fatal(err)
-			}
-			mu.Lock()
-			got := count
-			mu.Unlock()
-			if got != nw {
-				t.Fatalf("nw=%d batch=%v: %d segment observations, want %d", nw, batch, got, nw)
+	for procs := 0; procs <= 9; procs++ {
+		for _, pages := range []int{0, 1, 2, 7, 1000} {
+			for k := 0; k <= 9; k++ {
+				got := scanWidth(procs, k*floor, pages)
+				if got < 1 || (pages >= 1 && got > pages) || (procs >= 1 && got > procs) {
+					t.Fatalf("scanWidth(%d, %d floors, %d pages) = %d", procs, k, pages, got)
+				}
 			}
 		}
 	}
-	// The serial path emits none, and a removed observer goes quiet.
-	x.SetScanWorkers(1)
-	mu.Lock()
-	count = 0
-	mu.Unlock()
-	if _, err := Read(x, 0); err != nil {
-		t.Fatal(err)
-	}
-	x.SetScanWorkers(2)
-	x.SetScanObserver(nil)
-	if _, err := Read(x, 0); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if count != 0 {
-		t.Fatalf("serial or observer-less reads produced %d observations, want 0", count)
-	}
-	mu.Unlock()
-}
 
-// TestSetScanWorkersClamps pins the width-resolution rules: explicit widths
-// clamp to the store's segmentable units, n <= 0 restores the size-aware
-// default, and the default never exceeds the unit count.
-func TestSetScanWorkersClamps(t *testing.T) {
-	pages := makePages(3, 16, 7)
-	x, err := NewXORPIR(src(pages, 16))
+	// NewXORPIR applies the rule once: a 48-byte arena is far below the
+	// floor, so it scans serially at any core count.
+	x, err := NewXORPIR(src(makePages(3, 16, 7), 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.SetScanWorkers(64); got != 3 {
-		t.Fatalf("SetScanWorkers(64) on a 3-page store = %d, want 3", got)
-	}
-	if got := x.ScanWorkers(); got != 3 {
-		t.Fatalf("ScanWorkers after clamp = %d, want 3", got)
-	}
-	if got := x.SetScanWorkers(1); got != 1 {
-		t.Fatalf("SetScanWorkers(1) = %d, want 1", got)
-	}
-	def := x.SetScanWorkers(0)
-	if def < 1 || def > 3 {
-		t.Fatalf("default width %d outside [1,3]", def)
-	}
-	// A tiny arena sizes its default to the serial kernel: 3 pages of 16
-	// bytes is far below the per-worker floor.
-	if def != 1 {
-		t.Fatalf("default width %d for a 48-byte arena, want 1 (below segment floor)", def)
+	if got, want := x.ScanWorkers(), scanWidth(runtime.GOMAXPROCS(0), len(x.arena.words), x.numPages); got != want || got != 1 {
+		t.Fatalf("ScanWorkers() = %d for a 48-byte arena, want %d (= 1)", got, want)
 	}
 }

@@ -14,12 +14,12 @@
 //     replica daemons (ShareAnswerer).
 //
 // The serving layer (lbs.Server) hands every batch to its store whole, in
-// one call on one pool slot. XORPIR additionally shows three optional
-// faces, which the serving layer probes once at host time: ParallelScan
-// (the store answers a whole batch in one pass over the file, optionally
-// fanned across several goroutines for the length of the pass),
-// ShareAnswerer (the replica half of two-server fleet mode) and ScanStats
-// (work accounting, which Plain shows too).
+// one call on one pool slot. XORPIR answers a whole batch in one pass over
+// the file, fanned across as many goroutines as its scan width, which it
+// works out once from GOMAXPROCS and the file's size (ScanWorkers reports
+// it). It additionally shows two optional faces, which the serving layer
+// probes once at host time: ShareAnswerer (the replica half of two-server
+// fleet mode) and ScanStats (work accounting, which Plain shows too).
 package pir
 
 import (
@@ -34,11 +34,10 @@ import (
 // indices. lbs.Server makes one ReadBatchInto call per batch, holding one
 // slot of its worker pool, and every store is safe for concurrent use:
 // several connections' batches may read the same store at the same time,
-// as many as the pool has slots. Stores must NOT spawn their own
-// concurrency except through ParallelScan, whose worker width the serving
-// layer sets and clamps to its pool size, so the per-database pool remains
-// the single knob bounding parallel work; the goroutines of a parallel scan
-// live for that one pass.
+// as many as the pool has slots: the pool bounds store calls, not what one
+// call does. A pass's width is the store's own — XORPIR fixes it at
+// construction — and the goroutines of a parallel pass live for that one
+// pass.
 //
 // Both stores read without touching mutable state: Plain's page source and
 // XORPIR's arena are never written (the arena may be the source's own pages,
@@ -70,9 +69,9 @@ type Store interface {
 // client wants. This is the server side of fleet mode: the client splits
 // each query into two shares and sends each to a different replica
 // process, so reconstruction happens only client-side. A single scan with
-// k accumulators answers a k-selector batch, exactly like a ParallelScan
-// store's ReadBatchInto — but at half the work, since that must scan for
-// both logical servers.
+// k accumulators answers a k-selector batch, exactly like XORPIR's
+// ReadBatchInto — but at half the work, since that must scan for both
+// logical servers.
 type ShareAnswerer interface {
 	// SelectorBytes returns the required selector length: one bit per page,
 	// rounded up to whole bytes. Public information.
@@ -166,8 +165,6 @@ func (p *Plain) PageSize() int { return p.src.PageSize() }
 var (
 	_ Store = (*Plain)(nil)
 	_ Store = (*XORPIR)(nil)
-
-	_ ParallelScan = (*XORPIR)(nil)
 
 	_ ShareAnswerer = (*XORPIR)(nil)
 )

@@ -186,7 +186,7 @@ func TestXORPIRArenaView(t *testing.T) {
 				t.Errorf("arena shares the source's memory = %v, want %v", got, tc.view && littleEndian)
 			}
 			for _, width := range []int{1, 2} {
-				x.SetScanWorkers(width)
+				setWidth(x, width)
 				checkArenaAnswers(t, x, want, tc.ps)
 			}
 			if f, ok := r.(*pagefile.File); ok {
@@ -197,7 +197,7 @@ func TestXORPIRArenaView(t *testing.T) {
 					t.Fatalf("store grew to %d pages with the File", x.NumPages())
 				}
 				for _, width := range []int{1, 2} {
-					x.SetScanWorkers(width)
+					setWidth(x, width)
 					checkArenaAnswers(t, x, want, tc.ps)
 				}
 			}

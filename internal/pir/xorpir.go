@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/pagefile"
 )
@@ -43,9 +44,9 @@ type XORPIR struct {
 	rng      io.Reader        // draws the selector shares; tests wrap it to read the servers' views
 	scratch  chan *xorScratch // free list of batch scratch, sized for this store
 
-	// Parallel scan machinery (see parallel.go): each server's pass fans
-	// out across ScanWorkers() goroutines when that is above 1.
-	*scanGroup
+	// Parallel scan machinery (see parallel.go): a pass fans out across
+	// workers goroutines when that is above 1.
+	workers      int           // scan width, fixed at construction (scanWidth)
 	arenaScratch *arenaScratch // pooled scan tasks and bucket tables
 
 	scanCounters
@@ -73,7 +74,9 @@ type xorScratch struct {
 // to any query XORs an arbitrary page subset, so the full plaintext is held
 // in memory). It reads every page of src once. A *pagefile.File whose page
 // size is a multiple of 8 is viewed in place, so the store adds no second
-// copy of it; any other reader is copied into the arena.
+// copy of it; any other reader is copied into the arena. The scan width is
+// worked out here, from GOMAXPROCS and the arena's size (see scanWidth), and
+// stays fixed for the store's life.
 func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 	arena, err := newWordArena(src)
 	if err != nil {
@@ -85,7 +88,7 @@ func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 		pageSize:     arena.pageSize,
 		rng:          rand.Reader,
 		scratch:      make(chan *xorScratch, tableListCap),
-		scanGroup:    newScanGroup(defaultArenaWorkers(len(arena.words)), arena.numPages),
+		workers:      scanWidth(runtime.GOMAXPROCS(0), len(arena.words), arena.numPages),
 		arenaScratch: newArenaScratch(),
 	}, nil
 }
@@ -192,8 +195,8 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 		return err
 	}
 
-	// One pass answers both servers' selectors for the whole batch. With
-	// scan workers configured it fans out across them — same pages touched,
+	// One pass answers both servers' selectors for the whole batch. At a
+	// scan width above 1 it fans out across workers — same pages touched,
 	// answers byte-identical to the serial kernel (XOR is associative).
 	x.pass(sc.sels, sc.accs)
 	// One full-file pass answered the whole batch, whatever its size — the
@@ -242,8 +245,8 @@ func SplitShares(rng io.Reader, numPages int, pages []int, selsA, selsB [][]byte
 // pass answers sels in one pass over the arena (accs zeroed), fanned
 // out when the store's scan width is above 1.
 func (x *XORPIR) pass(sels [][]byte, accs [][]uint64) {
-	if nw := x.ScanWorkers(); nw > 1 {
-		x.answerAllParallel(x.arenaScratch, x.arena, sels, accs, nw)
+	if x.workers > 1 {
+		x.arenaScratch.answerAllParallel(x.arena, sels, accs, x.workers)
 		return
 	}
 	table := x.arenaScratch.tables.borrow()
@@ -303,6 +306,10 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	}
 	return nil
 }
+
+// ScanWorkers reports the store's scan width: how many goroutines fold one
+// pass (1 = the serial kernel).
+func (x *XORPIR) ScanWorkers() int { return x.workers }
 
 // NumPages implements Store.
 func (x *XORPIR) NumPages() int { return x.numPages }

@@ -37,8 +37,20 @@ type RegionCodec struct {
 	Compact bool
 }
 
+// regionHeaderBytes is the u16 node count EncodeRegion writes before a
+// region's records.
+const regionHeaderBytes = 2
+
+// Capacity is the record bytes a region may hold in a cluster of
+// clusterBytes: the cluster net of the region header. The KD-tree packers
+// size regions against it, with NodeSize, so every region EncodeRegion
+// writes fits its cluster.
+func (c *RegionCodec) Capacity(clusterBytes int) int {
+	return clusterBytes - regionHeaderBytes
+}
+
 // NodeSize returns the exact encoded size of node v's record; the KD-tree
-// packers size pages against it.
+// packers size regions against it (see Capacity).
 func (c *RegionCodec) NodeSize(v graph.NodeID) int {
 	if !c.Compact {
 		return 4 + 8 + 8 + 2 + 8*c.LandmarkDim + c.G.Degree(v)*(4+8+2+c.FlagBytes)
@@ -60,8 +72,8 @@ func (c *RegionCodec) SizeFunc() kdtree.SizeFunc {
 	return func(v graph.NodeID) int { return c.NodeSize(v) }
 }
 
-// EncodeRegion serializes one region's page content: u16 node count followed
-// by the node records.
+// EncodeRegion serializes one region's page content: the u16 node count
+// (regionHeaderBytes) followed by the node records.
 func (c *RegionCodec) EncodeRegion(r kdtree.RegionID) []byte {
 	nodes := c.Part.Members[r]
 	e := pagefile.NewEnc(64 * len(nodes))

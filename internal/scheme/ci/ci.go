@@ -55,9 +55,9 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		err  error
 	)
 	if opt.Packed {
-		part, err = kdtree.BuildPacked(g, codec.SizeFunc(), opt.PageSize)
+		part, err = kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
 	} else {
-		part, err = kdtree.BuildPlain(g, codec.SizeFunc(), opt.PageSize)
+		part, err = kdtree.BuildPlain(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ci: partitioning: %w", err)

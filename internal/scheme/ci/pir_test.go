@@ -10,8 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbs"
-	"repro/internal/pagefile"
-	"repro/internal/pir"
+	"repro/internal/pir/pirtest"
 )
 
 // TestEndToEndOverRealPIR runs complete CI queries with every file served
@@ -25,39 +24,36 @@ func TestEndToEndOverRealPIR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, width := range map[string]int{
-		"serial-scan":   1,
-		"parallel-scan": 2,
-	} {
-		t.Run(name, func(t *testing.T) {
-			// The files are too small for the size-aware default width to
-			// fan out, so the store's width is forced; a pool of the same
-			// size keeps the clamp from narrowing it.
-			stores := func(r pagefile.Reader) (pir.Store, error) {
-				x, err := pir.NewXORPIR(r)
-				if err != nil {
-					return nil, err
-				}
-				x.SetScanWorkers(width)
-				return x, nil
-			}
-			srv, err := lbs.NewServer(db, costmodel.Default(), stores, lbs.WithWorkers(width))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(44))
-			for trial := 0; trial < 6; trial++ {
-				s := graph.NodeID(rng.Intn(g.NumNodes()))
-				d := graph.NodeID(rng.Intn(g.NumNodes()))
-				res, err := Query(context.Background(), srv, g.Point(s), g.Point(d))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := graph.ShortestPath(g, s, d)
-				if math.Abs(res.Cost-want.Cost) > 1e-9 {
-					t.Fatalf("trial %d over %s: cost %v, want %v", trial, name, res.Cost, want.Cost)
-				}
-			}
-		})
+	t.Run("serial-scan", func(t *testing.T) {
+		checkOverXORPIR(t, g, db, lbs.XORStores, 1)
+	})
+	t.Run("parallel-scan", func(t *testing.T) {
+		// A store's scan width is its own: GOMAXPROCS, shrunk so each
+		// worker folds at least 512 KiB. The files here are a few KB, so
+		// WideXORStores pads each past its last page to 1 MiB and raises
+		// GOMAXPROCS to 2 for the test.
+		checkOverXORPIR(t, g, db, pirtest.WideXORStores(t), 2)
+	})
+}
+
+// checkOverXORPIR hosts db on stores behind a pool of the given size and
+// checks six random queries' costs against Dijkstra.
+func checkOverXORPIR(t *testing.T, g *graph.Graph, db *lbs.Database, stores lbs.StoreFactory, workers int) {
+	srv, err := lbs.NewServer(db, costmodel.Default(), stores, lbs.WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 6; trial++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		d := graph.NodeID(rng.Intn(g.NumNodes()))
+		res, err := Query(context.Background(), srv, g.Point(s), g.Point(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := graph.ShortestPath(g, s, d)
+		if math.Abs(res.Cost-want.Cost) > 1e-9 {
+			t.Fatalf("trial %d: cost %v, want %v", trial, res.Cost, want.Cost)
+		}
 	}
 }

@@ -52,7 +52,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		return nil, fmt.Errorf("hy: threshold %d < 1", opt.Threshold)
 	}
 	codec := &base.RegionCodec{G: g}
-	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), opt.PageSize)
+	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
 	if err != nil {
 		return nil, fmt.Errorf("hy: partitioning: %w", err)
 	}

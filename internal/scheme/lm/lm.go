@@ -58,7 +58,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	lms := graph.BuildLandmarks(g, anchors)
 
 	codec := &base.RegionCodec{G: g, Landmarks: lms.Dist, LandmarkDim: len(anchors)}
-	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), opt.PageSize)
+	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
 	if err != nil {
 		return nil, fmt.Errorf("lm: partitioning: %w", err)
 	}

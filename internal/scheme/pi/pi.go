@@ -61,7 +61,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		name = SchemeNameClustered
 	}
 	codec := &base.RegionCodec{G: g, Compact: opt.CompactData}
-	capacity := opt.PageSize * opt.ClusterPages
+	capacity := codec.Capacity(opt.PageSize * opt.ClusterPages)
 	var (
 		part *kdtree.Partition
 		err  error

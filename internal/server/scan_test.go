@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -13,23 +14,21 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
-	"repro/internal/pir"
+	"repro/internal/pir/pirtest"
+	"repro/internal/plan"
 	"repro/internal/telemetry"
 )
 
-// startScanServer hosts the named databases on scan stores, on a loopback
-// listener; opts.Stores defaults to lbs.XORStores.
-func startScanServer(t testing.TB, opts Options, names ...string) (*Server, string) {
+// startScanServer hosts db as name on scan stores, on a loopback listener;
+// opts.Stores defaults to lbs.XORStores.
+func startScanServer(t testing.TB, opts Options, name string, db *lbs.Database) (*Server, string) {
 	t.Helper()
-	_, dbs := fixture(t)
 	if opts.Stores == nil {
 		opts.Stores = lbs.XORStores
 	}
 	srv := New(opts)
-	for _, name := range names {
-		if err := srv.Host(name, dbs[name], costmodel.Default()); err != nil {
-			t.Fatal(err)
-		}
+	if err := srv.Host(name, db, costmodel.Default()); err != nil {
+		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -50,20 +49,6 @@ func startScanServer(t testing.TB, opts Options, names ...string) (*Server, stri
 	return srv, ln.Addr().String()
 }
 
-// xorStoresWidth is lbs.XORStores with every store's scan width forced to
-// n: the fixture's files are too small for the size-aware default to fan
-// out, so the parallel-scan tests force the segmented kernel on this way.
-func xorStoresWidth(n int) lbs.StoreFactory {
-	return func(r pagefile.Reader) (pir.Store, error) {
-		x, err := pir.NewXORPIR(r)
-		if err != nil {
-			return nil, err
-		}
-		x.SetScanWorkers(n)
-		return x, nil
-	}
-}
-
 // TestTheorem1UnderCoScheduling: with many connections' fetches running as
 // concurrent passes over the same scan stores at the derived width (the
 // fixture's small files resolve to the serial kernel), every query's
@@ -75,11 +60,12 @@ func TestTheorem1UnderCoScheduling(t *testing.T) {
 	checkTheorem1Concurrent(t, nil, "privsp_pir_scans_total")
 }
 
-// TestTheorem1UnderParallelScan is TestTheorem1UnderCoScheduling with the
-// segmented kernel forced on at width 4: which core XORs which words must
-// not change which file any query is seen to access.
+// TestTheorem1UnderParallelScan is TestTheorem1UnderCoScheduling with every
+// pass on the segmented kernel, at a width of at least 2 that
+// pirtest.WideXORStores checks on every store: which core XORs which words must not change which
+// file any query is seen to access.
 func TestTheorem1UnderParallelScan(t *testing.T) {
-	checkTheorem1Concurrent(t, xorStoresWidth(4), "privsp_pir_scans_total", "privsp_scan_segment_seconds")
+	checkTheorem1Concurrent(t, pirtest.WideXORStores(t), "privsp_pir_scans_total")
 }
 
 // checkTheorem1Concurrent hosts every scheme on a four-slot pool of the given
@@ -93,7 +79,7 @@ func checkTheorem1Concurrent(t *testing.T, stores lbs.StoreFactory, moved ...str
 
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme)
+			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme, dbs[scheme])
 			want := lbs.CanonicalTrace(dbs[scheme].Plan)
 
 			var wg sync.WaitGroup
@@ -160,11 +146,10 @@ func TestTelemetryLeakageFreeCoScheduling(t *testing.T) {
 }
 
 // TestTelemetryLeakageFreeParallelScan is TestTelemetryLeakageFreeCoScheduling
-// at width 4, where the segment-time histogram also gains a fixed number of
-// observations per store pass (2 × width — a function of configuration).
+// with every pass on the segmented kernel, at a width of at least 2 that
+// pirtest.WideXORStores checks on every store.
 func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
-	checkTelemetryLeakageFree(t, xorStoresWidth(4),
-		"privsp_pir_scans_total", "privsp_scan_segment_seconds")
+	checkTelemetryLeakageFree(t, pirtest.WideXORStores(t), "privsp_pir_scans_total")
 }
 
 // checkTelemetryLeakageFree hosts every scheme on the given scan stores (nil:
@@ -172,7 +157,7 @@ func TestTelemetryLeakageFreeParallelScan(t *testing.T) {
 // connection: each query's registry delta must move every family in moved,
 // and all the deltas must be byte-identical.
 func checkTelemetryLeakageFree(t *testing.T, stores lbs.StoreFactory, moved ...string) {
-	g, _ := fixture(t)
+	g, dbs := fixture(t)
 	queries := [][2]graph.NodeID{
 		{0, graph.NodeID(g.NumNodes() - 1)}, // far apart
 		{1, 2},                              // adjacent
@@ -181,7 +166,7 @@ func checkTelemetryLeakageFree(t *testing.T, stores lbs.StoreFactory, moved ...s
 
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme)
+			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme, dbs[scheme])
 			c := dialDB(t, addr, scheme)
 			reg := srv.Telemetry()
 
@@ -219,21 +204,23 @@ func checkTelemetryLeakageFree(t *testing.T, stores lbs.StoreFactory, moved ...s
 
 // TestReplicaShareFetchIsOnePass: a share fetch on a -replica-role daemon is
 // one pass over a scan store, like any fetch batch there, so one FetchShare
-// against a width-2 store moves the file's privsp_pir_scans_total by exactly
-// one and privsp_scan_segment_seconds by one observation per scan worker —
-// and, like every replica metric, identically whichever page the selector
-// picks out.
+// against a store of width at least 2 moves the file's
+// privsp_pir_scans_total by exactly one — and, like every replica metric,
+// identically whichever page the selector picks out. The replica hosts one
+// 1 MiB file, so the share is folded by the segmented kernel.
 func TestReplicaShareFetchIsOnePass(t *testing.T) {
-	srv, addr := startScanServer(t, Options{Workers: 4, Stores: xorStoresWidth(2), ReplicaRole: true}, "CI")
-	c := dialDB(t, addr, "CI")
+	db := &lbs.Database{
+		Scheme: "RAW",
+		Header: []byte("raw fixture header\n"),
+		Files:  []pagefile.Reader{pirtest.WideFile("pages")},
+		Plan:   plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "pages", Count: 1}}}}},
+	}
+	opts := Options{Workers: 4, Stores: pirtest.WideXORStores(t), ReplicaRole: true}
+	srv, addr := startScanServer(t, opts, "RAW", db)
+	c := dialDB(t, addr, "RAW")
 	reg := srv.Telemetry()
 	ctx := context.Background()
-	var file lbs.FileInfo // the largest: a pass needs a page per scan worker
-	for _, f := range c.Files() {
-		if f.NumPages > file.NumPages {
-			file = f
-		}
-	}
+	file := c.Files()[0]
 
 	shareFetch := func(page int) string {
 		t.Helper()
@@ -241,13 +228,18 @@ func TestReplicaShareFetchIsOnePass(t *testing.T) {
 		sel[page/8] |= 1 << (page % 8)
 		before := reg.Snapshot()
 		q := c.StartQuery()
-		if _, err := q.ReadShares(ctx, file.Name, [][]byte{sel}); err != nil {
+		ans, err := q.ReadShares(ctx, file.Name, [][]byte{sel})
+		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := q.End(ctx); err != nil {
 			t.Fatal(err)
 		}
-		settle(t, srv, "CI")
+		// A one-bit selector's share is the page itself: page i holds i+1.
+		if want := bytes.Repeat([]byte{byte(page + 1)}, file.PageSize); !bytes.Equal(ans[0], want) {
+			t.Fatalf("share of page %d is not the page", page)
+		}
+		settle(t, srv, "RAW")
 		return telemetry.Delta(before, reg.Snapshot())
 	}
 	shareFetch(0) // settle once-per-connection effects
@@ -256,13 +248,8 @@ func TestReplicaShareFetchIsOnePass(t *testing.T) {
 		t.Errorf("the selected page leaked into the replica's metrics:\n--- page 1 ---\n%s--- page %d ---\n%s",
 			first, file.NumPages-1, last)
 	}
-	for _, want := range []string{
-		`privsp_pir_scans_total{db="CI",file="` + file.Name + `"} +1`,
-		`privsp_scan_segment_seconds{db="CI"} +2 observations (timing elided)`,
-	} {
-		if !strings.Contains(first, want+"\n") {
-			t.Errorf("one width-2 share fetch did not move %q:\n%s", want, first)
-		}
+	if want := `privsp_pir_scans_total{db="RAW",file="` + file.Name + `"} +1`; !strings.Contains(first, want+"\n") {
+		t.Errorf("one share fetch did not move %q:\n%s", want, first)
 	}
 	if n := strings.Count(first, "privsp_pir_scans_total"); n != 1 {
 		t.Errorf("one share fetch moved %d files' pass counters, want 1:\n%s", n, first)

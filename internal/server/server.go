@@ -32,8 +32,8 @@ import (
 type Options struct {
 	// Workers sizes each hosted database's worker pool, across all of its
 	// connections: every fetch or share batch is one store call holding
-	// one slot, so Workers bounds the batches served at once; it also caps
-	// the (otherwise derived) scan width of each pass.
+	// one slot, so Workers bounds the store calls running at once. How
+	// wide one call scans is the store's own (pir.XORPIR.ScanWorkers).
 	// Every database gets its own pool, so concurrent sessions on distinct
 	// databases never serialize on each other. 0 means 2×GOMAXPROCS.
 	Workers int
@@ -205,8 +205,8 @@ func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) err
 
 // HostLBS registers an already-prepared lbs.Server, keeping whatever worker
 // pool it was constructed with (lbs.WithWorkers). Any store mix is safe to
-// serve concurrently: every pir.Store is, and lbs.Server routes each fetch
-// by the store's kind (see lbs.Server.ReadPagesInto).
+// serve concurrently: every pir.Store is, and lbs.Server answers each batch
+// with one store call on one pool slot (see lbs.Server.ReadPagesInto).
 func (s *Server) HostLBS(name string, lsrv *lbs.Server) error {
 	if name == "" {
 		return errors.New("server: empty database name")
@@ -415,7 +415,7 @@ func (sc *fetchScratch) grow(k, ps int) {
 // page indices up front — so the error text names the hostile index instead
 // of surfacing from deep inside a store — and reads the pages into the
 // scratch buffers through the database's worker pool
-// (lbs.Server.ReadPagesInto routes scan stores whole and fans the rest out).
+// (lbs.Server.ReadPagesInto: one store call on one slot for the batch).
 // The query's context aborts a read waiting for a pool slot, freeing the
 // worker for queries that still want answers. The returned pages are sc's
 // buffers, valid until the scratch is reused: the reply is written from

@@ -242,6 +242,44 @@ func TestRepeatedRoadsBuildTheSameDatabase(t *testing.T) {
 	}
 }
 
+// TestRegionHeaderFitsTheTightestPage: two nodes joined by one road, on a
+// page exactly as large as their two records (4+8+8+2 bytes of id,
+// coordinates and degree, 4+8+2 of the one half-edge: 36 each, and 16 more
+// for LM's two landmark distances). A region page also carries a 2-byte node
+// count, so the two records cannot share one page: the partition must size
+// regions net of that header, or the build fails with "encodes to 74 bytes
+// > 1-page cluster".
+func TestRegionHeaderFitsTheTightestPage(t *testing.T) {
+	net := NewNetwork()
+	a := net.AddNode(Point{X: 0, Y: 0})
+	b := net.AddNode(Point{X: 1, Y: 1})
+	if err := net.AddRoad(a, b, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		scheme   Scheme
+		pageSize int
+	}{{CI, 72}, {PI, 72}, {PIStar, 72}, {HY, 72}, {LM, 104}, {AF, 72}} {
+		t.Run(string(c.scheme), func(t *testing.T) {
+			db, err := Build(net, Config{Scheme: c.scheme, PageSize: c.pageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := Serve(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := srv.ShortestPath(context.Background(), net.NodePoint(a), net.NodePoint(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost != 1.5 {
+				t.Errorf("a->b cost %v, want 1.5", res.Cost)
+			}
+		})
+	}
+}
+
 func TestLoadSaveNetwork(t *testing.T) {
 	net := Generate(Oldenburg, 0.03, 1)
 	var nodes, edges bytes.Buffer
