@@ -20,6 +20,7 @@ port=$((22000 + $$ % 9000))
 aport=$((port + 1))
 bin=$(mktemp -t privspd.XXXXXX)
 qbin=$(mktemp -t privsp.XXXXXX)
+cidb=$(mktemp -t ci.psdb.XXXXXX)
 dlog=$(mktemp -t privspd.log.XXXXXX)
 scrape=$(mktemp -t scrape.XXXXXX)
 okcount=$(mktemp -t okcount.XXXXXX)
@@ -37,7 +38,7 @@ cleanup() {
 		wait "$pid" 2>/dev/null || true
 		pid=""
 	fi
-	rm -f "$bin" "$qbin" "$dlog" "$scrape" "$okcount" "$notready"
+	rm -f "$bin" "$qbin" "$cidb" "$dlog" "$scrape" "$okcount" "$notready"
 }
 trap cleanup EXIT
 trap 'cleanup; trap - INT; kill -INT $$' INT
@@ -45,8 +46,9 @@ trap 'cleanup; trap - TERM; kill -TERM $$' TERM
 
 go build -o "$bin" ./cmd/privspd
 go build -o "$qbin" ./cmd/privsp
+"$qbin" build -preset Oldenburg -scale 0.05 -seed 1 -scheme CI -out "$cidb"
 
-"$bin" -preset Oldenburg -scale 0.05 -schemes CI \
+"$bin" -db "$cidb" \
 	-listen "127.0.0.1:$port" -admin "127.0.0.1:$aport" \
 	-max-inflight 1 -chaos 'latency=1ms,tear=9,dialfail=7,seed=7' \
 	-stats 2s >"$dlog" 2>&1 &
@@ -96,7 +98,7 @@ while [ "$i" -lt 8 ]; do
 		j=0
 		while [ "$j" -lt 3 ]; do
 			if "$qbin" query -remote "127.0.0.1:$port" -db CI \
-				-preset Oldenburg -scale 0.05 -s "$i" -t $((10 + i * 3 + j)) \
+				-preset Oldenburg -scale 0.05 -seed 1 -s "$i" -t $((10 + i * 3 + j)) \
 				>/dev/null 2>&1; then
 				echo ok >>"$okcount"
 			fi

@@ -32,6 +32,7 @@ admina=$((porta + 1))
 portb=$((porta + 2))
 adminb=$((porta + 3))
 bin=$(mktemp -t privspd.XXXXXX)
+qbin=$(mktemp -t privsp.XXXXXX)
 container=$(mktemp -t ci.psdb.XXXXXX)
 dloga=$(mktemp -t replica-a.log.XXXXXX)
 dlogb=$(mktemp -t replica-b.log.XXXXXX)
@@ -50,14 +51,15 @@ cleanup() {
 	done
 	pida=""
 	pidb=""
-	rm -f "$bin" "$container" "$dloga" "$dlogb" "$out1" "$out2" "$out3" "$out4" "$counta" "$countb"
+	rm -f "$bin" "$qbin" "$container" "$dloga" "$dlogb" "$out1" "$out2" "$out3" "$out4" "$counta" "$countb"
 }
 trap cleanup EXIT
 trap 'cleanup; trap - INT; kill -INT $$' INT
 trap 'cleanup; trap - TERM; kill -TERM $$' TERM
 
 go build -o "$bin" ./cmd/privspd
-go run ./cmd/privsp build -preset Oldenburg -scale 0.05 -scheme CI -seed 1 -out "$container"
+go build -o "$qbin" ./cmd/privsp
+"$qbin" build -preset Oldenburg -scale 0.05 -scheme CI -seed 1 -out "$container"
 
 "$bin" -db "$container" -pir xorpir -replica-role \
 	-listen "127.0.0.1:$porta" -admin "127.0.0.1:$admina" >"$dloga" 2>&1 &
@@ -83,9 +85,9 @@ for admin in "$admina" "$adminb"; do
 done
 
 fleet="127.0.0.1:$porta,127.0.0.1:$portb"
-go run ./cmd/privsp query -fleet "$fleet" \
+"$qbin" query -fleet "$fleet" \
 	-preset Oldenburg -scale 0.05 -s 0 -t 42 | tee "$out1"
-go run ./cmd/privsp query -fleet "$fleet" \
+"$qbin" query -fleet "$fleet" \
 	-preset Oldenburg -scale 0.05 -s 3 -t 7 | tee "$out2"
 
 # Both runs must have split every read into selector shares across the two
@@ -140,7 +142,7 @@ fi
 
 # Claim 3: one address is not a fleet. The dial refuses it before touching
 # the network, so the replicas' counters above are unaffected.
-if go run ./cmd/privsp query -fleet "127.0.0.1:$porta" \
+if "$qbin" query -fleet "127.0.0.1:$porta" \
 	-preset Oldenburg -scale 0.05 -s 0 -t 42 >"$out3" 2>&1; then
 	echo "fleet-smoke: a one-replica fleet query succeeded; want a refusal:" >&2
 	cat "$out3" >&2
@@ -164,7 +166,7 @@ before=$(sharesa)
 kill "$pidb"
 wait "$pidb" 2>/dev/null || true
 pidb=""
-if go run ./cmd/privsp query -fleet "$fleet" \
+if "$qbin" query -fleet "$fleet" \
 	-preset Oldenburg -scale 0.05 -s 0 -t 42 >"$out4" 2>&1; then
 	echo "fleet-smoke: a query with replica B down succeeded; want a refusal:" >&2
 	cat "$out4" >&2

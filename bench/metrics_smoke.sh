@@ -1,6 +1,7 @@
 #!/bin/sh
-# End-to-end observability smoke: start a real privspd with -admin, run
-# remote queries through the privsp CLI while the daemon is live, scrape
+# End-to-end observability smoke: build CI and LM containers with privsp
+# build -out, serve them from a real privspd with -admin, run remote
+# queries through the privsp CLI while the daemon is live, scrape
 # /metrics mid-run, and fail if the exported metric families diverge from
 # docs/metrics.catalog in either direction — an undocumented metric and a
 # silently dropped one are both regressions. Finishes with a graceful
@@ -18,6 +19,9 @@ cd "$(dirname "$0")/.."
 port=$((21000 + $$ % 9000))
 aport=$((port + 1))
 bin=$(mktemp -t privspd.XXXXXX)
+qbin=$(mktemp -t privsp.XXXXXX)
+cidb=$(mktemp -t ci.psdb.XXXXXX)
+lmdb=$(mktemp -t lm.psdb.XXXXXX)
 dlog=$(mktemp -t privspd.log.XXXXXX)
 scrape=$(mktemp -t scrape.XXXXXX)
 exported=$(mktemp -t exported.XXXXXX)
@@ -32,14 +36,18 @@ cleanup() {
 		wait "$pid" 2>/dev/null || true
 		pid=""
 	fi
-	rm -f "$bin" "$dlog" "$scrape" "$exported" "$cataloged"
+	rm -f "$bin" "$qbin" "$cidb" "$lmdb" "$dlog" "$scrape" "$exported" "$cataloged"
 }
 trap cleanup EXIT
 trap 'cleanup; trap - INT; kill -INT $$' INT
 trap 'cleanup; trap - TERM; kill -TERM $$' TERM
 
 go build -o "$bin" ./cmd/privspd
-"$bin" -preset Oldenburg -scale 0.05 -schemes CI,LM \
+go build -o "$qbin" ./cmd/privsp
+"$qbin" build -preset Oldenburg -scale 0.05 -seed 1 -scheme CI -out "$cidb"
+"$qbin" build -preset Oldenburg -scale 0.05 -seed 1 -scheme LM -out "$lmdb"
+
+"$bin" -db "$cidb,$lmdb" \
 	-listen "127.0.0.1:$port" -admin "127.0.0.1:$aport" -stats 2s >"$dlog" 2>&1 &
 pid=$!
 
@@ -63,10 +71,10 @@ if [ "$ready" != "1" ]; then
 fi
 
 # Queries over the real wire protocol, daemon live the whole time.
-go run ./cmd/privsp query -remote "127.0.0.1:$port" -db CI \
-	-preset Oldenburg -scale 0.05 -s 0 -t 42
-go run ./cmd/privsp query -remote "127.0.0.1:$port" -db LM \
-	-preset Oldenburg -scale 0.05 -s 3 -t 7
+"$qbin" query -remote "127.0.0.1:$port" -db CI \
+	-preset Oldenburg -scale 0.05 -seed 1 -s 0 -t 42
+"$qbin" query -remote "127.0.0.1:$port" -db LM \
+	-preset Oldenburg -scale 0.05 -seed 1 -s 3 -t 7
 
 curl -fsS "http://127.0.0.1:$aport/metrics" >"$scrape"
 

@@ -7,13 +7,19 @@
 //	privsp generate -preset Argentina -scale 0.05
 //	privsp build    -preset Oldenburg -scale 0.1 -scheme CI
 //	privsp build    -preset Oldenburg -scale 0.1 -scheme CI -out ci.psdb
+//	privsp build    -nodes oldb.nodes -edges oldb.edges -scheme PI -page 1024 -out pi.psdb
 //	privsp plan     -preset Oldenburg -scale 0.1 -scheme HY -threshold 20
 //	privsp query    -preset Oldenburg -scale 0.1 -scheme PI -s 3 -t 99
 //	privsp audit    -preset Oldenburg -scale 0.1 -scheme CI
 //
-// With -remote, query and stats run against a privspd daemon instead of an
-// in-process server (the network must still be generated locally to map
-// node ids to coordinates):
+// -nodes and -edges (given together) load the network from 'id x y' and
+// 'id from to weight' files instead of generating -preset; -page sets the
+// page size in bytes (0 = the Table 2 default).
+//
+// With -remote, query and stats run against a privspd daemon serving
+// containers written by build -out, instead of an in-process server. The
+// network must still be loaded locally, with the flags it was built from,
+// to map node ids to coordinates:
 //
 //	privsp query -remote localhost:7465 -db CI -preset Oldenburg -scale 0.05 -s 3 -t 99
 //	privsp stats -remote localhost:7465
@@ -46,7 +52,10 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	preset := fs.String("preset", "Oldenburg", "network preset (Oldenburg, Germany, Argentina, Denmark, India, NorthAmerica)")
 	scale := fs.Float64("scale", 0.05, "network scale in (0,1]")
-	seed := fs.Int64("seed", 1, "generator seed")
+	seed := fs.Int64("seed", 1, "generator / build seed")
+	nodesFile := fs.String("nodes", "", "node file ('id x y' lines); overrides -preset together with -edges")
+	edgesFile := fs.String("edges", "", "edge file ('id from to weight' lines)")
+	pageSize := fs.Int("page", 0, "page size in bytes (0 = Table 2 default)")
 	scheme := fs.String("scheme", "CI", "scheme: CI, PI, PI*, HY, LM, AF")
 	threshold := fs.Int("threshold", 0, "HY threshold")
 	cluster := fs.Int("cluster", 0, "PI* cluster pages")
@@ -106,14 +115,13 @@ func main() {
 		return
 	}
 
-	p, ok := presetByName(*preset)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "privsp: unknown preset %q\n", *preset)
-		os.Exit(2)
+	net, desc, err := loadNetwork(*preset, *scale, *seed, *nodesFile, *edgesFile)
+	if err != nil {
+		fatal(err)
 	}
-	net := privsp.Generate(p, *scale, *seed)
 	cfg := privsp.Config{
 		Scheme:       privsp.Scheme(*scheme),
+		PageSize:     *pageSize,
 		Threshold:    *threshold,
 		ClusterPages: *cluster,
 		Landmarks:    *landmarks,
@@ -123,14 +131,14 @@ func main() {
 
 	switch cmd {
 	case "generate":
-		fmt.Printf("%s at scale %.3f: %d nodes, %d edges\n", *preset, *scale, net.NumNodes(), net.NumEdges())
+		fmt.Printf("%s: %d nodes, %d edges\n", desc, net.NumNodes(), net.NumEdges())
 	case "build", "plan":
 		db, err := privsp.Build(net, cfg)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("scheme %s on %s (%d nodes): %.2f MB\n",
-			db.Scheme(), *preset, net.NumNodes(), float64(db.TotalBytes())/(1<<20))
+			db.Scheme(), desc, net.NumNodes(), float64(db.TotalBytes())/(1<<20))
 		fmt.Println("query plan:", db.Plan())
 		if *out != "" {
 			if err := db.Save(*out); err != nil {
@@ -169,6 +177,9 @@ func main() {
 		}
 		fmt.Println("  (Theorem 1 holds: queries are indistinguishable)")
 	case "query":
+		if err := checkNodes(net, *srcNode, *dstNode); err != nil {
+			fatal(err)
+		}
 		var srv privsp.PathService
 		if *fleetAddrs != "" {
 			fsrv, err := privsp.DialFleetConfig(ctx, splitAddrs(*fleetAddrs), privsp.FleetConfig{
@@ -204,9 +215,6 @@ func main() {
 				fatal(err)
 			}
 			srv = lsrv
-		}
-		if *srcNode >= net.NumNodes() || *dstNode >= net.NumNodes() {
-			fatal(fmt.Errorf("node ids must be below %d", net.NumNodes()))
 		}
 		var serverTrace string
 		res, err := srv.ShortestPath(ctx, net.NodePoint(privsp.NodeID(*srcNode)), net.NodePoint(privsp.NodeID(*dstNode)),
@@ -274,16 +282,46 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-func presetByName(name string) (privsp.Preset, bool) {
+// loadNetwork returns the network the flags name and a label for it: the
+// -nodes/-edges files when given (they override -preset), else -preset
+// generated at scale and seed.
+func loadNetwork(preset string, scale float64, seed int64, nodesFile, edgesFile string) (*privsp.Network, string, error) {
+	if (nodesFile == "") != (edgesFile == "") {
+		return nil, "", fmt.Errorf("-nodes and -edges must be given together")
+	}
+	if nodesFile != "" {
+		nf, err := os.Open(nodesFile)
+		if err != nil {
+			return nil, "", err
+		}
+		defer nf.Close()
+		ef, err := os.Open(edgesFile)
+		if err != nil {
+			return nil, "", err
+		}
+		defer ef.Close()
+		net, err := privsp.LoadNetwork(nf, ef)
+		return net, nodesFile, err
+	}
 	for _, p := range []privsp.Preset{
 		privsp.Oldenburg, privsp.Germany, privsp.Argentina,
 		privsp.Denmark, privsp.India, privsp.NorthAmerica,
 	} {
-		if strings.EqualFold(p.String(), name) {
-			return p, true
+		if strings.EqualFold(p.String(), preset) {
+			return privsp.Generate(p, scale, seed), fmt.Sprintf("%s at scale %.3f", p, scale), nil
 		}
 	}
-	return 0, false
+	return nil, "", fmt.Errorf("unknown preset %q", preset)
+}
+
+// checkNodes refuses query endpoints that are not node ids of net.
+func checkNodes(net *privsp.Network, ids ...int) error {
+	for _, id := range ids {
+		if id < 0 || id >= net.NumNodes() {
+			return fmt.Errorf("node ids must be below %d", net.NumNodes())
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

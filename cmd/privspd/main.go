@@ -1,23 +1,21 @@
-// Command privspd is the networked LBS daemon: it loads prebuilt database
-// containers — or builds a road network and pre-processes it under one or
-// more privacy schemes — and serves the resulting databases over TCP with
-// the wire protocol of internal/wire. Remote clients connect with
-// privsp.Dial (or privsp query -remote) and run the multi-round PIR
-// protocol; the daemon observes only the public query plan's access
-// pattern.
+// Command privspd is the networked LBS daemon: it serves database
+// containers written by "privsp build -out" over TCP with the wire protocol
+// of internal/wire. It builds nothing: the (potentially multi-hour, §7)
+// preprocessing runs offline in privsp build, and the daemon maps the
+// finished containers. Remote clients connect with privsp.Dial (or privsp
+// query -remote) and run the multi-round PIR protocol; the daemon observes
+// only the public query plan's access pattern.
 //
 // Usage:
 //
-//	privspd -listen :7465 -preset Oldenburg -scale 0.05 -schemes CI,PI,HY
-//	privspd -listen :7465 -nodes oldb.nodes -edges oldb.edges -schemes CI
+//	privsp build -preset Oldenburg -scale 0.05 -scheme CI -out ci.psdb
+//	privsp build -nodes oldb.nodes -edges oldb.edges -scheme PI -out pi.psdb
 //	privspd -listen :7465 -db ci.psdb,pi.psdb
 //
-// The -db form loads containers written by "privsp build -out" instead of
-// re-running the (potentially multi-hour, §7) preprocessing at startup; it
-// is mutually exclusive with the build-path flags. Each database is hosted
-// under its scheme name; clients select one with privsp.DialDatabase (or
-// take the sole database when only one is served). SIGINT/SIGTERM trigger
-// a graceful shutdown that waits for in-flight sessions.
+// -db is required. Each database is hosted under its scheme name; clients
+// select one with privsp.DialDatabase (or take the sole database when only
+// one is served). SIGINT/SIGTERM trigger a graceful shutdown that waits for
+// in-flight sessions.
 //
 // -admin ADDR (off by default) serves the operator endpoints on a SEPARATE
 // listen address: Prometheus-text /metrics over the daemon's telemetry
@@ -39,8 +37,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -61,48 +61,19 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7465", "TCP listen address")
-	preset := flag.String("preset", "Oldenburg", "network preset (Oldenburg, Germany, Argentina, Denmark, India, NorthAmerica)")
-	scale := flag.Float64("scale", 0.05, "network scale in (0,1]")
-	seed := flag.Int64("seed", 1, "generator / build seed")
-	nodesFile := flag.String("nodes", "", "node file ('id x y' lines); overrides -preset together with -edges")
-	edgesFile := flag.String("edges", "", "edge file ('id from to weight' lines)")
-	schemes := flag.String("schemes", "CI", "comma-separated schemes to host: CI, PI, PI*, HY, LM, AF")
-	dbFiles := flag.String("db", "", "comma-separated .psdb containers to serve instead of building (see privsp build -out)")
-	pageSize := flag.Int("page", 0, "page size in bytes (0 = Table 2 default)")
-	threshold := flag.Int("threshold", 0, "HY threshold")
-	cluster := flag.Int("cluster", 0, "PI* cluster pages")
-	landmarks := flag.Int("landmarks", 0, "LM anchors")
-	regions := flag.Int("regions", 0, "AF regions")
-	workers := flag.Int("workers", 0, "worker-pool slots per database: every fetch or share batch is one store call holding one, so this bounds the store calls running at once; an XOR-PIR pass's scan width is the store's own, set by GOMAXPROCS and file size (0 = 2x GOMAXPROCS)")
-	pirStore := flag.String("pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass on one -workers slot)")
-	replicaRole := flag.Bool("replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
-	maxInflight := flag.Int("max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")
-	chaosSpec := flag.String("chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")
-	adminAddr := flag.String("admin", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:6060; empty = disabled)")
-	statsEvery := flag.Duration("stats", 0, "log serving stats at this interval (0 = off)")
-	shutdownWait := flag.Duration("drain", 10*time.Second, "graceful shutdown window (in-flight queries are cancelled immediately; sessions get this long to settle)")
-	flag.Parse()
+	fs, cfg := newFlagSet(os.Stderr)
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2)
+	}
 
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("")
 
-	// Validate the whole flag combination up front: a bad scheme name or a
-	// contradictory pairing must fail here, not minutes into a network
-	// build.
-	var explicit []string
-	flag.Visit(func(f *flag.Flag) { explicit = append(explicit, f.Name) })
-	cfg := daemonConfig{
-		DBFiles:     splitList(*dbFiles),
-		Schemes:     splitList(*schemes),
-		Preset:      *preset,
-		NodesFile:   *nodesFile,
-		EdgesFile:   *edgesFile,
-		PIRStore:    *pirStore,
-		ReplicaRole: *replicaRole,
-		Chaos:       *chaosSpec,
-		Explicit:    explicit,
-	}
+	// Validate the whole flag combination up front: a missing -db or a
+	// contradictory pairing must fail here, before any container is opened.
 	warnings, err := cfg.validate()
 	if err != nil {
 		log.Fatalf("privspd: %v", err)
@@ -114,65 +85,36 @@ func main() {
 	// Chaos mode (dev only): one injector shared by the listener wrapper and
 	// every hosted file's reader, so fault rates are daemon-global.
 	var chaos *faultinject.Injector
-	if *chaosSpec != "" {
-		ccfg, _ := faultinject.ParseSpec(*chaosSpec) // validated above
+	if cfg.Chaos != "" {
+		ccfg, _ := faultinject.ParseSpec(cfg.Chaos) // validated above
 		if ccfg.Enabled() {
 			chaos = faultinject.New(ccfg)
 		}
 	}
 
-	stores := storeFactory(*pirStore)
+	stores := storeFactory(cfg.PIRStore)
 	if chaos != nil {
 		stores = chaosStores(chaos, stores)
 	}
 	srv := server.New(server.Options{
-		Workers:     *workers,
+		Workers:     cfg.Workers,
 		Logf:        log.Printf,
 		Stores:      stores,
-		ReplicaRole: *replicaRole,
-		MaxInflight: *maxInflight,
+		ReplicaRole: cfg.ReplicaRole,
+		MaxInflight: cfg.MaxInflight,
 	})
-	if len(cfg.DBFiles) > 0 {
-		for _, path := range cfg.DBFiles {
-			start := time.Now()
-			db, err := privsp.Open(path)
-			if err != nil {
-				log.Fatalf("privspd: %v", err)
-			}
-			name := string(db.Scheme())
-			if err := srv.Host(name, db.LBS(), costmodel.Default()); err != nil {
-				log.Fatalf("privspd: hosting %s as %q: %v", path, name, err)
-			}
-			log.Printf("privspd: hosted %s from %s: %.2f MB, plan %s (loaded in %v — no rebuild)",
-				name, path, float64(db.TotalBytes())/(1<<20), db.Plan(), time.Since(start).Round(time.Millisecond))
-		}
-	} else {
-		net, desc, err := loadNetwork(*preset, *scale, *seed, *nodesFile, *edgesFile)
+	for _, path := range cfg.DBFiles {
+		start := time.Now()
+		db, err := privsp.Open(path)
 		if err != nil {
 			log.Fatalf("privspd: %v", err)
 		}
-		log.Printf("privspd: network %s: %d nodes, %d edges", desc, net.NumNodes(), net.NumEdges())
-		for _, name := range cfg.Schemes {
-			bcfg := privsp.Config{
-				Scheme:       privsp.Scheme(name),
-				PageSize:     *pageSize,
-				Threshold:    *threshold,
-				ClusterPages: *cluster,
-				Landmarks:    *landmarks,
-				Regions:      *regions,
-				Seed:         *seed,
-			}
-			start := time.Now()
-			db, err := privsp.Build(net, bcfg)
-			if err != nil {
-				log.Fatalf("privspd: building %s: %v", name, err)
-			}
-			if err := srv.Host(name, db.LBS(), costmodel.Default()); err != nil {
-				log.Fatalf("privspd: hosting %s: %v", name, err)
-			}
-			log.Printf("privspd: hosted %s: %.2f MB, plan %s (built in %v)",
-				name, float64(db.TotalBytes())/(1<<20), db.Plan(), time.Since(start).Round(time.Millisecond))
+		name := string(db.Scheme())
+		if err := srv.Host(name, db.LBS(), costmodel.Default()); err != nil {
+			log.Fatalf("privspd: hosting %s as %q: %v", path, name, err)
 		}
+		log.Printf("privspd: hosted %s from %s: %.2f MB, plan %s (loaded in %v)",
+			name, path, float64(db.TotalBytes())/(1<<20), db.Plan(), time.Since(start).Round(time.Millisecond))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -182,10 +124,10 @@ func main() {
 	// address: metrics and profiles are an operator tool, not a client
 	// surface.
 	adminWait := func() {}
-	if *adminAddr != "" {
-		wait, err := startAdmin(ctx, *adminAddr, newAdminMux(srv.Telemetry(), srv.Ready))
+	if cfg.Admin != "" {
+		wait, err := startAdmin(ctx, cfg.Admin, newAdminMux(srv.Telemetry(), srv.Ready))
 		if err != nil {
-			log.Fatalf("privspd: admin listen %s: %v", *adminAddr, err)
+			log.Fatalf("privspd: admin listen %s: %v", cfg.Admin, err)
 		}
 		adminWait = wait
 	}
@@ -196,19 +138,19 @@ func main() {
 	statsCtx, statsStop := context.WithCancel(context.Background())
 	defer statsStop()
 	var statsWG sync.WaitGroup
-	if *statsEvery > 0 {
+	if cfg.Stats > 0 {
 		statsWG.Add(1)
 		go func() {
 			defer statsWG.Done()
-			logStats(statsCtx, srv, *statsEvery)
+			logStats(statsCtx, srv, cfg.Stats)
 		}()
 	}
 
 	// Listen here, not in the server, so chaos mode can wrap the listener
 	// with its connection-level faults.
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
-		log.Fatalf("privspd: listen %s: %v", *listen, err)
+		log.Fatalf("privspd: listen %s: %v", cfg.Listen, err)
 	}
 	if chaos != nil {
 		ln = chaos.Listener(ln)
@@ -224,49 +166,66 @@ func main() {
 			log.Fatalf("privspd: serve: %v", err)
 		}
 	case <-ctx.Done():
-		log.Printf("privspd: shutting down (cancelling in-flight queries; settling for up to %v)", *shutdownWait)
-		sctx, cancel := context.WithTimeout(context.Background(), *shutdownWait)
+		log.Printf("privspd: shutting down (cancelling in-flight queries; settling for up to %v)", cfg.Drain)
+		sctx, cancel := context.WithTimeout(context.Background(), cfg.Drain)
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Printf("privspd: forced shutdown: %v", err)
 		}
 		statsStop()
 		statsWG.Wait()
-		if *statsEvery <= 0 {
+		if cfg.Stats <= 0 {
 			printStats(srv)
 		}
 		adminWait()
 	}
 }
 
-// daemonConfig is the flag combination validate checks before any expensive
-// work runs.
+// daemonConfig holds the daemon's flags; validate checks their combination
+// before any container is opened.
 type daemonConfig struct {
+	Listen      string
 	DBFiles     []string
-	Schemes     []string
-	Preset      string
-	NodesFile   string
-	EdgesFile   string
+	Workers     int
 	PIRStore    string
 	ReplicaRole bool
+	MaxInflight int
 	Chaos       string
-	// Explicit lists the flag names the user actually set (flag.Visit).
-	Explicit []string
+	Admin       string
+	Stats       time.Duration
+	Drain       time.Duration
 }
 
-// buildOnlyFlags are meaningless when serving prebuilt containers: the
-// containers already fix the network, the schemes and every tuning knob.
-var buildOnlyFlags = map[string]bool{
-	"preset": true, "scale": true, "seed": true, "nodes": true, "edges": true,
-	"schemes": true, "page": true, "threshold": true, "cluster": true,
-	"landmarks": true, "regions": true,
+// newFlagSet defines the daemon's flags, each bound to a field of the
+// returned config; parse errors and usage go to output.
+func newFlagSet(output io.Writer) (*flag.FlagSet, *daemonConfig) {
+	c := &daemonConfig{}
+	fs := flag.NewFlagSet("privspd", flag.ContinueOnError)
+	fs.SetOutput(output)
+	fs.StringVar(&c.Listen, "listen", ":7465", "TCP listen address")
+	fs.Func("db", "comma-separated .psdb container `paths` to serve, written by privsp build -out (required)", func(s string) error {
+		c.DBFiles = splitList(s)
+		return nil
+	})
+	fs.IntVar(&c.Workers, "workers", 0, "worker-pool slots per database: every fetch or share batch is one store call holding one, so this bounds the store calls running at once; an XOR-PIR pass's scan width is the store's own, set by GOMAXPROCS and file size (0 = 2x GOMAXPROCS)")
+	fs.StringVar(&c.PIRStore, "pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass on one -workers slot)")
+	fs.BoolVar(&c.ReplicaRole, "replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
+	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")
+	fs.StringVar(&c.Chaos, "chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")
+	fs.StringVar(&c.Admin, "admin", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:6060; empty = disabled)")
+	fs.DurationVar(&c.Stats, "stats", 0, "log serving stats at this interval (0 = off)")
+	fs.DurationVar(&c.Drain, "drain", 10*time.Second, "graceful shutdown window (in-flight queries are cancelled immediately; sessions get this long to settle)")
+	return fs, c
 }
 
 // validate rejects contradictory or unknown flag combinations with one
-// clear error, before any network is generated or container opened, and
-// returns advisory warnings for combinations that are legal but probably
-// not what the operator meant.
+// clear error, before any container is opened, and returns advisory
+// warnings for combinations that are legal but probably not what the
+// operator meant.
 func (c daemonConfig) validate() (warnings []string, err error) {
+	if len(c.DBFiles) == 0 {
+		return nil, fmt.Errorf("no database to serve: build a container with privsp build -out FILE and pass it with -db FILE")
+	}
 	switch c.PIRStore {
 	case "", "plain", "xorpir":
 	default:
@@ -284,34 +243,6 @@ func (c daemonConfig) validate() (warnings []string, err error) {
 		if ccfg.Enabled() {
 			warnings = append(warnings, fmt.Sprintf(
 				"-chaos %s injects faults into serving I/O — development and testing only, never production", ccfg))
-		}
-	}
-	if len(c.DBFiles) > 0 {
-		var conflict []string
-		for _, name := range c.Explicit {
-			if buildOnlyFlags[name] {
-				conflict = append(conflict, "-"+name)
-			}
-		}
-		if len(conflict) > 0 {
-			return warnings, fmt.Errorf("-db serves prebuilt containers and is mutually exclusive with %s", strings.Join(conflict, ", "))
-		}
-		return warnings, nil
-	}
-	if (c.NodesFile == "") != (c.EdgesFile == "") {
-		return warnings, fmt.Errorf("-nodes and -edges must be given together")
-	}
-	if c.NodesFile == "" && !knownPreset(c.Preset) {
-		return warnings, fmt.Errorf("unknown preset %q", c.Preset)
-	}
-	if len(c.Schemes) == 0 {
-		return warnings, fmt.Errorf("no schemes to host")
-	}
-	for _, name := range c.Schemes {
-		switch privsp.Scheme(name) {
-		case privsp.CI, privsp.PI, privsp.PIStar, privsp.HY, privsp.LM, privsp.AF:
-		default:
-			return warnings, fmt.Errorf("unknown scheme %q in -schemes (use CI, PI, PI*, HY, LM, AF)", name)
 		}
 	}
 	return warnings, nil
@@ -355,47 +286,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// resolvePreset is the single source of preset-name matching, shared by the
-// up-front validation and the build path.
-func resolvePreset(name string) (privsp.Preset, bool) {
-	for _, p := range []privsp.Preset{
-		privsp.Oldenburg, privsp.Germany, privsp.Argentina,
-		privsp.Denmark, privsp.India, privsp.NorthAmerica,
-	} {
-		if strings.EqualFold(p.String(), name) {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-func knownPreset(name string) bool {
-	_, ok := resolvePreset(name)
-	return ok
-}
-
-func loadNetwork(preset string, scale float64, seed int64, nodesFile, edgesFile string) (*privsp.Network, string, error) {
-	if nodesFile != "" {
-		nf, err := os.Open(nodesFile)
-		if err != nil {
-			return nil, "", err
-		}
-		defer nf.Close()
-		ef, err := os.Open(edgesFile)
-		if err != nil {
-			return nil, "", err
-		}
-		defer ef.Close()
-		net, err := privsp.LoadNetwork(nf, ef)
-		return net, nodesFile, err
-	}
-	p, ok := resolvePreset(preset)
-	if !ok {
-		return nil, "", fmt.Errorf("unknown preset %q", preset)
-	}
-	return privsp.Generate(p, scale, seed), fmt.Sprintf("%s@%.3f", p, scale), nil
 }
 
 // logStats prints a stats line every tick, plus one final line when the

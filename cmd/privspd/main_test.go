@@ -1,8 +1,12 @@
 package main
 
 import (
+	"flag"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -34,133 +38,140 @@ func TestStatsLine(t *testing.T) {
 	}
 }
 
+// parseArgs parses args with the daemon's flag set.
+func parseArgs(args ...string) (daemonConfig, error) {
+	fs, cfg := newFlagSet(io.Discard)
+	err := fs.Parse(args)
+	return *cfg, err
+}
+
+// TestValidateFlagCombinations parses each command line with the daemon's
+// own flag set, then validates it, as main does.
 func TestValidateFlagCombinations(t *testing.T) {
 	cases := []struct {
 		name    string
-		cfg     daemonConfig
+		args    []string
 		wantErr string // substring; "" = valid
 	}{
 		{
-			name: "default build path",
-			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}},
-		},
-		{
-			name: "all schemes",
-			cfg:  daemonConfig{Preset: "Denmark", Schemes: []string{"CI", "PI", "PI*", "HY", "LM", "AF"}},
-		},
-		{
-			name:    "nodes without edges",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, NodesFile: "x.nodes"},
-			wantErr: "-nodes and -edges must be given together",
-		},
-		{
-			name:    "edges without nodes",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, EdgesFile: "x.edges"},
-			wantErr: "-nodes and -edges must be given together",
-		},
-		{
-			name: "edge list overrides preset",
-			cfg:  daemonConfig{Preset: "Nowhere", Schemes: []string{"CI"}, NodesFile: "x.nodes", EdgesFile: "x.edges"},
-		},
-		{
-			name:    "unknown preset",
-			cfg:     daemonConfig{Preset: "Atlantis", Schemes: []string{"CI"}},
-			wantErr: `unknown preset "Atlantis"`,
-		},
-		{
-			name:    "unknown scheme mid-list",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI", "ZZ", "HY"}},
-			wantErr: `unknown scheme "ZZ"`,
-		},
-		{
-			name:    "OBF rejected",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"OBF"}},
-			wantErr: `unknown scheme "OBF"`,
-		},
-		{
-			name:    "empty scheme list",
-			cfg:     daemonConfig{Preset: "Oldenburg"},
-			wantErr: "no schemes to host",
-		},
-		{
 			name: "db path alone",
-			cfg:  daemonConfig{DBFiles: []string{"ci.psdb"}, Preset: "Oldenburg", Schemes: []string{"CI"}},
+			args: []string{"-db", "ci.psdb"},
 		},
 		{
-			name: "db conflicts with explicit build flags",
-			cfg: daemonConfig{DBFiles: []string{"ci.psdb"}, Preset: "Oldenburg", Schemes: []string{"CI"},
-				Explicit: []string{"db", "preset", "schemes"}},
-			wantErr: "mutually exclusive with -preset, -schemes",
+			name:    "no db",
+			args:    []string{"-pir", "xorpir"},
+			wantErr: "privsp build -out",
+		},
+		{
+			name:    "default build path",
+			args:    []string{"-preset", "Oldenburg", "-schemes", "CI"},
+			wantErr: "flag provided but not defined: -preset",
+		},
+		{
+			name:    "db conflicts with explicit build flags",
+			args:    []string{"-db", "ci.psdb", "-schemes", "CI"},
+			wantErr: "flag provided but not defined: -schemes",
 		},
 		{
 			name: "db with serving flags is fine",
-			cfg: daemonConfig{DBFiles: []string{"ci.psdb"},
-				Explicit: []string{"db", "listen", "workers", "stats", "drain"}},
-		},
-		{
-			name: "xorpir store accepted",
-			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir"},
+			args: []string{"-db", "ci.psdb,pi.psdb", "-listen", ":0", "-workers", "4", "-max-inflight", "8",
+				"-admin", "localhost:0", "-stats", "1s", "-drain", "2s"},
 		},
 		{
 			name: "chaos spec accepted",
-			cfg: daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"},
-				Chaos: "latency=2ms,tear=6,dialfail=5,eio=97,seed=42"},
+			args: []string{"-db", "ci.psdb", "-chaos", "latency=2ms,tear=6,dialfail=5,eio=97,seed=42"},
 		},
 		{
 			name:    "chaos spec rejected",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, Chaos: "latency=banana"},
+			args:    []string{"-db", "ci.psdb", "-chaos", "latency=banana"},
 			wantErr: "-chaos",
 		},
 		{
 			name:    "chaos unknown fault rejected",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, Chaos: "frob=1"},
+			args:    []string{"-db", "ci.psdb", "-chaos", "frob=1"},
 			wantErr: "unknown fault",
 		},
 		{
 			name: "xorpir store with db path",
-			cfg: daemonConfig{DBFiles: []string{"ci.psdb"}, PIRStore: "xorpir",
-				Explicit: []string{"db", "pir"}},
+			args: []string{"-db", "ci.psdb", "-pir", "xorpir"},
 		},
 		{
 			name:    "unknown pir store",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "oram"},
+			args:    []string{"-db", "ci.psdb", "-pir", "oram"},
 			wantErr: `unknown -pir store "oram"`,
 		},
 		{
-			name: "scan workers default",
-			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir"},
-		},
-		{
-			name: "replica role with xorpir",
-			cfg:  daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "xorpir", ReplicaRole: true},
-		},
-		{
 			name:    "replica role requires xorpir",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, ReplicaRole: true},
+			args:    []string{"-db", "ci.psdb", "-replica-role"},
 			wantErr: "-replica-role answers XOR PIR selector shares and requires -pir xorpir",
 		},
 		{
 			name:    "replica role rejects plain store",
-			cfg:     daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"}, PIRStore: "plain", ReplicaRole: true},
+			args:    []string{"-db", "ci.psdb", "-pir", "plain", "-replica-role"},
 			wantErr: "requires -pir xorpir",
 		},
 		{
 			name: "replica role with db path",
-			cfg: daemonConfig{DBFiles: []string{"ci.psdb"}, PIRStore: "xorpir", ReplicaRole: true,
-				Explicit: []string{"db", "pir", "replica-role"}},
+			args: []string{"-db", "ci.psdb", "-pir", "xorpir", "-replica-role"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.cfg.validate()
+			cfg, err := parseArgs(tc.args...)
+			if err == nil {
+				_, err = cfg.validate()
+			}
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validate() = %v, want nil", err)
+					t.Fatalf("%v: %v, want nil", tc.args, err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("validate() = %v, want error containing %q", err, tc.wantErr)
+				t.Fatalf("%v: %v, want error containing %q", tc.args, err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestParseFlags: every flag lands in its config field, and -db splits
+// into its container paths.
+func TestParseFlags(t *testing.T) {
+	cfg, err := parseArgs("-db", "ci.psdb, pi.psdb", "-listen", ":0", "-workers", "4", "-pir", "xorpir",
+		"-replica-role", "-max-inflight", "8", "-chaos", "eio=5", "-admin", "localhost:0", "-stats", "1s", "-drain", "2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := daemonConfig{Listen: ":0", DBFiles: []string{"ci.psdb", "pi.psdb"}, Workers: 4, PIRStore: "xorpir",
+		ReplicaRole: true, MaxInflight: 8, Chaos: "eio=5", Admin: "localhost:0", Stats: time.Second, Drain: 2 * time.Second}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("parsed %+v\nwant   %+v", cfg, want)
+	}
+	def, err := parseArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (daemonConfig{Listen: ":7465", PIRStore: "plain", Drain: 10 * time.Second}); !reflect.DeepEqual(def, want) {
+		t.Fatalf("defaults %+v\nwant     %+v", def, want)
+	}
+}
+
+// TestDaemonServesOnly: the daemon defines exactly its serving flags, and
+// each flag of the build path privsp build owns fails to parse.
+func TestDaemonServesOnly(t *testing.T) {
+	fs, _ := newFlagSet(io.Discard)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := []string{"admin", "chaos", "db", "drain", "listen", "max-inflight", "pir", "replica-role", "stats", "workers"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("flags %v, want %v", names, want)
+	}
+	for _, build := range []string{"preset", "scale", "seed", "nodes", "edges", "schemes", "page",
+		"threshold", "cluster", "landmarks", "regions"} {
+		t.Run(build, func(t *testing.T) {
+			_, err := parseArgs("-db", "ci.psdb", "-"+build, "1")
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+build) {
+				t.Fatalf("-%s parsed with %v, want it undefined", build, err)
 			}
 		})
 	}
@@ -169,8 +180,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 // TestValidateChaosWarning: an enabled chaos spec is legal but loudly
 // flagged as development-only.
 func TestValidateChaosWarning(t *testing.T) {
-	warns, err := daemonConfig{Preset: "Oldenburg", Schemes: []string{"CI"},
-		Chaos: "dialfail=5"}.validate()
+	warns, err := daemonConfig{DBFiles: []string{"ci.psdb"}, Chaos: "dialfail=5"}.validate()
 	if err != nil {
 		t.Fatalf("validate() = %v, want nil", err)
 	}

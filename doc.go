@@ -23,24 +23,23 @@
 // architecture, including the context-first query surface
 // (privsp.PathService: ShortestPath(ctx, src, dst, ...QueryOption), with
 // deadlines and cancellation honored at PIR round boundaries so an aborted
-// query's service-visible trace stays a prefix of a full one), the
-// networked deployment (cmd/privspd daemon and the privsp.DialContext
-// remote client, whose single TCP connection multiplexes concurrent
-// queries by query ID and can CANCEL in-flight work), and the build-once /
-// serve-many persistence workflow (privsp.Database.Save / privsp.Open,
-// "privsp build -out" / "privspd -db": the expensive preprocessing runs
-// once and the daemon serves the resulting .psdb container from a
-// read-only mapping of the file). The daemon is observable without being leaky: internal/telemetry
-// backs a privspd -admin endpoint (Prometheus-text /metrics, /healthz,
-// pprof) whose exported series are functions of the adversary-visible
-// trace plus timing only — never of query contents (README
+// query's service-visible trace stays a prefix of a full one), the networked
+// deployment (cmd/privspd daemon and the privsp.DialContext remote client,
+// whose single TCP connection multiplexes concurrent queries by query ID and
+// can CANCEL in-flight work), and the build-once / serve-many persistence
+// workflow (privsp.Database.Save / privsp.Open, "privsp build -out" /
+// "privspd -db": the expensive preprocessing runs once, offline, and the
+// daemon, which builds nothing, serves the resulting .psdb containers from
+// read-only mappings of the files). The daemon is observable without being
+// leaky: internal/telemetry backs a privspd -admin endpoint (Prometheus-text
+// /metrics, /healthz, pprof) whose exported series are functions of the
+// adversary-visible trace plus timing only — never of query contents (README
 // "Observability"). Serving capacity is scan throughput by construction —
 // every PIR answer streams the whole file — so the XOR store carries a
 // segmented parallel kernel that fans each scan across per-pass goroutines
 // (width derived once from GOMAXPROCS and the file size; byte-identical to
 // serial). A fetch or share batch on a scan store holds one worker-pool slot
 // for one pass, so privspd -workers bounds how many passes run at once, not
-// how wide each is. The benchmarks in
-// bench_test.go regenerate every table and figure (see also
-// cmd/experiments).
+// how wide each is. The benchmarks in bench_test.go regenerate every table
+// and figure (see also cmd/experiments).
 package repro

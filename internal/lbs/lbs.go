@@ -207,7 +207,7 @@ type Server struct {
 
 	pool slotPool // its size is the WithWorkers bound
 
-	// Telemetry registry (nil until WithTelemetry/EnableTelemetry).
+	// Telemetry registry (nil without WithTelemetry).
 	telReg *telemetry.Registry
 	telDB  string
 }

@@ -15,14 +15,6 @@ func WithTelemetry(reg *telemetry.Registry, db string) ServerOption {
 	}
 }
 
-// EnableTelemetry wires an already-constructed server to reg (the path for
-// servers built without options). Idempotent per registry: series are
-// get-or-create, and the handles are simply replaced.
-func (s *Server) EnableTelemetry(reg *telemetry.Registry, db string) {
-	s.telReg, s.telDB = reg, db
-	s.initTelemetry()
-}
-
 // initTelemetry resolves the metric handles once, after the stores exist.
 // All hot-path handles are nil-safe, so a server without telemetry records
 // into nil and pays one predictable branch per event.

@@ -310,16 +310,10 @@ func (s slowStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte)
 // slot its read held is freed — the gauges return to idle.
 func TestDeadlineFreesServerWorker(t *testing.T) {
 	_, dbs := fixture(t)
-	lsrv, err := lbs.NewServer(dbs["CI"], costmodel.Default(),
-		func(f pagefile.Reader) (pir.Store, error) {
-			return slowStore{Store: pir.NewPlain(f), delay: 20 * time.Millisecond}, nil
-		},
-		lbs.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{})
-	if err := srv.HostLBS("CI", lsrv); err != nil {
+	srv := New(Options{Workers: 2, Stores: func(f pagefile.Reader) (pir.Store, error) {
+		return slowStore{Store: pir.NewPlain(f), delay: 20 * time.Millisecond}, nil
+	}})
+	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
 	ln, addr := listen(t, srv)
@@ -331,7 +325,7 @@ func TestDeadlineFreesServerWorker(t *testing.T) {
 	defer cancel()
 	qs := c.StartQuery()
 	start := time.Now()
-	_, err = ci.Query(ctx, qs, g.Point(0), g.Point(9))
+	_, err := ci.Query(ctx, qs, g.Point(0), g.Point(9))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -347,8 +341,8 @@ func TestDeadlineFreesServerWorker(t *testing.T) {
 		return srv.Stats().Databases[0].Deadline == 1
 	})
 	waitFor(t, "idle pool after deadline", func() bool {
-		_, busy, queued := lsrv.PoolStats()
-		return busy == 0 && queued == 0
+		db := srv.Stats().Databases[0]
+		return db.BusyWorkers == 0 && db.QueuedReads == 0
 	})
 	if inflight := srv.Stats().Databases[0].InFlight; inflight != 0 {
 		t.Errorf("in-flight = %d after deadline abort", inflight)
@@ -363,15 +357,10 @@ func TestDeadlineFreesServerWorker(t *testing.T) {
 // server-side error, and shutdown completes within its window.
 func TestShutdownCancelsInFlightQueries(t *testing.T) {
 	_, dbs := fixture(t)
-	lsrv, err := lbs.NewServer(dbs["CI"], costmodel.Default(),
-		func(f pagefile.Reader) (pir.Store, error) {
-			return slowStore{Store: pir.NewPlain(f), delay: 30 * time.Millisecond}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{})
-	if err := srv.HostLBS("CI", lsrv); err != nil {
+	srv := New(Options{Workers: 1, Stores: func(f pagefile.Reader) (pir.Store, error) {
+		return slowStore{Store: pir.NewPlain(f), delay: 30 * time.Millisecond}, nil
+	}})
+	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
 	serveDone, addr := listen(t, srv)

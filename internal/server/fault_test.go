@@ -29,15 +29,10 @@ func TestFaultMidRoundTracePrefix(t *testing.T) {
 	g, dbs := fixture(t)
 	canonical := lbs.CanonicalTrace(dbs["CI"].Plan)
 	inj := faultinject.New(faultinject.Config{EIOEvery: 5, Seed: 1})
-	lsrv, err := lbs.NewServer(dbs["CI"], costmodel.Default(),
-		func(f pagefile.Reader) (pir.Store, error) {
-			return pir.NewPlain(inj.Reader(f)), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{})
-	if err := srv.HostLBS("CI", lsrv); err != nil {
+	srv := New(Options{Workers: 1, Stores: func(f pagefile.Reader) (pir.Store, error) {
+		return pir.NewPlain(inj.Reader(f)), nil
+	}})
+	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
 	done, addr := listen(t, srv)

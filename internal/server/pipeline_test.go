@@ -74,19 +74,15 @@ func TestPipelinedBatchSharesTheConnection(t *testing.T) {
 		Plan: plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: frames}}}}},
 	}
 	gate := gateStore{page: 3, entered: make(chan struct{}, 1), open: make(chan struct{})}
-	lsrv, err := lbs.NewServer(db, costmodel.Default(), func(f pagefile.Reader) (pir.Store, error) {
+	srv := New(Options{Workers: 4, Stores: func(f pagefile.Reader) (pir.Store, error) {
 		if f.Name() == "A" {
 			g := gate
 			g.Store = pir.NewPlain(f)
 			return g, nil
 		}
 		return pir.NewPlain(f), nil
-	}, lbs.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Options{})
-	if err := srv.HostLBS("T", lsrv); err != nil {
+	}})
+	if err := srv.Host("T", db, costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
 	done, addr := listen(t, srv)

@@ -99,6 +99,10 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	// hostMu serialises Host, so a name's check, store build and series
+	// registration are one step without holding mu across a build.
+	hostMu sync.Mutex
+
 	mu     sync.Mutex
 	dbs    map[string]*hosted
 	order  []string
@@ -194,32 +198,33 @@ func (s *Server) retryAfterHint() time.Duration {
 // Host registers a built database under the given name (clients select it
 // in their Hello). The database is served with Options.Stores (PlainStores
 // by default) behind a worker pool of Options.Workers slots, private to
-// this database.
+// this database. Any store mix is safe to serve concurrently: every
+// pir.Store is, and lbs.Server answers each batch with one store call on
+// one pool slot (see lbs.Server.ReadPagesInto). The name is checked before
+// the stores are built, so a refused duplicate registers no series over the
+// hosted database's telemetry.
 func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) error {
-	lsrv, err := lbs.NewServer(db, model, s.opts.Stores, lbs.WithWorkers(s.opts.Workers))
-	if err != nil {
-		return err
-	}
-	return s.HostLBS(name, lsrv)
-}
-
-// HostLBS registers an already-prepared lbs.Server, keeping whatever worker
-// pool it was constructed with (lbs.WithWorkers). Any store mix is safe to
-// serve concurrently: every pir.Store is, and lbs.Server answers each batch
-// with one store call on one pool slot (see lbs.Server.ReadPagesInto).
-func (s *Server) HostLBS(name string, lsrv *lbs.Server) error {
 	if name == "" {
 		return errors.New("server: empty database name")
+	}
+	s.hostMu.Lock()
+	defer s.hostMu.Unlock()
+	s.mu.Lock()
+	_, dup := s.dbs[name]
+	s.mu.Unlock()
+	if dup {
+		return fmt.Errorf("server: database %q already hosted", name)
+	}
+	lsrv, err := lbs.NewServer(db, model, s.opts.Stores,
+		lbs.WithWorkers(s.opts.Workers), lbs.WithTelemetry(s.tel, name))
+	if err != nil {
+		return err
 	}
 	if s.opts.ReplicaRole && !lsrv.ShareCapable() {
 		return fmt.Errorf("server: replica role requires share-capable stores on every file of %q (use two-server XOR PIR)", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.dbs[name]; dup {
-		return fmt.Errorf("server: database %q already hosted", name)
-	}
-	lsrv.EnableTelemetry(s.tel, name)
 	s.dbs[name] = s.newHosted(name, lsrv)
 	s.order = append(s.order, name)
 	return nil

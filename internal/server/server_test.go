@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,6 +311,31 @@ func TestDatabaseSelection(t *testing.T) {
 	sole := dialDB(t, soleAddr, "")
 	if sole.Scheme() != "PI" || sole.Database() != "PI" {
 		t.Errorf("sole database resolved to %s/%s", sole.Database(), sole.Scheme())
+	}
+}
+
+// TestHostRefusesDuplicateName: a second database under a hosted name is
+// refused before its stores are built, so it registers no series: the
+// scrape reads the same before and after, with no series for the refused
+// database's Fc file under the hosted name.
+func TestHostRefusesDuplicateName(t *testing.T) {
+	_, dbs := fixture(t)
+	srv := New(Options{Workers: 4, Stores: lbs.XORStores})
+	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after bytes.Buffer
+	if err := srv.Telemetry().WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Host("CI", dbs["HY"], costmodel.Default()); err == nil || !strings.Contains(err.Error(), "already hosted") {
+		t.Fatalf("Host of a duplicate name = %v, want an already-hosted refusal", err)
+	}
+	if err := srv.Telemetry().WritePrometheus(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Fatalf("refused Host changed the scrape:\n--- before\n%s--- after\n%s", before.String(), after.String())
 	}
 }
 

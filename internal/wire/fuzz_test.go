@@ -52,8 +52,11 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzDecodeBatchRequest fuzzes the batched-Fetch payload decoder — the
 // message a hostile client controls most directly. Any payload the decoder
 // accepts must re-encode to the identical bytes (the codec is canonical),
-// and its page count must respect the 16-bit batch bound.
+// and its page count must respect the 16-bit batch bound. The re-encoding
+// is decoded into a value that last held another frame, as a serving loop
+// reuses one: nothing of that frame may survive.
 func FuzzDecodeBatchRequest(f *testing.F) {
+	stale := Fetch{File: "Fstale", Pages: []uint32{9, 9, 9, 9, 9}}.Encode()
 	f.Add(Fetch{File: "Fd", Pages: []uint32{0, 1, 2}}.Encode())
 	f.Add(Fetch{File: "", Pages: nil}.Encode())
 	f.Add(Fetch{File: "Fl", Pages: []uint32{0xFFFFFFFF}}.Encode())
@@ -61,8 +64,11 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeFetch(data)
-		if err != nil {
+		var m, m2 Fetch
+		if err := m2.DecodeInto(stale); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DecodeInto(data); err != nil {
 			return
 		}
 		if len(m.Pages) > MaxFetchBatch {
@@ -72,25 +78,30 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", data, re)
 		}
-		m2, err := DecodeFetch(re)
-		if err != nil || m2.File != m.File || len(m2.Pages) != len(m.Pages) {
-			t.Fatalf("round trip diverged: %v", err)
+		if err := m2.DecodeInto(re); err != nil || m2.File != m.File || !slices.Equal(m2.Pages, m.Pages) {
+			t.Fatalf("round trip over a reused value diverged: %v, %+v vs %+v", err, m2, m)
 		}
 	})
 }
 
 // FuzzDecodeShareFetch fuzzes the selector-share payload decoder — the v4
 // message a fleet client (or a hostile peer) aims at a replica daemon.
-// Accepted payloads must be canonical and respect the 16-bit batch bound.
+// Accepted payloads must be canonical and respect the 16-bit batch bound,
+// and the re-encoding decodes into a value that last held another frame
+// with nothing of that frame left over.
 func FuzzDecodeShareFetch(f *testing.F) {
+	stale := ShareFetch{File: "Fstale", Sels: [][]byte{{0xEE, 0xEE}, {0xEE}, {}}}.Encode()
 	f.Add(ShareFetch{File: "Fd", Sels: [][]byte{{0xA5, 0x01}, {0x00, 0x02}}}.Encode())
 	f.Add(ShareFetch{File: "", Sels: nil}.Encode())
 	f.Add([]byte{0, 1, 'F', 0, 1, 0, 0, 0, 9, 1}) // selector length overruns payload
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeShareFetch(data)
-		if err != nil {
+		var m, m2 ShareFetch
+		if err := m2.DecodeInto(stale); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DecodeInto(data); err != nil {
 			return
 		}
 		if len(m.Sels) > MaxFetchBatch {
@@ -100,9 +111,8 @@ func FuzzDecodeShareFetch(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", data, re)
 		}
-		m2, err := DecodeShareFetch(re)
-		if err != nil || m2.File != m.File || len(m2.Sels) != len(m.Sels) {
-			t.Fatalf("round trip diverged: %v", err)
+		if err := m2.DecodeInto(re); err != nil || m2.File != m.File || !slices.EqualFunc(m2.Sels, m.Sels, bytes.Equal) {
+			t.Fatalf("round trip over a reused value diverged: %v, %+v vs %+v", err, m2, m)
 		}
 	})
 }

@@ -462,18 +462,11 @@ func (m Fetch) EncodeTo(e *pagefile.Enc) []byte {
 	return e.Bytes()
 }
 
-// DecodeFetch reverses Fetch.Encode.
-func DecodeFetch(b []byte) (Fetch, error) {
-	var m Fetch
-	err := m.DecodeInto(b)
-	return m, err
-}
-
-// DecodeInto is DecodeFetch reusing m's storage: the page list refills the
-// existing slice, and the file name is re-made only when it differs from
-// the previous decode (the raw-bytes comparison allocates nothing). A
-// serving loop decoding fetch after fetch for the same file allocates
-// nothing in steady state.
+// DecodeInto reverses Fetch.Encode, reusing m's storage: the page list
+// refills the existing slice, and the file name is re-made only when it
+// differs from the previous decode (the raw-bytes comparison allocates
+// nothing). A serving loop decoding fetch after fetch for the same file
+// allocates nothing in steady state.
 func (m *Fetch) DecodeInto(b []byte) error {
 	d := pagefile.NewDec(b)
 	raw := d.Raw(int(d.U16()))
@@ -520,17 +513,10 @@ func (m ShareFetch) EncodeTo(e *pagefile.Enc) []byte {
 	return e.Bytes()
 }
 
-// DecodeShareFetch reverses ShareFetch.Encode.
-func DecodeShareFetch(b []byte) (ShareFetch, error) {
-	var m ShareFetch
-	err := m.DecodeInto(b)
-	return m, err
-}
-
-// DecodeInto is DecodeShareFetch reusing m's storage. The selector slices
-// alias b — the serving loop hands them straight to the scan kernel while
-// the frame buffer is still pinned — so the caller must be done with them
-// before reusing the frame buffer.
+// DecodeInto reverses ShareFetch.Encode, reusing m's storage. The selector
+// slices alias b — the serving loop hands them straight to the scan kernel
+// while the frame buffer is still pinned — so the caller must be done with
+// them before reusing the frame buffer.
 func (m *ShareFetch) DecodeInto(b []byte) error {
 	d := pagefile.NewDec(b)
 	raw := d.Raw(int(d.U16()))

@@ -139,8 +139,8 @@ func TestWelcomeRoundTrip(t *testing.T) {
 
 func TestFetchRoundTrip(t *testing.T) {
 	m := Fetch{File: "Fd", Pages: []uint32{0, 7, 7, 1 << 30}}
-	got, err := DecodeFetch(m.Encode())
-	if err != nil {
+	var got Fetch
+	if err := got.DecodeInto(m.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if got.File != m.File || len(got.Pages) != len(m.Pages) {
@@ -157,8 +157,8 @@ func TestShareFetchRoundTrip(t *testing.T) {
 	m := ShareFetch{File: "Fd", Sels: [][]byte{
 		bytes.Repeat([]byte{0x5A}, 33), {}, {0xFF},
 	}}
-	got, err := DecodeShareFetch(m.Encode())
-	if err != nil {
+	var got ShareFetch
+	if err := got.DecodeInto(m.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if got.File != m.File || len(got.Sels) != len(m.Sels) {
@@ -178,7 +178,7 @@ func TestShareFetchRoundTrip(t *testing.T) {
 		t.Errorf("DecodeInto reuse: got %+v", got)
 	}
 	// A selector length promising bytes that never arrive must be rejected.
-	if _, err := DecodeShareFetch([]byte{0, 1, 'F', 0, 1, 0, 0, 0, 9, 1}); err == nil {
+	if err := got.DecodeInto([]byte{0, 1, 'F', 0, 1, 0, 0, 0, 9, 1}); err == nil {
 		t.Error("ShareFetch with short selector accepted")
 	}
 }
@@ -313,7 +313,7 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	if _, err := DecodeWelcome([]byte{0, 2, 'C'}); err == nil {
 		t.Error("truncated Welcome accepted")
 	}
-	if _, err := DecodeFetch([]byte{0, 1, 'F', 0, 5, 0, 0}); err == nil {
+	if err := new(Fetch).DecodeInto([]byte{0, 1, 'F', 0, 5, 0, 0}); err == nil {
 		t.Error("Fetch with missing pages accepted")
 	}
 	if _, err := DecodePages([]byte{0, 1, 0xFF, 0xFF, 0xFF, 0xFF}); err == nil {
@@ -386,11 +386,13 @@ func TestEncodersRefuseCountsTheyCannotWrite(t *testing.T) {
 		round func(n int) (int, error) // encode n items, decode, return the count
 	}{
 		{"Fetch", func(n int) (int, error) {
-			m, err := DecodeFetch(Fetch{File: "Fd", Pages: make([]uint32, n)}.Encode())
+			var m Fetch
+			err := m.DecodeInto(Fetch{File: "Fd", Pages: make([]uint32, n)}.Encode())
 			return len(m.Pages), err
 		}},
 		{"ShareFetch", func(n int) (int, error) {
-			m, err := DecodeShareFetch(ShareFetch{File: "Fd", Sels: make([][]byte, n)}.Encode())
+			var m ShareFetch
+			err := m.DecodeInto(ShareFetch{File: "Fd", Sels: make([][]byte, n)}.Encode())
 			return len(m.Sels), err
 		}},
 		{"Pages", func(n int) (int, error) {
