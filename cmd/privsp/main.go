@@ -324,9 +324,20 @@ func checkNodes(net *privsp.Network, ids ...int) error {
 	return nil
 }
 
+// fatal prints err as its errorLine and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "privsp:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is err as the command reports it: prefixed "privsp: " once. The
+// library's own errors already carry the prefix, so they keep theirs.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "privsp: ") {
+		msg = "privsp: " + msg
+	}
+	return msg
 }
 
 func usage() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,6 +75,26 @@ func TestCheckNodes(t *testing.T) {
 		err := checkNodes(net, ids...)
 		if err == nil || !strings.Contains(err.Error(), "node ids must be below") {
 			t.Errorf("checkNodes(%v) = %v, want a refusal", ids, err)
+		}
+	}
+}
+
+func TestErrorLinePrefixesOnce(t *testing.T) {
+	net := privsp.Generate(privsp.Oldenburg, 0.02, 1)
+	_, buildErr := privsp.Build(net, privsp.Config{Scheme: "OBF"})
+	if buildErr == nil {
+		t.Fatal("Build accepted scheme OBF")
+	}
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{buildErr, `privsp: unknown scheme "OBF"`},
+		{errors.New("-out only applies to build"), "privsp: -out only applies to build"},
+		{errors.New("ci: index record is not a region set"), "privsp: ci: index record is not a region set"},
+	} {
+		if got := errorLine(tc.err); got != tc.want {
+			t.Errorf("errorLine(%q) = %q, want %q", tc.err, got, tc.want)
 		}
 	}
 }

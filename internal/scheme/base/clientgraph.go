@@ -25,7 +25,8 @@ import (
 // open list. A slice indexed by network id, grown on demand to the largest
 // id met, maps ids to local numbers; the methods speak network ids. Ids
 // beyond what the database could hold are refused, so a corrupt page cannot
-// size the index.
+// size the index, and so are weights that are negative or NaN: a negative
+// cycle would keep the search reopening nodes without end.
 //
 // Dedupe. The first u→v half-edge wins: a later one with the same endpoints —
 // the mirror of a road whose other page arrives too, a PI
@@ -268,6 +269,9 @@ func (cg *ClientGraph) record(id graph.NodeID, pt geom.Point, lm []byte) error {
 // its reverse, which may live in a page the client never fetches; Arc flags
 // are symmetrized at build time, so the reverse shares the bit-vector.
 func (cg *ClientGraph) edge(to graph.NodeID, w float64, toRegion kdtree.RegionID, flags []byte) error {
+	if !(w >= 0) {
+		return fmt.Errorf("base: region record links node %d at weight %v", to, w)
+	}
 	v, ok := cg.local(to)
 	if !ok {
 		return fmt.Errorf("base: region record links node %d, beyond the database's largest id %d", to, cg.maxID)
@@ -286,9 +290,13 @@ func (cg *ClientGraph) edge(to graph.NodeID, w float64, toRegion kdtree.RegionID
 }
 
 // AddSubgraphEdges merges PI-style G_i,j edges. An id beyond the database's
-// range is corrupt index data and an error.
+// range, or a weight that is negative or NaN, is corrupt index data and an
+// error.
 func (cg *ClientGraph) AddSubgraphEdges(edges []precomp.EdgeRef) error {
 	for _, e := range edges {
+		if !(e.W >= 0) {
+			return fmt.Errorf("base: subgraph edge %d→%d at weight %v", e.From, e.To, e.W)
+		}
 		u, okU := cg.local(e.From)
 		v, okV := cg.local(e.To)
 		if !okU || !okV {

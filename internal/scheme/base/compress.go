@@ -1,9 +1,10 @@
 package base
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/kdtree"
@@ -312,21 +313,32 @@ func overlapEdges(a, b []precomp.EdgeRef) int {
 // starting in pages[offsetPage], resolving same-page delta references. The
 // caller supplies the consecutive pages it fetched (the §5.4 query plan
 // guarantees the window covers the whole record).
+//
+// Reaching ordinal recIdx means decoding every earlier record of the page,
+// since a delta may reference any of them. The walk keeps those in a pooled
+// indexWalk, back to back in one region arena and one edge arena, so a walk
+// allocates nothing once the pool is warm; only the returned record's set or
+// subgraph is copied out, so it never aliases memory a later decode reuses.
 func DecodeIndexRecord(pages [][]byte, offsetPage int, recIdx int) (IndexRecord, error) {
 	if offsetPage < 0 || offsetPage >= len(pages) {
 		return IndexRecord{}, fmt.Errorf("base: record page %d outside fetched window of %d", offsetPage, len(pages))
 	}
+	w := walkPool.Get().(*indexWalk)
+	defer w.release()
 	// Concatenate from the record's first page onward (records never start
-	// mid-window before offsetPage's boundary) into a buffer sized once; a
+	// mid-window before offsetPage's boundary) into the walk's buffer; a
 	// one-page tail is decoded where it lies.
 	tail := pages[offsetPage:]
 	buf := tail[0]
 	if len(tail) > 1 {
-		buf = bytes.Join(tail, nil)
+		w.buf = w.buf[:0]
+		for _, p := range tail {
+			w.buf = append(w.buf, p...)
+		}
+		buf = w.buf
 	}
-	var sets [][]kdtree.RegionID
-	var edges [][]precomp.EdgeRef
-	d := pagefile.NewDec(buf)
+	var d pagefile.Dec
+	d.Reset(buf)
 	for ord := 0; ; ord++ {
 		if d.Remaining() < 4 {
 			return IndexRecord{}, fmt.Errorf("base: record %d not found in page", recIdx)
@@ -339,94 +351,153 @@ func DecodeIndexRecord(pages [][]byte, offsetPage int, recIdx int) (IndexRecord,
 		if d.Err() != nil {
 			return IndexRecord{}, fmt.Errorf("base: index record decode: %w", d.Err())
 		}
-		rec, err := decodePayload(payload, sets, edges)
+		kind, set, edges, err := w.decodePayload(payload)
 		if err != nil {
 			return IndexRecord{}, err
 		}
 		if ord == recIdx {
+			rec := IndexRecord{Kind: kind}
+			if set.n >= 0 {
+				rec.Set = slices.Clone(w.regions[set.off : set.off+set.n])
+			}
+			if edges.n >= 0 {
+				rec.Edges = slices.Clone(w.edges[edges.off : edges.off+edges.n])
+			}
 			return rec, nil
 		}
-		sets = append(sets, rec.Set)
-		edges = append(edges, rec.Edges)
+		w.sets = append(w.sets, set)
+		w.graphs = append(w.graphs, edges)
 	}
 }
 
-func decodePayload(payload []byte, sets [][]kdtree.RegionID, edges [][]precomp.EdgeRef) (IndexRecord, error) {
-	d := pagefile.NewDec(payload)
-	kind := d.U8()
-	var rec IndexRecord
-	rec.Kind = kind
+// indexWalk is DecodeIndexRecord's working state: a multi-page window
+// joined into one buffer, and the sets and subgraphs of the records decoded
+// so far, back to back in two arenas, with each record's place in them by
+// ordinal.
+type indexWalk struct {
+	buf     []byte
+	regions []kdtree.RegionID
+	edges   []precomp.EdgeRef
+	sets    []arenaSpan // per ordinal, the record's set in regions
+	graphs  []arenaSpan // per ordinal, the record's subgraph in edges
+}
+
+// arenaSpan locates a decoded set or subgraph in its walk arena; n < 0 marks
+// a record a delta of that kind cannot reference: a set for a subgraph's
+// record and the reverse, and a subgraph delta that resolved to no edges.
+type arenaSpan struct{ off, n int }
+
+// noSpan is the span of a record that holds nothing of that kind.
+var noSpan = arenaSpan{n: -1}
+
+// walkPool holds the walks of finished decodes, slices kept.
+var walkPool = sync.Pool{New: func() any { return new(indexWalk) }}
+
+// maxPooledWalkBytes caps the walks the pool keeps: CI's windows and sets
+// need a few KB, and a walk that grew past this — a PI window of large
+// subgraphs — is cheaper to allocate again than to hold while idle.
+const maxPooledWalkBytes = 256 << 10
+
+// release empties w and returns it to the pool, unless it grew past
+// maxPooledWalkBytes.
+func (w *indexWalk) release() {
+	if cap(w.buf)+4*cap(w.regions)+16*cap(w.edges)+16*(cap(w.sets)+cap(w.graphs)) > maxPooledWalkBytes {
+		return
+	}
+	w.buf, w.regions, w.edges, w.sets, w.graphs = w.buf[:0], w.regions[:0], w.edges[:0], w.sets[:0], w.graphs[:0]
+	walkPool.Put(w)
+}
+
+// decodePayload decodes one record payload onto the end of the walk's
+// arenas and returns its kind and where its set and subgraph lie, resolving
+// a delta against the records decoded before it.
+func (w *indexWalk) decodePayload(payload []byte) (kind byte, set, edges arenaSpan, err error) {
+	var d pagefile.Dec
+	d.Reset(payload)
+	kind = d.U8()
+	set, edges = noSpan, noSpan
 	switch kind {
 	case KindSetLiteral:
 		n := int(d.U16())
 		if n > d.Remaining()/2 {
-			return rec, fmt.Errorf("base: set literal claims %d regions, %d bytes remain", n, d.Remaining())
+			return kind, set, edges, fmt.Errorf("base: set literal claims %d regions, %d bytes remain", n, d.Remaining())
 		}
-		rec.Set = make([]kdtree.RegionID, n)
-		for i := range rec.Set {
-			rec.Set[i] = kdtree.RegionID(d.U16())
+		set.off = len(w.regions)
+		for b := d.Raw(2 * n); len(b) > 0; b = b[2:] {
+			w.regions = append(w.regions, regionAt(b))
 		}
 	case KindSetDelta:
 		ref := int(d.U16())
 		nAdds := int(d.U16())
 		nExcl := int(d.U16())
-		if ref >= len(sets) || sets[ref] == nil {
-			return rec, fmt.Errorf("base: set delta references record %d of %d", ref, len(sets))
+		if ref >= len(w.sets) || w.sets[ref].n < 0 {
+			return kind, set, edges, fmt.Errorf("base: set delta references record %d of %d", ref, len(w.sets))
 		}
 		adds := d.Raw(2 * nAdds)
 		excl := d.Raw(2 * nExcl)
 		if d.Err() != nil { // before the counts size anything
-			return rec, fmt.Errorf("base: index record decode: %w", d.Err())
+			return kind, set, edges, fmt.Errorf("base: index record decode: %w", d.Err())
 		}
-		// ref − excl, then adds, in one slice sized up front. bestSetDelta
-		// lists exclusions in reference order, so one cursor over excl
-		// replaces a per-record lookup table; an exclusion the walk cannot
-		// match means the page is not one the builder wrote.
-		rec.Set = make([]kdtree.RegionID, 0, len(sets[ref])+nAdds)
-		for _, r := range sets[ref] {
+		// ref − excl, then adds, onto the arena's end. bestSetDelta lists
+		// exclusions in reference order, so one cursor over excl replaces a
+		// per-record lookup table; an exclusion the walk cannot match means
+		// the page is not one the builder wrote. The range reads the
+		// reference through the slice it started with, so the appends may
+		// move the arena under it.
+		r0 := w.sets[ref]
+		set.off = len(w.regions)
+		for _, r := range w.regions[r0.off : r0.off+r0.n] {
 			if len(excl) > 0 && r == regionAt(excl) {
 				excl = excl[2:]
 				continue
 			}
-			rec.Set = append(rec.Set, r)
+			w.regions = append(w.regions, r)
 		}
 		if len(excl) > 0 {
-			return rec, fmt.Errorf("base: set delta excludes region %d, not in record %d (or out of order)", regionAt(excl), ref)
+			return kind, set, edges, fmt.Errorf("base: set delta excludes region %d, not in record %d (or out of order)", regionAt(excl), ref)
 		}
 		for ; len(adds) > 0; adds = adds[2:] {
-			rec.Set = append(rec.Set, regionAt(adds))
+			w.regions = append(w.regions, regionAt(adds))
 		}
 	case KindGraphLiteral:
 		n := int(d.U32())
 		// The count is untrusted input: bound it by the bytes actually
-		// present (16 per edge) before allocating.
+		// present (16 per edge) before anything is appended.
 		if n < 0 || n > d.Remaining()/16 {
-			return rec, fmt.Errorf("base: graph literal claims %d edges, %d bytes remain", n, d.Remaining())
+			return kind, set, edges, fmt.Errorf("base: graph literal claims %d edges, %d bytes remain", n, d.Remaining())
 		}
-		rec.Edges = make([]precomp.EdgeRef, n)
-		for i := range rec.Edges {
-			rec.Edges[i] = decodeEdge(d)
+		edges.off = len(w.edges)
+		w.edges = slices.Grow(w.edges, n)
+		for i := 0; i < n; i++ {
+			w.edges = append(w.edges, decodeEdge(&d))
 		}
 	case KindGraphDelta:
 		ref := int(d.U16())
 		nAdds := int(d.U32())
-		if ref >= len(edges) || edges[ref] == nil {
-			return rec, fmt.Errorf("base: graph delta references record %d of %d", ref, len(edges))
+		if ref >= len(w.graphs) || w.graphs[ref].n < 0 {
+			return kind, set, edges, fmt.Errorf("base: graph delta references record %d of %d", ref, len(w.graphs))
 		}
 		if nAdds < 0 || nAdds > d.Remaining()/16 {
-			return rec, fmt.Errorf("base: graph delta claims %d additions, %d bytes remain", nAdds, d.Remaining())
+			return kind, set, edges, fmt.Errorf("base: graph delta claims %d additions, %d bytes remain", nAdds, d.Remaining())
 		}
-		rec.Edges = append(rec.Edges, edges[ref]...)
+		g0 := w.graphs[ref]
+		edges.off = len(w.edges)
+		w.edges = append(w.edges, w.edges[g0.off:g0.off+g0.n]...)
 		for i := 0; i < nAdds; i++ {
-			rec.Edges = append(rec.Edges, decodeEdge(d))
+			w.edges = append(w.edges, decodeEdge(&d))
 		}
 	default:
-		return rec, fmt.Errorf("base: unknown index record kind %d", kind)
+		return kind, set, edges, fmt.Errorf("base: unknown index record kind %d", kind)
 	}
 	if d.Err() != nil {
-		return rec, fmt.Errorf("base: index record decode: %w", d.Err())
+		return kind, set, edges, fmt.Errorf("base: index record decode: %w", d.Err())
 	}
-	return rec, nil
+	if isSetKind(kind) {
+		set.n = len(w.regions) - set.off
+	} else if edges.n = len(w.edges) - edges.off; edges.n == 0 && kind == KindGraphDelta {
+		edges = noSpan
+	}
+	return kind, set, edges, nil
 }
 
 // regionAt reads the region id at the head of a little-endian u16 list.

@@ -25,11 +25,11 @@ func isolatedNodesPage() []byte {
 }
 
 // seedRegionPages returns real region pages of a small network in the
-// layouts the schemes use: plain, compact, with landmark vectors, with Arc
-// flags.
+// layouts the schemes use — CI's, with LM's landmark vectors, with AF's Arc
+// flags — each plain and compact.
 func seedRegionPages(tb testing.TB) (pages [][]byte, lmDims, flagBytes []int, compact []bool) {
 	g := gen.Generate(gen.Spec{Nodes: 200, Edges: 230, Seed: 5})
-	for _, c := range []RegionCodec{{}, {Compact: true}, {LandmarkDim: 2}, {FlagBytes: 1}} {
+	for _, c := range []RegionCodec{{}, {Compact: true}, {LandmarkDim: 2}, {LandmarkDim: 2, Compact: true}, {FlagBytes: 1}, {FlagBytes: 1, Compact: true}} {
 		c.G = g
 		if c.LandmarkDim > 0 {
 			c.Landmarks = graph.BuildLandmarks(g, graph.SelectLandmarks(g, c.LandmarkDim)).Dist
@@ -85,17 +85,17 @@ func FuzzDecodeRegion(f *testing.F) {
 	})
 }
 
-// FuzzDecodeIndexRecord feeds network-index pages to the record decoder. A
-// malformed page must come back as an error, and a decoded record cannot
-// hold more regions or edges than the page has bytes for.
-func FuzzDecodeIndexRecord(f *testing.F) {
+// seedIndex builds a compressed network index of region sets and subgraphs
+// over 512-byte pages, so most records are deltas of an earlier record of
+// their page, and returns its file and what IndexBuilder.Finish returned.
+func seedIndex(tb testing.TB) (file *pagefile.File, spans []pagefile.Span, ords []uint16, maxSpan int) {
 	g := gen.Generate(gen.Spec{Nodes: 200, Edges: 230, Seed: 5})
-	file := pagefile.NewFile(FileIndex, 512)
+	file = pagefile.NewFile(FileIndex, 512)
 	b := NewIndexBuilder(file, 16)
 	for i := 0; i < 12; i++ {
 		set := []kdtree.RegionID{kdtree.RegionID(i), kdtree.RegionID(i + 3), 20}
 		if err := b.AddSet(set, true); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		var edges []precomp.EdgeRef
 		for u := graph.NodeID(i); u < graph.NodeID(i+6); u++ {
@@ -104,10 +104,18 @@ func FuzzDecodeIndexRecord(f *testing.F) {
 			}
 		}
 		if err := b.AddGraph(edges, true); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	b.Finish()
+	spans, ords, maxSpan = b.Finish()
+	return file, spans, ords, maxSpan
+}
+
+// FuzzDecodeIndexRecord feeds network-index pages to the record decoder. A
+// malformed page must come back as an error, and a decoded record cannot
+// hold more regions or edges than the page has bytes for.
+func FuzzDecodeIndexRecord(f *testing.F) {
+	file, _, _, _ := seedIndex(f)
 	for p := 0; p < file.NumPages(); p++ {
 		page, err := file.Page(p)
 		if err != nil {

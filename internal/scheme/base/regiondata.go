@@ -1,6 +1,7 @@
 package base
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -169,7 +170,8 @@ func (l regionLayout) minEdge() int {
 // regionSink receives a region page's records as decodeRegion parses them:
 // record opens node id's record, edge adds a half-edge out of the open
 // record. lm (the landmark vector, little-endian float64s) and flags view
-// the page and must be copied if kept.
+// the page and must be copied if kept. The query path's sink is the
+// *ClientGraph; the tests collect RegionNodes through the same decoder.
 type regionSink interface {
 	record(id graph.NodeID, pt geom.Point, lm []byte) error
 	edge(to graph.NodeID, w float64, toRegion kdtree.RegionID, flags []byte) error
@@ -179,36 +181,63 @@ type regionSink interface {
 // into sink. Counts are untrusted: a node count or degree the remaining
 // bytes cannot hold at the layout's smallest record or half-edge is an
 // error before anything is handed on, so no claimed count sizes anything.
+//
+// Bounds are checked per record, not per field: a plain record's fixed part
+// (id, point, landmark vector, degree) is checked once, and the degree
+// check already proves its whole adjacency list present, since every plain
+// half-edge has the same width; the fields are then read by slice index.
+// The compact layout's varints are bounds-checked as they are read, and
+// each half-edge's fixed tail (weight, region hint, flags) once after its
+// varint.
 func decodeRegion(data []byte, l regionLayout, sink regionSink) error {
 	if l.lmDim < 0 || l.flagBytes < 0 || l.lmDim > math.MaxUint16 || l.flagBytes > math.MaxUint16 {
 		return fmt.Errorf("base: region layout with %d landmarks and %d flag bytes", l.lmDim, l.flagBytes)
 	}
-	var d pagefile.Dec
-	d.Reset(data)
-	n := int(d.U16())
-	if n > d.Remaining()/l.minRecord() {
-		return fmt.Errorf("base: region page claims %d nodes, %d bytes remain", n, d.Remaining())
+	if len(data) < regionHeaderBytes {
+		return nil // no count: no records
 	}
+	n := int(binary.LittleEndian.Uint16(data))
+	off := regionHeaderBytes
+	if n > (len(data)-off)/l.minRecord() {
+		return fmt.Errorf("base: region page claims %d nodes, %d bytes remain", n, len(data)-off)
+	}
+	lmBytes := 8 * l.lmDim
+	// edgeTail is a half-edge past its neighbour id: weight, region hint and
+	// flags. A plain half-edge is a u32 id and its tail, exactly minEdge
+	// bytes, so the degree check proves a plain adjacency list present.
+	edgeTail := 8 + 2 + l.flagBytes
 	for i := 0; i < n; i++ {
 		var id int64
-		if l.compact {
-			id = int64(min(d.UVarint(), math.MaxInt32+1))
-		} else {
-			id = int64(d.U32())
-		}
-		pt := geom.Point{X: d.F64(), Y: d.F64()}
-		lm := d.Raw(8 * l.lmDim)
 		var deg int
 		if l.compact {
-			deg = int(min(d.UVarint(), math.MaxInt32))
+			v, k := binary.Uvarint(data[off:])
+			if k <= 0 || len(data)-off-k < 16+lmBytes {
+				return regionOverrun(off, len(data))
+			}
+			id, off = int64(min(v, math.MaxInt32+1)), off+k
 		} else {
-			deg = int(d.U16())
+			if len(data)-off < 4+16+lmBytes+2 {
+				return regionOverrun(off, len(data))
+			}
+			id, off = int64(binary.LittleEndian.Uint32(data[off:])), off+4
 		}
-		if deg > d.Remaining()/l.minEdge() {
+		pt := geom.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(data[off:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
+		}
+		lm := data[off+16 : off+16+lmBytes]
+		off += 16 + lmBytes
+		if l.compact {
+			v, k := binary.Uvarint(data[off:])
+			if k <= 0 {
+				return regionOverrun(off, len(data))
+			}
+			deg, off = int(min(v, math.MaxInt32)), off+k
+		} else {
+			deg, off = int(binary.LittleEndian.Uint16(data[off:])), off+2
+		}
+		if deg > (len(data)-off)/l.minEdge() {
 			return fmt.Errorf("base: region page decode: implausible degree %d", deg)
-		}
-		if d.Err() != nil {
-			return fmt.Errorf("base: region page decode: %w", d.Err())
 		}
 		if id > math.MaxInt32 {
 			return fmt.Errorf("base: region page decode: node id %d out of range", id)
@@ -219,16 +248,18 @@ func decodeRegion(data []byte, l regionLayout, sink regionSink) error {
 		for j := 0; j < deg; j++ {
 			var to int64
 			if l.compact {
-				to = id + d.Varint()
+				v, k := binary.Varint(data[off:])
+				if k <= 0 || len(data)-off-k < edgeTail {
+					return regionOverrun(off, len(data))
+				}
+				to, off = id+v, off+k
 			} else {
-				to = int64(d.U32())
+				to, off = int64(binary.LittleEndian.Uint32(data[off:])), off+4
 			}
-			w := d.F64()
-			toRegion := kdtree.RegionID(d.U16())
-			flags := d.Raw(l.flagBytes)
-			if d.Err() != nil {
-				return fmt.Errorf("base: region page decode: %w", d.Err())
-			}
+			w := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+			toRegion := kdtree.RegionID(binary.LittleEndian.Uint16(data[off+8:]))
+			flags := data[off+10 : off+edgeTail]
+			off += edgeTail
 			if to < 0 || to > math.MaxInt32 {
 				return fmt.Errorf("base: region page decode: neighbour id %d out of range", to)
 			}
@@ -238,6 +269,12 @@ func decodeRegion(data []byte, l regionLayout, sink regionSink) error {
 		}
 	}
 	return nil
+}
+
+// regionOverrun is decodeRegion's error for a record cut short: the field at
+// off reaches past the page's size bytes.
+func regionOverrun(off, size int) error {
+	return fmt.Errorf("base: region page decode: record overruns the page at offset %d of %d", off, size)
 }
 
 // BuildRegionData writes one region per ClusterPages pages into a file,
