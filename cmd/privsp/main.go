@@ -16,20 +16,22 @@
 // 'id from to weight' files instead of generating -preset; -page sets the
 // page size in bytes (0 = the Table 2 default).
 //
-// With -remote, query and stats run against a privspd daemon serving
-// containers written by build -out, instead of an in-process server. The
-// network must still be loaded locally, with the flags it was built from,
-// to map node ids to coordinates:
+// With -remote, query runs against a privspd daemon serving containers
+// written by build -out, instead of an in-process server. The network must
+// still be loaded locally, with the flags it was built from, to map node
+// ids to coordinates:
 //
 //	privsp query -remote localhost:7465 -db CI -preset Oldenburg -scale 0.05 -s 3 -t 99
-//	privsp stats -remote localhost:7465
 //
 // With -fleet, query fans each XOR PIR read out as selector shares across
 // two (or more) privspd replicas started with -replica-role, so no single
-// server can reconstruct what was read; stats prints per-replica counters:
+// server can reconstruct what was read:
 //
 //	privsp query -fleet host1:7465,host2:7465 -preset Oldenburg -scale 0.05 -s 3 -t 99
-//	privsp stats -fleet host1:7465,host2:7465
+//
+// A daemon's serving counters are read from its admin endpoint
+// (privspd -admin, GET /metrics) or its -stats log line, never from the
+// serving port.
 package main
 
 import (
@@ -63,8 +65,8 @@ func main() {
 	regions := fs.Int("regions", 0, "AF regions")
 	srcNode := fs.Int("s", 0, "query source node id")
 	dstNode := fs.Int("t", 1, "query destination node id")
-	remote := fs.String("remote", "", "privspd daemon address; query/stats run over the wire")
-	fleetAddrs := fs.String("fleet", "", "comma-separated privspd replica addresses; query fans XOR PIR selector shares across them (stats prints per-replica counters)")
+	remote := fs.String("remote", "", "privspd daemon address; query runs over the wire")
+	fleetAddrs := fs.String("fleet", "", "comma-separated privspd replica addresses; query fans XOR PIR selector shares across them")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none); dialing always has a connect timeout")
 	database := fs.String("db", "", "remote database name (empty = the daemon's sole database)")
 	out := fs.String("out", "", "build: write the database as a .psdb container to this path")
@@ -87,32 +89,6 @@ func main() {
 
 	if *remote != "" && *fleetAddrs != "" {
 		fatal(fmt.Errorf("-remote and -fleet are mutually exclusive"))
-	}
-
-	if cmd == "stats" {
-		if *fleetAddrs != "" {
-			fleetStats(ctx, splitAddrs(*fleetAddrs), *database)
-			return
-		}
-		if *remote == "" {
-			fatal(fmt.Errorf("stats needs -remote or -fleet"))
-		}
-		rsrv, err := privsp.DialDatabaseContext(ctx, *remote, *database)
-		if err != nil {
-			fatal(err)
-		}
-		defer rsrv.Close()
-		st, err := rsrv.Stats(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("conns: %d active, %d total\n", st.ActiveConns, st.TotalConns)
-		for _, db := range st.Databases {
-			fmt.Printf("%s (%s): %d queries (%d in-flight, %d cancelled, %d deadline), %d PIR pages served, pool %d/%d busy (%d queued)\n",
-				db.Name, db.Scheme, db.Queries, db.InFlight, db.Cancelled, db.DeadlineExceeded,
-				db.PagesServed, db.BusyWorkers, db.Workers, db.QueuedReads)
-		}
-		return
 	}
 
 	net, desc, err := loadNetwork(*preset, *scale, *seed, *nodesFile, *edgesFile)
@@ -200,9 +176,6 @@ func main() {
 				fatal(err)
 			}
 			defer rsrv.Close()
-			if rsrv.Scheme() == "" {
-				fatal(fmt.Errorf("daemon at %s hosts several databases; pick one with -db", *remote))
-			}
 			fmt.Printf("remote %s hosting %s (%s)\n", *remote, rsrv.Database(), rsrv.Scheme())
 			srv = rsrv
 		} else {
@@ -239,35 +212,6 @@ func main() {
 	default:
 		usage()
 		os.Exit(2)
-	}
-}
-
-// fleetStats dials the whole fleet and prints one block per replica: its
-// breaker state, then the daemon's serving counters when reachable.
-func fleetStats(ctx context.Context, addrs []string, database string) {
-	fsrv, err := privsp.DialFleetConfig(ctx, addrs, privsp.FleetConfig{Database: database})
-	if err != nil {
-		fatal(err)
-	}
-	defer fsrv.Close()
-	st := fsrv.Status()
-	fmt.Printf("fleet of %d replicas, shares fan-out\n", len(st.Replicas))
-	for _, rs := range fsrv.ReplicaStats(ctx) {
-		state := "up"
-		if !rs.Up {
-			state = fmt.Sprintf("DOWN (%v)", rs.LastErr)
-		}
-		fmt.Printf("replica %s: %s, breaker trips %d\n", rs.Addr, state, rs.Trips)
-		if rs.StatsErr != nil {
-			fmt.Printf("  stats unavailable: %v\n", rs.StatsErr)
-			continue
-		}
-		fmt.Printf("  conns: %d active, %d total\n", rs.Stats.ActiveConns, rs.Stats.TotalConns)
-		for _, db := range rs.Stats.Databases {
-			fmt.Printf("  %s (%s): %d queries (%d in-flight, %d cancelled, %d deadline), %d PIR pages served, pool %d/%d busy (%d queued)\n",
-				db.Name, db.Scheme, db.Queries, db.InFlight, db.Cancelled, db.DeadlineExceeded,
-				db.PagesServed, db.BusyWorkers, db.Workers, db.QueuedReads)
-		}
 	}
 }
 
@@ -341,6 +285,6 @@ func errorLine(err error) string {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: privsp <generate|build|plan|query|audit|stats> [flags]
-run "privsp <cmd> -h" for flags; query and stats accept -remote <addr> or -fleet <addr1,addr2>`)
+	fmt.Fprintln(os.Stderr, `usage: privsp <generate|build|plan|query|audit> [flags]
+run "privsp <cmd> -h" for flags; query accepts -remote <addr> or -fleet <addr1,addr2>`)
 }

@@ -56,7 +56,6 @@ import (
 	"repro/internal/pagefile"
 	"repro/internal/pir"
 	"repro/internal/server"
-	"repro/internal/wire"
 	"repro/privsp"
 )
 
@@ -312,7 +311,7 @@ func printStats(srv *server.Server) {
 // statsLine renders one serving-stats log line: connection totals, then per
 // database the query counters — completed, in-flight, cancelled,
 // deadline-exceeded — pages served, and the worker-pool gauges.
-func statsLine(st wire.ServerStats) string {
+func statsLine(st server.Snapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "privspd: conns %d active / %d total", st.ActiveConns, st.TotalConns)
 	for _, db := range st.Databases {

@@ -8,17 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/wire"
+	"repro/internal/server"
 )
 
 // TestStatsLine: the serving-stats log line surfaces the full per-database
 // accounting — completed, in-flight, cancelled and deadline-exceeded query
 // counters plus the pool gauges — in one greppable line.
 func TestStatsLine(t *testing.T) {
-	st := wire.ServerStats{
+	st := server.Snapshot{
 		ActiveConns: 2,
 		TotalConns:  9,
-		Databases: []wire.DBStats{
+		Databases: []server.DBSnapshot{
 			{Name: "CI", Scheme: "CI", Queries: 5, Pages: 70, InFlight: 1, Cancelled: 2, Deadline: 1,
 				Workers: 8, BusyWorkers: 3, QueuedReads: 4},
 			{Name: "HY", Scheme: "HY"},

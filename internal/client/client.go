@@ -74,16 +74,16 @@ type Client struct {
 	flags    uint16
 	files    map[string]lbs.FileInfo
 	order    []lbs.FileInfo // Welcome file table, in database order
-	header   []byte         // the bound database's public header; empty when unbound
+	header   []byte         // the bound database's public header
 	addr     string
 	maxFrame int // maxFrame as the client was dialed
 
-	ctlMu sync.Mutex // serializes control (stats) request/response pairs
+	ctlMu sync.Mutex // serializes Ping/Pong pairs
 
 	mu      sync.Mutex
 	nextID  uint32
 	pending map[uint32]chan frame // open queries, keyed by query ID
-	ctl     chan frame            // ControlID responses (stats)
+	ctl     chan frame            // ControlID responses (Pong)
 	done    chan struct{}         // closed once on fatal failure; wakes all waiters
 	err     error                 // fatal transport error; latched
 	failed  bool
@@ -213,7 +213,7 @@ func (c *Client) FileInfo(name string) (lbs.FileInfo, error) {
 }
 
 // Header returns the bound database's public header, as the Welcome
-// carried it: empty on an unbound, stats-only session.
+// carried it.
 func (c *Client) Header() []byte { return c.header }
 
 // Close tears the connection down: every in-flight query fails promptly.
@@ -391,17 +391,14 @@ func (e *BusyError) Error() string {
 // Is makes errors.Is(err, ErrBusy) match any *BusyError.
 func (e *BusyError) Is(target error) bool { return target == ErrBusy }
 
-// ServerStats fetches the daemon's serving counters, including the
-// per-database in-flight/cancelled/deadline accounting and worker-pool
-// gauges. Safe to call while queries are in flight — statistics ride the
-// control ID, independent of any query session.
-func (c *Client) ServerStats(ctx context.Context) (wire.ServerStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Ping makes one bare round trip on the control ID: a Ping, answered by a
+// Pong. It touches no query session and no counter a query moves, so it
+// tells a live daemon from one that holds the connection but stopped
+// answering. Safe to call while queries are in flight.
+func (c *Client) Ping(ctx context.Context) error {
 	c.ctlMu.Lock()
 	defer c.ctlMu.Unlock()
-	// Drop any stale control response abandoned by an earlier ctx abort.
+	// Drop any stale Pong abandoned by an earlier ctx abort.
 	for {
 		select {
 		case <-c.ctl:
@@ -410,27 +407,21 @@ func (c *Client) ServerStats(ctx context.Context) (wire.ServerStats, error) {
 		}
 		break
 	}
-	if err := c.writeFrame(wire.MsgStatsReq, wire.ControlID, nil, true); err != nil {
-		return wire.ServerStats{}, err
+	if err := c.writeFrame(wire.MsgPing, wire.ControlID, nil, true); err != nil {
+		return err
 	}
 	select {
 	case f := <-c.ctl:
-		if f.t == wire.MsgError {
-			if em, derr := wire.DecodeErrorMsg(f.payload); derr == nil {
-				return wire.ServerStats{}, &serverError{text: em.Text}
-			}
-			return wire.ServerStats{}, errors.New("client: server reported an undecodable error")
-		}
-		if f.t != wire.MsgStats {
-			err := fmt.Errorf("client: expected Stats, got %s", f.t)
+		if f.t != wire.MsgPong || len(f.payload) != 0 {
+			err := fmt.Errorf("client: expected an empty Pong, got %s of %d bytes", f.t, len(f.payload))
 			c.fail(err)
-			return wire.ServerStats{}, err
+			return err
 		}
-		return wire.DecodeServerStats(f.payload)
+		return nil
 	case <-c.done:
-		return wire.ServerStats{}, c.lastErr()
+		return c.lastErr()
 	case <-ctx.Done():
-		return wire.ServerStats{}, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -626,9 +617,6 @@ func (q *Query) exchange(ctx context.Context, t wire.MsgType, want wire.MsgType)
 // round trip: the header is the same for every client (§5.3), so no query
 // asks for it.
 func (q *Query) HeaderBytes(context.Context) ([]byte, error) {
-	if q.c.scheme == "" {
-		return nil, errors.New("client: session is not bound to a database; reconnect naming one")
-	}
 	return q.c.header, nil
 }
 

@@ -375,3 +375,173 @@ func TestRedialKeepsDivergedReplicaDown(t *testing.T) {
 		t.Errorf("the diverged replica recorded %d traces", got)
 	}
 }
+
+// relay forwards loopback TCP connections to a backend. Frozen, it stops
+// forwarding in both directions but keeps every socket open, so the
+// backend looks hung to its client rather than dead: no read fails, no
+// write fails, nothing comes back.
+type relay struct {
+	ln      net.Listener
+	backend string
+
+	mu     sync.Mutex
+	thawed chan struct{} // closed while forwarding; open while frozen
+	conns  []net.Conn
+}
+
+// startRelay listens on loopback and forwards to backend until the test
+// ends.
+func startRelay(t *testing.T, backend string) *relay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &relay{ln: ln, backend: backend, thawed: make(chan struct{})}
+	close(r.thawed)
+	go r.accept()
+	t.Cleanup(r.close)
+	return r
+}
+
+func (r *relay) addr() string { return r.ln.Addr().String() }
+
+func (r *relay) accept() {
+	for {
+		c, err := r.ln.Accept()
+		if err != nil {
+			return
+		}
+		b, err := net.Dial("tcp", r.backend)
+		if err != nil {
+			c.Close()
+			continue
+		}
+		r.mu.Lock()
+		r.conns = append(r.conns, c, b)
+		r.mu.Unlock()
+		go r.pipe(c, b)
+		go r.pipe(b, c)
+	}
+}
+
+// pipe copies src to dst, holding each chunk it read while the relay is
+// frozen; either side failing closes both.
+func (r *relay) pipe(src, dst net.Conn) {
+	defer src.Close()
+	defer dst.Close()
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		if n > 0 {
+			r.mu.Lock()
+			thawed := r.thawed
+			r.mu.Unlock()
+			<-thawed
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// freeze stops forwarding; resume starts it again.
+func (r *relay) freeze() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	select {
+	case <-r.thawed:
+		r.thawed = make(chan struct{})
+	default:
+	}
+}
+
+func (r *relay) resume() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	select {
+	case <-r.thawed:
+	default:
+		close(r.thawed)
+	}
+}
+
+func (r *relay) close() {
+	r.ln.Close()
+	r.resume()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.conns {
+		c.Close()
+	}
+}
+
+// TestProberTripsHungReplica: a replica that keeps its connection open but
+// stops answering — no socket closes, so no query's transport error can
+// reveal it — is caught by the prober's ping alone. Its breaker opens
+// before any query is sent, the queries that follow pair on the other two
+// replicas, and once it answers again the prober re-admits it.
+func TestProberTripsHungReplica(t *testing.T) {
+	const n, ps, queries = 16, 8, 6
+	pages := rawPages(n, ps, 19)
+	db := rawDB(pages, ps)
+	var srvs [3]*server.Server
+	var addrs [3]string
+	for i := range srvs {
+		srvs[i], addrs[i] = startDaemon(t, "RAW", db, true, true, nil)
+	}
+	hung := startRelay(t, addrs[2])
+	f := dialFleet(t, []string{addrs[0], addrs[1], hung.addr()}, fleet.Options{ProbeInterval: 25 * time.Millisecond})
+
+	waitStatus := func(what string, cond func(fleet.ReplicaStatus) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if cond(f.Status().Replicas[2]) {
+				return
+			}
+		}
+		t.Fatalf("the relayed replica never %s: %+v", what, f.Status().Replicas[2])
+	}
+
+	hung.freeze()
+	waitStatus("went down", func(r fleet.ReplicaStatus) bool { return !r.Up })
+	st := f.Status()
+	if st.Replicas[2].Trips != 1 || st.PairedQueries != 0 {
+		t.Fatalf("hung replica = %+v after %d queries, want its breaker opened once, by the prober alone",
+			st.Replicas[2], st.PairedQueries)
+	}
+
+	for i := 0; i < queries; i++ {
+		if got, _ := readOne(t, f, i); !equalBytes(got, pages[i]) {
+			t.Fatalf("query %d with the replica hung returned the wrong page", i)
+		}
+	}
+	for i, srv := range srvs {
+		want := queries
+		if i == 2 {
+			want = 0
+		}
+		if got := len(srv.Traces("RAW")); got != want {
+			t.Errorf("replica %d recorded %d traces of %d queries, want %d", i, got, queries, want)
+		}
+	}
+
+	hung.resume()
+	waitStatus("was re-admitted", func(r fleet.ReplicaStatus) bool { return r.Up })
+	if st := f.Status().Replicas[2]; st.Trips != 1 {
+		t.Fatalf("re-admitted replica = %+v, want its one trip", st)
+	}
+	// Three rotated queries start at each replica in turn, so the
+	// re-admitted one takes part in two of them.
+	for i := 0; i < 3; i++ {
+		if got, _ := readOne(t, f, i); !equalBytes(got, pages[i]) {
+			t.Fatalf("query %d after re-admission returned the wrong page", i)
+		}
+	}
+	if got := len(srvs[2].Traces("RAW")); got != 2 {
+		t.Errorf("the re-admitted replica recorded %d traces of 3 rotated queries, want 2", got)
+	}
+}

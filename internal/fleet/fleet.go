@@ -29,7 +29,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/retrier"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // DefaultProbeInterval is how often the health prober revisits replicas.
@@ -287,8 +286,8 @@ func probeDelay(interval time.Duration, streak int) time.Duration {
 	return interval/4 + p.Backoff(streak-1)
 }
 
-// probeLoop is the health prober: each replica is pinged (daemon stats on
-// the control ID — no query session, no trace) or, while down, re-dialed
+// probeLoop is the health prober: each replica is pinged (a bare Ping/Pong
+// on the control ID — no query session, no trace) or, while down, re-dialed
 // on its own jittered-backoff schedule, closing the breaker on a
 // successful handshake.
 func (f *Fleet) probeLoop() {
@@ -338,8 +337,9 @@ func (f *Fleet) probeLoop() {
 }
 
 // probe checks one replica, reporting whether it answered: an up replica
-// gets a stats ping, a down one a re-dial that closes the breaker on
-// success.
+// gets a ping, a down one a re-dial that closes the breaker on success. A
+// replica that holds its connection but stops answering fails the ping
+// when the interval runs out.
 func (f *Fleet) probe(rep *replica) bool {
 	f.mu.Lock()
 	up, c := rep.up, rep.c
@@ -347,7 +347,7 @@ func (f *Fleet) probe(rep *replica) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), f.opts.ProbeInterval)
 	defer cancel()
 	if up {
-		if _, err := c.ServerStats(ctx); err != nil && !client.IsServerReject(err) {
+		if err := c.Ping(ctx); err != nil {
 			f.m.probeFail.Inc()
 			f.markDown(rep, err)
 			return false
@@ -445,46 +445,4 @@ func (f *Fleet) Status() Status {
 		})
 	}
 	return st
-}
-
-// ReplicaStats is one replica's health plus its daemon-side serving
-// counters (zero-valued when the replica is down or unreachable).
-type ReplicaStats struct {
-	ReplicaStatus
-	Stats    wire.ServerStats
-	StatsErr error
-}
-
-// ReplicaServerStats fetches every replica's daemon statistics. Down
-// replicas report their status with a nil Stats and the breaker's error.
-func (f *Fleet) ReplicaServerStats(ctx context.Context) []ReplicaStats {
-	f.mu.Lock()
-	type probe struct {
-		rep *replica
-		c   *client.Client
-		st  ReplicaStatus
-	}
-	probes := make([]probe, 0, len(f.replicas))
-	for _, rep := range f.replicas {
-		probes = append(probes, probe{rep, rep.c, ReplicaStatus{
-			Addr: rep.addr, Up: rep.up, Trips: rep.trips, LastErr: rep.lastErr,
-		}})
-	}
-	f.mu.Unlock()
-	out := make([]ReplicaStats, 0, len(probes))
-	for _, p := range probes {
-		rs := ReplicaStats{ReplicaStatus: p.st}
-		if p.st.Up && p.c != nil {
-			stats, err := p.c.ServerStats(ctx)
-			if err != nil {
-				rs.StatsErr = f.reportError(p.rep, err)
-			} else {
-				rs.Stats = stats
-			}
-		} else {
-			rs.StatsErr = rs.LastErr
-		}
-		out = append(out, rs)
-	}
-	return out
 }

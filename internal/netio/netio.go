@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -21,7 +22,8 @@ import (
 // network: each edge line is a road both ways. Node IDs in the files may be
 // arbitrary; they are remapped to dense IDs in file order, and edges refer
 // to the original IDs. A road listed more than once, in either direction,
-// keeps its least weight.
+// keeps its least weight. A coordinate that is NaN or infinite is refused:
+// the partitions and the geometry built on it assume finite points.
 func ReadNetwork(nodes, edges io.Reader) (*graph.Graph, error) {
 	g := graph.NewUndirected()
 	idMap := map[int64]graph.NodeID{}
@@ -40,6 +42,9 @@ func ReadNetwork(nodes, edges io.Reader) (*graph.Graph, error) {
 		y, err := strconv.ParseFloat(fields[2], 64)
 		if err != nil {
 			return fmt.Errorf("node line %d: y: %w", lineNo, err)
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("node line %d: coordinates (%v, %v) are not finite", lineNo, x, y)
 		}
 		if _, dup := idMap[id]; dup {
 			return fmt.Errorf("node line %d: duplicate id %d", lineNo, id)

@@ -84,6 +84,21 @@ func TestReadNetworkErrors(t *testing.T) {
 	}
 }
 
+// TestReadNetworkRefusesNonFiniteCoordinates: strconv.ParseFloat reads
+// "NaN" and the infinities as floats; as a node's x or y each is refused
+// with the node's line number.
+func TestReadNetworkRefusesNonFiniteCoordinates(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "-Inf", "+Infinity"} {
+		for _, line := range []string{"2 " + v + " 1", "2 1 " + v} {
+			nodes := "0 0 0\n1 1 1\n" + line + "\n"
+			_, err := ReadNetwork(strings.NewReader(nodes), strings.NewReader("0 0 1 1\n"))
+			if err == nil || !strings.Contains(err.Error(), "node line 3: ") || !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("node line %q: err = %v, want a non-finite refusal on line 3", line, err)
+			}
+		}
+	}
+}
+
 func TestReadNetworkMixedEdgeArity(t *testing.T) {
 	// Autodetection is per line: 4+ fields mean a leading edge id, 3 mean
 	// bare "from to weight". A file may mix both.

@@ -12,10 +12,13 @@ import (
 
 // TestDecodeRegionRefusesEveryTruncation cuts valid region pages — plain and
 // compact, in CI's, LM's (landmark vectors) and AF's (Arc flags) layouts —
-// at every byte inside their records. Each cut must come back as an error,
-// never a panic, from the decoder feeding the client graph and from the one
-// feeding the tests' RegionNodes alike: the fixed-width reads check a whole
-// record, or a whole adjacency list, before they index into it.
+// at every byte, inside the node count as well as inside the records. Each
+// cut must come back as an error, never a panic, from the decoder feeding
+// the client graph and from the one feeding the tests' RegionNodes alike:
+// the fixed-width reads check a whole record, or a whole adjacency list,
+// before they index into it, and a page too short to hold its node count is
+// a truncated page, not an empty region. A one-byte cluster fed to
+// ClientGraph.addRegion errors too.
 func TestDecodeRegionRefusesEveryTruncation(t *testing.T) {
 	pages, lmDims, flagBytes, compact := seedRegionPages(t)
 	for i, page := range pages {
@@ -24,7 +27,7 @@ func TestDecodeRegionRefusesEveryTruncation(t *testing.T) {
 		if err := decodeRegion(page, l, &whole); err != nil || len(whole) == 0 {
 			t.Fatalf("page %d (%+v): whole page decoded %d records, err %v", i, l, len(whole), err)
 		}
-		for cut := regionHeaderBytes; cut < len(page); cut++ {
+		for cut := 0; cut < len(page); cut++ {
 			var rs regionNodes
 			if err := decodeRegion(page[:cut], l, &rs); err == nil {
 				t.Fatalf("page %d (%+v) cut to %d of %d bytes decoded without error", i, l, cut, len(page))
@@ -33,6 +36,10 @@ func TestDecodeRegionRefusesEveryTruncation(t *testing.T) {
 				t.Fatalf("page %d (%+v) cut to %d of %d bytes decoded into the client graph without error", i, l, cut, len(page))
 			}
 		}
+	}
+	hdr := &Header{RegionFirstPage: make([]uint32, 4), ClusterPages: 1, Params: map[string]int64{}}
+	if ids, err := NewClientGraph().addRegion(hdr, [][]byte{{7}}); err == nil {
+		t.Fatalf("a 1-byte region page added %d records without error", len(ids))
 	}
 }
 

@@ -178,9 +178,10 @@ type regionSink interface {
 }
 
 // decodeRegion parses a region page — u16 node count, then the records —
-// into sink. Counts are untrusted: a node count or degree the remaining
-// bytes cannot hold at the layout's smallest record or half-edge is an
-// error before anything is handed on, so no claimed count sizes anything.
+// into sink. A page shorter than its node count is an error. Counts are
+// untrusted: a node count or degree the remaining bytes cannot hold at the
+// layout's smallest record or half-edge is an error before anything is
+// handed on, so no claimed count sizes anything.
 //
 // Bounds are checked per record, not per field: a plain record's fixed part
 // (id, point, landmark vector, degree) is checked once, and the degree
@@ -194,7 +195,9 @@ func decodeRegion(data []byte, l regionLayout, sink regionSink) error {
 		return fmt.Errorf("base: region layout with %d landmarks and %d flag bytes", l.lmDim, l.flagBytes)
 	}
 	if len(data) < regionHeaderBytes {
-		return nil // no count: no records
+		// Every region cluster is at least one page, so a page too short
+		// for its node count is a truncated one, not an empty region.
+		return fmt.Errorf("base: region page of %d bytes holds no node count", len(data))
 	}
 	n := int(binary.LittleEndian.Uint16(data))
 	off := regionHeaderBytes

@@ -230,13 +230,6 @@ func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) err
 	return nil
 }
 
-// numDatabases returns how many databases are hosted.
-func (s *Server) numDatabases() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
-}
-
 // lookup resolves a Hello's database name; "" selects the sole database.
 // The error texts travel to remote clients (which add their own prefix),
 // so they carry no package prefix.
@@ -491,10 +484,39 @@ func (s *Server) Traces(db string) []string {
 	return out
 }
 
+// DBSnapshot is one hosted database's serving counters and worker-pool
+// gauges, read in process.
+type DBSnapshot struct {
+	Name    string
+	Scheme  string
+	Queries uint64 // completed query sessions
+	Pages   uint64 // PIR pages served
+	// Cancellation accounting: queries executing right now (gauge), queries
+	// the client cancelled mid-flight, and queries whose deadline expired.
+	InFlight  uint32
+	Cancelled uint64
+	Deadline  uint64
+	// Worker-pool gauges: pool size in slots, slots held now (one per read
+	// or scan pass, whatever its width), reads and passes waiting for
+	// slots. Every database has its own pool, so these expose per-database
+	// saturation.
+	Workers     uint32
+	BusyWorkers uint32
+	QueuedReads uint32
+}
+
+// Snapshot is the daemon's aggregate serving state, read in process.
+type Snapshot struct {
+	ActiveConns uint32
+	TotalConns  uint64
+	Databases   []DBSnapshot
+}
+
 // Stats snapshots the serving counters as a pure view over the telemetry
 // registry: every number here is read from the same series /metrics
-// exports, so the wire stats and a scrape can never disagree.
-func (s *Server) Stats() wire.ServerStats {
+// exports, so the -stats log line and a scrape can never disagree. It has
+// no wire form: from outside the process, counters are read from /metrics.
+func (s *Server) Stats() Snapshot {
 	s.mu.Lock()
 	order := append([]string(nil), s.order...)
 	dbs := make([]*hosted, 0, len(order))
@@ -502,13 +524,13 @@ func (s *Server) Stats() wire.ServerStats {
 		dbs = append(dbs, s.dbs[name])
 	}
 	s.mu.Unlock()
-	st := wire.ServerStats{
+	st := Snapshot{
 		ActiveConns: uint32(max(s.m.connsActive.Value(), 0)),
 		TotalConns:  s.m.connsTotal.Value(),
 	}
 	for _, h := range dbs {
 		workers, busy, queued := h.srv.PoolStats()
-		st.Databases = append(st.Databases, wire.DBStats{
+		st.Databases = append(st.Databases, DBSnapshot{
 			Name:        h.name,
 			Scheme:      h.srv.Database().Scheme,
 			Queries:     h.m.queries.Value(),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -290,19 +291,11 @@ func TestDatabaseSelection(t *testing.T) {
 	if c.Scheme() != "HY" || c.Database() != "HY" {
 		t.Errorf("selected %s/%s", c.Database(), c.Scheme())
 	}
-	// No name against several databases: an unbound, stats-only session.
-	unbound := dialDB(t, addr, "")
-	if unbound.Scheme() != "" || unbound.Database() != "" {
-		t.Errorf("unbound session resolved to %s/%s", unbound.Database(), unbound.Scheme())
+	// No name against several databases fails the dial, naming them.
+	if _, err := client.Dial(addr, client.Options{}); err == nil ||
+		!strings.Contains(err.Error(), "2 databases hosted, name one of [CI HY]") {
+		t.Errorf("nameless dial of a two-database daemon: %v", err)
 	}
-	if st, err := unbound.ServerStats(context.Background()); err != nil || len(st.Databases) != 2 {
-		t.Errorf("stats on unbound session: %+v, %v", st, err)
-	}
-	uq := unbound.StartQuery()
-	if _, err := uq.HeaderBytes(context.Background()); err == nil {
-		t.Error("query op on unbound session succeeded")
-	}
-	uq.Cancel(wire.CancelAbandon)
 	if _, err := client.Dial(addr, client.Options{Database: "nope"}); err == nil {
 		t.Error("unknown database accepted")
 	}
@@ -311,6 +304,56 @@ func TestDatabaseSelection(t *testing.T) {
 	sole := dialDB(t, soleAddr, "")
 	if sole.Scheme() != "PI" || sole.Database() != "PI" {
 		t.Errorf("sole database resolved to %s/%s", sole.Database(), sole.Scheme())
+	}
+}
+
+// TestHelloOfAnotherVersionRefused: a client speaking the previous protocol
+// version is refused at the handshake with the version error, and the
+// daemon closes the connection.
+func TestHelloOfAnotherVersionRefused(t *testing.T) {
+	_, addr := startServer(t, "CI")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.ControlID, wire.Hello{Version: wire.ProtocolVersion - 1, Database: "CI"}.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	typ, _, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+	if err != nil || typ != wire.MsgError {
+		t.Fatalf("reply to an old Hello: %s, %v", typ, err)
+	}
+	want := fmt.Sprintf("protocol version %d not supported (want %d)", wire.ProtocolVersion-1, wire.ProtocolVersion)
+	if m, _ := wire.DecodeErrorMsg(payload); m.Text != want {
+		t.Errorf("error text %q, want %q", m.Text, want)
+	}
+	if _, _, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err == nil {
+		t.Error("the connection stayed open after a refused Hello")
+	}
+}
+
+// TestPingAnswersPong: a Ping on the control ID is answered by an empty
+// Pong there, and a Ping that carries a payload by an Error.
+func TestPingAnswersPong(t *testing.T) {
+	_, addr := startServer(t, "CI")
+	conn, br := rawQuery(t, addr)
+	for _, payload := range [][]byte{nil, {1}} {
+		if err := wire.WriteFrame(conn, wire.MsgPing, wire.ControlID, payload); err != nil {
+			t.Fatal(err)
+		}
+		typ, qid, reply, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wire.MsgPong
+		if len(payload) != 0 {
+			want = wire.MsgError
+		}
+		if typ != want || qid != wire.ControlID || (typ == wire.MsgPong && len(reply) != 0) {
+			t.Errorf("Ping of %d bytes: got %s of %d bytes for query %d, want %s on the control ID", len(payload), typ, len(reply), qid, want)
+		}
 	}
 }
 

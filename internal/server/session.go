@@ -245,30 +245,25 @@ func (ss *session) handshake() error {
 		ss.sendErr(wire.ControlID, "%v", err)
 		return err
 	}
-	// An empty database name against a multi-database daemon yields an
-	// unbound, stats-only session (Welcome with empty scheme and header):
-	// daemon-wide statistics don't require picking a database. Query
-	// messages on an unbound session are rejected.
-	var welcome wire.Welcome
-	if hello.Database != "" || ss.s.numDatabases() == 1 {
-		db, err := ss.s.lookup(hello.Database)
-		if err != nil {
-			ss.sendErr(wire.ControlID, "%v", err)
-			return err
-		}
-		ss.db = db
-		welcome = wire.Welcome{
-			Scheme:   db.srv.Database().Scheme,
-			Database: db.name,
-			Files:    db.srv.Files(),
-			Header:   db.srv.Database().Header,
-		}
-		if db.srv.ShareCapable() {
-			welcome.Flags |= wire.WelcomeShareCapable
-		}
-		if ss.s.opts.ReplicaRole {
-			welcome.Flags |= wire.WelcomeReplicaRole
-		}
+	// An empty name selects the sole database; against a multi-database
+	// daemon it fails the handshake, naming the databases hosted.
+	db, err := ss.s.lookup(hello.Database)
+	if err != nil {
+		ss.sendErr(wire.ControlID, "%v", err)
+		return err
+	}
+	ss.db = db
+	welcome := wire.Welcome{
+		Scheme:   db.srv.Database().Scheme,
+		Database: db.name,
+		Files:    db.srv.Files(),
+		Header:   db.srv.Database().Header,
+	}
+	if db.srv.ShareCapable() {
+		welcome.Flags |= wire.WelcomeShareCapable
+	}
+	if ss.s.opts.ReplicaRole {
+		welcome.Flags |= wire.WelcomeReplicaRole
 	}
 	return ss.send(wire.MsgWelcome, wire.ControlID, welcome.Encode())
 }
@@ -280,8 +275,12 @@ func (ss *session) handshake() error {
 // frames hand it to the query goroutine.
 func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]byte) {
 	switch t {
-	case wire.MsgStatsReq:
-		ss.send(wire.MsgStats, qid, ss.s.Stats().Encode())
+	case wire.MsgPing:
+		if len(payload) != 0 {
+			ss.sendErr(qid, "Ping carries %d bytes, want none", len(payload))
+		} else {
+			ss.send(wire.MsgPong, qid, nil)
+		}
 		putFrameBuf(bp)
 		return
 	case wire.MsgBeginQuery:
@@ -316,10 +315,6 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]by
 // rejections do get an Error frame — with per-query routing there is no
 // stream position left to desynchronize.
 func (ss *session) beginQuery(qid uint32) {
-	if ss.db == nil {
-		ss.sendErr(qid, "session is not bound to a database; reconnect naming one")
-		return
-	}
 	if qid == wire.ControlID {
 		ss.sendErr(qid, "query ID 0 is reserved for connection control")
 		return

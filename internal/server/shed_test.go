@@ -120,7 +120,7 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 		{wire.MsgNextRound, 1, nil},
 		{wire.MsgFetch, 1, fetch},
 		{wire.MsgFetch, 2, fetch}, // never opened
-		{wire.MsgStatsReq, wire.ControlID, nil},
+		{wire.MsgPing, wire.ControlID, nil},
 	} {
 		if err := wire.WriteFrame(conn, f.t, f.qid, f.p); err != nil {
 			t.Fatal(err)
@@ -129,13 +129,16 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 	for _, want := range []struct {
 		t   wire.MsgType
 		qid uint32
-	}{{wire.MsgBusy, 1}, {wire.MsgError, 2}, {wire.MsgStats, wire.ControlID}} {
+	}{{wire.MsgBusy, 1}, {wire.MsgError, 2}, {wire.MsgPong, wire.ControlID}} {
 		typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if typ != want.t || qid != want.qid {
 			t.Fatalf("got %s for query %d, want %s for query %d", typ, qid, want.t, want.qid)
+		}
+		if typ == wire.MsgPong && len(payload) != 0 {
+			t.Errorf("Pong carries %d bytes, want none", len(payload))
 		}
 		if typ == wire.MsgError {
 			if m, _ := wire.DecodeErrorMsg(payload); !strings.Contains(m.Text, "no open query 2") {
@@ -196,10 +199,10 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 		}
 		qs.Cancel(wire.CancelAbandon) // settled by the Busy; no-op
 		// Sequencing barrier: server frames on one connection are processed
-		// in order, so once the stats reply arrives every frame of the shed
+		// in order, so once the Pong arrives every frame of the shed
 		// attempt — the requests that followed BeginQuery included, which
 		// the daemon drops unanswered — has been fully read and counted.
-		if _, err := c.ServerStats(ctx); err != nil {
+		if err := c.Ping(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,9 +232,9 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 	}
 	// The Busy is the shed query's one reply: the frames pipelined behind
 	// its BeginQuery are dropped unanswered, so the attempt writes the
-	// Busy and the stats barrier's reply and nothing else.
+	// Busy and the barrier's Pong and nothing else.
 	if want := "privsp_server_frames_written_total +2\n"; !strings.Contains(deltas[0], want) {
-		t.Errorf("shed attempt's delta does not write exactly 2 frames (the Busy and the stats reply):\n%s", deltas[0])
+		t.Errorf("shed attempt's delta does not write exactly 2 frames (the Busy and the Pong):\n%s", deltas[0])
 	}
 	for i := 1; i < len(deltas); i++ {
 		if deltas[i] != deltas[0] {

@@ -117,17 +117,40 @@ func FuzzDecodeShareFetch(f *testing.F) {
 	})
 }
 
+// FuzzDecodeHello fuzzes the Hello decoder — the one payload the daemon
+// decodes from a connection not yet bound to a database. Accepted payloads
+// must be canonical and round-trip field for field.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(Hello{Version: ProtocolVersion, Database: "ci"}.Encode())
+	f.Add([]byte{})
+	f.Add([]byte{0, 7, 0xFF, 0xFF, 'c', 'i'}) // name length overruns the payload
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeHello(data)
+		if err != nil {
+			return
+		}
+		re := m.Encode()
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted payload is not canonical:\n in: %x\nout: %x", data, re)
+		}
+		if m2, err := DecodeHello(re); err != nil || m2 != m {
+			t.Fatalf("round trip diverged: %v, %+v vs %+v", err, m2, m)
+		}
+	})
+}
+
 // FuzzDecodeWelcome fuzzes the Welcome decoder — the handshake reply from
 // which a client takes the scheme, the file table and the public header it
-// runs every query on. Accepted payloads must be canonical and round-trip
-// field for field.
+// runs every query on. Accepted payloads must name a scheme and a database,
+// be canonical and round-trip field for field.
 func FuzzDecodeWelcome(f *testing.F) {
 	f.Add(Welcome{
 		Scheme: "CI", Database: "ci", Flags: WelcomeShareCapable,
 		Files:  []lbs.FileInfo{{Name: "Fl", NumPages: 3, PageSize: 4096}},
 		Header: []byte("public header"),
 	}.Encode())
-	f.Add(Welcome{}.Encode())                                               // an unbound, stats-only session
+	f.Add(Welcome{}.Encode())                                               // names no scheme or database: must be refused
 	f.Add([]byte{0, 2, 'C', 'I', 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // header length overruns payload
 	f.Add([]byte{})
 
@@ -135,6 +158,9 @@ func FuzzDecodeWelcome(f *testing.F) {
 		m, err := DecodeWelcome(data)
 		if err != nil {
 			return
+		}
+		if m.Scheme == "" || m.Database == "" {
+			t.Fatalf("accepted a Welcome naming scheme %q, database %q", m.Scheme, m.Database)
 		}
 		re := m.Encode()
 		if !bytes.Equal(re, data) {

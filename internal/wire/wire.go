@@ -10,7 +10,7 @@
 // multiplexes any number of concurrent query sessions: the client allocates
 // IDs, the server keys per-query state (context, trace, round counter) by
 // them, and responses are routed back by ID rather than by stream position.
-// ID 0 is reserved for connection-level traffic (Hello/Welcome, statistics,
+// ID 0 is reserved for connection-level traffic (Hello/Welcome, Ping/Pong,
 // connection errors).
 //
 // The protocol mirrors the §3.1 query structure one-to-one, so the server
@@ -52,7 +52,12 @@ import (
 // Version 6 moved the public header into the Welcome, deleting the
 // per-query HeaderReq/Header exchange, and dropped the Welcome's cost-model
 // parameters.
-const ProtocolVersion = 6
+// Version 7 deleted the statistics request and reply, and the session bound
+// to no database that only they could use: a daemon's counters leave it
+// through the admin endpoint only, and a Welcome always names a scheme and
+// a database. The bare Ping/Pong round trip took their place, and the
+// message numbers after QueryDone moved down.
+const ProtocolVersion = 7
 
 // DefaultMaxFrame bounds a single frame's payload; it must accommodate the
 // largest header file and the largest batched page fetch.
@@ -63,7 +68,7 @@ type MsgType uint8
 
 // The protocol messages. C→S is client to server, S→C the reverse. All
 // query messages are addressed by the query ID in the frame header; Hello,
-// Welcome, StatsReq and Stats ride on ControlID.
+// Welcome, Ping and Pong ride on ControlID.
 const (
 	MsgHello      MsgType = iota + 1 // C→S: version + database name
 	MsgWelcome                       // S→C: scheme, file table, public header
@@ -74,11 +79,11 @@ const (
 	MsgPages                         // S→C: the retrieved pages
 	MsgEndQuery                      // C→S: query finished
 	MsgQueryDone                     // S→C: server-side observed trace
-	MsgStatsReq                      // C→S: server statistics
-	MsgStats                         // S→C: the statistics
 	MsgCancel                        // C→S: abandon this frame's query (no reply)
 	MsgFetchShare                    // C→S: XOR PIR selector shares; answered by MsgPages
 	MsgBusy                          // S→C: query shed at admission; retry after the hinted delay
+	MsgPing                          // C→S: liveness check, empty payload
+	MsgPong                          // S→C: the answer to a Ping, empty payload
 )
 
 // String names a message type for diagnostics.
@@ -102,23 +107,24 @@ func (t MsgType) String() string {
 		return "EndQuery"
 	case MsgQueryDone:
 		return "QueryDone"
-	case MsgStatsReq:
-		return "StatsReq"
-	case MsgStats:
-		return "Stats"
 	case MsgCancel:
 		return "Cancel"
 	case MsgFetchShare:
 		return "FetchShare"
 	case MsgBusy:
 		return "Busy"
+	case MsgPing:
+		return "Ping"
+	case MsgPong:
+		return "Pong"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
 }
 
-// ControlID is the query ID of connection-level frames: the handshake,
-// statistics, and errors that concern the connection rather than one query.
+// ControlID is the query ID of connection-level frames: the handshake, the
+// liveness ping, and errors that concern the connection rather than one
+// query.
 const ControlID uint32 = 0
 
 // frameHdrLen is the fixed frame header size: length + type + query ID.
@@ -374,8 +380,8 @@ const (
 // Welcome acknowledges a session: the scheme, the daemon's capability
 // flags, the public file table and the bound database's public header —
 // the §5.3 header every client downloads straight from the LBS, so a client
-// holds it from the handshake on and no query asks for it. An unbound,
-// stats-only session has an empty scheme, file table and header.
+// holds it from the handshake on and no query asks for it. Every session is
+// bound to one database, so a Welcome always names a scheme and a database.
 type Welcome struct {
 	Scheme   string
 	Database string
@@ -400,7 +406,9 @@ func (m Welcome) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeWelcome reverses Welcome.Encode.
+// DecodeWelcome reverses Welcome.Encode. A Welcome that names no scheme or
+// no database is refused: the daemon binds every session before it welcomes
+// it, so such a payload is not one it sends.
 func DecodeWelcome(b []byte) (Welcome, error) {
 	d := pagefile.NewDec(b)
 	m := Welcome{Scheme: getString(d), Database: getString(d), Flags: d.U16()}
@@ -413,7 +421,13 @@ func DecodeWelcome(b []byte) (Welcome, error) {
 		})
 	}
 	m.Header = getBytes(d)
-	return m, decErr("Welcome", d)
+	if err := decErr("Welcome", d); err != nil {
+		return m, err
+	}
+	if m.Scheme == "" || m.Database == "" {
+		return m, fmt.Errorf("wire: decoding Welcome: no scheme or no database named (scheme %q, database %q)", m.Scheme, m.Database)
+	}
+	return m, nil
 }
 
 // ErrorMsg reports a failed request. The session survives; the client
@@ -660,76 +674,6 @@ func DecodeBusy(b []byte) (Busy, error) {
 	d := pagefile.NewDec(b)
 	m := Busy{RetryAfterMillis: d.U32()}
 	return m, decErr("Busy", d)
-}
-
-// DBStats are the per-database serving counters and worker-pool gauges.
-type DBStats struct {
-	Name    string
-	Scheme  string
-	Queries uint64 // completed query sessions
-	Pages   uint64 // PIR pages served
-	// Cancellation accounting: queries executing right now (gauge), queries
-	// the client cancelled mid-flight, and queries whose deadline expired.
-	InFlight  uint32
-	Cancelled uint64
-	Deadline  uint64
-	// Worker-pool gauges: pool size in slots, slots held now (one per read
-	// or scan pass, whatever its width), reads and passes waiting for
-	// slots. Every database has its own pool, so these expose per-database
-	// saturation.
-	Workers     uint32
-	BusyWorkers uint32
-	QueuedReads uint32
-}
-
-// ServerStats is the daemon's aggregate serving state.
-type ServerStats struct {
-	ActiveConns uint32
-	TotalConns  uint64
-	Databases   []DBStats
-}
-
-// Encode serializes the message payload.
-func (m ServerStats) Encode() []byte {
-	e := pagefile.NewEnc(64)
-	e.U32(m.ActiveConns)
-	e.U64(m.TotalConns)
-	e.U16(uint16(len(m.Databases)))
-	for _, db := range m.Databases {
-		putString(e, db.Name)
-		putString(e, db.Scheme)
-		e.U64(db.Queries)
-		e.U64(db.Pages)
-		e.U32(db.InFlight)
-		e.U64(db.Cancelled)
-		e.U64(db.Deadline)
-		e.U32(db.Workers)
-		e.U32(db.BusyWorkers)
-		e.U32(db.QueuedReads)
-	}
-	return e.Bytes()
-}
-
-// DecodeServerStats reverses ServerStats.Encode.
-func DecodeServerStats(b []byte) (ServerStats, error) {
-	d := pagefile.NewDec(b)
-	m := ServerStats{ActiveConns: d.U32(), TotalConns: d.U64()}
-	n := int(d.U16())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Databases = append(m.Databases, DBStats{
-			Name:        getString(d),
-			Scheme:      getString(d),
-			Queries:     d.U64(),
-			Pages:       d.U64(),
-			InFlight:    d.U32(),
-			Cancelled:   d.U64(),
-			Deadline:    d.U64(),
-			Workers:     d.U32(),
-			BusyWorkers: d.U32(),
-			QueuedReads: d.U32(),
-		})
-	}
-	return m, decErr("Stats", d)
 }
 
 func decErr(msg string, d *pagefile.Dec) error {

@@ -286,32 +286,19 @@ func TestQueryDoneAndErrorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestServerStatsRoundTrip(t *testing.T) {
-	m := ServerStats{
-		ActiveConns: 3,
-		TotalConns:  128,
-		Databases: []DBStats{
-			{Name: "CI", Scheme: "CI", Queries: 10, Pages: 170, InFlight: 2, Cancelled: 3, Deadline: 1,
-				Workers: 8, BusyWorkers: 3, QueuedReads: 1},
-			{Name: "HY", Scheme: "HY", Queries: 2, Pages: 44, Workers: 4},
-		},
-	}
-	got, err := DecodeServerStats(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ActiveConns != 3 || got.TotalConns != 128 || len(got.Databases) != 2 ||
-		got.Databases[1] != m.Databases[1] {
-		t.Errorf("got %+v", got)
-	}
-}
-
 func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	if _, err := DecodeHello([]byte{1}); err == nil {
 		t.Error("truncated Hello accepted")
 	}
 	if _, err := DecodeWelcome([]byte{0, 2, 'C'}); err == nil {
 		t.Error("truncated Welcome accepted")
+	}
+	// Every session is bound, so a Welcome naming no scheme or no database
+	// is not one a daemon sends.
+	for _, w := range []Welcome{{}, {Database: "ci"}, {Scheme: "CI"}} {
+		if _, err := DecodeWelcome(w.Encode()); err == nil {
+			t.Errorf("Welcome with scheme %q, database %q accepted", w.Scheme, w.Database)
+		}
 	}
 	if err := new(Fetch).DecodeInto([]byte{0, 1, 'F', 0, 5, 0, 0}); err == nil {
 		t.Error("Fetch with missing pages accepted")

@@ -133,32 +133,5 @@ func (fs *FleetServer) Status() FleetStatus {
 	return out
 }
 
-// FleetReplicaStats is one replica's health plus its daemon-side serving
-// counters (zero-valued with StatsErr set when the replica is down).
-type FleetReplicaStats struct {
-	FleetReplicaStatus
-	Stats    ServiceStats
-	StatsErr error
-}
-
-// ReplicaStats fetches every replica's daemon statistics, for per-replica
-// monitoring (`privsp stats -fleet` prints one block per replica).
-func (fs *FleetServer) ReplicaStats(ctx context.Context) []FleetReplicaStats {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var out []FleetReplicaStats
-	for _, rs := range fs.f.ReplicaServerStats(ctx) {
-		out = append(out, FleetReplicaStats{
-			FleetReplicaStatus: FleetReplicaStatus{
-				Addr: rs.Addr, Up: rs.Up, Trips: rs.Trips, LastErr: rs.LastErr,
-			},
-			Stats:    serviceStats(rs.Stats),
-			StatsErr: rs.StatsErr,
-		})
-	}
-	return out
-}
-
 // Close stops the health prober and tears down every replica connection.
 func (fs *FleetServer) Close() error { return fs.f.Close() }

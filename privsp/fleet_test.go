@@ -20,26 +20,19 @@ var replicaOptions = server.Options{
 	Stores:      lbs.XORStores,
 }
 
-// startReplicaDaemon hosts the built database in -replica-role on loopback.
-func startReplicaDaemon(t *testing.T, name string, db *Database) string {
-	t.Helper()
-	_, addr := hostDaemon(t, replicaOptions, name, db)
-	return addr
-}
-
 // TestFleetEndToEnd drives the public DialFleet API against two real
 // replica daemons: answers match the in-process deployment, the
 // replica-recorded trace is identical across distinct queries and equal to
-// the single-deployment trace, and the per-replica stats both account one
-// scan's worth of work per query.
+// the single-deployment trace, and each replica's counters, read in
+// process, account every query.
 func TestFleetEndToEnd(t *testing.T) {
 	net0 := Generate(Oldenburg, 0.08, 1)
 	db, err := Build(net0, Config{Scheme: CI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrA := startReplicaDaemon(t, "CI", db)
-	addrB := startReplicaDaemon(t, "CI", db)
+	srvA, addrA := hostDaemon(t, replicaOptions, "CI", db)
+	srvB, addrB := hostDaemon(t, replicaOptions, "CI", db)
 
 	local, err := Serve(db)
 	if err != nil {
@@ -92,12 +85,9 @@ func TestFleetEndToEnd(t *testing.T) {
 		}
 	}
 
-	for _, rs := range fs.ReplicaStats(context.Background()) {
-		if rs.StatsErr != nil {
-			t.Fatalf("replica %s stats: %v", rs.Addr, rs.StatsErr)
-		}
-		if len(rs.Stats.Databases) != 1 || rs.Stats.Databases[0].Queries < uint64(len(queries)) {
-			t.Fatalf("replica %s served %+v, want ≥%d queries", rs.Addr, rs.Stats.Databases, len(queries))
+	for addr, srv := range map[string]*server.Server{addrA: srvA, addrB: srvB} {
+		if dbs := srv.Stats().Databases; len(dbs) != 1 || dbs[0].Queries < uint64(len(queries)) {
+			t.Fatalf("replica %s served %+v, want ≥%d queries", addr, dbs, len(queries))
 		}
 	}
 }

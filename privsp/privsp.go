@@ -30,6 +30,9 @@
 // the replicas do not collude, with health-checked failover to the
 // replicas still up and a refusal, never a single-server fallback, when
 // fewer than two are. All three satisfy the same PathService interface.
+// A remote connection carries queries only: a daemon's serving counters
+// are read from its admin endpoint (privspd -admin, GET /metrics), never
+// through this package.
 //
 // Four strongly private schemes are provided — CI (small database, more PIR
 // page fetches), PI (one-page-fast queries, huge index), HY (tunable hybrid)
@@ -529,9 +532,8 @@ func DialDatabase(addr, database string) (*RemoteServer, error) {
 
 // DialDatabaseContext connects to a privspd daemon and selects a hosted
 // database by name (daemons may host several; empty selects the sole one).
-// Dialing a multi-database daemon without a name yields an unbound,
-// stats-only connection: Stats works, ShortestPath reports that a database
-// must be named. ctx bounds the connect and handshake; without a deadline,
+// Dialing a multi-database daemon without a name fails, naming the
+// databases it hosts. ctx bounds the connect and handshake; without a deadline,
 // the default 10 s budget applies, so an address that accepts TCP but never
 // answers the handshake still fails promptly.
 func DialDatabaseContext(ctx context.Context, addr, database string) (*RemoteServer, error) {
@@ -554,8 +556,7 @@ func DialDatabaseContext(ctx context.Context, addr, database string) (*RemoteSer
 		return nil, err
 	}
 	scheme := Scheme(c.Scheme())
-	// An empty scheme is an unbound, stats-only session.
-	if scheme != "" && !servable(scheme) {
+	if !servable(scheme) {
 		c.Close()
 		return nil, fmt.Errorf("privsp: daemon hosts unsupported scheme %q", scheme)
 	}
@@ -583,9 +584,6 @@ func (r *RemoteServer) ShortestPath(ctx context.Context, src, dst Point, opts ..
 		ctx = context.Background()
 	}
 	o := applyOptions(opts)
-	if r.scheme == "" {
-		return nil, fmt.Errorf("privsp: connection is not bound to a database; use DialDatabase")
-	}
 	// A query the daemon sheds with Busy is retried whole: each attempt is
 	// a fresh query session with freshly drawn PIR randomness, never a
 	// resent round (see retryBusy).
@@ -649,65 +647,6 @@ func cancelReason(ctx context.Context, err error) uint8 {
 	default:
 		return wire.CancelAbandon
 	}
-}
-
-// DatabaseStats are one hosted database's serving counters and worker-pool
-// gauges.
-type DatabaseStats struct {
-	Name        string
-	Scheme      Scheme
-	Queries     uint64
-	PagesServed uint64
-	// InFlight gauges the queries open right now; Cancelled and
-	// DeadlineExceeded count the queries clients called off mid-flight
-	// (context cancelled vs deadline expired). Their partial traces are
-	// recorded — each is a prefix of the full-query trace.
-	InFlight         int
-	Cancelled        uint64
-	DeadlineExceeded uint64
-	// Workers is the database's PIR read pool size; BusyWorkers and
-	// QueuedReads gauge its saturation at snapshot time.
-	Workers     int
-	BusyWorkers int
-	QueuedReads int
-}
-
-// ServiceStats is a daemon's aggregate serving state.
-type ServiceStats struct {
-	ActiveConns int
-	TotalConns  uint64
-	Databases   []DatabaseStats
-}
-
-// Stats fetches the daemon's serving counters. Safe to call while queries
-// are in flight on this connection — statistics travel outside any query
-// session.
-func (r *RemoteServer) Stats(ctx context.Context) (ServiceStats, error) {
-	ws, err := r.c.ServerStats(ctx)
-	if err != nil {
-		return ServiceStats{}, err
-	}
-	return serviceStats(ws), nil
-}
-
-// serviceStats converts a daemon's wire statistics to the public view.
-func serviceStats(ws wire.ServerStats) ServiceStats {
-	st := ServiceStats{ActiveConns: int(ws.ActiveConns), TotalConns: ws.TotalConns}
-	for _, db := range ws.Databases {
-		st.Databases = append(st.Databases, DatabaseStats{
-			Name:             db.Name,
-			Scheme:           Scheme(db.Scheme),
-			Queries:          db.Queries,
-			PagesServed:      db.Pages,
-			InFlight:         int(db.InFlight),
-			Cancelled:        db.Cancelled,
-			DeadlineExceeded: db.Deadline,
-			Workers:          int(db.Workers),
-			BusyWorkers:      int(db.BusyWorkers),
-			QueuedReads:      int(db.QueuedReads),
-		})
-	}
-	return st
 }
 
 // Close tears down the connection to the daemon.

@@ -46,14 +46,15 @@ func startDaemon(t *testing.T, name string, db *Database) string {
 // TestRemoteDialEndToEnd drives the public API across a real TCP socket:
 // Dial returns the same query surface as Serve, the answers agree with the
 // in-process deployment, and the daemon-observed trace is identical across
-// distinct queries (Theorem 1 over the wire).
+// distinct queries (Theorem 1 over the wire), and the daemon's counters,
+// read in process, account every query.
 func TestRemoteDialEndToEnd(t *testing.T) {
 	net0 := Generate(Oldenburg, 0.08, 1)
 	db, err := Build(net0, Config{Scheme: CI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startDaemon(t, "CI", db)
+	srv, addr := hostDaemon(t, server.Options{}, "CI", db)
 
 	local, err := Serve(db)
 	if err != nil {
@@ -95,18 +96,15 @@ func TestRemoteDialEndToEnd(t *testing.T) {
 		}
 	}
 
-	st, err := remote.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := srv.Stats()
 	if len(st.Databases) != 1 || st.Databases[0].Queries != uint64(len(queries)) {
-		t.Errorf("stats = %+v, want %d queries", st, len(queries))
+		t.Fatalf("stats = %+v, want %d queries", st, len(queries))
 	}
-	if st.Databases[0].Scheme != CI || st.Databases[0].PagesServed == 0 {
+	if Scheme(st.Databases[0].Scheme) != CI || st.Databases[0].Pages == 0 {
 		t.Errorf("database stats = %+v", st.Databases[0])
 	}
-	// The worker-pool gauges travel the wire: the pool exists (size > 0)
-	// and is idle between queries.
+	// The worker-pool gauges: the pool exists (size > 0) and is idle
+	// between queries.
 	if st.Databases[0].Workers <= 0 {
 		t.Errorf("pool size gauge = %d, want > 0", st.Databases[0].Workers)
 	}
