@@ -12,9 +12,7 @@ package repro
 import (
 	"bytes"
 	"context"
-	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -23,26 +21,16 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
+	"repro/internal/scheme/base"
 	"repro/internal/scheme/ci"
 )
-
-// benchConfig sizes benchmark runs: smaller than cmd/experiments defaults
-// so the full suite stays in the minutes range.
-func benchConfig() exp.Config {
-	cfg := exp.Config{Scale: 0.03, Queries: 15, Seed: 1}
-	if v, err := strconv.ParseFloat(os.Getenv("REPRO_SCALE"), 64); err == nil && v > 0 && v <= 1 {
-		cfg.Scale = v
-	}
-	if v, err := strconv.Atoi(os.Getenv("REPRO_QUERIES")); err == nil && v > 0 {
-		cfg.Queries = v
-	}
-	return cfg
-}
 
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchConfig())
+		// Smaller than cmd/experiments' defaults, so the full suite stays
+		// in the minutes range.
+		r := exp.NewRunner(exp.EnvConfig(0.03, 15))
 		var buf bytes.Buffer
 		if err := r.Run(id, &buf); err != nil {
 			b.Fatal(err)
@@ -91,7 +79,7 @@ func BenchmarkFig12Large(b *testing.B) { runExperiment(b, "fig12") }
 // read-only mapping of a saved .psdb container.
 func BenchmarkServeDiskVsRAM(b *testing.B) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
-	db, err := ci.Build(g, ci.DefaultOptions())
+	db, err := ci.Build(g, base.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

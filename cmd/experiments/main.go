@@ -21,7 +21,8 @@ import (
 )
 
 func main() {
-	cfg := exp.DefaultConfig()
+	// Sized for a full run of well under a minute on two cores.
+	cfg := exp.EnvConfig(0.05, 40)
 	run := flag.String("run", "", "experiment id (table1, table3, fig5..fig12); empty = all")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	scale := flag.Float64("scale", cfg.Scale, "network scale in (0,1]; 1.0 = paper sizes")

@@ -19,6 +19,13 @@
 // padding shaped like a region fetch — is therefore a function of the plan
 // alone.
 //
+// The build side has one declaration of its tunables: base.Config (exposed
+// as privsp.Config) carries the page size, the ablation switches and each
+// scheme's knob, base.Config.Resolve writes every default and rejects an
+// out-of-range value, and every scheme's Build takes the Config as is, so
+// privsp.Build is a table lookup and a direct caller gets the same
+// database.
+//
 // The public API lives in the privsp subpackage; README.md documents the
 // architecture, including the context-first query surface
 // (privsp.PathService: ShortestPath(ctx, src, dst, ...QueryOption), with

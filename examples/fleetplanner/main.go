@@ -87,11 +87,11 @@ func measure(net *privsp.Network, cfg privsp.Config) (time.Duration, int64, erro
 	for i := 0; i < queries; i++ {
 		s := privsp.NodeID(rng.Intn(net.NumNodes()))
 		t := privsp.NodeID(rng.Intn(net.NumNodes()))
-		var st privsp.Stats
-		if _, err := srv.ShortestPath(ctx, net.NodePoint(s), net.NodePoint(t), privsp.WithStats(&st)); err != nil {
+		res, err := srv.ShortestPath(ctx, net.NodePoint(s), net.NodePoint(t))
+		if err != nil {
 			return 0, 0, err
 		}
-		total += st.Response()
+		total += res.Stats.Response()
 	}
 	return total / queries, db.TotalBytes(), nil
 }

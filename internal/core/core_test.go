@@ -51,19 +51,14 @@ func serveExec(t *testing.T, db *lbs.Database, err error, q func(context.Context
 func TestTheorem1AcrossAllSchemes(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.08)
 
-	piStarOpt := pi.DefaultOptions()
-	piStarOpt.ClusterPages = 2
-	lmOpt := lm.DefaultOptions()
-	lmOpt.SafetyMargin = 2
-	afOpt := af.DefaultOptions()
-	afOpt.SafetyMargin = 2
+	margin := base.Config{SafetyMargin: 2}
 
-	dbCI, errCI := ci.Build(g, ci.DefaultOptions())
-	dbPI, errPI := pi.Build(g, pi.DefaultOptions())
-	dbPS, errPS := pi.Build(g, piStarOpt)
-	dbHY, errHY := hy.Build(g, hy.DefaultOptions())
-	dbLM, errLM := lm.Build(g, lmOpt)
-	dbAF, errAF := af.Build(g, afOpt)
+	dbCI, errCI := ci.Build(g, base.Config{})
+	dbPI, errPI := pi.Build(g, base.Config{})
+	dbPS, errPS := pi.Build(g, base.Config{Scheme: base.PIStar, ClusterPages: 2})
+	dbHY, errHY := hy.Build(g, base.Config{})
+	dbLM, errLM := lm.Build(g, margin)
+	dbAF, errAF := af.Build(g, margin)
 	execs := map[string]Executor{
 		"CI":  serveExec(t, dbCI, errCI, ci.Query),
 		"PI":  serveExec(t, dbPI, errPI, pi.Query),

@@ -8,6 +8,8 @@ package costmodel
 import (
 	"math"
 	"time"
+
+	"repro/internal/pagefile"
 )
 
 // Params carries the Table 2 system parameters.
@@ -33,7 +35,7 @@ type Params struct {
 // Default returns the Table 2 configuration.
 func Default() Params {
 	return Params{
-		PageSize:  4096,
+		PageSize:  pagefile.DefaultPageSize,
 		DiskSeek:  11 * time.Millisecond,
 		DiskRate:  125 << 20,
 		SCPRate:   80 << 20,

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/graph"
-	"repro/internal/kdtree"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
 	"repro/internal/precomp"
@@ -81,8 +80,7 @@ func Utilization(g *graph.Graph, db *lbs.Database) float64 {
 // (Figure 10a) without building the full database, from the partition CI
 // builds.
 func (r *Runner) SetSizeHistogram(g *graph.Graph) (sizes []int, m int, err error) {
-	codec := &base.RegionCodec{G: g}
-	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(costmodel.Default().PageSize))
+	part, err := base.Partition(&base.RegionCodec{G: g}, privsp.Config{Scheme: privsp.CI})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -48,11 +48,11 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig reads REPRO_SCALE and REPRO_QUERIES from the environment,
-// with defaults (scale 0.05, 40 queries, seed 1) sized for a full run of
-// well under a minute on two cores.
-func DefaultConfig() Config {
-	cfg := Config{Scale: 0.05, Queries: 40, Seed: 1}
+// EnvConfig returns the Config of seed 1 with the given scale and query
+// count, each replaced by REPRO_SCALE or REPRO_QUERIES where that is set
+// to a valid value: a scale in (0, 1], a positive count.
+func EnvConfig(scale float64, queries int) Config {
+	cfg := Config{Scale: scale, Queries: queries, Seed: 1}
 	if v, err := strconv.ParseFloat(os.Getenv("REPRO_SCALE"), 64); err == nil && v > 0 && v <= 1 {
 		cfg.Scale = v
 	}

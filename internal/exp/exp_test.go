@@ -14,7 +14,7 @@ import (
 	"repro/privsp"
 )
 
-// tinyConfig keeps unit tests fast; the real runs use DefaultConfig (env
+// tinyConfig keeps unit tests fast; the real runs use EnvConfig (env
 // tunable) via cmd/experiments and the benchmarks.
 func tinyConfig() Config {
 	return Config{Scale: 0.02, Queries: 6, Seed: 1}

@@ -34,10 +34,10 @@ type row struct {
 }
 
 // The four methods of Table 3 and Fig. 7, the baselines at the paper's
-// tuning (§7.2).
+// tuning (§7.2), which is their Config default.
 var (
-	rowAF = row{"AF", privsp.Config{Scheme: privsp.AF, Regions: 8}}
-	rowLM = row{"LM", privsp.Config{Scheme: privsp.LM, Landmarks: 5}}
+	rowAF = row{"AF", privsp.Config{Scheme: privsp.AF}}
+	rowLM = row{"LM", privsp.Config{Scheme: privsp.LM}}
 	rowCI = row{"CI", privsp.Config{Scheme: privsp.CI}}
 	rowPI = row{"PI", privsp.Config{Scheme: privsp.PI}}
 )

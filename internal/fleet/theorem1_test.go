@@ -9,6 +9,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/scheme/base"
 	"repro/internal/scheme/ci"
 	"repro/internal/wire"
 )
@@ -49,7 +50,7 @@ func TestTheorem1TwoServer(t *testing.T) {
 
 	// Part 1+2: scheme-level queries over the CI database.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.08)
-	db, err := ci.Build(g, ci.DefaultOptions())
+	db, err := ci.Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func AtLeastProcs(t testing.TB, n int) {
 // WideFile returns a WideBytes file of 256 pages of 4 KB, page i holding the
 // byte i+1 throughout.
 func WideFile(name string) *pagefile.File {
-	const pageSize = 4096
+	const pageSize = pagefile.DefaultPageSize
 	f := pagefile.NewFile(name, pageSize)
 	for i := 0; i < WideBytes/pageSize; i++ {
 		f.MustAppendPage(bytes.Repeat([]byte{byte(i + 1)}, pageSize))

@@ -93,11 +93,8 @@ func TestAccountingIsAFunctionOfThePlan(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes()))}
 	}
-	piStar := pi.DefaultOptions()
-	piStar.ClusterPages = 2
-	lmOpt, afOpt := lm.DefaultOptions(), af.DefaultOptions()
-	lmOpt.DeriveQueries, lmOpt.SafetyMargin = 1, 1
-	afOpt.DeriveQueries, afOpt.SafetyMargin = 1, 1
+	piStar := base.Config{Scheme: base.PIStar, ClusterPages: 2}
+	sampled := base.Config{DeriveQueries: 1, SafetyMargin: 1}
 	model := costmodel.Default()
 
 	for _, sc := range []struct {
@@ -106,12 +103,12 @@ func TestAccountingIsAFunctionOfThePlan(t *testing.T) {
 		query       queryFn
 		sampledPlan bool
 	}{
-		{"CI", func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, ci.Query, false},
-		{"PI", func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, pi.Query, false},
+		{"CI", func() (*lbs.Database, error) { return ci.Build(g, base.Config{}) }, ci.Query, false},
+		{"PI", func() (*lbs.Database, error) { return pi.Build(g, base.Config{}) }, pi.Query, false},
 		{"PI*", func() (*lbs.Database, error) { return pi.Build(g, piStar) }, pi.Query, false},
-		{"HY", func() (*lbs.Database, error) { return hy.Build(g, hy.DefaultOptions()) }, hy.Query, false},
-		{"LM", func() (*lbs.Database, error) { return lm.Build(g, lmOpt) }, lm.Query, true},
-		{"AF", func() (*lbs.Database, error) { return af.Build(g, afOpt) }, af.Query, true},
+		{"HY", func() (*lbs.Database, error) { return hy.Build(g, base.Config{}) }, hy.Query, false},
+		{"LM", func() (*lbs.Database, error) { return lm.Build(g, sampled) }, lm.Query, true},
+		{"AF", func() (*lbs.Database, error) { return af.Build(g, sampled) }, af.Query, true},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			db, err := sc.build()

@@ -20,40 +20,19 @@ import (
 	"repro/internal/scheme/base"
 )
 
-// Options configures the build.
-type Options struct {
-	PageSize int
-	// Regions is the Arc-flag region count — the bit-vector length kept
-	// with every edge (the paper's tuning knob; 8 was optimal on
-	// Argentina).
-	Regions int
-	// Derivation fits the region-cluster quota.
-	base.Derivation
-}
-
-// DefaultOptions matches the paper's tuned Argentina configuration.
-func DefaultOptions() Options {
-	return Options{
-		PageSize:   pagefile.DefaultPageSize,
-		Regions:    8,
-		Derivation: base.Derivation{DeriveQueries: 512, DeriveSeed: 1, SafetyMargin: 1.25},
+// Build pre-processes the network into an AF database of cfg.Regions
+// regions: the bit-vector length kept with every edge (the paper's tuning
+// knob; 8 was optimal on Argentina). The region-cluster quota is derived
+// from cfg.DeriveQueries pairs sampled from cfg.Seed. cfg's zero fields
+// take their defaults.
+func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
-}
-
-// SchemeName identifies AF databases.
-const SchemeName = "AF"
-
-// Build pre-processes the network into an AF database.
-func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
-	if opt.PageSize == 0 {
-		opt.PageSize = pagefile.DefaultPageSize
-	}
-	if opt.Regions < 1 {
-		return nil, fmt.Errorf("af: region count %d < 1", opt.Regions)
-	}
-	flagBytes := (opt.Regions + 7) / 8
+	flagBytes := (cfg.Regions + 7) / 8
 	codec := &base.RegionCodec{G: g, FlagBytes: flagBytes}
-	part, err := kdtree.BuildFixedRegions(g, codec.SizeFunc(), opt.Regions)
+	part, err := kdtree.BuildFixedRegions(g, codec.SizeFunc(), cfg.Regions)
 	if err != nil {
 		return nil, fmt.Errorf("af: partitioning: %w", err)
 	}
@@ -72,8 +51,8 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 			maxBytes = n
 		}
 	}
-	pagesPerRegion := (maxBytes + opt.PageSize - 1) / opt.PageSize
-	fd := pagefile.NewFile(base.FileData, opt.PageSize)
+	pagesPerRegion := (maxBytes + cfg.PageSize - 1) / cfg.PageSize
+	fd := pagefile.NewFile(base.FileData, cfg.PageSize)
 	firstPage, err := base.BuildRegionData(fd, codec, pagesPerRegion)
 	if err != nil {
 		return nil, fmt.Errorf("af: region data: %w", err)
@@ -81,7 +60,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 
 	// Plan derivation on a sampled workload, in region clusters.
 	hdr := &base.Header{
-		Scheme:               SchemeName,
+		Scheme:               base.AF,
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
@@ -89,14 +68,14 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		LookupEntriesPerPage: 1,
 		Params:               map[string]int64{base.ParamFlagBy: int64(flagBytes)},
 	}
-	qp, maxClusters, err := base.DerivePlan(g, hdr, fd, flagGuide, opt.Derivation)
+	qp, maxClusters, err := base.DerivePlan(g, hdr, fd, flagGuide, cfg)
 	if err != nil {
 		return nil, err
 	}
 	hdr.Plan = qp
 	hdr.Params["maxClusters"] = int64(maxClusters)
 	return &lbs.Database{
-		Scheme: SchemeName,
+		Scheme: string(base.AF),
 		Header: hdr.Encode(),
 		Files:  []pagefile.Reader{fd},
 		Plan:   qp,
@@ -188,7 +167,7 @@ func flagGuide(cg *base.ClientGraph, _ graph.NodeID, rt kdtree.RegionID) (func(g
 
 // Query answers one shortest path query against an AF server.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	ses, err := base.Open(ctx, svc, SchemeName)
+	ses, err := base.Open(ctx, svc, base.AF)
 	if err != nil {
 		return nil, err
 	}

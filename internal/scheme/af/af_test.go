@@ -13,10 +13,10 @@ import (
 	"repro/internal/scheme/base"
 )
 
-func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
+func buildServer(t *testing.T, cfg base.Config) (*graph.Graph, *lbs.Server) {
 	t.Helper()
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	db, err := Build(g, opt)
+	db, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,7 @@ func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
 }
 
 func TestQueryMatchesDijkstra(t *testing.T) {
-	opt := DefaultOptions()
-	opt.SafetyMargin = 2
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{SafetyMargin: 2})
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -50,9 +48,7 @@ func TestQueryMatchesDijkstra(t *testing.T) {
 }
 
 func TestIndistinguishability(t *testing.T) {
-	opt := DefaultOptions()
-	opt.SafetyMargin = 2
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{SafetyMargin: 2})
 	rng := rand.New(rand.NewSource(18))
 	var ref string
 	for trial := 0; trial < 20; trial++ {
@@ -79,7 +75,7 @@ func TestFlagsPruneSearch(t *testing.T) {
 	flagBytes := 1
 	codec := &base.RegionCodec{G: g, FlagBytes: flagBytes}
 	_ = codec
-	db, err := Build(g, DefaultOptions())
+	db, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +86,11 @@ func TestFlagsPruneSearch(t *testing.T) {
 
 func TestMoreRegionsBiggerRecords(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	small, err := Build(g, Options{PageSize: 4096, Regions: 4, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
+	small, err := Build(g, base.Config{Regions: 4, DeriveQueries: 64, SafetyMargin: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Build(g, Options{PageSize: 4096, Regions: 64, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
+	big, err := Build(g, base.Config{Regions: 64, DeriveQueries: 64, SafetyMargin: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +100,9 @@ func TestMoreRegionsBiggerRecords(t *testing.T) {
 	}
 }
 
-func TestRejectsZeroRegions(t *testing.T) {
+func TestRejectsNegativeRegions(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
-	if _, err := Build(g, Options{PageSize: 4096, Regions: 0}); err == nil {
-		t.Error("zero regions accepted")
+	if _, err := Build(g, base.Config{Regions: -1}); err == nil {
+		t.Error("-1 regions accepted")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lbs"
+	"repro/internal/scheme/base"
 	"repro/internal/scheme/ci"
 	"repro/internal/scheme/pi"
 )
@@ -38,8 +39,8 @@ func TestClientQueryAllocations(t *testing.T) {
 		// in 64 (210 KB in 1 387 with the map-based graph). CI's bounds leave
 		// about half as much again, so a walk that allocates per record
 		// fails them.
-		{"CI", func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, ci.Query, 152 << 10, 114},
-		{"PI", func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, pi.Query, 96 << 10, 100},
+		{"CI", func() (*lbs.Database, error) { return ci.Build(g, base.Config{}) }, ci.Query, 152 << 10, 114},
+		{"PI", func() (*lbs.Database, error) { return pi.Build(g, base.Config{}) }, pi.Query, 96 << 10, 100},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			db, err := sc.build()

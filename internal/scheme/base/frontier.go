@@ -79,37 +79,26 @@ func SamplePairs(n, count int, seed int64) [][2]graph.NodeID {
 	return pairs
 }
 
-// Derivation sets how LM and AF fit their plans (§4): the paper replays
-// all V² queries offline; that is quadratic, so the search is replayed for
-// a sample of endpoint pairs, with a safety margin on top.
-type Derivation struct {
-	// DeriveQueries sizes the sampled workload.
-	DeriveQueries int
-	// DeriveSeed makes the sample reproducible.
-	DeriveSeed int64
-	// SafetyMargin multiplies the most region fetches any sampled pair
-	// needs, to cover the pairs the sample missed (below 1 counts as 1).
-	SafetyMargin float64
-}
-
-// DerivePlan fits LM's and AF's public plan to the network: it replays the
-// search against fd, the database's region-data file, for the sampled pairs
-// and the extra ones, takes the most region fetches any of them makes (at
-// least the two host regions) times the safety margin, rounded up and
-// capped at the region count, and lays that out as the two host regions'
-// clusters in the first round and one cluster in each round after. It
-// returns the plan and the cluster count it covers. hdr describes the
-// database as the client will read it; its plan is not consulted.
-func DerivePlan(g *graph.Graph, hdr *Header, fd pagefile.Reader, guide Guide, d Derivation, extra ...[2]graph.NodeID) (plan.Plan, int, error) {
+// DerivePlan fits LM's and AF's public plan to the network (§4). The paper
+// replays all V² queries offline; that is quadratic, so DerivePlan replays
+// the search against fd, the database's region-data file, for
+// c.DeriveQueries pairs sampled from c.Seed and the extra ones, takes the
+// most region fetches any of them makes (at least the two host regions)
+// times c.SafetyMargin, rounded up and capped at the region count, and
+// lays that out as the two host regions' clusters in the first round and
+// one cluster in each round after. It returns the plan and the cluster
+// count it covers. hdr describes the database as the client will read it;
+// its plan is not consulted.
+func DerivePlan(g *graph.Graph, hdr *Header, fd pagefile.Reader, guide Guide, c Config, extra ...[2]graph.NodeID) (plan.Plan, int, error) {
 	most := 2
-	for _, pair := range append(SamplePairs(g.NumNodes(), d.DeriveQueries, d.DeriveSeed), extra...) {
+	for _, pair := range append(SamplePairs(g.NumNodes(), c.DeriveQueries, c.Seed), extra...) {
 		n, err := simulateFrontier(hdr, fd, g.Point(pair[0]), g.Point(pair[1]), guide)
 		if err != nil {
 			return plan.Plan{}, 0, err
 		}
 		most = max(most, n)
 	}
-	clusters := min(int(math.Ceil(float64(most)*max(d.SafetyMargin, 1))), hdr.NumRegions)
+	clusters := min(int(math.Ceil(float64(most)*max(c.SafetyMargin, 1))), hdr.NumRegions)
 	rounds := []plan.Round{{Fetches: []plan.Fetch{{File: FileData, Count: 2 * hdr.ClusterPages}}}}
 	for i := 2; i < clusters; i++ {
 		rounds = append(rounds, plan.Round{Fetches: []plan.Fetch{{File: FileData, Count: hdr.ClusterPages}}})

@@ -29,7 +29,7 @@ const (
 // region→page directory, the public query plan, and scheme parameters. It
 // is downloaded in full by every client, so it leaks nothing query-specific.
 type Header struct {
-	Scheme     string
+	Scheme     Scheme
 	NumRegions int
 	Tree       *kdtree.Tree
 	// RegionFirstPage maps each region to its first page in the region-data
@@ -104,7 +104,7 @@ func DecodeHeader(data []byte) (*Header, error) {
 	d := pagefile.NewDec(data)
 	h := &Header{Params: map[string]int64{}}
 	schemeLen := int(d.U8())
-	h.Scheme = string(d.Raw(schemeLen))
+	h.Scheme = Scheme(d.Raw(schemeLen))
 	if b := d.U8(); b != 0 {
 		return nil, fmt.Errorf("base: header of %q marks a directed network (byte %d); only undirected networks are served", h.Scheme, b)
 	}

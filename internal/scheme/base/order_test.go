@@ -83,8 +83,7 @@ func TestRoundGoesOutBeforeItIsDecoded(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
 	n := graph.NodeID(g.NumNodes())
 	pairs := [][2]graph.NodeID{{5, 5}, {5, g.Adj(5)[0].To}, {0, n - 1}, {n / 2, n / 3}, {n / 7, n - n/7}, {n / 3, n/3 + 1}}
-	lmOpt, afOpt := lm.DefaultOptions(), af.DefaultOptions()
-	lmOpt.DeriveQueries, afOpt.DeriveQueries = 32, 32
+	sampled := base.Config{DeriveQueries: 32}
 
 	for _, sc := range []struct {
 		name       string
@@ -92,14 +91,14 @@ func TestRoundGoesOutBeforeItIsDecoded(t *testing.T) {
 		query      queryFn
 		wholeRound bool // the last round is declared before it is sent
 	}{
-		{"CI", func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, ci.Query, true},
-		{"PI", func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, pi.Query, true},
-		{"HY", func() (*lbs.Database, error) { return hy.Build(g, hy.DefaultOptions()) }, hy.Query, true},
+		{"CI", func() (*lbs.Database, error) { return ci.Build(g, base.Config{}) }, ci.Query, true},
+		{"PI", func() (*lbs.Database, error) { return pi.Build(g, base.Config{}) }, pi.Query, true},
+		{"HY", func() (*lbs.Database, error) { return hy.Build(g, base.Config{}) }, hy.Query, true},
 		// A low threshold answers most pairs by multi-page subgraph
 		// records, whose continuation pages ride in the last round too.
-		{"HY-subgraphs", func() (*lbs.Database, error) { return hy.Build(g, hy.Options{Threshold: 2, Compress: true}) }, hy.Query, true},
-		{"LM", func() (*lbs.Database, error) { return lm.Build(g, lmOpt) }, lm.Query, false},
-		{"AF", func() (*lbs.Database, error) { return af.Build(g, afOpt) }, af.Query, false},
+		{"HY-subgraphs", func() (*lbs.Database, error) { return hy.Build(g, base.Config{Threshold: 2}) }, hy.Query, true},
+		{"LM", func() (*lbs.Database, error) { return lm.Build(g, sampled) }, lm.Query, false},
+		{"AF", func() (*lbs.Database, error) { return af.Build(g, sampled) }, af.Query, false},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			db, err := sc.build()

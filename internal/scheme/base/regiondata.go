@@ -38,6 +38,15 @@ type RegionCodec struct {
 	Compact bool
 }
 
+// CompactParam is the header's ParamCompact for the layout c writes: 1
+// for the compact one, 0 for the plain.
+func (c *RegionCodec) CompactParam() int64 {
+	if c.Compact {
+		return 1
+	}
+	return 0
+}
+
 // regionHeaderBytes is the u16 node count EncodeRegion writes before a
 // region's records.
 const regionHeaderBytes = 2

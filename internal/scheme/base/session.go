@@ -111,7 +111,7 @@ type observeKey struct{}
 // Open connects, downloads the header file straight from the LBS (no PIR —
 // it is identical for every client, §5.3), charging one round trip and its
 // transfer, and checks that the service hosts one of the named schemes.
-func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, error) {
+func Open(ctx context.Context, svc lbs.Service, schemes ...Scheme) (*Session, error) {
 	conn := svc.Connect(ctx)
 	if err := conn.Ctx.Err(); err != nil {
 		return nil, err
@@ -125,7 +125,7 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...string) (*Session, er
 		return nil, err
 	}
 	if !slices.Contains(schemes, hdr.Scheme) {
-		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(schemes[0]), hdr.Scheme)
+		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(string(schemes[0])), hdr.Scheme)
 	}
 	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1}
 	s.observe, _ = conn.Ctx.Value(observeKey{}).(func(string))
@@ -238,7 +238,7 @@ func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.N
 	// same files in the same order, same per-file counts as the plan.
 	trace := s.trace.String()
 	if want := lbs.CanonicalTrace(s.Hdr.Plan); trace != want {
-		return nil, fmt.Errorf("%s: transcript deviates from the plan\ngot:\n%swant:\n%s", strings.ToLower(s.Hdr.Scheme), trace, want)
+		return nil, fmt.Errorf("%s: transcript deviates from the plan\ngot:\n%swant:\n%s", strings.ToLower(string(s.Hdr.Scheme)), trace, want)
 	}
 	res := &Result{
 		Cost:          cost,
@@ -265,7 +265,7 @@ func (s *Session) abort(err error, format string, args ...any) error {
 	if err := s.complete(); err != nil {
 		return err
 	}
-	return fmt.Errorf("%s: %w (%s)", strings.ToLower(s.Hdr.Scheme), err, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: %w (%s)", strings.ToLower(string(s.Hdr.Scheme)), err, fmt.Sprintf(format, args...))
 }
 
 // complete pads the round in progress and every round after it, and sends
@@ -403,7 +403,7 @@ func (s *Session) send() ([][][]byte, error) {
 	data, err := lbs.ReadFrames(s.ctx, s.backend, frames)
 	s.inside += time.Since(t0)
 	if err == nil && len(data) != len(frames) {
-		err = fmt.Errorf("%s: batch of %d frames got %d replies", strings.ToLower(s.Hdr.Scheme), len(frames), len(data))
+		err = fmt.Errorf("%s: batch of %d frames got %d replies", strings.ToLower(string(s.Hdr.Scheme)), len(frames), len(data))
 	}
 	if err != nil {
 		return nil, s.fail(err)
@@ -417,7 +417,7 @@ func (s *Session) send() ([][][]byte, error) {
 		}
 		info, err := s.backend.FileInfo(f.File)
 		if err == nil && len(data[i]) != len(f.Pages) {
-			err = fmt.Errorf("%s: fetch %s: got %d pages, want %d", strings.ToLower(s.Hdr.Scheme), f.File, len(data[i]), len(f.Pages))
+			err = fmt.Errorf("%s: fetch %s: got %d pages, want %d", strings.ToLower(string(s.Hdr.Scheme)), f.File, len(data[i]), len(f.Pages))
 		}
 		if err != nil {
 			return nil, s.fail(err)

@@ -46,7 +46,7 @@ func openSession(t *testing.T) (*Session, *frameLog) {
 		{Fetches: []plan.Fetch{{File: FileIndex, Count: 2}, {File: FileData, Count: 4}}},
 		{Fetches: []plan.Fetch{{File: FileData, Count: 2}}},
 	}}
-	db := &lbs.Database{Scheme: hdr.Scheme, Header: hdr.Encode(), Plan: hdr.Plan}
+	db := &lbs.Database{Scheme: string(hdr.Scheme), Header: hdr.Encode(), Plan: hdr.Plan}
 	for _, name := range []string{FileLookup, FileIndex, FileData} {
 		f := pagefile.NewFile(name, 64)
 		for i := 0; i < 8; i++ {

@@ -21,48 +21,20 @@ import (
 	"repro/internal/scheme/base"
 )
 
-// Options configures the build.
-type Options struct {
-	// PageSize defaults to pagefile.DefaultPageSize.
-	PageSize int
-	// Packed selects the §5.6 packed partitioning; false reproduces the
-	// CI-P ablation of Figure 8.
-	Packed bool
-	// Compress enables the §5.5 index compression; false reproduces CI-C.
-	Compress bool
-	// CompactData switches the region-data file to the losslessly
-	// compressed record layout (the paper's other §8 future-work
-	// direction). Fully transparent to queries.
-	CompactData bool
-}
-
-// DefaultOptions is the full-fledged CI of the experiments.
-func DefaultOptions() Options {
-	return Options{PageSize: pagefile.DefaultPageSize, Packed: true, Compress: true}
-}
-
-// SchemeName identifies CI databases.
-const SchemeName = "CI"
-
-// Build pre-processes the network into a CI database.
-func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
-	if opt.PageSize == 0 {
-		opt.PageSize = pagefile.DefaultPageSize
+// Build pre-processes the network into a CI database. cfg's zero fields
+// take their defaults; DisablePacking and DisableCompression reproduce the
+// CI-P and CI-C ablations of Figures 8–9, and CompactData switches the
+// region data to the compact record layout, transparently to queries.
+func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	codec := &base.RegionCodec{G: g, Compact: opt.CompactData}
-	var (
-		part *kdtree.Partition
-		err  error
-	)
-	if opt.Packed {
-		part, err = kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
-	} else {
-		part, err = kdtree.BuildPlain(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
-	}
+	codec := &base.RegionCodec{G: g, Compact: cfg.CompactData}
+	part, err := base.Partition(codec, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("ci: partitioning: %w", err)
 	}
-	codec.Part = part
 
 	aug := border.Build(g, part)
 	pre, err := precomp.Compute(aug, part, precomp.Options{Sets: true})
@@ -74,23 +46,23 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		m = 1 // degenerate single-region networks still need a valid plan
 	}
 
-	fd := pagefile.NewFile(base.FileData, opt.PageSize)
+	fd := pagefile.NewFile(base.FileData, cfg.PageSize)
 	firstPage, err := base.BuildRegionData(fd, codec, 1)
 	if err != nil {
 		return nil, fmt.Errorf("ci: region data: %w", err)
 	}
 
-	fi := pagefile.NewFile(base.FileIndex, opt.PageSize)
+	fi := pagefile.NewFile(base.FileIndex, cfg.PageSize)
 	ib := base.NewIndexBuilder(fi, m)
 	np := precomp.NumPairs(part.NumRegions)
 	for k := 0; k < np; k++ {
-		if err := ib.AddSet(pre.Sets[k], opt.Compress); err != nil {
+		if err := ib.AddSet(pre.Sets[k], !cfg.DisableCompression); err != nil {
 			return nil, fmt.Errorf("ci: index pair %d: %w", k, err)
 		}
 	}
 	spans, ords, maxSpan := ib.Finish()
 
-	fl := pagefile.NewFile(base.FileLookup, opt.PageSize)
+	fl := pagefile.NewFile(base.FileLookup, cfg.PageSize)
 	entries := make([]base.LookupEntry, np)
 	for k := range entries {
 		entries[k] = base.LookupEntry{Page: uint32(spans[k].Page), RecIndex: ords[k]}
@@ -105,34 +77,26 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		{Fetches: []plan.Fetch{{File: base.FileData, Count: m + 2}}},
 	}}
 	hdr := &base.Header{
-		Scheme:               SchemeName,
+		Scheme:               base.CI,
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
 		ClusterPages:         1,
-		LookupEntriesPerPage: base.LookupEntriesPerPage(opt.PageSize),
+		LookupEntriesPerPage: base.LookupEntriesPerPage(cfg.PageSize),
 		Plan:                 qp,
 		Params: map[string]int64{
 			base.ParamM:        int64(m),
 			base.ParamMaxSpan:  int64(maxSpan),
 			base.ParamIdxPages: int64(fi.NumPages()),
-			base.ParamCompact:  boolParam(opt.CompactData),
+			base.ParamCompact:  codec.CompactParam(),
 		},
 	}
 	return &lbs.Database{
-		Scheme: SchemeName,
+		Scheme: string(base.CI),
 		Header: hdr.Encode(),
 		Files:  []pagefile.Reader{fl, fi, fd},
 		Plan:   qp,
 	}, nil
-}
-
-// boolParam encodes a build flag as a header parameter.
-func boolParam(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Query answers one private shortest path query against a CI server. The
@@ -140,7 +104,7 @@ func boolParam(b bool) int64 {
 // retrievals, regardless of the endpoints.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
 	// Round 1: header.
-	ses, err := base.Open(ctx, svc, SchemeName)
+	ses, err := base.Open(ctx, svc, base.CI)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,10 @@ import (
 	"repro/internal/scheme/base"
 )
 
-func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
+func buildServer(t *testing.T, cfg base.Config) (*graph.Graph, *lbs.Server) {
 	t.Helper()
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
-	db, err := Build(g, opt)
+	db, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
 }
 
 func TestQueryMatchesDijkstra(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -53,7 +53,7 @@ func TestQueryMatchesDijkstra(t *testing.T) {
 }
 
 func TestSelfQuery(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	res, err := Query(context.Background(), srv, g.Point(0), g.Point(0))
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSelfQuery(t *testing.T) {
 // TestIndistinguishability is Theorem 1: the adversary-visible trace of any
 // query equals that of any other, and re-executions are undetectable.
 func TestIndistinguishability(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	rng := rand.New(rand.NewSource(2))
 	var ref string
 	for trial := 0; trial < 25; trial++ {
@@ -98,7 +98,7 @@ func TestIndistinguishability(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	res, err := Query(context.Background(), srv, g.Point(1), g.Point(graph.NodeID(g.NumNodes()-1)))
 	if err != nil {
 		t.Fatal(err)
@@ -128,14 +128,14 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestVariantsProduceCorrectResults(t *testing.T) {
-	variants := map[string]Options{
-		"CI-P (plain partitioning)": {PageSize: 4096, Packed: false, Compress: true},
-		"CI-C (no compression)":     {PageSize: 4096, Packed: true, Compress: false},
-		"CI-PC (neither)":           {PageSize: 4096, Packed: false, Compress: false},
+	variants := map[string]base.Config{
+		"CI-P (plain partitioning)": {DisablePacking: true},
+		"CI-C (no compression)":     {DisableCompression: true},
+		"CI-PC (neither)":           {DisablePacking: true, DisableCompression: true},
 	}
-	for name, opt := range variants {
+	for name, cfg := range variants {
 		t.Run(name, func(t *testing.T) {
-			g, srv := buildServer(t, opt)
+			g, srv := buildServer(t, cfg)
 			rng := rand.New(rand.NewSource(3))
 			for trial := 0; trial < 12; trial++ {
 				s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -157,13 +157,13 @@ func TestCompressionShrinksIndex(t *testing.T) {
 	// A small page size yields many regions and a multi-page index, giving
 	// the in-page delta coding room to work.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.2)
-	opt := Options{PageSize: 512, Packed: true, Compress: true}
-	with, err := Build(g, opt)
+	cfg := base.Config{PageSize: 512}
+	with, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Compress = false
-	without, err := Build(g, opt)
+	cfg.DisableCompression = true
+	without, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +177,11 @@ func TestCompressionShrinksIndex(t *testing.T) {
 
 func TestPackingShrinksDatabase(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
-	packed, err := Build(g, DefaultOptions())
+	packed, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Packed = false
-	plain, err := Build(g, opt)
+	plain, err := Build(g, base.Config{DisablePacking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,7 @@ func TestPackingShrinksDatabase(t *testing.T) {
 func TestArbitraryCoordinatesSnap(t *testing.T) {
 	// Query points that are not nodes: §5.4 says sources/destinations may
 	// lie anywhere; the client snaps to the nearest node of the region.
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	p := g.Point(10)
 	p.X += 1e-4
 	p.Y -= 1e-4

@@ -18,13 +18,11 @@ import (
 // must shrink the region-data file without changing any answer.
 func TestCompactDataEndToEnd(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
-	plain, err := Build(g, DefaultOptions())
+	plain, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.CompactData = true
-	compact, err := Build(g, opt)
+	compact, err := Build(g, base.Config{CompactData: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lbs"
 	"repro/internal/pir/pirtest"
+	"repro/internal/scheme/base"
 )
 
 // TestEndToEndOverRealPIR runs complete CI queries with every file served
@@ -20,7 +21,7 @@ import (
 // whole-file scans) instead of modelling assumptions.
 func TestEndToEndOverRealPIR(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.06)
-	db, err := Build(g, DefaultOptions())
+	db, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,12 +105,9 @@ func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
 		{0, n - 1}, {n / 2, n / 3}, {n / 7, n - n/7}, {n / 3, n/3 + 1},
 	}
 
-	piStar := pi.DefaultOptions()
-	piStar.ClusterPages = 2
+	piStar := base.Config{Scheme: base.PIStar, ClusterPages: 2}
 	// Plans derived from one sampled query with no margin: overflow is common.
-	lmOpt, afOpt := lm.DefaultOptions(), af.DefaultOptions()
-	lmOpt.DeriveQueries, lmOpt.SafetyMargin = 1, 1
-	afOpt.DeriveQueries, afOpt.SafetyMargin = 1, 1
+	sampled := base.Config{DeriveQueries: 1, SafetyMargin: 1}
 
 	for _, sc := range []struct {
 		name        string
@@ -123,14 +120,14 @@ func TestFrameShapeIsAFunctionOfThePlan(t *testing.T) {
 		// its Fd quota as 9 one-page frames, PI its two regions as two).
 		pinned []frame
 	}{
-		{name: "CI", build: func() (*lbs.Database, error) { return ci.Build(g, ci.DefaultOptions()) }, query: ci.Query,
+		{name: "CI", build: func() (*lbs.Database, error) { return ci.Build(g, base.Config{}) }, query: ci.Query,
 			pinned: []frame{{1, "Fl", 1}, {2, "Fi", 1}, {3, "Fd", 9}}},
-		{name: "PI", build: func() (*lbs.Database, error) { return pi.Build(g, pi.DefaultOptions()) }, query: pi.Query,
+		{name: "PI", build: func() (*lbs.Database, error) { return pi.Build(g, base.Config{}) }, query: pi.Query,
 			pinned: []frame{{1, "Fl", 1}, {2, "Fi", 3}, {2, "Fd", 2}}},
 		{name: "PI*", build: func() (*lbs.Database, error) { return pi.Build(g, piStar) }, query: pi.Query},
-		{name: "HY", build: func() (*lbs.Database, error) { return hy.Build(g, hy.DefaultOptions()) }, query: hy.Query},
-		{name: "LM", build: func() (*lbs.Database, error) { return lm.Build(g, lmOpt) }, query: lm.Query, sampledPlan: true},
-		{name: "AF", build: func() (*lbs.Database, error) { return af.Build(g, afOpt) }, query: af.Query, sampledPlan: true},
+		{name: "HY", build: func() (*lbs.Database, error) { return hy.Build(g, base.Config{}) }, query: hy.Query},
+		{name: "LM", build: func() (*lbs.Database, error) { return lm.Build(g, sampled) }, query: lm.Query, sampledPlan: true},
+		{name: "AF", build: func() (*lbs.Database, error) { return af.Build(g, sampled) }, query: af.Query, sampledPlan: true},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			db, err := sc.build()

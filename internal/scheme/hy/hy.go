@@ -25,38 +25,20 @@ import (
 	"repro/internal/scheme/base"
 )
 
-// Options configures the build.
-type Options struct {
-	PageSize int
-	// Threshold is the cardinality cap: every S_i,j with more regions than
-	// this is replaced by G_i,j (Figure 10's tuning knob).
-	Threshold int
-	// Compress enables §5.5/§6 delta compression of index records.
-	Compress bool
-}
-
-// DefaultOptions uses a mid-range threshold.
-func DefaultOptions() Options {
-	return Options{PageSize: pagefile.DefaultPageSize, Threshold: 40, Compress: true}
-}
-
-// SchemeName identifies HY databases.
-const SchemeName = "HY"
-
-// Build pre-processes the network into an HY database.
-func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
-	if opt.PageSize == 0 {
-		opt.PageSize = pagefile.DefaultPageSize
-	}
-	if opt.Threshold < 1 {
-		return nil, fmt.Errorf("hy: threshold %d < 1", opt.Threshold)
+// Build pre-processes the network into an HY database. cfg.Threshold is
+// the cardinality cap: every S_i,j with more regions than this is replaced
+// by G_i,j (Figure 10's tuning knob). cfg's zero fields take their
+// defaults.
+func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	codec := &base.RegionCodec{G: g}
-	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
+	part, err := base.Partition(codec, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("hy: partitioning: %w", err)
 	}
-	codec.Part = part
 
 	aug := border.Build(g, part)
 	pre, err := precomp.Compute(aug, part, precomp.Options{Sets: true, Subgraphs: true})
@@ -70,7 +52,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	asGraph := make([]bool, np)
 	mPrime := 1
 	for k := 0; k < np; k++ {
-		if len(pre.Sets[k]) > opt.Threshold {
+		if len(pre.Sets[k]) > cfg.Threshold {
 			asGraph[k] = true
 		} else if len(pre.Sets[k]) > mPrime {
 			mPrime = len(pre.Sets[k])
@@ -78,13 +60,13 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	}
 
 	// Combined file: index records first, then region pages.
-	fc := pagefile.NewFile(base.FileCombined, opt.PageSize)
+	fc := pagefile.NewFile(base.FileCombined, cfg.PageSize)
 	ib := base.NewIndexBuilder(fc, mPrime)
 	for k := 0; k < np; k++ {
 		if asGraph[k] {
-			err = ib.AddGraph(pre.Subgraphs[k], opt.Compress)
+			err = ib.AddGraph(pre.Subgraphs[k], !cfg.DisableCompression)
 		} else {
-			err = ib.AddSet(pre.Sets[k], opt.Compress)
+			err = ib.AddSet(pre.Sets[k], !cfg.DisableCompression)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("hy: index pair %d: %w", k, err)
@@ -119,7 +101,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		}
 	}
 
-	fl := pagefile.NewFile(base.FileLookup, opt.PageSize)
+	fl := pagefile.NewFile(base.FileLookup, cfg.PageSize)
 	entries := make([]base.LookupEntry, np)
 	for k := range entries {
 		entries[k] = base.LookupEntry{Page: uint32(spans[k].Page), RecIndex: ords[k]}
@@ -134,12 +116,12 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		{Fetches: []plan.Fetch{{File: base.FileCombined, Count: quota}}},
 	}}
 	hdr := &base.Header{
-		Scheme:               SchemeName,
+		Scheme:               base.HY,
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
 		ClusterPages:         1,
-		LookupEntriesPerPage: base.LookupEntriesPerPage(opt.PageSize),
+		LookupEntriesPerPage: base.LookupEntriesPerPage(cfg.PageSize),
 		Plan:                 qp,
 		Params: map[string]int64{
 			base.ParamM:        int64(mPrime),
@@ -150,7 +132,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		},
 	}
 	return &lbs.Database{
-		Scheme: SchemeName,
+		Scheme: string(base.HY),
 		Header: hdr.Encode(),
 		Files:  []pagefile.Reader{fl, fc},
 		Plan:   qp,
@@ -159,7 +141,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 
 // Query answers one private shortest path query against an HY server.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	ses, err := base.Open(ctx, svc, SchemeName)
+	ses, err := base.Open(ctx, svc, base.HY)
 	if err != nil {
 		return nil, err
 	}

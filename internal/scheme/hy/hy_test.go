@@ -15,10 +15,10 @@ import (
 	"repro/internal/scheme/pi"
 )
 
-func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
+func buildServer(t *testing.T, cfg base.Config) (*graph.Graph, *lbs.Server) {
 	t.Helper()
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
-	db, err := Build(g, opt)
+	db, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,7 @@ func TestQueryMatchesDijkstraAcrossThresholds(t *testing.T) {
 	// Thresholds low enough that many pairs are subgraph-answered and high
 	// enough that many are set-answered, exercising both paths.
 	for _, th := range []int{1, 3, 8, 1000} {
-		opt := Options{PageSize: 4096, Threshold: th, Compress: true}
-		g, srv := buildServer(t, opt)
+		g, srv := buildServer(t, base.Config{Threshold: th})
 		rng := rand.New(rand.NewSource(int64(th)))
 		for trial := 0; trial < 20; trial++ {
 			s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -55,8 +54,7 @@ func TestQueryMatchesDijkstraAcrossThresholds(t *testing.T) {
 // subgraph-answered queries must be indistinguishable, which is exactly why
 // F_i and F_d are concatenated (§6).
 func TestIndistinguishability(t *testing.T) {
-	opt := Options{PageSize: 4096, Threshold: 4, Compress: true}
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{Threshold: 4})
 	rng := rand.New(rand.NewSource(7))
 	var ref string
 	for trial := 0; trial < 30; trial++ {
@@ -76,7 +74,7 @@ func TestIndistinguishability(t *testing.T) {
 
 func TestSingleCombinedFile(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	db, err := Build(g, DefaultOptions())
+	db, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +90,19 @@ func TestSpaceTimeTradeoffAgainstCIAndPI(t *testing.T) {
 	// §6: HY sits between CI (small, slow) and PI (large, fast). Lowering
 	// the threshold moves it toward PI on both axes.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.15)
-	cidb, err := ci.Build(g, ci.DefaultOptions())
+	cidb, err := ci.Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pidb, err := pi.Build(g, pi.DefaultOptions())
+	pidb, err := pi.Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := Build(g, Options{PageSize: 4096, Threshold: 2, Compress: true})
+	low, err := Build(g, base.Config{Threshold: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := Build(g, Options{PageSize: 4096, Threshold: 1 << 30, Compress: true})
+	high, err := Build(g, base.Config{Threshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +123,13 @@ func TestSpaceTimeTradeoffAgainstCIAndPI(t *testing.T) {
 
 func TestRejectsBadThreshold(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
-	if _, err := Build(g, Options{PageSize: 4096, Threshold: 0}); err == nil {
-		t.Error("threshold 0 accepted")
+	if _, err := Build(g, base.Config{Threshold: -1}); err == nil {
+		t.Error("threshold -1 accepted")
 	}
 }
 
 func TestCompressionOffStillCorrect(t *testing.T) {
-	opt := Options{PageSize: 4096, Threshold: 5, Compress: false}
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{Threshold: 5, DisableCompression: true})
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))

@@ -23,48 +23,26 @@ import (
 	"repro/internal/scheme/base"
 )
 
-// Options configures the build.
-type Options struct {
-	PageSize int
-	// Landmarks is the anchor count (Figure 5's tuning knob).
-	Landmarks int
-	// Derivation fits the page quota; its sample is replayed together with
-	// the pairs of the network's extremal nodes.
-	base.Derivation
-}
-
-// DefaultOptions matches the paper's tuned configuration for mid-size
-// networks (5 anchors were optimal on Argentina, Figure 5).
-func DefaultOptions() Options {
-	return Options{
-		PageSize:   pagefile.DefaultPageSize,
-		Landmarks:  5,
-		Derivation: base.Derivation{DeriveQueries: 512, DeriveSeed: 1, SafetyMargin: 1.25},
+// Build pre-processes the network into an LM database with cfg.Landmarks
+// anchors (Figure 5's tuning knob; 5 were optimal on Argentina). The page
+// quota is derived from cfg.DeriveQueries pairs sampled from cfg.Seed,
+// replayed together with the pairs of the network's extremal nodes. cfg's
+// zero fields take their defaults.
+func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
-}
-
-// SchemeName identifies LM databases.
-const SchemeName = "LM"
-
-// Build pre-processes the network into an LM database.
-func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
-	if opt.PageSize == 0 {
-		opt.PageSize = pagefile.DefaultPageSize
-	}
-	if opt.Landmarks < 1 {
-		return nil, fmt.Errorf("lm: landmark count %d < 1", opt.Landmarks)
-	}
-	anchors := graph.SelectLandmarks(g, opt.Landmarks)
+	anchors := graph.SelectLandmarks(g, cfg.Landmarks)
 	lms := graph.BuildLandmarks(g, anchors)
 
 	codec := &base.RegionCodec{G: g, Landmarks: lms.Dist, LandmarkDim: len(anchors)}
-	part, err := kdtree.BuildPacked(g, codec.SizeFunc(), codec.Capacity(opt.PageSize))
+	part, err := base.Partition(codec, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("lm: partitioning: %w", err)
 	}
-	codec.Part = part
 
-	fd := pagefile.NewFile(base.FileData, opt.PageSize)
+	fd := pagefile.NewFile(base.FileData, cfg.PageSize)
 	firstPage, err := base.BuildRegionData(fd, codec, 1)
 	if err != nil {
 		return nil, fmt.Errorf("lm: region data: %w", err)
@@ -74,7 +52,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 	// pages, counting fetched pages; the first round fetches the two
 	// endpoint regions, every further round one page (§4).
 	hdr := &base.Header{
-		Scheme:               SchemeName,
+		Scheme:               base.LM,
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
@@ -82,14 +60,14 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		LookupEntriesPerPage: 1,
 		Params:               map[string]int64{base.ParamLMDim: int64(len(anchors))},
 	}
-	qp, maxPages, err := base.DerivePlan(g, hdr, fd, landmarkGuide, opt.Derivation, cornerPairs(g)...)
+	qp, maxPages, err := base.DerivePlan(g, hdr, fd, landmarkGuide, cfg, cornerPairs(g)...)
 	if err != nil {
 		return nil, err
 	}
 	hdr.Plan = qp
 	hdr.Params["maxPages"] = int64(maxPages)
 	return &lbs.Database{
-		Scheme: SchemeName,
+		Scheme: string(base.LM),
 		Header: hdr.Encode(),
 		Files:  []pagefile.Reader{fd},
 		Plan:   qp,
@@ -158,7 +136,7 @@ func landmarkGuide(cg *base.ClientGraph, tNode graph.NodeID, _ kdtree.RegionID) 
 // Query answers one shortest path query against an LM server, following the
 // fixed plan with dummy padding.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	ses, err := base.Open(ctx, svc, SchemeName)
+	ses, err := base.Open(ctx, svc, base.LM)
 	if err != nil {
 		return nil, err
 	}

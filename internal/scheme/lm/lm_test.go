@@ -14,10 +14,10 @@ import (
 	"repro/internal/scheme/base"
 )
 
-func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
+func buildServer(t *testing.T, cfg base.Config) (*graph.Graph, *lbs.Server) {
 	t.Helper()
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	db, err := Build(g, opt)
+	db, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +29,7 @@ func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
 }
 
 func TestQueryMatchesDijkstra(t *testing.T) {
-	opt := DefaultOptions()
-	opt.SafetyMargin = 2 // sampled plan must cover the test workload
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{SafetyMargin: 2}) // sampled plan must cover the test workload
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -54,9 +52,7 @@ func TestQueryMatchesDijkstra(t *testing.T) {
 // bound landmarkGuide gives, over the vectors the client decoded from the
 // fetched pages, against the node's true distance to the destination.
 func TestLandmarkHeuristicAdmissible(t *testing.T) {
-	opt := DefaultOptions()
-	opt.SafetyMargin = 2
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{SafetyMargin: 2})
 	rng := rand.New(rand.NewSource(3))
 	checked, positive := 0, 0
 	guide := func(cg *base.ClientGraph, tNode graph.NodeID, rt kdtree.RegionID) (func(graph.NodeID) float64, func(graph.NodeID, graph.HalfEdge) bool) {
@@ -77,7 +73,7 @@ func TestLandmarkHeuristicAdmissible(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
 		d := graph.NodeID(rng.Intn(g.NumNodes()))
-		ses, err := base.Open(context.Background(), srv, SchemeName)
+		ses, err := base.Open(context.Background(), srv, base.LM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,9 +87,7 @@ func TestLandmarkHeuristicAdmissible(t *testing.T) {
 }
 
 func TestIndistinguishability(t *testing.T) {
-	opt := DefaultOptions()
-	opt.SafetyMargin = 2
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{SafetyMargin: 2})
 	rng := rand.New(rand.NewSource(43))
 	var ref string
 	for trial := 0; trial < 20; trial++ {
@@ -112,9 +106,7 @@ func TestIndistinguishability(t *testing.T) {
 }
 
 func TestPlanQuotaPadsShortQueries(t *testing.T) {
-	opt := DefaultOptions()
-	opt.SafetyMargin = 2
-	g, srv := buildServer(t, opt)
+	g, srv := buildServer(t, base.Config{SafetyMargin: 2})
 	// A trivial nearby query must cost exactly as much as the plan says.
 	res, err := Query(context.Background(), srv, g.Point(0), g.Point(0))
 	if err != nil {
@@ -128,11 +120,11 @@ func TestPlanQuotaPadsShortQueries(t *testing.T) {
 func TestMoreLandmarksBiggerDatabase(t *testing.T) {
 	// Figure 5(b): storage grows with the landmark count.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.1)
-	small, err := Build(g, Options{PageSize: 4096, Landmarks: 2, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
+	small, err := Build(g, base.Config{Landmarks: 2, DeriveQueries: 64, SafetyMargin: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Build(g, Options{PageSize: 4096, Landmarks: 16, Derivation: base.Derivation{DeriveQueries: 64, DeriveSeed: 1, SafetyMargin: 1.2}})
+	big, err := Build(g, base.Config{Landmarks: 16, DeriveQueries: 64, SafetyMargin: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +133,9 @@ func TestMoreLandmarksBiggerDatabase(t *testing.T) {
 	}
 }
 
-func TestRejectsZeroLandmarks(t *testing.T) {
+func TestRejectsNegativeLandmarks(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.05)
-	if _, err := Build(g, Options{PageSize: 4096, Landmarks: 0}); err == nil {
-		t.Error("zero landmarks accepted")
+	if _, err := Build(g, base.Config{Landmarks: -1}); err == nil {
+		t.Error("-1 landmarks accepted")
 	}
 }

@@ -21,60 +21,27 @@ import (
 	"repro/internal/scheme/base"
 )
 
-// Options configures the build.
-type Options struct {
-	PageSize int
-	// ClusterPages > 1 selects PI* (§6): each region spans that many F_d
-	// pages, shrinking the region count and hence the index size, at the
-	// price of 2·ClusterPages region-data fetches per query.
-	ClusterPages int
-	// Packed selects §5.6 packing; false reproduces PI-P (Figure 8).
-	Packed bool
-	// Compress enables subgraph delta compression; false reproduces PI-C.
-	Compress bool
-	// CompactData switches the region-data file to the losslessly
-	// compressed record layout (§8 future-work extension).
-	CompactData bool
-}
-
-// DefaultOptions is the plain PI of the experiments.
-func DefaultOptions() Options {
-	return Options{PageSize: pagefile.DefaultPageSize, ClusterPages: 1, Packed: true, Compress: true}
-}
-
-// SchemeName identifies PI databases (PI* reports "PI*").
-const SchemeName = "PI"
-
-// SchemeNameClustered is the PI* variant name.
-const SchemeNameClustered = "PI*"
-
-// Build pre-processes the network into a PI (or PI*) database.
-func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
-	if opt.PageSize == 0 {
-		opt.PageSize = pagefile.DefaultPageSize
+// Build pre-processes the network into a PI database, or a PI* one when
+// cfg.Scheme is PIStar: each region then spans cfg.ClusterPages F_d pages,
+// shrinking the region count and hence the index size, at the price of
+// 2·ClusterPages region-data fetches per query (§6). cfg's zero fields
+// take their defaults; DisablePacking and DisableCompression reproduce the
+// PI-P and PI-C ablations of Figures 8–9, and CompactData switches the
+// region data to the compact record layout.
+func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	if opt.ClusterPages == 0 {
-		opt.ClusterPages = 1
+	name := base.PI
+	if cfg.Scheme == base.PIStar {
+		name = base.PIStar
 	}
-	name := SchemeName
-	if opt.ClusterPages > 1 {
-		name = SchemeNameClustered
-	}
-	codec := &base.RegionCodec{G: g, Compact: opt.CompactData}
-	capacity := codec.Capacity(opt.PageSize * opt.ClusterPages)
-	var (
-		part *kdtree.Partition
-		err  error
-	)
-	if opt.Packed {
-		part, err = kdtree.BuildPacked(g, codec.SizeFunc(), capacity)
-	} else {
-		part, err = kdtree.BuildPlain(g, codec.SizeFunc(), capacity)
-	}
+	codec := &base.RegionCodec{G: g, Compact: cfg.CompactData}
+	part, err := base.Partition(codec, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("pi: partitioning: %w", err)
 	}
-	codec.Part = part
 
 	aug := border.Build(g, part)
 	pre, err := precomp.Compute(aug, part, precomp.Options{Subgraphs: true})
@@ -82,23 +49,23 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		return nil, fmt.Errorf("pi: pre-computation: %w", err)
 	}
 
-	fd := pagefile.NewFile(base.FileData, opt.PageSize)
-	firstPage, err := base.BuildRegionData(fd, codec, opt.ClusterPages)
+	fd := pagefile.NewFile(base.FileData, cfg.PageSize)
+	firstPage, err := base.BuildRegionData(fd, codec, cfg.ClusterPages)
 	if err != nil {
 		return nil, fmt.Errorf("pi: region data: %w", err)
 	}
 
-	fi := pagefile.NewFile(base.FileIndex, opt.PageSize)
+	fi := pagefile.NewFile(base.FileIndex, cfg.PageSize)
 	ib := base.NewIndexBuilder(fi, 1) // m unused for subgraph records
 	np := precomp.NumPairs(part.NumRegions)
 	for k := 0; k < np; k++ {
-		if err := ib.AddGraph(pre.Subgraphs[k], opt.Compress); err != nil {
+		if err := ib.AddGraph(pre.Subgraphs[k], !cfg.DisableCompression); err != nil {
 			return nil, fmt.Errorf("pi: index pair %d: %w", k, err)
 		}
 	}
 	spans, ords, maxSpan := ib.Finish()
 
-	fl := pagefile.NewFile(base.FileLookup, opt.PageSize)
+	fl := pagefile.NewFile(base.FileLookup, cfg.PageSize)
 	entries := make([]base.LookupEntry, np)
 	for k := range entries {
 		entries[k] = base.LookupEntry{Page: uint32(spans[k].Page), RecIndex: ords[k]}
@@ -112,7 +79,7 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		{Fetches: []plan.Fetch{{File: base.FileLookup, Count: 1}}},
 		{Fetches: []plan.Fetch{
 			{File: base.FileIndex, Count: maxSpan},
-			{File: base.FileData, Count: 2 * opt.ClusterPages},
+			{File: base.FileData, Count: 2 * cfg.ClusterPages},
 		}},
 	}}
 	hdr := &base.Header{
@@ -120,34 +87,26 @@ func Build(g *graph.Graph, opt Options) (*lbs.Database, error) {
 		NumRegions:           part.NumRegions,
 		Tree:                 part.Tree,
 		RegionFirstPage:      firstPage,
-		ClusterPages:         opt.ClusterPages,
-		LookupEntriesPerPage: base.LookupEntriesPerPage(opt.PageSize),
+		ClusterPages:         cfg.ClusterPages,
+		LookupEntriesPerPage: base.LookupEntriesPerPage(cfg.PageSize),
 		Plan:                 qp,
 		Params: map[string]int64{
 			base.ParamMaxSpan:  int64(maxSpan),
 			base.ParamIdxPages: int64(fi.NumPages()),
-			base.ParamCompact:  boolParam(opt.CompactData),
+			base.ParamCompact:  codec.CompactParam(),
 		},
 	}
 	return &lbs.Database{
-		Scheme: name,
+		Scheme: string(name),
 		Header: hdr.Encode(),
 		Files:  []pagefile.Reader{fl, fi, fd},
 		Plan:   qp,
 	}, nil
 }
 
-// boolParam encodes a build flag as a header parameter.
-func boolParam(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Query answers one private shortest path query against a PI / PI* server.
 func Query(ctx context.Context, svc lbs.Service, sPt, tPt geom.Point) (*base.Result, error) {
-	ses, err := base.Open(ctx, svc, SchemeName, SchemeNameClustered)
+	ses, err := base.Open(ctx, svc, base.PI, base.PIStar)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,10 @@ import (
 	"repro/internal/scheme/base"
 )
 
-func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
+func buildServer(t *testing.T, cfg base.Config) (*graph.Graph, *lbs.Server) {
 	t.Helper()
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
-	db, err := Build(g, opt)
+	db, err := Build(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func buildServer(t *testing.T, opt Options) (*graph.Graph, *lbs.Server) {
 }
 
 func TestQueryMatchesDijkstra(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 40; trial++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -49,10 +49,8 @@ func TestQueryMatchesDijkstra(t *testing.T) {
 }
 
 func TestClusteredPIStarMatchesDijkstra(t *testing.T) {
-	opt := DefaultOptions()
-	opt.ClusterPages = 3
-	g, srv := buildServer(t, opt)
-	if srv.Database().Scheme != SchemeNameClustered {
+	g, srv := buildServer(t, base.Config{Scheme: base.PIStar, ClusterPages: 3})
+	if srv.Database().Scheme != string(base.PIStar) {
 		t.Fatalf("scheme name = %q, want PI*", srv.Database().Scheme)
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -76,7 +74,7 @@ func TestClusteredPIStarMatchesDijkstra(t *testing.T) {
 }
 
 func TestIndistinguishability(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	rng := rand.New(rand.NewSource(3))
 	var ref string
 	for trial := 0; trial < 25; trial++ {
@@ -95,7 +93,7 @@ func TestIndistinguishability(t *testing.T) {
 }
 
 func TestPIQueryPlanIsThreeRoundsTwoDataPages(t *testing.T) {
-	g, srv := buildServer(t, DefaultOptions())
+	g, srv := buildServer(t, base.Config{})
 	res, err := Query(context.Background(), srv, g.Point(3), g.Point(8))
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +110,7 @@ func TestPIFasterButBiggerThanCI(t *testing.T) {
 	// The §7.3 trade-off: PI needs far fewer region-data accesses but a
 	// much larger index.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.15)
-	pidb, err := Build(g, DefaultOptions())
+	pidb, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +123,13 @@ func TestPIFasterButBiggerThanCI(t *testing.T) {
 }
 
 func TestVariantsProduceCorrectResults(t *testing.T) {
-	variants := map[string]Options{
-		"PI-P": {PageSize: 4096, ClusterPages: 1, Packed: false, Compress: true},
-		"PI-C": {PageSize: 4096, ClusterPages: 1, Packed: true, Compress: false},
+	variants := map[string]base.Config{
+		"PI-P": {DisablePacking: true},
+		"PI-C": {DisableCompression: true},
 	}
-	for name, opt := range variants {
+	for name, cfg := range variants {
 		t.Run(name, func(t *testing.T) {
-			g, srv := buildServer(t, opt)
+			g, srv := buildServer(t, cfg)
 			rng := rand.New(rand.NewSource(4))
 			for trial := 0; trial < 12; trial++ {
 				s := graph.NodeID(rng.Intn(g.NumNodes()))
@@ -151,13 +149,11 @@ func TestVariantsProduceCorrectResults(t *testing.T) {
 
 func TestCompressionShrinksSubgraphIndex(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
-	with, err := Build(g, DefaultOptions())
+	with, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Compress = false
-	without, err := Build(g, opt)
+	without, err := Build(g, base.Config{DisableCompression: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +169,11 @@ func TestClusteringShrinksIndex(t *testing.T) {
 	// §6: more pages per region => fewer regions and border nodes => a
 	// smaller network index.
 	g := gen.GeneratePreset(gen.Oldenburg, 0.15)
-	one, err := Build(g, DefaultOptions())
+	one, err := Build(g, base.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.ClusterPages = 4
-	four, err := Build(g, opt)
+	four, err := Build(g, base.Config{Scheme: base.PIStar, ClusterPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,23 +49,23 @@ func fixture(t testing.TB) (*graph.Graph, map[string]*lbs.Database) {
 		g := gen.GeneratePreset(gen.Oldenburg, 0.12)
 		dbs := map[string]*lbs.Database{}
 		var err error
-		if dbs["CI"], err = ci.Build(g, ci.DefaultOptions()); err != nil {
+		if dbs["CI"], err = ci.Build(g, base.Config{}); err != nil {
 			fixtureErr = fmt.Errorf("CI build: %w", err)
 			return
 		}
-		if dbs["PI"], err = pi.Build(g, pi.DefaultOptions()); err != nil {
+		if dbs["PI"], err = pi.Build(g, base.Config{}); err != nil {
 			fixtureErr = fmt.Errorf("PI build: %w", err)
 			return
 		}
-		if dbs["HY"], err = hy.Build(g, hy.DefaultOptions()); err != nil {
+		if dbs["HY"], err = hy.Build(g, base.Config{}); err != nil {
 			fixtureErr = fmt.Errorf("HY build: %w", err)
 			return
 		}
-		if dbs["AF"], err = af.Build(g, af.DefaultOptions()); err != nil {
+		if dbs["AF"], err = af.Build(g, base.Config{}); err != nil {
 			fixtureErr = fmt.Errorf("AF build: %w", err)
 			return
 		}
-		if dbs["LM"], err = lm.Build(g, lm.DefaultOptions()); err != nil {
+		if dbs["LM"], err = lm.Build(g, base.Config{}); err != nil {
 			fixtureErr = fmt.Errorf("LM build: %w", err)
 			return
 		}

@@ -68,7 +68,7 @@ func DialFleetConfig(ctx context.Context, addrs []string, cfg FleetConfig) (*Fle
 		return nil, err
 	}
 	scheme := Scheme(f.Scheme())
-	if !servable(scheme) {
+	if _, ok := schemes[scheme]; !ok {
 		f.Close()
 		return nil, fmt.Errorf("privsp: fleet hosts unsupported scheme %q", scheme)
 	}

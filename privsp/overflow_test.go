@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/lbs"
-	"repro/internal/scheme/af"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -37,11 +36,10 @@ func settled(t *testing.T, srv *server.Server) {
 // client learns of the overflow through the typed error.
 func TestPlanOverflowInvisibleToServer(t *testing.T) {
 	net0 := Generate(Oldenburg, 0.1, 1)
-	// A plan derived from one sampled query with no margin: overflow is common.
-	opt := af.DefaultOptions()
-	opt.DeriveQueries, opt.SafetyMargin = 1, 1
-	raw, err := af.Build(net0.G, opt)
-	db, err := wrap(Config{Scheme: AF}, raw, err)
+	// A plan derived from one sampled query with no margin: overflow is
+	// common. It is built through Build, so the derivation fields reach the
+	// plan the way a user sets them.
+	db, err := Build(net0, Config{Scheme: AF, DeriveQueries: 1, SafetyMargin: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

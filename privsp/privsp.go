@@ -145,125 +145,61 @@ func (n *Network) NumEdges() int { return n.G.NumEdges() }
 func (n *Network) NodePoint(v NodeID) Point { return n.G.Point(v) }
 
 // Scheme selects a private shortest path scheme or baseline.
-type Scheme string
+type Scheme = base.Scheme
 
-// The schemes of the paper (§5, §6) and its baselines (§4, §7.3).
+// The schemes of the paper (§5, §6) and its baselines (§4).
 const (
-	CI     Scheme = "CI"
-	PI     Scheme = "PI"
-	PIStar Scheme = "PI*"
-	HY     Scheme = "HY"
-	LM     Scheme = "LM"
-	AF     Scheme = "AF"
+	CI     = base.CI
+	PI     = base.PI
+	PIStar = base.PIStar
+	HY     = base.HY
+	LM     = base.LM
+	AF     = base.AF
 )
 
-// Config selects and tunes a scheme.
-type Config struct {
-	Scheme   Scheme
-	PageSize int // 0 = 4 KB (Table 2)
+// Config selects and tunes a scheme: the scheme, the page size, the
+// ablation switches of Figures 8–9, each scheme's tuning knob (PI*'s
+// ClusterPages, HY's Threshold, LM's Landmarks, AF's Regions) and the
+// Seed, DeriveQueries and SafetyMargin LM's and AF's plans are derived
+// with. A zero field selects its default — PageSize 4096 (Table 2),
+// ClusterPages 2, Threshold 40, Landmarks 5, Regions 8, Seed 1,
+// DeriveQueries 512, SafetyMargin 1.25 — so Config{Scheme: s} builds the
+// database of the paper's experiments; a negative field, or a PIStar
+// ClusterPages of 1, fails Build naming the field.
+type Config = base.Config
 
-	// Packed / Compress default to true; setting the Disable* fields
-	// reproduces the paper's ablations (CI-P, CI-C, PI-P, PI-C; Fig. 8–9).
-	DisablePacking     bool
-	DisableCompression bool
-
-	// ClusterPages tunes PIStar (pages per region, ≥ 2).
-	ClusterPages int
-	// Threshold tunes HY (max |S_i,j| kept as a region set).
-	Threshold int
-	// Landmarks tunes LM (anchor count).
-	Landmarks int
-	// Regions tunes AF (arc-flag bits per edge).
-	Regions int
-	// Seed drives any randomized build step (LM and AF plan derivation).
-	Seed int64
-
-	// CompactData enables the losslessly compressed region-data layout
-	// (§8 future work) for CI, PI and PIStar.
-	CompactData bool
+// schemes is the one list of the schemes privsp builds and serves.
+var schemes = map[Scheme]struct {
+	build func(*graph.Graph, Config) (*lbs.Database, error)
+	query func(ctx context.Context, svc lbs.Service, src, dst Point) (*Result, error)
+}{
+	CI:     {ci.Build, ci.Query},
+	PI:     {pi.Build, pi.Query},
+	PIStar: {pi.Build, pi.Query},
+	HY:     {hy.Build, hy.Query},
+	LM:     {lm.Build, lm.Query},
+	AF:     {af.Build, af.Query},
 }
 
 // Database is a built, servable database. Databases come from Build (in
 // memory) or Open (backed by a persistent container); both serve through
 // identical code. Close a database loaded with Open when done with it.
 type Database struct {
-	cfg       Config
 	db        *lbs.Database
 	container *pagefile.Container // non-nil iff loaded by Open
 }
 
 // Build pre-processes a network under the chosen scheme.
 func Build(n *Network, cfg Config) (*Database, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	switch cfg.Scheme {
-	case CI:
-		opt := ci.DefaultOptions()
-		opt.PageSize = pageSize(cfg)
-		opt.Packed = !cfg.DisablePacking
-		opt.Compress = !cfg.DisableCompression
-		opt.CompactData = cfg.CompactData
-		db, err := ci.Build(n.G, opt)
-		return wrap(cfg, db, err)
-	case PI, PIStar:
-		opt := pi.DefaultOptions()
-		opt.PageSize = pageSize(cfg)
-		opt.Packed = !cfg.DisablePacking
-		opt.Compress = !cfg.DisableCompression
-		opt.CompactData = cfg.CompactData
-		if cfg.Scheme == PIStar {
-			if cfg.ClusterPages < 2 {
-				cfg.ClusterPages = 2
-			}
-			opt.ClusterPages = cfg.ClusterPages
-		}
-		db, err := pi.Build(n.G, opt)
-		return wrap(cfg, db, err)
-	case HY:
-		opt := hy.DefaultOptions()
-		opt.PageSize = pageSize(cfg)
-		opt.Compress = !cfg.DisableCompression
-		if cfg.Threshold > 0 {
-			opt.Threshold = cfg.Threshold
-		}
-		db, err := hy.Build(n.G, opt)
-		return wrap(cfg, db, err)
-	case LM:
-		opt := lm.DefaultOptions()
-		opt.PageSize = pageSize(cfg)
-		if cfg.Landmarks > 0 {
-			opt.Landmarks = cfg.Landmarks
-		}
-		opt.DeriveSeed = cfg.Seed
-		db, err := lm.Build(n.G, opt)
-		return wrap(cfg, db, err)
-	case AF:
-		opt := af.DefaultOptions()
-		opt.PageSize = pageSize(cfg)
-		if cfg.Regions > 0 {
-			opt.Regions = cfg.Regions
-		}
-		opt.DeriveSeed = cfg.Seed
-		db, err := af.Build(n.G, opt)
-		return wrap(cfg, db, err)
-	default:
+	s, ok := schemes[cfg.Scheme]
+	if !ok {
 		return nil, fmt.Errorf("privsp: unknown scheme %q", cfg.Scheme)
 	}
-}
-
-func wrap(cfg Config, db *lbs.Database, err error) (*Database, error) {
+	db, err := s.build(n.G, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Database{cfg: cfg, db: db}, nil
-}
-
-func pageSize(cfg Config) int {
-	if cfg.PageSize > 0 {
-		return cfg.PageSize
-	}
-	return costmodel.Default().PageSize
+	return &Database{db: db}, nil
 }
 
 // TotalBytes reports the database size (the space metric of the paper's
@@ -317,8 +253,7 @@ func Open(path string, opts ...OpenOption) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheme := Scheme(c.Scheme)
-	if !servable(scheme) {
+	if _, ok := schemes[Scheme(c.Scheme)]; !ok {
 		c.Close()
 		return nil, fmt.Errorf("privsp: %s holds unsupported scheme %q", path, c.Scheme)
 	}
@@ -332,7 +267,6 @@ func Open(path string, opts ...OpenOption) (*Database, error) {
 		files[i] = f
 	}
 	return &Database{
-		cfg:       Config{Scheme: scheme},
 		db:        &lbs.Database{Scheme: c.Scheme, Header: c.Header, Files: files, Plan: pl},
 		container: c,
 	}, nil
@@ -352,7 +286,7 @@ func (d *Database) Close() error {
 func (d *Database) Plan() string { return d.db.Plan.String() }
 
 // Scheme returns the database's scheme.
-func (d *Database) Scheme() Scheme { return d.cfg.Scheme }
+func (d *Database) Scheme() Scheme { return Scheme(d.db.Scheme) }
 
 // LBS exposes the underlying page-file database for hosting by the
 // networked daemon (internal/server).
@@ -365,7 +299,7 @@ func (d *Database) PlanPIRAccesses() int { return d.db.Plan.TotalPIRAccesses() }
 // Server answers shortest path queries on a built database under the
 // simulated deployment of §7.1 (IBM 4764 SCP, Table 2 disk and 3G link).
 type Server struct {
-	cfg    Config
+	scheme Scheme
 	lbsSrv *lbs.Server
 }
 
@@ -375,7 +309,7 @@ func Serve(d *Database) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{cfg: d.cfg, lbsSrv: srv}, nil
+	return &Server{scheme: d.Scheme(), lbsSrv: srv}, nil
 }
 
 // Result is the outcome of one query.
@@ -388,21 +322,7 @@ type Stats = lbs.Stats
 type QueryOption func(*queryOptions)
 
 type queryOptions struct {
-	stats       *Stats
-	trace       *string
 	serverTrace *string
-}
-
-// WithStats captures the query's simulated Table 3 cost components into
-// dst when the query succeeds.
-func WithStats(dst *Stats) QueryOption {
-	return func(o *queryOptions) { o.stats = dst }
-}
-
-// WithTrace captures the client-side access transcript — the view the
-// client believes the service observed — into dst when the query succeeds.
-func WithTrace(dst *string) QueryOption {
-	return func(o *queryOptions) { o.trace = dst }
 }
 
 // WithServerTrace captures the service-observed access trace — the actual
@@ -423,13 +343,7 @@ func applyOptions(opts []QueryOption) queryOptions {
 }
 
 // deliver fills the caller's option destinations from a completed query.
-func (o queryOptions) deliver(res *Result, serverTrace string) {
-	if o.stats != nil {
-		*o.stats = res.Stats
-	}
-	if o.trace != nil {
-		*o.trace = res.Trace
-	}
+func (o queryOptions) deliver(serverTrace string) {
 	if o.serverTrace != nil {
 		*o.serverTrace = serverTrace
 	}
@@ -445,12 +359,12 @@ func (s *Server) ShortestPath(ctx context.Context, src, dst Point, opts ...Query
 		ctx = context.Background()
 	}
 	o := applyOptions(opts)
-	res, err := queryScheme(ctx, s.cfg.Scheme, s.lbsSrv, src, dst)
+	res, err := queryScheme(ctx, s.scheme, s.lbsSrv, src, dst)
 	if err != nil {
 		return nil, err
 	}
 	// In-process, the service's view is the client transcript itself.
-	o.deliver(res, res.Trace)
+	o.deliver(res.Trace)
 	return res, nil
 }
 
@@ -458,37 +372,20 @@ func (s *Server) ShortestPath(ctx context.Context, src, dst Point, opts ...Query
 // lbs.Service — the in-process server, one daemon connection, or a replica
 // fleet; the protocol code cannot tell which deployment it runs against.
 func queryScheme(ctx context.Context, scheme Scheme, svc lbs.Service, src, dst Point) (*Result, error) {
-	switch scheme {
-	case CI:
-		return ci.Query(ctx, svc, src, dst)
-	case PI, PIStar:
-		return pi.Query(ctx, svc, src, dst)
-	case HY:
-		return hy.Query(ctx, svc, src, dst)
-	case LM:
-		return lm.Query(ctx, svc, src, dst)
-	case AF:
-		return af.Query(ctx, svc, src, dst)
+	s, ok := schemes[scheme]
+	if !ok {
+		return nil, fmt.Errorf("privsp: unknown scheme %q", scheme)
 	}
-	return nil, fmt.Errorf("privsp: unknown scheme %q", scheme)
-}
-
-// servable reports whether queryScheme runs scheme's protocol: the allow-list
-// every database loaded from a container, a daemon or a fleet must pass.
-func servable(scheme Scheme) bool {
-	switch scheme {
-	case CI, PI, PIStar, HY, LM, AF:
-		return true
-	}
-	return false
+	return s.query(ctx, svc, src, dst)
 }
 
 // PathService is the query surface shared by the in-process Server and the
 // remote client returned by Dial: the same scheme protocol code runs behind
 // both. The context governs the whole query (deadline and cancellation,
-// honored at PIR round boundaries); options capture per-query extras —
-// stats, the client transcript, the service-observed trace — without any
-// per-connection state, so one service value serves concurrent queries.
+// honored at PIR round boundaries); the Result carries the query's stats
+// and client transcript, and WithServerTrace captures the service-observed
+// trace without any per-connection state, so one service value serves
+// concurrent queries.
 type PathService interface {
 	ShortestPath(ctx context.Context, src, dst Point, opts ...QueryOption) (*Result, error)
 }
@@ -556,7 +453,7 @@ func DialDatabaseContext(ctx context.Context, addr, database string) (*RemoteSer
 		return nil, err
 	}
 	scheme := Scheme(c.Scheme())
-	if !servable(scheme) {
+	if _, ok := schemes[scheme]; !ok {
 		c.Close()
 		return nil, fmt.Errorf("privsp: daemon hosts unsupported scheme %q", scheme)
 	}
@@ -598,7 +495,8 @@ func (r *RemoteServer) ShortestPath(ctx context.Context, src, dst Point, opts ..
 // ErrPlanOverflow is matched by errors.Is when a query needed more
 // retrievals than the database's public plan allows. Only LM and AF, whose
 // plans are derived from a sampled workload, hit it on a sound database (a
-// rare endpoint pair; rebuild with a larger DeriveQueries or SafetyMargin).
+// rare endpoint pair; rebuild with a larger Config.DeriveQueries or
+// Config.SafetyMargin).
 // The service cannot tell such a query from any other: it receives the
 // whole canonical plan and the query ends as a completed one.
 var ErrPlanOverflow = base.ErrPlanOverflow
@@ -633,7 +531,7 @@ func settleQuery(ctx context.Context, scheme Scheme, qs querySession, src, dst P
 	if qerr != nil {
 		return nil, qerr
 	}
-	o.deliver(res, trace)
+	o.deliver(trace)
 	return res, nil
 }
 

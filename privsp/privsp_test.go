@@ -101,18 +101,22 @@ func TestDatabaseMetadata(t *testing.T) {
 	}
 }
 
+// TestAblationConfigs: DisablePacking reaches every scheme that cuts its
+// regions with base.Partition.
 func TestAblationConfigs(t *testing.T) {
 	net := Generate(Oldenburg, 0.06, 1)
-	full, err := Build(net, Config{Scheme: CI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unpacked, err := Build(net, Config{Scheme: CI, DisablePacking: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unpacked.TotalBytes() <= full.TotalBytes() {
-		t.Error("disabling packing should grow the database")
+	for _, s := range []Scheme{CI, PI, PIStar, HY, LM} {
+		full, err := Build(net, Config{Scheme: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpacked, err := Build(net, Config{Scheme: s, DisablePacking: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unpacked.TotalBytes() <= full.TotalBytes() {
+			t.Errorf("%s: disabling packing should grow the database (%d B unpacked, %d B packed)", s, unpacked.TotalBytes(), full.TotalBytes())
+		}
 	}
 }
 
