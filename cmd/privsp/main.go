@@ -30,8 +30,7 @@
 //	privsp query -fleet host1:7465,host2:7465 -preset Oldenburg -scale 0.05 -s 3 -t 99
 //
 // A daemon's serving counters are read from its admin endpoint
-// (privspd -admin, GET /metrics) or its -stats log line, never from the
-// serving port.
+// (privspd -admin, GET /metrics) alone, never from the serving port.
 package main
 
 import (

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -103,6 +102,19 @@ func metricValue(t *testing.T, body, series string) float64 {
 	return 0
 }
 
+// registryValue reads one series of the daemon's registry in process, by
+// its full key: a counter's value or a gauge's.
+func registryValue(t *testing.T, srv *server.Server, series string) float64 {
+	t.Helper()
+	for _, row := range srv.Telemetry().Snapshot() {
+		if row.Key == series {
+			return float64(row.Counter) + row.Gauge
+		}
+	}
+	t.Fatalf("series %s not registered", series)
+	return 0
+}
+
 // settleDaemon waits for the daemon's per-query finish accounting (which
 // runs after the client sees QueryDone) to drain.
 func settleDaemon(t *testing.T, srv *server.Server) {
@@ -110,8 +122,8 @@ func settleDaemon(t *testing.T, srv *server.Server) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		busy := false
-		for _, d := range srv.Stats().Databases {
-			if d.InFlight != 0 || d.BusyWorkers != 0 || d.QueuedReads != 0 {
+		for _, family := range []string{"privsp_server_queries_inflight", "privsp_pool_busy", "privsp_pool_queued"} {
+			if registryValue(t, srv, family+`{db="CI"}`) != 0 {
 				busy = true
 			}
 		}
@@ -125,10 +137,10 @@ func settleDaemon(t *testing.T, srv *server.Server) {
 	}
 }
 
-// TestAdminMetricsConsistency: the stats log line and the /metrics scrape
-// are two views over the same telemetry registry — after a batch of
-// queries, the per-db query and page counters must agree across
-// srv.Stats(), statsLine, and the Prometheus exposition.
+// TestAdminMetricsConsistency: the /metrics scrape renders the daemon's
+// telemetry registry, the one place its counters live — after a batch of
+// queries, the scraped per-db query and page counters equal the registry's
+// read in process, and count every query.
 func TestAdminMetricsConsistency(t *testing.T) {
 	net0, srv, addr := testDaemon(t)
 	remote, err := privsp.DialDatabase(addr, "CI")
@@ -145,38 +157,28 @@ func TestAdminMetricsConsistency(t *testing.T) {
 	}
 	settleDaemon(t, srv)
 
-	st := srv.Stats()
-	var queries, pages uint64
-	for _, d := range st.Databases {
-		if d.Name == "CI" {
-			queries, pages = d.Queries, d.Pages
-		}
-	}
+	queries := registryValue(t, srv, `privsp_server_queries_total{db="CI"}`)
+	pages := registryValue(t, srv, `privsp_server_pages_served_total{db="CI"}`)
 	if queries < n {
-		t.Fatalf("Stats() reports %d queries, ran %d", queries, n)
+		t.Fatalf("registry counts %v queries, ran %d", queries, n)
+	}
+	if pages == 0 {
+		t.Fatal("registry counts no pages served")
 	}
 
 	body := scrape(t, srv)
-	if got := metricValue(t, body, `privsp_server_queries_total{db="CI"}`); got != float64(queries) {
-		t.Errorf("/metrics queries_total = %v, Stats() = %d", got, queries)
+	if got := metricValue(t, body, `privsp_server_queries_total{db="CI"}`); got != queries {
+		t.Errorf("/metrics queries_total = %v, registry = %v", got, queries)
 	}
-	if got := metricValue(t, body, `privsp_server_pages_served_total{db="CI"}`); got != float64(pages) {
-		t.Errorf("/metrics pages_served_total = %v, Stats() = %d", got, pages)
+	if got := metricValue(t, body, `privsp_server_pages_served_total{db="CI"}`); got != pages {
+		t.Errorf("/metrics pages_served_total = %v, registry = %v", got, pages)
 	}
 	if got := metricValue(t, body, `privsp_server_queries_inflight{db="CI"}`); got != 0 {
 		t.Errorf("/metrics queries_inflight = %v after settle, want 0", got)
 	}
 	// The latency histogram must have recorded one observation per query.
-	if got := metricValue(t, body, `privsp_server_query_seconds_count{db="CI"}`); got != float64(queries) {
-		t.Errorf("/metrics query_seconds_count = %v, want %d", got, queries)
-	}
-
-	line := statsLine(st)
-	if want := fmt.Sprintf("CI: %d queries", queries); !strings.Contains(line, want) {
-		t.Errorf("stats line %q missing %q", line, want)
-	}
-	if want := fmt.Sprintf("%d pages", pages); !strings.Contains(line, want) {
-		t.Errorf("stats line %q missing %q", line, want)
+	if got := metricValue(t, body, `privsp_server_query_seconds_count{db="CI"}`); got != queries {
+		t.Errorf("/metrics query_seconds_count = %v, want %v", got, queries)
 	}
 }
 

@@ -17,9 +17,14 @@
 // one is served). SIGINT/SIGTERM trigger a graceful shutdown that waits for
 // in-flight sessions.
 //
+// -max-inflight is the daemon's one concurrency setting: the queries open
+// at once across all databases (64×GOMAXPROCS by default). Each hosted
+// database answers its fetch and share batches on a worker pool of
+// 2×GOMAXPROCS slots.
+//
 // -admin ADDR (off by default) serves the operator endpoints on a SEPARATE
 // listen address: Prometheus-text /metrics over the daemon's telemetry
-// registry, a /healthz liveness probe, a /readyz readiness probe that
+// registry — the one way its counters leave the process — a /healthz liveness probe, a /readyz readiness probe that
 // turns 503 while the daemon sheds at its -max-inflight budget, and the
 // net/http/pprof profile handlers, so the serving hot paths — the PIR scan
 // kernels above all — can be watched and profiled in deployment:
@@ -46,7 +51,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -96,7 +100,6 @@ func main() {
 		stores = chaosStores(chaos, stores)
 	}
 	srv := server.New(server.Options{
-		Workers:     cfg.Workers,
 		Logf:        log.Printf,
 		Stores:      stores,
 		ReplicaRole: cfg.ReplicaRole,
@@ -131,20 +134,6 @@ func main() {
 		adminWait = wait
 	}
 
-	// The stats ticker gets its own cancellation, sequenced AFTER server
-	// shutdown: logStats emits a final line when it exits, and that line
-	// must reflect the settled post-shutdown counters.
-	statsCtx, statsStop := context.WithCancel(context.Background())
-	defer statsStop()
-	var statsWG sync.WaitGroup
-	if cfg.Stats > 0 {
-		statsWG.Add(1)
-		go func() {
-			defer statsWG.Done()
-			logStats(statsCtx, srv, cfg.Stats)
-		}()
-	}
-
 	// Listen here, not in the server, so chaos mode can wrap the listener
 	// with its connection-level faults.
 	ln, err := net.Listen("tcp", cfg.Listen)
@@ -160,8 +149,6 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil {
-			statsStop()
-			statsWG.Wait()
 			log.Fatalf("privspd: serve: %v", err)
 		}
 	case <-ctx.Done():
@@ -170,11 +157,6 @@ func main() {
 		defer cancel()
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Printf("privspd: forced shutdown: %v", err)
-		}
-		statsStop()
-		statsWG.Wait()
-		if cfg.Stats <= 0 {
-			printStats(srv)
 		}
 		adminWait()
 	}
@@ -185,13 +167,11 @@ func main() {
 type daemonConfig struct {
 	Listen      string
 	DBFiles     []string
-	Workers     int
 	PIRStore    string
 	ReplicaRole bool
 	MaxInflight int
 	Chaos       string
 	Admin       string
-	Stats       time.Duration
 	Drain       time.Duration
 }
 
@@ -206,13 +186,11 @@ func newFlagSet(output io.Writer) (*flag.FlagSet, *daemonConfig) {
 		c.DBFiles = splitList(s)
 		return nil
 	})
-	fs.IntVar(&c.Workers, "workers", 0, "worker-pool slots per database: every fetch or share batch is one store call holding one, so this bounds the store calls running at once; an XOR-PIR pass's scan width is the store's own, set by GOMAXPROCS and file size (0 = 2x GOMAXPROCS)")
-	fs.StringVar(&c.PIRStore, "pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass on one -workers slot)")
+	fs.StringVar(&c.PIRStore, "pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass holding one of its database's 2x GOMAXPROCS pool slots)")
 	fs.BoolVar(&c.ReplicaRole, "replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
-	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "daemon-wide bound on queries open at once; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 32x workers with a floor of 64, negative = unlimited)")
+	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "daemon-wide bound on queries open at once, the daemon's one concurrency setting; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 64x GOMAXPROCS, negative = unlimited)")
 	fs.StringVar(&c.Chaos, "chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")
 	fs.StringVar(&c.Admin, "admin", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:6060; empty = disabled)")
-	fs.DurationVar(&c.Stats, "stats", 0, "log serving stats at this interval (0 = off)")
 	fs.DurationVar(&c.Drain, "drain", 10*time.Second, "graceful shutdown window (in-flight queries are cancelled immediately; sessions get this long to settle)")
 	return fs, c
 }
@@ -285,39 +263,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// logStats prints a stats line every tick, plus one final line when the
-// ticker is stopped — the shutdown path cancels ctx only after the server
-// has settled, so the last line is the authoritative end-of-run summary.
-func logStats(ctx context.Context, srv *server.Server, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	defer printStats(srv)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			printStats(srv)
-		}
-	}
-}
-
-func printStats(srv *server.Server) {
-	log.Print(statsLine(srv.Stats()))
-}
-
-// statsLine renders one serving-stats log line: connection totals, then per
-// database the query counters — completed, in-flight, cancelled,
-// deadline-exceeded — pages served, and the worker-pool gauges.
-func statsLine(st server.Snapshot) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "privspd: conns %d active / %d total", st.ActiveConns, st.TotalConns)
-	for _, db := range st.Databases {
-		fmt.Fprintf(&b, " | %s: %d queries (%d in-flight, %d cancelled, %d deadline), %d pages, pool %d/%d busy (%d queued)",
-			db.Name, db.Queries, db.InFlight, db.Cancelled, db.Deadline,
-			db.Pages, db.BusyWorkers, db.Workers, db.QueuedReads)
-	}
-	return b.String()
 }

@@ -7,36 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/server"
 )
-
-// TestStatsLine: the serving-stats log line surfaces the full per-database
-// accounting — completed, in-flight, cancelled and deadline-exceeded query
-// counters plus the pool gauges — in one greppable line.
-func TestStatsLine(t *testing.T) {
-	st := server.Snapshot{
-		ActiveConns: 2,
-		TotalConns:  9,
-		Databases: []server.DBSnapshot{
-			{Name: "CI", Scheme: "CI", Queries: 5, Pages: 70, InFlight: 1, Cancelled: 2, Deadline: 1,
-				Workers: 8, BusyWorkers: 3, QueuedReads: 4},
-			{Name: "HY", Scheme: "HY"},
-		},
-	}
-	line := statsLine(st)
-	for _, want := range []string{
-		"conns 2 active / 9 total",
-		"CI: 5 queries (1 in-flight, 2 cancelled, 1 deadline)",
-		"70 pages",
-		"pool 3/8 busy (4 queued)",
-		"HY: 0 queries (0 in-flight, 0 cancelled, 0 deadline)",
-	} {
-		if !strings.Contains(line, want) {
-			t.Errorf("stats line %q\nmissing %q", line, want)
-		}
-	}
-}
 
 // parseArgs parses args with the daemon's flag set.
 func parseArgs(args ...string) (daemonConfig, error) {
@@ -74,8 +45,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 		},
 		{
 			name: "db with serving flags is fine",
-			args: []string{"-db", "ci.psdb,pi.psdb", "-listen", ":0", "-workers", "4", "-max-inflight", "8",
-				"-admin", "localhost:0", "-stats", "1s", "-drain", "2s"},
+			args: []string{"-db", "ci.psdb,pi.psdb", "-listen", ":0", "-max-inflight", "8",
+				"-admin", "localhost:0", "-drain", "2s"},
 		},
 		{
 			name: "chaos spec accepted",
@@ -137,13 +108,13 @@ func TestValidateFlagCombinations(t *testing.T) {
 // TestParseFlags: every flag lands in its config field, and -db splits
 // into its container paths.
 func TestParseFlags(t *testing.T) {
-	cfg, err := parseArgs("-db", "ci.psdb, pi.psdb", "-listen", ":0", "-workers", "4", "-pir", "xorpir",
-		"-replica-role", "-max-inflight", "8", "-chaos", "eio=5", "-admin", "localhost:0", "-stats", "1s", "-drain", "2s")
+	cfg, err := parseArgs("-db", "ci.psdb, pi.psdb", "-listen", ":0", "-pir", "xorpir",
+		"-replica-role", "-max-inflight", "8", "-chaos", "eio=5", "-admin", "localhost:0", "-drain", "2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := daemonConfig{Listen: ":0", DBFiles: []string{"ci.psdb", "pi.psdb"}, Workers: 4, PIRStore: "xorpir",
-		ReplicaRole: true, MaxInflight: 8, Chaos: "eio=5", Admin: "localhost:0", Stats: time.Second, Drain: 2 * time.Second}
+	want := daemonConfig{Listen: ":0", DBFiles: []string{"ci.psdb", "pi.psdb"}, PIRStore: "xorpir",
+		ReplicaRole: true, MaxInflight: 8, Chaos: "eio=5", Admin: "localhost:0", Drain: 2 * time.Second}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("parsed %+v\nwant   %+v", cfg, want)
 	}
@@ -157,17 +128,19 @@ func TestParseFlags(t *testing.T) {
 }
 
 // TestDaemonServesOnly: the daemon defines exactly its serving flags, and
-// each flag of the build path privsp build owns fails to parse.
+// each flag of the build path privsp build owns fails to parse, as do
+// -workers (the pool size follows GOMAXPROCS; -max-inflight is the one
+// concurrency setting) and -stats (counters leave through /metrics).
 func TestDaemonServesOnly(t *testing.T) {
 	fs, _ := newFlagSet(io.Discard)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"admin", "chaos", "db", "drain", "listen", "max-inflight", "pir", "replica-role", "stats", "workers"}
+	want := []string{"admin", "chaos", "db", "drain", "listen", "max-inflight", "pir", "replica-role"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("flags %v, want %v", names, want)
 	}
 	for _, build := range []string{"preset", "scale", "seed", "nodes", "edges", "schemes", "page",
-		"threshold", "cluster", "landmarks", "regions"} {
+		"threshold", "cluster", "landmarks", "regions", "workers", "stats"} {
 		t.Run(build, func(t *testing.T) {
 			_, err := parseArgs("-db", "ci.psdb", "-"+build, "1")
 			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+build) {

@@ -46,7 +46,7 @@
 // segmented parallel kernel that fans each scan across per-pass goroutines
 // (width derived once from GOMAXPROCS and the file size; byte-identical to
 // serial). A fetch or share batch on a scan store holds one worker-pool slot
-// for one pass, so privspd -workers bounds how many passes run at once, not
-// how wide each is. The benchmarks in bench_test.go regenerate every table
+// for one pass, so a database's pool of 2×GOMAXPROCS slots bounds how many
+// passes run at once, not how wide each is. The benchmarks in bench_test.go regenerate every table
 // and figure (see also cmd/experiments).
 package repro

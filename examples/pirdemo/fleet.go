@@ -152,15 +152,15 @@ func runFleet() error {
 		}
 		defer c.Close()
 		q := c.StartQuery()
-		res, err := q.ReadShares(ctx, demoFile, [][]byte{sel})
+		res, err := q.ReadShareFrames(ctx, []client.ShareFrame{{File: demoFile, Sels: [][]byte{sel}}})
 		if err != nil {
 			return fmt.Errorf("share fetch on replica %c: %v", 'A'+i, err)
 		}
-		answers[i] = res[0]
+		answers[i] = res[0][0]
 		if traces[i], err = q.End(ctx); err != nil {
 			return fmt.Errorf("ending query on replica %c: %v", 'A'+i, err)
 		}
-		fmt.Printf("   answer from %c: %x... (XOR of its selected pages)\n", 'A'+i, res[0][:8])
+		fmt.Printf("   answer from %c: %x... (XOR of its selected pages)\n", 'A'+i, answers[i][:8])
 	}
 
 	// The reconstruction is local arithmetic: the selected-page XORs

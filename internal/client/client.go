@@ -684,16 +684,6 @@ func (q *Query) ReadShareFrames(ctx context.Context, frames []ShareFrame) ([][][
 		})
 }
 
-// ReadShares ships XOR PIR selector shares in one FetchShare frame: a
-// one-frame ReadShareFrames.
-func (q *Query) ReadShares(ctx context.Context, file string, sels [][]byte) ([][]byte, error) {
-	out, err := q.ReadShareFrames(ctx, []ShareFrame{{File: file, Sels: sels}})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // pipeline sends n frames as one batch — frame i a round announcement when
 // shape says so, else shape's count of items of its file, requested as
 // frames of type t of at most chunk(file) items, items [from, to) of frame

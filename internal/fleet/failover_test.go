@@ -54,7 +54,7 @@ const failN, failPS = 32, 16
 // it; cap, when non-nil, captures its stores. The caller shuts it down.
 func startReplicaAt(t *testing.T, addr string, db *lbs.Database, cap *capture) (*server.Server, string) {
 	t.Helper()
-	opts := server.Options{Workers: 4, ReplicaRole: true, Stores: lbs.XORStores}
+	opts := server.Options{ReplicaRole: true, Stores: lbs.XORStores}
 	if cap != nil {
 		opts.Stores = cap.factory
 	}

@@ -97,7 +97,7 @@ func (c *capture) factory(r pagefile.Reader) (pir.Store, error) {
 // XORPIR stores. Plain (non-share-capable) daemons pass xor=false.
 func startDaemon(t testing.TB, name string, db *lbs.Database, replica, xor bool, cap *capture) (*server.Server, string) {
 	t.Helper()
-	opts := server.Options{Workers: 4, ReplicaRole: replica}
+	opts := server.Options{ReplicaRole: replica}
 	if cap != nil {
 		opts.Stores = cap.factory
 	} else if xor {

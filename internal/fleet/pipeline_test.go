@@ -37,7 +37,7 @@ func (x failingShares) AnswerShares(ctx context.Context, sels [][]byte, dst [][]
 func TestFleetBatchErrorDrainsTheBatch(t *testing.T) {
 	pages := rawPages(16, 64, 5)
 	db := rawDB(pages, 64)
-	srvA := server.New(server.Options{Workers: 4, ReplicaRole: true, Stores: func(r pagefile.Reader) (pir.Store, error) {
+	srvA := server.New(server.Options{ReplicaRole: true, Stores: func(r pagefile.Reader) (pir.Store, error) {
 		x, err := pir.NewXORPIR(r)
 		return failingShares{x}, err
 	}})

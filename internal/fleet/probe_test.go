@@ -103,7 +103,7 @@ func TestStartQueryRacesBreaker(t *testing.T) {
 	}
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		srv := server.New(server.Options{Workers: 2, ReplicaRole: true, Stores: lbs.XORStores})
+		srv := server.New(server.Options{ReplicaRole: true, Stores: lbs.XORStores})
 		if err := srv.Host("RAW", db, costmodel.Default()); err != nil {
 			t.Fatal(err)
 		}

@@ -343,7 +343,7 @@ func (s *Server) ReadPagesInto(ctx context.Context, file string, pages []int, ds
 	np := hs.store.NumPages()
 	for _, p := range pages {
 		if p < 0 || p >= np {
-			return fmt.Errorf("lbs: PIR fetch %s: page %d of %d", file, p, np)
+			return fmt.Errorf("lbs: PIR fetch %s: page %d out of range (%d pages)", file, p, np)
 		}
 	}
 	if len(pages) == 0 {
@@ -428,15 +428,6 @@ func fetchErr(ctx context.Context, op, file string, err error) error {
 		return ctx.Err()
 	}
 	return fmt.Errorf("lbs: %s %s: %w", op, file, err)
-}
-
-// PoolStats snapshots the worker pool: its size in slots, the slots held
-// right now (one per store call in progress, whatever its scan width), and
-// the batches waiting for a slot. The
-// daemon exports these as serving gauges.
-func (s *Server) PoolStats() (workers, busy, queued int) {
-	busy, queued = s.pool.stats()
-	return s.pool.size(), busy, queued
 }
 
 // Connect opens a client connection (one per query in the experiments),

@@ -149,7 +149,7 @@ func TestParallelReadPages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w, _, _ := srv.PoolStats(); w != workers {
+			if w := srv.pool.size(); w != workers {
 				t.Fatalf("%s/w=%d: pool size %d", fname, workers, w)
 			}
 			batch := make([]int, pagesN)
@@ -175,7 +175,7 @@ func TestParallelReadPages(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if _, b, q := srv.PoolStats(); b != 0 || q != 0 {
+			if b, q := srv.pool.stats(); b != 0 || q != 0 {
 				t.Errorf("%s/w=%d: gauges busy=%d queued=%d after drain", fname, workers, b, q)
 			}
 			if _, err := srv.ReadPages(context.Background(), "Fbig", []int{pagesN}); err == nil {
@@ -239,7 +239,7 @@ func TestReadPagesCancelledWhileQueued(t *testing.T) {
 			// Wait until the slot is held.
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				if _, busy, _ := srv.PoolStats(); busy == 1 {
+				if busy, _ := srv.pool.stats(); busy == 1 {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -255,7 +255,7 @@ func TestReadPagesCancelledWhileQueued(t *testing.T) {
 				queued <- err
 			}()
 			for {
-				if _, _, q := srv.PoolStats(); q == 1 {
+				if _, q := srv.pool.stats(); q == 1 {
 					break
 				}
 				if time.Now().After(deadline) {
@@ -272,7 +272,7 @@ func TestReadPagesCancelledWhileQueued(t *testing.T) {
 			if err := <-holder; err != nil {
 				t.Fatalf("holding read: %v", err)
 			}
-			if _, busy, q := srv.PoolStats(); busy != 0 || q != 0 {
+			if busy, q := srv.pool.stats(); busy != 0 || q != 0 {
 				t.Errorf("gauges busy=%d queued=%d after cancel+drain", busy, q)
 			}
 		})

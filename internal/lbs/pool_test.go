@@ -119,7 +119,7 @@ func TestPoolScanPassHoldsOneSlot(t *testing.T) {
 		parked <- err
 	}()
 	<-gx.entered // the pass has its slot and waits at the gate
-	if _, busy, queued := srv.PoolStats(); busy != 1 || queued != 0 {
+	if busy, queued := srv.pool.stats(); busy != 1 || queued != 0 {
 		t.Fatalf("width-2 pass: pool busy/queued = %d/%d, want 1/0", busy, queued)
 	}
 
@@ -135,7 +135,7 @@ func TestPoolScanPassHoldsOneSlot(t *testing.T) {
 	if err := <-parked; err != nil {
 		t.Fatal(err)
 	}
-	if _, busy, queued := srv.PoolStats(); busy != 0 || queued != 0 {
+	if busy, queued := srv.pool.stats(); busy != 0 || queued != 0 {
 		t.Errorf("gauges busy=%d queued=%d after drain", busy, queued)
 	}
 }

@@ -1,7 +1,5 @@
 package pagefile
 
-import "fmt"
-
 // Packer implements the no-straddle placement rule of §5.3 for the network
 // index file F_i: records are placed contiguously into pages in key order,
 // but a record smaller than a page never stretches over two pages — if the
@@ -12,9 +10,8 @@ import "fmt"
 type Packer struct {
 	file    *File
 	current []byte
-	// spans records, for each appended record in order, the first page it
-	// occupies and how many pages it spans.
-	spans []Span
+	// maxPages is the most pages any appended record spans.
+	maxPages int
 }
 
 // Span locates a packed record inside its file.
@@ -45,7 +42,7 @@ func (p *Packer) Append(rec []byte) Span {
 			}
 			p.file.MustAppendPage(rec[off:end])
 		}
-		p.spans = append(p.spans, span)
+		p.maxPages = max(p.maxPages, span.Pages)
 		return span
 	}
 	if len(p.current)+len(rec) > ps {
@@ -54,7 +51,7 @@ func (p *Packer) Append(rec []byte) Span {
 	// The open page becomes the file's next page when it is flushed.
 	span := Span{Page: p.file.NumPages(), Pages: 1, Off: len(p.current), Len: len(rec)}
 	p.current = append(p.current, rec...)
-	p.spans = append(p.spans, span)
+	p.maxPages = max(p.maxPages, 1)
 	return span
 }
 
@@ -74,44 +71,7 @@ func (p *Packer) flush() {
 	}
 }
 
-// Spans returns the placement of every record in append order. Valid after
-// Flush.
-func (p *Packer) Spans() []Span { return p.spans }
-
 // MaxSpanPages returns the largest Pages value over all records — the value
 // the query plan uses to fix per-round retrieval counts (§5.4: "as many
 // pages from F_i as the maximum number of pages spanned by any S_i,j set").
-func (p *Packer) MaxSpanPages() int {
-	max := 0
-	for _, s := range p.spans {
-		if s.Pages > max {
-			max = s.Pages
-		}
-	}
-	return max
-}
-
-// ReadSpan reassembles a record from its span. Clients use it after fetching
-// the span's pages through PIR; this helper exists for tests and build-time
-// verification.
-func ReadSpan(f *File, s Span) ([]byte, error) {
-	if s.Pages == 1 {
-		page, err := f.Page(s.Page)
-		if err != nil {
-			return nil, err
-		}
-		if s.Off+s.Len > len(page) {
-			return nil, fmt.Errorf("pagefile: span overruns page: %+v", s)
-		}
-		return page[s.Off : s.Off+s.Len], nil
-	}
-	out := make([]byte, 0, s.Len)
-	for i := 0; i < s.Pages; i++ {
-		page, err := f.Page(s.Page + i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, page...)
-	}
-	return out[:s.Len], nil
-}
+func (p *Packer) MaxSpanPages() int { return p.maxPages }

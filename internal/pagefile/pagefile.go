@@ -187,15 +187,6 @@ func (d *Dec) Err() error { return d.err }
 // Remaining returns how many bytes are left.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
 
-// Seek moves the read position.
-func (d *Dec) Seek(off int) {
-	if off < 0 || off > len(d.buf) {
-		d.fail(off)
-		return
-	}
-	d.off = off
-}
-
 func (d *Dec) fail(n int) {
 	if d.err == nil {
 		d.err = fmt.Errorf("pagefile: decode overrun at offset %d (+%d of %d)", d.off, n, len(d.buf))

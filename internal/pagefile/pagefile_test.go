@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -79,20 +80,6 @@ func TestDecOverrunLatches(t *testing.T) {
 	}
 }
 
-func TestDecSeek(t *testing.T) {
-	e := NewEnc(8)
-	e.U32(5).U32(9)
-	d := NewDec(e.Bytes())
-	d.Seek(4)
-	if d.U32() != 9 {
-		t.Error("seek failed")
-	}
-	d.Seek(100)
-	if d.Err() == nil {
-		t.Error("bad seek accepted")
-	}
-}
-
 func TestEncDecPropertyRoundTrip(t *testing.T) {
 	f := func(a uint8, b uint16, c uint32, dd uint64, x float64) bool {
 		if math.IsNaN(x) {
@@ -106,6 +93,22 @@ func TestEncDecPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// readSpan reassembles a packed record from the pages its span names.
+func readSpan(f *File, s Span) ([]byte, error) {
+	var out []byte
+	for i := 0; i < s.Pages; i++ {
+		page, err := f.Page(s.Page + i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, page...)
+	}
+	if s.Off+s.Len > len(out) {
+		return nil, fmt.Errorf("span overruns its pages: %+v", s)
+	}
+	return out[s.Off : s.Off+s.Len], nil
 }
 
 func TestPackerNoStraddle(t *testing.T) {
@@ -143,8 +146,8 @@ func TestPackerNoStraddle(t *testing.T) {
 		t.Errorf("MaxSpanPages = %d, want 3", p.MaxSpanPages())
 	}
 	// Round trip every record.
-	for i, s := range p.Spans() {
-		got, err := ReadSpan(f, s)
+	for i, s := range spans {
+		got, err := readSpan(f, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,14 +165,15 @@ func TestPackerRandomizedRoundTrip(t *testing.T) {
 		p := NewPacker(f)
 		n := 1 + rng.Intn(60)
 		recs := make([][]byte, n)
+		spans := make([]Span, n)
 		for i := range recs {
 			recs[i] = make([]byte, 1+rng.Intn(3*pageSize))
 			rng.Read(recs[i])
-			p.Append(recs[i])
+			spans[i] = p.Append(recs[i])
 		}
 		p.Flush()
-		for i, s := range p.Spans() {
-			got, err := ReadSpan(f, s)
+		for i, s := range spans {
+			got, err := readSpan(f, s)
 			if err != nil || !bytes.Equal(got, recs[i]) {
 				return false
 			}

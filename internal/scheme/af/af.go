@@ -24,9 +24,10 @@ import (
 // regions: the bit-vector length kept with every edge (the paper's tuning
 // knob; 8 was optimal on Argentina). The region-cluster quota is derived
 // from cfg.DeriveQueries pairs sampled from cfg.Seed. cfg's zero fields
-// take their defaults.
+// take their defaults; cfg.Scheme is AF or empty, and Build refuses any
+// other.
 func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
-	cfg, err := cfg.Resolve()
+	cfg, err := cfg.ResolveFor(base.AF)
 	if err != nil {
 		return nil, err
 	}

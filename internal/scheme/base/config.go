@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/kdtree"
 	"repro/internal/pagefile"
@@ -96,6 +98,21 @@ func (c Config) Resolve() (Config, error) {
 	c.DeriveQueries = cmp.Or(c.DeriveQueries, 512)
 	c.SafetyMargin = cmp.Or(c.SafetyMargin, 1.25)
 	return c, nil
+}
+
+// ResolveFor is Resolve in the Build of a package that builds the schemes
+// own: it first refuses a Config naming any other scheme, before any work,
+// because the defaults Resolve fills in depend on the scheme (only PI*
+// clusters its regions). An empty Scheme is the package's own.
+func (c Config) ResolveFor(own ...Scheme) (Config, error) {
+	if c.Scheme != "" && !slices.Contains(own, c.Scheme) {
+		names := make([]string, len(own))
+		for i, s := range own {
+			names[i] = string(s)
+		}
+		return c, fmt.Errorf("build config: Scheme %q is not %s", c.Scheme, strings.Join(names, " or "))
+	}
+	return c.Resolve()
 }
 
 // Partition cuts codec.G into the regions of CI, PI, PI*, HY or LM under c:

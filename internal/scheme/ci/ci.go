@@ -25,8 +25,9 @@ import (
 // take their defaults; DisablePacking and DisableCompression reproduce the
 // CI-P and CI-C ablations of Figures 8–9, and CompactData switches the
 // region data to the compact record layout, transparently to queries.
+// cfg.Scheme is CI or empty; Build refuses any other.
 func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
-	cfg, err := cfg.Resolve()
+	cfg, err := cfg.ResolveFor(base.CI)
 	if err != nil {
 		return nil, err
 	}

@@ -28,9 +28,9 @@ import (
 // Build pre-processes the network into an HY database. cfg.Threshold is
 // the cardinality cap: every S_i,j with more regions than this is replaced
 // by G_i,j (Figure 10's tuning knob). cfg's zero fields take their
-// defaults.
+// defaults; cfg.Scheme is HY or empty, and Build refuses any other.
 func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
-	cfg, err := cfg.Resolve()
+	cfg, err := cfg.ResolveFor(base.HY)
 	if err != nil {
 		return nil, err
 	}

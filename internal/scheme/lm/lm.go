@@ -27,9 +27,10 @@ import (
 // anchors (Figure 5's tuning knob; 5 were optimal on Argentina). The page
 // quota is derived from cfg.DeriveQueries pairs sampled from cfg.Seed,
 // replayed together with the pairs of the network's extremal nodes. cfg's
-// zero fields take their defaults.
+// zero fields take their defaults; cfg.Scheme is LM or empty, and Build
+// refuses any other.
 func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
-	cfg, err := cfg.Resolve()
+	cfg, err := cfg.ResolveFor(base.LM)
 	if err != nil {
 		return nil, err
 	}

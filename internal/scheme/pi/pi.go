@@ -27,9 +27,10 @@ import (
 // 2·ClusterPages region-data fetches per query (§6). cfg's zero fields
 // take their defaults; DisablePacking and DisableCompression reproduce the
 // PI-P and PI-C ablations of Figures 8–9, and CompactData switches the
-// region data to the compact record layout.
+// region data to the compact record layout. cfg.Scheme is PI, PI* or empty
+// (PI); Build refuses any other.
 func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
-	cfg, err := cfg.Resolve()
+	cfg, err := cfg.ResolveFor(base.PI, base.PIStar)
 	if err != nil {
 		return nil, err
 	}

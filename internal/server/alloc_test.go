@@ -6,6 +6,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -69,10 +70,7 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		frameBuf = buf
-		if err := sc.req.DecodeInto(payload); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := s.answerFetch(ctx, h, sc)
+		_, resp, err := s.answerFetch(ctx, h, wire.MsgFetch, payload, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,10 +153,12 @@ func TestAnswerFetchMatchesReadPages(t *testing.T) {
 		{File: "B", Pages: []uint32{1, 1, 1, 1, 1, 1, 1, 1, 1}},
 	}
 	for _, req := range cases {
-		sc.req = wire.Fetch{File: req.File, Pages: append(sc.req.Pages[:0], req.Pages...)}
-		pages, err := s.answerFetch(context.Background(), h, sc)
+		file, pages, err := s.answerFetch(context.Background(), h, wire.MsgFetch, req.Encode(), sc)
 		if err != nil {
 			t.Fatalf("%s%v: %v", req.File, req.Pages, err)
+		}
+		if file != req.File {
+			t.Fatalf("%s%v: answered for file %q", req.File, req.Pages, file)
 		}
 		resp := wire.Pages{Pages: pages}
 		idx := make([]int, len(req.Pages))
@@ -179,8 +179,8 @@ func TestAnswerFetchMatchesReadPages(t *testing.T) {
 		}
 	}
 	// Hostile index: the error must name the page, not crash the scratch.
-	sc.req = wire.Fetch{File: "B", Pages: []uint32{7}}
-	if _, err := s.answerFetch(context.Background(), h, sc); err == nil {
-		t.Fatal("out-of-range page accepted")
+	hostile := wire.Fetch{File: "B", Pages: []uint32{7}}
+	if _, _, err := s.answerFetch(context.Background(), h, wire.MsgFetch, hostile.Encode(), sc); err == nil || !strings.Contains(err.Error(), "page 7 out of range") {
+		t.Fatalf("out-of-range page: err = %v, want one naming page 7", err)
 	}
 }

@@ -194,16 +194,16 @@ func TestCancellationTracePrefix(t *testing.T) {
 			// The aborts are accounted: every cancelled query moved the
 			// cancelled counter, none is still in flight, and the pool
 			// gauges are back to idle.
+			reg := srv.Telemetry()
+			cancelled := `privsp_server_query_cancelled_total{db="` + scheme + `",reason="context"}`
 			waitFor(t, "cancelled counter", func() bool {
-				st := srv.Stats()
-				return st.Databases[0].Cancelled == uint64(recorded-1)
+				return metricTotal(reg, cancelled) == uint64(recorded-1)
 			})
-			st := srv.Stats()
-			if st.Databases[0].InFlight != 0 {
-				t.Errorf("in-flight = %d after all queries settled", st.Databases[0].InFlight)
+			if inflight := metricGauge(reg, "privsp_server_queries_inflight"); inflight != 0 {
+				t.Errorf("in-flight = %v after all queries settled", inflight)
 			}
-			if st.Databases[0].Queries != 1 {
-				t.Errorf("completed queries = %d, want 1", st.Databases[0].Queries)
+			if queries := metricTotal(reg, "privsp_server_queries_total"); queries != 1 {
+				t.Errorf("completed queries = %d, want 1", queries)
 			}
 		})
 	}
@@ -265,21 +265,19 @@ func TestMultiplexedQueriesOneConnection(t *testing.T) {
 	}
 
 	// All 32 queries ran over ONE connection.
-	st := srv.Stats()
-	if st.TotalConns != 1 {
-		t.Errorf("TotalConns = %d, want 1", st.TotalConns)
+	reg := srv.Telemetry()
+	if conns := metricTotal(reg, "privsp_server_connections_total"); conns != 1 {
+		t.Errorf("connections_total = %d, want 1", conns)
 	}
 	waitFor(t, "completed+cancelled accounting", func() bool {
-		st := srv.Stats()
-		db := st.Databases[0]
-		return db.Queries == uint64(queries-len(cancelled)) && db.Cancelled == uint64(len(cancelled)) && db.InFlight == 0
+		return metricTotal(reg, "privsp_server_queries_total") == uint64(queries-len(cancelled)) &&
+			metricTotal(reg, `privsp_server_query_cancelled_total{db="CI",reason="context"}`) == uint64(len(cancelled)) &&
+			metricGauge(reg, "privsp_server_queries_inflight") == 0
 	})
 	// The worker pool drained: no slot is still held by the cancelled
 	// query.
-	h := srv.dbs["CI"]
 	waitFor(t, "idle pool", func() bool {
-		_, busy, queued := h.srv.PoolStats()
-		return busy == 0 && queued == 0
+		return metricGauge(reg, "privsp_pool_busy") == 0 && metricGauge(reg, "privsp_pool_queued") == 0
 	})
 }
 
@@ -310,7 +308,7 @@ func (s slowStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte)
 // slot its read held is freed — the gauges return to idle.
 func TestDeadlineFreesServerWorker(t *testing.T) {
 	_, dbs := fixture(t)
-	srv := New(Options{Workers: 2, Stores: func(f pagefile.Reader) (pir.Store, error) {
+	srv := New(Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
 		return slowStore{Store: pir.NewPlain(f), delay: 20 * time.Millisecond}, nil
 	}})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
@@ -337,15 +335,15 @@ func TestDeadlineFreesServerWorker(t *testing.T) {
 		t.Errorf("query took %v to honor its deadline", elapsed)
 	}
 
+	reg := srv.Telemetry()
 	waitFor(t, "deadline counter", func() bool {
-		return srv.Stats().Databases[0].Deadline == 1
+		return metricTotal(reg, `privsp_server_query_cancelled_total{db="CI",reason="deadline"}`) == 1
 	})
 	waitFor(t, "idle pool after deadline", func() bool {
-		db := srv.Stats().Databases[0]
-		return db.BusyWorkers == 0 && db.QueuedReads == 0
+		return metricGauge(reg, "privsp_pool_busy") == 0 && metricGauge(reg, "privsp_pool_queued") == 0
 	})
-	if inflight := srv.Stats().Databases[0].InFlight; inflight != 0 {
-		t.Errorf("in-flight = %d after deadline abort", inflight)
+	if inflight := metricGauge(reg, "privsp_server_queries_inflight"); inflight != 0 {
+		t.Errorf("in-flight = %v after deadline abort", inflight)
 	}
 	// Close before the deferred shutdown so it settles immediately instead
 	// of force-closing this connection at the drain deadline.
@@ -357,7 +355,7 @@ func TestDeadlineFreesServerWorker(t *testing.T) {
 // server-side error, and shutdown completes within its window.
 func TestShutdownCancelsInFlightQueries(t *testing.T) {
 	_, dbs := fixture(t)
-	srv := New(Options{Workers: 1, Stores: func(f pagefile.Reader) (pir.Store, error) {
+	srv := New(Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
 		return slowStore{Store: pir.NewPlain(f), delay: 30 * time.Millisecond}, nil
 	}})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
@@ -376,7 +374,7 @@ func TestShutdownCancelsInFlightQueries(t *testing.T) {
 	}()
 	// Let the query get in flight, then shut the daemon down.
 	waitFor(t, "query in flight", func() bool {
-		return srv.Stats().Databases[0].InFlight == 1
+		return metricGauge(srv.Telemetry(), "privsp_server_queries_inflight") == 1
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

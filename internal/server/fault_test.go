@@ -29,7 +29,7 @@ func TestFaultMidRoundTracePrefix(t *testing.T) {
 	g, dbs := fixture(t)
 	canonical := lbs.CanonicalTrace(dbs["CI"].Plan)
 	inj := faultinject.New(faultinject.Config{EIOEvery: 5, Seed: 1})
-	srv := New(Options{Workers: 1, Stores: func(f pagefile.Reader) (pir.Store, error) {
+	srv := New(Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
 		return pir.NewPlain(inj.Reader(f)), nil
 	}})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
@@ -83,7 +83,7 @@ func TestFaultMidRoundTracePrefix(t *testing.T) {
 // complete full queries and the daemon stays ready.
 func TestServerSurvivesTornConnections(t *testing.T) {
 	g, dbs := fixture(t)
-	srv := New(Options{Workers: 4})
+	srv := New(Options{})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}

@@ -81,10 +81,9 @@ func settle(t *testing.T, srv *Server, db string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := srv.Stats()
 		busy := false
-		for _, d := range st.Databases {
-			if d.Name == db && (d.InFlight != 0 || d.BusyWorkers != 0 || d.QueuedReads != 0) {
+		for _, family := range []string{"privsp_server_queries_inflight", "privsp_pool_busy", "privsp_pool_queued"} {
+			if metricGauge(srv.Telemetry(), family+`{db="`+db+`"}`) != 0 {
 				busy = true
 			}
 		}

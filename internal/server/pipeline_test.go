@@ -74,7 +74,7 @@ func TestPipelinedBatchSharesTheConnection(t *testing.T) {
 		Plan: plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: frames}}}}},
 	}
 	gate := gateStore{page: 3, entered: make(chan struct{}, 1), open: make(chan struct{})}
-	srv := New(Options{Workers: 4, Stores: func(f pagefile.Reader) (pir.Store, error) {
+	srv := New(Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
 		if f.Name() == "A" {
 			g := gate
 			g.Store = pir.NewPlain(f)

@@ -63,7 +63,7 @@ func rawQuery(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 // sizes, and for a replica's share fetch — while, on one shared client
 // connection, concurrent queries stream their replies between each other's.
 func TestStreamedPagesReply(t *testing.T) {
-	addr, pages := streamFixture(t, Options{Workers: 2})
+	addr, pages := streamFixture(t, Options{})
 	conn, br := rawQuery(t, addr)
 	round := make([]uint32, 52)
 	for i := range round {
@@ -91,7 +91,7 @@ func TestStreamedPagesReply(t *testing.T) {
 		}
 	}
 
-	replica, rpages := streamFixture(t, Options{Workers: 2, Stores: lbs.XORStores, ReplicaRole: true})
+	replica, rpages := streamFixture(t, Options{Stores: lbs.XORStores, ReplicaRole: true})
 	conn, br = rawQuery(t, replica)
 	sels := make([][]byte, 9)
 	for i := range sels {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/lbs"
@@ -79,7 +80,7 @@ func checkTheorem1Concurrent(t *testing.T, stores lbs.StoreFactory, moved ...str
 
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme, dbs[scheme])
+			srv, addr := startScanServer(t, Options{Stores: stores}, scheme, dbs[scheme])
 			want := lbs.CanonicalTrace(dbs[scheme].Plan)
 
 			var wg sync.WaitGroup
@@ -137,6 +138,18 @@ func metricTotal(reg *telemetry.Registry, family string) uint64 {
 	return total
 }
 
+// metricGauge sums a gauge family across its label sets; given a full
+// series key, it reads that one series.
+func metricGauge(reg *telemetry.Registry, family string) float64 {
+	var total float64
+	for _, row := range reg.Snapshot() {
+		if strings.HasPrefix(row.Key, family+"{") || row.Key == family {
+			total += row.Gauge
+		}
+	}
+	return total
+}
+
 // TestTelemetryLeakageFreeCoScheduling extends the leakage invariant to the
 // scan stores' instrumentation at the derived width: the pass counters move
 // with every fetch, so same-shape queries for different endpoints must
@@ -166,7 +179,7 @@ func checkTelemetryLeakageFree(t *testing.T, stores lbs.StoreFactory, moved ...s
 
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			srv, addr := startScanServer(t, Options{Workers: 4, Stores: stores}, scheme, dbs[scheme])
+			srv, addr := startScanServer(t, Options{Stores: stores}, scheme, dbs[scheme])
 			c := dialDB(t, addr, scheme)
 			reg := srv.Telemetry()
 
@@ -215,7 +228,7 @@ func TestReplicaShareFetchIsOnePass(t *testing.T) {
 		Files:  []pagefile.Reader{pirtest.WideFile("pages")},
 		Plan:   plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "pages", Count: 1}}}}},
 	}
-	opts := Options{Workers: 4, Stores: pirtest.WideXORStores(t), ReplicaRole: true}
+	opts := Options{Stores: pirtest.WideXORStores(t), ReplicaRole: true}
 	srv, addr := startScanServer(t, opts, "RAW", db)
 	c := dialDB(t, addr, "RAW")
 	reg := srv.Telemetry()
@@ -228,7 +241,7 @@ func TestReplicaShareFetchIsOnePass(t *testing.T) {
 		sel[page/8] |= 1 << (page % 8)
 		before := reg.Snapshot()
 		q := c.StartQuery()
-		ans, err := q.ReadShares(ctx, file.Name, [][]byte{sel})
+		ans, err := q.ReadShareFrames(ctx, []client.ShareFrame{{File: file.Name, Sels: [][]byte{sel}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +249,7 @@ func TestReplicaShareFetchIsOnePass(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A one-bit selector's share is the page itself: page i holds i+1.
-		if want := bytes.Repeat([]byte{byte(page + 1)}, file.PageSize); !bytes.Equal(ans[0], want) {
+		if want := bytes.Repeat([]byte{byte(page + 1)}, file.PageSize); !bytes.Equal(ans[0][0], want) {
 			t.Fatalf("share of page %d is not the page", page)
 		}
 		settle(t, srv, "RAW")

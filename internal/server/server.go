@@ -30,13 +30,6 @@ import (
 
 // Options tunes the daemon.
 type Options struct {
-	// Workers sizes each hosted database's worker pool, across all of its
-	// connections: every fetch or share batch is one store call holding
-	// one slot, so Workers bounds the store calls running at once. How
-	// wide one call scans is the store's own (pir.XORPIR.ScanWorkers).
-	// Every database gets its own pool, so concurrent sessions on distinct
-	// databases never serialize on each other. 0 means 2×GOMAXPROCS.
-	Workers int
 	// Stores builds the PIR store for each hosted file; nil means
 	// lbs.PlainStores. A scan store (e.g. pir.NewXORPIR) answers each fetch
 	// or share batch in one pass.
@@ -45,7 +38,8 @@ type Options struct {
 	// A BeginQuery past the budget is shed at admission — answered with a
 	// typed Busy frame carrying a retry-after hint, before any query
 	// content is read, so the shed decision cannot depend on src/dst.
-	// 0 means 32×Workers with a floor of 64; negative disables shedding.
+	// It is the daemon's one concurrency setting: 0 means 64×GOMAXPROCS;
+	// negative disables shedding.
 	MaxInflight int
 	// ReplicaRole runs the daemon as a non-reconstructing fleet replica:
 	// plain Fetch frames are rejected and only FetchShare is served, so the
@@ -61,9 +55,16 @@ type Options struct {
 // retains for auditing.
 const traceHistory = 128
 
+// poolSlots is the size of every hosted database's worker pool: each fetch
+// or share batch is one store call holding one slot, so it bounds the store
+// calls running at once on one database, however many connections send
+// them. How wide one call scans is the store's own
+// (pir.XORPIR.ScanWorkers). Every database gets its own pool, so sessions
+// on distinct databases never serialize on each other.
+func poolSlots() int { return 2 * runtime.GOMAXPROCS(0) }
+
 // hosted is one served database plus its metric handles and recent traces.
-// All serving counters live in the telemetry registry (see hostedMetrics);
-// Stats is a view over them, never an independent tally.
+// All serving counters live in the telemetry registry (see hostedMetrics).
 type hosted struct {
 	name  string
 	srv   *lbs.Server
@@ -124,14 +125,11 @@ type Server struct {
 
 // New prepares a daemon with no databases hosted yet.
 func New(opts Options) *Server {
-	if opts.Workers <= 0 {
-		opts.Workers = 2 * runtime.GOMAXPROCS(0)
-	}
 	if opts.MaxInflight == 0 {
 		// Generous by default: admission control is an overload backstop,
 		// not a throttle. 32 queries per pool slot comfortably covers the
 		// multiplexed-connection fan-in a healthy daemon serves.
-		opts.MaxInflight = max(32*opts.Workers, 64)
+		opts.MaxInflight = 32 * poolSlots()
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -151,9 +149,9 @@ func New(opts Options) *Server {
 }
 
 // Telemetry returns the registry this daemon records every serving metric
-// into — the source the admin endpoint scrapes and Stats views. It is
-// private to the daemon, not process-global, so two servers in one process
-// — common in tests — never share series.
+// into — the source the admin endpoint scrapes. It is private to the
+// daemon, not process-global, so two servers in one process — common in
+// tests — never share series.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
 // admitQuery claims one slot of the in-flight budget, reporting whether the
@@ -197,8 +195,8 @@ func (s *Server) retryAfterHint() time.Duration {
 
 // Host registers a built database under the given name (clients select it
 // in their Hello). The database is served with Options.Stores (PlainStores
-// by default) behind a worker pool of Options.Workers slots, private to
-// this database. Any store mix is safe to serve concurrently: every
+// by default) behind a worker pool of poolSlots slots, private to this
+// database. Any store mix is safe to serve concurrently: every
 // pir.Store is, and lbs.Server answers each batch with one store call on
 // one pool slot (see lbs.Server.ReadPagesInto). The name is checked before
 // the stores are built, so a refused duplicate registers no series over the
@@ -216,7 +214,7 @@ func (s *Server) Host(name string, db *lbs.Database, model costmodel.Params) err
 		return fmt.Errorf("server: database %q already hosted", name)
 	}
 	lsrv, err := lbs.NewServer(db, model, s.opts.Stores,
-		lbs.WithWorkers(s.opts.Workers), lbs.WithTelemetry(s.tel, name))
+		lbs.WithWorkers(poolSlots()), lbs.WithTelemetry(s.tel, name))
 	if err != nil {
 		return err
 	}
@@ -409,60 +407,54 @@ func (sc *fetchScratch) grow(k, ps int) {
 	}
 }
 
-// answerFetch serves one decoded Fetch (held in sc.req): it validates the
-// page indices up front — so the error text names the hostile index instead
-// of surfacing from deep inside a store — and reads the pages into the
-// scratch buffers through the database's worker pool
-// (lbs.Server.ReadPagesInto: one store call on one slot for the batch).
-// The query's context aborts a read waiting for a pool slot, freeing the
-// worker for queries that still want answers. The returned pages are sc's
+// answerFetch serves one Fetch or FetchShare frame of type t: it decodes
+// the request into sc, then answers it into sc's page buffers with one
+// store call on one slot of the database's worker pool — the pages a Fetch
+// names (lbs.Server.ReadPagesInto), or the XOR of the pages each of a
+// FetchShare's selectors picks (lbs.Server.AnswerShares, the replica half
+// of two-server PIR, which never reconstructs a page). Both refuse a page
+// index or a selector length the file cannot have before a slot is taken.
+// The query's context aborts a call waiting for a slot, freeing the worker
+// for queries that still want answers. A FetchShare's selectors alias
+// payload, which must stay valid for the call. The returned pages are sc's
 // buffers, valid until the scratch is reused: the reply is written from
 // them.
-func (s *Server) answerFetch(ctx context.Context, h *hosted, sc *fetchScratch) ([][]byte, error) {
-	info, err := h.srv.FileInfo(sc.req.File)
-	if err != nil {
-		return nil, err
+func (s *Server) answerFetch(ctx context.Context, h *hosted, t wire.MsgType, payload []byte, sc *fetchScratch) (file string, pages [][]byte, err error) {
+	n := 0
+	if t == wire.MsgFetch {
+		err = sc.req.DecodeInto(payload)
+		file, n = sc.req.File, len(sc.req.Pages)
+	} else {
+		err = sc.shareReq.DecodeInto(payload)
+		file, n = sc.shareReq.File, len(sc.shareReq.Sels)
 	}
-	sc.grow(len(sc.req.Pages), info.PageSize)
-	for i, p := range sc.req.Pages {
-		if int64(p) >= int64(info.NumPages) {
-			return nil, fmt.Errorf("page %d out of range for %s (%d pages)", p, sc.req.File, info.NumPages)
+	if err != nil {
+		return "", nil, err
+	}
+	if n == 0 {
+		return "", nil, fmt.Errorf("empty %s", t)
+	}
+	info, err := h.srv.FileInfo(file)
+	if err != nil {
+		return "", nil, err
+	}
+	sc.grow(n, info.PageSize)
+	h.m.batchSize.Observe(int64(n))
+	t0 := time.Now()
+	if t == wire.MsgFetch {
+		for i, p := range sc.req.Pages {
+			sc.idx[i] = int(p)
 		}
-		sc.idx[i] = int(p)
+		err = h.srv.ReadPagesInto(ctx, file, sc.idx, sc.bufs)
+	} else {
+		h.m.shareFetches.Inc()
+		err = h.srv.AnswerShares(ctx, file, sc.shareReq.Sels, sc.bufs)
 	}
-	h.m.batchSize.Observe(int64(len(sc.req.Pages)))
-	t0 := time.Now()
-	err = h.srv.ReadPagesInto(ctx, sc.req.File, sc.idx, sc.bufs)
 	h.m.scanLat.Observe(int64(time.Since(t0)))
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return sc.bufs, nil
-}
-
-// answerShareFetch serves one decoded FetchShare (held in sc.shareReq): the
-// XOR-accumulated answer to each client-supplied selector share is computed
-// in one scan (lbs.Server.AnswerShares) into the scratch buffers — one
-// page-sized XOR per selector, in request order. The selectors alias the
-// frame buffer, which stays pinned for the duration of the call. Selector
-// lengths are validated inside AnswerShares against the store's own
-// SelectorBytes, so hostile lengths fail before any slot is taken. The
-// returned pages are sc's buffers, valid until the scratch is reused.
-func (s *Server) answerShareFetch(ctx context.Context, h *hosted, sc *fetchScratch) ([][]byte, error) {
-	info, err := h.srv.FileInfo(sc.shareReq.File)
-	if err != nil {
-		return nil, err
-	}
-	sc.grow(len(sc.shareReq.Sels), info.PageSize)
-	h.m.batchSize.Observe(int64(len(sc.shareReq.Sels)))
-	h.m.shareFetches.Inc()
-	t0 := time.Now()
-	err = h.srv.AnswerShares(ctx, sc.shareReq.File, sc.shareReq.Sels, sc.bufs)
-	h.m.scanLat.Observe(int64(time.Since(t0)))
-	if err != nil {
-		return nil, err
-	}
-	return sc.bufs, nil
+	return file, sc.bufs, nil
 }
 
 // Traces returns the retained server-observed traces of the named database,
@@ -482,66 +474,4 @@ func (s *Server) Traces(db string) []string {
 		out = append(out, h.traces[(h.next+i)%len(h.traces)])
 	}
 	return out
-}
-
-// DBSnapshot is one hosted database's serving counters and worker-pool
-// gauges, read in process.
-type DBSnapshot struct {
-	Name    string
-	Scheme  string
-	Queries uint64 // completed query sessions
-	Pages   uint64 // PIR pages served
-	// Cancellation accounting: queries executing right now (gauge), queries
-	// the client cancelled mid-flight, and queries whose deadline expired.
-	InFlight  uint32
-	Cancelled uint64
-	Deadline  uint64
-	// Worker-pool gauges: pool size in slots, slots held now (one per read
-	// or scan pass, whatever its width), reads and passes waiting for
-	// slots. Every database has its own pool, so these expose per-database
-	// saturation.
-	Workers     uint32
-	BusyWorkers uint32
-	QueuedReads uint32
-}
-
-// Snapshot is the daemon's aggregate serving state, read in process.
-type Snapshot struct {
-	ActiveConns uint32
-	TotalConns  uint64
-	Databases   []DBSnapshot
-}
-
-// Stats snapshots the serving counters as a pure view over the telemetry
-// registry: every number here is read from the same series /metrics
-// exports, so the -stats log line and a scrape can never disagree. It has
-// no wire form: from outside the process, counters are read from /metrics.
-func (s *Server) Stats() Snapshot {
-	s.mu.Lock()
-	order := append([]string(nil), s.order...)
-	dbs := make([]*hosted, 0, len(order))
-	for _, name := range order {
-		dbs = append(dbs, s.dbs[name])
-	}
-	s.mu.Unlock()
-	st := Snapshot{
-		ActiveConns: uint32(max(s.m.connsActive.Value(), 0)),
-		TotalConns:  s.m.connsTotal.Value(),
-	}
-	for _, h := range dbs {
-		workers, busy, queued := h.srv.PoolStats()
-		st.Databases = append(st.Databases, DBSnapshot{
-			Name:        h.name,
-			Scheme:      h.srv.Database().Scheme,
-			Queries:     h.m.queries.Value(),
-			Pages:       h.m.pages.Value(),
-			InFlight:    uint32(max(h.m.inflight.Value(), 0)),
-			Cancelled:   h.m.cancelCtx.Value(),
-			Deadline:    h.m.cancelDeadline.Value(),
-			Workers:     uint32(workers),
-			BusyWorkers: uint32(busy),
-			QueuedReads: uint32(queued),
-		})
-	}
-	return st
 }

@@ -82,7 +82,7 @@ func fixture(t testing.TB) (*graph.Graph, map[string]*lbs.Database) {
 func startServer(t testing.TB, names ...string) (*Server, string) {
 	t.Helper()
 	_, dbs := fixture(t)
-	srv := New(Options{Workers: 4})
+	srv := New(Options{})
 	for _, name := range names {
 		if err := srv.Host(name, dbs[name], costmodel.Default()); err != nil {
 			t.Fatal(err)
@@ -274,12 +274,12 @@ func TestConcurrentRemoteClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	st := srv.Stats()
-	if st.TotalConns < clients {
-		t.Errorf("TotalConns = %d, want >= %d", st.TotalConns, clients)
+	reg := srv.Telemetry()
+	if conns := metricTotal(reg, "privsp_server_connections_total"); conns < clients {
+		t.Errorf("connections_total = %d, want >= %d", conns, clients)
 	}
-	if len(st.Databases) != 1 || st.Databases[0].Queries != clients {
-		t.Errorf("stats = %+v, want %d queries", st.Databases, clients)
+	if queries := metricTotal(reg, "privsp_server_queries_total"); queries != clients {
+		t.Errorf("queries_total = %d, want %d", queries, clients)
 	}
 }
 
@@ -363,7 +363,7 @@ func TestPingAnswersPong(t *testing.T) {
 // database's Fc file under the hosted name.
 func TestHostRefusesDuplicateName(t *testing.T) {
 	_, dbs := fixture(t)
-	srv := New(Options{Workers: 4, Stores: lbs.XORStores})
+	srv := New(Options{Stores: lbs.XORStores})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +413,8 @@ func TestSessionSurvivesRejectedRequests(t *testing.T) {
 	if len(traces) != 1 || traces[0] != lbs.CanonicalTrace(dbs["CI"].Plan) {
 		t.Fatalf("trace ring after abandon: %q", traces)
 	}
-	if st := srv.Stats(); st.Databases[0].Queries != 1 {
-		t.Fatalf("queries = %d, want 1", st.Databases[0].Queries)
+	if queries := metricTotal(srv.Telemetry(), "privsp_server_queries_total"); queries != 1 {
+		t.Fatalf("queries = %d, want 1", queries)
 	}
 }
 
@@ -422,7 +422,7 @@ func TestSessionSurvivesRejectedRequests(t *testing.T) {
 // are refused.
 func TestGracefulShutdown(t *testing.T) {
 	g, dbs := fixture(t)
-	srv := New(Options{Workers: 2})
+	srv := New(Options{})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}

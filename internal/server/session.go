@@ -412,8 +412,8 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		q.trace.Round(q.round)
 		return false
 
-	case wire.MsgFetch:
-		if ss.s.opts.ReplicaRole {
+	case wire.MsgFetch, wire.MsgFetchShare:
+		if f.t == wire.MsgFetch && ss.s.opts.ReplicaRole {
 			// A replica never reconstructs: it answers selector shares only,
 			// so this process cannot hold both halves of any query.
 			ss.replyErr(q, "replica serves selector shares only (send FetchShare, not Fetch)")
@@ -421,18 +421,13 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		}
 		sc := ss.s.scratch.get()
 		defer ss.s.scratch.put(sc)
-		if err := sc.req.DecodeInto(f.payload); err != nil {
-			ss.replyErr(q, "%v", err)
-			return false
-		}
-		if len(sc.req.Pages) == 0 {
-			ss.replyErr(q, "empty fetch")
-			return false
-		}
-		pages, err := ss.s.answerFetch(q.ctx, ss.db, sc)
+		// A FetchShare's selectors alias the frame buffer, which stays
+		// pinned until the answer is written (runQuery returns it after
+		// this).
+		file, pages, err := ss.s.answerFetch(q.ctx, ss.db, f.t, f.payload, sc)
 		if err != nil {
 			if q.ctx.Err() != nil {
-				// Cancelled while the read was queued or between its page
+				// Cancelled while the call was queued or between its page
 				// reads: nothing of this fetch is recorded, so the trace
 				// stays a prefix of a full query's.
 				return true
@@ -440,39 +435,12 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			ss.replyErr(q, "%v", err)
 			return false
 		}
-		// The adversarial view: file name and count only — the page
-		// indices model a PIR-encrypted request and are never recorded.
-		q.trace.Fetch(sc.req.File, len(sc.req.Pages))
-		q.fetched += uint64(len(sc.req.Pages))
-		ss.replyPages(q, pages)
-		return false
-
-	case wire.MsgFetchShare:
-		sc := ss.s.scratch.get()
-		defer ss.s.scratch.put(sc)
-		// The selectors alias the frame buffer, which stays pinned until the
-		// answer is computed and encoded (runQuery returns it after this).
-		if err := sc.shareReq.DecodeInto(f.payload); err != nil {
-			ss.replyErr(q, "%v", err)
-			return false
-		}
-		if len(sc.shareReq.Sels) == 0 {
-			ss.replyErr(q, "empty share fetch")
-			return false
-		}
-		pages, err := ss.s.answerShareFetch(q.ctx, ss.db, sc)
-		if err != nil {
-			if q.ctx.Err() != nil {
-				return true
-			}
-			ss.replyErr(q, "%v", err)
-			return false
-		}
-		// The adversarial view is identical to a plain fetch: file name and
-		// count only. The selector bits themselves are each replica's whole
-		// view of the PIR query and are uniformly random by construction.
-		q.trace.Fetch(sc.shareReq.File, len(sc.shareReq.Sels))
-		q.fetched += uint64(len(sc.shareReq.Sels))
+		// The adversarial view: file name and count only. The page indices
+		// model a PIR-encrypted request and are never recorded; a share
+		// fetch's selector bits are each replica's whole view of the PIR
+		// query and are uniformly random by construction.
+		q.trace.Fetch(file, len(pages))
+		q.fetched += uint64(len(pages))
 		ss.replyPages(q, pages)
 		return false
 

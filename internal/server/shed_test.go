@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/client"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
+	"repro/internal/lbs"
+	"repro/internal/pagefile"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -19,7 +22,7 @@ import (
 func startShedServer(t *testing.T, maxInflight int) (*Server, string) {
 	t.Helper()
 	_, dbs := fixture(t)
-	srv := New(Options{Workers: 4, MaxInflight: maxInflight})
+	srv := New(Options{MaxInflight: maxInflight})
 	if err := srv.Host("CI", dbs["CI"], costmodel.Default()); err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +78,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 	// Shed before content: the daemon never opened the query, so nothing
 	// about it reached the per-db accounting or the audit ring.
-	st := srv.Stats()
-	if st.Databases[0].InFlight != 1 || st.Databases[0].Queries != 0 {
-		t.Errorf("after shed: in-flight %d queries %d, want 1 and 0",
-			st.Databases[0].InFlight, st.Databases[0].Queries)
+	reg := srv.Telemetry()
+	if inflight, queries := metricGauge(reg, "privsp_server_queries_inflight"), metricTotal(reg, "privsp_server_queries_total"); inflight != 1 || queries != 0 {
+		t.Errorf("after shed: in-flight %v queries %d, want 1 and 0", inflight, queries)
 	}
 	if traces := srv.Traces("CI"); len(traces) != 0 {
 		t.Errorf("shed query left %d traces in the audit ring", len(traces))
@@ -148,16 +150,45 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 	}
 }
 
-// TestAdmissionBudgetDefaults: the zero value derives a budget from the
-// pool size; a negative budget disables shedding entirely.
+// TestConcurrencyDefaults: the daemon's concurrency follows GOMAXPROCS
+// alone — every hosted database's worker pool has 2×GOMAXPROCS slots, as
+// its /metrics gauge reports, and the default admission budget opens
+// 64×GOMAXPROCS queries and sheds the next. CI runs it under -cpu 1,2,4.
+func TestConcurrencyDefaults(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	srv := New(Options{})
+	db := &lbs.Database{
+		Scheme: "T",
+		Header: []byte{1},
+		Files:  []pagefile.Reader{pagefile.SlicePages("F", 16, [][]byte{make([]byte, 16)})},
+	}
+	if err := srv.Host("T", db, costmodel.Default()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := metricGauge(srv.Telemetry(), `privsp_pool_workers{db="T"}`), float64(2*procs); got != want {
+		t.Errorf("GOMAXPROCS %d: privsp_pool_workers = %v, want %v (2x GOMAXPROCS)", procs, got, want)
+	}
+	budget := 64 * procs
+	for i := 0; i < budget; i++ {
+		if !srv.admitQuery() {
+			t.Fatalf("GOMAXPROCS %d: query %d shed, want a budget of %d (64x GOMAXPROCS)", procs, i+1, budget)
+		}
+	}
+	if srv.Ready() || srv.admitQuery() {
+		t.Errorf("GOMAXPROCS %d: query %d admitted past a budget of %d", procs, budget+1, budget)
+	}
+	for i := 0; i < budget; i++ {
+		srv.releaseQuery()
+	}
+	if !srv.Ready() {
+		t.Error("daemon not ready after every query was released")
+	}
+}
+
+// TestAdmissionBudgetDefaults: a negative budget disables shedding
+// entirely.
 func TestAdmissionBudgetDefaults(t *testing.T) {
-	if srv := New(Options{Workers: 4}); srv.opts.MaxInflight != 128 {
-		t.Errorf("derived budget for 4 workers = %d, want 128 (32x workers)", srv.opts.MaxInflight)
-	}
-	if srv := New(Options{Workers: 1}); srv.opts.MaxInflight != 64 {
-		t.Errorf("derived budget for 1 worker = %d, want the floor of 64", srv.opts.MaxInflight)
-	}
-	unlimited := New(Options{Workers: 1, MaxInflight: -1})
+	unlimited := New(Options{MaxInflight: -1})
 	for i := 0; i < 1000; i++ {
 		if !unlimited.admitQuery() {
 			t.Fatal("unlimited daemon shed a query")

@@ -3,6 +3,7 @@ package privsp
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,13 +12,26 @@ import (
 	"repro/internal/telemetry"
 )
 
+// metric sums the series of one family in the daemon's registry — a
+// counter's value or a gauge's — across its label sets; given a full series
+// key, it reads that one series.
+func metric(srv *server.Server, family string) float64 {
+	var total float64
+	for _, row := range srv.Telemetry().Snapshot() {
+		if strings.HasPrefix(row.Key, family+"{") || row.Key == family {
+			total += float64(row.Counter) + row.Gauge
+		}
+	}
+	return total
+}
+
 // settled waits for the daemon's per-query finish accounting to complete.
 func settled(t *testing.T, srv *server.Server) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		busy := false
-		for _, d := range srv.Stats().Databases {
-			busy = busy || d.InFlight != 0 || d.BusyWorkers != 0 || d.QueuedReads != 0
+		for _, family := range []string{"privsp_server_queries_inflight", "privsp_pool_busy", "privsp_pool_queued"} {
+			busy = busy || metric(srv, family) != 0
 		}
 		if !busy {
 			return

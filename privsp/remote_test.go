@@ -47,7 +47,7 @@ func startDaemon(t *testing.T, name string, db *Database) string {
 // Dial returns the same query surface as Serve, the answers agree with the
 // in-process deployment, and the daemon-observed trace is identical across
 // distinct queries (Theorem 1 over the wire), and the daemon's counters,
-// read in process, account every query.
+// read from its registry, account every query.
 func TestRemoteDialEndToEnd(t *testing.T) {
 	net0 := Generate(Oldenburg, 0.08, 1)
 	db, err := Build(net0, Config{Scheme: CI})
@@ -96,20 +96,19 @@ func TestRemoteDialEndToEnd(t *testing.T) {
 		}
 	}
 
-	st := srv.Stats()
-	if len(st.Databases) != 1 || st.Databases[0].Queries != uint64(len(queries)) {
-		t.Fatalf("stats = %+v, want %d queries", st, len(queries))
+	if served := metric(srv, `privsp_server_queries_total{db="CI"}`); served != float64(len(queries)) {
+		t.Fatalf("CI queries_total = %v, want %d", served, len(queries))
 	}
-	if Scheme(st.Databases[0].Scheme) != CI || st.Databases[0].Pages == 0 {
-		t.Errorf("database stats = %+v", st.Databases[0])
+	if pages := metric(srv, `privsp_server_pages_served_total{db="CI"}`); pages == 0 {
+		t.Error("CI pages_served_total = 0")
 	}
 	// The worker-pool gauges: the pool exists (size > 0) and is idle
 	// between queries.
-	if st.Databases[0].Workers <= 0 {
-		t.Errorf("pool size gauge = %d, want > 0", st.Databases[0].Workers)
+	if workers := metric(srv, `privsp_pool_workers{db="CI"}`); workers <= 0 {
+		t.Errorf("pool size gauge = %v, want > 0", workers)
 	}
-	if st.Databases[0].BusyWorkers != 0 || st.Databases[0].QueuedReads != 0 {
-		t.Errorf("idle daemon gauges = %d busy, %d queued", st.Databases[0].BusyWorkers, st.Databases[0].QueuedReads)
+	if busy, queued := metric(srv, `privsp_pool_busy{db="CI"}`), metric(srv, `privsp_pool_queued{db="CI"}`); busy != 0 || queued != 0 {
+		t.Errorf("idle daemon gauges = %v busy, %v queued", busy, queued)
 	}
 }
 
