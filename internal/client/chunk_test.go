@@ -18,7 +18,7 @@ import (
 
 // serveChunkFixture hosts file F, 40 pages of 512 bytes, each filled with
 // its page number, on a loopback daemon with the given options.
-func serveChunkFixture(t *testing.T, opts server.Options) (string, [][]byte) {
+func serveChunkFixture(t *testing.T, opts server.Options) (*server.Server, string, [][]byte) {
 	t.Helper()
 	pages := make([][]byte, 40)
 	for i := range pages {
@@ -41,76 +41,155 @@ func serveChunkFixture(t *testing.T, opts server.Options) (string, [][]byte) {
 		srv.Shutdown(ctx)
 		<-done
 	})
-	return ln.Addr().String(), pages
+	return srv, ln.Addr().String(), pages
 }
 
-// TestQuotaChunksFitTheFrameLimit: a frame of more pages than one reply
-// frame can carry goes out in chunks of wire.FramePages pages, so every
-// reply fits the limit the reader enforces — a reply past it would fail
-// the connection — and the chunks' answers come back as the frame's pages,
-// in order, on the fetch path and the share path alike. The daemon still
-// records one trace line per page.
+// counter reads a daemon-wide counter off srv's registry.
+func counter(srv *server.Server, name string) uint64 {
+	for _, row := range srv.Telemetry().Snapshot() {
+		if row.Key == name {
+			return row.Counter
+		}
+	}
+	return 0
+}
+
+// TestQuotaChunksFitTheFrameLimit: a quota of more pages than one reply
+// frame can carry goes out as one request, and the daemon cuts its reply
+// into wire.ReplyFrames frames of wire.ReplyCut pages, every one within
+// the 32 KiB the reader is held to here — a frame past it would fail the
+// connection. Only a quota past the frame limit itself is cut into
+// requests, of wire.FramePages items. Either way the frames' answers come
+// back as the quota's pages, in order, on the fetch path and the share
+// path alike, and the daemon records one trace line per page. (A quota
+// past the request limit would record a trace past the frame limit too, so
+// that query is cancelled rather than ended.)
 func TestQuotaChunksFitTheFrameLimit(t *testing.T) {
 	defer func(old int) { maxFrame = old }(maxFrame)
-	maxFrame = 4 << 10
-	if per := wire.FramePages("F", 512, maxFrame); per >= 30 {
-		t.Fatalf("%d pages fit a frame: the test no longer needs chunking", per)
-	}
+	maxFrame = 32 << 10
 	ctx := context.Background()
-	want := make([]int, 30)
-	for i := range want {
-		want[i] = (i * 7) % 40
+	cut := wire.ReplyCut("F", 512)
+	// One quota over three reply frames, one past a Fetch request's limit,
+	// and one past a FetchShare request's limit (5-byte selectors).
+	fetchCut, shareCut := wire.FramePages("F", 0, maxFrame), wire.FramePages("F", 5, maxFrame)
+	quota := 2*cut + cut/2
+	if quota > shareCut {
+		t.Fatalf("a %d-page quota is cut into requests at this frame limit", quota)
+	}
+	pagesOf := func(n, mul int) []int {
+		want := make([]int, n)
+		for i := range want {
+			want[i] = (i * mul) % 40
+		}
+		return want
+	}
+	selsOf := func(idx []int) [][]byte {
+		sels := make([][]byte, len(idx))
+		for i, p := range idx {
+			sels[i] = make([]byte, 5)
+			sels[i][p/8] = 1 << (p % 8)
+		}
+		return sels
+	}
+	replyFrames := func(ks ...int) uint64 {
+		n := 0
+		for _, k := range ks {
+			n += wire.ReplyFrames("F", 512, k)
+		}
+		return uint64(n)
+	}
+	check := func(what string, got [][]byte, want []int, pages [][]byte) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %d pages, want %d", what, len(got), len(want))
+		}
+		for i, p := range want {
+			if !bytes.Equal(got[i], pages[p]) {
+				t.Fatalf("%s: answer %d is not page %d", what, i, p)
+			}
+		}
+	}
+	// frames runs one query and checks the frames the daemon read and wrote
+	// for it.
+	frames := func(srv *server.Server, read, written uint64, run func()) {
+		t.Helper()
+		r0, w0 := counter(srv, "privsp_server_frames_read_total"), counter(srv, "privsp_server_frames_written_total")
+		run()
+		if got := counter(srv, "privsp_server_frames_read_total") - r0; got != read {
+			t.Errorf("daemon read %d frames, want %d", got, read)
+		}
+		if got := counter(srv, "privsp_server_frames_written_total") - w0; got != written {
+			t.Errorf("daemon wrote %d frames, want %d", got, written)
+		}
 	}
 
-	addr, pages := serveChunkFixture(t, server.Options{})
+	srv, addr, pages := serveChunkFixture(t, server.Options{})
 	c, err := Dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	q := c.StartQuery()
-	got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: want}, {File: "F", Pages: []int{39}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got[1]) != len(want) || len(got[2]) != 1 || !bytes.Equal(got[2][0], pages[39]) {
-		t.Fatalf("got %d and %d pages, want %d and 1", len(got[1]), len(got[2]), len(want))
-	}
-	for i, p := range want {
-		if !bytes.Equal(got[1][i], pages[p]) {
-			t.Fatalf("page %d of the chunked frame is not page %d", i, p)
+	want := pagesOf(quota, 7)
+	// Begin, the round, one request per quota and End; one frame per reply
+	// cut, and the QueryDone.
+	frames(srv, 5, replyFrames(quota, 1)+1, func() {
+		q := c.StartQuery()
+		got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: want}, {File: "F", Pages: []int{39}}, {End: true}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	trace, err := q.End(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(trace, "  fetch F\n"); lines != 31 {
-		t.Errorf("daemon recorded %d fetch lines, want 31:\n%s", lines, trace)
-	}
+		check("fetch", got[1], want, pages)
+		check("one-page fetch", got[2], []int{39}, pages)
+		trace, err := q.End(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(trace, "  fetch F\n"); lines != quota+1 {
+			t.Errorf("daemon recorded %d fetch lines, want %d:\n%s", lines, quota+1, trace)
+		}
+	})
+	big := pagesOf(fetchCut+10, 3)
+	// Begin, the round and two requests; the query is cancelled once the
+	// counters are read.
+	q := c.StartQuery()
+	frames(srv, 4, replyFrames(fetchCut, 10), func() {
+		got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: big}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("fetch past the frame limit", got[1], big, pages)
+	})
+	q.Cancel(wire.CancelAbandon)
 
-	raddr, _ := serveChunkFixture(t, server.Options{Stores: lbs.XORStores, ReplicaRole: true})
+	rsrv, raddr, _ := serveChunkFixture(t, server.Options{Stores: lbs.XORStores, ReplicaRole: true})
 	rc, err := Dial(raddr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	sels := make([][]byte, len(want))
-	for i, p := range want {
-		sels[i] = make([]byte, 5)
-		sels[i][p/8] = 1 << (p % 8)
-	}
-	rq := rc.StartQuery()
-	answers, err := rq.ReadShareFrames(ctx, []ShareFrame{{NewRound: true}, {File: "F", Sels: sels}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range want {
-		if !bytes.Equal(answers[1][i], pages[p]) {
-			t.Fatalf("share %d of the chunked frame does not answer page %d", i, p)
+	frames(rsrv, 4, replyFrames(quota)+1, func() {
+		rq := rc.StartQuery()
+		answers, err := rq.ReadShareFrames(ctx, []ShareFrame{{NewRound: true}, {File: "F", Sels: selsOf(want)}, {End: true}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := rq.End(ctx); err != nil {
-		t.Fatal(fmt.Errorf("replica: %w", err))
-	}
+		check("share fetch", answers[1], want, pages)
+		trace, err := rq.End(ctx)
+		if err != nil {
+			t.Fatal(fmt.Errorf("replica: %w", err))
+		}
+		if lines := strings.Count(trace, "  fetch F\n"); lines != quota {
+			t.Errorf("replica recorded %d fetch lines, want %d", lines, quota)
+		}
+	})
+	bigSel := pagesOf(shareCut+10, 3)
+	rq := rc.StartQuery()
+	frames(rsrv, 4, replyFrames(shareCut, 10), func() {
+		answers, err := rq.ReadShareFrames(ctx, []ShareFrame{{NewRound: true}, {File: "F", Sels: selsOf(bigSel)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("share fetch past the frame limit", answers[1], bigSel, pages)
+	})
+	rq.Cancel(wire.CancelAbandon)
 }

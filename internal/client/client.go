@@ -48,8 +48,9 @@ type Options struct {
 }
 
 // maxFrame is the largest frame payload a client reads, and so the bound
-// its requests are chunked by: every reply must fit it, or the reader fails
-// the connection. Tests lower it before dialing to drive the chunking.
+// its requests are cut by (see chunk): every reply frame must fit it, or
+// the reader fails the connection. Tests lower it before dialing to drive
+// the cut.
 var maxFrame = wire.DefaultMaxFrame
 
 // frame is one routed server frame.
@@ -433,14 +434,18 @@ func (c *Client) Ping(ctx context.Context) error {
 //
 // Every exchange is a batch: the request frames go out under one flush, and
 // the replies are collected in order, so a batch costs one wait however
-// many frames it holds.
+// many frames it holds. A batch may end with the query's EndQuery (an
+// lbs.Frame with End set): the query is then complete on the daemon once
+// the batch returns, and End hands back the trace its QueryDone carried.
 type Query struct {
 	c    *Client
 	id   uint32
 	resp chan frame // replies, in request order; holds a whole batch
 
-	begun bool // BeginQuery sent
-	done  bool // settled: no more frames in either direction
+	begun bool   // BeginQuery sent
+	done  bool   // settled: no more frames in either direction
+	ended bool   // completed: trace is the daemon's QueryDone
+	trace string // the server-observed trace, once ended
 
 	// Batch-encoding scratch, reused across the query's batches (a Query is
 	// single-goroutine by contract): every request payload of a batch is
@@ -450,17 +455,23 @@ type Query struct {
 	pages []uint32
 }
 
-// request is one request frame of a batch; its payload is the batch
-// encoder's bytes [lo, hi).
+// request is one request frame of a batch: its payload is the batch
+// encoder's bytes [lo, hi), and replies frames of type want answer it —
+// none for a round announcement, one QueryDone for an EndQuery, and for a
+// fetch the Pages frames of the daemon's reply cut (wire.ReplyFrames).
 type request struct {
-	t      wire.MsgType
-	lo, hi int
+	t       wire.MsgType
+	lo, hi  int
+	want    wire.MsgType
+	replies int
 }
 
 // ShareFrame is one request of a share batch (Query.ReadShareFrames): the
-// announcement of the next round, or XOR PIR selector shares of File.
+// announcement of the next round, the end of the query, or XOR PIR selector
+// shares of File.
 type ShareFrame struct {
 	NewRound bool
+	End      bool
 	File     string
 	Sels     [][]byte
 }
@@ -503,26 +514,26 @@ func (q *Query) begin() error {
 }
 
 // add queues one request of the batch being built: its payload is what
-// the batch encoder gained since it held lo bytes.
-func (q *Query) add(t wire.MsgType, lo int) {
-	q.reqs = append(q.reqs, request{t, lo, q.enc.Len()})
+// the batch encoder gained since it held lo bytes, and replies frames of
+// type want answer it.
+func (q *Query) add(t wire.MsgType, lo int, want wire.MsgType, replies int) {
+	q.reqs = append(q.reqs, request{t, lo, q.enc.Len(), want, replies})
 }
 
 // batch writes the queued requests under one flush, then collects their
-// replies — one of type want for every request but a round announcement —
-// in order. An Error reply fails the batch, but only once the rest of the
-// batch's replies are in, so nothing of this batch is left to be mistaken
-// for a later reply. A dead context abandons the wait (late replies are
-// dropped by the reader); the caller is expected to settle the query with
-// Cancel.
-func (q *Query) batch(ctx context.Context, want wire.MsgType) ([][]byte, error) {
+// replies in order: each request's frames of its type, or one Error in
+// place of all of them. An Error fails the batch, but only once the rest
+// of the batch's requests are answered — the daemon refuses every request
+// of a query after a refused one at once — so nothing of this batch is left
+// to be mistaken for a later reply. A dead context abandons the wait (late
+// replies are dropped by the reader); the caller is expected to settle the
+// query with Cancel.
+func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 	reqs := q.reqs
 	q.reqs = q.reqs[:0]
 	n := 0
 	for _, r := range reqs {
-		if r.t != wire.MsgNextRound {
-			n++
-		}
+		n += r.replies
 	}
 	if cap(q.resp) < n {
 		// Grow the reply queue before anything is sent, so the reader never
@@ -541,55 +552,58 @@ func (q *Query) batch(ctx context.Context, want wire.MsgType) ([][]byte, error) 
 	}
 	replies := make([][]byte, 0, n)
 	var failed error
-	for got := 0; got < n; got++ {
-		select {
-		case f := <-q.resp:
-			switch f.t {
-			case want:
-				replies = append(replies, f.payload)
-			case wire.MsgBusy:
-				// The daemon shed this query at admission: it was never
-				// opened server-side, so the session simply ends here. The
-				// connection stays usable; the caller retries the whole
-				// query after the hinted delay, with fresh randomness.
-				busy, derr := wire.DecodeBusy(f.payload)
-				if derr != nil {
-					q.c.fail(derr)
-					return nil, derr
-				}
-				q.done = true
-				q.c.release(q.id)
-				mInflight.Dec()
-				return nil, &BusyError{RetryAfter: time.Duration(busy.RetryAfterMillis) * time.Millisecond}
-			case wire.MsgError:
-				em, derr := wire.DecodeErrorMsg(f.payload)
-				if derr != nil {
-					err := errors.New("client: server reported an undecodable error")
+	for _, r := range reqs {
+		for got := 0; got < r.replies; got++ {
+			select {
+			case f := <-q.resp:
+				switch f.t {
+				case r.want:
+					replies = append(replies, f.payload)
+				case wire.MsgBusy:
+					// The daemon shed this query at admission: it was never
+					// opened server-side, so the session simply ends here. The
+					// connection stays usable; the caller retries the whole
+					// query after the hinted delay, with fresh randomness.
+					busy, derr := wire.DecodeBusy(f.payload)
+					if derr != nil {
+						q.c.fail(derr)
+						return nil, derr
+					}
+					q.done = true
+					q.c.release(q.id)
+					mInflight.Dec()
+					return nil, &BusyError{RetryAfter: time.Duration(busy.RetryAfterMillis) * time.Millisecond}
+				case wire.MsgError:
+					em, derr := wire.DecodeErrorMsg(f.payload)
+					if derr != nil {
+						err := errors.New("client: server reported an undecodable error")
+						q.c.fail(err)
+						return nil, err
+					}
+					err := &serverError{text: em.Text}
+					if IsServerShutdown(err) {
+						// The daemon aborted the query: the rest of the batch
+						// will not be answered.
+						q.c.release(q.id)
+						return nil, err
+					}
+					if failed == nil {
+						failed = err
+					}
+					got = r.replies // the Error stands for all of the request's frames
+				default:
+					err := fmt.Errorf("client: expected %s, got %s", r.want, f.t)
 					q.c.fail(err)
 					return nil, err
 				}
-				err := &serverError{text: em.Text}
-				if IsServerShutdown(err) {
-					// The daemon aborted the query: the rest of the batch
-					// will not be answered.
-					q.c.release(q.id)
-					return nil, err
-				}
-				if failed == nil {
-					failed = err
-				}
-			default:
-				err := fmt.Errorf("client: expected %s, got %s", want, f.t)
-				q.c.fail(err)
-				return nil, err
+			case <-q.c.done:
+				return nil, q.c.lastErr()
+			case <-ctx.Done():
+				// The replies may still arrive; drop them when they do. The
+				// query can no longer be driven — Cancel settles it.
+				q.c.release(q.id)
+				return nil, ctx.Err()
 			}
-		case <-q.c.done:
-			return nil, q.c.lastErr()
-		case <-ctx.Done():
-			// The replies may still arrive; drop them when they do. The
-			// query can no longer be driven — Cancel settles it.
-			q.c.release(q.id)
-			return nil, ctx.Err()
 		}
 	}
 	mRoundtrip.Observe(int64(time.Since(start)))
@@ -597,20 +611,6 @@ func (q *Query) batch(ctx context.Context, want wire.MsgType) ([][]byte, error) 
 		return nil, failed
 	}
 	return replies, nil
-}
-
-// exchange sends one request frame and waits for its reply.
-func (q *Query) exchange(ctx context.Context, t wire.MsgType, want wire.MsgType) ([]byte, error) {
-	if err := q.begin(); err != nil {
-		return nil, err
-	}
-	q.enc.Reset()
-	q.add(t, 0)
-	replies, err := q.batch(ctx, want)
-	if err != nil {
-		return nil, err
-	}
-	return replies[0], nil
 }
 
 // HeaderBytes returns the public header the Welcome carried, without a
@@ -637,9 +637,9 @@ func (q *Query) NextRound(context.Context) error {
 }
 
 // ReadFrames implements lbs.RoundReader: it writes every frame under one
-// flush — a round announcement as NextRound, a read as one Fetch frame per
-// chunk of the file's pages (see chunk) — and then collects the replies in
-// order.
+// flush — a round announcement as NextRound, the end of the query as
+// EndQuery, a read as one Fetch frame for the file's pages (see chunk) —
+// and then collects the replies in order.
 func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
 	for _, f := range frames {
 		for _, p := range f.Pages {
@@ -649,7 +649,9 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 		}
 	}
 	return q.pipeline(ctx, wire.MsgFetch, len(frames),
-		func(i int) (bool, string, int) { return frames[i].NewRound, frames[i].File, len(frames[i].Pages) },
+		func(i int) (wire.MsgType, string, int) {
+			return kind(frames[i].NewRound, frames[i].End, wire.MsgFetch), frames[i].File, len(frames[i].Pages)
+		},
 		func(e *pagefile.Enc, i, from, to int) {
 			q.pages = q.pages[:0]
 			for _, p := range frames[i].Pages[from:to] {
@@ -659,9 +661,8 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 		})
 }
 
-// ReadPages ships the batch in one Fetch frame and one reply: a one-frame
-// ReadFrames. Batches beyond the frame's 16-bit count limit are chunked
-// transparently.
+// ReadPages ships the batch in one Fetch frame: a one-frame ReadFrames.
+// Batches beyond the frame limit are cut transparently.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	out, err := q.ReadFrames(ctx, []lbs.Frame{{File: file, Pages: pages}})
 	if err != nil {
@@ -671,93 +672,135 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 }
 
 // ReadShareFrames is ReadFrames for XOR PIR selector shares: every frame
-// goes out under one flush, a round announcement as NextRound, shares as one
-// FetchShare frame per chunk of the file's selectors, and it returns, per
-// selector, the XOR of the pages it selects. This is the fleet client's half
-// of two-server PIR: the daemon answers each share in a single scan without
-// ever reconstructing a page.
+// goes out under one flush, a round announcement as NextRound, the end of
+// the query as EndQuery, shares as one FetchShare frame for the file's
+// selectors, and it returns, per selector, the XOR of the pages it selects.
+// This is the fleet client's half of two-server PIR: the daemon answers a
+// FetchShare in a single scan without ever reconstructing a page.
 func (q *Query) ReadShareFrames(ctx context.Context, frames []ShareFrame) ([][][]byte, error) {
 	return q.pipeline(ctx, wire.MsgFetchShare, len(frames),
-		func(i int) (bool, string, int) { return frames[i].NewRound, frames[i].File, len(frames[i].Sels) },
+		func(i int) (wire.MsgType, string, int) {
+			return kind(frames[i].NewRound, frames[i].End, wire.MsgFetchShare), frames[i].File, len(frames[i].Sels)
+		},
 		func(e *pagefile.Enc, i, from, to int) {
 			wire.ShareFetch{File: frames[i].File, Sels: frames[i].Sels[from:to]}.EncodeTo(e)
 		})
 }
 
-// pipeline sends n frames as one batch — frame i a round announcement when
-// shape says so, else shape's count of items of its file, requested as
-// frames of type t of at most chunk(file) items, items [from, to) of frame
-// i encoded by encode — and returns each frame's answers, one page per item
-// (nil for an announcement).
+// kind is the request type of a batch entry: a round announcement, the end
+// of the query, or a read sent as t.
+func kind(newRound, end bool, t wire.MsgType) wire.MsgType {
+	switch {
+	case newRound:
+		return wire.MsgNextRound
+	case end:
+		return wire.MsgEndQuery
+	}
+	return t
+}
+
+// pipeline sends n frames as one batch — frame i of the type shape gives
+// it, a read carrying shape's count of items of its file as requests of
+// type t of at most chunk(file, t) items, items [from, to) of frame i
+// encoded by encode — and returns each frame's answers, one page per item
+// (nil for an announcement or the end). A read's reply arrives as the
+// daemon cuts it, wire.ReplyFrames Pages frames per request; an EndQuery's
+// QueryDone settles the query, keeping its trace for End.
 func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
-	shape func(i int) (newRound bool, file string, items int), encode func(e *pagefile.Enc, i, from, to int),
+	shape func(i int) (kind wire.MsgType, file string, items int), encode func(e *pagefile.Enc, i, from, to int),
 ) ([][][]byte, error) {
 	if err := q.begin(); err != nil {
 		return nil, err
 	}
 	q.enc.Reset()
 	for i := range n {
-		round, file, items := shape(i)
-		if round {
-			q.add(wire.MsgNextRound, q.enc.Len())
+		k, file, items := shape(i)
+		switch k {
+		case wire.MsgNextRound:
+			q.add(k, q.enc.Len(), 0, 0)
+			continue
+		case wire.MsgEndQuery:
+			q.add(k, q.enc.Len(), wire.MsgQueryDone, 1)
 			continue
 		}
-		step := q.c.chunk(file)
+		step, ps := q.c.chunk(file, t), q.c.files[file].PageSize
 		for from := 0; from < items; from += step {
+			to := min(from+step, items)
 			lo := q.enc.Len()
-			encode(q.enc, i, from, min(from+step, items))
-			q.add(t, lo)
+			encode(q.enc, i, from, to)
+			q.add(t, lo, wire.MsgPages, wire.ReplyFrames(file, ps, to-from))
 		}
 	}
-	replies, err := q.batch(ctx, wire.MsgPages)
+	replies, err := q.batch(ctx)
 	if err != nil {
 		return nil, err
 	}
+	next := func() []byte {
+		r := replies[0]
+		replies = replies[1:]
+		return r
+	}
 	out := make([][][]byte, n)
 	for i := range n {
-		round, file, items := shape(i)
-		if round {
+		k, file, items := shape(i)
+		switch k {
+		case wire.MsgNextRound:
 			continue
-		}
-		step := q.c.chunk(file)
-		for from := 0; from < items; from += step {
-			resp, err := wire.DecodePages(replies[0])
-			replies = replies[1:]
-			if want := min(step, items-from); err == nil && len(resp.Pages) != want {
-				err = fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), want)
-			}
+		case wire.MsgEndQuery:
+			done, err := wire.DecodeQueryDone(next())
 			if err != nil {
 				q.c.fail(err)
 				return nil, err
 			}
-			if out[i] == nil {
-				out[i] = resp.Pages
-			} else {
-				out[i] = append(out[i], resp.Pages...)
+			q.settle(done.Trace)
+			continue
+		}
+		step, cut := q.c.chunk(file, t), wire.ReplyCut(file, q.c.files[file].PageSize)
+		for from := 0; from < items; from += step {
+			to := min(from+step, items)
+			for lo := from; lo < to; lo += cut {
+				resp, err := wire.DecodePages(next())
+				if want := min(cut, to-lo); err == nil && len(resp.Pages) != want {
+					err = fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), want)
+				}
+				if err != nil {
+					q.c.fail(err)
+					return nil, err
+				}
+				if out[i] == nil {
+					out[i] = resp.Pages
+				} else {
+					out[i] = append(out[i], resp.Pages...)
+				}
 			}
 		}
 	}
 	return out, nil
 }
 
-// smallReply is the payload size a reply is held to: the largest of the Go
-// allocator's small-object size classes. A reply is read into a buffer of
-// its own, and the daemon writes it from page buffers of the same size;
-// past this size each is a large object, allocated from and swept back to
-// the page heap one at a time, and a whole round's quota in one reply
-// holds the round in such objects on both sides of the connection — on a
-// fleet, twice. Cut at 32 KiB (7 pages of 4 KB), the buffers stay small
-// objects, and the round still goes out in one batch.
-const smallReply = 32 << 10
+// chunk is how many pages, or selector shares, of file one request of type
+// t carries: wire.FramePages at the size of a request item — a selector
+// for a FetchShare, nothing beyond its 4-byte slot for a Fetch's page
+// index — and the frame limit. A plan quota is therefore one request, one
+// store pass on the daemon, whose reply the daemon cuts into frames of
+// wire.ReplyCut pages; only a request that would exceed the frame limit is
+// cut, and no quota of the paper's networks reaches it. It depends on the
+// public file table alone, so the requests a quota leaves as are a function
+// of the plan.
+func (c *Client) chunk(file string, t wire.MsgType) int {
+	item := 0
+	if t == wire.MsgFetchShare {
+		item = (c.files[file].NumPages + 7) / 8 // an unknown file is refused by the daemon, whatever its cut
+	}
+	return wire.FramePages(file, item, c.maxFrame)
+}
 
-// chunk is how many pages, or selector shares, of file one request frame
-// carries: wire.FramePages at the larger of the file's page and selector
-// sizes, so that the request and its reply fit the frame limit and the
-// reply fits smallReply. It depends on the public file table alone, so the
-// frames a plan quota is cut into are a function of the plan.
-func (c *Client) chunk(file string) int {
-	info := c.files[file] // an unknown file is refused by the daemon, whatever its chunking
-	return wire.FramePages(file, max(info.PageSize, (info.NumPages+7)/8), min(c.maxFrame, smallReply))
+// settle completes the query with the trace the daemon's QueryDone carried:
+// the daemon has recorded the query, so nothing more goes out for it.
+func (q *Query) settle(trace string) {
+	q.trace, q.ended, q.done = trace, true, true
+	mInflight.Dec()
+	q.c.release(q.id)
 }
 
 // Model returns the cost-model parameters queries simulate with: the
@@ -765,10 +808,15 @@ func (c *Client) chunk(file string) int {
 func (q *Query) Model() costmodel.Params { return costmodel.Default() }
 
 // End completes the query session and returns the trace the daemon
-// observed for it — the adversarial view of the query just run.
+// observed for it — the adversarial view of the query just run. When the
+// query's last batch already carried the EndQuery, End returns the trace
+// that batch brought back, without a round trip.
 func (q *Query) End(ctx context.Context) (string, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if q.ended {
+		return q.trace, nil
 	}
 	if q.done {
 		return "", errors.New("client: query already settled")
@@ -776,27 +824,18 @@ func (q *Query) End(ctx context.Context) (string, error) {
 	if !q.begun {
 		return "", errors.New("client: no query in flight")
 	}
-	payload, err := q.exchange(ctx, wire.MsgEndQuery, wire.MsgQueryDone)
-	if err != nil {
+	if _, err := q.ReadFrames(ctx, []lbs.Frame{{End: true}}); err != nil {
 		return "", err
 	}
-	done, err := wire.DecodeQueryDone(payload)
-	if err != nil {
-		q.c.fail(err)
-		return "", err
-	}
-	q.done = true
-	mInflight.Dec()
-	q.c.release(q.id)
-	return done.Trace, nil
+	return q.trace, nil
 }
 
 // Cancel settles an unfinished query: a best-effort CANCEL frame tells the
 // daemon to abort any in-flight work for it and account the abort under the
 // given wire.Cancel* reason (wire.CancelAbandon discards the partial query
 // entirely — right for queries that failed rather than were called off).
-// Safe to call after End or a previous Cancel (a no-op then), so callers
-// may defer it.
+// Safe to call after End, after a batch that carried the query's end, or
+// after a previous Cancel (a no-op then), so callers may defer it.
 func (q *Query) Cancel(reason uint8) {
 	if q.done {
 		return

@@ -121,9 +121,12 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 
 // ReadFrames implements lbs.RoundReader. Each page splits into two selector
 // shares (pir.SplitShares); each replica gets the whole batch — round
-// announcements and one share per page — pipelined on its connection, both
-// in parallel, and the answers are XORed locally frame by frame. Each
-// replica sees one uniform bitvector per page and performs one scan.
+// announcements, one FetchShare per quota holding one share per page, and
+// the end marker — pipelined on its connection, both in parallel, and the
+// answers are XORed locally frame by frame. Each replica sees one uniform
+// bitvector per page and performs one scan per quota. A batch that carried
+// the end marker completes the query on both replicas; End then compares
+// the two traces their QueryDone frames brought back.
 func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -131,9 +134,9 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 	var shares [2][]client.ShareFrame
 	infos := make([]lbs.FileInfo, len(frames))
 	for i, f := range frames {
-		if f.NewRound || len(f.Pages) == 0 {
+		if f.NewRound || f.End || len(f.Pages) == 0 {
 			for j := range shares {
-				shares[j] = append(shares[j], client.ShareFrame{NewRound: f.NewRound})
+				shares[j] = append(shares[j], client.ShareFrame{NewRound: f.NewRound, End: f.End})
 			}
 			continue
 		}
@@ -169,7 +172,7 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 		return nil, err
 	}
 	for i, f := range frames {
-		if f.NewRound || len(f.Pages) == 0 {
+		if f.NewRound || f.End || len(f.Pages) == 0 {
 			continue
 		}
 		if err := xorInto(answers[0][i], answers[1][i], infos[i].PageSize); err != nil {

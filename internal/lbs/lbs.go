@@ -126,25 +126,32 @@ type Backend interface {
 }
 
 // Frame is one request of a query as the service sees it: the announcement
-// of the next round, or one batched read of Pages of File.
+// of the next round, one batched read of Pages of File, or the end of the
+// query. An end marker rides the batch that sends a plan's last quota, so a
+// remote backend completes the query with that batch instead of a round
+// trip of its own; the query's trace is then what the backend's End
+// returns. A backend without ReadFrames has nothing to send it with, and
+// ReadFrames' replay skips it.
 type Frame struct {
 	NewRound bool
+	End      bool
 	File     string
 	Pages    []int
 }
 
 // RoundReader is the optional batch face of a Backend: ReadFrames sends
 // every frame before it waits for any reply, and returns one entry per
-// frame, in order — the pages of a read, nil for a round announcement. A
-// remote backend pipelines the batch on its connection, so the batch costs
-// one wait however many frames it holds. Like ReadPages, it never writes a
-// frame's page list.
+// frame, in order — the pages of a read, nil for a round announcement or an
+// end marker. A remote backend pipelines the batch on its connection, so
+// the batch costs one wait however many frames it holds. Like ReadPages, it
+// never writes a frame's page list.
 type RoundReader interface {
 	ReadFrames(ctx context.Context, frames []Frame) ([][][]byte, error)
 }
 
 // ReadFrames sends frames to b as one batch when b is a RoundReader, and
-// otherwise replays them one at a time as NextRound and ReadPages calls.
+// otherwise replays them one at a time as NextRound and ReadPages calls,
+// skipping an end marker.
 func ReadFrames(ctx context.Context, b Backend, frames []Frame) ([][][]byte, error) {
 	if rr, ok := b.(RoundReader); ok {
 		return rr.ReadFrames(ctx, frames)
@@ -152,9 +159,10 @@ func ReadFrames(ctx context.Context, b Backend, frames []Frame) ([][][]byte, err
 	out := make([][][]byte, len(frames))
 	for i, f := range frames {
 		var err error
-		if f.NewRound {
+		switch {
+		case f.NewRound:
 			err = b.NextRound(ctx)
-		} else {
+		case !f.End:
 			out[i], err = b.ReadPages(ctx, f.File, f.Pages)
 		}
 		if err != nil {

@@ -244,7 +244,7 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(5))}
-	if bucketBits(k, n, x.arena.wpp) == 1 {
+	if passBits(k, n, x.arena.wpp, 1) == 1 {
 		t.Fatal("geometry does not engage the bucketed fold")
 	}
 	batch := []int{0, 7, 7, 31, 64, 127, 90, 13}[:k]
@@ -298,7 +298,7 @@ func TestXORPIRAnswerSharesZeroAllocs(t *testing.T) {
 	}
 	for _, nw := range []int{1, 4} {
 		nw = setWidth(x, nw)
-		if bucketBits(k, n/nw, x.arena.wpp) == 1 {
+		if passBits(k, n, x.arena.wpp, nw) == 1 {
 			t.Fatalf("workers=%d: geometry does not engage the bucketed fold", nw)
 		}
 		answer() // warm: scratch pool, task pool, worker goroutines, tables

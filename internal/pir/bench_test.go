@@ -184,7 +184,7 @@ func BenchmarkScanParallel(b *testing.B) {
 					}
 					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 					seg := (n + w - 1) / w
-					rowXORs := float64(w*passCost2(k, seg, bucketBits(k, seg, arena.wpp))) / 2
+					rowXORs := float64(w*passCost2(k, seg, passBits(k, n, arena.wpp, w))) / 2
 					b.ReportMetric(rowXORs/float64(n), "row-xors/page")
 				})
 			}

@@ -40,10 +40,29 @@ import (
 //	n·(1 − 2^−g) + 3·2^g        against        n·g/2
 //
 // row-XORs, and bucketBits picks the g ≤ 8 that minimises the sum over
-// ⌈k/g⌉ groups, subject to all of a pass's tables fitting a constant 1 MiB
-// (cache-resident beside the streaming arena). At k = 8 over 11 321 4-KB
-// pages that is 11 277 + 768 row-XORs instead of 45 284; over an 8-page range
-// no table pays for itself and g = 1 — the direct loop — is what runs.
+// ⌈k/g⌉ groups, subject to the tables fitting a constant 1 MiB (cache-resident
+// beside the streaming arena) and no table having more rows than the range it
+// folds. How the groups hold their tables is the model's other half:
+//
+//   - A range too large to stay in cache — the 46 MB Fi, or one scan
+//     worker's share of it — is walked ONCE, each row scattered into every
+//     group's table, so all ⌈k/g⌉ tables are live together and their rows
+//     together must fit the bound. At k = 16 over 11 326 4-KB pages that is
+//     two groups of 6 and one of 4, 33 351 row-XORs instead of 90 608.
+//   - A range whose rows fit the bound stays in cache once read, so the
+//     groups take turns through ONE 2^g-row table: zero it, scatter the range
+//     into it, fold it into the group's g accumulators, next group. The
+//     row-XORs are the same; only the table shrinks to 2^g rows, so a table
+//     pays on a small range where k groups' worth of tables would outgrow
+//     it. That one table is held to a core's L1 data cache (l1TableBytes),
+//     where a row-XOR into it is the cheapest: every row-XOR of the fold
+//     but the scatter's reads stays in L1. A whole plan quota answered in
+//     one pass is such a case: 52 selectors over an 81-page file of 4-KB
+//     pages fold in groups of 3, 1 662 row-XORs through an 8-row table,
+//     against the direct loop's 2 106.
+//
+// Over an 8-page range no table pays for itself and g = 1 — the direct loop —
+// is what runs.
 //
 // Obliviousness is untouched. The pattern gather reads exactly the selector
 // bits the direct loop reads, for every page of the range; every page is
@@ -182,8 +201,18 @@ const maxBucketBits = 8
 
 // maxTableBytes bounds the bucket tables of one pass — a constant, so a scan
 // worker's scratch does not grow with the batch: at 4-KB pages one group of 8
-// selectors, or 16 groups of 4.
+// selectors, or 16 groups of 4. A range of at most this many bytes of rows
+// counts as cache-resident, and its groups take turns through one table.
 const maxTableBytes = 1 << 20
+
+// l1TableBytes bounds the one table a cache-resident range's groups take
+// turns through: a core's L1 data cache (32 KiB or more on current amd64 and
+// arm64 cores), so the scatter and the fold write L1 lines only. At 4-KB
+// pages that is 8 rows, a group of 3. Measured on a 2-core Xeon with 48 KiB
+// of L1d, 52 selectors over 81 pages of 4 KB: 125–150 µs a pass in groups of
+// 3, 139–149 µs in groups of 4 (a 64-KiB table), 192–221 µs by the direct
+// loop.
+const l1TableBytes = 32 << 10
 
 // passCost2 is TWICE the row-XOR count the model charges a pass that takes
 // k selectors over n pages in groups of g (doubled so n·k/2 stays integral):
@@ -200,21 +229,35 @@ func passCost2(k, n, g int) int {
 	return cost
 }
 
-// bucketBits returns the group size g the row-XOR count model picks for k
-// selectors over an n-page range of wpp-word rows; 1 means the direct loop.
-// A table is feasible only within the byte bound and with no more rows than
-// the range it folds. A table with more rows than its range is more memory
-// than the rows it folds, kept live on the free list for every fold that
-// overlaps, to save row-XORs on a range small enough for the direct loop to
-// be cheap anyway: 52 selectors over 81 pages would hold 208 rows (832 KB
-// at 4-KB pages) to fold 1 612 row-XORs instead of 2 106.
-func bucketBits(k, n, wpp int) int {
+// bucketBits returns the fold the row-XOR count model picks for k selectors
+// over an n-page range of wpp-word rows: the group size g, 1 meaning the
+// direct loop, and whether the groups take turns through one table — the
+// range's rows fit maxTableBytes, so it stays cache-resident across the
+// groups' walks — or hold all their tables through one walk (file header).
+func bucketBits(k, n, wpp int) (g int, oneTable bool) {
+	oneTable = n*wpp*8 <= maxTableBytes
+	return groupBits(k, n, wpp, oneTable), oneTable
+}
+
+// groupBits is the group size of a fold of k selectors over n pages of
+// wpp-word rows, whose groups take turns through one 2^g-row table
+// (oneTable, held to l1TableBytes) or hold tableRows(k, g) rows at once
+// (held to maxTableBytes). A table is feasible only within its byte bound
+// and with no more rows than the range it folds: a table with more rows
+// than its range is more memory than the rows it folds, kept live on the
+// free list for every fold that overlaps, to save row-XORs on a range small
+// enough for the direct loop to be cheap anyway.
+func groupBits(k, n, wpp int, oneTable bool) int {
 	best, bestCost := 1, passCost2(k, n, 1)
 	for g := 2; g <= maxBucketBits && g <= k; g++ {
-		if tableRows(k, g)*wpp*8 > maxTableBytes {
+		rows, bound := tableRows(k, g), maxTableBytes
+		if oneTable {
+			rows, bound = 1<<g, l1TableBytes
+		}
+		if rows*wpp*8 > bound {
 			break
 		}
-		if tableRows(k, g) > n {
+		if rows > n {
 			continue
 		}
 		if cost := passCost2(k, n, g); cost < bestCost {
@@ -243,28 +286,45 @@ func (a *wordArena) answerAll(sels [][]byte, accs [][]uint64, table *[]uint64) {
 	a.answerAllRange(sels, accs, 0, a.numPages, table)
 }
 
-// answerAllRange is answerAll restricted to pages [start, end): pick g for the
-// range, then zero a table, scatter the range into it and fold it. A parallel
-// pass (parallel.go) takes the same three steps itself, scattering every
-// chunk a worker wins into that worker's one table. Page rows are contiguous
-// and at least a cache line apart at any realistic page size, so concurrent
-// ranges never share a written line.
+// answerAllRange is answerAll restricted to pages [start, end): pick the fold
+// for the range, then zero a table, scatter the range into it and fold it —
+// all groups' tables in one walk, or one group at a time (foldGroups). A
+// parallel pass (parallel.go) takes the same three steps itself, scattering
+// every chunk a worker wins into that worker's one table. Page rows are
+// contiguous and at least a cache line apart at any realistic page size, so
+// concurrent ranges never share a written line.
 func (a *wordArena) answerAllRange(sels [][]byte, accs [][]uint64, start, end int, table *[]uint64) {
 	k := len(sels)
-	g := bucketBits(k, end-start, a.wpp)
-	if g == 1 {
+	g, oneTable := bucketBits(k, end-start, a.wpp)
+	switch {
+	case g == 1:
 		a.foldDirect(sels, accs, start, end)
-		return
+	case oneTable:
+		a.foldGroups(sels, accs, g, start, end, table)
+	default:
+		tab := a.bucketTable(table, tableRows(k, g))
+		a.scatterRange(sels, tab, g, start, end)
+		foldTable(tab, accs, g, a.wpp)
 	}
-	tab := a.bucketTable(table, k, g)
-	a.scatterRange(sels, tab, g, start, end)
-	foldTable(tab, accs, g, a.wpp)
 }
 
-// bucketTable sizes *table for a pass of k selectors in groups of g (growing
-// it on first use) and returns it zeroed.
-func (a *wordArena) bucketTable(table *[]uint64, k, g int) []uint64 {
-	need := tableRows(k, g) * a.wpp
+// foldGroups is the bucketed fold of a cache-resident range: the selectors'
+// groups of g take turns through one table, each zeroing it, scattering
+// pages [start, end) into it and folding it into the group's accumulators.
+// The table is 2^g rows whatever k is; the range is walked once per group.
+func (a *wordArena) foldGroups(sels [][]byte, accs [][]uint64, g, start, end int, table *[]uint64) {
+	for lo := 0; lo < len(sels); lo += g {
+		hi := min(lo+g, len(sels))
+		tab := a.bucketTable(table, 1<<(hi-lo))
+		a.scatterRange(sels[lo:hi], tab, g, start, end)
+		foldBuckets(tab, accs[lo:hi], a.wpp)
+	}
+}
+
+// bucketTable sizes *table for rows bucket rows (growing it on first use)
+// and returns it zeroed.
+func (a *wordArena) bucketTable(table *[]uint64, rows int) []uint64 {
+	need := rows * a.wpp
 	if cap(*table) < need {
 		*table = make([]uint64, need)
 	}

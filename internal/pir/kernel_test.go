@@ -230,7 +230,7 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 			pool := newArenaScratch()
 			var table []uint64
 			for _, k := range batchSizes {
-				if bucketBits(k, n, wpp) > 1 {
+				if passBits(k, n, wpp, 1) > 1 {
 					bucketed++
 				}
 				sels, want := c.sels[:k], c.want[:k]
@@ -270,37 +270,97 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 	}
 }
 
-// TestBucketBitsFollowsTheCountModel pins the plan the row-XOR count model
+// passBits is the group size a pass of width nw folds n pages with: the
+// serial kernel's choice over the whole range, or a scan worker's over its
+// share (parallel.go's prepare).
+func passBits(k, n, wpp, nw int) int {
+	if nw <= 1 {
+		g, _ := bucketBits(k, n, wpp)
+		return g
+	}
+	return groupBits(k, (n+nw-1)/nw, wpp, false)
+}
+
+// TestBucketBitsFollowsTheCountModel pins the fold the row-XOR count model
 // picks at the shapes the benchmark runs, the constant table bound, and that
 // no table has more rows than the range it folds.
 func TestBucketBitsFollowsTheCountModel(t *testing.T) {
-	for _, c := range []struct{ k, n, wpp, want int }{
-		{1, 11321, 512, 1},  // one selector: nothing to share
-		{8, 11321, 512, 8},  // the PI round: one 256-bucket group, 1 MiB
-		{8, 5661, 512, 8},   // its half, one of two scan workers
-		{8, 8, 512, 1},      // a table costs more than an 8-page range
-		{2, 11321, 512, 2},  // 0.75n + 12 against n
-		{64, 11321, 512, 4}, // 16 groups of 16 buckets fill the 1 MiB
-		{256, 11321, 512, 1},
-		// The fleet's CI round, 52 shares over an 81-page file: g = 4 would
-		// fold 1 612 row-XORs against the direct loop's 2 106, through a
-		// 208-row table for 81 rows; no table may outgrow its range.
-		{52, 81, 512, 1},
-		{8, 81, 512, 4}, // 64 rows fit 81: the table still pays on a small range
+	for _, c := range []struct {
+		k, n, wpp, want int
+		oneTable        bool
+	}{
+		{1, 11321, 512, 1, false},  // one selector: nothing to share
+		{8, 11321, 512, 8, false},  // one 256-bucket group, 1 MiB
+		{8, 5661, 512, 8, false},   // its half, one of two scan workers
+		{8, 8, 512, 1, true},       // a table costs more than an 8-page range
+		{2, 11321, 512, 2, false},  // 0.75n + 12 against n
+		{64, 11321, 512, 4, false}, // 16 groups of 16 buckets fill the 1 MiB
+		{256, 11321, 512, 1, false},
+		// PI's Fi:8 quota in one pass: both logical servers' 16 selectors,
+		// one walk of the 46 MB file through 144 rows of tables held at once.
+		{16, 11326, 512, 6, false},
+		// A whole quota over a small file: the 81 rows stay in cache, so
+		// 52 shares (the fleet's CI Fd quota on a replica) fold 3 at a time
+		// through one 8-row table that fits L1, 1 662 row-XORs against the
+		// direct loop's 2 106; the 208 rows of all groups' tables would
+		// outgrow the range. Likewise AF's 22-page round, 44 selectors over
+		// 88 pages.
+		{52, 81, 512, 3, true},
+		{44, 88, 512, 3, true},
+		{8, 81, 512, 3, true}, // the table still pays on a small range
+		{52, 81, 64, 4, true}, // 512-byte pages: a 16-row table fits L1 and wins
+		{8, 81, 513, 2, true}, // a row past 4 KB: 8 rows outgrow L1
 	} {
-		if got := bucketBits(c.k, c.n, c.wpp); got != c.want {
-			t.Errorf("bucketBits(k=%d, n=%d, wpp=%d) = %d, want %d", c.k, c.n, c.wpp, got, c.want)
+		g, oneTable := bucketBits(c.k, c.n, c.wpp)
+		if g != c.want || oneTable != c.oneTable {
+			t.Errorf("bucketBits(k=%d, n=%d, wpp=%d) = %d, %v; want %d, %v", c.k, c.n, c.wpp, g, oneTable, c.want, c.oneTable)
 		}
 	}
 	for _, wpp := range []int{1, 125, 128, 512, 513} {
-		for _, n := range []int{1, 8, 81, 100000} {
+		for _, n := range []int{1, 8, 81, 256, 100000} {
 			for k := 1; k <= 300; k++ {
-				g := bucketBits(k, n, wpp)
-				if g > 1 && tableRows(k, g)*wpp*8 > maxTableBytes {
-					t.Fatalf("k=%d wpp=%d: g=%d needs %d table bytes, bound %d", k, wpp, g, tableRows(k, g)*wpp*8, maxTableBytes)
+				g, oneTable := bucketBits(k, n, wpp)
+				if oneTable != (n*wpp*8 <= maxTableBytes) {
+					t.Fatalf("k=%d n=%d wpp=%d: one table %v for %d bytes of rows", k, n, wpp, oneTable, n*wpp*8)
 				}
-				if g > 1 && tableRows(k, g) > n {
-					t.Fatalf("k=%d n=%d: g=%d needs %d table rows for %d page rows", k, n, g, tableRows(k, g), n)
+				if g == 1 {
+					continue
+				}
+				rows, bound := tableRows(k, g), maxTableBytes
+				if oneTable {
+					rows, bound = 1<<g, l1TableBytes
+				}
+				if rows*wpp*8 > bound {
+					t.Fatalf("k=%d wpp=%d: g=%d needs %d table bytes, bound %d", k, wpp, g, rows*wpp*8, bound)
+				}
+				if rows > n {
+					t.Fatalf("k=%d n=%d: g=%d needs %d table rows for %d page rows", k, n, g, rows, n)
+				}
+			}
+		}
+	}
+}
+
+// TestFoldGroupsMatchesByteOracle holds the group-by-group fold to the byte
+// oracle at every group size, forced rather than chosen by the model: ranges
+// shorter than the table (n < 2^g), batch sizes that leave a short last
+// group, and up to 64 selectors, over whole files and sub-ranges.
+func TestFoldGroupsMatchesByteOracle(t *testing.T) {
+	for _, shape := range []struct{ n, ps int }{{5, 24}, {13, 13}, {81, 4096}, {88, 4100}} {
+		c := newKernelCase(t, shape.n, shape.ps, 64, int64(shape.n*7+shape.ps))
+		ranges := map[[2]int][][]uint64{{0, shape.n}: c.want, {1, shape.n - 1}: c.oracle(c.sels, 1, shape.n-1)}
+		var table []uint64
+		for g := 2; g <= maxBucketBits; g++ {
+			for _, k := range []int{1, g - 1, g, g + 1, 2*g + 1, 44, 52, 63, 64} {
+				if k < 1 {
+					continue
+				}
+				for r, want := range ranges {
+					got := zeroedAccs(k, c.arena.wpp)
+					c.arena.foldGroups(c.sels[:k], got, g, r[0], r[1], &table)
+					if j, w, bad := diffAccs(got, want[:k]); bad {
+						t.Fatalf("%dx%d g=%d k=%d pages [%d,%d): acc %d word %d differs from the byte oracle", shape.n, shape.ps, g, k, r[0], r[1], j, w)
+					}
 				}
 			}
 		}
@@ -308,14 +368,17 @@ func TestBucketBitsFollowsTheCountModel(t *testing.T) {
 }
 
 // FuzzAnswerAll checks the kernel against the byte oracle on random
-// geometry, selectors, sub-range and fan-out.
+// geometry, selectors, sub-range and fan-out, and the group-by-group fold
+// at a group size the seed forces, whether or not the model would pick it.
 func FuzzAnswerAll(f *testing.F) {
 	f.Add(int64(1), uint16(65), uint16(24), uint8(8), uint8(2), uint16(3), uint16(60))
 	f.Add(int64(2), uint16(300), uint16(13), uint8(17), uint8(3), uint16(0), uint16(300))
 	f.Add(int64(3), uint16(1), uint16(1), uint8(1), uint8(8), uint16(0), uint16(1))
 	f.Add(int64(4), uint16(200), uint16(600), uint8(40), uint8(1), uint16(199), uint16(7))
+	f.Add(int64(5), uint16(81), uint16(512), uint8(52), uint8(1), uint16(0), uint16(81))
+	f.Add(int64(6), uint16(9), uint16(8), uint8(63), uint8(1), uint16(2), uint16(9))
 	f.Fuzz(func(t *testing.T, seed int64, n16, ps16 uint16, k8, nw8 uint8, a16, b16 uint16) {
-		n, ps, k := int(n16)%300+1, int(ps16)%600+1, int(k8)%40+1
+		n, ps, k := int(n16)%300+1, int(ps16)%600+1, int(k8)%64+1
 		c := newKernelCase(t, n, ps, k, seed)
 		var table []uint64
 
@@ -325,8 +388,15 @@ func FuzzAnswerAll(f *testing.F) {
 		}
 		got := zeroedAccs(k, c.arena.wpp)
 		c.arena.answerAllRange(c.sels, got, start, end, &table)
-		if j, w, bad := diffAccs(got, c.oracle(c.sels, start, end)); bad {
+		want := c.oracle(c.sels, start, end)
+		if j, w, bad := diffAccs(got, want); bad {
 			t.Fatalf("%dx%d k=%d pages [%d,%d): acc %d word %d differs from the byte oracle", n, ps, k, start, end, j, w)
+		}
+		g := int(uint64(seed)%(maxBucketBits-1)) + 2
+		got = zeroedAccs(k, c.arena.wpp)
+		c.arena.foldGroups(c.sels, got, g, start, end, &table)
+		if j, w, bad := diffAccs(got, want); bad {
+			t.Fatalf("%dx%d k=%d g=%d pages [%d,%d): group-by-group acc %d word %d differs from the byte oracle", n, ps, k, g, start, end, j, w)
 		}
 
 		if nw := min(int(nw8)%8+1, n); nw > 1 {

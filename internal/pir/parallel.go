@@ -169,7 +169,7 @@ func (t *arenaTask) runSegment(seg int) {
 		}
 		if tab == nil {
 			table = t.scratch.tables.borrow()
-			tab = a.bucketTable(&table, t.k, t.g)
+			tab = a.bucketTable(&table, tableRows(t.k, t.g))
 		}
 		a.scatterRange(t.sels, tab, t.g, start, end)
 	}
@@ -211,7 +211,7 @@ func (t *arenaTask) prepare(a *wordArena, sels [][]byte, accs [][]uint64, nw int
 	k := len(sels)
 	t.arena, t.sels, t.accs = a, sels, accs
 	t.k, t.nw = k, nw
-	t.g = bucketBits(k, (a.numPages+nw-1)/nw, a.wpp)
+	t.g = groupBits(k, (a.numPages+nw-1)/nw, a.wpp, false)
 	t.step = chunkPages(a, nw)
 	t.nchunks = int32((a.numPages + t.step - 1) / t.step)
 	t.next.Store(0)

@@ -128,7 +128,7 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	}
 	x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
 	setWidth(x, 4)
-	if bucketBits(k, n/4, x.arena.wpp) == 1 {
+	if passBits(k, n, x.arena.wpp, 4) == 1 {
 		t.Fatal("segments too short to engage the bucketed fold")
 	}
 	batch := []int{0, 9, 9, 55, 128, 255, 77, 31}[:k]

@@ -78,6 +78,8 @@ type Session struct {
 	open  bool // Fetches[entry] has the last frame of the queue
 	shut  bool // Fetches[entry] went out whole with an earlier batch
 	sent  int  // rounds announced to the service
+	left  int  // plan frames not yet queued: round announcements and quotas
+	ended bool // the end marker was queued
 
 	err   error     // first backend or context error; every later call returns it
 	stats lbs.Stats // the Table 2 charges and per-file fetch counts so far
@@ -128,6 +130,14 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...Scheme) (*Session, er
 		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(string(schemes[0])), hdr.Scheme)
 	}
 	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1}
+	for _, r := range hdr.Plan.Rounds {
+		s.left++
+		for _, f := range r.Fetches {
+			if f.Count > 0 {
+				s.left++
+			}
+		}
+	}
 	s.observe, _ = conn.Ctx.Value(observeKey{}).(func(string))
 	s.stats.HeaderBytes = len(raw)
 	s.stats.Comm = s.model.RTT + s.model.Transfer(len(raw))
@@ -341,6 +351,7 @@ func (s *Session) openFrame() {
 		s.queue = append(s.queue, lbs.Frame{File: s.fetches()[s.entry].File})
 		s.counts = append(s.counts, 0)
 		s.open = true
+		s.left--
 	}
 }
 
@@ -366,6 +377,7 @@ func (s *Session) beginRound() error {
 	}
 	s.queue = append(s.queue, lbs.Frame{NewRound: true})
 	s.counts = append(s.counts, 0)
+	s.left--
 	return nil
 }
 
@@ -373,18 +385,27 @@ func (s *Session) beginRound() error {
 // by which anything of the query reaches it — and charges them: one round
 // trip per round announced, and per page one PIR retrieval against the
 // file's length and one page transfer. The cursor entry, if it has a frame,
-// is padded to its quota first and goes out whole. The service sees how
-// many pages of which file each frame holds, never which. It returns each
-// queued want's pages, in want order.
+// is padded to its quota first and goes out whole. The batch that carries
+// the plan's last frame ends with an end marker, so a remote service
+// completes the query with it rather than with a round trip of its own; no
+// charge is booked for it, since the Table 2 model already charges none for
+// the end of a query. The service sees how many pages of which file each
+// frame holds, never which. It returns each queued want's pages, in want
+// order.
 func (s *Session) send() ([][][]byte, error) {
 	if s.open {
 		s.pad(s.fetches()[s.entry].Count - s.used)
 		s.open, s.shut = false, true
 	}
+	if s.left == 0 && !s.ended && len(s.queue) > 0 {
+		s.queue = append(s.queue, lbs.Frame{End: true})
+		s.counts = append(s.counts, 0)
+		s.ended = true
+	}
 	frames, wants := s.queue, s.wants
 	for i, at := 0, 0; i < len(frames); i++ {
 		n := s.counts[i]
-		if !frames[i].NewRound {
+		if !frames[i].NewRound && !frames[i].End {
 			frames[i].Pages = s.pages[at : at+n : at+n]
 		}
 		at += n
@@ -409,6 +430,9 @@ func (s *Session) send() ([][][]byte, error) {
 		return nil, s.fail(err)
 	}
 	for i, f := range frames {
+		if f.End {
+			continue
+		}
 		if f.NewRound {
 			s.sent++
 			s.stats.Comm += s.model.RTT

@@ -57,11 +57,13 @@ func rawQuery(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	return conn, br
 }
 
-// TestStreamedPagesReply: the daemon writes a Pages reply from its page
-// buffers, and what arrives is the frame of the encoded payload byte for
-// byte — for a plain fetch of a round's 52 pages, at 4-KB and at odd page
-// sizes, and for a replica's share fetch — while, on one shared client
-// connection, concurrent queries stream their replies between each other's.
+// TestStreamedPagesReply: the daemon writes a fetch's reply from its page
+// buffers as wire.ReplyFrames consecutive Pages frames of wire.ReplyCut
+// pages, and what arrives is, frame by frame, the frame of the encoded
+// payload of those pages byte for byte — for a plain fetch of a round's 52
+// pages (eight frames at 4 KB), at 4-KB and at odd page sizes, and for a
+// replica's share fetch — while, on one shared client connection,
+// concurrent queries stream their replies between each other's.
 func TestStreamedPagesReply(t *testing.T) {
 	addr, pages := streamFixture(t, Options{})
 	conn, br := rawQuery(t, addr)
@@ -78,16 +80,23 @@ func TestStreamedPagesReply(t *testing.T) {
 		if err := wire.WriteFrame(conn, wire.MsgFetch, 1, wire.Fetch{File: c.file, Pages: c.idx}.Encode()); err != nil {
 			t.Fatal(err)
 		}
-		typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
-		if err != nil || typ != wire.MsgPages || qid != 1 {
-			t.Fatalf("%s%v: reply %s/%d, %v", c.file, c.idx, typ, qid, err)
+		ps := len(pages[c.file][0])
+		cut, frames := wire.ReplyCut(c.file, ps), wire.ReplyFrames(c.file, ps, len(c.idx))
+		if c.file == "A" && len(c.idx) == 52 && (cut != 7 || frames != 8) {
+			t.Fatalf("52 pages of 4 KB cut into %d frames of %d pages, want 8 of 7", frames, cut)
 		}
-		var want wire.Pages
-		for _, p := range c.idx {
-			want.Pages = append(want.Pages, pages[c.file][p])
-		}
-		if !bytes.Equal(payload, want.Encode()) {
-			t.Errorf("%s%v: streamed reply differs from the encoded payload", c.file, c.idx)
+		for lo := 0; lo < len(c.idx); lo += cut {
+			typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+			if err != nil || typ != wire.MsgPages || qid != 1 {
+				t.Fatalf("%s%v: reply frame %d: %s/%d, %v", c.file, c.idx, lo/cut, typ, qid, err)
+			}
+			var want wire.Pages
+			for _, p := range c.idx[lo:min(lo+cut, len(c.idx))] {
+				want.Pages = append(want.Pages, pages[c.file][p])
+			}
+			if !bytes.Equal(payload, want.Encode()) {
+				t.Errorf("%s%v: streamed reply frame %d differs from the encoded payload", c.file, c.idx, lo/cut)
+			}
 		}
 	}
 

@@ -117,7 +117,7 @@ type Server struct {
 	// moves in beginQuery/finishQuery, never on query content.
 	inflight atomic.Int64
 
-	scratch scratchList // fetch scratch of every session's fetches
+	scratch *scratchList // fetch scratch of every session's fetches
 
 	tel *telemetry.Registry
 	m   serverMetrics
@@ -141,7 +141,7 @@ func New(opts Options) *Server {
 		baseCancel: cancel,
 		dbs:        map[string]*hosted{},
 		conns:      map[net.Conn]struct{}{},
-		scratch:    make(scratchList, scratchListCap),
+		scratch:    newScratchList(),
 		tel:        telemetry.NewRegistry(),
 	}
 	s.initTelemetry()
@@ -345,66 +345,130 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // server's free list makes a steady-state fetch — decode, PIR read, reply
 // write — perform zero allocations (see TestSteadyStateFetchZeroAllocs).
 type fetchScratch struct {
+	list     *scratchList
 	req      wire.Fetch
 	shareReq wire.ShareFetch // decoded FetchShare; selectors alias the frame buffer
 	idx      []int
-	flat     []byte   // one backing array for all page buffers
+	flat     []byte   // one backing array for all page buffers, from list.pages
 	bufs     [][]byte // page buffers, cut from flat
 }
 
 // scratchList is the daemon's free list of fetch scratch. A sync.Pool would
 // drop a scratch's page buffers and reallocate them after every second
-// collection; the list keeps as many as fetches have been served at once,
-// up to its capacity.
-type scratchList chan *fetchScratch
+// collection; the list keeps as many scratch as fetches have been served at
+// once, up to its capacity. The page buffers live apart, in pages, so that a
+// scratch holds one only while it serves a fetch.
+type scratchList struct {
+	free  chan *fetchScratch
+	pages pageList
+}
 
 // scratchListCap bounds the scratch the list keeps; an unused slot costs a
-// pointer.
+// pointer and a few slice headers.
 const scratchListCap = 64
 
-// maxListedScratch is the largest page buffer the list keeps: a fetch far
-// beyond what a client sends for a plan quota (MaxFetchBatch pages is 256 MB
-// at 4 KB) leaves its buffer to the collector instead of pinning it for the
-// daemon's lifetime.
-const maxListedScratch = 1 << 20
+func newScratchList() *scratchList {
+	return &scratchList{free: make(chan *fetchScratch, scratchListCap)}
+}
 
 // get takes a scratch off the list, or a new one.
-func (l scratchList) get() *fetchScratch {
+func (l *scratchList) get() *fetchScratch {
 	select {
-	case sc := <-l:
+	case sc := <-l.free:
 		return sc
 	default:
-		return &fetchScratch{}
+		return &fetchScratch{list: l}
 	}
 }
 
-// put returns sc to the list, unless it outgrew maxListedScratch.
-func (l scratchList) put(sc *fetchScratch) {
-	if cap(sc.flat) > maxListedScratch {
-		return
-	}
+// put returns sc to the list, and its page buffer to the page list.
+func (l *scratchList) put(sc *fetchScratch) {
+	l.pages.put(sc.flat)
+	sc.flat = nil
+	clear(sc.bufs) // the buffer is the page list's now: hold no view of it
+	sc.bufs = sc.bufs[:0]
 	select {
-	case l <- sc:
+	case l.free <- sc:
 	default:
 	}
 }
 
-// grow sizes the scratch for k pages of ps bytes each, keeping the backing
-// arrays when they are already big enough.
+// grow sizes the scratch for k pages of ps bytes each, keeping its page
+// buffer when it is already big enough and otherwise trading it for the
+// listed buffer that fits best.
 func (sc *fetchScratch) grow(k, ps int) {
 	if cap(sc.idx) < k {
 		sc.idx = make([]int, k)
 	}
 	sc.idx = sc.idx[:k]
-	if need := k * ps; cap(sc.flat) < need {
-		sc.flat = make([]byte, need)
-	} else {
-		sc.flat = sc.flat[:need]
+	need := k * ps
+	if cap(sc.flat) < need {
+		sc.list.pages.put(sc.flat)
+		sc.flat = sc.list.pages.get(need)
 	}
+	sc.flat = sc.flat[:need]
 	sc.bufs = sc.bufs[:0]
 	for off := 0; off < len(sc.flat); off += ps {
 		sc.bufs = append(sc.bufs, sc.flat[off:off+ps])
 	}
+}
+
+// pageList is the daemon's free list of fetch page buffers. A plan quota is
+// one request and one store pass, so a fetch's buffer holds a whole quota —
+// 208 KB for CI's Fd:52 at 4-KB pages. Kept one per fetch ever served at
+// once, such buffers would pin a quota per concurrent client for the
+// daemon's life (832 KB of a 5 MB live heap on two clients against two
+// fleet replicas in one process). So the list keeps page buffers up to
+// maxListedPages bytes in all, and hands out the best fit: the smallest
+// listed buffer that holds the fetch, else a new one. A one-page fetch then
+// does not take a quota-sized buffer, and a quota-sized fetch finds one as
+// long as no other holds it; a fetch that overlaps it allocates its own,
+// which the collector takes back.
+type pageList struct {
+	mu    sync.Mutex
+	free  [][]byte
+	bytes int // capacity of the listed buffers, in bytes
+}
+
+// maxListedPages is the page-buffer bytes the list keeps: one CI Fd quota
+// and the small buffers of the one- to eight-page quotas around it.
+const maxListedPages = 256 << 10
+
+// get returns the smallest listed buffer of at least need bytes, or a new
+// one of exactly need bytes.
+func (l *pageList) get(need int) []byte {
+	l.mu.Lock()
+	best := -1
+	for i, b := range l.free {
+		if cap(b) >= need && (best < 0 || cap(b) < cap(l.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		l.mu.Unlock()
+		return make([]byte, need)
+	}
+	b := l.free[best]
+	last := len(l.free) - 1
+	l.free[best], l.free[last] = l.free[last], nil
+	l.free = l.free[:last]
+	l.bytes -= cap(b)
+	l.mu.Unlock()
+	return b[:need]
+}
+
+// put lists b, unless listing it would take the list past maxListedPages.
+func (l *pageList) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.bytes+cap(b) > maxListedPages || len(l.free) == scratchListCap {
+		return
+	}
+	l.free = append(l.free, b[:0])
+	l.bytes += cap(b)
 }
 
 // answerFetch serves one Fetch or FetchShare frame of type t: it decodes

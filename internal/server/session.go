@@ -85,6 +85,7 @@ type query struct {
 	trace     lbs.Transcript
 	fetched   uint64
 	ended     bool
+	failed    bool // a request was refused: the query cannot complete
 	unflushed bool // a reply of this query may sit in the write buffer
 }
 
@@ -162,24 +163,34 @@ func (ss *session) reply(q *query, t wire.MsgType, payload []byte) {
 	q.unflushed = true
 }
 
-// replyPages writes q's Pages reply straight from the page buffers, like
-// reply without flushing; the write is what the encode histogram times.
-func (ss *session) replyPages(q *query, pages [][]byte) {
+// replyPages writes q's reply to a fetch of file straight from the page
+// buffers, like reply without flushing: wire.ReplyFrames Pages frames of
+// wire.ReplyCut pages each, the cut the client counts on, all under one
+// hold of the write lock. The writes are what the encode histogram times.
+func (ss *session) replyPages(q *query, file string, pages [][]byte) {
+	c := wire.ReplyCut(file, len(pages[0]))
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
 	t0 := time.Now()
-	n, err := ss.fw.WritePages(q.id, pages)
-	if err != nil {
-		return
+	for lo := 0; lo < len(pages); lo += c {
+		n, err := ss.fw.WritePages(q.id, pages[lo:min(lo+c, len(pages))])
+		if err != nil {
+			return
+		}
+		ss.s.m.framesWritten.Inc()
+		ss.s.m.bytesWritten.Add(uint64(n))
 	}
 	ss.db.m.encodeLat.Observe(int64(time.Since(t0)))
-	ss.s.m.framesWritten.Inc()
-	ss.s.m.bytesWritten.Add(uint64(n))
 	q.unflushed = true
 }
 
-func (ss *session) replyErr(q *query, format string, args ...any) {
+// refuse answers a request of q with one Error frame, in place of all of its
+// reply frames, and marks q failed: a failed query never completes, so no
+// trace that misses a refused fetch is recorded as a completed query's.
+// Its client settles it with Cancel.
+func (ss *session) refuse(q *query, format string, args ...any) {
 	ss.reply(q, wire.MsgError, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
+	q.failed = true
 }
 
 // flush sends q's buffered replies, if any.
@@ -416,7 +427,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		if f.t == wire.MsgFetch && ss.s.opts.ReplicaRole {
 			// A replica never reconstructs: it answers selector shares only,
 			// so this process cannot hold both halves of any query.
-			ss.replyErr(q, "replica serves selector shares only (send FetchShare, not Fetch)")
+			ss.refuse(q, "replica serves selector shares only (send FetchShare, not Fetch)")
 			return false
 		}
 		sc := ss.s.scratch.get()
@@ -432,7 +443,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 				// stays a prefix of a full query's.
 				return true
 			}
-			ss.replyErr(q, "%v", err)
+			ss.refuse(q, "%v", err)
 			return false
 		}
 		// The adversarial view: file name and count only. The page indices
@@ -441,10 +452,18 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		// query and are uniformly random by construction.
 		q.trace.Fetch(file, len(pages))
 		q.fetched += uint64(len(pages))
-		ss.replyPages(q, pages)
+		ss.replyPages(q, file, pages)
 		return false
 
 	case wire.MsgEndQuery:
+		if q.failed {
+			// A client pipelines a batch, its EndQuery included, before it
+			// reads any reply, so the daemon must refuse to complete a query
+			// one of whose requests it refused: the query stays open until
+			// its client settles it with Cancel.
+			ss.refuse(q, "EndQuery after a refused request: settle the query with Cancel")
+			return false
+		}
 		tr := q.trace.String()
 		q.ended = true
 		ss.db.addTrace(tr)
@@ -455,7 +474,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		return true
 
 	default:
-		ss.replyErr(q, "unexpected message %s", f.t)
+		ss.refuse(q, "unexpected message %s", f.t)
 		return false
 	}
 }

@@ -108,13 +108,13 @@ func (s *Server) newHosted(name string, lsrv *lbs.Server) *hosted {
 			"wall-clock time from BeginQuery to EndQuery",
 			telemetry.Seconds(), dbl),
 		batchSize: reg.Histogram("privsp_server_fetch_batch_size",
-			"pages per Fetch or FetchShare frame: a plan quota, or the client's cut of one (the adversary-visible batch shape)",
+			"pages per Fetch or FetchShare request: one plan quota (the adversary-visible batch shape)",
 			telemetry.HistogramOpts{}, dbl),
 		scanLat: reg.Histogram("privsp_server_scan_seconds",
-			"PIR store read time per Fetch frame",
+			"PIR store read time per Fetch or FetchShare request",
 			telemetry.Seconds(), dbl),
 		encodeLat: reg.Histogram("privsp_server_encode_seconds",
-			"time to write a MsgPages reply from its page buffers, per Fetch frame",
+			"time to write a request's Pages frames from its page buffers, per request",
 			telemetry.Seconds(), dbl),
 	}
 	return h

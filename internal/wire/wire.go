@@ -57,7 +57,13 @@ import (
 // through the admin endpoint only, and a Welcome always names a scheme and
 // a database. The bare Ping/Pong round trip took their place, and the
 // message numbers after QueryDone moved down.
-const ProtocolVersion = 7
+// Version 8 answers a Fetch or FetchShare with ReplyFrames consecutive Pages
+// frames, each of at most ReplyCut pages, instead of one: a client sends a
+// plan quota as one request (one store pass) and the daemon cuts the reply.
+// A refused request still gets exactly one Error in place of its frames. A
+// version 7 client would read a quota's second reply frame as the answer to
+// its next request.
+const ProtocolVersion = 8
 
 // DefaultMaxFrame bounds a single frame's payload; it must accommodate the
 // largest header file and the largest batched page fetch.
@@ -161,9 +167,9 @@ func (fw *FrameWriter) WriteFrame(t MsgType, queryID uint32, payload []byte) err
 	return writeFrame(fw.w, fw.hdr[:], t, queryID, payload)
 }
 
-// WritePages emits one MsgPages frame answering a fetch with pages, written
-// from the page buffers themselves: the header, the count, then each page
-// behind its length prefix. The bytes are those of WriteFrame with
+// WritePages emits one MsgPages frame of a fetch's reply, written from the
+// page buffers themselves: the header, the count, then each page behind its
+// length prefix. The bytes are those of WriteFrame with
 // Pages{Pages: pages}.Encode(), without the payload ever being assembled in
 // memory — a quota's pages are held once, by whoever filled them. It
 // returns the frame's size, header included; a batch the 16-bit count
@@ -289,23 +295,50 @@ func readHeader(r io.Reader, hdr []byte, maxFrame int) (MsgType, uint32, uint32,
 }
 
 // MaxFetchBatch is the largest page batch one Fetch frame carries (its
-// count field is 16-bit); the client chunks larger batches transparently.
+// count field is 16-bit); the client cuts larger batches transparently.
 const MaxFetchBatch = 0xFFFF
 
 // FramePages is how many items of itemBytes each — pages, or selector
-// shares — one Fetch or FetchShare of file may carry so that both the
-// request and its Pages reply fit a frame of maxFrame payload bytes: at
-// most MaxFetchBatch, and at least 1. A reply is a 2-byte count and, per
-// page, a 4-byte length and the page; a request a 2-byte name length, the
-// name, a 2-byte count and, per item, at most 4 bytes and itemBytes. It is
-// a function of the public file table, so chunking by it keeps a query's
-// frame shape a function of the plan.
+// shares — one frame of maxFrame payload bytes carries: at most
+// MaxFetchBatch, and at least 1. A Pages reply is a 2-byte count and, per
+// page, a 4-byte length and the page; a Fetch or FetchShare request a
+// 2-byte name length, the name, a 2-byte count and, per item, at most 4
+// bytes and itemBytes (0 for a Fetch's page indices). It is a function of
+// the public file table, so a cut by it keeps a query's frame shape a
+// function of the plan: ReplyCut cuts replies by it, and a client cuts a
+// request by it only where the request would exceed the frame limit, which
+// no plan quota of the paper's networks reaches.
 func FramePages(file string, itemBytes, maxFrame int) int {
 	return max(1, min(MaxFetchBatch, (maxFrame-4-len(file))/(4+itemBytes)))
 }
 
+// smallReply is the payload size a Pages frame is held to: the largest of
+// the Go allocator's small-object size classes. A reply frame is read into
+// a buffer of its own, and the daemon writes it from page buffers of the
+// same size; past this size each is a large object, allocated from and
+// swept back to the page heap one at a time, and a whole quota in one frame
+// would hold it in such objects on both sides of the connection — on a
+// fleet, twice. Cut at 32 KiB (7 pages of 4 KB), the buffers stay small
+// objects, and a quota is still one request and one store pass.
+const smallReply = 32 << 10
+
+// ReplyCut is how many pages of file one Pages frame of a reply carries:
+// FramePages at smallReply. The daemon writes a request's k answers as
+// ReplyFrames consecutive frames of ReplyCut pages (the last one shorter),
+// and the client counts on exactly that many; both call this one function.
+func ReplyCut(file string, pageSize int) int {
+	return FramePages(file, pageSize, smallReply)
+}
+
+// ReplyFrames is how many Pages frames answer a request for pages pages of
+// file: ⌈pages / ReplyCut⌉.
+func ReplyFrames(file string, pageSize, pages int) int {
+	c := ReplyCut(file, pageSize)
+	return (pages + c - 1) / c
+}
+
 // putCount writes a message's item count. A list longer than the 16-bit
-// field holds is a caller bug — every caller cuts at FramePages — so it
+// field holds is a caller bug — every caller cuts by FramePages — so it
 // panics rather than write a count that has wrapped.
 func putCount(e *pagefile.Enc, n int) {
 	if n > MaxFetchBatch {
@@ -548,7 +581,8 @@ func (m *ShareFetch) DecodeInto(b []byte) error {
 	return decErr("FetchShare", d)
 }
 
-// Pages answers a Fetch with the page contents, in request order.
+// Pages answers a Fetch with the page contents, in request order: one
+// frame of a reply cut by ReplyCut.
 type Pages struct {
 	Pages [][]byte
 }

@@ -254,6 +254,33 @@ func TestFramePagesFitsTheFrame(t *testing.T) {
 	}
 }
 
+// TestReplyCut: a reply is cut into frames of ReplyCut pages, each a small
+// object of at most 32 KiB of payload — 7 pages of 4 KB — and one more page
+// would not fit; ReplyFrames counts ⌈k / ReplyCut⌉ frames for k pages.
+func TestReplyCut(t *testing.T) {
+	if c := ReplyCut("Fd", 4096); c != 7 {
+		t.Fatalf("ReplyCut(Fd, 4096) = %d, want 7", c)
+	}
+	for _, ps := range []int{1, 13, 512, 4096, 4100, 40000} {
+		c := ReplyCut("Fd", ps)
+		size := 2 + c*(4+ps)
+		if c > 1 && size > smallReply {
+			t.Errorf("%d-byte pages: a %d-page frame is %d bytes, over %d", ps, c, size, smallReply)
+		}
+		if c < MaxFetchBatch && 2+(c+1)*(4+ps) <= smallReply-4 {
+			t.Errorf("%d-byte pages: %d pages leave room for another", ps, c)
+		}
+		for _, k := range []int{1, c - 1, c, c + 1, 3*c + 2} {
+			if k < 1 {
+				continue
+			}
+			if got, want := ReplyFrames("Fd", ps, k), (k+c-1)/c; got != want {
+				t.Errorf("%d-byte pages: ReplyFrames(%d) = %d, want %d", ps, k, got, want)
+			}
+		}
+	}
+}
+
 // TestDecodePagesAliasesFrame pins the client's decode cost: the pages are
 // views of the frame payload, so decoding allocates the slice of pages and
 // nothing per page.

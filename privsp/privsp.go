@@ -516,6 +516,15 @@ type querySession interface {
 // a plan overflow: it depends on the endpoints, and the session has already
 // sent the full canonical plan, so the query is completed exactly as on
 // success before the error is returned.
+//
+// The batch that sends the plan's last quota carries the query's EndQuery,
+// so once it is answered the query is complete on the daemon: End returns
+// the trace that batch brought back. A query that fails client-side after
+// that batch — a page that does not decode, a search that fails — was
+// therefore recorded and counted by the daemon as a completed query, with
+// the canonical trace every query leaves, and the Cancel below is a no-op
+// for it. Only a failure before the last batch is a cancellation or an
+// abandon on the daemon.
 func settleQuery(ctx context.Context, scheme Scheme, qs querySession, src, dst Point, o queryOptions) (*Result, error) {
 	res, qerr := queryScheme(ctx, scheme, qs, src, dst)
 	if qerr != nil && !errors.Is(qerr, ErrPlanOverflow) {
