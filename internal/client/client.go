@@ -12,7 +12,8 @@
 // Cancellation is first-class: a query whose context dies stops waiting
 // immediately, and Cancel ships a CANCEL frame so the daemon aborts the
 // server-side work (frees the pool slot it is queued on) instead of
-// finishing a read nobody wants.
+// finishing a read nobody wants. A Busy or an Error from the daemon is a
+// query's last reply: it settles the query on both sides.
 package client
 
 import (
@@ -47,10 +48,10 @@ type Options struct {
 	DialTimeout time.Duration
 }
 
-// maxFrame is the largest frame payload a client reads, and so the bound
-// its requests are cut by (see chunk): every reply frame must fit it, or
-// the reader fails the connection. Tests lower it before dialing to drive
-// the cut.
+// maxFrame is the largest frame payload a client reads or writes: a reply
+// frame past it fails the connection, and a request past it is refused
+// before any frame of its batch is written. Tests lower it before dialing
+// to drive the refusal.
 var maxFrame = wire.DefaultMaxFrame
 
 // frame is one routed server frame.
@@ -437,15 +438,19 @@ func (c *Client) Ping(ctx context.Context) error {
 // many frames it holds. A batch may end with the query's EndQuery (an
 // lbs.Frame with End set): the query is then complete on the daemon once
 // the batch returns, and End hands back the trace its QueryDone carried.
+// A Busy or an Error ends the query instead, and every later call returns
+// it again.
 type Query struct {
 	c    *Client
 	id   uint32
 	resp chan frame // replies, in request order; holds a whole batch
 
 	begun bool   // BeginQuery sent
-	done  bool   // settled: no more frames in either direction
 	ended bool   // completed: trace is the daemon's QueryDone
 	trace string // the server-observed trace, once ended
+	// over is nil while the query is open; once it is settled, what every
+	// later call returns: the Busy or Error that ended it, or errSettled.
+	over error
 
 	// Batch-encoding scratch, reused across the query's batches (a Query is
 	// single-goroutine by contract): every request payload of a batch is
@@ -500,8 +505,8 @@ func (q *Query) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx,
 // begin lazily opens the query session on first use. BeginQuery is
 // fire-and-forget, so it shares the flush of the operation that follows.
 func (q *Query) begin() error {
-	if q.done {
-		return errors.New("client: query already settled")
+	if q.over != nil {
+		return q.over
 	}
 	if q.begun {
 		return nil
@@ -513,6 +518,10 @@ func (q *Query) begin() error {
 	return nil
 }
 
+// errSettled is what a call on a query that completed or was cancelled
+// returns.
+var errSettled = errors.New("client: query already settled")
+
 // add queues one request of the batch being built: its payload is what
 // the batch encoder gained since it held lo bytes, and replies frames of
 // type want answer it.
@@ -521,13 +530,12 @@ func (q *Query) add(t wire.MsgType, lo int, want wire.MsgType, replies int) {
 }
 
 // batch writes the queued requests under one flush, then collects their
-// replies in order: each request's frames of its type, or one Error in
-// place of all of them. An Error fails the batch, but only once the rest
-// of the batch's requests are answered — the daemon refuses every request
-// of a query after a refused one at once — so nothing of this batch is left
-// to be mistaken for a later reply. A dead context abandons the wait (late
-// replies are dropped by the reader); the caller is expected to settle the
-// query with Cancel.
+// replies in order: each request's frames of its type. A Busy or an Error
+// is the query's last reply — the daemon ends the query with it and
+// answers nothing of it after — so it settles the query and fails the
+// batch at once. A dead context abandons the wait (late replies are
+// dropped by the reader); the caller is expected to settle the query with
+// Cancel.
 func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 	reqs := q.reqs
 	q.reqs = q.reqs[:0]
@@ -551,46 +559,15 @@ func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 		return nil, err
 	}
 	replies := make([][]byte, 0, n)
-	var failed error
 	for _, r := range reqs {
-		for got := 0; got < r.replies; got++ {
+		for range r.replies {
 			select {
 			case f := <-q.resp:
 				switch f.t {
 				case r.want:
 					replies = append(replies, f.payload)
-				case wire.MsgBusy:
-					// The daemon shed this query at admission: it was never
-					// opened server-side, so the session simply ends here. The
-					// connection stays usable; the caller retries the whole
-					// query after the hinted delay, with fresh randomness.
-					busy, derr := wire.DecodeBusy(f.payload)
-					if derr != nil {
-						q.c.fail(derr)
-						return nil, derr
-					}
-					q.done = true
-					q.c.release(q.id)
-					mInflight.Dec()
-					return nil, &BusyError{RetryAfter: time.Duration(busy.RetryAfterMillis) * time.Millisecond}
-				case wire.MsgError:
-					em, derr := wire.DecodeErrorMsg(f.payload)
-					if derr != nil {
-						err := errors.New("client: server reported an undecodable error")
-						q.c.fail(err)
-						return nil, err
-					}
-					err := &serverError{text: em.Text}
-					if IsServerShutdown(err) {
-						// The daemon aborted the query: the rest of the batch
-						// will not be answered.
-						q.c.release(q.id)
-						return nil, err
-					}
-					if failed == nil {
-						failed = err
-					}
-					got = r.replies // the Error stands for all of the request's frames
+				case wire.MsgBusy, wire.MsgError:
+					return nil, q.refused(f)
 				default:
 					err := fmt.Errorf("client: expected %s, got %s", r.want, f.t)
 					q.c.fail(err)
@@ -607,10 +584,33 @@ func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 		}
 	}
 	mRoundtrip.Observe(int64(time.Since(start)))
-	if failed != nil {
-		return nil, failed
-	}
 	return replies, nil
+}
+
+// refused settles the query on the reply the daemon ended it with: a Busy
+// (shed at admission, never opened) or an Error (a refused request, or
+// shutdown). The connection stays usable. A shed query is retried whole
+// after the hinted delay, with fresh randomness. The returned error is
+// also what every later call on the query returns.
+func (q *Query) refused(f frame) error {
+	var err, derr error
+	if f.t == wire.MsgBusy {
+		var busy wire.Busy
+		busy, derr = wire.DecodeBusy(f.payload)
+		err = &BusyError{RetryAfter: time.Duration(busy.RetryAfterMillis) * time.Millisecond}
+	} else {
+		var em wire.ErrorMsg
+		em, derr = wire.DecodeErrorMsg(f.payload)
+		err = &serverError{text: em.Text}
+	}
+	if derr != nil {
+		q.c.fail(derr)
+		return derr
+	}
+	q.over = err
+	mInflight.Dec()
+	q.c.release(q.id)
+	return err
 }
 
 // HeaderBytes returns the public header the Welcome carried, without a
@@ -638,8 +638,8 @@ func (q *Query) NextRound(context.Context) error {
 
 // ReadFrames implements lbs.RoundReader: it writes every frame under one
 // flush — a round announcement as NextRound, the end of the query as
-// EndQuery, a read as one Fetch frame for the file's pages (see chunk) —
-// and then collects the replies in order.
+// EndQuery, a read as one Fetch frame for the file's pages — and then
+// collects the replies in order.
 func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
 	for _, f := range frames {
 		for _, p := range f.Pages {
@@ -652,9 +652,9 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 		func(i int) (wire.MsgType, string, int) {
 			return kind(frames[i].NewRound, frames[i].End, wire.MsgFetch), frames[i].File, len(frames[i].Pages)
 		},
-		func(e *pagefile.Enc, i, from, to int) {
+		func(e *pagefile.Enc, i int) {
 			q.pages = q.pages[:0]
-			for _, p := range frames[i].Pages[from:to] {
+			for _, p := range frames[i].Pages {
 				q.pages = append(q.pages, uint32(p))
 			}
 			wire.Fetch{File: frames[i].File, Pages: q.pages}.EncodeTo(e)
@@ -662,7 +662,6 @@ func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte,
 }
 
 // ReadPages ships the batch in one Fetch frame: a one-frame ReadFrames.
-// Batches beyond the frame limit are cut transparently.
 func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	out, err := q.ReadFrames(ctx, []lbs.Frame{{File: file, Pages: pages}})
 	if err != nil {
@@ -682,8 +681,8 @@ func (q *Query) ReadShareFrames(ctx context.Context, frames []ShareFrame) ([][][
 		func(i int) (wire.MsgType, string, int) {
 			return kind(frames[i].NewRound, frames[i].End, wire.MsgFetchShare), frames[i].File, len(frames[i].Sels)
 		},
-		func(e *pagefile.Enc, i, from, to int) {
-			wire.ShareFetch{File: frames[i].File, Sels: frames[i].Sels[from:to]}.EncodeTo(e)
+		func(e *pagefile.Enc, i int) {
+			wire.ShareFetch{File: frames[i].File, Sels: frames[i].Sels}.EncodeTo(e)
 		})
 }
 
@@ -700,36 +699,45 @@ func kind(newRound, end bool, t wire.MsgType) wire.MsgType {
 }
 
 // pipeline sends n frames as one batch — frame i of the type shape gives
-// it, a read carrying shape's count of items of its file as requests of
-// type t of at most chunk(file, t) items, items [from, to) of frame i
-// encoded by encode — and returns each frame's answers, one page per item
-// (nil for an announcement or the end). A read's reply arrives as the
-// daemon cuts it, wire.ReplyFrames Pages frames per request; an EndQuery's
-// QueryDone settles the query, keeping its trace for End.
+// it, a read as one request of type t carrying shape's count of items of
+// its file, encoded by encode — and returns each frame's answers, one page
+// per item (nil for an announcement, the end, or a read of no items). A
+// read's reply arrives as the daemon cuts it, wire.ReplyFrames Pages
+// frames; an EndQuery's QueryDone settles the query, keeping its trace for
+// End. A request that would not fit one frame — more than
+// wire.MaxFetchBatch items or maxFrame bytes; no plan quota comes near —
+// is refused before any frame of the batch is written.
 func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
-	shape func(i int) (kind wire.MsgType, file string, items int), encode func(e *pagefile.Enc, i, from, to int),
+	shape func(i int) (kind wire.MsgType, file string, items int), encode func(e *pagefile.Enc, i int),
 ) ([][][]byte, error) {
-	if err := q.begin(); err != nil {
-		return nil, err
+	if q.over != nil {
+		return nil, q.over
 	}
 	q.enc.Reset()
+	q.reqs = q.reqs[:0]
 	for i := range n {
 		k, file, items := shape(i)
-		switch k {
-		case wire.MsgNextRound:
+		switch {
+		case k == wire.MsgNextRound:
 			q.add(k, q.enc.Len(), 0, 0)
 			continue
-		case wire.MsgEndQuery:
+		case k == wire.MsgEndQuery:
 			q.add(k, q.enc.Len(), wire.MsgQueryDone, 1)
 			continue
+		case items == 0:
+			continue
 		}
-		step, ps := q.c.chunk(file, t), q.c.files[file].PageSize
-		for from := 0; from < items; from += step {
-			to := min(from+step, items)
-			lo := q.enc.Len()
-			encode(q.enc, i, from, to)
-			q.add(t, lo, wire.MsgPages, wire.ReplyFrames(file, ps, to-from))
+		lo := q.enc.Len()
+		if items <= wire.MaxFetchBatch {
+			encode(q.enc, i)
 		}
+		if items > wire.MaxFetchBatch || q.enc.Len()-lo > q.c.maxFrame {
+			return nil, fmt.Errorf("client: a quota of %d items of %s does not fit one %s frame", items, file, t)
+		}
+		q.add(t, lo, wire.MsgPages, wire.ReplyFrames(file, q.c.files[file].PageSize, items))
+	}
+	if err := q.begin(); err != nil {
+		return nil, err
 	}
 	replies, err := q.batch(ctx)
 	if err != nil {
@@ -755,50 +763,30 @@ func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
 			q.settle(done.Trace)
 			continue
 		}
-		step, cut := q.c.chunk(file, t), wire.ReplyCut(file, q.c.files[file].PageSize)
-		for from := 0; from < items; from += step {
-			to := min(from+step, items)
-			for lo := from; lo < to; lo += cut {
-				resp, err := wire.DecodePages(next())
-				if want := min(cut, to-lo); err == nil && len(resp.Pages) != want {
-					err = fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), want)
-				}
-				if err != nil {
-					q.c.fail(err)
-					return nil, err
-				}
-				if out[i] == nil {
-					out[i] = resp.Pages
-				} else {
-					out[i] = append(out[i], resp.Pages...)
-				}
+		cut := wire.ReplyCut(file, q.c.files[file].PageSize)
+		for lo := 0; lo < items; lo += cut {
+			resp, err := wire.DecodePages(next())
+			if want := min(cut, items-lo); err == nil && len(resp.Pages) != want {
+				err = fmt.Errorf("client: got %d pages, want %d", len(resp.Pages), want)
+			}
+			if err != nil {
+				q.c.fail(err)
+				return nil, err
+			}
+			if out[i] == nil {
+				out[i] = resp.Pages
+			} else {
+				out[i] = append(out[i], resp.Pages...)
 			}
 		}
 	}
 	return out, nil
 }
 
-// chunk is how many pages, or selector shares, of file one request of type
-// t carries: wire.FramePages at the size of a request item — a selector
-// for a FetchShare, nothing beyond its 4-byte slot for a Fetch's page
-// index — and the frame limit. A plan quota is therefore one request, one
-// store pass on the daemon, whose reply the daemon cuts into frames of
-// wire.ReplyCut pages; only a request that would exceed the frame limit is
-// cut, and no quota of the paper's networks reaches it. It depends on the
-// public file table alone, so the requests a quota leaves as are a function
-// of the plan.
-func (c *Client) chunk(file string, t wire.MsgType) int {
-	item := 0
-	if t == wire.MsgFetchShare {
-		item = (c.files[file].NumPages + 7) / 8 // an unknown file is refused by the daemon, whatever its cut
-	}
-	return wire.FramePages(file, item, c.maxFrame)
-}
-
 // settle completes the query with the trace the daemon's QueryDone carried:
 // the daemon has recorded the query, so nothing more goes out for it.
 func (q *Query) settle(trace string) {
-	q.trace, q.ended, q.done = trace, true, true
+	q.trace, q.ended, q.over = trace, true, errSettled
 	mInflight.Dec()
 	q.c.release(q.id)
 }
@@ -818,8 +806,8 @@ func (q *Query) End(ctx context.Context) (string, error) {
 	if q.ended {
 		return q.trace, nil
 	}
-	if q.done {
-		return "", errors.New("client: query already settled")
+	if q.over != nil {
+		return "", q.over
 	}
 	if !q.begun {
 		return "", errors.New("client: no query in flight")
@@ -834,13 +822,14 @@ func (q *Query) End(ctx context.Context) (string, error) {
 // daemon to abort any in-flight work for it and account the abort under the
 // given wire.Cancel* reason (wire.CancelAbandon discards the partial query
 // entirely — right for queries that failed rather than were called off).
-// Safe to call after End, after a batch that carried the query's end, or
-// after a previous Cancel (a no-op then), so callers may defer it.
+// Safe to call after End, after a batch that carried the query's end,
+// after a Busy or an Error ended the query, or after a previous Cancel — a
+// no-op in each case — so callers may defer it.
 func (q *Query) Cancel(reason uint8) {
-	if q.done {
+	if q.over != nil {
 		return
 	}
-	q.done = true
+	q.over = errSettled
 	mInflight.Dec()
 	if q.begun {
 		// Best-effort: the daemon also aborts on connection teardown.

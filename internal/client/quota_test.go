@@ -16,15 +16,15 @@ import (
 	"repro/internal/wire"
 )
 
-// serveChunkFixture hosts file F, 40 pages of 512 bytes, each filled with
+// serveQuotaFixture hosts file F, 40 pages of 512 bytes, each filled with
 // its page number, on a loopback daemon with the given options.
-func serveChunkFixture(t *testing.T, opts server.Options) (*server.Server, string, [][]byte) {
+func serveQuotaFixture(t *testing.T, opts server.Options) (*server.Server, string, [][]byte) {
 	t.Helper()
 	pages := make([][]byte, 40)
 	for i := range pages {
 		pages[i] = bytes.Repeat([]byte{byte(i)}, 512)
 	}
-	db := &lbs.Database{Scheme: "T", Header: []byte("chunking fixture\n"), Files: []pagefile.Reader{pagefile.SlicePages("F", 512, pages)}}
+	db := &lbs.Database{Scheme: "T", Header: []byte("quota fixture\n"), Files: []pagefile.Reader{pagefile.SlicePages("F", 512, pages)}}
 	srv := server.New(opts)
 	if err := srv.Host("T", db, costmodel.Default()); err != nil {
 		t.Fatal(err)
@@ -54,27 +54,26 @@ func counter(srv *server.Server, name string) uint64 {
 	return 0
 }
 
-// TestQuotaChunksFitTheFrameLimit: a quota of more pages than one reply
-// frame can carry goes out as one request, and the daemon cuts its reply
-// into wire.ReplyFrames frames of wire.ReplyCut pages, every one within
-// the 32 KiB the reader is held to here — a frame past it would fail the
-// connection. Only a quota past the frame limit itself is cut into
-// requests, of wire.FramePages items. Either way the frames' answers come
-// back as the quota's pages, in order, on the fetch path and the share
-// path alike, and the daemon records one trace line per page. (A quota
-// past the request limit would record a trace past the frame limit too, so
-// that query is cancelled rather than ended.)
-func TestQuotaChunksFitTheFrameLimit(t *testing.T) {
+// TestOneRequestPerQuota: a quota of more pages than one reply frame can
+// carry goes out as one request, and the daemon cuts its reply into
+// wire.ReplyFrames frames of wire.ReplyCut pages, every one within the
+// 32 KiB the reader is held to here — a frame past it would fail the
+// connection. The frames' answers come back as the quota's pages, in
+// order, on the fetch path and the share path alike, and the daemon
+// records one trace line per page. A quota whose request would not fit one
+// frame is refused before any frame of its batch leaves, naming the file
+// and the count, and the connection serves the next query.
+func TestOneRequestPerQuota(t *testing.T) {
 	defer func(old int) { maxFrame = old }(maxFrame)
 	maxFrame = 32 << 10
 	ctx := context.Background()
 	cut := wire.ReplyCut("F", 512)
 	// One quota over three reply frames, one past a Fetch request's limit,
 	// and one past a FetchShare request's limit (5-byte selectors).
-	fetchCut, shareCut := wire.FramePages("F", 0, maxFrame), wire.FramePages("F", 5, maxFrame)
+	fetchLimit, shareLimit := wire.FramePages("F", 0, maxFrame), wire.FramePages("F", 5, maxFrame)
 	quota := 2*cut + cut/2
-	if quota > shareCut {
-		t.Fatalf("a %d-page quota is cut into requests at this frame limit", quota)
+	if quota > shareLimit {
+		t.Fatalf("a %d-page quota does not fit one request at this frame limit", quota)
 	}
 	pagesOf := func(n, mul int) []int {
 		want := make([]int, n)
@@ -123,7 +122,7 @@ func TestQuotaChunksFitTheFrameLimit(t *testing.T) {
 		}
 	}
 
-	srv, addr, pages := serveChunkFixture(t, server.Options{})
+	srv, addr, pages := serveQuotaFixture(t, server.Options{})
 	c, err := Dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,7 @@ func TestQuotaChunksFitTheFrameLimit(t *testing.T) {
 	want := pagesOf(quota, 7)
 	// Begin, the round, one request per quota and End; one frame per reply
 	// cut, and the QueryDone.
-	frames(srv, 5, replyFrames(quota, 1)+1, func() {
+	fetchQuery := func() {
 		q := c.StartQuery()
 		got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: want}, {File: "F", Pages: []int{39}}, {End: true}})
 		if err != nil {
@@ -147,27 +146,30 @@ func TestQuotaChunksFitTheFrameLimit(t *testing.T) {
 		if lines := strings.Count(trace, "  fetch F\n"); lines != quota+1 {
 			t.Errorf("daemon recorded %d fetch lines, want %d:\n%s", lines, quota+1, trace)
 		}
-	})
-	big := pagesOf(fetchCut+10, 3)
-	// Begin, the round and two requests; the query is cancelled once the
-	// counters are read.
-	q := c.StartQuery()
-	frames(srv, 4, replyFrames(fetchCut, 10), func() {
-		got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: big}})
-		if err != nil {
-			t.Fatal(err)
+	}
+	frames(srv, 5, replyFrames(quota, 1)+1, fetchQuery)
+	refused := func(what string, err error, n int) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d items of F", n)) {
+			t.Errorf("%s: err = %v, want a refusal naming F and %d items", what, err, n)
 		}
-		check("fetch past the frame limit", got[1], big, pages)
+	}
+	big := pagesOf(fetchLimit+10, 3)
+	frames(srv, 0, 0, func() {
+		q := c.StartQuery()
+		_, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: big}})
+		refused("fetch past the frame limit", err, len(big))
+		q.Cancel(wire.CancelAbandon) // nothing was sent: a no-op on the wire
 	})
-	q.Cancel(wire.CancelAbandon)
+	frames(srv, 5, replyFrames(quota, 1)+1, fetchQuery)
 
-	rsrv, raddr, _ := serveChunkFixture(t, server.Options{Stores: lbs.XORStores, ReplicaRole: true})
+	rsrv, raddr, _ := serveQuotaFixture(t, server.Options{Stores: lbs.XORStores, ReplicaRole: true})
 	rc, err := Dial(raddr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	frames(rsrv, 4, replyFrames(quota)+1, func() {
+	shareQuery := func() {
 		rq := rc.StartQuery()
 		answers, err := rq.ReadShareFrames(ctx, []ShareFrame{{NewRound: true}, {File: "F", Sels: selsOf(want)}, {End: true}})
 		if err != nil {
@@ -181,15 +183,14 @@ func TestQuotaChunksFitTheFrameLimit(t *testing.T) {
 		if lines := strings.Count(trace, "  fetch F\n"); lines != quota {
 			t.Errorf("replica recorded %d fetch lines, want %d", lines, quota)
 		}
+	}
+	frames(rsrv, 4, replyFrames(quota)+1, shareQuery)
+	bigSel := pagesOf(shareLimit+10, 3)
+	frames(rsrv, 0, 0, func() {
+		rq := rc.StartQuery()
+		_, err := rq.ReadShareFrames(ctx, []ShareFrame{{NewRound: true}, {File: "F", Sels: selsOf(bigSel)}})
+		refused("share fetch past the frame limit", err, len(bigSel))
+		rq.Cancel(wire.CancelAbandon)
 	})
-	bigSel := pagesOf(shareCut+10, 3)
-	rq := rc.StartQuery()
-	frames(rsrv, 4, replyFrames(shareCut, 10), func() {
-		answers, err := rq.ReadShareFrames(ctx, []ShareFrame{{NewRound: true}, {File: "F", Sels: selsOf(bigSel)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("share fetch past the frame limit", answers[1], bigSel, pages)
-	})
-	rq.Cancel(wire.CancelAbandon)
+	frames(rsrv, 4, replyFrames(quota)+1, shareQuery)
 }

@@ -29,12 +29,12 @@ func (x failingShares) AnswerShares(ctx context.Context, sels [][]byte, dst [][]
 	return x.XORPIR.AnswerShares(ctx, sels, dst)
 }
 
-// TestFleetBatchErrorDrainsTheBatch: one replica answers one frame in the
-// middle of a pipelined batch with Error, the other answers every frame.
-// The fleet query returns that error once both replicas' batches are
-// answered, so the same query's next read gets its own replies; the
-// replica stays up, and the next query succeeds.
-func TestFleetBatchErrorDrainsTheBatch(t *testing.T) {
+// TestFleetBatchRefusalEndsTheQuery: one replica refuses one frame in the
+// middle of a pipelined batch, the other answers every frame. The refusal
+// ends the query on that replica, so the fleet query returns it, and a
+// further read on the query returns it again: a daemon's rejection, which
+// leaves the replica's breaker closed. The next query succeeds.
+func TestFleetBatchRefusalEndsTheQuery(t *testing.T) {
 	pages := rawPages(16, 64, 5)
 	db := rawDB(pages, 64)
 	srvA := server.New(server.Options{ReplicaRole: true, Stores: func(r pagefile.Reader) (pir.Store, error) {
@@ -68,14 +68,15 @@ func TestFleetBatchErrorDrainsTheBatch(t *testing.T) {
 	if !client.IsServerReject(err) || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("batch with a refused frame: err = %v, want the replica's rejection", err)
 	}
-	got, err := q.ReadPages(ctx, "pages", []int{6})
-	if err != nil {
-		t.Fatalf("read after the failed batch: %v", err)
-	}
-	if !equalBytes(got[0], pages[6]) {
-		t.Error("read after the failed batch XORed another frame's answers: a batch was not drained")
+	if _, again := q.ReadPages(ctx, "pages", []int{6}); !client.IsServerReject(again) || again.Error() != err.Error() {
+		t.Fatalf("read after the refused batch: err = %v, want the replica's refusal again", again)
 	}
 	q.Cancel(wire.CancelAbandon)
+	for _, r := range f.Status().Replicas {
+		if !r.Up || r.Trips != 0 {
+			t.Errorf("replica %s: up %v after %d trips, want up with none", r.Addr, r.Up, r.Trips)
+		}
+	}
 
 	page, _ := readOne(t, f, 7)
 	if !equalBytes(page, pages[7]) {

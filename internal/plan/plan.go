@@ -54,6 +54,20 @@ func (p Plan) TotalPIRAccesses() int {
 	return n
 }
 
+// Requests is how many frames a conforming query sends for the plan: one
+// announcement per round and one request per quota with a nonzero count.
+func (p Plan) Requests() int {
+	n := len(p.Rounds)
+	for _, r := range p.Rounds {
+		for _, f := range r.Fetches {
+			if f.Count > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // String renders the plan in the paper's style, e.g.
 // "round 1: Fl:1 | round 2: Fi:3 | round 3: Fd:12".
 func (p Plan) String() string {

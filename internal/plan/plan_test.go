@@ -29,6 +29,14 @@ func TestTotals(t *testing.T) {
 	if p.TotalPIRAccesses() != 18 {
 		t.Errorf("TotalPIRAccesses = %d, want 18", p.TotalPIRAccesses())
 	}
+	// Three announcements and four quotas; a quota of no pages sends none.
+	if p.Requests() != 7 {
+		t.Errorf("Requests = %d, want 7", p.Requests())
+	}
+	p.Rounds[2].Fetches[0].Count = 0
+	if p.Requests() != 6 {
+		t.Errorf("Requests with an empty quota = %d, want 6", p.Requests())
+	}
 }
 
 func TestString(t *testing.T) {

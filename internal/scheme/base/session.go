@@ -129,15 +129,8 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...Scheme) (*Session, er
 	if !slices.Contains(schemes, hdr.Scheme) {
 		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(string(schemes[0])), hdr.Scheme)
 	}
-	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1}
-	for _, r := range hdr.Plan.Rounds {
-		s.left++
-		for _, f := range r.Fetches {
-			if f.Count > 0 {
-				s.left++
-			}
-		}
-	}
+	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1,
+		left: hdr.Plan.Requests()}
 	s.observe, _ = conn.Ctx.Value(observeKey{}).(func(string))
 	s.stats.HeaderBytes = len(raw)
 	s.stats.Comm = s.model.RTT + s.model.Transfer(len(raw))

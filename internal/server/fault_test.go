@@ -46,9 +46,9 @@ func TestFaultMidRoundTracePrefix(t *testing.T) {
 		d := graph.NodeID((i*31 + 5) % g.NumNodes())
 		qs := c.StartQuery()
 		if _, err := queryScheme(ctx, qs, "CI", s, d, g); err != nil {
-			// The injected EIO surfaced as a server error mid-round. Settle
-			// as a deliberate abort so the partial trace IS recorded — that
-			// is the view the adversary had.
+			// The injected EIO surfaced as a server error mid-round, and the
+			// daemon ended the query there, recording its partial trace —
+			// the view the adversary had. The Cancel is a no-op.
 			qs.Cancel(wire.CancelContext)
 			failures++
 			recorded++

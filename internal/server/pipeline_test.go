@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -56,9 +55,9 @@ func numberedPages(n, size int) [][]byte {
 }
 
 // TestPipelinedBatchSharesTheConnection: one query pipelines a batch of 97
-// frames — a round announcement and 96 one-page reads — whose fourth read
-// is held at the store, while a second query on the same connection runs
-// from its first round to End. The second query completes while the first one's
+// frames — a round announcement and its 96 one-page quotas — whose fourth
+// read is held at the store, while a second query on the same connection
+// runs from its first round to End. The second query completes while the first one's
 // batch still waits (the daemon's connection reader never blocks on the
 // first query's inbox), and once released, every reply of the batch
 // arrives, in order.
@@ -71,7 +70,7 @@ func TestPipelinedBatchSharesTheConnection(t *testing.T) {
 			pagefile.SlicePages("A", 64, numberedPages(frames, 64)),
 			pagefile.SlicePages("B", 64, numberedPages(4, 64)),
 		},
-		Plan: plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: frames}}}}},
+		Plan: plan.Plan{Rounds: []plan.Round{{Fetches: slices.Repeat([]plan.Fetch{{File: "A", Count: 1}}, frames)}}},
 	}
 	gate := gateStore{page: 3, entered: make(chan struct{}, 1), open: make(chan struct{})}
 	srv := New(Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
@@ -158,12 +157,12 @@ func TestPipelinedBatchSharesTheConnection(t *testing.T) {
 	}
 }
 
-// TestBatchErrorDrainsTheBatch: the daemon answers one frame in the middle
-// of a batch with Error (a page past the file's end) and the rest with
-// pages. The client returns that error once the whole batch is answered,
-// so the same query's next read gets its own reply, and the next query on
-// the connection succeeds.
-func TestBatchErrorDrainsTheBatch(t *testing.T) {
+// TestBatchRefusalEndsTheQuery: the daemon refuses one read in the middle
+// of a batch (a page past the file's end). Its Error is the query's last
+// reply: the batch returns that error, and so does every later call on the
+// query, while Cancel is a no-op. The next query on the connection
+// succeeds.
+func TestBatchRefusalEndsTheQuery(t *testing.T) {
 	g, dbs := fixture(t)
 	_, addr := startServer(t, "CI")
 	c := dialDB(t, addr, "CI")
@@ -177,12 +176,11 @@ func TestBatchErrorDrainsTheBatch(t *testing.T) {
 	if !client.IsServerReject(err) || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("batch with a page past the end: err = %v, want the daemon's out-of-range rejection", err)
 	}
-	got, err := q.ReadPages(ctx, "Fd", []int{5})
-	if err != nil {
-		t.Fatalf("read after the failed batch: %v", err)
+	if _, again := q.ReadPages(ctx, "Fd", []int{5}); again == nil || again.Error() != err.Error() {
+		t.Fatalf("read after the refused batch: err = %v, want the refusal again", again)
 	}
-	if want, _ := fd.Page(5); !bytes.Equal(got[0][:len(want)], want) {
-		t.Error("read after the failed batch got another frame's reply: the batch was not drained")
+	if _, again := q.End(ctx); again == nil || again.Error() != err.Error() {
+		t.Fatalf("End after the refused batch: err = %v, want the refusal again", again)
 	}
 	q.Cancel(wire.CancelAbandon)
 

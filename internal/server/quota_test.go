@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
 	"repro/internal/pir"
+	"repro/internal/plan"
 	"repro/internal/scheme/af"
 	"repro/internal/scheme/base"
 	"repro/internal/scheme/ci"
@@ -43,13 +45,17 @@ func (x failingQuota) AnswerShares(ctx context.Context, sels [][]byte, dst [][]b
 	return x.XORPIR.AnswerShares(ctx, sels, dst)
 }
 
-// quotaFixture hosts file A, 60 numbered pages of 4 KB, on a loopback
-// daemon: a plain one whose every tenth page read fails with an injected
-// EIO, or a replica whose store fails every 20-share quota.
+// quotaPlan is quotaFixture's plan: one page of A in round 1, three in
+// round 2.
+var quotaPlan = plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: 1}}}, {Fetches: []plan.Fetch{{File: "A", Count: 3}}}}}
+
+// quotaFixture hosts file A, 60 numbered pages of 4 KB, under quotaPlan on
+// a loopback daemon: a plain one whose every tenth page read fails with an
+// injected EIO, or a replica whose store fails every 20-share quota.
 func quotaFixture(t *testing.T, replica bool) (*Server, string, [][]byte) {
 	t.Helper()
 	pages := numberedPages(60, 4096)
-	db := &lbs.Database{Scheme: "T", Header: []byte("quota fixture\n"), Files: []pagefile.Reader{pagefile.SlicePages("A", 4096, pages)}}
+	db := &lbs.Database{Scheme: "T", Header: []byte("quota fixture\n"), Files: []pagefile.Reader{pagefile.SlicePages("A", 4096, pages)}, Plan: quotaPlan}
 	opts := Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
 		return pir.NewPlain(faultinject.New(faultinject.Config{EIOEvery: 10, Seed: 1}).Reader(f)), nil
 	}}
@@ -79,8 +85,9 @@ func shareOf(p int) []byte {
 // the file's end, a selector of the wrong length, or a store that fails in
 // the middle of the quota (an injected EIO on the tenth page read, a failed
 // share pass) — gets exactly one Error frame in place of the Pages frames
-// its quota's reply would be cut into: on the wire the next frame answers
-// the next request. A client batch holding that quota returns the
+// its quota's reply would be cut into, and that Error ends the query: the
+// good request behind it gets no frame at all (a Ping sent after the Error
+// is answered next). A client batch holding that quota returns the
 // daemon's error without waiting for reply frames that never come; its
 // pipelined EndQuery does not complete the query; and the next query on
 // the same connection succeeds. On the Fetch path and the FetchShare path.
@@ -116,7 +123,7 @@ func TestRefusedQuotaGetsOneError(t *testing.T) {
 	} {
 		t.Run(path.name, func(t *testing.T) {
 			for why, bad := range path.refusals {
-				srv, addr, pages := quotaFixture(t, path.replica)
+				srv, addr, _ := quotaFixture(t, path.replica)
 				conn, br := rawQuery(t, addr)
 				written := metricTotal(srv.Telemetry(), "privsp_server_frames_written_total")
 				var batch bytes.Buffer
@@ -125,12 +132,18 @@ func TestRefusedQuotaGetsOneError(t *testing.T) {
 				if _, err := conn.Write(batch.Bytes()); err != nil {
 					t.Fatal(err)
 				}
-				if typ, _, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgError {
-					t.Fatalf("%s: first reply %s, %v; want Error", why, typ, err)
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if typ, qid, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgError || qid != 1 {
+					t.Fatalf("%s: first reply %s for query %d, %v; want Error for query 1", why, typ, qid, err)
 				}
-				readPages(t, br, why, good, pages)
-				if got, want := metricTotal(srv.Telemetry(), "privsp_server_frames_written_total")-written, uint64(1+wire.ReplyFrames("A", 4096, len(good))); got != want {
-					t.Errorf("%s: daemon wrote %d frames for the two requests, want %d", why, got, want)
+				if err := wire.WriteFrame(conn, wire.MsgPing, wire.ControlID, nil); err != nil {
+					t.Fatal(err)
+				}
+				if typ, qid, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgPong {
+					t.Fatalf("%s: after the Error, %s for query %d, %v; want the Pong", why, typ, qid, err)
+				}
+				if got := metricTotal(srv.Telemetry(), "privsp_server_frames_written_total") - written; got != 2 {
+					t.Errorf("%s: daemon wrote %d frames for the two requests and the Ping, want 2 (the Error and the Pong)", why, got)
 				}
 			}
 
@@ -157,7 +170,7 @@ func TestRefusedQuotaGetsOneError(t *testing.T) {
 			if _, err := read(ctx, q, quota); !client.IsServerReject(err) || !strings.Contains(err.Error(), "injected") {
 				t.Fatalf("batch with a failing quota: err = %v, want the daemon's injected failure at once", err)
 			}
-			q.Cancel(wire.CancelAbandon)
+			q.Cancel(wire.CancelAbandon) // a no-op: the Error ended the query
 			q = c.StartQuery()
 			got, err := read(ctx, q, good)
 			if err != nil {
@@ -176,13 +189,109 @@ func TestRefusedQuotaGetsOneError(t *testing.T) {
 				t.Errorf("next query's trace:\n%s\nwant:\n%s", trace, want)
 			}
 			settle(t, srv, "T")
-			// The failed query's EndQuery was refused, not run: the daemon
+			// The failed query's EndQuery never ran: the daemon ended that
+			// query at the refusal, recording the round it announced, and
 			// completed the second query alone.
-			if traces := srv.Traces("T"); len(traces) != 1 || traces[0] != trace {
-				t.Errorf("daemon recorded %q, want the second query's trace alone", traces)
+			traces := srv.Traces("T")
+			slices.Sort(traces)
+			if len(traces) != 2 || traces[0] != "round 1:\n" || traces[1] != trace {
+				t.Errorf("daemon recorded %q, want the failed query's round and the second query's trace", traces)
 			}
 			if n := metricTotal(srv.Telemetry(), "privsp_server_queries_total"); n != 1 {
 				t.Errorf("daemon completed %d queries, want 1", n)
+			}
+		})
+	}
+}
+
+// TestRefusedRequestEndsTheQuery: a refused request ends its query on the
+// daemon. Of the raw batch NextRound, a refused request, NextRound, a good
+// request, EndQuery, only the refusal is answered — one Error, after which
+// a Ping's Pong is the next frame — and nothing behind it reaches a store
+// (one batch observed) or is recorded: the audit ring holds "round 1:\n", a
+// strict prefix of the plan's trace, counted as a query the daemon ended
+// (reason="server"), not a completed one. The next query on the same
+// connection completes with the canonical trace. On the Fetch path (a page
+// past the file's end) and the FetchShare path (a short selector).
+func TestRefusedRequestEndsTheQuery(t *testing.T) {
+	for _, path := range []struct {
+		name             string
+		replica          bool
+		t                wire.MsgType
+		bad, first, good []byte
+	}{
+		{
+			name: "Fetch", t: wire.MsgFetch,
+			bad:   wire.Fetch{File: "A", Pages: []uint32{60}}.Encode(),
+			first: wire.Fetch{File: "A", Pages: []uint32{0}}.Encode(),
+			good:  wire.Fetch{File: "A", Pages: []uint32{1, 2, 3}}.Encode(),
+		},
+		{
+			name: "FetchShare", replica: true, t: wire.MsgFetchShare,
+			bad:   wire.ShareFetch{File: "A", Sels: [][]byte{{1}}}.Encode(),
+			first: wire.ShareFetch{File: "A", Sels: shares([]int{0})}.Encode(),
+			good:  wire.ShareFetch{File: "A", Sels: shares([]int{1, 2, 3})}.Encode(),
+		},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			srv, addr, pages := quotaFixture(t, path.replica)
+			reg := srv.Telemetry()
+			canonical := lbs.CanonicalTrace(quotaPlan)
+			conn, br := rawQuery(t, addr) // opens query 1
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			// send pipelines a query of the plan's shape: each round's
+			// announcement and its one request, then the query's end.
+			send := func(qid uint32, round1, round2 []byte) {
+				t.Helper()
+				var batch bytes.Buffer
+				wire.WriteFrame(&batch, wire.MsgNextRound, qid, nil)
+				wire.WriteFrame(&batch, path.t, qid, round1)
+				wire.WriteFrame(&batch, wire.MsgNextRound, qid, nil)
+				wire.WriteFrame(&batch, path.t, qid, round2)
+				wire.WriteFrame(&batch, wire.MsgEndQuery, qid, nil)
+				if _, err := conn.Write(batch.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send(1, path.bad, path.good)
+			if typ, qid, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgError || qid != 1 {
+				t.Fatalf("first reply: %s for query %d, %v; want Error for query 1", typ, qid, err)
+			}
+			if err := wire.WriteFrame(conn, wire.MsgPing, wire.ControlID, nil); err != nil {
+				t.Fatal(err)
+			}
+			if typ, qid, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgPong {
+				t.Fatalf("after the Error: %s for query %d, %v; want the Pong", typ, qid, err)
+			}
+			settle(t, srv, "T")
+			if n := metricTotal(reg, "privsp_server_fetch_batch_size"); n != 1 {
+				t.Errorf("%d requests reached the store's batch, want the refused one alone", n)
+			}
+			traces := srv.Traces("T")
+			if len(traces) != 1 || traces[0] != "round 1:\n" || !strings.HasPrefix(canonical, traces[0]) {
+				t.Errorf("audit ring %q, want the refused query's prefix \"round 1:\\n\"", traces)
+			}
+			if n := metricTotal(reg, "privsp_server_queries_total"); n != 0 {
+				t.Errorf("%d queries completed, want 0", n)
+			}
+			if n := metricTotal(reg, `privsp_server_query_cancelled_total{db="T",reason="server"}`); n != 1 {
+				t.Errorf("%d queries ended by the daemon, want 1", n)
+			}
+
+			// The next query on the connection: no frame of query 1 arrives
+			// among its replies, and it completes canonically.
+			if err := wire.WriteFrame(conn, wire.MsgBeginQuery, 2, nil); err != nil {
+				t.Fatal(err)
+			}
+			send(2, path.first, path.good)
+			readPages(t, br, 2, "round 1", []int{0}, pages)
+			readPages(t, br, 2, "round 2", []int{1, 2, 3}, pages)
+			typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+			if err != nil || typ != wire.MsgQueryDone || qid != 2 {
+				t.Fatalf("end of the next query: %s for query %d, %v; want QueryDone for query 2", typ, qid, err)
+			}
+			if done, err := wire.DecodeQueryDone(payload); err != nil || done.Trace != canonical {
+				t.Errorf("next query's trace %q (%v), want %q", done.Trace, err, canonical)
 			}
 		})
 	}
@@ -204,15 +313,15 @@ func shares(idx []int) [][]byte {
 	return out
 }
 
-// readPages reads the Pages frames of a reply to idx off br, cut as the
-// daemon cuts it, and checks they hold idx's pages in order.
-func readPages(t *testing.T, br *bufio.Reader, what string, idx []int, pages [][]byte) {
+// readPages reads the Pages frames of query qid's reply to idx off br, cut
+// as the daemon cuts it, and checks they hold idx's pages in order.
+func readPages(t *testing.T, br *bufio.Reader, qid uint32, what string, idx []int, pages [][]byte) {
 	t.Helper()
 	cut := wire.ReplyCut("A", 4096)
 	for lo := 0; lo < len(idx); lo += cut {
-		typ, _, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
-		if err != nil || typ != wire.MsgPages {
-			t.Fatalf("%s: reply frame %d: %s, %v; want Pages", what, lo/cut, typ, err)
+		typ, id, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil || typ != wire.MsgPages || id != qid {
+			t.Fatalf("%s: reply frame %d: %s for query %d, %v; want Pages for query %d", what, lo/cut, typ, id, err, qid)
 		}
 		got, err := wire.DecodePages(payload)
 		if err != nil {
@@ -347,6 +456,31 @@ func TestQueryFrameShapeOnTheWire(t *testing.T) {
 	}
 	if got := shapes["CI"]; got.requests != 8 || got.replies != 5 {
 		t.Errorf("CI: %d request and %d reply frames, pinned 8 and 5", got.requests, got.replies)
+	}
+}
+
+// TestInboxHoldsOnePipelinedPlan: a query's inbox holds exactly the
+// frames a conforming query pipelines after its BeginQuery — its plan's
+// round announcements and nonzero quotas, and its EndQuery — so a client
+// that sends the whole plan at once never blocks the connection reader.
+// CI's on Oldenburg@0.1 (Fl:1 | Fi:1 | Fd:9) is pinned at 7.
+func TestInboxHoldsOnePipelinedPlan(t *testing.T) {
+	_, dbs := wireFixture(t)
+	srv := New(Options{})
+	for _, s := range allSchemes {
+		if err := srv.Host(s, dbs[s], costmodel.Default()); err != nil {
+			t.Fatal(err)
+		}
+		h, err := srv.lookup(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + dbs[s].Plan.Requests(); h.inbox != want {
+			t.Errorf("%s: inbox of %d frames, want %d", s, h.inbox, want)
+		}
+		if s == "CI" && h.inbox != 7 {
+			t.Errorf("CI: inbox of %d frames, pinned 7", h.inbox)
+		}
 	}
 }
 

@@ -33,7 +33,8 @@ import (
 // record and lbs.CanonicalTrace, so the server-side view compares directly
 // against the public plan and against the client's transcript. A query cancelled at
 // a round boundary records a trace that is byte-identical to the first k
-// rounds of a full query — a prefix, never a deviation (Theorem 1).
+// rounds of a full query — a prefix, never a deviation (Theorem 1). A
+// refused request ends its query the same way: its Error is the last reply.
 type session struct {
 	s    *Server
 	conn net.Conn
@@ -52,19 +53,19 @@ type session struct {
 	queries map[uint32]*query
 	wg      sync.WaitGroup
 
-	// shed holds the IDs of the last queries shed at admission, so the
-	// frames a client pipelined behind a shed BeginQuery are dropped
-	// unanswered: the Busy is the query's one reply. Owned by the
-	// connection reader (dispatch), like shedNext, the slot the next shed
-	// ID takes.
-	shed     [shedRing]uint32
-	shedNext int
+	// ended holds the IDs of the last queries the daemon ended on its own
+	// (shed, refused or shut down), so the frames a client pipelined behind
+	// the Busy or Error that ended one are dropped unanswered. Guarded by
+	// qmu and written in the hold that keeps the query out of queries;
+	// endedNext is the slot the next ID takes.
+	ended     [endedRing]uint32
+	endedNext int
 }
 
-// shedRing bounds how many shed query IDs a session remembers. A client
-// stops sending for a query once it reads the Busy, so only the last few
-// shed queries can still have frames in flight.
-const shedRing = 16
+// endedRing bounds how many ended query IDs a session remembers. A client
+// stops sending for a query once it reads the reply that ended it, so only
+// the last few can still have frames in flight.
+const endedRing = 16
 
 // query is one in-flight query session on a connection.
 type query struct {
@@ -84,8 +85,7 @@ type query struct {
 	round     int
 	trace     lbs.Transcript
 	fetched   uint64
-	ended     bool
-	failed    bool // a request was refused: the query cannot complete
+	ended     bool // completed by EndQuery, and recorded
 	unflushed bool // a reply of this query may sit in the write buffer
 }
 
@@ -185,12 +185,11 @@ func (ss *session) replyPages(q *query, file string, pages [][]byte) {
 }
 
 // refuse answers a request of q with one Error frame, in place of all of its
-// reply frames, and marks q failed: a failed query never completes, so no
-// trace that misses a refused fetch is recorded as a completed query's.
-// Its client settles it with Cancel.
-func (ss *session) refuse(q *query, format string, args ...any) {
+// reply frames, and reports q terminal: nothing of q after it reaches a
+// store or is answered, and finishQuery records q's prefix trace.
+func (ss *session) refuse(q *query, format string, args ...any) bool {
 	ss.reply(q, wire.MsgError, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
-	q.failed = true
+	return true
 }
 
 // flush sends q's buffered replies, if any.
@@ -281,9 +280,10 @@ func (ss *session) handshake() error {
 
 // dispatch handles connection-level frames inline and routes query frames
 // to their goroutine. A frame for a query that is not open gets an Error,
-// unless the session shed that query: its Busy was the one reply. bp is
-// the frame's pooled payload buffer: inline frames return it here, routed
-// frames hand it to the query goroutine.
+// unless the daemon ended that query on its own: the Busy or Error that
+// ended it was its last reply. bp is the frame's pooled payload buffer:
+// inline frames return it here, routed frames hand it to the query
+// goroutine.
 func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]byte) {
 	switch t {
 	case wire.MsgPing:
@@ -305,9 +305,10 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]by
 	}
 	ss.qmu.Lock()
 	q := ss.queries[qid]
+	ended := q == nil && qid != wire.ControlID && slices.Contains(ss.ended[:], qid)
 	ss.qmu.Unlock()
 	if q == nil {
-		if !ss.wasShed(qid) {
+		if !ended {
 			ss.sendErr(qid, "no open query %d for %s", qid, t)
 		}
 		putFrameBuf(bp)
@@ -337,13 +338,12 @@ func (ss *session) beginQuery(qid uint32) {
 		return
 	}
 	if !ss.s.admitQuery() {
+		ss.endedHere(qid)
 		ss.qmu.Unlock()
 		// Shed under overload: the query never opens, so nothing about it —
 		// src, dst, even its target database's load — was read or recorded.
 		// The Busy hint depends on the in-flight counter alone.
 		ss.s.m.shed.Inc()
-		ss.shed[ss.shedNext] = qid
-		ss.shedNext = (ss.shedNext + 1) % shedRing
 		hint := uint32(ss.s.retryAfterHint() / time.Millisecond)
 		if ss.send(wire.MsgBusy, qid, wire.Busy{RetryAfterMillis: hint}.Encode()) == nil {
 			ss.s.m.busySent.Inc()
@@ -359,11 +359,12 @@ func (ss *session) beginQuery(qid uint32) {
 	go ss.runQuery(q)
 }
 
-// wasShed reports whether qid is one of the last shedRing queries this
-// session shed at admission. Query ID 0 is connection control, never a
-// query, so the ring's zero slots match nothing.
-func (ss *session) wasShed(qid uint32) bool {
-	return qid != wire.ControlID && slices.Contains(ss.shed[:], qid)
+// endedHere remembers qid as a query the daemon ended on its own. The
+// caller holds qmu. Query ID 0 is connection control, never a query, so the
+// ring's zero slots match nothing.
+func (ss *session) endedHere(qid uint32) {
+	ss.ended[ss.endedNext] = qid
+	ss.endedNext = (ss.endedNext + 1) % endedRing
 }
 
 // cancelQuery handles a client CANCEL: it cancels the query's context —
@@ -412,7 +413,8 @@ func (ss *session) runQuery(q *query) {
 }
 
 // handleQueryFrame serves one frame of an open query. It reports whether
-// the query reached a terminal state (completed or aborted mid-read).
+// the query reached a terminal state (completed, refused, or aborted
+// mid-read).
 func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 	switch f.t {
 	case wire.MsgNextRound:
@@ -427,8 +429,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		if f.t == wire.MsgFetch && ss.s.opts.ReplicaRole {
 			// A replica never reconstructs: it answers selector shares only,
 			// so this process cannot hold both halves of any query.
-			ss.refuse(q, "replica serves selector shares only (send FetchShare, not Fetch)")
-			return false
+			return ss.refuse(q, "replica serves selector shares only (send FetchShare, not Fetch)")
 		}
 		sc := ss.s.scratch.get()
 		defer ss.s.scratch.put(sc)
@@ -443,8 +444,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 				// stays a prefix of a full query's.
 				return true
 			}
-			ss.refuse(q, "%v", err)
-			return false
+			return ss.refuse(q, "%v", err)
 		}
 		// The adversarial view: file name and count only. The page indices
 		// model a PIR-encrypted request and are never recorded; a share
@@ -456,14 +456,6 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		return false
 
 	case wire.MsgEndQuery:
-		if q.failed {
-			// A client pipelines a batch, its EndQuery included, before it
-			// reads any reply, so the daemon must refuse to complete a query
-			// one of whose requests it refused: the query stays open until
-			// its client settles it with Cancel.
-			ss.refuse(q, "EndQuery after a refused request: settle the query with Cancel")
-			return false
-		}
 		tr := q.trace.String()
 		q.ended = true
 		ss.db.addTrace(tr)
@@ -474,8 +466,7 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 		return true
 
 	default:
-		ss.refuse(q, "unexpected message %s", f.t)
-		return false
+		return ss.refuse(q, "unexpected message %s", f.t)
 	}
 }
 
@@ -483,38 +474,41 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 // query was already recorded by EndQuery. A client CANCEL records the
 // partial trace — it is what the adversary saw, and it is always a prefix
 // of the full-query trace — and moves the matching counter; CancelAbandon
-// (a query that broke client-side) is discarded unrecorded, like a dropped
-// connection. A server-initiated abort (shutdown) tells the client with a
-// best-effort Error frame instead of leaving it waiting.
+// (a query that broke client-side) is discarded unrecorded. Any other end
+// is the daemon's own — a refused request, shutdown, or the connection
+// gone: it records the trace too, a strict prefix since a refused or
+// aborted fetch is never recorded, and joins the ended ring. A refused
+// query's Error is already written; one its context aborted (shutdown) is
+// told with a best-effort Error instead of being left waiting.
 func (ss *session) finishQuery(q *query) {
+	aborted := q.ctx.Err() != nil
 	q.cancel()
+	reason := q.reason.Load()
 	ss.qmu.Lock()
 	delete(ss.queries, q.id)
-	ss.qmu.Unlock()
-	ss.s.releaseQuery()
-	ss.db.m.inflight.Dec()
-	if q.ended {
-		return
+	if !q.ended && reason == 0 {
+		ss.endedHere(q.id)
 	}
-	switch q.reason.Load() {
-	case uint32(wire.CancelContext) + 1:
+	ss.qmu.Unlock()
+	switch {
+	case q.ended:
+	case reason == uint32(wire.CancelContext)+1:
 		ss.db.addTrace(q.trace.String())
 		ss.db.m.cancelCtx.Inc()
-	case uint32(wire.CancelDeadline) + 1:
+	case reason == uint32(wire.CancelDeadline)+1:
 		ss.db.addTrace(q.trace.String())
 		ss.db.m.cancelDeadline.Inc()
-	case uint32(wire.CancelAbandon) + 1:
-		// A query that failed client-side, not a deliberate abort: its
-		// trace never completed and is not recorded; only the telemetry
-		// reason counter moves (the wire stats ignore abandons, as ever).
+	case reason != 0:
+		// CancelAbandon, or a reason this daemon does not know: only the
+		// reason counter moves.
 		ss.db.m.cancelAbandon.Inc()
 	default:
-		// Server-initiated: shutdown cancelled the in-flight query. The
-		// trace is discarded and the client learns promptly (best-effort —
-		// the connection may already be gone).
+		ss.db.addTrace(q.trace.String())
 		ss.db.m.cancelServer.Inc()
-		if ss.ctx.Err() != nil {
+		if aborted {
 			ss.sendErr(q.id, "query cancelled: server shutting down")
 		}
 	}
+	ss.s.releaseQuery()
+	ss.db.m.inflight.Dec()
 }

@@ -74,11 +74,9 @@ type hostedMetrics struct {
 // first use) means a scrape sees the full catalog from startup, with zero
 // values — absence of a series never becomes a side channel.
 func (s *Server) newHosted(name string, lsrv *lbs.Server) *hosted {
-	// A conforming query sends End and per round its announcement and at
-	// most one frame per page: that many frames can be in flight at once
-	// when a client pipelines the whole plan.
-	p := lsrv.Database().Plan
-	h := &hosted{name: name, srv: lsrv, limit: traceHistory, inbox: 1 + len(p.Rounds) + p.TotalPIRAccesses()}
+	// A conforming query sends its plan's requests and its EndQuery: at
+	// most that many frames are in flight when a client pipelines them all.
+	h := &hosted{name: name, srv: lsrv, limit: traceHistory, inbox: 1 + lsrv.Database().Plan.Requests()}
 	reg := s.tel
 	if reg == nil {
 		return h

@@ -63,7 +63,12 @@ import (
 // A refused request still gets exactly one Error in place of its frames. A
 // version 7 client would read a quota's second reply frame as the answer to
 // its next request.
-const ProtocolVersion = 8
+// Version 9 makes a refused request's Error the query's last reply: the
+// daemon ends the query there, as it ends a shed one at its Busy, records
+// the trace seen so far, and answers none of the requests the client
+// pipelined behind it. A version 8 client would wait for those replies
+// forever.
+const ProtocolVersion = 9
 
 // DefaultMaxFrame bounds a single frame's payload; it must accommodate the
 // largest header file and the largest batched page fetch.
@@ -78,7 +83,7 @@ type MsgType uint8
 const (
 	MsgHello      MsgType = iota + 1 // C→S: version + database name
 	MsgWelcome                       // S→C: scheme, file table, public header
-	MsgError                         // S→C: request failed; session stays up
+	MsgError                         // S→C: request refused, the query's last reply; connection stays up
 	MsgBeginQuery                    // C→S: open the query session of this frame's ID (no reply)
 	MsgNextRound                     // C→S: next protocol round begins (no reply)
 	MsgFetch                         // C→S: batched PIR page retrieval
@@ -294,8 +299,8 @@ func readHeader(r io.Reader, hdr []byte, maxFrame int) (MsgType, uint32, uint32,
 	return MsgType(hdr[4]), binary.BigEndian.Uint32(hdr[5:9]), n, nil
 }
 
-// MaxFetchBatch is the largest page batch one Fetch frame carries (its
-// count field is 16-bit); the client cuts larger batches transparently.
+// MaxFetchBatch is the most items a Fetch, FetchShare or Pages frame
+// carries (a 16-bit count); a client refuses a larger quota unsent.
 const MaxFetchBatch = 0xFFFF
 
 // FramePages is how many items of itemBytes each — pages, or selector
@@ -304,10 +309,9 @@ const MaxFetchBatch = 0xFFFF
 // page, a 4-byte length and the page; a Fetch or FetchShare request a
 // 2-byte name length, the name, a 2-byte count and, per item, at most 4
 // bytes and itemBytes (0 for a Fetch's page indices). It is a function of
-// the public file table, so a cut by it keeps a query's frame shape a
-// function of the plan: ReplyCut cuts replies by it, and a client cuts a
-// request by it only where the request would exceed the frame limit, which
-// no plan quota of the paper's networks reaches.
+// the public file table, so ReplyCut, which cuts replies by it, keeps a
+// query's frame shape a function of the plan. A request is never cut: it
+// carries its whole quota or is refused.
 func FramePages(file string, itemBytes, maxFrame int) int {
 	return max(1, min(MaxFetchBatch, (maxFrame-4-len(file))/(4+itemBytes)))
 }

@@ -511,11 +511,13 @@ type querySession interface {
 // settleQuery runs the scheme protocol over a remote query session and
 // settles the session. A context abort is a deliberate cancellation the
 // daemon records (the partial trace is what the adversary saw) and counts;
-// any other failure abandons the query and the daemon discards it. The
-// connection stays usable either way. The one failure that must NOT show is
-// a plan overflow: it depends on the endpoints, and the session has already
-// sent the full canonical plan, so the query is completed exactly as on
-// success before the error is returned.
+// a request the daemon refused already ended the query there, recorded as
+// far as it went, so its Cancel is a no-op; any other failure abandons the
+// query and the daemon discards it. The connection stays usable either
+// way. The one failure that must NOT show is a plan overflow: it depends on
+// the endpoints, and the session has already sent the full canonical plan,
+// so the query is completed exactly as on success before the error is
+// returned.
 //
 // The batch that sends the plan's last quota carries the query's EndQuery,
 // so once it is answered the query is complete on the daemon: End returns
