@@ -12,6 +12,11 @@
 //	privsp build -nodes oldb.nodes -edges oldb.edges -scheme PI -out pi.psdb
 //	privspd -listen :7465 -db ci.psdb,pi.psdb
 //
+// The daemon has seven flags: -listen, -db, -pir, -replica-role,
+// -max-inflight, -admin and -drain. It has no fault-injection mode: tests
+// inject faults in process through internal/faultinject, which this binary
+// does not link.
+//
 // -db is required. Each database is hosted under its scheme name; clients
 // select one with privsp.DialDatabase (or take the sole database when only
 // one is served). SIGINT/SIGTERM trigger a graceful shutdown that waits for
@@ -55,10 +60,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/faultinject"
 	"repro/internal/lbs"
-	"repro/internal/pagefile"
-	"repro/internal/pir"
 	"repro/internal/server"
 	"repro/privsp"
 )
@@ -77,31 +79,13 @@ func main() {
 
 	// Validate the whole flag combination up front: a missing -db or a
 	// contradictory pairing must fail here, before any container is opened.
-	warnings, err := cfg.validate()
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		log.Fatalf("privspd: %v", err)
 	}
-	for _, w := range warnings {
-		log.Printf("privspd: warning: %s", w)
-	}
 
-	// Chaos mode (dev only): one injector shared by the listener wrapper and
-	// every hosted file's reader, so fault rates are daemon-global.
-	var chaos *faultinject.Injector
-	if cfg.Chaos != "" {
-		ccfg, _ := faultinject.ParseSpec(cfg.Chaos) // validated above
-		if ccfg.Enabled() {
-			chaos = faultinject.New(ccfg)
-		}
-	}
-
-	stores := storeFactory(cfg.PIRStore)
-	if chaos != nil {
-		stores = chaosStores(chaos, stores)
-	}
 	srv := server.New(server.Options{
 		Logf:        log.Printf,
-		Stores:      stores,
+		Stores:      storeFactory(cfg.PIRStore),
 		ReplicaRole: cfg.ReplicaRole,
 		MaxInflight: cfg.MaxInflight,
 	})
@@ -134,14 +118,9 @@ func main() {
 		adminWait = wait
 	}
 
-	// Listen here, not in the server, so chaos mode can wrap the listener
-	// with its connection-level faults.
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		log.Fatalf("privspd: listen %s: %v", cfg.Listen, err)
-	}
-	if chaos != nil {
-		ln = chaos.Listener(ln)
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -170,7 +149,6 @@ type daemonConfig struct {
 	PIRStore    string
 	ReplicaRole bool
 	MaxInflight int
-	Chaos       string
 	Admin       string
 	Drain       time.Duration
 }
@@ -189,40 +167,27 @@ func newFlagSet(output io.Writer) (*flag.FlagSet, *daemonConfig) {
 	fs.StringVar(&c.PIRStore, "pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass holding one of its database's 2x GOMAXPROCS pool slots)")
 	fs.BoolVar(&c.ReplicaRole, "replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
 	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "daemon-wide bound on queries open at once, the daemon's one concurrency setting; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 64x GOMAXPROCS, negative = unlimited)")
-	fs.StringVar(&c.Chaos, "chaos", "", "DEV ONLY fault-injection spec, comma-separated key=value from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>, seed=<n> (e.g. latency=2ms,tear=6,dialfail=5,eio=97); empty = off")
 	fs.StringVar(&c.Admin, "admin", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:6060; empty = disabled)")
 	fs.DurationVar(&c.Drain, "drain", 10*time.Second, "graceful shutdown window (in-flight queries are cancelled immediately; sessions get this long to settle)")
 	return fs, c
 }
 
 // validate rejects contradictory or unknown flag combinations with one
-// clear error, before any container is opened, and returns advisory
-// warnings for combinations that are legal but probably not what the
-// operator meant.
-func (c daemonConfig) validate() (warnings []string, err error) {
+// clear error, before any container is opened.
+func (c daemonConfig) validate() error {
 	if len(c.DBFiles) == 0 {
-		return nil, fmt.Errorf("no database to serve: build a container with privsp build -out FILE and pass it with -db FILE")
+		return fmt.Errorf("no database to serve: build a container with privsp build -out FILE and pass it with -db FILE")
 	}
 	switch c.PIRStore {
 	case "", "plain", "xorpir":
 	default:
-		return nil, fmt.Errorf("unknown -pir store %q (use plain or xorpir)", c.PIRStore)
+		return fmt.Errorf("unknown -pir store %q (use plain or xorpir)", c.PIRStore)
 	}
 	if c.ReplicaRole && c.PIRStore != "xorpir" {
-		return nil, fmt.Errorf("-replica-role answers XOR PIR selector shares and requires -pir xorpir (got %q)",
+		return fmt.Errorf("-replica-role answers XOR PIR selector shares and requires -pir xorpir (got %q)",
 			orDefault(c.PIRStore, "plain"))
 	}
-	if c.Chaos != "" {
-		ccfg, cerr := faultinject.ParseSpec(c.Chaos)
-		if cerr != nil {
-			return nil, fmt.Errorf("-chaos: %v", cerr)
-		}
-		if ccfg.Enabled() {
-			warnings = append(warnings, fmt.Sprintf(
-				"-chaos %s injects faults into serving I/O — development and testing only, never production", ccfg))
-		}
-	}
-	return warnings, nil
+	return nil
 }
 
 // storeFactory maps the -pir flag (already validated) to an lbs.StoreFactory;
@@ -232,18 +197,6 @@ func storeFactory(name string) lbs.StoreFactory {
 		return lbs.XORStores
 	}
 	return nil
-}
-
-// chaosStores wraps every hosted file's reader with the injector's page
-// faults (EIO, slow pages) before the real store factory builds on it.
-// XOR PIR reads every page at construction, so under -pir xorpir injected
-// EIO can only fail hosting; -pir plain serves straight from the reader and
-// surfaces injected EIO per query-time fetch.
-func chaosStores(in *faultinject.Injector, next lbs.StoreFactory) lbs.StoreFactory {
-	if next == nil {
-		next = lbs.PlainStores
-	}
-	return func(f pagefile.Reader) (pir.Store, error) { return next(in.Reader(f)) }
 }
 
 // orDefault substitutes a default for an empty flag value in messages.

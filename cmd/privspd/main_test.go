@@ -49,20 +49,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 				"-admin", "localhost:0", "-drain", "2s"},
 		},
 		{
-			name: "chaos spec accepted",
-			args: []string{"-db", "ci.psdb", "-chaos", "latency=2ms,tear=6,dialfail=5,eio=97,seed=42"},
-		},
-		{
-			name:    "chaos spec rejected",
-			args:    []string{"-db", "ci.psdb", "-chaos", "latency=banana"},
-			wantErr: "-chaos",
-		},
-		{
-			name:    "chaos unknown fault rejected",
-			args:    []string{"-db", "ci.psdb", "-chaos", "frob=1"},
-			wantErr: "unknown fault",
-		},
-		{
 			name: "xorpir store with db path",
 			args: []string{"-db", "ci.psdb", "-pir", "xorpir"},
 		},
@@ -90,7 +76,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := parseArgs(tc.args...)
 			if err == nil {
-				_, err = cfg.validate()
+				err = cfg.validate()
 			}
 			if tc.wantErr == "" {
 				if err != nil {
@@ -109,12 +95,12 @@ func TestValidateFlagCombinations(t *testing.T) {
 // into its container paths.
 func TestParseFlags(t *testing.T) {
 	cfg, err := parseArgs("-db", "ci.psdb, pi.psdb", "-listen", ":0", "-pir", "xorpir",
-		"-replica-role", "-max-inflight", "8", "-chaos", "eio=5", "-admin", "localhost:0", "-drain", "2s")
+		"-replica-role", "-max-inflight", "8", "-admin", "localhost:0", "-drain", "2s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := daemonConfig{Listen: ":0", DBFiles: []string{"ci.psdb", "pi.psdb"}, PIRStore: "xorpir",
-		ReplicaRole: true, MaxInflight: 8, Chaos: "eio=5", Admin: "localhost:0", Drain: 2 * time.Second}
+		ReplicaRole: true, MaxInflight: 8, Admin: "localhost:0", Drain: 2 * time.Second}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("parsed %+v\nwant   %+v", cfg, want)
 	}
@@ -130,41 +116,24 @@ func TestParseFlags(t *testing.T) {
 // TestDaemonServesOnly: the daemon defines exactly its serving flags, and
 // each flag of the build path privsp build owns fails to parse, as do
 // -workers (the pool size follows GOMAXPROCS; -max-inflight is the one
-// concurrency setting) and -stats (counters leave through /metrics).
+// concurrency setting), -stats (counters leave through /metrics) and
+// -chaos (tests inject faults in process, through internal/faultinject).
 func TestDaemonServesOnly(t *testing.T) {
 	fs, _ := newFlagSet(io.Discard)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"admin", "chaos", "db", "drain", "listen", "max-inflight", "pir", "replica-role"}
+	want := []string{"admin", "db", "drain", "listen", "max-inflight", "pir", "replica-role"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("flags %v, want %v", names, want)
 	}
 	for _, build := range []string{"preset", "scale", "seed", "nodes", "edges", "schemes", "page",
-		"threshold", "cluster", "landmarks", "regions", "workers", "stats"} {
+		"threshold", "cluster", "landmarks", "regions", "workers", "stats", "chaos"} {
 		t.Run(build, func(t *testing.T) {
 			_, err := parseArgs("-db", "ci.psdb", "-"+build, "1")
 			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+build) {
 				t.Fatalf("-%s parsed with %v, want it undefined", build, err)
 			}
 		})
-	}
-}
-
-// TestValidateChaosWarning: an enabled chaos spec is legal but loudly
-// flagged as development-only.
-func TestValidateChaosWarning(t *testing.T) {
-	warns, err := daemonConfig{DBFiles: []string{"ci.psdb"}, Chaos: "dialfail=5"}.validate()
-	if err != nil {
-		t.Fatalf("validate() = %v, want nil", err)
-	}
-	found := false
-	for _, w := range warns {
-		if strings.Contains(w, "development") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("chaos warnings = %q, want a development-only warning", warns)
 	}
 }
 

@@ -48,10 +48,11 @@ type Options struct {
 	DialTimeout time.Duration
 }
 
-// maxFrame is the largest frame payload a client reads or writes: a reply
-// frame past it fails the connection, and a request past it is refused
-// before any frame of its batch is written. Tests lower it before dialing
-// to drive the refusal.
+// maxFrame is the largest request payload a client writes: a request past
+// it is refused before any frame of its batch is written. Tests lower it
+// before dialing to drive the refusal. Replies are read at
+// wire.DefaultMaxFrame, the limit the daemon reads requests with, so a
+// lowered maxFrame never fails a connection on a long QueryDone trace.
 var maxFrame = wire.DefaultMaxFrame
 
 // frame is one routed server frame.
@@ -264,7 +265,7 @@ func (c *Client) release(id uint32) {
 // fresh and handed to its query, which keeps the pages it decodes from it.
 func (c *Client) readLoop(fr *wire.FrameReader) {
 	for {
-		t, qid, payload, err := fr.ReadFrame(c.maxFrame)
+		t, qid, payload, err := fr.ReadFrame(wire.DefaultMaxFrame)
 		if err != nil {
 			c.fail(fmt.Errorf("client: read: %w", err))
 			return

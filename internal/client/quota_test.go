@@ -12,19 +12,27 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
+	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
 
 // serveQuotaFixture hosts file F, 40 pages of 512 bytes, each filled with
-// its page number, on a loopback daemon with the given options.
+// its page number, on a loopback daemon with the given options. Its plan,
+// one round of two quotas of F, sizes each query's inbox on the daemon for
+// the batches the tests pipeline: a round, at most two requests, the end.
 func serveQuotaFixture(t *testing.T, opts server.Options) (*server.Server, string, [][]byte) {
 	t.Helper()
 	pages := make([][]byte, 40)
 	for i := range pages {
 		pages[i] = bytes.Repeat([]byte{byte(i)}, 512)
 	}
-	db := &lbs.Database{Scheme: "T", Header: []byte("quota fixture\n"), Files: []pagefile.Reader{pagefile.SlicePages("F", 512, pages)}}
+	db := &lbs.Database{
+		Scheme: "T",
+		Header: []byte("quota fixture\n"),
+		Files:  []pagefile.Reader{pagefile.SlicePages("F", 512, pages)},
+		Plan:   plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "F", Count: 1}, {File: "F", Count: 1}}}}},
+	}
 	srv := server.New(opts)
 	if err := srv.Host("T", db, costmodel.Default()); err != nil {
 		t.Fatal(err)
@@ -55,10 +63,9 @@ func counter(srv *server.Server, name string) uint64 {
 }
 
 // TestOneRequestPerQuota: a quota of more pages than one reply frame can
-// carry goes out as one request, and the daemon cuts its reply into
-// wire.ReplyFrames frames of wire.ReplyCut pages, every one within the
-// 32 KiB the reader is held to here — a frame past it would fail the
-// connection. The frames' answers come back as the quota's pages, in
+// carry goes out as one request, held here to 32 KiB, and the daemon cuts
+// its reply into wire.ReplyFrames frames of wire.ReplyCut pages. The
+// frames' answers come back as the quota's pages, in
 // order, on the fetch path and the share path alike, and the daemon
 // records one trace line per page. A quota whose request would not fit one
 // frame is refused before any frame of its batch leaves, naming the file
@@ -193,4 +200,46 @@ func TestOneRequestPerQuota(t *testing.T) {
 		rq.Cancel(wire.CancelAbandon)
 	})
 	frames(rsrv, 4, replyFrames(quota)+1, shareQuery)
+}
+
+// TestLongTraceReadsPastTheRequestLimit: the request limit bounds only what
+// the client writes. A query of 8 000 pages, each quota a conforming
+// request under a 32 KiB limit, ends with a QueryDone trace of one line per
+// page, past 32 KiB; End returns it, and the connection serves the next
+// query.
+func TestLongTraceReadsPastTheRequestLimit(t *testing.T) {
+	defer func(old int) { maxFrame = old }(maxFrame)
+	maxFrame = 32 << 10
+	ctx := context.Background()
+	_, addr, pages := serveQuotaFixture(t, server.Options{})
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	quota := make([]int, 4000)
+	for i := range quota {
+		quota[i] = i % 40
+	}
+	frames := []lbs.Frame{{NewRound: true}, {File: "F", Pages: quota}, {File: "F", Pages: quota}, {End: true}}
+	for run := 0; run < 2; run++ {
+		q := c.StartQuery()
+		got, err := q.ReadFrames(ctx, frames)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if !bytes.Equal(got[2][3999], pages[39]) {
+			t.Fatalf("run %d: last answer is not page 39", run)
+		}
+		trace, err := q.End(ctx)
+		if err != nil {
+			t.Fatalf("run %d: End: %v", run, err)
+		}
+		if len(trace) <= maxFrame {
+			t.Fatalf("run %d: trace of %d bytes does not pass the %d-byte request limit", run, len(trace), maxFrame)
+		}
+		if lines := strings.Count(trace, "  fetch F\n"); lines != 2*len(quota) {
+			t.Fatalf("run %d: trace has %d fetch lines, want %d", run, lines, 2*len(quota))
+		}
+	}
 }

@@ -1,11 +1,12 @@
-// Package faultinject wraps the daemon's I/O seams with deterministic,
-// rate-controlled faults: listener-level dial failures, per-connection
-// latency, connections torn mid-frame, page reads failing with an injected
-// EIO, and slow pages. It exists for the chaos harness (`privspd -chaos`,
-// bench/chaos_smoke.sh) — development only, never production serving.
+// Package faultinject is a test fixture: it wraps the daemon's I/O seams
+// with deterministic, rate-controlled faults — listener-level dial
+// failures, per-connection latency, connections torn mid-frame, and page
+// reads failing with an injected EIO. Tests build an Injector in process
+// and hand its Listener to Server.Serve or its Reader to a store factory.
+// No product binary links it: privspd has no fault-injection flag.
 //
 // Every fault is content-blind by construction: injection decisions count
-// accepts, bytes, and page reads, never query payloads, so a chaos run
+// accepts, bytes, and page reads, never query payloads, so a faulted run
 // preserves the Theorem 1 adversarial model — the faults an adversary
 // could inflict anyway, timed independently of src/dst.
 package faultinject
@@ -15,8 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +23,14 @@ import (
 	"repro/internal/pagefile"
 )
 
-// ErrInjected marks every fault this package produces, so tests and the
-// chaos harness can tell injected failures from real ones with errors.Is.
+// ErrInjected marks every fault this package produces, so tests can tell
+// injected failures from real ones with errors.Is.
 var ErrInjected = errors.New("faultinject: injected fault")
 
 // Config sets per-fault rates. A zero rate disables that fault; the zero
 // Config injects nothing.
 type Config struct {
-	// Seed makes a chaos run reproducible; 0 picks a fixed default.
+	// Seed makes a faulted run reproducible; 0 picks a fixed default.
 	Seed int64
 	// ConnLatency delays every connection read by a uniform draw in
 	// [0, ConnLatency).
@@ -46,93 +45,11 @@ type Config struct {
 	// EIOEvery fails every Nth page read with an error wrapping
 	// ErrInjected. The error text never names the page index.
 	EIOEvery int
-	// SlowPage delays every page read by a uniform draw in [0, SlowPage).
-	SlowPage time.Duration
 }
 
-// Enabled reports whether the config injects any fault at all.
-func (c Config) Enabled() bool {
-	return c.ConnLatency > 0 || c.TearEvery > 0 || c.DialFailEvery > 0 ||
-		c.EIOEvery > 0 || c.SlowPage > 0
-}
-
-// String renders the config in ParseSpec's syntax (diagnostics, logs).
-func (c Config) String() string {
-	var parts []string
-	if c.ConnLatency > 0 {
-		parts = append(parts, "latency="+c.ConnLatency.String())
-	}
-	if c.TearEvery > 0 {
-		parts = append(parts, fmt.Sprintf("tear=%d", c.TearEvery))
-	}
-	if c.DialFailEvery > 0 {
-		parts = append(parts, fmt.Sprintf("dialfail=%d", c.DialFailEvery))
-	}
-	if c.EIOEvery > 0 {
-		parts = append(parts, fmt.Sprintf("eio=%d", c.EIOEvery))
-	}
-	if c.SlowPage > 0 {
-		parts = append(parts, "slowpage="+c.SlowPage.String())
-	}
-	if c.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", c.Seed))
-	}
-	if len(parts) == 0 {
-		return "off"
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseSpec parses the -chaos flag syntax: comma-separated key=value pairs
-// from latency=<dur>, tear=<n>, dialfail=<n>, eio=<n>, slowpage=<dur>,
-// seed=<n>. Example: "latency=2ms,tear=6,dialfail=5,eio=97,seed=42".
-func ParseSpec(spec string) (Config, error) {
-	var c Config
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("faultinject: %q is not key=value", field)
-		}
-		switch key {
-		case "latency", "slowpage":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return Config{}, fmt.Errorf("faultinject: bad duration %s=%q", key, val)
-			}
-			if key == "latency" {
-				c.ConnLatency = d
-			} else {
-				c.SlowPage = d
-			}
-		case "tear", "dialfail", "eio", "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || (key != "seed" && n < 0) {
-				return Config{}, fmt.Errorf("faultinject: bad count %s=%q", key, val)
-			}
-			switch key {
-			case "tear":
-				c.TearEvery = int(n)
-			case "dialfail":
-				c.DialFailEvery = int(n)
-			case "eio":
-				c.EIOEvery = int(n)
-			case "seed":
-				c.Seed = n
-			}
-		default:
-			return Config{}, fmt.Errorf("faultinject: unknown fault %q", key)
-		}
-	}
-	return c, nil
-}
-
-// Injector owns the shared fault state (counters, RNG) a chaos run's
-// wrappers draw from. One Injector serves a whole daemon, so every-Nth
-// rates are global across connections and files.
+// Injector owns the shared fault state (counters, RNG) its wrappers draw
+// from. One Injector can serve a whole daemon, so every-Nth rates are
+// global across connections and files.
 type Injector struct {
 	cfg Config
 
@@ -248,10 +165,9 @@ func (c *conn) Write(b []byte) (int, error) {
 
 // Reader wraps r with the injector's page-read faults: every EIOEvery'th
 // Page call fails with an error wrapping ErrInjected (content-free text —
-// no page index, because the requested index is exactly what PIR hides),
-// and SlowPage adds read latency.
+// no page index, because the requested index is exactly what PIR hides).
 func (in *Injector) Reader(r pagefile.Reader) pagefile.Reader {
-	if in.cfg.EIOEvery <= 0 && in.cfg.SlowPage <= 0 {
+	if in.cfg.EIOEvery <= 0 {
 		return r
 	}
 	return &reader{Reader: r, in: in}
@@ -263,9 +179,6 @@ type reader struct {
 }
 
 func (r *reader) Page(i int) ([]byte, error) {
-	if d := r.in.jitter(r.in.cfg.SlowPage); d > 0 {
-		time.Sleep(d)
-	}
 	if every(r.in.reads.Add(1), r.in.cfg.EIOEvery) {
 		return nil, fmt.Errorf("read page of %s: input/output error: %w", r.Name(), ErrInjected)
 	}

@@ -10,37 +10,6 @@ import (
 	"repro/internal/pagefile"
 )
 
-func TestParseSpec(t *testing.T) {
-	c, err := ParseSpec("latency=2ms,tear=6,dialfail=5,eio=97,slowpage=1ms,seed=42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{
-		Seed: 42, ConnLatency: 2 * time.Millisecond, TearEvery: 6,
-		DialFailEvery: 5, EIOEvery: 97, SlowPage: time.Millisecond,
-	}
-	if c != want {
-		t.Fatalf("got %+v, want %+v", c, want)
-	}
-	if !c.Enabled() {
-		t.Fatal("parsed config reports disabled")
-	}
-	// String renders back into parseable syntax.
-	c2, err := ParseSpec(c.String())
-	if err != nil || c2 != c {
-		t.Fatalf("String round trip: %+v, %v", c2, err)
-	}
-
-	for _, bad := range []string{"latency", "latency=zap", "tear=-1", "eio=x", "frob=1"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-	if c, err := ParseSpec(""); err != nil || c.Enabled() {
-		t.Errorf("empty spec: %+v, %v — want disabled, nil", c, err)
-	}
-}
-
 // TestReaderEIO: every Nth page read fails with a typed injected error
 // whose text never names the requested index.
 func TestReaderEIO(t *testing.T) {

@@ -422,7 +422,7 @@ func (f *Fleet) pick() (subs [2]sub, err error) {
 // ReplicaStatus is one replica's health snapshot.
 type ReplicaStatus struct {
 	Addr    string
-	Up      bool
+	Up      bool   // circuit breaker closed
 	Trips   uint64 // breaker openings since dial
 	LastErr error  // most recent failure; nil when healthy since dial
 }
@@ -430,7 +430,9 @@ type ReplicaStatus struct {
 // Status snapshots the fleet: per-replica health and the number of queries
 // started, each with its two shares on distinct replicas.
 type Status struct {
-	Replicas      []ReplicaStatus
+	Replicas []ReplicaStatus
+	// PairedQueries counts queries started, each with its two shares on
+	// distinct replicas.
 	PairedQueries uint64
 }
 

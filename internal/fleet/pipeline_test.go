@@ -14,6 +14,7 @@ import (
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
 	"repro/internal/pir"
+	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -37,6 +38,8 @@ func (x failingShares) AnswerShares(ctx context.Context, sels [][]byte, dst [][]
 func TestFleetBatchRefusalEndsTheQuery(t *testing.T) {
 	pages := rawPages(16, 64, 5)
 	db := rawDB(pages, 64)
+	// The batch below is one round of four quotas.
+	db.Plan = plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "pages", Count: 1}, {File: "pages", Count: 3}, {File: "pages", Count: 1}, {File: "pages", Count: 1}}}}}
 	srvA := server.New(server.Options{ReplicaRole: true, Stores: func(r pagefile.Reader) (pir.Store, error) {
 		x, err := pir.NewXORPIR(r)
 		return failingShares{x}, err

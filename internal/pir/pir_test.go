@@ -49,7 +49,7 @@ func TestPlainStore(t *testing.T) {
 		t.Errorf("ScanStats = %d pages, %d scans after one served read; want 1, 1", pages, scans)
 	}
 
-	// A read the source fails (EIO under -chaos) served nothing and counts
+	// A read the source fails (an injected EIO) served nothing and counts
 	// as nothing.
 	broken := NewPlain(failingReader{src(pages, 64)})
 	if _, err := Read(broken, 3); err == nil {

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,5 +195,145 @@ func TestBatchRefusalEndsTheQuery(t *testing.T) {
 	}
 	if trace != lbs.CanonicalTrace(dbs["CI"].Plan) {
 		t.Error("next query: daemon trace deviates from the plan")
+	}
+}
+
+// holdStore holds every read until release is closed, whatever the read's
+// context says, as a page read already under way runs to completion, and
+// says on entered when the first read arrives.
+type holdStore struct {
+	pir.Store
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s holdStore) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.Store.ReadBatchInto(ctx, pages, dst)
+}
+
+// TestOffPlanFrameEndsTheQuery: query 1 sends more frames than its plan
+// has requests while its first read is held in the store, so a frame finds
+// its inbox full. The connection reader does not wait on query 1: it ends
+// it with one Error, its last reply, drops the frames pipelined behind,
+// and query 2 on the same connection runs to End while query 1's read is
+// still held. Once released, query 1's goroutine writes nothing more and
+// records its prefix trace, and its end is counted as the server's.
+func TestOffPlanFrameEndsTheQuery(t *testing.T) {
+	pagesB := numberedPages(4, 64)
+	db := &lbs.Database{
+		Scheme: "T",
+		Header: []byte("off-plan fixture\n"),
+		Files: []pagefile.Reader{
+			pagefile.SlicePages("A", 64, numberedPages(16, 64)),
+			pagefile.SlicePages("B", 64, pagesB),
+		},
+		Plan: plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: 2}, {File: "B", Count: 2}}}}},
+	}
+	hold := holdStore{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := New(Options{Stores: func(f pagefile.Reader) (pir.Store, error) {
+		if f.Name() == "A" {
+			h := hold
+			h.Store = pir.NewPlain(f)
+			return h, nil
+		}
+		return pir.NewPlain(f), nil
+	}})
+	if err := srv.Host("T", db, costmodel.Default()); err != nil {
+		t.Fatal(err)
+	}
+	done, addr := listen(t, srv)
+	defer shutdown(t, srv, done)
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold.release) }) }
+	defer release()
+	reg := srv.Telemetry()
+	conn, br := rawQuery(t, addr) // opens query 1
+	defer conn.Close()            // before shutdown, which would wait out its drain deadline
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	w0 := metricTotal(reg, "privsp_server_frames_written_total")
+	write := func(frames ...func(*bytes.Buffer)) {
+		t.Helper()
+		var b bytes.Buffer
+		for _, f := range frames {
+			f(&b)
+		}
+		if _, err := conn.Write(b.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := func(typ wire.MsgType, qid uint32, payload []byte) func(*bytes.Buffer) {
+		return func(b *bytes.Buffer) { wire.WriteFrame(b, typ, qid, payload) }
+	}
+	fetch := func(qid uint32, file string, idx ...int) func(*bytes.Buffer) {
+		return frame(wire.MsgFetch, qid, wire.Fetch{File: file, Pages: u32(idx)}.Encode())
+	}
+
+	write(frame(wire.MsgNextRound, 1, nil), fetch(1, "A", 0))
+	select {
+	case <-hold.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("query 1's first read never reached the store")
+	}
+	// The plan has 3 requests, so the inbox holds 4 frames: the fifth read
+	// behind the held one is off plan, and two more ride behind it.
+	var over []func(*bytes.Buffer)
+	for i := 1; i <= 7; i++ {
+		over = append(over, fetch(1, "A", i))
+	}
+	write(over...)
+	write(frame(wire.MsgBeginQuery, 2, nil), frame(wire.MsgNextRound, 2, nil), fetch(2, "B", 2, 0), frame(wire.MsgEndQuery, 2, nil))
+
+	var errs, pagesSeen, doneSeen int
+	for range 3 {
+		typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("while query 1's read is held: %v (query 1 errors %d, query 2 pages %d, done %d)", err, errs, pagesSeen, doneSeen)
+		}
+		switch {
+		case typ == wire.MsgError && qid == 1:
+			errs++
+			em, _ := wire.DecodeErrorMsg(payload)
+			if !strings.Contains(em.Text, "plan") || strings.Contains(em.Text, "server shutting down") {
+				t.Errorf("query 1's Error %q, want an off-plan refusal", em.Text)
+			}
+		case typ == wire.MsgPages && qid == 2:
+			pagesSeen++
+			got, err := wire.DecodePages(payload)
+			if err != nil || len(got.Pages) != 2 || !bytes.Equal(got.Pages[0], pagesB[2]) || !bytes.Equal(got.Pages[1], pagesB[0]) {
+				t.Errorf("query 2's Pages: %v, want pages 2 and 0 of B", err)
+			}
+		case typ == wire.MsgQueryDone && qid == 2:
+			doneSeen++
+		default:
+			t.Fatalf("unexpected %s for query %d", typ, qid)
+		}
+	}
+	if errs != 1 || pagesSeen != 1 || doneSeen != 1 {
+		t.Fatalf("query 1 errors %d, query 2 pages %d, done %d; want 1 each", errs, pagesSeen, doneSeen)
+	}
+
+	// Released, query 1 writes nothing: a Ping's Pong is the next frame.
+	release()
+	settle(t, srv, "T")
+	write(frame(wire.MsgPing, wire.ControlID, nil))
+	if typ, qid, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgPong {
+		t.Fatalf("after the release: %s for query %d, %v; want the Pong", typ, qid, err)
+	}
+	if n := metricTotal(reg, "privsp_server_frames_written_total") - w0; n != 4 {
+		t.Errorf("daemon wrote %d frames, want 4: the Error, query 2's Pages and QueryDone, the Pong", n)
+	}
+	if n := metricTotal(reg, `privsp_server_query_cancelled_total{db="T",reason="server"}`); n != 1 {
+		t.Errorf("%d queries ended by the daemon, want 1", n)
+	}
+	if n := metricTotal(reg, "privsp_server_queries_total"); n != 1 {
+		t.Errorf("%d queries completed, want 1", n)
+	}
+	if traces := srv.Traces("T"); !slices.Contains(traces, "round 1:\n") {
+		t.Errorf("audit ring %q lacks query 1's prefix trace", traces)
 	}
 }

@@ -12,12 +12,14 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
+	"repro/internal/plan"
 	"repro/internal/wire"
 )
 
 // streamFixture hosts file A (60 pages of 4 KB) and file B (9 pages of an
-// odd 13 bytes) under the given options, and returns the daemon's address
-// and the files' pages.
+// odd 13 bytes), under a plan of one round reading 52 pages of A and 2 of
+// B, with the given options, and returns the daemon's address and the
+// files' pages.
 func streamFixture(t *testing.T, opts Options) (string, map[string][][]byte) {
 	t.Helper()
 	pages := map[string][][]byte{"A": numberedPages(60, 4096), "B": numberedPages(9, 13)}
@@ -25,6 +27,7 @@ func streamFixture(t *testing.T, opts Options) (string, map[string][][]byte) {
 		Scheme: "T",
 		Header: []byte("streamed reply fixture\n"),
 		Files:  []pagefile.Reader{pagefile.SlicePages("A", 4096, pages["A"]), pagefile.SlicePages("B", 13, pages["B"])},
+		Plan:   plan.Plan{Rounds: []plan.Round{{Fetches: []plan.Fetch{{File: "A", Count: 52}, {File: "B", Count: 2}}}}},
 	}
 	srv := New(opts)
 	if err := srv.Host("T", db, costmodel.Default()); err != nil {

@@ -87,6 +87,11 @@ type query struct {
 	fetched   uint64
 	ended     bool // completed by EndQuery, and recorded
 	unflushed bool // a reply of this query may sit in the write buffer
+
+	// offPlan is set, under wmu, when the connection reader ended the query
+	// for sending more frames than its plan has requests: its Error is
+	// written, and no later reply of the query is.
+	offPlan bool
 }
 
 // sframe is one routed client frame. payload aliases a pooled buffer (buf);
@@ -145,22 +150,31 @@ func (ss *session) sendErr(qid uint32, format string, args ...any) error {
 func (ss *session) write(t wire.MsgType, qid uint32, payload []byte, flush bool) error {
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
+	if err := ss.writeLocked(t, qid, payload); err != nil || !flush {
+		return err
+	}
+	return ss.bw.Flush()
+}
+
+// writeLocked writes one frame into the buffer; the caller holds wmu.
+func (ss *session) writeLocked(t wire.MsgType, qid uint32, payload []byte) error {
 	if err := ss.fw.WriteFrame(t, qid, payload); err != nil {
 		return err
 	}
 	ss.s.m.framesWritten.Inc()
 	ss.s.m.bytesWritten.Add(uint64(len(payload)) + wire.FrameOverhead)
-	if !flush {
-		return nil
-	}
-	return ss.bw.Flush()
+	return nil
 }
 
 // reply writes one of q's replies without flushing: runQuery flushes once
 // q's inbox is empty, so a pipelined batch's replies leave together.
 func (ss *session) reply(q *query, t wire.MsgType, payload []byte) {
-	ss.write(t, q.id, payload, false)
-	q.unflushed = true
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
+	if !q.offPlan {
+		ss.writeLocked(t, q.id, payload)
+		q.unflushed = true
+	}
 }
 
 // replyPages writes q's reply to a fetch of file straight from the page
@@ -171,6 +185,9 @@ func (ss *session) replyPages(q *query, file string, pages [][]byte) {
 	c := wire.ReplyCut(file, len(pages[0]))
 	ss.wmu.Lock()
 	defer ss.wmu.Unlock()
+	if q.offPlan {
+		return
+	}
 	t0 := time.Now()
 	for lo := 0; lo < len(pages); lo += c {
 		n, err := ss.fw.WritePages(q.id, pages[lo:min(lo+c, len(pages))])
@@ -279,11 +296,12 @@ func (ss *session) handshake() error {
 }
 
 // dispatch handles connection-level frames inline and routes query frames
-// to their goroutine. A frame for a query that is not open gets an Error,
-// unless the daemon ended that query on its own: the Busy or Error that
-// ended it was its last reply. bp is the frame's pooled payload buffer:
-// inline frames return it here, routed frames hand it to the query
-// goroutine.
+// to their goroutine without ever waiting on one. A frame for a query that
+// is not open gets an Error, unless the daemon ended that query on its own:
+// the Busy or Error that ended it was its last reply. A frame that finds
+// its query's inbox full ends that query off plan. bp is the frame's
+// pooled payload buffer: inline frames return it here, routed frames hand
+// it to the query goroutine.
 func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]byte) {
 	switch t {
 	case wire.MsgPing:
@@ -316,9 +334,37 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]by
 	}
 	select {
 	case q.inbox <- sframe{t, payload, bp}:
-	case <-q.ctx.Done():
-		// The query is going away; its pending frame is moot.
+	default:
 		putFrameBuf(bp)
+		ss.endOffPlan(q, t)
+	}
+}
+
+// endOffPlan ends q, whose inbox a frame found full: the inbox holds every
+// request of q's plan, so the client sent more. The connection reader ends
+// q as a refusal would, without waiting on q's goroutine, which may be
+// held in a store call: q leaves the session for the ended ring, so frames
+// pipelined behind are dropped, its context is cancelled, and its one
+// Error is written here as its last reply. The goroutine's finishQuery
+// records the prefix trace and counts the end as the server's.
+func (ss *session) endOffPlan(q *query, t wire.MsgType) {
+	ss.qmu.Lock()
+	open := ss.queries[q.id] == q
+	if open {
+		delete(ss.queries, q.id)
+		ss.endedHere(q.id)
+	}
+	ss.qmu.Unlock()
+	if !open {
+		return // q's goroutine settled it first
+	}
+	q.cancel()
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
+	q.offPlan = true
+	text := fmt.Sprintf("query %d sent %s past the %d requests of its plan", q.id, t, cap(q.inbox)-1)
+	if ss.writeLocked(wire.MsgError, q.id, wire.ErrorMsg{Text: text}.Encode()) == nil {
+		ss.bw.Flush()
 	}
 }
 
@@ -475,19 +521,23 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 // partial trace — it is what the adversary saw, and it is always a prefix
 // of the full-query trace — and moves the matching counter; CancelAbandon
 // (a query that broke client-side) is discarded unrecorded. Any other end
-// is the daemon's own — a refused request, shutdown, or the connection
-// gone: it records the trace too, a strict prefix since a refused or
-// aborted fetch is never recorded, and joins the ended ring. A refused
-// query's Error is already written; one its context aborted (shutdown) is
-// told with a best-effort Error instead of being left waiting.
+// is the daemon's own — a refused request, frames past the plan, shutdown,
+// or the connection gone: it records the trace too, a strict prefix since
+// a refused or aborted fetch is never recorded, and joins the ended ring.
+// A refused or off-plan query's Error is already written; one its context
+// aborted otherwise (shutdown) is told with a best-effort Error instead of
+// being left waiting.
 func (ss *session) finishQuery(q *query) {
 	aborted := q.ctx.Err() != nil
 	q.cancel()
 	reason := q.reason.Load()
 	ss.qmu.Lock()
-	delete(ss.queries, q.id)
-	if !q.ended && reason == 0 {
-		ss.endedHere(q.id)
+	offPlan := ss.queries[q.id] != q // endOffPlan took q out already
+	if !offPlan {
+		delete(ss.queries, q.id)
+		if !q.ended && reason == 0 {
+			ss.endedHere(q.id)
+		}
 	}
 	ss.qmu.Unlock()
 	switch {
@@ -505,7 +555,7 @@ func (ss *session) finishQuery(q *query) {
 	default:
 		ss.db.addTrace(q.trace.String())
 		ss.db.m.cancelServer.Inc()
-		if aborted {
+		if aborted && !offPlan {
 			ss.sendErr(q.id, "query cancelled: server shutting down")
 		}
 	}

@@ -104,34 +104,13 @@ func (fs *FleetServer) ShortestPath(ctx context.Context, src, dst Point, opts ..
 }
 
 // FleetReplicaStatus is one replica's health snapshot.
-type FleetReplicaStatus struct {
-	Addr string
-	Up   bool // circuit breaker closed
-	// Trips counts breaker openings since dial; LastErr is the most
-	// recent failure (nil when healthy since dial).
-	Trips   uint64
-	LastErr error
-}
+type FleetReplicaStatus = fleet.ReplicaStatus
 
 // FleetStatus is the fleet's health and query accounting.
-type FleetStatus struct {
-	Replicas []FleetReplicaStatus
-	// PairedQueries counts queries started, each with its two shares on
-	// distinct replicas.
-	PairedQueries uint64
-}
+type FleetStatus = fleet.Status
 
 // Status snapshots the fleet's health without touching the network.
-func (fs *FleetServer) Status() FleetStatus {
-	st := fs.f.Status()
-	out := FleetStatus{PairedQueries: st.PairedQueries}
-	for _, r := range st.Replicas {
-		out.Replicas = append(out.Replicas, FleetReplicaStatus{
-			Addr: r.Addr, Up: r.Up, Trips: r.Trips, LastErr: r.LastErr,
-		})
-	}
-	return out
-}
+func (fs *FleetServer) Status() FleetStatus { return fs.f.Status() }
 
 // Close stops the health prober and tears down every replica connection.
 func (fs *FleetServer) Close() error { return fs.f.Close() }
