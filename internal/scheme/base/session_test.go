@@ -22,17 +22,37 @@ type sentFrame struct {
 	pages []int
 }
 
-// frameLog is an in-process service that logs the frames it is sent.
+// frameLog is an in-process service that logs the frames it is sent and
+// the rounds announced before each.
 type frameLog struct {
 	*lbs.Server
 	frames []sentFrame
+	rounds []int // per logged frame, the rounds announced before it
+	round  int   // rounds announced
 }
 
 func (f *frameLog) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, f) }
 
+func (f *frameLog) NextRound(ctx context.Context) error {
+	f.round++
+	return f.Server.NextRound(ctx)
+}
+
 func (f *frameLog) ReadPages(ctx context.Context, file string, pages []int) ([][]byte, error) {
 	f.frames = append(f.frames, sentFrame{file, slices.Clone(pages)})
+	f.rounds = append(f.rounds, f.round)
 	return f.Server.ReadPages(ctx, file, pages)
+}
+
+// batchedLog gives a frameLog the batch face (lbs.RoundReader): the session
+// hands it whole batches, which it logs frame by frame through the log's
+// own NextRound and ReadPages.
+type batchedLog struct{ *frameLog }
+
+func (b batchedLog) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, b) }
+
+func (b batchedLog) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
+	return lbs.ReadFrames(ctx, b.frameLog, frames)
 }
 
 // openSession serves a three-file database under a three-round plan —
