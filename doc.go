@@ -10,13 +10,15 @@
 //
 // The client side of the protocol is split two ways: a scheme
 // (internal/scheme/{ci,pi,hy,lm,af}) says what it needs — NextRound, one
-// Fetch per record, Finish; base.Session, the one plan walker and the one
-// per-query object, charges those wants to the public plan, pads what they
-// leave unused, refuses (with ErrPlanOverflow, after completing the
-// canonical plan) what the plan has no room for, and keeps the query's
-// books: the simulated costs, the client clock and the adversary-visible
-// transcript. What reaches the service — frames included: one per record,
-// padding shaped like a region fetch — is therefore a function of the plan
+// Fetch per record it waits on, FetchRegions per round of region clusters,
+// Finish; base.Session, the one per-query object, lays the public plan out
+// once as the frames a conforming query sends — per round an announcement
+// and one frame per (round, file) quota, its pages padding until a want
+// fills them — copies each want into its quota's frame, refuses (with
+// ErrPlanOverflow, after sending the rest of the schedule) what the plan
+// has no room for, and keeps the query's books: the simulated costs, the
+// client clock and the adversary-visible transcript. What reaches the
+// service, frame boundaries included, is therefore a function of the plan
 // alone.
 //
 // The build side has one declaration of its tunables: base.Config (exposed

@@ -31,38 +31,38 @@ var ErrPlanOverflow = errors.New("plan budget exhausted: the query needs more re
 // the session completes the canonical plan with padding first.
 var ErrEntrySent = errors.New("plan entry already sent: a (round, file) quota goes out in one frame")
 
-// Session is one query, and the one object that walks the public plan for
-// it (§3.1: every query follows the same plan, "padding its requests with
-// dummy page retrievals"). A scheme says what it needs — NextRound, Fetch,
-// FetchRegions, Finish — and the session owns everything that follows from
-// the plan: the round cursor, the per-(round, file) quotas, the padding, and
-// every piece of per-query bookkeeping: the error latch, the Table 2
-// charges, the client-compute clock, the per-file fetch counts and the
-// adversary-visible transcript. What reaches the service is therefore a
-// function of the plan alone, whatever a scheme asks for: each plan entry —
-// one (round, file) quota — is one frame, holding the entry's wants (a
-// look-up page, an index window, region clusters) in declaration order and
-// then its padding, entries in plan order; a want the plan has no room for
-// is never sent.
+// Session is one query, and the one object that holds it to the public
+// plan (§3.1: every query follows the same plan, "padding its requests
+// with dummy page retrievals"). Open lays the plan out once as the frames a
+// conforming query sends — per round its announcement and one read per
+// (round, file) quota, each quota's pages zero slots, then the end marker —
+// and the query is that schedule filled in: a scheme says what it needs —
+// NextRound, Fetch, FetchRegions, Finish — and each want copies its pages
+// into the next free slots of its quota, in declaration order. A slot no
+// want fills asks for page 0, which is padding: the PIR layer hides which
+// page a read asks for. The session also keeps every piece of per-query
+// bookkeeping: the error latch, the Table 2 charges, the client-compute
+// clock, the per-file fetch counts and the adversary-visible transcript.
+// What reaches the service is therefore a function of the plan alone,
+// whatever a scheme asks for; a want the plan has no room for is never
+// sent.
 //
-// A dependent frame waits; a round's declared wants and its padding go out
-// together. The session queues round announcements and entry frames, and
-// sends the queue as one batch (lbs.ReadFrames) only when a scheme needs a
-// reply: Fetch waits for the entry it asks in, FetchRegions for a round's
-// region clusters and the padding that closes their file's quota, and
-// Finish sends the padded rest of the plan, every later round included, as
-// one batch. An entry leaves in one batch: one that is part declared when a
-// batch goes is padded to its quota and sent whole, and a later want for it
-// fails with ErrEntrySent. The frames, their order and the charges are
-// those of sending one frame at a time; only the waits between them are
-// gone.
+// A dependent frame waits; everything before it goes out with it. The
+// session sends the schedule from its first unsent frame up to the quota of
+// the want a scheme waits on, as one batch (lbs.ReadFrames), only when a
+// reply is needed: Fetch waits for the quota it asks in, FetchRegions for a
+// round's region clusters, and Finish sends the rest of the schedule, every
+// later round included, as one batch. A quota leaves in one batch, padding
+// and all, so a later want for it fails with ErrEntrySent. The frames,
+// their order and the charges are those of sending one frame at a time;
+// only the waits between them are gone.
 //
 // Cancellation is honored at round boundaries and before each batch: the
-// context is checked before a round is announced and before anything is
-// sent, so a query cancelled mid-round stops before its next batch. The
-// service therefore observes either complete rounds or a round whose
-// in-flight batch it refused itself — in both cases a prefix of the one
-// full-query transcript, so a cancelled query leaks nothing beyond its
+// context is checked before a round begins and before anything is sent, so
+// a query cancelled mid-round stops before its next batch. The service
+// therefore observes either complete rounds or a round whose in-flight
+// batch it refused itself — in both cases a prefix of the one full-query
+// transcript, so a cancelled query leaks nothing beyond its
 // (data-independent) abort time (Theorem 1 is preserved).
 type Session struct {
 	// Hdr is the decoded header file: the plan and the scheme parameters.
@@ -72,14 +72,12 @@ type Session struct {
 	backend lbs.Backend
 	model   costmodel.Params
 
-	round int  // plan round in progress; -1 until the first NextRound
-	entry int  // cursor into that round's Fetches: the entries before it are full
-	used  int  // pages of Fetches[entry] wanted so far
-	open  bool // Fetches[entry] has the last frame of the queue
-	shut  bool // Fetches[entry] went out whole with an earlier batch
-	sent  int  // rounds announced to the service
-	left  int  // plan frames not yet queued: round announcements and quotas
-	ended bool // the end marker was queued
+	frames []lbs.Frame // the plan laid out: what a conforming query sends
+	at     int         // the frame reached: a round's announcement or the quota last wanted; -1 before the first round
+	used   int         // slots of frames[at] filled by wants
+	next   int         // the first frame not yet sent
+	round  int         // the plan round of frames[at]; -1 before the first
+	sent   int         // rounds announced to the service
 
 	err   error     // first backend or context error; every later call returns it
 	stats lbs.Stats // the Table 2 charges and per-file fetch counts so far
@@ -90,12 +88,9 @@ type Session struct {
 	start  time.Time
 	inside time.Duration
 
-	cg     *ClientGraph // the query's graph, once Graph borrowed it
-	queue  []lbs.Frame  // frames declared and not yet sent, in plan order; Pages cut at send
-	counts []int        // per queued frame, its page count
-	pages  []int        // the queued frames' page numbers, back to back; padding asks for page 0
-	wants  []wantSpan   // the queued wants, each a run of one frame's pages
-	idx    []int        // one region's page numbers
+	cg    *ClientGraph // the query's graph, once Graph borrowed it
+	wants []wantSpan   // the wants not yet sent, each a run of one frame's slots
+	idx   []int        // one region's page numbers
 
 	// observe, when a test asked for it through the context, is told each
 	// time the session hands fetched pages to a decoder ("decode") and the
@@ -103,8 +98,8 @@ type Session struct {
 	observe func(string)
 }
 
-// wantSpan is one want's pages inside its entry's frame: pages [from, from+n)
-// of queued frame f.
+// wantSpan is one want's pages inside its quota's frame: slots
+// [from, from+n) of frames[f].
 type wantSpan struct{ f, from, n int }
 
 // observeKey is the context key under which a test hands Open an observer.
@@ -129,8 +124,8 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...Scheme) (*Session, er
 	if !slices.Contains(schemes, hdr.Scheme) {
 		return nil, fmt.Errorf("%s: server hosts %q", strings.ToLower(string(schemes[0])), hdr.Scheme)
 	}
-	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(), round: -1,
-		left: hdr.Plan.Requests()}
+	s := &Session{Hdr: hdr, ctx: conn.Ctx, backend: conn.Backend, model: conn.Backend.Model(),
+		frames: layout(hdr.Plan), at: -1, round: -1}
 	s.observe, _ = conn.Ctx.Value(observeKey{}).(func(string))
 	s.stats.HeaderBytes = len(raw)
 	s.stats.Comm = s.model.RTT + s.model.Transfer(len(raw))
@@ -139,22 +134,50 @@ func Open(ctx context.Context, svc lbs.Service, schemes ...Scheme) (*Session, er
 	return s, nil
 }
 
-// NextRound pads what the round in progress left unused and begins the
-// plan's next round; both go out with the next batch. This is where a
-// cancelled context stops the query.
+// layout returns the frames a conforming query sends for p: per round its
+// announcement and then one read per quota, in plan order, its Count slots
+// cut from one run of zeros; then the end marker.
+func layout(p plan.Plan) []lbs.Frame {
+	frames := make([]lbs.Frame, 0, p.Requests()+1)
+	slots := make([]int, p.TotalPIRAccesses())
+	for _, r := range p.Rounds {
+		frames = append(frames, lbs.Frame{NewRound: true})
+		for _, f := range r.Fetches {
+			frames = append(frames, lbs.Frame{File: f.File, Pages: slots[:f.Count:f.Count]})
+			slots = slots[f.Count:]
+		}
+	}
+	return append(frames, lbs.Frame{End: true})
+}
+
+// NextRound begins the plan's next round, leaving what the round in
+// progress did not fill as padding; both go out with the next batch. This
+// is the round boundary where a cancelled context stops the query, before
+// the round is announced, so the service-visible transcript ends after a
+// complete round.
 func (s *Session) NextRound() error {
-	if s.round+1 >= len(s.Hdr.Plan.Rounds) {
+	i := s.at + 1
+	for i < len(s.frames) && !s.frames[i].NewRound {
+		i++
+	}
+	if i == len(s.frames) {
 		return s.overflow("no round follows round %d", s.round+1)
 	}
-	s.padTo(len(s.fetches()))
-	return s.beginRound()
+	if s.err != nil {
+		return s.err
+	}
+	if err := s.ctx.Err(); err != nil {
+		return s.fail(err)
+	}
+	s.at, s.used, s.round = i, 0, s.round+1
+	return nil
 }
 
 // Fetch retrieves pages of file, charged to the current round's quota for
-// that file, and waits for them: everything queued before goes out in the
-// same batch, and the quota's frame with it, padded to the quota. Quotas of
-// files the plan lists earlier in the round are padded first, so the
-// transcript keeps the plan's file order.
+// that file, and waits for them: the quota's frame goes out whole, padding
+// and all, in one batch with every unsent frame before it — quotas of files
+// the plan lists earlier in the round included, so the transcript keeps the
+// plan's file order.
 func (s *Session) Fetch(file string, pages []int) ([][]byte, error) {
 	at, err := s.want(file, pages)
 	if err != nil {
@@ -180,8 +203,8 @@ func (s *Session) Graph() *ClientGraph {
 
 // FetchRegions retrieves one round's region clusters as one batch: the lead
 // wants first (those the round holds in front of the clusters, such as an
-// index window), then each region's pages in file's frame, then the padding
-// that closes file's quota for the round. Only once all of it is sent does it
+// index window), then each region's pages in file's frame, which goes out
+// whole, padding and all. Only once all of it is sent does it
 // decode anything: it returns the lead frames' pages, and per region the ids
 // of its records, in page order — the candidates Nearest snaps an endpoint
 // among — decoded straight into the query's graph (layout per the header).
@@ -200,9 +223,6 @@ func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...l
 		if at[len(lead)+i], err = s.want(file, s.idx); err != nil {
 			return nil, nil, err
 		}
-	}
-	if len(regions) > 0 {
-		s.padTo(s.entry + 1)
 	}
 	data, err := s.send()
 	if err != nil {
@@ -224,8 +244,8 @@ func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...l
 	return pages[:len(lead)], nodes, nil
 }
 
-// Finish returns the query's graph to the pool, sends the padded rest of the
-// plan, books the client time and returns the query's result; path is
+// Finish returns the query's graph to the pool, sends the rest of the
+// schedule, books the client time and returns the query's result; path is
 // dropped when cost says t was unreachable.
 func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.NodeID) (*Result, error) {
 	if s.cg != nil {
@@ -271,139 +291,58 @@ func (s *Session) abort(err error, format string, args ...any) error {
 	return fmt.Errorf("%s: %w (%s)", strings.ToLower(string(s.Hdr.Scheme)), err, fmt.Sprintf(format, args...))
 }
 
-// complete pads the round in progress and every round after it, and sends
-// all of it, with whatever was queued before, as one batch.
+// complete moves the query to the end marker and sends the rest of the
+// schedule, with whatever was wanted before, as one batch.
 func (s *Session) complete() error {
-	for {
-		s.padTo(len(s.fetches()))
-		if s.round+1 >= len(s.Hdr.Plan.Rounds) {
-			break
-		}
-		if err := s.beginRound(); err != nil {
-			return err
-		}
-	}
+	s.at, s.used, s.round = len(s.frames)-1, 0, len(s.Hdr.Plan.Rounds)-1
 	_, err := s.send()
 	return err
 }
 
-// want queues pages of file into the frame of its quota in the round in
-// progress, padding the quotas the plan lists before file's first, and
-// returns the want's place among the queued wants (-1 for no pages: nothing
-// to send). A want the round has no room for is not queued: the query
-// overflows; nor is one for a quota an earlier batch already sent.
+// want copies pages of file into the next free slots of its quota in the
+// round in progress, passing over the quotas the plan lists before file's,
+// and returns the want's place among the unsent wants (-1 for no pages:
+// nothing to send). A want the round has no room for is not copied: the
+// query overflows; nor is one for a quota an earlier batch already sent.
 func (s *Session) want(file string, pages []int) (int, error) {
-	fs := s.fetches()
-	i, used := s.entry, s.used
-	for i < len(fs) && fs[i].File != file {
+	i, used := s.at, s.used
+	// The round's quotas are the frames with slots after its announcement.
+	for i >= 0 && s.frames[i].File != file && i+1 < len(s.frames) && s.frames[i+1].Pages != nil {
 		i, used = i+1, 0
 	}
-	if i == len(fs) || used+len(pages) > fs[i].Count {
+	if i < 0 || s.frames[i].File != file || used+len(pages) > len(s.frames[i].Pages) {
 		return -1, s.overflow("round %d has no room for %d more %s pages", s.round+1, len(pages), file)
 	}
-	if i == s.entry && s.shut && len(pages) > 0 {
+	if i < s.next && len(pages) > 0 {
 		return -1, s.abort(ErrEntrySent, "round %d, %d more %s pages", s.round+1, len(pages), file)
 	}
-	s.padTo(i)
+	s.at, s.used = i, used
 	if len(pages) == 0 {
 		return -1, nil
 	}
-	s.openFrame()
-	s.wants = append(s.wants, wantSpan{len(s.queue) - 1, s.counts[len(s.counts)-1], len(pages)})
-	s.pages = append(s.pages, pages...)
-	s.counts[len(s.counts)-1] += len(pages)
+	copy(s.frames[i].Pages[used:], pages)
+	s.wants = append(s.wants, wantSpan{i, used, len(pages)})
 	s.used += len(pages)
 	return len(s.wants) - 1, nil
 }
 
-// padTo closes the round's quotas before entry i — each padded to its count
-// inside its frame — and moves the cursor there. Which pages padding asks
-// for is arbitrary — the PIR layer hides them — so it asks for page 0.
-func (s *Session) padTo(i int) {
-	for fs := s.fetches(); s.entry < i; s.entry, s.used, s.open, s.shut = s.entry+1, 0, false, false {
-		if !s.shut {
-			s.pad(fs[s.entry].Count - s.used)
-		}
-	}
-}
-
-// pad appends n padding pages to the cursor entry's frame; used counts
-// wants only.
-func (s *Session) pad(n int) {
-	if n <= 0 {
-		return
-	}
-	s.openFrame()
-	s.pages = append(s.pages, make([]int, n)...)
-	s.counts[len(s.counts)-1] += n
-}
-
-// openFrame makes sure the cursor entry's frame ends the queue.
-func (s *Session) openFrame() {
-	if !s.open {
-		s.queue = append(s.queue, lbs.Frame{File: s.fetches()[s.entry].File})
-		s.counts = append(s.counts, 0)
-		s.open = true
-		s.left--
-	}
-}
-
-// fetches is the quota list of the round in progress.
-func (s *Session) fetches() []plan.Fetch {
-	if s.round < 0 {
-		return nil
-	}
-	return s.Hdr.Plan.Rounds[s.round].Fetches
-}
-
-// beginRound moves the cursor to the plan's next round and queues its
-// announcement. This is the round boundary where cancellation takes effect:
-// a dead context stops the query before the round is announced, so the
-// service-visible transcript ends after a complete round.
-func (s *Session) beginRound() error {
-	s.round, s.entry, s.used, s.open, s.shut = s.round+1, 0, 0, false, false
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.ctx.Err(); err != nil {
-		return s.fail(err)
-	}
-	s.queue = append(s.queue, lbs.Frame{NewRound: true})
-	s.counts = append(s.counts, 0)
-	s.left--
-	return nil
-}
-
-// send hands the queued frames to the service as one batch — the one path
-// by which anything of the query reaches it — and charges them: one round
-// trip per round announced, and per page one PIR retrieval against the
-// file's length and one page transfer. The cursor entry, if it has a frame,
-// is padded to its quota first and goes out whole. The batch that carries
-// the plan's last frame ends with an end marker, so a remote service
-// completes the query with it rather than with a round trip of its own; no
-// charge is booked for it, since the Table 2 model already charges none for
-// the end of a query. The service sees how many pages of which file each
-// frame holds, never which. It returns each queued want's pages, in want
-// order.
+// send hands the unsent frames up to the one reached, that frame whole, to
+// the service as one batch — the one path by which anything of the query
+// reaches it — and charges them: one round trip per round announced, and
+// per page one PIR retrieval against the file's length and one page
+// transfer. The batch that carries the plan's last quota ends with the end
+// marker, so a remote service completes the query with it rather than with
+// a round trip of its own; no charge is booked for it, since the Table 2
+// model already charges none for the end of a query. The service sees how
+// many pages of which file each frame holds, never which. It returns each
+// unsent want's pages, in want order.
 func (s *Session) send() ([][][]byte, error) {
-	if s.open {
-		s.pad(s.fetches()[s.entry].Count - s.used)
-		s.open, s.shut = false, true
+	first, end := s.next, s.at+1
+	if end == len(s.frames)-1 {
+		end++ // only the end marker is left: it rides this batch
 	}
-	if s.left == 0 && !s.ended && len(s.queue) > 0 {
-		s.queue = append(s.queue, lbs.Frame{End: true})
-		s.counts = append(s.counts, 0)
-		s.ended = true
-	}
-	frames, wants := s.queue, s.wants
-	for i, at := 0, 0; i < len(frames); i++ {
-		n := s.counts[i]
-		if !frames[i].NewRound && !frames[i].End {
-			frames[i].Pages = s.pages[at : at+n : at+n]
-		}
-		at += n
-	}
-	s.queue, s.counts, s.pages, s.wants = s.queue[:0], s.counts[:0], s.pages[:0], s.wants[:0]
+	frames, wants := s.frames[first:end], s.wants
+	s.next, s.wants = end, s.wants[:0]
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -447,7 +386,7 @@ func (s *Session) send() ([][][]byte, error) {
 	}
 	out := make([][][]byte, len(wants))
 	for i, w := range wants {
-		out[i] = data[w.f][w.from : w.from+w.n : w.from+w.n]
+		out[i] = data[w.f-first][w.from : w.from+w.n : w.from+w.n]
 	}
 	return out, nil
 }

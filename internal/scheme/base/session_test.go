@@ -229,6 +229,33 @@ func TestSessionRefusesToReopenASentEntry(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesToReopenARegionQuota: FetchRegions sends its file's
+// quota whole, padding included, so a later want for that quota is refused
+// with ErrEntrySent — the quota had room, so it is no overflow — and
+// nothing of it is sent.
+func TestSessionRefusesToReopenARegionQuota(t *testing.T) {
+	ses, svc := openSession(t)
+	mustDo(t, ses.NextRound())
+	mustDo(t, ses.NextRound())
+	_, _, err := ses.FetchRegions(FileData, []kdtree.RegionID{0})
+	mustDo(t, err)
+	_, err = ses.Fetch(FileData, []int{5})
+	if !errors.Is(err, ErrEntrySent) || errors.Is(err, ErrPlanOverflow) {
+		t.Fatalf("err = %v, want ErrEntrySent", err)
+	}
+	want := []sentFrame{
+		{FileLookup, []int{0}},
+		{FileIndex, []int{0, 0}}, {FileData, []int{0, 1, 0, 0}},
+		{FileData, []int{0, 0}},
+	}
+	if !slices.EqualFunc(svc.frames, want, sameFrame) {
+		t.Errorf("sent %v\nwant %v", svc.frames, want)
+	}
+	if got, want := ses.trace.String(), lbs.CanonicalTrace(ses.Hdr.Plan); got != want {
+		t.Errorf("transcript after the refused want:\n%swant:\n%s", got, want)
+	}
+}
+
 // TestSessionStopsAtCancelledRoundBoundary: a context that dies mid-query
 // stops the session at the next round boundary — no padding of later
 // rounds — so the service holds a strict prefix of the canonical trace.
