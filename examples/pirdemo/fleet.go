@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	crand "crypto/rand"
 	"fmt"
@@ -156,7 +157,7 @@ func runFleet() error {
 		if err != nil {
 			return fmt.Errorf("share fetch on replica %c: %v", 'A'+i, err)
 		}
-		answers[i] = res[0][0]
+		answers[i] = bytes.Clone(res[0][0]) // End recycles the reply's buffer
 		if traces[i], err = q.End(ctx); err != nil {
 			return fmt.Errorf("ending query on replica %c: %v", 'A'+i, err)
 		}

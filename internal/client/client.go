@@ -55,6 +55,24 @@ type Options struct {
 // lowered maxFrame never fails a connection on a long QueryDone trace.
 var maxFrame = wire.DefaultMaxFrame
 
+// replies is the free list every connection of the process reads its reply
+// frames into: a frame's payload is the best-fitting listed buffer, or a
+// new one, and the query that takes it gives it back once it is settled
+// (Query.End, Query.Cancel). One bounded list per process, rather than one
+// per connection, keeps what the list retains — live heap, which raises
+// the collector's goal and the resident set — independent of how many
+// connections are open.
+var replies pagefile.PageList
+
+// poisonRecycled makes every buffer given back to replies read as
+// poisonByte, so a query that still reads a page after its End or Cancel
+// decodes garbage. Tests set it before dialing; a Client takes its value
+// at dial time.
+var poisonRecycled = false
+
+// poisonByte is what a recycled buffer reads as while poisonRecycled holds.
+const poisonByte = 0xA5
+
 // frame is one routed server frame.
 type frame struct {
 	t       wire.MsgType
@@ -79,7 +97,8 @@ type Client struct {
 	order    []lbs.FileInfo // Welcome file table, in database order
 	header   []byte         // the bound database's public header
 	addr     string
-	maxFrame int // maxFrame as the client was dialed
+	maxFrame int  // maxFrame as the client was dialed
+	poison   bool // poisonRecycled as the client was dialed
 
 	ctlMu sync.Mutex // serializes Ping/Pong pairs
 
@@ -131,8 +150,8 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 		done:    make(chan struct{}),
 	}
 	c.fw = wire.NewFrameWriter(c.bw)
-	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
-	w, err := handshake(fr, c.bw, opts)
+	br := bufio.NewReaderSize(conn, 64<<10)
+	w, err := handshake(br, c.bw, opts)
 	if !stop() && err == nil {
 		// The deadline-poisoning AfterFunc already started: it may run
 		// after the reset below and poison a connection we reported as
@@ -153,19 +172,20 @@ func DialContext(ctx context.Context, addr string, opts Options) (*Client, error
 	c.header = w.Header
 	c.addr = addr
 	c.maxFrame = maxFrame
+	c.poison = poisonRecycled
 	c.order = w.Files
 	c.files = make(map[string]lbs.FileInfo, len(w.Files))
 	for _, f := range w.Files {
 		c.files[f.Name] = f
 	}
-	go c.readLoop(fr)
+	go c.readLoop(wire.NewFrameReader(br))
 	mConnects.Inc()
 	return c, nil
 }
 
 // handshake runs the Hello/Welcome exchange on the raw buffered stream,
 // before the reader goroutine exists.
-func handshake(fr *wire.FrameReader, bw *bufio.Writer, opts Options) (wire.Welcome, error) {
+func handshake(br *bufio.Reader, bw *bufio.Writer, opts Options) (wire.Welcome, error) {
 	hello := wire.Hello{Version: wire.ProtocolVersion, Database: opts.Database}
 	if err := wire.WriteFrame(bw, wire.MsgHello, wire.ControlID, hello.Encode()); err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: write Hello: %w", err)
@@ -173,7 +193,7 @@ func handshake(fr *wire.FrameReader, bw *bufio.Writer, opts Options) (wire.Welco
 	if err := bw.Flush(); err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: write Hello: %w", err)
 	}
-	t, _, payload, err := fr.ReadFrame(wire.DefaultMaxFrame)
+	t, _, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 	if err != nil {
 		return wire.Welcome{}, fmt.Errorf("client: read: %w", err)
 	}
@@ -261,11 +281,13 @@ func (c *Client) release(id uint32) {
 // readLoop routes every incoming frame to the query (or control waiter) it
 // is addressed to. Frames for finished queries — a reply overtaken by a
 // cancellation — are dropped, which is precisely what keying by query ID
-// buys: no stream position to desynchronize. Each payload is allocated
-// fresh and handed to its query, which keeps the pages it decodes from it.
+// buys: no stream position to desynchronize. Each payload is read into a
+// buffer of exactly its size from the process's reply list, and handed to
+// its query, which keeps the pages it decodes from it and gives the buffer
+// back when it is settled; a dropped frame's buffer goes back at once.
 func (c *Client) readLoop(fr *wire.FrameReader) {
 	for {
-		t, qid, payload, err := fr.ReadFrame(wire.DefaultMaxFrame)
+		t, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, replies.Get)
 		if err != nil {
 			c.fail(fmt.Errorf("client: read: %w", err))
 			return
@@ -283,7 +305,8 @@ func (c *Client) readLoop(fr *wire.FrameReader) {
 		}
 		c.mu.Unlock()
 		if ch == nil {
-			continue // finished or cancelled query: drop
+			c.recycle(payload) // finished or cancelled query: drop
+			continue
 		}
 		// The channel is never closed (see fail), so this send cannot
 		// panic even if the query is released concurrently. It holds a
@@ -294,8 +317,21 @@ func (c *Client) readLoop(fr *wire.FrameReader) {
 		default:
 			// More replies than requests: a server bug, but never a reason
 			// to block the reader and stall every other query.
+			c.recycle(payload)
 		}
 	}
+}
+
+// recycle gives a reply payload back to the reply list. The caller holds
+// no view of it afterwards.
+func (c *Client) recycle(payload []byte) {
+	if c.poison {
+		b := payload[:cap(payload)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	replies.Put(payload)
 }
 
 // writeFrame emits one frame, optionally flushing. Writes from concurrent
@@ -441,6 +477,11 @@ func (c *Client) Ping(ctx context.Context) error {
 // the batch returns, and End hands back the trace its QueryDone carried.
 // A Busy or an Error ends the query instead, and every later call returns
 // it again.
+//
+// The query holds the buffer of every reply it takes, and the pages it
+// returns alias those buffers: they stay valid until End or Cancel, which
+// give the buffers back to the process's reply list for later replies. A
+// caller that keeps a page past that copies it first.
 type Query struct {
 	c    *Client
 	id   uint32
@@ -452,6 +493,9 @@ type Query struct {
 	// over is nil while the query is open; once it is settled, what every
 	// later call returns: the Busy or Error that ended it, or errSettled.
 	over error
+	// held is the payload of every reply taken off resp since the last
+	// End or Cancel: the buffers the returned pages alias.
+	held [][]byte
 
 	// Batch-encoding scratch, reused across the query's batches (a Query is
 	// single-goroutine by contract): every request payload of a batch is
@@ -564,6 +608,9 @@ func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 		for range r.replies {
 			select {
 			case f := <-q.resp:
+				if f.payload != nil {
+					q.held = append(q.held, f.payload)
+				}
 				switch f.t {
 				case r.want:
 					replies = append(replies, f.payload)
@@ -640,7 +687,8 @@ func (q *Query) NextRound(context.Context) error {
 // ReadFrames implements lbs.RoundReader: it writes every frame under one
 // flush — a round announcement as NextRound, the end of the query as
 // EndQuery, a read as one Fetch frame for the file's pages — and then
-// collects the replies in order.
+// collects the replies in order. The pages alias the query's reply buffers
+// and stay valid until its End or Cancel.
 func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
 	for _, f := range frames {
 		for _, p := range f.Pages {
@@ -676,7 +724,9 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 // the query as EndQuery, shares as one FetchShare frame for the file's
 // selectors, and it returns, per selector, the XOR of the pages it selects.
 // This is the fleet client's half of two-server PIR: the daemon answers a
-// FetchShare in a single scan without ever reconstructing a page.
+// FetchShare in a single scan without ever reconstructing a page. Like
+// ReadFrames' pages, the answers stay valid until the query's End or
+// Cancel; the caller may write into them until then.
 func (q *Query) ReadShareFrames(ctx context.Context, frames []ShareFrame) ([][][]byte, error) {
 	return q.pipeline(ctx, wire.MsgFetchShare, len(frames),
 		func(i int) (wire.MsgType, string, int) {
@@ -792,6 +842,17 @@ func (q *Query) settle(trace string) {
 	q.c.release(q.id)
 }
 
+// recycle gives the buffers of the replies the query took back to the
+// reply list: no page it returned may be read after this. Safe to call
+// again; the second call finds nothing held.
+func (q *Query) recycle() {
+	for i, b := range q.held {
+		q.c.recycle(b)
+		q.held[i] = nil
+	}
+	q.held = q.held[:0]
+}
+
 // Model returns the cost-model parameters queries simulate with: the
 // paper's Table 2 defaults.
 func (q *Query) Model() costmodel.Params { return costmodel.Default() }
@@ -799,8 +860,10 @@ func (q *Query) Model() costmodel.Params { return costmodel.Default() }
 // End completes the query session and returns the trace the daemon
 // observed for it — the adversarial view of the query just run. When the
 // query's last batch already carried the EndQuery, End returns the trace
-// that batch brought back, without a round trip.
+// that batch brought back, without a round trip. The pages the query
+// returned are invalid once End returns, whatever it returns.
 func (q *Query) End(ctx context.Context) (string, error) {
+	defer q.recycle()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -825,8 +888,10 @@ func (q *Query) End(ctx context.Context) (string, error) {
 // entirely — right for queries that failed rather than were called off).
 // Safe to call after End, after a batch that carried the query's end,
 // after a Busy or an Error ended the query, or after a previous Cancel — a
-// no-op in each case — so callers may defer it.
+// no-op for the daemon in each case — so callers may defer it. Either way
+// the pages the query returned are invalid once Cancel returns.
 func (q *Query) Cancel(reason uint8) {
+	defer q.recycle()
 	if q.over != nil {
 		return
 	}

@@ -126,7 +126,10 @@ func (q *Query) ReadPages(ctx context.Context, file string, pages []int) ([][]by
 // answers are XORed locally frame by frame. Each replica sees one uniform
 // bitvector per page and performs one scan per quota. A batch that carried
 // the end marker completes the query on both replicas; End then compares
-// the two traces their QueryDone frames brought back.
+// the two traces their QueryDone frames brought back. The pages are the
+// first replica's reply buffers with the second's answers XORed into them,
+// and, like a client.Query's, stay valid until End or Cancel settles both
+// replica queries.
 func (q *Query) ReadFrames(ctx context.Context, frames []lbs.Frame) ([][][]byte, error) {
 	if q.err != nil {
 		return nil, q.err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -25,7 +26,7 @@ type scriptRun struct {
 	wanted  []sentFrame
 	failed  []sentFrame
 	ops     []string
-	aborted bool // a want was refused: ErrPlanOverflow or ErrEntrySent
+	aborted bool // a want was refused (ErrPlanOverflow, ErrEntrySent), or a region out of range
 	done    bool // Finish returned a result
 }
 
@@ -38,10 +39,11 @@ type scriptRun struct {
 //	   n = d/3%3 pages of file d%3, each 1 + b%7; each region b%3
 //	3: Finish, which ends the script
 //	4: cancel the query's context
+//	5: FetchRegions(Fd, region 3 + c%2), a region the header has none of
 //
 // It fails the test on an error that is neither a refused want nor the
 // query's first (latched) error, and on a reply whose pages are not the
-// ones wanted.
+// ones wanted. A region out of range is latched.
 func runScript(t *testing.T, ses *Session, cancel func(), script []byte) scriptRun {
 	t.Helper()
 	take := func() int {
@@ -64,7 +66,7 @@ func runScript(t *testing.T, ses *Session, cancel func(), script []byte) scriptR
 	for len(script) > 0 && len(run.ops) < 32 && !run.done {
 		var wants []sentFrame
 		var err error
-		switch take() % 5 {
+		switch take() % 6 {
 		case 0:
 			run.ops = append(run.ops, "NextRound")
 			err = ses.NextRound()
@@ -115,6 +117,12 @@ func runScript(t *testing.T, ses *Session, cancel func(), script []byte) scriptR
 		case 4:
 			run.ops = append(run.ops, "cancel")
 			cancel()
+		case 5:
+			r := kdtree.RegionID(3 + take()%2)
+			run.ops = append(run.ops, fmt.Sprintf("FetchRegions(Fd, [%d])", r))
+			if _, _, err = ses.FetchRegions(FileData, []kdtree.RegionID{r}); err == nil {
+				t.Fatalf("%v: region %d of %d served", run.ops, r, len(ses.Hdr.RegionFirstPage))
+			}
 		}
 		switch {
 		case err == nil:
@@ -128,6 +136,8 @@ func runScript(t *testing.T, ses *Session, cancel func(), script []byte) scriptR
 			run.aborted = true
 		case errors.Is(err, context.Canceled):
 			latched = err
+		case strings.Contains(err.Error(), "out of range"):
+			latched, run.aborted = err, true
 		default:
 			t.Fatalf("%v: unexpected error %v", run.ops, err)
 		}
@@ -171,9 +181,9 @@ func wantedPages(frames []sentFrame) map[string][]int {
 // the batched one, on the three-round fixture. Whatever a scheme asks, both
 // services see the same frames; read as (round, file, count) they are a
 // prefix of the plan's, and the whole plan once Finish returns or a want is
-// refused; no page of a refused want reaches the service; and every error is
-// a refusal (ErrPlanOverflow, ErrEntrySent) or the query's first error,
-// returned again by every later call.
+// refused or a region is out of range; no page of a refused want reaches the
+// service; and every error is a refusal (ErrPlanOverflow, ErrEntrySent) or
+// the query's first error, returned again by every later call.
 func FuzzSessionScript(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 1, 3, 0, 2, 4, 3},             // a look-up, then the rest padded
@@ -186,6 +196,7 @@ func FuzzSessionScript(f *testing.F) {
 		{0, 1, 3, 3, 4, 0, 3},             // cancelled at a round boundary
 		{0, 0, 0, 0},                      // a round past the last
 		{0, 2, 1, 0},                      // regions of a file the round lacks
+		{0, 0, 5, 0, 1, 8, 5, 3},          // a region out of range, then a want
 	} {
 		f.Add(seed)
 	}

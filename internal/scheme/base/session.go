@@ -208,6 +208,9 @@ func (s *Session) Graph() *ClientGraph {
 // decode anything: it returns the lead frames' pages, and per region the ids
 // of its records, in page order — the candidates Nearest snaps an endpoint
 // among — decoded straight into the query's graph (layout per the header).
+// A region the header has no pages for ends the query as a refused want
+// does, the rest of the plan sent, and its error is latched: every later
+// call returns it.
 func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...lbs.Frame) ([][][]byte, [][]graph.NodeID, error) {
 	at := make([]int, len(lead)+len(regions))
 	var err error
@@ -218,7 +221,7 @@ func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...l
 	}
 	for i, r := range regions {
 		if s.idx, err = s.Hdr.regionPages(r, s.idx); err != nil {
-			return nil, nil, err
+			return nil, nil, s.fail(s.abort(err, "round %d", s.round+1))
 		}
 		if at[len(lead)+i], err = s.want(file, s.idx); err != nil {
 			return nil, nil, err

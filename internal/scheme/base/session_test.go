@@ -256,6 +256,34 @@ func TestSessionRefusesToReopenARegionQuota(t *testing.T) {
 	}
 }
 
+// TestSessionLatchesARegionOutOfRange: a region the header has no pages for
+// ends the query the way a refused want does — nothing of the call is
+// sent, the rest of the plan is — and, the header being corrupt, latches
+// its error: the next want returns it again and sends nothing.
+func TestSessionLatchesARegionOutOfRange(t *testing.T) {
+	ses, svc := openSession(t)
+	mustDo(t, ses.NextRound())
+	mustDo(t, ses.NextRound())
+	_, _, err := ses.FetchRegions(FileData, []kdtree.RegionID{3})
+	if err == nil || !strings.Contains(err.Error(), "region 3 out of range") {
+		t.Fatalf("err = %v, want region 3 out of range", err)
+	}
+	want := []sentFrame{
+		{FileLookup, []int{0}},
+		{FileIndex, []int{0, 0}}, {FileData, []int{0, 0, 0, 0}},
+		{FileData, []int{0, 0}},
+	}
+	if !slices.EqualFunc(svc.frames, want, sameFrame) || svc.round != len(ses.Hdr.Plan.Rounds) {
+		t.Errorf("sent %v in %d rounds\nwant %v in %d", svc.frames, svc.round, want, len(ses.Hdr.Plan.Rounds))
+	}
+	if _, ferr := ses.Fetch(FileData, []int{5}); ferr != err {
+		t.Errorf("Fetch after the region error: %v, want %v again", ferr, err)
+	}
+	if len(svc.frames) != len(want) {
+		t.Errorf("Fetch after the region error sent %v", svc.frames[len(want):])
+	}
+}
+
 // TestSessionStopsAtCancelledRoundBoundary: a context that dies mid-query
 // stops the session at the next round boundary — no padding of later
 // rounds — so the service holds a strict prefix of the canonical trace.

@@ -59,17 +59,22 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 	sc := s.scratch.get()
 	defer s.scratch.put(sc)
 	br := bytes.NewReader(nil)
+	fr := wire.NewFrameReader(br)
 	bw := bufio.NewWriterSize(io.Discard, 64<<10)
 	fw := wire.NewFrameWriter(bw)
 	ctx := context.Background()
 
 	serve := func() {
 		br.Reset(framed.Bytes())
-		_, qid, payload, buf, err := wire.ReadFrameBuf(br, wire.DefaultMaxFrame, frameBuf)
+		_, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, func(n int) []byte {
+			if cap(frameBuf) < n {
+				frameBuf = make([]byte, n)
+			}
+			return frameBuf
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		frameBuf = buf
 		_, resp, err := s.answerFetch(ctx, h, wire.MsgFetch, payload, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +100,7 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 // steady-state rent/return cycle keeps seeing small ones.
 func TestFramePoolDoesNotRatchet(t *testing.T) {
 	// Simulate the read loop around one hostile frame: the rented buffer is
-	// grown in place (as wire.ReadFrameBuf does for a frame bigger than the
+	// grown in place (as the read loop does for a frame bigger than the
 	// buffer) and handed back.
 	bp := framePool.Get().(*[]byte)
 	*bp = make([]byte, 2*maxPooledFrameBuf)

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
+	"repro/internal/pagefile"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -357,10 +358,15 @@ type fetchScratch struct {
 // drop a scratch's page buffers and reallocate them after every second
 // collection; the list keeps as many scratch as fetches have been served at
 // once, up to its capacity. The page buffers live apart, in pages, so that a
-// scratch holds one only while it serves a fetch.
+// scratch holds one only while it serves a fetch. A plan quota is one
+// request and one store pass, so a fetch's buffer holds a whole quota — 208
+// KB for CI's Fd:52 at 4-KB pages — and kept one per fetch ever served at
+// once, such buffers would pin a quota per concurrent client for the
+// daemon's life (832 KB of a 5 MB live heap on two clients against two
+// fleet replicas in one process); pages keeps a bounded few, best fit.
 type scratchList struct {
 	free  chan *fetchScratch
-	pages pageList
+	pages pagefile.PageList
 }
 
 // scratchListCap bounds the scratch the list keeps; an unused slot costs a
@@ -383,7 +389,7 @@ func (l *scratchList) get() *fetchScratch {
 
 // put returns sc to the list, and its page buffer to the page list.
 func (l *scratchList) put(sc *fetchScratch) {
-	l.pages.put(sc.flat)
+	l.pages.Put(sc.flat)
 	sc.flat = nil
 	clear(sc.bufs) // the buffer is the page list's now: hold no view of it
 	sc.bufs = sc.bufs[:0]
@@ -403,72 +409,14 @@ func (sc *fetchScratch) grow(k, ps int) {
 	sc.idx = sc.idx[:k]
 	need := k * ps
 	if cap(sc.flat) < need {
-		sc.list.pages.put(sc.flat)
-		sc.flat = sc.list.pages.get(need)
+		sc.list.pages.Put(sc.flat)
+		sc.flat = sc.list.pages.Get(need)
 	}
 	sc.flat = sc.flat[:need]
 	sc.bufs = sc.bufs[:0]
 	for off := 0; off < len(sc.flat); off += ps {
 		sc.bufs = append(sc.bufs, sc.flat[off:off+ps])
 	}
-}
-
-// pageList is the daemon's free list of fetch page buffers. A plan quota is
-// one request and one store pass, so a fetch's buffer holds a whole quota —
-// 208 KB for CI's Fd:52 at 4-KB pages. Kept one per fetch ever served at
-// once, such buffers would pin a quota per concurrent client for the
-// daemon's life (832 KB of a 5 MB live heap on two clients against two
-// fleet replicas in one process). So the list keeps page buffers up to
-// maxListedPages bytes in all, and hands out the best fit: the smallest
-// listed buffer that holds the fetch, else a new one. A one-page fetch then
-// does not take a quota-sized buffer, and a quota-sized fetch finds one as
-// long as no other holds it; a fetch that overlaps it allocates its own,
-// which the collector takes back.
-type pageList struct {
-	mu    sync.Mutex
-	free  [][]byte
-	bytes int // capacity of the listed buffers, in bytes
-}
-
-// maxListedPages is the page-buffer bytes the list keeps: one CI Fd quota
-// and the small buffers of the one- to eight-page quotas around it.
-const maxListedPages = 256 << 10
-
-// get returns the smallest listed buffer of at least need bytes, or a new
-// one of exactly need bytes.
-func (l *pageList) get(need int) []byte {
-	l.mu.Lock()
-	best := -1
-	for i, b := range l.free {
-		if cap(b) >= need && (best < 0 || cap(b) < cap(l.free[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
-		l.mu.Unlock()
-		return make([]byte, need)
-	}
-	b := l.free[best]
-	last := len(l.free) - 1
-	l.free[best], l.free[last] = l.free[last], nil
-	l.free = l.free[:last]
-	l.bytes -= cap(b)
-	l.mu.Unlock()
-	return b[:need]
-}
-
-// put lists b, unless listing it would take the list past maxListedPages.
-func (l *pageList) put(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.bytes+cap(b) > maxListedPages || len(l.free) == scratchListCap {
-		return
-	}
-	l.free = append(l.free, b[:0])
-	l.bytes += cap(b)
 }
 
 // answerFetch serves one Fetch or FetchShare frame of type t: it decodes

@@ -236,10 +236,15 @@ func (ss *session) run() {
 		}
 		return
 	}
+	fr := wire.NewFrameReader(ss.br)
 	for {
 		bp := framePool.Get().(*[]byte)
-		t, qid, payload, buf, err := wire.ReadFrameBuf(ss.br, wire.DefaultMaxFrame, *bp)
-		*bp = buf
+		t, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, func(n int) []byte {
+			if cap(*bp) < n {
+				*bp = make([]byte, n)
+			}
+			return *bp
+		})
 		if err != nil {
 			putFrameBuf(bp)
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {

@@ -229,15 +229,15 @@ func writeFrame(w io.Writer, hdr []byte, t MsgType, queryID uint32, payload []by
 
 // ReadFrame reads one frame, rejecting payloads beyond maxFrame bytes. The
 // length is compared in 64 bits so a hostile header cannot overflow int on
-// 32-bit platforms. It allocates the header as well as the payload; a loop
-// reading one stream holds a FrameReader instead.
+// 32-bit platforms. It allocates the header as well as the payload, which
+// is the caller's to keep (nil when the frame has none); a loop reading one
+// stream holds a FrameReader instead.
 func ReadFrame(r io.Reader, maxFrame int) (MsgType, uint32, []byte, error) {
-	return NewFrameReader(r).ReadFrame(maxFrame)
+	return NewFrameReader(r).ReadFrameInto(maxFrame, func(n int) []byte { return make([]byte, n) })
 }
 
 // FrameReader reads one stream's frames, staging each header in a buffer
-// it owns, so a frame costs one allocation: its payload. Not safe for
-// concurrent use.
+// it owns. Not safe for concurrent use.
 type FrameReader struct {
 	r   io.Reader
 	hdr [frameHdrLen]byte
@@ -246,44 +246,25 @@ type FrameReader struct {
 // NewFrameReader wraps r (typically a *bufio.Reader).
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
-// ReadFrame is the package-level ReadFrame on fr's stream. The payload is
-// the caller's to keep: it never aliases the header buffer, so even a
-// payload shorter than a header survives the next read.
-func (fr *FrameReader) ReadFrame(maxFrame int) (MsgType, uint32, []byte, error) {
+// ReadFrameInto is ReadFrame on fr's stream, reading the payload into the
+// buffer get returns for its length n, which must have room for n bytes;
+// get is not called for a frame with no payload, which is returned nil.
+// The payload is that buffer cut to n bytes: it never aliases the header
+// buffer, so it survives the next read, and a get that hands out recycled
+// buffers reads frames without allocating.
+func (fr *FrameReader) ReadFrameInto(maxFrame int, get func(n int) []byte) (MsgType, uint32, []byte, error) {
 	t, qid, n, err := readHeader(fr.r, fr.hdr[:], maxFrame)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	payload := make([]byte, n)
+	if n == 0 {
+		return t, qid, nil, nil
+	}
+	payload := get(int(n))[:n]
 	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, 0, nil, fmt.Errorf("wire: short frame: %w", err)
 	}
 	return t, qid, payload, nil
-}
-
-// ReadFrameBuf is ReadFrame reading the payload into buf, growing it only
-// when too small: a serving loop that recycles its buffers reads frames
-// without allocating in steady state. The header is staged in the front of
-// buf too (a stack-local header array would escape through the io.Reader
-// and defeat the point). The payload aliases the returned buffer (buf or
-// its replacement), so the caller must be done with it before reusing the
-// buffer for the next frame.
-func ReadFrameBuf(r io.Reader, maxFrame int, buf []byte) (MsgType, uint32, []byte, []byte, error) {
-	if cap(buf) < frameHdrLen {
-		buf = make([]byte, frameHdrLen)
-	}
-	t, qid, n, err := readHeader(r, buf[:frameHdrLen], maxFrame)
-	if err != nil {
-		return 0, 0, nil, buf, err
-	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
-	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, buf, fmt.Errorf("wire: short frame: %w", err)
-	}
-	return t, qid, payload, buf, nil
 }
 
 // readHeader reads a frame header into hdr and returns its type, query ID
@@ -317,13 +298,15 @@ func FramePages(file string, itemBytes, maxFrame int) int {
 }
 
 // smallReply is the payload size a Pages frame is held to: the largest of
-// the Go allocator's small-object size classes. A reply frame is read into
-// a buffer of its own, and the daemon writes it from page buffers of the
-// same size; past this size each is a large object, allocated from and
-// swept back to the page heap one at a time, and a whole quota in one frame
-// would hold it in such objects on both sides of the connection — on a
-// fleet, twice. Cut at 32 KiB (7 pages of 4 KB), the buffers stay small
-// objects, and a quota is still one request and one store pass.
+// the Go allocator's small-object size classes. The client reads each reply
+// frame into a buffer of exactly its size, taken from its bounded reply
+// list (pagefile.PageList) or allocated when none listed fits; past this
+// size each such buffer is a large object, allocated from and swept back to
+// the page heap one at a time, and a whole quota in one frame would take a
+// quota-sized buffer per query in flight, which no bounded list keeps for
+// long. Cut at 32 KiB (7 pages of 4 KB), the buffers stay small objects
+// that a list holds several of, and a quota is still one request and one
+// store pass.
 const smallReply = 32 << 10
 
 // ReplyCut is how many pages of file one Pages frame of a reply carries:
@@ -614,10 +597,11 @@ func (m Pages) EncodeTo(e *pagefile.Enc) []byte {
 	return e.Bytes()
 }
 
-// DecodePages reverses Pages.Encode. The pages alias b: a reply frame's
-// payload is read into a buffer of its own and handed to the one query that
-// waits for it, so copying the pages out would only turn every fetched byte
-// into garbage twice. A caller that recycles b must copy what it keeps.
+// DecodePages reverses Pages.Encode. The pages alias b, and are valid as
+// long as b is: a remote query reads each reply frame into a buffer it
+// holds until the query is settled, so the pages it returns stay valid until
+// its End or Cancel and copying them out would only double the bytes moved.
+// A caller that keeps a page past that, or recycles b, copies it first.
 func DecodePages(b []byte) (Pages, error) {
 	d := pagefile.NewDec(b)
 	var m Pages

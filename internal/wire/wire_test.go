@@ -340,55 +340,85 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
-// TestFrameReaderAllocatesOnlyThePayload: a FrameReader stages headers in
-// its own buffer, so a stream of Pages replies costs one allocation per
-// frame, and a payload shorter than a header does not alias that buffer:
-// it survives the next read.
-func TestFrameReaderAllocatesOnlyThePayload(t *testing.T) {
+// TestReadFrameIntoAllocatesNothing: a FrameReader stages headers in its
+// own buffer and reads each payload into the buffer get supplies for its
+// exact length, so a stream of replies read into recycled buffers costs no
+// allocation. A payload shorter than a header does not alias the header
+// buffer: it survives the next read. A frame with no payload asks get for
+// nothing and reads as nil.
+func TestReadFrameIntoAllocatesNothing(t *testing.T) {
 	page := bytes.Repeat([]byte{0x5A}, 4096)
-	replies := []Pages{
-		{Pages: [][]byte{page}},
-		{},                        // 2-byte payload, shorter than a header
-		{Pages: [][]byte{{0x7F}}}, // 7-byte payload
-		{Pages: [][]byte{page, page, page, page, page, page, page}},
-		{Pages: [][]byte{page[:13]}},
+	replies := [][]byte{
+		Pages{Pages: [][]byte{page}}.Encode(),
+		Pages{}.Encode(),                        // 2-byte payload, shorter than a header
+		Pages{Pages: [][]byte{{0x7F}}}.Encode(), // 7-byte payload
+		nil,                                     // no payload, as a Pong
+		Pages{Pages: [][]byte{page, page, page, page, page, page, page}}.Encode(),
+		Pages{Pages: [][]byte{page[:13]}}.Encode(),
 	}
 	var stream bytes.Buffer
 	for i, p := range replies {
-		if err := WriteFrame(&stream, MsgPages, uint32(i+1), p.Encode()); err != nil {
+		if err := WriteFrame(&stream, MsgPages, uint32(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rd := bytes.NewReader(stream.Bytes())
 	fr := NewFrameReader(rd)
 
-	var kept [][]byte
-	for i := range replies {
-		typ, qid, payload, err := fr.ReadFrame(DefaultMaxFrame)
+	// One supplied buffer per frame, each a little larger than its payload.
+	bufs := make([][]byte, len(replies))
+	for i, p := range replies {
+		bufs[i] = make([]byte, len(p)+64)
+	}
+	var i int
+	var asked []int
+	get := func(n int) []byte {
+		asked = append(asked, n)
+		return bufs[i]
+	}
+	for i = range replies {
+		typ, qid, payload, err := fr.ReadFrameInto(DefaultMaxFrame, get)
 		if err != nil || typ != MsgPages || qid != uint32(i+1) {
 			t.Fatalf("frame %d: %v %v %d", i, err, typ, qid)
 		}
-		kept = append(kept, payload)
-	}
-	for i, p := range replies {
-		if !bytes.Equal(kept[i], p.Encode()) {
-			t.Errorf("payload %d changed after later reads: % x", i, kept[i][:min(len(kept[i]), 16)])
+		if replies[i] == nil {
+			if payload != nil {
+				t.Errorf("frame %d has no payload, read % x", i, payload)
+			}
+			continue
+		}
+		if len(payload) != len(replies[i]) || &payload[0] != &bufs[i][0] {
+			t.Errorf("frame %d: payload of %d bytes not read into the supplied buffer", i, len(payload))
 		}
 	}
-	if _, _, _, err := fr.ReadFrame(DefaultMaxFrame); err != io.EOF {
+	for i, p := range replies {
+		if p != nil && !bytes.Equal(bufs[i][:len(p)], p) {
+			t.Errorf("payload %d changed after later reads: % x", i, bufs[i][:min(len(p), 16)])
+		}
+	}
+	var want []int
+	for _, p := range replies {
+		if p != nil {
+			want = append(want, len(p))
+		}
+	}
+	if fmt.Sprint(asked) != fmt.Sprint(want) {
+		t.Errorf("get asked for %v bytes, want %v", asked, want)
+	}
+	if _, _, _, err := fr.ReadFrameInto(DefaultMaxFrame, get); err != io.EOF {
 		t.Errorf("read past the stream: %v, want io.EOF", err)
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
 		rd.Reset(stream.Bytes())
-		for range replies {
-			if _, _, _, err := fr.ReadFrame(DefaultMaxFrame); err != nil {
+		for i = range replies {
+			if _, _, _, err := fr.ReadFrameInto(DefaultMaxFrame, func(n int) []byte { return bufs[i] }); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	if want := float64(len(replies)); allocs != want {
-		t.Errorf("%v allocations for %d frames, want one per frame", allocs, len(replies))
+	if allocs != 0 {
+		t.Errorf("%v allocations reading %d frames into supplied buffers, want 0", allocs, len(replies))
 	}
 }
 
