@@ -38,14 +38,15 @@ import (
 // dial, not hang it.
 const DefaultDialTimeout = 10 * time.Second
 
+// dialTimeout is the connect and handshake budget a dial applies:
+// DefaultDialTimeout, which tests lower to drive a dial past it.
+var dialTimeout = DefaultDialTimeout
+
 // Options tunes a connection.
 type Options struct {
 	// Database selects a hosted database by name; empty selects the
 	// daemon's sole database.
 	Database string
-	// DialTimeout bounds the TCP connect and handshake when the dial
-	// context has no deadline; 0 means DefaultDialTimeout.
-	DialTimeout time.Duration
 }
 
 // maxFrame is the largest request payload a client writes: a request past
@@ -113,26 +114,23 @@ type Client struct {
 
 // Dial connects with the default timeout. Equivalent to DialContext with a
 // background context: the connect and handshake are still bounded by
-// Options.DialTimeout (DefaultDialTimeout when zero), so an unresponsive
-// address fails instead of blocking forever.
+// DefaultDialTimeout, so an unresponsive address fails instead of blocking
+// forever.
 func Dial(addr string, opts Options) (*Client, error) {
 	return DialContext(context.Background(), addr, opts)
 }
 
 // DialContext connects and performs the handshake under ctx. The context
 // governs the TCP connect and the Hello/Welcome exchange; the effective
-// budget is the SOONER of the caller's deadline and Options.DialTimeout — a
+// budget is the SOONER of the caller's deadline and DefaultDialTimeout — a
 // 50 ms caller deadline fails the dial in 50 ms, never the 10 s default,
 // and a caller deadline hours away still cannot hang the handshake past
-// DialTimeout. A daemon that accepts the connection but never completes the
+// the default. A daemon that accepts the connection but never completes the
 // handshake fails the dial when that budget expires.
 func DialContext(ctx context.Context, addr string, opts Options) (*Client, error) {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = DefaultDialTimeout
-	}
 	// WithTimeout never loosens an earlier deadline already on ctx, so this
-	// is min(caller deadline, DialTimeout) — not the default layered on top.
-	ctx, cancel := context.WithTimeout(ctx, opts.DialTimeout)
+	// is min(caller deadline, the default) — not the default layered on top.
+	ctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)

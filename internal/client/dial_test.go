@@ -41,9 +41,9 @@ func TestDialContextHonorsShortCallerDeadline(t *testing.T) {
 }
 
 // TestDialContextDefaultBoundsDistantDeadline: the inverse ordering — a
-// caller deadline far beyond DialTimeout must not extend the handshake
-// budget. With a 30 ms DialTimeout and a one-hour caller deadline, the dial
-// fails when the option expires.
+// caller deadline far beyond the default budget must not extend the
+// handshake budget. With the default lowered to 30 ms and a one-hour caller
+// deadline, the dial fails when the default expires.
 func TestDialContextDefaultBoundsDistantDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -51,10 +51,12 @@ func TestDialContextDefaultBoundsDistantDeadline(t *testing.T) {
 	}
 	defer ln.Close()
 
+	defer func(old time.Duration) { dialTimeout = old }(dialTimeout)
+	dialTimeout = 30 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	start := time.Now()
-	_, err = DialContext(ctx, ln.Addr().String(), Options{DialTimeout: 30 * time.Millisecond})
+	_, err = DialContext(ctx, ln.Addr().String(), Options{})
 	if err == nil {
 		t.Fatal("dial to a never-accepting listener succeeded")
 	}
@@ -62,6 +64,6 @@ func TestDialContextDefaultBoundsDistantDeadline(t *testing.T) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("30ms DialTimeout dial blocked for %v", elapsed)
+		t.Errorf("dial under a 30ms default blocked for %v", elapsed)
 	}
 }

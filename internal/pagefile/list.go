@@ -3,9 +3,10 @@ package pagefile
 import "sync"
 
 // PageList is a bounded free list of page buffers, safe for concurrent use;
-// its zero value is an empty list. The daemon keeps one per server for the
-// buffers its fetches are answered from, and the remote client one per
-// process for the buffers its reply frames are read into.
+// its zero value is an empty list. The daemon keeps two per server, one for
+// the buffers its fetches are answered from and one for the buffers its
+// request frames are read into, and the remote client one per process for
+// the buffers its reply frames are read into.
 //
 // What a list keeps is live heap, and live heap raises the collector's goal
 // and the process's resident memory, so it keeps buffers up to

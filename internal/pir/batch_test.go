@@ -229,10 +229,10 @@ type fakeRand struct{ rng *rand.Rand }
 func (f fakeRand) Read(p []byte) (int, error) { return f.rng.Read(p) }
 
 // TestXORPIRReadBatchIntoZeroAllocs pins the allocation-free steady state
-// of the single-scan batch path: with the scratch pool warm and
+// of the single-scan batch path: with the store's listed scan warm and
 // caller-provided destination buffers, a batched oblivious read allocates
 // nothing — at k = 8 over a range long enough that the pass folds through
-// its bucket table, which must come from the pooled scratch too.
+// its bucket table, which the listed scan keeps too.
 func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -258,7 +258,7 @@ func TestXORPIRReadBatchIntoZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read() // warm the scratch pool
+	read() // warm the listed scan
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 		t.Fatalf("steady-state ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
 	}
@@ -301,7 +301,7 @@ func TestXORPIRAnswerSharesZeroAllocs(t *testing.T) {
 		if passBits(k, n, x.arena.wpp, nw) == 1 {
 			t.Fatalf("workers=%d: geometry does not engage the bucketed fold", nw)
 		}
-		answer() // warm: scratch pool, task pool, worker goroutines, tables
+		answer() // warm: the listed scan, its tables and partials, worker goroutines
 		if allocs := testing.AllocsPerRun(100, answer); allocs != 0 {
 			t.Fatalf("workers=%d: steady-state AnswerShares allocates %.1f objects per batch; want 0", nw, allocs)
 		}

@@ -120,7 +120,7 @@ func BenchmarkXORPIRBatchRead(b *testing.B) {
 			for i := range dst {
 				dst[i] = make([]byte, ps)
 			}
-			// Warm the scratch pool so allocs/op reflects steady state even
+			// Warm the store's listed scan so allocs/op reflects steady state even
 			// at one iteration.
 			if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
 				b.Fatal(err)
@@ -156,7 +156,7 @@ func BenchmarkScanParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pool := newArenaScratch()
+		s := newScan(arena)
 		var table []uint64
 		rng := rand.New(rand.NewSource(12))
 		for _, k := range []int{1, 8} {
@@ -179,7 +179,7 @@ func BenchmarkScanParallel(b *testing.B) {
 						if w == 1 {
 							arena.answerAll(sels, accs, &table)
 						} else {
-							pool.answerAllParallel(arena, sels, accs, w)
+							s.fold(sels, accs, w)
 						}
 					}
 					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")

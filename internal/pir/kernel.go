@@ -67,7 +67,7 @@ import (
 // Obliviousness is untouched. The pattern gather reads exactly the selector
 // bits the direct loop reads, for every page of the range; every page is
 // still visited once per pass; selectors are still drawn per query inside
-// the store. The table is scratch owned by one scan worker (see parallel.go)
+// the store. The table is scratch owned by one slot of one pass (parallel.go)
 // and never leaves the store, so the servers' views and the Theorem-1 traces
 // are those of the direct loop.
 
@@ -244,9 +244,9 @@ func bucketBits(k, n, wpp int) (g int, oneTable bool) {
 // (oneTable, held to l1TableBytes) or hold tableRows(k, g) rows at once
 // (held to maxTableBytes). A table is feasible only within its byte bound
 // and with no more rows than the range it folds: a table with more rows
-// than its range is more memory than the rows it folds, kept live on the
-// free list for every fold that overlaps, to save row-XORs on a range small
-// enough for the direct loop to be cheap anyway.
+// than its range is more memory than the rows it folds, kept live with
+// every listed scan, to save row-XORs on a range small enough for the
+// direct loop to be cheap anyway.
 func groupBits(k, n, wpp int, oneTable bool) int {
 	best, bestCost := 1, passCost2(k, n, 1)
 	for g := 2; g <= maxBucketBits && g <= k; g++ {

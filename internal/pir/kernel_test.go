@@ -227,7 +227,7 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 		for _, n := range []int{1, 7, 63, 64, 65, 1000} {
 			c := newKernelCase(t, n, ps, 64, int64(n*10000+ps))
 			wpp := c.arena.wpp
-			pool := newArenaScratch()
+			s := newScan(c.arena)
 			var table []uint64
 			for _, k := range batchSizes {
 				if passBits(k, n, wpp, 1) > 1 {
@@ -245,7 +245,7 @@ func TestBucketedKernelMatchesByteOracle(t *testing.T) {
 						continue // a 1-page file has nothing to segment
 					}
 					got := zeroedAccs(k, wpp)
-					pool.answerAllParallel(c.arena, sels, got, eff)
+					s.fold(sels, got, eff)
 					if j, w, bad := diffAccs(got, want); bad {
 						t.Fatalf("%dx%d k=%d workers=%d: acc %d word %d differs from the byte oracle", n, ps, k, eff, j, w)
 					}
@@ -401,7 +401,7 @@ func FuzzAnswerAll(f *testing.F) {
 
 		if nw := min(int(nw8)%8+1, n); nw > 1 {
 			got := zeroedAccs(k, c.arena.wpp)
-			newArenaScratch().answerAllParallel(c.arena, c.sels, got, nw)
+			newScan(c.arena).fold(c.sels, got, nw)
 			if j, w, bad := diffAccs(got, c.want); bad {
 				t.Fatalf("%dx%d k=%d workers=%d: acc %d word %d differs from the byte oracle", n, ps, k, nw, j, w)
 			}

@@ -22,6 +22,13 @@ func setWidth(x *XORPIR, n int) int {
 	return x.workers
 }
 
+// fold runs one nw-wide pass of s over sels into accs (zeroed), as a store
+// call does with its own rows.
+func (s *scan) fold(sels [][]byte, accs [][]uint64, nw int) {
+	s.sels, s.accs = sels, accs
+	s.pass(nw)
+}
+
 // TestAnswerAllParallelMatchesSerial pins the kernel-level contract: the
 // segmented parallel fold must produce byte-identical accumulators to the
 // serial single-scan kernel, across the odd geometries (tail words, 1-page
@@ -33,7 +40,7 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := newArenaScratch()
+		s := newScan(arena)
 		var table []uint64
 		rng := rand.New(rand.NewSource(int64(shape.n)))
 		nbytes := (shape.n + 7) / 8
@@ -55,7 +62,7 @@ func TestAnswerAllParallelMatchesSerial(t *testing.T) {
 					clearWords(got[j])
 				}
 				if eff > 1 {
-					pool.answerAllParallel(arena, sels, got, eff)
+					s.fold(sels, got, eff)
 				} else {
 					arena.answerAll(sels, got, &table)
 				}
@@ -115,7 +122,7 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 // parallel steady state allocates nothing, anywhere in the runtime (the pin
 // counts mallocs globally, so worker-goroutine allocations would fail it
 // too), per-segment bucket tables included. Starting the helper goroutines
-// must be free too: they run a method value bound once on the pooled task.
+// must be free too: they run a method value bound once on the listed scan.
 func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -142,7 +149,7 @@ func TestXORPIRParallelZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read() // warm: scratch pool, task pool, partials
+	read() // warm: the listed scan, its tables and partials
 	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
 		t.Fatalf("steady-state parallel ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
 	}
@@ -177,13 +184,15 @@ func TestChunkedPassToleratesUnevenShares(t *testing.T) {
 	var table []uint64
 	arena.answerAll(sels, want, &table)
 
-	task := newArenaScratch().tasks.Get().(*arenaTask)
-	task.prepare(arena, sels, got, nw)
-	total := task.nchunks
+	s := newScan(arena)
+	s.sels, s.accs = sels, got
+	s.tables = make([][]uint64, nw)
+	s.prepare(nw)
+	total := s.nchunks
 	if total < 2*nw {
 		t.Fatalf("%d chunks: too few for an uneven split", total)
 	}
-	if task.g == 1 {
+	if s.g == 1 {
 		t.Fatal("shares too short to engage the bucketed fold")
 	}
 	// Slot 0 wins the first `first` chunks, slot 1 whatever is left, and
@@ -192,14 +201,14 @@ func TestChunkedPassToleratesUnevenShares(t *testing.T) {
 		for j := range got {
 			clearWords(got[j])
 		}
-		task.prepare(arena, sels, got, nw)
-		task.nchunks = first
-		task.runSegment(0)
-		task.nchunks = total
-		task.next.Store(first)
-		task.runSegment(1)
-		task.runSegment(2)
-		task.combine()
+		s.prepare(nw)
+		s.nchunks = first
+		s.runSegment(0)
+		s.nchunks = total
+		s.next.Store(first)
+		s.runSegment(1)
+		s.runSegment(2)
+		s.combine()
 		for j := range got {
 			for w := range got[j] {
 				if got[j][w] != want[j][w] {

@@ -17,7 +17,10 @@
 // one call on one pool slot. XORPIR answers a whole batch in one pass over
 // the file, fanned across as many goroutines as its scan width, which it
 // works out once from GOMAXPROCS and the file's size (ScanWorkers reports
-// it). It additionally shows two optional faces, which the serving layer
+// it). Everything a call works in — the batch's selector and accumulator
+// rows, a bucket table per slot of the pass, the pass's partials — is one
+// scan, taken off a bounded per-store list for the call and put back when
+// it returns. It additionally shows two optional faces, which the serving layer
 // probes once at host time: ShareAnswerer (the replica half of two-server
 // fleet mode) and ScanStats (work accounting, which Plain shows too).
 package pir
@@ -50,9 +53,9 @@ type Store interface {
 	// ReadBatchInto writes the content of logical page pages[i] into dst[i],
 	// in request order. dst must hold len(pages) buffers of at least
 	// PageSize bytes each; a batch with a mismatched buffer count or an
-	// out-of-range page is rejected before anything is written. The serving
-	// layer rents the buffers from a pool, so a steady-state remote query
-	// allocates nothing on the page path.
+	// out-of-range page is rejected before anything is written. The daemon
+	// takes the buffers from a bounded free list, so a steady-state remote
+	// query allocates nothing on the page path.
 	//
 	// Implementations check ctx at read boundaries — between individual
 	// page retrievals (or file passes), never inside one — so a cancelled

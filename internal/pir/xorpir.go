@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/pagefile"
 )
@@ -36,39 +38,54 @@ import (
 // fresh selector vector, so the servers' views stay uniform and mutually
 // independent whether pages arrive one at a time or batched; the fold reads
 // the same selector bits for the same pages either way, and its bucket
-// table is scan-worker scratch that never leaves the store.
+// tables are the store call's own scratch and never leave the store.
 type XORPIR struct {
 	arena    *wordArena
 	numPages int
 	pageSize int
-	rng      io.Reader        // draws the selector shares; tests wrap it to read the servers' views
-	scratch  chan *xorScratch // free list of batch scratch, sized for this store
-
-	// Parallel scan machinery (see parallel.go): a pass fans out across
-	// workers goroutines when that is above 1.
-	workers      int           // scan width, fixed at construction (scanWidth)
-	arenaScratch *arenaScratch // pooled scan tasks and bucket tables
+	rng      io.Reader  // draws the selector shares; tests wrap it to read the servers' views
+	workers  int        // scan width, fixed at construction (scanWidth); above 1 a pass fans out (parallel.go)
+	scans    chan *scan // free list of store-call working sets
 
 	scanCounters
 }
 
-// xorScratch is the per-batch working set: selector vectors and word
-// accumulators, backed by two flat allocations so a steady-state batch
-// reuses everything. A k-page ReadBatchInto holds 2k of each, server A's
-// rows first and server B's after them, so one pass takes all 2k; a replica
-// answering k shares holds no selectors (its selectors are the client's)
-// and, where it can, no accumulators either: it folds into the answer
-// buffers in place (viewAccs). Scratch lives on a free list, like the
-// bucket tables (tableList) and for the same reason: the accumulators are a
-// page per selector, and a sync.Pool would reallocate them after every
-// second collection, where the list keeps as many as batches have run at
-// once.
-type xorScratch struct {
+// scan is the working set of one store call, and nothing else holds any
+// of it while the call runs: the batch's selector and accumulator rows, a
+// bucket table per slot of the pass, and the parallel pass's chunking state
+// and partials. A k-page ReadBatchInto holds 2k selector and accumulator
+// rows, server A's first and server B's after them, so one pass takes all
+// 2k; a replica answering k shares folds the client's selectors and, where
+// it can, folds into the answer buffers in place (viewAccs). A call takes a
+// scan off its store's list and puts it back when it returns. The list is a
+// channel rather than a sync.Pool: a Pool drops what it holds every second
+// collection, and the rows and tables, a page or more each, would be
+// reallocated; the list keeps as many scans as calls have run at once.
+type scan struct {
+	arena  *wordArena
 	selbuf []byte
-	sels   [][]byte
+	sels   [][]byte // the pass's selectors: rows of selbuf, or a replica's client-supplied shares
 	accbuf []uint64
-	accs   [][]uint64
+	accs   [][]uint64 // the pass's accumulators: rows of accbuf, or the answer buffers in place
+	tables [][]uint64 // one bucket table per slot, grown by the kernel on first use
+
+	// The parallel pass (parallel.go). help is runHelper bound once, at
+	// newScan, because `go s.help()` starts a goroutine without allocating
+	// where `go s.runHelper()` would allocate a closure per helper.
+	nw, g, step int // width, group size and pages per chunk of the pass
+	nchunks     int32
+	next        atomic.Int32 // next unclaimed chunk
+	slot        atomic.Int32 // last slot a helper took
+	wg          sync.WaitGroup
+	help        func()
+	partbuf     []uint64
+	parts       [][]uint64 // the helpers' partial accumulators, k rows per slot
 }
+
+// maxListedScans bounds the scans a store keeps; it only has to exceed the
+// store calls that overlap on one store, and an unused slot costs a
+// pointer.
+const maxListedScans = 64
 
 // NewXORPIR builds the arena the two logical servers answer from (the answer
 // to any query XORs an arbitrary page subset, so the full plaintext is held
@@ -83,76 +100,84 @@ func NewXORPIR(src pagefile.Reader) (*XORPIR, error) {
 		return nil, err
 	}
 	return &XORPIR{
-		arena:        arena,
-		numPages:     arena.numPages,
-		pageSize:     arena.pageSize,
-		rng:          rand.Reader,
-		scratch:      make(chan *xorScratch, tableListCap),
-		workers:      scanWidth(runtime.GOMAXPROCS(0), len(arena.words), arena.numPages),
-		arenaScratch: newArenaScratch(),
+		arena:    arena,
+		numPages: arena.numPages,
+		pageSize: arena.pageSize,
+		rng:      rand.Reader,
+		workers:  scanWidth(runtime.GOMAXPROCS(0), len(arena.words), arena.numPages),
+		scans:    make(chan *scan, maxListedScans),
 	}, nil
+}
+
+// newScan makes an empty scan over a, its helper body bound once.
+func newScan(a *wordArena) *scan {
+	s := &scan{arena: a}
+	s.help = s.runHelper
+	return s
 }
 
 // selBytes is the selector vector size: one bit per page.
 func (x *XORPIR) selBytes() int { return (x.numPages + 7) / 8 }
 
-// getScratch rents a scratch with nsel selector rows and nacc zeroed
-// accumulator rows.
-func (x *XORPIR) getScratch(nsel, nacc int) *xorScratch {
-	var sc *xorScratch
+// getScan takes a scan off the list, or a new one.
+func (x *XORPIR) getScan() *scan {
 	select {
-	case sc = <-x.scratch:
+	case s := <-x.scans:
+		return s
 	default:
-		sc = &xorScratch{}
+		return newScan(x.arena)
 	}
-	sc.size(nsel, nacc, x.selBytes(), x.arena.wpp)
-	return sc
 }
 
-// size cuts sc into nsel selector rows of nbytes and nacc zeroed
-// accumulator rows of wpp words, growing its buffers when too small.
-func (sc *xorScratch) size(nsel, nacc, nbytes, wpp int) {
-	if cap(sc.selbuf) < nsel*nbytes {
-		sc.selbuf = make([]byte, nsel*nbytes)
-	}
-	sc.selbuf = sc.selbuf[:nsel*nbytes]
-	if cap(sc.accbuf) < nacc*wpp {
-		sc.accbuf = make([]uint64, nacc*wpp)
-	}
-	sc.accbuf = sc.accbuf[:nacc*wpp]
-	clearWords(sc.accbuf)
-	sc.sels = sliceRows(sc.sels[:0], sc.selbuf, nbytes)
-	sc.accs = sliceWordRows(sc.accs[:0], sc.accbuf, wpp)
-}
-
-// viewAccs points sc's accumulator rows at the answer buffers themselves,
-// zeroed, when every one can be read as wpp words in place (wordsInPlace),
-// so the pass folds straight into them; false leaves sc without rows.
-func (sc *xorScratch) viewAccs(dst [][]byte, wpp int) bool {
-	sc.accs = sc.accs[:0]
-	for _, d := range dst {
-		w := wordsInPlace(d, wpp)
-		if w == nil {
-			sc.accs = sc.accs[:0]
-			return false
-		}
-		clearWords(w)
-		sc.accs = append(sc.accs, w)
-	}
-	return true
-}
-
-// putScratch returns a batch's scratch to the free list, unless a batch far
-// beyond a plan quota's grew it past maxTableBytes: that one goes to the
-// collector rather than stay resident for good.
-func (x *XORPIR) putScratch(sc *xorScratch) {
-	if cap(sc.selbuf)+8*cap(sc.accbuf) > maxTableBytes {
+// putScan lists s again, holding no view of the caller's buffers, unless a
+// batch far beyond a plan quota's grew its rows — selectors, accumulators,
+// partials — past maxTableBytes: that one goes to the collector rather than
+// stay resident for good. Its tables need no check: groupBits holds each
+// to maxTableBytes whatever the batch.
+func (x *XORPIR) putScan(s *scan) {
+	clear(s.sels)
+	clear(s.accs)
+	if cap(s.selbuf)+8*(cap(s.accbuf)+cap(s.partbuf)) > maxTableBytes {
 		return
 	}
 	select {
-	case x.scratch <- sc:
+	case x.scans <- s:
 	default:
 	}
+}
+
+// size cuts s into nsel selector rows and nacc zeroed accumulator rows,
+// growing its buffers when too small.
+func (s *scan) size(nsel, nacc int) {
+	nbytes, wpp := (s.arena.numPages+7)/8, s.arena.wpp
+	if cap(s.selbuf) < nsel*nbytes {
+		s.selbuf = make([]byte, nsel*nbytes)
+	}
+	s.selbuf = s.selbuf[:nsel*nbytes]
+	if cap(s.accbuf) < nacc*wpp {
+		s.accbuf = make([]uint64, nacc*wpp)
+	}
+	s.accbuf = s.accbuf[:nacc*wpp]
+	clearWords(s.accbuf)
+	s.sels = sliceRows(s.sels[:0], s.selbuf, nbytes)
+	s.accs = sliceWordRows(s.accs[:0], s.accbuf, wpp)
+}
+
+// viewAccs points s's accumulator rows at the answer buffers themselves,
+// zeroed, when every one can be read as words in place (wordsInPlace), so
+// the pass folds straight into them; false leaves s without rows.
+func (s *scan) viewAccs(dst [][]byte) bool {
+	s.accs = s.accs[:0]
+	for _, d := range dst {
+		w := wordsInPlace(d, s.arena.wpp)
+		if w == nil {
+			s.accs = s.accs[:0]
+			return false
+		}
+		clearWords(w)
+		s.accs = append(s.accs, w)
+	}
+	return true
 }
 
 // sliceRows cuts flat into rows of n bytes, reusing dst's backing array.
@@ -175,7 +200,7 @@ func sliceWordRows(dst [][]uint64, flat []uint64, n int) [][]uint64 {
 // query vectors against the immutable arena (so the servers' views stay
 // independent and uniform), and the whole batch — both logical servers'
 // selectors, 2k accumulators — is answered by one pass over the arena. With
-// pooled scratch inside the store, a steady-state batch allocates nothing
+// listed scans inside the store, a steady-state batch allocates nothing
 // beyond what the cryptographic randomness source needs.
 func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) error {
 	if err := checkBatch(x.numPages, pages, dst); err != nil {
@@ -188,23 +213,23 @@ func (x *XORPIR) ReadBatchInto(ctx context.Context, pages []int, dst [][]byte) e
 		return err
 	}
 	k := len(pages)
-	sc := x.getScratch(2*k, 2*k)
-	defer x.putScratch(sc)
-	selsA, selsB := sc.sels[:k], sc.sels[k:]
-	if err := SplitShares(x.rng, x.numPages, pages, selsA, selsB); err != nil {
+	s := x.getScan()
+	defer x.putScan(s)
+	s.size(2*k, 2*k)
+	if err := SplitShares(x.rng, x.numPages, pages, s.sels[:k], s.sels[k:]); err != nil {
 		return err
 	}
 
 	// One pass answers both servers' selectors for the whole batch. At a
 	// scan width above 1 it fans out across workers — same pages touched,
 	// answers byte-identical to the serial kernel (XOR is associative).
-	x.pass(sc.sels, sc.accs)
+	s.pass(x.workers)
 	// One full-file pass answered the whole batch, whatever its size — the
 	// quantity the amortization ratio tracks.
 	x.recordScan(uint64(x.numPages), 1)
 	for j := range pages {
-		acc := sc.accs[j]
-		xorWords(acc, sc.accs[k+j])
+		acc := s.accs[j]
+		xorWords(acc, s.accs[k+j])
 		unpackWords(dst[j][:x.pageSize], acc)
 	}
 	return nil
@@ -242,18 +267,6 @@ func SplitShares(rng io.Reader, numPages int, pages []int, selsA, selsB [][]byte
 	return nil
 }
 
-// pass answers sels in one pass over the arena (accs zeroed), fanned
-// out when the store's scan width is above 1.
-func (x *XORPIR) pass(sels [][]byte, accs [][]uint64) {
-	if x.workers > 1 {
-		x.arenaScratch.answerAllParallel(x.arena, sels, accs, x.workers)
-		return
-	}
-	table := x.arenaScratch.tables.borrow()
-	x.arena.answerAll(sels, accs, &table)
-	x.arenaScratch.tables.giveBack(table)
-}
-
 func clearWords(w []uint64) {
 	for i := range w {
 		w[i] = 0
@@ -288,21 +301,20 @@ func (x *XORPIR) AnswerShares(ctx context.Context, sels [][]byte, dst [][]byte) 
 	// The answers accumulate in dst itself where the buffers allow it, so a
 	// replica holds a round's pages once; otherwise in scratch rows that
 	// are unpacked into dst after the pass.
-	sc := x.getScratch(0, 0)
-	defer x.putScratch(sc)
-	inPlace := sc.viewAccs(dst, x.arena.wpp)
+	s := x.getScan()
+	defer x.putScan(s)
+	inPlace := s.viewAccs(dst)
 	if !inPlace {
-		sc.size(0, len(sels), x.selBytes(), x.arena.wpp)
+		s.size(0, len(sels))
 	}
-	x.pass(sels, sc.accs)
+	s.sels = append(s.sels[:0], sels...)
+	s.pass(x.workers)
 	// One full-file pass, whatever the batch size.
 	x.recordScan(uint64(x.numPages), 1)
-	if inPlace {
-		clear(sc.accs) // the listed scratch must not keep the caller's buffers
-		return nil
-	}
-	for j := range sels {
-		unpackWords(dst[j][:x.pageSize], sc.accs[j])
+	if !inPlace {
+		for j := range sels {
+			unpackWords(dst[j][:x.pageSize], s.accs[j])
+		}
 	}
 	return nil
 }

@@ -98,11 +98,15 @@ func TestRemoteQueryBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	// Measured on this network, on a 2-core host: 14.7 KB in 109
-	// allocations at -cpu 1 and 2, up to 46 KB at -cpu 4, where the
-	// daemon's per-P frame pool misses more often (117–130 KB in 112–115
-	// allocations, 180–213 KB at -cpu 4, while the client allocated every
-	// reply frame's payload fresh). The bound sits between the two.
+	// Measured on this network, on a 2-core host: 16.9–17.2 KB in 121–122
+	// allocations at -cpu 1 and 2, 30–35 KB in 125–126 at -cpu 4. The
+	// twelve allocations past the 109 of a daemon that recycled its fetch
+	// scratch across queries are each query's own scratch, grown over its
+	// first fetches. Earlier: 14.7 KB in 109 at -cpu 1 and 2 and 21–59 KB
+	// at -cpu 4 with a per-P sync.Pool of request frames; 117–130 KB
+	// in 112–115 allocations, 180–213 KB at -cpu 4, while the client
+	// allocated every reply frame's payload fresh. The bound sits between
+	// the two.
 	const maxBytes = 64 << 10 // per query
 	g := gen.GeneratePreset(gen.Oldenburg, 0.25)
 	db, err := ci.Build(g, base.Config{})

@@ -16,11 +16,11 @@ import (
 )
 
 // TestSteadyStateFetchZeroAllocs pins the zero-allocation property of the
-// fetch-serving hot path: once the listed scratch is warm, serving one
-// batched Fetch — read the request frame into a recycled buffer, decode it
-// in place, read the pages through the worker pool into the scratch's page
-// buffers, and write the MsgPages reply from those buffers — allocates
-// nothing.
+// fetch-serving hot path: once a query's scratch and the server's lists
+// are warm, serving one batched Fetch — read the request frame into a
+// buffer from the frame list, decode it in place, read the pages through
+// the worker pool into a page buffer from the page list, write the
+// MsgPages reply from it and give both buffers back — allocates nothing.
 func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -53,11 +53,9 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The per-connection working set a live session holds: the frame read
-	// buffer, the fetch scratch, and the buffered response writer.
-	var frameBuf []byte
-	sc := s.scratch.get()
-	defer s.scratch.put(sc)
+	// The working set a live session holds: a query's fetch scratch and
+	// the connection's buffered response writer.
+	var sc fetchScratch
 	br := bytes.NewReader(nil)
 	fr := wire.NewFrameReader(br)
 	bw := bufio.NewWriterSize(io.Discard, 64<<10)
@@ -66,16 +64,11 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 
 	serve := func() {
 		br.Reset(framed.Bytes())
-		_, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, func(n int) []byte {
-			if cap(frameBuf) < n {
-				frameBuf = make([]byte, n)
-			}
-			return frameBuf
-		})
+		_, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, s.frames.Get)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, resp, err := s.answerFetch(ctx, h, wire.MsgFetch, payload, sc)
+		_, resp, err := s.answerFetch(ctx, h, wire.MsgFetch, payload, &sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,6 +78,8 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		sc.release(&s.pages)
+		s.putFrame(payload)
 	}
 	serve() // warm the buffers
 	if allocs := testing.AllocsPerRun(200, serve); allocs != 0 {
@@ -92,39 +87,7 @@ func TestSteadyStateFetchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFramePoolDoesNotRatchet: one oversized frame must not permanently
-// bloat the shared frame-buffer pool. Before the capacity cap, a single
-// ~maxFrame request grew a pooled buffer that was then recycled forever —
-// every session's steady-state memory ratcheted up to the largest frame
-// ever seen. Now putFrameBuf drops oversized buffers for the GC, and the
-// steady-state rent/return cycle keeps seeing small ones.
-func TestFramePoolDoesNotRatchet(t *testing.T) {
-	// Simulate the read loop around one hostile frame: the rented buffer is
-	// grown in place (as the read loop does for a frame bigger than the
-	// buffer) and handed back.
-	bp := framePool.Get().(*[]byte)
-	*bp = make([]byte, 2*maxPooledFrameBuf)
-	putFrameBuf(bp)
-
-	// Steady state afterwards: no rent may ever surface the bloated buffer
-	// again. Small buffers keep recycling normally.
-	for i := 0; i < 64; i++ {
-		got := framePool.Get().(*[]byte)
-		if got == bp || cap(*got) > maxPooledFrameBuf {
-			t.Fatalf("rent %d returned a %d-byte buffer — oversized frame ratcheted the pool", i, cap(*got))
-		}
-		if cap(*got) < 4096 {
-			*got = make([]byte, 0, 4096)
-		}
-		putFrameBuf(got)
-	}
-
-	// The boundary itself stays poolable: exactly maxPooledFrameBuf is fine.
-	edge := make([]byte, maxPooledFrameBuf)
-	putFrameBuf(&edge)
-}
-
-// TestAnswerFetchMatchesReadPages checks the listed-scratch serving path returns
+// TestAnswerFetchMatchesReadPages checks the scratch serving path returns
 // exactly what the allocating path returns, across reuse of one scratch for
 // requests of different files, sizes and batch shapes.
 func TestAnswerFetchMatchesReadPages(t *testing.T) {
@@ -148,8 +111,8 @@ func TestAnswerFetchMatchesReadPages(t *testing.T) {
 	}
 	h := &hosted{name: "T", srv: lsrv, limit: 1}
 	s := New(Options{})
-	sc := s.scratch.get()
-	defer s.scratch.put(sc)
+	sc := &fetchScratch{}
+	defer sc.release(&s.pages)
 
 	cases := []wire.Fetch{
 		{File: "A", Pages: []uint32{0, 31, 5, 5, 17}},

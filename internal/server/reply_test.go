@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/costmodel"
 	"repro/internal/lbs"
 	"repro/internal/pagefile"
@@ -147,6 +149,101 @@ func TestStreamedPagesReply(t *testing.T) {
 				}
 				if err == nil {
 					_, err = q.End(context.Background())
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestNoFetchReadsARecycledFrame: a request frame's buffer goes back to the
+// daemon's frame list only once the frame is handled, and a FetchShare's
+// selectors alias it until the reply is written. With every buffer given
+// back to the frame list poisoned, queries sending share fetches of random
+// selectors and queries sending plain fetches run concurrently on one
+// connection, and every answer must equal, byte for byte, the XOR of the
+// pages its selector picks or the page it names. A fetch that read its
+// request after the frame went back would fold poisoned selectors, or
+// another frame's bytes, instead; under -race such a read shows as a race
+// too.
+func TestNoFetchReadsARecycledFrame(t *testing.T) {
+	defer func(old bool) { poisonFrames = old }(poisonFrames)
+	poisonFrames = true
+	addr, pages := streamFixture(t, Options{Stores: lbs.XORStores})
+	c := dialDB(t, addr, "T")
+	xorOf := func(file string, sel []byte) []byte {
+		want := make([]byte, len(pages[file][0]))
+		for p, page := range pages[file] {
+			if sel[p/8]&(1<<(p%8)) != 0 {
+				for i := range want {
+					want[i] ^= page[i]
+				}
+			}
+		}
+		return want
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := range 10 {
+				ctx := context.Background()
+				q := c.StartQuery()
+				var err error
+				if g%2 == 0 {
+					selsA, selsB := make([][]byte, 52), make([][]byte, 2)
+					for i := range selsA {
+						selsA[i] = make([]byte, 8)
+						rng.Read(selsA[i])
+					}
+					for i := range selsB {
+						selsB[i] = make([]byte, 2)
+						rng.Read(selsB[i])
+					}
+					var got [][][]byte
+					got, err = q.ReadShareFrames(ctx, []client.ShareFrame{{NewRound: true}, {File: "A", Sels: selsA}, {File: "B", Sels: selsB}})
+					for i, sel := range selsA {
+						if err == nil && !bytes.Equal(got[1][i], xorOf("A", sel)) {
+							err = fmt.Errorf("share query %d.%d: answer %d over A differs from its selector's XOR", g, n, i)
+						}
+					}
+					for i, sel := range selsB {
+						if err == nil && !bytes.Equal(got[2][i], xorOf("B", sel)) {
+							err = fmt.Errorf("share query %d.%d: answer %d over B differs from its selector's XOR", g, n, i)
+						}
+					}
+				} else {
+					idx := make([]int, 52)
+					for i := range idx {
+						idx[i] = rng.Intn(60)
+					}
+					b := []int{rng.Intn(9), rng.Intn(9)}
+					var got [][][]byte
+					got, err = q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "A", Pages: idx}, {File: "B", Pages: b}})
+					for i, p := range idx {
+						if err == nil && !bytes.Equal(got[1][i], pages["A"][p]) {
+							err = fmt.Errorf("query %d.%d: page %d of A differs", g, n, p)
+						}
+					}
+					for i, p := range b {
+						if err == nil && !bytes.Equal(got[2][i], pages["B"][p]) {
+							err = fmt.Errorf("query %d.%d: page %d of B differs", g, n, p)
+						}
+					}
+				}
+				if err == nil {
+					_, err = q.End(ctx)
 				}
 				if err != nil {
 					errs <- err

@@ -118,7 +118,12 @@ type Server struct {
 	// moves in beginQuery/finishQuery, never on query content.
 	inflight atomic.Int64
 
-	scratch *scratchList // fetch scratch of every session's fetches
+	// pages holds the buffers fetches are answered into, and frames the
+	// buffers request frames are read into. Two lists, because one would
+	// let small request buffers take best-fit slots from quota-sized page
+	// buffers.
+	pages, frames pagefile.PageList
+	poison        bool // poisonFrames as the server was made
 
 	tel *telemetry.Registry
 	m   serverMetrics
@@ -142,7 +147,7 @@ func New(opts Options) *Server {
 		baseCancel: cancel,
 		dbs:        map[string]*hosted{},
 		conns:      map[net.Conn]struct{}{},
-		scratch:    newScratchList(),
+		poison:     poisonFrames,
 		tel:        telemetry.NewRegistry(),
 	}
 	s.initTelemetry()
@@ -342,81 +347,65 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // fetchScratch is the working set of the fetch-serving hot path: the
 // decoded request, the page-index conversion, and the page buffers the PIR
 // stores fill and the reply is written from (wire.FrameWriter.WritePages).
-// One scratch serves one fetch at a time; recycling them through the
-// server's free list makes a steady-state fetch — decode, PIR read, reply
-// write — perform zero allocations (see TestSteadyStateFetchZeroAllocs).
+// A query's goroutine serves one frame at a time, so each query holds its
+// own. The page buffer is taken from Server.pages per fetch and given back
+// once the reply is written: a plan quota is one request and one store
+// pass, so a fetch's buffer holds a whole quota — 208 KB for CI's Fd:52 at
+// 4-KB pages — and kept one per query, such buffers would pin a quota per
+// concurrent client; the list keeps a bounded few, best fit. With the
+// query's scratch warm, a steady-state fetch — decode, PIR read, reply
+// write — performs zero allocations (see TestSteadyStateFetchZeroAllocs).
 type fetchScratch struct {
-	list     *scratchList
 	req      wire.Fetch
 	shareReq wire.ShareFetch // decoded FetchShare; selectors alias the frame buffer
 	idx      []int
-	flat     []byte   // one backing array for all page buffers, from list.pages
+	flat     []byte   // one backing array for all page buffers, from Server.pages
 	bufs     [][]byte // page buffers, cut from flat
 }
 
-// scratchList is the daemon's free list of fetch scratch. A sync.Pool would
-// drop a scratch's page buffers and reallocate them after every second
-// collection; the list keeps as many scratch as fetches have been served at
-// once, up to its capacity. The page buffers live apart, in pages, so that a
-// scratch holds one only while it serves a fetch. A plan quota is one
-// request and one store pass, so a fetch's buffer holds a whole quota — 208
-// KB for CI's Fd:52 at 4-KB pages — and kept one per fetch ever served at
-// once, such buffers would pin a quota per concurrent client for the
-// daemon's life (832 KB of a 5 MB live heap on two clients against two
-// fleet replicas in one process); pages keeps a bounded few, best fit.
-type scratchList struct {
-	free  chan *fetchScratch
-	pages pagefile.PageList
-}
-
-// scratchListCap bounds the scratch the list keeps; an unused slot costs a
-// pointer and a few slice headers.
-const scratchListCap = 64
-
-func newScratchList() *scratchList {
-	return &scratchList{free: make(chan *fetchScratch, scratchListCap)}
-}
-
-// get takes a scratch off the list, or a new one.
-func (l *scratchList) get() *fetchScratch {
-	select {
-	case sc := <-l.free:
-		return sc
-	default:
-		return &fetchScratch{list: l}
-	}
-}
-
-// put returns sc to the list, and its page buffer to the page list.
-func (l *scratchList) put(sc *fetchScratch) {
-	l.pages.Put(sc.flat)
-	sc.flat = nil
-	clear(sc.bufs) // the buffer is the page list's now: hold no view of it
-	sc.bufs = sc.bufs[:0]
-	select {
-	case l.free <- sc:
-	default:
-	}
-}
-
-// grow sizes the scratch for k pages of ps bytes each, keeping its page
-// buffer when it is already big enough and otherwise trading it for the
-// listed buffer that fits best.
-func (sc *fetchScratch) grow(k, ps int) {
+// grow sizes sc for k pages of ps bytes each, trading its page buffer, if
+// it holds one, for the listed buffer that fits best.
+func (sc *fetchScratch) grow(pages *pagefile.PageList, k, ps int) {
 	if cap(sc.idx) < k {
 		sc.idx = make([]int, k)
 	}
 	sc.idx = sc.idx[:k]
-	need := k * ps
-	if cap(sc.flat) < need {
-		sc.list.pages.Put(sc.flat)
-		sc.flat = sc.list.pages.Get(need)
-	}
-	sc.flat = sc.flat[:need]
+	pages.Put(sc.flat)
+	sc.flat = pages.Get(k * ps)
 	sc.bufs = sc.bufs[:0]
 	for off := 0; off < len(sc.flat); off += ps {
 		sc.bufs = append(sc.bufs, sc.flat[off:off+ps])
 	}
+}
+
+// release gives sc's page buffer back to pages once its reply is written.
+func (sc *fetchScratch) release(pages *pagefile.PageList) {
+	pages.Put(sc.flat)
+	sc.flat = nil
+	clear(sc.bufs) // the buffer is the list's now: hold no view of it
+	sc.bufs = sc.bufs[:0]
+}
+
+// poisonFrames makes every request buffer given back to the frame list
+// read as poisonByte, so a fetch that still reads its request after the
+// frame went back answers garbage. Tests set it before New; a Server takes
+// its value when it is made.
+var poisonFrames = false
+
+// poisonByte is what a recycled request buffer reads as while poisonFrames
+// holds.
+const poisonByte = 0xA5
+
+// putFrame gives a finished request frame's buffer back to the frame list.
+// The caller must hold no view of it afterwards.
+func (s *Server) putFrame(payload []byte) {
+	if s.poison {
+		b := payload[:cap(payload)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	s.frames.Put(payload)
 }
 
 // answerFetch serves one Fetch or FetchShare frame of type t: it decodes
@@ -429,8 +418,8 @@ func (sc *fetchScratch) grow(k, ps int) {
 // The query's context aborts a call waiting for a slot, freeing the worker
 // for queries that still want answers. A FetchShare's selectors alias
 // payload, which must stay valid for the call. The returned pages are sc's
-// buffers, valid until the scratch is reused: the reply is written from
-// them.
+// buffers, valid until sc.release gives them back: the reply is written
+// from them.
 func (s *Server) answerFetch(ctx context.Context, h *hosted, t wire.MsgType, payload []byte, sc *fetchScratch) (file string, pages [][]byte, err error) {
 	n := 0
 	if t == wire.MsgFetch {
@@ -450,7 +439,7 @@ func (s *Server) answerFetch(ctx context.Context, h *hosted, t wire.MsgType, pay
 	if err != nil {
 		return "", nil, err
 	}
-	sc.grow(n, info.PageSize)
+	sc.grow(&s.pages, n, info.PageSize)
 	h.m.batchSize.Observe(int64(n))
 	t0 := time.Now()
 	if t == wire.MsgFetch {

@@ -87,6 +87,7 @@ type query struct {
 	fetched   uint64
 	ended     bool // completed by EndQuery, and recorded
 	unflushed bool // a reply of this query may sit in the write buffer
+	fetch     fetchScratch
 
 	// offPlan is set, under wmu, when the connection reader ended the query
 	// for sending more frames than its plan has requests: its Error is
@@ -94,31 +95,12 @@ type query struct {
 	offPlan bool
 }
 
-// sframe is one routed client frame. payload aliases a pooled buffer (buf);
-// whoever finishes handling the frame returns it with putFrameBuf.
+// sframe is one routed client frame. payload is a buffer of the server's
+// frame list; whoever finishes handling the frame gives it back
+// (Server.putFrame).
 type sframe struct {
 	t       wire.MsgType
 	payload []byte
-	buf     *[]byte
-}
-
-// framePool recycles frame payload buffers across all sessions: the
-// connection reader rents one per frame and the handler that consumed the
-// frame returns it, so the steady-state read loop allocates nothing.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledFrameBuf caps the capacity putFrameBuf will recycle. Steady-state
-// query frames are small (a fetch batch tops out around a few KB); one
-// legitimately huge frame — MaxFetchBatch pages is ~400 KB — used to return
-// its grown buffer to the shared pool, where it was recycled forever and
-// ratcheted every session's resident memory up to the largest frame ever
-// seen. Oversized buffers are dropped for the GC instead.
-const maxPooledFrameBuf = 128 << 10
-
-func putFrameBuf(bp *[]byte) {
-	if bp != nil && cap(*bp) <= maxPooledFrameBuf {
-		framePool.Put(bp)
-	}
 }
 
 func newSession(s *Server, conn net.Conn) *session {
@@ -237,16 +219,10 @@ func (ss *session) run() {
 		return
 	}
 	fr := wire.NewFrameReader(ss.br)
+	get := ss.s.frames.Get
 	for {
-		bp := framePool.Get().(*[]byte)
-		t, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, func(n int) []byte {
-			if cap(*bp) < n {
-				*bp = make([]byte, n)
-			}
-			return *bp
-		})
+		t, qid, payload, err := fr.ReadFrameInto(wire.DefaultMaxFrame, get)
 		if err != nil {
-			putFrameBuf(bp)
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				ss.s.opts.Logf("privspd: %s: read: %v", ss.conn.RemoteAddr(), err)
 			}
@@ -254,7 +230,7 @@ func (ss *session) run() {
 		}
 		ss.s.m.framesRead.Inc()
 		ss.s.m.bytesRead.Add(uint64(len(payload)) + wire.FrameOverhead)
-		ss.dispatch(t, qid, payload, bp)
+		ss.dispatch(t, qid, payload)
 	}
 }
 
@@ -304,10 +280,10 @@ func (ss *session) handshake() error {
 // to their goroutine without ever waiting on one. A frame for a query that
 // is not open gets an Error, unless the daemon ended that query on its own:
 // the Busy or Error that ended it was its last reply. A frame that finds
-// its query's inbox full ends that query off plan. bp is the frame's
-// pooled payload buffer: inline frames return it here, routed frames hand
-// it to the query goroutine.
-func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]byte) {
+// its query's inbox full ends that query off plan. payload is a buffer of
+// the frame list: inline frames give it back here, routed frames hand it to
+// the query goroutine.
+func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte) {
 	switch t {
 	case wire.MsgPing:
 		if len(payload) != 0 {
@@ -315,15 +291,15 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]by
 		} else {
 			ss.send(wire.MsgPong, qid, nil)
 		}
-		putFrameBuf(bp)
+		ss.s.putFrame(payload)
 		return
 	case wire.MsgBeginQuery:
 		ss.beginQuery(qid)
-		putFrameBuf(bp)
+		ss.s.putFrame(payload)
 		return
 	case wire.MsgCancel:
 		ss.cancelQuery(qid, payload)
-		putFrameBuf(bp)
+		ss.s.putFrame(payload)
 		return
 	}
 	ss.qmu.Lock()
@@ -334,13 +310,13 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte, bp *[]by
 		if !ended {
 			ss.sendErr(qid, "no open query %d for %s", qid, t)
 		}
-		putFrameBuf(bp)
+		ss.s.putFrame(payload)
 		return
 	}
 	select {
-	case q.inbox <- sframe{t, payload, bp}:
+	case q.inbox <- sframe{t, payload}:
 	default:
-		putFrameBuf(bp)
+		ss.s.putFrame(payload)
 		ss.endOffPlan(q, t)
 	}
 }
@@ -452,7 +428,7 @@ func (ss *session) runQuery(q *query) {
 			return
 		case f := <-q.inbox:
 			terminal := ss.handleQueryFrame(q, f)
-			putFrameBuf(f.buf)
+			ss.s.putFrame(f.payload)
 			if terminal {
 				return
 			}
@@ -482,12 +458,11 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 			// so this process cannot hold both halves of any query.
 			return ss.refuse(q, "replica serves selector shares only (send FetchShare, not Fetch)")
 		}
-		sc := ss.s.scratch.get()
-		defer ss.s.scratch.put(sc)
+		defer q.fetch.release(&ss.s.pages)
 		// A FetchShare's selectors alias the frame buffer, which stays
-		// pinned until the answer is written (runQuery returns it after
-		// this).
-		file, pages, err := ss.s.answerFetch(q.ctx, ss.db, f.t, f.payload, sc)
+		// the query's until the answer is written (runQuery gives it back
+		// after this).
+		file, pages, err := ss.s.answerFetch(q.ctx, ss.db, f.t, f.payload, &q.fetch)
 		if err != nil {
 			if q.ctx.Err() != nil {
 				// Cancelled while the call was queued or between its page
