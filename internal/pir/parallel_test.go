@@ -123,40 +123,88 @@ func TestXORPIRParallelMatchesPages(t *testing.T) {
 // counts mallocs globally, so worker-goroutine allocations would fail it
 // too), per-segment bucket tables included. Starting the helper goroutines
 // must be free too: they run a method value bound once on the listed scan.
+// The second geometry is a plan quota, CI's Fd:52 at 4-KB pages, four wide:
+// its 104 accumulator rows and three slots' partials together pass
+// maxTableBytes, and the listed scan must keep them all the same.
 func TestXORPIRParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	const n, ps, k = 256, 512, 8
-	pages := makePages(n, ps, 47)
-	x, err := NewXORPIR(src(pages, ps))
+	for _, geo := range []struct{ n, ps, k int }{{256, 512, 8}, {1024, 4096, 52}} {
+		pages := makePages(geo.n, geo.ps, 47)
+		x, err := NewXORPIR(src(pages, geo.ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
+		setWidth(x, 4)
+		if passBits(2*geo.k, geo.n, x.arena.wpp, 4) == 1 { // both servers' selectors
+			t.Fatalf("%dx%d: segments too short to engage the bucketed fold", geo.n, geo.ps)
+		}
+		batch := make([]int, geo.k)
+		for i := range batch {
+			batch[i] = (i * 37) % geo.n
+		}
+		dst := make([][]byte, geo.k)
+		for i := range dst {
+			dst[i] = make([]byte, geo.ps)
+		}
+		ctx := context.Background()
+		read := func() {
+			if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read() // warm: the listed scan, its tables and partials
+		if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+			t.Fatalf("%dx%d k=%d: steady-state parallel ReadBatchInto allocates %.1f objects per batch; want 0",
+				geo.n, geo.ps, geo.k, allocs)
+		}
+		for i, p := range batch {
+			if !bytes.Equal(dst[i], pages[p]) {
+				t.Fatalf("%dx%d: answer %d (page %d) wrong after alloc-free parallel reads", geo.n, geo.ps, i, p)
+			}
+		}
+	}
+}
+
+// TestListedScansKeepSlotBudget pins the store-wide bound on what listed
+// scans keep beyond their rows: a scan whose tables and partials would take
+// the store past maxListedScans·maxTableBytes is listed without them, one
+// that fits keeps them, and taking scans off the list gives their bytes
+// back to the budget.
+func TestListedScansKeepSlotBudget(t *testing.T) {
+	const n, ps = 64, 512
+	x, err := NewXORPIR(src(makePages(n, ps, 3), ps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.rng = fakeRand{rng: rand.New(rand.NewSource(9))}
-	setWidth(x, 4)
-	if passBits(k, n, x.arena.wpp, 4) == 1 {
-		t.Fatal("segments too short to engage the bucketed fold")
+	const budget = maxListedScans * maxTableBytes
+	const tableWords = maxTableBytes / 8
+	held := int64(budget - maxTableBytes) // as if other listed scans held this much
+	x.slotMem.Store(held)
+
+	over := newScan(x.arena)
+	over.tables = [][]uint64{make([]uint64, tableWords), make([]uint64, tableWords)}
+	x.putScan(over)
+	if over.tables[0] != nil || over.tables[1] != nil {
+		t.Fatal("a scan past the budget kept its tables")
 	}
-	batch := []int{0, 9, 9, 55, 128, 255, 77, 31}[:k]
-	dst := make([][]byte, k)
-	for i := range dst {
-		dst[i] = make([]byte, ps)
+	fits := newScan(x.arena)
+	fits.tables = [][]uint64{make([]uint64, tableWords/2)}
+	fits.partbuf = make([]uint64, tableWords/4)
+	x.putScan(fits)
+	if fits.tables[0] == nil || fits.partbuf == nil {
+		t.Fatal("a scan within the budget lost its slot buffers")
 	}
-	ctx := context.Background()
-	read := func() {
-		if err := x.ReadBatchInto(ctx, batch, dst); err != nil {
-			t.Fatal(err)
-		}
+	if got, want := x.slotMem.Load(), held+8*int64(len(fits.tables[0])+len(fits.partbuf)); got != want {
+		t.Fatalf("listed slot bytes %d, want %d", got, want)
 	}
-	read() // warm: the listed scan, its tables and partials
-	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
-		t.Fatalf("steady-state parallel ReadBatchInto allocates %.1f objects per batch; want 0", allocs)
+	for range 2 {
+		x.getScan()
 	}
-	for i, p := range batch {
-		if !bytes.Equal(dst[i], pages[p]) {
-			t.Fatalf("answer %d (page %d) wrong after alloc-free parallel reads", i, p)
-		}
+	if got := x.slotMem.Load(); got != held {
+		t.Fatalf("after both scans left the list: slot bytes %d, want %d", got, held)
 	}
 }
 

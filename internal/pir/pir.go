@@ -20,7 +20,8 @@
 // it). Everything a call works in — the batch's selector and accumulator
 // rows, a bucket table per slot of the pass, the pass's partials — is one
 // scan, taken off a bounded per-store list for the call and put back when
-// it returns. It additionally shows two optional faces, which the serving layer
+// it returns; the listed scans' tables and partials together stay within
+// 64 MiB per store. It additionally shows two optional faces, which the serving layer
 // probes once at host time: ShareAnswerer (the replica half of two-server
 // fleet mode) and ScanStats (work accounting, which Plain shows too).
 package pir

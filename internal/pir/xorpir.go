@@ -43,9 +43,10 @@ type XORPIR struct {
 	arena    *wordArena
 	numPages int
 	pageSize int
-	rng      io.Reader  // draws the selector shares; tests wrap it to read the servers' views
-	workers  int        // scan width, fixed at construction (scanWidth); above 1 a pass fans out (parallel.go)
-	scans    chan *scan // free list of store-call working sets
+	rng      io.Reader    // draws the selector shares; tests wrap it to read the servers' views
+	workers  int          // scan width, fixed at construction (scanWidth); above 1 a pass fans out (parallel.go)
+	scans    chan *scan   // free list of store-call working sets
+	slotMem  atomic.Int64 // bytes of bucket tables and partials the listed scans hold (putScan)
 
 	scanCounters
 }
@@ -60,7 +61,8 @@ type XORPIR struct {
 // scan off its store's list and puts it back when it returns. The list is a
 // channel rather than a sync.Pool: a Pool drops what it holds every second
 // collection, and the rows and tables, a page or more each, would be
-// reallocated; the list keeps as many scans as calls have run at once.
+// reallocated; the list keeps as many scans as calls have run at once, and
+// putScan bounds what they hold.
 type scan struct {
 	arena  *wordArena
 	selbuf []byte
@@ -80,11 +82,15 @@ type scan struct {
 	help        func()
 	partbuf     []uint64
 	parts       [][]uint64 // the helpers' partial accumulators, k rows per slot
+
+	listedMem int64 // slot bytes s added to its store's slotMem when it was listed
 }
 
 // maxListedScans bounds the scans a store keeps; it only has to exceed the
 // store calls that overlap on one store, and an unused slot costs a
-// pointer.
+// pointer. It bounds their slot buffers too: the listed scans' bucket
+// tables and partials together stay within maxListedScans·maxTableBytes,
+// as many bytes as that many tables of the largest size.
 const maxListedScans = 64
 
 // NewXORPIR builds the arena the two logical servers answer from (the answer
@@ -123,26 +129,41 @@ func (x *XORPIR) selBytes() int { return (x.numPages + 7) / 8 }
 func (x *XORPIR) getScan() *scan {
 	select {
 	case s := <-x.scans:
+		x.slotMem.Add(-s.listedMem)
 		return s
 	default:
 		return newScan(x.arena)
 	}
 }
 
-// putScan lists s again, holding no view of the caller's buffers, unless a
-// batch far beyond a plan quota's grew its rows — selectors, accumulators,
-// partials — past maxTableBytes: that one goes to the collector rather than
-// stay resident for good. Its tables need no check: groupBits holds each
-// to maxTableBytes whatever the batch.
+// putScan lists s again, holding no view of the caller's buffers, within
+// two bounds on what stays resident:
+//   - a batch far beyond a plan quota's that grew s's selector and
+//     accumulator rows past maxTableBytes sends s to the collector;
+//   - s keeps its slot buffers (bucket tables, each held to maxTableBytes by
+//     groupBits, and the helpers' partials) only while the listed scans'
+//     slot buffers fit maxListedScans·maxTableBytes; past that, s is listed
+//     without them.
 func (x *XORPIR) putScan(s *scan) {
 	clear(s.sels)
 	clear(s.accs)
-	if cap(s.selbuf)+8*(cap(s.accbuf)+cap(s.partbuf)) > maxTableBytes {
+	if cap(s.selbuf)+8*cap(s.accbuf) > maxTableBytes {
 		return
+	}
+	s.listedMem = 8 * int64(cap(s.partbuf))
+	for _, t := range s.tables {
+		s.listedMem += 8 * int64(cap(t))
+	}
+	if x.slotMem.Add(s.listedMem) > maxListedScans*maxTableBytes {
+		x.slotMem.Add(-s.listedMem) // over: the next pass grows them again
+		clear(s.tables)
+		clear(s.parts)
+		s.partbuf, s.listedMem = nil, 0
 	}
 	select {
 	case x.scans <- s:
 	default:
+		x.slotMem.Add(-s.listedMem)
 	}
 }
 

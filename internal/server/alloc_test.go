@@ -145,6 +145,7 @@ func TestAnswerFetchMatchesReadPages(t *testing.T) {
 				t.Fatalf("%s[%d]: content mismatch", req.File, req.Pages[i])
 			}
 		}
+		sc.release(&s.pages) // as the query does once the reply is written
 	}
 	// Hostile index: the error must name the page, not crash the scratch.
 	hostile := wire.Fetch{File: "B", Pages: []uint32{7}}

@@ -363,14 +363,14 @@ type fetchScratch struct {
 	bufs     [][]byte // page buffers, cut from flat
 }
 
-// grow sizes sc for k pages of ps bytes each, trading its page buffer, if
-// it holds one, for the listed buffer that fits best.
+// grow sizes sc for k pages of ps bytes each, taking the listed page
+// buffer that fits best. sc holds none when grow is called: release gave
+// the last one back.
 func (sc *fetchScratch) grow(pages *pagefile.PageList, k, ps int) {
 	if cap(sc.idx) < k {
 		sc.idx = make([]int, k)
 	}
 	sc.idx = sc.idx[:k]
-	pages.Put(sc.flat)
 	sc.flat = pages.Get(k * ps)
 	sc.bufs = sc.bufs[:0]
 	for off := 0; off < len(sc.flat); off += ps {
