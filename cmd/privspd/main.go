@@ -166,7 +166,7 @@ func newFlagSet(output io.Writer) (*flag.FlagSet, *daemonConfig) {
 	})
 	fs.StringVar(&c.PIRStore, "pir", "plain", "PIR store per hosted file: plain (reads delegate to the page file; PIR timing simulated analytically) or xorpir (real two-server XOR PIR scans; each fetch or share batch is one pass holding one of its database's 2x GOMAXPROCS pool slots)")
 	fs.BoolVar(&c.ReplicaRole, "replica-role", false, "serve as a non-reconstructing fleet replica: answer only XOR PIR selector shares (FetchShare), reject plain page fetches; requires -pir xorpir (clients fan out with privsp.DialFleet)")
-	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "daemon-wide bound on queries open at once, the daemon's one concurrency setting; a BeginQuery past the budget is shed with a typed BUSY reply before any query content is read (0 = 64x GOMAXPROCS, negative = unlimited)")
+	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "daemon-wide bound on queries open at once, the daemon's one concurrency setting; a query past the budget is shed at its first frame with a typed BUSY reply before any query content is read (0 = 64x GOMAXPROCS, negative = unlimited)")
 	fs.StringVar(&c.Admin, "admin", "", "serve /metrics, /healthz and /debug/pprof/ on this address (e.g. localhost:6060; empty = disabled)")
 	fs.DurationVar(&c.Drain, "drain", 10*time.Second, "graceful shutdown window (in-flight queries are cancelled immediately; sessions get this long to settle)")
 	return fs, c

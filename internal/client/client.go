@@ -109,7 +109,6 @@ type Client struct {
 	ctl     chan frame            // ControlID responses (Pong)
 	done    chan struct{}         // closed once on fatal failure; wakes all waiters
 	err     error                 // fatal transport error; latched
-	failed  bool
 }
 
 // Dial connects with the default timeout. Equivalent to DialContext with a
@@ -250,23 +249,19 @@ func (c *Client) Close() error {
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.failed {
+	if c.err != nil {
 		return
 	}
-	c.failed = true
 	c.err = err
 	c.conn.Close()
 	close(c.done)
 }
 
-// lastErr reports the latched fatal error.
+// lastErr reports the latched fatal error; c.done is closed.
 func (c *Client) lastErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	return errors.New("client: connection closed")
+	return c.err
 }
 
 // release forgets a query: frames addressed to it are dropped from now on.
@@ -292,7 +287,7 @@ func (c *Client) readLoop(fr *wire.FrameReader) {
 		}
 		c.mu.Lock()
 		var ch chan frame
-		if c.failed {
+		if c.err != nil {
 			c.mu.Unlock()
 			return
 		}
@@ -332,53 +327,45 @@ func (c *Client) recycle(payload []byte) {
 	replies.Put(payload)
 }
 
-// writeFrame emits one frame, optionally flushing. Writes from concurrent
-// queries interleave whole-frame; an unflushed frame rides with whichever
-// write flushes next.
-func (c *Client) writeFrame(t wire.MsgType, qid uint32, payload []byte, flush bool) error {
+// writeBatch emits a batch of q's frames, or with a nil q connection
+// control frames, under one lock, flushing if asked: the daemon reads them
+// back to back, and other queries' frames never land between them; an
+// unflushed batch rides with whichever write flushes next. Each payload
+// is enc[lo:hi]. The query's first write takes the next query ID and
+// registers its reply queue under the same lock, so a connection's
+// queries reach the daemon, which opens a query on its first frame, in
+// increasing ID order. ID 0 is ControlID: a wrap skips it.
+func (c *Client) writeBatch(q *Query, reqs []request, enc []byte, flush bool) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	c.mu.Lock()
 	if c.err != nil {
 		defer c.mu.Unlock()
 		return c.err
 	}
-	c.mu.Unlock()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err := c.fw.WriteFrame(t, qid, payload)
-	if err == nil && flush {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		err = fmt.Errorf("client: write %s: %w", t, err)
-		c.fail(err)
-		return err
-	}
-	return nil
-}
-
-// writeBatch emits a query's batch of request frames under one lock and one
-// flush: the daemon reads them back to back, and other queries' frames
-// never land between them. Each payload is enc[lo:hi].
-func (c *Client) writeBatch(qid uint32, reqs []request, enc []byte) error {
-	c.mu.Lock()
-	if c.err != nil {
-		defer c.mu.Unlock()
-		return c.err
+	qid := wire.ControlID
+	if q != nil {
+		if q.id == 0 {
+			if c.nextID++; c.nextID == wire.ControlID {
+				c.nextID++
+			}
+			q.id = c.nextID
+			c.pending[q.id] = q.resp
+		}
+		qid = q.id
 	}
 	c.mu.Unlock()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	var err error
 	for _, r := range reqs {
 		if err = c.fw.WriteFrame(r.t, qid, enc[r.lo:r.hi]); err != nil {
 			break
 		}
 	}
-	if err == nil {
+	if err == nil && flush {
 		err = c.bw.Flush()
 	}
 	if err != nil {
-		err = fmt.Errorf("client: write batch: %w", err)
+		err = fmt.Errorf("client: write: %w", err)
 		c.fail(err)
 		return err
 	}
@@ -444,7 +431,7 @@ func (c *Client) Ping(ctx context.Context) error {
 		}
 		break
 	}
-	if err := c.writeFrame(wire.MsgPing, wire.ControlID, nil, true); err != nil {
+	if err := c.writeBatch(nil, []request{{t: wire.MsgPing}}, nil, true); err != nil {
 		return err
 	}
 	select {
@@ -482,10 +469,9 @@ func (c *Client) Ping(ctx context.Context) error {
 // caller that keeps a page past that copies it first.
 type Query struct {
 	c    *Client
-	id   uint32
+	id   uint32     // 0 until the query's first write takes one
 	resp chan frame // replies, in request order; holds a whole batch
 
-	begun bool   // BeginQuery sent
 	ended bool   // completed: trace is the daemon's QueryDone
 	trace string // the server-observed trace, once ended
 	// over is nil while the query is open; once it is settled, what every
@@ -524,42 +510,17 @@ type ShareFrame struct {
 	Sels     [][]byte
 }
 
-// StartQuery opens a fresh query session. The returned Query holds a
-// connection-unique ID; nothing goes over the wire until its first use.
+// StartQuery starts a fresh query session. Nothing goes over the wire until
+// its first use, whose frame opens the query on the daemon; that write
+// gives the query its connection-unique ID.
 func (c *Client) StartQuery() *Query {
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	ch := make(chan frame, 8)
-	if !c.failed {
-		c.pending[id] = ch
-	}
-	// On a failed client the query is not registered; its waits fail fast
-	// through the closed done channel.
-	c.mu.Unlock()
 	mInflight.Inc()
-	return &Query{c: c, id: id, resp: ch, enc: pagefile.NewEnc(256)}
+	return &Query{c: c, resp: make(chan frame, 8), enc: pagefile.NewEnc(256)}
 }
 
 // Connect implements lbs.Service: the scheme's protocol drives this query
 // session under the query's context.
 func (q *Query) Connect(ctx context.Context) *lbs.Conn { return lbs.NewConn(ctx, q) }
-
-// begin lazily opens the query session on first use. BeginQuery is
-// fire-and-forget, so it shares the flush of the operation that follows.
-func (q *Query) begin() error {
-	if q.over != nil {
-		return q.over
-	}
-	if q.begun {
-		return nil
-	}
-	if err := q.c.writeFrame(wire.MsgBeginQuery, q.id, nil, false); err != nil {
-		return err
-	}
-	q.begun = true
-	return nil
-}
 
 // errSettled is what a call on a query that completed or was cancelled
 // returns.
@@ -588,7 +549,9 @@ func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 	}
 	if cap(q.resp) < n {
 		// Grow the reply queue before anything is sent, so the reader never
-		// finds it full while this batch is answered.
+		// finds it full while this batch is answered. A query not yet
+		// written is not registered: its first write registers the grown
+		// queue.
 		ch := make(chan frame, max(n, 2*cap(q.resp)))
 		q.c.mu.Lock()
 		if _, ok := q.c.pending[q.id]; ok {
@@ -598,7 +561,7 @@ func (q *Query) batch(ctx context.Context) ([][]byte, error) {
 		q.resp = ch
 	}
 	start := time.Now()
-	if err := q.c.writeBatch(q.id, reqs, q.enc.Bytes()); err != nil {
+	if err := q.c.writeBatch(q, reqs, q.enc.Bytes(), true); err != nil {
 		return nil, err
 	}
 	replies := make([][]byte, 0, n)
@@ -676,10 +639,11 @@ func (q *Query) FileInfo(name string) (lbs.FileInfo, error) {
 // rides with the next batch's flush. A session that batches its rounds
 // sends the announcement inside ReadFrames instead.
 func (q *Query) NextRound(context.Context) error {
-	if err := q.begin(); err != nil {
-		return err
+	if q.over != nil {
+		return q.over
 	}
-	return q.c.writeFrame(wire.MsgNextRound, q.id, nil, false)
+	q.reqs = append(q.reqs[:0], request{t: wire.MsgNextRound})
+	return q.c.writeBatch(q, q.reqs, nil, false)
 }
 
 // ReadFrames implements lbs.RoundReader: it writes every frame under one
@@ -785,9 +749,6 @@ func (q *Query) pipeline(ctx context.Context, t wire.MsgType, n int,
 		}
 		q.add(t, lo, wire.MsgPages, wire.ReplyFrames(file, q.c.files[file].PageSize, items))
 	}
-	if err := q.begin(); err != nil {
-		return nil, err
-	}
 	replies, err := q.batch(ctx)
 	if err != nil {
 		return nil, err
@@ -871,7 +832,7 @@ func (q *Query) End(ctx context.Context) (string, error) {
 	if q.over != nil {
 		return "", q.over
 	}
-	if !q.begun {
+	if q.id == 0 {
 		return "", errors.New("client: no query in flight")
 	}
 	if _, err := q.ReadFrames(ctx, []lbs.Frame{{End: true}}); err != nil {
@@ -895,9 +856,10 @@ func (q *Query) Cancel(reason uint8) {
 	}
 	q.over = errSettled
 	mInflight.Dec()
-	if q.begun {
+	if q.id != 0 {
 		// Best-effort: the daemon also aborts on connection teardown.
-		q.c.writeFrame(wire.MsgCancel, q.id, wire.Cancel{Reason: reason}.Encode(), true)
+		enc := wire.Cancel{Reason: reason}.Encode()
+		q.c.writeBatch(q, []request{{t: wire.MsgCancel, hi: len(enc)}}, enc, true)
 	}
 	q.c.release(q.id)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -136,8 +137,8 @@ func TestOneRequestPerQuota(t *testing.T) {
 	}
 	defer c.Close()
 	want := pagesOf(quota, 7)
-	// Begin, the round, one request per quota and End; one frame per reply
-	// cut, and the QueryDone.
+	// The round, one request per quota and End; one frame per reply cut,
+	// and the QueryDone.
 	fetchQuery := func() {
 		q := c.StartQuery()
 		got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: want}, {File: "F", Pages: []int{39}}, {End: true}})
@@ -154,7 +155,7 @@ func TestOneRequestPerQuota(t *testing.T) {
 			t.Errorf("daemon recorded %d fetch lines, want %d:\n%s", lines, quota+1, trace)
 		}
 	}
-	frames(srv, 5, replyFrames(quota, 1)+1, fetchQuery)
+	frames(srv, 4, replyFrames(quota, 1)+1, fetchQuery)
 	refused := func(what string, err error, n int) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d items of F", n)) {
@@ -168,7 +169,7 @@ func TestOneRequestPerQuota(t *testing.T) {
 		refused("fetch past the frame limit", err, len(big))
 		q.Cancel(wire.CancelAbandon) // nothing was sent: a no-op on the wire
 	})
-	frames(srv, 5, replyFrames(quota, 1)+1, fetchQuery)
+	frames(srv, 4, replyFrames(quota, 1)+1, fetchQuery)
 
 	rsrv, raddr, _ := serveQuotaFixture(t, server.Options{Stores: lbs.XORStores, ReplicaRole: true})
 	rc, err := Dial(raddr, Options{})
@@ -191,7 +192,7 @@ func TestOneRequestPerQuota(t *testing.T) {
 			t.Errorf("replica recorded %d fetch lines, want %d", lines, quota)
 		}
 	}
-	frames(rsrv, 4, replyFrames(quota)+1, shareQuery)
+	frames(rsrv, 3, replyFrames(quota)+1, shareQuery)
 	bigSel := pagesOf(shareLimit+10, 3)
 	frames(rsrv, 0, 0, func() {
 		rq := rc.StartQuery()
@@ -199,7 +200,7 @@ func TestOneRequestPerQuota(t *testing.T) {
 		refused("share fetch past the frame limit", err, len(bigSel))
 		rq.Cancel(wire.CancelAbandon)
 	})
-	frames(rsrv, 4, replyFrames(quota)+1, shareQuery)
+	frames(rsrv, 3, replyFrames(quota)+1, shareQuery)
 }
 
 // TestLongTraceReadsPastTheRequestLimit: the request limit bounds only what
@@ -240,6 +241,38 @@ func TestLongTraceReadsPastTheRequestLimit(t *testing.T) {
 		}
 		if lines := strings.Count(trace, "  fetch F\n"); lines != 2*len(quota) {
 			t.Fatalf("run %d: trace has %d fetch lines, want %d", run, lines, 2*len(quota))
+		}
+	}
+}
+
+// TestQueryIDsWrap: a connection's query IDs wrap past math.MaxUint32 to
+// 1, skipping ControlID, and the daemon opens each wrapped query on its
+// first frame: three plan queries from the top of the ID space all
+// complete.
+func TestQueryIDsWrap(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, addr, pages := serveQuotaFixture(t, server.Options{})
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.nextID = math.MaxUint32 - 1
+	for i, id := range []uint32{math.MaxUint32, 1, 2} {
+		q := c.StartQuery()
+		got, err := q.ReadFrames(ctx, []lbs.Frame{{NewRound: true}, {File: "F", Pages: []int{i}}, {File: "F", Pages: []int{39}}, {End: true}})
+		if err != nil {
+			t.Fatalf("query %d (ID %d): %v", i, q.id, err)
+		}
+		if q.id != id {
+			t.Errorf("query %d: ID %d, want %d", i, q.id, id)
+		}
+		if !bytes.Equal(got[1][0], pages[i]) || !bytes.Equal(got[2][0], pages[39]) {
+			t.Errorf("query %d: wrong pages", i)
+		}
+		if _, err := q.End(ctx); err != nil {
+			t.Fatalf("query %d: End: %v", i, err)
 		}
 	}
 }

@@ -97,15 +97,14 @@ func TestFailover(t *testing.T) {
 
 	var mu sync.Mutex
 	var logs []string
-	f := dialFleet(t, []string{addrA, addrB}, fleet.Options{
-		ProbeInterval: 25 * time.Millisecond,
-		Telemetry:     telemetry.NewRegistry(),
+	f := dialProbing(t, []string{addrA, addrB}, fleet.Options{
+		Telemetry: telemetry.NewRegistry(),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, format)
 			mu.Unlock()
 		},
-	})
+	}, 25*time.Millisecond)
 	ctx := context.Background()
 
 	// Healthy paired query; its trace is the canonical full trace.
@@ -249,7 +248,7 @@ func TestFailoverThreeReplicas(t *testing.T) {
 		srvs[i], addr = startDaemon(t, "RAW", db, true, true, caps[i])
 		addrs = append(addrs, addr)
 	}
-	f := dialFleet(t, addrs, fleet.Options{ProbeInterval: 25 * time.Millisecond})
+	f := dialProbing(t, addrs, fleet.Options{}, 25*time.Millisecond)
 	shares := func(i int) int { return len(caps[i].stores[0].shares()) }
 
 	// Healthy rotation: queries start at replicas 0, 1, 2 in turn, so the
@@ -325,7 +324,7 @@ func TestRedialKeepsDivergedReplicaDown(t *testing.T) {
 	_, addrA := startDaemon(t, "RAW", db, true, true, nil)
 	_, addrB := startDaemon(t, "RAW", db, true, true, nil)
 	srvC, addrC := startReplicaAt(t, "127.0.0.1:0", db, nil)
-	f := dialFleet(t, []string{addrA, addrB, addrC}, fleet.Options{ProbeInterval: 25 * time.Millisecond})
+	f := dialProbing(t, []string{addrA, addrB, addrC}, fleet.Options{}, 25*time.Millisecond)
 
 	waitStatus := func(what string, cond func(fleet.ReplicaStatus) bool) {
 		t.Helper()
@@ -494,7 +493,7 @@ func TestProberTripsHungReplica(t *testing.T) {
 		srvs[i], addrs[i] = startDaemon(t, "RAW", db, true, true, nil)
 	}
 	hung := startRelay(t, addrs[2])
-	f := dialFleet(t, []string{addrs[0], addrs[1], hung.addr()}, fleet.Options{ProbeInterval: 25 * time.Millisecond})
+	f := dialProbing(t, []string{addrs[0], addrs[1], hung.addr()}, fleet.Options{}, 25*time.Millisecond)
 
 	waitStatus := func(what string, cond func(fleet.ReplicaStatus) bool) {
 		t.Helper()

@@ -34,14 +34,16 @@ import (
 // DefaultProbeInterval is how often the health prober revisits replicas.
 const DefaultProbeInterval = 2 * time.Second
 
+// probeInterval is the health-prober period (re-dial of down replicas,
+// liveness ping of up ones) a fleet takes when it is dialed:
+// DefaultProbeInterval, which tests lower.
+var probeInterval = DefaultProbeInterval
+
 // Options tunes a fleet.
 type Options struct {
 	// Database selects a hosted database by name on every replica; empty
 	// selects each daemon's sole database.
 	Database string
-	// ProbeInterval is the health-prober period (re-dial of down replicas,
-	// liveness ping of up ones); 0 means DefaultProbeInterval.
-	ProbeInterval time.Duration
 	// Telemetry receives the fleet families; nil means telemetry.Default().
 	Telemetry *telemetry.Registry
 	// Logf receives failover events (replica down/up); nil disables
@@ -72,7 +74,8 @@ type replica struct {
 // Fleet fans queries out across privspd replicas. Safe for concurrent use:
 // start one Query per in-flight query, from any goroutine.
 type Fleet struct {
-	opts Options
+	opts     Options
+	interval time.Duration // probeInterval as the fleet was dialed
 	// ref is the replica the others are checked against, at dial and at
 	// every re-dial: its scheme, file table and header are the fleet's.
 	// They stay readable once its connection is closed.
@@ -107,9 +110,6 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 		}
 		seen[a] = true
 	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = DefaultProbeInterval
-	}
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.Default()
 	}
@@ -117,9 +117,10 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 		opts.Logf = func(string, ...any) {}
 	}
 	f := &Fleet{
-		opts: opts,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		opts:     opts,
+		interval: probeInterval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	f.initTelemetry(addrs)
 
@@ -292,7 +293,7 @@ func probeDelay(interval time.Duration, streak int) time.Duration {
 // successful handshake.
 func (f *Fleet) probeLoop() {
 	defer close(f.done)
-	interval := f.opts.ProbeInterval
+	interval := f.interval
 	f.mu.Lock()
 	for _, rep := range f.replicas {
 		rep.nextProbe = time.Now().Add(probeDelay(interval, 0))
@@ -344,7 +345,7 @@ func (f *Fleet) probe(rep *replica) bool {
 	f.mu.Lock()
 	up, c := rep.up, rep.c
 	f.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), f.opts.ProbeInterval)
+	ctx, cancel := context.WithTimeout(context.Background(), f.interval)
 	defer cancel()
 	if up {
 		if err := c.Ping(ctx); err != nil {

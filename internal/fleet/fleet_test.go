@@ -120,15 +120,20 @@ func startDaemon(t testing.TB, name string, db *lbs.Database, replica, xor bool,
 	return srv, ln.Addr().String()
 }
 
-// dialFleet dials with an isolated telemetry registry and short probes.
+// dialFleet dials with an isolated telemetry registry and probes every
+// 50 ms.
 func dialFleet(t testing.TB, addrs []string, opts fleet.Options) *fleet.Fleet {
+	t.Helper()
+	return dialProbing(t, addrs, opts, 50*time.Millisecond)
+}
+
+// dialProbing is dialFleet probing at the given interval.
+func dialProbing(t testing.TB, addrs []string, opts fleet.Options, interval time.Duration) *fleet.Fleet {
 	t.Helper()
 	if opts.Telemetry == nil {
 		opts.Telemetry = telemetry.NewRegistry()
 	}
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = 50 * time.Millisecond
-	}
+	fleet.SetProbeInterval(t, interval)
 	f, err := fleet.Dial(context.Background(), addrs, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -121,7 +121,8 @@ func TestStartQueryRacesBreaker(t *testing.T) {
 	}
 	// The background prober never fires during the test: the loop below
 	// drives the breaker by hand.
-	f, err := Dial(context.Background(), addrs, Options{ProbeInterval: time.Hour, Telemetry: telemetry.NewRegistry()})
+	SetProbeInterval(t, time.Hour)
+	f, err := Dial(context.Background(), addrs, Options{Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

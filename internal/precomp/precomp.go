@@ -52,9 +52,6 @@ type EdgeRef struct {
 type Options struct {
 	Sets      bool // compute S_i,j region sets (CI, HY)
 	Subgraphs bool // compute G_i,j edge subgraphs (PI, PI*, HY)
-	// Workers bounds the pre-computation parallelism: 0 = GOMAXPROCS,
-	// 1 = serial. The result is deterministic regardless of the setting.
-	Workers int
 }
 
 // Result holds the materialized pre-computation, indexed by PairIndex.
@@ -90,8 +87,9 @@ func PairIndex(numRegions int, i, j kdtree.RegionID) int {
 }
 
 // Compute runs the pre-computation over the augmented network. Up to
-// Options.Workers workers take source regions from a shared counter and
-// fill disjoint rows; the pairs are then assembled in PairIndex order.
+// GOMAXPROCS workers take source regions from a shared counter and fill
+// disjoint rows; the pairs are then assembled in PairIndex order, so the
+// result is the same whatever the worker count.
 func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Result, error) {
 	if !opts.Sets && !opts.Subgraphs {
 		return nil, fmt.Errorf("precomp: nothing requested")
@@ -112,13 +110,9 @@ func Compute(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Resu
 		idx = newEdgeIndex(aug)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range max(1, min(workers, R)) {
+	for range max(1, min(runtime.GOMAXPROCS(0), R)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

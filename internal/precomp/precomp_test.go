@@ -3,6 +3,7 @@ package precomp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/border"
@@ -340,7 +341,8 @@ func TestComputeRequiresSomething(t *testing.T) {
 
 // TestParallelMatchesSerial: the worker-pool pre-computation must produce
 // byte-identical results to the serial one (determinism is load-bearing:
-// the query plan, and hence the privacy guarantee, derives from it).
+// the query plan, and hence the privacy guarantee, derives from it). The
+// worker count is GOMAXPROCS, set to 1 and to 7 here.
 func TestParallelMatchesSerial(t *testing.T) {
 	g := gen.GeneratePreset(gen.Oldenburg, 0.12)
 	part, err := kdtree.BuildPacked(g, sizeFn(g), 1024)
@@ -348,14 +350,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	aug := border.Build(g, part)
-	serial, err := Compute(aug, part, Options{Sets: true, Subgraphs: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	compute := func(workers int) *Result {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		res, err := Compute(aug, part, Options{Sets: true, Subgraphs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	parallel, err := Compute(aug, part, Options{Sets: true, Subgraphs: true, Workers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := compute(1), compute(7)
 	if serial.MaxSetSize != parallel.MaxSetSize {
 		t.Fatalf("MaxSetSize %d != %d", serial.MaxSetSize, parallel.MaxSetSize)
 	}

@@ -23,8 +23,8 @@ import (
 )
 
 // computeRef runs one Dijkstra per border node (parallelized across
-// Options.Workers), with memoized parent-chain walks extracting the region
-// sets and subgraph edges.
+// GOMAXPROCS workers), with memoized parent-chain walks extracting the
+// region sets and subgraph edges.
 func computeRef(aug *border.Augmented, part *kdtree.Partition, opts Options) (*Result, error) {
 	if !opts.Sets && !opts.Subgraphs {
 		return nil, fmt.Errorf("precomp: nothing requested")
@@ -39,10 +39,7 @@ func computeRef(aug *border.Augmented, part *kdtree.Partition, opts Options) (*R
 		res.Subgraphs = make([][]EdgeRef, np)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(aug.Borders) {
 		workers = len(aug.Borders)
 	}
@@ -431,10 +428,10 @@ func TestComputeMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{1, 2, 7} {
-					opts.Workers = workers
 					name := fmt.Sprintf("scale=%v/roads=%s/sets=%v/subgraphs=%v/workers=%d",
 						scale, roads, opts.Sets, opts.Subgraphs, workers)
 					t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 						got, err := Compute(aug, part, opts)
 						if err != nil {
 							t.Fatal(err)

@@ -98,15 +98,17 @@ func TestRemoteQueryBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	// Measured on this network, on a 2-core host: 16.9–17.2 KB in 121–122
-	// allocations at -cpu 1 and 2, 30–35 KB in 125–126 at -cpu 4. The
-	// twelve allocations past the 109 of a daemon that recycled its fetch
-	// scratch across queries are each query's own scratch, grown over its
-	// first fetches. Earlier: 14.7 KB in 109 at -cpu 1 and 2 and 21–59 KB
-	// at -cpu 4 with a per-P sync.Pool of request frames; 117–130 KB
-	// in 112–115 allocations, 180–213 KB at -cpu 4, while the client
-	// allocated every reply frame's payload fresh. The bound sits between
-	// the two.
+	// Measured on this network, on a 2-core host: 16.86–16.88 KB in
+	// 121–122 allocations at -cpu 1, 2 and 4, the client graphs and index
+	// walks on bounded channel lists. With those on per-P sync.Pools, whose
+	// caches miss when a query moves to another P, -cpu 4 measured 34–54
+	// KB in 127–130. The twelve allocations past the 109 of a daemon that
+	// recycled its fetch scratch across queries are each query's own
+	// scratch, grown over its first fetches. Earlier: 14.7 KB in 109 at
+	// -cpu 1 and 2 and 21–59 KB at -cpu 4 with a per-P sync.Pool of
+	// request frames; 117–130 KB in 112–115 allocations, 180–213 KB at
+	// -cpu 4, while the client allocated every reply frame's payload
+	// fresh. The bound sits between the two.
 	const maxBytes = 64 << 10 // per query
 	g := gen.GeneratePreset(gen.Oldenburg, 0.25)
 	db, err := ci.Build(g, base.Config{})

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -34,9 +33,9 @@ import (
 // u's list, which is as short as u's degree. Arc flags and region hints keep
 // the latest value written.
 //
-// Pooling. A query's graph comes from a pool when its session first asks for
-// it (Session.Graph) and goes back, slices kept, in Session.Finish, unless
-// it grew past maxPooledBytes. Nothing read from it — candidate lists,
+// Pooling. A query's graph comes from graphList when its session first asks
+// for it (Session.Graph) and goes back, slices kept, in Session.Finish,
+// unless it grew past maxPooledBytes. Nothing read from it — candidate lists,
 // landmark vectors, flags — may be held past Finish; paths returned by
 // Search belong to the caller.
 type ClientGraph struct {
@@ -94,25 +93,38 @@ func NewClientGraph() *ClientGraph {
 	return &ClientGraph{maxID: math.MaxInt32}
 }
 
-// graphPool holds the graphs of finished queries, slices kept.
-var graphPool = sync.Pool{New: func() any { return new(ClientGraph) }}
+// graphList holds the graphs of finished queries, slices kept: a bounded
+// channel rather than a sync.Pool, whose per-P caches miss when a query
+// moves to another P. It keeps at most listCap graphs of at most
+// maxPooledBytes each, 8 MiB at worst.
+var graphList = make(chan *ClientGraph, listCap)
 
-// borrowClientGraph takes an empty graph from the pool; release returns it.
+// listCap bounds graphList and walkList: as many graphs or walks as
+// queries finish at once are kept, up to this many.
+const listCap = 16
+
+// borrowClientGraph takes an empty graph from graphList, or a new one;
+// release returns it.
 func borrowClientGraph() *ClientGraph {
-	cg := graphPool.Get().(*ClientGraph)
+	var cg *ClientGraph
+	select {
+	case cg = <-graphList:
+	default:
+		cg = new(ClientGraph)
+	}
 	cg.maxID = math.MaxInt32
 	return cg
 }
 
-// maxPooledBytes caps the graphs the pool keeps, the way fmt caps the
+// maxPooledBytes caps the graphs graphList keeps, the way fmt caps the
 // buffers it pools (golang.org/issue/23199). A pooled graph is resident
 // while idle; one that grew to most of the network — AF's whole-cluster
 // fetches, a long LM frontier — is cheaper to allocate again than to hold.
 // CI's graphs on Oldenburg hold about 430 KB.
 const maxPooledBytes = 512 << 10
 
-// release empties cg and returns it to the pool, unless it grew past
-// maxPooledBytes.
+// release empties cg and returns it to graphList, unless it grew past
+// maxPooledBytes or the list is full.
 func (cg *ClientGraph) release() {
 	if cg.footprint() > maxPooledBytes {
 		return
@@ -124,7 +136,10 @@ func (cg *ClientGraph) release() {
 	cg.nodeLM, cg.edgeFlags, cg.lms, cg.flags = cg.nodeLM[:0], cg.edgeFlags[:0], cg.lms[:0], cg.flags[:0]
 	cg.recIDs = cg.recIDs[:0]
 	cg.observe = nil
-	graphPool.Put(cg)
+	select {
+	case graphList <- cg:
+	default:
+	}
 }
 
 // footprint is the bytes cg's slices hold, at cgNode's 32 and cgEdge's 16

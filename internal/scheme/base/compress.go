@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/kdtree"
@@ -315,15 +314,15 @@ func overlapEdges(a, b []precomp.EdgeRef) int {
 // guarantees the window covers the whole record).
 //
 // Reaching ordinal recIdx means decoding every earlier record of the page,
-// since a delta may reference any of them. The walk keeps those in a pooled
+// since a delta may reference any of them. The walk keeps those in a listed
 // indexWalk, back to back in one region arena and one edge arena, so a walk
-// allocates nothing once the pool is warm; only the returned record's set or
+// allocates nothing once walkList is warm; only the returned record's set or
 // subgraph is copied out, so it never aliases memory a later decode reuses.
 func DecodeIndexRecord(pages [][]byte, offsetPage int, recIdx int) (IndexRecord, error) {
 	if offsetPage < 0 || offsetPage >= len(pages) {
 		return IndexRecord{}, fmt.Errorf("base: record page %d outside fetched window of %d", offsetPage, len(pages))
 	}
-	w := walkPool.Get().(*indexWalk)
+	w := borrowWalk()
 	defer w.release()
 	// Concatenate from the record's first page onward (records never start
 	// mid-window before offsetPage's boundary) into the walk's buffer; a
@@ -390,22 +389,38 @@ type arenaSpan struct{ off, n int }
 // noSpan is the span of a record that holds nothing of that kind.
 var noSpan = arenaSpan{n: -1}
 
-// walkPool holds the walks of finished decodes, slices kept.
-var walkPool = sync.Pool{New: func() any { return new(indexWalk) }}
+// walkList holds the walks of finished decodes, slices kept, in a bounded
+// channel like graphList: at most listCap walks of at most
+// maxPooledWalkBytes each, 4 MiB at worst.
+var walkList = make(chan *indexWalk, listCap)
 
-// maxPooledWalkBytes caps the walks the pool keeps: CI's windows and sets
+// borrowWalk takes an empty walk from walkList, or a new one; release
+// returns it.
+func borrowWalk() *indexWalk {
+	select {
+	case w := <-walkList:
+		return w
+	default:
+		return new(indexWalk)
+	}
+}
+
+// maxPooledWalkBytes caps the walks walkList keeps: CI's windows and sets
 // need a few KB, and a walk that grew past this — a PI window of large
 // subgraphs — is cheaper to allocate again than to hold while idle.
 const maxPooledWalkBytes = 256 << 10
 
-// release empties w and returns it to the pool, unless it grew past
-// maxPooledWalkBytes.
+// release empties w and returns it to walkList, unless it grew past
+// maxPooledWalkBytes or the list is full.
 func (w *indexWalk) release() {
 	if cap(w.buf)+4*cap(w.regions)+16*cap(w.edges)+16*(cap(w.sets)+cap(w.graphs)) > maxPooledWalkBytes {
 		return
 	}
 	w.buf, w.regions, w.edges, w.sets, w.graphs = w.buf[:0], w.regions[:0], w.edges[:0], w.sets[:0], w.graphs[:0]
-	walkPool.Put(w)
+	select {
+	case walkList <- w:
+	default:
+	}
 }
 
 // decodePayload decodes one record payload onto the end of the walk's

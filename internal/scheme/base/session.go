@@ -247,7 +247,7 @@ func (s *Session) FetchRegions(file string, regions []kdtree.RegionID, lead ...l
 	return pages[:len(lead)], nodes, nil
 }
 
-// Finish returns the query's graph to the pool, sends the rest of the
+// Finish returns the query's graph to graphList, sends the rest of the
 // schedule, books the client time and returns the query's result; path is
 // dropped when cost says t was unreachable.
 func (s *Session) Finish(cost float64, path []graph.NodeID, sNode, tNode graph.NodeID) (*Result, error) {

@@ -3,6 +3,5 @@
 package scheme_test
 
 // raceEnabled reports that the race detector is active: its instrumentation
-// allocates and sync.Pool drops objects at random under it, so the
-// allocation guard skips itself.
+// allocates, so the allocation guard skips itself.
 const raceEnabled = true

@@ -252,8 +252,8 @@ func TestOffPlanFrameEndsTheQuery(t *testing.T) {
 	release := func() { once.Do(func() { close(hold.release) }) }
 	defer release()
 	reg := srv.Telemetry()
-	conn, br := rawQuery(t, addr) // opens query 1
-	defer conn.Close()            // before shutdown, which would wait out its drain deadline
+	conn, br := rawConn(t, addr) // query 1 opens on its first frame
+	defer conn.Close()           // before shutdown, which would wait out its drain deadline
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	w0 := metricTotal(reg, "privsp_server_frames_written_total")
 	write := func(frames ...func(*bytes.Buffer)) {
@@ -286,7 +286,7 @@ func TestOffPlanFrameEndsTheQuery(t *testing.T) {
 		over = append(over, fetch(1, "A", i))
 	}
 	write(over...)
-	write(frame(wire.MsgBeginQuery, 2, nil), frame(wire.MsgNextRound, 2, nil), fetch(2, "B", 2, 0), frame(wire.MsgEndQuery, 2, nil))
+	write(frame(wire.MsgNextRound, 2, nil), fetch(2, "B", 2, 0), frame(wire.MsgEndQuery, 2, nil))
 
 	var errs, pagesSeen, doneSeen int
 	for range 3 {

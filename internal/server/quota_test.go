@@ -124,7 +124,7 @@ func TestRefusedQuotaGetsOneError(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			for why, bad := range path.refusals {
 				srv, addr, _ := quotaFixture(t, path.replica)
-				conn, br := rawQuery(t, addr)
+				conn, br := rawConn(t, addr)
 				written := metricTotal(srv.Telemetry(), "privsp_server_frames_written_total")
 				var batch bytes.Buffer
 				wire.WriteFrame(&batch, path.t, 1, bad)
@@ -237,7 +237,7 @@ func TestRefusedRequestEndsTheQuery(t *testing.T) {
 			srv, addr, pages := quotaFixture(t, path.replica)
 			reg := srv.Telemetry()
 			canonical := lbs.CanonicalTrace(quotaPlan)
-			conn, br := rawQuery(t, addr) // opens query 1
+			conn, br := rawConn(t, addr) // query 1 opens on its first frame
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			// send pipelines a query of the plan's shape: each round's
 			// announcement and its one request, then the query's end.
@@ -280,9 +280,6 @@ func TestRefusedRequestEndsTheQuery(t *testing.T) {
 
 			// The next query on the connection: no frame of query 1 arrives
 			// among its replies, and it completes canonically.
-			if err := wire.WriteFrame(conn, wire.MsgBeginQuery, 2, nil); err != nil {
-				t.Fatal(err)
-			}
 			send(2, path.first, path.good)
 			readPages(t, br, 2, "round 1", []int{0}, pages)
 			readPages(t, br, 2, "round 2", []int{1, 2, 3}, pages)
@@ -433,16 +430,17 @@ func queryShapes(t *testing.T) map[string]wireShape {
 }
 
 // TestQueryFrameShapeOnTheWire: over loopback, each scheme's query sends
-// one request frame per plan quota, one per round, a BeginQuery and an
-// EndQuery, and gets back per quota its reply cut — ⌈count / ReplyCut⌉
-// Pages frames — and one QueryDone. CI's shape on Oldenburg@0.1 (Fl:1 |
-// Fi:1 | Fd:9) is pinned: 8 request frames, 5 reply frames.
+// one request frame per plan quota, one per round and an EndQuery — the
+// first of them opens the query — and gets back per quota its reply cut —
+// ⌈count / ReplyCut⌉ Pages frames — and one QueryDone. CI's shape on
+// Oldenburg@0.1 (Fl:1 | Fi:1 | Fd:9) is pinned: 7 request frames, 5 reply
+// frames.
 func TestQueryFrameShapeOnTheWire(t *testing.T) {
 	_, dbs := wireFixture(t)
 	shapes := queryShapes(t)
 	for _, s := range allSchemes {
 		p := dbs[s].Plan
-		var requests, replies uint64 = 2 + uint64(len(p.Rounds)), 1
+		var requests, replies uint64 = 1 + uint64(len(p.Rounds)), 1
 		for _, r := range p.Rounds {
 			for _, f := range r.Fetches {
 				info := dbs[s].File(f.File)
@@ -454,14 +452,14 @@ func TestQueryFrameShapeOnTheWire(t *testing.T) {
 			t.Errorf("%s: %d request and %d reply frames, want %d and %d", s, got.requests, got.replies, requests, replies)
 		}
 	}
-	if got := shapes["CI"]; got.requests != 8 || got.replies != 5 {
-		t.Errorf("CI: %d request and %d reply frames, pinned 8 and 5", got.requests, got.replies)
+	if got := shapes["CI"]; got.requests != 7 || got.replies != 5 {
+		t.Errorf("CI: %d request and %d reply frames, pinned 7 and 5", got.requests, got.replies)
 	}
 }
 
 // TestInboxHoldsOnePipelinedPlan: a query's inbox holds exactly the
-// frames a conforming query pipelines after its BeginQuery — its plan's
-// round announcements and nonzero quotas, and its EndQuery — so a client
+// frames a conforming query pipelines — its plan's round announcements
+// and nonzero quotas, and its EndQuery — so a client
 // that sends the whole plan at once never blocks the connection reader.
 // CI's on Oldenburg@0.1 (Fl:1 | Fi:1 | Fd:9) is pinned at 7.
 func TestInboxHoldsOnePipelinedPlan(t *testing.T) {

@@ -40,9 +40,10 @@ func streamFixture(t *testing.T, opts Options) (string, map[string][][]byte) {
 	return addr, pages
 }
 
-// rawQuery opens query 1 on a raw connection to addr and returns the
-// connection and a reader over it.
-func rawQuery(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+// rawConn dials addr and runs the handshake, returning the raw connection
+// and a reader over it: the first frame a test writes for a query ID opens
+// that query.
+func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -56,9 +57,6 @@ func rawQuery(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	if typ, _, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame); err != nil || typ != wire.MsgWelcome {
 		t.Fatalf("handshake: %s, %v", typ, err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgBeginQuery, 1, nil); err != nil {
-		t.Fatal(err)
-	}
 	return conn, br
 }
 
@@ -71,7 +69,7 @@ func rawQuery(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 // concurrent queries stream their replies between each other's.
 func TestStreamedPagesReply(t *testing.T) {
 	addr, pages := streamFixture(t, Options{})
-	conn, br := rawQuery(t, addr)
+	conn, br := rawConn(t, addr)
 	round := make([]uint32, 52)
 	for i := range round {
 		round[i] = uint32(i)
@@ -106,7 +104,7 @@ func TestStreamedPagesReply(t *testing.T) {
 	}
 
 	replica, rpages := streamFixture(t, Options{Stores: lbs.XORStores, ReplicaRole: true})
-	conn, br = rawQuery(t, replica)
+	conn, br = rawConn(t, replica)
 	sels := make([][]byte, 9)
 	for i := range sels {
 		sels[i] = make([]byte, 2)

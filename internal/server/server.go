@@ -36,9 +36,10 @@ type Options struct {
 	// or share batch in one pass.
 	Stores lbs.StoreFactory
 	// MaxInflight bounds the queries open at once across the whole daemon.
-	// A BeginQuery past the budget is shed at admission — answered with a
-	// typed Busy frame carrying a retry-after hint, before any query
-	// content is read, so the shed decision cannot depend on src/dst.
+	// A query past the budget is shed at admission, at its first frame —
+	// answered with a typed Busy frame carrying a retry-after hint, before
+	// any query content is read, so the shed decision cannot depend on
+	// src/dst.
 	// It is the daemon's one concurrency setting: 0 means 64×GOMAXPROCS;
 	// negative disables shedding.
 	MaxInflight int
@@ -115,7 +116,7 @@ type Server struct {
 	wg sync.WaitGroup
 
 	// inflight counts open queries daemon-wide for admission control; it
-	// moves in beginQuery/finishQuery, never on query content.
+	// moves in openQuery/finishQuery, never on query content.
 	inflight atomic.Int64
 
 	// pages holds the buffers fetches are answered into, and frames the
@@ -182,7 +183,8 @@ func (s *Server) releaseQuery() {
 }
 
 // Ready reports whether the daemon has in-flight headroom — the /readyz
-// answer. False means the next BeginQuery would be shed.
+// answer. False means the next query to open would be shed at its first
+// frame.
 func (s *Server) Ready() bool {
 	return s.opts.MaxInflight < 0 || s.inflight.Load() < int64(s.opts.MaxInflight)
 }

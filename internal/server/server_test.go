@@ -339,7 +339,7 @@ func TestHelloOfAnotherVersionRefused(t *testing.T) {
 // Pong there, and a Ping that carries a payload by an Error.
 func TestPingAnswersPong(t *testing.T) {
 	_, addr := startServer(t, "CI")
-	conn, br := rawQuery(t, addr)
+	conn, br := rawConn(t, addr)
 	for _, payload := range [][]byte{nil, {1}} {
 		if err := wire.WriteFrame(conn, wire.MsgPing, wire.ControlID, payload); err != nil {
 			t.Fatal(err)

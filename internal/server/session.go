@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,21 +50,14 @@ type session struct {
 
 	qmu     sync.Mutex
 	queries map[uint32]*query
-	wg      sync.WaitGroup
-
-	// ended holds the IDs of the last queries the daemon ended on its own
-	// (shed, refused or shut down), so the frames a client pipelined behind
-	// the Busy or Error that ended one are dropped unanswered. Guarded by
-	// qmu and written in the hold that keeps the query out of queries;
-	// endedNext is the slot the next ID takes.
-	ended     [endedRing]uint32
-	endedNext int
+	// high is the highest query ID the connection has opened, 0 before its
+	// first: a client sends its queries' first frames in increasing ID
+	// order, so a frame for a higher ID opens a query, and one for an ID
+	// not open and not higher belongs to a query that is over. Guarded by
+	// qmu.
+	high uint32
+	wg   sync.WaitGroup
 }
-
-// endedRing bounds how many ended query IDs a session remembers. A client
-// stops sending for a query once it reads the reply that ended it, so only
-// the last few can still have frames in flight.
-const endedRing = 16
 
 // query is one in-flight query session on a connection.
 type query struct {
@@ -121,21 +113,16 @@ func newSession(s *Server, conn net.Conn) *session {
 // send writes one frame and flushes. Safe for concurrent use by the query
 // goroutines.
 func (ss *session) send(t wire.MsgType, qid uint32, payload []byte) error {
-	return ss.write(t, qid, payload, true)
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
+	if err := ss.writeLocked(t, qid, payload); err != nil {
+		return err
+	}
+	return ss.bw.Flush()
 }
 
 func (ss *session) sendErr(qid uint32, format string, args ...any) error {
 	return ss.send(wire.MsgError, qid, wire.ErrorMsg{Text: fmt.Sprintf(format, args...)}.Encode())
-}
-
-// write writes one frame, flushing the connection's buffer if asked.
-func (ss *session) write(t wire.MsgType, qid uint32, payload []byte, flush bool) error {
-	ss.wmu.Lock()
-	defer ss.wmu.Unlock()
-	if err := ss.writeLocked(t, qid, payload); err != nil || !flush {
-		return err
-	}
-	return ss.bw.Flush()
 }
 
 // writeLocked writes one frame into the buffer; the caller holds wmu.
@@ -277,12 +264,16 @@ func (ss *session) handshake() error {
 }
 
 // dispatch handles connection-level frames inline and routes query frames
-// to their goroutine without ever waiting on one. A frame for a query that
-// is not open gets an Error, unless the daemon ended that query on its own:
-// the Busy or Error that ended it was its last reply. A frame that finds
-// its query's inbox full ends that query off plan. payload is a buffer of
-// the frame list: inline frames give it back here, routed frames hand it to
-// the query goroutine.
+// to their goroutine without ever waiting on one. A query opens on its
+// first frame, one for an ID above every ID the connection opened before
+// (serial-number order, so IDs may wrap): admission runs there, before any
+// of the query's content is read, and a shed query's Busy is its one reply.
+// A frame for any other query that is not open belongs to one that is
+// over, and is dropped unanswered: the QueryDone, Busy or Error that ended
+// the query was its last reply. A Cancel never opens a query. A frame that
+// finds its query's inbox full ends that query off plan. payload is a
+// buffer of the frame list: inline frames give it back here, routed frames
+// hand it to the query goroutine.
 func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte) {
 	switch t {
 	case wire.MsgPing:
@@ -293,22 +284,27 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte) {
 		}
 		ss.s.putFrame(payload)
 		return
-	case wire.MsgBeginQuery:
-		ss.beginQuery(qid)
-		ss.s.putFrame(payload)
-		return
 	case wire.MsgCancel:
 		ss.cancelQuery(qid, payload)
 		ss.s.putFrame(payload)
 		return
 	}
+	if qid == wire.ControlID {
+		ss.sendErr(qid, "query ID 0 is reserved for connection control")
+		ss.s.putFrame(payload)
+		return
+	}
 	ss.qmu.Lock()
 	q := ss.queries[qid]
-	ended := q == nil && qid != wire.ControlID && slices.Contains(ss.ended[:], qid)
+	opens := q == nil && (ss.high == 0 || int32(qid-ss.high) > 0)
+	if opens {
+		ss.high = qid
+		q = ss.openQuery(qid)
+	}
 	ss.qmu.Unlock()
 	if q == nil {
-		if !ended {
-			ss.sendErr(qid, "no open query %d for %s", qid, t)
+		if opens {
+			ss.shed(qid)
 		}
 		ss.s.putFrame(payload)
 		return
@@ -324,16 +320,15 @@ func (ss *session) dispatch(t wire.MsgType, qid uint32, payload []byte) {
 // endOffPlan ends q, whose inbox a frame found full: the inbox holds every
 // request of q's plan, so the client sent more. The connection reader ends
 // q as a refusal would, without waiting on q's goroutine, which may be
-// held in a store call: q leaves the session for the ended ring, so frames
-// pipelined behind are dropped, its context is cancelled, and its one
-// Error is written here as its last reply. The goroutine's finishQuery
-// records the prefix trace and counts the end as the server's.
+// held in a store call: q leaves the session, so frames pipelined behind
+// are dropped, its context is cancelled, and its one Error is written here
+// as its last reply. The goroutine's finishQuery records the prefix trace
+// and counts the end as the server's.
 func (ss *session) endOffPlan(q *query, t wire.MsgType) {
 	ss.qmu.Lock()
 	open := ss.queries[q.id] == q
 	if open {
 		delete(ss.queries, q.id)
-		ss.endedHere(q.id)
 	}
 	ss.qmu.Unlock()
 	if !open {
@@ -349,49 +344,31 @@ func (ss *session) endOffPlan(q *query, t wire.MsgType) {
 	}
 }
 
-// beginQuery opens the query session the frame's ID names and starts its
-// goroutine. Fire-and-forget on success, like the client sends it;
-// rejections do get an Error frame — with per-query routing there is no
-// stream position left to desynchronize.
-func (ss *session) beginQuery(qid uint32) {
-	if qid == wire.ControlID {
-		ss.sendErr(qid, "query ID 0 is reserved for connection control")
-		return
-	}
-	ss.qmu.Lock()
-	if _, dup := ss.queries[qid]; dup {
-		ss.qmu.Unlock()
-		ss.sendErr(qid, "query %d already open", qid)
-		return
-	}
+// openQuery opens the query session qid names and starts its goroutine,
+// or returns nil when admission sheds it. The caller holds qmu.
+func (ss *session) openQuery(qid uint32) *query {
 	if !ss.s.admitQuery() {
-		ss.endedHere(qid)
-		ss.qmu.Unlock()
-		// Shed under overload: the query never opens, so nothing about it —
-		// src, dst, even its target database's load — was read or recorded.
-		// The Busy hint depends on the in-flight counter alone.
-		ss.s.m.shed.Inc()
-		hint := uint32(ss.s.retryAfterHint() / time.Millisecond)
-		if ss.send(wire.MsgBusy, qid, wire.Busy{RetryAfterMillis: hint}.Encode()) == nil {
-			ss.s.m.busySent.Inc()
-		}
-		return
+		return nil
 	}
 	qctx, qcancel := context.WithCancel(ss.ctx)
 	q := &query{id: qid, ctx: qctx, cancel: qcancel, inbox: make(chan sframe, ss.db.inbox), start: time.Now()}
 	ss.queries[qid] = q
-	ss.qmu.Unlock()
 	ss.db.m.inflight.Inc()
 	ss.wg.Add(1)
 	go ss.runQuery(q)
+	return q
 }
 
-// endedHere remembers qid as a query the daemon ended on its own. The
-// caller holds qmu. Query ID 0 is connection control, never a query, so the
-// ring's zero slots match nothing.
-func (ss *session) endedHere(qid uint32) {
-	ss.ended[ss.endedNext] = qid
-	ss.endedNext = (ss.endedNext + 1) % endedRing
+// shed answers the first frame of a query admission refused with a Busy.
+// The query never opens, so nothing about it — src, dst, even its target
+// database's load — was read or recorded. The Busy hint depends on the
+// in-flight counter alone.
+func (ss *session) shed(qid uint32) {
+	ss.s.m.shed.Inc()
+	hint := uint32(ss.s.retryAfterHint() / time.Millisecond)
+	if ss.send(wire.MsgBusy, qid, wire.Busy{RetryAfterMillis: hint}.Encode()) == nil {
+		ss.s.m.busySent.Inc()
+	}
 }
 
 // cancelQuery handles a client CANCEL: it cancels the query's context —
@@ -503,10 +480,10 @@ func (ss *session) handleQueryFrame(q *query, f sframe) bool {
 // (a query that broke client-side) is discarded unrecorded. Any other end
 // is the daemon's own — a refused request, frames past the plan, shutdown,
 // or the connection gone: it records the trace too, a strict prefix since
-// a refused or aborted fetch is never recorded, and joins the ended ring.
-// A refused or off-plan query's Error is already written; one its context
-// aborted otherwise (shutdown) is told with a best-effort Error instead of
-// being left waiting.
+// a refused or aborted fetch is never recorded. A refused or off-plan
+// query's Error is already written; one its context aborted otherwise
+// (shutdown) is told with a best-effort Error instead of being left
+// waiting.
 func (ss *session) finishQuery(q *query) {
 	aborted := q.ctx.Err() != nil
 	q.cancel()
@@ -515,9 +492,6 @@ func (ss *session) finishQuery(q *query) {
 	offPlan := ss.queries[q.id] != q // endOffPlan took q out already
 	if !offPlan {
 		delete(ss.queries, q.id)
-		if !q.ended && reason == 0 {
-			ss.endedHere(q.id)
-		}
 	}
 	ss.qmu.Unlock()
 	switch {

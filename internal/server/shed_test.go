@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -31,8 +32,9 @@ func startShedServer(t *testing.T, maxInflight int) (*Server, string) {
 	return srv, addr
 }
 
-// TestAdmissionControlSheds: with the in-flight budget full, a new
-// BeginQuery is shed before any of its content is read — the client gets a
+// TestAdmissionControlSheds: with the in-flight budget full, a new query
+// is shed at its first frame, before any of its content is read — the
+// client gets a
 // typed Busy with a positive retry hint, the daemon records nothing about
 // the query, readiness flips to false, and once the budget drains a
 // retried query succeeds.
@@ -100,9 +102,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 }
 
 // TestShedQueryFramesGoUnanswered: the Busy is a shed query's one reply —
-// the frames a client pipelined behind its BeginQuery are dropped
-// unanswered — while a frame for a query the session neither opened nor
-// shed still gets an Error.
+// its first frame opens and sheds it, and the frames a client pipelined
+// behind that one are dropped unanswered — and the first frame of the
+// next query opens it, so it is shed with a Busy of its own.
 func TestShedQueryFramesGoUnanswered(t *testing.T) {
 	_, addr := startShedServer(t, 1)
 	ctx := context.Background()
@@ -112,7 +114,7 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 	}
 	defer blocker.Cancel(wire.CancelAbandon)
 
-	conn, br := rawQuery(t, addr) // query 1 meets a full budget
+	conn, br := rawConn(t, addr)
 	fetch := wire.Fetch{File: "Fd", Pages: []uint32{0}}.Encode()
 	for _, f := range []struct {
 		t   wire.MsgType
@@ -121,7 +123,7 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 	}{
 		{wire.MsgNextRound, 1, nil},
 		{wire.MsgFetch, 1, fetch},
-		{wire.MsgFetch, 2, fetch}, // never opened
+		{wire.MsgFetch, 2, fetch}, // opens query 2
 		{wire.MsgPing, wire.ControlID, nil},
 	} {
 		if err := wire.WriteFrame(conn, f.t, f.qid, f.p); err != nil {
@@ -131,7 +133,7 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 	for _, want := range []struct {
 		t   wire.MsgType
 		qid uint32
-	}{{wire.MsgBusy, 1}, {wire.MsgError, 2}, {wire.MsgPong, wire.ControlID}} {
+	}{{wire.MsgBusy, 1}, {wire.MsgBusy, 2}, {wire.MsgPong, wire.ControlID}} {
 		typ, qid, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			t.Fatal(err)
@@ -142,11 +144,59 @@ func TestShedQueryFramesGoUnanswered(t *testing.T) {
 		if typ == wire.MsgPong && len(payload) != 0 {
 			t.Errorf("Pong carries %d bytes, want none", len(payload))
 		}
-		if typ == wire.MsgError {
-			if m, _ := wire.DecodeErrorMsg(payload); !strings.Contains(m.Text, "no open query 2") {
-				t.Errorf("error for the unopened query: %q", m.Text)
-			}
+	}
+}
+
+// TestShedBurstLeavesNothingAnswered: queries shed on one connection
+// while the frames they pipelined arrive behind the first frames of every
+// other — the order concurrent client queries can reach the daemon in —
+// each get their one Busy and nothing more, however many there are, and
+// none of them is left open.
+func TestShedBurstLeavesNothingAnswered(t *testing.T) {
+	const burst = 40
+	srv, addr := startShedServer(t, 1)
+	ctx := context.Background()
+	blocker := dialDB(t, addr, "CI").StartQuery()
+	if _, err := blocker.ReadPages(ctx, "Fd", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	defer blocker.Cancel(wire.CancelAbandon)
+
+	conn, br := rawConn(t, addr)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reg := srv.Telemetry()
+	w0 := metricTotal(reg, "privsp_server_frames_written_total")
+	fetch := wire.Fetch{File: "Fd", Pages: []uint32{0}}.Encode()
+	var b bytes.Buffer
+	for qid := uint32(1); qid <= burst; qid++ {
+		wire.WriteFrame(&b, wire.MsgNextRound, qid, nil)
+	}
+	for qid := uint32(1); qid <= burst; qid++ {
+		wire.WriteFrame(&b, wire.MsgFetch, qid, fetch)
+	}
+	wire.WriteFrame(&b, wire.MsgPing, wire.ControlID, nil)
+	if _, err := conn.Write(b.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// Frames are dispatched in order, and a shed query's Busy is written at
+	// its dispatch, so the Pong comes after everything the burst drew.
+	for i := uint32(1); i <= burst+1; i++ {
+		typ, qid, _, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
 		}
+		if i <= burst && (typ != wire.MsgBusy || qid != i) {
+			t.Fatalf("reply %d: %s for query %d, want a Busy for query %d", i, typ, qid, i)
+		}
+		if i > burst && typ != wire.MsgPong {
+			t.Fatalf("reply %d: %s for query %d, want the Pong", i, typ, qid)
+		}
+	}
+	if n := metricTotal(reg, "privsp_server_frames_written_total") - w0; n != burst+1 {
+		t.Errorf("daemon wrote %d frames, want %d: a Busy per query and the Pong", n, burst+1)
+	}
+	if got := metricGauge(reg, "privsp_server_queries_inflight"); got != 1 {
+		t.Errorf("%v queries in flight, want 1: the blocker alone", got)
 	}
 }
 
@@ -231,8 +281,9 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 		qs.Cancel(wire.CancelAbandon) // settled by the Busy; no-op
 		// Sequencing barrier: server frames on one connection are processed
 		// in order, so once the Pong arrives every frame of the shed
-		// attempt — the requests that followed BeginQuery included, which
-		// the daemon drops unanswered — has been fully read and counted.
+		// attempt — the requests that followed its first frame included,
+		// which the daemon drops unanswered — has been fully read and
+		// counted.
 		if err := c.Ping(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -240,8 +291,8 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 
 	// Warmup: one shed attempt before measuring, so whatever a connection
 	// does once is out of the deltas. No frame text embeds the query ID —
-	// the shed query's later frames get no "no open query" Error — so the
-	// measured attempts' IDs do not matter.
+	// the shed query's later frames go unanswered — so the measured
+	// attempts' IDs do not matter.
 	shedAttempt(3, 4)
 
 	queries := [][2]graph.NodeID{
@@ -262,7 +313,7 @@ func TestTelemetryLeakageFreeShedding(t *testing.T) {
 		}
 	}
 	// The Busy is the shed query's one reply: the frames pipelined behind
-	// its BeginQuery are dropped unanswered, so the attempt writes the
+	// its first frame are dropped unanswered, so the attempt writes the
 	// Busy and the barrier's Pong and nothing else.
 	if want := "privsp_server_frames_written_total +2\n"; !strings.Contains(deltas[0], want) {
 		t.Errorf("shed attempt's delta does not write exactly 2 frames (the Busy and the Pong):\n%s", deltas[0])

@@ -103,7 +103,7 @@ func (s *Server) newHosted(name string, lsrv *lbs.Server) *hosted {
 		shareFetches: reg.Counter("privsp_server_share_fetches_total",
 			"FetchShare frames answered (two-server fleet traffic; zero on non-fleet daemons)", dbl),
 		queryLat: reg.Histogram("privsp_server_query_seconds",
-			"wall-clock time from BeginQuery to EndQuery",
+			"wall-clock time from a query's first frame to EndQuery",
 			telemetry.Seconds(), dbl),
 		batchSize: reg.Histogram("privsp_server_fetch_batch_size",
 			"pages per Fetch or FetchShare request: one plan quota (the adversary-visible batch shape)",

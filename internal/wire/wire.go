@@ -16,9 +16,9 @@
 // The protocol mirrors the §3.1 query structure one-to-one, so the server
 // observes exactly what the paper's adversary observes: a session handshake
 // (Hello/Welcome, the Welcome carrying the public header, which is the same
-// for every client and needs no PIR), then per query a BeginQuery, a
-// NextRound marker per protocol round, and batched Fetch requests that name
-// a file and a page count. Page indices ride inside the Fetch payload
+// for every client and needs no PIR), then per query a NextRound marker per
+// protocol round and batched Fetch requests that name a file and a page
+// count, the query opening on its first frame. Page indices ride inside the Fetch payload
 // standing in for the PIR-encrypted request; the server's trace recorder
 // never looks at them, only at the file name and count — that is the
 // complete adversarial view (Theorem 1). A Cancel frame lets
@@ -68,7 +68,10 @@ import (
 // the trace seen so far, and answers none of the requests the client
 // pipelined behind it. A version 8 client would wait for those replies
 // forever.
-const ProtocolVersion = 9
+// Version 10 deleted the BeginQuery message: a query opens on its first
+// frame, and the daemon drops, unanswered, any frame of a query that is
+// over. A version 9 client's BeginQuery would never open its query.
+const ProtocolVersion = 10
 
 // DefaultMaxFrame bounds a single frame's payload; it must accommodate the
 // largest header file and the largest batched page fetch.
@@ -84,7 +87,6 @@ const (
 	MsgHello      MsgType = iota + 1 // C→S: version + database name
 	MsgWelcome                       // S→C: scheme, file table, public header
 	MsgError                         // S→C: request refused, the query's last reply; connection stays up
-	MsgBeginQuery                    // C→S: open the query session of this frame's ID (no reply)
 	MsgNextRound                     // C→S: next protocol round begins (no reply)
 	MsgFetch                         // C→S: batched PIR page retrieval
 	MsgPages                         // S→C: the retrieved pages
@@ -106,8 +108,6 @@ func (t MsgType) String() string {
 		return "Welcome"
 	case MsgError:
 		return "Error"
-	case MsgBeginQuery:
-		return "BeginQuery"
 	case MsgNextRound:
 		return "NextRound"
 	case MsgFetch:
@@ -656,7 +656,8 @@ const (
 // Cancel abandons the in-flight query its frame is addressed to. The server
 // sends no reply: it cancels the query's context — aborting any PIR read
 // still waiting for a worker-pool slot — accounts the abort per Reason, and
-// discards the per-query state. Fire-and-forget, like BeginQuery.
+// discards the per-query state. Fire-and-forget, like NextRound; a Cancel
+// never opens a query.
 type Cancel struct {
 	Reason uint8
 }
@@ -675,9 +676,10 @@ func DecodeCancel(b []byte) (Cancel, error) {
 	return m, decErr("Cancel", d)
 }
 
-// Busy answers a BeginQuery the daemon shed under overload: the query was
-// never opened, no query content was read, and the client should retry the
-// whole query — with fresh PIR randomness — after roughly the hinted delay.
+// Busy answers the first frame of a query the daemon shed under overload:
+// the query was never opened, no query content was read, and the client
+// should retry the whole query — with fresh PIR randomness — after roughly
+// the hinted delay.
 // The hint depends only on load, never on anything query-specific, so
 // shedding is as content-blind as serving.
 type Busy struct {
