@@ -83,12 +83,8 @@ func BenchmarkServeDiskVsRAM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc := pagefile.NewEnc(256)
-	db.Plan.Encode(enc)
 	path := filepath.Join(b.TempDir(), "ci.psdb")
-	if err := pagefile.WriteContainer(path, pagefile.ContainerSpec{
-		Scheme: db.Scheme, Header: db.Header, Plan: enc.Bytes(), Files: db.Files,
-	}); err != nil {
+	if err := pagefile.WriteContainer(path, pagefile.ContainerSpec{Header: db.Header, Files: db.Files}); err != nil {
 		b.Fatal(err)
 	}
 	c, err := pagefile.OpenContainer(path)
@@ -96,6 +92,10 @@ func BenchmarkServeDiskVsRAM(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	hdr, err := base.DecodeHeader(c.Header)
+	if err != nil {
+		b.Fatal(err)
+	}
 	files := make([]pagefile.Reader, len(c.Files))
 	for i, f := range c.Files {
 		files[i] = f
@@ -105,7 +105,7 @@ func BenchmarkServeDiskVsRAM(b *testing.B) {
 		db   *lbs.Database
 	}{
 		{"ram", db},
-		{"psdb", &lbs.Database{Scheme: c.Scheme, Header: c.Header, Files: files, Plan: db.Plan}},
+		{"psdb", hdr.Database(files...)},
 	}
 	src, dst := g.Point(0), g.Point(graph.NodeID(g.NumNodes()-1))
 	for _, v := range variants {

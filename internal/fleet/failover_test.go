@@ -14,7 +14,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/lbs"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -98,7 +97,6 @@ func TestFailover(t *testing.T) {
 	var mu sync.Mutex
 	var logs []string
 	f := dialProbing(t, []string{addrA, addrB}, fleet.Options{
-		Telemetry: telemetry.NewRegistry(),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, format)

@@ -39,13 +39,15 @@ const DefaultProbeInterval = 2 * time.Second
 // DefaultProbeInterval, which tests lower.
 var probeInterval = DefaultProbeInterval
 
+// registry receives the families of the fleets dialed from now on:
+// telemetry.Default(), which tests swap for an isolated registry.
+var registry = telemetry.Default()
+
 // Options tunes a fleet.
 type Options struct {
 	// Database selects a hosted database by name on every replica; empty
 	// selects each daemon's sole database.
 	Database string
-	// Telemetry receives the fleet families; nil means telemetry.Default().
-	Telemetry *telemetry.Registry
 	// Logf receives failover events (replica down/up); nil disables
 	// logging.
 	Logf func(format string, args ...any)
@@ -109,9 +111,6 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: replica %s listed twice (shares would collude with themselves)", a)
 		}
 		seen[a] = true
-	}
-	if opts.Telemetry == nil {
-		opts.Telemetry = telemetry.Default()
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}

@@ -130,9 +130,7 @@ func dialFleet(t testing.TB, addrs []string, opts fleet.Options) *fleet.Fleet {
 // dialProbing is dialFleet probing at the given interval.
 func dialProbing(t testing.TB, addrs []string, opts fleet.Options, interval time.Duration) *fleet.Fleet {
 	t.Helper()
-	if opts.Telemetry == nil {
-		opts.Telemetry = telemetry.NewRegistry()
-	}
+	fleet.SetRegistry(t, telemetry.NewRegistry())
 	fleet.SetProbeInterval(t, interval)
 	f, err := fleet.Dial(context.Background(), addrs, opts)
 	if err != nil {
@@ -171,14 +169,15 @@ func TestDialValidation(t *testing.T) {
 	pages := rawPages(16, 8, 1)
 	db := rawDB(pages, 8)
 	_, addrA := startDaemon(t, "RAW", db, true, true, nil)
+	fleet.SetRegistry(t, telemetry.NewRegistry())
 
 	t.Run("no addresses", func(t *testing.T) {
-		if _, err := fleet.Dial(context.Background(), nil, fleet.Options{Telemetry: telemetry.NewRegistry()}); err == nil {
+		if _, err := fleet.Dial(context.Background(), nil, fleet.Options{}); err == nil {
 			t.Fatal("dial with no addresses succeeded")
 		}
 	})
 	t.Run("duplicate address", func(t *testing.T) {
-		_, err := fleet.Dial(context.Background(), []string{addrA, addrA}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		_, err := fleet.Dial(context.Background(), []string{addrA, addrA}, fleet.Options{})
 		if err == nil || !strings.Contains(err.Error(), "twice") {
 			t.Fatalf("duplicate address: err = %v", err)
 		}
@@ -192,7 +191,7 @@ func TestDialValidation(t *testing.T) {
 		}
 		dead := ln.Addr().String()
 		ln.Close()
-		_, err = fleet.Dial(context.Background(), []string{addrA, dead}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		_, err = fleet.Dial(context.Background(), []string{addrA, dead}, fleet.Options{})
 		if !errors.Is(err, fleet.ErrReplicaDown) {
 			t.Fatalf("dead replica: err = %v, want ErrReplicaDown", err)
 		}
@@ -202,7 +201,7 @@ func TestDialValidation(t *testing.T) {
 		}
 	})
 	t.Run("shares needs two", func(t *testing.T) {
-		_, err := fleet.Dial(context.Background(), []string{addrA}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		_, err := fleet.Dial(context.Background(), []string{addrA}, fleet.Options{})
 		if err == nil || !strings.Contains(err.Error(), "at least 2") {
 			t.Fatalf("one-replica fleet: err = %v", err)
 		}
@@ -210,7 +209,7 @@ func TestDialValidation(t *testing.T) {
 	t.Run("plain daemons refused", func(t *testing.T) {
 		_, addrP := startDaemon(t, "RAW", db, false, false, nil)
 		_, addrQ := startDaemon(t, "RAW", db, false, false, nil)
-		_, err := fleet.Dial(context.Background(), []string{addrP, addrQ}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		_, err := fleet.Dial(context.Background(), []string{addrP, addrQ}, fleet.Options{})
 		if err == nil || !strings.Contains(err.Error(), "selector shares") {
 			t.Fatalf("plain daemons: err = %v", err)
 		}
@@ -219,7 +218,7 @@ func TestDialValidation(t *testing.T) {
 		other := rawDB(pages, 8)
 		other.Header = []byte("another build's header\n")
 		_, addrC := startDaemon(t, "RAW", other, true, true, nil)
-		_, err := fleet.Dial(context.Background(), []string{addrA, addrC}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		_, err := fleet.Dial(context.Background(), []string{addrA, addrC}, fleet.Options{})
 		if err == nil || !strings.Contains(err.Error(), "different headers") ||
 			!strings.Contains(err.Error(), addrA) || !strings.Contains(err.Error(), addrC) {
 			t.Fatalf("diverged headers: err = %v, want a header mismatch naming %s and %s", err, addrA, addrC)
@@ -228,7 +227,7 @@ func TestDialValidation(t *testing.T) {
 	t.Run("diverged file tables", func(t *testing.T) {
 		other := rawDB(rawPages(32, 8, 2), 8) // different page count
 		_, addrC := startDaemon(t, "RAW", other, true, true, nil)
-		_, err := fleet.Dial(context.Background(), []string{addrA, addrC}, fleet.Options{Telemetry: telemetry.NewRegistry()})
+		_, err := fleet.Dial(context.Background(), []string{addrA, addrC}, fleet.Options{})
 		if err == nil || !strings.Contains(err.Error(), "disagree on file") {
 			t.Fatalf("diverged databases: err = %v", err)
 		}
@@ -257,7 +256,12 @@ func TestFleetMetricsCatalog(t *testing.T) {
 	_, addrA := startDaemon(t, "RAW", db, true, true, nil)
 	_, addrB := startDaemon(t, "RAW", db, true, true, nil)
 	reg := telemetry.NewRegistry()
-	dialFleet(t, []string{addrA, addrB}, fleet.Options{Telemetry: reg})
+	fleet.SetRegistry(t, reg)
+	f, err := fleet.Dial(context.Background(), []string{addrA, addrB}, fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

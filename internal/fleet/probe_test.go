@@ -122,7 +122,8 @@ func TestStartQueryRacesBreaker(t *testing.T) {
 	// The background prober never fires during the test: the loop below
 	// drives the breaker by hand.
 	SetProbeInterval(t, time.Hour)
-	f, err := Dial(context.Background(), addrs, Options{Telemetry: telemetry.NewRegistry()})
+	SetRegistry(t, telemetry.NewRegistry())
+	f, err := Dial(context.Background(), addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type fleetMetrics struct {
 }
 
 func (f *Fleet) initTelemetry(addrs []string) {
-	reg := f.opts.Telemetry
+	reg := registry
 	f.m.replicaUp = make(map[string]*telemetry.Gauge, len(addrs))
 	f.m.replicaErrors = make(map[string]*telemetry.Counter, len(addrs))
 	for _, addr := range addrs {

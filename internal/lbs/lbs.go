@@ -34,7 +34,9 @@ import (
 )
 
 // Database is everything a scheme's build step produces: the public header,
-// the page files, and the public query plan. Files holds pagefile.Readers,
+// the page files, and the public query plan. The schemes' builds and
+// privsp.Open assemble it from the decoded header (base.Header.Database),
+// so Scheme and Plan are the header's own. Files holds pagefile.Readers,
 // so a database built in memory and one loaded from a persistent container
 // (privsp.Open) serve through identical code. Files must not be mutated
 // once the database is served or File has been called: lookups go through a

@@ -12,14 +12,16 @@ import (
 // This file implements the persistent database container (".psdb"): the
 // build-once / serve-many half of §3.1's storage model. A container is a
 // single versioned file holding everything a scheme's build step produced —
-// scheme name, public header blob, encoded query plan, and every page file —
-// so a daemon can load a multi-hour build in milliseconds and serve its
-// pages straight from a read-only mapping of the file.
+// the public header blob and every page file — so a daemon can load a
+// multi-hour build in milliseconds and serve its pages straight from a
+// read-only mapping of the file. The header is the database's one
+// description: its scheme and query plan are read from it, never stored
+// beside it.
 //
 // Layout (all integers little endian):
 //
 //	[0:4)    magic "PSDB"
-//	[4:6)    format version (u16), currently 1
+//	[4:6)    format version (u16), currently 2
 //	[6:10)   meta length (u32)
 //	[10:...) meta block (see below), then its CRC32-IEEE (u32)
 //	...      zero padding up to the next multiple of dataAlign
@@ -27,12 +29,14 @@ import (
 //
 // Meta block:
 //
-//	scheme    u8 length + bytes
 //	header    u32 length + bytes
-//	plan      u32 length + bytes (plan.Plan encoding)
 //	fileCount u16
 //	per file: u8 name length + name, u32 page size, u64 page count,
 //	          u64 absolute offset of its data, u32 CRC32-IEEE of its data
+//
+// A version 1 meta block also held a scheme name (u8 length + bytes) before
+// the header and an encoded query plan (u32 length + bytes) after it, both
+// copies of what the header says; readers step over them.
 //
 // The meta CRC catches torn or truncated writes before any field is
 // trusted; the per-file CRCs catch data-region corruption at open time.
@@ -44,8 +48,9 @@ import (
 const ContainerMagic = "PSDB"
 
 // ContainerVersion is the current format version. Readers reject newer
-// versions (a future format is unknowable) and accept all older ones.
-const ContainerVersion = 1
+// versions (a future format is unknowable) and accept all older ones,
+// skipping version 1's scheme and plan copies.
+const ContainerVersion = 2
 
 const (
 	containerPreamble = 4 + 2 + 4 // magic + version + meta length
@@ -66,9 +71,7 @@ const (
 
 // ContainerSpec is everything WriteContainer persists.
 type ContainerSpec struct {
-	Scheme string
 	Header []byte
-	Plan   []byte // encoded plan.Plan
 	Files  []Reader
 }
 
@@ -137,13 +140,10 @@ func WriteContainerTo(w io.Writer, spec ContainerSpec) error {
 // table uses fixed-width fields, so the meta length — and with it every
 // data offset — is known before any page is read.
 func containerMetaLen(spec ContainerSpec) (int, error) {
-	if len(spec.Scheme) > 255 {
-		return 0, fmt.Errorf("pagefile: scheme name %d bytes long", len(spec.Scheme))
-	}
 	if len(spec.Files) > maxContainerFiles {
 		return 0, fmt.Errorf("pagefile: %d files exceed the container limit of %d", len(spec.Files), maxContainerFiles)
 	}
-	metaLen := 1 + len(spec.Scheme) + 4 + len(spec.Header) + 4 + len(spec.Plan) + 2
+	metaLen := 4 + len(spec.Header) + 2
 	for _, f := range spec.Files {
 		if len(f.Name()) > 255 {
 			return 0, fmt.Errorf("pagefile: file name %q too long", f.Name())
@@ -167,9 +167,7 @@ func dataStart(metaLen int) int64 {
 // CRC per file, in order.
 func encodeContainerMeta(spec ContainerSpec, metaLen int, crcs []uint32) (*Enc, error) {
 	meta := NewEnc(metaLen + 4)
-	meta.U8(uint8(len(spec.Scheme))).Raw([]byte(spec.Scheme))
 	meta.U32(uint32(len(spec.Header))).Raw(spec.Header)
-	meta.U32(uint32(len(spec.Plan))).Raw(spec.Plan)
 	meta.U16(uint16(len(spec.Files)))
 	offset := dataStart(metaLen)
 	for fi, f := range spec.Files {
@@ -219,9 +217,7 @@ func writeDataRegion(w io.Writer, spec ContainerSpec) ([]uint32, error) {
 // as it serves them: after Close, touching a page a File returned faults the
 // process.
 type Container struct {
-	Scheme string
 	Header []byte
-	Plan   []byte // encoded plan.Plan, exactly as written
 	Files  []*File
 
 	unmap func() error // nil once closed, or when nothing was mapped
@@ -299,8 +295,9 @@ func ReadContainer(data []byte, opts ...ContainerOption) (*Container, error) {
 	if string(d.Raw(4)) != ContainerMagic {
 		return nil, fmt.Errorf("not a database container (bad magic)")
 	}
-	if v := d.U16(); v == 0 || v > ContainerVersion {
-		return nil, fmt.Errorf("container format version %d not supported (this build reads up to %d)", v, ContainerVersion)
+	version := d.U16()
+	if version == 0 || version > ContainerVersion {
+		return nil, fmt.Errorf("container format version %d not supported (this build reads up to %d)", version, ContainerVersion)
 	}
 	metaLen := int64(d.U32())
 	if metaLen > maxMetaLen || containerPreamble+metaLen+4 > size {
@@ -314,11 +311,14 @@ func ReadContainer(data []byte, opts ...ContainerOption) (*Container, error) {
 
 	md := NewDec(body)
 	c := &Container{}
-	c.Scheme = string(md.Raw(int(md.U8())))
-	// Header and plan are small and copied out of data, so they outlive
-	// Close.
+	if version == 1 {
+		md.Raw(int(md.U8())) // the scheme: the header names it
+	}
+	// The header is small and copied out of data, so it outlives Close.
 	c.Header = append([]byte(nil), md.Raw(int(md.U32()))...)
-	c.Plan = append([]byte(nil), md.Raw(int(md.U32()))...)
+	if version == 1 {
+		md.Raw(int(md.U32())) // the plan: the header holds it
+	}
 	numFiles := int(md.U16())
 	if numFiles > maxContainerFiles {
 		return nil, fmt.Errorf("container declares %d files (limit %d)", numFiles, maxContainerFiles)

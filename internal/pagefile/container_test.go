@@ -3,6 +3,7 @@ package pagefile
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,9 +22,7 @@ func buildSpec(t *testing.T) ContainerSpec {
 	fb := NewFile("Fb", 32)
 	fb.MustAppendPage([]byte("hello container"))
 	return ContainerSpec{
-		Scheme: "CI",
 		Header: []byte("header-blob"),
-		Plan:   []byte{1, 2, 3, 4},
 		Files:  []Reader{fa, fb},
 	}
 }
@@ -35,6 +34,62 @@ func encodeSpec(t *testing.T, spec ContainerSpec) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// encodeV1 writes a version 1 container, whose meta block carries a scheme
+// name before the header and an encoded plan after it.
+func encodeV1(tb testing.TB, scheme string, header, plan []byte, files ...Reader) []byte {
+	tb.Helper()
+	var data bytes.Buffer
+	crcs, err := writeDataRegion(&data, ContainerSpec{Files: files})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	metaLen := 1 + len(scheme) + 4 + len(header) + 4 + len(plan) + 2
+	for _, f := range files {
+		metaLen += 1 + len(f.Name()) + 4 + 8 + 8 + 4
+	}
+	meta := NewEnc(metaLen + 4)
+	meta.U8(uint8(len(scheme))).Raw([]byte(scheme))
+	meta.U32(uint32(len(header))).Raw(header)
+	meta.U32(uint32(len(plan))).Raw(plan)
+	meta.U16(uint16(len(files)))
+	offset := dataStart(metaLen)
+	for i, f := range files {
+		meta.U8(uint8(len(f.Name()))).Raw([]byte(f.Name()))
+		meta.U32(uint32(f.PageSize())).U64(uint64(f.NumPages())).U64(uint64(offset)).U32(crcs[i])
+		offset += Bytes(f)
+	}
+	meta.U32(crc32.ChecksumIEEE(meta.Bytes()))
+	out := NewEnc(int(offset)).Raw([]byte(ContainerMagic)).U16(1).U32(uint32(metaLen)).Raw(meta.Bytes())
+	out.Raw(make([]byte, dataStart(metaLen)-int64(out.Len())))
+	return out.Raw(data.Bytes()).Bytes()
+}
+
+// TestContainerReadsVersion1: a version 1 container opens with the header
+// and files it was written with; its scheme and plan copies are skipped.
+func TestContainerReadsVersion1(t *testing.T) {
+	spec := buildSpec(t)
+	c, err := ReadContainer(encodeV1(t, "CI", spec.Header, []byte{1, 2, 3, 4}, spec.Files...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(c.Header) != "header-blob" {
+		t.Fatalf("header %q", c.Header)
+	}
+	if len(c.Files) != len(spec.Files) {
+		t.Fatalf("%d files, want %d", len(c.Files), len(spec.Files))
+	}
+	for fi, want := range spec.Files {
+		got := c.Files[fi]
+		if got.Name() != want.Name() || got.NumPages() != want.NumPages() {
+			t.Fatalf("file %d: got %s/%d", fi, got.Name(), got.NumPages())
+		}
+		wp, _ := want.Page(0)
+		if gp, _ := got.Page(0); !bytes.Equal(gp, wp) {
+			t.Errorf("file %s page 0 differs", want.Name())
+		}
+	}
 }
 
 func TestContainerRoundTrip(t *testing.T) {
@@ -51,8 +106,8 @@ func TestContainerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Scheme != "CI" || string(c.Header) != "header-blob" || !bytes.Equal(c.Plan, []byte{1, 2, 3, 4}) {
-		t.Fatalf("metadata: scheme %q header %q plan %v", c.Scheme, c.Header, c.Plan)
+	if string(c.Header) != "header-blob" {
+		t.Fatalf("header %q", c.Header)
 	}
 	if len(c.Files) != 2 {
 		t.Fatalf("%d files", len(c.Files))
@@ -150,7 +205,7 @@ func TestContainerCorruptionPaths(t *testing.T) {
 		{
 			name: "meta corruption",
 			mutate: func(b []byte) []byte {
-				b[11] ^= 0xFF // inside the scheme name field
+				b[11] ^= 0xFF // inside the header length field
 				return b
 			},
 			wantErr: "meta block CRC mismatch",
@@ -264,7 +319,7 @@ func TestMappedFileConcurrentReads(t *testing.T) {
 func TestContainerEmptyAndManyFiles(t *testing.T) {
 	// Zero page files (legal: a header-only database) and a zero-page file.
 	empty := NewFile("F0", 16)
-	spec := ContainerSpec{Scheme: "S", Header: nil, Plan: nil, Files: []Reader{empty}}
+	spec := ContainerSpec{Files: []Reader{empty}}
 	data := encodeSpec(t, spec)
 	c, err := ReadContainer(data)
 	if err != nil {
@@ -282,7 +337,7 @@ func TestContainerEmptyAndManyFiles(t *testing.T) {
 	fa1.MustAppendPage([]byte{1})
 	fa2 := NewFile("Fa", 16)
 	fa2.MustAppendPage([]byte{2})
-	dup := encodeSpec(t, ContainerSpec{Scheme: "S", Files: []Reader{fa1, fa2}})
+	dup := encodeSpec(t, ContainerSpec{Files: []Reader{fa1, fa2}})
 	if _, err := ReadContainer(dup); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate names: %v", err)
@@ -365,7 +420,7 @@ func ExampleWriteContainer() {
 	dir, _ := os.MkdirTemp("", "psdb")
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "demo.psdb")
-	if err := WriteContainer(path, ContainerSpec{Scheme: "CI", Header: []byte("h"), Files: []Reader{f}}); err != nil {
+	if err := WriteContainer(path, ContainerSpec{Header: []byte("header"), Files: []Reader{f}}); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -376,6 +431,6 @@ func ExampleWriteContainer() {
 	}
 	defer c.Close()
 	p, _ := c.Files[0].Page(0)
-	fmt.Printf("%s %s\n", c.Scheme, bytes.TrimRight(p, "\x00"))
-	// Output: CI page zero
+	fmt.Printf("%s, %s\n", c.Header, bytes.TrimRight(p, "\x00"))
+	// Output: header, page zero
 }

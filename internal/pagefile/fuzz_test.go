@@ -19,16 +19,16 @@ func FuzzOpenContainer(f *testing.F) {
 	fb.MustAppendPage([]byte("fuzz"))
 	var valid bytes.Buffer
 	if err := WriteContainerTo(&valid, ContainerSpec{
-		Scheme: "CI",
 		Header: []byte("hdr"),
-		Plan:   []byte{0, 1},
 		Files:  []Reader{fa, fb},
 	}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
+	f.Add(encodeV1(f, "CI", []byte("hdr"), []byte{0, 1}, fa, fb))
 	f.Add([]byte(ContainerMagic))
 	f.Add([]byte("PSDB\x01\x00\xff\xff\xff\xff"))
+	f.Add([]byte("PSDB\x02\x00\xff\xff\xff\xff"))
 	truncated := append([]byte(nil), valid.Bytes()...)
 	f.Add(truncated[:len(truncated)/2])
 

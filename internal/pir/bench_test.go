@@ -43,13 +43,15 @@ func BenchmarkXORAnswer(b *testing.B) {
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})
 	b.Run("words", func(b *testing.B) {
-		acc := make([]uint64, arena.wpp)
+		// answerAll with one selector: the fold a one-page read runs.
+		sels, accs := [][]byte{sel}, [][]uint64{make([]uint64, arena.wpp)}
+		var table []uint64
 		b.SetBytes(n * ps)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			clearWords(acc)
-			arena.answerOne(sel, acc)
+			clearWords(accs[0])
+			arena.answerAll(sels, accs, &table)
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})

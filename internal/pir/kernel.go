@@ -180,21 +180,6 @@ func xorWordsGo(acc, src []uint64) {
 	}
 }
 
-// selected reports whether page p is set in the selector bit vector.
-func selected(sel []byte, p int) bool {
-	return sel[p>>3]&(1<<(p&7)) != 0
-}
-
-// answerOne XORs the pages selected by sel into acc (len wpp, caller
-// zeroed) in one pass over the arena.
-func (a *wordArena) answerOne(sel []byte, acc []uint64) {
-	for p := 0; p < a.numPages; p++ {
-		if selected(sel, p) {
-			xorWords(acc, a.row(p))
-		}
-	}
-}
-
 // maxBucketBits caps a group at 8 selectors (256 buckets): past that the
 // fold term 3·2^g overtakes any range this repo scans.
 const maxBucketBits = 8

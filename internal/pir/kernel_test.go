@@ -36,8 +36,13 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWordKernelMatchesByteKernel checks the word-wide arena kernels —
-// single-selector answerOne and multi-selector single-scan answerAll —
+// selected reports whether page p is set in the selector bit vector.
+func selected(sel []byte, p int) bool {
+	return sel[p>>3]&(1<<(p&7)) != 0
+}
+
+// TestWordKernelMatchesByteKernel checks the word-wide arena kernel —
+// answerAll with one selector at a time, and with all of them in one scan —
 // against the byte-at-a-time reference implementation, across odd shapes.
 func TestWordKernelMatchesByteKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -58,24 +63,24 @@ func TestWordKernelMatchesByteKernel(t *testing.T) {
 			}
 		}
 
-		// answerOne, selector by selector.
+		// One selector per scan.
+		var table []uint64
 		for j, sel := range sels {
 			want := xorAnswerBytes(pages, shape.ps, sel)
 			acc := make([]uint64, arena.wpp)
-			arena.answerOne(sel, acc)
+			arena.answerAll([][]byte{sel}, [][]uint64{acc}, &table)
 			got := make([]byte, shape.ps)
 			unpackWords(got, acc)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%dx%d: answerOne selector %d mismatch", shape.n, shape.ps, j)
+				t.Fatalf("%dx%d: one-selector answerAll selector %d mismatch", shape.n, shape.ps, j)
 			}
 		}
 
-		// answerAll: all selectors in one scan.
+		// All selectors in one scan.
 		accs := make([][]uint64, k)
 		for j := range accs {
 			accs[j] = make([]uint64, arena.wpp)
 		}
-		var table []uint64
 		arena.answerAll(sels, accs, &table)
 		for j, sel := range sels {
 			want := xorAnswerBytes(pages, shape.ps, sel)

@@ -21,7 +21,9 @@ func arenaSharesPage(x *XORPIR, page []byte) bool {
 
 // writeUnalignedContainer hand-builds a one-file container whose data region
 // starts right after the meta block's CRC, at a byte offset that is not a
-// multiple of 8, as writers did before they aligned the region.
+// multiple of 8, as writers did before they aligned the region. Those
+// writers wrote format version 1, whose meta block also carries a scheme
+// name and an (here empty) encoded plan.
 func writeUnalignedContainer(t *testing.T, pages [][]byte, ps int) string {
 	t.Helper()
 	var data []byte
@@ -39,7 +41,7 @@ func writeUnalignedContainer(t *testing.T, pages [][]byte, ps int) string {
 	meta.U8(uint8(len(name))).Raw([]byte(name)).U32(uint32(ps)).U64(uint64(len(pages))).U64(uint64(offset))
 	meta.U32(crc32.ChecksumIEEE(data))
 	file := pagefile.NewEnc(offset + len(data))
-	file.Raw([]byte(pagefile.ContainerMagic)).U16(pagefile.ContainerVersion).U32(uint32(meta.Len()))
+	file.Raw([]byte(pagefile.ContainerMagic)).U16(1).U32(uint32(meta.Len()))
 	file.Raw(meta.Bytes()).U32(crc32.ChecksumIEEE(meta.Bytes())).Raw(data)
 	path := filepath.Join(t.TempDir(), "unaligned.psdb")
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
@@ -141,7 +143,7 @@ func TestXORPIRArenaView(t *testing.T) {
 	}
 	opened := func(t *testing.T, pages [][]byte, ps int) pagefile.Reader {
 		path := filepath.Join(t.TempDir(), "db.psdb")
-		spec := pagefile.ContainerSpec{Scheme: "CI", Files: []pagefile.Reader{fileOf(t, pages, ps)}}
+		spec := pagefile.ContainerSpec{Files: []pagefile.Reader{fileOf(t, pages, ps)}}
 		if err := pagefile.WriteContainer(path, spec); err != nil {
 			t.Fatal(err)
 		}

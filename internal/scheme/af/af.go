@@ -75,12 +75,7 @@ func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
 	}
 	hdr.Plan = qp
 	hdr.Params["maxClusters"] = int64(maxClusters)
-	return &lbs.Database{
-		Scheme: string(base.AF),
-		Header: hdr.Encode(),
-		Files:  []pagefile.Reader{fd},
-		Plan:   qp,
-	}, nil
+	return hdr.Database(fd), nil
 }
 
 // computeFlags derives, for every half-edge, the bit-vector over regions:

@@ -284,13 +284,17 @@ func TestIndexBuilderRejectsOversizedSet(t *testing.T) {
 }
 
 func TestLookupRoundTrip(t *testing.T) {
-	file := pagefile.NewFile(FileLookup, 64) // 10 entries per page
-	per := LookupEntriesPerPage(64)
+	per := LookupEntriesPerPage(64) // 10 entries per page
 	var entries []LookupEntry
+	var spans []pagefile.Span
+	var ords []uint16
 	for i := 0; i < 25; i++ {
 		entries = append(entries, LookupEntry{Page: uint32(i * 3), RecIndex: uint16(i % 7)})
+		spans = append(spans, pagefile.Span{Page: i * 3})
+		ords = append(ords, uint16(i%7))
 	}
-	if err := BuildLookup(file, entries); err != nil {
+	file, err := BuildLookup(64, spans, ords)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if file.NumPages() != (25+per-1)/per {
@@ -313,8 +317,8 @@ func TestLookupRoundTrip(t *testing.T) {
 }
 
 func TestLookupEmpty(t *testing.T) {
-	file := pagefile.NewFile(FileLookup, 64)
-	if err := BuildLookup(file, nil); err != nil {
+	file, err := BuildLookup(64, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if file.NumPages() != 1 {

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"repro/internal/kdtree"
+	"repro/internal/lbs"
 	"repro/internal/pagefile"
 	"repro/internal/plan"
 )
@@ -61,6 +62,15 @@ func (h *Header) MustParam(key string) int64 {
 		panic(err)
 	}
 	return v
+}
+
+// Database assembles the served database h describes from its page files:
+// the scheme, the query plan the server holds every query to, and the
+// header bytes every client downloads all come from h. Build and
+// privsp.Open both assemble a database here, so the plan a server enforces
+// is the plan its clients lay their frames out from.
+func (h *Header) Database(files ...pagefile.Reader) *lbs.Database {
+	return &lbs.Database{Scheme: string(h.Scheme), Header: h.Encode(), Files: files, Plan: h.Plan}
 }
 
 // Encode serializes the header.

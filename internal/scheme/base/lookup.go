@@ -21,32 +21,32 @@ const LookupEntrySize = 6
 // LookupEntriesPerPage returns how many entries one F_l page holds.
 func LookupEntriesPerPage(pageSize int) int { return pageSize / LookupEntrySize }
 
-// BuildLookup packs entries (in pair-index order) into file.
-func BuildLookup(file *pagefile.File, entries []LookupEntry) error {
-	per := LookupEntriesPerPage(file.PageSize())
+// BuildLookup builds F_l from the index builder's output (IndexBuilder.
+// Finish): per network-index record in pair-index order, its span's first
+// page and its ordinal among the records starting there.
+func BuildLookup(pageSize int, spans []pagefile.Span, ordinals []uint16) (*pagefile.File, error) {
+	per := LookupEntriesPerPage(pageSize)
 	if per == 0 {
-		return fmt.Errorf("base: page size %d below a single look-up entry", file.PageSize())
+		return nil, fmt.Errorf("base: page size %d below a single look-up entry", pageSize)
 	}
-	for start := 0; start < len(entries); start += per {
-		end := start + per
-		if end > len(entries) {
-			end = len(entries)
-		}
+	file := pagefile.NewFile(FileLookup, pageSize)
+	for start := 0; start < len(spans); start += per {
+		end := min(start+per, len(spans))
 		e := pagefile.NewEnc((end - start) * LookupEntrySize)
-		for _, le := range entries[start:end] {
-			e.U32(le.Page)
-			e.U16(le.RecIndex)
+		for k := start; k < end; k++ {
+			e.U32(uint32(spans[k].Page))
+			e.U16(ordinals[k])
 		}
 		if _, err := file.AppendPage(e.Bytes()); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if len(entries) == 0 { // keep the file non-empty so PIR metadata is sane
+	if len(spans) == 0 { // keep the file non-empty so PIR metadata is sane
 		if _, err := file.AppendPage(nil); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return file, nil
 }
 
 // LookupPageFor returns the F_l page that holds the entry of pairIdx.

@@ -66,15 +66,15 @@ func openSession(t *testing.T) (*Session, *frameLog) {
 		{Fetches: []plan.Fetch{{File: FileIndex, Count: 2}, {File: FileData, Count: 4}}},
 		{Fetches: []plan.Fetch{{File: FileData, Count: 2}}},
 	}}
-	db := &lbs.Database{Scheme: string(hdr.Scheme), Header: hdr.Encode(), Plan: hdr.Plan}
+	var files []pagefile.Reader
 	for _, name := range []string{FileLookup, FileIndex, FileData} {
 		f := pagefile.NewFile(name, 64)
 		for i := 0; i < 8; i++ {
 			f.MustAppendPage([]byte{byte(i)})
 		}
-		db.Files = append(db.Files, f)
+		files = append(files, f)
 	}
-	srv, err := lbs.NewServer(db, costmodel.Default(), nil)
+	srv, err := lbs.NewServer(hdr.Database(files...), costmodel.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

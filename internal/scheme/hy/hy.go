@@ -101,12 +101,8 @@ func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
 		}
 	}
 
-	fl := pagefile.NewFile(base.FileLookup, cfg.PageSize)
-	entries := make([]base.LookupEntry, np)
-	for k := range entries {
-		entries[k] = base.LookupEntry{Page: uint32(spans[k].Page), RecIndex: ords[k]}
-	}
-	if err := base.BuildLookup(fl, entries); err != nil {
+	fl, err := base.BuildLookup(cfg.PageSize, spans, ords)
+	if err != nil {
 		return nil, fmt.Errorf("hy: look-up: %w", err)
 	}
 
@@ -131,12 +127,7 @@ func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
 			base.ParamFiPart:   int64(fiPart),
 		},
 	}
-	return &lbs.Database{
-		Scheme: string(base.HY),
-		Header: hdr.Encode(),
-		Files:  []pagefile.Reader{fl, fc},
-		Plan:   qp,
-	}, nil
+	return hdr.Database(fl, fc), nil
 }
 
 // Query answers one private shortest path query against an HY server.

@@ -67,12 +67,7 @@ func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
 	}
 	hdr.Plan = qp
 	hdr.Params["maxPages"] = int64(maxPages)
-	return &lbs.Database{
-		Scheme: string(base.LM),
-		Header: hdr.Encode(),
-		Files:  []pagefile.Reader{fd},
-		Plan:   qp,
-	}, nil
+	return hdr.Database(fd), nil
 }
 
 // cornerPairs pairs the extremal nodes (bounding-box corners) with each

@@ -66,12 +66,8 @@ func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
 	}
 	spans, ords, maxSpan := ib.Finish()
 
-	fl := pagefile.NewFile(base.FileLookup, cfg.PageSize)
-	entries := make([]base.LookupEntry, np)
-	for k := range entries {
-		entries[k] = base.LookupEntry{Page: uint32(spans[k].Page), RecIndex: ords[k]}
-	}
-	if err := base.BuildLookup(fl, entries); err != nil {
+	fl, err := base.BuildLookup(cfg.PageSize, spans, ords)
+	if err != nil {
 		return nil, fmt.Errorf("pi: look-up: %w", err)
 	}
 
@@ -97,12 +93,7 @@ func Build(g *graph.Graph, cfg base.Config) (*lbs.Database, error) {
 			base.ParamCompact:  codec.CompactParam(),
 		},
 	}
-	return &lbs.Database{
-		Scheme: string(name),
-		Header: hdr.Encode(),
-		Files:  []pagefile.Reader{fl, fi, fd},
-		Plan:   qp,
-	}, nil
+	return hdr.Database(fl, fi, fd), nil
 }
 
 // Query answers one private shortest path query against a PI / PI* server.

@@ -84,23 +84,10 @@ func (fs *FleetServer) Scheme() Scheme { return fs.scheme }
 // WithServerTrace captures it (the fleet verifies both replicas' traces
 // match before returning one).
 func (fs *FleetServer) ShortestPath(ctx context.Context, src, dst Point, opts ...QueryOption) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := applyOptions(opts)
-	// A replica shedding under overload yields ErrBusy, which does not trip
-	// its breaker; the whole query is retried with fresh selector shares —
-	// pir.SplitShares redraws from crypto/rand every attempt (see retryBusy).
-	var res *Result
-	err := retryBusy(ctx, func() (err error) {
+	return remoteShortestPath(ctx, fs.scheme, func() (querySession, error) {
 		qs := fs.f.StartQuery()
-		if err := qs.Err(); err != nil {
-			return err
-		}
-		res, err = settleQuery(ctx, fs.scheme, qs, src, dst, o)
-		return err
-	})
-	return res, err
+		return qs, qs.Err()
+	}, src, dst, opts)
 }
 
 // FleetReplicaStatus is one replica's health snapshot.

@@ -2,6 +2,7 @@ package privsp
 
 import (
 	"context"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,9 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/pagefile"
+	"repro/internal/plan"
+	"repro/internal/scheme/base"
 )
 
 // savePath returns a container path in a fresh temp dir ("PI*" contains a
@@ -287,5 +291,113 @@ func TestSaveOpenErrors(t *testing.T) {
 	}
 	if _, err := Open(garbage); err == nil {
 		t.Error("garbage container opened")
+	}
+
+	// A well-formed container whose header does not decode fails Open,
+	// naming the path, rather than failing every query later.
+	badHeader := filepath.Join(t.TempDir(), "bad-header.psdb")
+	if err := pagefile.WriteContainer(badHeader, pagefile.ContainerSpec{Header: []byte{2, 'C', 'I'}, Files: built.db.Files}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(badHeader); err == nil || !strings.Contains(err.Error(), badHeader) {
+		t.Errorf("undecodable header: Open = %v, want an error naming %s", err, badHeader)
+	}
+
+	// So does a header naming a scheme privsp does not serve.
+	hdr, err := base.DecodeHeader(built.db.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr.Scheme = "OBF"
+	obf := filepath.Join(t.TempDir(), "obf.psdb")
+	if err := pagefile.WriteContainer(obf, pagefile.ContainerSpec{Header: hdr.Encode(), Files: built.db.Files}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(obf); err == nil || !strings.Contains(err.Error(), `unsupported scheme "OBF"`) {
+		t.Errorf("unsupported scheme: Open = %v", err)
+	}
+}
+
+// writeV1Container writes db as a version 1 container: its meta block holds
+// a scheme name before the header and an encoded plan after it, and the
+// data region starts at the next 4096-byte boundary.
+func writeV1Container(t *testing.T, path string, db *Database, pl plan.Plan) {
+	t.Helper()
+	planEnc := pagefile.NewEnc(64)
+	pl.Encode(planEnc)
+	scheme, header, files := db.db.Scheme, db.db.Header, db.db.Files
+	metaLen := 1 + len(scheme) + 4 + len(header) + 4 + planEnc.Len() + 2
+	for _, f := range files {
+		metaLen += 1 + len(f.Name()) + 4 + 8 + 8 + 4
+	}
+	start := (4 + 2 + 4 + metaLen + 4 + 4095) / 4096 * 4096
+	meta := pagefile.NewEnc(metaLen)
+	meta.U8(uint8(len(scheme))).Raw([]byte(scheme))
+	meta.U32(uint32(len(header))).Raw(header)
+	meta.U32(uint32(planEnc.Len())).Raw(planEnc.Bytes())
+	meta.U16(uint16(len(files)))
+	data := pagefile.NewEnc(0)
+	for _, f := range files {
+		h := crc32.NewIEEE()
+		off := start + data.Len()
+		for i := 0; i < f.NumPages(); i++ {
+			p, err := f.Page(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(p)
+			data.Raw(p)
+		}
+		meta.U8(uint8(len(f.Name()))).Raw([]byte(f.Name()))
+		meta.U32(uint32(f.PageSize())).U64(uint64(f.NumPages())).U64(uint64(off)).U32(h.Sum32())
+	}
+	out := pagefile.NewEnc(start + data.Len())
+	out.Raw([]byte(pagefile.ContainerMagic)).U16(1).U32(uint32(metaLen))
+	out.Raw(meta.Bytes()).U32(crc32.ChecksumIEEE(meta.Bytes()))
+	out.Raw(make([]byte, start-out.Len())).Raw(data.Bytes())
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenVersion1Container: a version 1 container opens with the plan its
+// header holds, even when its own plan section disagrees. The plan section
+// here drops the header plan's last round, so a daemon that sized queries
+// from it would refuse every conforming query's last round; served through
+// the daemon, every CI answer must equal Dijkstra's.
+func TestOpenVersion1Container(t *testing.T) {
+	net := Generate(Oldenburg, 0.05, 1)
+	built, err := Build(net, Config{Scheme: CI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := plan.Plan{Rounds: built.db.Plan.Rounds[:len(built.db.Plan.Rounds)-1]}
+	if short.Requests() >= built.db.Plan.Requests() {
+		t.Fatalf("short plan has %d requests, header plan %d", short.Requests(), built.db.Plan.Requests())
+	}
+	path := savePath(t, "ci-v1")
+	writeV1Container(t, path, built, short)
+	opened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if opened.Plan() != built.Plan() {
+		t.Errorf("opened plan %q, want the header's %q", opened.Plan(), built.Plan())
+	}
+
+	remote, err := Dial(startDaemon(t, "CI", opened))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for _, q := range [][2]graph.NodeID{{0, 9}, {3, 40}, {7, 7}, {12, 2}} {
+		res, err := remote.ShortestPath(context.Background(), net.NodePoint(q[0]), net.NodePoint(q[1]))
+		if err != nil {
+			t.Fatalf("query %v: %v", q, err)
+		}
+		if want := graph.DijkstraTo(net.G, q[0], q[1]).Dist[q[1]]; math.Abs(res.Cost-want) > 1e-9 {
+			t.Errorf("query %v: cost %v, Dijkstra %v", q, res.Cost, want)
+		}
 	}
 }

@@ -56,7 +56,6 @@ import (
 	"repro/internal/lbs"
 	"repro/internal/netio"
 	"repro/internal/pagefile"
-	"repro/internal/plan"
 	"repro/internal/scheme/af"
 	"repro/internal/scheme/base"
 	"repro/internal/scheme/ci"
@@ -207,19 +206,13 @@ func Build(n *Network, cfg Config) (*Database, error) {
 func (d *Database) TotalBytes() int64 { return d.db.TotalBytes() }
 
 // Save writes the built database as a versioned single-file container
-// (conventionally ".psdb"): scheme, header, query plan and every page file,
-// each data region checksummed. A saved database re-opens with Open in
-// milliseconds — the build-once / serve-many workflow that sidesteps the
-// paper's multi-hour preprocessing on every daemon start.
+// (conventionally ".psdb"): the header, which names the scheme and holds
+// the query plan, and every page file, each data region checksummed. A
+// saved database re-opens with Open in milliseconds — the build-once /
+// serve-many workflow that sidesteps the paper's multi-hour preprocessing
+// on every daemon start.
 func (d *Database) Save(path string) error {
-	enc := pagefile.NewEnc(256)
-	d.db.Plan.Encode(enc)
-	return pagefile.WriteContainer(path, pagefile.ContainerSpec{
-		Scheme: d.db.Scheme,
-		Header: d.db.Header,
-		Plan:   enc.Bytes(),
-		Files:  d.db.Files,
-	})
+	return pagefile.WriteContainer(path, pagefile.ContainerSpec{Header: d.db.Header, Files: d.db.Files})
 }
 
 // OpenOption tunes Open.
@@ -239,11 +232,14 @@ func WithoutDataVerify() OpenOption {
 // read-only mapping of the file, so the operating system pages them in on
 // demand, the database may exceed RAM, and no preprocessing is redone; by
 // default opening costs one sequential scan of the file to verify its
-// checksums (WithoutDataVerify skips that). The client Result and the
-// server-observed trace are identical to serving the freshly built
-// database. Close the returned database when done, and replace a served
-// container only by renaming a new file over it, as Save does: a file
-// rewritten or truncated under its mapping faults the process.
+// checksums (WithoutDataVerify skips that). The scheme and the query plan
+// come from the container's header, decoded here: a header that does not
+// decode, or names a scheme privsp does not serve, fails Open naming the
+// path. The client Result and the server-observed trace are identical to
+// serving the freshly built database. Close the returned database when
+// done, and replace a served container only by renaming a new file over
+// it, as Save does: a file rewritten or truncated under its mapping faults
+// the process.
 func Open(path string, opts ...OpenOption) (*Database, error) {
 	var copts []pagefile.ContainerOption
 	for _, opt := range opts {
@@ -253,23 +249,20 @@ func Open(path string, opts ...OpenOption) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := schemes[Scheme(c.Scheme)]; !ok {
-		c.Close()
-		return nil, fmt.Errorf("privsp: %s holds unsupported scheme %q", path, c.Scheme)
-	}
-	pl, err := plan.Decode(pagefile.NewDec(c.Plan))
+	hdr, err := base.DecodeHeader(c.Header)
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("privsp: %s: %w", path, err)
+	}
+	if _, ok := schemes[hdr.Scheme]; !ok {
+		c.Close()
+		return nil, fmt.Errorf("privsp: %s holds unsupported scheme %q", path, hdr.Scheme)
 	}
 	files := make([]pagefile.Reader, len(c.Files))
 	for i, f := range c.Files {
 		files[i] = f
 	}
-	return &Database{
-		db:        &lbs.Database{Scheme: c.Scheme, Header: c.Header, Files: files, Plan: pl},
-		container: c,
-	}, nil
+	return &Database{db: hdr.Database(files...), container: c}, nil
 }
 
 // Close unmaps the container backing a database returned by Open. It is a
@@ -477,19 +470,7 @@ func (r *RemoteServer) Database() string { return r.c.Database() }
 // records the cancelled query's partial trace (always a prefix of a full
 // trace) and counts it as cancelled or deadline-exceeded.
 func (r *RemoteServer) ShortestPath(ctx context.Context, src, dst Point, opts ...QueryOption) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := applyOptions(opts)
-	// A query the daemon sheds with Busy is retried whole: each attempt is
-	// a fresh query session with freshly drawn PIR randomness, never a
-	// resent round (see retryBusy).
-	var res *Result
-	err := retryBusy(ctx, func() (err error) {
-		res, err = settleQuery(ctx, r.scheme, r.c.StartQuery(), src, dst, o)
-		return err
-	})
-	return res, err
+	return remoteShortestPath(ctx, r.scheme, func() (querySession, error) { return r.c.StartQuery(), nil }, src, dst, opts)
 }
 
 // ErrPlanOverflow is matched by errors.Is when a query needed more
@@ -506,6 +487,28 @@ type querySession interface {
 	lbs.Service
 	End(ctx context.Context) (string, error)
 	Cancel(reason uint8)
+}
+
+// remoteShortestPath runs one query on a daemon connection or a fleet,
+// whose query sessions start opens. A query shed with Busy is retried
+// whole: each attempt is a fresh query session with freshly drawn PIR
+// randomness — for a fleet, fresh selector shares — never a resent round
+// (see retryBusy).
+func remoteShortestPath(ctx context.Context, scheme Scheme, start func() (querySession, error), src, dst Point, opts []QueryOption) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	o := applyOptions(opts)
+	var res *Result
+	err := retryBusy(ctx, func() error {
+		qs, err := start()
+		if err != nil {
+			return err
+		}
+		res, err = settleQuery(ctx, scheme, qs, src, dst, o)
+		return err
+	})
+	return res, err
 }
 
 // settleQuery runs the scheme protocol over a remote query session and
